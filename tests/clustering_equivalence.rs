@@ -9,7 +9,11 @@
 //!    *pre-refactor* report fingerprints (seeds × modes × shards on/off ×
 //!    gossip) reproduces bit for bit, under both engines. The fingerprints
 //!    below were captured on the tree before the topology-epoch refactor
-//!    landed; they are the refactor's ground truth.
+//!    landed; they are the refactor's ground truth. A second, *composed*
+//!    grid (sharding × regroup × gossip prefetch × fetch-ahead × both link
+//!    models × an elastic joiner × scripted chaos) pins report and trace
+//!    fingerprints captured before the orchestration handlers were merged,
+//!    and must between its rows fire every event kind the kernel has.
 //! 2. **Dormant cadence** — in Sync mode a regroup cadence longer than the
 //!    run's horizon never fires, and must be byte-identical to
 //!    `regroup: None` for any seed.
@@ -18,20 +22,27 @@
 //!    chaos injection, elastic membership, domain drift, and
 //!    checkpoint/resume at arbitrary event boundaries.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use unifyfl::core::cluster::{ClusterConfig, DriftSpec};
-use unifyfl::core::experiment::{ExperimentBuilder, ExperimentReport, Mode};
+use unifyfl::core::events::encode_trace;
+use unifyfl::core::experiment::{ExperimentBuilder, ExperimentReport, LinkModel, Mode};
 use unifyfl::core::service::RunState;
-use unifyfl::core::{ChaosConfig, Engine, ShardConfig};
+use unifyfl::core::{ChaosConfig, Engine, FaultEvent, FaultKind, GossipConfig, ShardConfig};
 use unifyfl::sim::{DeviceProfile, SimDuration};
 
-fn fingerprint(report: &ExperimentReport) -> u64 {
+fn fnv(text: &str) -> u64 {
     let mut hash: u64 = 0xcbf29ce484222325;
-    for byte in format!("{report:?}").bytes() {
+    for byte in text.bytes() {
         hash ^= byte as u64;
         hash = hash.wrapping_mul(0x100000001b3);
     }
     hash
+}
+
+fn fingerprint(report: &ExperimentReport) -> u64 {
+    fnv(&format!("{report:?}"))
 }
 
 fn builder(seed: u64, mode: Mode, n: usize, sharding: Option<ShardConfig>) -> ExperimentBuilder {
@@ -73,8 +84,117 @@ const GOLDENS: &[(u64, Mode, usize, u64)] = &[
     (1337, Mode::Async, 2, 0xc7a7e2fcb1a9fbb7),
 ];
 
+/// The composed fence: every topology and membership handler fires in a
+/// pinned run. Six founders plus one elastic joiner (arriving mid-run on
+/// each mode's own timescale) over 4 rounds, two shards exchanging every
+/// round and regrouping every second, gossip prefetch, fetch-ahead, and a
+/// scripted crash, leave, latency spike and clock skew. The joiner's
+/// round-1 crash predates its Sync join (pruned as skipped) and hits its
+/// own first round in Async.
+fn composed_golden(seed: u64, mode: Mode, link_model: LinkModel) -> ExperimentBuilder {
+    let mut clusters: Vec<ClusterConfig> = (0..6)
+        .map(|i| ClusterConfig::edge(format!("agg-{}", i + 1), DeviceProfile::edge_cpu()))
+        .collect();
+    clusters.push(
+        ClusterConfig::edge("agg-late", DeviceProfile::edge_cpu()).joining_at(match mode {
+            Mode::Sync => SimDuration::from_secs(30),
+            Mode::Async => SimDuration::from_millis(120),
+        }),
+    );
+    let fault = |cluster, round, kind| FaultEvent {
+        cluster,
+        round,
+        kind,
+    };
+    ExperimentBuilder::quickstart()
+        .seed(seed)
+        .rounds(4)
+        .mode(mode)
+        .clusters(clusters)
+        .sharding(
+            ShardConfig::new(2)
+                .with_exchange_every(1)
+                .with_regroup_every(2),
+        )
+        .gossip(GossipConfig::new(2).with_prefetch(true))
+        .fetch_ahead(true)
+        .link_model(link_model)
+        .chaos(ChaosConfig::scripted(vec![
+            fault(1, 2, FaultKind::Crash { down_rounds: 1 }),
+            fault(3, 3, FaultKind::Leave),
+            fault(4, 2, FaultKind::LatencySpike { factor: 1.5 }),
+            fault(
+                2,
+                1,
+                FaultKind::ClockSkew {
+                    skew: SimDuration::from_millis(50),
+                },
+            ),
+            fault(6, 1, FaultKind::Crash { down_rounds: 1 }),
+        ]))
+}
+
+/// Pre-collapse fingerprints of [`composed_golden`], captured on the tree
+/// before the orchestration handlers were merged: `(seed, mode, link
+/// model)` → FNV-1a 64 of the full-Debug report and of the encoded
+/// fired-event trace.
+#[rustfmt::skip]
+const COMPOSED_GOLDENS: &[(u64, Mode, LinkModel, u64, u64)] = &[
+    (11, Mode::Sync, LinkModel::Nominal, 0xa8572811e38922dd, 0x8e238f14a7707532),
+    (11, Mode::Sync, LinkModel::Physical, 0x35e2fea377686bc1, 0x8e238f14a7707532),
+    (11, Mode::Async, LinkModel::Nominal, 0xc4fc46aeabe86a97, 0x16aca187037b2d3f),
+    (11, Mode::Async, LinkModel::Physical, 0xf898eea2585f01bf, 0x076c6dc7d74b272a),
+    (1337, Mode::Sync, LinkModel::Nominal, 0x27d247ea464f711a, 0x65178dbf5202fbf8),
+    (1337, Mode::Sync, LinkModel::Physical, 0xa537bb3e4bf629a6, 0x65178dbf5202fbf8),
+    (1337, Mode::Async, LinkModel::Nominal, 0x97c0efbef6eaf760, 0x9be958e3faded7f8),
+    (1337, Mode::Async, LinkModel::Physical, 0xdcded7026135c66d, 0xc5ce794033a87bbb),
+];
+
+/// Every [`Event::label`](unifyfl::core::events::Event::label) the kernel
+/// can fire; the composed grid must fire each at least once.
+const ALL_LABELS: [&str; 13] = [
+    "membership_change",
+    "open_training",
+    "training_done",
+    "start_scoring",
+    "scores_due",
+    "round_barrier",
+    "cluster_wake",
+    "seal_slot",
+    "shard_seal_due",
+    "shard_exchange",
+    "prefetch_due",
+    "fetch_ahead",
+    "regroup_due",
+];
+
 #[test]
 fn pre_refactor_fingerprints_reproduce_under_both_engines() {
+    let mut fired: BTreeSet<&'static str> = BTreeSet::new();
+    for &(seed, mode, link_model, report_fnv, trace_fnv) in COMPOSED_GOLDENS {
+        for engine in [Engine::Sequential, Engine::Parallel] {
+            let config = composed_golden(seed, mode, link_model)
+                .engine(engine)
+                .config()
+                .clone();
+            let mut state = RunState::new(&config).expect("valid configuration");
+            while state.step().is_some() {}
+            fired.extend(state.trace().iter().map(|r| r.event.label()));
+            let trace = encode_trace(state.trace());
+            let report = state.run_to_completion();
+            assert_eq!(
+                (fingerprint(&report), fnv(&trace)),
+                (report_fnv, trace_fnv),
+                "the composed run must reproduce its pre-collapse report and \
+                 trace (seed {seed}, {mode}, {link_model}, {engine})"
+            );
+        }
+    }
+    assert_eq!(
+        fired,
+        BTreeSet::from(ALL_LABELS),
+        "the composed grid must fire every event kind"
+    );
     for &(seed, mode, shards, expected) in GOLDENS {
         for engine in [Engine::Sequential, Engine::Parallel] {
             let sharding = (shards > 0).then(|| ShardConfig::new(shards));
