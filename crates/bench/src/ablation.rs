@@ -13,10 +13,9 @@
 //!    depends on how many scorers actually report.
 
 use unifyfl_core::cluster::ClusterConfig;
-use unifyfl_core::experiment::{run_experiment, Engine, ExperimentConfig, LinkModel, Mode};
+use unifyfl_core::experiment::{run_experiment, Engine, ExperimentBuilder, ExperimentConfig, Mode};
 use unifyfl_core::policy::AggregationPolicy;
 use unifyfl_core::scoring::ScorerKind;
-use unifyfl_core::TransferConfig;
 use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
@@ -45,23 +44,16 @@ fn base_config(seed: u64, mode: Mode) -> ExperimentConfig {
                 .with_policy(AggregationPolicy::All)
         })
         .collect();
-    ExperimentConfig {
-        seed,
-        label: "ablation".into(),
-        workload: sweep_workload(4),
-        partition: Partition::Iid,
-        mode,
-        scorer: ScorerKind::Accuracy,
-        clusters,
-        window_margin: 1.15,
-        chaos: None,
-        gossip: None,
-        fetch_ahead: false,
-        transfer: TransferConfig::default(),
-        engine: Engine::auto(),
-        link_model: LinkModel::Nominal,
-        sharding: None,
-    }
+    ExperimentBuilder::quickstart()
+        .seed(seed)
+        .label("ablation")
+        .workload(sweep_workload(4))
+        .partition(Partition::Iid)
+        .mode(mode)
+        .scorer(ScorerKind::Accuracy)
+        .clusters(clusters)
+        .config()
+        .clone()
 }
 
 /// Sweep 2: window margin vs straggler rate and wall clock. Returns rows of
@@ -114,7 +106,13 @@ pub fn majority_sweep(seed: u64) -> Vec<(usize, usize, f64)> {
                 Mode::Sync.to_chain(),
                 clusters,
             );
-            run_sync(&mut fed, &workload, ScorerKind::Accuracy, 1.15);
+            run_sync(
+                &mut fed,
+                &workload,
+                ScorerKind::Accuracy,
+                1.15,
+                Engine::default(),
+            );
 
             let attacker = fed.clusters[n - 1].address();
             let mut honest = Vec::new();

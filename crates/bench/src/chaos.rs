@@ -8,13 +8,12 @@
 
 use unifyfl_core::cluster::ClusterConfig;
 use unifyfl_core::experiment::{
-    run_experiment, Engine, ExperimentConfig, ExperimentReport, LinkModel, Mode,
+    run_experiment, ExperimentBuilder, ExperimentConfig, ExperimentReport, Mode,
 };
 use unifyfl_core::policy::AggregationPolicy;
 use unifyfl_core::report::{render_chaos_summary, render_run_table};
 use unifyfl_core::scoring::ScorerKind;
 use unifyfl_core::ChaosConfig;
-use unifyfl_core::TransferConfig;
 use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
@@ -60,23 +59,18 @@ pub fn config(seed: u64, chaos: Option<ChaosConfig>) -> ExperimentConfig {
                 .with_policy(AggregationPolicy::All)
         })
         .collect();
-    ExperimentConfig {
-        seed,
-        label: if chaos.is_some() { "churn" } else { "baseline" }.into(),
-        workload,
-        partition: Partition::Iid,
-        mode: Mode::Sync,
-        scorer: ScorerKind::Accuracy,
-        clusters,
-        window_margin: 1.15,
-        chaos,
-        gossip: None,
-        fetch_ahead: false,
-        transfer: TransferConfig::default(),
-        engine: Engine::auto(),
-        link_model: LinkModel::Nominal,
-        sharding: None,
-    }
+    let mut config = ExperimentBuilder::quickstart()
+        .seed(seed)
+        .label(if chaos.is_some() { "churn" } else { "baseline" })
+        .workload(workload)
+        .partition(Partition::Iid)
+        .mode(Mode::Sync)
+        .scorer(ScorerKind::Accuracy)
+        .clusters(clusters)
+        .config()
+        .clone();
+    config.chaos = chaos;
+    config
 }
 
 /// Mean global accuracy (percent) across aggregators at 1-based `round`,

@@ -11,12 +11,11 @@
 
 use unifyfl_core::byzantine::AttackKind;
 use unifyfl_core::experiment::{
-    run_experiment, Engine, ExperimentConfig, ExperimentReport, LinkModel, Mode,
+    run_experiment, ExperimentBuilder, ExperimentConfig, ExperimentReport, Mode,
 };
 use unifyfl_core::policy::{AggregationPolicy, ScorePolicy};
 use unifyfl_core::report::render_curves;
 use unifyfl_core::scoring::ScorerKind;
-use unifyfl_core::TransferConfig;
 use unifyfl_data::{Partition, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
 
@@ -52,27 +51,20 @@ pub fn config(variant: PolicyVariant, scale: Scale, seed: u64) -> ExperimentConf
         c.attack = attack;
         c
     };
-    ExperimentConfig {
-        seed,
-        label: format!("Figure 7 ({variant:?} policy)"),
-        workload,
-        partition: Partition::Dirichlet { alpha: 0.5 },
-        mode: Mode::Sync,
-        scorer: ScorerKind::Accuracy,
-        clusters: vec![
+    ExperimentBuilder::quickstart()
+        .seed(seed)
+        .label(format!("Figure 7 ({variant:?} policy)"))
+        .workload(workload)
+        .partition(Partition::Dirichlet { alpha: 0.5 })
+        .mode(Mode::Sync)
+        .scorer(ScorerKind::Accuracy)
+        .clusters(vec![
             mk("Honest 1", None),
             mk("Honest 2", None),
             mk("Malicious", Some(AttackKind::SignFlip)),
-        ],
-        window_margin: 1.15,
-        chaos: None,
-        gossip: None,
-        fetch_ahead: false,
-        transfer: TransferConfig::default(),
-        engine: Engine::auto(),
-        link_model: LinkModel::Nominal,
-        sharding: None,
-    }
+        ])
+        .config()
+        .clone()
 }
 
 /// Runs one variant.

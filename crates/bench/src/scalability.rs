@@ -7,12 +7,11 @@
 
 use unifyfl_core::cluster::ClusterConfig;
 use unifyfl_core::experiment::{
-    run_experiment, Engine, ExperimentConfig, ExperimentReport, LinkModel, Mode,
+    run_experiment, ExperimentBuilder, ExperimentConfig, ExperimentReport, Mode,
 };
 use unifyfl_core::policy::{AggregationPolicy, ScorePolicy};
 use unifyfl_core::report::render_run_table;
 use unifyfl_core::scoring::ScorerKind;
-use unifyfl_core::TransferConfig;
 use unifyfl_data::{Partition, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
 
@@ -32,23 +31,16 @@ pub fn config(clients_per_agg: usize, scale: Scale, seed: u64) -> ExperimentConf
             c
         })
         .collect();
-    ExperimentConfig {
-        seed,
-        label: format!("Scalability ({} clients)", clients_per_agg * 3),
-        workload,
-        partition: Partition::Dirichlet { alpha: 0.5 },
-        mode: Mode::Async,
-        scorer: ScorerKind::Accuracy,
-        clusters,
-        window_margin: 1.15,
-        chaos: None,
-        gossip: None,
-        fetch_ahead: false,
-        transfer: TransferConfig::default(),
-        engine: Engine::auto(),
-        link_model: LinkModel::Nominal,
-        sharding: None,
-    }
+    ExperimentBuilder::quickstart()
+        .seed(seed)
+        .label(format!("Scalability ({} clients)", clients_per_agg * 3))
+        .workload(workload)
+        .partition(Partition::Dirichlet { alpha: 0.5 })
+        .mode(Mode::Async)
+        .scorer(ScorerKind::Accuracy)
+        .clusters(clusters)
+        .config()
+        .clone()
 }
 
 /// Runs the scalability experiment at a given fleet size.

@@ -26,7 +26,7 @@ use std::time::Instant;
 use unifyfl_core::cluster::ClusterConfig;
 use unifyfl_core::experiment::{Engine, ExperimentBuilder, Mode};
 use unifyfl_core::federation::Federation;
-use unifyfl_core::orchestration::run_sync_engine;
+use unifyfl_core::orchestration::run_sync;
 use unifyfl_core::scoring::ScorerKind;
 use unifyfl_core::{ShardConfig, ShardTopology};
 use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
@@ -135,12 +135,12 @@ pub fn run_arm(n: usize, seed: u64) -> ScaleArm {
         clusters,
         Some(topology),
     );
-    let outcome = run_sync_engine(
+    let outcome = run_sync(
         &mut fed,
         &workload,
         ScorerKind::Accuracy,
         1.15,
-        Engine::auto(),
+        Engine::default(),
     );
     let wall_secs = start.elapsed().as_secs_f64();
     ScaleArm {

@@ -15,12 +15,11 @@
 use unifyfl_core::baseline::run_hbfl;
 use unifyfl_core::cluster::ClusterConfig;
 use unifyfl_core::experiment::{
-    run_experiment, Engine, ExperimentConfig, ExperimentReport, LinkModel, Mode,
+    run_experiment, ExperimentBuilder, ExperimentConfig, ExperimentReport, Mode,
 };
 use unifyfl_core::policy::{AggregationPolicy, ScorePolicy};
 use unifyfl_core::report::{render_baseline_table, render_run_table};
 use unifyfl_core::scoring::ScorerKind;
-use unifyfl_core::TransferConfig;
 use unifyfl_data::{Partition, WorkloadConfig};
 use unifyfl_fl::StrategyKind;
 
@@ -130,23 +129,16 @@ pub fn config(run_no: u32, scale: Scale, seed: u64) -> ExperimentConfig {
         ),
         other => panic!("run {other} is not a UnifyFL experiment (1..=9, 1 = baseline)"),
     };
-    ExperimentConfig {
-        seed,
-        label: format!("Table 5 Run {run_no}"),
-        workload,
-        partition,
-        mode,
-        scorer,
-        clusters,
-        window_margin: 1.15,
-        chaos: None,
-        gossip: None,
-        fetch_ahead: false,
-        transfer: TransferConfig::default(),
-        engine: Engine::auto(),
-        link_model: LinkModel::Nominal,
-        sharding: None,
-    }
+    ExperimentBuilder::quickstart()
+        .seed(seed)
+        .label(format!("Table 5 Run {run_no}"))
+        .workload(workload)
+        .partition(partition)
+        .mode(mode)
+        .scorer(scorer)
+        .clusters(clusters)
+        .config()
+        .clone()
 }
 
 /// Runs one UnifyFL row set (run 2–9).

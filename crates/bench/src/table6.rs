@@ -11,12 +11,11 @@
 //! | C3 | Async | NIID α=0.5 |
 
 use unifyfl_core::experiment::{
-    run_experiment, Engine, ExperimentConfig, ExperimentReport, LinkModel, Mode,
+    run_experiment, ExperimentBuilder, ExperimentConfig, ExperimentReport, Mode,
 };
 use unifyfl_core::policy::{AggregationPolicy, ScorePolicy};
 use unifyfl_core::report::render_run_table;
 use unifyfl_core::scoring::ScorerKind;
-use unifyfl_core::TransferConfig;
 use unifyfl_data::{Partition, WorkloadConfig};
 
 use crate::table1::edge_clusters;
@@ -45,23 +44,16 @@ pub fn config(run_name: &str, scale: Scale, seed: u64) -> ExperimentConfig {
                 .with_score_policy(ScorePolicy::Mean)
         })
         .collect();
-    ExperimentConfig {
-        seed,
-        label: format!("Table 6 Run {run_name}"),
-        workload,
-        partition,
-        mode,
-        scorer: ScorerKind::Accuracy,
-        clusters,
-        window_margin: 1.15,
-        chaos: None,
-        gossip: None,
-        fetch_ahead: false,
-        transfer: TransferConfig::default(),
-        engine: Engine::auto(),
-        link_model: LinkModel::Nominal,
-        sharding: None,
-    }
+    ExperimentBuilder::quickstart()
+        .seed(seed)
+        .label(format!("Table 6 Run {run_name}"))
+        .workload(workload)
+        .partition(partition)
+        .mode(mode)
+        .scorer(ScorerKind::Accuracy)
+        .clusters(clusters)
+        .config()
+        .clone()
 }
 
 /// Runs one row set.

@@ -30,6 +30,7 @@
 use unifyfl_sim::{EventQueue, SimTime};
 
 use crate::federation::Federation;
+use crate::orchestration::EngineOutcome;
 
 /// One typed orchestration event.
 ///
@@ -193,8 +194,10 @@ pub struct EventRecord {
     pub event: Event,
 }
 
-/// An orchestration policy over the kernel: seeds the queue, then handles
-/// each drained event (scheduling follow-ups as it goes).
+/// An orchestration policy over the kernel: seeds the queue, handles each
+/// drained event (scheduling follow-ups as it goes), and finally folds the
+/// drained run into its outcome. Object-safe, so a resumable run
+/// ([`crate::service::RunState`]) holds either engine behind the trait.
 pub(crate) trait EventPolicy {
     /// Schedules the initial events.
     fn seed(&mut self, fed: &mut Federation, queue: &mut EventQueue<Event>);
@@ -206,6 +209,10 @@ pub(crate) trait EventPolicy {
         at: SimTime,
         event: Event,
     );
+    /// Consumes the drained policy: runs the final merge over the
+    /// still-participating clusters and assembles the outcome around the
+    /// fired-event `trace`.
+    fn finish(self: Box<Self>, fed: &mut Federation, trace: Vec<EventRecord>) -> EngineOutcome;
 }
 
 /// The poll-resumable kernel loop: the event queue plus the fired-event
@@ -236,10 +243,10 @@ impl Kernel {
     /// then pops one event, records it in the trace, and hands it to the
     /// policy (which may schedule follow-ups). Returns `None` when no live
     /// events remain — the run is complete.
-    pub(crate) fn step<P: EventPolicy>(
+    pub(crate) fn step(
         &mut self,
         fed: &mut Federation,
-        policy: &mut P,
+        policy: &mut dyn EventPolicy,
     ) -> Option<EventRecord> {
         if !self.seeded {
             self.seeded = true;
@@ -265,7 +272,7 @@ impl Kernel {
 
 /// Drains the kernel: seed, then pop-and-handle until no live events
 /// remain. Returns the fired-event trace.
-pub(crate) fn drain<P: EventPolicy>(fed: &mut Federation, policy: &mut P) -> Vec<EventRecord> {
+pub(crate) fn drain(fed: &mut Federation, policy: &mut dyn EventPolicy) -> Vec<EventRecord> {
     let mut kernel = Kernel::new();
     while kernel.step(fed, policy).is_some() {}
     kernel.into_trace()

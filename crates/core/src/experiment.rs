@@ -27,7 +27,14 @@ use crate::sharding::{ShardConfig, ShardTopology};
 pub use crate::step::Engine;
 
 /// A complete experiment description.
+///
+/// [`ExperimentConfig::default`] is the laptop quickstart; every other
+/// configuration is that default with the fields it cares about set —
+/// through [`ExperimentBuilder`] or by assignment. The struct is
+/// `#[non_exhaustive]`, so no code outside this crate can spell out the
+/// full field list: adding a defaulted knob is a one-file change.
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct ExperimentConfig {
     /// Master seed; every random stream derives from it.
     pub seed: u64,
@@ -107,8 +114,11 @@ pub enum ExperimentError {
     MultiKrumTooFewClusters(usize),
     /// Cross-silo FL needs at least two clusters.
     TooFewClusters(usize),
-    /// The window margin must be at least 1.
+    /// The window margin must be finite and at least 1.
     InvalidWindowMargin,
+    /// A cluster's `straggle_factor` must be finite and strictly positive
+    /// (window sizing divides by it). Carries the offending cluster's name.
+    InvalidStraggleFactor(String),
     /// Elastic membership needs at least two *founding* clusters (a joiner
     /// must have a federation to join). Carries the founder count.
     TooFewFounders(usize),
@@ -141,7 +151,13 @@ impl std::fmt::Display for ExperimentError {
                 write!(f, "cross-silo FL needs at least 2 clusters, got {n}")
             }
             ExperimentError::InvalidWindowMargin => {
-                write!(f, "window margin must be >= 1.0")
+                write!(f, "window margin must be finite and >= 1.0")
+            }
+            ExperimentError::InvalidStraggleFactor(cluster) => {
+                write!(
+                    f,
+                    "straggle_factor of cluster {cluster:?} must be finite and > 0"
+                )
             }
             ExperimentError::TooFewFounders(n) => {
                 write!(
@@ -373,6 +389,51 @@ pub struct ExperimentReport {
     pub membership: Vec<MembershipRecord>,
 }
 
+impl Default for ExperimentConfig {
+    /// The quickstart: three edge clusters, a small synthetic 4-class
+    /// task, three Async rounds, every optional subsystem off.
+    fn default() -> Self {
+        use unifyfl_data::SyntheticConfig;
+        use unifyfl_sim::DeviceProfile;
+        use unifyfl_tensor::zoo::{InputKind, ModelSpec};
+
+        let mut dataset = SyntheticConfig::cifar10_like(450);
+        dataset.input = InputKind::Flat(16);
+        dataset.n_classes = 4;
+        dataset.noise_scale = 0.6;
+        dataset.label_noise = 0.05;
+        let workload = WorkloadConfig {
+            name: "quickstart".into(),
+            model: ModelSpec::mlp(16, vec![24], 4),
+            dataset,
+            rounds: 3,
+            local_epochs: 1,
+            batch_size: 16,
+            learning_rate: 0.05,
+        };
+        let clusters = (0..3)
+            .map(|i| ClusterConfig::edge(format!("agg-{}", i + 1), DeviceProfile::edge_cpu()))
+            .collect();
+        ExperimentConfig {
+            seed: 42,
+            label: "quickstart".into(),
+            workload,
+            partition: Partition::Iid,
+            mode: Mode::Async,
+            scorer: ScorerKind::Accuracy,
+            clusters,
+            window_margin: 1.15,
+            chaos: None,
+            transfer: TransferConfig::default(),
+            engine: Engine::default(),
+            link_model: LinkModel::Nominal,
+            sharding: None,
+            gossip: None,
+            fetch_ahead: false,
+        }
+    }
+}
+
 impl ExperimentConfig {
     /// Validates the configuration.
     ///
@@ -393,9 +454,19 @@ impl ExperimentConfig {
                 self.clusters.len(),
             ));
         }
-        // NaN must be rejected too, hence the explicit is_nan branch.
-        if self.window_margin.is_nan() || self.window_margin < 1.0 {
+        // Window sizing multiplies by the margin and divides by each
+        // straggle factor; a non-finite product would collapse to a zero
+        // window and silently make every cluster straggle every round.
+        // (`is_finite` also rejects NaN, which `< 1.0` alone lets through.)
+        if !self.window_margin.is_finite() || self.window_margin < 1.0 {
             return Err(ExperimentError::InvalidWindowMargin);
+        }
+        if let Some(c) = self
+            .clusters
+            .iter()
+            .find(|c| !c.straggle_factor.is_finite() || c.straggle_factor <= 0.0)
+        {
+            return Err(ExperimentError::InvalidStraggleFactor(c.name.clone()));
         }
         // Elastic membership: a joiner needs a federation to join, and a
         // zero offset is a founder misconfigured as a joiner.
@@ -684,48 +755,10 @@ pub struct ExperimentBuilder {
 
 impl ExperimentBuilder {
     /// A fast, laptop-friendly 3-cluster experiment on a small synthetic
-    /// task (seconds, not minutes). The starting point for exploration.
+    /// task (seconds, not minutes) — [`ExperimentConfig::default`]. The
+    /// starting point for exploration.
     pub fn quickstart() -> Self {
-        use unifyfl_data::SyntheticConfig;
-        use unifyfl_sim::DeviceProfile;
-        use unifyfl_tensor::zoo::{InputKind, ModelSpec};
-
-        let mut dataset = SyntheticConfig::cifar10_like(450);
-        dataset.input = InputKind::Flat(16);
-        dataset.n_classes = 4;
-        dataset.noise_scale = 0.6;
-        dataset.label_noise = 0.05;
-        let workload = WorkloadConfig {
-            name: "quickstart".into(),
-            model: ModelSpec::mlp(16, vec![24], 4),
-            dataset,
-            rounds: 3,
-            local_epochs: 1,
-            batch_size: 16,
-            learning_rate: 0.05,
-        };
-        let clusters = (0..3)
-            .map(|i| ClusterConfig::edge(format!("agg-{}", i + 1), DeviceProfile::edge_cpu()))
-            .collect();
-        ExperimentBuilder {
-            config: ExperimentConfig {
-                seed: 42,
-                label: "quickstart".into(),
-                workload,
-                partition: Partition::Iid,
-                mode: Mode::Async,
-                scorer: ScorerKind::Accuracy,
-                clusters,
-                window_margin: 1.15,
-                chaos: None,
-                transfer: TransferConfig::default(),
-                engine: Engine::auto(),
-                link_model: LinkModel::Nominal,
-                sharding: None,
-                gossip: None,
-                fetch_ahead: false,
-            },
-        }
+        ExperimentBuilder::from_config(ExperimentConfig::default())
     }
 
     /// Starts from an explicit configuration.
@@ -977,12 +1010,26 @@ mod tests {
 
     #[test]
     fn validation_rejects_bad_margin() {
-        let mut builder = ExperimentBuilder::quickstart();
-        builder.config.window_margin = 0.5;
-        assert_eq!(
-            builder.run().unwrap_err(),
-            ExperimentError::InvalidWindowMargin
-        );
+        for margin in [0.5, f64::NAN, f64::INFINITY] {
+            let mut builder = ExperimentBuilder::quickstart();
+            builder.config.window_margin = margin;
+            assert_eq!(
+                builder.run().unwrap_err(),
+                ExperimentError::InvalidWindowMargin,
+                "margin {margin}"
+            );
+        }
+        // The window sizing divides by the straggle factor: a zero,
+        // negative or non-finite one would collapse the windows to zero.
+        for factor in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut builder = ExperimentBuilder::quickstart();
+            builder.config.clusters[1].straggle_factor = factor;
+            assert_eq!(
+                builder.run().unwrap_err(),
+                ExperimentError::InvalidStraggleFactor("agg-2".into()),
+                "straggle_factor {factor}"
+            );
+        }
     }
 
     #[test]

@@ -91,6 +91,19 @@ pub struct Candidate {
     pub scores: Vec<f64>,
 }
 
+/// The outcome of [`Federation::fetch_peers`]: the peer models that
+/// arrived and validated, and what pulling them cost.
+#[derive(Debug)]
+pub struct FetchedPeers {
+    /// Fetched weight vectors of the fetching cluster's model length.
+    pub peers: Vec<Vec<f32>>,
+    /// Position of each kept peer in the requested CID sequence,
+    /// index-aligned with `peers`.
+    pub kept: Vec<usize>,
+    /// Virtual time the kept fetches cost under the active link model.
+    pub cost: SimDuration,
+}
+
 /// Parses an on-chain delta reference into `(base_cid, delta_cid)`; `None`
 /// if either string is not a well-formed CID (the reference is then simply
 /// ignored and fetches go through the full path).
@@ -654,12 +667,24 @@ impl Federation {
         self.fetch_weights_costed(cluster, cid).map(|(w, _)| w)
     }
 
-    /// [`Federation::fetch_weights`], also returning the storage layer's
-    /// *physical* elapsed time for the fetch (actual bytes moved over the
-    /// per-node link — near-zero for cache/local hits). Under
-    /// [`LinkModel::Physical`] the engines charge this instead of the
-    /// nominal [`fetch_duration`](crate::cluster::ClusterNode::fetch_duration);
-    /// on the retried-fetch path only the successful attempt is charged.
+    /// The virtual time one fetch by `cluster` costs under the active
+    /// [`LinkModel`], given the storage layer's `physical` elapsed time for
+    /// it: the cluster's nominal per-model
+    /// [`fetch_duration`](crate::cluster::ClusterNode::fetch_duration), or
+    /// the physical time itself. The one place the link model prices a
+    /// fetch.
+    pub fn fetch_cost(&self, cluster: usize, physical: SimDuration) -> SimDuration {
+        match self.link_model {
+            LinkModel::Nominal => self.clusters[cluster].fetch_duration(),
+            LinkModel::Physical => physical,
+        }
+    }
+
+    /// [`Federation::fetch_weights`], also returning what the fetch costs
+    /// on the virtual clock ([`Federation::fetch_cost`] of the storage
+    /// layer's physical elapsed time — actual bytes moved over the per-node
+    /// link, near-zero for cache/local hits). On the retried-fetch path
+    /// only the successful attempt is charged.
     pub fn fetch_weights_costed(
         &self,
         cluster: usize,
@@ -701,8 +726,32 @@ impl Federation {
             }
             Err(_) => return None,
         };
-        let elapsed = receipt.elapsed;
-        weights_from_bytes(&receipt.data).ok().map(|w| (w, elapsed))
+        let cost = self.fetch_cost(cluster, receipt.elapsed);
+        weights_from_bytes(&receipt.data).ok().map(|w| (w, cost))
+    }
+
+    /// Pulls a sequence of peer models into `cluster`, in order: content
+    /// that is unavailable, corrupt or not of the cluster's model length is
+    /// skipped (the CID guarantees silently-corrupted bytes can never be
+    /// ingested) and costs nothing; every kept fetch is charged under the
+    /// active link model.
+    pub fn fetch_peers(&self, cluster: usize, cids: impl IntoIterator<Item = Cid>) -> FetchedPeers {
+        let want = self.clusters[cluster].weights().len();
+        let mut fetched = FetchedPeers {
+            peers: Vec::new(),
+            kept: Vec::new(),
+            cost: SimDuration::ZERO,
+        };
+        for (position, cid) in cids.into_iter().enumerate() {
+            if let Some((w, cost)) = self.fetch_weights_costed(cluster, cid) {
+                if w.len() == want {
+                    fetched.peers.push(w);
+                    fetched.kept.push(position);
+                    fetched.cost += cost;
+                }
+            }
+        }
+        fetched
     }
 
     /// Disjoint borrows for the round step's compute phase: every cluster
@@ -718,11 +767,6 @@ impl Federation {
     pub fn phase_tx(&mut self, call: Vec<u8>) -> Transaction {
         let orch = self.orchestrator;
         self.clusters[0].next_tx(orch, call)
-    }
-
-    /// Convenience: `startTraining` payload.
-    pub fn start_training_call() -> Vec<u8> {
-        calls::start_training()
     }
 
     // ---- resource-model hooks (Table 7) ------------------------------
@@ -967,6 +1011,47 @@ mod tests {
         let f = fed(OrchestrationMode::Async);
         let ghost = Cid::for_data(b"never published");
         assert!(f.fetch_weights(0, ghost).is_none());
+    }
+
+    #[test]
+    fn fetch_peers_validates_length_and_prices_under_the_link_model() {
+        // Two releases from cluster 1: a well-formed model and a blob of
+        // the wrong length. Fresh federations per measurement, so no
+        // fetch is served from an earlier one's cache.
+        let setup = |model: LinkModel| {
+            let mut f = fed(OrchestrationMode::Async);
+            f.set_link_model(model);
+            let n = f.clusters[1].weights().len();
+            let good = f.clusters[1].publish_release_blob(&vec![0.25; n]);
+            let short = f.clusters[1].publish_release_blob(&[0.25; 3]);
+            (f, good, short)
+        };
+
+        let (f, good, short) = setup(LinkModel::Nominal);
+        let ghost = Cid::for_data(b"never published");
+        let fetched = f.fetch_peers(0, [short, good, ghost, good]);
+        // The mismatched and the unavailable peer are skipped, not
+        // charged; positions index the requested sequence.
+        assert_eq!(fetched.kept, vec![1, 3]);
+        assert_eq!(fetched.peers.len(), 2);
+        assert!(fetched
+            .peers
+            .iter()
+            .all(|w| w.len() == f.clusters[0].weights().len()));
+        // Nominal: the device-profile cost per kept fetch, whatever moved.
+        assert_eq!(fetched.cost, f.clusters[0].fetch_duration() * 2);
+
+        // Physical: exactly the storage layer's elapsed time for the one
+        // kept fetch — the mismatched blob moved bytes but costs nothing.
+        let (f, good, short) = setup(LinkModel::Physical);
+        let fetched = f.fetch_peers(0, [short, good]);
+        assert_eq!(fetched.kept, vec![1]);
+        let (reference, good_again, _) = setup(LinkModel::Physical);
+        assert_eq!(good, good_again);
+        let (_, alone) = reference.fetch_weights_costed(0, good).expect("fetchable");
+        assert!(!alone.is_zero());
+        assert_ne!(alone, f.clusters[0].fetch_duration());
+        assert_eq!(fetched.cost, alone);
     }
 
     #[test]

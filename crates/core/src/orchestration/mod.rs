@@ -1,0 +1,265 @@
+//! The Sync and Async orchestration engines (§3.2 / §3.3, Figures 5 & 6),
+//! as two policies over the discrete-event kernel ([`crate::events`]).
+//!
+//! Both engines drive the same federation through the paper's six-step
+//! workflow by draining one typed [`Event`](crate::events::Event) queue,
+//! differing exactly where the paper says they differ:
+//!
+//! - **Sync** ([`run_sync`]) is the *barrier-event* policy: an
+//!   `OpenTraining → TrainingDone×n → StartScoring → ScoresDue×n →
+//!   RoundBarrier` event cycle per round. Per-cluster completion events are
+//!   released at the phase-window close (the barrier), so fast clusters
+//!   accumulate idle time, clusters that overrun the training window become
+//!   *stragglers* whose model is only accepted next round, and scores
+//!   arriving after the scoring window are rejected by the contract.
+//! - **Async** ([`run_async`]) is the *no-barrier* policy: each cluster's
+//!   `ClusterWake` event fires at its own virtual clock (ties broken by
+//!   cluster index), and the waking cluster either serves a scoring duty or
+//!   runs its next training round. A final `SealSlot` event drains the
+//!   chain once every cluster is done.
+//!
+//! The modes differ in *when* a cluster acts, not in *what* a shard seal,
+//! an inter-shard exchange, a regroup, a prefetch or an elastic join does.
+//! So `sync_policy` and `async_policy` hold only each mode's own clockwork,
+//! while `topology` holds the one set of two-tier handlers and `membership`
+//! the one elastic-join path that both fire — a policy passes in who takes
+//! part and whose clock (if any) pays, and schedules its own continuation.
+//!
+//! Virtual time comes from the cluster cost models — or, under
+//! [`LinkModel::Physical`](crate::federation::LinkModel), from the storage
+//! layer's physical bytes moved per link — and chain state advances via
+//! periodic Clique seals as time passes, so contract-enforced window
+//! semantics (late submissions/scores reverting) are exercised for real.
+//!
+//! Both policies consume the federation's installed
+//! [`FaultPlan`](unifyfl_sim::fault::FaultPlan), if any (crashes, leaves,
+//! latency spikes, clock skew), and both serve *elastic membership*: a
+//! cluster configured with
+//! [`ClusterConfig::joins_at`](crate::cluster::ClusterConfig::joins_at)
+//! enters mid-run through a
+//! [`Event::MembershipChange`](crate::events::Event::MembershipChange)
+//! event — it registers on-chain, bootstraps its model from the latest
+//! scored releases, and participates from there.
+
+mod async_policy;
+mod membership;
+mod sync_policy;
+#[cfg(test)]
+mod tests;
+mod topology;
+
+use serde::{Deserialize, Serialize};
+use unifyfl_chain::orchestrator::OrchestrationMode;
+use unifyfl_data::WorkloadConfig;
+use unifyfl_sim::SimTime;
+
+use crate::cluster::ClusterRoundRecord;
+use crate::events::{self, EventPolicy, EventRecord};
+use crate::federation::Federation;
+use crate::scoring::ScorerKind;
+use crate::step::{compute_all, merge_eval, prepare_train, Engine, TrainInputs};
+
+use async_policy::AsyncPolicy;
+use membership::Members;
+use sync_policy::SyncPolicy;
+
+/// Orchestration mode selector (maps onto the contract's mode).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Mode {
+    /// Phase-locked rounds.
+    Sync,
+    /// Free-running rounds.
+    Async,
+}
+
+impl Mode {
+    /// The contract-side mode this engine requires.
+    pub fn to_chain(self) -> OrchestrationMode {
+        match self {
+            Mode::Sync => OrchestrationMode::Sync,
+            Mode::Async => OrchestrationMode::Async,
+        }
+    }
+}
+
+impl std::fmt::Display for Mode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Mode::Sync => write!(f, "Sync"),
+            Mode::Async => write!(f, "Async"),
+        }
+    }
+}
+
+/// What an engine run produced, per cluster and overall.
+#[derive(Debug, Clone)]
+pub struct EngineOutcome {
+    /// Virtual completion time of each cluster's final round.
+    pub per_cluster_time: Vec<SimTime>,
+    /// Rounds in which each cluster straggled (missed the submission
+    /// window; Sync only).
+    pub straggler_rounds: Vec<u64>,
+    /// Scores each cluster lost to a closed scoring window (Sync only).
+    pub rejected_scores: Vec<u64>,
+    /// Final *global* (post-merge) accuracy/loss per cluster on the global
+    /// test set.
+    pub final_global: Vec<(f64, f64)>,
+    /// Final *local* (post-training) accuracy/loss per cluster.
+    pub final_local: Vec<(f64, f64)>,
+    /// Virtual end of the whole run.
+    pub end_time: SimTime,
+    /// The kernel's fired-event trace, in firing order — a pure function
+    /// of the configuration (replays are bit-identical).
+    pub events: Vec<EventRecord>,
+}
+
+/// Final pass after the last round: merge the last submissions and
+/// evaluate the resulting global model. Clusters no longer participating
+/// (left the federation, or never joined) report their last recorded state
+/// instead of merging post-departure. The merge+evaluate compute runs under
+/// the selected [`Engine`]; fetches and resource bursts stay in
+/// cluster-index order either way.
+fn final_merge(
+    fed: &mut Federation,
+    rounds: u64,
+    members: &Members,
+    engine: Engine,
+) -> Vec<(f64, f64)> {
+    let n = fed.clusters.len();
+    let round = rounds + 1;
+    let inputs: Vec<Option<TrainInputs>> = (0..n)
+        .map(|idx| {
+            members.participates(idx).then(|| {
+                let inputs = prepare_train(fed, idx, round);
+                fed.record_ipfs_burst(inputs.pull);
+                inputs
+            })
+        })
+        .collect();
+    let results = {
+        let (clusters, global_test) = fed.compute_view();
+        compute_all(clusters, inputs, engine, |cluster, inputs| {
+            let _phase = crate::profile::enter(crate::profile::Phase::Train);
+            merge_eval(cluster, inputs, global_test)
+        })
+    };
+    results
+        .into_iter()
+        .enumerate()
+        .map(|(idx, r)| match r {
+            Some((_, acc, loss)) => (acc, loss),
+            None => last_record(fed, idx, |r| (r.global_accuracy, r.global_loss)),
+        })
+        .collect()
+}
+
+/// An accuracy/loss pair from the cluster's last recorded round (zeros if
+/// it never recorded one).
+fn last_record(
+    fed: &Federation,
+    idx: usize,
+    pick: impl Fn(&ClusterRoundRecord) -> (f64, f64),
+) -> (f64, f64) {
+    fed.clusters[idx].records.last().map_or((0.0, 0.0), pick)
+}
+
+fn last_local(fed: &Federation, idx: usize) -> (f64, f64) {
+    last_record(fed, idx, |r| (r.local_accuracy, r.local_loss))
+}
+
+/// Equal-weight mean of `count` models in f64 accumulation: `peers` are
+/// added onto `init` in order, then every coordinate is divided by `count`.
+/// The initial value and the accumulation order are part of the byte
+/// contract, so the caller states them: starting from zeros and starting
+/// from a model's own weights differ on `-0.0` (`0.0 + -0.0` is `+0.0`).
+fn mean_f64(mut init: Vec<f64>, peers: &[Vec<f32>], count: usize) -> Vec<f32> {
+    for p in peers {
+        for (m, v) in init.iter_mut().zip(p) {
+            *m += f64::from(*v);
+        }
+    }
+    init.into_iter()
+        .map(|v| (v / count as f64) as f32)
+        .collect()
+}
+
+/// Builds the policy matching `mode` for the service layer's stepped runs
+/// ([`crate::service::RunState`]) — the same constructors the blocking
+/// entry points ([`run_sync`] / [`run_async`]) use, so stepping is
+/// byte-identical to a blocking run by construction.
+///
+/// # Panics
+///
+/// Panics under the same contract/scorer mismatches as the blocking entry
+/// points.
+pub(crate) fn policy_for(
+    fed: &Federation,
+    mode: Mode,
+    workload: &WorkloadConfig,
+    scorer: ScorerKind,
+    window_margin: f64,
+    engine: Engine,
+) -> Box<dyn EventPolicy + Send> {
+    match mode {
+        Mode::Sync => Box::new(SyncPolicy::new(
+            fed,
+            workload,
+            scorer,
+            window_margin,
+            engine,
+        )),
+        Mode::Async => Box::new(AsyncPolicy::new(fed, workload, scorer, engine)),
+    }
+}
+
+/// Drains `policy` over `fed` and folds the trace into its outcome.
+fn run(fed: &mut Federation, mut policy: Box<dyn EventPolicy>) -> EngineOutcome {
+    let trace = events::drain(fed, policy.as_mut());
+    policy.finish(fed, trace)
+}
+
+/// Runs the Sync engine to completion. Parallel and sequential execution
+/// produce byte-identical outcomes at the same seed.
+///
+/// `window_margin` is the operator's safety factor when sizing the phase
+/// windows over the *nominal* (straggle-free) cluster times; a cluster
+/// whose `straggle_factor` pushes it past the window misses the round.
+///
+/// # Panics
+///
+/// Panics if the federation was built with the wrong contract mode.
+pub fn run_sync(
+    fed: &mut Federation,
+    workload: &WorkloadConfig,
+    scorer: ScorerKind,
+    window_margin: f64,
+    engine: Engine,
+) -> EngineOutcome {
+    let policy = SyncPolicy::new(fed, workload, scorer, window_margin, engine);
+    run(fed, Box::new(policy))
+}
+
+/// Runs the Async engine to completion.
+///
+/// The no-barrier policy stays strictly event-ordered under either engine:
+/// every `ClusterWake`'s inputs (contract candidates, scorer assignments)
+/// depend on the chain state left by the previous event's commit, so
+/// cross-cluster phase-A fan-out would change what each cluster observes.
+/// The engine choice still matters: the final merge-and-evaluate pass fans
+/// out per cluster under [`Engine::Parallel`], and each training event's
+/// client fits are thread-parallel inside the cluster regardless. Results
+/// are byte-identical between engines at the same seed.
+///
+/// # Panics
+///
+/// Panics if the federation's contract is not in Async mode, or the scorer
+/// requires full-round visibility (MultiKRUM — Table 3 forbids it here).
+pub fn run_async(
+    fed: &mut Federation,
+    workload: &WorkloadConfig,
+    scorer: ScorerKind,
+    engine: Engine,
+) -> EngineOutcome {
+    let policy = AsyncPolicy::new(fed, workload, scorer, engine);
+    run(fed, Box::new(policy))
+}

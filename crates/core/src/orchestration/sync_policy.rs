@@ -1,0 +1,606 @@
+//! Sync: the barrier-event policy (§3.2, Figure 5).
+
+use std::collections::BTreeMap;
+
+use unifyfl_chain::orchestrator::{calls, OrchestrationMode};
+use unifyfl_chain::types::Address;
+use unifyfl_data::WorkloadConfig;
+use unifyfl_sim::fault::FaultPlan;
+use unifyfl_sim::{EventQueue, SimDuration, SimTime};
+use unifyfl_storage::Cid;
+
+use super::membership::{self, Members};
+use super::{final_merge, last_local, topology, EngineOutcome};
+use crate::cluster::{ClusterNode, ClusterRoundRecord};
+use crate::events::{Event, EventPolicy, EventRecord};
+use crate::federation::Federation;
+use crate::scoring::{krum_assumed_byzantine, multikrum_scores, ScorerKind};
+use crate::sharding::ShardTopology;
+use crate::step::{
+    commit_train_effects, compute_all, compute_scores, compute_train, prepare_scoring,
+    prepare_train, Engine, ScoreTask, ScoredModel, TrainInputs, TrainResult,
+};
+
+/// What the training phase decided for one cluster, before any state is
+/// mutated. Decisions are pure reads (membership, fault plan, carryover,
+/// active set), so the kernel takes them in the phase-open event; every
+/// mutation they imply — fault logs, carryover consumption, departure —
+/// happens in that cluster's commit event, in cluster-index order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum TrainAction {
+    /// Configured to join later; not a member yet.
+    NotJoined,
+    /// Departed in an earlier round; nothing to do.
+    Gone,
+    /// Leaves the federation this round (first observation).
+    Leave,
+    /// Crashed: sits the round out, losing any held-over work.
+    Crash,
+    /// Straggler finishing last round's held-over work; no pull/train.
+    Carryover,
+    /// Normal round: pull, merge, train, evaluate, publish.
+    Run,
+}
+
+pub(crate) struct SyncPolicy {
+    workload: WorkloadConfig,
+    scorer: ScorerKind,
+    engine: Engine,
+    rounds: u64,
+    n: usize,
+    training_window: SimDuration,
+    scoring_window: SimDuration,
+    /// Active two-tier topology; `None` (or a single-shard topology,
+    /// filtered at construction) runs the flat barrier cycle untouched.
+    topology: Option<ShardTopology>,
+    plan: Option<FaultPlan>,
+    // Cross-round accumulators.
+    straggler_rounds: Vec<u64>,
+    rejected_scores: Vec<u64>,
+    carryover: Vec<Option<SimDuration>>,
+    members: Members,
+    // Round whose `OpenTraining` is currently being processed (joins that
+    // gate on it log their faults against this round).
+    opening_round: u64,
+    // Current round's barrier state, filled by the phase-open events and
+    // consumed by the per-cluster commit events.
+    phase_start: SimTime,
+    window_end: SimTime,
+    scoring_start: SimTime,
+    scoring_end: SimTime,
+    pending_actions: Vec<TrainAction>,
+    pending_results: Vec<Option<TrainResult>>,
+    pending_scores: Vec<Option<Vec<ScoredModel>>>,
+    end_time: SimTime,
+}
+
+impl SyncPolicy {
+    /// Builds the barrier policy for `fed`: asserts the contract mode,
+    /// filters the shard topology, sizes the phase windows from the
+    /// nominal cost models × `window_margin`, and seeds the membership
+    /// bookkeeping. The returned policy is inert until the kernel calls
+    /// [`EventPolicy::seed`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the federation was built with the wrong contract mode.
+    pub(crate) fn new(
+        fed: &Federation,
+        workload: &WorkloadConfig,
+        scorer: ScorerKind,
+        window_margin: f64,
+        engine: Engine,
+    ) -> SyncPolicy {
+        assert_eq!(
+            fed.contract().mode(),
+            OrchestrationMode::Sync,
+            "sync engine needs a sync-mode contract"
+        );
+        let n = fed.clusters.len();
+        let topology = topology::active_topology(fed);
+        // Peer fan-out per phase: intra-shard under the two-tier topology,
+        // the whole federation when flat. Windows sized from it stay
+        // constant as the federation grows with the shard size fixed.
+        let fan_out = topology.as_ref().map_or(n, ShardTopology::max_shard_size) as u64 - 1;
+
+        // Size the windows from nominal (straggle-free) expected
+        // durations: the slowest cluster's phase, times the margin.
+        let nominal = |c: &ClusterNode, d: SimDuration| {
+            SimDuration::from_secs_f64(d.as_secs_f64() / c.config().straggle_factor)
+        };
+        let window = |phase: &dyn Fn(&ClusterNode) -> SimDuration| {
+            let worst = fed.clusters.iter().map(phase).max();
+            let worst = worst.expect("at least one cluster");
+            SimDuration::from_secs_f64(worst.as_secs_f64() * window_margin)
+        };
+        let training_window = window(&|c| {
+            let train = nominal(c, c.train_duration(workload.local_epochs));
+            c.fetch_duration() * fan_out + train + c.publish_duration()
+        });
+        let scoring_window =
+            window(&|c| (c.fetch_duration() + nominal(c, c.score_duration())) * fan_out);
+
+        SyncPolicy {
+            workload: workload.clone(),
+            scorer,
+            engine,
+            rounds: workload.rounds as u64,
+            n,
+            training_window,
+            scoring_window,
+            topology,
+            plan: fed.fault_plan().cloned(),
+            straggler_rounds: vec![0; n],
+            rejected_scores: vec![0; n],
+            carryover: vec![None; n],
+            members: Members::new(fed),
+            opening_round: 0,
+            phase_start: fed.setup_done,
+            window_end: fed.setup_done,
+            scoring_start: fed.setup_done,
+            scoring_end: fed.setup_done,
+            pending_actions: Vec::new(),
+            pending_results: Vec::new(),
+            pending_scores: Vec::new(),
+            end_time: fed.setup_done,
+        }
+    }
+
+    fn open_training(
+        &mut self,
+        fed: &mut Federation,
+        queue: &mut EventQueue<Event>,
+        at: SimTime,
+        round: u64,
+    ) {
+        // Elastic joins are gated on phase boundaries: a joiner whose time
+        // has come registers now, so this round's scorer sampling and
+        // submissions already include it. Joins must take effect *before*
+        // the phase opens, so schedule the membership events at this
+        // instant followed by a re-issued `OpenTraining` — FIFO ordering
+        // fires the joins first, then reopens the round with membership
+        // settled.
+        self.opening_round = round;
+        let mut joins_due = false;
+        for idx in 0..self.n {
+            if !self.members.joined[idx] && self.members.join_time[idx].is_some_and(|jt| jt <= at) {
+                queue.schedule(at, Event::MembershipChange { cluster: idx });
+                joins_due = true;
+            }
+        }
+        if joins_due {
+            queue.schedule(at, Event::OpenTraining { round });
+            return;
+        }
+
+        let tx = fed.phase_tx(calls::start_training());
+        fed.submit_tx_at(at, tx);
+        self.phase_start = fed.flush_chain_at(at);
+        self.window_end = self.phase_start + self.training_window;
+
+        // Phase A of the two-phase round step: decide every cluster's
+        // action (pure reads), gather inputs in cluster-index order
+        // (shared-state reads and fetches), then run the cluster-local
+        // compute under the selected engine. Commits are the
+        // `TrainingDone` events, released at the barrier in index order.
+        let actions: Vec<TrainAction> = (0..self.n)
+            .map(|idx| self.train_action(idx, round))
+            .collect();
+        let inputs: Vec<Option<TrainInputs>> = (0..self.n)
+            .map(|idx| (actions[idx] == TrainAction::Run).then(|| prepare_train(fed, idx, round)))
+            .collect();
+        let workload = &self.workload;
+        let results = {
+            let (clusters, global_test) = fed.compute_view();
+            compute_all(clusters, inputs, self.engine, |cluster, inputs| {
+                compute_train(cluster, inputs, workload, global_test)
+            })
+        };
+        self.pending_actions = actions;
+        self.pending_results = results;
+
+        for idx in 0..self.n {
+            queue.schedule(
+                self.window_end,
+                Event::TrainingDone {
+                    cluster: idx,
+                    round,
+                },
+            );
+        }
+        queue.schedule(self.window_end, Event::StartScoring { round });
+    }
+
+    /// What the training phase decides for one cluster, before any state
+    /// is mutated: pure reads of membership, fault plan and carryover.
+    fn train_action(&self, idx: usize, round: u64) -> TrainAction {
+        if !self.members.joined[idx] {
+            return TrainAction::NotJoined;
+        }
+        if let Some(p) = &self.plan {
+            if p.has_left(idx, round) {
+                return if self.members.live[idx] {
+                    TrainAction::Leave
+                } else {
+                    TrainAction::Gone
+                };
+            }
+            if p.is_down(idx, round) {
+                return TrainAction::Crash;
+            }
+        }
+        if self.carryover[idx].is_some() {
+            TrainAction::Carryover
+        } else {
+            TrainAction::Run
+        }
+    }
+
+    fn clock_skew(&self, idx: usize) -> SimDuration {
+        self.plan
+            .as_ref()
+            .map_or(SimDuration::ZERO, |p| p.clock_skew(idx))
+    }
+
+    /// A [`Event::TrainingDone`] commit for one cluster: every federation
+    /// mutation the round implies, replayed in the reference order.
+    fn training_done(&mut self, fed: &mut Federation, idx: usize, round: u64) {
+        let completed_at_secs = (self.window_end + self.scoring_window).as_secs_f64();
+        match self.pending_actions[idx] {
+            TrainAction::NotJoined | TrainAction::Gone => {}
+            TrainAction::Leave => {
+                self.members.live[idx] = false;
+                self.carryover[idx] = None;
+                fed.log_fault(idx, round, "leave", "left the federation");
+            }
+            TrainAction::Crash => {
+                let outcome = if self.carryover[idx].take().is_some() {
+                    "round lost; held-over work discarded"
+                } else {
+                    "round lost"
+                };
+                fed.log_fault(idx, round, "crash", outcome);
+            }
+            TrainAction::Carryover => {
+                // Straggler from last round: finish the held work and submit
+                // the stale model; no pull/train this round. The leftover
+                // already embeds any clock skew from the round that incurred
+                // it (skew is a fixed offset, not a per-round compounding
+                // delay), so none is added here.
+                let leftover = self.carryover[idx].take().expect("carryover action");
+                self.submit_or_hold(fed, idx, round, self.phase_start + leftover);
+                let (acc, loss) = last_local(fed, idx);
+                fed.clusters[idx].record(ClusterRoundRecord {
+                    round,
+                    peers_merged: 0,
+                    local_accuracy: acc,
+                    local_loss: loss,
+                    global_accuracy: acc,
+                    global_loss: loss,
+                    completed_at_secs,
+                });
+            }
+            TrainAction::Run => {
+                let mut result = self.pending_results[idx]
+                    .take()
+                    .expect("run action carries a compute result");
+                let publish = commit_train_effects(fed, idx, round, &mut result);
+                let busy = result.pull + result.train + publish;
+                // A skewed cluster's submission reaches the chain late.
+                let finish = self.phase_start + busy + self.clock_skew(idx);
+                self.submit_or_hold(fed, idx, round, finish);
+                fed.clusters[idx].record(ClusterRoundRecord {
+                    round,
+                    peers_merged: result.peers_merged,
+                    local_accuracy: result.local_accuracy,
+                    local_loss: result.local_loss,
+                    global_accuracy: result.global_accuracy,
+                    global_loss: result.global_loss,
+                    completed_at_secs,
+                });
+            }
+        }
+    }
+
+    /// Stores the cluster's model and submits it if `finish` makes the
+    /// training window; otherwise (§3.2 stragglers) the contract would
+    /// revert the submission, so the model is held for next round.
+    fn submit_or_hold(&mut self, fed: &mut Federation, idx: usize, round: u64, finish: SimTime) {
+        let cid = fed.clusters[idx].store_model(round);
+        if finish <= self.window_end {
+            let tx = fed.clusters[idx].submit_model_tx(fed.orchestrator, &cid);
+            fed.submit_cluster_tx_at(finish, tx);
+            fed.record_idle(self.window_end - finish);
+        } else {
+            self.straggler_rounds[idx] += 1;
+            self.carryover[idx] = Some(finish - self.window_end);
+        }
+    }
+
+    fn start_scoring(&mut self, fed: &mut Federation, queue: &mut EventQueue<Event>, round: u64) {
+        let tx = fed.phase_tx(calls::start_scoring());
+        fed.submit_tx_at(self.window_end, tx);
+        self.scoring_start = fed.flush_chain_at(self.window_end);
+        self.scoring_end = self.scoring_start + self.scoring_window;
+
+        // Collect this round's assignments from the contract.
+        let assignments: Vec<(Cid, Vec<Address>)> = fed
+            .contract()
+            .entries()
+            .iter()
+            .filter(|e| e.round == round)
+            .filter_map(|e| e.cid.parse().ok().map(|cid| (cid, e.scorers.clone())))
+            .collect();
+
+        // MultiKRUM needs the full round's submissions at once. Under
+        // sharding its "round" is each *shard's* round: distances are only
+        // meaningful among the models a shard's scorers can see, so the
+        // submissions are grouped by the submitter's shard and scored per
+        // group. With the flat contract map every submitter is in shard 0,
+        // so the single group reproduces the unsharded computation exactly.
+        let krum: Option<(Vec<Cid>, Vec<f64>)> = if self.scorer == ScorerKind::MultiKrum {
+            let mut groups: BTreeMap<u32, Vec<Cid>> = BTreeMap::new();
+            for e in fed.contract().entries().iter().filter(|e| e.round == round) {
+                if let Ok(cid) = e.cid.parse::<Cid>() {
+                    groups
+                        .entry(fed.contract().shard_of(e.submitter))
+                        .or_default()
+                        .push(cid);
+                }
+            }
+            let mut cids: Vec<Cid> = Vec::new();
+            let mut scores: Vec<f64> = Vec::new();
+            for group in groups.into_values() {
+                let models: Vec<Vec<f32>> = group
+                    .iter()
+                    .filter_map(|c| fed.fetch_weights(0, *c))
+                    .collect();
+                if models.len() == group.len() && !models.is_empty() {
+                    // The Byzantine bound must be admissible for the models
+                    // actually scored in this group, not the federation
+                    // size — crashes, leavers and straggler carryovers all
+                    // shrink the submission set below `n`.
+                    let f = krum_assumed_byzantine(models.len());
+                    scores.extend(multikrum_scores(&models, f));
+                    cids.extend(group);
+                }
+            }
+            (!cids.is_empty()).then_some((cids, scores))
+        } else {
+            None
+        };
+
+        // Scoring, same two-phase shape: prepare (assignment filtering and
+        // fetches, index-ordered), compute (inference, engine-dispatched),
+        // commit (`ScoresDue` events at the window close, index order).
+        let scores_due = |p: &SyncPolicy, idx: usize| {
+            p.members.joined[idx]
+                && p.carryover[idx].is_none() // still busy with held-over work?
+                // Chaos: departed or crashed clusters never score this
+                // round (`is_down` covers both).
+                && p.plan.as_ref().is_none_or(|pl| !pl.is_down(idx, round))
+        };
+        let task_lists: Vec<Option<Vec<ScoreTask>>> = (0..self.n)
+            .map(|idx| {
+                scores_due(self, idx)
+                    .then(|| prepare_scoring(fed, idx, &assignments, krum.as_ref()))
+            })
+            .collect();
+        let scored_lists = {
+            let (clusters, _) = fed.compute_view();
+            compute_all(clusters, task_lists, self.engine, |cluster, tasks| {
+                compute_scores(cluster, tasks)
+            })
+        };
+        self.pending_scores = scored_lists;
+
+        for idx in 0..self.n {
+            queue.schedule(
+                self.scoring_end,
+                Event::ScoresDue {
+                    cluster: idx,
+                    round,
+                },
+            );
+        }
+        queue.schedule(self.scoring_end, Event::RoundBarrier { round });
+    }
+
+    /// A [`Event::ScoresDue`] commit for one cluster: walk the virtual
+    /// clock over its scored tasks, record bursts, submit in-window scores
+    /// and count window rejections — in the reference order.
+    fn scores_due(&mut self, fed: &mut Federation, idx: usize, round: u64) {
+        let Some(scored) = self.pending_scores[idx].take() else {
+            return;
+        };
+        let orch = fed.orchestrator;
+        let skew = self.clock_skew(idx);
+        let mut clock = self.scoring_start + skew;
+        for s in scored {
+            let score_dur = fed.clusters[idx].score_duration();
+            clock += s.fetch_cost + score_dur;
+            fed.record_scoring_burst(s.fetch_cost + score_dur);
+            fed.record_ipfs_burst(s.fetch_cost);
+            if clock <= self.scoring_end {
+                let tx = fed.clusters[idx].score_tx(orch, &s.cid, s.score);
+                fed.submit_cluster_tx_at(clock, tx);
+            } else {
+                // §3.2: "the blockchain will no longer accept scores".
+                self.rejected_scores[idx] += 1;
+                if !skew.is_zero() {
+                    fed.log_fault(idx, round, "clock_skew", "score lost to closed window");
+                }
+            }
+        }
+        fed.record_idle(
+            self.scoring_end
+                .saturating_since(clock.max(self.scoring_start)),
+        );
+    }
+
+    fn round_barrier(&mut self, fed: &mut Federation, queue: &mut EventQueue<Event>, round: u64) {
+        let tx = fed.phase_tx(calls::end_scoring());
+        fed.submit_tx_at(self.scoring_end, tx);
+        let t = fed.flush_chain_at(self.scoring_end);
+        self.end_time = t;
+        if round >= self.rounds {
+            return;
+        }
+        // Topology epochs: on the regroup cadence the barrier derives the
+        // next epoch *before* any seal/exchange, so the fresh grouping
+        // shapes them: RoundBarrier → RegroupDue → [seal/exchange →]
+        // OpenTraining(round + 1). With `regroup: None` this never fires
+        // and the barrier cycle is byte-identical to the static engine.
+        let regroup_every = self.topology.as_ref().and_then(|tp| tp.regroup_every);
+        if let Some(every) = regroup_every.filter(|every| round.is_multiple_of(*every)) {
+            queue.schedule(
+                t,
+                Event::RegroupDue {
+                    epoch: round / every,
+                },
+            );
+        } else {
+            self.advance_past_barrier(fed, queue, t, round);
+        }
+    }
+
+    /// The barrier's continuation once any due regroup has fired: on the
+    /// inter-shard cadence the next round opens only after the
+    /// seal/exchange pair (ShardSealDue → ShardExchange →
+    /// OpenTraining(round + 1)); otherwise it opens immediately.
+    fn advance_past_barrier(
+        &mut self,
+        fed: &Federation,
+        queue: &mut EventQueue<Event>,
+        t: SimTime,
+        round: u64,
+    ) {
+        let exchange_every = self.topology.as_ref().map(|tp| tp.exchange_every);
+        if let Some(every) = exchange_every.filter(|every| round.is_multiple_of(*every)) {
+            queue.schedule(
+                t,
+                Event::ShardSealDue {
+                    epoch: round / every,
+                },
+            );
+        } else {
+            self.open_round(fed, queue, t, round + 1);
+        }
+    }
+
+    /// Opens `round` at `t`: one fetch-ahead warm-up per participating
+    /// cluster, then the round's [`Event::OpenTraining`].
+    fn open_round(&self, fed: &Federation, queue: &mut EventQueue<Event>, t: SimTime, round: u64) {
+        for cluster in (0..self.n).filter(|&c| self.members.participates(c)) {
+            topology::schedule_fetch_ahead(fed, queue, t, cluster, round);
+        }
+        queue.schedule(t, Event::OpenTraining { round });
+    }
+}
+
+impl EventPolicy for SyncPolicy {
+    fn seed(&mut self, fed: &mut Federation, queue: &mut EventQueue<Event>) {
+        membership::log_initial_skews(fed, self.plan.as_ref(), &self.members);
+        self.end_time = fed.setup_done;
+        if self.rounds > 0 {
+            queue.schedule(fed.setup_done, Event::OpenTraining { round: 1 });
+        }
+    }
+
+    fn handle(
+        &mut self,
+        fed: &mut Federation,
+        queue: &mut EventQueue<Event>,
+        at: SimTime,
+        event: Event,
+    ) {
+        match event {
+            Event::MembershipChange { cluster } => {
+                // The registration seals with this round's phase
+                // transaction (`open_training` re-issues right behind the
+                // join and flushes), so the join is visible to this round.
+                membership::register(fed, cluster, at);
+                membership::join(
+                    fed,
+                    &mut self.members,
+                    self.plan.as_mut(),
+                    cluster,
+                    at,
+                    self.opening_round,
+                );
+            }
+            Event::OpenTraining { round } => self.open_training(fed, queue, at, round),
+            Event::TrainingDone { cluster, round } => self.training_done(fed, cluster, round),
+            Event::StartScoring { round } => self.start_scoring(fed, queue, round),
+            Event::ScoresDue { cluster, round } => self.scores_due(fed, cluster, round),
+            Event::RoundBarrier { round } => self.round_barrier(fed, queue, round),
+            Event::RegroupDue { epoch } => {
+                // Window sizing is untouched by the new epoch — regrouped
+                // shards respect the epoch-0 capacity bound. The barrier's
+                // seal/exchange/open continuation resumes for the
+                // regrouping round once the epoch is installed.
+                let Some(every) = self.topology.as_ref().and_then(|tp| tp.regroup_every) else {
+                    return;
+                };
+                let t = topology::regroup_due(fed, &mut self.topology, at, epoch);
+                self.end_time = t;
+                self.advance_past_barrier(fed, queue, t, epoch * every);
+            }
+            Event::ShardSealDue { epoch } => {
+                let Some(tp) = &self.topology else { return };
+                // The barrier absorbs the sealing work: no cluster clock to
+                // charge. The exchange fires once the slowest seal has
+                // landed and the sealing block is mined.
+                let seal_end =
+                    topology::shard_seal_due(fed, tp, &self.members, at, epoch, |_, _| {});
+                let t = fed.flush_chain_at(seal_end);
+                topology::schedule_exchange(fed, queue, t, epoch, |c| self.members.participates(c));
+            }
+            Event::ShardExchange { epoch } => {
+                let Some(tp) = &self.topology else { return };
+                // The next round opens once the slowest fold is done.
+                let end = topology::shard_exchange(
+                    fed,
+                    tp,
+                    at,
+                    |c| self.members.participates(c),
+                    |_, _| {},
+                );
+                let t = fed.flush_chain_at(end);
+                self.end_time = t;
+                self.open_round(fed, queue, t, epoch * tp.exchange_every + 1);
+            }
+            Event::PrefetchDue { cluster, .. } => {
+                let Some(tp) = &self.topology else { return };
+                if self.members.participates(cluster) {
+                    topology::prefetch_due(fed, tp, cluster);
+                }
+            }
+            Event::FetchAhead { cluster, .. } => {
+                if self.members.participates(cluster) {
+                    fed.fetch_ahead_into(cluster);
+                }
+            }
+            // Sync needs no end-of-run drain: every phase boundary already
+            // flushed the chain, and retransmission timing is part of the
+            // pinned reference order.
+            Event::SealSlot | Event::ClusterWake { .. } => {}
+        }
+    }
+
+    fn finish(self: Box<Self>, fed: &mut Federation, trace: Vec<EventRecord>) -> EngineOutcome {
+        let n = self.n;
+        let end_time = self.end_time;
+        let final_global = final_merge(fed, self.rounds, &self.members, self.engine);
+        let final_local = (0..n).map(|i| last_local(fed, i)).collect();
+        EngineOutcome {
+            per_cluster_time: vec![end_time; n],
+            straggler_rounds: self.straggler_rounds,
+            rejected_scores: self.rejected_scores,
+            final_global,
+            final_local,
+            end_time,
+            events: trace,
+        }
+    }
+}

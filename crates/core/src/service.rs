@@ -53,10 +53,10 @@ use std::thread::JoinHandle;
 
 use unifyfl_sim::{EventQueue, SimTime};
 
-use crate::events::{self, EventRecord, Kernel, TraceDecodeError};
+use crate::events::{self, EventPolicy, EventRecord, Kernel, TraceDecodeError};
 use crate::experiment::{self, ExperimentConfig, ExperimentError, ExperimentReport};
 use crate::federation::Federation;
-use crate::orchestration::PolicyKind;
+use crate::orchestration::policy_for;
 
 /// One run of an experiment, stepped event by event.
 ///
@@ -69,7 +69,7 @@ use crate::orchestration::PolicyKind;
 pub struct RunState {
     config: ExperimentConfig,
     fed: Federation,
-    policy: PolicyKind,
+    policy: Box<dyn EventPolicy + Send>,
     kernel: Kernel,
 }
 
@@ -82,7 +82,7 @@ impl RunState {
     /// Returns [`ExperimentError`] if the configuration is invalid.
     pub fn new(config: &ExperimentConfig) -> Result<RunState, ExperimentError> {
         let fed = experiment::assemble(config)?;
-        let policy = PolicyKind::new(
+        let policy = policy_for(
             &fed,
             config.mode,
             &config.workload,
@@ -127,7 +127,7 @@ impl RunState {
     /// Fires the next event and returns its record, or `None` when the run
     /// has no live events left (it is complete).
     pub fn step(&mut self) -> Option<EventRecord> {
-        self.kernel.step(&mut self.fed, &mut self.policy)
+        self.kernel.step(&mut self.fed, self.policy.as_mut())
     }
 
     /// The configuration this run was built from.

@@ -18,7 +18,8 @@
 //!   [`ClusterNode`] plus immutable shared references (workload, global
 //!   test set). The parallel engine therefore fans it out across scoped
 //!   worker threads — capped at the host's core count, inline on 1-core
-//!   hosts ([`compute_all`]) — with no effect on results.
+//!   hosts and under [`Engine::Sequential`] ([`compute_all`]) — with no
+//!   effect on results.
 //! - **Commit** (back in the engine) replays every federation mutation —
 //!   chain transactions, storage publishes, fault logging, resource bursts
 //!   and idle/straggler accounting — sequentially in cluster-index order,
@@ -34,17 +35,15 @@ use unifyfl_data::{Dataset, WorkloadConfig};
 use unifyfl_storage::Cid;
 
 use crate::cluster::ClusterNode;
-use crate::federation::{Federation, LinkModel};
+use crate::federation::{Federation, FetchedPeers, LinkModel};
 use unifyfl_chain::types::Address;
 use unifyfl_sim::SimDuration;
 
 /// Which execution engine drives the round computations.
 ///
 /// Both engines produce byte-identical reports at the same seed; they
-/// differ only in wall-clock. `UNIFYFL_ENGINE=sequential` (or `seq`)
-/// forces the reference engine from the environment via [`Engine::auto`];
-/// anything else — including unset — selects the parallel engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// differ only in wall-clock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// The reference engine: one cluster at a time, exactly the paper
     /// reproduction's original control flow.
@@ -52,25 +51,8 @@ pub enum Engine {
     /// The two-phase engine: per-round compute fans out across scoped
     /// worker threads (capped at the host's core count), commits stay
     /// sequential.
+    #[default]
     Parallel,
-}
-
-impl Engine {
-    /// Resolves the engine from the `UNIFYFL_ENGINE` environment variable,
-    /// defaulting to [`Engine::Parallel`].
-    pub fn auto() -> Engine {
-        match std::env::var("UNIFYFL_ENGINE") {
-            Ok(v) if v.eq_ignore_ascii_case("sequential") || v.eq_ignore_ascii_case("seq") => {
-                Engine::Sequential
-            }
-            _ => Engine::Parallel,
-        }
-    }
-
-    /// True for [`Engine::Parallel`].
-    pub fn is_parallel(self) -> bool {
-        matches!(self, Engine::Parallel)
-    }
 }
 
 impl std::fmt::Display for Engine {
@@ -159,28 +141,17 @@ pub fn prepare_train(fed: &mut Federation, idx: usize, round: u64) -> TrainInput
         policy.select(&scored, self_score, cluster.rng())
     };
 
-    let mut peers = Vec::with_capacity(selected.len());
-    let mut precisions = Vec::with_capacity(selected.len());
-    let mut physical = SimDuration::ZERO;
-    for &i in &selected {
-        // Skip content that is unavailable or fails weight validation —
-        // the CID guarantees we can never ingest silently-corrupted bytes.
-        if let Some((w, cost)) = fed.fetch_weights_costed(idx, candidates[i].cid) {
-            if w.len() == fed.clusters[idx].weights().len() {
-                peers.push(w);
-                precisions.push(score_precision(&candidates[i].scores));
-                physical += cost;
-            }
-        }
-    }
-    let pull = match fed.link_model() {
-        LinkModel::Nominal => fed.clusters[idx].fetch_duration() * peers.len() as u64,
-        LinkModel::Physical => physical,
-    };
+    let FetchedPeers { peers, kept, cost } =
+        fed.fetch_peers(idx, selected.iter().map(|&i| candidates[i].cid));
+    let precisions = adaptive.then(|| {
+        kept.iter()
+            .map(|&k| score_precision(&candidates[selected[k]].scores))
+            .collect()
+    });
     TrainInputs {
         peers,
-        precisions: adaptive.then_some(precisions),
-        pull,
+        precisions,
+        pull: cost,
     }
 }
 
@@ -321,28 +292,23 @@ pub fn prepare_scoring(
     krum: Option<&(Vec<Cid>, Vec<f64>)>,
 ) -> Vec<ScoreTask> {
     let my_addr = fed.clusters[idx].address();
-    let nominal = fed.clusters[idx].fetch_duration();
     let mut tasks = Vec::new();
     for (cid, scorers) in assignments {
         if !scorers.contains(&my_addr) {
             continue;
         }
-        let (input, physical) = match krum {
+        let (input, fetch_cost) = match krum {
             Some((cids, scores)) => {
                 let pos = cids.iter().position(|c| c == cid);
                 (
                     ScoreInput::Ready(pos.map(|p| scores[p]).unwrap_or(0.0)),
-                    SimDuration::ZERO,
+                    fed.fetch_cost(idx, SimDuration::ZERO),
                 )
             }
             None => match fed.fetch_weights_costed(idx, *cid) {
                 Some((w, cost)) => (ScoreInput::Weights(w), cost),
                 None => continue,
             },
-        };
-        let fetch_cost = match fed.link_model() {
-            LinkModel::Nominal => nominal,
-            LinkModel::Physical => physical,
         };
         tasks.push(ScoreTask {
             cid: *cid,
@@ -374,50 +340,28 @@ pub fn compute_scores(cluster: &ClusterNode, tasks: Vec<ScoreTask>) -> Vec<Score
         .collect()
 }
 
-/// Runs the compute phase under the selected [`Engine`]: inline in
-/// cluster-index order for [`Engine::Sequential`] (the reference), or
-/// fanned out across capped scoped threads for [`Engine::Parallel`]
-/// ([`compute_all`]). Compute is cluster-local either way, so the results —
-/// and every downstream report byte — are identical.
-pub fn compute_dispatch<I, R, F>(
-    clusters: &mut [ClusterNode],
-    inputs: Vec<Option<I>>,
-    engine: Engine,
-    f: F,
-) -> Vec<Option<R>>
-where
-    I: Send,
-    R: Send,
-    F: Fn(&mut ClusterNode, I) -> R + Sync,
-{
-    match engine {
-        Engine::Sequential => clusters
-            .iter_mut()
-            .zip(inputs)
-            .map(|(cluster, input)| input.map(|i| f(cluster, i)))
-            .collect(),
-        Engine::Parallel => compute_all(clusters, inputs, f),
-    }
-}
-
-/// Runs the clusters' compute closures across scoped worker threads
-/// (phase A of the parallel engine). `inputs` is index-aligned with
-/// `clusters`; `None` slots (inactive clusters) are skipped. Results come
-/// back in index order.
+/// Runs the clusters' compute closures (phase A of the round step) under
+/// the selected [`Engine`]. `inputs` is index-aligned with `clusters`;
+/// `None` slots (inactive clusters) are skipped. Results come back in
+/// index order, and — compute being cluster-local — are identical under
+/// either engine, as is every downstream report byte.
 ///
-/// The fan-out is capped at the host's available parallelism: clusters are
-/// split into contiguous, index-aligned chunks, one scoped thread per
-/// chunk, so a 60-cluster round on a 4-core host spawns 4 threads — not
-/// 60. With a single effective lane (a 1-core host, or ≤ 1 active
-/// cluster) the whole phase runs inline on the caller's thread: spawning
-/// there buys no wall-clock and the interleaved per-thread profile spans
-/// would inflate `train_secs` far past the real elapsed time.
+/// [`Engine::Parallel`] fans out across scoped worker threads, capped at
+/// the host's available parallelism: clusters are split into contiguous,
+/// index-aligned chunks, one scoped thread per chunk, so a 60-cluster
+/// round on a 4-core host spawns 4 threads — not 60. Under
+/// [`Engine::Sequential`] (the reference), or with a single effective lane
+/// (a 1-core host, or ≤ 1 active cluster), the whole phase runs inline on
+/// the caller's thread in cluster-index order: spawning there buys no
+/// wall-clock and the interleaved per-thread profile spans would inflate
+/// `train_secs` far past the real elapsed time.
 ///
 /// A panicking compute (e.g. a client fit) is re-raised with its original
 /// payload after every sibling thread has been joined.
 pub fn compute_all<I, R, F>(
     clusters: &mut [ClusterNode],
     inputs: Vec<Option<I>>,
+    engine: Engine,
     f: F,
 ) -> Vec<Option<R>>
 where
@@ -429,8 +373,8 @@ where
     let total = clusters.len();
     let active = inputs.iter().filter(|i| i.is_some()).count();
     let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads = hardware.min(active);
-    if threads <= 1 {
+    let lanes = hardware.min(active);
+    if engine == Engine::Sequential || lanes <= 1 {
         return clusters
             .iter_mut()
             .zip(inputs)
@@ -438,7 +382,7 @@ where
             .collect();
     }
     let mut work: Vec<(&mut ClusterNode, Option<I>)> = clusters.iter_mut().zip(inputs).collect();
-    let chunk_size = total.div_ceil(threads);
+    let chunk_size = total.div_ceil(lanes);
     std::thread::scope(|scope| {
         let f = &f;
         let handles: Vec<_> = work
@@ -478,17 +422,6 @@ where
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-
-    #[test]
-    fn engine_auto_reads_env() {
-        // The env var is process-global; exercise the parser directly on
-        // the two spellings plus the default.
-        assert!(Engine::auto().is_parallel() || Engine::auto() == Engine::Sequential);
-        assert_eq!(Engine::Sequential.to_string(), "Sequential");
-        assert_eq!(Engine::Parallel.to_string(), "Parallel");
-        assert!(!Engine::Sequential.is_parallel());
-        assert!(Engine::Parallel.is_parallel());
-    }
 
     #[test]
     fn score_precision_is_inverse_disagreement() {
@@ -536,7 +469,7 @@ mod tests {
         // Index-aligned inputs with a skipped middle slot; results come
         // back in index order with the None preserved.
         let inputs = vec![Some(10u32), None, Some(30u32)];
-        let results = compute_all(&mut clusters, inputs, |cluster, v| {
+        let results = compute_all(&mut clusters, inputs, Engine::Parallel, |cluster, v| {
             (cluster.config().name.clone(), v + 1)
         });
         assert_eq!(results.len(), 3);
@@ -551,7 +484,9 @@ mod tests {
         // back in index order regardless of how the cap splits them.
         let mut clusters = test_clusters(7);
         let inputs: Vec<Option<u32>> = (0..7).map(|i| (i % 2 == 0).then_some(i)).collect();
-        let results = compute_all(&mut clusters, inputs, |_cluster, v| v * 10);
+        let results = compute_all(&mut clusters, inputs, Engine::Parallel, |_cluster, v| {
+            v * 10
+        });
         let expected: Vec<Option<u32>> = (0..7).map(|i| (i % 2 == 0).then_some(i * 10)).collect();
         assert_eq!(results, expected);
     }
@@ -562,8 +497,28 @@ mod tests {
         // observable contract is unchanged.
         let mut clusters = test_clusters(3);
         let inputs = vec![None, Some(7u32), None];
-        let results = compute_all(&mut clusters, inputs, |_cluster, v| v + 1);
+        let results = compute_all(&mut clusters, inputs, Engine::Parallel, |_cluster, v| v + 1);
         assert_eq!(results, vec![None, Some(8), None]);
+    }
+
+    #[test]
+    fn compute_all_sequential_engine_runs_inline_in_index_order() {
+        // The reference engine never spawns, however many slots are
+        // active: every closure runs on the caller's thread, in order.
+        let mut clusters = test_clusters(4);
+        let caller = std::thread::current().id();
+        let order = std::sync::Mutex::new(Vec::new());
+        let inputs: Vec<Option<u32>> = (0..4).map(Some).collect();
+        let results = compute_all(&mut clusters, inputs, Engine::Sequential, |_cluster, v| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(v);
+            v + 1
+        });
+        assert_eq!(results, vec![Some(1), Some(2), Some(3), Some(4)]);
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
+        assert_eq!(Engine::Sequential.to_string(), "Sequential");
+        assert_eq!(Engine::Parallel.to_string(), "Parallel");
+        assert_eq!(Engine::default(), Engine::Parallel);
     }
 
     #[test]
@@ -571,7 +526,7 @@ mod tests {
         let mut clusters = test_clusters(4);
         let inputs = vec![Some(0u32), Some(1u32), Some(2u32), Some(3u32)];
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compute_all(&mut clusters, inputs, |_cluster, v| {
+            compute_all(&mut clusters, inputs, Engine::Parallel, |_cluster, v| {
                 if v == 1 {
                     panic!("compute failed for cluster 1");
                 }

@@ -14,12 +14,11 @@
 
 use unifyfl::chain::orchestrator::events;
 use unifyfl::core::cluster::ClusterConfig;
-use unifyfl::core::experiment::{Engine, ExperimentConfig, LinkModel, Mode};
+use unifyfl::core::experiment::{ExperimentBuilder, Mode};
 use unifyfl::core::federation::Federation;
 use unifyfl::core::orchestration::run_sync;
 use unifyfl::core::policy::{AggregationPolicy, ScorePolicy};
 use unifyfl::core::scoring::ScorerKind;
-use unifyfl::core::TransferConfig;
 use unifyfl::data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl::fl::StrategyKind;
 use unifyfl::sim::DeviceProfile;
@@ -59,23 +58,16 @@ fn main() {
             .with_strategy(StrategyKind::FedAvg),
     ];
 
-    let config = ExperimentConfig {
-        seed: 7,
-        label: "automotive cross-silo federation".into(),
-        workload: workload.clone(),
-        partition: Partition::Dirichlet { alpha: 0.5 },
-        mode: Mode::Sync,
-        scorer: ScorerKind::Accuracy,
-        clusters: companies,
-        window_margin: 1.15,
-        chaos: None,
-        gossip: None,
-        fetch_ahead: false,
-        transfer: TransferConfig::default(),
-        engine: Engine::auto(),
-        link_model: LinkModel::Nominal,
-        sharding: None,
-    };
+    let config = ExperimentBuilder::quickstart()
+        .seed(7)
+        .label("automotive cross-silo federation")
+        .workload(workload.clone())
+        .partition(Partition::Dirichlet { alpha: 0.5 })
+        .mode(Mode::Sync)
+        .scorer(ScorerKind::Accuracy)
+        .clusters(companies)
+        .config()
+        .clone();
     config.validate().expect("valid scenario");
 
     // Drive the federation directly so we can inspect the chain afterwards.
@@ -91,6 +83,7 @@ fn main() {
         &config.workload,
         config.scorer,
         config.window_margin,
+        config.engine,
     );
 
     println!("=== {} ===", config.label);

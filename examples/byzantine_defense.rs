@@ -12,11 +12,10 @@
 
 use unifyfl::core::byzantine::AttackKind;
 use unifyfl::core::cluster::ClusterConfig;
-use unifyfl::core::experiment::{run_experiment, Engine, ExperimentConfig, LinkModel, Mode};
+use unifyfl::core::experiment::{run_experiment, ExperimentBuilder, ExperimentConfig, Mode};
 use unifyfl::core::policy::{AggregationPolicy, ScorePolicy};
 use unifyfl::core::report::render_curves;
 use unifyfl::core::scoring::ScorerKind;
-use unifyfl::core::TransferConfig;
 use unifyfl::data::{Partition, WorkloadConfig};
 use unifyfl::sim::DeviceProfile;
 
@@ -31,27 +30,20 @@ fn scenario(policy: AggregationPolicy, label: &str) -> ExperimentConfig {
         c.attack = attack;
         c
     };
-    ExperimentConfig {
-        seed: 42,
-        label: label.to_owned(),
-        workload,
-        partition: Partition::Dirichlet { alpha: 0.5 },
-        mode: Mode::Sync,
-        scorer: ScorerKind::Accuracy,
-        clusters: vec![
+    ExperimentBuilder::quickstart()
+        .seed(42)
+        .label(label.to_owned())
+        .workload(workload)
+        .partition(Partition::Dirichlet { alpha: 0.5 })
+        .mode(Mode::Sync)
+        .scorer(ScorerKind::Accuracy)
+        .clusters(vec![
             mk("Honest-1", None),
             mk("Honest-2", None),
             mk("Attacker", Some(AttackKind::SignFlip)),
-        ],
-        window_margin: 1.15,
-        chaos: None,
-        gossip: None,
-        fetch_ahead: false,
-        transfer: TransferConfig::default(),
-        engine: Engine::auto(),
-        link_model: LinkModel::Nominal,
-        sharding: None,
-    }
+        ])
+        .config()
+        .clone()
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {

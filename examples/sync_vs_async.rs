@@ -12,11 +12,10 @@
 
 use unifyfl::core::cluster::ClusterConfig;
 use unifyfl::core::experiment::{
-    run_experiment, Engine, ExperimentConfig, ExperimentReport, LinkModel, Mode,
+    run_experiment, ExperimentBuilder, ExperimentConfig, ExperimentReport, Mode,
 };
 use unifyfl::core::policy::{AggregationPolicy, ScorePolicy};
 use unifyfl::core::scoring::ScorerKind;
-use unifyfl::core::TransferConfig;
 use unifyfl::data::{Partition, WorkloadConfig};
 use unifyfl::sim::DeviceProfile;
 
@@ -32,23 +31,16 @@ fn config(mode: Mode) -> ExperimentConfig {
             .with_score_policy(ScorePolicy::Mean)
     })
     .collect();
-    ExperimentConfig {
-        seed: 42,
-        label: format!("{mode} orchestration"),
-        workload: WorkloadConfig::cifar10().scaled(10),
-        partition: Partition::Dirichlet { alpha: 0.5 },
-        mode,
-        scorer: ScorerKind::Accuracy,
-        clusters,
-        window_margin: 1.15,
-        chaos: None,
-        gossip: None,
-        fetch_ahead: false,
-        transfer: TransferConfig::default(),
-        engine: Engine::auto(),
-        link_model: LinkModel::Nominal,
-        sharding: None,
-    }
+    ExperimentBuilder::quickstart()
+        .seed(42)
+        .label(format!("{mode} orchestration"))
+        .workload(WorkloadConfig::cifar10().scaled(10))
+        .partition(Partition::Dirichlet { alpha: 0.5 })
+        .mode(mode)
+        .scorer(ScorerKind::Accuracy)
+        .clusters(clusters)
+        .config()
+        .clone()
 }
 
 fn summarize(report: &ExperimentReport) {

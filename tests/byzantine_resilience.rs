@@ -5,13 +5,12 @@
 use unifyfl::core::byzantine::AttackKind;
 use unifyfl::core::cluster::ClusterConfig;
 use unifyfl::core::experiment::{
-    run_experiment, Engine, ExperimentConfig, ExperimentReport, LinkModel, Mode,
+    run_experiment, ExperimentBuilder, ExperimentConfig, ExperimentReport, Mode,
 };
 use unifyfl::core::federation::Federation;
 use unifyfl::core::orchestration::run_sync;
 use unifyfl::core::policy::{AggregationPolicy, ScorePolicy};
 use unifyfl::core::scoring::ScorerKind;
-use unifyfl::core::TransferConfig;
 use unifyfl::data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl::sim::DeviceProfile;
 use unifyfl::tensor::ModelSpec;
@@ -40,33 +39,26 @@ fn config(policy: AggregationPolicy, attack: AttackKind) -> ExperimentConfig {
         c.attack = attack;
         c
     };
-    ExperimentConfig {
+    ExperimentBuilder::quickstart()
         // Pinned for the workspace's vendored StdRng stream (xoshiro256++):
         // under this seed every attack kind shows the expected smart-vs-naive
         // gap with a wide margin. A 5-round MLP is barely trained, so a few
         // seeds make sign-flipped models score above average by accident (see
         // the note on ReLU symmetry below) — that is inherent to the tiny
         // test workload, not a defense regression.
-        seed: 17,
-        label: "byzantine".into(),
-        workload: workload(),
-        partition: Partition::Iid,
-        mode: Mode::Sync,
-        scorer: ScorerKind::Accuracy,
-        clusters: vec![
+        .seed(17)
+        .label("byzantine")
+        .workload(workload())
+        .partition(Partition::Iid)
+        .mode(Mode::Sync)
+        .scorer(ScorerKind::Accuracy)
+        .clusters(vec![
             mk("honest-1", None),
             mk("honest-2", None),
             mk("attacker", Some(attack)),
-        ],
-        window_margin: 1.15,
-        chaos: None,
-        gossip: None,
-        fetch_ahead: false,
-        transfer: TransferConfig::default(),
-        engine: Engine::auto(),
-        link_model: LinkModel::Nominal,
-        sharding: None,
-    }
+        ])
+        .config()
+        .clone()
 }
 
 fn honest_mean(r: &ExperimentReport) -> f64 {
@@ -114,7 +106,13 @@ fn poisoned_models_receive_lower_scores() {
         cfg.mode.to_chain(),
         cfg.clusters.clone(),
     );
-    run_sync(&mut fed, &cfg.workload, cfg.scorer, cfg.window_margin);
+    run_sync(
+        &mut fed,
+        &cfg.workload,
+        cfg.scorer,
+        cfg.window_margin,
+        cfg.engine,
+    );
 
     let attacker = fed
         .clusters

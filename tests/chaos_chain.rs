@@ -5,7 +5,7 @@
 //! submissions land a block later, and the chain stays verifiable.
 
 use unifyfl::core::cluster::ClusterConfig;
-use unifyfl::core::experiment::{ExperimentBuilder, ExperimentReport, Mode};
+use unifyfl::core::experiment::{Engine, ExperimentBuilder, ExperimentReport, Mode};
 use unifyfl::core::orchestration::run_sync;
 use unifyfl::core::scoring::ScorerKind;
 use unifyfl::core::{ChaosConfig, ChaosReport, FaultPlan, Federation};
@@ -103,7 +103,13 @@ fn chain_stays_verifiable_under_injected_faults() {
         clusters,
     );
     fed.install_chaos(FaultPlan::expand(&lossy_chain(), 99, 3, 3));
-    run_sync(&mut fed, &workload, ScorerKind::Accuracy, 1.15);
+    run_sync(
+        &mut fed,
+        &workload,
+        ScorerKind::Accuracy,
+        1.15,
+        Engine::default(),
+    );
 
     // The ledger produced under fault injection still verifies end to end:
     // linkage, seals (with period gaps from missed slots), and tx roots.

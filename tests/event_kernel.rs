@@ -18,7 +18,7 @@ use unifyfl::core::experiment::{
     run_experiment, Engine, ExperimentBuilder, ExperimentConfig, ExperimentReport, LinkModel, Mode,
 };
 use unifyfl::core::federation::Federation;
-use unifyfl::core::orchestration::{run_async_engine, run_sync_engine, EngineOutcome};
+use unifyfl::core::orchestration::{run_async, run_sync, EngineOutcome};
 use unifyfl::core::scoring::ScorerKind;
 use unifyfl::core::{ChaosConfig, FaultEvent, FaultKind, FaultPlan};
 use unifyfl::sim::SimDuration;
@@ -158,14 +158,14 @@ fn run_traced(seed: u64, mode: Mode, engine: Engine, chaos: bool) -> EngineOutco
         fed.install_chaos(plan);
     }
     match mode {
-        Mode::Sync => run_sync_engine(
+        Mode::Sync => run_sync(
             &mut fed,
             &config.workload,
             ScorerKind::Accuracy,
             config.window_margin,
             engine,
         ),
-        Mode::Async => run_async_engine(&mut fed, &config.workload, ScorerKind::Accuracy, engine),
+        Mode::Async => run_async(&mut fed, &config.workload, ScorerKind::Accuracy, engine),
     }
 }
 
@@ -415,7 +415,7 @@ fn joiner_lands_in_its_seeded_shard() {
         config.clusters.clone(),
         Some(topology.clone()),
     );
-    run_sync_engine(
+    run_sync(
         &mut fed,
         &config.workload,
         ScorerKind::Accuracy,

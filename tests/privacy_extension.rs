@@ -4,12 +4,11 @@
 
 use unifyfl::core::byzantine::DpConfig;
 use unifyfl::core::cluster::ClusterConfig;
-use unifyfl::core::experiment::{run_experiment, Engine, ExperimentConfig, LinkModel, Mode};
+use unifyfl::core::experiment::{run_experiment, ExperimentBuilder, ExperimentConfig, Mode};
 use unifyfl::core::federation::Federation;
 use unifyfl::core::orchestration::run_sync;
 use unifyfl::core::policy::AggregationPolicy;
 use unifyfl::core::scoring::ScorerKind;
-use unifyfl::core::TransferConfig;
 use unifyfl::data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl::sim::DeviceProfile;
 use unifyfl::tensor::ModelSpec;
@@ -39,23 +38,16 @@ fn config(dp: Option<DpConfig>) -> ExperimentConfig {
             c
         })
         .collect();
-    ExperimentConfig {
-        seed: 42,
-        label: "dp".into(),
-        workload: workload(),
-        partition: Partition::Iid,
-        mode: Mode::Sync,
-        scorer: ScorerKind::Accuracy,
-        clusters,
-        window_margin: 1.15,
-        chaos: None,
-        gossip: None,
-        fetch_ahead: false,
-        transfer: TransferConfig::default(),
-        engine: Engine::auto(),
-        link_model: LinkModel::Nominal,
-        sharding: None,
-    }
+    ExperimentBuilder::quickstart()
+        .seed(42)
+        .label("dp")
+        .workload(workload())
+        .partition(Partition::Iid)
+        .mode(Mode::Sync)
+        .scorer(ScorerKind::Accuracy)
+        .clusters(clusters)
+        .config()
+        .clone()
 }
 
 fn mean_global(r: &unifyfl::core::ExperimentReport) -> f64 {
@@ -99,7 +91,13 @@ fn peers_never_see_exact_weights_under_dp() {
         cfg.mode.to_chain(),
         cfg.clusters.clone(),
     );
-    run_sync(&mut fed, &cfg.workload, cfg.scorer, cfg.window_margin);
+    run_sync(
+        &mut fed,
+        &cfg.workload,
+        cfg.scorer,
+        cfg.window_margin,
+        cfg.engine,
+    );
 
     // Every on-chain model must differ from the submitter's true weights.
     let entries: Vec<(String, unifyfl::chain::types::Address)> = fed

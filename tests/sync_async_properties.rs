@@ -14,11 +14,10 @@
 use proptest::prelude::*;
 use unifyfl::core::cluster::ClusterConfig;
 use unifyfl::core::experiment::{
-    run_experiment, Engine, ExperimentConfig, ExperimentError, LinkModel, Mode,
+    run_experiment, ExperimentBuilder, ExperimentConfig, ExperimentError, Mode,
 };
 use unifyfl::core::policy::AggregationPolicy;
 use unifyfl::core::scoring::ScorerKind;
-use unifyfl::core::TransferConfig;
 use unifyfl::core::{ChaosConfig, FaultPlan};
 use unifyfl::data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl::sim::DeviceProfile;
@@ -52,23 +51,16 @@ fn heterogeneous_clusters() -> Vec<ClusterConfig> {
 }
 
 fn config(mode: Mode) -> ExperimentConfig {
-    ExperimentConfig {
-        seed: 42,
-        label: format!("{mode}"),
-        workload: workload(4),
-        partition: Partition::Iid,
-        mode,
-        scorer: ScorerKind::Accuracy,
-        clusters: heterogeneous_clusters(),
-        window_margin: 1.15,
-        chaos: None,
-        gossip: None,
-        fetch_ahead: false,
-        transfer: TransferConfig::default(),
-        engine: Engine::auto(),
-        link_model: LinkModel::Nominal,
-        sharding: None,
-    }
+    ExperimentBuilder::quickstart()
+        .seed(42)
+        .label(format!("{mode}"))
+        .workload(workload(4))
+        .partition(Partition::Iid)
+        .mode(mode)
+        .scorer(ScorerKind::Accuracy)
+        .clusters(heterogeneous_clusters())
+        .config()
+        .clone()
 }
 
 #[test]

@@ -9,6 +9,7 @@ use unifyfl::core::federation::Federation;
 use unifyfl::core::orchestration::{run_sync, Mode};
 use unifyfl::core::policy::AggregationPolicy;
 use unifyfl::core::scoring::ScorerKind;
+use unifyfl::core::Engine;
 use unifyfl::data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl::sim::DeviceProfile;
 use unifyfl::tensor::ModelSpec;
@@ -42,7 +43,13 @@ fn run_federation() -> Federation {
         Mode::Sync.to_chain(),
         clusters,
     );
-    run_sync(&mut fed, &workload, ScorerKind::Accuracy, 1.15);
+    run_sync(
+        &mut fed,
+        &workload,
+        ScorerKind::Accuracy,
+        1.15,
+        Engine::default(),
+    );
     fed
 }
 
