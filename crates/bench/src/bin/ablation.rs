@@ -2,7 +2,6 @@
 //! (block-latency share, sync window margin, scorer majority size).
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = unifyfl_bench::seed_from_args(&args);
-    print!("{}", unifyfl_bench::ablation::render(seed));
+    let cli = unifyfl_bench::Cli::from_env();
+    print!("{}", unifyfl_bench::ablation::render(cli.seed));
 }

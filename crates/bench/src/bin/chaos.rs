@@ -3,18 +3,8 @@
 //! (override with `--out PATH`; `--seed N` to vary the seed).
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = unifyfl_bench::Scale::from_args(&args);
-    let seed = unifyfl_bench::seed_from_args(&args);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_chaos.json", String::as_str);
-
-    let bench = unifyfl_bench::chaos::run(scale, seed);
-    print!("{}", unifyfl_bench::chaos::render(&bench));
-    let json = unifyfl_bench::chaos::render_json(&bench, seed);
-    std::fs::write(out_path, &json).expect("write BENCH_chaos.json");
-    println!("\nwrote {out_path}:\n{json}");
+    let cli = unifyfl_bench::Cli::from_env();
+    let bench = unifyfl_bench::chaos::run(cli.scale, cli.seed);
+    let json = unifyfl_bench::chaos::render_json(&bench, cli.seed);
+    cli.emit("chaos", &unifyfl_bench::chaos::render(&bench), &json);
 }

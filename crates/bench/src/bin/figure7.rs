@@ -2,8 +2,6 @@
 //! accuracy-over-time series.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = unifyfl_bench::Scale::from_args(&args);
-    let seed = unifyfl_bench::seed_from_args(&args);
-    print!("{}", unifyfl_bench::figure7::render(scale, seed));
+    let cli = unifyfl_bench::Cli::from_env();
+    print!("{}", unifyfl_bench::figure7::render(cli.scale, cli.seed));
 }

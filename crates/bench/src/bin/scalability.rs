@@ -1,8 +1,9 @@
 //! Regenerates the §4.2.6 scalability experiment (60 clients, 3 aggregators).
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = unifyfl_bench::Scale::from_args(&args);
-    let seed = unifyfl_bench::seed_from_args(&args);
-    print!("{}", unifyfl_bench::scalability::render(scale, seed));
+    let cli = unifyfl_bench::Cli::from_env();
+    print!(
+        "{}",
+        unifyfl_bench::scalability::render(cli.scale, cli.seed)
+    );
 }

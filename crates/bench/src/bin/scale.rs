@@ -8,20 +8,10 @@
 //! shards = 1 reporting byte-identical to the unsharded engine.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = unifyfl_bench::Scale::from_args(&args);
-    let seed = unifyfl_bench::seed_from_args(&args);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_scale.json", String::as_str);
-
-    let bench = unifyfl_bench::scale::run(scale, seed);
-    print!("{}", unifyfl_bench::scale::render(&bench));
-    let json = unifyfl_bench::scale::render_json(&bench, seed, scale);
-    std::fs::write(out_path, &json).expect("write BENCH_scale.json");
-    println!("\nwrote {out_path}:\n{json}");
+    let cli = unifyfl_bench::Cli::from_env();
+    let bench = unifyfl_bench::scale::run(cli.scale, cli.seed);
+    let json = unifyfl_bench::scale::render_json(&bench, cli.seed, cli.scale);
+    cli.emit("scale", &unifyfl_bench::scale::render(&bench), &json);
 
     assert!(
         bench.sub_quadratic(),

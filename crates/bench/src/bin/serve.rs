@@ -12,19 +12,10 @@
 use unifyfl_bench::serve;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = unifyfl_bench::seed_from_args(&args);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_serve.json", String::as_str);
-
-    let bench = serve::run(seed);
-    print!("{}", serve::render(&bench));
-    let json = serve::render_json(&bench, seed);
-    std::fs::write(out_path, &json).expect("write BENCH_serve.json");
-    println!("wrote {out_path}:\n{json}");
+    let cli = unifyfl_bench::Cli::from_env();
+    let bench = serve::run(cli.seed);
+    let json = serve::render_json(&bench, cli.seed);
+    cli.emit("serve", &serve::render(&bench), &json);
 
     assert_eq!(
         bench.completed, bench.submissions,

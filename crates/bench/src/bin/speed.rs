@@ -24,25 +24,15 @@ use unifyfl_bench::speed::{self, GateStatus, ONE_CORE_OVERHEAD_FACTOR};
 static ALLOC: unifyfl_bench::alloc::CountingAllocator = unifyfl_bench::alloc::CountingAllocator;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = unifyfl_bench::Scale::from_args(&args);
-    let seed = unifyfl_bench::seed_from_args(&args);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_speed.json", String::as_str);
-
-    let bench = speed::run(scale, seed);
+    let cli = unifyfl_bench::Cli::from_env();
+    let bench = speed::run(cli.scale, cli.seed);
     // Resolve the ≥1.5x bar's disposition up front and record it in the
-    // JSON: a run on a small or contended host emits an explicit
-    // `"gate": "skipped"` datapoint (plus `hardware_threads`) instead of
-    // silently degrading into what looks like a passed gate.
+    // JSON: a run on a small host emits an explicit `"gate": "skipped"`
+    // datapoint (plus `hardware_threads`) instead of silently degrading
+    // into what looks like a passed gate.
     let gate = speed::gate_status(bench.threads);
-    print!("{}", speed::render(&bench));
-    let json = speed::render_json(&bench, seed, gate);
-    std::fs::write(out_path, &json).expect("write BENCH_speed.json");
-    println!("wrote {out_path}:\n{json}");
+    let json = speed::render_json(&bench, cli.seed, gate);
+    cli.emit("speed", &speed::render(&bench), &json);
 
     // Correctness bar: the engines must agree bit for bit, always.
     for pair in &bench.pairs {
@@ -64,8 +54,7 @@ fn main() {
          the arena path must perform none"
     );
     // Performance bar: ≥1.5x on the 3-aggregator quickstart config, on a
-    // multicore host (on heavily contended shared hosts set
-    // UNIFYFL_SPEED_GATE=off). On a single-core host the parallel engine
+    // multicore host. On a single-core host the parallel engine
     // cannot win — there, the bar flips to "must not lose": the inline
     // fallback keeps its wall within ONE_CORE_OVERHEAD_FACTOR of the
     // sequential reference. The identity assertion above is never

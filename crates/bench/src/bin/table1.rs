@@ -2,8 +2,6 @@
 //! `--seed N` to vary the seed.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = unifyfl_bench::Scale::from_args(&args);
-    let seed = unifyfl_bench::seed_from_args(&args);
-    print!("{}", unifyfl_bench::table1::render(scale, seed));
+    let cli = unifyfl_bench::Cli::from_env();
+    print!("{}", unifyfl_bench::table1::render(cli.scale, cli.seed));
 }

@@ -2,16 +2,14 @@
 //! `--run N` for a single run, `--full` for paper scale, `--seed N`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = unifyfl_bench::Scale::from_args(&args);
-    let seed = unifyfl_bench::seed_from_args(&args);
-    let run: Option<u32> = args
-        .iter()
-        .position(|a| a == "--run")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok());
+    let cli = unifyfl_bench::Cli::from_env();
+    let run = cli.run.as_deref().map(|r| {
+        r.parse::<u32>().unwrap_or_else(|_| {
+            unifyfl_bench::usage_exit(&format!("--run {r:?} is not a run number"))
+        })
+    });
     match run {
-        Some(r) => print!("{}", unifyfl_bench::table5::render(r, scale, seed)),
-        None => print!("{}", unifyfl_bench::table5::render_all(scale, seed)),
+        Some(r) => print!("{}", unifyfl_bench::table5::render(r, cli.scale, cli.seed)),
+        None => print!("{}", unifyfl_bench::table5::render_all(cli.scale, cli.seed)),
     }
 }

@@ -2,16 +2,9 @@
 //! `--run C2` for a single run, `--full` for paper scale, `--seed N`.
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = unifyfl_bench::Scale::from_args(&args);
-    let seed = unifyfl_bench::seed_from_args(&args);
-    let run: Option<String> = args
-        .iter()
-        .position(|a| a == "--run")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    match run {
-        Some(r) => print!("{}", unifyfl_bench::table6::render(&r, scale, seed)),
-        None => print!("{}", unifyfl_bench::table6::render_all(scale, seed)),
+    let cli = unifyfl_bench::Cli::from_env();
+    match &cli.run {
+        Some(r) => print!("{}", unifyfl_bench::table6::render(r, cli.scale, cli.seed)),
+        None => print!("{}", unifyfl_bench::table6::render_all(cli.scale, cli.seed)),
     }
 }

@@ -14,19 +14,10 @@
 use unifyfl_bench::timeline::{self, TARGET_ACCURACY_PCT};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let seed = unifyfl_bench::seed_from_args(&args);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_timeline.json", String::as_str);
-
-    let bench = timeline::run(seed);
-    print!("{}", timeline::render(&bench));
-    let json = timeline::render_json(&bench, seed);
-    std::fs::write(out_path, &json).expect("write BENCH_timeline.json");
-    println!("wrote {out_path}:\n{json}");
+    let cli = unifyfl_bench::Cli::from_env();
+    let bench = timeline::run(cli.seed);
+    let json = timeline::render_json(&bench, cli.seed);
+    cli.emit("timeline", &timeline::render(&bench), &json);
 
     let (on, off, transfer_holds) = bench.transfer_gate(TARGET_ACCURACY_PCT);
     assert!(

@@ -4,20 +4,10 @@
 //! `--out PATH`; `--seed N` to vary the seed, `--full` for paper scale).
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = unifyfl_bench::Scale::from_args(&args);
-    let seed = unifyfl_bench::seed_from_args(&args);
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .map_or("BENCH_transfer.json", String::as_str);
-
-    let bench = unifyfl_bench::transfer::run(scale, seed);
-    print!("{}", unifyfl_bench::transfer::render(&bench));
-    let json = unifyfl_bench::transfer::render_json(&bench, seed);
-    std::fs::write(out_path, &json).expect("write BENCH_transfer.json");
-    println!("wrote {out_path}:\n{json}");
+    let cli = unifyfl_bench::Cli::from_env();
+    let bench = unifyfl_bench::transfer::run(cli.scale, cli.seed);
+    let json = unifyfl_bench::transfer::render_json(&bench, cli.seed);
+    cli.emit("transfer", &unifyfl_bench::transfer::render(&bench), &json);
 
     // Enforce the acceptance bars so the CI step fails loudly on
     // regression instead of publishing a quietly-degraded artifact.

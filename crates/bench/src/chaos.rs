@@ -18,7 +18,7 @@ use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
 
-use crate::Scale;
+use crate::{fixed, int, Json, Scale};
 
 /// Rounds of the benchmark federation.
 pub const ROUNDS: usize = 6;
@@ -140,57 +140,44 @@ fn opt_u64(v: Option<u64>) -> String {
 }
 
 /// Renders the machine-readable `BENCH_chaos.json` body.
-pub fn render_json(bench: &ChaosBench, seed: u64) -> String {
+pub fn render_json(bench: &ChaosBench, seed: u64) -> Json {
     let base_rtc = rounds_to_converge(&bench.baseline, bench.threshold_pct);
     let churn_rtc = rounds_to_converge(&bench.churned, bench.threshold_pct);
+    let rtc = |r: Option<u64>| r.map_or(Json::Null, int);
     let overhead = match (base_rtc, churn_rtc) {
-        (Some(b), Some(c)) => (c as i64 - b as i64).to_string(),
-        _ => "null".to_owned(),
+        (Some(b), Some(c)) => Json::Num(c as f64 - b as f64),
+        _ => Json::Null,
     };
     let c = &bench.churned.chaos;
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"chaos\",\n",
-            "  \"seed\": {seed},\n",
-            "  \"mode\": \"{mode}\",\n",
-            "  \"rounds\": {rounds},\n",
-            "  \"threshold_acc_pct\": {threshold:.3},\n",
-            "  \"baseline\": {{\n",
-            "    \"rounds_to_converge\": {base_rtc},\n",
-            "    \"final_acc_pct\": {base_acc:.3},\n",
-            "    \"wall_secs\": {base_wall:.3}\n",
-            "  }},\n",
-            "  \"churn\": {{\n",
-            "    \"rounds_to_converge\": {churn_rtc},\n",
-            "    \"final_acc_pct\": {churn_acc:.3},\n",
-            "    \"wall_secs\": {churn_wall:.3},\n",
-            "    \"crashes\": {crashes},\n",
-            "    \"fetch_failures\": {fetch_failures},\n",
-            "    \"chunk_losses\": {chunk_losses},\n",
-            "    \"missed_seals\": {missed_seals},\n",
-            "    \"dropped_txs\": {dropped_txs}\n",
-            "  }},\n",
-            "  \"overhead_rounds\": {overhead}\n",
-            "}}\n",
+    Json::obj([
+        ("bench", Json::str("chaos")),
+        ("seed", int(seed)),
+        ("mode", Json::str(bench.baseline.mode.to_string())),
+        ("rounds", int(ROUNDS)),
+        ("threshold_acc_pct", fixed(bench.threshold_pct, 3)),
+        (
+            "baseline",
+            Json::obj([
+                ("rounds_to_converge", rtc(base_rtc)),
+                ("final_acc_pct", fixed(final_mean_acc(&bench.baseline), 3)),
+                ("wall_secs", fixed(bench.baseline.wall_secs, 3)),
+            ]),
         ),
-        seed = seed,
-        mode = bench.baseline.mode,
-        rounds = ROUNDS,
-        threshold = bench.threshold_pct,
-        base_rtc = opt_u64(base_rtc),
-        base_acc = final_mean_acc(&bench.baseline),
-        base_wall = bench.baseline.wall_secs,
-        churn_rtc = opt_u64(churn_rtc),
-        churn_acc = final_mean_acc(&bench.churned),
-        churn_wall = bench.churned.wall_secs,
-        crashes = c.crashes_fired,
-        fetch_failures = c.fetch_failures,
-        chunk_losses = c.chunk_losses,
-        missed_seals = c.missed_seals,
-        dropped_txs = c.dropped_txs,
-        overhead = overhead,
-    )
+        (
+            "churn",
+            Json::obj([
+                ("rounds_to_converge", rtc(churn_rtc)),
+                ("final_acc_pct", fixed(final_mean_acc(&bench.churned), 3)),
+                ("wall_secs", fixed(bench.churned.wall_secs, 3)),
+                ("crashes", int(c.crashes_fired)),
+                ("fetch_failures", int(c.fetch_failures)),
+                ("chunk_losses", int(c.chunk_losses)),
+                ("missed_seals", int(c.missed_seals)),
+                ("dropped_txs", int(c.dropped_txs)),
+            ]),
+        ),
+        ("overhead_rounds", overhead),
+    ])
 }
 
 /// Renders the human-readable comparison.
@@ -232,15 +219,10 @@ mod tests {
     fn json_rendering_is_well_formed() {
         let bench = run(Scale::Quick, 42);
         let json = render_json(&bench, 42);
-        assert!(json.starts_with("{\n"));
-        assert!(json.trim_end().ends_with('}'));
-        assert!(json.contains("\"bench\": \"chaos\""));
-        assert!(json.contains("\"baseline\""));
-        assert!(json.contains("\"churn\""));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces"
-        );
+        let text = json.render();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
+        assert!(text.contains("\"bench\": \"chaos\""));
+        assert!(text.contains("\"baseline\""));
+        assert!(text.contains("\"churn\""));
     }
 }

@@ -38,7 +38,7 @@ use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
 
-use crate::Scale;
+use crate::{fixed, int, Json, Scale};
 
 /// Clusters in the drift fleet.
 pub const FLEET: usize = 6;
@@ -440,83 +440,58 @@ pub fn run(scale: Scale, seed: u64) -> ClusteringBench {
 }
 
 /// Renders the machine-readable `BENCH_clustering.json` body.
-pub fn render_json(bench: &ClusteringBench, seed: u64, scale: Scale) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"clustering\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        if scale == Scale::Full {
-            "full"
-        } else {
-            "quick"
-        }
-    ));
-    out.push_str(&format!("  \"fleet\": {FLEET},\n"));
-    out.push_str(&format!("  \"shards\": {SHARDS},\n"));
-    out.push_str(&format!("  \"rounds\": {},\n", rounds(scale)));
-    out.push_str(&format!("  \"drift_round\": {DRIFT_ROUND},\n"));
-    out.push_str(&format!(
-        "  \"drifted_clusters\": [{}],\n",
-        bench
-            .drifted
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!(
-        "  \"target_accuracy_pct\": {TARGET_ACCURACY_PCT},\n"
-    ));
-    out.push_str(&format!(
-        "  \"regroup_beats_static\": {},\n",
-        bench.regroup_beats_static()
-    ));
-    out.push_str(&format!("  \"deterministic\": {},\n", bench.deterministic));
-    out.push_str("  \"baseline_identity\": {\n");
-    out.push_str(&format!("    \"cases\": {},\n", bench.identity.cases));
-    out.push_str(&format!(
-        "    \"identical\": {},\n",
-        bench.identity.identical()
-    ));
-    out.push_str(&format!(
-        "    \"mismatches\": [{}]\n",
-        bench
-            .identity
-            .mismatches
-            .iter()
-            .map(|m| format!("\"{m}\""))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"arms\": [\n");
-    let arms = [&bench.static_arm, &bench.regroup_arm, &bench.adaptive_arm];
-    for (i, arm) in arms.into_iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"arm\": \"{}\",\n",
-                "      \"time_to_target_secs\": {},\n",
-                "      \"final_undrifted_accuracy_pct\": {:.2},\n",
-                "      \"final_drifted_accuracy_pct\": {:.2},\n",
-                "      \"regroups\": {},\n",
-                "      \"wall_secs\": {:.3}\n",
-                "    }}{}\n",
+pub fn render_json(bench: &ClusteringBench, seed: u64, scale: Scale) -> Json {
+    let id = &bench.identity;
+    let arms = [&bench.static_arm, &bench.regroup_arm, &bench.adaptive_arm].map(|arm| {
+        Json::obj([
+            ("arm", Json::str(arm.label.clone())),
+            (
+                "time_to_target_secs",
+                arm.time_to_target_secs.map_or(Json::Null, |t| fixed(t, 1)),
             ),
-            arm.label,
-            arm.time_to_target_secs
-                .map_or("null".to_owned(), |t| format!("{t:.1}")),
-            arm.final_undrifted_accuracy_pct,
-            arm.final_drifted_accuracy_pct,
-            arm.regroups,
-            arm.wall_secs,
-            if i == 2 { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+            (
+                "final_undrifted_accuracy_pct",
+                fixed(arm.final_undrifted_accuracy_pct, 2),
+            ),
+            (
+                "final_drifted_accuracy_pct",
+                fixed(arm.final_drifted_accuracy_pct, 2),
+            ),
+            ("regroups", int(arm.regroups)),
+            ("wall_secs", fixed(arm.wall_secs, 3)),
+        ])
+    });
+    Json::obj([
+        ("bench", Json::str("clustering")),
+        ("seed", int(seed)),
+        ("scale", Json::str(scale.label())),
+        ("fleet", int(FLEET)),
+        ("shards", int(SHARDS)),
+        ("rounds", int(rounds(scale))),
+        ("drift_round", int(DRIFT_ROUND)),
+        (
+            "drifted_clusters",
+            Json::Arr(bench.drifted.iter().copied().map(int).collect()),
+        ),
+        ("target_accuracy_pct", Json::Num(TARGET_ACCURACY_PCT)),
+        (
+            "regroup_beats_static",
+            Json::Bool(bench.regroup_beats_static()),
+        ),
+        ("deterministic", Json::Bool(bench.deterministic)),
+        (
+            "baseline_identity",
+            Json::obj([
+                ("cases", int(id.cases)),
+                ("identical", Json::Bool(id.identical())),
+                (
+                    "mismatches",
+                    Json::Arr(id.mismatches.iter().map(Json::str).collect()),
+                ),
+            ]),
+        ),
+        ("arms", Json::Arr(arms.into())),
+    ])
 }
 
 /// Renders the human-readable summary.
@@ -619,13 +594,13 @@ mod tests {
         };
         assert!(bench.regroup_beats_static());
         let json = render_json(&bench, 42, Scale::Quick);
-        assert!(json.contains("\"bench\": \"clustering\""));
-        assert!(json.contains("\"time_to_target_secs\": null"));
-        assert!(json.contains("\"time_to_target_secs\": 900.0"));
-        assert!(json.contains("\"regroup_beats_static\": true"));
-        assert!(json.contains("\"identical\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let text = json.render();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
+        assert!(text.contains("\"bench\": \"clustering\""));
+        assert!(text.contains("\"time_to_target_secs\": null"));
+        assert!(text.contains("\"time_to_target_secs\": 900,"));
+        assert!(text.contains("\"regroup_beats_static\": true"));
+        assert!(text.contains("\"identical\": true"));
     }
 
     #[test]

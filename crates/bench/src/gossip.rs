@@ -32,7 +32,7 @@ use unifyfl_sim::DeviceProfile;
 use unifyfl_storage::topology::GossipTopology;
 use unifyfl_storage::{IpfsNetwork, LinkProfile, TransferConfig};
 
-use crate::Scale;
+use crate::{fixed, int, EquivalenceArm, Json, Scale};
 
 /// Sub-√ bar on the log-log busiest-node byte exponent between the two
 /// measured fleet sizes under gossip routing (flat measures ≈ 1.0).
@@ -134,20 +134,9 @@ fn gcd(a: usize, b: usize) -> usize {
     }
 }
 
-/// The routing-neutrality arm: under the `Nominal` link model a gossip
-/// run must report **byte-identical** to the flat run outside the
-/// transfer section, per seed, in both modes.
-pub struct EquivalenceArm {
-    /// Clusters in the equivalence fleet.
-    pub clusters: usize,
-    /// Seeds tested.
-    pub seeds: Vec<u64>,
-    /// True if every (seed, mode) pair reported byte-identically outside
-    /// the transfer section.
-    pub reports_identical: bool,
-}
-
-/// Runs the equivalence arm over `seeds`.
+/// Runs the routing-neutrality arm over `seeds`: under the `Nominal` link
+/// model a gossip run must report **byte-identical** to the flat run
+/// outside the transfer section, per seed, in both modes.
 pub fn run_equivalence(seeds: &[u64]) -> EquivalenceArm {
     let n = 4;
     let run = |seed: u64, mode: Mode, gossip: Option<GossipConfig>| {
@@ -236,86 +225,34 @@ pub fn run(scale: Scale, seed: u64) -> GossipBench {
 }
 
 /// Renders the machine-readable `BENCH_gossip.json` body.
-pub fn render_json(bench: &GossipBench, seed: u64, scale: Scale) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"gossip\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        if scale == Scale::Full {
-            "full"
-        } else {
-            "quick"
-        }
-    ));
-    out.push_str(&format!("  \"blob_bytes\": {BLOB_BYTES},\n"));
-    out.push_str(&format!(
-        "  \"flat_exponent\": {:.3},\n",
-        bench.flat_exponent()
-    ));
-    out.push_str(&format!(
-        "  \"gossip_exponent\": {:.3},\n",
-        bench.gossip_exponent()
-    ));
-    out.push_str(&format!(
-        "  \"gossip_exponent_bar\": {GOSSIP_EXPONENT_BAR},\n"
-    ));
-    out.push_str(&format!("  \"sub_sqrt\": {},\n", bench.sub_sqrt()));
-    out.push_str("  \"equivalence\": {\n");
-    out.push_str(&format!(
-        "    \"clusters\": {},\n",
-        bench.equivalence.clusters
-    ));
-    out.push_str(&format!(
-        "    \"seeds\": [{}],\n",
-        bench
-            .equivalence
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!(
-        "    \"reports_identical\": {}\n",
-        bench.equivalence.reports_identical
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"arms\": [\n");
-    let points = [&bench.small, &bench.large];
-    for (i, point) in points.into_iter().enumerate() {
-        for (j, (routing, arm)) in [("flat", &point.flat), ("gossip", &point.gossip)]
-            .into_iter()
-            .enumerate()
-        {
-            out.push_str(&format!(
-                concat!(
-                    "    {{\n",
-                    "      \"routing\": \"{}\",\n",
-                    "      \"fetchers\": {},\n",
-                    "      \"max_node_wire_bytes\": {},\n",
-                    "      \"total_wire_bytes\": {},\n",
-                    "      \"routed_fetches\": {},\n",
-                    "      \"route_hops\": {},\n",
-                    "      \"relayed_bytes\": {},\n",
-                    "      \"wall_secs\": {:.3}\n",
-                    "    }}{}\n",
-                ),
-                routing,
-                arm.fetchers,
-                arm.max_wire_bytes,
-                arm.total_wire_bytes,
-                arm.routed_fetches,
-                arm.route_hops,
-                arm.relayed_bytes,
-                arm.wall_secs,
-                if i == 1 && j == 1 { "" } else { "," },
-            ));
-        }
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn render_json(bench: &GossipBench, seed: u64, scale: Scale) -> Json {
+    let arms = [&bench.small, &bench.large]
+        .into_iter()
+        .flat_map(|point| [("flat", &point.flat), ("gossip", &point.gossip)])
+        .map(|(routing, arm)| {
+            Json::obj([
+                ("routing", Json::str(routing)),
+                ("fetchers", int(arm.fetchers)),
+                ("max_node_wire_bytes", int(arm.max_wire_bytes)),
+                ("total_wire_bytes", int(arm.total_wire_bytes)),
+                ("routed_fetches", int(arm.routed_fetches)),
+                ("route_hops", int(arm.route_hops)),
+                ("relayed_bytes", int(arm.relayed_bytes)),
+                ("wall_secs", fixed(arm.wall_secs, 3)),
+            ])
+        });
+    Json::obj([
+        ("bench", Json::str("gossip")),
+        ("seed", int(seed)),
+        ("scale", Json::str(scale.label())),
+        ("blob_bytes", int(BLOB_BYTES)),
+        ("flat_exponent", fixed(bench.flat_exponent(), 3)),
+        ("gossip_exponent", fixed(bench.gossip_exponent(), 3)),
+        ("gossip_exponent_bar", Json::Num(GOSSIP_EXPONENT_BAR)),
+        ("sub_sqrt", Json::Bool(bench.sub_sqrt())),
+        ("equivalence", bench.equivalence.to_json()),
+        ("arms", Json::Arr(arms.collect())),
+    ])
 }
 
 /// Renders the human-readable summary.
@@ -428,14 +365,14 @@ mod tests {
             },
         };
         let json = render_json(&bench, 42, Scale::Quick);
-        assert!(json.contains("\"bench\": \"gossip\""));
-        assert!(json.contains("\"gossip_exponent\""));
-        assert!(json.contains("\"routing\": \"flat\""));
-        assert!(json.contains("\"routing\": \"gossip\""));
-        assert!(json.contains("\"reports_identical\": true"));
-        assert!(json.contains("\"scale\": \"quick\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let text = json.render();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
+        assert!(text.contains("\"bench\": \"gossip\""));
+        assert!(text.contains("\"gossip_exponent\""));
+        assert!(text.contains("\"routing\": \"flat\""));
+        assert!(text.contains("\"routing\": \"gossip\""));
+        assert!(text.contains("\"reports_identical\": true"));
+        assert!(text.contains("\"scale\": \"quick\""));
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub mod table7;
 pub mod timeline;
 pub mod transfer;
 
+pub use unifyfl_benchmark::json::Json;
 use unifyfl_data::WorkloadConfig;
 
 /// Harness scale selector.
@@ -54,12 +55,11 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--full` from CLI args.
-    pub fn from_args(args: &[String]) -> Scale {
-        if args.iter().any(|a| a == "--full") {
-            Scale::Full
-        } else {
-            Scale::Quick
+    /// The `scale` field of the trajectory files: `"quick"` or `"full"`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Scale::Quick => "quick",
+            Scale::Full => "full",
         }
     }
 
@@ -85,13 +85,123 @@ impl Scale {
     }
 }
 
-/// Parses `--seed N` from CLI args (default 42).
-pub fn seed_from_args(args: &[String]) -> u64 {
-    args.iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(42)
+/// The flags the bench binaries share, parsed once: `--full`, `--seed N`
+/// (default 42), `--out PATH` (trajectory bins; default `BENCH_<name>.json`
+/// in the working directory) and `--run ID` (`table5` / `table6`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Cli {
+    /// `--full` selects [`Scale::Full`].
+    pub scale: Scale,
+    /// `--seed N`.
+    pub seed: u64,
+    /// `--out PATH`.
+    pub out: Option<String>,
+    /// `--run ID`.
+    pub run: Option<String>,
+}
+
+impl Cli {
+    /// Parses the arguments after the program name.
+    ///
+    /// # Errors
+    ///
+    /// An unknown flag, a flag missing its value, or a `--seed` that is
+    /// not a number — a run must never misstate how it was produced by
+    /// quietly falling back to a default.
+    pub fn parse(args: &[String]) -> Result<Cli, String> {
+        let mut cli = Cli {
+            scale: Scale::Quick,
+            seed: 42,
+            out: None,
+            run: None,
+        };
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || args.next().ok_or(format!("{flag} needs a value"));
+            match flag.as_str() {
+                "--full" => cli.scale = Scale::Full,
+                "--seed" => {
+                    let v = value()?;
+                    cli.seed = v
+                        .parse()
+                        .map_err(|_| format!("--seed {v:?} is not a number"))?;
+                }
+                "--out" => cli.out = Some(value()?.clone()),
+                "--run" => cli.run = Some(value()?.clone()),
+                _ => return Err(format!("unknown flag {flag:?}")),
+            }
+        }
+        Ok(cli)
+    }
+
+    /// [`Cli::parse`] over the process arguments; a malformed command line
+    /// goes to [`usage_exit`].
+    pub fn from_env() -> Cli {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        Cli::parse(&args).unwrap_or_else(|problem| usage_exit(&problem))
+    }
+
+    /// Prints a trajectory bin's human-readable `summary`, writes `json`
+    /// on one line to `--out` (default `BENCH_<name>.json`) and echoes it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the file cannot be written.
+    pub fn emit(&self, name: &str, summary: &str, json: &Json) {
+        let default = format!("BENCH_{name}.json");
+        let path = self.out.as_deref().unwrap_or(&default);
+        let body = json.render();
+        print!("{summary}");
+        std::fs::write(path, format!("{body}\n")).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        println!("\nwrote {path}:\n{body}");
+    }
+}
+
+/// Prints `problem` and the flag list on one line to stderr, exits 2.
+pub fn usage_exit(problem: &str) -> ! {
+    eprintln!("{problem}; usage: [--full] [--seed N] [--out PATH] [--run ID]");
+    std::process::exit(2)
+}
+
+/// The outcome of a neutrality arm ([`scale::run_equivalence`],
+/// [`gossip::run_equivalence`]): the feature under test at its neutral
+/// setting against the run without it, per seed, in both modes.
+pub struct EquivalenceArm {
+    /// Clusters in the equivalence fleet.
+    pub clusters: usize,
+    /// Seeds tested.
+    pub seeds: Vec<u64>,
+    /// True if every (seed, mode) pair reported byte-identically.
+    pub reports_identical: bool,
+}
+
+impl EquivalenceArm {
+    /// The `equivalence` object of `BENCH_scale.json` / `BENCH_gossip.json`.
+    pub fn to_json(&self) -> Json {
+        Json::obj([
+            ("clusters", int(self.clusters)),
+            (
+                "seeds",
+                Json::Arr(self.seeds.iter().copied().map(int).collect()),
+            ),
+            ("reports_identical", Json::Bool(self.reports_identical)),
+        ])
+    }
+}
+
+/// A count as a JSON number (every count here is far below 2^53, where
+/// `f64` stops being exact).
+pub fn int<T: TryInto<u64>>(n: T) -> Json {
+    let n = n.try_into().ok().expect("counts are non-negative");
+    Json::Num(n as f64)
+}
+
+/// `x` as a JSON number rounded to `decimals` places, the precision
+/// docs/BENCH.md states per field. A non-finite `x` stays non-finite and
+/// renders as `null` (JSON has no `inf` token).
+pub fn fixed(x: f64, decimals: i32) -> Json {
+    let unit = 10f64.powi(decimals);
+    Json::Num((x * unit).round() / unit)
 }
 
 /// Formats the standard extrapolation footer for a report.
@@ -109,18 +219,52 @@ pub fn extrapolation_note(scale: Scale, paper: &WorkloadConfig, actual: &Workloa
 mod tests {
     use super::*;
 
+    fn cli(args: &[&str]) -> Result<Cli, String> {
+        Cli::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
     #[test]
     fn scale_parses_args() {
-        let args = vec!["--full".to_owned()];
-        assert_eq!(Scale::from_args(&args), Scale::Full);
-        assert_eq!(Scale::from_args(&[]), Scale::Quick);
+        assert_eq!(cli(&["--full"]).unwrap().scale, Scale::Full);
+        assert_eq!(cli(&[]).unwrap().scale, Scale::Quick);
+        // A typo must not silently run quick scale.
+        assert!(cli(&["--ful"]).unwrap_err().contains("unknown flag"));
+        assert!(cli(&["full"]).is_err());
     }
 
     #[test]
     fn seed_parses_args() {
-        let args: Vec<String> = ["--seed", "7"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(seed_from_args(&args), 7);
-        assert_eq!(seed_from_args(&[]), 42);
+        assert_eq!(cli(&["--seed", "7"]).unwrap().seed, 7);
+        assert_eq!(cli(&[]).unwrap().seed, 42);
+        // Neither must garbage silently become seed 42 ...
+        assert!(cli(&["--seed", "abc"])
+            .unwrap_err()
+            .contains("not a number"));
+        assert!(cli(&["--seed", "-1"]).is_err());
+        // ... nor a flag with its value missing be ignored.
+        for flag in ["--seed", "--out", "--run"] {
+            assert!(cli(&["--full", flag])
+                .unwrap_err()
+                .contains("needs a value"));
+        }
+        let all = cli(&["--out", "x.json", "--run", "C2", "--seed", "9", "--full"]).unwrap();
+        assert_eq!(all.out.as_deref(), Some("x.json"));
+        assert_eq!(all.run.as_deref(), Some("C2"));
+        assert_eq!((all.seed, all.scale), (9, Scale::Full));
+    }
+
+    #[test]
+    fn fixed_rounds_to_the_stated_decimals_and_nulls_non_finite() {
+        let doc = Json::obj([
+            ("ratio", fixed(1.23456, 3)),
+            ("whole", fixed(3.0, 3)),
+            ("inf", fixed(f64::INFINITY, 3)),
+            ("nan", fixed(f64::NAN, 1)),
+        ]);
+        assert_eq!(
+            doc.render(),
+            r#"{"ratio": 1.235, "whole": 3, "inf": null, "nan": null}"#
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
 use unifyfl_tensor::ModelSpec;
 
-use crate::Scale;
+use crate::{fixed, int, EquivalenceArm, Json, Scale};
 
 /// Sub-quadratic bar on the log-log wire-byte exponent between the two
 /// measured fleet sizes.
@@ -156,19 +156,9 @@ pub fn run_arm(n: usize, seed: u64) -> ScaleArm {
     }
 }
 
-/// The shards = 1 equivalence arm: a single-shard sharded run must report
-/// **byte-identical** (full `Debug`) to the unsharded engine, per seed, in
-/// both modes.
-pub struct EquivalenceArm {
-    /// Clusters in the equivalence fleet.
-    pub clusters: usize,
-    /// Seeds tested.
-    pub seeds: Vec<u64>,
-    /// True if every (seed, mode) pair reported byte-identically.
-    pub reports_identical: bool,
-}
-
-/// Runs the equivalence arm over `seeds`.
+/// Runs the shards = 1 equivalence arm over `seeds`: a single-shard
+/// sharded run must report **byte-identical** (full `Debug`) to the
+/// unsharded engine, per seed, in both modes.
 pub fn run_equivalence(seeds: &[u64]) -> EquivalenceArm {
     let n = 6;
     let run = |seed: u64, mode: Mode, sharding: Option<ShardConfig>| {
@@ -232,80 +222,31 @@ pub fn run(scale: Scale, seed: u64) -> ScaleBench {
 }
 
 /// Renders the machine-readable `BENCH_scale.json` body.
-pub fn render_json(bench: &ScaleBench, seed: u64, scale: Scale) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"scale\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!(
-        "  \"scale\": \"{}\",\n",
-        if scale == Scale::Full {
-            "full"
-        } else {
-            "quick"
-        }
-    ));
-    out.push_str(&format!(
-        "  \"byte_exponent\": {:.3},\n",
-        bench.byte_exponent()
-    ));
-    out.push_str(&format!("  \"byte_exponent_bar\": {BYTE_EXPONENT_BAR},\n"));
-    out.push_str(&format!(
-        "  \"sub_quadratic\": {},\n",
-        bench.sub_quadratic()
-    ));
-    out.push_str("  \"equivalence\": {\n");
-    out.push_str(&format!(
-        "    \"clusters\": {},\n",
-        bench.equivalence.clusters
-    ));
-    out.push_str(&format!(
-        "    \"seeds\": [{}],\n",
-        bench
-            .equivalence
-            .seeds
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!(
-        "    \"reports_identical\": {}\n",
-        bench.equivalence.reports_identical
-    ));
-    out.push_str("  },\n");
-    out.push_str("  \"arms\": [\n");
-    for (i, arm) in [&bench.small, &bench.large].into_iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"clusters\": {},\n",
-                "      \"shards\": {},\n",
-                "      \"scorers_per_release\": {},\n",
-                "      \"rounds\": {},\n",
-                "      \"wire_bytes\": {},\n",
-                "      \"score_tasks\": {},\n",
-                "      \"score_task_bound\": {},\n",
-                "      \"within_task_bound\": {},\n",
-                "      \"virtual_secs\": {:.3},\n",
-                "      \"wall_secs\": {:.3}\n",
-                "    }}{}\n",
-            ),
-            arm.clusters,
-            arm.shards,
-            arm.scorers_per_release,
-            arm.rounds,
-            arm.wire_bytes,
-            arm.score_tasks,
-            arm.score_task_bound,
-            arm.within_task_bound(),
-            arm.virtual_secs,
-            arm.wall_secs,
-            if i == 0 { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+pub fn render_json(bench: &ScaleBench, seed: u64, scale: Scale) -> Json {
+    let arms = [&bench.small, &bench.large].map(|arm| {
+        Json::obj([
+            ("clusters", int(arm.clusters)),
+            ("shards", int(arm.shards)),
+            ("scorers_per_release", int(arm.scorers_per_release)),
+            ("rounds", int(arm.rounds)),
+            ("wire_bytes", int(arm.wire_bytes)),
+            ("score_tasks", int(arm.score_tasks)),
+            ("score_task_bound", int(arm.score_task_bound)),
+            ("within_task_bound", Json::Bool(arm.within_task_bound())),
+            ("virtual_secs", fixed(arm.virtual_secs, 3)),
+            ("wall_secs", fixed(arm.wall_secs, 3)),
+        ])
+    });
+    Json::obj([
+        ("bench", Json::str("scale")),
+        ("seed", int(seed)),
+        ("scale", Json::str(scale.label())),
+        ("byte_exponent", fixed(bench.byte_exponent(), 3)),
+        ("byte_exponent_bar", Json::Num(BYTE_EXPONENT_BAR)),
+        ("sub_quadratic", Json::Bool(bench.sub_quadratic())),
+        ("equivalence", bench.equivalence.to_json()),
+        ("arms", Json::Arr(arms.into())),
+    ])
 }
 
 /// Renders the human-readable summary.
@@ -408,13 +349,13 @@ mod tests {
             },
         };
         let json = render_json(&bench, 42, Scale::Full);
-        assert!(json.contains("\"bench\": \"scale\""));
-        assert!(json.contains("\"byte_exponent\""));
-        assert!(json.contains("\"score_task_bound\""));
-        assert!(json.contains("\"reports_identical\": true"));
-        assert!(json.contains("\"scale\": \"full\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let text = json.render();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
+        assert!(text.contains("\"bench\": \"scale\""));
+        assert!(text.contains("\"byte_exponent\""));
+        assert!(text.contains("\"score_task_bound\""));
+        assert!(text.contains("\"reports_identical\": true"));
+        assert!(text.contains("\"scale\": \"full\""));
     }
 
     #[test]

@@ -22,6 +22,7 @@ use unifyfl_core::experiment::{run_experiment, ExperimentBuilder, ExperimentConf
 use unifyfl_core::service::{ExperimentService, RunState, ServiceConfig};
 
 use crate::speed::available_threads;
+use crate::{fixed, int, Json};
 
 /// Rounds per synthetic submission — kept tiny so the bench measures the
 /// service machinery, not model training.
@@ -208,66 +209,56 @@ pub fn run(seed: u64) -> ServeBench {
 }
 
 /// Renders the machine-readable `BENCH_serve.json` body.
-pub fn render_json(bench: &ServeBench, seed: u64) -> String {
-    format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"serve\",\n",
-            "  \"seed\": {},\n",
-            "  \"submissions\": {},\n",
-            "  \"completed\": {},\n",
-            "  \"max_in_flight\": {},\n",
-            "  \"queue_depth\": {},\n",
-            "  \"queued_after_inlet\": {},\n",
-            "  \"worker_threads\": {},\n",
-            "  \"hardware_threads\": {},\n",
-            "  \"rounds_per_run\": {},\n",
-            "  \"wall_secs\": {:.3},\n",
-            "  \"experiments_per_sec\": {:.3},\n",
-            "  \"round_latency_p50_secs\": {:.3},\n",
-            "  \"round_latency_p99_secs\": {:.3},\n",
-            "  \"resume_identical\": {}\n",
-            "}}\n",
+pub fn render_json(bench: &ServeBench, seed: u64) -> Json {
+    Json::obj([
+        ("bench", Json::str("serve")),
+        ("seed", int(seed)),
+        ("submissions", int(bench.submissions)),
+        ("completed", int(bench.completed)),
+        ("max_in_flight", int(bench.max_in_flight)),
+        ("queue_depth", int(bench.queue_depth)),
+        ("queued_after_inlet", int(bench.queued_after_inlet)),
+        ("worker_threads", int(bench.worker_threads)),
+        ("hardware_threads", int(bench.hardware_threads)),
+        ("rounds_per_run", int(ROUNDS_PER_RUN)),
+        ("wall_secs", fixed(bench.wall_secs, 3)),
+        ("experiments_per_sec", fixed(bench.experiments_per_sec, 3)),
+        (
+            "round_latency_p50_secs",
+            fixed(bench.round_latency_p50_secs, 3),
         ),
-        seed,
-        bench.submissions,
-        bench.completed,
-        bench.max_in_flight,
-        bench.queue_depth,
-        bench.queued_after_inlet,
-        bench.worker_threads,
-        bench.hardware_threads,
-        ROUNDS_PER_RUN,
-        bench.wall_secs,
-        bench.experiments_per_sec,
-        bench.round_latency_p50_secs,
-        bench.round_latency_p99_secs,
-        bench.resume_identical,
-    )
+        (
+            "round_latency_p99_secs",
+            fixed(bench.round_latency_p99_secs, 3),
+        ),
+        ("resume_identical", Json::Bool(bench.resume_identical)),
+    ])
 }
 
 /// Renders the human-readable summary.
 pub fn render(bench: &ServeBench) -> String {
+    let ServeBench {
+        submissions,
+        queued_after_inlet,
+        max_in_flight,
+        worker_threads,
+        hardware_threads,
+        completed,
+        wall_secs,
+        experiments_per_sec,
+        round_latency_p50_secs: p50,
+        round_latency_p99_secs: p99,
+        resume_identical,
+        ..
+    } = bench;
     format!(
-        concat!(
-            "Serve bench: {} submissions ({} queued behind {} in-flight slots), ",
-            "{} worker thread(s) on {} hardware thread(s)\n",
-            "completed {}/{} in {:.3}s — {:.1} experiments/sec\n",
-            "round latency p50 {:.4}s | p99 {:.4}s\n",
-            "checkpoint/restart/resume byte-identical: {}\n",
-        ),
-        bench.submissions,
-        bench.queued_after_inlet,
-        bench.max_in_flight,
-        bench.worker_threads,
-        bench.hardware_threads,
-        bench.completed,
-        bench.submissions,
-        bench.wall_secs,
-        bench.experiments_per_sec,
-        bench.round_latency_p50_secs,
-        bench.round_latency_p99_secs,
-        bench.resume_identical,
+        "Serve bench: {submissions} submissions ({queued_after_inlet} queued behind \
+         {max_in_flight} in-flight slots), {worker_threads} worker thread(s) on \
+         {hardware_threads} hardware thread(s)\n\
+         completed {completed}/{submissions} in {wall_secs:.3}s — \
+         {experiments_per_sec:.1} experiments/sec\n\
+         round latency p50 {p50:.4}s | p99 {p99:.4}s\n\
+         checkpoint/restart/resume byte-identical: {resume_identical}\n"
     )
 }
 
@@ -286,13 +277,36 @@ mod tests {
         assert!(bench.resume_identical, "resume must be byte-identical");
         assert!(bench.wall_secs > 0.0);
         assert!(bench.round_latency_p50_secs <= bench.round_latency_p99_secs);
-        let json = render_json(&bench, 7);
-        assert!(json.contains("\"bench\": \"serve\""));
-        assert!(json.contains("\"experiments_per_sec\""));
-        assert!(json.contains("\"round_latency_p99_secs\""));
-        assert!(json.contains("\"resume_identical\": true"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let text = render_json(&bench, 7).render();
+        assert!(text.contains("\"bench\": \"serve\""));
+        assert!(text.contains("\"experiments_per_sec\""));
+        assert!(text.contains("\"round_latency_p99_secs\""));
+        assert!(text.contains("\"resume_identical\": true"));
+    }
+
+    #[test]
+    fn json_rendering_is_well_formed() {
+        // Hand-built: the JSON shape must not depend on running a burst.
+        let bench = ServeBench {
+            submissions: 60,
+            completed: 60,
+            max_in_flight: 8,
+            queue_depth: 64,
+            queued_after_inlet: 52,
+            worker_threads: 2,
+            hardware_threads: 2,
+            wall_secs: 1.2345,
+            experiments_per_sec: 48.6,
+            round_latency_p50_secs: 0.0104,
+            round_latency_p99_secs: 0.0251,
+            resume_identical: true,
+        };
+        let json = render_json(&bench, 42);
+        let text = json.render();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
+        assert!(text.starts_with("{\"bench\": \"serve\", \"seed\": 42, "));
+        assert!(text.contains("\"wall_secs\": 1.235,"), "{text}");
+        assert!(text.ends_with("\"resume_identical\": true}"));
     }
 
     #[test]

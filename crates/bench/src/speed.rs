@@ -41,7 +41,7 @@ use unifyfl_tensor::optim::Sgd;
 use unifyfl_tensor::zoo::ModelSpec;
 use unifyfl_tensor::Tensor;
 
-use crate::{scalability, Scale};
+use crate::{fixed, int, scalability, Json, Scale};
 
 /// Hardware-thread floor above which the ≥1.5× speedup bar is enforced.
 /// Below it (CI runners are sometimes 1–2 vCPUs) the bench still runs and
@@ -129,13 +129,11 @@ pub fn available_threads() -> usize {
 /// masquerade as a passed gate in the bench trajectory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GateStatus {
-    /// The bar is enforced (multicore host, gate not disabled).
+    /// The bar is enforced (multicore host).
     Enforced,
     /// Skipped: fewer than [`SPEEDUP_GATE_THREADS`] hardware threads —
     /// a single-digit-core runner cannot parallelize meaningfully.
     SkippedThreads,
-    /// Skipped: `UNIFYFL_SPEED_GATE=off` (contended shared host).
-    SkippedEnv,
 }
 
 impl GateStatus {
@@ -143,7 +141,7 @@ impl GateStatus {
     pub fn label(self) -> &'static str {
         match self {
             GateStatus::Enforced => "enforced",
-            GateStatus::SkippedThreads | GateStatus::SkippedEnv => "skipped",
+            GateStatus::SkippedThreads => "skipped",
         }
     }
 
@@ -152,20 +150,14 @@ impl GateStatus {
         match self {
             GateStatus::Enforced => "multicore host",
             GateStatus::SkippedThreads => "hardware_threads below gate floor",
-            GateStatus::SkippedEnv => "UNIFYFL_SPEED_GATE=off",
         }
     }
 }
 
 /// Resolves the gate disposition for a host with `threads` hardware
-/// threads, honoring the `UNIFYFL_SPEED_GATE=off` escape hatch.
+/// threads — derived from that measurement alone.
 pub fn gate_status(threads: usize) -> GateStatus {
-    let env_off = std::env::var("UNIFYFL_SPEED_GATE")
-        .map(|v| v.eq_ignore_ascii_case("off"))
-        .unwrap_or(false);
-    if env_off {
-        GateStatus::SkippedEnv
-    } else if threads < SPEEDUP_GATE_THREADS {
+    if threads < SPEEDUP_GATE_THREADS {
         GateStatus::SkippedThreads
     } else {
         GateStatus::Enforced
@@ -369,107 +361,69 @@ pub fn run(scale: Scale, seed: u64) -> SpeedBench {
     }
 }
 
+/// One arm's phase split as a JSON object. Components are rounded to
+/// milliseconds first and `total_secs` is the sum of the **rounded**
+/// components (re-rounded, so float addition noise cannot leak into the
+/// file) — `train + score + fetch + seal + regroup + overlap == total`
+/// holds to the millisecond on the rendered values (asserted in tier-1).
+/// `regroup_secs` stays 0 here — the speed scenarios run a static
+/// topology — and `overlap_secs` stays 0 too (fetch-ahead is off in both
+/// speed configurations); the fields keep the schema aligned with the full
+/// six-phase attribution.
+fn render_phases(phases: &PhaseTimes) -> Json {
+    let fields = [
+        ("train_secs", phases.train_secs),
+        ("score_secs", phases.score_secs),
+        ("fetch_secs", phases.fetch_secs),
+        ("seal_secs", phases.seal_secs),
+        ("regroup_secs", phases.regroup_secs),
+        ("overlap_secs", phases.overlap_secs),
+    ]
+    .map(|(key, secs)| (key, fixed(secs, 3)));
+    let total: f64 = fields.iter().filter_map(|(_, secs)| secs.as_f64()).sum();
+    Json::obj(fields.into_iter().chain([("total_secs", fixed(total, 3))]))
+}
+
 /// Renders the machine-readable `BENCH_speed.json` body. `gate` records
 /// whether the ≥1.5× bar was enforced for this run — a skipped gate is an
 /// explicit, honest datapoint, not a silent pass.
-/// Renders one arm's phase split as a JSON object. Components are rounded
-/// to milliseconds first and `total_secs` is the sum of the **rounded**
-/// components, so `train + score + fetch + seal + regroup == total` holds
-/// exactly on the rendered values (asserted in tier-1). `regroup_secs`
-/// stays 0.000 here — the speed scenarios run a static topology — and
-/// `overlap_secs` stays 0.000 too (fetch-ahead is off in both speed
-/// configurations); the fields keep the schema aligned with the full
-/// six-phase attribution.
-fn render_phases(phases: &PhaseTimes) -> String {
-    let round3 = |x: f64| (x * 1000.0).round() / 1000.0;
-    let train = round3(phases.train_secs);
-    let score = round3(phases.score_secs);
-    let fetch = round3(phases.fetch_secs);
-    let seal = round3(phases.seal_secs);
-    let regroup = round3(phases.regroup_secs);
-    let overlap = round3(phases.overlap_secs);
-    format!(
-        concat!(
-            "{{ \"train_secs\": {:.3}, \"score_secs\": {:.3}, ",
-            "\"fetch_secs\": {:.3}, \"seal_secs\": {:.3}, ",
-            "\"regroup_secs\": {:.3}, \"overlap_secs\": {:.3}, ",
-            "\"total_secs\": {:.3} }}"
-        ),
-        train,
-        score,
-        fetch,
-        seal,
-        regroup,
-        overlap,
-        train + score + fetch + seal + regroup + overlap,
-    )
-}
-
-pub fn render_json(bench: &SpeedBench, seed: u64, gate: GateStatus) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"speed\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"hardware_threads\": {},\n", bench.threads));
-    out.push_str(&format!(
-        "  \"speedup_gate_threads\": {SPEEDUP_GATE_THREADS},\n"
-    ));
-    out.push_str(&format!("  \"gate\": \"{}\",\n", gate.label()));
-    out.push_str(&format!("  \"gate_reason\": \"{}\",\n", gate.reason()));
-    out.push_str(&format!(
-        "  \"one_core_gate\": \"{}\",\n",
-        if bench.threads == 1 {
-            "enforced"
-        } else {
-            "skipped"
-        }
-    ));
-    out.push_str(&format!(
-        "  \"kernel_speedup\": {:.3},\n",
-        bench.kernel_speedup
-    ));
-    out.push_str(&format!(
-        "  \"train_batch_allocs\": {},\n",
-        match bench.train_batch_allocs {
-            Some(n) => n.to_string(),
-            None => "null".to_owned(),
-        }
-    ));
-    out.push_str(&format!(
-        "  \"alloc_probe_batches\": {ALLOC_PROBE_BATCHES},\n"
-    ));
-    out.push_str("  \"pairs\": [\n");
-    for (i, pair) in bench.pairs.iter().enumerate() {
-        out.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"label\": \"{}\",\n",
-                "      \"clusters\": {},\n",
-                "      \"rounds\": {},\n",
-                "      \"sequential_wall_secs\": {:.3},\n",
-                "      \"parallel_wall_secs\": {:.3},\n",
-                "      \"speedup\": {:.3},\n",
-                "      \"reports_identical\": {},\n",
-                "      \"virtual_wall_secs\": {:.3},\n",
-                "      \"sequential_phases\": {},\n",
-                "      \"parallel_phases\": {}\n",
-                "    }}{}\n",
+pub fn render_json(bench: &SpeedBench, seed: u64, gate: GateStatus) -> Json {
+    let one_core_gate = if bench.threads == 1 {
+        "enforced"
+    } else {
+        "skipped"
+    };
+    let allocs = bench.train_batch_allocs.map_or(Json::Null, int);
+    let pairs = bench.pairs.iter().map(|pair| {
+        Json::obj([
+            ("label", Json::str(pair.label.clone())),
+            ("clusters", int(pair.clusters)),
+            ("rounds", int(pair.rounds)),
+            ("sequential_wall_secs", fixed(pair.sequential.wall_secs, 3)),
+            ("parallel_wall_secs", fixed(pair.parallel.wall_secs, 3)),
+            ("speedup", fixed(pair.speedup(), 3)),
+            ("reports_identical", Json::Bool(pair.reports_identical())),
+            (
+                "virtual_wall_secs",
+                fixed(pair.parallel.report.wall_secs, 3),
             ),
-            pair.label,
-            pair.clusters,
-            pair.rounds,
-            pair.sequential.wall_secs,
-            pair.parallel.wall_secs,
-            pair.speedup(),
-            pair.reports_identical(),
-            pair.parallel.report.wall_secs,
-            render_phases(&pair.sequential.phases),
-            render_phases(&pair.parallel.phases),
-            if i + 1 < bench.pairs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+            ("sequential_phases", render_phases(&pair.sequential.phases)),
+            ("parallel_phases", render_phases(&pair.parallel.phases)),
+        ])
+    });
+    Json::obj([
+        ("bench", Json::str("speed")),
+        ("seed", int(seed)),
+        ("hardware_threads", int(bench.threads)),
+        ("speedup_gate_threads", int(SPEEDUP_GATE_THREADS)),
+        ("gate", Json::str(gate.label())),
+        ("gate_reason", Json::str(gate.reason())),
+        ("one_core_gate", Json::str(one_core_gate)),
+        ("kernel_speedup", fixed(bench.kernel_speedup, 3)),
+        ("train_batch_allocs", allocs),
+        ("alloc_probe_batches", int(ALLOC_PROBE_BATCHES)),
+        ("pairs", Json::Arr(pairs.collect())),
+    ])
 }
 
 /// Renders the human-readable comparison.
@@ -541,16 +495,16 @@ mod tests {
             train_batch_allocs: None,
         };
         let json = render_json(&bench, 7, gate_status(bench.threads));
-        assert!(json.contains("\"bench\": \"speed\""));
-        assert!(json.contains("\"speedup\""));
-        assert!(json.contains("\"hardware_threads\""));
-        assert!(json.contains("\"gate\""));
-        assert!(json.contains("\"one_core_gate\""));
-        assert!(json.contains("\"kernel_speedup\": 2.500"));
+        let text = json.render();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
+        assert!(text.contains("\"bench\": \"speed\""));
+        assert!(text.contains("\"speedup\""));
+        assert!(text.contains("\"hardware_threads\""));
+        assert!(text.contains("\"gate\""));
+        assert!(text.contains("\"one_core_gate\""));
+        assert!(text.contains("\"kernel_speedup\": 2.5,"));
         // A dead counter renders as an explicit null, never a fake zero.
-        assert!(json.contains("\"train_batch_allocs\": null"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        assert!(text.contains("\"train_batch_allocs\": null"));
     }
 
     #[test]
@@ -578,39 +532,23 @@ mod tests {
             train_batch_allocs: Some(0),
         };
         let json = render_json(&bench, 11, gate_status(bench.threads));
-        // Parse every phases object at millisecond precision and assert
-        // the advertised invariant: the rendered components sum exactly
-        // to the rendered total.
-        let field_millis = |obj: &str, field: &str| -> i64 {
-            let at = obj
-                .find(field)
-                .unwrap_or_else(|| panic!("{field} in {obj}"));
-            let rest = &obj[at + field.len()..];
-            let rest = rest.trim_start_matches([':', ' ']);
-            let end = rest
-                .find([',', ' ', '}'])
-                .unwrap_or_else(|| panic!("terminator after {field}"));
-            let secs: f64 = rest[..end].parse().expect("numeric phase field");
-            (secs * 1000.0).round() as i64
-        };
-        let mut objects = 0;
-        for part in json.split("_phases\": ").skip(1) {
-            let end = part.find('}').expect("phases object closes");
-            let obj = &part[..=end];
-            objects += 1;
-            let sum = field_millis(obj, "\"train_secs\"")
-                + field_millis(obj, "\"score_secs\"")
-                + field_millis(obj, "\"fetch_secs\"")
-                + field_millis(obj, "\"seal_secs\"")
-                + field_millis(obj, "\"regroup_secs\"")
-                + field_millis(obj, "\"overlap_secs\"");
+        // Read every phases object back at millisecond precision and
+        // assert the advertised invariant: the rendered components sum
+        // exactly to the rendered total.
+        let parsed = Json::parse(&json.render()).expect("well-formed");
+        let pair = &parsed.get("pairs").and_then(Json::as_arr).expect("pairs")[0];
+        for arm in ["sequential_phases", "parallel_phases"] {
+            let phases = pair.get(arm).and_then(Json::as_obj).expect("phases object");
+            let millis = |secs: &Json| (secs.as_f64().expect("numeric") * 1000.0).round() as i64;
+            let (total, parts) = phases.split_last().expect("non-empty");
+            assert_eq!(total.0, "total_secs");
+            assert_eq!(parts.len(), 6, "six-phase attribution");
             assert_eq!(
-                sum,
-                field_millis(obj, "\"total_secs\""),
-                "phase split must sum to its total: {obj}"
+                parts.iter().map(|(_, secs)| millis(secs)).sum::<i64>(),
+                millis(&total.1),
+                "phase split must sum to its total: {phases:?}"
             );
         }
-        assert_eq!(objects, 2, "one phases object per arm");
         // The run trains for real wall-clock, so the dominant phase is
         // live (not a permanently-zero counter).
         assert!(
@@ -629,15 +567,10 @@ mod tests {
             GateStatus::SkippedThreads
         );
         assert_eq!(GateStatus::SkippedThreads.label(), "skipped");
-        assert_eq!(GateStatus::SkippedEnv.label(), "skipped");
         assert_eq!(GateStatus::Enforced.label(), "enforced");
         assert!(!GateStatus::SkippedThreads.reason().is_empty());
-        // At or above the floor the disposition depends only on the env
-        // escape hatch; both reachable values are legal.
-        let at_floor = gate_status(SPEEDUP_GATE_THREADS);
-        assert!(matches!(
-            at_floor,
-            GateStatus::Enforced | GateStatus::SkippedEnv
-        ));
+        // At or above the floor the bar is enforced: the thread count is
+        // the only input.
+        assert_eq!(gate_status(SPEEDUP_GATE_THREADS), GateStatus::Enforced);
     }
 }

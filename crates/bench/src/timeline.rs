@@ -46,6 +46,8 @@ use unifyfl_core::TransferConfig;
 use unifyfl_sim::SimDuration;
 use unifyfl_storage::LinkProfile;
 
+use crate::{fixed, int, Json};
+
 /// Accuracy bar (percent) the time-to-target clock stops at. Chosen so
 /// every arm of the quick configuration comfortably crosses it while
 /// leaving rounds of headroom (the quickstart task converges near 60 %).
@@ -316,93 +318,80 @@ fn cache_only_transfer() -> TransferConfig {
     }
 }
 
-fn json_opt(v: Option<f64>) -> String {
-    match v {
-        Some(v) => format!("{v:.3}"),
-        None => "null".to_owned(),
-    }
+/// An optional virtual-seconds reading for the human-readable summary.
+fn fmt_secs(v: Option<f64>) -> String {
+    v.map_or("null".to_owned(), |v| format!("{v:.3}"))
 }
 
 /// Renders the machine-readable `BENCH_timeline.json` body.
-pub fn render_json(bench: &TimelineBench, seed: u64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"timeline\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!(
-        "  \"target_accuracy_pct\": {TARGET_ACCURACY_PCT:.1},\n"
-    ));
-    out.push_str("  \"arms\": [\n");
-    for (i, arm) in bench.arms.iter().enumerate() {
+pub fn render_json(bench: &TimelineBench, seed: u64) -> Json {
+    let secs = |v: Option<f64>| v.map_or(Json::Null, |v| fixed(v, 3));
+    let arms = bench.arms.iter().map(|arm| {
         let t = &arm.report.transfer;
-        out.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"label\": \"{}\",\n",
-                "      \"mode\": \"{}\",\n",
-                "      \"link_model\": \"{}\",\n",
-                "      \"transfer_enabled\": {},\n",
-                "      \"fetch_ahead\": {},\n",
-                "      \"time_to_target_secs\": {},\n",
-                "      \"wall_secs\": {:.3},\n",
-                "      \"mean_final_accuracy_pct\": {:.3},\n",
-                "      \"physical_bytes\": {},\n",
-                "      \"logical_bytes\": {},\n",
-                "      \"cache_hits\": {},\n",
-                "      \"joins\": {}\n",
-                "    }}{}\n",
+        Json::obj([
+            ("label", Json::str(arm.label.clone())),
+            ("mode", Json::str(arm.report.mode.to_string())),
+            ("link_model", Json::str(arm.report.link_model.to_string())),
+            (
+                "transfer_enabled",
+                Json::Bool(t.dedup || t.delta || t.cache_bytes > 0),
             ),
-            arm.label,
-            arm.report.mode,
-            arm.report.link_model,
-            t.dedup || t.delta || t.cache_bytes > 0,
-            arm.fetch_ahead,
-            json_opt(arm.time_to_target(TARGET_ACCURACY_PCT)),
-            arm.report.wall_secs,
-            arm.mean_final_accuracy_pct(),
-            t.physical_bytes,
-            t.logical_bytes,
-            t.cache_hits,
-            arm.report.membership.len(),
-            if i + 1 < bench.arms.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
+            ("fetch_ahead", Json::Bool(arm.fetch_ahead)),
+            (
+                "time_to_target_secs",
+                secs(arm.time_to_target(TARGET_ACCURACY_PCT)),
+            ),
+            ("wall_secs", fixed(arm.report.wall_secs, 3)),
+            (
+                "mean_final_accuracy_pct",
+                fixed(arm.mean_final_accuracy_pct(), 3),
+            ),
+            ("physical_bytes", int(t.physical_bytes)),
+            ("logical_bytes", int(t.logical_bytes)),
+            ("cache_hits", int(t.cache_hits)),
+            ("joins", int(arm.report.membership.len())),
+        ])
+    });
     let (on, off, transfer_holds) = bench.transfer_gate(TARGET_ACCURACY_PCT);
-    let (joiner_pct, founders_pct, elastic_holds) = bench.elastic_gate();
-    out.push_str("  \"gates\": {\n");
-    out.push_str(&format!(
-        concat!(
-            "    \"async_physical_transfer\": {{\"on_secs\": {}, \"off_secs\": {}, ",
-            "\"strictly_faster\": {}}},\n"
-        ),
-        json_opt(on),
-        json_opt(off),
-        transfer_holds,
-    ));
     let (warm, cold, overlap_holds) = bench.overlap_gate(TARGET_ACCURACY_PCT);
-    out.push_str(&format!(
-        concat!(
-            "    \"fetch_compute_overlap\": {{\"warm_secs\": {}, \"cold_secs\": {}, ",
-            "\"warm_cache_hits\": {}, \"cold_cache_hits\": {}, ",
-            "\"strictly_faster_and_engaged\": {}}},\n"
+    let (joiner_pct, founders_pct, elastic_holds) = bench.elastic_gate();
+    let cache_hits = |arm: usize| int(bench.arms[arm].report.transfer.cache_hits);
+    let gates = Json::obj([
+        (
+            "async_physical_transfer",
+            Json::obj([
+                ("on_secs", secs(on)),
+                ("off_secs", secs(off)),
+                ("strictly_faster", Json::Bool(transfer_holds)),
+            ]),
         ),
-        json_opt(warm),
-        json_opt(cold),
-        bench.arms[bench.overlap_on].report.transfer.cache_hits,
-        bench.arms[bench.overlap_cold].report.transfer.cache_hits,
-        overlap_holds,
-    ));
-    out.push_str(&format!(
-        concat!(
-            "    \"elastic_join\": {{\"joiner_final_pct\": {:.3}, ",
-            "\"founders_final_pct\": {:.3}, \"band_pct\": {:.1}, ",
-            "\"within_band\": {}}}\n"
+        (
+            "fetch_compute_overlap",
+            Json::obj([
+                ("warm_secs", secs(warm)),
+                ("cold_secs", secs(cold)),
+                ("warm_cache_hits", cache_hits(bench.overlap_on)),
+                ("cold_cache_hits", cache_hits(bench.overlap_cold)),
+                ("strictly_faster_and_engaged", Json::Bool(overlap_holds)),
+            ]),
         ),
-        joiner_pct, founders_pct, JOIN_BAND_PCT, elastic_holds,
-    ));
-    out.push_str("  }\n}\n");
-    out
+        (
+            "elastic_join",
+            Json::obj([
+                ("joiner_final_pct", fixed(joiner_pct, 3)),
+                ("founders_final_pct", fixed(founders_pct, 3)),
+                ("band_pct", fixed(JOIN_BAND_PCT, 1)),
+                ("within_band", Json::Bool(elastic_holds)),
+            ]),
+        ),
+    ]);
+    Json::obj([
+        ("bench", Json::str("timeline")),
+        ("seed", int(seed)),
+        ("target_accuracy_pct", fixed(TARGET_ACCURACY_PCT, 1)),
+        ("arms", Json::Arr(arms.collect())),
+        ("gates", gates),
+    ])
 }
 
 /// Renders the human-readable comparison.
@@ -415,7 +404,7 @@ pub fn render(bench: &TimelineBench) -> String {
         out.push_str(&format!(
             "{:<24} t->target {:>9}  wall {:>9.1}s  final {:>5.1}%  wire {:>10} B\n",
             arm.label,
-            json_opt(arm.time_to_target(TARGET_ACCURACY_PCT)),
+            fmt_secs(arm.time_to_target(TARGET_ACCURACY_PCT)),
             arm.report.wall_secs,
             arm.mean_final_accuracy_pct(),
             arm.report.transfer.physical_bytes,
@@ -426,14 +415,14 @@ pub fn render(bench: &TimelineBench) -> String {
     let (joiner_pct, founders_pct, elastic_holds) = bench.elastic_gate();
     out.push_str(&format!(
         "\ntransfer gate (async physical): on {} < off {} -> {}\n",
-        json_opt(on),
-        json_opt(off),
+        fmt_secs(on),
+        fmt_secs(off),
         transfer_holds,
     ));
     out.push_str(&format!(
         "overlap gate (async physical, cache-only): fetch-ahead {} < cold {} -> {}\n",
-        json_opt(warm),
-        json_opt(cold),
+        fmt_secs(warm),
+        fmt_secs(cold),
         overlap_holds,
     ));
     out.push_str(&format!(
@@ -497,12 +486,23 @@ mod tests {
     fn json_rendering_is_well_formed() {
         let bench = run(7);
         let json = render_json(&bench, 7);
-        assert!(json.contains("\"bench\": \"timeline\""));
-        assert!(json.contains("\"async_physical_transfer\""));
-        assert!(json.contains("\"fetch_compute_overlap\""));
-        assert!(json.contains("\"fetch_ahead\": true"));
-        assert!(json.contains("\"elastic_join\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let text = json.render();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
+        assert!(text.contains("\"bench\": \"timeline\""));
+        assert!(text.contains("\"async_physical_transfer\""));
+        assert!(text.contains("\"fetch_compute_overlap\""));
+        assert!(text.contains("\"fetch_ahead\": true"));
+        assert!(text.contains("\"elastic_join\""));
+
+        // A label is free text: quotes and backslashes must be escaped,
+        // not break the document.
+        let mut bench = bench;
+        bench.arms[0].label = "sync \"naive\" C:\\link".to_owned();
+        let parsed = Json::parse(&render_json(&bench, 7).render()).expect("still well-formed");
+        let arm = &parsed.get("arms").and_then(Json::as_arr).expect("arms")[0];
+        assert_eq!(
+            arm.get("label"),
+            Some(&Json::str(bench.arms[0].label.clone()))
+        );
     }
 }

@@ -20,7 +20,7 @@ use unifyfl_core::experiment::{run_experiment, ExperimentReport, TransferReport}
 use unifyfl_core::report::{render_run_table, render_transfer_summary};
 use unifyfl_core::TransferConfig;
 
-use crate::{scalability, Scale};
+use crate::{fixed, int, scalability, Json, Scale};
 
 /// One (fleet size × config) measurement.
 pub struct Arm {
@@ -99,66 +99,40 @@ pub fn run(scale: Scale, seed: u64) -> TransferBench {
     }
 }
 
-/// A number as JSON: fixed precision, with non-finite values (an all-zero
-/// optimized arm makes the reduction infinite) emitted as `null` — JSON
-/// has no `inf` token.
-fn json_number(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-/// Renders the machine-readable `BENCH_transfer.json` body.
-pub fn render_json(bench: &TransferBench, seed: u64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"bench\": \"transfer\",\n");
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str("  \"pairs\": [\n");
-    for (i, pair) in bench.pairs.iter().enumerate() {
-        let arm_json = |arm: &Arm| {
-            let t = &arm.report.transfer;
-            format!(
-                concat!(
-                    "{{\"physical_bytes\": {}, \"logical_bytes\": {}, ",
-                    "\"dedup_chunks_skipped\": {}, \"cache_hits\": {}, \"cache_misses\": {}, ",
-                    "\"delta_fetches\": {}, \"delta_fallbacks\": {}, ",
-                    "\"wall_secs\": {:.3}}}"
-                ),
-                t.physical_bytes,
-                t.logical_bytes,
-                t.dedup_chunks_skipped,
-                t.cache_hits,
-                t.cache_misses,
-                t.delta_fetches,
-                t.delta_fallbacks,
-                arm.report.wall_secs,
-            )
-        };
-        out.push_str(&format!(
-            concat!(
-                "    {{\n",
-                "      \"clients\": {},\n",
-                "      \"off\": {},\n",
-                "      \"on\": {},\n",
-                "      \"bytes_on_wire_reduction\": {},\n",
-                "      \"reports_identical\": {},\n",
-                "      \"mean_final_accuracy_pct\": {:.3}\n",
-                "    }}{}\n",
+/// Renders the machine-readable `BENCH_transfer.json` body. An all-zero
+/// optimized arm makes the reduction infinite, which renders as `null`.
+pub fn render_json(bench: &TransferBench, seed: u64) -> Json {
+    let arm_json = |arm: &Arm| {
+        let t = &arm.report.transfer;
+        Json::obj([
+            ("physical_bytes", int(t.physical_bytes)),
+            ("logical_bytes", int(t.logical_bytes)),
+            ("dedup_chunks_skipped", int(t.dedup_chunks_skipped)),
+            ("cache_hits", int(t.cache_hits)),
+            ("cache_misses", int(t.cache_misses)),
+            ("delta_fetches", int(t.delta_fetches)),
+            ("delta_fallbacks", int(t.delta_fallbacks)),
+            ("wall_secs", fixed(arm.report.wall_secs, 3)),
+        ])
+    };
+    let pairs = bench.pairs.iter().map(|pair| {
+        Json::obj([
+            ("clients", int(pair.clients)),
+            ("off", arm_json(&pair.off)),
+            ("on", arm_json(&pair.on)),
+            ("bytes_on_wire_reduction", fixed(pair.reduction(), 3)),
+            ("reports_identical", Json::Bool(pair.reports_identical())),
+            (
+                "mean_final_accuracy_pct",
+                fixed(pair.mean_accuracy_pct(), 3),
             ),
-            pair.clients,
-            arm_json(&pair.off),
-            arm_json(&pair.on),
-            json_number(pair.reduction()),
-            pair.reports_identical(),
-            pair.mean_accuracy_pct(),
-            if i + 1 < bench.pairs.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        ])
+    });
+    Json::obj([
+        ("bench", Json::str("transfer")),
+        ("seed", int(seed)),
+        ("pairs", Json::Arr(pairs.collect())),
+    ])
 }
 
 /// Renders the human-readable comparison.
@@ -230,18 +204,17 @@ mod tests {
             pairs: vec![run_pair(3, Scale::Quick, 7)],
         };
         let json = render_json(&bench, 7);
-        assert!(json.starts_with("{\n"));
-        assert!(json.contains("\"bench\": \"transfer\""));
-        assert!(json.contains("\"bytes_on_wire_reduction\""));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "balanced braces"
-        );
-        assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count(),
-            "balanced brackets"
-        );
+        let text = json.render();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
+        assert!(text.contains("\"bench\": \"transfer\""));
+        assert!(text.contains("\"bytes_on_wire_reduction\""));
+
+        // An optimized arm that moved nothing makes the reduction infinite;
+        // JSON has no `inf` token, so the field must come out as `null`.
+        let mut bench = bench;
+        bench.pairs[0].on.report.transfer.physical_bytes = 0;
+        let parsed = Json::parse(&render_json(&bench, 7).render()).expect("still well-formed");
+        let pair = &parsed.get("pairs").and_then(Json::as_arr).expect("pairs")[0];
+        assert_eq!(pair.get("bytes_on_wire_reduction"), Some(&Json::Null));
     }
 }

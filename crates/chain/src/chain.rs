@@ -12,7 +12,6 @@ use std::fmt;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use unifyfl_sim::SimTime;
 
 use crate::clique::{Clique, CliqueConfig, SealError};
@@ -73,7 +72,7 @@ pub struct ChainFaults {
 }
 
 /// Cumulative accounting of injected chain faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChainFaultStats {
     /// Seal slots skipped by injection.
     pub missed_seals: u64,

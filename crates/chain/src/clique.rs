@@ -19,7 +19,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use unifyfl_sim::SimDuration;
 
 use crate::types::Address;
@@ -30,7 +29,7 @@ pub const DIFF_IN_TURN: u64 = 2;
 pub const DIFF_NO_TURN: u64 = 1;
 
 /// Static Clique parameters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliqueConfig {
     /// Minimum spacing between consecutive blocks.
     pub period: SimDuration,
@@ -50,7 +49,7 @@ impl Default for CliqueConfig {
 }
 
 /// A governance proposal to change the signer set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SignerVote {
     /// Authorize a new signer.
     Add(Address),

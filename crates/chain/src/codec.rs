@@ -2,7 +2,7 @@
 //!
 //! Block headers and transactions must hash identically on every platform,
 //! so the chain defines its own deterministic encoding rather than relying
-//! on `serde` wire formats. The scheme is deliberately simple:
+//! on a general-purpose wire format. The scheme is deliberately simple:
 //!
 //! - integers are written big-endian at fixed width,
 //! - byte strings are length-prefixed (`u32` BE),

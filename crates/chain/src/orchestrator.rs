@@ -25,7 +25,6 @@ use std::fmt;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::codec::{DecodeError, Decoder, Encoder};
 use crate::contract::{CallContext, CallOutcome, Contract, ContractError};
@@ -33,7 +32,7 @@ use crate::hash::{sha256, H256};
 use crate::types::{Address, Log};
 
 /// Synchronization mode of the orchestrator (§3.2 / §3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OrchestrationMode {
     /// Phase-locked rounds: all aggregators train, submit and score inside
     /// contract-enforced windows.
@@ -52,7 +51,7 @@ impl fmt::Display for OrchestrationMode {
 }
 
 /// Phase of the sync-mode round cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// No round open yet (before the first `startTraining`).
     Idle,
@@ -63,9 +62,7 @@ pub enum Phase {
 }
 
 /// A model score in fixed-point millionths (1.0 → 1_000_000).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Score(pub u64);
 
 impl Score {
@@ -90,7 +87,7 @@ impl Score {
 /// The hint is advisory: content addressing makes the full CID the source
 /// of truth, and a fetcher verifies any delta reconstruction against it
 /// before trusting a single byte.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DeltaRef {
     /// CID of the base model the delta was encoded against.
     pub base_cid: String,
@@ -99,7 +96,7 @@ pub struct DeltaRef {
 }
 
 /// One submitted model and its scoring lifecycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelEntry {
     /// IPFS content identifier of the serialized weights.
     pub cid: String,
@@ -137,7 +134,7 @@ impl ModelEntry {
 /// One sealed shard release: the representative-published merge of a
 /// shard's latest scored models, exchanged across shards on the slower
 /// inter-shard cadence of the two-tier topology.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRelease {
     /// Shard the release summarizes.
     pub shard: u32,

@@ -6,7 +6,6 @@
 //! is closed, so signature recovery adds nothing to the orchestration
 //! semantics being reproduced.
 
-use serde::{Deserialize, Serialize};
 use unifyfl_sim::SimTime;
 
 use crate::codec::Encoder;
@@ -20,7 +19,7 @@ use crate::hash::{sha256, H256};
 /// assert_eq!(a, Address::from_label("aggregator-1"));
 /// assert_ne!(a, Address::from_label("aggregator-2"));
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Address(pub [u8; 20]);
 
 impl Address {
@@ -66,7 +65,7 @@ impl AsRef<[u8]> for Address {
 }
 
 /// A transaction: a contract call from `from` targeting contract `to`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Transaction {
     /// Sender account.
     pub from: Address,
@@ -121,7 +120,7 @@ impl Transaction {
 }
 
 /// An EVM-style event log emitted by a contract.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log {
     /// Emitting contract.
     pub address: Address,
@@ -156,7 +155,7 @@ pub fn event_signature(name: &str) -> H256 {
 }
 
 /// Result of executing one transaction.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Receipt {
     /// Hash of the executed transaction.
     pub tx_hash: H256,
@@ -175,7 +174,7 @@ pub struct Receipt {
 }
 
 /// Block header, hashed to form the chain linkage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockHeader {
     /// Parent block hash (ZERO for genesis).
     pub parent_hash: H256,
@@ -217,7 +216,7 @@ impl BlockHeader {
 }
 
 /// A sealed block: header plus the ordered transactions it contains.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// The sealed header.
     pub header: BlockHeader,

@@ -13,12 +13,11 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use unifyfl_data::synthetic::standard_normal;
 
 /// How a malicious aggregator corrupts its published model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackKind {
     /// Publish the negated weights (classic sign-flip / model-poisoning).
     SignFlip,
@@ -72,7 +71,7 @@ impl std::fmt::Display for AttackKind {
 /// This is the standard Gaussian mechanism applied at the *model release*
 /// boundary — the only place UnifyFL exposes anything beyond the local
 /// cluster — leaving client training untouched.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DpConfig {
     /// Maximum L2 norm of the released weight vector.
     pub clip_norm: f64,

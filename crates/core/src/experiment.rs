@@ -8,7 +8,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use unifyfl_data::{Partition, WorkloadConfig};
 use unifyfl_sim::fault::{ChaosConfig, FaultKind, FaultPlan, FaultRecord};
 use unifyfl_sim::{ResourceSummary, SeedTree};
@@ -190,7 +189,7 @@ impl std::fmt::Display for ExperimentError {
 impl std::error::Error for ExperimentError {}
 
 /// A point on an accuracy-over-time curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// 1-based federation round the point belongs to. Under chaos a curve
     /// may have gaps (crashed rounds record nothing), so consumers must
@@ -205,7 +204,7 @@ pub struct CurvePoint {
 }
 
 /// One row of a results table: a single aggregator's outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AggregatorReport {
     /// Aggregator name.
     pub name: String,
@@ -234,7 +233,7 @@ pub struct AggregatorReport {
 }
 
 /// Chain-level statistics of a run.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ChainStats {
     /// Blocks sealed.
     pub blocks: u64,
@@ -249,7 +248,7 @@ pub struct ChainStats {
 /// Chaos section of an experiment report: which faults were planned, which
 /// fired, and what the injectors in every layer counted. All-zero (with
 /// `enabled == false`) for happy-path runs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosReport {
     /// True if a fault plan was installed for the run.
     pub enabled: bool,
@@ -295,7 +294,7 @@ pub struct ChaosReport {
 /// storage layer was configured to do and what it saved. For *fault-free*
 /// runs this is the only report section allowed to differ between two
 /// configurations that differ only in [`ExperimentConfig::transfer`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransferReport {
     /// Chunk dedup enabled.
     pub dedup: bool,
@@ -356,7 +355,7 @@ impl TransferReport {
 }
 
 /// The complete result of one experiment.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentReport {
     /// Display label.
     pub label: String,
@@ -1102,10 +1101,8 @@ mod tests {
     }
 
     #[test]
-    fn report_serializes_to_json() {
+    fn quickstart_aggregators_report_fedavg() {
         let report = ExperimentBuilder::quickstart().rounds(2).run().unwrap();
-        // serde round-trip via the derived impls (the harness persists
-        // reports for EXPERIMENTS.md).
         let strategies: Vec<&str> = report
             .aggregators
             .iter()

@@ -4,7 +4,6 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use unifyfl_chain::chain::{Blockchain, ChainFaults};
 use unifyfl_chain::clique::CliqueConfig;
 use unifyfl_chain::orchestrator::{
@@ -45,7 +44,7 @@ use crate::sharding::{ShardTopology, TopologyEpoch};
 ///
 /// All pinned scenarios run [`LinkModel::Nominal`]; the link model never
 /// changes which bytes arrive, only what they cost.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum LinkModel {
     /// Nominal device-profile transfer cost per fetch (reference model).
     #[default]
@@ -65,7 +64,7 @@ impl std::fmt::Display for LinkModel {
 
 /// One elastic-membership change observed during a run (currently: mid-run
 /// joins; permanent leaves stay in the chaos section where they originate).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MembershipRecord {
     /// Name of the cluster whose membership changed.
     pub cluster: String,

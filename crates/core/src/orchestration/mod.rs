@@ -48,7 +48,6 @@ mod sync_policy;
 mod tests;
 mod topology;
 
-use serde::{Deserialize, Serialize};
 use unifyfl_chain::orchestrator::OrchestrationMode;
 use unifyfl_data::WorkloadConfig;
 use unifyfl_sim::SimTime;
@@ -64,7 +63,7 @@ use membership::Members;
 use sync_policy::SyncPolicy;
 
 /// Orchestration mode selector (maps onto the contract's mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mode {
     /// Phase-locked rounds.
     Sync,

@@ -13,7 +13,6 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// A candidate peer model as seen by a policy: its reduced score.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -25,7 +24,7 @@ pub struct ScoredCandidate {
 }
 
 /// Reduces the per-scorer score list of one model to a single value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScorePolicy {
     /// Arithmetic mean of all scores.
     Mean,
@@ -73,7 +72,7 @@ impl std::fmt::Display for ScorePolicy {
 }
 
 /// Selects which peer models to aggregate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AggregationPolicy {
     /// Aggregate every available peer model.
     All,

@@ -12,13 +12,12 @@
 //!   submissions are available, which is why the paper restricts it to the
 //!   Sync mode (Table 3). The same restriction is enforced here.
 
-use serde::{Deserialize, Serialize};
 use unifyfl_data::Dataset;
 use unifyfl_tensor::tensor::sq_dist_slice;
 use unifyfl_tensor::zoo::ModelSpec;
 
 /// Which scoring algorithm a federation runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ScorerKind {
     /// Holdout-accuracy scoring (Sync + Async).
     Accuracy,

@@ -16,11 +16,10 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use unifyfl_sim::SeedTree;
 
 /// Operator-facing sharding knobs ([`ExperimentConfig::sharding`](crate::experiment::ExperimentConfig::sharding)).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardConfig {
     /// Number of shards clusters are grouped into (≥ 1; 1 = flat).
     pub shards: usize,

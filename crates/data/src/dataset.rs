@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 use unifyfl_tensor::zoo::InputKind;
 use unifyfl_tensor::Tensor;
 
@@ -11,7 +10,7 @@ use unifyfl_tensor::Tensor;
 /// Features are stored flat (`len × features_per_sample`); the
 /// [`InputKind`] records how models should view each sample (flat vector or
 /// image).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     input: InputKind,
     n_classes: usize,

@@ -8,13 +8,12 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::dataset::Dataset;
 use crate::synthetic::standard_normal;
 
 /// Data-partitioning scheme across clusters/clients.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Partition {
     /// Uniform random split: every part sees every class.
     Iid,

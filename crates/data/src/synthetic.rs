@@ -10,13 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use unifyfl_tensor::zoo::InputKind;
 
 use crate::dataset::Dataset;
 
 /// Configuration of a synthetic dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticConfig {
     /// Input shape (flat vector or image).
     pub input: InputKind,

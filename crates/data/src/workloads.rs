@@ -15,13 +15,12 @@
 //! rounds/samples for fast harness runs while preserving all ratios; the
 //! `--full` harness flag restores paper scale.
 
-use serde::{Deserialize, Serialize};
 use unifyfl_tensor::zoo::ModelSpec;
 
 use crate::synthetic::SyntheticConfig;
 
 /// A complete training workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadConfig {
     /// Workload name (appears in reports).
     pub name: String,

@@ -8,14 +8,13 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use unifyfl_data::Dataset;
 use unifyfl_tensor::optim::Sgd;
 use unifyfl_tensor::zoo::ModelSpec;
 use unifyfl_tensor::Sequential;
 
 /// Per-round training instructions sent by the server.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FitConfig {
     /// Local epochs to run (Table 4: 2).
     pub epochs: usize,
@@ -28,7 +27,7 @@ pub struct FitConfig {
 }
 
 /// Result of a local fit.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FitResult {
     /// Updated local weights.
     pub weights: Vec<f32>,
@@ -39,7 +38,7 @@ pub struct FitResult {
 }
 
 /// Result of a local evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvalResult {
     /// Mean loss on the client's data.
     pub loss: f64,

@@ -166,7 +166,7 @@ impl std::fmt::Debug for FedYogi {
 }
 
 /// Strategy selector used in experiment configs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StrategyKind {
     /// Example-weighted mean.
     FedAvg,

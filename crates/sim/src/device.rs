@@ -15,8 +15,6 @@
 //! what matters for reproduction is the *ratio* between profiles, which
 //! follows the real hardware.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::SimDuration;
 
 /// Compute and network capabilities of a simulated machine.
@@ -28,7 +26,7 @@ use crate::clock::SimDuration;
 /// // The GPU node is orders of magnitude faster than a Raspberry Pi.
 /// assert!(gpu.compute_time(1e12) < pi.compute_time(1e12));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable profile name (e.g. `"gpu-node"`).
     name: String,

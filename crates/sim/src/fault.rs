@@ -34,13 +34,11 @@
 //! content, with no topology-specific knobs. Fault-free runs charge hops
 //! only in bytes and virtual time, never in results.
 
-use serde::{Deserialize, Serialize};
-
 use crate::clock::SimDuration;
 use crate::rng::SeedTree;
 
 /// A cluster-level fault, scheduled against the round structure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// The cluster crashes at the start of the round and is down for
     /// `down_rounds` rounds (in-flight work is lost), then restarts.
@@ -77,7 +75,7 @@ impl FaultKind {
 }
 
 /// One scheduled fault: which cluster, which round, what happens.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// Index of the afflicted cluster.
     pub cluster: usize,
@@ -94,7 +92,7 @@ pub struct FaultEvent {
 /// Scripted [`FaultEvent`]s fire exactly as written; the `*_prob` knobs
 /// additionally sample faults per cluster-round from the plan seed, so a
 /// single `(config, seed)` pair always expands to the same schedule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChaosConfig {
     /// Faults that fire exactly as scripted.
     pub events: Vec<FaultEvent>,
@@ -197,7 +195,7 @@ impl ChaosConfig {
 }
 
 /// The fully expanded, deterministic fault schedule for one run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     events: Vec<FaultEvent>,
@@ -391,7 +389,7 @@ impl FaultPlan {
 
 /// What actually happened when a fault fired — one row of the experiment
 /// report's chaos section.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultRecord {
     /// Name of the afflicted cluster.
     pub cluster: String,

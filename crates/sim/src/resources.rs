@@ -9,10 +9,8 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 /// A single utilization observation attributed to a process class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResourceSample {
     /// CPU utilization in percent of one core (may exceed 100 on multicore).
     pub cpu_pct: f64,
@@ -23,7 +21,7 @@ pub struct ResourceSample {
 }
 
 /// Aggregated statistics for one process class.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ResourceSummary {
     /// Duration-weighted mean CPU%.
     pub cpu_mean: f64,

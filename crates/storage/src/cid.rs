@@ -8,7 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use unifyfl_chain::hash::{sha256, H256};
 
 /// Multihash code for sha2-256.
@@ -27,7 +26,7 @@ const BASE58_ALPHABET: &[u8; 58] = b"123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghij
 /// let parsed: Cid = cid.to_string().parse().unwrap();
 /// assert_eq!(parsed, cid);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Cid {
     digest: H256,
 }

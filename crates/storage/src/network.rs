@@ -56,7 +56,6 @@ use bytes::Bytes;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use unifyfl_sim::SimDuration;
 
 use crate::blockstore::BlockStore;
@@ -119,7 +118,7 @@ const DHT_LOOKUP_COST: SimDuration = SimDuration::from_millis(20);
 /// and again on fallback; dedup-skipped blocks roll nothing), so chaos
 /// outcomes legitimately diverge between configurations — same-seed
 /// *reproducibility* within one configuration always holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferConfig {
     /// Skip transferring blocks already present in the local blockstore.
     pub dedup: bool,
@@ -153,7 +152,7 @@ impl TransferConfig {
 }
 
 /// Cumulative accounting of the transfer layer, fabric-wide.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransferStats {
     /// Bytes a naive fetcher would have moved (full DAG size of every
     /// remotely-served fetch).
@@ -315,7 +314,7 @@ pub struct StorageFaults {
 /// failed too and the fetch was abandoned), so
 /// `fetch_retries == fetch_recoveries + fetch_permanent_failures` once all
 /// outcomes are recorded.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageFaultStats {
     /// Whole fetches that failed at the DHT lookup.
     pub fetch_failures: u64,

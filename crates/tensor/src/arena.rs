@@ -1,15 +1,17 @@
 //! A per-model tensor arena: recycled buffers for the training hot path.
 //!
-//! Every forward/backward pass through a [`Sequential`](crate::Sequential)
-//! used to allocate a fresh [`Tensor`] per layer per batch (activations,
-//! gradients, masks). The arena replaces those allocations with a LIFO
+//! Every [`Layer`](crate::layers::Layer) forward/backward takes the
+//! tensors it returns (activations, gradients) from an arena — a LIFO
 //! free-list of whole tensors: [`Arena::take`] pops a recycled tensor and
-//! reshapes it in place, [`Arena::recycle`] returns it. Because a training
-//! step takes and recycles in the same sequence every batch, each pooled
-//! buffer is reused at the same size it was freed at — after the first
-//! batch every `take` is served from capacity and the steady state
-//! allocates nothing (gated at zero by the `bench::speed` allocation
-//! probe).
+//! reshapes it in place, [`Arena::recycle`] returns it. A **cold** arena
+//! (empty pool) allocates exactly what a fresh tensor would; a **warm**
+//! one serves the same take from a recycled buffer, zero-filled or fully
+//! overwritten first, so results never depend on the pool's history.
+//! Because a training step takes and recycles in the same sequence every
+//! batch, each pooled buffer is reused at the same size it was freed at —
+//! after the first batch every `take` is served from capacity and the
+//! steady state allocates nothing (gated at zero by the `bench::speed`
+//! allocation probe).
 //!
 //! Pooling whole tensors (not just their data buffers) matters: a
 //! `Tensor`'s shape is itself a heap `Vec<usize>`, so handing out raw

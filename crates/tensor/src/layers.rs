@@ -12,81 +12,41 @@ use crate::arena::Arena;
 use crate::tensor::Tensor;
 
 /// A differentiable layer.
+///
+/// Every tensor a layer hands back comes from the caller's [`Arena`]: a
+/// cold (empty) arena allocates exactly what a fresh tensor would, a warm
+/// one serves the same take from a recycled buffer, and the results are
+/// bit-identical either way — `take` zero-fills and `take_from` overwrites
+/// every element, so stale pooled contents never leak.
 pub trait Layer: Send {
-    /// Forward pass. When `train` is true the layer caches activations
-    /// needed by [`Layer::backward`].
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
+    /// Forward pass, with the output taken from `arena`. When `train` is
+    /// true the layer caches activations needed by [`Layer::backward`].
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor;
 
     /// Backward pass: consumes the gradient w.r.t. this layer's output,
     /// accumulates parameter gradients, and returns the gradient w.r.t. the
-    /// input.
+    /// input, taken from `arena`.
     ///
     /// # Panics
     ///
     /// Implementations may panic if called before a training-mode forward.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// [`Layer::forward`] serving the output (and refreshing any cached
-    /// activations) from `arena` instead of fresh allocations. Results are
-    /// bit-identical to the allocating path. The default delegates to
-    /// [`Layer::forward`], so external layer implementations keep working;
-    /// the built-in layers override it to allocate nothing per batch once
-    /// the arena has warmed up.
-    fn forward_arena(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
-        let _ = arena;
-        self.forward(input, train)
-    }
-
-    /// [`Layer::backward`] serving the returned input-gradient from
-    /// `arena`. Bit-identical to the allocating path; the default
-    /// delegates to [`Layer::backward`].
-    ///
-    /// # Panics
-    ///
-    /// Implementations may panic if called before a training-mode forward.
-    fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
-        let _ = arena;
-        self.backward(grad_out)
-    }
-
-    /// Flattened views of the parameters, in a stable order.
-    fn params(&self) -> Vec<&[f32]>;
-
-    /// Mutable flattened views of the parameters, same order as
-    /// [`Layer::params`].
-    fn params_mut(&mut self) -> Vec<&mut [f32]>;
-
-    /// Flattened views of the accumulated gradients, same order.
-    fn grads(&self) -> Vec<&[f32]>;
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor;
 
     /// Resets accumulated gradients to zero.
     fn zero_grads(&mut self);
 
-    /// Visits every parameter slice in [`Layer::params`] order without
-    /// allocating. The default delegates to [`Layer::params`], which is
-    /// already allocation-free for parameter-less layers (an empty `Vec`
-    /// never touches the heap); layers that *hold* parameters override it
-    /// with direct slice visits so the training hot loop's flat-view
-    /// extraction stays heap-silent (gated by the bench allocation probe).
-    fn for_each_param(&self, f: &mut dyn FnMut(&[f32])) {
-        for p in self.params() {
-            f(p);
-        }
-    }
+    /// Visits every parameter slice, in a stable order, without
+    /// allocating — the training hot loop's flat-view extraction stays
+    /// heap-silent (gated by the bench allocation probe). Required, not
+    /// defaulted: a parameterised layer that forgot it would silently drop
+    /// out of [`Sequential::flat_params`](crate::Sequential::flat_params).
+    fn for_each_param(&self, f: &mut dyn FnMut(&[f32]));
 
     /// Mutable counterpart of [`Layer::for_each_param`], same order.
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        for p in self.params_mut() {
-            f(p);
-        }
-    }
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32]));
 
     /// Gradient counterpart of [`Layer::for_each_param`], same order.
-    fn for_each_grad(&self, f: &mut dyn FnMut(&[f32])) {
-        for g in self.grads() {
-            f(g);
-        }
-    }
+    fn for_each_grad(&self, f: &mut dyn FnMut(&[f32]));
 
     /// Total trainable parameter count.
     fn param_count(&self) -> usize {
@@ -99,6 +59,15 @@ pub trait Layer: Send {
 /// Samples from a uniform(-limit, limit) He/Glorot-style initialization.
 fn init_uniform(rng: &mut StdRng, n: usize, limit: f32) -> Vec<f32> {
     (0..n).map(|_| rng.gen_range(-limit..limit)).collect()
+}
+
+/// Refreshes a layer's training-mode input cache, reusing its buffers
+/// after the first batch.
+fn cache_input(cache: &mut Option<Tensor>, input: &Tensor) {
+    match cache {
+        Some(c) => c.copy_from(input),
+        None => *cache = Some(input.clone()),
+    }
 }
 
 /// Fully connected layer: `y = x·W + b` with `x: [batch, in]`,
@@ -157,62 +126,22 @@ impl Dense {
             }
         }
     }
-
-    /// Refreshes the training-mode input cache, reusing its buffers after
-    /// the first batch.
-    fn cache_input(&mut self, input: &Tensor) {
-        match self.cached_input.as_mut() {
-            Some(c) => c.copy_from(input),
-            None => self.cached_input = Some(input.clone()),
-        }
-    }
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        assert_eq!(input.shape().len(), 2, "dense expects [batch, features]");
-        assert_eq!(input.shape()[1], self.in_dim, "input dim mismatch");
-        let mut out = input.matmul(&self.w);
-        self.add_bias(&mut out);
-        if train {
-            self.cache_input(input);
-        }
-        out
-    }
-
-    fn forward_arena(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
         assert_eq!(input.shape().len(), 2, "dense expects [batch, features]");
         assert_eq!(input.shape()[1], self.in_dim, "input dim mismatch");
         let mut out = arena.take(&[input.shape()[0], self.out_dim]);
         input.matmul_into(&self.w, &mut out);
         self.add_bias(&mut out);
         if train {
-            self.cache_input(input);
+            cache_input(&mut self.cached_input, input);
         }
         out
     }
 
-    fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward requires a training-mode forward");
-        // Same accumulation as `backward`, with the returned g · Wᵀ landing
-        // in an arena buffer instead of a fresh tensor.
-        input.matmul_tn_into(grad_out, &mut self.scratch_gw);
-        self.grad_w.add_assign(&self.scratch_gw);
-        let batch = grad_out.shape()[0];
-        for i in 0..batch {
-            for j in 0..self.out_dim {
-                self.grad_b[j] += grad_out.data()[i * self.out_dim + j];
-            }
-        }
-        let mut gin = arena.take(&[batch, self.in_dim]);
-        grad_out.matmul_nt_into(&self.w, &mut gin);
-        gin
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
         let input = self
             .cached_input
             .as_ref()
@@ -232,19 +161,9 @@ impl Layer for Dense {
                 self.grad_b[j] += grad_out.data()[i * self.out_dim + j];
             }
         }
-        grad_out.matmul_nt(&self.w)
-    }
-
-    fn params(&self) -> Vec<&[f32]> {
-        vec![self.w.data(), &self.b]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.w.data_mut(), &mut self.b]
-    }
-
-    fn grads(&self) -> Vec<&[f32]> {
-        vec![self.grad_w.data(), &self.grad_b]
+        let mut gin = arena.take(&[batch, self.in_dim]);
+        grad_out.matmul_nt_into(&self.w, &mut gin);
+        gin
     }
 
     fn for_each_param(&self, f: &mut dyn FnMut(&[f32])) {
@@ -307,30 +226,13 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut out = input.clone();
-        self.clamp(&mut out, train);
-        out
-    }
-
-    fn forward_arena(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
         let mut out = arena.take_from(input);
         self.clamp(&mut out, train);
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        assert_eq!(
-            grad_out.len(),
-            self.mask.len(),
-            "backward requires a training-mode forward"
-        );
-        let mut g = grad_out.clone();
-        self.apply_mask(&mut g);
-        g
-    }
-
-    fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
         assert_eq!(
             grad_out.len(),
             self.mask.len(),
@@ -341,19 +243,10 @@ impl Layer for Relu {
         g
     }
 
-    fn params(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        Vec::new()
-    }
-
-    fn grads(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
     fn zero_grads(&mut self) {}
+    fn for_each_param(&self, _: &mut dyn FnMut(&[f32])) {}
+    fn for_each_param_mut(&mut self, _: &mut dyn FnMut(&mut [f32])) {}
+    fn for_each_grad(&self, _: &mut dyn FnMut(&[f32])) {}
 }
 
 /// Flattens `[batch, c, h, w]` (or any rank ≥ 2) to `[batch, rest]`.
@@ -370,18 +263,7 @@ impl Flatten {
 }
 
 impl Layer for Flatten {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let shape = input.shape().to_vec();
-        assert!(shape.len() >= 2, "flatten expects rank >= 2");
-        let batch = shape[0];
-        let rest: usize = shape[1..].iter().product();
-        if train {
-            self.cached_shape = shape;
-        }
-        input.clone().reshape(vec![batch, rest])
-    }
-
-    fn forward_arena(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
         assert!(input.shape().len() >= 2, "flatten expects rank >= 2");
         let batch = input.shape()[0];
         let rest: usize = input.shape()[1..].iter().product();
@@ -394,29 +276,16 @@ impl Layer for Flatten {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        grad_out.clone().reshape(self.cached_shape.clone())
-    }
-
-    fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
         let mut g = arena.take_from(grad_out);
         g.reshape_to(&self.cached_shape);
         g
     }
 
-    fn params(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        Vec::new()
-    }
-
-    fn grads(&self) -> Vec<&[f32]> {
-        Vec::new()
-    }
-
     fn zero_grads(&mut self) {}
+    fn for_each_param(&self, _: &mut dyn FnMut(&[f32])) {}
+    fn for_each_param_mut(&mut self, _: &mut dyn FnMut(&mut [f32])) {}
+    fn for_each_grad(&self, _: &mut dyn FnMut(&[f32])) {}
 }
 
 /// 2-D convolution, stride 1, zero "same" padding optional.
@@ -463,9 +332,8 @@ impl Conv2d {
     }
 }
 
-/// The direct-convolution forward loops, shared by the allocating and
-/// arena paths: `out[b, oc, oy, ox] = b[oc] + Σ x·w` over the valid
-/// receptive field. Writes every output element.
+/// The direct-convolution forward loops: `out[b, oc, oy, ox] = b[oc] + Σ x·w`
+/// over the valid receptive field. Writes every output element.
 #[allow(clippy::too_many_arguments)]
 fn conv_forward_loops(
     x: &[f32],
@@ -506,8 +374,8 @@ fn conv_forward_loops(
     }
 }
 
-/// The direct-convolution backward loops, shared by the allocating and
-/// arena paths. Accumulates into `gw`/`gb` and the zero-initialized `gi`.
+/// The direct-convolution backward loops. Accumulates into `gw`/`gb` and the
+/// zero-initialized `gi`.
 #[allow(clippy::too_many_arguments)]
 fn conv_backward_loops(
     x: &[f32],
@@ -555,15 +423,6 @@ fn conv_backward_loops(
 }
 
 impl Conv2d {
-    /// Refreshes the training-mode input cache, reusing its buffers after
-    /// the first batch.
-    fn cache_input(&mut self, input: &Tensor) {
-        match self.cached_input.as_mut() {
-            Some(c) => c.copy_from(input),
-            None => self.cached_input = Some(input.clone()),
-        }
-    }
-
     /// Runs the forward loops into a caller-provided output tensor.
     fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
         let s = input.shape();
@@ -608,20 +467,7 @@ impl Conv2d {
 }
 
 impl Layer for Conv2d {
-    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let s = input.shape();
-        assert_eq!(s.len(), 4, "conv expects [batch, c, h, w]");
-        assert_eq!(s[1], self.in_c, "channel mismatch");
-        let (oh, ow) = self.out_hw(s[2], s[3]);
-        let mut out = Tensor::zeros(vec![s[0], self.out_c, oh, ow]);
-        self.forward_into(input, &mut out);
-        if train {
-            self.cache_input(input);
-        }
-        out
-    }
-
-    fn forward_arena(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
+    fn forward(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
         let s = input.shape();
         assert_eq!(s.len(), 4, "conv expects [batch, c, h, w]");
         assert_eq!(s[1], self.in_c, "channel mismatch");
@@ -629,24 +475,12 @@ impl Layer for Conv2d {
         let mut out = arena.take(&[s[0], self.out_c, oh, ow]);
         self.forward_into(input, &mut out);
         if train {
-            self.cache_input(input);
+            cache_input(&mut self.cached_input, input);
         }
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let shape = self
-            .cached_input
-            .as_ref()
-            .expect("backward requires a training-mode forward")
-            .shape()
-            .to_vec();
-        let mut grad_in = Tensor::zeros(shape);
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
-    }
-
-    fn backward_arena(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
+    fn backward(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
         let mut grad_in = {
             let shape = self
                 .cached_input
@@ -657,18 +491,6 @@ impl Layer for Conv2d {
         };
         self.backward_into(grad_out, &mut grad_in);
         grad_in
-    }
-
-    fn params(&self) -> Vec<&[f32]> {
-        vec![self.w.data(), &self.b]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut [f32]> {
-        vec![self.w.data_mut(), &mut self.b]
-    }
-
-    fn grads(&self) -> Vec<&[f32]> {
-        vec![self.grad_w.data(), &self.grad_b]
     }
 
     fn for_each_param(&self, f: &mut dyn FnMut(&[f32])) {
@@ -701,15 +523,37 @@ mod tests {
         StdRng::seed_from_u64(7)
     }
 
+    /// A copy of the layer's first gradient slice, read through the visitor.
+    fn first_grad<L: Layer>(layer: &L) -> Vec<f32> {
+        let mut first = None;
+        layer.for_each_grad(&mut |g| {
+            first.get_or_insert_with(|| g.to_vec());
+        });
+        first.expect("layer has parameters")
+    }
+
+    /// Runs `f` on the layer's `slot`-th parameter slice.
+    fn with_param<L: Layer, R>(layer: &mut L, slot: usize, f: impl FnOnce(&mut [f32]) -> R) -> R {
+        let (mut f, mut out, mut i) = (Some(f), None, 0);
+        layer.for_each_param_mut(&mut |p| {
+            if i == slot {
+                out = f.take().map(|f| f(p));
+            }
+            i += 1;
+        });
+        out.expect("layer has that parameter slot")
+    }
+
     /// Finite-difference check of a layer's backward pass w.r.t. both its
     /// input and parameters.
     fn grad_check<L: Layer>(layer: &mut L, input: Tensor) {
         let eps = 1e-3f32;
         // Loss = sum of outputs (so dL/dout = 1 everywhere).
-        let out = layer.forward(&input, true);
+        let arena = &mut Arena::new();
+        let out = layer.forward(&input, true, arena);
         let ones = Tensor::from_vec(out.shape().to_vec(), vec![1.0; out.len()]);
         layer.zero_grads();
-        let grad_in = layer.backward(&ones);
+        let grad_in = layer.backward(&ones, arena);
 
         // Check input gradient at a few positions.
         for idx in [0, input.len() / 2, input.len() - 1] {
@@ -717,8 +561,8 @@ mod tests {
             plus.data_mut()[idx] += eps;
             let mut minus = input.clone();
             minus.data_mut()[idx] -= eps;
-            let f_plus: f32 = layer.forward(&plus, false).data().iter().sum();
-            let f_minus: f32 = layer.forward(&minus, false).data().iter().sum();
+            let f_plus: f32 = layer.forward(&plus, false, arena).data().iter().sum();
+            let f_minus: f32 = layer.forward(&minus, false, arena).data().iter().sum();
             let numeric = (f_plus - f_minus) / (2.0 * eps);
             let analytic = grad_in.data()[idx];
             assert!(
@@ -729,15 +573,15 @@ mod tests {
 
         // Check first parameter tensor gradient at a few positions.
         if layer.param_count() > 0 {
-            let grads0: Vec<f32> = layer.grads()[0].to_vec();
+            let grads0 = first_grad(layer);
             let plen = grads0.len();
             for idx in [0, plen / 2, plen - 1] {
-                let orig = layer.params()[0][idx];
-                layer.params_mut()[0][idx] = orig + eps;
-                let f_plus: f32 = layer.forward(&input, false).data().iter().sum();
-                layer.params_mut()[0][idx] = orig - eps;
-                let f_minus: f32 = layer.forward(&input, false).data().iter().sum();
-                layer.params_mut()[0][idx] = orig;
+                let orig = with_param(layer, 0, |p| p[idx]);
+                with_param(layer, 0, |p| p[idx] = orig + eps);
+                let f_plus: f32 = layer.forward(&input, false, arena).data().iter().sum();
+                with_param(layer, 0, |p| p[idx] = orig - eps);
+                let f_minus: f32 = layer.forward(&input, false, arena).data().iter().sum();
+                with_param(layer, 0, |p| p[idx] = orig);
                 let numeric = (f_plus - f_minus) / (2.0 * eps);
                 assert!(
                     (numeric - grads0[idx]).abs() < 2e-2,
@@ -789,17 +633,18 @@ mod tests {
                 .map(|i| ((i * 11 % 7) as f32 - 3.0) * 0.25)
                 .collect(),
         );
-        let fwd = layer.forward(&input, true);
+        let arena = &mut Arena::new();
+        let fwd = layer.forward(&input, true, arena);
         let grad_out = Tensor::from_vec(
             fwd.shape().to_vec(),
             (0..fwd.len()).map(|i| (i as f32 - 5.0) * 0.1).collect(),
         );
         layer.zero_grads();
-        let grad_in = layer.backward(&grad_out);
+        let grad_in = layer.backward(&grad_out, arena);
 
         let ref_gw = input.transpose().matmul(&grad_out);
         let ref_gin = grad_out.matmul(&layer.w.transpose());
-        for (a, b) in layer.grads()[0].iter().zip(ref_gw.data()) {
+        for (a, b) in first_grad(&layer).iter().zip(ref_gw.data()) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
         for (a, b) in grad_in.data().iter().zip(ref_gin.data()) {
@@ -807,28 +652,33 @@ mod tests {
         }
     }
 
-    /// The arena paths must reproduce the allocating paths bit for bit —
-    /// run two identically seeded layers side by side for several batches
-    /// so the second and later batches exercise recycled buffers.
+    /// A warm arena must reproduce a cold one bit for bit — stale pooled
+    /// buffers never leak into results. Two identically seeded layers run
+    /// side by side for several batches: `plain` gets a fresh arena per
+    /// call (every take allocates), `pooled` one arena recycled across the
+    /// batches, so its second and later batches exercise reused buffers.
     fn arena_matches_allocating<L: Layer>(mut plain: L, mut pooled: L, input: Tensor) {
         let mut arena = Arena::new();
         for _ in 0..3 {
-            let out_p = plain.forward(&input, true);
-            let out_a = pooled.forward_arena(&input, true, &mut arena);
+            let out_p = plain.forward(&input, true, &mut Arena::new());
+            let out_a = pooled.forward(&input, true, &mut arena);
             assert_eq!(out_p.shape(), out_a.shape());
             for (x, y) in out_p.data().iter().zip(out_a.data()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "forward drifted");
             }
             let ones = Tensor::from_vec(out_p.shape().to_vec(), vec![1.0; out_p.len()]);
-            let gin_p = plain.backward(&ones);
-            let gin_a = pooled.backward_arena(&ones, &mut arena);
+            let gin_p = plain.backward(&ones, &mut Arena::new());
+            let gin_a = pooled.backward(&ones, &mut arena);
+            assert_eq!(gin_p.shape(), gin_a.shape());
             for (x, y) in gin_p.data().iter().zip(gin_a.data()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "backward drifted");
             }
-            for (gp, ga) in plain.grads().iter().zip(pooled.grads().iter()) {
-                for (x, y) in gp.iter().zip(ga.iter()) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "param grads drifted");
-                }
+            let (mut gp, mut ga) = (Vec::new(), Vec::new());
+            plain.for_each_grad(&mut |g| gp.extend_from_slice(g));
+            pooled.for_each_grad(&mut |g| ga.extend_from_slice(g));
+            assert_eq!(gp.len(), ga.len());
+            for (x, y) in gp.iter().zip(&ga) {
+                assert_eq!(x.to_bits(), y.to_bits(), "param grads drifted");
             }
             arena.recycle(gin_a);
             arena.recycle(out_a);
@@ -871,16 +721,18 @@ mod tests {
     fn dense_forward_applies_bias() {
         let mut rng = rng();
         let mut layer = Dense::new(2, 2, &mut rng);
-        layer.params_mut()[0].copy_from_slice(&[1.0, 0.0, 0.0, 1.0]); // identity W
-        layer.params_mut()[1].copy_from_slice(&[10.0, 20.0]);
-        let out = layer.forward(&Tensor::from_vec(vec![1, 2], vec![1.0, 2.0]), false);
+        with_param(&mut layer, 0, |w| w.copy_from_slice(&[1.0, 0.0, 0.0, 1.0])); // identity W
+        with_param(&mut layer, 1, |b| b.copy_from_slice(&[10.0, 20.0]));
+        let input = Tensor::from_vec(vec![1, 2], vec![1.0, 2.0]);
+        let out = layer.forward(&input, false, &mut Arena::new());
         assert_eq!(out.data(), &[11.0, 22.0]);
     }
 
     #[test]
     fn relu_clamps_negatives() {
         let mut layer = Relu::new();
-        let out = layer.forward(&Tensor::from_vec(vec![1, 3], vec![-1.0, 0.0, 2.0]), false);
+        let input = Tensor::from_vec(vec![1, 3], vec![-1.0, 0.0, 2.0]);
+        let out = layer.forward(&input, false, &mut Arena::new());
         assert_eq!(out.data(), &[0.0, 0.0, 2.0]);
     }
 
@@ -888,7 +740,7 @@ mod tests {
     fn conv_same_padding_preserves_hw() {
         let mut rng = rng();
         let mut layer = Conv2d::new(3, 8, 3, 1, &mut rng);
-        let out = layer.forward(&Tensor::zeros(vec![2, 3, 8, 8]), false);
+        let out = layer.forward(&Tensor::zeros(vec![2, 3, 8, 8]), false, &mut Arena::new());
         assert_eq!(out.shape(), &[2, 8, 8, 8]);
     }
 
@@ -896,7 +748,7 @@ mod tests {
     fn conv_valid_padding_shrinks_hw() {
         let mut rng = rng();
         let mut layer = Conv2d::new(1, 1, 3, 0, &mut rng);
-        let out = layer.forward(&Tensor::zeros(vec![1, 1, 8, 8]), false);
+        let out = layer.forward(&Tensor::zeros(vec![1, 1, 8, 8]), false, &mut Arena::new());
         assert_eq!(out.shape(), &[1, 1, 6, 6]);
     }
 
@@ -904,9 +756,10 @@ mod tests {
     fn flatten_round_trips_shape() {
         let mut layer = Flatten::new();
         let input = Tensor::zeros(vec![2, 3, 4, 5]);
-        let out = layer.forward(&input, true);
+        let arena = &mut Arena::new();
+        let out = layer.forward(&input, true, arena);
         assert_eq!(out.shape(), &[2, 60]);
-        let back = layer.backward(&out);
+        let back = layer.backward(&out, arena);
         assert_eq!(back.shape(), &[2, 3, 4, 5]);
     }
 
@@ -925,11 +778,12 @@ mod tests {
         let mut rng = rng();
         let mut layer = Dense::new(2, 2, &mut rng);
         let input = Tensor::from_vec(vec![1, 2], vec![1.0, 1.0]);
-        let out = layer.forward(&input, true);
+        let arena = &mut Arena::new();
+        let out = layer.forward(&input, true, arena);
         let ones = Tensor::from_vec(vec![1, 2], vec![1.0; out.len()]);
-        layer.backward(&ones);
-        assert!(layer.grads()[0].iter().any(|g| *g != 0.0));
+        layer.backward(&ones, arena);
+        assert!(first_grad(&layer).iter().any(|g| *g != 0.0));
         layer.zero_grads();
-        assert!(layer.grads()[0].iter().all(|g| *g == 0.0));
+        assert!(first_grad(&layer).iter().all(|g| *g == 0.0));
     }
 }

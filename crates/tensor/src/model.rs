@@ -57,21 +57,30 @@ impl Sequential {
         self.layers.iter().map(|l| l.param_count()).sum()
     }
 
-    /// Forward pass through all layers.
+    /// Forward pass through all layers, on the model's arena: every
+    /// intermediate activation is recycled, and the returned tensor is the
+    /// caller's ([`Sequential::train_batch`] recycles it too).
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
-        for layer in &mut self.layers {
-            x = layer.forward(&x, train);
+        let Sequential { layers, arena, .. } = self;
+        let mut x = arena.take_from(input);
+        for layer in layers.iter_mut() {
+            let next = layer.forward(&x, train, arena);
+            arena.recycle(x);
+            x = next;
         }
         x
     }
 
     /// Backward pass through all layers (after a training-mode forward).
     pub fn backward(&mut self, grad_out: &Tensor) {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        let Sequential { layers, arena, .. } = self;
+        let mut grad = arena.take_from(grad_out);
+        for layer in layers.iter_mut().rev() {
+            let next = layer.backward(&grad, arena);
+            arena.recycle(grad);
+            grad = next;
         }
+        arena.recycle(grad);
     }
 
     /// Zeroes all accumulated gradients.
@@ -147,7 +156,7 @@ impl Sequential {
     /// [`softmax_cross_entropy_into`]).
     pub fn train_batch(&mut self, x: &Tensor, labels: &[usize]) -> f32 {
         self.zero_grads();
-        let logits = self.forward_pooled(x, true);
+        let logits = self.forward(x, true);
         let Sequential {
             layers,
             arena,
@@ -164,7 +173,7 @@ impl Sequential {
         );
         arena.recycle(logits);
         for layer in layers.iter_mut().rev() {
-            let next = layer.backward_arena(&grad, arena);
+            let next = layer.backward(&grad, arena);
             arena.recycle(grad);
             grad = next;
         }
@@ -177,7 +186,7 @@ impl Sequential {
     /// Like [`Sequential::train_batch`], allocation-free once the arena has
     /// warmed up.
     pub fn evaluate_batch(&mut self, x: &Tensor, labels: &[usize]) -> (f32, f32) {
-        let logits = self.forward_pooled(x, false);
+        let logits = self.forward(x, false);
         let Sequential {
             arena,
             scratch_predictions,
@@ -200,19 +209,6 @@ impl Sequential {
             .filter(|(p, l)| p == l)
             .count();
         (loss, correct as f32 / labels.len().max(1) as f32)
-    }
-
-    /// Arena-backed forward pass; the returned tensor belongs to the arena
-    /// and must be recycled by the caller.
-    fn forward_pooled(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let Sequential { layers, arena, .. } = self;
-        let mut x = arena.take_from(input);
-        for layer in layers.iter_mut() {
-            let next = layer.forward_arena(&x, train, arena);
-            arena.recycle(x);
-            x = next;
-        }
-        x
     }
 }
 
@@ -320,9 +316,10 @@ mod tests {
     #[test]
     fn train_batch_matches_unpooled_forward_backward_bitwise() {
         use crate::loss::softmax_cross_entropy;
-        // Same seed → identical models; one trains through the arena path,
-        // the other through the allocating forward/backward. Losses and
-        // gradients must agree bit for bit across repeated batches.
+        // Same seed → identical models; one trains through `train_batch`,
+        // the other through the public forward / allocating loss /
+        // backward. Losses and gradients must agree bit for bit across
+        // repeated batches.
         let mut pooled = tiny_mlp(7);
         let mut plain = tiny_mlp(7);
         let (x, y) = toy_batch();

@@ -7,10 +7,8 @@
 //! a pseudo-gradient and adapts per-coordinate step sizes with a
 //! sign-corrected second-moment update.
 
-use serde::{Deserialize, Serialize};
-
 /// Plain SGD with optional momentum.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
     momentum: f32,
@@ -57,7 +55,7 @@ impl Sgd {
 }
 
 /// Yogi server optimizer (FedYogi).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Yogi {
     lr: f32,
     beta1: f32,

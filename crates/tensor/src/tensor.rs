@@ -5,8 +5,6 @@
 //! keeps the substrate auditable and the FL weight-exchange path (flat
 //! `Vec<f32>` views) trivial.
 
-use serde::{Deserialize, Serialize};
-
 /// Cache-blocking tile sizes for the matmul kernels. The `matmul` /
 /// `matmul_tn` kernels slab the inner dimension in `KB` steps so each
 /// slab's rhs panel is read from memory once per multiply instead of once
@@ -42,7 +40,7 @@ fn tile_kernel(lvals: &[f32], panel: &[f32], stride: usize, acc: &mut [f32]) {
 /// let t = Tensor::from_vec(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
 /// assert_eq!(t.get(&[1, 2]), 6.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

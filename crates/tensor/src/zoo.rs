@@ -10,13 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::layers::{Conv2d, Dense, Flatten, Relu};
 use crate::model::Sequential;
 
 /// Shape of the model's input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InputKind {
     /// Flat feature vector of the given dimension.
     Flat(usize),
@@ -42,7 +41,7 @@ impl InputKind {
 }
 
 /// Architecture description, buildable into a [`Sequential`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Architecture {
     /// Multi-layer perceptron with ReLU activations.
     Mlp {
@@ -72,7 +71,7 @@ pub enum Architecture {
 
 /// A complete model specification: architecture + virtual size for the
 /// cost model.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ModelSpec {
     /// Human-readable name (appears in reports).
     pub name: String,
