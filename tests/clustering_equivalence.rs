@@ -13,7 +13,10 @@
 //!    grid (sharding × regroup × gossip prefetch × fetch-ahead × both link
 //!    models × an elastic joiner × scripted chaos) pins report and trace
 //!    fingerprints captured before the orchestration handlers were merged,
-//!    and must between its rows fire every event kind the kernel has.
+//!    and must between its rows fire every event kind the kernel has. A
+//!    third grid pins the paper's edge CNN (`small_cnn`, Table 4) the same
+//!    way — every other golden trains an MLP, so it is the only run-level
+//!    fence on the convolution kernels' bits.
 //! 2. **Dormant cadence** — in Sync mode a regroup cadence longer than the
 //!    run's horizon never fires, and must be byte-identical to
 //!    `regroup: None` for any seed.
@@ -27,9 +30,12 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 use unifyfl::core::cluster::{ClusterConfig, DriftSpec};
 use unifyfl::core::events::encode_trace;
-use unifyfl::core::experiment::{ExperimentBuilder, ExperimentReport, LinkModel, Mode};
+use unifyfl::core::experiment::{
+    ExperimentBuilder, ExperimentConfig, ExperimentReport, LinkModel, Mode,
+};
 use unifyfl::core::service::RunState;
 use unifyfl::core::{ChaosConfig, Engine, FaultEvent, FaultKind, GossipConfig, ShardConfig};
+use unifyfl::data::WorkloadConfig;
 use unifyfl::sim::{DeviceProfile, SimDuration};
 
 fn fnv(text: &str) -> u64 {
@@ -150,6 +156,48 @@ const COMPOSED_GOLDENS: &[(u64, Mode, LinkModel, u64, u64)] = &[
     (1337, Mode::Async, LinkModel::Physical, 0xdcded7026135c66d, 0xc5ce794033a87bbb),
 ];
 
+/// The paper's edge workload in miniature: the Table 4 CNN (`small_cnn`,
+/// batch size 5, two local epochs) on 3 clusters × 2 clients for 2 rounds.
+fn cnn_golden(seed: u64, mode: Mode) -> ExperimentBuilder {
+    let mut workload = WorkloadConfig::cifar10();
+    workload.dataset.n_samples = 180;
+    let clusters = (0..3)
+        .map(|i| {
+            let mut c = ClusterConfig::edge(format!("agg-{}", i + 1), DeviceProfile::edge_cpu());
+            c.n_clients = 2;
+            c
+        })
+        .collect();
+    ExperimentBuilder::quickstart()
+        .seed(seed)
+        .workload(workload)
+        .rounds(2)
+        .mode(mode)
+        .clusters(clusters)
+}
+
+/// Fingerprints of [`cnn_golden`], captured on the tree whose `Conv2d` ran
+/// the direct scalar loops: `(seed, mode)` → FNV-1a 64 of the full-Debug
+/// report and of the encoded fired-event trace.
+#[rustfmt::skip]
+const CNN_GOLDENS: &[(u64, Mode, u64, u64)] = &[
+    (11, Mode::Sync, 0x437ebeadffcc0b7b, 0xebb1e55043d6eae3),
+    (11, Mode::Async, 0x4d5fd54bb2f0cfe9, 0x6a019bca5f2982a1),
+    (1337, Mode::Sync, 0x132de9366b9db115, 0xebb1e55043d6eae3),
+    (1337, Mode::Async, 0xbd92eaaae713fc2c, 0x6a019bca5f2982a1),
+];
+
+/// Runs `config` to completion event by event: the report and trace
+/// fingerprints, plus the label of every event kind that fired.
+fn traced_fingerprints(config: &ExperimentConfig) -> ((u64, u64), BTreeSet<&'static str>) {
+    let mut state = RunState::new(config).expect("valid configuration");
+    while state.step().is_some() {}
+    let fired = state.trace().iter().map(|r| r.event.label()).collect();
+    let trace = encode_trace(state.trace());
+    let report = state.run_to_completion();
+    ((fingerprint(&report), fnv(&trace)), fired)
+}
+
 /// Every [`Event::label`](unifyfl::core::events::Event::label) the kernel
 /// can fire; the composed grid must fire each at least once.
 const ALL_LABELS: [&str; 13] = [
@@ -177,13 +225,10 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
                 .engine(engine)
                 .config()
                 .clone();
-            let mut state = RunState::new(&config).expect("valid configuration");
-            while state.step().is_some() {}
-            fired.extend(state.trace().iter().map(|r| r.event.label()));
-            let trace = encode_trace(state.trace());
-            let report = state.run_to_completion();
+            let (fingerprints, labels) = traced_fingerprints(&config);
+            fired.extend(labels);
             assert_eq!(
-                (fingerprint(&report), fnv(&trace)),
+                fingerprints,
                 (report_fnv, trace_fnv),
                 "the composed run must reproduce its pre-collapse report and \
                  trace (seed {seed}, {mode}, {link_model}, {engine})"
@@ -207,6 +252,22 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
                 expected,
                 "regroup: None must reproduce the pre-refactor report \
                  (seed {seed}, {mode}, shards {shards}, {engine})"
+            );
+        }
+    }
+}
+
+#[test]
+fn cnn_fingerprints_reproduce_under_both_engines() {
+    for &(seed, mode, report_fnv, trace_fnv) in CNN_GOLDENS {
+        for engine in [Engine::Sequential, Engine::Parallel] {
+            let config = cnn_golden(seed, mode).engine(engine).config().clone();
+            let (fingerprints, _) = traced_fingerprints(&config);
+            assert_eq!(
+                fingerprints,
+                (report_fnv, trace_fnv),
+                "the CNN run must reproduce its direct-loop report and trace \
+                 (seed {seed}, {mode}, {engine})"
             );
         }
     }
