@@ -2,8 +2,9 @@
 //!
 //! These quantify the building blocks the system-level harness composes:
 //! SHA-256 hashing, Merkle roots, base58/CID handling, chunking, block
-//! sealing, tensor matmul, a full training step, MultiKRUM scoring and
-//! policy selection.
+//! sealing, tensor matmul, the paper CNN's convolution (vectorised vs the
+//! scalar reference loops), a full training step of each model class,
+//! MultiKRUM scoring and policy selection.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -19,6 +20,8 @@ use unifyfl_core::scoring::multikrum_scores;
 use unifyfl_sim::SimTime;
 use unifyfl_storage::chunker::chunk;
 use unifyfl_storage::cid::{base58_encode, Cid};
+use unifyfl_tensor::arena::Arena;
+use unifyfl_tensor::layers::{Conv2d, Layer};
 use unifyfl_tensor::zoo::ModelSpec;
 use unifyfl_tensor::Tensor;
 
@@ -107,6 +110,51 @@ fn bench_tensor(c: &mut Criterion) {
     });
 }
 
+/// The paper's edge workload (Table 4): `[5, 3, 8, 8]` batches through a
+/// 16-channel 3×3 same-padded convolution.
+fn bench_conv(c: &mut Criterion) {
+    let x = Tensor::from_vec(
+        vec![5, 3, 8, 8],
+        (0..5 * 3 * 64).map(|i| (i as f32 * 0.37).sin()).collect(),
+    );
+    let mut layer = Conv2d::new(3, 16, 3, 1, &mut StdRng::seed_from_u64(1));
+    let mut arena = Arena::new();
+    // The output gradient a ReLU hands back: about half exact zeros.
+    let mut g = layer.forward(&x, true, &mut arena);
+    g.data_mut().iter_mut().for_each(|v| *v = v.max(0.0));
+
+    c.bench_function("conv/forward_5x3x8x8_to_16", |b| {
+        b.iter(|| {
+            let out = layer.forward(black_box(&x), true, &mut arena);
+            arena.recycle(out);
+        })
+    });
+    c.bench_function("conv/forward_naive_5x3x8x8_to_16", |b| {
+        b.iter(|| layer.forward_naive(black_box(&x)))
+    });
+    c.bench_function("conv/backward_params_5x3x8x8_to_16", |b| {
+        b.iter(|| layer.backward(black_box(&g), false, &mut arena))
+    });
+    c.bench_function("conv/backward_5x3x8x8_to_16", |b| {
+        b.iter(|| {
+            let gin = layer.backward(black_box(&g), true, &mut arena);
+            arena.recycle(gin.expect("asked for the input gradient"));
+        })
+    });
+    c.bench_function("conv/backward_naive_5x3x8x8_to_16", |b| {
+        b.iter(|| layer.backward_naive(black_box(&g)))
+    });
+
+    let mut model = ModelSpec::small_cnn(10).build(1);
+    let labels: Vec<usize> = (0..5).map(|i| i % 10).collect();
+    c.bench_function("model/train_batch_5x3x8x8_cnn", |b| {
+        b.iter(|| model.train_batch(black_box(&x), black_box(&labels)))
+    });
+    c.bench_function("model/evaluate_batch_5x3x8x8_cnn", |b| {
+        b.iter(|| model.evaluate_batch(black_box(&x), black_box(&labels)))
+    });
+}
+
 fn bench_scoring(c: &mut Criterion) {
     let models: Vec<Vec<f32>> = (0..8)
         .map(|i| (0..10_000).map(|j| ((i * j) % 13) as f32 * 0.01).collect())
@@ -137,6 +185,7 @@ criterion_group!(
     bench_chunking,
     bench_block_sealing,
     bench_tensor,
+    bench_conv,
     bench_scoring,
     bench_policy
 );

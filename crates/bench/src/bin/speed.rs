@@ -42,17 +42,21 @@ fn main() {
             pair.label,
         );
     }
-    // Allocation bar: with the counting allocator installed the probe
-    // always runs, and the arena path must hold at exactly zero heap
-    // allocations per warmed-up batch.
-    let allocs = bench
-        .train_batch_allocs
-        .expect("counting allocator is installed in this binary");
-    assert_eq!(
-        allocs, 0,
-        "steady-state training batches performed {allocs} heap allocation(s); \
-         the arena path must perform none"
-    );
+    // Allocation bar: with the counting allocator installed the probes
+    // always run, and the arena path — the convolution's in-layer scratch
+    // included — must hold at exactly zero heap allocations per warmed-up
+    // batch.
+    for (model, allocs) in [
+        ("mlp", bench.train_batch_allocs),
+        ("cnn", bench.cnn_train_batch_allocs),
+    ] {
+        let allocs = allocs.expect("counting allocator is installed in this binary");
+        assert_eq!(
+            allocs, 0,
+            "steady-state {model} training batches performed {allocs} heap allocation(s); \
+             the arena path must perform none"
+        );
+    }
     // Performance bar: ≥1.5x on the 3-aggregator quickstart config, on a
     // multicore host. On a single-core host the parallel engine
     // cannot win — there, the bar flips to "must not lose": the inline

@@ -22,23 +22,31 @@
 //! `tests/engine_parallel.rs` rather than timed here. The `speed` binary
 //! emits `BENCH_speed.json` (schema in `docs/BENCH.md`).
 //!
-//! Two PR 10 hot-path probes ride along with the engine comparison:
+//! Three hot-path probes ride along with the engine comparison:
 //!
 //! - [`kernel_speedup`] times the cache-blocked matmul against the naive
-//!   triple loop it is proven bit-identical to (recorded in the JSON, not
-//!   gated — microbench ratios are too host-sensitive for CI).
+//!   triple loop it is proven bit-identical to, and [`conv_speedup`] the
+//!   vectorised convolution against its scalar reference loops (both
+//!   recorded in the JSON, not gated — microbench ratios are too
+//!   host-sensitive for CI).
 //! - [`measure_train_batch_allocs`] counts heap allocations across a
 //!   window of warmed-up training batches under the counting allocator
-//!   ([`crate::alloc`]); the `speed` binary gates it at **zero**, proving
-//!   the arena path really removed per-batch allocation.
+//!   ([`crate::alloc`]), for the quickstart MLP and for the paper's CNN;
+//!   the `speed` binary gates both at **zero**, proving the arena path
+//!   (and the convolution's in-layer scratch) really removed per-batch
+//!   allocation.
 
 use std::time::Instant;
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use unifyfl_core::experiment::{run_experiment, Engine, ExperimentConfig, ExperimentReport, Mode};
 use unifyfl_core::profile::{self, PhaseTimes};
 use unifyfl_core::report::render_run_table;
+use unifyfl_tensor::arena::Arena;
+use unifyfl_tensor::layers::{Conv2d, Layer};
 use unifyfl_tensor::optim::Sgd;
-use unifyfl_tensor::zoo::ModelSpec;
+use unifyfl_tensor::zoo::{InputKind, ModelSpec};
 use unifyfl_tensor::Tensor;
 
 use crate::{fixed, int, scalability, Json, Scale};
@@ -111,10 +119,16 @@ pub struct SpeedBench {
     /// Blocked-vs-naive matmul wall ratio from [`kernel_speedup`]
     /// (recorded, not gated).
     pub kernel_speedup: f64,
+    /// Vectorised-vs-scalar convolution wall ratio from [`conv_speedup`]
+    /// (recorded, not gated).
+    pub conv_speedup: f64,
     /// Heap allocations across the steady-state batch window from
-    /// [`measure_train_batch_allocs`]; `None` when the counting allocator
-    /// is not installed (library tests).
+    /// [`measure_train_batch_allocs`] on the quickstart MLP; `None` when
+    /// the counting allocator is not installed (library tests).
     pub train_batch_allocs: Option<u64>,
+    /// The same probe on the paper's CNN at its batch size of 5 — the step
+    /// that runs the convolution's in-layer scratch.
+    pub cnn_train_batch_allocs: Option<u64>,
 }
 
 /// Hardware threads available to this process (1 if undeterminable).
@@ -182,6 +196,19 @@ fn microbench_tensor(n: usize, salt: u64) -> Tensor {
     Tensor::from_vec(vec![n, n], data)
 }
 
+/// Best wall of five runs of `f`, after one warm-up run (pages in the
+/// operands, settles the branch predictors).
+fn best_of(f: &mut dyn FnMut()) -> f64 {
+    f();
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let start = Instant::now();
+        f();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
 /// Times one training step's matmul trio — forward `x·W`, backward
 /// `xᵀ·g` (grad-w) and `g·Wᵀ` (grad-in) — blocked vs. the naive triple
 /// loops, at 128³ (two `KB`-slabs per dimension, so the tile-edge paths
@@ -192,26 +219,15 @@ fn microbench_tensor(n: usize, salt: u64) -> Tensor {
 /// strides by `k` on every inner step.
 pub fn kernel_speedup() -> f64 {
     const N: usize = 128;
-    const REPS: usize = 5;
     let a = microbench_tensor(N, 0x5EED);
     let b = microbench_tensor(N, 0xFACE);
     let mut out = Tensor::zeros(vec![N, N]);
-    let best = |f: &mut dyn FnMut()| {
-        f(); // warm-up: page in operands, stabilize the branch predictors
-        let mut best = f64::INFINITY;
-        for _ in 0..REPS {
-            let start = Instant::now();
-            f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
-    let blocked = best(&mut || {
+    let blocked = best_of(&mut || {
         a.matmul_into(&b, &mut out);
         a.matmul_tn_into(&b, &mut out);
         a.matmul_nt_into(&b, &mut out);
     });
-    let naive = best(&mut || {
+    let naive = best_of(&mut || {
         out = a.matmul_naive(&b);
         out = a.matmul_tn_naive(&b);
         out = a.matmul_nt_naive(&b);
@@ -223,27 +239,61 @@ pub fn kernel_speedup() -> f64 {
     }
 }
 
+/// Times the paper's CNN convolution — `[5, 3, 8, 8]` → 16 channels, 3×3,
+/// pad 1, one forward plus one full backward — through the vectorised
+/// kernels vs. the scalar reference loops they are proven bit-identical to
+/// (proptested in `unifyfl-tensor`), and returns `naive_wall /
+/// vectorised_wall`. Best-of-5 over 20 steps each, after a warm-up.
+pub fn conv_speedup() -> f64 {
+    const STEPS: usize = 20;
+    let mut layer = Conv2d::new(3, 16, 3, 1, &mut StdRng::seed_from_u64(7));
+    let x = probe_input(InputKind::Image { c: 3, h: 8, w: 8 }, 5);
+    let mut arena = Arena::new();
+    // The output gradient a ReLU hands back: about half exact zeros.
+    let mut g = layer.forward(&x, true, &mut arena);
+    for v in g.data_mut() {
+        *v = v.max(0.0);
+    }
+    let fast = best_of(&mut || {
+        for _ in 0..STEPS {
+            let out = layer.forward(&x, true, &mut arena);
+            let gin = layer.backward(&g, true, &mut arena);
+            arena.recycle(out);
+            arena.recycle(gin.expect("asked for the input gradient"));
+        }
+    });
+    let naive = best_of(&mut || {
+        for _ in 0..STEPS {
+            std::hint::black_box(layer.forward_naive(&x));
+            std::hint::black_box(layer.backward_naive(&g));
+        }
+    });
+    if fast > 0.0 {
+        naive / fast
+    } else {
+        f64::INFINITY
+    }
+}
+
 /// Counts heap allocations across a window of steady-state training
-/// batches: `train_batch` (forward, loss, backward through the arena) plus
-/// the flat-view extraction, SGD step, and weight write-back — the exact
-/// per-batch loop `InMemoryClient::fit` runs. Warm-up batches first fill
-/// the arena pool, optimizer state, and scratch buffers; the counter delta
-/// is then taken over [`ALLOC_PROBE_BATCHES`] further batches.
+/// batches of `batch` samples on `spec`'s model: `train_batch` (forward,
+/// loss, backward through the arena) plus the flat-view extraction, SGD
+/// step, and weight write-back — the exact per-batch loop
+/// `InMemoryClient::fit` runs. Warm-up batches first fill the arena pool,
+/// optimizer state, and scratch buffers; the counter delta is then taken
+/// over [`ALLOC_PROBE_BATCHES`] further batches.
 ///
 /// Returns `None` when [`crate::alloc::CountingAllocator`] is not the
 /// process's global allocator (library builds), so the zero gate can never
 /// pass vacuously against a dead counter.
-pub fn measure_train_batch_allocs() -> Option<u64> {
-    const BATCH: usize = 16;
+pub fn measure_train_batch_allocs(spec: &ModelSpec, batch: usize) -> Option<u64> {
     const WARMUP_BATCHES: usize = 8;
     if !crate::alloc::is_counting() {
         return None;
     }
-    // The quickstart workload's client shape: flat-16 input, 4 classes.
-    let spec = ModelSpec::mlp(16, vec![32], 4);
     let mut model = spec.build(7);
-    let x = microbench_tensor_batch(BATCH, 16);
-    let labels: Vec<usize> = (0..BATCH).map(|i| i % 4).collect();
+    let x = probe_input(spec.input(), batch);
+    let labels: Vec<usize> = (0..batch).map(|i| i % spec.classes()).collect();
     let mut opt = Sgd::new(0.05, 0.0);
     let mut params = Vec::with_capacity(model.param_count());
     let mut grads = Vec::with_capacity(model.param_count());
@@ -267,12 +317,16 @@ pub fn measure_train_batch_allocs() -> Option<u64> {
 /// Steady-state batches the allocation probe measures over.
 pub const ALLOC_PROBE_BATCHES: usize = 32;
 
-/// Deterministic `[batch, features]` input for the allocation probe.
-fn microbench_tensor_batch(batch: usize, features: usize) -> Tensor {
-    let data = (0..batch * features)
+/// Deterministic `batch`-sample input of the given kind for the probes.
+fn probe_input(kind: InputKind, batch: usize) -> Tensor {
+    let shape = match kind {
+        InputKind::Flat(d) => vec![batch, d],
+        InputKind::Image { c, h, w } => vec![batch, c, h, w],
+    };
+    let data = (0..batch * kind.features())
         .map(|i| ((i as f32) * 0.37).sin())
         .collect();
-    Tensor::from_vec(vec![batch, features], data)
+    Tensor::from_vec(shape, data)
 }
 
 fn run_arm(config: &ExperimentConfig, engine: Engine, repeats: usize) -> SpeedArm {
@@ -344,7 +398,7 @@ pub fn scalability_config(scale: Scale, seed: u64) -> ExperimentConfig {
 }
 
 /// Runs both configurations (quickstart and 60-client scalability), then
-/// the kernel microbench and the allocation probe.
+/// the kernel microbenches and the allocation probes.
 pub fn run(scale: Scale, seed: u64) -> SpeedBench {
     SpeedBench {
         threads: available_threads(),
@@ -357,7 +411,11 @@ pub fn run(scale: Scale, seed: u64) -> SpeedBench {
             ),
         ],
         kernel_speedup: kernel_speedup(),
-        train_batch_allocs: measure_train_batch_allocs(),
+        conv_speedup: conv_speedup(),
+        // The quickstart workload's client shape (flat-16 input, 4
+        // classes), and the paper's edge workload (Table 4: batch 5).
+        train_batch_allocs: measure_train_batch_allocs(&ModelSpec::mlp(16, vec![32], 4), 16),
+        cnn_train_batch_allocs: measure_train_batch_allocs(&ModelSpec::small_cnn(10), 5),
     }
 }
 
@@ -393,7 +451,7 @@ pub fn render_json(bench: &SpeedBench, seed: u64, gate: GateStatus) -> Json {
     } else {
         "skipped"
     };
-    let allocs = bench.train_batch_allocs.map_or(Json::Null, int);
+    let allocs = |n: Option<u64>| n.map_or(Json::Null, int);
     let pairs = bench.pairs.iter().map(|pair| {
         Json::obj([
             ("label", Json::str(pair.label.clone())),
@@ -420,7 +478,12 @@ pub fn render_json(bench: &SpeedBench, seed: u64, gate: GateStatus) -> Json {
         ("gate_reason", Json::str(gate.reason())),
         ("one_core_gate", Json::str(one_core_gate)),
         ("kernel_speedup", fixed(bench.kernel_speedup, 3)),
-        ("train_batch_allocs", allocs),
+        ("conv_speedup", fixed(bench.conv_speedup, 3)),
+        ("train_batch_allocs", allocs(bench.train_batch_allocs)),
+        (
+            "cnn_train_batch_allocs",
+            allocs(bench.cnn_train_batch_allocs),
+        ),
         ("alloc_probe_batches", int(ALLOC_PROBE_BATCHES)),
         ("pairs", Json::Arr(pairs.collect())),
     ])
@@ -456,14 +519,20 @@ pub fn render(bench: &SpeedBench) -> String {
         "blocked matmul vs naive (128^3): {:.2}x\n",
         bench.kernel_speedup
     ));
-    out.push_str(&match bench.train_batch_allocs {
-        Some(n) => format!(
-            "steady-state heap allocations over {ALLOC_PROBE_BATCHES} training batches: {n}\n"
-        ),
-        None => {
-            "steady-state allocation probe: skipped (counting allocator not installed)\n".to_owned()
-        }
-    });
+    out.push_str(&format!(
+        "vectorised conv vs scalar loops ([5,3,8,8] -> 16, fwd+bwd): {:.2}x\n",
+        bench.conv_speedup
+    ));
+    out.push_str(
+        &match (bench.train_batch_allocs, bench.cnn_train_batch_allocs) {
+            (Some(mlp), Some(cnn)) => format!(
+                "steady-state heap allocations over {ALLOC_PROBE_BATCHES} training batches: \
+             {mlp} (mlp), {cnn} (cnn)\n"
+            ),
+            _ => "steady-state allocation probe: skipped (counting allocator not installed)\n"
+                .to_owned(),
+        },
+    );
     out
 }
 
@@ -492,7 +561,9 @@ mod tests {
             threads: available_threads(),
             pairs: vec![run_pair("quickstart-3agg-sync", &quickstart_config(7), 1)],
             kernel_speedup: 2.5,
+            conv_speedup: 4.25,
             train_batch_allocs: None,
+            cnn_train_batch_allocs: None,
         };
         let json = render_json(&bench, 7, gate_status(bench.threads));
         let text = json.render();
@@ -503,8 +574,10 @@ mod tests {
         assert!(text.contains("\"gate\""));
         assert!(text.contains("\"one_core_gate\""));
         assert!(text.contains("\"kernel_speedup\": 2.5,"));
+        assert!(text.contains("\"conv_speedup\": 4.25,"));
         // A dead counter renders as an explicit null, never a fake zero.
         assert!(text.contains("\"train_batch_allocs\": null"));
+        assert!(text.contains("\"cnn_train_batch_allocs\": null"));
     }
 
     #[test]
@@ -517,10 +590,19 @@ mod tests {
     }
 
     #[test]
+    fn conv_microbench_produces_a_finite_positive_ratio() {
+        let ratio = conv_speedup();
+        assert!(ratio.is_finite() && ratio > 0.0, "ratio {ratio}");
+    }
+
+    #[test]
     fn alloc_probe_refuses_to_run_without_the_counting_allocator() {
         // Library test binaries use the system allocator, so the probe
         // must decline rather than report a vacuous zero.
-        assert_eq!(measure_train_batch_allocs(), None);
+        assert_eq!(
+            measure_train_batch_allocs(&ModelSpec::small_cnn(10), 5),
+            None
+        );
     }
 
     #[test]
@@ -529,7 +611,9 @@ mod tests {
             threads: available_threads(),
             pairs: vec![run_pair("quickstart-3agg-sync", &quickstart_config(11), 1)],
             kernel_speedup: 1.0,
+            conv_speedup: 1.0,
             train_batch_allocs: Some(0),
+            cnn_train_batch_allocs: Some(0),
         };
         let json = render_json(&bench, 11, gate_status(bench.threads));
         // Read every phases object back at millisecond precision and

@@ -24,13 +24,21 @@ pub trait Layer: Send {
     fn forward(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor;
 
     /// Backward pass: consumes the gradient w.r.t. this layer's output,
-    /// accumulates parameter gradients, and returns the gradient w.r.t. the
-    /// input, taken from `arena`.
+    /// accumulates parameter gradients, and — when `need_input_grad` —
+    /// returns the gradient w.r.t. the input, taken from `arena`. A model's
+    /// first layer has no one to hand that gradient to, so
+    /// [`Sequential`](crate::Sequential) asks for `None` there and the
+    /// layer skips the work; parameter gradients are the same either way.
     ///
     /// # Panics
     ///
     /// Implementations may panic if called before a training-mode forward.
-    fn backward(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor;
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        arena: &mut Arena,
+    ) -> Option<Tensor>;
 
     /// Resets accumulated gradients to zero.
     fn zero_grads(&mut self);
@@ -68,6 +76,13 @@ fn cache_input(cache: &mut Option<Tensor>, input: &Tensor) {
         Some(c) => c.copy_from(input),
         None => *cache = Some(input.clone()),
     }
+}
+
+/// The input a training-mode forward cached for `backward`.
+fn cached(cache: &Option<Tensor>) -> &Tensor {
+    cache
+        .as_ref()
+        .expect("backward requires a training-mode forward")
 }
 
 /// Fully connected layer: `y = x·W + b` with `x: [batch, in]`,
@@ -141,11 +156,13 @@ impl Layer for Dense {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward requires a training-mode forward");
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        arena: &mut Arena,
+    ) -> Option<Tensor> {
+        let input = cached(&self.cached_input);
         // grad_w += xᵀ · g ; grad_b += Σ_batch g ; grad_in = g · Wᵀ
         // Both matmuls read their transposed operand in place (matmul_tn /
         // matmul_nt), so no `[in, batch]` or `[out, in]` copy is
@@ -161,9 +178,11 @@ impl Layer for Dense {
                 self.grad_b[j] += grad_out.data()[i * self.out_dim + j];
             }
         }
-        let mut gin = arena.take(&[batch, self.in_dim]);
-        grad_out.matmul_nt_into(&self.w, &mut gin);
-        gin
+        need_input_grad.then(|| {
+            let mut gin = arena.take(&[batch, self.in_dim]);
+            grad_out.matmul_nt_into(&self.w, &mut gin);
+            gin
+        })
     }
 
     fn for_each_param(&self, f: &mut dyn FnMut(&[f32])) {
@@ -232,15 +251,22 @@ impl Layer for Relu {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        arena: &mut Arena,
+    ) -> Option<Tensor> {
         assert_eq!(
             grad_out.len(),
             self.mask.len(),
             "backward requires a training-mode forward"
         );
-        let mut g = arena.take_from(grad_out);
-        self.apply_mask(&mut g);
-        g
+        need_input_grad.then(|| {
+            let mut g = arena.take_from(grad_out);
+            self.apply_mask(&mut g);
+            g
+        })
     }
 
     fn zero_grads(&mut self) {}
@@ -276,10 +302,17 @@ impl Layer for Flatten {
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
-        let mut g = arena.take_from(grad_out);
-        g.reshape_to(&self.cached_shape);
-        g
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        arena: &mut Arena,
+    ) -> Option<Tensor> {
+        need_input_grad.then(|| {
+            let mut g = arena.take_from(grad_out);
+            g.reshape_to(&self.cached_shape);
+            g
+        })
     }
 
     fn zero_grads(&mut self) {}
@@ -288,12 +321,39 @@ impl Layer for Flatten {
     fn for_each_grad(&self, _: &mut dyn FnMut(&[f32])) {}
 }
 
+/// Output channels the convolution kernels accumulate side by side (four
+/// 128-bit registers of `f32`).
+const OCB: usize = 16;
+
+/// One value per output channel of a block, side by side.
+type Lanes = [f32; OCB];
+
 /// 2-D convolution, stride 1, zero "same" padding optional.
 ///
 /// Input `[batch, in_c, h, w]`, kernel `[out_c, in_c, kh, kw]`, output
-/// `[batch, out_c, h', w']` with `h' = h - kh + 1 + 2·pad`. Direct loops —
-/// the reproduction's images are tiny (8×8), so an im2col path would add
-/// complexity without observable benefit.
+/// `[batch, out_c, h', w']` with `h' = h - kh + 1 + 2·pad`.
+///
+/// The kernels are direct convolutions rearranged so the compiler can
+/// vectorise them, and **bit-identical** to the scalar loops they replaced
+/// ([`Conv2d::forward_naive`] / [`Conv2d::backward_naive`], proptest-pinned)
+/// because every output keeps its exact f32 add sequence — only *which*
+/// independent outputs are computed side by side changes:
+///
+/// - **forward** packs the weights to `[tap = (ic, ky, kx)][oc]` and gives
+///   each pixel a register-resident block of output channels: `bias`, then
+///   the in-bounds taps in ascending `(ic, ky, kx)`, one broadcast input
+///   value times one contiguous weight row per tap. Padding taps are
+///   skipped, not multiplied by zero (`-0.0 + 0.0` and `0 · ∞` would both
+///   show);
+/// - the **weight gradient** accumulates in the same `[tap][oc]` layout:
+///   a tap's row stays in registers while the pixels that reach the tap in
+///   bounds go by in ascending `(b, oy, ox)` — the order each `grad_w`
+///   element meets its addends in the scalar loops — and an exact-zero
+///   output gradient adds nothing, by select rather than branch;
+/// - the **input gradient** accumulates in whole zero-padded input planes:
+///   one long shifted axpy per `(b, oc, ky↓, kx↓, ic)`, so each element
+///   still meets its addends in ascending `(oc, oy, ox)`, and the padding
+///   ring soaks up the out-of-bounds taps the scalar loops skip.
 pub struct Conv2d {
     w: Tensor,
     b: Vec<f32>,
@@ -304,13 +364,65 @@ pub struct Conv2d {
     out_c: usize,
     k: usize,
     pad: usize,
+    /// `[oc block][1 + tap]` rows of lanes: forward packs `b` and `w` into
+    /// it, backward accumulates `grad_b` and `grad_w` in it. Like the three
+    /// below it grows on first use and is reused, so steady-state batches
+    /// allocate nothing.
+    pack: Vec<Lanes>,
+    /// One `[pixel][lane]` block of output (forward) or output-gradient
+    /// (backward) planes.
+    tile: Vec<Lanes>,
+    /// Backward's `[in_c, h + 2·pad, w + 2·pad]` input-gradient planes.
+    planes: Vec<f32>,
+    /// Backward's copy of one output-gradient plane at the padded row
+    /// stride `w + 2·pad`, zeros in the gaps.
+    gpad: Vec<f32>,
+}
+
+/// One convolution call's geometry.
+#[derive(Clone, Copy)]
+struct ConvDims {
+    batch: usize,
+    in_c: usize,
+    h: usize,
+    w: usize,
+    out_c: usize,
+    oh: usize,
+    ow: usize,
+    k: usize,
+    pad: usize,
+}
+
+impl ConvDims {
+    /// Kernel taps per output channel.
+    fn taps(&self) -> usize {
+        self.in_c * self.k * self.k
+    }
+
+    /// Where batch element `b`'s output planes for channel block `blk` sit
+    /// in a `[batch, out_c, oh, ow]` buffer — only the block's live
+    /// channels, so the last block may be short.
+    fn block_planes(&self, b: usize, blk: usize) -> std::ops::Range<usize> {
+        let plane = self.oh * self.ow;
+        let live = OCB.min(self.out_c - blk * OCB);
+        let start = (b * self.out_c + blk * OCB) * plane;
+        start..start + live * plane
+    }
 }
 
 impl Conv2d {
     /// Creates a `k×k` convolution with He-uniform initialization.
     ///
     /// `pad = k/2` gives "same" output size for odd `k`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `in_c` or `k` is zero.
     pub fn new(in_c: usize, out_c: usize, k: usize, pad: usize, rng: &mut StdRng) -> Self {
+        assert!(
+            in_c > 0 && k > 0,
+            "conv needs an input channel and a kernel"
+        );
         let fan_in = (in_c * k * k) as f32;
         let limit = (6.0 / fan_in).sqrt();
         let n = out_c * in_c * k * k;
@@ -324,27 +436,102 @@ impl Conv2d {
             out_c,
             k,
             pad,
+            pack: Vec::new(),
+            tile: Vec::new(),
+            planes: Vec::new(),
+            gpad: Vec::new(),
         }
     }
 
-    fn out_hw(&self, h: usize, w: usize) -> (usize, usize) {
-        (h + 2 * self.pad + 1 - self.k, w + 2 * self.pad + 1 - self.k)
+    /// The geometry of a call on an input of shape `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not `[batch, in_c, h, w]`, or if the padded input is
+    /// smaller than the kernel (the output size would wrap below zero).
+    fn dims(&self, s: &[usize]) -> ConvDims {
+        assert_eq!(s.len(), 4, "conv expects [batch, c, h, w]");
+        assert_eq!(s[1], self.in_c, "channel mismatch");
+        let (h, w, k, pad) = (s[2], s[3], self.k, self.pad);
+        assert!(
+            h + 2 * pad + 1 > k && w + 2 * pad + 1 > k,
+            "conv input {h}x{w} with padding {pad} is smaller than the {k}x{k} kernel"
+        );
+        ConvDims {
+            batch: s[0],
+            in_c: self.in_c,
+            h,
+            w,
+            out_c: self.out_c,
+            oh: h + 2 * pad + 1 - k,
+            ow: w + 2 * pad + 1 - k,
+            k,
+            pad,
+        }
+    }
+
+    /// The geometry of the cached training-mode forward, checked against
+    /// `grad_out`.
+    fn backward_dims(&self, grad_out: &Tensor) -> ConvDims {
+        let d = self.dims(cached(&self.cached_input).shape());
+        assert_eq!(grad_out.shape(), &[d.batch, d.out_c, d.oh, d.ow]);
+        d
+    }
+
+    /// Forward pass through the scalar reference loops the production
+    /// kernels are proven bit-identical to (kept for the proptests and the
+    /// conv-speedup microbench).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same shape mismatches as [`Layer::forward`].
+    pub fn forward_naive(&self, input: &Tensor) -> Tensor {
+        let d = self.dims(input.shape());
+        let mut out = Tensor::zeros(vec![d.batch, d.out_c, d.oh, d.ow]);
+        conv_forward_loops(input.data(), self.w.data(), &self.b, out.data_mut(), d);
+        out
+    }
+
+    /// Backward pass through the scalar reference loops: accumulates into
+    /// the layer's gradients and returns the input gradient, as
+    /// [`Layer::backward`] does when asked for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called before a training-mode forward.
+    pub fn backward_naive(&mut self, grad_out: &Tensor) -> Tensor {
+        let d = self.backward_dims(grad_out);
+        let input = cached(&self.cached_input);
+        let mut grad_in = Tensor::zeros(input.shape().to_vec());
+        conv_backward_loops(
+            input.data(),
+            grad_out.data(),
+            self.w.data(),
+            self.grad_w.data_mut(),
+            &mut self.grad_b,
+            grad_in.data_mut(),
+            d,
+        );
+        grad_in
     }
 }
 
-/// The direct-convolution forward loops: `out[b, oc, oy, ox] = b[oc] + Σ x·w`
-/// over the valid receptive field. Writes every output element.
-#[allow(clippy::too_many_arguments)]
-fn conv_forward_loops(
-    x: &[f32],
-    wdat: &[f32],
-    bias: &[f32],
-    odat: &mut [f32],
-    (batch, in_c, h, w): (usize, usize, usize, usize),
-    (out_c, oh, ow): (usize, usize, usize),
-    k: usize,
-    pad: isize,
-) {
+/// The reference forward loops: `out[b, oc, oy, ox] = b[oc] + Σ x·w` over
+/// the valid receptive field, one scalar at a time. Writes every output
+/// element. Frozen — [`conv_forward`] is pinned to it bit for bit.
+fn conv_forward_loops(x: &[f32], wdat: &[f32], bias: &[f32], odat: &mut [f32], d: ConvDims) {
+    let ConvDims {
+        batch,
+        in_c,
+        h,
+        w,
+        out_c,
+        oh,
+        ow,
+        k,
+        pad,
+    } = d;
+    let pad = pad as isize;
     for b in 0..batch {
         for oc in 0..out_c {
             for oy in 0..oh {
@@ -374,9 +561,9 @@ fn conv_forward_loops(
     }
 }
 
-/// The direct-convolution backward loops. Accumulates into `gw`/`gb` and the
-/// zero-initialized `gi`.
-#[allow(clippy::too_many_arguments)]
+/// The reference backward loops. Accumulates into `gw`/`gb` and the
+/// zero-initialized `gi`. Frozen — [`conv_grad_params`] and
+/// [`conv_grad_input`] are pinned to it bit for bit.
 fn conv_backward_loops(
     x: &[f32],
     g: &[f32],
@@ -384,11 +571,20 @@ fn conv_backward_loops(
     gw: &mut [f32],
     gb: &mut [f32],
     gi: &mut [f32],
-    (batch, in_c, h, w): (usize, usize, usize, usize),
-    (out_c, oh, ow): (usize, usize, usize),
-    k: usize,
-    pad: isize,
+    d: ConvDims,
 ) {
+    let ConvDims {
+        batch,
+        in_c,
+        h,
+        w,
+        out_c,
+        oh,
+        ow,
+        k,
+        pad,
+    } = d;
+    let pad = pad as isize;
     for b in 0..batch {
         for oc in 0..out_c {
             for oy in 0..oh {
@@ -422,75 +618,239 @@ fn conv_backward_loops(
     }
 }
 
-impl Conv2d {
-    /// Runs the forward loops into a caller-provided output tensor.
-    fn forward_into(&self, input: &Tensor, out: &mut Tensor) {
-        let s = input.shape();
-        let (batch, h, w) = (s[0], s[2], s[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        conv_forward_loops(
-            input.data(),
-            self.w.data(),
-            &self.b,
-            out.data_mut(),
-            (batch, self.in_c, h, w),
-            (self.out_c, oh, ow),
-            self.k,
-            self.pad as isize,
-        );
-    }
+/// The `v` in `0..limit` whose input coordinate `fixed + v - pad` lies
+/// inside `0..n`: for an output coordinate, the kernel offsets the
+/// reference loops do not `continue` past; for a kernel offset, the output
+/// coordinates that reach it.
+fn in_bounds(fixed: usize, n: usize, limit: usize, pad: usize) -> std::ops::Range<usize> {
+    pad.saturating_sub(fixed)..(n + pad).saturating_sub(fixed).min(limit)
+}
 
-    /// Runs the backward loops into a caller-provided (zero-filled)
-    /// input-gradient tensor.
-    fn backward_into(&mut self, grad_out: &Tensor, grad_in: &mut Tensor) {
-        let input = self
-            .cached_input
-            .as_ref()
-            .expect("backward requires a training-mode forward");
-        let s = input.shape();
-        let (batch, h, w) = (s[0], s[2], s[3]);
-        let (oh, ow) = self.out_hw(h, w);
-        assert_eq!(grad_out.shape(), &[batch, self.out_c, oh, ow]);
-        conv_backward_loops(
-            input.data(),
-            grad_out.data(),
-            self.w.data(),
-            self.grad_w.data_mut(),
-            &mut self.grad_b,
-            grad_in.data_mut(),
-            (batch, self.in_c, h, w),
-            (self.out_c, oh, ow),
-            self.k,
-            self.pad as isize,
-        );
+/// Repacks per-channel rows `[oc][tap]` and one more value per channel as
+/// `[oc block][1 + tap]` rows of [`Lanes`] — the extra value in row 0 — so
+/// what a block of output channels needs for one tap is one contiguous
+/// row. Lanes past the last channel are zero.
+fn pack_taps(rows: &[f32], extra: &[f32], taps: usize, pack: &mut Vec<Lanes>) {
+    pack.clear();
+    pack.resize(extra.len().div_ceil(OCB) * (taps + 1), [0.0; OCB]);
+    for (oc, (row, &e)) in rows.chunks_exact(taps).zip(extra).enumerate() {
+        let (block, lane) = (&mut pack[oc / OCB * (taps + 1)..], oc % OCB);
+        block[0][lane] = e;
+        for (packed, &v) in block[1..].iter_mut().zip(row) {
+            packed[lane] = v;
+        }
+    }
+}
+
+/// Inverse of [`pack_taps`]: writes the live lanes back.
+fn unpack_taps(pack: &[Lanes], taps: usize, rows: &mut [f32], extra: &mut [f32]) {
+    for (oc, (row, e)) in rows.chunks_exact_mut(taps).zip(extra).enumerate() {
+        let (block, lane) = (&pack[oc / OCB * (taps + 1)..], oc % OCB);
+        *e = block[0][lane];
+        for (packed, v) in block[1..].iter().zip(row) {
+            *v = packed[lane];
+        }
+    }
+}
+
+/// `acc[i] += s · v[i]` wherever `v[i]` is not exactly zero — the
+/// reference backward's `if go == 0.0 { continue }` as a select, so the
+/// loop has no branch and vectorises. (Adding the product anyway would
+/// not be the same: `∞ · 0` is NaN.)
+#[inline(always)]
+fn axpy_nonzero(acc: &mut [f32], s: f32, v: &[f32]) {
+    for (a, &vi) in acc.iter_mut().zip(v) {
+        *a = if vi == 0.0 { *a } else { *a + s * vi };
+    }
+}
+
+/// Forward kernel over [`pack_taps`]-packed weights and biases: per pixel
+/// and block of output channels, `acc = bias`, then `acc += x · w_row` over
+/// the in-bounds taps in ascending `(ic, ky, kx)` — each lane runs exactly
+/// [`conv_forward_loops`]' add sequence for its own output element. `tile`
+/// stages one `[pixel][lane]` block of output planes, so the kernel stores
+/// whole rows and the transposition into `out`'s planes is a pass of its
+/// own.
+fn conv_forward(x: &[f32], wpack: &[Lanes], tile: &mut Vec<Lanes>, out: &mut [f32], d: ConvDims) {
+    let (taps, plane) = (d.taps(), d.oh * d.ow);
+    tile.clear();
+    tile.resize(plane, [0.0; OCB]);
+    for b in 0..d.batch {
+        for (blk, wblk) in wpack.chunks_exact(taps + 1).enumerate() {
+            for oy in 0..d.oh {
+                let kys = in_bounds(oy, d.h, d.k, d.pad);
+                for ox in 0..d.ow {
+                    let kxs = in_bounds(ox, d.w, d.k, d.pad);
+                    let mut acc = wblk[0];
+                    for ic in 0..d.in_c {
+                        for ky in kys.clone() {
+                            let row = ((b * d.in_c + ic) * d.h + oy + ky - d.pad) * d.w;
+                            for kx in kxs.clone() {
+                                let xv = x[row + ox + kx - d.pad];
+                                let wrow = &wblk[1 + (ic * d.k + ky) * d.k + kx];
+                                for (a, &wv) in acc.iter_mut().zip(wrow) {
+                                    *a += xv * wv;
+                                }
+                            }
+                        }
+                    }
+                    tile[oy * d.ow + ox] = acc;
+                }
+            }
+            let planes = &mut out[d.block_planes(b, blk)];
+            for (lane, dst) in planes.chunks_exact_mut(plane).enumerate() {
+                for (o, staged) in dst.iter_mut().zip(tile.iter()) {
+                    *o = staged[lane];
+                }
+            }
+        }
+    }
+}
+
+/// Weight- and bias-gradient kernel over [`pack_taps`]-packed accumulators,
+/// the forward kernel's mirror: per tap and block of output channels the
+/// accumulator row sits in registers while the pixels that reach the tap
+/// in bounds go by in ascending `(b, oy, ox)`, each adding `x · go` (`go`
+/// itself for the bias row) on the lanes where `go` is not exactly zero —
+/// so every `grad_w` / `grad_b` element runs [`conv_backward_loops`]' add
+/// sequence. `tile` stages one block of `g`'s planes as `[pixel][lane]`.
+fn conv_grad_params(x: &[f32], g: &[f32], gpack: &mut [Lanes], tile: &mut Vec<Lanes>, d: ConvDims) {
+    let (taps, plane) = (d.taps(), d.oh * d.ow);
+    tile.clear();
+    tile.resize(plane, [0.0; OCB]);
+    for b in 0..d.batch {
+        for (blk, gblk) in gpack.chunks_exact_mut(taps + 1).enumerate() {
+            let planes = &g[d.block_planes(b, blk)];
+            for (lane, src) in planes.chunks_exact(plane).enumerate() {
+                for (staged, &go) in tile.iter_mut().zip(src) {
+                    staged[lane] = go;
+                }
+            }
+            let mut acc = gblk[0];
+            for go in tile.iter() {
+                // 1 · go is go exactly: this is `gb[oc] += go`.
+                axpy_nonzero(&mut acc, 1.0, go);
+            }
+            gblk[0] = acc;
+            for ic in 0..d.in_c {
+                for ky in 0..d.k {
+                    let oys = in_bounds(ky, d.h, d.oh, d.pad);
+                    for kx in 0..d.k {
+                        let oxs = in_bounds(kx, d.w, d.ow, d.pad);
+                        let t = 1 + (ic * d.k + ky) * d.k + kx;
+                        let mut acc = gblk[t];
+                        for oy in oys.clone() {
+                            let row = ((b * d.in_c + ic) * d.h + oy + ky - d.pad) * d.w;
+                            for ox in oxs.clone() {
+                                let xv = x[row + ox + kx - d.pad];
+                                axpy_nonzero(&mut acc, xv, &tile[oy * d.ow + ox]);
+                            }
+                        }
+                        gblk[t] = acc;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Input-gradient kernel. Per batch element the gradient accumulates in
+/// `planes` — the `in_c` input planes with their zero-padding ring, row
+/// stride `wp = w + 2·pad` — and `gpad` holds one output-gradient plane
+/// re-laid at that same stride, so tap `(ky, kx)` of the whole plane is a
+/// single contiguous axpy shifted by `ky·wp + kx`. Walking `oc` up and
+/// `(ky, kx)` down hands each element its addends in ascending
+/// `(oc, oy, ox)`, [`conv_backward_loops`]' order; exact-zero gradients
+/// (the gap columns among them) add nothing, and what lands in the ring —
+/// the taps the reference skips — is dropped when the interior is copied
+/// out. `ic` is innermost so that back-to-back axpys touch different
+/// planes: a read-after-write on one plane shifted by four bytes stalls on
+/// store forwarding.
+fn conv_grad_input(
+    g: &[f32],
+    wdat: &[f32],
+    planes: &mut Vec<f32>,
+    gpad: &mut Vec<f32>,
+    gi: &mut [f32],
+    d: ConvDims,
+) {
+    let (hp, wp) = (d.h + 2 * d.pad, d.w + 2 * d.pad);
+    let span = (d.oh - 1) * wp + d.ow;
+    planes.resize(d.in_c * hp * wp, 0.0);
+    gpad.clear();
+    gpad.resize(span, 0.0);
+    for b in 0..d.batch {
+        planes.fill(0.0);
+        for oc in 0..d.out_c {
+            let gplane = &g[(b * d.out_c + oc) * d.oh * d.ow..][..d.oh * d.ow];
+            for (dst, src) in gpad.chunks_mut(wp).zip(gplane.chunks_exact(d.ow)) {
+                dst[..d.ow].copy_from_slice(src);
+            }
+            for ky in (0..d.k).rev() {
+                for kx in (0..d.k).rev() {
+                    for ic in 0..d.in_c {
+                        let wv = wdat[((oc * d.in_c + ic) * d.k + ky) * d.k + kx];
+                        let acc = &mut planes[ic * hp * wp + ky * wp + kx..][..span];
+                        axpy_nonzero(acc, wv, gpad);
+                    }
+                }
+            }
+        }
+        for ic in 0..d.in_c {
+            for iy in 0..d.h {
+                let src = &planes[(ic * hp + iy + d.pad) * wp + d.pad..][..d.w];
+                gi[((b * d.in_c + ic) * d.h + iy) * d.w..][..d.w].copy_from_slice(src);
+            }
+        }
     }
 }
 
 impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, train: bool, arena: &mut Arena) -> Tensor {
-        let s = input.shape();
-        assert_eq!(s.len(), 4, "conv expects [batch, c, h, w]");
-        assert_eq!(s[1], self.in_c, "channel mismatch");
-        let (oh, ow) = self.out_hw(s[2], s[3]);
-        let mut out = arena.take(&[s[0], self.out_c, oh, ow]);
-        self.forward_into(input, &mut out);
+        let d = self.dims(input.shape());
+        let mut out = arena.take(&[d.batch, d.out_c, d.oh, d.ow]);
+        pack_taps(self.w.data(), &self.b, d.taps(), &mut self.pack);
+        conv_forward(input.data(), &self.pack, &mut self.tile, out.data_mut(), d);
         if train {
             cache_input(&mut self.cached_input, input);
         }
         out
     }
 
-    fn backward(&mut self, grad_out: &Tensor, arena: &mut Arena) -> Tensor {
-        let mut grad_in = {
-            let shape = self
-                .cached_input
-                .as_ref()
-                .expect("backward requires a training-mode forward")
-                .shape();
-            arena.take(shape)
-        };
-        self.backward_into(grad_out, &mut grad_in);
-        grad_in
+    fn backward(
+        &mut self,
+        grad_out: &Tensor,
+        need_input_grad: bool,
+        arena: &mut Arena,
+    ) -> Option<Tensor> {
+        let d = self.backward_dims(grad_out);
+        let input = cached(&self.cached_input);
+        pack_taps(self.grad_w.data(), &self.grad_b, d.taps(), &mut self.pack);
+        conv_grad_params(
+            input.data(),
+            grad_out.data(),
+            &mut self.pack,
+            &mut self.tile,
+            d,
+        );
+        unpack_taps(
+            &self.pack,
+            d.taps(),
+            self.grad_w.data_mut(),
+            &mut self.grad_b,
+        );
+        need_input_grad.then(|| {
+            let mut grad_in = arena.take(input.shape());
+            conv_grad_input(
+                grad_out.data(),
+                self.w.data(),
+                &mut self.planes,
+                &mut self.gpad,
+                grad_in.data_mut(),
+                d,
+            );
+            grad_in
+        })
     }
 
     fn for_each_param(&self, f: &mut dyn FnMut(&[f32])) {
@@ -553,7 +913,9 @@ mod tests {
         let out = layer.forward(&input, true, arena);
         let ones = Tensor::from_vec(out.shape().to_vec(), vec![1.0; out.len()]);
         layer.zero_grads();
-        let grad_in = layer.backward(&ones, arena);
+        let grad_in = layer
+            .backward(&ones, true, arena)
+            .expect("asked for the input gradient");
 
         // Check input gradient at a few positions.
         for idx in [0, input.len() / 2, input.len() - 1] {
@@ -640,7 +1002,9 @@ mod tests {
             (0..fwd.len()).map(|i| (i as f32 - 5.0) * 0.1).collect(),
         );
         layer.zero_grads();
-        let grad_in = layer.backward(&grad_out, arena);
+        let grad_in = layer
+            .backward(&grad_out, true, arena)
+            .expect("asked for the input gradient");
 
         let ref_gw = input.transpose().matmul(&grad_out);
         let ref_gin = grad_out.matmul(&layer.w.transpose());
@@ -667,8 +1031,8 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "forward drifted");
             }
             let ones = Tensor::from_vec(out_p.shape().to_vec(), vec![1.0; out_p.len()]);
-            let gin_p = plain.backward(&ones, &mut Arena::new());
-            let gin_a = pooled.backward(&ones, &mut arena);
+            let gin_p = plain.backward(&ones, true, &mut Arena::new()).unwrap();
+            let gin_a = pooled.backward(&ones, true, &mut arena).unwrap();
             assert_eq!(gin_p.shape(), gin_a.shape());
             for (x, y) in gin_p.data().iter().zip(gin_a.data()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "backward drifted");
@@ -753,13 +1117,22 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "conv input 2x6 with padding 0 is smaller than the 3x3 kernel")]
+    fn conv_rejects_an_input_smaller_than_the_kernel() {
+        // The output height `2 + 0 + 1 - 3` would wrap around `usize` in a
+        // release build and abort on the arena's capacity overflow.
+        let mut layer = Conv2d::new(1, 1, 3, 0, &mut rng());
+        layer.forward(&Tensor::zeros(vec![1, 1, 2, 6]), false, &mut Arena::new());
+    }
+
+    #[test]
     fn flatten_round_trips_shape() {
         let mut layer = Flatten::new();
         let input = Tensor::zeros(vec![2, 3, 4, 5]);
         let arena = &mut Arena::new();
         let out = layer.forward(&input, true, arena);
         assert_eq!(out.shape(), &[2, 60]);
-        let back = layer.backward(&out, arena);
+        let back = layer.backward(&out, true, arena).unwrap();
         assert_eq!(back.shape(), &[2, 3, 4, 5]);
     }
 
@@ -781,7 +1154,7 @@ mod tests {
         let arena = &mut Arena::new();
         let out = layer.forward(&input, true, arena);
         let ones = Tensor::from_vec(vec![1, 2], vec![1.0; out.len()]);
-        layer.backward(&ones, arena);
+        layer.backward(&ones, false, arena);
         assert!(first_grad(&layer).iter().any(|g| *g != 0.0));
         layer.zero_grads();
         assert!(first_grad(&layer).iter().all(|g| *g == 0.0));

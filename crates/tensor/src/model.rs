@@ -74,13 +74,8 @@ impl Sequential {
     /// Backward pass through all layers (after a training-mode forward).
     pub fn backward(&mut self, grad_out: &Tensor) {
         let Sequential { layers, arena, .. } = self;
-        let mut grad = arena.take_from(grad_out);
-        for layer in layers.iter_mut().rev() {
-            let next = layer.backward(&grad, arena);
-            arena.recycle(grad);
-            grad = next;
-        }
-        arena.recycle(grad);
+        let grad = arena.take_from(grad_out);
+        backpropagate(layers, arena, grad);
     }
 
     /// Zeroes all accumulated gradients.
@@ -172,12 +167,7 @@ impl Sequential {
             scratch_exps,
         );
         arena.recycle(logits);
-        for layer in layers.iter_mut().rev() {
-            let next = layer.backward(&grad, arena);
-            arena.recycle(grad);
-            grad = next;
-        }
-        arena.recycle(grad);
+        backpropagate(layers, arena, grad);
         loss
     }
 
@@ -210,6 +200,18 @@ impl Sequential {
             .count();
         (loss, correct as f32 / labels.len().max(1) as f32)
     }
+}
+
+/// Runs `grad` back through `layers`, last to first, recycling each
+/// gradient once the layer below has consumed it. Nothing consumes layer
+/// 0's input gradient, so it is not asked for.
+fn backpropagate(layers: &mut [Box<dyn Layer>], arena: &mut Arena, mut grad: Tensor) {
+    for (i, layer) in layers.iter_mut().enumerate().rev() {
+        if let Some(next) = layer.backward(&grad, i > 0, arena) {
+            arena.recycle(std::mem::replace(&mut grad, next));
+        }
+    }
+    arena.recycle(grad);
 }
 
 impl Default for Sequential {

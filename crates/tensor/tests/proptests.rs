@@ -1,6 +1,10 @@
 //! Property-based tests of the tensor/NN substrate's invariants.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use unifyfl_tensor::arena::Arena;
+use unifyfl_tensor::layers::{Conv2d, Layer};
 use unifyfl_tensor::loss::softmax_cross_entropy;
 use unifyfl_tensor::zoo::ModelSpec;
 use unifyfl_tensor::{weights_from_bytes, weights_to_bytes, Tensor};
@@ -136,6 +140,93 @@ proptest! {
 
         let bt = fill(&[n, k], seed ^ 0x2222);
         assert_bits(&a.matmul_nt(&bt), &a.matmul_nt_naive(&bt));
+    }
+
+    /// The vectorised convolution kernels are **bit-identical** to the
+    /// scalar reference loops on the output, both parameter gradients and
+    /// the input gradient — over channel counts straddling the 16-wide
+    /// output-channel block and its tails, every padding from none to more
+    /// than "same", inputs down to the smallest the kernel fits on,
+    /// `+0.0` / `-0.0` sprinkled through the input, the weights and the
+    /// output gradient (the kernels' skip path — and a rare `∞`, which is
+    /// what tells a skipped zero from a multiplied one: `∞ · 0` is NaN),
+    /// and gradients that start non-zero (the second backward accumulates
+    /// onto the first).
+    #[test]
+    fn conv_kernels_are_bit_identical_to_naive(
+        batch in 1usize..=6,
+        in_c in 1usize..=4,
+        h in 1usize..=9,
+        w in 1usize..=9,
+        out_c in 1usize..=40,
+        k_idx in 0usize..3,
+        pad_draw in 0usize..5,
+        seed in any::<u64>(),
+        zero_every in 2usize..9,
+    ) {
+        let k = [1, 3, 5][k_idx];
+        let pad = pad_draw % k;
+        // The smallest input the kernel still fits on, padding included.
+        let fits = k.saturating_sub(2 * pad);
+        let (h, w) = (h.max(fits), w.max(fits));
+        let fill = |count: usize, salt: u64| -> Vec<f32> {
+            (0..count)
+                .map(|i| {
+                    let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(salt);
+                    match h % (2 * zero_every as u64) {
+                        0 => 0.0,
+                        r if r == zero_every as u64 => -0.0,
+                        _ if (h >> 8).is_multiple_of(211) => f32::INFINITY,
+                        _ => ((h >> 8) % 2000) as f32 / 250.0 - 4.0,
+                    }
+                })
+                .collect()
+        };
+        let assert_bits = |what: &str, fast: &[f32], naive: &[f32]| {
+            assert_eq!(fast.len(), naive.len(), "{what}");
+            for (i, (f, n)) in fast.iter().zip(naive).enumerate() {
+                // NaN payloads are the one thing IEEE 754 leaves open.
+                let same = f.to_bits() == n.to_bits() || (f.is_nan() && n.is_nan());
+                assert!(same, "{what}[{i}]: {f} vs {n}");
+            }
+        };
+        let grads = |layer: &Conv2d| {
+            let mut all = Vec::new();
+            layer.for_each_grad(&mut |g| all.push(g.to_vec()));
+            all
+        };
+
+        let build = || {
+            let mut layer = Conv2d::new(in_c, out_c, k, pad, &mut StdRng::seed_from_u64(seed));
+            let mut salt = seed ^ 0x3333;
+            layer.for_each_param_mut(&mut |p| {
+                p.copy_from_slice(&fill(p.len(), salt));
+                salt ^= 0x4444;
+            });
+            layer
+        };
+        let (mut fast, mut naive) = (build(), build());
+        let arena = &mut Arena::new();
+        let x = Tensor::from_vec(vec![batch, in_c, h, w], fill(batch * in_c * h * w, seed));
+
+        let out = fast.forward(&x, true, arena);
+        assert_bits("out", out.data(), naive.forward_naive(&x).data());
+        // The reference reads the input the production forward cached.
+        naive.forward(&x, true, arena);
+
+        for round in 0..2 {
+            let g = Tensor::from_vec(out.shape().to_vec(), fill(out.len(), seed ^ round));
+            let gin = fast.backward(&g, true, arena).expect("asked for the input gradient");
+            assert_bits("grad_in", gin.data(), naive.backward_naive(&g).data());
+            let (gf, gn) = (grads(&fast), grads(&naive));
+            assert_bits("grad_w", &gf[0], &gn[0]);
+            assert_bits("grad_b", &gf[1], &gn[1]);
+        }
+        // Skipping the input gradient leaves the parameter gradients alone.
+        let g = Tensor::from_vec(out.shape().to_vec(), fill(out.len(), seed ^ 2));
+        assert!(fast.backward(&g, false, arena).is_none());
+        naive.backward_naive(&g);
+        assert_bits("grad_w", &grads(&fast)[0], &grads(&naive)[0]);
     }
 }
 
