@@ -135,6 +135,14 @@ impl RunState {
         &self.config
     }
 
+    /// Read-only view of the federation being run. Its storage fabric and
+    /// node handles are shared (`Clone` is a handle copy), so a caller can
+    /// keep them past [`RunState::run_to_completion`] to inspect what the
+    /// run — final merge included — left behind.
+    pub fn federation(&self) -> &Federation {
+        &self.fed
+    }
+
     /// The events fired so far, in firing order.
     pub fn trace(&self) -> &[EventRecord] {
         self.kernel.trace()

@@ -37,6 +37,7 @@ use unifyfl::core::service::RunState;
 use unifyfl::core::{ChaosConfig, Engine, FaultEvent, FaultKind, GossipConfig, ShardConfig};
 use unifyfl::data::WorkloadConfig;
 use unifyfl::sim::{DeviceProfile, SimDuration};
+use unifyfl::storage::IpfsNode;
 
 fn fnv(text: &str) -> u64 {
     let mut hash: u64 = 0xcbf29ce484222325;
@@ -143,17 +144,18 @@ fn composed_golden(seed: u64, mode: Mode, link_model: LinkModel) -> ExperimentBu
 /// Pre-collapse fingerprints of [`composed_golden`], captured on the tree
 /// before the orchestration handlers were merged: `(seed, mode, link
 /// model)` → FNV-1a 64 of the full-Debug report and of the encoded
-/// fired-event trace.
+/// fired-event trace; the last column is the per-node wire fingerprint,
+/// captured before the storage layer memoised its overlay routes.
 #[rustfmt::skip]
-const COMPOSED_GOLDENS: &[(u64, Mode, LinkModel, u64, u64)] = &[
-    (11, Mode::Sync, LinkModel::Nominal, 0xa8572811e38922dd, 0x8e238f14a7707532),
-    (11, Mode::Sync, LinkModel::Physical, 0x35e2fea377686bc1, 0x8e238f14a7707532),
-    (11, Mode::Async, LinkModel::Nominal, 0xc4fc46aeabe86a97, 0x16aca187037b2d3f),
-    (11, Mode::Async, LinkModel::Physical, 0xf898eea2585f01bf, 0x076c6dc7d74b272a),
-    (1337, Mode::Sync, LinkModel::Nominal, 0x27d247ea464f711a, 0x65178dbf5202fbf8),
-    (1337, Mode::Sync, LinkModel::Physical, 0xa537bb3e4bf629a6, 0x65178dbf5202fbf8),
-    (1337, Mode::Async, LinkModel::Nominal, 0x97c0efbef6eaf760, 0x9be958e3faded7f8),
-    (1337, Mode::Async, LinkModel::Physical, 0xdcded7026135c66d, 0xc5ce794033a87bbb),
+const COMPOSED_GOLDENS: &[(u64, Mode, LinkModel, u64, u64, u64)] = &[
+    (11, Mode::Sync, LinkModel::Nominal, 0xa8572811e38922dd, 0x8e238f14a7707532, 0xed4544bdf0da276c),
+    (11, Mode::Sync, LinkModel::Physical, 0x35e2fea377686bc1, 0x8e238f14a7707532, 0xaa236e37a8668b29),
+    (11, Mode::Async, LinkModel::Nominal, 0xc4fc46aeabe86a97, 0x16aca187037b2d3f, 0x97bc473fc6e2e97e),
+    (11, Mode::Async, LinkModel::Physical, 0xf898eea2585f01bf, 0x076c6dc7d74b272a, 0x3e27a23093add1fb),
+    (1337, Mode::Sync, LinkModel::Nominal, 0x27d247ea464f711a, 0x65178dbf5202fbf8, 0x5147f31f299adf72),
+    (1337, Mode::Sync, LinkModel::Physical, 0xa537bb3e4bf629a6, 0x65178dbf5202fbf8, 0x85684e00a689966c),
+    (1337, Mode::Async, LinkModel::Nominal, 0x97c0efbef6eaf760, 0x9be958e3faded7f8, 0x694e8c732b778970),
+    (1337, Mode::Async, LinkModel::Physical, 0xdcded7026135c66d, 0xc5ce794033a87bbb, 0x9d08777450f549ee),
 ];
 
 /// The paper's edge workload in miniature: the Table 4 CNN (`small_cnn`,
@@ -187,15 +189,32 @@ const CNN_GOLDENS: &[(u64, Mode, u64, u64)] = &[
     (1337, Mode::Async, 0xbd92eaaae713fc2c, 0x6a019bca5f2982a1),
 ];
 
-/// Runs `config` to completion event by event: the report and trace
-/// fingerprints, plus the label of every event kind that fired.
-fn traced_fingerprints(config: &ExperimentConfig) -> ((u64, u64), BTreeSet<&'static str>) {
+/// Runs `config` to completion event by event: the report, trace and
+/// per-node wire fingerprints, plus the label of every event kind that
+/// fired. The wire fingerprint is FNV-1a 64 over every node's
+/// `(bytes_fetched, bytes_served, bytes_relayed)` once the final merge is
+/// done: a route tie-break that moves bytes *between relays* moves no total
+/// the report carries, so only this pins it.
+fn traced_fingerprints(config: &ExperimentConfig) -> ((u64, u64, u64), BTreeSet<&'static str>) {
     let mut state = RunState::new(config).expect("valid configuration");
+    let nodes: Vec<IpfsNode> = state
+        .federation()
+        .clusters
+        .iter()
+        .map(|c| c.ipfs().clone())
+        .collect();
     while state.step().is_some() {}
     let fired = state.trace().iter().map(|r| r.event.label()).collect();
     let trace = encode_trace(state.trace());
     let report = state.run_to_completion();
-    ((fingerprint(&report), fnv(&trace)), fired)
+    let wire: Vec<(u64, u64, u64)> = nodes
+        .iter()
+        .map(|n| (n.bytes_fetched(), n.bytes_served(), n.bytes_relayed()))
+        .collect();
+    (
+        (fingerprint(&report), fnv(&trace), fnv(&format!("{wire:?}"))),
+        fired,
+    )
 }
 
 /// Every [`Event::label`](unifyfl::core::events::Event::label) the kernel
@@ -219,7 +238,7 @@ const ALL_LABELS: [&str; 13] = [
 #[test]
 fn pre_refactor_fingerprints_reproduce_under_both_engines() {
     let mut fired: BTreeSet<&'static str> = BTreeSet::new();
-    for &(seed, mode, link_model, report_fnv, trace_fnv) in COMPOSED_GOLDENS {
+    for &(seed, mode, link_model, report_fnv, trace_fnv, wire_fnv) in COMPOSED_GOLDENS {
         for engine in [Engine::Sequential, Engine::Parallel] {
             let config = composed_golden(seed, mode, link_model)
                 .engine(engine)
@@ -229,9 +248,10 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
             fired.extend(labels);
             assert_eq!(
                 fingerprints,
-                (report_fnv, trace_fnv),
-                "the composed run must reproduce its pre-collapse report and \
-                 trace (seed {seed}, {mode}, {link_model}, {engine})"
+                (report_fnv, trace_fnv, wire_fnv),
+                "the composed run must reproduce its pre-collapse report, \
+                 trace and per-node wire bytes (seed {seed}, {mode}, \
+                 {link_model}, {engine})"
             );
         }
     }
@@ -262,9 +282,9 @@ fn cnn_fingerprints_reproduce_under_both_engines() {
     for &(seed, mode, report_fnv, trace_fnv) in CNN_GOLDENS {
         for engine in [Engine::Sequential, Engine::Parallel] {
             let config = cnn_golden(seed, mode).engine(engine).config().clone();
-            let (fingerprints, _) = traced_fingerprints(&config);
+            let ((report, trace, _), _) = traced_fingerprints(&config);
             assert_eq!(
-                fingerprints,
+                (report, trace),
                 (report_fnv, trace_fnv),
                 "the CNN run must reproduce its direct-loop report and trace \
                  (seed {seed}, {mode}, {engine})"
