@@ -2,9 +2,11 @@
 //!
 //! These quantify the building blocks the system-level harness composes:
 //! SHA-256 hashing, Merkle roots, base58/CID handling, chunking, block
-//! sealing, tensor matmul, the paper CNN's convolution (vectorised vs the
-//! scalar reference loops), a full training step of each model class,
-//! MultiKRUM scoring and policy selection.
+//! sealing (bare, and under a 480-entry orchestrator log), the storage
+//! fetch kernels the coordination workloads live in (a routed one-leaf
+//! delta fetch, a local read), tensor matmul, the paper CNN's convolution
+//! (vectorised vs the scalar reference loops), a full training step of
+//! each model class, MultiKRUM scoring and policy selection.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -14,12 +16,16 @@ use unifyfl_chain::chain::Blockchain;
 use unifyfl_chain::clique::CliqueConfig;
 use unifyfl_chain::hash::sha256;
 use unifyfl_chain::merkle::merkle_root;
+use unifyfl_chain::orchestrator::{calls, OrchestrationMode, UnifyFlContract};
 use unifyfl_chain::types::{Address, Transaction};
 use unifyfl_core::policy::{AggregationPolicy, ScoredCandidate};
 use unifyfl_core::scoring::multikrum_scores;
 use unifyfl_sim::SimTime;
 use unifyfl_storage::chunker::chunk;
 use unifyfl_storage::cid::{base58_encode, Cid};
+use unifyfl_storage::{
+    GossipConfig, GossipTopology, IpfsNetwork, IpfsNode, LinkProfile, TransferConfig,
+};
 use unifyfl_tensor::arena::Arena;
 use unifyfl_tensor::layers::{Conv2d, Layer};
 use unifyfl_tensor::zoo::ModelSpec;
@@ -85,6 +91,108 @@ fn bench_block_sealing(c: &mut Criterion) {
                 chain
             },
         )
+    });
+}
+
+/// What one block costs once the contract carries a run's worth of state:
+/// 120 aggregators, 480 model entries (`sharded_fleet`'s log at the end of
+/// a run). The block itself is empty, so this is the state root — the
+/// whole contract state re-encoded and hashed — plus the seal.
+fn bench_block_sealing_under_state(c: &mut Criterion) {
+    let members: Vec<Address> = (0..120)
+        .map(|i| Address::from_label(&format!("agg-{i}")))
+        .collect();
+    let orch = Address::from_label("unifyfl-orchestrator");
+    let mut chain = Blockchain::new(CliqueConfig::default(), members.clone());
+    chain.deploy(
+        orch,
+        Box::new(UnifyFlContract::new(orch, OrchestrationMode::Async)),
+    );
+    for member in &members {
+        chain.submit(Transaction::call(*member, orch, 0, calls::register()));
+    }
+    for release in 0..480usize {
+        let member = members[release % members.len()];
+        let nonce = 1 + (release / members.len()) as u64;
+        let cid = Cid::for_data(&release.to_le_bytes()).to_string();
+        chain.submit(Transaction::call(
+            member,
+            orch,
+            nonce,
+            calls::submit_model(&cid),
+        ));
+    }
+    let at = chain.next_seal_time();
+    chain.seal_next(at).unwrap();
+    let contract: &UnifyFlContract = chain.view(orch).unwrap();
+    assert_eq!(contract.entries().len(), 480);
+    c.bench_function("chain/seal_block_480_entries", |b| {
+        b.iter(|| {
+            let at = chain.next_seal_time();
+            chain.seal_next(at).unwrap();
+        })
+    });
+}
+
+/// A 1.4 KB model blob (one leaf), distinct per `variant`.
+fn model_blob(variant: u32) -> Vec<u8> {
+    (0..350u32)
+        .flat_map(|i| (i ^ variant.wrapping_mul(0x9E37_79B9)).to_le_bytes())
+        .collect()
+}
+
+fn bench_storage_fetch(c: &mut Criterion) {
+    // Toy delta: the full new blob (the storage layer only cares that the
+    // reconstruction hashes to the requested CID).
+    let reconstruct = |_base: &[u8], delta: &[u8]| Some(delta[1..].to_vec());
+
+    // One-leaf delta fetch over a 40-node overlay (4 neighborhoods of 10),
+    // publisher and fetcher in different neighborhoods. Every iteration
+    // publishes a fresh release first, untimed, so every timed fetch is a
+    // first fetch: base read locally, delta blob routed in, reconstruction
+    // verified and stored.
+    let net = IpfsNetwork::new();
+    net.configure_transfer(TransferConfig::default(), 42);
+    let nodes: Vec<IpfsNode> = (0..40).map(|_| net.add_node(LinkProfile::lan())).collect();
+    let gossip = GossipConfig::default();
+    let neighborhoods: Vec<usize> = (0..40).map(|i| i / 10).collect();
+    net.install_topology(gossip, GossipTopology::derive(&gossip, 42, &neighborhoods));
+    let (publisher, fetcher) = (&nodes[0], &nodes[25]);
+    let base = publisher.add(&model_blob(0)).cid;
+    fetcher.get(base).unwrap();
+    let mut variant = 0u32;
+    c.bench_function("storage/get_with_delta_1k4_routed", |b| {
+        b.iter_with_setup(
+            || {
+                variant += 1;
+                let blob = model_blob(variant);
+                let mut delta = vec![0xD1];
+                delta.extend_from_slice(&blob);
+                (publisher.add(&blob).cid, publisher.add(&delta).cid)
+            },
+            |(cid, delta)| {
+                fetcher
+                    .get_with_delta(cid, base, delta, reconstruct)
+                    .unwrap()
+            },
+        )
+    });
+    assert_eq!(net.transfer_stats().delta_fallbacks, 0);
+
+    // The local read under every fast-path hit and every delta base: root
+    // plus one leaf out of the node's own blockstore, fetch cache off.
+    let local = IpfsNetwork::new();
+    local.configure_transfer(
+        TransferConfig {
+            cache_bytes: 0,
+            ..TransferConfig::default()
+        },
+        42,
+    );
+    let node = local.add_node(LinkProfile::lan());
+    let cid = node.add(&model_blob(7)).cid;
+    c.bench_function("storage/read_local_1k4", |b| {
+        b.iter(|| node.get(black_box(cid)).unwrap())
     });
 }
 
@@ -184,6 +292,8 @@ criterion_group!(
     bench_cid,
     bench_chunking,
     bench_block_sealing,
+    bench_block_sealing_under_state,
+    bench_storage_fetch,
     bench_tensor,
     bench_conv,
     bench_scoring,

@@ -304,6 +304,14 @@ pub struct UnifyFlContract {
     round: u64,
     phase: Phase,
     entries: Vec<ModelEntry>,
+    /// Derived index over the append-only `entries` log: CID → position.
+    /// CIDs are unique (a duplicate submission reverts), so this is what
+    /// `entry()`, the duplicate check and `submitScore` resolve through.
+    /// Like `by_submitter` it is derivable from `entries` and therefore not
+    /// part of the state digest.
+    by_cid: HashMap<String, usize>,
+    /// Derived index: submitter → positions of its entries, oldest first.
+    by_submitter: HashMap<Address, Vec<usize>>,
     /// Deploy-time shard topology (address → shard); unknown addresses are
     /// shard 0, so an empty map is the single-shard (flat) federation.
     /// Like `mode`, this is deployment configuration, not mutable state,
@@ -325,6 +333,8 @@ impl UnifyFlContract {
             round: 0,
             phase: Phase::Idle,
             entries: Vec::new(),
+            by_cid: HashMap::new(),
+            by_submitter: HashMap::new(),
             shard_of: HashMap::new(),
             scorers_per_release: None,
             shard_releases: Vec::new(),
@@ -399,7 +409,16 @@ impl UnifyFlContract {
 
     /// Entry for a CID, if present.
     pub fn entry(&self, cid: &str) -> Option<&ModelEntry> {
-        self.entries.iter().find(|e| e.cid == cid)
+        self.by_cid.get(cid).map(|&i| &self.entries[i])
+    }
+
+    /// `submitter`'s entries, oldest first.
+    fn entries_of(&self, submitter: Address) -> impl DoubleEndedIterator<Item = &ModelEntry> {
+        self.by_submitter
+            .get(&submitter)
+            .into_iter()
+            .flatten()
+            .map(|&i| &self.entries[i])
     }
 
     /// `getLatestModelsWithScores`: the most recent *scored* entry per
@@ -424,15 +443,10 @@ impl UnifyFlContract {
                     continue;
                 }
             }
-            let candidate = self
-                .entries
-                .iter()
-                .rev()
-                .filter(|e| e.submitter == *agg)
-                .find(|e| match self.mode {
-                    OrchestrationMode::Sync => e.scoring_closed,
-                    OrchestrationMode::Async => !e.scores.is_empty(),
-                });
+            let candidate = self.entries_of(*agg).rev().find(|e| match self.mode {
+                OrchestrationMode::Sync => e.scoring_closed,
+                OrchestrationMode::Async => !e.scores.is_empty(),
+            });
             if let Some(e) = candidate {
                 latest.push(e);
             }
@@ -542,7 +556,7 @@ impl UnifyFlContract {
                 ));
             }
         }
-        if self.entries.iter().any(|e| e.cid == cid) {
+        if self.by_cid.contains_key(cid) {
             return Err(ContractError::revert("model CID already submitted"));
         }
         let round = match self.mode {
@@ -552,22 +566,14 @@ impl UnifyFlContract {
                     // round (§3.2 "Stragglers").
                     return Err(ContractError::revert("submission window closed"));
                 }
-                if self
-                    .entries
-                    .iter()
-                    .any(|e| e.round == self.round && e.submitter == ctx.sender)
-                {
+                if self.entries_of(ctx.sender).any(|e| e.round == self.round) {
                     return Err(ContractError::revert("already submitted this round"));
                 }
                 self.round
             }
             OrchestrationMode::Async => {
                 // Async rounds are per-submitter submission counters.
-                self.entries
-                    .iter()
-                    .filter(|e| e.submitter == ctx.sender)
-                    .count() as u64
-                    + 1
+                self.entries_of(ctx.sender).count() as u64 + 1
             }
         };
 
@@ -613,6 +619,12 @@ impl UnifyFlContract {
                 .encode(),
             ));
         }
+        let position = self.entries.len();
+        self.by_cid.insert(entry.cid.clone(), position);
+        self.by_submitter
+            .entry(entry.submitter)
+            .or_default()
+            .push(position);
         self.entries.push(entry);
         Ok(CallOutcome::new(logs, gas))
     }
@@ -680,9 +692,9 @@ impl UnifyFlContract {
             return Err(ContractError::revert("scoring window closed"));
         }
         let entry = self
-            .entries
-            .iter_mut()
-            .find(|e| e.cid == cid)
+            .by_cid
+            .get(cid)
+            .map(|&i| &mut self.entries[i])
             .ok_or_else(|| ContractError::revert("unknown model CID"))?;
         if entry.scoring_closed {
             return Err(ContractError::revert("scoring window closed"));
@@ -1153,6 +1165,45 @@ mod tests {
             .execute(&ctx(a[1], 1), &calls::submit_model("QmDup"))
             .unwrap_err();
         assert!(err.to_string().contains("already submitted"));
+    }
+
+    #[test]
+    fn indexed_queries_answer_what_a_scan_of_the_log_answers() {
+        // An async log with interleaved submitters, reverted submissions
+        // (which must leave the indexes alone) and partial scoring.
+        let (mut c, a) = registered(OrchestrationMode::Async, 4);
+        for i in 0..12u64 {
+            let who = a[(i % 3) as usize];
+            let cid = format!("Qm{i}");
+            c.execute(&ctx(who, i), &calls::submit_model(&cid)).unwrap();
+            assert!(c.execute(&ctx(who, i), &calls::submit_model(&cid)).is_err());
+            if i % 2 == 0 {
+                let scorer = c.entry(&cid).unwrap().scorers[0];
+                c.execute(&ctx(scorer, 0), &calls::submit_score(&cid, Score(i)))
+                    .unwrap();
+            }
+        }
+        assert_eq!(c.entries().len(), 12);
+        for (i, e) in c.entries().iter().enumerate() {
+            assert_eq!(c.entry(&e.cid), Some(e), "first match of a scan");
+            // Async rounds are per-submitter submission counters.
+            assert_eq!(e.round, i as u64 / 3 + 1);
+        }
+        assert_eq!(c.entry("QmNever"), None);
+        for viewer in [None, Some(a[0]), Some(a[3])] {
+            let scanned: Vec<&ModelEntry> = c
+                .aggregators()
+                .iter()
+                .filter(|agg| viewer != Some(**agg))
+                .filter_map(|agg| {
+                    c.entries()
+                        .iter()
+                        .rev()
+                        .find(|e| e.submitter == *agg && !e.scores.is_empty())
+                })
+                .collect();
+            assert_eq!(c.latest_models_with_scores(viewer), scanned);
+        }
     }
 
     #[test]

@@ -689,16 +689,31 @@ impl Federation {
         cluster: usize,
         cid: Cid,
     ) -> Option<(Vec<f32>, SimDuration)> {
+        self.fetch_with_delta_ref(cluster, cid, self.delta_ref_of(cid))
+    }
+
+    /// The `(base_cid, delta_cid)` reference the contract holds for `cid`,
+    /// if any — how a CID that reaches a fetch without its
+    /// [`Candidate`] (a scoring duty, a shard release) finds its delta.
+    pub fn delta_ref_of(&self, cid: Cid) -> Option<(Cid, Cid)> {
+        self.contract()
+            .entry(&cid.to_string())
+            .and_then(|e| e.delta.as_ref())
+            .and_then(parse_delta_ref)
+    }
+
+    /// The one fetch path: [`Federation::fetch_weights_costed`] given the
+    /// contract's delta reference for `cid` (ignored when
+    /// [`TransferConfig::delta`] is off).
+    fn fetch_with_delta_ref(
+        &self,
+        cluster: usize,
+        cid: Cid,
+        delta_ref: Option<(Cid, Cid)>,
+    ) -> Option<(Vec<f32>, SimDuration)> {
         let _phase = crate::profile::enter(crate::profile::Phase::Fetch);
         let node = self.clusters[cluster].ipfs();
-        let delta_ref = if self.ipfs.transfer_config().delta {
-            self.contract()
-                .entry(&cid.to_string())
-                .and_then(|e| e.delta.as_ref())
-                .and_then(parse_delta_ref)
-        } else {
-            None
-        };
+        let delta_ref = delta_ref.filter(|_| self.ipfs.transfer_config().delta);
         let attempt = || match delta_ref {
             Some((base, delta)) => node.get_with_delta(cid, base, delta, reconstruct_weights_blob),
             None => node.get(cid),
@@ -729,20 +744,27 @@ impl Federation {
         weights_from_bytes(&receipt.data).ok().map(|w| (w, cost))
     }
 
-    /// Pulls a sequence of peer models into `cluster`, in order: content
-    /// that is unavailable, corrupt or not of the cluster's model length is
+    /// Pulls a sequence of peer models into `cluster`, in order, each
+    /// given as its CID and the contract's delta reference for it (a
+    /// [`Candidate`] already carries both, parsed from one entry; see
+    /// [`Federation::delta_ref_of`] otherwise): content that is
+    /// unavailable, corrupt or not of the cluster's model length is
     /// skipped (the CID guarantees silently-corrupted bytes can never be
     /// ingested) and costs nothing; every kept fetch is charged under the
     /// active link model.
-    pub fn fetch_peers(&self, cluster: usize, cids: impl IntoIterator<Item = Cid>) -> FetchedPeers {
+    pub fn fetch_peers(
+        &self,
+        cluster: usize,
+        peers: impl IntoIterator<Item = (Cid, Option<(Cid, Cid)>)>,
+    ) -> FetchedPeers {
         let want = self.clusters[cluster].weights().len();
         let mut fetched = FetchedPeers {
             peers: Vec::new(),
             kept: Vec::new(),
             cost: SimDuration::ZERO,
         };
-        for (position, cid) in cids.into_iter().enumerate() {
-            if let Some((w, cost)) = self.fetch_weights_costed(cluster, cid) {
+        for (position, (cid, delta_ref)) in peers.into_iter().enumerate() {
+            if let Some((w, cost)) = self.fetch_with_delta_ref(cluster, cid, delta_ref) {
                 if w.len() == want {
                     fetched.peers.push(w);
                     fetched.kept.push(position);
@@ -1028,7 +1050,7 @@ mod tests {
 
         let (f, good, short) = setup(LinkModel::Nominal);
         let ghost = Cid::for_data(b"never published");
-        let fetched = f.fetch_peers(0, [short, good, ghost, good]);
+        let fetched = f.fetch_peers(0, [short, good, ghost, good].map(|c| (c, None)));
         // The mismatched and the unavailable peer are skipped, not
         // charged; positions index the requested sequence.
         assert_eq!(fetched.kept, vec![1, 3]);
@@ -1043,7 +1065,7 @@ mod tests {
         // Physical: exactly the storage layer's elapsed time for the one
         // kept fetch — the mismatched blob moved bytes but costs nothing.
         let (f, good, short) = setup(LinkModel::Physical);
-        let fetched = f.fetch_peers(0, [short, good]);
+        let fetched = f.fetch_peers(0, [short, good].map(|c| (c, None)));
         assert_eq!(fetched.kept, vec![1]);
         let (reference, good_again, _) = setup(LinkModel::Physical);
         assert_eq!(good, good_again);

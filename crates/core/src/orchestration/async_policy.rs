@@ -52,7 +52,10 @@ pub(crate) struct AsyncPolicy {
     tasks: Vec<VecDeque<Cid>>,
     finished_at: Vec<Option<SimTime>>,
     members: Members,
-    distributed: HashSet<String>,
+    /// How much of the contract's append-only entry log has been dealt out
+    /// as scoring duties. Async assigns scorers at submission, so an entry
+    /// is complete the moment it is appended and is dealt exactly once.
+    distributed: usize,
     /// Crash events already charged to a cluster (each fires once: the
     /// in-flight attempt is lost, then the round is redone after restart).
     crashes_spent: HashSet<(usize, u64)>,
@@ -147,7 +150,7 @@ impl AsyncPolicy {
             tasks: vec![VecDeque::new(); n],
             finished_at: vec![None; n],
             members: Members::new(fed),
-            distributed: HashSet::new(),
+            distributed: 0,
             crashes_spent: HashSet::new(),
             wake: vec![None; n],
             pending_joins: 0,
@@ -156,12 +159,11 @@ impl AsyncPolicy {
         }
     }
 
-    /// Deals out scorer assignments that the contract has recorded.
+    /// Deals out the scorer assignments the contract has recorded since
+    /// the last call.
     fn distribute(&mut self, fed: &Federation) {
-        for entry in fed.contract().entries() {
-            if entry.scorers.is_empty() || self.distributed.contains(&entry.cid) {
-                continue;
-            }
+        let entries = fed.contract().entries();
+        for entry in &entries[self.distributed..] {
             if let Ok(cid) = entry.cid.parse::<Cid>() {
                 for scorer_addr in &entry.scorers {
                     if let Some(i) = fed
@@ -173,8 +175,8 @@ impl AsyncPolicy {
                     }
                 }
             }
-            self.distributed.insert(entry.cid.clone());
         }
+        self.distributed = entries.len();
     }
 
     /// True if the cluster still has work to pop from the queue.

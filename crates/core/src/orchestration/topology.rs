@@ -69,7 +69,7 @@ fn seal_shard(
 ) -> SimDuration {
     let orch = fed.orchestrator;
     let candidates = fed.candidates_for(rep);
-    let fetched = fed.fetch_peers(rep, candidates.iter().map(|c| c.cid));
+    let fetched = fed.fetch_peers(rep, candidates.iter().map(|c| (c.cid, c.delta)));
     let own: Vec<f64> = fed.clusters[rep]
         .weights()
         .iter()
@@ -141,7 +141,11 @@ pub(super) fn shard_exchange(
 /// sealed, or lost to a storage fault) is skipped — the exchange degrades
 /// instead of stalling.
 fn exchange_into(fed: &mut Federation, topology: &ShardTopology, idx: usize) -> SimDuration {
-    let fetched = fed.fetch_peers(idx, exchange_cids(fed, topology, idx));
+    let releases = exchange_cids(fed, topology, idx);
+    let fetched = fed.fetch_peers(
+        idx,
+        releases.into_iter().map(|cid| (cid, fed.delta_ref_of(cid))),
+    );
     if !fetched.peers.is_empty() {
         fed.clusters[idx].merge_peers(&fetched.peers);
     }

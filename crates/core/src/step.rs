@@ -141,8 +141,12 @@ pub fn prepare_train(fed: &mut Federation, idx: usize, round: u64) -> TrainInput
         policy.select(&scored, self_score, cluster.rng())
     };
 
-    let FetchedPeers { peers, kept, cost } =
-        fed.fetch_peers(idx, selected.iter().map(|&i| candidates[i].cid));
+    let FetchedPeers { peers, kept, cost } = fed.fetch_peers(
+        idx,
+        selected
+            .iter()
+            .map(|&i| (candidates[i].cid, candidates[i].delta)),
+    );
     let precisions = adaptive.then(|| {
         kept.iter()
             .map(|&k| score_precision(&candidates[selected[k]].scores))

@@ -13,6 +13,14 @@ use crate::chunker::decode_root;
 use crate::cid::Cid;
 
 /// A CID-addressed block store.
+///
+/// **Invariant: every key is the SHA-256 of its value.** The only ways in
+/// are [`BlockStore::put`], which derives the key by hashing, and the
+/// crate-private keyed insert, whose callers have just computed or verified
+/// the CID themselves (chunking on publish, verification on wire receipt,
+/// re-chunking a delta reconstruction). Local reads rely on it and do not
+/// hash again — go-ipfs's `HashOnRead = false` default: verify on receipt,
+/// not on local read. [`BlockStore::first_corrupt`] audits it.
 #[derive(Debug, Default)]
 pub struct BlockStore {
     blocks: HashMap<Cid, Bytes>,
@@ -28,8 +36,32 @@ impl BlockStore {
     /// Stores a block under its CID; returns the CID.
     pub fn put(&mut self, data: Bytes) -> Cid {
         let cid = Cid::for_data(&data);
-        self.blocks.insert(cid, data);
+        self.put_keyed(cid, data);
         cid
+    }
+
+    /// Stores a block whose CID the caller has just computed or verified,
+    /// without hashing it again.
+    pub(crate) fn put_keyed(&mut self, cid: Cid, data: Bytes) {
+        debug_assert!(cid.verifies(&data), "blockstore key must hash its value");
+        self.blocks.insert(cid, data);
+    }
+
+    /// Audits the store invariant: the first key (in CID order) that is not
+    /// the SHA-256 of its value, or `None` when the store is sound.
+    pub fn first_corrupt(&self) -> Option<Cid> {
+        self.blocks
+            .iter()
+            .filter(|(cid, data)| !cid.verifies(data))
+            .map(|(cid, _)| *cid)
+            .min()
+    }
+
+    /// Plants `data` under a key it does not hash to — a provider serving
+    /// bad bytes, which nothing outside a test can construct.
+    #[cfg(test)]
+    pub(crate) fn put_unchecked(&mut self, cid: Cid, data: Bytes) {
+        self.blocks.insert(cid, data);
     }
 
     /// Retrieves a block.

@@ -96,7 +96,12 @@ pub fn decode_root(block: &[u8]) -> Option<RootNode> {
 }
 
 /// Reassembles a file from its root node and a chunk lookup, verifying each
-/// chunk against its CID.
+/// chunk against its CID — the form for blocks that crossed a wire.
+///
+/// Nothing is allocated from the root's declared length: the output is
+/// sized by what the listed children actually supplied, after every one of
+/// them has been checked, so a root that lies about its length costs a
+/// [`ReassembleError::LengthMismatch`], not an allocation.
 ///
 /// # Errors
 ///
@@ -106,21 +111,45 @@ pub fn reassemble(
     root: &RootNode,
     mut fetch: impl FnMut(Cid) -> Option<Bytes>,
 ) -> Result<Vec<u8>, ReassembleError> {
-    let mut out = Vec::with_capacity(root.total_len as usize);
-    for cid in &root.children {
-        let data = fetch(*cid).ok_or(ReassembleError::MissingChunk(*cid))?;
+    assemble(root, |cid| {
+        let data = fetch(cid).ok_or(ReassembleError::MissingChunk(cid))?;
         if !cid.verifies(&data) {
-            return Err(ReassembleError::CorruptChunk(*cid));
+            return Err(ReassembleError::CorruptChunk(cid));
         }
-        out.extend_from_slice(&data);
-    }
-    if out.len() as u64 != root.total_len {
+        Ok(data)
+    })
+}
+
+/// [`reassemble`] for chunks read out of a local
+/// [`BlockStore`](crate::blockstore::BlockStore), whose invariant (every
+/// key is the SHA-256 of its value) already vouches for them: presence and
+/// the declared length are checked, nothing is hashed.
+pub(crate) fn reassemble_trusted(
+    root: &RootNode,
+    mut fetch: impl FnMut(Cid) -> Option<Bytes>,
+) -> Result<Vec<u8>, ReassembleError> {
+    assemble(root, |cid| {
+        fetch(cid).ok_or(ReassembleError::MissingChunk(cid))
+    })
+}
+
+fn assemble(
+    root: &RootNode,
+    mut fetch: impl FnMut(Cid) -> Result<Bytes, ReassembleError>,
+) -> Result<Vec<u8>, ReassembleError> {
+    let chunks = root
+        .children
+        .iter()
+        .map(|cid| fetch(*cid))
+        .collect::<Result<Vec<Bytes>, _>>()?;
+    let actual: u64 = chunks.iter().map(|c| c.len() as u64).sum();
+    if actual != root.total_len {
         return Err(ReassembleError::LengthMismatch {
             expected: root.total_len,
-            actual: out.len() as u64,
+            actual,
         });
     }
-    Ok(out)
+    Ok(chunks.concat())
 }
 
 /// Error reassembling a chunked file.
@@ -214,6 +243,23 @@ mod tests {
         let bad = Bytes::from(vec![9u8; 256]);
         let err = reassemble(&root, |_| Some(bad.clone())).unwrap_err();
         assert!(matches!(err, ReassembleError::CorruptChunk(_)));
+    }
+
+    #[test]
+    fn a_root_that_lies_about_its_length_is_a_mismatch_not_an_allocation() {
+        let root = RootNode {
+            total_len: u64::MAX,
+            children: Vec::new(),
+        };
+        let err = reassemble(&root, |_| None).unwrap_err();
+        assert_eq!(
+            err,
+            ReassembleError::LengthMismatch {
+                expected: u64::MAX,
+                actual: 0
+            }
+        );
+        assert_eq!(reassemble_trusted(&root, |_| None), Err(err));
     }
 
     #[test]

@@ -59,10 +59,12 @@ use rand::{Rng, SeedableRng};
 use unifyfl_sim::SimDuration;
 
 use crate::blockstore::BlockStore;
-use crate::chunker::{chunk, decode_root, reassemble, DEFAULT_CHUNK_SIZE};
+use crate::chunker::{
+    chunk, decode_root, reassemble, reassemble_trusted, ReassembleError, DEFAULT_CHUNK_SIZE,
+};
 use crate::cid::Cid;
 use crate::dht::{NodeId, ProviderIndex};
-use crate::topology::{GossipConfig, GossipTopology};
+use crate::topology::{GossipConfig, GossipTopology, RouteMemo};
 
 /// Network link characteristics of one node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -371,8 +373,9 @@ struct NetworkState {
     transfer: TransferConfig,
     transfer_seed: u64,
     stats: TransferStats,
-    /// The gossip overlay fetches route over, when installed.
-    gossip: Option<(GossipConfig, GossipTopology)>,
+    /// The gossip overlay fetches route over, when installed, with the
+    /// routes already walked over it.
+    gossip: Option<(GossipConfig, RouteMemo)>,
     /// Seeded stream breaking full-key provider-selection ties, so load
     /// spreads across equivalent providers instead of always landing on
     /// the lowest `NodeId`. Drawn from only when a tie actually exists.
@@ -459,6 +462,10 @@ impl IpfsNetwork {
     /// the fault injector) and therefore the wire-byte distribution — but
     /// never the bytes a caller receives: every block is still verified
     /// against its CID.
+    ///
+    /// The installed overlay owns its route memo (one BFS tree per node
+    /// that fetched or served, built on first use), so installing a new
+    /// overlay — a regroup — or clearing it drops every memoised route.
     pub fn install_topology(&self, config: GossipConfig, topology: GossipTopology) {
         let mut st = self.inner.lock();
         assert!(
@@ -467,7 +474,7 @@ impl IpfsNetwork {
             topology.len(),
             st.nodes.len()
         );
-        st.gossip = Some((config, topology));
+        st.gossip = Some((config, RouteMemo::new(topology)));
     }
 
     /// Removes the gossip overlay, returning the fabric to flat
@@ -478,7 +485,8 @@ impl IpfsNetwork {
 
     /// The installed overlay's topology, if any.
     pub fn topology(&self) -> Option<GossipTopology> {
-        self.inner.lock().gossip.as_ref().map(|(_, t)| t.clone())
+        let st = self.inner.lock();
+        st.gossip.as_ref().map(|(_, memo)| memo.topology().clone())
     }
 
     /// The heaviest per-node wire load: `max` over nodes of bytes
@@ -557,6 +565,17 @@ impl IpfsNetwork {
     /// Number of nodes in the fabric.
     pub fn node_count(&self) -> usize {
         self.inner.lock().nodes.len()
+    }
+
+    /// Audits the blockstore invariant fabric-wide: the first `(node,
+    /// key)` whose value does not hash to its key, or `None` when every
+    /// store is sound.
+    pub fn first_corrupt_block(&self) -> Option<(NodeId, Cid)> {
+        let st = self.inner.lock();
+        st.nodes.iter().enumerate().find_map(|(i, node)| {
+            let cid = node.store.first_corrupt()?;
+            Some((NodeId(i as u32), cid))
+        })
     }
 
     /// Total bytes stored across all nodes (with duplication).
@@ -683,10 +702,10 @@ impl IpfsNode {
         let mut st = self.network.inner.lock();
         let id = self.id;
         let node = &mut st.nodes[id.0 as usize];
-        for (_, leaf) in &file.leaves {
-            node.store.put(leaf.clone());
+        for (cid, leaf) in &file.leaves {
+            node.store.put_keyed(*cid, leaf.clone());
         }
-        node.store.put(file.root_block.clone());
+        node.store.put_keyed(file.root, file.root_block.clone());
         node.store.pin(file.root);
         st.dht.provide(file.root, id);
         // Local add cost: hashing at ~1 GB/s plus a per-block write cost.
@@ -755,9 +774,11 @@ impl IpfsNode {
             return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
         }
 
-        // The base must be fully resident; otherwise a delta transfer
-        // cannot help and the full fetch is the cheapest correct path.
-        let Some(base_data) = Self::read_local(&st.nodes[id.0 as usize].store, base)? else {
+        // The base must be fully resident (and well-formed); otherwise a
+        // delta transfer cannot help and the full fetch is the cheapest
+        // correct path.
+        let base_data = Self::read_local(&st.nodes[id.0 as usize].store, base);
+        let Some(base_data) = base_data.ok().flatten() else {
             st.stats.delta_fallbacks += 1;
             return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
         };
@@ -776,27 +797,25 @@ impl IpfsNode {
         let delta_logical = st.stats.logical_bytes - before.logical_bytes;
         let delta_physical = st.stats.physical_bytes - before.physical_bytes;
 
-        let reconstructed = reconstruct(&base_data, &delta_receipt.data);
-        let file = reconstructed.map(|data| chunk(&data, DEFAULT_CHUNK_SIZE));
-        let Some(file) = file.filter(|f| f.root == cid) else {
+        // The trust boundary of a delta fetch: the reconstruction is
+        // re-chunked and must hash to the requested root before a byte of
+        // it is stored, cached or returned. Re-chunking hashes every leaf,
+        // so the blocks go in under the CIDs it just computed.
+        let verified = reconstruct(&base_data, &delta_receipt.data)
+            .map(|data| (chunk(&data, DEFAULT_CHUNK_SIZE), data))
+            .filter(|(file, _)| file.root == cid);
+        let Some((file, data)) = verified else {
             st.stats.delta_fallbacks += 1;
             return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
         };
 
         // Verified: materialize the full DAG locally (no wire bytes),
         // advertise, account, cache.
-        let data = {
-            let node = &mut st.nodes[id.0 as usize];
-            for (_, leaf) in &file.leaves {
-                node.store.put(leaf.clone());
-            }
-            node.store.put(file.root_block.clone());
-            reassemble(
-                &decode_root(&file.root_block).expect("root block just built"),
-                |c| node.store.get(c),
-            )
-            .expect("DAG just materialized")
-        };
+        let store = &mut st.nodes[id.0 as usize].store;
+        for (leaf_cid, leaf) in &file.leaves {
+            store.put_keyed(*leaf_cid, leaf.clone());
+        }
+        store.put_keyed(file.root, file.root_block.clone());
         st.dht.provide(cid, id);
 
         let full_dag = file.root_block.len() as u64
@@ -890,22 +909,23 @@ impl IpfsNode {
 
         // The overlay view for this fetch. `None` routes flat; a node the
         // installed topology does not cover also routes flat.
-        let overlay = gossip
-            .as_ref()
-            .filter(|(_, t)| (id.0 as usize) < t.len())
-            .map(|(config, topology)| (config, topology, topology.distances_from(id)));
+        let mut overlay = gossip
+            .as_mut()
+            .filter(|(_, memo)| (id.0 as usize) < memo.topology().len())
+            .map(|(config, memo)| (*config, memo));
 
         // Rank providers: overlay hop distance first (constant when
         // flat), then latency, then bandwidth, NodeId last for a stable
         // order. A genuine full-key tie is broken with a draw from the
         // seeded tie stream — never by NodeId, which at scale would pile
         // every fetch onto the lowest-indexed provider.
+        let hops_from_fetcher = overlay.as_mut().map(|(_, memo)| memo.distances_from(id));
         let mut candidates: Vec<(u32, SimDuration, f64, NodeId)> = dht
             .providers(cid)
             .filter(|p| *p != id)
             .map(|p| {
                 let link = nodes[p.0 as usize].link;
-                let hops = overlay.as_ref().map_or(0, |(_, _, dist)| {
+                let hops = hops_from_fetcher.map_or(0, |dist| {
                     dist.get(p.0 as usize).copied().unwrap_or(u32::MAX)
                 });
                 (hops, link.latency, link.bandwidth_bps, p)
@@ -937,7 +957,7 @@ impl IpfsNode {
         // leaf chunks round-robin across, so a single large fetch spreads
         // its serving load over the neighborhood.
         let mut sources: Vec<NodeId> = vec![provider];
-        if let Some((config, _, _)) = overlay.as_ref() {
+        if let Some((config, _)) = overlay.as_ref() {
             sources.extend(
                 candidates
                     .iter()
@@ -957,10 +977,8 @@ impl IpfsNode {
         // fault-counter totals against it.
         let routes: Vec<Vec<NodeId>> = sources
             .iter()
-            .map(|source| match overlay.as_ref() {
-                Some((_, topology, _)) => topology
-                    .path(*source, id)
-                    .unwrap_or_else(|| vec![*source, id]),
+            .map(|source| match overlay.as_mut() {
+                Some((_, memo)) => memo.path(*source, id).unwrap_or_else(|| vec![*source, id]),
                 None => vec![*source, id],
             })
             .collect();
@@ -1004,10 +1022,12 @@ impl IpfsNode {
             return Err(IpfsError::Corrupt(format!("root block of {cid}")));
         }
 
-        let mut blocks: Vec<Bytes> = vec![root_block.clone()];
+        // Receipt is the trust boundary: the root was just hashed against
+        // its CID above and `reassemble` hashes every leaf, so the retain
+        // loop below stores them under CIDs that are already checked.
+        let mut blocks: Vec<(Cid, Bytes)> = vec![(cid, root_block.clone())];
         let data = match decode_root(&root_block) {
             Some(root) => {
-                let mut chunk_map: HashMap<Cid, Bytes> = HashMap::new();
                 for (position, child) in root.children.iter().enumerate() {
                     // Dedup: a block the fetcher already holds is never
                     // re-transferred (and never exposed to transfer
@@ -1058,10 +1078,13 @@ impl IpfsNode {
                             block
                         }
                     };
-                    chunk_map.insert(*child, block.clone());
-                    blocks.push(block);
+                    blocks.push((*child, block));
                 }
-                reassemble(&root, |c| chunk_map.get(&c).cloned())
+                // `reassemble` asks for the children in order, which is the
+                // order they were just received in (a block handed over
+                // for the wrong child would fail its hash check).
+                let mut received = blocks[1..].iter();
+                reassemble(&root, |_| received.next().map(|(_, block)| block.clone()))
                     .map_err(|e| IpfsError::Corrupt(e.to_string()))?
             }
             None => root_block.to_vec(),
@@ -1129,8 +1152,8 @@ impl IpfsNode {
             let node = &mut nodes[id.0 as usize];
             node.bytes_fetched += transferred;
             if opts.retain {
-                for b in blocks {
-                    node.store.put(b);
+                for (block_cid, block) in blocks {
+                    node.store.put_keyed(block_cid, block);
                 }
             }
         }
@@ -1147,19 +1170,26 @@ impl IpfsNode {
         })
     }
 
+    /// Reads `cid`'s full content out of a local blockstore, or `None`
+    /// when the DAG is not fully resident (a root without all its leaves
+    /// counts as a miss). Nothing is hashed here: the blockstore invariant
+    /// (every key is the SHA-256 of its value, checked when each block
+    /// came in) already vouches for the bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`IpfsError::Corrupt`] if the resident leaves do not add up to the
+    /// length the root declares — content no provider could serve either.
     fn read_local(store: &BlockStore, cid: Cid) -> Result<Option<Vec<u8>>, IpfsError> {
         let Some(root_block) = store.get(cid) else {
             return Ok(None);
         };
         match decode_root(&root_block) {
-            Some(root) => {
-                // A root without all leaves locally counts as a miss.
-                let data = reassemble(&root, |c| store.get(c));
-                match data {
-                    Ok(d) => Ok(Some(d)),
-                    Err(_) => Ok(None),
-                }
-            }
+            Some(root) => match reassemble_trusted(&root, |c| store.get(c)) {
+                Ok(data) => Ok(Some(data)),
+                Err(ReassembleError::MissingChunk(_)) => Ok(None),
+                Err(e) => Err(IpfsError::Corrupt(e.to_string())),
+            },
             None => Ok(Some(root_block.to_vec())),
         }
     }
@@ -1625,6 +1655,127 @@ mod tests {
             .unwrap();
         assert_eq!(got.data, content, "bad reconstruction never surfaces");
         assert_eq!(net2.transfer_stats().delta_fallbacks, 1);
+        // Not a byte of the rejected reconstruction was stored.
+        let rejected = chunk(&[1, 2, 3], DEFAULT_CHUNK_SIZE);
+        assert!(!nodes2[1].has_local(rejected.root));
+        assert!(!nodes2[1].has_local(rejected.leaves[0].0));
+        assert_eq!(net2.first_corrupt_block(), None);
+    }
+
+    /// A root block declaring `u64::MAX` bytes and no children. Any block
+    /// that looks like a root is decoded as one, so these 20 bytes are all
+    /// an attacker needs to publish.
+    fn lying_root() -> Vec<u8> {
+        let mut block = b"UFLDAGv0".to_vec();
+        block.extend_from_slice(&u64::MAX.to_be_bytes());
+        block.extend_from_slice(&0u32.to_be_bytes());
+        block
+    }
+
+    #[test]
+    fn a_root_lying_about_its_length_is_corrupt_locally_and_remotely() {
+        let (net, nodes) = fabric(2);
+        let blob = lying_root();
+        let cid = Cid::for_data(&blob);
+        // `add` stores the blob as a leaf under its own CID.
+        nodes[0].add(&blob);
+
+        // Local path: the adder reads its own block back as a root.
+        let err = nodes[0].get(cid).unwrap_err();
+        assert!(matches!(err, IpfsError::Corrupt(_)), "{err}");
+        assert!(!nodes[0].has_local(cid));
+
+        // Remote path: the adder advertises the block as content (what a
+        // Byzantine aggregator registering the CID on-chain amounts to).
+        net.inner.lock().dht.provide(cid, nodes[0].id());
+        let err = nodes[1].get(cid).unwrap_err();
+        assert!(matches!(err, IpfsError::Corrupt(_)), "{err}");
+        let st = net.inner.lock();
+        assert!(st.nodes[1].store.is_empty(), "nothing retained");
+        assert_eq!(st.nodes[1].cache.resident, 0, "nothing cached");
+    }
+
+    #[test]
+    fn a_provider_serving_bad_bytes_is_caught_at_the_wire() {
+        // The check that survives hashing once: every block that crosses
+        // the wire is hashed against its CID on receipt, whatever the
+        // provider's store claims. Poison the root, then a leaf.
+        for poison_root in [true, false] {
+            let (net, nodes) = fabric(3);
+            let data: Vec<u8> = (0..2048u32).map(|i| (i % 239) as u8).collect();
+            let receipt = nodes[0].add_with_chunk_size(&data, 256);
+            let file = chunk(&data, 256);
+            let victim = if poison_root {
+                file.root
+            } else {
+                file.leaves[3].0
+            };
+            net.inner.lock().nodes[0]
+                .store
+                .put_unchecked(victim, Bytes::from_static(b"not the block you asked for"));
+            assert_eq!(net.first_corrupt_block(), Some((NodeId(0), victim)));
+
+            let err = nodes[1].get(receipt.cid).unwrap_err();
+            assert!(matches!(err, IpfsError::Corrupt(_)), "{err}");
+            let st = net.inner.lock();
+            assert!(st.nodes[1].store.is_empty(), "blockstore untouched");
+            assert_eq!(st.nodes[1].cache.resident, 0, "fetch cache untouched");
+            assert_eq!(
+                st.dht.providers(receipt.cid).collect::<Vec<_>>(),
+                vec![NodeId(0)],
+                "provider records untouched"
+            );
+            assert_eq!(st.nodes[1].store.first_corrupt(), None);
+        }
+    }
+
+    #[test]
+    fn installing_a_topology_drops_every_memoised_route() {
+        // The regroup case: a second install must route over the new
+        // overlay from the first fetch on. Six nodes in one ring route
+        // 0 → 3 over two relays; regrouped into rings {0,1,2} and {3,4,5}
+        // the only way across is a bridge, and the relays change.
+        let net = IpfsNetwork::new();
+        net.configure_transfer(TransferConfig::disabled(), 3);
+        let nodes: Vec<IpfsNode> = (0..6).map(|_| net.add_node(LinkProfile::lan())).collect();
+        let config = GossipConfig::new(1).with_swarm(1);
+        let routed = |from: u32, to: u32| {
+            let mut st = net.inner.lock();
+            let (_, memo) = st.gossip.as_mut().expect("installed");
+            (
+                memo.distances_from(NodeId(to)).to_vec(),
+                memo.path(NodeId(from), NodeId(to)),
+            )
+        };
+
+        let ring = GossipTopology::derive(&config, 0, &[0; 6]);
+        net.install_topology(config, ring.clone());
+        let cid = nodes[0].add(&vec![5u8; 4096]).cid;
+        nodes[3].get(cid).unwrap();
+        assert_eq!(
+            routed(0, 3),
+            (
+                ring.distances_from(NodeId(3)),
+                ring.path(NodeId(0), NodeId(3))
+            )
+        );
+
+        let split = GossipTopology::derive(&config, 0, &[0, 0, 0, 1, 1, 1]);
+        assert_ne!(
+            ring.path(NodeId(0), NodeId(3)),
+            split.path(NodeId(0), NodeId(3))
+        );
+        net.install_topology(config, split.clone());
+        assert_eq!(
+            routed(0, 3),
+            (
+                split.distances_from(NodeId(3)),
+                split.path(NodeId(0), NodeId(3))
+            )
+        );
+
+        net.clear_topology();
+        assert!(net.inner.lock().gossip.is_none());
     }
 
     #[test]

@@ -191,11 +191,21 @@ impl GossipTopology {
     /// unreachable nodes. Neighbors are expanded in ascending order, so
     /// the frontier (and therefore [`Self::path`]) is deterministic.
     pub fn distances_from(&self, from: NodeId) -> Vec<u32> {
+        if (from.0 as usize) >= self.len() {
+            return vec![u32::MAX; self.len()];
+        }
+        self.bfs_row(from).dist
+    }
+
+    /// One full BFS from `from` (which must be covered): every node's hop
+    /// distance and the node it was first discovered from. Parents are
+    /// assigned at first discovery, exactly as [`Self::path`]'s early-exit
+    /// search assigns them, so walking the parent row back from any target
+    /// yields the path that search returns.
+    fn bfs_row(&self, from: NodeId) -> BfsRow {
         let n = self.len();
         let mut dist = vec![u32::MAX; n];
-        if (from.0 as usize) >= n {
-            return dist;
-        }
+        let mut parent = vec![u32::MAX; n];
         dist[from.0 as usize] = 0;
         let mut frontier = vec![from];
         while !frontier.is_empty() {
@@ -205,13 +215,14 @@ impl GossipTopology {
                 for peer in self.neighbors(node) {
                     if dist[peer.0 as usize] == u32::MAX {
                         dist[peer.0 as usize] = d + 1;
+                        parent[peer.0 as usize] = node.0;
                         next.push(*peer);
                     }
                 }
             }
             frontier = next;
         }
-        dist
+        BfsRow { dist, parent }
     }
 
     /// The hop sequence from `from` to `to` (inclusive of both ends), or
@@ -254,6 +265,71 @@ impl GossipTopology {
         }
         path.reverse();
         debug_assert_eq!(path.first(), Some(&from));
+        Some(path)
+    }
+}
+
+/// One BFS tree: hop distances from its root and, per node, the node it was
+/// first discovered from (`u32::MAX` for the root and unreachable nodes).
+#[derive(Debug)]
+struct BfsRow {
+    dist: Vec<u32>,
+    parent: Vec<u32>,
+}
+
+/// An installed overlay together with the routes already walked over it.
+///
+/// A fetch asks two things of the overlay: how far every provider is from
+/// the fetcher, and which way the bytes travel from each source. Both are
+/// read off one BFS tree per node, computed on first use and kept for as
+/// long as the overlay is installed — `2 × n × u32` per node that ever
+/// fetched or served, at most `8·n²` bytes. The memo is owned by the
+/// installed overlay, so replacing or clearing the overlay drops every row
+/// with it; there is nothing to invalidate.
+#[derive(Debug)]
+pub(crate) struct RouteMemo {
+    topology: GossipTopology,
+    rows: Vec<Option<BfsRow>>,
+}
+
+impl RouteMemo {
+    pub(crate) fn new(topology: GossipTopology) -> Self {
+        let rows = (0..topology.len()).map(|_| None).collect();
+        RouteMemo { topology, rows }
+    }
+
+    /// The overlay the routes run over.
+    pub(crate) fn topology(&self) -> &GossipTopology {
+        &self.topology
+    }
+
+    fn row(&mut self, from: NodeId) -> Option<&BfsRow> {
+        let topology = &self.topology;
+        let slot = self.rows.get_mut(from.0 as usize)?;
+        Some(slot.get_or_insert_with(|| topology.bfs_row(from)))
+    }
+
+    /// [`GossipTopology::distances_from`], memoised. A node the overlay
+    /// does not cover has an empty row: every lookup into it misses, which
+    /// callers read as unreachable.
+    pub(crate) fn distances_from(&mut self, from: NodeId) -> &[u32] {
+        self.row(from).map_or(&[], |row| &row.dist)
+    }
+
+    /// [`GossipTopology::path`], memoised: the same hop sequence, tie-breaks
+    /// included, read off `from`'s BFS tree.
+    pub(crate) fn path(&mut self, from: NodeId, to: NodeId) -> Option<Vec<NodeId>> {
+        let row = self.row(from)?;
+        if *row.dist.get(to.0 as usize)? == u32::MAX {
+            return None;
+        }
+        let mut path = vec![to];
+        let mut cursor = to.0;
+        while cursor != from.0 {
+            cursor = row.parent[cursor as usize];
+            path.push(NodeId(cursor));
+        }
+        path.reverse();
         Some(path)
     }
 }
@@ -326,6 +402,47 @@ mod tests {
             assert_eq!(path.len() as u32 - 1, dist[to as usize]);
             for hop in path.windows(2) {
                 assert!(t.neighbors(hop[0]).contains(&hop[1]), "path uses edges");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// The memo answers exactly what the one-shot searches answer —
+        /// distance rows and hop sequences, tie-breaks included — for
+        /// every ordered pair, unreachable and uncovered nodes included,
+        /// and however often a row is asked for again.
+        #[test]
+        fn memoised_routes_match_the_one_shot_searches(
+            degree in 1usize..6,
+            sizes in proptest::collection::vec(1usize..7, 1..5),
+            seed in proptest::prelude::any::<u64>(),
+            cut in proptest::collection::vec(0usize..24, 0..3),
+        ) {
+            let mut t = GossipTopology::derive(&GossipConfig::new(degree), seed, &hoods(&sizes));
+            // Derived overlays are connected by construction; cut a few
+            // nodes loose so unreachable pairs are covered too.
+            for node in cut {
+                let node = NodeId((node % t.len()) as u32);
+                for peer in std::mem::take(&mut t.adjacency[node.0 as usize]) {
+                    t.adjacency[peer.0 as usize].retain(|p| *p != node);
+                }
+            }
+            let mut memo = RouteMemo::new(t.clone());
+            let n = t.len() as u32;
+            let hops = |row: &[u32], to: u32| row.get(to as usize).copied().unwrap_or(u32::MAX);
+            for _pass in 0..2 {
+                for from in 0..n + 2 {
+                    let reference = t.distances_from(NodeId(from));
+                    let row = memo.distances_from(NodeId(from)).to_vec();
+                    for to in 0..n + 2 {
+                        proptest::prop_assert_eq!(hops(&row, to), hops(&reference, to));
+                        proptest::prop_assert_eq!(
+                            memo.path(NodeId(from), NodeId(to)),
+                            t.path(NodeId(from), NodeId(to)),
+                            "{} -> {}", from, to
+                        );
+                    }
+                }
             }
         }
     }

@@ -194,9 +194,11 @@ const CNN_GOLDENS: &[(u64, Mode, u64, u64)] = &[
 /// fired. The wire fingerprint is FNV-1a 64 over every node's
 /// `(bytes_fetched, bytes_served, bytes_relayed)` once the final merge is
 /// done: a route tie-break that moves bytes *between relays* moves no total
-/// the report carries, so only this pins it.
+/// the report carries, so only this pins it. Also audits the blockstore
+/// invariant over every node once the run is done.
 fn traced_fingerprints(config: &ExperimentConfig) -> ((u64, u64, u64), BTreeSet<&'static str>) {
     let mut state = RunState::new(config).expect("valid configuration");
+    let fabric = state.federation().ipfs.clone();
     let nodes: Vec<IpfsNode> = state
         .federation()
         .clusters
@@ -207,6 +209,11 @@ fn traced_fingerprints(config: &ExperimentConfig) -> ((u64, u64, u64), BTreeSet<
     let fired = state.trace().iter().map(|r| r.event.label()).collect();
     let trace = encode_trace(state.trace());
     let report = state.run_to_completion();
+    assert_eq!(
+        fabric.first_corrupt_block(),
+        None,
+        "every blockstore key must still hash its value: local reads rely on it"
+    );
     let wire: Vec<(u64, u64, u64)> = nodes
         .iter()
         .map(|n| (n.bytes_fetched(), n.bytes_served(), n.bytes_relayed()))
