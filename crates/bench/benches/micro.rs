@@ -6,7 +6,9 @@
 //! fetch kernels the coordination workloads live in (a routed one-leaf
 //! delta fetch, a local read), tensor matmul, the paper CNN's convolution
 //! (vectorised vs the scalar reference loops), a full training step of
-//! each model class, MultiKRUM scoring and policy selection.
+//! each model class, one FL server round at the three benchmark shapes
+//! that straddle the fan-out's work grain, the cost model's parameter
+//! count, MultiKRUM scoring and policy selection.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -20,6 +22,8 @@ use unifyfl_chain::orchestrator::{calls, OrchestrationMode, UnifyFlContract};
 use unifyfl_chain::types::{Address, Transaction};
 use unifyfl_core::policy::{AggregationPolicy, ScoredCandidate};
 use unifyfl_core::scoring::multikrum_scores;
+use unifyfl_data::{Partition, SyntheticConfig};
+use unifyfl_fl::{FedAvg, FlClient, FlServer, InMemoryClient};
 use unifyfl_sim::SimTime;
 use unifyfl_storage::chunker::chunk;
 use unifyfl_storage::cid::{base58_encode, Cid};
@@ -28,7 +32,7 @@ use unifyfl_storage::{
 };
 use unifyfl_tensor::arena::Arena;
 use unifyfl_tensor::layers::{Conv2d, Layer};
-use unifyfl_tensor::zoo::ModelSpec;
+use unifyfl_tensor::zoo::{InputKind, ModelSpec};
 use unifyfl_tensor::Tensor;
 
 fn bench_hashing(c: &mut Criterion) {
@@ -263,6 +267,45 @@ fn bench_conv(c: &mut Criterion) {
     });
 }
 
+/// One `FlServer::run_round` (one epoch) over 3 clients of `samples`
+/// quickstart-task samples each, at the per-cluster shapes of the three
+/// coordination workloads: `sharded_fleet` (≈ 6 KFLOP a round) and
+/// `service_burst` (≈ 0.33 MFLOP) sit under the fan-out's grain and fit
+/// inline, `wan_transfer` (≈ 24 MFLOP) sits over it and forks — kernels on
+/// both sides of the constant in `unifyfl_fl::fanout`.
+fn bench_run_round(c: &mut Criterion) {
+    for (samples, hidden, batch, name) in [
+        (1, vec![16], 8, "fl/run_round_3x1_mlp16x16x4"),
+        (36, vec![24], 16, "fl/run_round_3x36_mlp16x24x4"),
+        (36, vec![256, 128], 16, "fl/run_round_3x36_mlp16x256x128x4"),
+    ] {
+        let mut task = SyntheticConfig::cifar10_like(3 * samples);
+        task.input = InputKind::Flat(16);
+        task.n_classes = 4;
+        let spec = ModelSpec::mlp(16, hidden, 4);
+        let clients = Partition::Iid
+            .split(&task.generate(1), 3, &mut StdRng::seed_from_u64(1))
+            .into_iter()
+            .enumerate()
+            .map(|(i, shard)| {
+                Box::new(InMemoryClient::new(spec.clone(), shard, i as u64)) as Box<dyn FlClient>
+            })
+            .collect();
+        let weights = spec.build(1).flat_params();
+        let mut server = FlServer::new(Box::new(FedAvg::new()), clients, weights);
+        c.bench_function(name, |b| b.iter(|| server.run_round(1, batch, 0.05)));
+    }
+}
+
+/// The parameter count under every virtual-time price (`train_duration`,
+/// `fetch_duration`, the resource bursts): a closed form, not a model build.
+fn bench_cost_params(c: &mut Criterion) {
+    let spec = ModelSpec::small_cnn(10);
+    c.bench_function("zoo/cost_params_small_cnn", |b| {
+        b.iter(|| black_box(&spec).cost_params())
+    });
+}
+
 fn bench_scoring(c: &mut Criterion) {
     let models: Vec<Vec<f32>> = (0..8)
         .map(|i| (0..10_000).map(|j| ((i * j) % 13) as f32 * 0.01).collect())
@@ -296,6 +339,8 @@ criterion_group!(
     bench_storage_fetch,
     bench_tensor,
     bench_conv,
+    bench_run_round,
+    bench_cost_params,
     bench_scoring,
     bench_policy
 );

@@ -134,7 +134,8 @@ pub fn run_arm(n: usize, seed: u64) -> ScaleArm {
         Mode::Sync.to_chain(),
         clusters,
         Some(topology),
-    );
+    )
+    .expect("the scale workload gives every client a sample");
     let outcome = run_sync(
         &mut fed,
         &workload,

@@ -17,8 +17,8 @@
 //! pull/merge/train/eval fans out per round). The Async engine's event
 //! loop is ledger-serialized — each event's candidate set and scorer
 //! assignments depend on the previous event's chain commit — so it gains
-//! only the parallel final merge plus the intra-cluster client-fit threads
-//! it always had; it is exercised for identity in
+//! only the parallel final merge plus the intra-cluster client fan-out
+//! every round has; it is exercised for identity in
 //! `tests/engine_parallel.rs` rather than timed here. The `speed` binary
 //! emits `BENCH_speed.json` (schema in `docs/BENCH.md`).
 //!
@@ -553,6 +553,32 @@ mod tests {
         assert!(pair.sequential.wall_secs > 0.0);
         assert!(pair.parallel.wall_secs > 0.0);
         assert_eq!(pair.clusters, 3);
+    }
+
+    #[test]
+    fn quickstart_pair_straddles_the_fan_out_grain() {
+        // The ≥1.5× bar compares cluster-level fan-out against a reference
+        // that must really be sequential: one cluster's round has to fit
+        // inline under either engine, the three-cluster phase has to fork.
+        // If a grain or sizing change moves either side, the bar would
+        // measure Parallel ≡ Sequential (or nested forks on both arms).
+        use unifyfl_core::service::RunState;
+        use unifyfl_core::step::train_work;
+        use unifyfl_fl::fanout::forks;
+        let config = quickstart_config(42);
+        let state = RunState::new(&config).expect("speed config is valid");
+        let fed = state.federation();
+        let epochs = config.workload.local_epochs;
+        for cluster in &fed.clusters {
+            let clients = cluster.config().n_clients;
+            assert!(!forks(clients, cluster.fit_flops(epochs)), "inline round");
+        }
+        let phase: f64 = fed
+            .clusters
+            .iter()
+            .map(|c| train_work(c, &config.workload, &fed.global_test))
+            .sum();
+        assert!(forks(fed.clusters.len(), phase), "forking phase");
     }
 
     #[test]

@@ -18,6 +18,7 @@ use unifyfl_chain::orchestrator::calls;
 use unifyfl_chain::types::{Address, Transaction};
 use unifyfl_chain::Score;
 use unifyfl_data::Dataset;
+use unifyfl_fl::fanout;
 use unifyfl_fl::strategy::{precision_weighted_mean, weighted_mean};
 use unifyfl_fl::{FlClient, FlServer, InMemoryClient, StrategyKind};
 use unifyfl_sim::{DeviceProfile, SimDuration};
@@ -29,6 +30,7 @@ use unifyfl_tensor::weights_to_bytes;
 use unifyfl_tensor::zoo::ModelSpec;
 
 use crate::byzantine::{AttackKind, DpConfig};
+use crate::experiment::ExperimentError;
 use crate::policy::{AggregationPolicy, ScorePolicy};
 
 /// A mid-run domain drift: at the start of `at_round`, the cluster's task
@@ -242,7 +244,7 @@ impl ClusterNode {
     ///
     /// # Panics
     ///
-    /// Panics if the shard is too small to give each client one sample.
+    /// Panics where [`ClusterNode::try_new`] errors.
     pub fn new(
         config: ClusterConfig,
         spec: ModelSpec,
@@ -251,8 +253,38 @@ impl ClusterNode {
         ipfs: IpfsNode,
         seed: u64,
     ) -> Self {
+        ClusterNode::try_new(config, spec, shard, init_weights, ipfs, seed)
+            .unwrap_or_else(|err| panic!("{err}"))
+    }
+
+    /// [`ClusterNode::new`] for shards whose size is not the caller's to
+    /// promise (a partition drew it).
+    ///
+    /// # Errors
+    ///
+    /// [`ExperimentError::NoClients`] if the cluster is configured without
+    /// clients, [`ExperimentError::ShardTooSmall`] if the shard, less its
+    /// scorer holdout, cannot give each client one sample.
+    pub fn try_new(
+        config: ClusterConfig,
+        spec: ModelSpec,
+        shard: &Dataset,
+        init_weights: Vec<f32>,
+        ipfs: IpfsNode,
+        seed: u64,
+    ) -> Result<Self, ExperimentError> {
+        if config.n_clients == 0 {
+            return Err(ExperimentError::NoClients(config.name));
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let (train, local_test) = shard.split(0.15, &mut rng);
+        if train.len() < config.n_clients {
+            return Err(ExperimentError::ShardTooSmall {
+                cluster: config.name,
+                samples: train.len(),
+                clients: config.n_clients,
+            });
+        }
         let client_shards = unifyfl_data::Partition::Iid.split(&train, config.n_clients, &mut rng);
         let train_samples = train.len();
         let clients: Vec<Box<dyn FlClient>> = client_shards
@@ -275,7 +307,7 @@ impl ClusterNode {
 
         let server = FlServer::new(config.strategy.build(), clients, init_weights);
         let address = Address::from_label(&config.name);
-        ClusterNode {
+        Ok(ClusterNode {
             config,
             address,
             spec,
@@ -292,7 +324,7 @@ impl ClusterNode {
             full_publishes: 0,
             drifted: false,
             records: Vec::new(),
-        }
+        })
     }
 
     /// The cluster's configuration.
@@ -399,6 +431,23 @@ impl ClusterNode {
             * self.local_test.len() as f64
             * self.config.straggle_factor;
         self.config.client_device.compute_time(flops)
+    }
+
+    // ---- real work estimates ------------------------------------------
+
+    /// Estimated real FLOPs of one local round's client fits. Unlike the
+    /// virtual-time model above this counts the *trained* parameters (the
+    /// VGG16 proxy charges 138 M for an MLP of under 100 K): it sizes the
+    /// wall-clock fan-out ([`unifyfl_fl::fanout`]) and never reaches a
+    /// report.
+    pub fn fit_flops(&self, epochs: usize) -> f64 {
+        fanout::train_flops(self.weights().len(), self.train_samples, epochs)
+    }
+
+    /// Estimated real FLOPs of one inference pass of the cluster's model
+    /// over `samples` samples (see [`ClusterNode::fit_flops`]).
+    pub fn eval_flops(&self, samples: usize) -> f64 {
+        fanout::eval_flops(self.weights().len(), samples)
     }
 
     // ---- protocol steps ----------------------------------------------

@@ -132,6 +132,29 @@ pub enum ExperimentError {
     InvalidSharding(&'static str),
     /// A gossip knob is out of range (the name of the offending knob).
     InvalidGossip(&'static str),
+    /// A workload knob is out of range (the name of the offending knob):
+    /// training would panic on the first batch, or data synthesis before it.
+    InvalidWorkload(&'static str),
+    /// A cluster needs at least one client. Carries the cluster's name.
+    NoClients(String),
+    /// The dataset cannot give every cluster a shard: `samples` remain
+    /// after the global test split, for `clusters` clusters.
+    TooFewSamples {
+        /// Samples left to partition.
+        samples: usize,
+        /// Clusters to partition them across.
+        clusters: usize,
+    },
+    /// A cluster's shard cannot give each of its clients a training sample
+    /// (found at assembly: shard sizes depend on the partition's draws).
+    ShardTooSmall {
+        /// The cluster's name.
+        cluster: String,
+        /// Training samples in its shard, after the scorer holdout.
+        samples: usize,
+        /// Clients configured for it.
+        clients: usize,
+    },
 }
 
 impl std::fmt::Display for ExperimentError {
@@ -181,6 +204,28 @@ impl std::fmt::Display for ExperimentError {
             }
             ExperimentError::InvalidGossip(knob) => {
                 write!(f, "gossip knob {knob} is out of range")
+            }
+            ExperimentError::InvalidWorkload(knob) => {
+                write!(f, "workload knob {knob} is out of range")
+            }
+            ExperimentError::NoClients(cluster) => {
+                write!(f, "cluster {cluster:?} needs at least one client")
+            }
+            ExperimentError::TooFewSamples { samples, clusters } => {
+                write!(
+                    f,
+                    "{samples} samples after the global test split cannot be partitioned across {clusters} clusters"
+                )
+            }
+            ExperimentError::ShardTooSmall {
+                cluster,
+                samples,
+                clients,
+            } => {
+                write!(
+                    f,
+                    "shard of cluster {cluster:?} has {samples} training samples for {clients} clients"
+                )
             }
         }
     }
@@ -453,6 +498,46 @@ impl ExperimentConfig {
                 self.clusters.len(),
             ));
         }
+        // Every client fit batches its shard and steps SGD, and data
+        // synthesis deals samples round-robin over the classes: a zero or
+        // non-finite knob here would panic on a worker mid-run (or, for an
+        // infinite learning rate, train NaNs) instead of failing admission.
+        let workload = &self.workload;
+        if workload.batch_size == 0 {
+            return Err(ExperimentError::InvalidWorkload("batch_size (zero)"));
+        }
+        if !workload.learning_rate.is_finite() || workload.learning_rate <= 0.0 {
+            return Err(ExperimentError::InvalidWorkload(
+                "learning_rate (must be finite and > 0)",
+            ));
+        }
+        if workload.dataset.n_classes == 0 {
+            return Err(ExperimentError::InvalidWorkload("dataset.n_classes (zero)"));
+        }
+        if workload.dataset.n_samples == 0 {
+            return Err(ExperimentError::InvalidWorkload("dataset.n_samples (zero)"));
+        }
+        if !(0.0..=1.0).contains(&workload.dataset.label_noise) {
+            return Err(ExperimentError::InvalidWorkload(
+                "dataset.label_noise (outside [0, 1])",
+            ));
+        }
+        // The first batch feeds dataset-shaped tensors and labels to the
+        // model: a different input shape, or a label past the model's
+        // outputs, aborts in the first layer or in the loss.
+        if workload.model.input() != workload.dataset.input {
+            return Err(ExperimentError::InvalidWorkload(
+                "model (input shape differs from the dataset's)",
+            ));
+        }
+        if workload.model.classes() < workload.dataset.n_classes {
+            return Err(ExperimentError::InvalidWorkload(
+                "model (fewer outputs than the dataset has classes)",
+            ));
+        }
+        if let Some(c) = self.clusters.iter().find(|c| c.n_clients == 0) {
+            return Err(ExperimentError::NoClients(c.name.clone()));
+        }
         // Window sizing multiplies by the margin and divides by each
         // straggle factor; a non-finite product would collapse to a zero
         // window and silently make every cluster straggle every round.
@@ -584,7 +669,9 @@ pub fn run_experiment(config: &ExperimentConfig) -> Result<ExperimentReport, Exp
 ///
 /// # Errors
 ///
-/// Returns [`ExperimentError`] if the configuration is invalid.
+/// Returns [`ExperimentError`] if the configuration is invalid, or if the
+/// data it describes cannot be dealt out (see
+/// [`Federation::new_sharded`]).
 pub(crate) fn assemble(config: &ExperimentConfig) -> Result<Federation, ExperimentError> {
     config.validate()?;
     let topology = config
@@ -598,7 +685,7 @@ pub(crate) fn assemble(config: &ExperimentConfig) -> Result<Federation, Experime
         config.mode.to_chain(),
         config.clusters.clone(),
         topology,
-    );
+    )?;
     fed.configure_transfer(config.transfer);
     fed.set_link_model(config.link_model);
     fed.set_fetch_ahead(config.fetch_ahead);
@@ -1029,6 +1116,97 @@ mod tests {
                 "straggle_factor {factor}"
             );
         }
+    }
+
+    #[test]
+    fn validation_rejects_knobs_that_would_panic_mid_run() {
+        // Each of these used to validate and then abort inside a client
+        // fit (`batch_size`, `learning_rate`, a model that does not fit the
+        // data), data synthesis (`dataset.*`) or the client partition
+        // (`n_clients`).
+        type Edit = fn(&mut ExperimentConfig);
+        let workload = ExperimentError::InvalidWorkload;
+        let cases: Vec<(Edit, ExperimentError)> = vec![
+            (|c| c.workload.batch_size = 0, workload("batch_size (zero)")),
+            (
+                |c| c.workload.dataset.n_classes = 0,
+                workload("dataset.n_classes (zero)"),
+            ),
+            (
+                |c| c.workload.dataset.n_samples = 0,
+                workload("dataset.n_samples (zero)"),
+            ),
+            (
+                |c| c.workload.dataset.label_noise = 1.5,
+                workload("dataset.label_noise (outside [0, 1])"),
+            ),
+            (
+                |c| c.workload.dataset.label_noise = f64::NAN,
+                workload("dataset.label_noise (outside [0, 1])"),
+            ),
+            (
+                |c| c.workload.dataset.n_classes = 5,
+                workload("model (fewer outputs than the dataset has classes)"),
+            ),
+            (
+                |c| c.workload.dataset.input = unifyfl_tensor::zoo::InputKind::Flat(8),
+                workload("model (input shape differs from the dataset's)"),
+            ),
+            (
+                |c| c.clusters[2].n_clients = 0,
+                ExperimentError::NoClients("agg-3".into()),
+            ),
+        ];
+        for (edit, expected) in cases {
+            let mut builder = ExperimentBuilder::quickstart();
+            edit(&mut builder.config);
+            assert_eq!(builder.run().unwrap_err(), expected);
+        }
+        // `+∞` passes `Sgd`'s own `lr > 0` assert and trains NaNs.
+        for lr in [0.0, -0.05, f32::NAN, f32::INFINITY] {
+            let mut builder = ExperimentBuilder::quickstart();
+            builder.config.workload.learning_rate = lr;
+            assert_eq!(
+                builder.run().unwrap_err(),
+                workload("learning_rate (must be finite and > 0)"),
+                "learning_rate {lr}"
+            );
+        }
+    }
+
+    #[test]
+    fn undersized_data_is_a_typed_assembly_error() {
+        // Shard sizes are the partition's draw, so these surface from
+        // assembly (`RunState::new`), not from `validate()` — as errors,
+        // where the partition used to assert.
+        let mut starved = ExperimentBuilder::quickstart();
+        starved.config.workload.dataset.n_samples = 10;
+        assert!(starved.config.validate().is_ok());
+        assert_eq!(
+            starved.run().unwrap_err(),
+            // 8 pooled samples deal 3 / 3 / 2; the last shard cannot
+            // cover its three clients.
+            ExperimentError::ShardTooSmall {
+                cluster: "agg-3".into(),
+                samples: 2,
+                clients: 3,
+            }
+        );
+        let mut crowded = ExperimentBuilder::quickstart();
+        crowded.config.clusters[0].n_clients = 1_000;
+        assert!(matches!(
+            crowded.run().unwrap_err(),
+            ExperimentError::ShardTooSmall { cluster, clients: 1_000, .. } if cluster == "agg-1"
+        ));
+        let mut empty = ExperimentBuilder::quickstart();
+        empty.config.workload.dataset.n_samples = 2;
+        assert_eq!(
+            empty.run().unwrap_err(),
+            ExperimentError::TooFewSamples {
+                samples: 2,
+                clusters: 3,
+            }
+        );
     }
 
     #[test]

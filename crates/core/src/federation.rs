@@ -21,6 +21,7 @@ use unifyfl_tensor::zoo::ModelSpec;
 use unifyfl_tensor::{weights_from_bytes, weights_to_bytes};
 
 use crate::cluster::{ClusterConfig, ClusterNode};
+use crate::experiment::ExperimentError;
 use crate::policy::ScoredCandidate;
 use crate::sharding::{ShardTopology, TopologyEpoch};
 
@@ -184,6 +185,7 @@ impl Federation {
         cluster_configs: Vec<ClusterConfig>,
     ) -> Federation {
         Federation::new_sharded(seed, workload, partition, mode, cluster_configs, None)
+            .unwrap_or_else(|err| panic!("{err}"))
     }
 
     /// [`Federation::new`] with an optional two-tier shard topology: the
@@ -191,6 +193,21 @@ impl Federation {
     /// shard map (empty when single-shard — behaviorally flat) and scorer
     /// cap, and the engines read the topology back to drive the
     /// intra-shard round structure and inter-shard exchange events.
+    ///
+    /// # Errors
+    ///
+    /// The data-dependent half of experiment validation — what
+    /// [`ExperimentConfig::validate`](crate::experiment::ExperimentConfig::validate)
+    /// cannot know before the partition has drawn:
+    /// [`ExperimentError::TooFewSamples`] if the dataset cannot give every
+    /// cluster a shard, [`ExperimentError::ShardTooSmall`] if a shard cannot
+    /// give every client of its cluster a training sample. Neither check
+    /// draws from an RNG, so a federation that assembles is bit-for-bit the
+    /// one it always was.
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than two clusters are configured.
     pub fn new_sharded(
         seed: u64,
         workload: &WorkloadConfig,
@@ -198,7 +215,7 @@ impl Federation {
         mode: OrchestrationMode,
         cluster_configs: Vec<ClusterConfig>,
         sharding: Option<ShardTopology>,
-    ) -> Federation {
+    ) -> Result<Federation, ExperimentError> {
         assert!(
             cluster_configs.len() >= 2,
             "cross-silo FL needs at least two clusters"
@@ -209,6 +226,12 @@ impl Federation {
         // Data pipeline: global test split, then per-cluster shards.
         let full = workload.dataset.generate(seed);
         let (pool, global_test) = full.split(0.15, &mut rng);
+        if pool.len() < cluster_configs.len() {
+            return Err(ExperimentError::TooFewSamples {
+                samples: pool.len(),
+                clusters: cluster_configs.len(),
+            });
+        }
         let shards = partition.split(&pool, cluster_configs.len(), &mut rng);
 
         // Shared fabric, with the default (fully enabled) transfer layer;
@@ -256,14 +279,14 @@ impl Federation {
                 latency: config.client_device.net_latency(),
             });
             let node = ipfs.add_node(link);
-            clusters.push(ClusterNode::new(
+            clusters.push(ClusterNode::try_new(
                 config,
                 spec.clone(),
                 &shard,
                 init_weights.clone(),
                 node,
                 seed.wrapping_add(1000 + i as u64),
-            ));
+            )?);
         }
 
         let mut fed = Federation {
@@ -306,7 +329,7 @@ impl Federation {
         let t = fed.chain.next_seal_time();
         fed.chain.seal_next(t).expect("registration block seals");
         fed.setup_done = t;
-        fed
+        Ok(fed)
     }
 
     /// Replaces the storage fabric's fetch-side transfer configuration

@@ -137,10 +137,16 @@ fn final_merge(
         .collect();
     let results = {
         let (clusters, global_test) = fed.compute_view();
-        compute_all(clusters, inputs, engine, |cluster, inputs| {
-            let _phase = crate::profile::enter(crate::profile::Phase::Train);
-            merge_eval(cluster, inputs, global_test)
-        })
+        compute_all(
+            clusters,
+            inputs,
+            engine,
+            |cluster, _| cluster.eval_flops(global_test.len()),
+            |cluster, inputs| {
+                let _phase = crate::profile::enter(crate::profile::Phase::Train);
+                merge_eval(cluster, inputs, global_test)
+            },
+        )
     };
     results
         .into_iter()

@@ -18,7 +18,8 @@ use crate::scoring::{krum_assumed_byzantine, multikrum_scores, ScorerKind};
 use crate::sharding::ShardTopology;
 use crate::step::{
     commit_train_effects, compute_all, compute_scores, compute_train, prepare_scoring,
-    prepare_train, Engine, ScoreTask, ScoredModel, TrainInputs, TrainResult,
+    prepare_train, scoring_work, train_work, Engine, ScoreTask, ScoredModel, TrainInputs,
+    TrainResult,
 };
 
 /// What the training phase decided for one cluster, before any state is
@@ -192,9 +193,13 @@ impl SyncPolicy {
         let workload = &self.workload;
         let results = {
             let (clusters, global_test) = fed.compute_view();
-            compute_all(clusters, inputs, self.engine, |cluster, inputs| {
-                compute_train(cluster, inputs, workload, global_test)
-            })
+            compute_all(
+                clusters,
+                inputs,
+                self.engine,
+                |cluster, _| train_work(cluster, workload, global_test),
+                |cluster, inputs| compute_train(cluster, inputs, workload, global_test),
+            )
         };
         self.pending_actions = actions;
         self.pending_results = results;
@@ -388,9 +393,13 @@ impl SyncPolicy {
             .collect();
         let scored_lists = {
             let (clusters, _) = fed.compute_view();
-            compute_all(clusters, task_lists, self.engine, |cluster, tasks| {
-                compute_scores(cluster, tasks)
-            })
+            compute_all(
+                clusters,
+                task_lists,
+                self.engine,
+                |cluster, tasks| scoring_work(cluster, tasks),
+                |cluster, tasks| compute_scores(cluster, tasks),
+            )
         };
         self.pending_scores = scored_lists;
 

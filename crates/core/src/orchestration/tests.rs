@@ -383,7 +383,8 @@ fn build_sharded(
         mode.to_chain(),
         configs(n),
         Some(topology),
-    );
+    )
+    .expect("the tiny workload partitions");
     (fed, w)
 }
 

@@ -16,10 +16,10 @@
 //!   respect to everything except the cluster's own state: merging peers,
 //!   local training, evaluation and peer-model scoring touch only one
 //!   [`ClusterNode`] plus immutable shared references (workload, global
-//!   test set). The parallel engine therefore fans it out across scoped
-//!   worker threads — capped at the host's core count, inline on 1-core
-//!   hosts and under [`Engine::Sequential`] ([`compute_all`]) — with no
-//!   effect on results.
+//!   test set). The parallel engine therefore hands it to the one
+//!   fan-out ([`compute_all`]) — inline when the phase is too small to pay
+//!   for a fork, on 1-core hosts and under [`Engine::Sequential`]; on
+//!   bounded lanes otherwise — with no effect on results.
 //! - **Commit** (back in the engine) replays every federation mutation —
 //!   chain transactions, storage publishes, fault logging, resource bursts
 //!   and idle/straggler accounting — sequentially in cluster-index order,
@@ -32,6 +32,7 @@
 //! `tests/engine_parallel.rs` and continuously by the `speed` benchmark).
 
 use unifyfl_data::{Dataset, WorkloadConfig};
+use unifyfl_fl::fanout::fan_out;
 use unifyfl_storage::Cid;
 
 use crate::cluster::ClusterNode;
@@ -48,9 +49,9 @@ pub enum Engine {
     /// The reference engine: one cluster at a time, exactly the paper
     /// reproduction's original control flow.
     Sequential,
-    /// The two-phase engine: per-round compute fans out across scoped
-    /// worker threads (capped at the host's core count), commits stay
-    /// sequential.
+    /// The two-phase engine: per-round compute goes through the one
+    /// fan-out (inline below its work grain, bounded lanes above), commits
+    /// stay sequential.
     #[default]
     Parallel,
 }
@@ -178,10 +179,16 @@ pub fn merge_eval(
     (merged, eval.accuracy, eval.loss)
 }
 
+/// Estimated real FLOPs of [`compute_train`], for [`compute_all`]: the
+/// local round's fits plus the global-test evaluations on either side.
+pub fn train_work(cluster: &ClusterNode, workload: &WorkloadConfig, global_test: &Dataset) -> f64 {
+    cluster.fit_flops(workload.local_epochs) + 2.0 * cluster.eval_flops(global_test.len())
+}
+
 /// One cluster's full training-round compute: merge, evaluate the global
 /// model, train locally, evaluate the local model. Touches only the
 /// cluster's own state plus immutable shared references, so the parallel
-/// engine runs it on a per-cluster thread.
+/// engine may run it on a lane of its own.
 pub fn compute_train(
     cluster: &mut ClusterNode,
     inputs: TrainInputs,
@@ -323,6 +330,16 @@ pub fn prepare_scoring(
     tasks
 }
 
+/// Estimated real FLOPs of [`compute_scores`], for [`compute_all`]: one
+/// inference pass over the holdout shard per fetched model.
+pub fn scoring_work(cluster: &ClusterNode, tasks: &[ScoreTask]) -> f64 {
+    let passes = tasks
+        .iter()
+        .filter(|t| matches!(t.input, ScoreInput::Weights(_)))
+        .count();
+    passes as f64 * cluster.eval_flops(cluster.local_test().len())
+}
+
 /// Scores the prepared tasks: the compute half of a scoring duty
 /// (inference over the cluster's holdout shard). Cluster-local and
 /// read-only, so the parallel engine fans it out per cluster.
@@ -350,22 +367,21 @@ pub fn compute_scores(cluster: &ClusterNode, tasks: Vec<ScoreTask>) -> Vec<Score
 /// index order, and — compute being cluster-local — are identical under
 /// either engine, as is every downstream report byte.
 ///
-/// [`Engine::Parallel`] fans out across scoped worker threads, capped at
-/// the host's available parallelism: clusters are split into contiguous,
-/// index-aligned chunks, one scoped thread per chunk, so a 60-cluster
-/// round on a 4-core host spawns 4 threads — not 60. Under
-/// [`Engine::Sequential`] (the reference), or with a single effective lane
-/// (a 1-core host, or ≤ 1 active cluster), the whole phase runs inline on
-/// the caller's thread in cluster-index order: spawning there buys no
-/// wall-clock and the interleaved per-thread profile spans would inflate
-/// `train_secs` far past the real elapsed time.
+/// [`Engine::Parallel`] hands the active slots to the workspace's one
+/// fan-out ([`unifyfl_fl::fanout`]): `flops` estimates one slot's work, and
+/// a phase whose slots sum below the fan-out's grain — or on a 1-core host,
+/// or with ≤ 1 active cluster — runs inline on the caller's thread in
+/// cluster-index order; above it the slots are split into contiguous
+/// chunks over bounded lanes, the caller taking the first. Under
+/// [`Engine::Sequential`] (the reference) the phase always runs inline.
 ///
 /// A panicking compute (e.g. a client fit) is re-raised with its original
-/// payload after every sibling thread has been joined.
+/// payload after every lane has finished.
 pub fn compute_all<I, R, F>(
     clusters: &mut [ClusterNode],
     inputs: Vec<Option<I>>,
     engine: Engine,
+    flops: impl Fn(&ClusterNode, &I) -> f64,
     f: F,
 ) -> Vec<Option<R>>
 where
@@ -374,52 +390,35 @@ where
     F: Fn(&mut ClusterNode, I) -> R + Sync,
 {
     debug_assert_eq!(clusters.len(), inputs.len(), "inputs are index-aligned");
-    let total = clusters.len();
-    let active = inputs.iter().filter(|i| i.is_some()).count();
-    let hardware = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let lanes = hardware.min(active);
-    if engine == Engine::Sequential || lanes <= 1 {
+    if engine == Engine::Sequential {
         return clusters
             .iter_mut()
             .zip(inputs)
             .map(|(cluster, input)| input.map(|i| f(cluster, i)))
             .collect();
     }
-    let mut work: Vec<(&mut ClusterNode, Option<I>)> = clusters.iter_mut().zip(inputs).collect();
-    let chunk_size = total.div_ceil(lanes);
-    std::thread::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = work
-            .chunks_mut(chunk_size)
-            .map(|chunk| {
-                let len = chunk.len();
-                let handle = scope.spawn(move || {
-                    chunk
-                        .iter_mut()
-                        .map(|(cluster, input)| input.take().map(|i| f(cluster, i)))
-                        .collect::<Vec<_>>()
-                });
-                (len, handle)
-            })
-            .collect();
-        let mut results = Vec::with_capacity(total);
-        let mut first_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for (len, handle) in handles {
-            match handle.join() {
-                Ok(mut chunk_results) => results.append(&mut chunk_results),
-                Err(payload) => {
-                    if first_panic.is_none() {
-                        first_panic = Some(payload);
-                    }
-                    results.extend((0..len).map(|_| None));
-                }
-            }
-        }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-        results
+    let total: f64 = clusters
+        .iter()
+        .zip(&inputs)
+        .filter_map(|(cluster, input)| Some(flops(cluster, input.as_ref()?)))
+        .sum();
+    let mut results: Vec<Option<R>> = inputs.iter().map(|_| None).collect();
+    // Only the active slots are fanned out, so the lanes are balanced over
+    // real work; each keeps its cluster index to land its result.
+    let mut active: Vec<(usize, &mut ClusterNode, Option<I>)> = clusters
+        .iter_mut()
+        .zip(inputs)
+        .enumerate()
+        .filter_map(|(idx, (cluster, input))| Some((idx, cluster, Some(input?))))
+        .collect();
+    let computed = fan_out(&mut active, total, |(idx, cluster, input)| {
+        (*idx, f(cluster, input.take().expect("each slot runs once")))
     })
+    .unwrap_or_else(|(_, payload)| std::panic::resume_unwind(payload));
+    for (idx, result) in computed {
+        results[idx] = Some(result);
+    }
+    results
 }
 
 #[cfg(test)]
@@ -467,15 +466,48 @@ mod tests {
             .collect()
     }
 
+    /// A work estimate far above the fan-out's grain: the phase forks
+    /// wherever the host has a second core.
+    fn heavy(_: &ClusterNode, _: &u32) -> f64 {
+        1.0e12
+    }
+
+    #[test]
+    fn compute_all_forks_only_above_the_grain() {
+        let caller = std::thread::current().id();
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let mut clusters = test_clusters(6);
+        let threads = |clusters: &mut [ClusterNode], flops: fn(&ClusterNode, &u32) -> f64| {
+            let inputs: Vec<Option<u32>> = (0..6).map(Some).collect();
+            compute_all(clusters, inputs, Engine::Parallel, flops, |_cluster, _| {
+                std::thread::current().id()
+            })
+            .into_iter()
+            .flatten()
+            .collect::<std::collections::HashSet<_>>()
+        };
+        // A few KFLOP per slot: the whole phase stays on the caller.
+        let light = threads(&mut clusters, |cluster, _| cluster.eval_flops(1));
+        assert_eq!(light, std::collections::HashSet::from([caller]));
+        let forked = threads(&mut clusters, heavy);
+        assert!(forked.contains(&caller), "the caller takes the first chunk");
+        assert_eq!(forked.len() > 1, cores > 1, "{cores} cores");
+        assert!(forked.len() <= 2 * cores);
+    }
+
     #[test]
     fn compute_all_skips_none_slots_and_orders_results() {
         let mut clusters = test_clusters(3);
         // Index-aligned inputs with a skipped middle slot; results come
         // back in index order with the None preserved.
         let inputs = vec![Some(10u32), None, Some(30u32)];
-        let results = compute_all(&mut clusters, inputs, Engine::Parallel, |cluster, v| {
-            (cluster.config().name.clone(), v + 1)
-        });
+        let results = compute_all(
+            &mut clusters,
+            inputs,
+            Engine::Parallel,
+            heavy,
+            |cluster, v| (cluster.config().name.clone(), v + 1),
+        );
         assert_eq!(results.len(), 3);
         assert_eq!(results[0], Some(("c0".to_owned(), 11)));
         assert_eq!(results[1], None);
@@ -488,9 +520,13 @@ mod tests {
         // back in index order regardless of how the cap splits them.
         let mut clusters = test_clusters(7);
         let inputs: Vec<Option<u32>> = (0..7).map(|i| (i % 2 == 0).then_some(i)).collect();
-        let results = compute_all(&mut clusters, inputs, Engine::Parallel, |_cluster, v| {
-            v * 10
-        });
+        let results = compute_all(
+            &mut clusters,
+            inputs,
+            Engine::Parallel,
+            heavy,
+            |_cluster, v| v * 10,
+        );
         let expected: Vec<Option<u32>> = (0..7).map(|i| (i % 2 == 0).then_some(i * 10)).collect();
         assert_eq!(results, expected);
     }
@@ -501,7 +537,13 @@ mod tests {
         // observable contract is unchanged.
         let mut clusters = test_clusters(3);
         let inputs = vec![None, Some(7u32), None];
-        let results = compute_all(&mut clusters, inputs, Engine::Parallel, |_cluster, v| v + 1);
+        let results = compute_all(
+            &mut clusters,
+            inputs,
+            Engine::Parallel,
+            heavy,
+            |_cluster, v| v + 1,
+        );
         assert_eq!(results, vec![None, Some(8), None]);
     }
 
@@ -513,11 +555,17 @@ mod tests {
         let caller = std::thread::current().id();
         let order = std::sync::Mutex::new(Vec::new());
         let inputs: Vec<Option<u32>> = (0..4).map(Some).collect();
-        let results = compute_all(&mut clusters, inputs, Engine::Sequential, |_cluster, v| {
-            assert_eq!(std::thread::current().id(), caller);
-            order.lock().unwrap().push(v);
-            v + 1
-        });
+        let results = compute_all(
+            &mut clusters,
+            inputs,
+            Engine::Sequential,
+            heavy,
+            |_cluster, v| {
+                assert_eq!(std::thread::current().id(), caller);
+                order.lock().unwrap().push(v);
+                v + 1
+            },
+        );
         assert_eq!(results, vec![Some(1), Some(2), Some(3), Some(4)]);
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
         assert_eq!(Engine::Sequential.to_string(), "Sequential");
@@ -530,12 +578,18 @@ mod tests {
         let mut clusters = test_clusters(4);
         let inputs = vec![Some(0u32), Some(1u32), Some(2u32), Some(3u32)];
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            compute_all(&mut clusters, inputs, Engine::Parallel, |_cluster, v| {
-                if v == 1 {
-                    panic!("compute failed for cluster 1");
-                }
-                v
-            })
+            compute_all(
+                &mut clusters,
+                inputs,
+                Engine::Parallel,
+                heavy,
+                |_cluster, v| {
+                    if v == 1 {
+                        panic!("compute failed for cluster 1");
+                    }
+                    v
+                },
+            )
         }));
         let payload = caught.expect_err("the worker panic must re-raise");
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();

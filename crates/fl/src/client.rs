@@ -184,7 +184,7 @@ pub fn evaluate_model(model: &mut Sequential, data: &Dataset) -> EvalResult {
 ///
 /// Panics if `weights` does not match the spec's parameter count.
 pub fn evaluate_weights(spec: &ModelSpec, weights: &[f32], data: &Dataset) -> EvalResult {
-    let mut model = spec.build(0);
+    let mut model = spec.build_zeroed();
     model.set_flat_params(weights);
     evaluate_model(&mut model, data)
 }
@@ -280,6 +280,24 @@ mod tests {
         let via_client = client.evaluate(&w);
         assert!((via_helper.accuracy - via_client.accuracy).abs() < 1e-9);
         assert!((via_helper.loss - via_client.loss).abs() < 1e-6);
+    }
+
+    #[test]
+    fn evaluate_weights_is_bitwise_the_seeded_build_with_weights_loaded() {
+        // The zeroed shell must be indistinguishable from drawing an
+        // initialization and overwriting all of it — on both architectures.
+        let (mlp, flat) = easy_shard(5);
+        let images = SyntheticConfig::cifar10_like(60).generate(5);
+        for (spec, data) in [(mlp, flat), (ModelSpec::small_cnn(10), images)] {
+            let w = spec.build(9).flat_params();
+            let mut reference = spec.build(0);
+            reference.set_flat_params(&w);
+            let expected = evaluate_model(&mut reference, &data);
+            let got = evaluate_weights(&spec, &w, &data);
+            assert_eq!(got.loss.to_bits(), expected.loss.to_bits());
+            assert_eq!(got.accuracy.to_bits(), expected.accuracy.to_bits());
+            assert_eq!(got.num_examples, expected.num_examples);
+        }
     }
 
     #[test]

@@ -9,14 +9,17 @@
 //! - [`strategy`] — [`strategy::FedAvg`] and [`strategy::FedYogi`]
 //!   aggregation strategies behind a common trait;
 //! - [`server`] — the [`server::FlServer`] round loop
-//!   (configure → fit → aggregate), with clients fitted on parallel
-//!   threads.
+//!   (configure → fit → aggregate);
+//! - [`fanout`] — the one index-ordered fork-join the round loop fits its
+//!   clients through (and `unifyfl-core` its clusters), inline below a
+//!   work grain and on bounded lanes above it.
 //!
 //! UnifyFL's cross-silo layer (`unifyfl-core`) composes these servers with
 //! the blockchain orchestrator and IPFS storage; the clients here are
 //! untouched by that composition, matching §3.4.5 of the paper.
 
 pub mod client;
+pub mod fanout;
 pub mod server;
 pub mod strategy;
 

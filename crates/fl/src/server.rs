@@ -7,6 +7,7 @@
 //! "clients remain unaffected" property (§3.4.5).
 
 use crate::client::{EvalResult, FitConfig, FlClient};
+use crate::fanout::{fan_out, train_flops, Payload};
 use crate::strategy::Strategy;
 
 /// Report of one completed intra-cluster round.
@@ -22,14 +23,11 @@ pub struct RoundReport {
     pub client_examples: Vec<usize>,
 }
 
-/// Prefixes a joined worker's panic payload with the client index when the
+/// Prefixes a client fit's panic payload with the client index when the
 /// payload is a plain message (`String` or `&str` — what `panic!` and
 /// assertion macros produce); any other payload type is passed through
 /// untouched so typed panics stay downcastable for the original caller.
-fn contextualize_panic(
-    client: usize,
-    payload: Box<dyn std::any::Any + Send>,
-) -> Box<dyn std::any::Any + Send> {
+fn contextualize_panic(client: usize, payload: Payload) -> Payload {
     let payload = match payload.downcast::<String>() {
         Ok(msg) => return Box::new(format!("client {client} fit panicked: {msg}")),
         Err(payload) => payload,
@@ -112,8 +110,8 @@ impl FlServer {
         }
     }
 
-    /// Runs one FL round: every client fits from the current weights in
-    /// parallel, the strategy aggregates, and the server adopts the result.
+    /// Runs one FL round: every client fits from the current weights, the
+    /// strategy aggregates, and the server adopts the result.
     pub fn run_round(
         &mut self,
         epochs: usize,
@@ -128,36 +126,19 @@ impl FlServer {
             round: self.round,
         };
         let weights = &self.weights;
-        // Clients are independent: fit them on scoped threads (this is
-        // wall-clock parallelism; *virtual* time is charged separately by
-        // the simulation layer). Every handle is joined before any panic is
-        // re-raised, so one failing client never leaves siblings unjoined,
-        // and the original payload is resumed (with the client index
-        // attached when it is a plain message) rather than being replaced
-        // by a generic `expect` string.
-        let results: Vec<crate::client::FitResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .clients
-                .iter_mut()
-                .map(|client| scope.spawn(|| client.fit(weights, &config)))
-                .collect();
-            let mut results = Vec::with_capacity(handles.len());
-            let mut first_panic: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-            for (i, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(r) => results.push(r),
-                    Err(payload) => {
-                        if first_panic.is_none() {
-                            first_panic = Some((i, payload));
-                        }
-                    }
-                }
-            }
-            if let Some((i, payload)) = first_panic {
-                std::panic::resume_unwind(contextualize_panic(i, payload));
-            }
-            results
-        });
+        // Clients are independent, so their fits go through the one
+        // fan-out: inline when the round is too small to pay for a fork,
+        // on bounded lanes otherwise (wall-clock parallelism only —
+        // *virtual* time is charged separately by the simulation layer).
+        // A panicking fit is resumed with its original payload, the client
+        // index attached when it is a plain message, once every lane has
+        // finished.
+        let samples: usize = self.clients.iter().map(|c| c.num_examples()).sum();
+        let flops = train_flops(weights.len(), samples, epochs.max(1));
+        let results = fan_out(&mut self.clients, flops, |client| {
+            client.fit(weights, &config)
+        })
+        .unwrap_or_else(|(i, payload)| std::panic::resume_unwind(contextualize_panic(i, payload)));
 
         let client_examples: Vec<usize> = results.iter().map(|r| r.num_examples).collect();
         let total_examples: usize = client_examples.iter().sum();
@@ -350,6 +331,110 @@ mod tests {
             msg.contains("client 1") && msg.contains("non-finite loss on shard"),
             "payload must carry index and original message: {msg}"
         );
+    }
+
+    /// Threads that ran a fit, in completion order.
+    type ThreadLog = std::sync::Arc<std::sync::Mutex<Vec<std::thread::ThreadId>>>;
+
+    /// A client that only records which thread fitted it, claiming
+    /// `examples` local samples (which is all the work estimate reads).
+    struct Probe {
+        examples: usize,
+        panics: bool,
+        fitted_on: ThreadLog,
+    }
+
+    impl FlClient for Probe {
+        fn fit(&mut self, w: &[f32], _c: &FitConfig) -> crate::client::FitResult {
+            self.fitted_on
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            if self.panics {
+                panic!("probe down");
+            }
+            crate::client::FitResult {
+                weights: w.to_vec(),
+                num_examples: self.examples,
+                train_loss: 0.0,
+            }
+        }
+        fn evaluate(&mut self, _w: &[f32]) -> crate::client::EvalResult {
+            unreachable!()
+        }
+        fn num_examples(&self) -> usize {
+            self.examples
+        }
+    }
+
+    /// A 64-client server of probes over 10 parameters — client `i`
+    /// claiming `examples + i` samples — and the log of fitting threads.
+    /// `panicking` clients panic in `fit`.
+    fn probe_server(examples: usize, panicking: &[usize]) -> (FlServer, ThreadLog) {
+        let fitted_on = ThreadLog::default();
+        let clients = (0..64)
+            .map(|i| {
+                Box::new(Probe {
+                    examples: examples + i,
+                    panics: panicking.contains(&i),
+                    fitted_on: fitted_on.clone(),
+                }) as Box<dyn FlClient>
+            })
+            .collect();
+        let server = FlServer::new(Box::new(FedAvg::new()), clients, vec![0.0; 10]);
+        (server, fitted_on)
+    }
+
+    #[test]
+    fn a_round_under_the_grain_fits_every_client_on_the_caller() {
+        // 2,016 samples × 60 FLOP ≈ 0.12 MFLOP: an order under the grain.
+        let (mut server, fitted_on) = probe_server(0, &[]);
+        server.run_round(1, 16, 0.05);
+        let caller = std::thread::current().id();
+        let fitted_on = fitted_on.lock().unwrap();
+        assert_eq!(fitted_on.len(), 64);
+        assert!(fitted_on.iter().all(|id| *id == caller));
+    }
+
+    #[test]
+    fn a_round_over_the_grain_forks_within_the_lane_cap() {
+        // 64 clients × 10,000 samples × 60 FLOP ≈ 38 MFLOP claimed.
+        let (mut server, fitted_on) = probe_server(10_000, &[]);
+        let report = server.run_round(1, 16, 0.05);
+        let in_order: Vec<usize> = (10_000..10_064).collect();
+        assert_eq!(report.client_examples, in_order, "index order");
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let threads: std::collections::HashSet<_> =
+            fitted_on.lock().unwrap().iter().copied().collect();
+        assert!(
+            threads.contains(&std::thread::current().id()),
+            "caller runs"
+        );
+        if cores == 1 {
+            assert_eq!(threads.len(), 1, "a 1-core host runs inline");
+        } else {
+            assert!(threads.len() > 1, "{cores} cores must fork");
+            assert!(threads.len() <= 2 * cores, "two lanes per core at most");
+        }
+    }
+
+    #[test]
+    fn the_lowest_panicking_client_is_named_inline_and_forked() {
+        // Under the grain and over it, in the caller's own chunk (client 0)
+        // and in a later one (client 40, first panic of two).
+        for examples in [0, 10_000] {
+            for (panicking, first) in [(&[0, 50][..], 0), (&[40, 63][..], 40)] {
+                let (mut server, _) = probe_server(examples, panicking);
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    server.run_round(1, 16, 0.05);
+                }))
+                .expect_err("the client panic must propagate");
+                assert_eq!(
+                    err.downcast_ref::<String>().map(String::as_str),
+                    Some(format!("client {first} fit panicked: probe down").as_str()),
+                );
+            }
+        }
     }
 
     #[test]

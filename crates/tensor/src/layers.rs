@@ -64,9 +64,11 @@ pub trait Layer: Send {
     }
 }
 
-/// Samples from a uniform(-limit, limit) He/Glorot-style initialization.
-fn init_uniform(rng: &mut StdRng, n: usize, limit: f32) -> Vec<f32> {
-    (0..n).map(|_| rng.gen_range(-limit..limit)).collect()
+/// Fills `w` from a uniform(-limit, limit) He/Glorot-style initialization.
+fn init_uniform(rng: &mut StdRng, w: &mut [f32], limit: f32) {
+    for v in w {
+        *v = rng.gen_range(-limit..limit);
+    }
 }
 
 /// Refreshes a layer's training-mode input cache, reusing its buffers
@@ -104,11 +106,16 @@ impl Dense {
     /// Creates a dense layer with Glorot-uniform initialization.
     pub fn new(in_dim: usize, out_dim: usize, rng: &mut StdRng) -> Self {
         let limit = (6.0 / (in_dim + out_dim) as f32).sqrt();
+        let mut layer = Dense::zeroed(in_dim, out_dim);
+        init_uniform(rng, layer.w.data_mut(), limit);
+        layer
+    }
+
+    /// Creates a dense layer with every parameter zero and no random draw,
+    /// for weights that are loaded before they are read.
+    pub fn zeroed(in_dim: usize, out_dim: usize) -> Self {
         Dense {
-            w: Tensor::from_vec(
-                vec![in_dim, out_dim],
-                init_uniform(rng, in_dim * out_dim, limit),
-            ),
+            w: Tensor::zeros(vec![in_dim, out_dim]),
             b: vec![0.0; out_dim],
             grad_w: Tensor::zeros(vec![in_dim, out_dim]),
             grad_b: vec![0.0; out_dim],
@@ -419,15 +426,26 @@ impl Conv2d {
     ///
     /// Panics if `in_c` or `k` is zero.
     pub fn new(in_c: usize, out_c: usize, k: usize, pad: usize, rng: &mut StdRng) -> Self {
+        let mut layer = Conv2d::zeroed(in_c, out_c, k, pad);
+        let fan_in = (in_c * k * k) as f32;
+        let limit = (6.0 / fan_in).sqrt();
+        init_uniform(rng, layer.w.data_mut(), limit);
+        layer
+    }
+
+    /// Creates a `k×k` convolution with every parameter zero and no random
+    /// draw, for weights that are loaded before they are read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `in_c` or `k` is zero.
+    pub fn zeroed(in_c: usize, out_c: usize, k: usize, pad: usize) -> Self {
         assert!(
             in_c > 0 && k > 0,
             "conv needs an input channel and a kernel"
         );
-        let fan_in = (in_c * k * k) as f32;
-        let limit = (6.0 / fan_in).sqrt();
-        let n = out_c * in_c * k * k;
         Conv2d {
-            w: Tensor::from_vec(vec![out_c, in_c, k, k], init_uniform(rng, n, limit)),
+            w: Tensor::zeros(vec![out_c, in_c, k, k]),
             b: vec![0.0; out_c],
             grad_w: Tensor::zeros(vec![out_c, in_c, k, k]),
             grad_b: vec![0.0; out_c],

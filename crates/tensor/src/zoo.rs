@@ -149,7 +149,27 @@ impl ModelSpec {
 
     /// Builds the network with deterministic initialization from `seed`.
     pub fn build(&self, seed: u64) -> Sequential {
-        let mut rng = StdRng::seed_from_u64(seed);
+        self.assemble(Some(StdRng::seed_from_u64(seed)))
+    }
+
+    /// Builds the network with every parameter zero and no random draw:
+    /// the shell for weights that are about to be loaded with
+    /// [`Sequential::set_flat_params`] (evaluation, scoring), where an
+    /// initialization would be overwritten before it is read.
+    pub fn build_zeroed(&self) -> Sequential {
+        self.assemble(None)
+    }
+
+    /// The one architecture walk behind [`ModelSpec::build`] (weights
+    /// drawn from `rng`, layer by layer in stack order) and
+    /// [`ModelSpec::build_zeroed`] (`None`).
+    fn assemble(&self, mut rng: Option<StdRng>) -> Sequential {
+        fn dense(in_dim: usize, out_dim: usize, rng: &mut Option<StdRng>) -> Dense {
+            match rng {
+                Some(rng) => Dense::new(in_dim, out_dim, rng),
+                None => Dense::zeroed(in_dim, out_dim),
+            }
+        }
         match &self.arch {
             Architecture::Mlp {
                 input_dim,
@@ -159,10 +179,10 @@ impl ModelSpec {
                 let mut m = Sequential::new();
                 let mut prev = *input_dim;
                 for &h in hidden {
-                    m = m.push(Dense::new(prev, h, &mut rng)).push(Relu::new());
+                    m = m.push(dense(prev, h, &mut rng)).push(Relu::new());
                     prev = h;
                 }
-                m.push(Dense::new(prev, *classes, &mut rng))
+                m.push(dense(prev, *classes, &mut rng))
             }
             Architecture::SmallCnn {
                 in_c,
@@ -172,18 +192,50 @@ impl ModelSpec {
                 hidden,
                 classes,
             } => Sequential::new()
-                .push(Conv2d::new(*in_c, *conv_channels, 3, 1, &mut rng))
+                .push(match &mut rng {
+                    Some(rng) => Conv2d::new(*in_c, *conv_channels, 3, 1, rng),
+                    None => Conv2d::zeroed(*in_c, *conv_channels, 3, 1),
+                })
                 .push(Relu::new())
                 .push(Flatten::new())
-                .push(Dense::new(conv_channels * h * w, *hidden, &mut rng))
+                .push(dense(conv_channels * h * w, *hidden, &mut rng))
                 .push(Relu::new())
-                .push(Dense::new(*hidden, *classes, &mut rng)),
+                .push(dense(*hidden, *classes, &mut rng)),
         }
     }
 
-    /// Actual trainable parameter count of the built network.
+    /// Actual trainable parameter count of the built network, in closed
+    /// form over the architecture — the cost model asks on every priced
+    /// duration, so this must not construct a model. A proptest pins it to
+    /// `build(seed).param_count()`.
     pub fn actual_params(&self) -> usize {
-        self.build(0).param_count()
+        match &self.arch {
+            Architecture::Mlp {
+                input_dim,
+                hidden,
+                classes,
+            } => {
+                let mut prev = *input_dim;
+                let mut count = 0;
+                for &h in hidden {
+                    count += prev * h + h;
+                    prev = h;
+                }
+                count + prev * classes + classes
+            }
+            Architecture::SmallCnn {
+                in_c,
+                h,
+                w,
+                conv_channels,
+                hidden,
+                classes,
+            } => {
+                (in_c * conv_channels * 9 + conv_channels)
+                    + (conv_channels * h * w * hidden + hidden)
+                    + (hidden * classes + classes)
+            }
+        }
     }
 
     /// Parameter count the cost model charges for.
@@ -241,6 +293,15 @@ mod tests {
         let spec = ModelSpec::mlp(8, vec![16], 4);
         assert_eq!(spec.build(1).flat_params(), spec.build(1).flat_params());
         assert_ne!(spec.build(1).flat_params(), spec.build(2).flat_params());
+    }
+
+    #[test]
+    fn zeroed_build_has_the_seeded_shape_and_no_weights() {
+        for spec in [ModelSpec::mlp(8, vec![16, 4], 3), ModelSpec::small_cnn(10)] {
+            let zeroed = spec.build_zeroed();
+            assert_eq!(zeroed.len(), spec.build(1).len());
+            assert_eq!(zeroed.flat_params(), vec![0.0; spec.actual_params()]);
+        }
     }
 
     #[test]

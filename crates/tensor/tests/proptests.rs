@@ -6,14 +6,54 @@ use rand::SeedableRng;
 use unifyfl_tensor::arena::Arena;
 use unifyfl_tensor::layers::{Conv2d, Layer};
 use unifyfl_tensor::loss::softmax_cross_entropy;
-use unifyfl_tensor::zoo::ModelSpec;
+use unifyfl_tensor::zoo::{Architecture, ModelSpec};
 use unifyfl_tensor::{weights_from_bytes, weights_to_bytes, Tensor};
 
 fn finite_f32() -> impl Strategy<Value = f32> {
     (-1.0e3f32..1.0e3).prop_map(|v| v)
 }
 
+/// Random MLP depths / widths and CNN shapes.
+fn any_spec() -> impl Strategy<Value = ModelSpec> {
+    let mlp = (
+        1usize..24,
+        proptest::collection::vec(1usize..24, 0..4),
+        1usize..12,
+    )
+        .prop_map(|(input, hidden, classes)| ModelSpec::mlp(input, hidden, classes));
+    let cnn = (
+        1usize..4,
+        1usize..7,
+        1usize..7,
+        1usize..6,
+        1usize..12,
+        1usize..8,
+    )
+        .prop_map(|(in_c, h, w, conv_channels, hidden, classes)| ModelSpec {
+            name: "cnn".into(),
+            arch: Architecture::SmallCnn {
+                in_c,
+                h,
+                w,
+                conv_channels,
+                hidden,
+                classes,
+            },
+            virtual_params: None,
+        });
+    prop_oneof![mlp, cnn]
+}
+
 proptest! {
+    /// The closed-form parameter count is the built model's: the cost
+    /// model never constructs a network, so only this keeps the formula
+    /// honest when a layer is added to an architecture.
+    #[test]
+    fn actual_params_counts_the_built_model(spec in any_spec(), seed in any::<u64>()) {
+        prop_assert_eq!(spec.actual_params(), spec.build(seed).param_count());
+        prop_assert_eq!(spec.actual_params(), spec.build_zeroed().param_count());
+    }
+
     /// Weight serialization is the identity on finite vectors.
     #[test]
     fn weights_round_trip(w in proptest::collection::vec(finite_f32(), 0..256)) {

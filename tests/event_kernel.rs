@@ -414,7 +414,8 @@ fn joiner_lands_in_its_seeded_shard() {
         config.mode.to_chain(),
         config.clusters.clone(),
         Some(topology.clone()),
-    );
+    )
+    .expect("the config partitions");
     run_sync(
         &mut fed,
         &config.workload,

@@ -152,11 +152,26 @@ fn shutdown_closes_the_inlet_and_is_idempotent() {
 #[test]
 fn invalid_submission_is_rejected_without_consuming_capacity() {
     let service = paused(1, 0);
-    let mut broken = tiny(4);
-    broken.clusters.truncate(1);
-    match service.submit(broken) {
-        Err(ServiceError::Invalid(_)) => {}
-        other => panic!("expected Invalid, got {:?}", other.map(|h| h.id())),
+    // One structural hole, then the knobs that used to pass admission and
+    // abort on a worker (a `Failed` run that had held an in-flight slot).
+    let edits: [fn(&mut ExperimentConfig); 6] = [
+        |c| c.clusters.truncate(1),
+        |c| c.clusters[0].n_clients = 0,
+        |c| c.workload.batch_size = 0,
+        |c| c.workload.learning_rate = f32::NAN,
+        |c| c.workload.learning_rate = f32::INFINITY,
+        |c| c.workload.dataset.n_classes = 0,
+    ];
+    for (i, edit) in edits.into_iter().enumerate() {
+        let mut broken = tiny(4);
+        edit(&mut broken);
+        match service.submit(broken) {
+            Err(ServiceError::Invalid(_)) => {}
+            other => panic!(
+                "edit {i}: expected Invalid, got {:?}",
+                other.map(|h| h.id())
+            ),
+        }
     }
     // The slot the invalid submission did NOT consume is still free.
     service
