@@ -18,6 +18,25 @@ proptest! {
         prop_assert_eq!(h.finalize(), sha256(&data));
     }
 
+    /// Any split of a message across any number of `update` calls —
+    /// empty pieces, pieces inside one 64-byte block, pieces spanning
+    /// several — equals the one-shot digest.
+    #[test]
+    fn sha256_any_split_equals_oneshot(
+        data in proptest::collection::vec(any::<u8>(), 0..1024),
+        pieces in proptest::collection::vec(0usize..200, 0..24),
+    ) {
+        let mut h = Sha256::new();
+        let mut rest = data.as_slice();
+        for piece in pieces {
+            let (head, tail) = rest.split_at(piece.min(rest.len()));
+            h.update(head);
+            rest = tail;
+        }
+        h.update(rest);
+        prop_assert_eq!(h.finalize(), sha256(&data));
+    }
+
     /// Hex round-trip is the identity on digests.
     #[test]
     fn h256_hex_round_trips(bytes in proptest::array::uniform32(any::<u8>())) {
@@ -95,4 +114,26 @@ proptest! {
         let s = Score::from_f64(v);
         prop_assert!((s.to_f64() - v).abs() < 1e-6);
     }
+}
+
+/// FIPS 180-4's one-million-`a` vector, fed through `update` in pieces that
+/// straddle, fill and fall short of the 64-byte block: 15,625 compressions
+/// of whole blocks and of the carry buffer in every alignment.
+#[test]
+fn fips_million_a_in_uneven_updates() {
+    let a = [b'a'; 200];
+    let mut h = Sha256::new();
+    let mut left = 1_000_000usize;
+    for piece in [1usize, 63, 64, 65, 127, 128, 200, 7].iter().cycle() {
+        let take = (*piece).min(left);
+        h.update(&a[..take]);
+        left -= take;
+        if left == 0 {
+            break;
+        }
+    }
+    assert_eq!(
+        h.finalize().to_hex(),
+        "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+    );
 }
