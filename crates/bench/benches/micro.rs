@@ -1,10 +1,12 @@
 //! Criterion micro-benchmarks of the substrates.
 //!
 //! These quantify the building blocks the system-level harness composes:
-//! SHA-256 hashing, Merkle roots, base58/CID handling, chunking, block
-//! sealing (bare, and under a 480-entry orchestrator log), the storage
-//! fetch kernels the coordination workloads live in (a routed one-leaf
-//! delta fetch, a local read), tensor matmul, the paper CNN's convolution
+//! SHA-256 hashing (block sizes, and one 150 KB release), Merkle roots,
+//! base58/CID handling, chunking, block sealing (bare, and under a
+//! 480-entry orchestrator log), the storage fetch kernels the coordination
+//! workloads live in (a routed one-leaf delta fetch, a local read, a warm
+//! and a three-leaf cold fetch of a release), the delta codec on a
+//! quantised release, tensor matmul, the paper CNN's convolution
 //! (vectorised vs the scalar reference loops), a full training step of
 //! each model class, one FL server round at the three benchmark shapes
 //! that straddle the fan-out's work grain, the cost model's parameter
@@ -32,8 +34,9 @@ use unifyfl_storage::{
 };
 use unifyfl_tensor::arena::Arena;
 use unifyfl_tensor::layers::{Conv2d, Layer};
+use unifyfl_tensor::weights::quantize_release;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
-use unifyfl_tensor::Tensor;
+use unifyfl_tensor::{delta_from_bytes, delta_to_bytes, weights_to_bytes, Tensor};
 
 fn bench_hashing(c: &mut Criterion) {
     let mut g = c.benchmark_group("sha256");
@@ -43,6 +46,46 @@ fn bench_hashing(c: &mut Criterion) {
         g.bench_function(format!("{size}B"), |b| b.iter(|| sha256(black_box(&data))));
     }
     g.finish();
+    // One `wan_transfer` release: what every wire receipt hashes.
+    let release = weights_to_bytes(&release_weights(0));
+    c.bench_function("chain/sha256_150k", |b| {
+        b.iter(|| sha256(black_box(&release)))
+    });
+}
+
+/// A `wan_transfer`-sized model (37,764 weights, a 151 KB release) at the
+/// release precision of 7 mantissa bits. Weights are hashed from their index
+/// and each `round` scales every one by its own factor within ±0.4% — about
+/// one release ulp — so which bytes of a word change from round to round is
+/// as unpredictable as after an SGD step: the regime the TAIL2 delta mode
+/// wins, at a delta ratio near 0.22.
+fn release_weights(round: u64) -> Vec<f32> {
+    let unit = |i: u64| {
+        let mut z = i.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+    };
+    let raw: Vec<f32> = (0..37_764u64)
+        .map(|i| {
+            (0..round).fold(unit(i) * 0.1, |w, r| {
+                w * (1.0 + 4.0e-3 * unit(i ^ ((r + 1) << 32)))
+            })
+        })
+        .collect();
+    quantize_release(&raw, 7)
+}
+
+fn bench_delta(c: &mut Criterion) {
+    let (base, new) = (release_weights(0), release_weights(1));
+    let blob = delta_to_bytes(&base, &new);
+    assert_eq!(blob[4], 3, "quantised drift encodes as TAIL2");
+    c.bench_function("tensor/delta_encode_38k_tail2", |b| {
+        b.iter(|| delta_to_bytes(black_box(&base), black_box(&new)))
+    });
+    c.bench_function("tensor/delta_decode_38k_tail2", |b| {
+        b.iter(|| delta_from_bytes(black_box(&base), black_box(&blob)).unwrap())
+    });
 }
 
 fn bench_merkle(c: &mut Criterion) {
@@ -198,6 +241,35 @@ fn bench_storage_fetch(c: &mut Criterion) {
     c.bench_function("storage/read_local_1k4", |b| {
         b.iter(|| node.get(black_box(cid)).unwrap())
     });
+
+    // A release-sized fetch, warm (the fetch-cache hit every fetch-ahead
+    // probe and every repeat pull takes) and cold over three leaves (600 KB
+    // at the default 256 KiB chunk — the multi-leaf reassembly none of the
+    // benchmark's workloads reaches).
+    let net = IpfsNetwork::new();
+    net.configure_transfer(TransferConfig::default(), 42);
+    let (publisher, fetcher) = (
+        net.add_node(LinkProfile::lan()),
+        net.add_node(LinkProfile::lan()),
+    );
+    let release = publisher.add(&weights_to_bytes(&release_weights(0))).cid;
+    fetcher.get(release).unwrap();
+    c.bench_function("storage/get_warm_150k", |b| {
+        b.iter(|| fetcher.get(black_box(release)).unwrap())
+    });
+    let mut variant = 0u32;
+    c.bench_function("storage/get_cold_600k_3_leaves", |b| {
+        b.iter_with_setup(
+            || {
+                variant += 1;
+                let blob: Vec<u8> = (0..150_000u32)
+                    .flat_map(|i| (i ^ variant.wrapping_mul(0x9E37_79B9)).to_le_bytes())
+                    .collect();
+                publisher.add(&blob).cid
+            },
+            |cid| fetcher.get(cid).unwrap(),
+        )
+    });
 }
 
 fn bench_tensor(c: &mut Criterion) {
@@ -337,6 +409,7 @@ criterion_group!(
     bench_block_sealing,
     bench_block_sealing_under_state,
     bench_storage_fetch,
+    bench_delta,
     bench_tensor,
     bench_conv,
     bench_run_round,

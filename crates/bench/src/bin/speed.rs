@@ -13,9 +13,12 @@
 //!
 //! This binary — and only this binary — installs the counting global
 //! allocator, so it additionally gates the arena hot path at **zero**
-//! heap allocations per steady-state training batch.
+//! heap allocations per steady-state training batch, and a window of warm
+//! storage fetches at less than one release's worth of heap bytes.
 
-use unifyfl_bench::speed::{self, GateStatus, ONE_CORE_OVERHEAD_FACTOR};
+use unifyfl_bench::speed::{
+    self, GateStatus, ONE_CORE_OVERHEAD_FACTOR, WARM_GETS, WARM_GET_ALLOC_BUDGET,
+};
 
 // The whole point of this binary over the library tests: every heap
 // allocation in the process is counted, so the per-batch zero gate
@@ -57,6 +60,20 @@ fn main() {
              the arena path must perform none"
         );
     }
+    // Copy bar: a warm fetch hands the resident buffer on, so the whole
+    // window of them stays under a fraction of one 150 KB release.
+    let bytes = bench
+        .warm_get_alloc_bytes
+        .expect("counting allocator is installed in this binary");
+    assert!(
+        bytes < WARM_GET_ALLOC_BUDGET,
+        "{WARM_GETS} warm fetches of a 150 KB release requested {bytes} heap bytes \
+         (budget {WARM_GET_ALLOC_BUDGET}): the fetch path is copying resident content",
+    );
+    println!(
+        "(peak live heap over the whole bench: {:.1} MB)",
+        unifyfl_bench::alloc::peak_bytes() as f64 / 1e6
+    );
     // Performance bar: ≥1.5x on the 3-aggregator quickstart config, on a
     // multicore host. On a single-core host the parallel engine
     // cannot win — there, the bar flips to "must not lose": the inline

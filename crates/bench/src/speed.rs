@@ -22,7 +22,7 @@
 //! `tests/engine_parallel.rs` rather than timed here. The `speed` binary
 //! emits `BENCH_speed.json` (schema in `docs/BENCH.md`).
 //!
-//! Three hot-path probes ride along with the engine comparison:
+//! Four hot-path probes ride along with the engine comparison:
 //!
 //! - [`kernel_speedup`] times the cache-blocked matmul against the naive
 //!   triple loop it is proven bit-identical to, and [`conv_speedup`] the
@@ -35,6 +35,11 @@
 //!   the `speed` binary gates both at **zero**, proving the arena path
 //!   (and the convolution's in-layer scratch) really removed per-batch
 //!   allocation.
+//! - [`measure_warm_get_alloc_bytes`] counts the heap bytes requested by
+//!   a window of warm storage fetches of one release; the binary gates the
+//!   window under [`WARM_GET_ALLOC_BUDGET`] — less than one release — so a
+//!   fetch path that copies resident content again cannot come back
+//!   unnoticed.
 
 use std::time::Instant;
 
@@ -43,11 +48,12 @@ use rand::SeedableRng;
 use unifyfl_core::experiment::{run_experiment, Engine, ExperimentConfig, ExperimentReport, Mode};
 use unifyfl_core::profile::{self, PhaseTimes};
 use unifyfl_core::report::render_run_table;
+use unifyfl_storage::{IpfsNetwork, LinkProfile};
 use unifyfl_tensor::arena::Arena;
 use unifyfl_tensor::layers::{Conv2d, Layer};
 use unifyfl_tensor::optim::Sgd;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
-use unifyfl_tensor::Tensor;
+use unifyfl_tensor::{weights_to_bytes, Tensor};
 
 use crate::{fixed, int, scalability, Json, Scale};
 
@@ -129,6 +135,10 @@ pub struct SpeedBench {
     /// The same probe on the paper's CNN at its batch size of 5 — the step
     /// that runs the convolution's in-layer scratch.
     pub cnn_train_batch_allocs: Option<u64>,
+    /// Heap bytes requested across [`WARM_GETS`] warm fetches of one
+    /// release, from [`measure_warm_get_alloc_bytes`]; `None` under the
+    /// same condition.
+    pub warm_get_alloc_bytes: Option<u64>,
 }
 
 /// Hardware threads available to this process (1 if undeterminable).
@@ -317,6 +327,42 @@ pub fn measure_train_batch_allocs(spec: &ModelSpec, batch: usize) -> Option<u64>
 /// Steady-state batches the allocation probe measures over.
 pub const ALLOC_PROBE_BATCHES: usize = 32;
 
+/// Heap bytes requested by [`WARM_GETS`] fetches of a 150 KB release
+/// (37,764 weights, `wan_transfer`'s model) that the fetching node already
+/// holds: every one is a fetch-cache hit, which hands on the resident
+/// buffer instead of copying it, so the whole window must stay far under
+/// the size of *one* release. A fetch path that clones the content again
+/// reads ≥ 15 MB here.
+///
+/// Returns `None` when the counting allocator is not installed, as
+/// [`measure_train_batch_allocs`] does.
+pub fn measure_warm_get_alloc_bytes() -> Option<u64> {
+    if !crate::alloc::is_counting() {
+        return None;
+    }
+    let net = IpfsNetwork::new();
+    let (publisher, fetcher) = (
+        net.add_node(LinkProfile::lan()),
+        net.add_node(LinkProfile::lan()),
+    );
+    let release: Vec<f32> = (0..37_764).map(|i| ((i as f32) * 0.37).sin()).collect();
+    let cid = publisher.add(&weights_to_bytes(&release)).cid;
+    fetcher.get(cid).expect("published content is fetchable");
+    let before = crate::alloc::bytes_requested();
+    for _ in 0..WARM_GETS {
+        let warm = fetcher.get(cid).expect("resident content is fetchable");
+        assert!(warm.local_hit, "the probe must stay off the wire");
+    }
+    Some(crate::alloc::bytes_requested() - before)
+}
+
+/// Warm fetches the storage allocation probe measures over.
+pub const WARM_GETS: usize = 100;
+
+/// What [`WARM_GETS`] warm fetches may request from the heap in total:
+/// under half of one 150 KB release.
+pub const WARM_GET_ALLOC_BUDGET: u64 = 64 * 1024;
+
 /// Deterministic `batch`-sample input of the given kind for the probes.
 fn probe_input(kind: InputKind, batch: usize) -> Tensor {
     let shape = match kind {
@@ -416,6 +462,7 @@ pub fn run(scale: Scale, seed: u64) -> SpeedBench {
         // classes), and the paper's edge workload (Table 4: batch 5).
         train_batch_allocs: measure_train_batch_allocs(&ModelSpec::mlp(16, vec![32], 4), 16),
         cnn_train_batch_allocs: measure_train_batch_allocs(&ModelSpec::small_cnn(10), 5),
+        warm_get_alloc_bytes: measure_warm_get_alloc_bytes(),
     }
 }
 
@@ -485,6 +532,8 @@ pub fn render_json(bench: &SpeedBench, seed: u64, gate: GateStatus) -> Json {
             allocs(bench.cnn_train_batch_allocs),
         ),
         ("alloc_probe_batches", int(ALLOC_PROBE_BATCHES)),
+        ("warm_get_alloc_bytes", allocs(bench.warm_get_alloc_bytes)),
+        ("warm_gets", int(WARM_GETS)),
         ("pairs", Json::Arr(pairs.collect())),
     ])
 }
@@ -533,6 +582,11 @@ pub fn render(bench: &SpeedBench) -> String {
                 .to_owned(),
         },
     );
+    if let Some(bytes) = bench.warm_get_alloc_bytes {
+        out.push_str(&format!(
+            "heap bytes requested over {WARM_GETS} warm fetches of a 150 KB release: {bytes}\n"
+        ));
+    }
     out
 }
 
@@ -590,6 +644,7 @@ mod tests {
             conv_speedup: 4.25,
             train_batch_allocs: None,
             cnn_train_batch_allocs: None,
+            warm_get_alloc_bytes: None,
         };
         let json = render_json(&bench, 7, gate_status(bench.threads));
         let text = json.render();
@@ -604,6 +659,7 @@ mod tests {
         // A dead counter renders as an explicit null, never a fake zero.
         assert!(text.contains("\"train_batch_allocs\": null"));
         assert!(text.contains("\"cnn_train_batch_allocs\": null"));
+        assert!(text.contains("\"warm_get_alloc_bytes\": null"));
     }
 
     #[test]
@@ -629,6 +685,7 @@ mod tests {
             measure_train_batch_allocs(&ModelSpec::small_cnn(10), 5),
             None
         );
+        assert_eq!(measure_warm_get_alloc_bytes(), None);
     }
 
     #[test]
@@ -640,6 +697,7 @@ mod tests {
             conv_speedup: 1.0,
             train_batch_allocs: Some(0),
             cnn_train_batch_allocs: Some(0),
+            warm_get_alloc_bytes: Some(0),
         };
         let json = render_json(&bench, 11, gate_status(bench.threads));
         // Read every phases object back at millisecond precision and

@@ -574,17 +574,18 @@ impl ClusterNode {
     /// (equal-weight parameter mean, the paper's aggregation of aggregated
     /// models) and adopt the result.
     ///
-    /// Returns the number of peers merged.
-    pub fn merge_peers(&mut self, peers: &[Vec<f32>]) -> usize {
+    /// Returns the number of peers merged. Takes the fetched vectors by
+    /// value: they go into the mean as they are and are dropped with it.
+    pub fn merge_peers(&mut self, peers: Vec<Vec<f32>>) -> usize {
         if peers.is_empty() {
             return 0;
         }
-        let mut updates: Vec<(Vec<f32>, usize)> =
-            peers.iter().map(|w| (w.clone(), 1usize)).collect();
+        let n = peers.len();
+        let mut updates: Vec<(Vec<f32>, usize)> = peers.into_iter().map(|w| (w, 1)).collect();
         updates.push((self.server.weights().to_vec(), 1));
         let merged = weighted_mean(self.server.weights(), &updates);
         self.server.set_weights(merged);
-        peers.len()
+        n
     }
 
     /// Step 5 under Unify-style adaptive weighting: each peer carries the
@@ -594,17 +595,17 @@ impl ClusterNode {
     /// enters at the mean peer precision, mirroring [`Self::merge_peers`]
     /// where self is one equal participant.
     ///
-    /// Returns the number of peers merged.
-    pub fn merge_peers_weighted(&mut self, peers: &[(Vec<f32>, f64)]) -> usize {
+    /// Returns the number of peers merged; by value, as [`Self::merge_peers`].
+    pub fn merge_peers_weighted(&mut self, mut peers: Vec<(Vec<f32>, f64)>) -> usize {
         if peers.is_empty() {
             return 0;
         }
-        let self_precision = peers.iter().map(|(_, p)| *p).sum::<f64>() / peers.len() as f64;
-        let mut updates: Vec<(Vec<f32>, f64)> = peers.to_vec();
-        updates.push((self.server.weights().to_vec(), self_precision));
-        let merged = precision_weighted_mean(self.server.weights(), &updates);
+        let n = peers.len();
+        let self_precision = peers.iter().map(|(_, p)| *p).sum::<f64>() / n as f64;
+        peers.push((self.server.weights().to_vec(), self_precision));
+        let merged = precision_weighted_mean(self.server.weights(), &peers);
         self.server.set_weights(merged);
-        peers.len()
+        n
     }
 
     /// Evaluates arbitrary weights on a dataset with the cluster's spec.
@@ -727,11 +728,11 @@ mod tests {
         let (mut cluster, _) = setup(None);
         let n = cluster.weights().len();
         cluster.server.set_weights(vec![0.0; n]);
-        let merged = cluster.merge_peers(&[vec![3.0; n]]);
+        let merged = cluster.merge_peers(vec![vec![3.0; n]]);
         assert_eq!(merged, 1);
         assert!(cluster.weights().iter().all(|w| (*w - 1.5).abs() < 1e-6));
         // Empty merge is a no-op.
-        assert_eq!(cluster.merge_peers(&[]), 0);
+        assert_eq!(cluster.merge_peers(Vec::new()), 0);
     }
 
     #[test]
@@ -741,7 +742,7 @@ mod tests {
         cluster.server.set_weights(vec![0.0; n]);
         // Peer precisions 3:1; self enters at their mean (2). Total 6 →
         // merged = (3·6 + 1·0 + 2·0) / 6 = 3.
-        let merged = cluster.merge_peers_weighted(&[(vec![6.0; n], 3.0), (vec![0.0; n], 1.0)]);
+        let merged = cluster.merge_peers_weighted(vec![(vec![6.0; n], 3.0), (vec![0.0; n], 1.0)]);
         assert_eq!(merged, 2);
         assert!(
             cluster.weights().iter().all(|w| (*w - 3.0).abs() < 1e-5),
@@ -750,9 +751,9 @@ mod tests {
         );
         // Equal precisions reduce to the plain equal-weight merge.
         cluster.server.set_weights(vec![0.0; n]);
-        cluster.merge_peers_weighted(&[(vec![3.0; n], 5.0)]);
+        cluster.merge_peers_weighted(vec![(vec![3.0; n], 5.0)]);
         assert!(cluster.weights().iter().all(|w| (*w - 1.5).abs() < 1e-6));
-        assert_eq!(cluster.merge_peers_weighted(&[]), 0);
+        assert_eq!(cluster.merge_peers_weighted(Vec::new()), 0);
     }
 
     #[test]

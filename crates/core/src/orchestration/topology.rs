@@ -147,7 +147,7 @@ fn exchange_into(fed: &mut Federation, topology: &ShardTopology, idx: usize) -> 
         releases.into_iter().map(|cid| (cid, fed.delta_ref_of(cid))),
     );
     if !fetched.peers.is_empty() {
-        fed.clusters[idx].merge_peers(&fetched.peers);
+        fed.clusters[idx].merge_peers(fetched.peers);
     }
     fed.record_ipfs_burst(fetched.cost);
     fetched.cost

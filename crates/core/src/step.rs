@@ -170,10 +170,9 @@ pub fn merge_eval(
 ) -> (usize, f64, f64) {
     let merged = match inputs.precisions {
         Some(precisions) => {
-            let weighted: Vec<(Vec<f32>, f64)> = inputs.peers.into_iter().zip(precisions).collect();
-            cluster.merge_peers_weighted(&weighted)
+            cluster.merge_peers_weighted(inputs.peers.into_iter().zip(precisions).collect())
         }
-        None => cluster.merge_peers(&inputs.peers),
+        None => cluster.merge_peers(inputs.peers),
     };
     let eval = cluster.evaluate(cluster.weights(), global_test);
     (merged, eval.accuracy, eval.loss)

@@ -103,6 +103,10 @@ pub fn decode_root(block: &[u8]) -> Option<RootNode> {
 /// them has been checked, so a root that lies about its length costs a
 /// [`ReassembleError::LengthMismatch`], not an allocation.
 ///
+/// A one-leaf file *is* its leaf: the chunk's own buffer is handed on (a
+/// refcount bump, after the same checks), and only a file of several
+/// leaves is concatenated — once.
+///
 /// # Errors
 ///
 /// Returns [`ReassembleError`] if a chunk is missing, fails verification, or
@@ -110,7 +114,7 @@ pub fn decode_root(block: &[u8]) -> Option<RootNode> {
 pub fn reassemble(
     root: &RootNode,
     mut fetch: impl FnMut(Cid) -> Option<Bytes>,
-) -> Result<Vec<u8>, ReassembleError> {
+) -> Result<Bytes, ReassembleError> {
     assemble(root, |cid| {
         let data = fetch(cid).ok_or(ReassembleError::MissingChunk(cid))?;
         if !cid.verifies(&data) {
@@ -127,7 +131,7 @@ pub fn reassemble(
 pub(crate) fn reassemble_trusted(
     root: &RootNode,
     mut fetch: impl FnMut(Cid) -> Option<Bytes>,
-) -> Result<Vec<u8>, ReassembleError> {
+) -> Result<Bytes, ReassembleError> {
     assemble(root, |cid| {
         fetch(cid).ok_or(ReassembleError::MissingChunk(cid))
     })
@@ -136,7 +140,7 @@ pub(crate) fn reassemble_trusted(
 fn assemble(
     root: &RootNode,
     mut fetch: impl FnMut(Cid) -> Result<Bytes, ReassembleError>,
-) -> Result<Vec<u8>, ReassembleError> {
+) -> Result<Bytes, ReassembleError> {
     let chunks = root
         .children
         .iter()
@@ -149,7 +153,10 @@ fn assemble(
             actual,
         });
     }
-    Ok(chunks.concat())
+    Ok(match <[Bytes; 1]>::try_from(chunks) {
+        Ok([leaf]) => leaf,
+        Err(chunks) => Bytes::from(chunks.concat()),
+    })
 }
 
 /// Error reassembling a chunked file.
@@ -193,7 +200,7 @@ mod tests {
         let root = decode_root(&file.root_block).expect("valid root");
         assert_eq!(root.total_len, data.len() as u64);
         let out = reassemble(&root, |c| store.get(&c).cloned()).expect("reassembles");
-        assert_eq!(out, data);
+        assert_eq!(&out[..], data);
     }
 
     #[test]

@@ -30,6 +30,10 @@
 //!   assembled content per node, so repeat fetches of a peer's model are
 //!   free. Only *verified, successful* fetches populate it: a fetch
 //!   poisoned by injected [`StorageFaults`] errors out before the insert.
+//!   An entry is a reference to the assembled buffer, not a copy of it —
+//!   for one-leaf content the very buffer the blockstores already share —
+//!   so the byte budget bounds what the cache can keep alive past a `gc`,
+//!   and a hit or an insert is a refcount bump.
 //!
 //! All knobs change only how many bytes move, never which bytes a caller
 //! receives — `logical_bytes` (what a naive fetch would have moved) vs
@@ -209,7 +213,7 @@ struct FetchCache {
 
 #[derive(Debug)]
 struct CacheEntry {
-    data: Vec<u8>,
+    data: Bytes,
     last_used: u64,
 }
 
@@ -227,7 +231,7 @@ impl FetchCache {
         }
     }
 
-    fn get(&mut self, cid: Cid) -> Option<Vec<u8>> {
+    fn get(&mut self, cid: Cid) -> Option<Bytes> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.entries.get_mut(&cid)?;
@@ -237,7 +241,8 @@ impl FetchCache {
 
     /// Inserts verified content, evicting sampled-LRU entries until the
     /// budget holds. Oversized content (and a zero budget) is not cached.
-    fn insert(&mut self, cid: Cid, data: &[u8], evictions: &mut u64) {
+    /// The budget counts each entry's logical length, shared buffer or not.
+    fn insert(&mut self, cid: Cid, data: &Bytes, evictions: &mut u64) {
         if self.capacity == 0 || data.len() as u64 > self.capacity {
             return;
         }
@@ -255,7 +260,7 @@ impl FetchCache {
         self.entries.insert(
             cid,
             CacheEntry {
-                data: data.to_vec(),
+                data: data.clone(),
                 last_used: self.tick,
             },
         );
@@ -638,8 +643,9 @@ pub struct AddReceipt {
 /// Receipt of a `get` operation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GetReceipt {
-    /// The reassembled content.
-    pub data: Vec<u8>,
+    /// The reassembled content: for a one-leaf file the leaf block's own
+    /// buffer, shared with the blockstore and the fetch cache.
+    pub data: Bytes,
     /// Virtual time the fetch took (lookup + transfer), zero-ish when the
     /// content was already local.
     pub elapsed: SimDuration,
@@ -800,13 +806,18 @@ impl IpfsNode {
         // The trust boundary of a delta fetch: the reconstruction is
         // re-chunked and must hash to the requested root before a byte of
         // it is stored, cached or returned. Re-chunking hashes every leaf,
-        // so the blocks go in under the CIDs it just computed.
+        // so the blocks go in under the CIDs it just computed — and a
+        // one-leaf reconstruction is carried on as that leaf's buffer.
         let verified = reconstruct(&base_data, &delta_receipt.data)
             .map(|data| (chunk(&data, DEFAULT_CHUNK_SIZE), data))
             .filter(|(file, _)| file.root == cid);
         let Some((file, data)) = verified else {
             st.stats.delta_fallbacks += 1;
             return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
+        };
+        let data = match file.leaves.as_slice() {
+            [(_, leaf)] => leaf.clone(),
+            _ => Bytes::from(data),
         };
 
         // Verified: materialize the full DAG locally (no wire bytes),
@@ -1087,7 +1098,7 @@ impl IpfsNode {
                 reassemble(&root, |_| received.next().map(|(_, block)| block.clone()))
                     .map_err(|e| IpfsError::Corrupt(e.to_string()))?
             }
-            None => root_block.to_vec(),
+            None => root_block,
         };
 
         // Transfer cost: one DHT lookup, then per-edge latency and
@@ -1180,7 +1191,7 @@ impl IpfsNode {
     ///
     /// [`IpfsError::Corrupt`] if the resident leaves do not add up to the
     /// length the root declares — content no provider could serve either.
-    fn read_local(store: &BlockStore, cid: Cid) -> Result<Option<Vec<u8>>, IpfsError> {
+    fn read_local(store: &BlockStore, cid: Cid) -> Result<Option<Bytes>, IpfsError> {
         let Some(root_block) = store.get(cid) else {
             return Ok(None);
         };
@@ -1190,7 +1201,7 @@ impl IpfsNode {
                 Err(ReassembleError::MissingChunk(_)) => Ok(None),
                 Err(e) => Err(IpfsError::Corrupt(e.to_string())),
             },
-            None => Ok(Some(root_block.to_vec())),
+            None => Ok(Some(root_block)),
         }
     }
 
@@ -1309,7 +1320,7 @@ mod tests {
         let receipt = nodes[0].add(b"small");
         let got = nodes[0].get(receipt.cid).unwrap();
         assert!(got.local_hit);
-        assert_eq!(got.data, b"small");
+        assert_eq!(&got.data[..], b"small");
     }
 
     #[test]
@@ -1321,7 +1332,7 @@ mod tests {
         // Node 2 can now fetch even if only node 1's copy exists; both
         // advertise, and verification still passes.
         let got = nodes[2].get(receipt.cid).unwrap();
-        assert_eq!(got.data, b"cache me");
+        assert_eq!(&got.data[..], b"cache me");
     }
 
     #[test]
@@ -1463,7 +1474,7 @@ mod tests {
         // The adder holds the content locally: always served.
         let got = nodes[0].get(receipt.cid).unwrap();
         assert!(got.local_hit);
-        assert_eq!(got.data, b"resident");
+        assert_eq!(&got.data[..], b"resident");
     }
 
     // ---- transfer layer ------------------------------------------------
@@ -1662,37 +1673,172 @@ mod tests {
         assert_eq!(net2.first_corrupt_block(), None);
     }
 
-    /// A root block declaring `u64::MAX` bytes and no children. Any block
-    /// that looks like a root is decoded as one, so these 20 bytes are all
+    /// A root block declaring `total_len` bytes over `children`. Any block
+    /// that looks like a root is decoded as one, so these few bytes are all
     /// an attacker needs to publish.
-    fn lying_root() -> Vec<u8> {
+    fn lying_root(total_len: u64, children: &[Cid]) -> Vec<u8> {
         let mut block = b"UFLDAGv0".to_vec();
-        block.extend_from_slice(&u64::MAX.to_be_bytes());
-        block.extend_from_slice(&0u32.to_be_bytes());
+        block.extend_from_slice(&total_len.to_be_bytes());
+        block.extend_from_slice(&(children.len() as u32).to_be_bytes());
+        for child in children {
+            block.extend_from_slice(child.digest().as_bytes());
+        }
         block
     }
 
     #[test]
     fn a_root_lying_about_its_length_is_corrupt_locally_and_remotely() {
-        let (net, nodes) = fabric(2);
-        let blob = lying_root();
-        let cid = Cid::for_data(&blob);
-        // `add` stores the blob as a leaf under its own CID.
-        nodes[0].add(&blob);
+        // No children and `u64::MAX` bytes; then the one-leaf shape, whose
+        // leaf is handed on as the content without a copy — one byte
+        // shorter and one byte longer than the root declares.
+        let leaf = vec![6u8; 1000];
+        let leaf_cid = chunk(&leaf, DEFAULT_CHUNK_SIZE).leaves[0].0;
+        for blob in [
+            lying_root(u64::MAX, &[]),
+            lying_root(1001, &[leaf_cid]),
+            lying_root(999, &[leaf_cid]),
+        ] {
+            let (net, nodes) = fabric(2);
+            let cid = Cid::for_data(&blob);
+            // `add` stores the blob as a leaf under its own CID.
+            nodes[0].add(&leaf);
+            nodes[0].add(&blob);
 
-        // Local path: the adder reads its own block back as a root.
-        let err = nodes[0].get(cid).unwrap_err();
-        assert!(matches!(err, IpfsError::Corrupt(_)), "{err}");
-        assert!(!nodes[0].has_local(cid));
+            // Local path: the adder reads its own block back as a root.
+            let err = nodes[0].get(cid).unwrap_err();
+            assert!(matches!(err, IpfsError::Corrupt(_)), "{err}");
+            assert!(!nodes[0].has_local(cid));
 
-        // Remote path: the adder advertises the block as content (what a
-        // Byzantine aggregator registering the CID on-chain amounts to).
-        net.inner.lock().dht.provide(cid, nodes[0].id());
-        let err = nodes[1].get(cid).unwrap_err();
-        assert!(matches!(err, IpfsError::Corrupt(_)), "{err}");
+            // Remote path: the adder advertises the block as content (what
+            // a Byzantine aggregator registering the CID on-chain amounts
+            // to).
+            net.inner.lock().dht.provide(cid, nodes[0].id());
+            let err = nodes[1].get(cid).unwrap_err();
+            assert!(matches!(err, IpfsError::Corrupt(_)), "{err}");
+            let st = net.inner.lock();
+            assert!(st.nodes[1].store.is_empty(), "nothing retained");
+            assert_eq!(st.nodes[1].cache.resident, 0, "nothing cached");
+        }
+    }
+
+    /// Where the node's copy of `cid`'s block lives.
+    fn resident_at(net: &IpfsNetwork, node: &IpfsNode, cid: Cid) -> *const u8 {
         let st = net.inner.lock();
-        assert!(st.nodes[1].store.is_empty(), "nothing retained");
-        assert_eq!(st.nodes[1].cache.resident, 0, "nothing cached");
+        st.nodes[node.id().0 as usize]
+            .store
+            .get(cid)
+            .expect("block is resident")
+            .as_ptr()
+    }
+
+    #[test]
+    fn one_leaf_content_is_its_leaf_buffer_on_every_path() {
+        let (net, nodes) = fabric(3);
+        let data: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+        let cid = nodes[0].add(&data).cid;
+        let leaf = chunk(&data, DEFAULT_CHUNK_SIZE).leaves[0].0;
+        let published = resident_at(&net, &nodes[0], leaf);
+
+        // Local read (the cache misses first), then the cache hit.
+        let local = nodes[0].get(cid).unwrap();
+        assert_eq!((local.data.as_ptr(), local.local_hit), (published, true));
+        assert_eq!(net.transfer_stats().cache_hits, 0);
+        let hit = nodes[0].get(cid).unwrap();
+        assert_eq!((hit.data.as_ptr(), hit.local_hit), (published, true));
+        assert_eq!(net.transfer_stats().cache_hits, 1);
+
+        // Remote fetch: receipt, retained block and cache entry are all the
+        // publisher's buffer — nothing was copied on the way.
+        let remote = nodes[1].get(cid).unwrap();
+        assert_eq!((remote.data.as_ptr(), remote.local_hit), (published, false));
+        assert_eq!(remote.data, data);
+        assert_eq!(resident_at(&net, &nodes[1], leaf), published);
+        assert_eq!(nodes[1].get(cid).unwrap().data.as_ptr(), published);
+        assert_eq!(net.transfer_stats().cache_resident_bytes, 2 * 10_000);
+
+        // Delta fetch: the leaf its verifying re-chunk built is the one that
+        // is stored, cached and returned.
+        let mut next = data.clone();
+        next[17] ^= 0xFF;
+        let next_cid = nodes[0].add(&next).cid;
+        let delta_cid = nodes[0].add(&[17]).cid;
+        let rebuilt = nodes[1]
+            .get_with_delta(next_cid, cid, delta_cid, |base, delta| {
+                let mut out = base.to_vec();
+                out[delta[0] as usize] ^= 0xFF;
+                Some(out)
+            })
+            .unwrap();
+        assert_eq!(net.transfer_stats().delta_fetches, 1);
+        assert_eq!(rebuilt.data, next);
+        let next_leaf = chunk(&next, DEFAULT_CHUNK_SIZE).leaves[0].0;
+        assert_eq!(
+            rebuilt.data.as_ptr(),
+            resident_at(&net, &nodes[1], next_leaf)
+        );
+        assert_eq!(
+            nodes[1].get(next_cid).unwrap().data.as_ptr(),
+            rebuilt.data.as_ptr()
+        );
+    }
+
+    #[test]
+    fn multi_leaf_content_round_trips_and_is_concatenated_once() {
+        for leaves in [2usize, 3] {
+            let (net, nodes) = fabric(2);
+            let data: Vec<u8> = (0..(leaves * 256 - 100) as u32)
+                .map(|i| (i % 241) as u8)
+                .collect();
+            let receipt = nodes[0].add_with_chunk_size(&data, 256);
+            assert_eq!(receipt.blocks, 1 + leaves);
+
+            // One concatenation per node: the buffer the first fetch built
+            // is the cache entry every later fetch is handed.
+            for node in &nodes {
+                let first = node.get(receipt.cid).unwrap();
+                assert_eq!(first.data, data);
+                let again = node.get(receipt.cid).unwrap();
+                assert!(again.local_hit);
+                assert_eq!(again.data.as_ptr(), first.data.as_ptr());
+            }
+            assert_eq!(net.transfer_stats().cache_hits, 2);
+            assert_eq!(net.first_corrupt_block(), None);
+        }
+    }
+
+    #[test]
+    fn a_collected_block_the_cache_references_stays_readable_until_evicted() {
+        let (net, nodes) = fabric(2);
+        net.configure_transfer(
+            TransferConfig {
+                cache_bytes: 15_000,
+                ..TransferConfig::default()
+            },
+            5,
+        );
+        let data = vec![9u8; 10_000];
+        let cid = nodes[0].add(&data).cid;
+        nodes[1].get(cid).unwrap();
+
+        // Fetched blocks are not pinned: gc empties the fetcher's store, but
+        // the cache entry still holds the buffer and still counts it.
+        assert!(nodes[1].gc() >= 2);
+        assert!(!nodes[1].has_local(cid));
+        let hit = nodes[1].get(cid).unwrap();
+        assert!(hit.local_hit);
+        assert_eq!(hit.data, data);
+        assert_eq!(net.transfer_stats().cache_resident_bytes, 10_000);
+
+        // The next release does not fit beside it: the entry is evicted, its
+        // bytes leave the gauge, and the content is remote again.
+        let other = nodes[0].add(&vec![8u8; 10_000]).cid;
+        nodes[1].get(other).unwrap();
+        let stats = net.transfer_stats();
+        assert_eq!(
+            (stats.cache_evictions, stats.cache_resident_bytes),
+            (1, 10_000)
+        );
+        assert!(!nodes[1].get(cid).unwrap().local_hit);
     }
 
     #[test]

@@ -46,11 +46,16 @@ const MODE_TAIL: u8 = 2;
 /// bytes. Wins when releases are precision-bounded (trailing zero bytes).
 const MODE_TAIL2: u8 = 3;
 
+/// Bytes before the mode-specific payload: magic, mode, `u64` word count.
+const HEADER: usize = 13;
+
 /// Number of high-order bytes of `new` that can be copied from `base`
 /// (capped at 3 so at least one byte is always emitted, which keeps the
-/// tag field at 2 bits).
+/// tag field at 2 bits). Three compares rather than a leading-zero count:
+/// branch-free on every target, and it vectorises.
 fn shared_high_bytes(base: u32, new: u32) -> u32 {
-    ((base ^ new).leading_zeros() / 8).min(3)
+    let diff = base ^ new;
+    u32::from(diff < 1 << 24) + u32::from(diff < 1 << 16) + u32::from(diff < 1 << 8)
 }
 
 /// `(shared_prefix, zero_suffix)` byte counts for the TAIL2 mode: how many
@@ -59,12 +64,14 @@ fn shared_high_bytes(base: u32, new: u32) -> u32 {
 /// bytes). `prefix + suffix <= 4` always holds.
 fn tail2_tags(base: u32, new: u32) -> (u32, u32) {
     let prefix = shared_high_bytes(base, new);
-    let suffix = (new.trailing_zeros() / 8).min(3).min(4 - prefix);
-    (prefix, suffix)
+    let zero_low =
+        u32::from(new & 0xFF == 0) + u32::from(new & 0xFFFF == 0) + u32::from(new & 0xFF_FFFF == 0);
+    (prefix, zero_low.min(4 - prefix))
 }
 
-fn header(mode: u8, count: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(13 + count); // callers extend in place
+/// A blob with its header written and room for `payload` more bytes.
+fn header(mode: u8, count: usize, payload: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(HEADER + payload);
     out.extend_from_slice(MAGIC);
     out.push(mode);
     out.extend_from_slice(&(count as u64).to_le_bytes());
@@ -79,26 +86,17 @@ pub fn delta_to_bytes(base: &[f32], new: &[f32]) -> Vec<u8> {
     if base.len() != new.len() {
         return encode_dense(new);
     }
-    let changed = base
-        .iter()
-        .zip(new)
-        .filter(|(b, n)| b.to_bits() != n.to_bits())
-        .count();
-    let tail_payload: usize = new.len().div_ceil(4)
-        + base
-            .iter()
-            .zip(new)
-            .map(|(b, n)| 4 - shared_high_bytes(b.to_bits(), n.to_bits()) as usize)
-            .sum::<usize>();
-    let tail2_payload: usize = new.len().div_ceil(2)
-        + base
-            .iter()
-            .zip(new)
-            .map(|(b, n)| {
-                let (p, s) = tail2_tags(b.to_bits(), n.to_bits());
-                4 - p as usize - s as usize
-            })
-            .sum::<usize>();
+    // One pass sizes all three base-relative encodings.
+    let (mut changed, mut tail_bytes, mut tail2_bytes) = (0usize, 0usize, 0usize);
+    for (b, n) in base.iter().zip(new) {
+        let (b, n) = (b.to_bits(), n.to_bits());
+        let (prefix, suffix) = tail2_tags(b, n);
+        changed += usize::from(b != n);
+        tail_bytes += (4 - prefix) as usize;
+        tail2_bytes += (4 - prefix - suffix) as usize;
+    }
+    let tail_payload = new.len().div_ceil(4) + tail_bytes;
+    let tail2_payload = new.len().div_ceil(2) + tail2_bytes;
     let sparse_payload = 4 + changed * 8;
     let dense_payload = new.len() * 4;
 
@@ -110,72 +108,81 @@ pub fn delta_to_bytes(base: &[f32], new: &[f32]) -> Vec<u8> {
         .min(sparse_payload)
         .min(dense_payload);
     if tail2_payload == min {
-        encode_tail2(base, new)
+        // Tag plane: 4 bits per word (prefix << 2 | suffix), 2 words per
+        // byte; then the middle bytes in word order.
+        encode_tagged(MODE_TAIL2, base, new, 2, tail2_payload, |b, n| {
+            let (prefix, suffix) = tail2_tags(b, n);
+            (
+                (prefix << 2) | suffix,
+                n >> (8 * suffix),
+                4 - prefix - suffix,
+            )
+        })
     } else if tail_payload == min {
-        encode_tail(base, new)
+        // Tag plane: 2 bits per word (the shared prefix), 4 words per
+        // byte; then the unshared low bytes in word order.
+        encode_tagged(MODE_TAIL, base, new, 4, tail_payload, |b, n| {
+            let prefix = shared_high_bytes(b, n);
+            (prefix, n, 4 - prefix)
+        })
     } else if sparse_payload == min {
-        encode_sparse(base, new)
+        encode_sparse(base, new, changed)
     } else {
         encode_dense(new)
     }
 }
 
 fn encode_dense(new: &[f32]) -> Vec<u8> {
-    let mut out = header(MODE_DENSE, new.len());
+    let mut out = header(MODE_DENSE, new.len(), new.len() * 4);
     for w in new {
         out.extend_from_slice(&w.to_bits().to_le_bytes());
     }
     out
 }
 
-fn encode_sparse(base: &[f32], new: &[f32]) -> Vec<u8> {
-    let changed: Vec<(u32, u32)> = base
-        .iter()
-        .zip(new)
-        .enumerate()
-        .filter(|(_, (b, n))| b.to_bits() != n.to_bits())
-        .map(|(i, (_, n))| (i as u32, n.to_bits()))
-        .collect();
-    let mut out = header(MODE_SPARSE, new.len());
-    out.extend_from_slice(&(changed.len() as u32).to_le_bytes());
-    for (i, bits) in changed {
-        out.extend_from_slice(&i.to_le_bytes());
-        out.extend_from_slice(&bits.to_le_bytes());
+fn encode_sparse(base: &[f32], new: &[f32], changed: usize) -> Vec<u8> {
+    let mut out = header(MODE_SPARSE, new.len(), 4 + changed * 8);
+    out.extend_from_slice(&(changed as u32).to_le_bytes());
+    for (i, (b, n)) in base.iter().zip(new).enumerate() {
+        if b.to_bits() != n.to_bits() {
+            out.extend_from_slice(&(i as u32).to_le_bytes());
+            out.extend_from_slice(&n.to_bits().to_le_bytes());
+        }
     }
     out
 }
 
-fn encode_tail(base: &[f32], new: &[f32]) -> Vec<u8> {
-    let mut out = header(MODE_TAIL, new.len());
-    // Tag plane first (2 bits per word, 4 words per byte), then the
-    // variable-length byte tails in word order.
-    let mut tags = vec![0u8; new.len().div_ceil(4)];
-    for (i, (b, n)) in base.iter().zip(new).enumerate() {
-        let shared = shared_high_bytes(b.to_bits(), n.to_bits()) as u8;
-        tags[i / 4] |= shared << ((i % 4) * 2);
+/// The two tagged encodings: a plane of `per_byte` tags to the byte, then
+/// for every word the `keep` low bytes of `emit`, where `(tag, emit, keep)`
+/// is what `word(base_bits, new_bits)` answers. Each word is written with
+/// one whole four-byte store that the next word's store overlaps, into a
+/// buffer sized up front from `payload` (tag plane included).
+fn encode_tagged(
+    mode: u8,
+    base: &[f32],
+    new: &[f32],
+    per_byte: usize,
+    payload: usize,
+    word: impl Fn(u32, u32) -> (u32, u32, u32),
+) -> Vec<u8> {
+    // Four bytes of slack take the last word's overhang (a TAIL2 word may
+    // keep nothing and still stores four bytes).
+    let mut out = header(mode, new.len(), payload + 4);
+    out.resize(HEADER + payload + 4, 0);
+    let (tags, body) = out[HEADER..].split_at_mut(new.len().div_ceil(per_byte));
+    let tag_bits = 8 / per_byte;
+    let mut at = 0;
+    let groups = base.chunks(per_byte).zip(new.chunks(per_byte));
+    for (tag_byte, (b, n)) in tags.iter_mut().zip(groups) {
+        for (slot, (b, n)) in b.iter().zip(n).enumerate() {
+            let (tag, emit, keep) = word(b.to_bits(), n.to_bits());
+            *tag_byte |= (tag as u8) << (slot * tag_bits);
+            body[at..at + 4].copy_from_slice(&emit.to_le_bytes());
+            at += keep as usize;
+        }
     }
-    out.extend_from_slice(&tags);
-    for (b, n) in base.iter().zip(new) {
-        let shared = shared_high_bytes(b.to_bits(), n.to_bits()) as usize;
-        out.extend_from_slice(&n.to_bits().to_le_bytes()[..4 - shared]);
-    }
-    out
-}
-
-fn encode_tail2(base: &[f32], new: &[f32]) -> Vec<u8> {
-    let mut out = header(MODE_TAIL2, new.len());
-    // Tag plane (4 bits per word: prefix << 2 | suffix, 2 words per byte),
-    // then the middle bytes in word order.
-    let mut tags = vec![0u8; new.len().div_ceil(2)];
-    for (i, (b, n)) in base.iter().zip(new).enumerate() {
-        let (p, s) = tail2_tags(b.to_bits(), n.to_bits());
-        tags[i / 2] |= (((p << 2) | s) as u8) << ((i % 2) * 4);
-    }
-    out.extend_from_slice(&tags);
-    for (b, n) in base.iter().zip(new) {
-        let (p, s) = tail2_tags(b.to_bits(), n.to_bits());
-        out.extend_from_slice(&n.to_bits().to_le_bytes()[s as usize..4 - p as usize]);
-    }
+    debug_assert_eq!(at + 4, body.len(), "sizing pass and encoder disagree");
+    out.truncate(HEADER + payload);
     out
 }
 
@@ -189,27 +196,46 @@ fn encode_tail2(base: &[f32], new: &[f32]) -> Vec<u8> {
 /// reconstructed value is non-finite (a corrupt delta must never enter
 /// aggregation).
 pub fn delta_from_bytes(base: &[f32], bytes: &[u8]) -> Result<Vec<f32>, DeltaDecodeError> {
-    if bytes.len() < 13 || &bytes[..4] != MAGIC {
+    if bytes.len() < HEADER || &bytes[..4] != MAGIC {
         return Err(DeltaDecodeError::BadHeader);
     }
     let mode = bytes[4];
-    let count = u64::from_le_bytes(bytes[5..13].try_into().expect("8 bytes")) as usize;
-    let payload = &bytes[13..];
+    let count = u64::from_le_bytes(bytes[5..HEADER].try_into().expect("8 bytes")) as usize;
+    let payload = &bytes[HEADER..];
     let out = match mode {
         MODE_DENSE => decode_dense(count, payload)?,
-        MODE_SPARSE => decode_sparse(base, count, payload)?,
-        MODE_TAIL => decode_tail(base, count, payload)?,
-        MODE_TAIL2 => decode_tail2(base, count, payload)?,
+        MODE_SPARSE => decode_sparse(check_base(base, count)?, payload)?,
+        // 2-bit tags: the shared prefix; the rest of the word is stored.
+        MODE_TAIL => decode_tagged(check_base(base, count)?, payload, 4, |tag| (tag, 0))?,
+        // 4-bit tags: prefix << 2 | zero suffix; the middle is stored.
+        MODE_TAIL2 => decode_tagged(check_base(base, count)?, payload, 2, |tag| {
+            (tag >> 2, tag & 0b11)
+        })?,
         other => return Err(DeltaDecodeError::UnknownMode(other)),
     };
-    if out.iter().any(|v| !v.is_finite()) {
+    // No early exit: the all-finite case is the one that must be fast, and
+    // this form vectorises.
+    if out.iter().fold(false, |bad, v| bad | !v.is_finite()) {
         return Err(DeltaDecodeError::NonFinite);
     }
     Ok(out)
 }
 
+/// A base-relative encoding only applies to a base of the declared length.
+fn check_base(base: &[f32], count: usize) -> Result<&[f32], DeltaDecodeError> {
+    if base.len() != count {
+        return Err(DeltaDecodeError::BaseMismatch {
+            expected: count,
+            actual: base.len(),
+        });
+    }
+    Ok(base)
+}
+
 fn decode_dense(count: usize, payload: &[u8]) -> Result<Vec<f32>, DeltaDecodeError> {
-    if payload.len() != count * 4 {
+    // A header may declare any count: `count * 4` must not wrap into a
+    // length the payload happens to have.
+    if count.checked_mul(4) != Some(payload.len()) {
         return Err(DeltaDecodeError::PayloadMismatch);
     }
     Ok(payload
@@ -218,95 +244,76 @@ fn decode_dense(count: usize, payload: &[u8]) -> Result<Vec<f32>, DeltaDecodeErr
         .collect())
 }
 
-fn decode_sparse(base: &[f32], count: usize, payload: &[u8]) -> Result<Vec<f32>, DeltaDecodeError> {
-    if base.len() != count {
-        return Err(DeltaDecodeError::BaseMismatch {
-            expected: count,
-            actual: base.len(),
-        });
-    }
-    if payload.len() < 4 {
+fn decode_sparse(base: &[f32], payload: &[u8]) -> Result<Vec<f32>, DeltaDecodeError> {
+    let Some((n_changed, pairs)) = payload.split_first_chunk::<4>() else {
         return Err(DeltaDecodeError::PayloadMismatch);
-    }
-    let n_changed = u32::from_le_bytes(payload[..4].try_into().expect("4 bytes")) as usize;
-    let pairs = &payload[4..];
-    if pairs.len() != n_changed * 8 {
+    };
+    if (u32::from_le_bytes(*n_changed) as usize).checked_mul(8) != Some(pairs.len()) {
         return Err(DeltaDecodeError::PayloadMismatch);
     }
     let mut out = base.to_vec();
     for pair in pairs.chunks_exact(8) {
         let index = u32::from_le_bytes(pair[..4].try_into().expect("4 bytes")) as usize;
         let bits = u32::from_le_bytes(pair[4..].try_into().expect("4 bytes"));
-        if index >= out.len() {
+        let Some(slot) = out.get_mut(index) else {
             return Err(DeltaDecodeError::PayloadMismatch);
-        }
-        out[index] = f32::from_bits(bits);
+        };
+        *slot = f32::from_bits(bits);
     }
     Ok(out)
 }
 
-fn decode_tail(base: &[f32], count: usize, payload: &[u8]) -> Result<Vec<f32>, DeltaDecodeError> {
-    if base.len() != count {
-        return Err(DeltaDecodeError::BaseMismatch {
-            expected: count,
-            actual: base.len(),
-        });
-    }
-    let tag_bytes = count.div_ceil(4);
-    if payload.len() < tag_bytes {
-        return Err(DeltaDecodeError::PayloadMismatch);
-    }
-    let (tags, mut tails) = payload.split_at(tag_bytes);
-    let mut out = Vec::with_capacity(count);
-    for (i, b) in base.iter().enumerate() {
-        let shared = ((tags[i / 4] >> ((i % 4) * 2)) & 0b11) as usize;
-        let take = 4 - shared;
-        if tails.len() < take {
-            return Err(DeltaDecodeError::PayloadMismatch);
+/// The four bytes at `at`, little-endian, reading zeros past the end.
+fn load_le(bytes: &[u8], at: usize) -> u32 {
+    let rest = bytes.get(at..).unwrap_or_default();
+    match rest.first_chunk::<4>() {
+        Some(word) => u32::from_le_bytes(*word),
+        None => {
+            let mut word = [0u8; 4];
+            word[..rest.len()].copy_from_slice(rest);
+            u32::from_le_bytes(word)
         }
-        let mut le = b.to_bits().to_le_bytes();
-        le[..take].copy_from_slice(&tails[..take]);
-        tails = &tails[take..];
-        out.push(f32::from_bits(u32::from_le_bytes(le)));
     }
-    if !tails.is_empty() {
-        return Err(DeltaDecodeError::PayloadMismatch);
-    }
-    Ok(out)
 }
 
-fn decode_tail2(base: &[f32], count: usize, payload: &[u8]) -> Result<Vec<f32>, DeltaDecodeError> {
-    if base.len() != count {
-        return Err(DeltaDecodeError::BaseMismatch {
-            expected: count,
-            actual: base.len(),
-        });
-    }
-    let tag_bytes = count.div_ceil(2);
+/// The two tagged encodings: `split(tag)` answers the word's `(prefix,
+/// suffix)` byte counts — high bytes taken from the base, low bytes zero —
+/// and the bytes between them come off the stream, one masked four-byte
+/// load per word. The loop itself rejects nothing: the cursor only moves
+/// forward and reads zeros past the end, so "every tag in range and the
+/// cursor exactly at the payload's last byte", tested once before the
+/// result is let out, is the same accept set as checking each word.
+fn decode_tagged(
+    base: &[f32],
+    payload: &[u8],
+    per_byte: usize,
+    split: impl Fn(u32) -> (u32, u32),
+) -> Result<Vec<f32>, DeltaDecodeError> {
+    let tag_bytes = base.len().div_ceil(per_byte);
     if payload.len() < tag_bytes {
         return Err(DeltaDecodeError::PayloadMismatch);
     }
-    let (tags, mut middles) = payload.split_at(tag_bytes);
-    let mut out = Vec::with_capacity(count);
-    for (i, b) in base.iter().enumerate() {
-        let tag = (tags[i / 2] >> ((i % 2) * 4)) & 0b1111;
-        let (p, s) = ((tag >> 2) as usize, (tag & 0b11) as usize);
-        if p + s > 4 {
-            return Err(DeltaDecodeError::PayloadMismatch);
-        }
-        let take = 4 - p - s;
-        if middles.len() < take {
-            return Err(DeltaDecodeError::PayloadMismatch);
-        }
-        let mut le = [0u8; 4];
-        // High `p` bytes from the base, `take` middle bytes from the
-        // stream, low `s` bytes zero.
-        le[4 - p..].copy_from_slice(&b.to_bits().to_le_bytes()[4 - p..]);
-        le[s..s + take].copy_from_slice(&middles[..take]);
-        middles = &middles[take..];
-        out.push(f32::from_bits(u32::from_le_bytes(le)));
-    }
-    if !middles.is_empty() {
+    let (tags, stream) = payload.split_at(tag_bytes);
+    let tag_bits = 8 / per_byte;
+    let tag_mask = (1u32 << tag_bits) - 1;
+    let mut at = 0usize;
+    let mut in_range = true;
+    let out: Vec<f32> = base
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let tag = (u32::from(tags[i / per_byte]) >> ((i % per_byte) * tag_bits)) & tag_mask;
+            let (prefix, suffix) = split(tag);
+            in_range &= prefix + suffix <= 4;
+            let keep = 4u32.saturating_sub(prefix + suffix);
+            let stored = (1u64 << (8 * keep)) - 1;
+            let from_base = !(u32::MAX >> (8 * prefix)) & b.to_bits();
+            let from_stream = (load_le(stream, at) & stored as u32) << (8 * suffix);
+            at += keep as usize;
+            f32::from_bits(from_base | from_stream)
+        })
+        .collect();
+    if !in_range || at != stream.len() {
         return Err(DeltaDecodeError::PayloadMismatch);
     }
     Ok(out)
@@ -498,11 +505,22 @@ mod tests {
     #[test]
     fn rejects_non_finite_reconstruction() {
         // A dense delta carrying NaN bits must be refused at decode.
-        let mut bytes = header(MODE_DENSE, 1);
+        let mut bytes = header(MODE_DENSE, 1, 4);
         bytes.extend_from_slice(&f32::NAN.to_bits().to_le_bytes());
         assert_eq!(
             delta_from_bytes(&[], &bytes),
             Err(DeltaDecodeError::NonFinite)
+        );
+    }
+
+    #[test]
+    fn a_dense_header_declaring_two_to_the_62_weights_is_a_payload_mismatch() {
+        // `count * 4` wraps to 0 — the length of the empty payload — so the
+        // lying header used to decode as `Ok(vec![])`.
+        let bytes = header(MODE_DENSE, 1 << 62, 0);
+        assert_eq!(
+            delta_from_bytes(&[], &bytes),
+            Err(DeltaDecodeError::PayloadMismatch)
         );
     }
 

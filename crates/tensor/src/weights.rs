@@ -34,7 +34,9 @@ pub fn weights_from_bytes(bytes: &[u8]) -> Result<Vec<f32>, WeightsDecodeError> 
     }
     let count = u64::from_le_bytes(bytes[4..12].try_into().expect("8 bytes")) as usize;
     let payload = &bytes[12..];
-    if payload.len() != count * 4 {
+    // A header may declare any count: `count * 4` must not wrap into a
+    // length the payload happens to have.
+    if count.checked_mul(4) != Some(payload.len()) {
         return Err(WeightsDecodeError::LengthMismatch {
             declared: count,
             actual: payload.len() / 4,
@@ -162,6 +164,22 @@ mod tests {
         let bytes = weights_to_bytes(&[1.0, 2.0]);
         let err = weights_from_bytes(&bytes[..bytes.len() - 4]).unwrap_err();
         assert!(matches!(err, WeightsDecodeError::LengthMismatch { .. }));
+    }
+
+    #[test]
+    fn a_header_declaring_two_to_the_62_weights_is_a_length_mismatch() {
+        // Twelve bytes any peer can publish: `count * 4` wraps to 0, which
+        // is the payload's length, and the allocation for 2⁶² weights
+        // aborts the fetching cluster.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        assert_eq!(
+            weights_from_bytes(&bytes),
+            Err(WeightsDecodeError::LengthMismatch {
+                declared: 1 << 62,
+                actual: 0
+            })
+        );
     }
 
     #[test]

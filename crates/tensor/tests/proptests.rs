@@ -346,6 +346,55 @@ proptest! {
         }
     }
 
+    /// The never-panics half of the decoder contract, for both weight
+    /// decoders: arbitrary bytes — raw, and behind a valid magic, every mode
+    /// byte and a count that is honest, payload-sized, wrapping (2⁶² more
+    /// than the payload holds, so `count * 4` overflows onto the payload's
+    /// length) or wild — against an arbitrary base never panic, and
+    /// whatever decodes `Ok` has exactly the length its header declares and
+    /// is finite.
+    #[test]
+    fn weight_decoders_never_panic_and_accept_only_what_the_header_declares(
+        base in proptest::collection::vec(finite_f32(), 0..40),
+        body in proptest::collection::vec(any::<u8>(), 0..200),
+        mode in 0u8..6,
+        count_kind in 0usize..5,
+        wild in any::<u64>(),
+    ) {
+        use unifyfl_tensor::delta::delta_from_bytes;
+
+        let count = match count_kind {
+            0 => base.len() as u64,
+            1 => body.len() as u64 / 4,
+            2 => (1 << 62) + body.len() as u64 / 4,
+            _ => wild,
+        };
+        let framed = |magic: &[u8], mode: Option<u8>| -> Vec<u8> {
+            if count_kind == 4 {
+                return body.clone();
+            }
+            let mut blob = magic.to_vec();
+            blob.extend(mode);
+            blob.extend_from_slice(&count.to_le_bytes());
+            blob.extend_from_slice(&body[..body.len() - body.len() % 4]);
+            blob
+        };
+        let declared = |blob: &[u8], at: usize| {
+            u64::from_le_bytes(blob[at..at + 8].try_into().unwrap())
+        };
+
+        let blob = framed(b"UFLW", None);
+        if let Ok(weights) = weights_from_bytes(&blob) {
+            prop_assert_eq!(weights.len() as u64, declared(&blob, 4));
+            prop_assert!(weights.iter().all(|w| w.is_finite()));
+        }
+        let blob = framed(b"UFLD", Some(mode));
+        if let Ok(weights) = delta_from_bytes(&base, &blob) {
+            prop_assert_eq!(weights.len() as u64, declared(&blob, 5));
+            prop_assert!(weights.iter().all(|w| w.is_finite()));
+        }
+    }
+
     /// Release quantization really bounds the payload: the dropped mantissa
     /// bits of every released word are zero, and the value error is within
     /// one step of the kept precision.
