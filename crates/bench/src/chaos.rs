@@ -219,6 +219,7 @@ mod tests {
     fn json_rendering_is_well_formed() {
         let bench = run(Scale::Quick, 42);
         let json = render_json(&bench, 42);
+        crate::assert_matches_baseline("chaos", &json);
         let text = json.render();
         assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
         assert!(text.contains("\"bench\": \"chaos\""));

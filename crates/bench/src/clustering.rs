@@ -542,6 +542,7 @@ mod tests {
     #[test]
     fn quick_scale_gates_hold() {
         let bench = run(Scale::Quick, 42);
+        crate::assert_matches_baseline("clustering", &render_json(&bench, 42, Scale::Quick));
         assert!(bench.regroup_beats_static(), "{}", render(&bench));
         assert!(bench.deterministic, "{}", render(&bench));
         assert!(bench.identity.identical(), "{}", render(&bench));

@@ -300,6 +300,7 @@ mod tests {
         // the routing pattern fails `cargo test`, not just CI's
         // release-mode run.
         let bench = run(Scale::Quick, 42);
+        crate::assert_matches_baseline("gossip", &render_json(&bench, 42, Scale::Quick));
         assert!(
             bench.sub_sqrt(),
             "gossip exponent {:.3} breached the {GOSSIP_EXPONENT_BAR} bar ({} -> {} bytes)",

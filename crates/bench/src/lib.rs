@@ -204,6 +204,61 @@ pub fn fixed(x: f64, decimals: i32) -> Json {
     Json::Num((x * unit).round() / unit)
 }
 
+/// Keys the next commit deletes from the trajectory files (host wall
+/// clocks and proofs that tier-1 tests already hold): until then a run
+/// carries them where its committed baseline does not.
+#[cfg(test)]
+const STRIPPED: [&str; 3] = ["wall_secs", "equivalence", "baseline_identity"];
+
+/// The first place `run` departs from `baseline`, in the shape
+/// `arms[1].wire_bytes: baseline <n>, run <m>`; `None` when they agree
+/// key by key.
+#[cfg(test)]
+fn first_difference(path: &str, baseline: Option<&Json>, run: Option<&Json>) -> Option<String> {
+    match (baseline, run) {
+        (Some(base @ Json::Obj(b)), Some(new @ Json::Obj(r))) => {
+            let added = r
+                .iter()
+                .filter(|(key, _)| base.get(key).is_none() && !STRIPPED.contains(&key.as_str()));
+            b.iter().chain(added).find_map(|(key, _)| {
+                let dot = if path.is_empty() { "" } else { "." };
+                first_difference(&format!("{path}{dot}{key}"), base.get(key), new.get(key))
+            })
+        }
+        (Some(Json::Arr(b)), Some(Json::Arr(r))) => (0..b.len().max(r.len()))
+            .find_map(|i| first_difference(&format!("{path}[{i}]"), b.get(i), r.get(i))),
+        (b, r) if b == r => None,
+        (b, r) => {
+            let show = |side: Option<&Json>| side.map_or("nothing".to_owned(), Json::render);
+            Some(format!("{path}: baseline {}, run {}", show(b), show(r)))
+        }
+    }
+}
+
+/// Tier-1's drift check on a trajectory bench: the quick-scale seed-42
+/// `run` must equal the committed `docs/baselines/<name>.json` exactly,
+/// key by key.
+///
+/// # Panics
+///
+/// Panics with the first differing key path and both values.
+#[cfg(test)]
+pub(crate) fn assert_matches_baseline(name: &str, run: &Json) {
+    let path = format!(
+        "{}/../../docs/baselines/{name}.json",
+        env!("CARGO_MANIFEST_DIR")
+    );
+    let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    let baseline = Json::parse(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
+    if let Some(difference) = first_difference("", Some(&baseline), Some(run)) {
+        panic!(
+            "{name} departs from docs/baselines/{name}.json at {difference}\n(if the change is \
+             intended, regenerate the file: cargo run --release -p unifyfl-bench --bin {name} \
+             -- --out docs/baselines/{name}.json)"
+        );
+    }
+}
+
 /// Formats the standard extrapolation footer for a report.
 pub fn extrapolation_note(scale: Scale, paper: &WorkloadConfig, actual: &WorkloadConfig) -> String {
     match scale {
@@ -264,6 +319,42 @@ mod tests {
         assert_eq!(
             doc.render(),
             r#"{"ratio": 1.235, "whole": 3, "inf": null, "nan": null}"#
+        );
+    }
+
+    #[test]
+    fn baseline_mismatch_names_the_first_differing_key_path() {
+        let doc = |wire: f64| {
+            Json::obj([
+                ("bench", Json::str("scale")),
+                (
+                    "arms",
+                    Json::Arr(vec![
+                        Json::obj([("wire_bytes", int(7u64))]),
+                        Json::obj([("wire_bytes", Json::Num(wire)), ("shards", int(3u64))]),
+                    ]),
+                ),
+            ])
+        };
+        let diff = |run: &Json| first_difference("", Some(&doc(5.0)), Some(run));
+        assert_eq!(diff(&doc(5.0)), None);
+        assert_eq!(
+            diff(&doc(4.0)).as_deref(),
+            Some("arms[1].wire_bytes: baseline 5, run 4")
+        );
+        // A key or element on one side only is a difference too.
+        let Json::Obj(mut pairs) = doc(5.0) else {
+            unreachable!()
+        };
+        pairs.push(("extra".to_owned(), Json::Bool(true)));
+        assert_eq!(
+            diff(&Json::Obj(pairs)).as_deref(),
+            Some("extra: baseline nothing, run true")
+        );
+        let short = Json::obj([("bench", Json::str("scale")), ("arms", Json::Arr(vec![]))]);
+        assert_eq!(
+            diff(&short).as_deref(),
+            Some(r#"arms[0]: baseline {"wire_bytes": 7}, run nothing"#)
         );
     }
 

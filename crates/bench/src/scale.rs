@@ -301,6 +301,7 @@ mod tests {
         // the sharded wire pattern fails `cargo test`, not just CI's
         // release-mode `--full` run.
         let bench = run(Scale::Quick, 42);
+        crate::assert_matches_baseline("scale", &render_json(&bench, 42, Scale::Quick));
         assert!(
             bench.sub_quadratic(),
             "byte exponent {:.3} breached the {BYTE_EXPONENT_BAR} bar ({} -> {} bytes)",

@@ -439,6 +439,7 @@ mod tests {
     #[test]
     fn transfer_savings_show_up_as_virtual_time_savings() {
         let bench = run(42);
+        crate::assert_matches_baseline("timeline", &render_json(&bench, 42));
         let (on, off, holds) = bench.transfer_gate(TARGET_ACCURACY_PCT);
         assert!(
             holds,

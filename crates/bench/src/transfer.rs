@@ -199,6 +199,11 @@ mod tests {
     }
 
     #[test]
+    fn quick_run_matches_the_committed_baseline() {
+        crate::assert_matches_baseline("transfer", &render_json(&run(Scale::Quick, 42), 42));
+    }
+
+    #[test]
     fn json_rendering_is_well_formed() {
         let bench = TransferBench {
             pairs: vec![run_pair(3, Scale::Quick, 7)],
