@@ -1,13 +1,13 @@
-//! A counting global allocator for the speed bench's allocation gates.
+//! A counting global allocator for the allocation gates.
 //!
 //! The PR 10 arena work promises that a steady-state training batch —
 //! forward, loss, backward, flat-view extraction, optimizer step, weight
 //! write-back — performs **zero heap allocations**, and the storage layer
 //! that a warm fetch hands a release on without copying it. Claims like
-//! these are only checkable from outside the allocator, so the `speed`
-//! binary (and only that binary) installs [`CountingAllocator`] as its
-//! `#[global_allocator]` and measures counter deltas across a window of
-//! warmed-up work.
+//! these are only checkable from outside the allocator, so
+//! `tests/alloc_gates.rs` (and only that target) installs
+//! [`CountingAllocator`] as its `#[global_allocator]` and measures counter
+//! deltas across a window of warmed-up work.
 //!
 //! The allocator is a pass-through to [`std::alloc::System`] that keeps
 //! four relaxed atomics: calls, bytes requested, bytes live and the
@@ -15,8 +15,7 @@
 //! accounting needs to tell what a span *holds* from what it churns
 //! through. Library builds and ordinary test binaries do *not* install it,
 //! so [`is_counting`] probes whether the counters are live before any
-//! measurement is trusted — a dead counter yields `None`, never a vacuous
-//! zero.
+//! measurement is trusted — a gate must never pass against a dead counter.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +39,7 @@ fn grew(bytes: usize) {
 /// Pass-through system allocator that counts `alloc`/`realloc` calls and
 /// the bytes behind them.
 ///
-/// Install it in a binary with:
+/// Install it in a binary (or a `harness = false` test target) with:
 ///
 /// ```ignore
 /// #[global_allocator]

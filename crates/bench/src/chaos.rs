@@ -3,8 +3,8 @@
 //! Runs the same federation twice — fault-free, then under a churn mix
 //! (sampled crashes, flaky DHT, lossy gossip, missed seals) — and reports
 //! how many rounds each run needs to reach 90% of the fault-free final
-//! accuracy. The JSON rendering is emitted as `BENCH_chaos.json` by the
-//! `chaos` binary so CI can track the resilience trajectory over time.
+//! accuracy. `unifyfl-bench chaos` writes the JSON rendering to
+//! `BENCH_chaos.json`; `docs/baselines/chaos.json` pins it at seed 42.
 
 use unifyfl_core::cluster::ClusterConfig;
 use unifyfl_core::experiment::{
@@ -18,7 +18,7 @@ use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
 
-use crate::{fixed, int, Json, Scale};
+use crate::{fixed, int, Json};
 
 /// Rounds of the benchmark federation.
 pub const ROUNDS: usize = 6;
@@ -118,13 +118,13 @@ pub struct ChaosBench {
     pub threshold_pct: f64,
 }
 
-/// Runs both arms of the benchmark. `Scale` is accepted for harness
-/// uniformity; the federation is already quick-sized.
+/// Runs both arms of the benchmark (one scale: the federation is already
+/// quick-sized).
 ///
 /// # Panics
 ///
 /// Panics if the configuration is invalid (cannot happen here).
-pub fn run(_scale: Scale, seed: u64) -> ChaosBench {
+pub fn run(seed: u64) -> ChaosBench {
     let baseline = run_experiment(&config(seed, None)).expect("baseline config is valid");
     let churned = run_experiment(&config(seed, Some(churn()))).expect("churn config is valid");
     let threshold_pct = 0.9 * final_mean_acc(&baseline);
@@ -202,9 +202,15 @@ pub fn render(bench: &ChaosBench) -> String {
 mod tests {
     use super::*;
 
+    /// The seed-42 run both tests read.
+    fn quick() -> &'static ChaosBench {
+        static RUN: std::sync::OnceLock<ChaosBench> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(42))
+    }
+
     #[test]
     fn bench_runs_and_counts_churn() {
-        let bench = run(Scale::Quick, 42);
+        let bench = quick();
         // The baseline trivially converges to its own 90% threshold.
         assert!(rounds_to_converge(&bench.baseline, bench.threshold_pct).is_some());
         let c = &bench.churned.chaos;
@@ -217,13 +223,6 @@ mod tests {
 
     #[test]
     fn json_rendering_is_well_formed() {
-        let bench = run(Scale::Quick, 42);
-        let json = render_json(&bench, 42);
-        crate::assert_matches_baseline("chaos", &json);
-        let text = json.render();
-        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
-        assert!(text.contains("\"bench\": \"chaos\""));
-        assert!(text.contains("\"baseline\""));
-        assert!(text.contains("\"churn\""));
+        crate::assert_matches_baseline("chaos", &render_json(quick(), 42));
     }
 }

@@ -14,26 +14,24 @@
 //! once drifted weights diverge, the regrouped shards quarantine the
 //! drifted silos, and the undrifted majority converges undisturbed.
 //!
-//! Three gates ride on the result:
+//! Two gates ride on the result:
 //!
 //! 1. **Regroup beats static** — the undrifted silos' mean accuracy
 //!    reaches [`TARGET_ACCURACY_PCT`] strictly earlier (virtual time)
 //!    under regrouping, and ends at least as high.
 //! 2. **Determinism** — the regroup arm, run twice at the same seed,
 //!    produces a full-Debug **byte-identical** report.
-//! 3. **Baseline identity** — with `regroup: None` the topology-epoch
-//!    refactor is invisible: a pinned grid of pre-refactor report
-//!    fingerprints (seeds × modes × shards on/off × gossip) must
-//!    reproduce exactly, under both engines.
 //!
-//! The `clustering` binary emits `BENCH_clustering.json` (schema in
-//! `docs/BENCH.md`).
-
-use std::time::Instant;
+//! (That `regroup: None` leaves every pre-refactor report untouched is
+//! the pinned fingerprint grid of `tests/clustering_equivalence.rs`.)
+//!
+//! `unifyfl-bench clustering` writes `BENCH_clustering.json` (schema in
+//! `docs/BENCH.md`); `docs/baselines/clustering.json` pins it at quick
+//! scale.
 
 use unifyfl_core::cluster::{ClusterConfig, DriftSpec};
 use unifyfl_core::experiment::{ExperimentBuilder, ExperimentReport, Mode};
-use unifyfl_core::{Engine, GossipConfig, ShardConfig, ShardTopology};
+use unifyfl_core::{Engine, ShardConfig, ShardTopology};
 use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
@@ -133,8 +131,6 @@ pub struct DriftArm {
     /// Regroup evaluations scheduled over the run (0 = static; the
     /// cadence [`REGROUP_EVERY`] applied to the round count).
     pub regroups: u64,
-    /// Real elapsed seconds (host-dependent; informational).
-    pub wall_secs: f64,
     /// Full-Debug report rendering (determinism checks).
     pub report_debug: String,
 }
@@ -143,7 +139,6 @@ pub struct DriftArm {
 /// `adaptive` additionally turns on variance-weighted intra-shard
 /// aggregation.
 pub fn run_arm(scale: Scale, seed: u64, regroup: bool, adaptive: bool) -> DriftArm {
-    let start = Instant::now();
     let drifted = drifted_set(seed);
     let clusters = (0..FLEET)
         .map(|i| {
@@ -183,13 +178,7 @@ pub fn run_arm(scale: Scale, seed: u64, regroup: bool, adaptive: bool) -> DriftA
     } else {
         0
     };
-    summarize(
-        &report,
-        &drifted,
-        arm_label(regroup, adaptive),
-        regroups,
-        start,
-    )
+    summarize(&report, &drifted, arm_label(regroup, adaptive), regroups)
 }
 
 fn arm_label(regroup: bool, adaptive: bool) -> &'static str {
@@ -200,13 +189,7 @@ fn arm_label(regroup: bool, adaptive: bool) -> &'static str {
     }
 }
 
-fn summarize(
-    report: &ExperimentReport,
-    drifted: &[usize],
-    label: &str,
-    regroups: u64,
-    start: Instant,
-) -> DriftArm {
+fn summarize(report: &ExperimentReport, drifted: &[usize], label: &str, regroups: u64) -> DriftArm {
     let undrifted: Vec<usize> = (0..report.aggregators.len())
         .filter(|i| !drifted.contains(i))
         .collect();
@@ -253,137 +236,9 @@ fn summarize(
         final_undrifted_accuracy_pct: final_mean(&undrifted),
         final_drifted_accuracy_pct: final_mean(drifted),
         regroups,
-        wall_secs: start.elapsed().as_secs_f64(),
         report_debug: format!("{report:?}"),
     }
 }
-
-// ---- baseline-identity gate -------------------------------------------
-
-/// FNV-1a 64 over a report's full `Debug` rendering — the fingerprint the
-/// identity grid pins.
-pub fn fingerprint(report: &ExperimentReport) -> u64 {
-    let mut hash: u64 = 0xcbf29ce484222325;
-    for byte in format!("{report:?}").bytes() {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
-}
-
-/// One pinned pre-refactor configuration and its report fingerprint.
-#[derive(Debug, Clone, Copy)]
-pub struct GoldenCase {
-    /// Experiment seed.
-    pub seed: u64,
-    /// Sync or Async.
-    pub mode: Mode,
-    /// Shards (0 = unsharded).
-    pub shards: usize,
-    /// Gossip overlay degree (0 = no overlay).
-    pub gossip_degree: usize,
-    /// Pre-refactor FNV-1a 64 of the full-Debug report.
-    pub fingerprint: u64,
-}
-
-/// The pinned grid: captured on the pre-refactor tree (4 edge clusters,
-/// 2 rounds, quickstart task, parallel engine), seeds × modes × shards
-/// on/off plus two gossip arms. `regroup: None` runs must reproduce every
-/// fingerprint bit for bit — under both engines, which are themselves
-/// byte-identical by the engine-equivalence invariant.
-pub const GOLDENS: &[GoldenCase] = &[
-    golden(11, Mode::Sync, 0, 0, 0x83c5beb20aead2f0),
-    golden(11, Mode::Sync, 2, 0, 0x8d6cce36f90d620d),
-    golden(11, Mode::Async, 0, 0, 0xb0fdb47f72a82ef7),
-    golden(11, Mode::Async, 2, 0, 0x56c93c0c196d5423),
-    golden(42, Mode::Sync, 0, 0, 0xd182169359c2e58a),
-    golden(42, Mode::Sync, 2, 0, 0xd4c4f96339b1de65),
-    golden(42, Mode::Async, 0, 0, 0xcf22041f88bb39cc),
-    golden(42, Mode::Async, 2, 0, 0xaf86425ca3b93da8),
-    golden(1337, Mode::Sync, 0, 0, 0xbc237745e1a70ff8),
-    golden(1337, Mode::Sync, 2, 0, 0xff4cbc7684c849ad),
-    golden(1337, Mode::Async, 0, 0, 0x9f0a70c18d5ced83),
-    golden(1337, Mode::Async, 2, 0, 0xc7a7e2fcb1a9fbb7),
-    golden(42, Mode::Sync, 2, 2, 0x6cb6e0ebbce510c5),
-    golden(42, Mode::Async, 2, 2, 0x2cc7d5d5309a4d98),
-];
-
-const fn golden(
-    seed: u64,
-    mode: Mode,
-    shards: usize,
-    gossip_degree: usize,
-    fingerprint: u64,
-) -> GoldenCase {
-    GoldenCase {
-        seed,
-        mode,
-        shards,
-        gossip_degree,
-        fingerprint,
-    }
-}
-
-/// Runs one golden configuration under `engine` and returns its
-/// fingerprint.
-pub fn run_golden(case: &GoldenCase, engine: Engine) -> u64 {
-    let clusters = (0..4)
-        .map(|i| ClusterConfig::edge(format!("agg-{}", i + 1), DeviceProfile::edge_cpu()))
-        .collect();
-    let mut builder = ExperimentBuilder::quickstart()
-        .seed(case.seed)
-        .rounds(2)
-        .mode(case.mode)
-        .engine(engine)
-        .clusters(clusters);
-    if case.shards > 0 {
-        builder = builder.sharding(ShardConfig::new(case.shards));
-    }
-    if case.gossip_degree > 0 {
-        builder = builder.gossip(GossipConfig {
-            degree: case.gossip_degree,
-            ..GossipConfig::default()
-        });
-    }
-    fingerprint(&builder.run().expect("golden config is valid"))
-}
-
-/// The baseline-identity arm: every golden case, under both engines.
-#[derive(Debug, Clone)]
-pub struct IdentityArm {
-    /// Cases checked (goldens × engines).
-    pub cases: usize,
-    /// Cases whose fingerprint mismatched, as
-    /// `(seed, mode, shards, engine)` strings.
-    pub mismatches: Vec<String>,
-}
-
-impl IdentityArm {
-    /// True when every case reproduced its pinned fingerprint.
-    pub fn identical(&self) -> bool {
-        self.mismatches.is_empty()
-    }
-}
-
-/// Runs the full identity grid.
-pub fn run_identity() -> IdentityArm {
-    let mut cases = 0;
-    let mut mismatches = Vec::new();
-    for case in GOLDENS {
-        for engine in [Engine::Sequential, Engine::Parallel] {
-            cases += 1;
-            if run_golden(case, engine) != case.fingerprint {
-                mismatches.push(format!(
-                    "(seed {}, {}, shards {}, gossip {}, {})",
-                    case.seed, case.mode, case.shards, case.gossip_degree, engine
-                ));
-            }
-        }
-    }
-    IdentityArm { cases, mismatches }
-}
-
-// ---- the complete benchmark -------------------------------------------
 
 /// The complete benchmark result.
 #[derive(Debug, Clone)]
@@ -397,8 +252,6 @@ pub struct ClusteringBench {
     /// Whether the regroup arm reproduced byte-identically on a second
     /// same-seed run.
     pub deterministic: bool,
-    /// The baseline-identity grid.
-    pub identity: IdentityArm,
     /// The drifted cluster indices.
     pub drifted: Vec<usize>,
 }
@@ -420,6 +273,25 @@ impl ClusteringBench {
             && self.regroup_arm.final_undrifted_accuracy_pct
                 >= self.static_arm.final_undrifted_accuracy_pct
     }
+
+    /// Asserts the two clustering gates.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first gate that does not hold.
+    pub fn assert_gates(&self) {
+        assert!(
+            self.regroup_beats_static(),
+            "dynamic regrouping must reach {TARGET_ACCURACY_PCT}% undrifted accuracy strictly \
+             before the static assignment (static {:?}s vs regroup {:?}s)",
+            self.static_arm.time_to_target_secs,
+            self.regroup_arm.time_to_target_secs,
+        );
+        assert!(
+            self.deterministic,
+            "regroup arm must be byte-identical across same-seed runs",
+        );
+    }
 }
 
 /// Runs all arms and gates.
@@ -434,14 +306,12 @@ pub fn run(scale: Scale, seed: u64) -> ClusteringBench {
         regroup_arm,
         adaptive_arm,
         deterministic,
-        identity: run_identity(),
         drifted: drifted_set(seed),
     }
 }
 
 /// Renders the machine-readable `BENCH_clustering.json` body.
 pub fn render_json(bench: &ClusteringBench, seed: u64, scale: Scale) -> Json {
-    let id = &bench.identity;
     let arms = [&bench.static_arm, &bench.regroup_arm, &bench.adaptive_arm].map(|arm| {
         Json::obj([
             ("arm", Json::str(arm.label.clone())),
@@ -458,7 +328,6 @@ pub fn render_json(bench: &ClusteringBench, seed: u64, scale: Scale) -> Json {
                 fixed(arm.final_drifted_accuracy_pct, 2),
             ),
             ("regroups", int(arm.regroups)),
-            ("wall_secs", fixed(arm.wall_secs, 3)),
         ])
     });
     Json::obj([
@@ -479,17 +348,6 @@ pub fn render_json(bench: &ClusteringBench, seed: u64, scale: Scale) -> Json {
             Json::Bool(bench.regroup_beats_static()),
         ),
         ("deterministic", Json::Bool(bench.deterministic)),
-        (
-            "baseline_identity",
-            Json::obj([
-                ("cases", int(id.cases)),
-                ("identical", Json::Bool(id.identical())),
-                (
-                    "mismatches",
-                    Json::Arr(id.mismatches.iter().map(Json::str).collect()),
-                ),
-            ]),
-        ),
         ("arms", Json::Arr(arms.into())),
     ])
 }
@@ -522,16 +380,6 @@ pub fn render(bench: &ClusteringBench) -> String {
         bench.regroup_beats_static()
     ));
     out.push_str(&format!("same-seed determinism: {}\n", bench.deterministic));
-    out.push_str(&format!(
-        "baseline identity (regroup: None): {}/{} cases identical{}\n",
-        bench.identity.cases - bench.identity.mismatches.len(),
-        bench.identity.cases,
-        if bench.identity.identical() {
-            String::new()
-        } else {
-            format!("; mismatches: {:?}", bench.identity.mismatches)
-        }
-    ));
     out
 }
 
@@ -539,19 +387,27 @@ pub fn render(bench: &ClusteringBench) -> String {
 mod tests {
     use super::*;
 
+    /// The quick-scale seed-42 run both tests read.
+    fn quick() -> &'static ClusteringBench {
+        static RUN: std::sync::OnceLock<ClusteringBench> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(Scale::Quick, 42))
+    }
+
     #[test]
     fn quick_scale_gates_hold() {
-        let bench = run(Scale::Quick, 42);
-        crate::assert_matches_baseline("clustering", &render_json(&bench, 42, Scale::Quick));
-        assert!(bench.regroup_beats_static(), "{}", render(&bench));
-        assert!(bench.deterministic, "{}", render(&bench));
-        assert!(bench.identity.identical(), "{}", render(&bench));
+        let bench = quick();
+        bench.assert_gates();
         assert!(
             bench.regroup_arm.final_drifted_accuracy_pct
                 < bench.regroup_arm.final_undrifted_accuracy_pct,
             "quarantined drifted silos face a rotated task the global test \
              set never sees"
         );
+    }
+
+    #[test]
+    fn json_rendering_is_well_formed() {
+        crate::assert_matches_baseline("clustering", &render_json(quick(), 42, Scale::Quick));
     }
 
     #[test]
@@ -572,39 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn json_rendering_is_well_formed() {
-        let arm = |label: &str, ttt: Option<f64>| DriftArm {
-            label: label.to_owned(),
-            time_to_target_secs: ttt,
-            final_undrifted_accuracy_pct: 60.0,
-            final_drifted_accuracy_pct: 25.0,
-            regroups: if ttt.is_some() { 5 } else { 0 },
-            wall_secs: 1.0,
-            report_debug: String::new(),
-        };
-        let bench = ClusteringBench {
-            static_arm: arm("static", None),
-            regroup_arm: arm("regroup", Some(900.0)),
-            adaptive_arm: arm("regroup_adaptive", Some(880.0)),
-            deterministic: true,
-            identity: IdentityArm {
-                cases: 28,
-                mismatches: Vec::new(),
-            },
-            drifted: vec![0, 2, 4],
-        };
-        assert!(bench.regroup_beats_static());
-        let json = render_json(&bench, 42, Scale::Quick);
-        let text = json.render();
-        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
-        assert!(text.contains("\"bench\": \"clustering\""));
-        assert!(text.contains("\"time_to_target_secs\": null"));
-        assert!(text.contains("\"time_to_target_secs\": 900,"));
-        assert!(text.contains("\"regroup_beats_static\": true"));
-        assert!(text.contains("\"identical\": true"));
-    }
-
-    #[test]
     fn beats_static_requires_strict_improvement() {
         let arm = |ttt: Option<f64>, acc: f64| DriftArm {
             label: "x".into(),
@@ -612,7 +435,6 @@ mod tests {
             final_undrifted_accuracy_pct: acc,
             final_drifted_accuracy_pct: 0.0,
             regroups: 0,
-            wall_secs: 0.0,
             report_debug: String::new(),
         };
         let bench = |static_ttt, regroup_ttt, static_acc, regroup_acc| ClusteringBench {
@@ -620,10 +442,6 @@ mod tests {
             regroup_arm: arm(regroup_ttt, regroup_acc),
             adaptive_arm: arm(None, 0.0),
             deterministic: true,
-            identity: IdentityArm {
-                cases: 0,
-                mismatches: Vec::new(),
-            },
             drifted: vec![],
         };
         // Strictly earlier and at least as accurate: beats.

@@ -1,14 +1,21 @@
 //! Benchmark harness for the UnifyFL reproduction.
 //!
-//! One module per evaluation artifact; each regenerates the paper's rows
-//! or series and returns them as printable text (the `src/bin/*` binaries
-//! are thin wrappers). The default scale shrinks rounds and sample counts
-//! ~10× so the whole suite runs in minutes; pass `--full` for the paper's
-//! scale. Measured virtual times are reported alongside a *full-scale
-//! extrapolation* (`time × round-factor × sample-factor`) so they can be
-//! compared with the paper's absolute seconds.
+//! One module per evaluation artifact and one binary for all of them:
+//! `unifyfl-bench <name> [flags]` looks `<name>` up in [`BENCHES`]. The
+//! default scale shrinks rounds and sample counts ~10× so the whole suite
+//! runs in minutes; pass `--full` for the paper's scale. Measured virtual
+//! times are reported alongside a *full-scale extrapolation*
+//! (`time × round-factor × sample-factor`) so they can be compared with
+//! the paper's absolute seconds.
 //!
-//! | Module | Paper artifact |
+//! Every number reported here is virtual time, bytes, counts or accuracy,
+//! and therefore identical per seed on every host and build profile; host
+//! time is measured by `crates/benchmark`, not here. The six trajectory
+//! benches write one JSON file each (schema in `docs/BENCH.md`); their
+//! quick-scale seed-42 output is committed under `docs/baselines/` and
+//! tier-1 compares it exactly.
+//!
+//! | Module | Artifact |
 //! |---|---|
 //! | [`table1`] | Table 1 — no-collab vs collab |
 //! | [`table5`] | Table 5 — nine Tiny-ImageNet GPU-cluster runs |
@@ -16,14 +23,14 @@
 //! | [`table7`] | Table 7 + §4.2.7 — resource overheads |
 //! | [`figure7`] | Figure 7 — Byzantine naive vs smart policy |
 //! | [`scalability`] | §4.2.6 — 60 clients across 3 aggregators |
+//! | [`ablation`] | sweeps over the design choices ARCHITECTURE.md calls out |
 //! | [`chaos`] | resilience trajectory — rounds-to-converge under churn |
 //! | [`transfer`] | bandwidth trajectory — bytes-on-wire, dedup/delta/cache on vs. off |
-//! | [`speed`] | speed trajectory — wall-clock, parallel two-phase engine vs. sequential |
+//! | [`timeline`] | timeline trajectory — time-to-target-accuracy, sync vs. async × link models × elastic membership |
 //! | [`scale`] | scale trajectory — two-tier sharded federation to 1,000 clusters |
 //! | [`gossip`] | gossip trajectory — busiest-node wire bytes, overlay routing vs. flat fetch |
-//! | [`timeline`] | timeline trajectory — time-to-target-accuracy, sync vs. async × link models × elastic membership |
-//! | [`serve`] | serve trajectory — daemon throughput and round latency under a queued submission burst |
 //! | [`clustering`] | clustering trajectory — dynamic re-clustering vs. static shard assignment under domain drift |
+//! | [`speed`] | allocation probes behind `tests/alloc_gates.rs`, on [`alloc`]'s counting allocator |
 
 pub mod ablation;
 pub mod alloc;
@@ -33,7 +40,6 @@ pub mod figure7;
 pub mod gossip;
 pub mod scalability;
 pub mod scale;
-pub mod serve;
 pub mod speed;
 pub mod table1;
 pub mod table5;
@@ -85,9 +91,10 @@ impl Scale {
     }
 }
 
-/// The flags the bench binaries share, parsed once: `--full`, `--seed N`
-/// (default 42), `--out PATH` (trajectory bins; default `BENCH_<name>.json`
-/// in the working directory) and `--run ID` (`table5` / `table6`).
+/// The four flags of `unifyfl-bench <name> [flags]`: `--full`, `--seed N`
+/// (default 42), `--out PATH` (trajectory benches; default
+/// `BENCH_<name>.json` in the working directory) and `--run ID`
+/// (`table5` / `table6`). Each bench reads some of them ([`Bench::reads`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Cli {
     /// `--full` selects [`Scale::Full`].
@@ -101,14 +108,16 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses the arguments after the program name.
+    /// Parses the arguments after the bench name, for a bench that reads
+    /// the flags in `reads`.
     ///
     /// # Errors
     ///
-    /// An unknown flag, a flag missing its value, or a `--seed` that is
-    /// not a number — a run must never misstate how it was produced by
-    /// quietly falling back to a default.
-    pub fn parse(args: &[String]) -> Result<Cli, String> {
+    /// An unknown flag — one the bench does not read is as unknown as a
+    /// typo — a flag missing its value, or a `--seed` that is not a number:
+    /// a run must never misstate how it was produced by quietly falling
+    /// back to a default or ignoring what it was told.
+    pub fn parse(args: &[String], reads: &[&str]) -> Result<Cli, String> {
         let mut cli = Cli {
             scale: Scale::Quick,
             seed: 42,
@@ -118,30 +127,23 @@ impl Cli {
         let mut args = args.iter();
         while let Some(flag) = args.next() {
             let mut value = || args.next().ok_or(format!("{flag} needs a value"));
-            match flag.as_str() {
-                "--full" => cli.scale = Scale::Full,
-                "--seed" => {
+            match Some(flag.as_str()).filter(|flag| reads.contains(flag)) {
+                Some("--full") => cli.scale = Scale::Full,
+                Some("--seed") => {
                     let v = value()?;
                     cli.seed = v
                         .parse()
                         .map_err(|_| format!("--seed {v:?} is not a number"))?;
                 }
-                "--out" => cli.out = Some(value()?.clone()),
-                "--run" => cli.run = Some(value()?.clone()),
+                Some("--out") => cli.out = Some(value()?.clone()),
+                Some("--run") => cli.run = Some(value()?.clone()),
                 _ => return Err(format!("unknown flag {flag:?}")),
             }
         }
         Ok(cli)
     }
 
-    /// [`Cli::parse`] over the process arguments; a malformed command line
-    /// goes to [`usage_exit`].
-    pub fn from_env() -> Cli {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Cli::parse(&args).unwrap_or_else(|problem| usage_exit(&problem))
-    }
-
-    /// Prints a trajectory bin's human-readable `summary`, writes `json`
+    /// Prints a trajectory bench's human-readable `summary`, writes `json`
     /// on one line to `--out` (default `BENCH_<name>.json`) and echoes it.
     ///
     /// # Panics
@@ -157,36 +159,183 @@ impl Cli {
     }
 }
 
-/// Prints `problem` and the flag list on one line to stderr, exits 2.
-pub fn usage_exit(problem: &str) -> ! {
-    eprintln!("{problem}; usage: [--full] [--seed N] [--out PATH] [--run ID]");
-    std::process::exit(2)
+/// One row of the bench table.
+pub struct Bench {
+    /// The `<name>` argument that selects this row.
+    pub name: &'static str,
+    /// The flags this bench reads, of `--full`, `--seed`, `--out` and
+    /// `--run`; [`Cli::parse`] refuses the others.
+    pub reads: &'static [&'static str],
+    /// Prints the bench's rows; a trajectory bench also writes its file
+    /// and then asserts its gates (the module's `assert_gates`, the same
+    /// one its tier-1 test calls), panicking on a breach. `Err` is a
+    /// usage problem only the bench can see: a `--run` it does not have.
+    pub run: fn(&Cli) -> Result<(), String>,
 }
 
-/// The outcome of a neutrality arm ([`scale::run_equivalence`],
-/// [`gossip::run_equivalence`]): the feature under test at its neutral
-/// setting against the run without it, per seed, in both modes.
-pub struct EquivalenceArm {
-    /// Clusters in the equivalence fleet.
-    pub clusters: usize,
-    /// Seeds tested.
-    pub seeds: Vec<u64>,
-    /// True if every (seed, mode) pair reported byte-identically.
-    pub reports_identical: bool,
+/// The four flags, as the usage line spells them.
+const FLAGS: [(&str, &str); 4] = [
+    ("--full", "[--full]"),
+    ("--seed", "[--seed N]"),
+    ("--out", "[--out PATH]"),
+    ("--run", "[--run ID]"),
+];
+
+fn print(text: String) -> Result<(), String> {
+    print!("{text}");
+    Ok(())
 }
 
-impl EquivalenceArm {
-    /// The `equivalence` object of `BENCH_scale.json` / `BENCH_gossip.json`.
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("clusters", int(self.clusters)),
-            (
-                "seeds",
-                Json::Arr(self.seeds.iter().copied().map(int).collect()),
-            ),
-            ("reports_identical", Json::Bool(self.reports_identical)),
-        ])
-    }
+/// Every bench `unifyfl-bench` runs: seven paper artifacts, then six
+/// trajectories.
+pub const BENCHES: &[Bench] = &[
+    Bench {
+        name: "table1",
+        reads: &["--full", "--seed"],
+        run: |cli| print(table1::render(cli.scale, cli.seed)),
+    },
+    Bench {
+        name: "table5",
+        reads: &["--full", "--seed", "--run"],
+        run: |cli| match &cli.run {
+            None => print(table5::render_all(cli.scale, cli.seed)),
+            Some(id) => match id.parse() {
+                Ok(run) if table5::RUNS.contains(&run) => {
+                    print(table5::render(run, cli.scale, cli.seed))
+                }
+                _ => Err(format!("--run {id:?} is not a Table 5 run (1..=9)")),
+            },
+        },
+    },
+    Bench {
+        name: "table6",
+        reads: &["--full", "--seed", "--run"],
+        run: |cli| match cli.run.as_deref() {
+            None => print(table6::render_all(cli.scale, cli.seed)),
+            Some(id) if table6::RUNS.contains(&id) => {
+                print(table6::render(id, cli.scale, cli.seed))
+            }
+            Some(id) => Err(format!("--run {id:?} is not a Table 6 run (C1, C2, C3)")),
+        },
+    },
+    Bench {
+        name: "table7",
+        reads: &["--full", "--seed"],
+        run: |cli| print(table7::render(cli.scale, cli.seed)),
+    },
+    Bench {
+        name: "figure7",
+        reads: &["--full", "--seed"],
+        run: |cli| print(figure7::render(cli.scale, cli.seed)),
+    },
+    Bench {
+        name: "scalability",
+        reads: &["--full", "--seed"],
+        run: |cli| print(scalability::render(cli.scale, cli.seed)),
+    },
+    Bench {
+        name: "ablation",
+        reads: &["--seed"],
+        run: |cli| print(ablation::render(cli.seed)),
+    },
+    Bench {
+        name: "chaos",
+        reads: &["--seed", "--out"],
+        run: |cli| {
+            let bench = chaos::run(cli.seed);
+            let json = chaos::render_json(&bench, cli.seed);
+            cli.emit("chaos", &chaos::render(&bench), &json);
+            Ok(())
+        },
+    },
+    Bench {
+        name: "transfer",
+        reads: &["--full", "--seed", "--out"],
+        run: |cli| {
+            let bench = transfer::run(cli.scale, cli.seed);
+            let json = transfer::render_json(&bench, cli.seed);
+            cli.emit("transfer", &transfer::render(&bench), &json);
+            bench.assert_gates();
+            Ok(())
+        },
+    },
+    Bench {
+        name: "timeline",
+        reads: &["--seed", "--out"],
+        run: |cli| {
+            let bench = timeline::run(cli.seed);
+            let json = timeline::render_json(&bench, cli.seed);
+            cli.emit("timeline", &timeline::render(&bench), &json);
+            bench.assert_gates();
+            Ok(())
+        },
+    },
+    Bench {
+        name: "scale",
+        reads: &["--full", "--seed", "--out"],
+        run: |cli| {
+            let bench = scale::run(cli.scale, cli.seed);
+            let json = scale::render_json(&bench, cli.seed, cli.scale);
+            cli.emit("scale", &scale::render(&bench), &json);
+            bench.assert_gates();
+            Ok(())
+        },
+    },
+    Bench {
+        name: "gossip",
+        reads: &["--full", "--seed", "--out"],
+        run: |cli| {
+            let bench = gossip::run(cli.scale, cli.seed);
+            let json = gossip::render_json(&bench, cli.seed, cli.scale);
+            cli.emit("gossip", &gossip::render(&bench), &json);
+            bench.assert_gates();
+            Ok(())
+        },
+    },
+    Bench {
+        name: "clustering",
+        reads: &["--full", "--seed", "--out"],
+        run: |cli| {
+            let bench = clustering::run(cli.scale, cli.seed);
+            let json = clustering::render_json(&bench, cli.seed, cli.scale);
+            cli.emit("clustering", &clustering::render(&bench), &json);
+            bench.assert_gates();
+            Ok(())
+        },
+    },
+];
+
+/// The whole of `unifyfl-bench`: looks `args[0]` up in [`BENCHES`], parses
+/// the rest against the flags that row reads, and runs it.
+///
+/// # Errors
+///
+/// A one-line usage message (the binary prints it and exits 2): no or an
+/// unknown bench name, a flag the named bench does not read, a malformed
+/// value.
+pub fn run(args: &[String]) -> Result<(), String> {
+    let named = args.first();
+    let Some(bench) = named.and_then(|name| BENCHES.iter().find(|b| b.name == name)) else {
+        let problem = named.map_or("name a bench".to_owned(), |name| {
+            format!("unknown bench {name:?}")
+        });
+        let names: Vec<&str> = BENCHES.iter().map(|b| b.name).collect();
+        return Err(format!(
+            "{problem}; usage: unifyfl-bench <{}> [flags]",
+            names.join("|")
+        ));
+    };
+    let usage = |problem: String| {
+        let flags = FLAGS.iter().filter(|(flag, _)| bench.reads.contains(flag));
+        let flags: Vec<&str> = flags.map(|(_, usage)| *usage).collect();
+        format!(
+            "{problem}; usage: unifyfl-bench {} {}",
+            bench.name,
+            flags.join(" ")
+        )
+    };
+    let cli = Cli::parse(&args[1..], bench.reads).map_err(usage)?;
+    (bench.run)(&cli).map_err(usage)
 }
 
 /// A count as a JSON number (every count here is far below 2^53, where
@@ -204,12 +353,6 @@ pub fn fixed(x: f64, decimals: i32) -> Json {
     Json::Num((x * unit).round() / unit)
 }
 
-/// Keys the next commit deletes from the trajectory files (host wall
-/// clocks and proofs that tier-1 tests already hold): until then a run
-/// carries them where its committed baseline does not.
-#[cfg(test)]
-const STRIPPED: [&str; 3] = ["wall_secs", "equivalence", "baseline_identity"];
-
 /// The first place `run` departs from `baseline`, in the shape
 /// `arms[1].wire_bytes: baseline <n>, run <m>`; `None` when they agree
 /// key by key.
@@ -217,9 +360,7 @@ const STRIPPED: [&str; 3] = ["wall_secs", "equivalence", "baseline_identity"];
 fn first_difference(path: &str, baseline: Option<&Json>, run: Option<&Json>) -> Option<String> {
     match (baseline, run) {
         (Some(base @ Json::Obj(b)), Some(new @ Json::Obj(r))) => {
-            let added = r
-                .iter()
-                .filter(|(key, _)| base.get(key).is_none() && !STRIPPED.contains(&key.as_str()));
+            let added = r.iter().filter(|(key, _)| base.get(key).is_none());
             b.iter().chain(added).find_map(|(key, _)| {
                 let dot = if path.is_empty() { "" } else { "." };
                 first_difference(&format!("{path}{dot}{key}"), base.get(key), new.get(key))
@@ -253,8 +394,8 @@ pub(crate) fn assert_matches_baseline(name: &str, run: &Json) {
     if let Some(difference) = first_difference("", Some(&baseline), Some(run)) {
         panic!(
             "{name} departs from docs/baselines/{name}.json at {difference}\n(if the change is \
-             intended, regenerate the file: cargo run --release -p unifyfl-bench --bin {name} \
-             -- --out docs/baselines/{name}.json)"
+             intended, regenerate the file: cargo run --release -p unifyfl-bench -- {name} \
+             --out docs/baselines/{name}.json)"
         );
     }
 }
@@ -274,8 +415,19 @@ pub fn extrapolation_note(scale: Scale, paper: &WorkloadConfig, actual: &Workloa
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// Parses as a bench that reads all four flags.
     fn cli(args: &[&str]) -> Result<Cli, String> {
-        Cli::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        Cli::parse(&strings(args), &FLAGS.map(|(flag, _)| flag))
+    }
+
+    /// The benches whose row accepts `args`, in table order.
+    fn accepting(args: &[&str]) -> Vec<&'static str> {
+        let accepts = |bench: &&Bench| Cli::parse(&strings(args), bench.reads).is_ok();
+        BENCHES.iter().filter(accepts).map(|b| b.name).collect()
     }
 
     #[test]
@@ -285,6 +437,25 @@ mod tests {
         // A typo must not silently run quick scale.
         assert!(cli(&["--ful"]).unwrap_err().contains("unknown flag"));
         assert!(cli(&["full"]).is_err());
+        // Nor may a bench that has no paper-scale arm accept `--full` and
+        // run its one scale: `ablation`, `chaos` and `timeline` refuse it.
+        let full = [
+            "table1",
+            "table5",
+            "table6",
+            "table7",
+            "figure7",
+            "scalability",
+            "transfer",
+            "scale",
+            "gossip",
+            "clustering",
+        ];
+        assert_eq!(accepting(&["--full"]), full);
+        assert_eq!(
+            run(&strings(&["chaos", "--full"])).unwrap_err(),
+            "unknown flag \"--full\"; usage: unifyfl-bench chaos [--seed N] [--out PATH]"
+        );
     }
 
     #[test]
@@ -306,6 +477,34 @@ mod tests {
         assert_eq!(all.out.as_deref(), Some("x.json"));
         assert_eq!(all.run.as_deref(), Some("C2"));
         assert_eq!((all.seed, all.scale), (9, Scale::Full));
+        // Every bench is seeded; only the trajectories write a file, only
+        // the two multi-run tables select a run. A flag a bench would
+        // ignore is refused, not dropped.
+        assert_eq!(accepting(&["--seed", "7"]).len(), BENCHES.len());
+        let trajectories = [
+            "chaos",
+            "transfer",
+            "timeline",
+            "scale",
+            "gossip",
+            "clustering",
+        ];
+        assert_eq!(accepting(&["--out", "x.json"]), trajectories);
+        assert_eq!(accepting(&["--run", "2"]), ["table5", "table6"]);
+        // A run the table does not have, and no or an unknown bench.
+        for (args, problem) in [
+            (&["table7", "--out", "x"][..], "unknown flag \"--out\""),
+            (&["table5", "--run", "12"], "not a Table 5 run"),
+            (&["table6", "--run", "C9"], "not a Table 6 run"),
+            (&["tabel1"], "unknown bench \"tabel1\""),
+            (&[], "name a bench"),
+        ] {
+            let message = run(&strings(args)).unwrap_err();
+            assert!(
+                message.contains(problem) && message.contains("; usage: unifyfl-bench "),
+                "{message}"
+            );
+        }
     }
 
     #[test]

@@ -14,17 +14,17 @@
 //!    broadcast measures ≈ 2.0).
 //! 2. **Bounded score tasks** — the contract hands out at most
 //!    `rounds × n × k` scorer assignments.
-//! 3. **shards = 1 is a no-op** — at every tested seed the single-shard
-//!    configuration reports **byte-identical** to the unsharded engine.
+//!
+//! (That shards = 1 is a no-op — byte-identical to the unsharded engine —
+//! is proven over random seeds by `tests/sharding_equivalence.rs`.)
 //!
 //! Quick scale runs 60/120 clusters so the gates ride in tier-1 tests;
-//! `--full` runs the 500/1,000-cluster fleet. The `scale` binary emits
-//! `BENCH_scale.json` (schema in `docs/BENCH.md`).
-
-use std::time::Instant;
+//! `--full` runs the 500/1,000-cluster fleet. `unifyfl-bench scale` writes
+//! `BENCH_scale.json` (schema in `docs/BENCH.md`);
+//! `docs/baselines/scale.json` pins it at quick scale.
 
 use unifyfl_core::cluster::ClusterConfig;
-use unifyfl_core::experiment::{Engine, ExperimentBuilder, Mode};
+use unifyfl_core::experiment::{Engine, Mode};
 use unifyfl_core::federation::Federation;
 use unifyfl_core::orchestration::run_sync;
 use unifyfl_core::scoring::ScorerKind;
@@ -33,7 +33,7 @@ use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
 use unifyfl_tensor::ModelSpec;
 
-use crate::{fixed, int, EquivalenceArm, Json, Scale};
+use crate::{fixed, int, Json, Scale};
 
 /// Sub-quadratic bar on the log-log wire-byte exponent between the two
 /// measured fleet sizes.
@@ -102,8 +102,6 @@ pub struct ScaleArm {
     pub score_task_bound: u64,
     /// Virtual completion time of the run.
     pub virtual_secs: f64,
-    /// Real elapsed seconds (host-dependent; informational).
-    pub wall_secs: f64,
 }
 
 impl ScaleArm {
@@ -126,7 +124,6 @@ pub fn run_arm(n: usize, seed: u64) -> ScaleArm {
     let clusters: Vec<ClusterConfig> = (0..n)
         .map(|i| ClusterConfig::edge(format!("agg-{}", i + 1), DeviceProfile::edge_cpu()))
         .collect();
-    let start = Instant::now();
     let mut fed = Federation::new_sharded(
         seed,
         &workload,
@@ -143,7 +140,6 @@ pub fn run_arm(n: usize, seed: u64) -> ScaleArm {
         1.15,
         Engine::default(),
     );
-    let wall_secs = start.elapsed().as_secs_f64();
     ScaleArm {
         clusters: n,
         shards,
@@ -153,38 +149,6 @@ pub fn run_arm(n: usize, seed: u64) -> ScaleArm {
         score_tasks: fed.contract().assigned_score_tasks(),
         score_task_bound: (ROUNDS * n * SCORERS_PER_RELEASE) as u64,
         virtual_secs: outcome.end_time.as_secs_f64(),
-        wall_secs,
-    }
-}
-
-/// Runs the shards = 1 equivalence arm over `seeds`: a single-shard
-/// sharded run must report **byte-identical** (full `Debug`) to the
-/// unsharded engine, per seed, in both modes.
-pub fn run_equivalence(seeds: &[u64]) -> EquivalenceArm {
-    let n = 6;
-    let run = |seed: u64, mode: Mode, sharding: Option<ShardConfig>| {
-        let clusters = (0..n)
-            .map(|i| ClusterConfig::edge(format!("agg-{}", i + 1), DeviceProfile::edge_cpu()))
-            .collect();
-        let mut builder = ExperimentBuilder::quickstart()
-            .seed(seed)
-            .rounds(2)
-            .mode(mode)
-            .clusters(clusters);
-        if let Some(s) = sharding {
-            builder = builder.sharding(s);
-        }
-        format!("{:?}", builder.run().expect("equivalence config is valid"))
-    };
-    let reports_identical = seeds.iter().all(|&seed| {
-        [Mode::Sync, Mode::Async]
-            .into_iter()
-            .all(|mode| run(seed, mode, None) == run(seed, mode, Some(ShardConfig::new(1))))
-    });
-    EquivalenceArm {
-        clusters: n,
-        seeds: seeds.to_vec(),
-        reports_identical,
     }
 }
 
@@ -194,8 +158,6 @@ pub struct ScaleBench {
     pub small: ScaleArm,
     /// The larger measured fleet.
     pub large: ScaleArm,
-    /// The shards = 1 no-op check.
-    pub equivalence: EquivalenceArm,
 }
 
 impl ScaleBench {
@@ -210,15 +172,38 @@ impl ScaleBench {
     pub fn sub_quadratic(&self) -> bool {
         self.byte_exponent() < BYTE_EXPONENT_BAR
     }
+
+    /// Asserts the two scale gates.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first gate that does not hold.
+    pub fn assert_gates(&self) {
+        assert!(
+            self.sub_quadratic(),
+            "byte exponent {:.3} breached the {BYTE_EXPONENT_BAR} bar ({} -> {} bytes)",
+            self.byte_exponent(),
+            self.small.wire_bytes,
+            self.large.wire_bytes,
+        );
+        for arm in [&self.small, &self.large] {
+            assert!(
+                arm.within_task_bound(),
+                "{} clusters: {} score tasks exceed the O(n*k) bound {}",
+                arm.clusters,
+                arm.score_tasks,
+                arm.score_task_bound,
+            );
+        }
+    }
 }
 
-/// Runs both measured fleets plus the equivalence arm.
+/// Runs both measured fleets.
 pub fn run(scale: Scale, seed: u64) -> ScaleBench {
     let (small_n, large_n) = fleet_sizes(scale);
     ScaleBench {
         small: run_arm(small_n, seed),
         large: run_arm(large_n, seed),
-        equivalence: run_equivalence(&[seed, seed.wrapping_add(1)]),
     }
 }
 
@@ -235,7 +220,6 @@ pub fn render_json(bench: &ScaleBench, seed: u64, scale: Scale) -> Json {
             ("score_task_bound", int(arm.score_task_bound)),
             ("within_task_bound", Json::Bool(arm.within_task_bound())),
             ("virtual_secs", fixed(arm.virtual_secs, 3)),
-            ("wall_secs", fixed(arm.wall_secs, 3)),
         ])
     });
     Json::obj([
@@ -245,7 +229,6 @@ pub fn render_json(bench: &ScaleBench, seed: u64, scale: Scale) -> Json {
         ("byte_exponent", fixed(bench.byte_exponent(), 3)),
         ("byte_exponent_bar", Json::Num(BYTE_EXPONENT_BAR)),
         ("sub_quadratic", Json::Bool(bench.sub_quadratic())),
-        ("equivalence", bench.equivalence.to_json()),
         ("arms", Json::Arr(arms.into())),
     ])
 }
@@ -255,19 +238,12 @@ pub fn render(bench: &ScaleBench) -> String {
     let mut out = String::new();
     out.push_str("Scale bench: two-tier sharded federation\n\n");
     out.push_str(&format!(
-        "{:>9} {:>7} {:>6} {:>14} {:>12} {:>12} {:>12} {:>9}\n",
-        "clusters",
-        "shards",
-        "k",
-        "wire_bytes",
-        "score_tasks",
-        "task_bound",
-        "virtual(s)",
-        "wall(s)"
+        "{:>9} {:>7} {:>6} {:>14} {:>12} {:>12} {:>12}\n",
+        "clusters", "shards", "k", "wire_bytes", "score_tasks", "task_bound", "virtual(s)"
     ));
     for arm in [&bench.small, &bench.large] {
         out.push_str(&format!(
-            "{:>9} {:>7} {:>6} {:>14} {:>12} {:>12} {:>12.0} {:>9.2}\n",
+            "{:>9} {:>7} {:>6} {:>14} {:>12} {:>12} {:>12.0}\n",
             arm.clusters,
             arm.shards,
             arm.scorers_per_release,
@@ -275,17 +251,12 @@ pub fn render(bench: &ScaleBench) -> String {
             arm.score_tasks,
             arm.score_task_bound,
             arm.virtual_secs,
-            arm.wall_secs,
         ));
     }
     out.push_str(&format!(
         "\nbyte-curve exponent: {:.3} (bar {BYTE_EXPONENT_BAR}; flat broadcast ≈ 2.0) — sub-quadratic: {}\n",
         bench.byte_exponent(),
         bench.sub_quadratic(),
-    ));
-    out.push_str(&format!(
-        "shards=1 equivalence ({} clusters, seeds {:?}): reports identical: {}\n",
-        bench.equivalence.clusters, bench.equivalence.seeds, bench.equivalence.reports_identical,
     ));
     out
 }
@@ -294,70 +265,29 @@ pub fn render(bench: &ScaleBench) -> String {
 mod tests {
     use super::*;
 
+    /// The quick-scale seed-42 run both tests read.
+    fn quick() -> &'static ScaleBench {
+        static RUN: std::sync::OnceLock<ScaleBench> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(Scale::Quick, 42))
+    }
+
     #[test]
     fn quick_fleet_stays_sub_quadratic_and_within_task_bound() {
         // The tier-1 rendition of the 1,000-cluster gate: same topology
         // and gates at 60/120 clusters. Asserted here so a regression in
         // the sharded wire pattern fails `cargo test`, not just CI's
         // release-mode `--full` run.
-        let bench = run(Scale::Quick, 42);
-        crate::assert_matches_baseline("scale", &render_json(&bench, 42, Scale::Quick));
-        assert!(
-            bench.sub_quadratic(),
-            "byte exponent {:.3} breached the {BYTE_EXPONENT_BAR} bar ({} -> {} bytes)",
-            bench.byte_exponent(),
-            bench.small.wire_bytes,
-            bench.large.wire_bytes,
-        );
+        let bench = quick();
+        bench.assert_gates();
         for arm in [&bench.small, &bench.large] {
-            assert!(
-                arm.within_task_bound(),
-                "{} clusters: {} score tasks exceed the {} bound",
-                arm.clusters,
-                arm.score_tasks,
-                arm.score_task_bound,
-            );
             assert!(arm.score_tasks > 0, "scoring actually happened");
             assert!(arm.shards > 1, "the measured arms are genuinely sharded");
         }
-        assert!(
-            bench.equivalence.reports_identical,
-            "shards=1 diverged from the unsharded engine"
-        );
     }
 
     #[test]
     fn json_rendering_is_well_formed() {
-        // Hand-built arms: the JSON shape must not depend on running the
-        // fleet twice in a unit test.
-        let arm = |n: usize| ScaleArm {
-            clusters: n,
-            shards: n.div_ceil(SHARD_SIZE),
-            scorers_per_release: SCORERS_PER_RELEASE,
-            rounds: ROUNDS,
-            wire_bytes: (n * n / 40 + n * 39) as u64 * 1000,
-            score_tasks: (ROUNDS * n * SCORERS_PER_RELEASE) as u64 - 1,
-            score_task_bound: (ROUNDS * n * SCORERS_PER_RELEASE) as u64,
-            virtual_secs: 100.0,
-            wall_secs: 1.0,
-        };
-        let bench = ScaleBench {
-            small: arm(500),
-            large: arm(1000),
-            equivalence: EquivalenceArm {
-                clusters: 6,
-                seeds: vec![42, 43],
-                reports_identical: true,
-            },
-        };
-        let json = render_json(&bench, 42, Scale::Full);
-        let text = json.render();
-        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
-        assert!(text.contains("\"bench\": \"scale\""));
-        assert!(text.contains("\"byte_exponent\""));
-        assert!(text.contains("\"score_task_bound\""));
-        assert!(text.contains("\"reports_identical\": true"));
-        assert!(text.contains("\"scale\": \"full\""));
+        crate::assert_matches_baseline("scale", &render_json(quick(), 42, Scale::Quick));
     }
 
     #[test]

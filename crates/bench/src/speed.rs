@@ -1,289 +1,35 @@
-//! Speed benchmark: **wall-clock** of the parallel two-phase round engine
-//! vs. the sequential reference, at the same seed.
+//! The deterministic remains of the speed bench: the allocation probes
+//! `tests/alloc_gates.rs` gates in tier-1, and the configuration the
+//! parallel engine's fan-out is sized against.
 //!
-//! Unlike every other bench here — whose virtual-time outputs are
-//! byte-identical across machines — this one measures real elapsed time,
-//! so its numbers vary with the host. Two invariants still hold
-//! everywhere:
+//! Host time — engine walls, speed-ups, kernel ratios, phase attribution —
+//! is measured by `crates/benchmark` (`train_heavy`, `service_burst`, the
+//! layer ladder and the step trace), and engine identity is proven by
+//! `tests/engine_parallel.rs`. What is left here holds on every host:
 //!
-//! 1. the two engines' [`ExperimentReport`]s are **byte-identical** (full
-//!    Debug serialization, chaos and transfer sections included), and
-//! 2. on a multicore host (≥ [`SPEEDUP_GATE_THREADS`] hardware threads)
-//!    the parallel engine is at least 1.5× faster on the 3-aggregator
-//!    quickstart configuration.
-//!
-//! Both measured configurations run the **Sync** engine: phase-locked
-//! rounds are where aggregator-level parallelism pays (every cluster's
-//! pull/merge/train/eval fans out per round). The Async engine's event
-//! loop is ledger-serialized — each event's candidate set and scorer
-//! assignments depend on the previous event's chain commit — so it gains
-//! only the parallel final merge plus the intra-cluster client fan-out
-//! every round has; it is exercised for identity in
-//! `tests/engine_parallel.rs` rather than timed here. The `speed` binary
-//! emits `BENCH_speed.json` (schema in `docs/BENCH.md`).
-//!
-//! Four hot-path probes ride along with the engine comparison:
-//!
-//! - [`kernel_speedup`] times the cache-blocked matmul against the naive
-//!   triple loop it is proven bit-identical to, and [`conv_speedup`] the
-//!   vectorised convolution against its scalar reference loops (both
-//!   recorded in the JSON, not gated — microbench ratios are too
-//!   host-sensitive for CI).
 //! - [`measure_train_batch_allocs`] counts heap allocations across a
 //!   window of warmed-up training batches under the counting allocator
 //!   ([`crate::alloc`]), for the quickstart MLP and for the paper's CNN;
-//!   the `speed` binary gates both at **zero**, proving the arena path
-//!   (and the convolution's in-layer scratch) really removed per-batch
-//!   allocation.
+//!   both are gated at **zero**, proving the arena path (and the
+//!   convolution's in-layer scratch) really removed per-batch allocation.
 //! - [`measure_warm_get_alloc_bytes`] counts the heap bytes requested by
-//!   a window of warm storage fetches of one release; the binary gates the
-//!   window under [`WARM_GET_ALLOC_BUDGET`] — less than one release — so a
-//!   fetch path that copies resident content again cannot come back
-//!   unnoticed.
+//!   a window of warm storage fetches of one release, gated under
+//!   [`WARM_GET_ALLOC_BUDGET`] — less than one release — so a fetch path
+//!   that copies resident content again cannot come back unnoticed.
+//! - [`quickstart_config`] is the three-cluster Sync run whose rounds must
+//!   fork per cluster and stay inline per client (asserted below): the
+//!   shape a parallel-over-sequential speed-up depends on.
+//!
+//! The probes read process-wide counters, so they mean something only in
+//! a process that installed [`crate::alloc::CountingAllocator`] and runs
+//! nothing else meanwhile — `tests/alloc_gates.rs`, a `harness = false`
+//! target, is that process; anywhere else they answer `None`.
 
-use std::time::Instant;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use unifyfl_core::experiment::{run_experiment, Engine, ExperimentConfig, ExperimentReport, Mode};
-use unifyfl_core::profile::{self, PhaseTimes};
-use unifyfl_core::report::render_run_table;
+use unifyfl_core::experiment::{ExperimentConfig, Mode};
 use unifyfl_storage::{IpfsNetwork, LinkProfile};
-use unifyfl_tensor::arena::Arena;
-use unifyfl_tensor::layers::{Conv2d, Layer};
 use unifyfl_tensor::optim::Sgd;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
 use unifyfl_tensor::{weights_to_bytes, Tensor};
-
-use crate::{fixed, int, scalability, Json, Scale};
-
-/// Hardware-thread floor above which the ≥1.5× speedup bar is enforced.
-/// Below it (CI runners are sometimes 1–2 vCPUs) the bench still runs and
-/// records both walls, but only the identity invariant is asserted.
-pub const SPEEDUP_GATE_THREADS: usize = 4;
-
-/// Single-core regression bar: on a 1-thread host the parallel engine
-/// falls back to inline execution (no worker threads are spawned at all),
-/// so its wall may exceed the sequential reference by at most this factor
-/// — dispatch bookkeeping, not thread churn. Enforced by the `speed`
-/// binary exactly when the host reports one hardware thread.
-pub const ONE_CORE_OVERHEAD_FACTOR: f64 = 1.1;
-
-/// One engine's measured run.
-pub struct SpeedArm {
-    /// Which engine ran.
-    pub engine: Engine,
-    /// Real elapsed seconds for the whole experiment.
-    pub wall_secs: f64,
-    /// Per-phase attribution of the best repetition
-    /// ([`unifyfl_core::profile`] snapshot deltas). Under the parallel
-    /// engine concurrent per-cluster spans add up, so the phase sum may
-    /// legitimately exceed `wall_secs` — it is attribution, never a
-    /// partition of the wall.
-    pub phases: PhaseTimes,
-    /// The (engine-independent) report it produced.
-    pub report: ExperimentReport,
-}
-
-/// The paired sequential/parallel measurement of one configuration.
-pub struct SpeedPair {
-    /// Configuration label (e.g. `"quickstart-3agg-sync"`).
-    pub label: String,
-    /// Cluster count of the configuration.
-    pub clusters: usize,
-    /// Federation rounds of the configuration.
-    pub rounds: usize,
-    /// The sequential reference run.
-    pub sequential: SpeedArm,
-    /// The parallel two-phase run.
-    pub parallel: SpeedArm,
-}
-
-impl SpeedPair {
-    /// Wall-clock speedup: sequential over parallel elapsed time.
-    pub fn speedup(&self) -> f64 {
-        if self.parallel.wall_secs > 0.0 {
-            self.sequential.wall_secs / self.parallel.wall_secs
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    /// True if the two engines produced byte-identical reports (the
-    /// parallel engine's correctness contract).
-    pub fn reports_identical(&self) -> bool {
-        format!("{:?}", self.sequential.report) == format!("{:?}", self.parallel.report)
-    }
-}
-
-/// The complete benchmark result.
-pub struct SpeedBench {
-    /// Hardware threads the host advertised.
-    pub threads: usize,
-    /// One pair per measured configuration.
-    pub pairs: Vec<SpeedPair>,
-    /// Blocked-vs-naive matmul wall ratio from [`kernel_speedup`]
-    /// (recorded, not gated).
-    pub kernel_speedup: f64,
-    /// Vectorised-vs-scalar convolution wall ratio from [`conv_speedup`]
-    /// (recorded, not gated).
-    pub conv_speedup: f64,
-    /// Heap allocations across the steady-state batch window from
-    /// [`measure_train_batch_allocs`] on the quickstart MLP; `None` when
-    /// the counting allocator is not installed (library tests).
-    pub train_batch_allocs: Option<u64>,
-    /// The same probe on the paper's CNN at its batch size of 5 — the step
-    /// that runs the convolution's in-layer scratch.
-    pub cnn_train_batch_allocs: Option<u64>,
-    /// Heap bytes requested across [`WARM_GETS`] warm fetches of one
-    /// release, from [`measure_warm_get_alloc_bytes`]; `None` under the
-    /// same condition.
-    pub warm_get_alloc_bytes: Option<u64>,
-}
-
-/// Hardware threads available to this process (1 if undeterminable).
-pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Disposition of the ≥1.5× speedup gate for one benchmark run. Recorded
-/// explicitly in `BENCH_speed.json` so a run on a small host can never
-/// masquerade as a passed gate in the bench trajectory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GateStatus {
-    /// The bar is enforced (multicore host).
-    Enforced,
-    /// Skipped: fewer than [`SPEEDUP_GATE_THREADS`] hardware threads —
-    /// a single-digit-core runner cannot parallelize meaningfully.
-    SkippedThreads,
-}
-
-impl GateStatus {
-    /// The JSON `gate` field value: `"enforced"` or `"skipped"`.
-    pub fn label(self) -> &'static str {
-        match self {
-            GateStatus::Enforced => "enforced",
-            GateStatus::SkippedThreads => "skipped",
-        }
-    }
-
-    /// The JSON `gate_reason` field value.
-    pub fn reason(self) -> &'static str {
-        match self {
-            GateStatus::Enforced => "multicore host",
-            GateStatus::SkippedThreads => "hardware_threads below gate floor",
-        }
-    }
-}
-
-/// Resolves the gate disposition for a host with `threads` hardware
-/// threads — derived from that measurement alone.
-pub fn gate_status(threads: usize) -> GateStatus {
-    if threads < SPEEDUP_GATE_THREADS {
-        GateStatus::SkippedThreads
-    } else {
-        GateStatus::Enforced
-    }
-}
-
-/// Deterministically filled square tensor for the kernel microbench, with
-/// exact zeros sprinkled in so the kernels' zero-skip path is timed too.
-fn microbench_tensor(n: usize, salt: u64) -> Tensor {
-    let data = (0..n * n)
-        .map(|i| {
-            let h = (i as u64)
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(salt);
-            if h.is_multiple_of(7) {
-                0.0
-            } else {
-                ((h % 2000) as f32 - 1000.0) / 250.0
-            }
-        })
-        .collect();
-    Tensor::from_vec(vec![n, n], data)
-}
-
-/// Best wall of five runs of `f`, after one warm-up run (pages in the
-/// operands, settles the branch predictors).
-fn best_of(f: &mut dyn FnMut()) -> f64 {
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..5 {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Times one training step's matmul trio — forward `x·W`, backward
-/// `xᵀ·g` (grad-w) and `g·Wᵀ` (grad-in) — blocked vs. the naive triple
-/// loops, at 128³ (two `KB`-slabs per dimension, so the tile-edge paths
-/// run too), and returns `naive_wall / blocked_wall`. Best-of-5 after a
-/// warm-up pass; each pair is bit-identical (proptested in
-/// `unifyfl-tensor`), so this is a pure layout/locality measurement. The
-/// bulk of the ratio comes from the `g·Wᵀ` orientation, whose naive walk
-/// strides by `k` on every inner step.
-pub fn kernel_speedup() -> f64 {
-    const N: usize = 128;
-    let a = microbench_tensor(N, 0x5EED);
-    let b = microbench_tensor(N, 0xFACE);
-    let mut out = Tensor::zeros(vec![N, N]);
-    let blocked = best_of(&mut || {
-        a.matmul_into(&b, &mut out);
-        a.matmul_tn_into(&b, &mut out);
-        a.matmul_nt_into(&b, &mut out);
-    });
-    let naive = best_of(&mut || {
-        out = a.matmul_naive(&b);
-        out = a.matmul_tn_naive(&b);
-        out = a.matmul_nt_naive(&b);
-    });
-    if blocked > 0.0 {
-        naive / blocked
-    } else {
-        f64::INFINITY
-    }
-}
-
-/// Times the paper's CNN convolution — `[5, 3, 8, 8]` → 16 channels, 3×3,
-/// pad 1, one forward plus one full backward — through the vectorised
-/// kernels vs. the scalar reference loops they are proven bit-identical to
-/// (proptested in `unifyfl-tensor`), and returns `naive_wall /
-/// vectorised_wall`. Best-of-5 over 20 steps each, after a warm-up.
-pub fn conv_speedup() -> f64 {
-    const STEPS: usize = 20;
-    let mut layer = Conv2d::new(3, 16, 3, 1, &mut StdRng::seed_from_u64(7));
-    let x = probe_input(InputKind::Image { c: 3, h: 8, w: 8 }, 5);
-    let mut arena = Arena::new();
-    // The output gradient a ReLU hands back: about half exact zeros.
-    let mut g = layer.forward(&x, true, &mut arena);
-    for v in g.data_mut() {
-        *v = v.max(0.0);
-    }
-    let fast = best_of(&mut || {
-        for _ in 0..STEPS {
-            let out = layer.forward(&x, true, &mut arena);
-            let gin = layer.backward(&g, true, &mut arena);
-            arena.recycle(out);
-            arena.recycle(gin.expect("asked for the input gradient"));
-        }
-    });
-    let naive = best_of(&mut || {
-        for _ in 0..STEPS {
-            std::hint::black_box(layer.forward_naive(&x));
-            std::hint::black_box(layer.backward_naive(&g));
-        }
-    });
-    if fast > 0.0 {
-        naive / fast
-    } else {
-        f64::INFINITY
-    }
-}
 
 /// Counts heap allocations across a window of steady-state training
 /// batches of `batch` samples on `spec`'s model: `train_batch` (forward,
@@ -294,8 +40,8 @@ pub fn conv_speedup() -> f64 {
 /// over [`ALLOC_PROBE_BATCHES`] further batches.
 ///
 /// Returns `None` when [`crate::alloc::CountingAllocator`] is not the
-/// process's global allocator (library builds), so the zero gate can never
-/// pass vacuously against a dead counter.
+/// process's global allocator, so the zero gate can never pass vacuously
+/// against a dead counter.
 pub fn measure_train_batch_allocs(spec: &ModelSpec, batch: usize) -> Option<u64> {
     const WARMUP_BATCHES: usize = 8;
     if !crate::alloc::is_counting() {
@@ -375,53 +121,10 @@ fn probe_input(kind: InputKind, batch: usize) -> Tensor {
     Tensor::from_vec(shape, data)
 }
 
-fn run_arm(config: &ExperimentConfig, engine: Engine, repeats: usize) -> SpeedArm {
-    let mut config = config.clone();
-    config.engine = engine;
-    // Best-of-N wall: every repetition produces the identical report (seed
-    // determinism), so the minimum is the least-noise measurement of the
-    // same computation — scheduler hiccups only ever add time.
-    let mut best_wall = f64::INFINITY;
-    let mut best_phases = PhaseTimes::default();
-    let mut report = None;
-    for _ in 0..repeats.max(1) {
-        let phases_before = profile::snapshot();
-        let start = Instant::now();
-        let r = run_experiment(&config).expect("speed config is valid");
-        let wall = start.elapsed().as_secs_f64();
-        if wall < best_wall {
-            best_wall = wall;
-            // The same repetition's attribution: where the best wall went.
-            best_phases = profile::snapshot().since(&phases_before);
-        }
-        report = Some(r);
-    }
-    SpeedArm {
-        engine,
-        wall_secs: best_wall,
-        phases: best_phases,
-        report: report.expect("at least one repetition"),
-    }
-}
-
-/// Measures one configuration under both engines (sequential first),
-/// taking the best of `repeats` walls per engine.
-pub fn run_pair(label: &str, config: &ExperimentConfig, repeats: usize) -> SpeedPair {
-    SpeedPair {
-        label: label.to_owned(),
-        clusters: config.clusters.len(),
-        rounds: config.workload.rounds,
-        sequential: run_arm(config, Engine::Sequential, repeats),
-        parallel: run_arm(config, Engine::Parallel, repeats),
-    }
-}
-
 /// The 3-aggregator quickstart configuration, phase-locked (Sync) so the
 /// per-round fan-out is exercised, with the sample and round counts scaled
 /// up (same model, same 3-cluster shape) so per-round compute dominates
-/// federation setup and timer noise — the laptop quickstart finishes in
-/// single-digit milliseconds, far below what a wall-clock comparison can
-/// resolve.
+/// federation setup.
 pub fn quickstart_config(seed: u64) -> ExperimentConfig {
     let mut config = unifyfl_core::experiment::ExperimentBuilder::quickstart()
         .seed(seed)
@@ -434,188 +137,43 @@ pub fn quickstart_config(seed: u64) -> ExperimentConfig {
     config
 }
 
-/// The §4.2.6 60-client scalability configuration, switched to Sync for
-/// the same reason.
-pub fn scalability_config(scale: Scale, seed: u64) -> ExperimentConfig {
-    let mut config = scalability::config(20, scale, seed);
-    config.mode = Mode::Sync;
-    config.label = "scalability-60client-sync".to_owned();
-    config
-}
-
-/// Runs both configurations (quickstart and 60-client scalability), then
-/// the kernel microbenches and the allocation probes.
-pub fn run(scale: Scale, seed: u64) -> SpeedBench {
-    SpeedBench {
-        threads: available_threads(),
-        pairs: vec![
-            run_pair("quickstart-3agg-sync", &quickstart_config(seed), 5),
-            run_pair(
-                "scalability-60client-sync",
-                &scalability_config(scale, seed),
-                1,
-            ),
-        ],
-        kernel_speedup: kernel_speedup(),
-        conv_speedup: conv_speedup(),
-        // The quickstart workload's client shape (flat-16 input, 4
-        // classes), and the paper's edge workload (Table 4: batch 5).
-        train_batch_allocs: measure_train_batch_allocs(&ModelSpec::mlp(16, vec![32], 4), 16),
-        cnn_train_batch_allocs: measure_train_batch_allocs(&ModelSpec::small_cnn(10), 5),
-        warm_get_alloc_bytes: measure_warm_get_alloc_bytes(),
-    }
-}
-
-/// One arm's phase split as a JSON object. Components are rounded to
-/// milliseconds first and `total_secs` is the sum of the **rounded**
-/// components (re-rounded, so float addition noise cannot leak into the
-/// file) — `train + score + fetch + seal + regroup + overlap == total`
-/// holds to the millisecond on the rendered values (asserted in tier-1).
-/// `regroup_secs` stays 0 here — the speed scenarios run a static
-/// topology — and `overlap_secs` stays 0 too (fetch-ahead is off in both
-/// speed configurations); the fields keep the schema aligned with the full
-/// six-phase attribution.
-fn render_phases(phases: &PhaseTimes) -> Json {
-    let fields = [
-        ("train_secs", phases.train_secs),
-        ("score_secs", phases.score_secs),
-        ("fetch_secs", phases.fetch_secs),
-        ("seal_secs", phases.seal_secs),
-        ("regroup_secs", phases.regroup_secs),
-        ("overlap_secs", phases.overlap_secs),
-    ]
-    .map(|(key, secs)| (key, fixed(secs, 3)));
-    let total: f64 = fields.iter().filter_map(|(_, secs)| secs.as_f64()).sum();
-    Json::obj(fields.into_iter().chain([("total_secs", fixed(total, 3))]))
-}
-
-/// Renders the machine-readable `BENCH_speed.json` body. `gate` records
-/// whether the ≥1.5× bar was enforced for this run — a skipped gate is an
-/// explicit, honest datapoint, not a silent pass.
-pub fn render_json(bench: &SpeedBench, seed: u64, gate: GateStatus) -> Json {
-    let one_core_gate = if bench.threads == 1 {
-        "enforced"
-    } else {
-        "skipped"
-    };
-    let allocs = |n: Option<u64>| n.map_or(Json::Null, int);
-    let pairs = bench.pairs.iter().map(|pair| {
-        Json::obj([
-            ("label", Json::str(pair.label.clone())),
-            ("clusters", int(pair.clusters)),
-            ("rounds", int(pair.rounds)),
-            ("sequential_wall_secs", fixed(pair.sequential.wall_secs, 3)),
-            ("parallel_wall_secs", fixed(pair.parallel.wall_secs, 3)),
-            ("speedup", fixed(pair.speedup(), 3)),
-            ("reports_identical", Json::Bool(pair.reports_identical())),
-            (
-                "virtual_wall_secs",
-                fixed(pair.parallel.report.wall_secs, 3),
-            ),
-            ("sequential_phases", render_phases(&pair.sequential.phases)),
-            ("parallel_phases", render_phases(&pair.parallel.phases)),
-        ])
-    });
-    Json::obj([
-        ("bench", Json::str("speed")),
-        ("seed", int(seed)),
-        ("hardware_threads", int(bench.threads)),
-        ("speedup_gate_threads", int(SPEEDUP_GATE_THREADS)),
-        ("gate", Json::str(gate.label())),
-        ("gate_reason", Json::str(gate.reason())),
-        ("one_core_gate", Json::str(one_core_gate)),
-        ("kernel_speedup", fixed(bench.kernel_speedup, 3)),
-        ("conv_speedup", fixed(bench.conv_speedup, 3)),
-        ("train_batch_allocs", allocs(bench.train_batch_allocs)),
-        (
-            "cnn_train_batch_allocs",
-            allocs(bench.cnn_train_batch_allocs),
-        ),
-        ("alloc_probe_batches", int(ALLOC_PROBE_BATCHES)),
-        ("warm_get_alloc_bytes", allocs(bench.warm_get_alloc_bytes)),
-        ("warm_gets", int(WARM_GETS)),
-        ("pairs", Json::Arr(pairs.collect())),
-    ])
-}
-
-/// Renders the human-readable comparison.
-pub fn render(bench: &SpeedBench) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "Speed bench: parallel two-phase engine vs. sequential reference ({} hardware thread(s))\n\n",
-        bench.threads
-    ));
-    for pair in &bench.pairs {
-        out.push_str(&format!(
-            "-- {} ({} clusters, {} rounds) --\n",
-            pair.label, pair.clusters, pair.rounds
-        ));
-        out.push_str(&render_run_table(&pair.parallel.report));
-        out.push_str(&format!(
-            "sequential {:.3}s | parallel {:.3}s | speedup {:.2}x | reports identical: {}\n",
-            pair.sequential.wall_secs,
-            pair.parallel.wall_secs,
-            pair.speedup(),
-            pair.reports_identical(),
-        ));
-        let p = &pair.parallel.phases;
-        out.push_str(&format!(
-            "parallel phases: train {:.3}s | score {:.3}s | fetch {:.3}s | seal {:.3}s | regroup {:.3}s | overlap {:.3}s\n\n",
-            p.train_secs, p.score_secs, p.fetch_secs, p.seal_secs, p.regroup_secs, p.overlap_secs,
-        ));
-    }
-    out.push_str(&format!(
-        "blocked matmul vs naive (128^3): {:.2}x\n",
-        bench.kernel_speedup
-    ));
-    out.push_str(&format!(
-        "vectorised conv vs scalar loops ([5,3,8,8] -> 16, fwd+bwd): {:.2}x\n",
-        bench.conv_speedup
-    ));
-    out.push_str(
-        &match (bench.train_batch_allocs, bench.cnn_train_batch_allocs) {
-            (Some(mlp), Some(cnn)) => format!(
-                "steady-state heap allocations over {ALLOC_PROBE_BATCHES} training batches: \
-             {mlp} (mlp), {cnn} (cnn)\n"
-            ),
-            _ => "steady-state allocation probe: skipped (counting allocator not installed)\n"
-                .to_owned(),
-        },
-    );
-    if let Some(bytes) = bench.warm_get_alloc_bytes {
-        out.push_str(&format!(
-            "heap bytes requested over {WARM_GETS} warm fetches of a 150 KB release: {bytes}\n"
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unifyfl_core::experiment::{run_experiment, Engine};
 
     #[test]
     fn quickstart_pair_reports_are_identical() {
-        // Wall-clock numbers are host-dependent; the identity contract is
-        // not. (The ≥1.5x bar is enforced by the `speed` binary, gated on
-        // a multicore host.)
-        let pair = run_pair("quickstart-3agg-sync", &quickstart_config(42), 1);
-        assert!(
-            pair.reports_identical(),
-            "engines must produce byte-identical reports"
+        // On the one configuration where the engines provably take
+        // different paths (below), they still agree byte for byte.
+        let run = |engine| {
+            let mut config = quickstart_config(42);
+            config.engine = engine;
+            run_experiment(&config).expect("speed config is valid")
+        };
+        let (sequential, parallel) = (run(Engine::Sequential), run(Engine::Parallel));
+        assert_eq!(sequential.aggregators.len(), 3);
+        assert_eq!(format!("{sequential:?}"), format!("{parallel:?}"));
+    }
+
+    #[test]
+    fn alloc_probe_refuses_to_run_without_the_counting_allocator() {
+        // Library test binaries use the system allocator, so the probes
+        // must decline rather than report a vacuous zero.
+        assert_eq!(
+            measure_train_batch_allocs(&ModelSpec::small_cnn(10), 5),
+            None
         );
-        assert!(pair.sequential.wall_secs > 0.0);
-        assert!(pair.parallel.wall_secs > 0.0);
-        assert_eq!(pair.clusters, 3);
+        assert_eq!(measure_warm_get_alloc_bytes(), None);
     }
 
     #[test]
     fn quickstart_pair_straddles_the_fan_out_grain() {
-        // The ≥1.5× bar compares cluster-level fan-out against a reference
-        // that must really be sequential: one cluster's round has to fit
-        // inline under either engine, the three-cluster phase has to fork.
-        // If a grain or sizing change moves either side, the bar would
-        // measure Parallel ≡ Sequential (or nested forks on both arms).
+        // What a parallel-over-sequential speed-up on this run rests on:
+        // one cluster's round fits inline under either engine, the
+        // three-cluster phase forks. If a grain or sizing change moves
+        // either side, a comparison of the engines would measure
+        // Parallel ≡ Sequential (or nested forks on both arms).
         use unifyfl_core::service::RunState;
         use unifyfl_core::step::train_work;
         use unifyfl_fl::fanout::forks;
@@ -633,112 +191,5 @@ mod tests {
             .map(|c| train_work(c, &config.workload, &fed.global_test))
             .sum();
         assert!(forks(fed.clusters.len(), phase), "forking phase");
-    }
-
-    #[test]
-    fn json_rendering_is_well_formed() {
-        let bench = SpeedBench {
-            threads: available_threads(),
-            pairs: vec![run_pair("quickstart-3agg-sync", &quickstart_config(7), 1)],
-            kernel_speedup: 2.5,
-            conv_speedup: 4.25,
-            train_batch_allocs: None,
-            cnn_train_batch_allocs: None,
-            warm_get_alloc_bytes: None,
-        };
-        let json = render_json(&bench, 7, gate_status(bench.threads));
-        let text = json.render();
-        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
-        assert!(text.contains("\"bench\": \"speed\""));
-        assert!(text.contains("\"speedup\""));
-        assert!(text.contains("\"hardware_threads\""));
-        assert!(text.contains("\"gate\""));
-        assert!(text.contains("\"one_core_gate\""));
-        assert!(text.contains("\"kernel_speedup\": 2.5,"));
-        assert!(text.contains("\"conv_speedup\": 4.25,"));
-        // A dead counter renders as an explicit null, never a fake zero.
-        assert!(text.contains("\"train_batch_allocs\": null"));
-        assert!(text.contains("\"cnn_train_batch_allocs\": null"));
-        assert!(text.contains("\"warm_get_alloc_bytes\": null"));
-    }
-
-    #[test]
-    fn kernel_microbench_produces_a_finite_positive_ratio() {
-        // The ratio itself is host-dependent (the ≥1 expectation is only
-        // asserted by eye in the JSON trajectory); tier-1 checks the
-        // measurement machinery, not the hardware.
-        let ratio = kernel_speedup();
-        assert!(ratio.is_finite() && ratio > 0.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn conv_microbench_produces_a_finite_positive_ratio() {
-        let ratio = conv_speedup();
-        assert!(ratio.is_finite() && ratio > 0.0, "ratio {ratio}");
-    }
-
-    #[test]
-    fn alloc_probe_refuses_to_run_without_the_counting_allocator() {
-        // Library test binaries use the system allocator, so the probe
-        // must decline rather than report a vacuous zero.
-        assert_eq!(
-            measure_train_batch_allocs(&ModelSpec::small_cnn(10), 5),
-            None
-        );
-        assert_eq!(measure_warm_get_alloc_bytes(), None);
-    }
-
-    #[test]
-    fn phase_split_sums_to_total_in_the_rendered_json() {
-        let bench = SpeedBench {
-            threads: available_threads(),
-            pairs: vec![run_pair("quickstart-3agg-sync", &quickstart_config(11), 1)],
-            kernel_speedup: 1.0,
-            conv_speedup: 1.0,
-            train_batch_allocs: Some(0),
-            cnn_train_batch_allocs: Some(0),
-            warm_get_alloc_bytes: Some(0),
-        };
-        let json = render_json(&bench, 11, gate_status(bench.threads));
-        // Read every phases object back at millisecond precision and
-        // assert the advertised invariant: the rendered components sum
-        // exactly to the rendered total.
-        let parsed = Json::parse(&json.render()).expect("well-formed");
-        let pair = &parsed.get("pairs").and_then(Json::as_arr).expect("pairs")[0];
-        for arm in ["sequential_phases", "parallel_phases"] {
-            let phases = pair.get(arm).and_then(Json::as_obj).expect("phases object");
-            let millis = |secs: &Json| (secs.as_f64().expect("numeric") * 1000.0).round() as i64;
-            let (total, parts) = phases.split_last().expect("non-empty");
-            assert_eq!(total.0, "total_secs");
-            assert_eq!(parts.len(), 6, "six-phase attribution");
-            assert_eq!(
-                parts.iter().map(|(_, secs)| millis(secs)).sum::<i64>(),
-                millis(&total.1),
-                "phase split must sum to its total: {phases:?}"
-            );
-        }
-        // The run trains for real wall-clock, so the dominant phase is
-        // live (not a permanently-zero counter).
-        assert!(
-            bench.pairs[0].parallel.phases.train_secs > 0.0,
-            "train attribution must be live"
-        );
-    }
-
-    #[test]
-    fn gate_status_reflects_thread_floor_and_labels() {
-        // Below the floor the gate is skipped with an explicit, honest
-        // status (the previous behavior silently degraded to a pass).
-        assert_eq!(gate_status(1), GateStatus::SkippedThreads);
-        assert_eq!(
-            gate_status(SPEEDUP_GATE_THREADS - 1),
-            GateStatus::SkippedThreads
-        );
-        assert_eq!(GateStatus::SkippedThreads.label(), "skipped");
-        assert_eq!(GateStatus::Enforced.label(), "enforced");
-        assert!(!GateStatus::SkippedThreads.reason().is_empty());
-        // At or above the floor the bar is enforced: the thread count is
-        // the only input.
-        assert_eq!(gate_status(SPEEDUP_GATE_THREADS), GateStatus::Enforced);
     }
 }

@@ -33,9 +33,8 @@
 //!   joins mid-run, bootstraps from the latest scored releases, and must
 //!   converge into the founders' accuracy band (second gate).
 //!
-//! The `timeline` binary emits `BENCH_timeline.json` (schema in
-//! `docs/BENCH.md`). Like every non-`speed` bench, output at a fixed seed
-//! is byte-identical across runs and machines.
+//! `unifyfl-bench timeline` writes `BENCH_timeline.json` (schema in
+//! `docs/BENCH.md`); `docs/baselines/timeline.json` pins it at seed 42.
 
 use unifyfl_core::cluster::ClusterConfig;
 use unifyfl_core::experiment::{
@@ -59,6 +58,7 @@ pub const TARGET_ACCURACY_PCT: f64 = 45.0;
 pub const JOIN_BAND_PCT: f64 = 10.0;
 
 /// One measured configuration.
+#[derive(Clone)]
 pub struct TimelineArm {
     /// Short arm label (e.g. `"async-physical-on"`).
     pub label: String,
@@ -109,6 +109,7 @@ impl TimelineArm {
 }
 
 /// The complete benchmark result.
+#[derive(Clone)]
 pub struct TimelineBench {
     /// Every measured arm, in grid order.
     pub arms: Vec<TimelineArm>,
@@ -168,6 +169,32 @@ impl TimelineBench {
         let founders_mean = founders.iter().sum::<f64>() / founders.len() as f64;
         let holds = (joiner - founders_mean).abs() <= JOIN_BAND_PCT;
         (joiner, founders_mean, holds)
+    }
+
+    /// Asserts the three gates at [`TARGET_ACCURACY_PCT`].
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first gate that does not hold.
+    pub fn assert_gates(&self) {
+        let (on, off, holds) = self.transfer_gate(TARGET_ACCURACY_PCT);
+        assert!(
+            holds,
+            "transfer gate: async physical transfer-on ({on:?}) must reach the target \
+             strictly before the naive-link baseline ({off:?})"
+        );
+        let (warm, cold, holds) = self.overlap_gate(TARGET_ACCURACY_PCT);
+        assert!(
+            holds,
+            "overlap gate: the fetch-ahead arm ({warm:?}) must reach the target strictly \
+             before the cold cache-only arm ({cold:?}) and convert pulls into cache hits"
+        );
+        let (joiner, founders, holds) = self.elastic_gate();
+        assert!(
+            holds,
+            "elastic gate: joiner {joiner:.1}% must land within ±{JOIN_BAND_PCT}pp of \
+             founders {founders:.1}%"
+        );
     }
 }
 
@@ -436,16 +463,16 @@ pub fn render(bench: &TimelineBench) -> String {
 mod tests {
     use super::*;
 
+    /// The seed-42 grid every test reads.
+    fn quick() -> &'static TimelineBench {
+        static RUN: std::sync::OnceLock<TimelineBench> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(42))
+    }
+
     #[test]
     fn transfer_savings_show_up_as_virtual_time_savings() {
-        let bench = run(42);
-        crate::assert_matches_baseline("timeline", &render_json(&bench, 42));
-        let (on, off, holds) = bench.transfer_gate(TARGET_ACCURACY_PCT);
-        assert!(
-            holds,
-            "async physical transfer-on ({on:?}) must reach the target strictly \
-             before the naive-link baseline ({off:?})"
-        );
+        let bench = quick();
+        bench.assert_gates();
         // The optimized arm really moved fewer bytes.
         let t_on = &bench.arms[bench.async_on].report.transfer;
         let t_off = &bench.arms[bench.async_off].report.transfer;
@@ -454,12 +481,8 @@ mod tests {
 
     #[test]
     fn elastic_joiner_converges_into_the_accuracy_band() {
-        let bench = run(42);
-        let (joiner, founders, holds) = bench.elastic_gate();
-        assert!(
-            holds,
-            "joiner {joiner:.1}% must land within ±{JOIN_BAND_PCT}pp of founders {founders:.1}%"
-        );
+        let bench = quick();
+        bench.assert_gates();
         let report = &bench.arms[bench.elastic].report;
         assert_eq!(report.membership.len(), 1, "exactly one join recorded");
         assert!(
@@ -470,14 +493,8 @@ mod tests {
 
     #[test]
     fn fetch_ahead_overlap_beats_the_cold_cache_only_arm() {
-        let bench = run(42);
-        let (warm, cold, holds) = bench.overlap_gate(TARGET_ACCURACY_PCT);
-        assert!(
-            holds,
-            "fetch-ahead warm arm ({warm:?}) must reach the target strictly \
-             before the cold cache-only arm ({cold:?}) and convert pulls into \
-             cache hits"
-        );
+        let bench = quick();
+        bench.assert_gates();
         let t_warm = &bench.arms[bench.overlap_on].report.transfer;
         let t_cold = &bench.arms[bench.overlap_cold].report.transfer;
         assert!(t_warm.cache_hits > t_cold.cache_hits);
@@ -485,21 +502,13 @@ mod tests {
 
     #[test]
     fn json_rendering_is_well_formed() {
-        let bench = run(7);
-        let json = render_json(&bench, 7);
-        let text = json.render();
-        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
-        assert!(text.contains("\"bench\": \"timeline\""));
-        assert!(text.contains("\"async_physical_transfer\""));
-        assert!(text.contains("\"fetch_compute_overlap\""));
-        assert!(text.contains("\"fetch_ahead\": true"));
-        assert!(text.contains("\"elastic_join\""));
+        crate::assert_matches_baseline("timeline", &render_json(quick(), 42));
 
         // A label is free text: quotes and backslashes must be escaped,
         // not break the document.
-        let mut bench = bench;
+        let mut bench = quick().clone();
         bench.arms[0].label = "sync \"naive\" C:\\link".to_owned();
-        let parsed = Json::parse(&render_json(&bench, 7).render()).expect("still well-formed");
+        let parsed = Json::parse(&render_json(&bench, 42).render()).expect("still well-formed");
         let arm = &parsed.get("arms").and_then(Json::as_arr).expect("arms")[0];
         assert_eq!(
             arm.get("label"),

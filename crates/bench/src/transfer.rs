@@ -12,9 +12,9 @@
 //! Because the publish path is knob-independent, the two arms are required
 //! to produce **bit-identical reports** outside the transfer section:
 //! same accuracies, same virtual times, same chain, same resident storage.
-//! The optimization changes how many bytes move, never the result. The
-//! `transfer` binary emits `BENCH_transfer.json` (schema in
-//! `docs/BENCH.md`) so CI tracks the bandwidth trajectory over time.
+//! The optimization changes how many bytes move, never the result.
+//! `unifyfl-bench transfer` writes `BENCH_transfer.json` (schema in
+//! `docs/BENCH.md`); `docs/baselines/transfer.json` pins it at quick scale.
 
 use unifyfl_core::experiment::{run_experiment, ExperimentReport, TransferReport};
 use unifyfl_core::report::{render_run_table, render_transfer_summary};
@@ -23,12 +23,14 @@ use unifyfl_core::TransferConfig;
 use crate::{fixed, int, scalability, Json, Scale};
 
 /// One (fleet size × config) measurement.
+#[derive(Clone)]
 pub struct Arm {
     /// The experiment report.
     pub report: ExperimentReport,
 }
 
 /// The paired baseline/optimized measurement at one fleet size.
+#[derive(Clone)]
 pub struct Pair {
     /// Total clients across the 3 aggregators.
     pub clients: usize,
@@ -70,9 +72,38 @@ impl Pair {
 }
 
 /// The complete benchmark result.
+#[derive(Clone)]
 pub struct TransferBench {
     /// One pair per fleet size (9 and 60 clients).
     pub pairs: Vec<Pair>,
+}
+
+impl TransferBench {
+    /// The two transfer gates: every pair's arms report bit-identically
+    /// outside the transfer section, and the largest fleet moves at least
+    /// 2× fewer bytes with the optimizations on.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first gate that does not hold.
+    pub fn assert_gates(&self) {
+        for pair in &self.pairs {
+            assert!(
+                pair.reports_identical(),
+                "{}-client arms diverged outside the transfer section",
+                pair.clients,
+            );
+        }
+        let largest = self.pairs.last().expect("at least one pair");
+        assert!(
+            largest.reduction() >= 2.0,
+            "{}-client wire reduction {:.2}x fell below the 2x bar ({} -> {} bytes)",
+            largest.clients,
+            largest.reduction(),
+            largest.off.report.transfer.physical_bytes,
+            largest.on.report.transfer.physical_bytes,
+        );
+    }
 }
 
 fn run_arm(clients_per_agg: usize, scale: Scale, seed: u64, transfer: TransferConfig) -> Arm {
@@ -159,22 +190,19 @@ pub fn render(bench: &TransferBench) -> String {
 mod tests {
     use super::*;
 
+    /// The quick-scale seed-42 run every test reads.
+    fn quick() -> &'static TransferBench {
+        static RUN: std::sync::OnceLock<TransferBench> = std::sync::OnceLock::new();
+        RUN.get_or_init(|| run(Scale::Quick, 42))
+    }
+
     #[test]
     fn sixty_client_reduction_is_at_least_2x_with_identical_results() {
-        // The acceptance bar: ≥2x fewer bytes on the wire at the 60-client
+        // The acceptance bars: ≥2x fewer bytes on the wire at the 60-client
         // scalability configuration, with bit-identical results.
-        let pair = run_pair(20, Scale::Quick, 42);
-        assert!(
-            pair.reports_identical(),
-            "the transfer layer must never change results"
-        );
-        assert!(
-            pair.reduction() >= 2.0,
-            "expected ≥2x wire reduction, got {:.2}x ({} -> {} bytes)",
-            pair.reduction(),
-            pair.off.report.transfer.physical_bytes,
-            pair.on.report.transfer.physical_bytes,
-        );
+        quick().assert_gates();
+        let pair = &quick().pairs[1];
+        assert_eq!(pair.clients, 60);
         // The mechanisms actually engaged.
         let on = &pair.on.report.transfer;
         assert!(on.delta_fetches > 0, "delta fetches must occur");
@@ -189,7 +217,8 @@ mod tests {
 
     #[test]
     fn nine_client_pair_also_reduces_and_matches() {
-        let pair = run_pair(3, Scale::Quick, 42);
+        let pair = &quick().pairs[0];
+        assert_eq!(pair.clients, 9);
         assert!(pair.reports_identical());
         assert!(
             pair.reduction() > 1.5,
@@ -199,27 +228,15 @@ mod tests {
     }
 
     #[test]
-    fn quick_run_matches_the_committed_baseline() {
-        crate::assert_matches_baseline("transfer", &render_json(&run(Scale::Quick, 42), 42));
-    }
-
-    #[test]
     fn json_rendering_is_well_formed() {
-        let bench = TransferBench {
-            pairs: vec![run_pair(3, Scale::Quick, 7)],
-        };
-        let json = render_json(&bench, 7);
-        let text = json.render();
-        assert_eq!(Json::parse(&text).as_ref(), Ok(&json), "round-trips");
-        assert!(text.contains("\"bench\": \"transfer\""));
-        assert!(text.contains("\"bytes_on_wire_reduction\""));
+        crate::assert_matches_baseline("transfer", &render_json(quick(), 42));
 
         // An optimized arm that moved nothing makes the reduction infinite;
         // JSON has no `inf` token, so the field must come out as `null`.
-        let mut bench = bench;
+        let mut bench = quick().clone();
         bench.pairs[0].on.report.transfer.physical_bytes = 0;
-        let parsed = Json::parse(&render_json(&bench, 7).render()).expect("still well-formed");
-        let pair = &parsed.get("pairs").and_then(Json::as_arr).expect("pairs")[0];
+        let json = Json::parse(&render_json(&bench, 42).render()).expect("still well-formed");
+        let pair = &json.get("pairs").and_then(Json::as_arr).expect("pairs")[0];
         assert_eq!(pair.get("bytes_on_wire_reduction"), Some(&Json::Null));
     }
 }

@@ -274,7 +274,10 @@ impl ScorersAssigned {
         let mut d = Decoder::new(data);
         let cid = d.take_str()?.to_owned();
         let n = d.take_u32()? as usize;
-        let mut scorers = Vec::with_capacity(n);
+        // Sized from what the input can still hold, never from the count
+        // it claims: a short payload must answer `Truncated`, not abort
+        // on a 4-billion-entry reservation.
+        let mut scorers = Vec::with_capacity(n.min(d.remaining() / 20));
         for _ in 0..n {
             let raw = d.take_fixed(20)?;
             let mut a = [0u8; 20];
@@ -873,7 +876,8 @@ impl Contract for UnifyFlContract {
             calls::TAG_UPDATE_SHARDING => {
                 let epoch = d.take_u64()?;
                 let n = d.take_u32()? as usize;
-                let mut members = Vec::with_capacity(n);
+                // As in `ScorersAssigned::decode`: 24 bytes a member.
+                let mut members = Vec::with_capacity(n.min(d.remaining() / 24));
                 for _ in 0..n {
                     let raw = d.take_fixed(20)?;
                     let mut a = [0u8; 20];

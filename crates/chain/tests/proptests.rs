@@ -1,11 +1,28 @@
 //! Property-based tests of the chain substrate's invariants.
 
 use proptest::prelude::*;
-use unifyfl_chain::codec::{Decoder, Encoder};
+use unifyfl_chain::codec::{DecodeError, Decoder, Encoder};
+use unifyfl_chain::contract::{CallContext, CallOutcome, Contract, ContractError};
 use unifyfl_chain::hash::{sha256, Sha256, H256};
 use unifyfl_chain::merkle::{merkle_proof, merkle_root, verify_proof};
-use unifyfl_chain::orchestrator::Score;
+use unifyfl_chain::orchestrator::{OrchestrationMode, Score, ScorersAssigned, UnifyFlContract};
 use unifyfl_chain::types::{Address, Transaction};
+use unifyfl_sim::SimTime;
+
+/// Hands `input` to a freshly deployed orchestrator as call data.
+fn execute(input: &[u8]) -> Result<CallOutcome, ContractError> {
+    let ctx = CallContext {
+        sender: Address::from_label("anyone"),
+        block_number: 1,
+        timestamp: SimTime::ZERO,
+        entropy: 0,
+    };
+    UnifyFlContract::new(Address::from_label("orchestrator"), OrchestrationMode::Sync)
+        .execute(&ctx, input)
+}
+
+/// The orchestrator's call tags (`calls::TAG_*`): `0x01..=0x09`.
+const CALL_TAGS: std::ops::RangeInclusive<u8> = 0x01..=0x09;
 
 proptest! {
     /// Incremental hashing equals one-shot hashing for any split.
@@ -83,6 +100,21 @@ proptest! {
         let _ = dec.take_u64();
     }
 
+    /// Arbitrary bytes behind each valid call tag, and arbitrary bytes as
+    /// a `ScorersAssigned` payload, are answered — accepted, reverted or a
+    /// typed decode error — never a panic and never an allocation sized
+    /// by a count the input merely claims.
+    #[test]
+    fn orchestrator_decoders_never_abort(
+        tag in CALL_TAGS,
+        body in proptest::collection::vec(any::<u8>(), 0..96),
+    ) {
+        let _ = ScorersAssigned::decode(&body);
+        let mut input = vec![tag];
+        input.extend_from_slice(&body);
+        let _ = execute(&input);
+    }
+
     /// Every leaf of any Merkle tree verifies against the root; mutated
     /// leaves do not.
     #[test]
@@ -114,6 +146,40 @@ proptest! {
         let s = Score::from_f64(v);
         prop_assert!((s.to_f64() - v).abs() < 1e-6);
     }
+}
+
+/// A 13-byte `updateSharding` call — tag, epoch, a claimed 2³²−1 members
+/// and not one of them — used to reserve 103 GB before reading a member
+/// and abort the process.
+#[test]
+fn update_sharding_with_a_claimed_count_and_no_members_is_truncated() {
+    let mut e = Encoder::new();
+    e.put_u8(*CALL_TAGS.end()).put_u64(7).put_u32(u32::MAX);
+    let input = e.into_bytes();
+    assert_eq!(input.len(), 13);
+    assert_eq!(
+        execute(&input).unwrap_err(),
+        ContractError::InvalidInput(DecodeError::Truncated {
+            wanted: 20,
+            remaining: 0
+        })
+    );
+}
+
+/// The same from 8 bytes of `ScorersAssigned` payload (86 GB).
+#[test]
+fn scorers_assigned_with_a_claimed_count_and_no_scorers_is_truncated() {
+    let mut e = Encoder::new();
+    e.put_str("").put_u32(u32::MAX);
+    let payload = e.into_bytes();
+    assert_eq!(payload.len(), 8);
+    assert_eq!(
+        ScorersAssigned::decode(&payload),
+        Err(DecodeError::Truncated {
+            wanted: 20,
+            remaining: 0
+        })
+    );
 }
 
 /// FIPS 180-4's one-million-`a` vector, fed through `update` in pieces that

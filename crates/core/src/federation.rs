@@ -396,7 +396,6 @@ impl Federation {
     /// A pure function of federation state: replaying the event trace
     /// (checkpoint resume) re-derives the identical epoch.
     pub fn regroup_epoch(&mut self, epoch: u64, at: SimTime) -> Option<ShardTopology> {
-        let _phase = crate::profile::enter(crate::profile::Phase::Regroup);
         let current = self.shard_topology.clone()?;
         let weights: Vec<Vec<f32>> = self.clusters.iter().map(|c| c.weights().to_vec()).collect();
         let next = current.regroup(epoch, &weights, self.transfer_seed);
@@ -453,7 +452,6 @@ impl Federation {
     /// point of disseminating along the topology. Failures are ignored;
     /// the exchange path keeps its ordinary retry accounting.
     pub fn prefetch_weights(&self, cluster: usize, cids: &[Cid]) {
-        let _phase = crate::profile::enter(crate::profile::Phase::Fetch);
         let node = self.clusters[cluster].ipfs();
         for cid in cids {
             let _ = node.get(*cid);
@@ -527,10 +525,8 @@ impl Federation {
     /// warm-up charges nothing to the virtual clock or the resource
     /// monitor (the transfer overlaps the previous round's compute) and
     /// ignores failures; the round's fetch path keeps its ordinary
-    /// accounting, it just finds the bytes cached. Attributed to
-    /// [`Phase::Overlap`](crate::profile::Phase::Overlap).
+    /// accounting, it just finds the bytes cached.
     pub fn fetch_ahead_into(&self, cluster: usize) {
-        let _phase = crate::profile::enter(crate::profile::Phase::Overlap);
         let candidates = self.candidates_for(cluster);
         let node = self.clusters[cluster].ipfs();
         for candidate in &candidates {
@@ -560,7 +556,6 @@ impl Federation {
     /// shift block production later instead of sealing.
     pub fn advance_chain_to(&mut self, t: SimTime) {
         use unifyfl_chain::chain::SlotOutcome;
-        let _phase = crate::profile::enter(crate::profile::Phase::Seal);
         self.retransmit_lost_txs();
         loop {
             match self.chain.seal_due_slot(t).expect("periodic seal") {
@@ -578,9 +573,6 @@ impl Federation {
     pub fn flush_chain_at(&mut self, t: SimTime) -> SimTime {
         self.advance_chain_to(t);
         if self.chain.pool_len() > 0 {
-            // The forced flush seal is attributed separately from the
-            // `advance_chain_to` span above — the guards never overlap.
-            let _phase = crate::profile::enter(crate::profile::Phase::Seal);
             while self.chain.slot_misses_seal() {}
             let ts = self.chain.next_seal_time();
             self.chain.seal_next(ts).expect("flush seal");
@@ -734,7 +726,6 @@ impl Federation {
         cid: Cid,
         delta_ref: Option<(Cid, Cid)>,
     ) -> Option<(Vec<f32>, SimDuration)> {
-        let _phase = crate::profile::enter(crate::profile::Phase::Fetch);
         let node = self.clusters[cluster].ipfs();
         let delta_ref = delta_ref.filter(|_| self.ipfs.transfer_config().delta);
         let attempt = || match delta_ref {

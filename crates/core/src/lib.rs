@@ -61,7 +61,6 @@ pub mod experiment;
 pub mod federation;
 pub mod orchestration;
 pub mod policy;
-pub mod profile;
 pub mod report;
 pub mod scoring;
 pub mod service;

@@ -142,10 +142,7 @@ fn final_merge(
             inputs,
             engine,
             |cluster, _| cluster.eval_flops(global_test.len()),
-            |cluster, inputs| {
-                let _phase = crate::profile::enter(crate::profile::Phase::Train);
-                merge_eval(cluster, inputs, global_test)
-            },
+            |cluster, inputs| merge_eval(cluster, inputs, global_test),
         )
     };
     results

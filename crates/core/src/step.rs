@@ -29,7 +29,7 @@
 //! compute is cluster-local, [`Engine::Parallel`] produces a byte-identical
 //! [`ExperimentReport`](crate::experiment::ExperimentReport) to
 //! [`Engine::Sequential`] at the same seed (asserted in tier-1 by
-//! `tests/engine_parallel.rs` and continuously by the `speed` benchmark).
+//! `tests/engine_parallel.rs`).
 
 use unifyfl_data::{Dataset, WorkloadConfig};
 use unifyfl_fl::fanout::fan_out;
@@ -194,7 +194,6 @@ pub fn compute_train(
     workload: &WorkloadConfig,
     global_test: &Dataset,
 ) -> TrainResult {
-    let _phase = crate::profile::enter(crate::profile::Phase::Train);
     let pull = inputs.pull;
     let (peers_merged, global_accuracy, global_loss) = merge_eval(cluster, inputs, global_test);
     let train = cluster.train_duration(workload.local_epochs);
@@ -343,7 +342,6 @@ pub fn scoring_work(cluster: &ClusterNode, tasks: &[ScoreTask]) -> f64 {
 /// (inference over the cluster's holdout shard). Cluster-local and
 /// read-only, so the parallel engine fans it out per cluster.
 pub fn compute_scores(cluster: &ClusterNode, tasks: Vec<ScoreTask>) -> Vec<ScoredModel> {
-    let _phase = crate::profile::enter(crate::profile::Phase::Score);
     tasks
         .into_iter()
         .map(|t| {

@@ -49,11 +49,11 @@ pub type Payload = Box<dyn Any + Send>;
 /// magnitude to either side (per cluster round ≈ 6 KFLOP `sharded_fleet`,
 /// ≈ 0.33 MFLOP `service_burst` | ≈ 24 MFLOP `wan_transfer`, ≥ 300 MFLOP
 /// `train_heavy`; rows 1, 2 and 6 are `fl/run_round_*` in
-/// `benches/micro.rs`), and 3 MFLOP also keeps the `speed` bench's
-/// quickstart×6 pair honest: one cluster's round (≈ 2 MFLOP) fits inline
-/// under either engine while the three-cluster phase (≈ 6 MFLOP of
-/// training plus its evaluations) forks, so Parallel is measured against a
-/// truly sequential reference (pinned by
+/// `benches/micro.rs`), and 3 MFLOP also keeps `unifyfl-bench`'s
+/// quickstart×6 configuration honest: one cluster's round (≈ 2 MFLOP)
+/// fits inline under either engine while the three-cluster phase
+/// (≈ 6 MFLOP of training plus its evaluations) forks, so on it Parallel
+/// differs from a truly sequential reference (pinned by
 /// `quickstart_pair_straddles_the_fan_out_grain`).
 const GRAIN_FLOPS: f64 = 3.0e6;
 

@@ -73,22 +73,24 @@ fn run(seed: u64, mode: Mode, n: usize, sharding: Option<ShardConfig>) -> Experi
         .expect("valid configuration")
 }
 
-/// Pre-refactor fingerprints: `(seed, mode, shards)` → FNV-1a 64 of the
-/// full-Debug report at n = 4 clusters, 2 rounds, quickstart task.
-/// `shards = 0` means unsharded.
-const GOLDENS: &[(u64, Mode, usize, u64)] = &[
-    (11, Mode::Sync, 0, 0x83c5beb20aead2f0),
-    (11, Mode::Sync, 2, 0x8d6cce36f90d620d),
-    (11, Mode::Async, 0, 0xb0fdb47f72a82ef7),
-    (11, Mode::Async, 2, 0x56c93c0c196d5423),
-    (42, Mode::Sync, 0, 0xd182169359c2e58a),
-    (42, Mode::Sync, 2, 0xd4c4f96339b1de65),
-    (42, Mode::Async, 0, 0xcf22041f88bb39cc),
-    (42, Mode::Async, 2, 0xaf86425ca3b93da8),
-    (1337, Mode::Sync, 0, 0xbc237745e1a70ff8),
-    (1337, Mode::Sync, 2, 0xff4cbc7684c849ad),
-    (1337, Mode::Async, 0, 0x9f0a70c18d5ced83),
-    (1337, Mode::Async, 2, 0xc7a7e2fcb1a9fbb7),
+/// Pre-refactor fingerprints: `(seed, mode, shards, gossip degree)` →
+/// FNV-1a 64 of the full-Debug report at n = 4 clusters, 2 rounds,
+/// quickstart task. `shards = 0` means unsharded, `degree = 0` no overlay.
+const GOLDENS: &[(u64, Mode, usize, usize, u64)] = &[
+    (11, Mode::Sync, 0, 0, 0x83c5beb20aead2f0),
+    (11, Mode::Sync, 2, 0, 0x8d6cce36f90d620d),
+    (11, Mode::Async, 0, 0, 0xb0fdb47f72a82ef7),
+    (11, Mode::Async, 2, 0, 0x56c93c0c196d5423),
+    (42, Mode::Sync, 0, 0, 0xd182169359c2e58a),
+    (42, Mode::Sync, 2, 0, 0xd4c4f96339b1de65),
+    (42, Mode::Async, 0, 0, 0xcf22041f88bb39cc),
+    (42, Mode::Async, 2, 0, 0xaf86425ca3b93da8),
+    (1337, Mode::Sync, 0, 0, 0xbc237745e1a70ff8),
+    (1337, Mode::Sync, 2, 0, 0xff4cbc7684c849ad),
+    (1337, Mode::Async, 0, 0, 0x9f0a70c18d5ced83),
+    (1337, Mode::Async, 2, 0, 0xc7a7e2fcb1a9fbb7),
+    (42, Mode::Sync, 2, 2, 0x6cb6e0ebbce510c5),
+    (42, Mode::Async, 2, 2, 0x2cc7d5d5309a4d98),
 ];
 
 /// The composed fence: every topology and membership handler fires in a
@@ -267,18 +269,22 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
         BTreeSet::from(ALL_LABELS),
         "the composed grid must fire every event kind"
     );
-    for &(seed, mode, shards, expected) in GOLDENS {
+    for &(seed, mode, shards, degree, expected) in GOLDENS {
         for engine in [Engine::Sequential, Engine::Parallel] {
             let sharding = (shards > 0).then(|| ShardConfig::new(shards));
-            let report = builder(seed, mode, 4, sharding)
-                .engine(engine)
-                .run()
-                .expect("valid configuration");
+            let mut builder = builder(seed, mode, 4, sharding).engine(engine);
+            if degree > 0 {
+                builder = builder.gossip(GossipConfig {
+                    degree,
+                    ..GossipConfig::default()
+                });
+            }
+            let report = builder.run().expect("valid configuration");
             assert_eq!(
                 fingerprint(&report),
                 expected,
                 "regroup: None must reproduce the pre-refactor report \
-                 (seed {seed}, {mode}, shards {shards}, {engine})"
+                 (seed {seed}, {mode}, shards {shards}, gossip {degree}, {engine})"
             );
         }
     }

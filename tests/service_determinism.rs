@@ -14,9 +14,8 @@
 //!    replay-verified, must complete to a report byte-identical to the
 //!    uninterrupted run.
 //!
-//! Both properties are proptest-pinned here; the `serve` benchmark
-//! additionally probes resume identity through a full service restart on
-//! every CI run.
+//! Both properties are proptest-pinned here, the second also through a
+//! full service restart.
 
 use proptest::prelude::*;
 use unifyfl::core::experiment::{run_experiment, ExperimentBuilder, ExperimentConfig, Mode};
