@@ -75,6 +75,9 @@ pub struct InMemoryClient {
     rng: StdRng,
 }
 
+/// Separates a client's batch-shuffle stream from its model-init stream.
+const SHUFFLE_SALT: u64 = 0xC11E57;
+
 impl InMemoryClient {
     /// Creates a client over a data shard.
     ///
@@ -88,7 +91,7 @@ impl InMemoryClient {
             spec,
             model,
             data,
-            rng: StdRng::seed_from_u64(seed ^ 0xC11E57),
+            rng: StdRng::seed_from_u64(seed ^ SHUFFLE_SALT),
         }
     }
 
@@ -255,6 +258,55 @@ mod tests {
         let result = client.fit(&w, &config());
         assert_ne!(result.weights, w);
         assert_eq!(result.weights.len(), w.len());
+    }
+
+    #[test]
+    fn fit_is_bitwise_the_flat_view_loop() {
+        // `fit` against the same loop written through the public flat
+        // views — gradients out, parameters out, `Sgd::step` on the two
+        // vectors, parameters back in — on both architectures, two epochs
+        // a fit, two fits in a row (the second starts from evolved weights,
+        // a warm model and an advanced shuffle stream).
+        let (mlp, flat) = easy_shard(6);
+        let images = SyntheticConfig::cifar10_like(30).generate(6);
+        for (spec, data, batch_size) in [(mlp, flat, 16), (ModelSpec::small_cnn(10), images, 5)] {
+            let seed = 11;
+            let config = FitConfig {
+                batch_size,
+                ..config()
+            };
+            let mut client = InMemoryClient::new(spec.clone(), data.clone(), seed);
+            let mut model = spec.build(seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ SHUFFLE_SALT);
+            let mut weights = spec.build(3).flat_params();
+            for _ in 0..2 {
+                let got = client.fit(&weights, &config);
+
+                model.set_flat_params(&weights);
+                let mut opt = Sgd::new(config.learning_rate, 0.0);
+                let (mut params, mut grads) = (Vec::new(), Vec::new());
+                let mut last_epoch_loss = 0.0f64;
+                for _ in 0..config.epochs {
+                    let batches = data.batches(config.batch_size, &mut rng);
+                    let mut epoch_loss = 0.0f64;
+                    for (x, y) in &batches {
+                        epoch_loss += model.train_batch(x, y) as f64;
+                        model.flat_grads_into(&mut grads);
+                        model.flat_params_into(&mut params);
+                        opt.step(&mut params, &grads);
+                        model.set_flat_params(&params);
+                    }
+                    last_epoch_loss = epoch_loss / batches.len() as f64;
+                }
+
+                assert_eq!(got.train_loss.to_bits(), last_epoch_loss.to_bits());
+                assert_eq!(got.weights.len(), params.len());
+                for (a, b) in got.weights.iter().zip(&params) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{}", spec.name);
+                }
+                weights = got.weights;
+            }
+        }
     }
 
     #[test]

@@ -1034,6 +1034,127 @@ mod tests {
         }
     }
 
+    /// Every gradient slice of the layer, in visitor order.
+    fn all_grads<L: Layer>(layer: &L) -> Vec<Vec<f32>> {
+        let mut all = Vec::new();
+        layer.for_each_grad(&mut |g| all.push(g.to_vec()));
+        all
+    }
+
+    #[test]
+    fn dense_zero_grads_reads_positive_zero() {
+        // Whatever `zero_grads` does internally, a reader of the gradients
+        // sees `+0.0` in every slot right after it — never a stale value.
+        let mut layer = Dense::new(6, 4, &mut rng());
+        let input = Tensor::from_vec(vec![2, 6], (0..12).map(|i| i as f32 * 0.3 - 1.5).collect());
+        let arena = &mut Arena::new();
+        let out = layer.forward(&input, true, arena);
+        let g = Tensor::from_vec(out.shape().to_vec(), vec![-0.75; out.len()]);
+        for _ in 0..2 {
+            layer.backward(&g, false, arena);
+            assert!(all_grads(&layer)[0].iter().any(|g| *g != 0.0));
+            layer.zero_grads();
+            for slice in all_grads(&layer) {
+                assert!(slice.iter().all(|g| g.to_bits() == 0.0f32.to_bits()));
+            }
+        }
+    }
+
+    #[test]
+    fn dense_backward_twice_accumulates_like_the_reference_bitwise() {
+        // `grad_w = (0 + xᵀ₁·g₁) + xᵀ₂·g₂`, each product summed on its own
+        // in ascending batch order before it is added: the first backward
+        // after `zero_grads` and a second one onto live gradients must both
+        // reproduce that, zeros of either sign in `x` (what a ReLU feeds a
+        // hidden layer) and in `g` included.
+        let (batch, in_dim, out_dim) = (5, 70, 9);
+        let fill = |n: usize, salt: u32| -> Vec<f32> {
+            (0..n as u32)
+                .map(|i| {
+                    let h = i.wrapping_mul(2654435761).wrapping_add(salt) >> 7;
+                    match h % 5 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => (h % 1000) as f32 * 0.013 - 6.5,
+                    }
+                })
+                .collect()
+        };
+        let mut layer = Dense::new(in_dim, out_dim, &mut rng());
+        let arena = &mut Arena::new();
+        let mut ref_gw = Tensor::zeros(vec![in_dim, out_dim]);
+        let mut ref_gb = vec![0.0f32; out_dim];
+        layer.zero_grads();
+        for round in 0..3 {
+            let x = Tensor::from_vec(vec![batch, in_dim], fill(batch * in_dim, round));
+            let g = Tensor::from_vec(vec![batch, out_dim], fill(batch * out_dim, 100 + round));
+            layer.forward(&x, true, arena);
+            layer.backward(&g, round % 2 == 0, arena);
+
+            ref_gw.add_assign(&x.transpose().matmul_naive(&g));
+            for row in g.data().chunks_exact(out_dim) {
+                for (acc, v) in ref_gb.iter_mut().zip(row) {
+                    *acc += v;
+                }
+            }
+            let grads = all_grads(&layer);
+            for (got, want) in [(&grads[0][..], ref_gw.data()), (&grads[1][..], &ref_gb[..])] {
+                assert_eq!(got.len(), want.len());
+                for (a, b) in got.iter().zip(want) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "backward #{round}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn relu_is_bit_exact_on_the_edge_values() {
+        // Forward keeps everything that is not `< 0.0` exactly as it came —
+        // `-0.0`, NaN (payload and sign included) and subnormals — and
+        // writes `+0.0` over the rest; backward passes the gradient where
+        // the input was `> 0.0` and writes `+0.0` elsewhere, whatever the
+        // gradient held there.
+        let tiny = f32::from_bits(1); // smallest positive subnormal
+        let nan = f32::from_bits(0x7FC0_1234);
+        let neg_nan = f32::from_bits(0xFFC0_4321);
+        #[rustfmt::skip]
+        let cases: [(f32, f32, bool); 12] = [
+            // input, forward output, gradient kept
+            (0.0, 0.0, false),
+            (-0.0, -0.0, false),
+            (f32::INFINITY, f32::INFINITY, true),
+            (f32::NEG_INFINITY, 0.0, false),
+            (nan, nan, false),
+            (neg_nan, neg_nan, false),
+            (tiny, tiny, true),
+            (-tiny, 0.0, false),
+            (f32::MIN_POSITIVE, f32::MIN_POSITIVE, true),
+            (-f32::MIN_POSITIVE, 0.0, false),
+            (1.5, 1.5, true),
+            (-1.5, 0.0, false),
+        ];
+        let grads = [2.5, -0.0, f32::NAN, f32::NEG_INFINITY, -tiny, 0.0];
+        let input = Tensor::from_vec(vec![1, 12], cases.iter().map(|c| c.0).collect());
+        let arena = &mut Arena::new();
+        for train in [false, true] {
+            let out = Relu::new().forward(&input, train, arena);
+            for (got, case) in out.data().iter().zip(&cases) {
+                assert_eq!(got.to_bits(), case.1.to_bits(), "relu({})", case.0);
+            }
+        }
+        let mut layer = Relu::new();
+        layer.forward(&input, true, arena);
+        for g in grads {
+            let gin = layer
+                .backward(&Tensor::from_vec(vec![1, 12], vec![g; 12]), true, arena)
+                .expect("asked for the input gradient");
+            for (got, case) in gin.data().iter().zip(&cases) {
+                let want = if case.2 { g } else { 0.0 };
+                assert_eq!(got.to_bits(), want.to_bits(), "relu'({}) · {g}", case.0);
+            }
+        }
+    }
+
     /// A warm arena must reproduce a cold one bit for bit — stale pooled
     /// buffers never leak into results. Two identically seeded layers run
     /// side by side for several batches: `plain` gets a fresh arena per

@@ -44,6 +44,89 @@ fn any_spec() -> impl Strategy<Value = ModelSpec> {
     prop_oneof![mlp, cnn]
 }
 
+/// Share of exact zeros the kernel-identity tests fill their operands
+/// with: none (where a zero-skip is pure overhead), the sparse and dense
+/// ends, the coin toss a ReLU produces, and all (every term skipped).
+const ZERO_PCTS: [u64; 5] = [0, 10, 50, 90, 100];
+
+/// A kernel-identity operand: `zero_pct` % exact zeros at hashed positions,
+/// half of them `-0.0` (a skip must treat both signs alike), about one `∞`
+/// and one NaN per 211 elements — at most about one of each per operand, so
+/// the training shapes keep finite outputs to compare — and otherwise
+/// values whose sums round differently in a different order.
+fn kernel_operand(dims: &[usize], salt: u64, zero_pct: u64) -> Tensor {
+    let count: usize = dims.iter().product();
+    let rare = (count as u64).max(211);
+    let data = (0..count as u64)
+        .map(|i| {
+            // splitmix64's finalizer: every output bit depends on every
+            // bit of the position and the salt.
+            let mut h = i.wrapping_add(salt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            h ^= h >> 31;
+            if h % 100 < zero_pct {
+                if (h >> 32) & 1 == 0 {
+                    0.0
+                } else {
+                    -0.0
+                }
+            } else if (h >> 8) % rare == 0 {
+                f32::INFINITY
+            } else if (h >> 8) % rare == 1 {
+                f32::NAN
+            } else {
+                ((h >> 20) % 2000) as f32 / 250.0 - 4.0
+            }
+        })
+        .collect();
+    Tensor::from_vec(dims.to_vec(), data)
+}
+
+/// Asserts `matmul`, `matmul_tn` and `matmul_nt` equal their `*_naive`
+/// references bit for bit on `[m, k] · [k, n]`-shaped problems whose
+/// operands — *both* of them — carry `±0.0`, `∞` and NaN: a left-hand zero
+/// the reference skips must not be multiplied (`0 · ∞` is NaN), a NaN or
+/// `∞` the reference multiplies must not be skipped, and every output
+/// element must meet its addends in the reference's order.
+fn check_blocked_kernels(m: usize, k: usize, n: usize, seed: u64, zero_pct: u64) {
+    // A panicking assertion reads as a test-case failure under proptest.
+    let assert_bits = |what: &str, blocked: &Tensor, naive: &Tensor| {
+        assert_eq!(blocked.shape(), naive.shape(), "{what}");
+        for (i, (b, v)) in blocked.data().iter().zip(naive.data()).enumerate() {
+            // NaN payloads are the one thing IEEE 754 leaves open.
+            let same = b.to_bits() == v.to_bits() || (b.is_nan() && v.is_nan());
+            assert!(
+                same,
+                "{what} {m}x{k}x{n} at {zero_pct}% zeros, [{i}]: {b} vs {v}"
+            );
+        }
+    };
+    let a = kernel_operand(&[m, k], seed, zero_pct);
+    let b = kernel_operand(&[k, n], seed ^ 0xABCD, zero_pct);
+    assert_bits("matmul", &a.matmul(&b), &a.matmul_naive(&b));
+
+    let at = kernel_operand(&[k, m], seed ^ 0x1111, zero_pct);
+    assert_bits("matmul_tn", &at.matmul_tn(&b), &at.matmul_tn_naive(&b));
+
+    let bt = kernel_operand(&[n, k], seed ^ 0x2222, zero_pct);
+    assert_bits("matmul_nt", &a.matmul_nt(&bt), &a.matmul_nt_naive(&bt));
+}
+
+/// The three products one batch-5 step of the paper's CNN sends through
+/// `Dense(1024 → 60)` — forward `x · W`, weight gradient `xᵀ · g`, input
+/// gradient `g · Wᵀ` — at every zero density (in a run the left operands
+/// are 49 %, 49 % and 41 % exact zeros), each shape through all three
+/// orientations.
+#[test]
+fn blocked_kernels_are_bit_identical_on_the_training_shapes() {
+    for (m, k, n) in [(5, 1024, 60), (1024, 5, 60), (5, 60, 1024)] {
+        for (seed, &zero_pct) in ZERO_PCTS.iter().enumerate() {
+            check_blocked_kernels(m, k, n, 0xC0FFEE + seed as u64, zero_pct);
+        }
+    }
+}
+
 proptest! {
     /// The closed-form parameter count is the built model's: the cost
     /// model never constructs a network, so only this keeps the formula
@@ -138,48 +221,18 @@ proptest! {
 
     /// The cache-blocked matmul kernels are **bit-identical** to the naive
     /// triple loops for every orientation, on arbitrary shapes straddling
-    /// the 64-wide tile boundaries (odd, prime, exactly-tile, tile±1) and
-    /// data with exact zeros (the kernels' skip path).
+    /// the 64-wide tile boundaries (odd, prime, exactly-tile, tile±1), at
+    /// every zero density from none to all — see [`check_blocked_kernels`]
+    /// for what the operands hold.
     #[test]
     fn blocked_kernels_are_bit_identical_to_naive(
         m in 1usize..70,
         k in 1usize..70,
         n in 1usize..70,
         seed in any::<u64>(),
-        zero_every in 2usize..9,
+        density in 0usize..ZERO_PCTS.len(),
     ) {
-        let fill = |dims: &[usize], salt: u64| {
-            let count: usize = dims.iter().product();
-            let data = (0..count)
-                .map(|i| {
-                    let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(salt);
-                    if h.is_multiple_of(zero_every as u64) {
-                        0.0
-                    } else {
-                        ((h % 2000) as f32 - 1000.0) / 250.0
-                    }
-                })
-                .collect();
-            Tensor::from_vec(dims.to_vec(), data)
-        };
-        // A panicking assertion reads as a test-case failure under
-        // proptest, so a plain closure suffices here.
-        let assert_bits = |blocked: &Tensor, naive: &Tensor| {
-            assert_eq!(blocked.shape(), naive.shape());
-            for (b, v) in blocked.data().iter().zip(naive.data()) {
-                assert_eq!(b.to_bits(), v.to_bits());
-            }
-        };
-
-        let a = fill(&[m, k], seed);
-        let b = fill(&[k, n], seed ^ 0xABCD);
-        assert_bits(&a.matmul(&b), &a.matmul_naive(&b));
-
-        let at = fill(&[k, m], seed ^ 0x1111);
-        assert_bits(&at.matmul_tn(&b), &at.matmul_tn_naive(&b));
-
-        let bt = fill(&[n, k], seed ^ 0x2222);
-        assert_bits(&a.matmul_nt(&bt), &a.matmul_nt_naive(&bt));
+        check_blocked_kernels(m, k, n, seed, ZERO_PCTS[density]);
     }
 
     /// The vectorised convolution kernels are **bit-identical** to the
