@@ -8,7 +8,8 @@
 //! and a three-leaf cold fetch of a release), the delta codec on a
 //! quantised release, tensor matmul, the paper CNN's convolution
 //! (vectorised vs the scalar reference loops), a full training step of
-//! each model class, one FL server round at the three benchmark shapes
+//! each model class, a ReLU and a whole client fit on input that changes
+//! every iteration, one FL server round at the three benchmark shapes
 //! that straddle the fan-out's work grain, the cost model's parameter
 //! count, MultiKRUM scoring and policy selection.
 
@@ -339,6 +340,56 @@ fn bench_conv(c: &mut Criterion) {
     });
 }
 
+/// Two families of training benches, and why they disagree. The kernels
+/// above time **one input repeated**: after a few iterations the branch
+/// predictor has learned where that input's zeros and signs fall, so a loop
+/// whose cost depends on them (a `if x < 0.0` store, a `if l == 0.0` skip)
+/// looks free. A training run never repeats a batch — shuffled samples,
+/// weights moving under SGD — so the same loop there pays a misprediction
+/// on about every other element. These benches feed **fresh input every
+/// iteration**: a ReLU over a rotating pool of activations (next to the
+/// same ReLU on one repeated tensor), and a whole client fit on a real
+/// shard (Table 4: batch 5, 2 local epochs; reshuffled every epoch, the
+/// weights carried from one iteration's fit into the next). Code that is
+/// indifferent to where the zeros fall reads the same in both families.
+fn bench_fresh_input(c: &mut Criterion) {
+    use rand::Rng;
+    use unifyfl_tensor::layers::Relu;
+
+    // 64 tensors of 5,120 coin-toss signs: more history than a predictor
+    // holds.
+    let mut rng = StdRng::seed_from_u64(1);
+    let pool: Vec<Tensor> = (0..64)
+        .map(|_| {
+            let data = (0..5 * 1024).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            Tensor::from_vec(vec![5, 1024], data)
+        })
+        .collect();
+    let mut relu = Relu::new();
+    let mut arena = Arena::new();
+    let mut relu_step = |x: &Tensor| {
+        let out = relu.forward(black_box(x), true, &mut arena);
+        let gin = relu.backward(&out, true, &mut arena);
+        arena.recycle(gin.expect("asked for the input gradient"));
+        arena.recycle(out);
+    };
+    c.bench_function("tensor/relu_5x1024_repeated_input", |b| {
+        b.iter(|| relu_step(&pool[0]))
+    });
+    let mut next = 0;
+    c.bench_function("tensor/relu_5x1024_fresh_input", |b| {
+        b.iter(|| {
+            next = (next + 1) % pool.len();
+            relu_step(&pool[next])
+        })
+    });
+
+    let (mut client, config, mut weights) = unifyfl_bench::speed::edge_fit(1);
+    c.bench_function("fl/fit_cnn_30x5_2_epochs", |b| {
+        b.iter(|| weights = client.fit(black_box(&weights), &config).weights)
+    });
+}
+
 /// One `FlServer::run_round` (one epoch) over 3 clients of `samples`
 /// quickstart-task samples each, at the per-cluster shapes of the three
 /// coordination workloads: `sharded_fleet` (≈ 6 KFLOP a round) and
@@ -412,6 +463,7 @@ criterion_group!(
     bench_delta,
     bench_tensor,
     bench_conv,
+    bench_fresh_input,
     bench_run_round,
     bench_cost_params,
     bench_scoring,

@@ -1,8 +1,8 @@
 //! A counting global allocator for the allocation gates.
 //!
 //! The PR 10 arena work promises that a steady-state training batch —
-//! forward, loss, backward, flat-view extraction, optimizer step, weight
-//! write-back — performs **zero heap allocations**, and the storage layer
+//! forward, loss, backward, optimizer step in place — performs **zero
+//! heap allocations**, and the storage layer
 //! that a warm fetch hands a release on without copying it. Claims like
 //! these are only checkable from outside the allocator, so
 //! `tests/alloc_gates.rs` (and only that target) installs

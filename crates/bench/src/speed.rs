@@ -12,6 +12,11 @@
 //!   ([`crate::alloc`]), for the quickstart MLP and for the paper's CNN;
 //!   both are gated at **zero**, proving the arena path (and the
 //!   convolution's in-layer scratch) really removed per-batch allocation.
+//! - [`measure_fit_alloc_bytes`] counts the heap bytes one warm
+//!   `InMemoryClient::fit` requests, gated under [`FIT_ALLOC_BUDGET`] —
+//!   its batches, its optimizer state and the weights it returns — so a
+//!   per-fit flat-view buffer or a per-layer gradient scratch cannot come
+//!   back unnoticed.
 //! - [`measure_warm_get_alloc_bytes`] counts the heap bytes requested by
 //!   a window of warm storage fetches of one release, gated under
 //!   [`WARM_GET_ALLOC_BUDGET`] — less than one release — so a fetch path
@@ -26,6 +31,8 @@
 //! target, is that process; anywhere else they answer `None`.
 
 use unifyfl_core::experiment::{ExperimentConfig, Mode};
+use unifyfl_data::SyntheticConfig;
+use unifyfl_fl::{FitConfig, FlClient, InMemoryClient};
 use unifyfl_storage::{IpfsNetwork, LinkProfile};
 use unifyfl_tensor::optim::Sgd;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
@@ -33,11 +40,12 @@ use unifyfl_tensor::{weights_to_bytes, Tensor};
 
 /// Counts heap allocations across a window of steady-state training
 /// batches of `batch` samples on `spec`'s model: `train_batch` (forward,
-/// loss, backward through the arena) plus the flat-view extraction, SGD
-/// step, and weight write-back — the exact per-batch loop
-/// `InMemoryClient::fit` runs. Warm-up batches first fill the arena pool,
-/// optimizer state, and scratch buffers; the counter delta is then taken
-/// over [`ALLOC_PROBE_BATCHES`] further batches.
+/// loss, backward through the arena) and `Sgd::step_model` (the
+/// parameters stepped where they live) — the two calls
+/// `InMemoryClient::fit` makes per batch, not a copy of what they do.
+/// Warm-up batches first fill the arena pool, optimizer state, and scratch
+/// buffers; the counter delta is then taken over [`ALLOC_PROBE_BATCHES`]
+/// further batches.
 ///
 /// Returns `None` when [`crate::alloc::CountingAllocator`] is not the
 /// process's global allocator, so the zero gate can never pass vacuously
@@ -51,14 +59,9 @@ pub fn measure_train_batch_allocs(spec: &ModelSpec, batch: usize) -> Option<u64>
     let x = probe_input(spec.input(), batch);
     let labels: Vec<usize> = (0..batch).map(|i| i % spec.classes()).collect();
     let mut opt = Sgd::new(0.05, 0.0);
-    let mut params = Vec::with_capacity(model.param_count());
-    let mut grads = Vec::with_capacity(model.param_count());
     let mut step = |model: &mut unifyfl_tensor::Sequential| {
         let _loss = model.train_batch(&x, &labels);
-        model.flat_grads_into(&mut grads);
-        model.flat_params_into(&mut params);
-        opt.step(&mut params, &grads);
-        model.set_flat_params(&params);
+        opt.step_model(model);
     };
     for _ in 0..WARMUP_BATCHES {
         step(&mut model);
@@ -69,6 +72,50 @@ pub fn measure_train_batch_allocs(spec: &ModelSpec, batch: usize) -> Option<u64>
     }
     Some(crate::alloc::allocation_count() - before)
 }
+
+/// Heap bytes one warm `InMemoryClient::fit` of the paper's edge workload
+/// requests ([`edge_fit`]: 12 batches). What a fit allocates is its
+/// shuffled batches (≈ 8 KB each), its optimizer's velocity and the weights
+/// it returns (≈ 250 KB each); anything parameter-sized beyond that — a
+/// flat-view buffer, a gradient scratch — pushes it over
+/// [`FIT_ALLOC_BUDGET`].
+///
+/// Returns `None` when the counting allocator is not installed, as
+/// [`measure_train_batch_allocs`] does.
+pub fn measure_fit_alloc_bytes() -> Option<u64> {
+    if !crate::alloc::is_counting() {
+        return None;
+    }
+    let (mut client, config, init) = edge_fit(7);
+    // The first fit warms the model's arena and the layers' scratch.
+    let weights = client.fit(&init, &config).weights;
+    let before = crate::alloc::bytes_requested();
+    client.fit(&weights, &config);
+    Some(crate::alloc::bytes_requested() - before)
+}
+
+/// One client of the paper's edge workload (Table 4: the 62 K-parameter
+/// CNN, batch 5, 2 local epochs, lr 0.01) over a 30-sample `cifar10_like`
+/// shard — 12 batches a fit — with the instructions to fit it and initial
+/// weights to start from. Shared by the allocation probe above and the
+/// `fl/fit_cnn_30x5_2_epochs` micro-bench, so both measure the same fit.
+pub fn edge_fit(seed: u64) -> (InMemoryClient, FitConfig, Vec<f32>) {
+    let spec = ModelSpec::small_cnn(10);
+    let shard = SyntheticConfig::cifar10_like(30).generate(seed);
+    let init = spec.build(seed).flat_params();
+    let config = FitConfig {
+        epochs: 2,
+        batch_size: 5,
+        learning_rate: 0.01,
+        round: 0,
+    };
+    (InMemoryClient::new(spec, shard, seed), config, init)
+}
+
+/// What one warm fit of [`measure_fit_alloc_bytes`] may request from the
+/// heap: it requests 595 KB, and 843 KB with one more parameter-sized
+/// buffer.
+pub const FIT_ALLOC_BUDGET: u64 = 700 * 1024;
 
 /// Steady-state batches the allocation probe measures over.
 pub const ALLOC_PROBE_BATCHES: usize = 32;
@@ -164,6 +211,7 @@ mod tests {
             measure_train_batch_allocs(&ModelSpec::small_cnn(10), 5),
             None
         );
+        assert_eq!(measure_fit_alloc_bytes(), None);
         assert_eq!(measure_warm_get_alloc_bytes(), None);
     }
 

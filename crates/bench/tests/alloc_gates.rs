@@ -1,5 +1,7 @@
 //! The allocation gates, in tier-1: a steady-state training batch performs
-//! **zero** heap allocations (quickstart MLP and the paper's CNN), and a
+//! **zero** heap allocations (quickstart MLP and the paper's CNN), a warm
+//! client fit requests no parameter-sized buffer beyond its optimizer
+//! state and the weights it returns, and a
 //! window of warm storage fetches requests less than one release's worth
 //! of heap bytes.
 //!
@@ -10,8 +12,8 @@
 
 use unifyfl_bench::alloc;
 use unifyfl_bench::speed::{
-    measure_train_batch_allocs, measure_warm_get_alloc_bytes, ALLOC_PROBE_BATCHES, WARM_GETS,
-    WARM_GET_ALLOC_BUDGET,
+    measure_fit_alloc_bytes, measure_train_batch_allocs, measure_warm_get_alloc_bytes,
+    ALLOC_PROBE_BATCHES, FIT_ALLOC_BUDGET, WARM_GETS, WARM_GET_ALLOC_BUDGET,
 };
 use unifyfl_tensor::zoo::ModelSpec;
 
@@ -36,6 +38,15 @@ fn main() {
              allocation(s); the arena path must perform none"
         );
     }
+    // A fit steps its model in place: beyond the batches it draws, its
+    // optimizer's velocity and the weights it returns it needs no
+    // parameter-sized buffer.
+    let fit_bytes = measure_fit_alloc_bytes().expect(installed);
+    assert!(
+        fit_bytes < FIT_ALLOC_BUDGET,
+        "a warm 12-batch CNN fit requested {fit_bytes} heap bytes (budget {FIT_ALLOC_BUDGET}): \
+         something parameter-sized is allocated per fit beside the velocity and the returned weights",
+    );
     // A warm fetch hands the resident buffer on, so the whole window of
     // them stays under a fraction of one 150 KB release.
     let bytes = measure_warm_get_alloc_bytes().expect(installed);
@@ -46,7 +57,8 @@ fn main() {
     );
     println!(
         "alloc gates hold: 0 allocations over 2 x {ALLOC_PROBE_BATCHES} training batches, \
-         {bytes} bytes over {WARM_GETS} warm fetches (peak live heap {:.1} MB)",
+         {fit_bytes} bytes over a warm 12-batch fit, {bytes} bytes over {WARM_GETS} warm fetches \
+         (peak live heap {:.1} MB)",
         alloc::peak_bytes() as f64 / 1e6
     );
 }

@@ -511,6 +511,13 @@ impl ExperimentConfig {
                 "learning_rate (must be finite and > 0)",
             ));
         }
+        // A client fit always trains at least one epoch, while the cost
+        // model prices exactly `local_epochs` of them: at zero the run
+        // would train for free — no virtual time, no work for the fan-out
+        // to size a fork on.
+        if workload.local_epochs == 0 {
+            return Err(ExperimentError::InvalidWorkload("local_epochs (zero)"));
+        }
         if workload.dataset.n_classes == 0 {
             return Err(ExperimentError::InvalidWorkload("dataset.n_classes (zero)"));
         }
@@ -1172,6 +1179,17 @@ mod tests {
                 "learning_rate {lr}"
             );
         }
+    }
+
+    #[test]
+    fn validation_rejects_zero_local_epochs() {
+        // Nothing would panic: every client would train one epoch and the
+        // virtual clock would charge for none.
+        let mut builder = ExperimentBuilder::quickstart();
+        builder.config.workload.local_epochs = 0;
+        let expected = ExperimentError::InvalidWorkload("local_epochs (zero)");
+        assert_eq!(builder.config.validate().unwrap_err(), expected);
+        assert_eq!(builder.run().unwrap_err(), expected);
     }
 
     #[test]

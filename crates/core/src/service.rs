@@ -1043,11 +1043,15 @@ mod tests {
             slice_events: 1,
         })
         .expect("valid service config");
-        let mut bad = tiny(1);
-        bad.clusters.truncate(1);
-        match service.submit(bad) {
-            Err(ServiceError::Invalid(_)) => {}
-            other => panic!("expected Invalid, got {other:?}"),
+        let mut lonely = tiny(1);
+        lonely.clusters.truncate(1);
+        let mut unpriced = tiny(1);
+        unpriced.workload.local_epochs = 0;
+        for bad in [lonely, unpriced] {
+            match service.submit(bad) {
+                Err(ServiceError::Invalid(_)) => {}
+                other => panic!("expected Invalid, got {other:?}"),
+            }
         }
         // The slot the invalid submission did not consume is still free.
         service.submit(tiny(2)).expect("capacity untouched");

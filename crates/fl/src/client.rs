@@ -114,20 +114,16 @@ impl FlClient for InMemoryClient {
         // NIID clusters collapses.
         let mut opt = Sgd::new(config.learning_rate, 0.0);
         let mut last_epoch_loss = 0.0f64;
-        // Flat views reused across every batch of the fit: together with
-        // the model's internal arena this keeps the per-batch loop free of
-        // heap allocations (gated by the bench allocation probe).
-        let mut params_buf = Vec::with_capacity(self.model.param_count());
-        let mut grads_buf = Vec::with_capacity(self.model.param_count());
         for _ in 0..config.epochs.max(1) {
             let mut epoch_loss = 0.0f64;
             let mut batches = 0usize;
             for (x, y) in self.data.batches(config.batch_size, &mut self.rng) {
+                // The whole step runs on the model's own buffers: the
+                // arena inside `train_batch`, the parameters stepped where
+                // they live — no flat view, no heap allocation (gated by
+                // the bench allocation probe, which makes these two calls).
                 let loss = self.model.train_batch(&x, &y);
-                self.model.flat_grads_into(&mut grads_buf);
-                self.model.flat_params_into(&mut params_buf);
-                opt.step(&mut params_buf, &grads_buf);
-                self.model.set_flat_params(&params_buf);
+                opt.step_model(&mut self.model);
                 epoch_loss += loss as f64;
                 batches += 1;
             }

@@ -44,14 +44,21 @@ pub trait Layer: Send {
     fn zero_grads(&mut self);
 
     /// Visits every parameter slice, in a stable order, without
-    /// allocating — the training hot loop's flat-view extraction stays
-    /// heap-silent (gated by the bench allocation probe). Required, not
+    /// allocating — flat-view extraction stays heap-silent. Required, not
     /// defaulted: a parameterised layer that forgot it would silently drop
     /// out of [`Sequential::flat_params`](crate::Sequential::flat_params).
     fn for_each_param(&self, f: &mut dyn FnMut(&[f32]));
 
+    /// Visits every parameter slice mutably, paired with its gradient
+    /// slice, in [`Layer::for_each_param`]'s order — what an optimizer
+    /// needs to step the parameters where they live
+    /// ([`Sgd::step_model`](crate::optim::Sgd::step_model)).
+    fn for_each_param_grad(&mut self, f: &mut dyn FnMut(&mut [f32], &[f32]));
+
     /// Mutable counterpart of [`Layer::for_each_param`], same order.
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32]));
+    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
+        self.for_each_param_grad(&mut |p, _| f(p));
+    }
 
     /// Gradient counterpart of [`Layer::for_each_param`], same order.
     fn for_each_grad(&self, f: &mut dyn FnMut(&[f32]));
@@ -89,15 +96,33 @@ fn cached(cache: &Option<Tensor>) -> &Tensor {
 
 /// Fully connected layer: `y = x·W + b` with `x: [batch, in]`,
 /// `W: [in, out]`.
+///
+/// The reference formulation of the weight gradient is `grad_w += xᵀ · g`
+/// with the product summed on its own (ascending batch index) before it is
+/// added. The first backward after [`Layer::zero_grads`] — every backward
+/// of a training loop — multiplies **straight into `grad_w`** instead:
+/// there `grad_w` is `+0.0` everywhere, an accumulator started at `+0.0`
+/// can never hold `-0.0` (round-to-nearest gives `-0.0` only for
+/// `-0.0 + -0.0`), and `+0.0 + s` is `s` bit for bit for every other `s`,
+/// NaN and `±∞` included — so summing the product in place *is* the
+/// reference, minus one pass over the weights and a weights-sized buffer.
+/// A second backward onto live gradients cannot do that (`(g + a) + b` is
+/// not `g + (a + b)`); it sums the product in a scratch tensor first.
 pub struct Dense {
     w: Tensor,
     b: Vec<f32>,
     grad_w: Tensor,
     grad_b: Vec<f32>,
+    /// True while `grad_w` is known to be `+0.0` in every element: from
+    /// construction or `zero_grads` until the next `backward`. Nothing
+    /// outside the layer can write the gradients, so the flag cannot go
+    /// stale.
+    grad_w_zeroed: bool,
     cached_input: Option<Tensor>,
-    /// Scratch for the per-batch `xᵀ · g` product, reused across backward
-    /// calls so the hot path allocates nothing per batch.
-    scratch_gw: Tensor,
+    /// The `xᵀ · g` product of a backward onto live gradients; allocated
+    /// by the first such call, so a `zero_grads` → `backward` training
+    /// loop never holds it.
+    scratch_gw: Option<Tensor>,
     in_dim: usize,
     out_dim: usize,
 }
@@ -119,8 +144,9 @@ impl Dense {
             b: vec![0.0; out_dim],
             grad_w: Tensor::zeros(vec![in_dim, out_dim]),
             grad_b: vec![0.0; out_dim],
+            grad_w_zeroed: true,
             cached_input: None,
-            scratch_gw: Tensor::zeros(vec![in_dim, out_dim]),
+            scratch_gw: None,
             in_dim,
             out_dim,
         }
@@ -173,12 +199,16 @@ impl Layer for Dense {
         // grad_w += xᵀ · g ; grad_b += Σ_batch g ; grad_in = g · Wᵀ
         // Both matmuls read their transposed operand in place (matmul_tn /
         // matmul_nt), so no `[in, batch]` or `[out, in]` copy is
-        // materialized per batch; the xᵀ·g product lands in the reused
-        // scratch (it cannot accumulate straight into grad_w — that would
-        // change the floating-point add order and break bit-for-bit
-        // reproducibility against the reference formulation).
-        input.matmul_tn_into(grad_out, &mut self.scratch_gw);
-        self.grad_w.add_assign(&self.scratch_gw);
+        // materialized per batch.
+        if std::mem::take(&mut self.grad_w_zeroed) {
+            input.matmul_tn_onto(grad_out, &mut self.grad_w);
+        } else {
+            let scratch = self
+                .scratch_gw
+                .get_or_insert_with(|| Tensor::zeros(vec![self.in_dim, self.out_dim]));
+            input.matmul_tn_into(grad_out, scratch);
+            self.grad_w.add_assign(scratch);
+        }
         let batch = grad_out.shape()[0];
         for i in 0..batch {
             for j in 0..self.out_dim {
@@ -197,9 +227,9 @@ impl Layer for Dense {
         f(&self.b);
     }
 
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        f(self.w.data_mut());
-        f(&mut self.b);
+    fn for_each_param_grad(&mut self, f: &mut dyn FnMut(&mut [f32], &[f32])) {
+        f(self.w.data_mut(), self.grad_w.data());
+        f(&mut self.b, &self.grad_b);
     }
 
     fn for_each_grad(&self, f: &mut dyn FnMut(&[f32])) {
@@ -209,11 +239,23 @@ impl Layer for Dense {
 
     fn zero_grads(&mut self) {
         self.grad_w.data_mut().fill(0.0);
+        self.grad_w_zeroed = true;
         self.grad_b.fill(0.0);
     }
 }
 
 /// Rectified linear unit.
+///
+/// Both passes are **selects, not branches**: `if *x < 0.0 { *x = 0.0 }`
+/// compiles to a conditional store, and on real activations — half of them
+/// negative, at positions that change with every batch — the predictor
+/// misses about every other element (≈ 12 cycles each). Assigning
+/// `if c { a } else { b }` to every element compiles to a compare and a
+/// mask, vectorises, and costs the same wherever the zeros fall. Written
+/// so that exactly the elements the branch left alone keep their bits:
+/// `-0.0` and NaN are not `< 0.0` and pass through forward unchanged; a
+/// gradient is kept where the input was `> 0.0` and replaced by `+0.0`
+/// elsewhere, whatever it held.
 #[derive(Default)]
 pub struct Relu {
     mask: Vec<bool>,
@@ -235,18 +277,14 @@ impl Relu {
             self.mask.extend(out.data().iter().map(|&x| x > 0.0));
         }
         for x in out.data_mut() {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
+            *x = if *x < 0.0 { 0.0 } else { *x };
         }
     }
 
     /// Zeroes gradient entries the forward pass clamped.
     fn apply_mask(&self, g: &mut Tensor) {
         for (x, &keep) in g.data_mut().iter_mut().zip(&self.mask) {
-            if !keep {
-                *x = 0.0;
-            }
+            *x = if keep { *x } else { 0.0 };
         }
     }
 }
@@ -278,7 +316,7 @@ impl Layer for Relu {
 
     fn zero_grads(&mut self) {}
     fn for_each_param(&self, _: &mut dyn FnMut(&[f32])) {}
-    fn for_each_param_mut(&mut self, _: &mut dyn FnMut(&mut [f32])) {}
+    fn for_each_param_grad(&mut self, _: &mut dyn FnMut(&mut [f32], &[f32])) {}
     fn for_each_grad(&self, _: &mut dyn FnMut(&[f32])) {}
 }
 
@@ -324,7 +362,7 @@ impl Layer for Flatten {
 
     fn zero_grads(&mut self) {}
     fn for_each_param(&self, _: &mut dyn FnMut(&[f32])) {}
-    fn for_each_param_mut(&mut self, _: &mut dyn FnMut(&mut [f32])) {}
+    fn for_each_param_grad(&mut self, _: &mut dyn FnMut(&mut [f32], &[f32])) {}
     fn for_each_grad(&self, _: &mut dyn FnMut(&[f32])) {}
 }
 
@@ -876,9 +914,9 @@ impl Layer for Conv2d {
         f(&self.b);
     }
 
-    fn for_each_param_mut(&mut self, f: &mut dyn FnMut(&mut [f32])) {
-        f(self.w.data_mut());
-        f(&mut self.b);
+    fn for_each_param_grad(&mut self, f: &mut dyn FnMut(&mut [f32], &[f32])) {
+        f(self.w.data_mut(), self.grad_w.data());
+        f(&mut self.b, &self.grad_b);
     }
 
     fn for_each_grad(&self, f: &mut dyn FnMut(&[f32])) {

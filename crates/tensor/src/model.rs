@@ -138,6 +138,16 @@ impl Sequential {
         }
     }
 
+    /// Visits every parameter slice mutably, paired with its gradient
+    /// slice, in [`Sequential::flat_params`]' order — the in-place
+    /// alternative to a flat-view round trip
+    /// ([`Sgd::step_model`](crate::optim::Sgd::step_model)).
+    pub(crate) fn for_each_param_grad(&mut self, f: &mut dyn FnMut(&mut [f32], &[f32])) {
+        for layer in &mut self.layers {
+            layer.for_each_param_grad(f);
+        }
+    }
+
     /// One SGD mini-batch step: forward, loss, backward. Gradients are left
     /// in the layers for an optimizer to consume; returns the mean batch
     /// loss.

@@ -7,7 +7,19 @@
 //! a pseudo-gradient and adapts per-coordinate step sizes with a
 //! sign-corrected second-moment update.
 
+use crate::model::Sequential;
+
 /// Plain SGD with optional momentum.
+///
+/// One update rule, two ways to reach the parameters: [`Sgd::step`] over a
+/// flat parameter vector (what weight exchange and the server side hold)
+/// and [`Sgd::step_model`] over a model's own tensors (what a training loop
+/// holds). The velocity buffer is laid out in the model's flat order either
+/// way, so the two are interchangeable step by step, bit for bit.
+///
+/// The velocity is updated even at `momentum == 0.0`, where `v = 0·v + g`
+/// looks like `v = g`: it is not once a gradient has overflowed (`0 · ∞`
+/// is NaN, and the step after an `∞` gradient must keep saying so).
 #[derive(Debug, Clone)]
 pub struct Sgd {
     lr: f32,
@@ -44,13 +56,44 @@ impl Sgd {
     /// Panics if `params.len() != grads.len()`.
     pub fn step(&mut self, params: &mut [f32], grads: &[f32]) {
         assert_eq!(params.len(), grads.len(), "params/grads length mismatch");
-        if self.velocity.len() != params.len() {
-            self.velocity = vec![0.0; params.len()];
+        self.size_velocity(params.len());
+        update(self.lr, self.momentum, params, grads, &mut self.velocity);
+    }
+
+    /// [`Sgd::step`] applied to `model`'s parameters where they live, from
+    /// the gradients its last backward pass left in the layers — the same
+    /// arithmetic on the same elements in the same order as extracting
+    /// both flat views, stepping, and writing the parameters back, without
+    /// the three model-sized copies.
+    pub fn step_model(&mut self, model: &mut Sequential) {
+        self.size_velocity(model.param_count());
+        let Sgd {
+            lr,
+            momentum,
+            velocity,
+        } = self;
+        let mut offset = 0;
+        model.for_each_param_grad(&mut |params, grads| {
+            let v = &mut velocity[offset..offset + params.len()];
+            update(*lr, *momentum, params, grads, v);
+            offset += params.len();
+        });
+    }
+
+    /// Restarts the velocity at zero whenever the parameter count changes
+    /// (the first step included).
+    fn size_velocity(&mut self, n: usize) {
+        if self.velocity.len() != n {
+            self.velocity = vec![0.0; n];
         }
-        for ((p, g), v) in params.iter_mut().zip(grads).zip(self.velocity.iter_mut()) {
-            *v = self.momentum * *v + g;
-            *p -= self.lr * *v;
-        }
+    }
+}
+
+/// The SGD update over one run of parameters and its velocity.
+fn update(lr: f32, momentum: f32, params: &mut [f32], grads: &[f32], velocity: &mut [f32]) {
+    for ((p, g), v) in params.iter_mut().zip(grads).zip(velocity) {
+        *v = momentum * *v + g;
+        *p -= lr * *v;
     }
 }
 
@@ -145,6 +188,38 @@ mod tests {
             opt.step(&mut x, &g);
         }
         assert!(x.iter().all(|v| v.abs() < 1e-3), "{x:?}");
+    }
+
+    #[test]
+    fn step_model_is_bitwise_the_flat_step() {
+        use crate::zoo::ModelSpec;
+        use crate::Tensor;
+        // Same model twice, one stepped in place and one through the flat
+        // views, with momentum so the velocity layout matters — and an
+        // overflowed gradient on the way (the middle batch's input is
+        // huge), after which both must agree that the weights are NaN.
+        let spec = ModelSpec::mlp(6, vec![5], 3);
+        let (mut in_place, mut flat) = (spec.build(4), spec.build(4));
+        let (mut opt_a, mut opt_b) = (Sgd::new(0.05, 0.5), Sgd::new(0.05, 0.5));
+        for scale in [1.0f32, 1.0, 3.0e38, 1.0] {
+            let x = Tensor::from_vec(
+                vec![2, 6],
+                (0..12).map(|i| (i as f32 - 5.5) * 0.2 * scale).collect(),
+            );
+            let la = in_place.train_batch(&x, &[0, 2]);
+            opt_a.step_model(&mut in_place);
+
+            let lb = flat.train_batch(&x, &[0, 2]);
+            let (grads, mut params) = (flat.flat_grads(), flat.flat_params());
+            opt_b.step(&mut params, &grads);
+            flat.set_flat_params(&params);
+
+            assert!(la.to_bits() == lb.to_bits() || (la.is_nan() && lb.is_nan()));
+            for (a, b) in in_place.flat_params().iter().zip(&params) {
+                assert!(a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()));
+            }
+        }
+        assert!(in_place.flat_params().iter().any(|p| p.is_nan()));
     }
 
     #[test]

@@ -14,18 +14,47 @@
 const KB: usize = 64;
 const NB: usize = 64;
 
-/// The `matmul_nt` micro-kernel: `acc[j] += lvals[p] * panel[p * stride +
-/// j]` over ascending `p`, skipping exact-zero left-hand entries. This is
-/// the naive kernels' exact f32 add sequence (ascending inner dimension,
-/// zero-skip, no FMA contraction), so the blocked kernel built on it is
-/// bit-identical to its reference triple loop.
+/// The kernels' zero-skip, as **index compaction**: writes the positions of
+/// the entries of `vals` (at most `KB` of them) that are not exactly zero
+/// into `nz`, ascending, and returns how many there are.
+///
+/// The reference loops `continue` past a left-hand entry that compares
+/// equal to zero. In training that branch is a coin toss — the left operands
+/// of the three `Dense(1024 → 60)` products are a ReLU's output, that
+/// output again, and a ReLU-masked gradient: about half exact zeros each
+/// (measured 49–50 %, 49–50 % and 41–55 %, by seed), at positions that
+/// change with every batch — so the branch runs
+/// some 15,000 times a batch and the predictor misses about every other
+/// one. Here every position is stored and the cursor advances by a
+/// comparison *result* (`n += (l != 0.0) as usize`): no branch depends on
+/// the data, and the caller's axpy loop runs over the list — the same
+/// terms in the same ascending order as the reference, the skipped half
+/// still skipped. `l != 0.0` is false for `±0.0` and true for NaN: it
+/// keeps exactly the entries the reference's test does not skip.
+/// (Multiplying the zeros instead would not do: `0 · ∞` and `0 · NaN` are
+/// NaN.)
 #[inline(always)]
-fn tile_kernel(lvals: &[f32], panel: &[f32], stride: usize, acc: &mut [f32]) {
+fn nonzero_positions(vals: &[f32], nz: &mut [usize; KB]) -> usize {
+    let mut n = 0;
+    for (pp, &l) in vals.iter().enumerate() {
+        nz[n] = pp;
+        n += (l != 0.0) as usize;
+    }
+    n
+}
+
+/// The `matmul_nt` micro-kernel: `acc[j] += lvals[p] * panel[p * stride +
+/// j]` over ascending `p`, skipping exact-zero left-hand entries (by
+/// [`nonzero_positions`], not by branch). This is the naive kernels' exact
+/// f32 add sequence (ascending inner dimension, zero-skip, no FMA
+/// contraction), so the blocked kernel built on it is bit-identical to its
+/// reference triple loop.
+#[inline(always)]
+fn tile_kernel(lvals: &[f32], panel: &[f32], stride: usize, acc: &mut [f32], nz: &mut [usize; KB]) {
     let w = acc.len();
-    for (pp, &l) in lvals.iter().enumerate() {
-        if l == 0.0 {
-            continue;
-        }
+    let n = nonzero_positions(lvals, nz);
+    for &pp in &nz[..n] {
+        let l = lvals[pp];
         let prow = &panel[pp * stride..pp * stride + w];
         for (a, &r) in acc.iter_mut().zip(prow) {
             *a += l * r;
@@ -172,10 +201,11 @@ impl Tensor {
     /// every output row accumulates that slab's contribution before the
     /// next slab starts, so the slab's `KB × n` rhs panel is read from
     /// memory once and served from cache for all `m` rows — the naive walk
-    /// re-streams the entire `k × n` rhs per output row. Slabs ascend and
-    /// the full-width inner loop is the naive kernel's, so each output
-    /// element sees the exact same p-ascending f32 add sequence
-    /// (proptest-pinned); when `k ≤ KB` the loop *is* the naive kernel.
+    /// re-streams the entire `k × n` rhs per output row. Slabs ascend, the
+    /// full-width inner loop is the naive kernel's, and the naive kernel's
+    /// zero-skip branch is a branch-free index list per row and slab
+    /// (`nonzero_positions`), so each output element sees the exact same
+    /// p-ascending f32 add sequence (proptest-pinned).
     ///
     /// # Panics
     ///
@@ -188,17 +218,16 @@ impl Tensor {
         assert_eq!(k, k2, "inner dimensions must agree: {k} vs {k2}");
         assert_eq!(out.shape, [m, n], "output must be [{m}, {n}]");
         out.data.fill(0.0);
+        let mut nz = [0usize; KB];
         let mut pb = 0;
         while pb < k {
             let kb = KB.min(k - pb);
             for i in 0..m {
                 let lhs_vals = &self.data[i * k + pb..i * k + pb + kb];
                 let out_row = &mut out.data[i * n..(i + 1) * n];
-                for (pp, &l) in lhs_vals.iter().enumerate() {
-                    if l == 0.0 {
-                        continue;
-                    }
-                    let p = pb + pp;
+                let live = nonzero_positions(lhs_vals, &mut nz);
+                for &pp in &nz[..live] {
+                    let (l, p) = (lhs_vals[pp], pb + pp);
                     let rhs_row = &rhs.data[p * n..(p + 1) * n];
                     for (o, &r) in out_row.iter_mut().zip(rhs_row) {
                         *o += l * r;
@@ -266,39 +295,64 @@ impl Tensor {
     /// (e.g. a per-layer scratch buffer), avoiding the result allocation.
     /// The output is overwritten, not accumulated into.
     ///
-    /// Cache-blocked over the inner dimension exactly like
-    /// [`Tensor::matmul_into`]: each `KB`-slab's rhs panel is read from
-    /// memory once and served from cache for all `m` output rows. The lhs
-    /// is stored `[k, m]`, so the slab's lhs reads stay column-strided
-    /// (stride `m`) — one scalar per full-width axpy, amortized across the
-    /// `n`-wide inner loop. Slabs ascend, so the per-element f32 add
-    /// sequence is exactly [`Tensor::matmul_tn_naive`]'s (proptest-pinned);
-    /// when `k ≤ KB` the loop *is* the naive kernel.
+    /// Cache-blocked over the inner dimension like [`Tensor::matmul_into`],
+    /// and over the output rows as well (`matmul_tn_onto`, which does the
+    /// accumulating, says why). Slabs and the `p` inside them ascend, so
+    /// the per-element f32 add sequence is exactly
+    /// [`Tensor::matmul_tn_naive`]'s (proptest-pinned).
     ///
     /// # Panics
     ///
     /// Panics on rank/shape mismatch, including `out` not being `[m, n]`.
     pub fn matmul_tn_into(&self, rhs: &Tensor, out: &mut Tensor) {
+        out.data.fill(0.0);
+        self.matmul_tn_onto(rhs, out);
+    }
+
+    /// The accumulation of [`Tensor::matmul_tn_into`] without its opening
+    /// zero-fill: `out[i, ·] += self[p, i] · rhs[p, ·]` in ascending `p`.
+    /// Only onto an `out` that is `+0.0` in every element is this the
+    /// product (and bit-identical to the `_into` form, which is then a
+    /// second fill of the same zeros) — [`Dense`](crate::layers::Dense)
+    /// calls it on freshly zeroed weight gradients; onto anything else it
+    /// would add term by term, not add the finished product.
+    ///
+    /// Per `KB`-slab of `k` the output is walked in blocks of `KB` rows
+    /// with `p` outermost inside the block: the lhs entries one `p`
+    /// contributes to a block are contiguous (`self[p, ib..]`), so one
+    /// [`nonzero_positions`] pass serves the block, its `KB × n` outputs
+    /// stay cache-resident across the slab, and every output element still
+    /// meets its terms in ascending `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on rank/shape mismatch, including `out` not being `[m, n]`.
+    pub(crate) fn matmul_tn_onto(&self, rhs: &Tensor, out: &mut Tensor) {
         let (k, m) = self.rank2_dims("matmul_tn lhs");
         let (k2, n) = rhs.rank2_dims("matmul_tn rhs");
         assert_eq!(k, k2, "shared dimensions must agree: {k} vs {k2}");
         assert_eq!(out.shape, [m, n], "output must be [{m}, {n}]");
-        out.data.fill(0.0);
+        let mut nz = [0usize; KB];
         let mut pb = 0;
         while pb < k {
             let kb = KB.min(k - pb);
-            for i in 0..m {
-                let out_row = &mut out.data[i * n..(i + 1) * n];
+            let mut ib = 0;
+            while ib < m {
+                let rb = KB.min(m - ib);
+                let out_rows = &mut out.data[ib * n..(ib + rb) * n];
                 for p in pb..pb + kb {
-                    let l = self.data[p * m + i];
-                    if l == 0.0 {
-                        continue;
-                    }
+                    let lhs_vals = &self.data[p * m + ib..p * m + ib + rb];
                     let rhs_row = &rhs.data[p * n..(p + 1) * n];
-                    for (o, &r) in out_row.iter_mut().zip(rhs_row) {
-                        *o += l * r;
+                    let live = nonzero_positions(lhs_vals, &mut nz);
+                    for &ii in &nz[..live] {
+                        let l = lhs_vals[ii];
+                        let out_row = &mut out_rows[ii * n..(ii + 1) * n];
+                        for (o, &r) in out_row.iter_mut().zip(rhs_row) {
+                            *o += l * r;
+                        }
                     }
                 }
+                ib += rb;
             }
             pb += kb;
         }
@@ -374,6 +428,7 @@ impl Tensor {
         assert_eq!(out.shape, [m, n], "output must be [{m}, {n}]");
         out.data.fill(0.0);
         let mut rpack = [0.0f32; KB * NB];
+        let mut nz = [0usize; KB];
         let mut jb = 0;
         while jb < n {
             let nb = NB.min(n - jb);
@@ -393,7 +448,7 @@ impl Tensor {
                     let out_row = &mut out.data[i * n + jb..i * n + jb + nb];
                     let mut acc = [0.0f32; NB];
                     acc[..nb].copy_from_slice(out_row);
-                    tile_kernel(lvals, &rpack, nb, &mut acc[..nb]);
+                    tile_kernel(lvals, &rpack, nb, &mut acc[..nb], &mut nz);
                     out_row.copy_from_slice(&acc[..nb]);
                 }
                 pb += kb;
