@@ -290,40 +290,162 @@ pub fn sha256_pair(a: &[u8], b: &[u8]) -> H256 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // NIST FIPS 180-4 / classic test vectors.
+    const NIST: [(&[u8], &str); 4] = [
+        (
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        ),
+        (
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+        ),
+        (
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+        ),
+        (
+            b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+        ),
+    ];
+    const MILLION_A: &str = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+
     #[test]
     fn nist_vectors() {
-        let cases: &[(&[u8], &str)] = &[
-            (
-                b"",
-                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-            ),
-            (
-                b"abc",
-                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
-            ),
-            (
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
-                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
-            ),
-            (
-                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
-                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
-            ),
-        ];
-        for (input, expect) in cases {
-            assert_eq!(sha256(input).to_hex(), *expect);
+        for (input, expect) in NIST {
+            assert_eq!(sha256(input).to_hex(), expect);
         }
     }
 
     #[test]
     fn million_a() {
         let input = vec![b'a'; 1_000_000];
-        assert_eq!(
-            sha256(&input).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        assert_eq!(sha256(&input).to_hex(), MILLION_A);
+    }
+
+    // ---- The compression function itself, one path at a time. ----
+    //
+    // `sha256` / `Sha256` reach a compression path only through whatever
+    // chooses it, so the tests above cover one path per host. These name
+    // each path and hold it to the same answers.
+
+    /// A compression path: folds every whole 64-byte block of the slice
+    /// into the state, in order.
+    type CompressFn = fn(&mut [u32; 8], &[u8]);
+
+    fn scalar(state: &mut [u32; 8], data: &[u8]) {
+        for block in data.chunks_exact(64) {
+            compress(state, block.try_into().expect("64 bytes"));
+        }
+    }
+
+    /// Every compression path this host can run.
+    fn paths() -> Vec<(&'static str, CompressFn)> {
+        vec![("scalar", scalar)]
+    }
+
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn fnv1a(state: &[u32; 8]) -> u64 {
+        state
+            .iter()
+            .flat_map(|w| w.to_be_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// SHA-256 of `data` written directly over `compress`: the padded
+    /// message is handed over in runs of `runs[i]` blocks (zero allowed)
+    /// and then the rest at once, so the state crosses calls at every
+    /// boundary the list names.
+    fn digest_via(compress: CompressFn, data: &[u8], runs: &[usize]) -> H256 {
+        let mut padded = data.to_vec();
+        padded.push(0x80);
+        padded.resize((padded.len() + 8).next_multiple_of(64) - 8, 0);
+        padded.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        let mut rest = padded.as_slice();
+        for run in runs {
+            let (head, tail) = rest.split_at((run * 64).min(rest.len()));
+            compress(&mut state, head);
+            rest = tail;
+        }
+        compress(&mut state, rest);
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        H256(out)
+    }
+
+    /// FNV-1a of the state words after `n` seeded random blocks folded
+    /// into a seeded random *initial state* — not `H0`: a path that keeps
+    /// the state in another layout must pack and unpack all eight words,
+    /// which a fixed start could hide. `n = 0` is the untouched start.
+    #[test]
+    fn compress_known_answers_from_a_random_state() {
+        const KNOWN: [(usize, u64); 6] = [
+            (0, 0xf771_7028_bf46_5e92),
+            (1, 0x0ee3_c482_dff2_5b50),
+            (2, 0x537e_cc32_d785_9583),
+            (3, 0x5494_702a_dab7_c5f0),
+            (17, 0xd66c_a5a1_a4dd_69d0),
+            (1000, 0x9f02_cd97_a5a6_1a07),
+        ];
+        let mut seed = 0x5eed_0022;
+        let start: [u32; 8] = std::array::from_fn(|_| splitmix64(&mut seed) as u32);
+        let data: Vec<u8> = (0..1000 * 64)
+            .map(|_| splitmix64(&mut seed) as u8)
+            .collect();
+        for (name, compress) in paths() {
+            for (n, expect) in KNOWN {
+                let mut state = start;
+                compress(&mut state, &data[..n * 64]);
+                assert_eq!(fnv1a(&state), expect, "{name}: {n} blocks");
+            }
+        }
+    }
+
+    #[test]
+    fn compress_paths_reproduce_the_fips_vectors() {
+        let million = vec![b'a'; 1_000_000];
+        for (name, compress) in paths() {
+            for (input, expect) in NIST {
+                assert_eq!(digest_via(compress, input, &[]).to_hex(), expect, "{name}");
+            }
+            for runs in [&[][..], &[1], &[0, 3, 1, 250]] {
+                assert_eq!(
+                    digest_via(compress, &million, runs).to_hex(),
+                    MILLION_A,
+                    "{name}: runs {runs:?}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        /// However the padded message is cut into runs of whole blocks —
+        /// empty runs, single blocks, several at once — every path ends on
+        /// the digest `sha256` gives.
+        #[test]
+        fn compress_any_block_split_equals_oneshot(
+            data in proptest::collection::vec(any::<u8>(), 0..1024),
+            runs in proptest::collection::vec(0usize..5, 0..24),
+        ) {
+            for (name, compress) in paths() {
+                prop_assert_eq!(digest_via(compress, &data, &runs), sha256(&data), "{}", name);
+            }
+        }
     }
 
     #[test]
