@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks of the substrates.
 //!
 //! These quantify the building blocks the system-level harness composes:
-//! SHA-256 hashing (block sizes, and one 150 KB release), Merkle roots,
+//! SHA-256 hashing (block sizes, one 150 KB release, and each compression
+//! path by name at four message sizes), Merkle roots,
 //! base58/CID handling, chunking, block sealing (bare, and under a
 //! 480-entry orchestrator log), the storage fetch kernels the coordination
 //! workloads live in (a routed one-leaf delta fetch, a local read, a warm
@@ -19,7 +20,7 @@ use rand::SeedableRng;
 
 use unifyfl_chain::chain::Blockchain;
 use unifyfl_chain::clique::CliqueConfig;
-use unifyfl_chain::hash::sha256;
+use unifyfl_chain::hash::{compress_path, sha256, sha256_scalar};
 use unifyfl_chain::merkle::merkle_root;
 use unifyfl_chain::orchestrator::{calls, OrchestrationMode, UnifyFlContract};
 use unifyfl_chain::types::{Address, Transaction};
@@ -40,15 +41,39 @@ use unifyfl_tensor::zoo::{InputKind, ModelSpec};
 use unifyfl_tensor::{delta_from_bytes, delta_to_bytes, weights_to_bytes, Tensor};
 
 fn bench_hashing(c: &mut Criterion) {
+    // One `wan_transfer` release: what every wire receipt hashes.
+    let release = weights_to_bytes(&release_weights(0));
     let mut g = c.benchmark_group("sha256");
     for size in [64usize, 4096, 262_144] {
         let data = vec![0xabu8; size];
         g.throughput(Throughput::Bytes(size as u64));
         g.bench_function(format!("{size}B"), |b| b.iter(|| sha256(black_box(&data))));
     }
+    // The same digest by compression path, at the message sizes the
+    // coordination workloads hash: one block, a `sharded_fleet` release,
+    // that workload's contract-state encoding, a `wan_transfer` release.
+    // `sha256` runs the path this CPU selects; the scalar path is timed
+    // beside it when that is another one, so the per-call cost of
+    // detection and of packing the state for the hardware rounds shows at
+    // 64 B and the bulk rate at 150 KB.
+    for (label, size) in [
+        ("64B", 64),
+        ("1.4KB", 1_400),
+        ("83KB", 83_000),
+        ("150KB", release.len()),
+    ] {
+        let data = &release[..size];
+        g.throughput(Throughput::Bytes(size as u64));
+        g.bench_function(format!("{}/{label}", compress_path()), |b| {
+            b.iter(|| sha256(black_box(data)))
+        });
+        if compress_path() != "scalar" {
+            g.bench_function(format!("scalar/{label}"), |b| {
+                b.iter(|| sha256_scalar(black_box(data)))
+            });
+        }
+    }
     g.finish();
-    // One `wan_transfer` release: what every wire receipt hashes.
-    let release = weights_to_bytes(&release_weights(0));
     c.bench_function("chain/sha256_150k", |b| {
         b.iter(|| sha256(black_box(&release)))
     });

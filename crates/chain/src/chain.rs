@@ -348,10 +348,13 @@ impl Blockchain {
         self.clique.verify_seal(number, signer, difficulty)?;
 
         let parent_hash = self.head().hash();
-        let nonces = self.nonces.clone();
+        let nonces = &self.nonces;
         let txs = self
             .pool
             .take_executable(&|a| nonces.get(&a).copied().unwrap_or(0));
+        // Each transaction is encoded once: the encoding's hash goes in the
+        // receipt, the encoding itself is the Merkle leaf.
+        let encoded: Vec<Vec<u8>> = txs.iter().map(Transaction::encode).collect();
 
         let mut receipts = Vec::with_capacity(txs.len());
         let mut block_logs: Vec<Log> = Vec::new();
@@ -379,7 +382,7 @@ impl Blockchain {
             let gas_used = tx.intrinsic_gas() + exec_gas;
             gas_used_total += gas_used;
             receipts.push(Receipt {
-                tx_hash: tx.hash(),
+                tx_hash: sha256(&encoded[index]),
                 block_number: number,
                 tx_index: index as u32,
                 success,
@@ -390,7 +393,6 @@ impl Blockchain {
             block_logs.extend(logs);
         }
 
-        let encoded: Vec<Vec<u8>> = txs.iter().map(Transaction::encode).collect();
         let header = BlockHeader {
             parent_hash,
             number,
@@ -579,6 +581,16 @@ mod tests {
         assert_eq!(chain.account_nonce(user), 3);
         let echo: &Echo = chain.view(contract).unwrap();
         assert_eq!(echo.calls, 3);
+        // One encoding serves both: each receipt names its transaction's
+        // hash, the header commits to the same encodings.
+        for (tx, receipt) in block.transactions.iter().zip(chain.receipts(1).unwrap()) {
+            assert_eq!(receipt.tx_hash, tx.hash());
+        }
+        let leaves: Vec<Vec<u8>> = block.transactions.iter().map(Transaction::encode).collect();
+        assert_eq!(
+            block.header.tx_root,
+            merkle_root(leaves.iter().map(Vec::as_slice))
+        );
     }
 
     #[test]

@@ -1,10 +1,25 @@
-//! SHA-256 (FIPS 180-4) implemented from scratch, plus the [`H256`] digest
-//! newtype used throughout the chain and storage substrates.
+//! SHA-256 (FIPS 180-4), plus the [`H256`] digest newtype used throughout
+//! the chain and storage substrates.
 //!
 //! The reproduction rules forbid pulling in a crypto crate, and the paper's
 //! substrate (Geth + IPFS) is built on SHA-256/Keccak content addressing, so
-//! we implement the primitive directly and test it against the official NIST
-//! vectors.
+//! the primitive is written here: padding and buffering once, in
+//! [`Sha256`], over a compression function with **two paths**. The scalar
+//! path, `compress`, is plain Rust, runs everywhere, and is the
+//! reference. The hardware path, `compress_ni`, uses the x86 SHA
+//! extensions and runs only on an `x86_64` CPU on which `std` detects
+//! `sha`, `ssse3` and `sse4.1` at run time; `compress_blocks` makes that
+//! choice per call, from the CPU alone — no feature, flag or variable can
+//! force either path, and the build is the same on every host
+//! ([`compress_path`] reports which one runs).
+//!
+//! What each is checked against: both paths, by name, against the NIST
+//! vectors, the one-million-`a` vector and pinned known answers from a
+//! random initial state, under any cut of the message into runs of
+//! blocks; and the hardware path against the scalar one on arbitrary
+//! `(state, blocks)`. The file's single `unsafe` block is the call from
+//! the detection to the function compiled for what was detected; nothing
+//! in it touches a raw pointer.
 
 use std::fmt;
 
@@ -160,6 +175,15 @@ impl Sha256 {
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(compress_blocks, data);
+    }
+
+    /// Finishes the computation, producing the digest.
+    pub fn finalize(self) -> H256 {
+        self.finalize_with(compress_blocks)
+    }
+
+    fn update_with(&mut self, compress: impl Fn(&mut [u32; 8], &[u8]), data: &[u8]) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffer_len > 0 {
@@ -173,17 +197,16 @@ impl Sha256 {
             compress(&mut self.state, &self.buffer);
             self.buffer_len = 0;
         }
-        // Whole blocks are compressed where they lie.
-        while let Some((block, rest)) = input.split_first_chunk::<64>() {
-            compress(&mut self.state, block);
-            input = rest;
+        // Whole blocks are compressed where they lie, all in one call.
+        let (blocks, tail) = input.split_at(input.len() - input.len() % 64);
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        self.buffer[..input.len()].copy_from_slice(input);
-        self.buffer_len = input.len();
+        self.buffer[..tail.len()].copy_from_slice(tail);
+        self.buffer_len = tail.len();
     }
 
-    /// Finishes the computation, producing the digest.
-    pub fn finalize(mut self) -> H256 {
+    fn finalize_with(mut self, compress: impl Fn(&mut [u32; 8], &[u8])) -> H256 {
         let bit_len = self.total_len.wrapping_mul(8);
         // Append 0x80 then zero-pad to 56 mod 64, then the 64-bit length.
         self.buffer[self.buffer_len] = 0x80;
@@ -201,6 +224,139 @@ impl Sha256 {
         }
         H256(out)
     }
+}
+
+/// Whether this CPU executes everything [`compress_ni`] is compiled with
+/// (`sse2` is part of the `x86_64` baseline). Each probe is one load of a
+/// word `std` fills once per process.
+#[cfg(target_arch = "x86_64")]
+fn sha_ni_detected() -> bool {
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+}
+
+/// The compression path [`sha256`] and [`Sha256`] run on this host:
+/// `"sha_ni"` or `"scalar"`. Observed from the CPU, not configurable.
+pub fn compress_path() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni_detected() {
+        return "sha_ni";
+    }
+    "scalar"
+}
+
+/// Folds every whole 64-byte block of `data` into `state`, in order: on
+/// the CPU's SHA extensions where it has them, through [`compress`]
+/// everywhere else. The two agree bit for bit (the in-file tests hold each
+/// to the same known answers and to each other), so which one ran is not
+/// observable in any digest.
+fn compress_blocks(state: &mut [u32; 8], data: &[u8]) {
+    #[cfg(target_arch = "x86_64")]
+    if sha_ni_detected() {
+        // SAFETY: `compress_ni` is an ordinary safe function over a
+        // `&mut [u32; 8]` and a `&[u8]` — no raw pointer, no precondition
+        // on its arguments. Calling it is `unsafe` for one reason only: it
+        // is compiled with the `sha`, `sse2`, `ssse3` and `sse4.1` target
+        // features and must not execute on a CPU without them. `sse2` is
+        // baseline on `x86_64`; the other three were just detected on this
+        // CPU by the condition of this very `if`.
+        unsafe { compress_ni(state, data) };
+        return;
+    }
+    compress_scalar(state, data);
+}
+
+/// [`compress_blocks`] over the portable path whatever the CPU: the only
+/// path off `x86_64` or without the SHA extensions, and the reference the
+/// hardware path is tested against.
+fn compress_scalar(state: &mut [u32; 8], data: &[u8]) {
+    for block in data.as_chunks::<64>().0 {
+        compress(state, block);
+    }
+}
+
+/// [`compress_blocks`] on the x86 SHA extensions. The state stays in two
+/// registers, packed the way `sha256rnds2` wants it — `ABEF` and `CDGH`,
+/// `A` and `C` in the top lanes — across every block of the call; each
+/// `sha256rnds2` does two rounds, `sha256msg1` / `sha256msg2` advance the
+/// message schedule four words at a time over a ring of four registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+fn compress_ni(state: &mut [u32; 8], data: &[u8]) {
+    use std::arch::x86_64::{
+        _mm_add_epi32, _mm_alignr_epi8, _mm_extract_epi32, _mm_set_epi32, _mm_sha256msg1_epu32,
+        _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32, _mm_shuffle_epi32,
+    };
+
+    // Four words in one register, the first in the lowest lane.
+    let quad = |w: [u32; 4]| _mm_set_epi32(w[3] as i32, w[2] as i32, w[1] as i32, w[0] as i32);
+
+    let [a, b, c, d, e, f, g, h] = *state;
+    let mut abef = quad([f, e, b, a]);
+    let mut cdgh = quad([h, g, d, c]);
+
+    // Rounds `4 * $i ..= 4 * $i + 3` on schedule words `$w`: the first
+    // `sha256rnds2` leaves the new `ABEF` where `CDGH` was (the old `ABEF`
+    // *is* the new `CDGH`), the second swaps them back.
+    macro_rules! rounds4 {
+        ($w:expr, $i:expr) => {
+            let k = quad([K[4 * $i], K[4 * $i + 1], K[4 * $i + 2], K[4 * $i + 3]]);
+            let wk = _mm_add_epi32($w, k);
+            cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+            abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32::<0x0E>(wk));
+        };
+    }
+    // The same after first replacing the oldest four schedule words `$w0`
+    // by the next four: `W[t] = σ1(W[t-2]) + W[t-7] + σ0(W[t-15]) + W[t-16]`.
+    macro_rules! schedule_rounds4 {
+        ($w0:ident $w1:ident $w2:ident $w3:ident, $i:expr) => {
+            let w16_s0 = _mm_sha256msg1_epu32($w0, $w1);
+            let w7 = _mm_alignr_epi8::<4>($w3, $w2);
+            $w0 = _mm_sha256msg2_epu32(_mm_add_epi32(w16_s0, w7), $w3);
+            rounds4!($w0, $i);
+        };
+    }
+
+    for block in data.as_chunks::<64>().0 {
+        let (abef_save, cdgh_save) = (abef, cdgh);
+        // Message words are big-endian; the compiler folds the sixteen
+        // byte swaps into one shuffle per register.
+        let be =
+            |i: usize| u32::from_be_bytes([block[i], block[i + 1], block[i + 2], block[i + 3]]);
+        let mut w0 = quad([be(0), be(4), be(8), be(12)]);
+        let mut w1 = quad([be(16), be(20), be(24), be(28)]);
+        let mut w2 = quad([be(32), be(36), be(40), be(44)]);
+        let mut w3 = quad([be(48), be(52), be(56), be(60)]);
+        rounds4!(w0, 0);
+        rounds4!(w1, 1);
+        rounds4!(w2, 2);
+        rounds4!(w3, 3);
+        schedule_rounds4!(w0 w1 w2 w3, 4);
+        schedule_rounds4!(w1 w2 w3 w0, 5);
+        schedule_rounds4!(w2 w3 w0 w1, 6);
+        schedule_rounds4!(w3 w0 w1 w2, 7);
+        schedule_rounds4!(w0 w1 w2 w3, 8);
+        schedule_rounds4!(w1 w2 w3 w0, 9);
+        schedule_rounds4!(w2 w3 w0 w1, 10);
+        schedule_rounds4!(w3 w0 w1 w2, 11);
+        schedule_rounds4!(w0 w1 w2 w3, 12);
+        schedule_rounds4!(w1 w2 w3 w0, 13);
+        schedule_rounds4!(w2 w3 w0 w1, 14);
+        schedule_rounds4!(w3 w0 w1 w2, 15);
+        abef = _mm_add_epi32(abef, abef_save);
+        cdgh = _mm_add_epi32(cdgh, cdgh_save);
+    }
+    *state = [
+        _mm_extract_epi32::<3>(abef) as u32,
+        _mm_extract_epi32::<2>(abef) as u32,
+        _mm_extract_epi32::<3>(cdgh) as u32,
+        _mm_extract_epi32::<2>(cdgh) as u32,
+        _mm_extract_epi32::<1>(abef) as u32,
+        _mm_extract_epi32::<0>(abef) as u32,
+        _mm_extract_epi32::<1>(cdgh) as u32,
+        _mm_extract_epi32::<0>(cdgh) as u32,
+    ];
 }
 
 /// One application of the SHA-256 compression function to `state`.
@@ -278,6 +434,16 @@ pub fn sha256(data: &[u8]) -> H256 {
     h.finalize()
 }
 
+/// [`sha256`] over the scalar compression path whatever the CPU — for the
+/// `scalar/…` rows of `benches/micro.rs`, which on a host with the SHA
+/// extensions have no other way to reach it.
+#[doc(hidden)]
+pub fn sha256_scalar(data: &[u8]) -> H256 {
+    let mut h = Sha256::new();
+    h.update_with(compress_scalar, data);
+    h.finalize_with(compress_scalar)
+}
+
 /// SHA-256 over the concatenation of two byte strings (used by the Merkle
 /// tree without intermediate allocation).
 pub fn sha256_pair(a: &[u8], b: &[u8]) -> H256 {
@@ -336,15 +502,15 @@ mod tests {
     /// into the state, in order.
     type CompressFn = fn(&mut [u32; 8], &[u8]);
 
-    fn scalar(state: &mut [u32; 8], data: &[u8]) {
-        for block in data.chunks_exact(64) {
-            compress(state, block.try_into().expect("64 bytes"));
-        }
-    }
-
-    /// Every compression path this host can run.
+    /// Every compression path this host can run. Where the SHA extensions
+    /// are detected the dispatching [`compress_blocks`] *is* the hardware
+    /// path, so it is tested through the one call site production uses.
     fn paths() -> Vec<(&'static str, CompressFn)> {
-        vec![("scalar", scalar)]
+        let mut paths: Vec<(&'static str, CompressFn)> = vec![("scalar", compress_scalar)];
+        if compress_path() == "sha_ni" {
+            paths.push(("sha_ni", compress_blocks));
+        }
+        paths
     }
 
     fn splitmix64(state: &mut u64) -> u64 {
@@ -445,6 +611,21 @@ mod tests {
             for (name, compress) in paths() {
                 prop_assert_eq!(digest_via(compress, &data, &runs), sha256(&data), "{}", name);
             }
+        }
+
+        /// The path dispatch picks and the scalar reference agree on any
+        /// state and any run of blocks (the same function twice on a host
+        /// without the SHA extensions).
+        #[test]
+        fn compress_blocks_equals_scalar_on_arbitrary_state(
+            start in proptest::array::uniform8(any::<u32>()),
+            data in proptest::collection::vec(any::<u8>(), 0..=9 * 64),
+        ) {
+            let data = &data[..data.len() - data.len() % 64];
+            let (mut dispatched, mut scalar) = (start, start);
+            compress_blocks(&mut dispatched, data);
+            compress_scalar(&mut scalar, data);
+            prop_assert_eq!(dispatched, scalar, "{} blocks", data.len() / 64);
         }
     }
 

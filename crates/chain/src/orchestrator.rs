@@ -415,13 +415,18 @@ impl UnifyFlContract {
         self.by_cid.get(cid).map(|&i| &self.entries[i])
     }
 
-    /// `submitter`'s entries, oldest first.
-    fn entries_of(&self, submitter: Address) -> impl DoubleEndedIterator<Item = &ModelEntry> {
+    /// Log positions of `submitter`'s entries, oldest first.
+    fn positions_of(&self, submitter: Address) -> impl DoubleEndedIterator<Item = usize> + '_ {
         self.by_submitter
             .get(&submitter)
             .into_iter()
             .flatten()
-            .map(|&i| &self.entries[i])
+            .copied()
+    }
+
+    /// `submitter`'s entries, oldest first.
+    fn entries_of(&self, submitter: Address) -> impl DoubleEndedIterator<Item = &ModelEntry> {
+        self.positions_of(submitter).map(|i| &self.entries[i])
     }
 
     /// `getLatestModelsWithScores`: the most recent *scored* entry per
@@ -435,26 +440,34 @@ impl UnifyFlContract {
     /// async mode once at least one score arrived (the paper's async
     /// aggregators use whatever scores exist when they pull).
     pub fn latest_models_with_scores(&self, viewer: Option<Address>) -> Vec<&ModelEntry> {
+        self.latest_scored(viewer)
+            .map(|i| &self.entries[i])
+            .collect()
+    }
+
+    /// [`latest_models_with_scores`](Self::latest_models_with_scores) as
+    /// positions in [`entries`](Self::entries), for a caller that keeps
+    /// its own per-entry data beside the append-only log.
+    pub fn latest_scored_positions(&self, viewer: Option<Address>) -> Vec<usize> {
+        self.latest_scored(viewer).collect()
+    }
+
+    fn latest_scored(&self, viewer: Option<Address>) -> impl Iterator<Item = usize> + '_ {
         let viewer_shard = viewer.map(|v| self.shard_of(v));
-        let mut latest: Vec<&ModelEntry> = Vec::new();
-        for agg in &self.aggregators {
-            if viewer == Some(*agg) {
-                continue;
-            }
-            if let Some(vs) = viewer_shard {
-                if self.shard_of(*agg) != vs {
-                    continue;
-                }
-            }
-            let candidate = self.entries_of(*agg).rev().find(|e| match self.mode {
-                OrchestrationMode::Sync => e.scoring_closed,
-                OrchestrationMode::Async => !e.scores.is_empty(),
-            });
-            if let Some(e) = candidate {
-                latest.push(e);
-            }
-        }
-        latest
+        self.aggregators
+            .iter()
+            .filter(move |&&agg| {
+                viewer != Some(agg) && viewer_shard.is_none_or(|vs| self.shard_of(agg) == vs)
+            })
+            .filter_map(|&agg| {
+                self.positions_of(agg).rev().find(|&i| {
+                    let e = &self.entries[i];
+                    match self.mode {
+                        OrchestrationMode::Sync => e.scoring_closed,
+                        OrchestrationMode::Async => !e.scores.is_empty(),
+                    }
+                })
+            })
     }
 
     /// Samples scorers for a submission from the submitter's shard, using

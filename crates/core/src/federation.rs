@@ -2,6 +2,8 @@
 //! fabric together, plus the chain-driving helpers shared by the Sync and
 //! Async engines.
 
+use std::collections::HashMap;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use unifyfl_chain::chain::{Blockchain, ChainFaults};
@@ -104,11 +106,22 @@ pub struct FetchedPeers {
     pub cost: SimDuration,
 }
 
+/// The CIDs one contract entry names, parsed: the release and, when the
+/// submitter registered a delta blob beside it, `(base_cid, delta_cid)`.
+pub type EntryCids = (Cid, Option<(Cid, Cid)>);
+
 /// Parses an on-chain delta reference into `(base_cid, delta_cid)`; `None`
 /// if either string is not a well-formed CID (the reference is then simply
 /// ignored and fetches go through the full path).
 fn parse_delta_ref(d: &DeltaRef) -> Option<(Cid, Cid)> {
     Some((d.base_cid.parse().ok()?, d.delta_cid.parse().ok()?))
+}
+
+/// Parses one entry's CID strings; `None` if the release CID itself is
+/// malformed (every reader then skips the entry).
+fn parse_entry_cids(entry: &ModelEntry) -> Option<EntryCids> {
+    let cid = entry.cid.parse().ok()?;
+    Some((cid, entry.delta.as_ref().and_then(parse_delta_ref)))
 }
 
 /// Rebuilds the exact full weight blob from a base blob plus a delta blob
@@ -166,6 +179,16 @@ pub struct Federation {
     epochs: Vec<TopologyEpoch>,
     /// Gossip overlay config, when topology-aware dissemination is on.
     gossip: Option<GossipConfig>,
+    /// The contract's entry log with its CID strings parsed, index-aligned
+    /// with [`UnifyFlContract::entries`]. Entries are append-only and
+    /// their CID strings immutable, so each is base58-decoded exactly
+    /// once — in [`Federation::record_block_seal`], the one place a block
+    /// that can append entries is sealed — and every reader indexes this
+    /// by entry position instead of parsing again.
+    entry_cids: Vec<Option<EntryCids>>,
+    /// Entry position of each parsed release CID (CIDs are unique on
+    /// chain: a duplicate submission reverts).
+    entry_of: HashMap<Cid, usize>,
 }
 
 impl Federation {
@@ -262,7 +285,7 @@ impl Federation {
                     .map(|(i, a)| (*a, topology.shard_of(i) as u32))
                     .collect()
             } else {
-                std::collections::HashMap::new()
+                HashMap::new()
             };
             contract = contract.with_sharding(map, topology.scorers_per_release);
         }
@@ -313,6 +336,8 @@ impl Federation {
                 .collect(),
             shard_topology: sharding,
             gossip: None,
+            entry_cids: Vec::new(),
+            entry_of: HashMap::new(),
         };
 
         // Register every *founding* aggregator; elastic joiners
@@ -533,11 +558,11 @@ impl Federation {
             let _ = node.get(candidate.cid);
         }
         let addr = self.clusters[cluster].address();
-        for entry in self.contract().entries() {
+        for (position, entry) in self.contract().entries().iter().enumerate() {
             let assigned = entry.scorers.contains(&addr);
             let pending = !entry.scores.iter().any(|(scorer, _)| *scorer == addr);
             if assigned && pending {
-                if let Ok(cid) = entry.cid.parse::<Cid>() {
+                if let Some((cid, _)) = self.entry_cids(position) {
                     let _ = node.get(cid);
                 }
             }
@@ -620,12 +645,13 @@ impl Federation {
     /// contract's `getLatestModelsWithScores`).
     pub fn candidates_for(&self, viewer: usize) -> Vec<Candidate> {
         let addr = self.clusters[viewer].address();
-        self.contract()
-            .latest_models_with_scores(Some(addr))
+        let contract = self.contract();
+        contract
+            .latest_scored_positions(Some(addr))
             .into_iter()
-            .filter_map(|entry| {
-                let cid: Cid = entry.cid.parse().ok()?;
-                let delta = entry.delta.as_ref().and_then(parse_delta_ref);
+            .filter_map(|position| {
+                let (cid, delta) = self.entry_cids(position)?;
+                let entry = &contract.entries()[position];
                 Some(Candidate {
                     cid,
                     submitter: entry.submitter,
@@ -634,6 +660,20 @@ impl Federation {
                 })
             })
             .collect()
+    }
+
+    /// The parsed CIDs of the contract entry at `position` of
+    /// [`UnifyFlContract::entries`]; `None` if its on-chain CID string is
+    /// malformed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the entry was appended by a block sealed behind the
+    /// federation's back: seal through [`Federation::advance_chain_to`] /
+    /// [`Federation::flush_chain_at`], which also keep the resource
+    /// accounting in step with the chain.
+    pub fn entry_cids(&self, position: usize) -> Option<EntryCids> {
+        self.entry_cids[position]
     }
 
     /// Reduces candidates to `(ScoredCandidate, index)` pairs under the
@@ -659,8 +699,8 @@ impl Federation {
     /// The viewer's own latest reduced score (for the Above-Self policy).
     pub fn self_score_of(&self, viewer: usize) -> Option<f64> {
         let cluster = &self.clusters[viewer];
-        let cid = cluster.last_published()?.to_string();
-        let entry: &ModelEntry = self.contract().entry(&cid)?;
+        let position = *self.entry_of.get(&cluster.last_published()?)?;
+        let entry = &self.contract().entries()[position];
         cluster.config().score_policy.reduce(&entry.score_values())
     }
 
@@ -711,10 +751,7 @@ impl Federation {
     /// if any — how a CID that reaches a fetch without its
     /// [`Candidate`] (a scoring duty, a shard release) finds its delta.
     pub fn delta_ref_of(&self, cid: Cid) -> Option<(Cid, Cid)> {
-        self.contract()
-            .entry(&cid.to_string())
-            .and_then(|e| e.delta.as_ref())
-            .and_then(parse_delta_ref)
+        self.entry_cids(*self.entry_of.get(&cid)?)?.1
     }
 
     /// The one fetch path: [`Federation::fetch_weights_costed`] given the
@@ -887,7 +924,20 @@ impl Federation {
         self.resources.record("ipfs", 10.0, 19.0, dur.as_secs_f64());
     }
 
+    /// Books one sealed block: its resource cost, and the CIDs of every
+    /// entry it appended to the contract log (parsed here, once).
     fn record_block_seal(&mut self) {
+        let contract = self
+            .chain
+            .view::<UnifyFlContract>(self.orchestrator)
+            .expect("orchestrator deployed");
+        for entry in &contract.entries()[self.entry_cids.len()..] {
+            let parsed = parse_entry_cids(entry);
+            if let Some((cid, _)) = parsed {
+                self.entry_of.insert(cid, self.entry_cids.len());
+            }
+            self.entry_cids.push(parsed);
+        }
         // Sealing a Clique block costs ~0.5 s of ~2% CPU; with a 5 s period
         // that averages to the paper's 0.2% Geth overhead.
         self.resources.record("geth", 2.0, 6.0, 0.5);
@@ -1039,6 +1089,60 @@ mod tests {
         let scored = f.scored_candidates(0, &cands);
         assert_eq!(scored.len(), 1);
         assert!((scored[0].score - score).abs() < 1e-6);
+    }
+
+    /// The parsed-CID index is the entry log, position for position: one
+    /// parse per entry (a slot is pushed only where `record_block_seal`
+    /// parses, so the slot count *is* the parse count), equal to what
+    /// parsing the on-chain strings on the spot gives, with a malformed
+    /// CID recorded as skipped — and no reader adds to it.
+    #[test]
+    fn entry_cids_are_parsed_once_per_entry() {
+        let mut f = fed(OrchestrationMode::Async);
+        let orch = f.orchestrator;
+        let mut t = f.setup_done;
+        assert!(f.entry_cids.is_empty());
+
+        let mut published = Vec::new();
+        for round in 1..=3u64 {
+            for idx in 0..f.clusters.len() {
+                f.clusters[idx].run_local_round(1, 16, 0.05);
+                let cid = f.clusters[idx].store_model(round);
+                let tx = f.clusters[idx].submit_model_tx(orch, &cid);
+                f.submit_tx_at(t, tx);
+                published.push(cid);
+            }
+            if round == 2 {
+                // A submission whose CID string is not a CID at all.
+                let tx = f.clusters[0].next_tx(orch, calls::submit_model("not-a-cid"));
+                f.submit_tx_at(t, tx);
+            }
+            t = f.flush_chain_at(t);
+            for viewer in 0..f.clusters.len() {
+                f.candidates_for(viewer);
+                f.fetch_ahead_into(viewer);
+            }
+            assert_eq!(f.entry_cids.len(), f.contract().entries().len());
+        }
+
+        let entries = f.contract().entries();
+        assert_eq!(entries.len(), published.len() + 1);
+        for (position, entry) in entries.iter().enumerate() {
+            let on_the_spot = entry.cid.parse::<Cid>().ok().map(|cid| {
+                let delta = entry.delta.as_ref().and_then(parse_delta_ref);
+                (cid, delta)
+            });
+            assert_eq!(f.entry_cids(position), on_the_spot, "entry {position}");
+        }
+        let skipped = entries.iter().position(|e| e.cid == "not-a-cid").unwrap();
+        assert_eq!(f.entry_cids(skipped), None);
+        assert_eq!(f.entry_of.len(), published.len());
+        for cid in published {
+            let on_chain = f.contract().entry(&cid.to_string()).unwrap();
+            let by_string = on_chain.delta.as_ref().and_then(parse_delta_ref);
+            assert_eq!(f.delta_ref_of(cid), by_string);
+        }
+        assert_eq!(f.delta_ref_of(Cid::for_data(b"never published")), None);
     }
 
     #[test]

@@ -163,8 +163,8 @@ impl AsyncPolicy {
     /// the last call.
     fn distribute(&mut self, fed: &Federation) {
         let entries = fed.contract().entries();
-        for entry in &entries[self.distributed..] {
-            if let Ok(cid) = entry.cid.parse::<Cid>() {
+        for (position, entry) in entries.iter().enumerate().skip(self.distributed) {
+            if let Some((cid, _)) = fed.entry_cids(position) {
                 for scorer_addr in &entry.scorers {
                     if let Some(i) = fed
                         .clusters

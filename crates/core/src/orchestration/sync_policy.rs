@@ -333,8 +333,9 @@ impl SyncPolicy {
             .contract()
             .entries()
             .iter()
-            .filter(|e| e.round == round)
-            .filter_map(|e| e.cid.parse().ok().map(|cid| (cid, e.scorers.clone())))
+            .enumerate()
+            .filter(|(_, e)| e.round == round)
+            .filter_map(|(i, e)| fed.entry_cids(i).map(|(cid, _)| (cid, e.scorers.clone())))
             .collect();
 
         // MultiKRUM needs the full round's submissions at once. Under
@@ -345,8 +346,9 @@ impl SyncPolicy {
         // so the single group reproduces the unsharded computation exactly.
         let krum: Option<(Vec<Cid>, Vec<f64>)> = if self.scorer == ScorerKind::MultiKrum {
             let mut groups: BTreeMap<u32, Vec<Cid>> = BTreeMap::new();
-            for e in fed.contract().entries().iter().filter(|e| e.round == round) {
-                if let Ok(cid) = e.cid.parse::<Cid>() {
+            let entries = fed.contract().entries().iter().enumerate();
+            for (i, e) in entries.filter(|(_, e)| e.round == round) {
+                if let Some((cid, _)) = fed.entry_cids(i) {
                     groups
                         .entry(fed.contract().shard_of(e.submitter))
                         .or_default()
