@@ -1,0 +1,396 @@
+//! A node's side of a fetch that stays off the wire: `add`, the cache and
+//! local-store fast path, delta reconstruction and its fallbacks, pins
+//! and garbage collection. Going remote is [`super::remote`].
+
+use bytes::Bytes;
+use unifyfl_sim::SimDuration;
+
+use super::fabric::{IpfsNetwork, NetworkState};
+use crate::blockstore::BlockStore;
+use crate::chunker::{chunk, decode_root, reassemble_trusted, ReassembleError, DEFAULT_CHUNK_SIZE};
+use crate::cid::Cid;
+use crate::dht::NodeId;
+
+/// Error raised by fetch operations.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum IpfsError {
+    /// No provider advertises the CID.
+    NotFound(Cid),
+    /// Content failed CID verification or reassembly.
+    Corrupt(String),
+    /// A chunk transfer kept failing after exhausting its retry budget
+    /// (injected network faults). The fetch returns nothing rather than
+    /// truncated data.
+    ChunkLoss(Cid),
+}
+
+impl std::fmt::Display for IpfsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            IpfsError::NotFound(c) => write!(f, "content {c} not found on any provider"),
+            IpfsError::Corrupt(m) => write!(f, "content corrupt: {m}"),
+            IpfsError::ChunkLoss(c) => {
+                write!(f, "chunk {c} lost in transfer; retry budget exhausted")
+            }
+        }
+    }
+}
+
+impl std::error::Error for IpfsError {}
+
+/// Receipt of an `add` operation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct AddReceipt {
+    /// The file's root CID.
+    pub cid: Cid,
+    /// Number of blocks written (root + leaves).
+    pub blocks: usize,
+    /// Virtual time the add took (hashing + local writes).
+    pub elapsed: SimDuration,
+}
+
+/// Receipt of a `get` operation.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GetReceipt {
+    /// The reassembled content: for a one-leaf file the leaf block's own
+    /// buffer, shared with the blockstore and the fetch cache.
+    pub data: Bytes,
+    /// Virtual time the fetch took (lookup + transfer), zero-ish when the
+    /// content was already local.
+    pub elapsed: SimDuration,
+    /// True if the content was served without touching the wire (fetch
+    /// cache or local blockstore).
+    pub local_hit: bool,
+}
+
+/// How a locked fetch should behave (internal plumbing for the delta and
+/// fallback paths, which must not double-count cache lookups or cache
+/// single-use delta blobs).
+#[derive(Clone, Copy)]
+pub(super) struct FetchOpts {
+    /// Count cache hit/miss in the transfer stats.
+    pub(super) count_cache: bool,
+    /// Retain fetched blocks locally, re-advertise, and cache the content.
+    pub(super) retain: bool,
+}
+
+impl FetchOpts {
+    pub(super) const NORMAL: FetchOpts = FetchOpts {
+        count_cache: true,
+        retain: true,
+    };
+    /// For single-use payloads (delta blobs): fetch without retaining, so
+    /// the fabric's resident bytes are independent of the fetch strategy.
+    pub(super) const TRANSIENT: FetchOpts = FetchOpts {
+        count_cache: false,
+        retain: false,
+    };
+    /// A fallback after a counted cache miss: proceed without re-counting.
+    pub(super) const FALLBACK: FetchOpts = FetchOpts {
+        count_cache: false,
+        retain: true,
+    };
+}
+
+/// Handle to one node of the fabric.
+#[derive(Clone)]
+pub struct IpfsNode {
+    pub(super) network: IpfsNetwork,
+    pub(super) id: NodeId,
+}
+
+impl IpfsNode {
+    /// This node's identifier.
+    pub fn id(&self) -> NodeId {
+        self.id
+    }
+
+    /// Adds content: chunks it, stores the blocks locally, pins the DAG and
+    /// advertises it in the provider index.
+    pub fn add(&self, data: &[u8]) -> AddReceipt {
+        self.add_with_chunk_size(data, DEFAULT_CHUNK_SIZE)
+    }
+
+    /// [`IpfsNode::add`] with an explicit chunk size (for tests/benches).
+    pub fn add_with_chunk_size(&self, data: &[u8], chunk_size: usize) -> AddReceipt {
+        let file = chunk(data, chunk_size);
+        let mut st = self.network.inner.lock();
+        let id = self.id;
+        let node = &mut st.nodes[id.0 as usize];
+        for (cid, leaf) in &file.leaves {
+            node.store.put_keyed(*cid, leaf.clone());
+        }
+        node.store.put_keyed(file.root, file.root_block.clone());
+        node.store.pin(file.root);
+        st.dht.provide(file.root, id);
+        // Local add cost: hashing at ~1 GB/s plus a per-block write cost.
+        let elapsed = SimDuration::from_secs_f64(data.len() as f64 / 1.0e9)
+            + SimDuration::from_millis(file.leaves.len() as u64 / 64);
+        AddReceipt {
+            cid: file.root,
+            blocks: 1 + file.leaves.len(),
+            elapsed,
+        }
+    }
+
+    /// Fetches content by CID: from the fetch cache or local store if
+    /// present, otherwise from the best-connected provider
+    /// (bitswap-style), verifying every block, then caching and
+    /// re-advertising locally. With [`TransferConfig::dedup`](super::TransferConfig::dedup) on, blocks
+    /// the node already holds are not re-transferred.
+    ///
+    /// # Errors
+    ///
+    /// [`IpfsError::NotFound`] if no provider has the content,
+    /// [`IpfsError::Corrupt`] if verification fails.
+    pub fn get(&self, cid: Cid) -> Result<GetReceipt, IpfsError> {
+        let mut st = self.network.inner.lock();
+        Self::get_locked(&mut st, self.id, cid, FetchOpts::NORMAL)
+    }
+
+    /// Fetches `cid` by transferring only the `delta` blob and
+    /// reconstructing against the locally-held `base` content.
+    ///
+    /// `reconstruct(base_bytes, delta_bytes)` must return the full content
+    /// bytes (or `None` if the delta does not apply); the result is
+    /// **verified against `cid`** before being accepted, stored and
+    /// advertised, so a wrong or malicious delta can never corrupt the
+    /// fetch. Any failure — base not local, delta unavailable,
+    /// reconstruction refused, verification mismatch — falls back to a
+    /// plain full fetch and is counted in
+    /// [`TransferStats::delta_fallbacks`](super::TransferStats::delta_fallbacks).
+    ///
+    /// Verification re-chunks the reconstruction at [`DEFAULT_CHUNK_SIZE`],
+    /// matching how [`IpfsNode::add`] published it. Content added through
+    /// [`IpfsNode::add_with_chunk_size`] with any other size has a
+    /// different root CID and will always take the fallback — use plain
+    /// [`IpfsNode::get`] for such content.
+    ///
+    /// # Errors
+    ///
+    /// As [`IpfsNode::get`] (of the fallback full fetch).
+    pub fn get_with_delta(
+        &self,
+        cid: Cid,
+        base: Cid,
+        delta: Cid,
+        reconstruct: impl FnOnce(&[u8], &[u8]) -> Option<Vec<u8>>,
+    ) -> Result<GetReceipt, IpfsError> {
+        let mut st = self.network.inner.lock();
+        let st = &mut *st;
+        let id = self.id;
+
+        // Fast paths, identical to a plain get.
+        if let Some(receipt) = Self::try_fast_path(st, id, cid, FetchOpts::NORMAL)? {
+            return Ok(receipt);
+        }
+
+        if !st.transfer.delta {
+            return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
+        }
+
+        // The base must be fully resident (and well-formed); otherwise a
+        // delta transfer cannot help and the full fetch is the cheapest
+        // correct path.
+        let base_data = Self::read_local(&st.nodes[id.0 as usize].store, base);
+        let Some(base_data) = base_data.ok().flatten() else {
+            st.stats.delta_fallbacks += 1;
+            return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
+        };
+
+        // Pull the delta blob through the ordinary (faultable, dedup-aware)
+        // machinery, but transiently: single-use payloads are not retained,
+        // so resident storage is identical whichever path served the fetch.
+        let before = st.stats;
+        let delta_receipt = match Self::get_locked(st, id, delta, FetchOpts::TRANSIENT) {
+            Ok(r) => r,
+            Err(_) => {
+                st.stats.delta_fallbacks += 1;
+                return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
+            }
+        };
+        let delta_logical = st.stats.logical_bytes - before.logical_bytes;
+        let delta_physical = st.stats.physical_bytes - before.physical_bytes;
+
+        // The trust boundary of a delta fetch: the reconstruction is
+        // re-chunked and must hash to the requested root before a byte of
+        // it is stored, cached or returned. Re-chunking hashes every leaf,
+        // so the blocks go in under the CIDs it just computed — and a
+        // one-leaf reconstruction is carried on as that leaf's buffer.
+        let verified = reconstruct(&base_data, &delta_receipt.data)
+            .map(|data| (chunk(&data, DEFAULT_CHUNK_SIZE), data))
+            .filter(|(file, _)| file.root == cid);
+        let Some((file, data)) = verified else {
+            st.stats.delta_fallbacks += 1;
+            return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
+        };
+        let data = match file.leaves.as_slice() {
+            [(_, leaf)] => leaf.clone(),
+            _ => Bytes::from(data),
+        };
+
+        // Verified: materialize the full DAG locally (no wire bytes),
+        // advertise, account, cache.
+        let store = &mut st.nodes[id.0 as usize].store;
+        for (leaf_cid, leaf) in &file.leaves {
+            store.put_keyed(*leaf_cid, leaf.clone());
+        }
+        store.put_keyed(file.root, file.root_block.clone());
+        st.dht.provide(cid, id);
+
+        let full_dag = file.root_block.len() as u64
+            + file.leaves.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
+        st.stats.logical_bytes += full_dag.saturating_sub(delta_logical);
+        st.stats.delta_fetches += 1;
+        st.stats.delta_bytes_saved += full_dag.saturating_sub(delta_physical);
+
+        let evictions = &mut st.stats.cache_evictions;
+        st.nodes[id.0 as usize].cache.insert(cid, &data, evictions);
+
+        // Reconstruction cost mirrors the add-path hashing model (~1 GB/s).
+        let elapsed = delta_receipt.elapsed + SimDuration::from_secs_f64(data.len() as f64 / 1.0e9);
+        Ok(GetReceipt {
+            data,
+            elapsed,
+            local_hit: false,
+        })
+    }
+
+    /// The shared serve-without-the-wire path: fetch cache, then local
+    /// blockstore (populating the cache). `Ok(None)` means the caller must
+    /// go remote. Kept in one place so plain and delta fetches can never
+    /// drift in their hit/miss accounting.
+    pub(super) fn try_fast_path(
+        st: &mut NetworkState,
+        id: NodeId,
+        cid: Cid,
+        opts: FetchOpts,
+    ) -> Result<Option<GetReceipt>, IpfsError> {
+        if st.transfer.cache_bytes > 0 {
+            if let Some(data) = st.nodes[id.0 as usize].cache.get(cid) {
+                if opts.count_cache {
+                    st.stats.cache_hits += 1;
+                }
+                return Ok(Some(GetReceipt {
+                    data,
+                    elapsed: SimDuration::from_millis(1),
+                    local_hit: true,
+                }));
+            }
+            if opts.count_cache {
+                st.stats.cache_misses += 1;
+            }
+        }
+        if let Some(data) = Self::read_local(&st.nodes[id.0 as usize].store, cid)? {
+            if opts.retain {
+                let evictions = &mut st.stats.cache_evictions;
+                st.nodes[id.0 as usize].cache.insert(cid, &data, evictions);
+            }
+            return Ok(Some(GetReceipt {
+                data,
+                elapsed: SimDuration::from_millis(1),
+                local_hit: true,
+            }));
+        }
+        Ok(None)
+    }
+
+    /// Reads `cid`'s full content out of a local blockstore, or `None`
+    /// when the DAG is not fully resident (a root without all its leaves
+    /// counts as a miss). Nothing is hashed here: the blockstore invariant
+    /// (every key is the SHA-256 of its value, checked when each block
+    /// came in) already vouches for the bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`IpfsError::Corrupt`] if the resident leaves do not add up to the
+    /// length the root declares — content no provider could serve either.
+    fn read_local(store: &BlockStore, cid: Cid) -> Result<Option<Bytes>, IpfsError> {
+        let Some(root_block) = store.get(cid) else {
+            return Ok(None);
+        };
+        match decode_root(&root_block) {
+            Some(root) => match reassemble_trusted(&root, |c| store.get(c)) {
+                Ok(data) => Ok(Some(data)),
+                Err(ReassembleError::MissingChunk(_)) => Ok(None),
+                Err(e) => Err(IpfsError::Corrupt(e.to_string())),
+            },
+            None => Ok(Some(root_block)),
+        }
+    }
+
+    /// Pins a DAG so garbage collection keeps it.
+    pub fn pin(&self, cid: Cid) {
+        let mut st = self.network.inner.lock();
+        st.nodes[self.id.0 as usize].store.pin(cid);
+    }
+
+    /// Unpins a DAG.
+    pub fn unpin(&self, cid: Cid) {
+        let mut st = self.network.inner.lock();
+        st.nodes[self.id.0 as usize].store.unpin(cid);
+    }
+
+    /// Garbage-collects unpinned blocks, removing this node's provider
+    /// records for content it no longer holds. Returns blocks removed.
+    pub fn gc(&self) -> usize {
+        let mut st = self.network.inner.lock();
+        let id = self.id;
+        let removed = st.nodes[id.0 as usize].store.gc();
+        // Withdraw provider records for vanished roots.
+        let stale: Vec<Cid> = {
+            let st_ref = &*st;
+            st_ref
+                .dht
+                .records_for_node(id)
+                .into_iter()
+                .filter(|c| !st_ref.nodes[id.0 as usize].store.has(*c))
+                .collect()
+        };
+        for cid in stale {
+            st.dht.unprovide(cid, id);
+        }
+        removed
+    }
+
+    /// True if this node holds the full DAG for `cid` locally.
+    pub fn has_local(&self, cid: Cid) -> bool {
+        let st = self.network.inner.lock();
+        Self::read_local(&st.nodes[self.id.0 as usize].store, cid)
+            .ok()
+            .flatten()
+            .is_some()
+    }
+
+    /// Cumulative bytes fetched from remote providers.
+    pub fn bytes_fetched(&self) -> u64 {
+        self.network.inner.lock().nodes[self.id.0 as usize].bytes_fetched
+    }
+
+    /// Cumulative bytes served to remote peers. Counts wire bytes, not
+    /// blob bytes: each transfer includes per-chunk framing overhead on
+    /// top of the payload, so a single served blob reports slightly more
+    /// than its length. A fetcher that retained the content answers later
+    /// gets locally — repeat fetches add nothing here.
+    pub fn bytes_served(&self) -> u64 {
+        self.network.inner.lock().nodes[self.id.0 as usize].bytes_served
+    }
+
+    /// Cumulative bytes forwarded for other nodes as an overlay relay.
+    pub fn bytes_relayed(&self) -> u64 {
+        self.network.inner.lock().nodes[self.id.0 as usize].bytes_relayed
+    }
+
+    /// Total wire load this node carried: fetched + served + relayed.
+    pub fn wire_bytes(&self) -> u64 {
+        let st = self.network.inner.lock();
+        let node = &st.nodes[self.id.0 as usize];
+        node.bytes_fetched + node.bytes_served + node.bytes_relayed
+    }
+}
+
+impl std::fmt::Debug for IpfsNode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("IpfsNode").field("id", &self.id).finish()
+    }
+}
