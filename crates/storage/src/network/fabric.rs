@@ -1,9 +1,8 @@
 //! The shared fabric: the one lock, the state behind it (nodes, provider
 //! index, injector, overlay, tie stream) and its set-up and read-out.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -61,7 +60,7 @@ impl NetworkState {
 /// Shared distributed-storage fabric.
 #[derive(Clone)]
 pub struct IpfsNetwork {
-    pub(super) inner: Arc<Mutex<NetworkState>>,
+    inner: Arc<Mutex<NetworkState>>,
 }
 
 impl Default for IpfsNetwork {
@@ -71,6 +70,15 @@ impl Default for IpfsNetwork {
 }
 
 impl IpfsNetwork {
+    /// The state behind the fabric's one lock. A panic raised while it is
+    /// held ([`IpfsNetwork::install_topology`]'s coverage assert is one)
+    /// poisons a `std` mutex, and the poison is swallowed: the panic has
+    /// already reported the failure, and a run the service contains must
+    /// not turn every later call on its fabric into a second panic.
+    pub(super) fn state(&self) -> MutexGuard<'_, NetworkState> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Creates an empty fabric with the default [`TransferConfig`].
     pub fn new() -> Self {
         IpfsNetwork {
@@ -92,7 +100,7 @@ impl IpfsNetwork {
     /// the transfer accounting is reset, so this is meant to be called at
     /// fabric setup, before traffic flows.
     pub fn configure_transfer(&self, config: TransferConfig, seed: u64) {
-        let mut st = self.inner.lock();
+        let mut st = self.state();
         st.transfer = config;
         st.transfer_seed = seed;
         st.stats = TransferStats::default();
@@ -105,13 +113,13 @@ impl IpfsNetwork {
 
     /// The active transfer configuration.
     pub fn transfer_config(&self) -> TransferConfig {
-        self.inner.lock().transfer
+        self.state().transfer
     }
 
     /// Snapshot of the transfer accounting (the resident-bytes gauge is
     /// sampled at call time).
     pub fn transfer_stats(&self) -> TransferStats {
-        let st = self.inner.lock();
+        let st = self.state();
         let mut stats = st.stats;
         stats.cache_resident_bytes = st.nodes.iter().map(|n| n.cache.resident).sum();
         stats
@@ -131,7 +139,7 @@ impl IpfsNetwork {
     /// that fetched or served, built on first use), so installing a new
     /// overlay — a regroup — or clearing it drops every memoised route.
     pub fn install_topology(&self, config: GossipConfig, topology: GossipTopology) {
-        let mut st = self.inner.lock();
+        let mut st = self.state();
         assert!(
             topology.len() >= st.nodes.len(),
             "topology covers {} nodes but the fabric has {}",
@@ -144,12 +152,12 @@ impl IpfsNetwork {
     /// Removes the gossip overlay, returning the fabric to flat
     /// point-to-point routing.
     pub fn clear_topology(&self) {
-        self.inner.lock().gossip = None;
+        self.state().gossip = None;
     }
 
     /// The installed overlay's topology, if any.
     pub fn topology(&self) -> Option<GossipTopology> {
-        let st = self.inner.lock();
+        let st = self.state();
         st.gossip.as_ref().map(|(_, memo)| memo.topology().clone())
     }
 
@@ -158,8 +166,7 @@ impl IpfsNetwork {
     /// exists to bound (flat routing concentrates it on whichever
     /// provider sorts first).
     pub fn max_node_wire_bytes(&self) -> u64 {
-        self.inner
-            .lock()
+        self.state()
             .nodes
             .iter()
             .map(|n| n.bytes_fetched + n.bytes_served + n.bytes_relayed)
@@ -169,26 +176,26 @@ impl IpfsNetwork {
 
     /// Installs (or replaces) the fabric's fault injector.
     pub fn install_faults(&self, faults: StorageFaults) {
-        self.inner.lock().faults = Some(faults);
+        self.state().faults = Some(faults);
     }
 
     /// Removes the fault injector, returning the fabric to fault-free
     /// operation.
     pub fn clear_faults(&self) {
-        self.inner.lock().faults = None;
+        self.state().faults = None;
     }
 
     /// Snapshot of the injected-fault accounting (`None` when no injector
     /// is installed).
     pub fn fault_stats(&self) -> Option<StorageFaultStats> {
-        self.inner.lock().faults.as_ref().map(|f| f.stats)
+        self.state().faults.as_ref().map(|f| f.stats)
     }
 
     /// Records a caller-level whole-fetch retry in the fault accounting (a
     /// no-op without an injector). Pair with
     /// [`IpfsNetwork::record_fetch_retry_outcome`] once the retry resolves.
     pub fn record_fetch_retry(&self) {
-        if let Some(f) = self.inner.lock().faults.as_mut() {
+        if let Some(f) = self.state().faults.as_mut() {
             f.stats.fetch_retries += 1;
         }
     }
@@ -197,7 +204,7 @@ impl IpfsNetwork {
     /// retried-then-succeeded fetch, `false` a permanent failure (the
     /// caller gave up). A no-op without an injector.
     pub fn record_fetch_retry_outcome(&self, recovered: bool) {
-        if let Some(f) = self.inner.lock().faults.as_mut() {
+        if let Some(f) = self.state().faults.as_mut() {
             if recovered {
                 f.stats.fetch_recoveries += 1;
             } else {
@@ -208,7 +215,7 @@ impl IpfsNetwork {
 
     /// Joins a new node with the given link profile, returning its handle.
     pub fn add_node(&self, link: LinkProfile) -> IpfsNode {
-        let mut st = self.inner.lock();
+        let mut st = self.state();
         let id = NodeId(st.nodes.len() as u32);
         let cache_seed = NetworkState::node_cache_seed(st.transfer_seed, id.0 as usize);
         let cache_bytes = st.transfer.cache_bytes;
@@ -228,14 +235,14 @@ impl IpfsNetwork {
 
     /// Number of nodes in the fabric.
     pub fn node_count(&self) -> usize {
-        self.inner.lock().nodes.len()
+        self.state().nodes.len()
     }
 
     /// Audits the blockstore invariant fabric-wide: the first `(node,
     /// key)` whose value does not hash to its key, or `None` when every
     /// store is sound.
     pub fn first_corrupt_block(&self) -> Option<(NodeId, Cid)> {
-        let st = self.inner.lock();
+        let st = self.state();
         st.nodes.iter().enumerate().find_map(|(i, node)| {
             let cid = node.store.first_corrupt()?;
             Some((NodeId(i as u32), cid))
@@ -244,8 +251,7 @@ impl IpfsNetwork {
 
     /// Total bytes stored across all nodes (with duplication).
     pub fn total_bytes(&self) -> u64 {
-        self.inner
-            .lock()
+        self.state()
             .nodes
             .iter()
             .map(|n| n.store.total_bytes())

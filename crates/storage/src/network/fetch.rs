@@ -114,7 +114,7 @@ impl IpfsNode {
     /// [`IpfsNode::add`] with an explicit chunk size (for tests/benches).
     pub fn add_with_chunk_size(&self, data: &[u8], chunk_size: usize) -> AddReceipt {
         let file = chunk(data, chunk_size);
-        let mut st = self.network.inner.lock();
+        let mut st = self.network.state();
         let id = self.id;
         let node = &mut st.nodes[id.0 as usize];
         for (cid, leaf) in &file.leaves {
@@ -144,7 +144,7 @@ impl IpfsNode {
     /// [`IpfsError::NotFound`] if no provider has the content,
     /// [`IpfsError::Corrupt`] if verification fails.
     pub fn get(&self, cid: Cid) -> Result<GetReceipt, IpfsError> {
-        let mut st = self.network.inner.lock();
+        let mut st = self.network.state();
         Self::get_locked(&mut st, self.id, cid, FetchOpts::NORMAL)
     }
 
@@ -176,7 +176,7 @@ impl IpfsNode {
         delta: Cid,
         reconstruct: impl FnOnce(&[u8], &[u8]) -> Option<Vec<u8>>,
     ) -> Result<GetReceipt, IpfsError> {
-        let mut st = self.network.inner.lock();
+        let mut st = self.network.state();
         let st = &mut *st;
         let id = self.id;
 
@@ -321,20 +321,20 @@ impl IpfsNode {
 
     /// Pins a DAG so garbage collection keeps it.
     pub fn pin(&self, cid: Cid) {
-        let mut st = self.network.inner.lock();
+        let mut st = self.network.state();
         st.nodes[self.id.0 as usize].store.pin(cid);
     }
 
     /// Unpins a DAG.
     pub fn unpin(&self, cid: Cid) {
-        let mut st = self.network.inner.lock();
+        let mut st = self.network.state();
         st.nodes[self.id.0 as usize].store.unpin(cid);
     }
 
     /// Garbage-collects unpinned blocks, removing this node's provider
     /// records for content it no longer holds. Returns blocks removed.
     pub fn gc(&self) -> usize {
-        let mut st = self.network.inner.lock();
+        let mut st = self.network.state();
         let id = self.id;
         let removed = st.nodes[id.0 as usize].store.gc();
         // Withdraw provider records for vanished roots.
@@ -355,7 +355,7 @@ impl IpfsNode {
 
     /// True if this node holds the full DAG for `cid` locally.
     pub fn has_local(&self, cid: Cid) -> bool {
-        let st = self.network.inner.lock();
+        let st = self.network.state();
         Self::read_local(&st.nodes[self.id.0 as usize].store, cid)
             .ok()
             .flatten()
@@ -364,7 +364,7 @@ impl IpfsNode {
 
     /// Cumulative bytes fetched from remote providers.
     pub fn bytes_fetched(&self) -> u64 {
-        self.network.inner.lock().nodes[self.id.0 as usize].bytes_fetched
+        self.network.state().nodes[self.id.0 as usize].bytes_fetched
     }
 
     /// Cumulative bytes served to remote peers. Counts wire bytes, not
@@ -373,17 +373,17 @@ impl IpfsNode {
     /// than its length. A fetcher that retained the content answers later
     /// gets locally — repeat fetches add nothing here.
     pub fn bytes_served(&self) -> u64 {
-        self.network.inner.lock().nodes[self.id.0 as usize].bytes_served
+        self.network.state().nodes[self.id.0 as usize].bytes_served
     }
 
     /// Cumulative bytes forwarded for other nodes as an overlay relay.
     pub fn bytes_relayed(&self) -> u64 {
-        self.network.inner.lock().nodes[self.id.0 as usize].bytes_relayed
+        self.network.state().nodes[self.id.0 as usize].bytes_relayed
     }
 
     /// Total wire load this node carried: fetched + served + relayed.
     pub fn wire_bytes(&self) -> u64 {
-        let st = self.network.inner.lock();
+        let st = self.network.state();
         let node = &st.nodes[self.id.0 as usize];
         node.bytes_fetched + node.bytes_served + node.bytes_relayed
     }

@@ -436,10 +436,10 @@ fn a_root_lying_about_its_length_is_corrupt_locally_and_remotely() {
         // Remote path: the adder advertises the block as content (what
         // a Byzantine aggregator registering the CID on-chain amounts
         // to).
-        net.inner.lock().dht.provide(cid, nodes[0].id());
+        net.state().dht.provide(cid, nodes[0].id());
         let err = nodes[1].get(cid).unwrap_err();
         assert!(matches!(err, IpfsError::Corrupt(_)), "{err}");
-        let st = net.inner.lock();
+        let st = net.state();
         assert!(st.nodes[1].store.is_empty(), "nothing retained");
         assert_eq!(st.nodes[1].cache.resident, 0, "nothing cached");
     }
@@ -447,7 +447,7 @@ fn a_root_lying_about_its_length_is_corrupt_locally_and_remotely() {
 
 /// Where the node's copy of `cid`'s block lives.
 fn resident_at(net: &IpfsNetwork, node: &IpfsNode, cid: Cid) -> *const u8 {
-    let st = net.inner.lock();
+    let st = net.state();
     st.nodes[node.id().0 as usize]
         .store
         .get(cid)
@@ -580,14 +580,14 @@ fn a_provider_serving_bad_bytes_is_caught_at_the_wire() {
         } else {
             file.leaves[3].0
         };
-        net.inner.lock().nodes[0]
+        net.state().nodes[0]
             .store
             .put_unchecked(victim, Bytes::from_static(b"not the block you asked for"));
         assert_eq!(net.first_corrupt_block(), Some((NodeId(0), victim)));
 
         let err = nodes[1].get(receipt.cid).unwrap_err();
         assert!(matches!(err, IpfsError::Corrupt(_)), "{err}");
-        let st = net.inner.lock();
+        let st = net.state();
         assert!(st.nodes[1].store.is_empty(), "blockstore untouched");
         assert_eq!(st.nodes[1].cache.resident, 0, "fetch cache untouched");
         assert_eq!(
@@ -610,7 +610,7 @@ fn installing_a_topology_drops_every_memoised_route() {
     let nodes: Vec<IpfsNode> = (0..6).map(|_| net.add_node(LinkProfile::lan())).collect();
     let config = GossipConfig::new(1).with_swarm(1);
     let routed = |from: u32, to: u32| {
-        let mut st = net.inner.lock();
+        let mut st = net.state();
         let (_, memo) = st.gossip.as_mut().expect("installed");
         (
             memo.distances_from(NodeId(to)).to_vec(),
@@ -645,7 +645,7 @@ fn installing_a_topology_drops_every_memoised_route() {
     );
 
     net.clear_topology();
-    assert!(net.inner.lock().gossip.is_none());
+    assert!(net.state().gossip.is_none());
 }
 
 #[test]
