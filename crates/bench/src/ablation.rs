@@ -13,7 +13,7 @@
 //!    depends on how many scorers actually report.
 
 use unifyfl_core::cluster::ClusterConfig;
-use unifyfl_core::experiment::{run_experiment, Engine, ExperimentBuilder, ExperimentConfig, Mode};
+use unifyfl_core::experiment::{run_experiment, ExperimentBuilder, ExperimentConfig, Mode};
 use unifyfl_core::policy::AggregationPolicy;
 use unifyfl_core::scoring::ScorerKind;
 use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
@@ -82,8 +82,7 @@ pub fn margin_sweep(seed: u64) -> Vec<(f64, u64, f64)> {
 /// honest_minus_poisoned_score)`.
 pub fn majority_sweep(seed: u64) -> Vec<(usize, usize, f64)> {
     use unifyfl_core::byzantine::AttackKind;
-    use unifyfl_core::federation::Federation;
-    use unifyfl_core::orchestration::run_sync;
+    use unifyfl_core::RunState;
 
     [3usize, 4, 5, 6]
         .into_iter()
@@ -99,20 +98,14 @@ pub fn majority_sweep(seed: u64) -> Vec<(usize, usize, f64)> {
             // (and scorer holdouts) keep a constant size.
             let mut workload = sweep_workload(4);
             workload.dataset.n_samples = 160 * n;
-            let mut fed = Federation::new(
-                seed,
-                &workload,
-                Partition::Iid,
-                Mode::Sync.to_chain(),
-                clusters,
-            );
-            run_sync(
-                &mut fed,
-                &workload,
-                ScorerKind::Accuracy,
-                1.15,
-                Engine::default(),
-            );
+            let config = ExperimentBuilder::quickstart()
+                .seed(seed)
+                .workload(workload)
+                .mode(Mode::Sync)
+                .clusters(clusters)
+                .config()
+                .clone();
+            let (_, fed) = RunState::new(&config).expect("valid sweep config").finish();
 
             let attacker = fed.clusters[n - 1].address();
             let mut honest = Vec::new();

@@ -23,13 +23,9 @@
 //! `BENCH_scale.json` (schema in `docs/BENCH.md`);
 //! `docs/baselines/scale.json` pins it at quick scale.
 
-use unifyfl_core::cluster::ClusterConfig;
-use unifyfl_core::experiment::{Engine, Mode};
-use unifyfl_core::federation::Federation;
-use unifyfl_core::orchestration::run_sync;
-use unifyfl_core::scoring::ScorerKind;
-use unifyfl_core::{ShardConfig, ShardTopology};
-use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
+use unifyfl_core::experiment::{ExperimentBuilder, Mode};
+use unifyfl_core::{ClusterConfig, RunState, ShardConfig};
+use unifyfl_data::{SyntheticConfig, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
 use unifyfl_tensor::ModelSpec;
 
@@ -112,43 +108,35 @@ impl ScaleArm {
 }
 
 /// Runs the sharded Sync engine at fleet size `n` and measures the wire
-/// and contract counters. Drives [`Federation`] directly (rather than
-/// [`unifyfl_core::experiment::run_experiment`]) because the score-task
-/// count lives on the orchestrator contract, which the report does not
-/// carry.
+/// and contract counters. Keeps the federation the run hands back
+/// ([`RunState::finish`]) because the score-task count lives on the
+/// orchestrator contract, which the report does not carry.
 pub fn run_arm(n: usize, seed: u64) -> ScaleArm {
     let plan = shard_plan(n);
-    let topology = ShardTopology::derive(&plan, seed, n);
-    let shards = topology.shards;
-    let workload = workload(n);
+    let shards = plan.shards;
     let clusters: Vec<ClusterConfig> = (0..n)
         .map(|i| ClusterConfig::edge(format!("agg-{}", i + 1), DeviceProfile::edge_cpu()))
         .collect();
-    let mut fed = Federation::new_sharded(
-        seed,
-        &workload,
-        Partition::Iid,
-        Mode::Sync.to_chain(),
-        clusters,
-        Some(topology),
-    )
-    .expect("the scale workload gives every client a sample");
-    let outcome = run_sync(
-        &mut fed,
-        &workload,
-        ScorerKind::Accuracy,
-        1.15,
-        Engine::default(),
-    );
+    let config = ExperimentBuilder::quickstart()
+        .seed(seed)
+        .workload(workload(n))
+        .mode(Mode::Sync)
+        .clusters(clusters)
+        .sharding(plan)
+        .config()
+        .clone();
+    let (report, fed) = RunState::new(&config)
+        .expect("the scale workload gives every client a sample")
+        .finish();
     ScaleArm {
         clusters: n,
         shards,
         scorers_per_release: SCORERS_PER_RELEASE,
         rounds: ROUNDS,
-        wire_bytes: fed.ipfs.transfer_stats().physical_bytes,
+        wire_bytes: report.transfer.physical_bytes,
         score_tasks: fed.contract().assigned_score_tasks(),
         score_task_bound: (ROUNDS * n * SCORERS_PER_RELEASE) as u64,
-        virtual_secs: outcome.end_time.as_secs_f64(),
+        virtual_secs: report.wall_secs,
     }
 }
 

@@ -66,7 +66,7 @@ fn build_clusters(
                 latency: config.client_device.net_latency(),
             };
             let node = ipfs.add_node(link);
-            ClusterNode::new(
+            ClusterNode::try_new(
                 config,
                 spec.clone(),
                 &shard,
@@ -74,6 +74,7 @@ fn build_clusters(
                 node,
                 seed.wrapping_add(1000 + i as u64),
             )
+            .expect("every baseline shard covers its cluster's clients")
         })
         .collect();
     (clusters, global_test)

@@ -242,30 +242,12 @@ impl ClusterNode {
     /// initializes the FL server with spec-seeded weights shared by the
     /// whole federation.
     ///
-    /// # Panics
-    ///
-    /// Panics where [`ClusterNode::try_new`] errors.
-    pub fn new(
-        config: ClusterConfig,
-        spec: ModelSpec,
-        shard: &Dataset,
-        init_weights: Vec<f32>,
-        ipfs: IpfsNode,
-        seed: u64,
-    ) -> Self {
-        ClusterNode::try_new(config, spec, shard, init_weights, ipfs, seed)
-            .unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// [`ClusterNode::new`] for shards whose size is not the caller's to
-    /// promise (a partition drew it).
-    ///
     /// # Errors
     ///
     /// [`ExperimentError::NoClients`] if the cluster is configured without
     /// clients, [`ExperimentError::ShardTooSmall`] if the shard, less its
     /// scorer holdout, cannot give each client one sample.
-    pub fn try_new(
+    pub(crate) fn try_new(
         config: ClusterConfig,
         spec: ModelSpec,
         shard: &Dataset,
@@ -662,7 +644,7 @@ mod tests {
         let mut config = ClusterConfig::gpu("test-cluster");
         config.attack = attack;
         let init = spec.build(99).flat_params();
-        let cluster = ClusterNode::new(config, spec, &data, init, node, 7);
+        let cluster = ClusterNode::try_new(config, spec, &data, init, node, 7).unwrap();
         (cluster, data)
     }
 
@@ -767,7 +749,9 @@ mod tests {
         let spec = cluster.spec().clone();
         let net = IpfsNetwork::new();
         let init = spec.build(99).flat_params();
-        let mut c = ClusterNode::new(cfg, spec, &data, init, net.add_node(LinkProfile::lan()), 7);
+        let mut c =
+            ClusterNode::try_new(cfg, spec, &data, init, net.add_node(LinkProfile::lan()), 7)
+                .unwrap();
         let before = c.local_test().class_histogram();
         assert!(!c.maybe_drift(1), "too early");
         assert!(!c.maybe_drift(2), "too early");
@@ -825,24 +809,26 @@ mod tests {
         spec.virtual_params = Some(100_000_000);
         let net = IpfsNetwork::new();
         let init = spec.build(99).flat_params();
-        let fast = ClusterNode::new(
+        let fast = ClusterNode::try_new(
             ClusterConfig::gpu("fast"),
             spec.clone(),
             &data,
             init.clone(),
             net.add_node(LinkProfile::lan()),
             7,
-        );
+        )
+        .unwrap();
         let mut slow_cfg = ClusterConfig::gpu("slow");
         slow_cfg.straggle_factor = 3.0;
-        let slow = ClusterNode::new(
+        let slow = ClusterNode::try_new(
             slow_cfg,
             spec,
             &data,
             init,
             net.add_node(LinkProfile::lan()),
             7,
-        );
+        )
+        .unwrap();
         assert_eq!(
             slow.train_duration(2).as_millis(),
             fast.train_duration(2).as_millis() * 3
@@ -859,7 +845,8 @@ mod tests {
         let spec = cluster.spec().clone();
         let net = IpfsNetwork::new();
         let init = spec.build(99).flat_params();
-        let c = ClusterNode::new(cfg, spec, &data, init, net.add_node(LinkProfile::lan()), 7);
+        let c = ClusterNode::try_new(cfg, spec, &data, init, net.add_node(LinkProfile::lan()), 7)
+            .unwrap();
         assert_eq!(c.effective_policy(1), AggregationPolicy::SelfOnly);
         assert_eq!(c.effective_policy(3), AggregationPolicy::SelfOnly);
         assert_eq!(c.effective_policy(4), AggregationPolicy::TopK(3));

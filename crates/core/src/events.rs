@@ -137,7 +137,7 @@ pub enum Event {
         round: u64,
     },
     /// Topology epochs: re-cluster the federation by weight-space distance
-    /// — derive the next [`TopologyEpoch`](crate::sharding::TopologyEpoch)
+    /// — derive the next epoch's [`ShardTopology`](crate::sharding::ShardTopology)
     /// from the clusters' current weights and re-install the gossip
     /// neighborhoods. Fires on the `regroup_every` cadence (sync: at the
     /// round barrier; async: virtual-time cadence like
@@ -210,19 +210,16 @@ pub(crate) trait EventPolicy {
         event: Event,
     );
     /// Consumes the drained policy: runs the final merge over the
-    /// still-participating clusters and assembles the outcome around the
-    /// fired-event `trace`.
-    fn finish(self: Box<Self>, fed: &mut Federation, trace: Vec<EventRecord>) -> EngineOutcome;
+    /// still-participating clusters and assembles the outcome.
+    fn finish(self: Box<Self>, fed: &mut Federation) -> EngineOutcome;
 }
 
 /// The poll-resumable kernel loop: the event queue plus the fired-event
 /// trace, stepped one event at a time.
 ///
-/// [`drain`] is a `while step()` loop over this type, so a stepped run and
-/// a blocking run execute literally the same code — byte-identity between
-/// the batch entry points and the service layer
-/// ([`crate::service::RunState`]) holds by construction, not by parallel
-/// maintenance of two loops.
+/// [`crate::service::RunState`] owns one and is the only thing that steps
+/// it, so a blocking run, a daemon-hosted run and a resumed run execute
+/// literally the same loop.
 pub(crate) struct Kernel {
     queue: EventQueue<Event>,
     trace: Vec<EventRecord>,
@@ -263,19 +260,6 @@ impl Kernel {
     pub(crate) fn trace(&self) -> &[EventRecord] {
         &self.trace
     }
-
-    /// Consumes the kernel into its fired-event trace.
-    pub(crate) fn into_trace(self) -> Vec<EventRecord> {
-        self.trace
-    }
-}
-
-/// Drains the kernel: seed, then pop-and-handle until no live events
-/// remain. Returns the fired-event trace.
-pub(crate) fn drain(fed: &mut Federation, policy: &mut dyn EventPolicy) -> Vec<EventRecord> {
-    let mut kernel = Kernel::new();
-    while kernel.step(fed, policy).is_some() {}
-    kernel.into_trace()
 }
 
 // ---------------------------------------------------------------------

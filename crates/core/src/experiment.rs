@@ -2,15 +2,16 @@
 //!
 //! An [`ExperimentConfig`] fully describes one evaluation run (workload,
 //! partition, mode, scorer, per-cluster policies/strategies/devices);
-//! [`run_experiment`] assembles the [`Federation`], executes the matching
-//! engine and distills an [`ExperimentReport`] whose rows correspond
-//! one-to-one to the paper's Tables 5 and 6.
+//! [`run_experiment`] builds the one [`RunState`](crate::service::RunState)
+//! every run goes through — validate, assemble the [`Federation`], step the
+//! matching engine policy — and distills an [`ExperimentReport`] whose rows
+//! correspond one-to-one to the paper's Tables 5 and 6.
 
 use std::collections::BTreeMap;
 
 use unifyfl_data::{Partition, WorkloadConfig};
-use unifyfl_sim::fault::{ChaosConfig, FaultKind, FaultPlan, FaultRecord};
-use unifyfl_sim::{ResourceSummary, SeedTree};
+use unifyfl_sim::fault::{ChaosConfig, FaultKind, FaultRecord};
+use unifyfl_sim::ResourceSummary;
 use unifyfl_storage::network::TransferConfig;
 use unifyfl_storage::topology::GossipConfig;
 
@@ -22,7 +23,7 @@ pub use crate::federation::{LinkModel, MembershipRecord};
 pub use crate::orchestration::Mode;
 use crate::policy::AggregationPolicy;
 use crate::scoring::ScorerKind;
-use crate::sharding::{ShardConfig, ShardTopology};
+use crate::sharding::ShardConfig;
 pub use crate::step::Engine;
 
 /// A complete experiment description.
@@ -670,52 +671,9 @@ pub fn run_experiment(config: &ExperimentConfig) -> Result<ExperimentReport, Exp
     Ok(crate::service::RunState::new(config)?.run_to_completion())
 }
 
-/// Validates `config` and assembles the federation it describes —
-/// sharded topology, transfer knobs, link model, gossip overlay and the
-/// expanded fault plan installed — ready for an orchestration policy.
-///
-/// # Errors
-///
-/// Returns [`ExperimentError`] if the configuration is invalid, or if the
-/// data it describes cannot be dealt out (see
-/// [`Federation::new_sharded`]).
-pub(crate) fn assemble(config: &ExperimentConfig) -> Result<Federation, ExperimentError> {
-    config.validate()?;
-    let topology = config
-        .sharding
-        .as_ref()
-        .map(|s| ShardTopology::derive(s, config.seed, config.clusters.len()));
-    let mut fed = Federation::new_sharded(
-        config.seed,
-        &config.workload,
-        config.partition,
-        config.mode.to_chain(),
-        config.clusters.clone(),
-        topology,
-    )?;
-    fed.configure_transfer(config.transfer);
-    fed.set_link_model(config.link_model);
-    fed.set_fetch_ahead(config.fetch_ahead);
-    if let Some(gossip) = config.gossip.as_ref() {
-        fed.install_gossip(*gossip);
-    }
-    if let Some(chaos) = config.chaos.as_ref().filter(|c| !c.is_quiescent()) {
-        // One derived seed makes the whole schedule (and the storage/chain
-        // injector streams) a pure function of the experiment seed.
-        let plan = FaultPlan::expand(
-            chaos,
-            SeedTree::new(config.seed).seed("chaos"),
-            config.clusters.len(),
-            config.workload.rounds as u64,
-        );
-        fed.install_chaos(plan);
-    }
-    Ok(fed)
-}
-
 pub(crate) fn build_report(
     config: &ExperimentConfig,
-    fed: Federation,
+    fed: &Federation,
     outcome: EngineOutcome,
 ) -> ExperimentReport {
     let mut aggregators = Vec::with_capacity(fed.clusters.len());
@@ -772,8 +730,8 @@ pub(crate) fn build_report(
         chain,
         storage_bytes: fed.ipfs.total_bytes(),
         wall_secs: outcome.end_time.as_secs_f64(),
-        chaos: build_chaos_report(&fed),
-        transfer: build_transfer_report(&fed),
+        chaos: build_chaos_report(fed),
+        transfer: build_transfer_report(fed),
         link_model: config.link_model.to_string(),
         membership: fed.membership_records().to_vec(),
     }

@@ -8,24 +8,22 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use unifyfl_chain::chain::{Blockchain, ChainFaults};
 use unifyfl_chain::clique::CliqueConfig;
-use unifyfl_chain::orchestrator::{
-    calls, DeltaRef, ModelEntry, OrchestrationMode, UnifyFlContract,
-};
+use unifyfl_chain::orchestrator::{calls, DeltaRef, ModelEntry, UnifyFlContract};
 use unifyfl_chain::types::{Address, Transaction};
-use unifyfl_data::{Dataset, Partition, WorkloadConfig};
+use unifyfl_data::Dataset;
 use unifyfl_sim::fault::{FaultPlan, FaultRecord};
-use unifyfl_sim::{ResourceMonitor, SimDuration, SimTime};
-use unifyfl_storage::network::{LinkProfile, TransferConfig};
+use unifyfl_sim::{ResourceMonitor, SeedTree, SimDuration, SimTime};
+use unifyfl_storage::network::LinkProfile;
 use unifyfl_storage::topology::{GossipConfig, GossipTopology};
 use unifyfl_storage::{Cid, IpfsNetwork, StorageFaults};
 use unifyfl_tensor::delta::delta_from_bytes;
 use unifyfl_tensor::zoo::ModelSpec;
 use unifyfl_tensor::{weights_from_bytes, weights_to_bytes};
 
-use crate::cluster::{ClusterConfig, ClusterNode};
-use crate::experiment::ExperimentError;
+use crate::cluster::ClusterNode;
+use crate::experiment::{ExperimentConfig, ExperimentError};
 use crate::policy::ScoredCandidate;
-use crate::sharding::{ShardTopology, TopologyEpoch};
+use crate::sharding::ShardTopology;
 
 /// How virtual time is charged for cross-silo weight transfers.
 ///
@@ -169,14 +167,10 @@ pub struct Federation {
     lost_txs: Vec<Transaction>,
     /// Count of retransmitted transactions.
     retried_txs: u64,
-    /// Two-tier shard topology, when the experiment runs sharded. Always
-    /// the *latest* entry of `epochs`; kept separate so every existing
-    /// consumer reads the current epoch without indirection.
+    /// The current two-tier shard topology, when the experiment runs
+    /// sharded: the config-time derivation until the first
+    /// [`Federation::regroup_epoch`], the latest regroup's after.
     shard_topology: Option<ShardTopology>,
-    /// The topology timeline: epoch 0 is the config-time derivation, each
-    /// [`Federation::regroup_epoch`] appends the next epoch. Empty when
-    /// the federation runs unsharded.
-    epochs: Vec<TopologyEpoch>,
     /// Gossip overlay config, when topology-aware dissemination is on.
     gossip: Option<GossipConfig>,
     /// The contract's entry log with its CID strings parsed, index-aligned
@@ -192,57 +186,34 @@ pub struct Federation {
 }
 
 impl Federation {
-    /// Builds a federation: generates the dataset, partitions it across
-    /// clusters, boots the chain with the clusters as Clique signers,
-    /// deploys and registers with the orchestrator contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two clusters are configured (cross-silo FL
-    /// needs peers) or the dataset is too small to partition.
-    pub fn new(
-        seed: u64,
-        workload: &WorkloadConfig,
-        partition: Partition,
-        mode: OrchestrationMode,
-        cluster_configs: Vec<ClusterConfig>,
-    ) -> Federation {
-        Federation::new_sharded(seed, workload, partition, mode, cluster_configs, None)
-            .unwrap_or_else(|err| panic!("{err}"))
-    }
-
-    /// [`Federation::new`] with an optional two-tier shard topology: the
-    /// orchestrator contract is deployed with the topology's address →
-    /// shard map (empty when single-shard — behaviorally flat) and scorer
-    /// cap, and the engines read the topology back to drive the
-    /// intra-shard round structure and inter-shard exchange events.
+    /// Assembles the federation `config` describes — the only constructor,
+    /// and it validates first, so no configuration
+    /// [`ExperimentConfig::validate`] rejects ever reaches an engine.
+    /// Generates the dataset, partitions it across clusters, boots the
+    /// chain with the clusters as Clique signers, deploys the orchestrator
+    /// contract (with the shard topology's address → shard map and scorer
+    /// cap when sharded; empty when single-shard — behaviorally flat),
+    /// registers the founders, then installs the gossip overlay and the
+    /// expanded fault plan.
     ///
     /// # Errors
     ///
-    /// The data-dependent half of experiment validation — what
-    /// [`ExperimentConfig::validate`](crate::experiment::ExperimentConfig::validate)
-    /// cannot know before the partition has drawn:
+    /// What `validate()` reports, and the data-dependent half it cannot
+    /// know before the partition has drawn:
     /// [`ExperimentError::TooFewSamples`] if the dataset cannot give every
     /// cluster a shard, [`ExperimentError::ShardTooSmall`] if a shard cannot
     /// give every client of its cluster a training sample. Neither check
     /// draws from an RNG, so a federation that assembles is bit-for-bit the
     /// one it always was.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two clusters are configured.
-    pub fn new_sharded(
-        seed: u64,
-        workload: &WorkloadConfig,
-        partition: Partition,
-        mode: OrchestrationMode,
-        cluster_configs: Vec<ClusterConfig>,
-        sharding: Option<ShardTopology>,
-    ) -> Result<Federation, ExperimentError> {
-        assert!(
-            cluster_configs.len() >= 2,
-            "cross-silo FL needs at least two clusters"
-        );
+    pub(crate) fn assemble(config: &ExperimentConfig) -> Result<Federation, ExperimentError> {
+        config.validate()?;
+        let seed = config.seed;
+        let workload = &config.workload;
+        let cluster_configs = config.clusters.clone();
+        let sharding = config
+            .sharding
+            .as_ref()
+            .map(|s| ShardTopology::derive(s, seed, cluster_configs.len()));
         let spec = workload.model.clone();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xFEDE);
 
@@ -255,16 +226,16 @@ impl Federation {
                 clusters: cluster_configs.len(),
             });
         }
-        let shards = partition.split(&pool, cluster_configs.len(), &mut rng);
+        let shards = config
+            .partition
+            .split(&pool, cluster_configs.len(), &mut rng);
 
-        // Shared fabric, with the default (fully enabled) transfer layer;
-        // `Federation::configure_transfer` can override before traffic
-        // flows. The cache stream derives from the experiment seed.
+        // Shared fabric; the cache stream derives from the experiment seed.
+        // The publish path is unaffected by the fetch-side knobs — full
+        // blobs, delta blobs and on-chain references are always produced —
+        // so they change bytes moved, never results.
         let ipfs = IpfsNetwork::new();
-        ipfs.configure_transfer(
-            TransferConfig::default(),
-            unifyfl_sim::SeedTree::new(seed).seed("fetch-cache"),
-        );
+        ipfs.configure_transfer(config.transfer, SeedTree::new(seed).seed("fetch-cache"));
 
         // Chain: every cluster is a Clique signer (the permissioned
         // consortium of the paper).
@@ -274,7 +245,7 @@ impl Federation {
             .collect();
         let mut chain = Blockchain::new(CliqueConfig::default(), addresses.clone());
         let orchestrator = Address::from_label("unifyfl-orchestrator");
-        let mut contract = UnifyFlContract::new(orchestrator, mode);
+        let mut contract = UnifyFlContract::new(orchestrator, config.mode.to_chain());
         if let Some(topology) = &sharding {
             // A single-shard map stays empty: the contract's default shard
             // is 0, so the deployment is byte-identical to the flat one.
@@ -325,15 +296,10 @@ impl Federation {
             fault_plan: None,
             chaos_records: Vec::new(),
             membership_records: Vec::new(),
-            link_model: LinkModel::Nominal,
-            fetch_ahead: false,
+            link_model: config.link_model,
+            fetch_ahead: config.fetch_ahead,
             lost_txs: Vec::new(),
             retried_txs: 0,
-            epochs: sharding
-                .iter()
-                .cloned()
-                .map(|topology| TopologyEpoch { epoch: 0, topology })
-                .collect(),
             shard_topology: sharding,
             gossip: None,
             entry_cids: Vec::new(),
@@ -354,24 +320,26 @@ impl Federation {
         let t = fed.chain.next_seal_time();
         fed.chain.seal_next(t).expect("registration block seals");
         fed.setup_done = t;
+
+        if let Some(gossip) = config.gossip {
+            fed.install_gossip(gossip);
+        }
+        if let Some(chaos) = config.chaos.as_ref().filter(|c| !c.is_quiescent()) {
+            // One derived seed makes the whole schedule (and the storage/chain
+            // injector streams) a pure function of the experiment seed.
+            fed.install_chaos(FaultPlan::expand(
+                chaos,
+                SeedTree::new(seed).seed("chaos"),
+                fed.clusters.len(),
+                workload.rounds as u64,
+            ));
+        }
         Ok(fed)
     }
 
-    /// Replaces the storage fabric's fetch-side transfer configuration
-    /// (dedup / delta-fetch / cache knobs). Call before running an engine:
-    /// node caches and transfer accounting are reset. The publish path is
-    /// unaffected — full blobs, delta blobs and on-chain references are
-    /// always produced — so this changes bytes moved, never results.
-    pub fn configure_transfer(&self, config: TransferConfig) {
-        self.ipfs.configure_transfer(
-            config,
-            unifyfl_sim::SeedTree::new(self.transfer_seed).seed("fetch-cache"),
-        );
-    }
-
-    /// Installs a fault schedule: stores the plan for the engines and arms
-    /// the storage and chain injectors with their derived seeds and knobs.
-    pub fn install_chaos(&mut self, plan: FaultPlan) {
+    /// Stores the fault schedule for the engines and arms the storage and
+    /// chain injectors with their derived seeds and knobs.
+    fn install_chaos(&mut self, plan: FaultPlan) {
         let (fetch_failure, chunk_loss, chunk_retries) = plan.storage_knobs();
         if fetch_failure > 0.0 || chunk_loss > 0.0 {
             self.ipfs.install_faults(StorageFaults::new(
@@ -400,18 +368,11 @@ impl Federation {
         self.shard_topology.as_ref()
     }
 
-    /// The topology timeline, oldest first: epoch 0 is the config-time
-    /// derivation, each fired [`Event::RegroupDue`](crate::events::Event)
-    /// appends the next epoch. Empty when the federation runs unsharded.
-    pub fn topology_epochs(&self) -> &[TopologyEpoch] {
-        &self.epochs
-    }
-
     /// Derives and installs the next topology epoch
     /// ([`Event::RegroupDue`](crate::events::Event)): regroups the
     /// clusters by weight-space distance over their *current* weights
-    /// ([`ShardTopology::regroup`]), appends the epoch to the timeline,
-    /// and — when the assignment actually moved a cluster — submits the
+    /// ([`ShardTopology::regroup`]) and — when the assignment actually
+    /// moved a cluster — submits the
     /// `updateSharding` transaction at `at` (so scorer sampling and
     /// intra-shard visibility follow the new grouping) and re-derives the
     /// gossip neighborhoods from the new shards. Returns the epoch's
@@ -425,10 +386,6 @@ impl Federation {
         let weights: Vec<Vec<f32>> = self.clusters.iter().map(|c| c.weights().to_vec()).collect();
         let next = current.regroup(epoch, &weights, self.transfer_seed);
         let changed = next.assignment != current.assignment;
-        self.epochs.push(TopologyEpoch {
-            epoch,
-            topology: next.clone(),
-        });
         self.shard_topology = Some(next.clone());
         if changed {
             let members: Vec<(Address, u32)> = self
@@ -452,13 +409,13 @@ impl Federation {
     /// (whose ring + chords is already a small world). The engines read
     /// the config back ([`Federation::gossip`]) to schedule
     /// prefetch-along-topology events ahead of shard exchanges.
-    pub fn install_gossip(&mut self, config: GossipConfig) {
+    fn install_gossip(&mut self, config: GossipConfig) {
         let neighborhoods: Vec<usize> =
             match self.shard_topology.as_ref().filter(|t| t.is_sharded()) {
                 Some(t) => (0..self.clusters.len()).map(|i| t.shard_of(i)).collect(),
                 None => vec![0; self.clusters.len()],
             };
-        let seed = unifyfl_sim::SeedTree::new(self.transfer_seed).seed("gossip");
+        let seed = SeedTree::new(self.transfer_seed).seed("gossip");
         let topology = GossipTopology::derive(&config, seed, &neighborhoods);
         self.ipfs.install_topology(config, topology);
         self.gossip = Some(config);
@@ -477,9 +434,15 @@ impl Federation {
     /// point of disseminating along the topology. Failures are ignored;
     /// the exchange path keeps its ordinary retry accounting.
     pub fn prefetch_weights(&self, cluster: usize, cids: &[Cid]) {
+        self.warm(cluster, cids.iter().copied());
+    }
+
+    /// Pulls `cids`, in order, into `cluster`'s store and cache; what both
+    /// warm-ups are once they know what to pull.
+    fn warm(&self, cluster: usize, cids: impl IntoIterator<Item = Cid>) {
         let node = self.clusters[cluster].ipfs();
         for cid in cids {
-            let _ = node.get(*cid);
+            let _ = node.get(cid);
         }
     }
 
@@ -520,23 +483,9 @@ impl Federation {
         self.link_model
     }
 
-    /// Selects how fetch time is charged to the virtual clock. Call before
-    /// running an engine.
-    pub fn set_link_model(&mut self, model: LinkModel) {
-        self.link_model = model;
-    }
-
     /// Whether fetch-ahead cache warming is enabled.
     pub fn fetch_ahead(&self) -> bool {
         self.fetch_ahead
-    }
-
-    /// Enables fetch-ahead: the engines schedule a
-    /// [`FetchAhead`](crate::events::Event::FetchAhead) warm-up per cluster
-    /// ahead of each round, so next-round pulls hit a warm cache. Call
-    /// before running an engine.
-    pub fn set_fetch_ahead(&mut self, enabled: bool) {
-        self.fetch_ahead = enabled;
     }
 
     /// Warms one cluster's storage cache with every model the coming
@@ -553,20 +502,17 @@ impl Federation {
     /// accounting, it just finds the bytes cached.
     pub fn fetch_ahead_into(&self, cluster: usize) {
         let candidates = self.candidates_for(cluster);
-        let node = self.clusters[cluster].ipfs();
-        for candidate in &candidates {
-            let _ = node.get(candidate.cid);
-        }
+        self.warm(cluster, candidates.iter().map(|c| c.cid));
         let addr = self.clusters[cluster].address();
-        for (position, entry) in self.contract().entries().iter().enumerate() {
+        let entries = self.contract().entries().iter().enumerate();
+        let duties = entries.filter_map(|(position, entry)| {
             let assigned = entry.scorers.contains(&addr);
             let pending = !entry.scores.iter().any(|(scorer, _)| *scorer == addr);
-            if assigned && pending {
-                if let Some((cid, _)) = self.entry_cids(position) {
-                    let _ = node.get(cid);
-                }
-            }
-        }
+            self.entry_cids(position)
+                .filter(|_| assigned && pending)
+                .map(|(cid, _)| cid)
+        });
+        self.warm(cluster, duties);
     }
 
     /// Transactions retransmitted after gossip drops.
@@ -704,23 +650,6 @@ impl Federation {
         cluster.config().score_policy.reduce(&entry.score_values())
     }
 
-    /// Fetches and decodes a peer model's weights through the cluster's
-    /// IPFS node. Returns `None` if the content is unavailable or corrupt
-    /// (it is then simply skipped, as a real aggregator would). Under an
-    /// installed fault plan a failed fetch is retried once — fresh provider
-    /// resolution, fresh fault rolls — before giving up; every retry's
-    /// outcome is recorded as recovered or permanently failed.
-    ///
-    /// With [`TransferConfig::delta`] enabled and an on-chain
-    /// `(base_cid, delta_cid)` reference for `cid`, the fetch moves only
-    /// the delta blob when the base is already local — the storage layer
-    /// verifies the reconstruction against `cid` and falls back to a full
-    /// fetch on any mismatch, so the decoded weights are identical either
-    /// way.
-    pub fn fetch_weights(&self, cluster: usize, cid: Cid) -> Option<Vec<f32>> {
-        self.fetch_weights_costed(cluster, cid).map(|(w, _)| w)
-    }
-
     /// The virtual time one fetch by `cluster` costs under the active
     /// [`LinkModel`], given the storage layer's `physical` elapsed time for
     /// it: the cluster's nominal per-model
@@ -734,11 +663,25 @@ impl Federation {
         }
     }
 
-    /// [`Federation::fetch_weights`], also returning what the fetch costs
-    /// on the virtual clock ([`Federation::fetch_cost`] of the storage
-    /// layer's physical elapsed time — actual bytes moved over the per-node
-    /// link, near-zero for cache/local hits). On the retried-fetch path
-    /// only the successful attempt is charged.
+    /// Fetches and decodes a peer model's weights through the cluster's
+    /// IPFS node. Returns `None` if the content is unavailable or corrupt
+    /// (it is then simply skipped, as a real aggregator would). Under an
+    /// installed fault plan a failed fetch is retried once — fresh provider
+    /// resolution, fresh fault rolls — before giving up; every retry's
+    /// outcome is recorded as recovered or permanently failed.
+    ///
+    /// With [`TransferConfig::delta`] enabled and an on-chain
+    /// `(base_cid, delta_cid)` reference for `cid`, the fetch moves only
+    /// the delta blob when the base is already local — the storage layer
+    /// verifies the reconstruction against `cid` and falls back to a full
+    /// fetch on any mismatch, so the decoded weights are identical either
+    /// way.
+    ///
+    /// Returned with the weights: what the fetch costs on the virtual clock
+    /// ([`Federation::fetch_cost`] of the storage layer's physical elapsed
+    /// time — actual bytes moved over the per-node link, near-zero for
+    /// cache/local hits). On the retried-fetch path only the successful
+    /// attempt is charged.
     pub fn fetch_weights_costed(
         &self,
         cluster: usize,
@@ -852,6 +795,21 @@ impl Federation {
             Process::Client => wire_mb * 3.3,
             Process::Aggregator => wire_mb * 20.0 + 300.0,
             Process::Scorer => wire_mb * 1.9,
+            Process::Ipfs => 19.0,
+        }
+    }
+
+    /// Books `dur` of each `(process, cpu %)` row, in row order — the order
+    /// the resource summaries (and so every report fingerprint) were pinned
+    /// in.
+    fn record_burst(&mut self, dur: SimDuration, rows: &[(Process, f64)]) {
+        if dur.is_zero() {
+            return;
+        }
+        let secs = dur.as_secs_f64();
+        for &(process, cpu) in rows {
+            let mem = self.mem_mb(process);
+            self.resources.record(process.label(), cpu, mem, secs);
         }
     }
 
@@ -859,69 +817,43 @@ impl Federation {
     /// the cluster idle alongside (their duty cycle is what produces the
     /// low means with large deviations the paper reports).
     pub fn record_training_burst(&mut self, dur: SimDuration) {
-        if dur.is_zero() {
-            return;
-        }
-        let secs = dur.as_secs_f64();
-        let client_mem = self.mem_mb(Process::Client);
-        let agg_mem = self.mem_mb(Process::Aggregator);
-        let scorer_mem = self.mem_mb(Process::Scorer);
-        self.resources.record("client", 82.0, client_mem, secs);
-        self.resources.record("agg", 1.8, agg_mem, secs);
-        self.resources.record("scorer", 0.6, scorer_mem, secs);
-        self.resources.record("ipfs", 0.5, 19.0, secs);
+        use Process::{Aggregator, Client, Ipfs, Scorer};
+        self.record_burst(
+            dur,
+            &[
+                (Client, 82.0),
+                (Aggregator, 1.8),
+                (Scorer, 0.6),
+                (Ipfs, 0.5),
+            ],
+        );
     }
 
     /// Records idle time for a cluster's processes (sync-mode waiting).
     pub fn record_idle(&mut self, dur: SimDuration) {
-        if dur.is_zero() {
-            return;
-        }
-        let secs = dur.as_secs_f64();
-        let client_mem = self.mem_mb(Process::Client);
-        let agg_mem = self.mem_mb(Process::Aggregator);
-        let scorer_mem = self.mem_mb(Process::Scorer);
-        self.resources.record("client", 2.0, client_mem, secs);
-        self.resources.record("agg", 1.2, agg_mem, secs);
-        self.resources.record("scorer", 0.6, scorer_mem, secs);
-        self.resources.record("ipfs", 0.5, 19.0, secs);
+        use Process::{Aggregator, Client, Ipfs, Scorer};
+        self.record_burst(
+            dur,
+            &[(Client, 2.0), (Aggregator, 1.2), (Scorer, 0.6), (Ipfs, 0.5)],
+        );
     }
 
     /// Records an aggregator burst (pull/merge/publish work); clients and
     /// the scorer role idle meanwhile.
     pub fn record_agg_burst(&mut self, dur: SimDuration) {
-        if dur.is_zero() {
-            return;
-        }
-        let secs = dur.as_secs_f64();
-        self.resources
-            .record("agg", 12.0, self.mem_mb(Process::Aggregator), secs);
-        self.resources
-            .record("client", 2.0, self.mem_mb(Process::Client), secs);
-        self.resources
-            .record("scorer", 0.6, self.mem_mb(Process::Scorer), secs);
+        use Process::{Aggregator, Client, Scorer};
+        self.record_burst(dur, &[(Aggregator, 12.0), (Client, 2.0), (Scorer, 0.6)]);
     }
 
     /// Records a scoring burst; clients and the aggregator idle meanwhile.
     pub fn record_scoring_burst(&mut self, dur: SimDuration) {
-        if dur.is_zero() {
-            return;
-        }
-        let secs = dur.as_secs_f64();
-        self.resources
-            .record("scorer", 68.0, self.mem_mb(Process::Scorer), secs);
-        self.resources
-            .record("client", 2.0, self.mem_mb(Process::Client), secs);
-        self.resources
-            .record("agg", 1.2, self.mem_mb(Process::Aggregator), secs);
+        use Process::{Aggregator, Client, Scorer};
+        self.record_burst(dur, &[(Scorer, 68.0), (Client, 2.0), (Aggregator, 1.2)]);
     }
 
     /// Records an IPFS transfer burst.
     pub fn record_ipfs_burst(&mut self, dur: SimDuration) {
-        if dur.is_zero() {
-            return;
-        }
-        self.resources.record("ipfs", 10.0, 19.0, dur.as_secs_f64());
+        self.record_burst(dur, &[(Process::Ipfs, 10.0)]);
     }
 
     /// Books one sealed block: its resource cost, and the CIDs of every
@@ -955,6 +887,20 @@ pub enum Process {
     Aggregator,
     /// The scoring duty of a cluster.
     Scorer,
+    /// The cluster's storage daemon.
+    Ipfs,
+}
+
+impl Process {
+    /// The class's key in the resource monitor (Table 7's row).
+    fn label(self) -> &'static str {
+        match self {
+            Process::Client => "client",
+            Process::Aggregator => "agg",
+            Process::Scorer => "scorer",
+            Process::Ipfs => "ipfs",
+        }
+    }
 }
 
 impl std::fmt::Debug for Federation {
@@ -970,8 +916,10 @@ impl std::fmt::Debug for Federation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::ClusterConfig;
+    use crate::orchestration::Mode;
     use crate::policy::{AggregationPolicy, ScorePolicy};
-    use unifyfl_data::SyntheticConfig;
+    use unifyfl_data::{SyntheticConfig, WorkloadConfig};
     use unifyfl_sim::DeviceProfile;
 
     fn tiny_workload() -> WorkloadConfig {
@@ -1001,13 +949,22 @@ mod tests {
             .collect()
     }
 
-    fn fed(mode: OrchestrationMode) -> Federation {
-        Federation::new(42, &tiny_workload(), Partition::Iid, mode, configs(3))
+    fn config(mode: Mode, clusters: usize) -> ExperimentConfig {
+        ExperimentConfig {
+            workload: tiny_workload(),
+            mode,
+            clusters: configs(clusters),
+            ..ExperimentConfig::default()
+        }
+    }
+
+    fn fed(mode: Mode) -> Federation {
+        Federation::assemble(&config(mode, 3)).expect("the tiny workload assembles")
     }
 
     #[test]
     fn setup_registers_all_clusters() {
-        let f = fed(OrchestrationMode::Async);
+        let f = fed(Mode::Async);
         assert_eq!(f.contract().aggregators().len(), 3);
         assert_eq!(f.clusters.len(), 3);
         assert!(f.chain.height() >= 1);
@@ -1016,7 +973,7 @@ mod tests {
 
     #[test]
     fn global_test_is_held_out() {
-        let f = fed(OrchestrationMode::Async);
+        let f = fed(Mode::Async);
         let total_cluster: usize = f
             .clusters
             .iter()
@@ -1028,7 +985,7 @@ mod tests {
 
     #[test]
     fn advance_chain_seals_periodically() {
-        let mut f = fed(OrchestrationMode::Async);
+        let mut f = fed(Mode::Async);
         let h0 = f.chain.height();
         f.advance_chain_to(SimTime::from_secs(60));
         // 5 s period ⇒ roughly one block per period.
@@ -1038,7 +995,7 @@ mod tests {
 
     #[test]
     fn publish_then_candidates_visible_after_scoring() {
-        let mut f = fed(OrchestrationMode::Async);
+        let mut f = fed(Mode::Async);
         let orch = f.orchestrator;
         let t0 = f.setup_done;
 
@@ -1067,7 +1024,7 @@ mod tests {
             .expect("scorer is a cluster");
 
         // The scorer fetches and scores it.
-        let weights = f.fetch_weights(scorer_idx, cid).expect("fetchable");
+        let (weights, _) = f.fetch_weights_costed(scorer_idx, cid).expect("fetchable");
         let score = f.clusters[scorer_idx].score_weights(&weights);
         let tx = f.clusters[scorer_idx].score_tx(orch, &cid, score);
         f.submit_tx_at(t1, tx);
@@ -1098,7 +1055,7 @@ mod tests {
     /// CID recorded as skipped — and no reader adds to it.
     #[test]
     fn entry_cids_are_parsed_once_per_entry() {
-        let mut f = fed(OrchestrationMode::Async);
+        let mut f = fed(Mode::Async);
         let orch = f.orchestrator;
         let mut t = f.setup_done;
         assert!(f.entry_cids.is_empty());
@@ -1147,9 +1104,9 @@ mod tests {
 
     #[test]
     fn fetch_of_unknown_cid_is_none() {
-        let f = fed(OrchestrationMode::Async);
+        let f = fed(Mode::Async);
         let ghost = Cid::for_data(b"never published");
-        assert!(f.fetch_weights(0, ghost).is_none());
+        assert!(f.fetch_weights_costed(0, ghost).is_none());
     }
 
     #[test]
@@ -1157,9 +1114,12 @@ mod tests {
         // Two releases from cluster 1: a well-formed model and a blob of
         // the wrong length. Fresh federations per measurement, so no
         // fetch is served from an earlier one's cache.
-        let setup = |model: LinkModel| {
-            let mut f = fed(OrchestrationMode::Async);
-            f.set_link_model(model);
+        let setup = |link_model: LinkModel| {
+            let f = Federation::assemble(&ExperimentConfig {
+                link_model,
+                ..config(Mode::Async, 3)
+            })
+            .expect("the tiny workload assembles");
             let n = f.clusters[1].weights().len();
             let good = f.clusters[1].publish_release_blob(&vec![0.25; n]);
             let short = f.clusters[1].publish_release_blob(&[0.25; 3]);
@@ -1195,20 +1155,18 @@ mod tests {
 
     #[test]
     fn memory_model_tracks_wire_size() {
-        let f = fed(OrchestrationMode::Sync);
+        let f = fed(Mode::Sync);
         assert!(f.mem_mb(Process::Aggregator) > f.mem_mb(Process::Client));
         assert!(f.mem_mb(Process::Client) > f.mem_mb(Process::Scorer));
     }
 
     #[test]
-    #[should_panic(expected = "at least two clusters")]
     fn single_cluster_rejected() {
-        let _ = Federation::new(
-            1,
-            &tiny_workload(),
-            Partition::Iid,
-            OrchestrationMode::Sync,
-            configs(1),
+        // The only constructor validates first: what used to be an assert
+        // here is the typed error every route answers.
+        assert_eq!(
+            Federation::assemble(&config(Mode::Sync, 1)).unwrap_err(),
+            ExperimentError::TooFewClusters(1)
         );
     }
 }

@@ -81,7 +81,7 @@ pub use service::{
     ExperimentService, ResumeError, RunCheckpoint, RunHandle, RunId, RunOutcome, RunState,
     ServiceConfig, ServiceError,
 };
-pub use sharding::{ShardConfig, ShardTopology, TopologyEpoch};
+pub use sharding::{ShardConfig, ShardTopology};
 pub use step::Engine;
 pub use unifyfl_sim::fault::{ChaosConfig, FaultEvent, FaultKind, FaultPlan, FaultRecord};
 pub use unifyfl_storage::{GossipConfig, TransferConfig};

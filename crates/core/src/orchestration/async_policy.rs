@@ -11,7 +11,7 @@ use unifyfl_storage::Cid;
 use super::membership::{self, Members};
 use super::{final_merge, last_local, topology, EngineOutcome};
 use crate::cluster::ClusterRoundRecord;
-use crate::events::{Event, EventPolicy, EventRecord};
+use crate::events::{Event, EventPolicy};
 use crate::federation::Federation;
 use crate::scoring::ScorerKind;
 use crate::sharding::ShardTopology;
@@ -510,7 +510,7 @@ impl EventPolicy for AsyncPolicy {
         }
     }
 
-    fn finish(self: Box<Self>, fed: &mut Federation, trace: Vec<EventRecord>) -> EngineOutcome {
+    fn finish(self: Box<Self>, fed: &mut Federation) -> EngineOutcome {
         let n = self.n;
         let end_time = self.end_time;
         let final_global = final_merge(fed, self.rounds, &self.members, self.engine);
@@ -524,7 +524,6 @@ impl EventPolicy for AsyncPolicy {
             final_global,
             final_local,
             end_time,
-            events: trace,
         }
     }
 }

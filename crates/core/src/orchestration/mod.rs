@@ -3,16 +3,18 @@
 //!
 //! Both engines drive the same federation through the paper's six-step
 //! workflow by draining one typed [`Event`](crate::events::Event) queue,
-//! differing exactly where the paper says they differ:
+//! differing exactly where the paper says they differ. Neither has an
+//! entry point of its own: a [`RunState`](crate::service::RunState) picks
+//! the policy for the configured [`Mode`] and steps it.
 //!
-//! - **Sync** ([`run_sync`]) is the *barrier-event* policy: an
+//! - **Sync** (`SyncPolicy`) is the *barrier-event* policy: an
 //!   `OpenTraining → TrainingDone×n → StartScoring → ScoresDue×n →
 //!   RoundBarrier` event cycle per round. Per-cluster completion events are
 //!   released at the phase-window close (the barrier), so fast clusters
 //!   accumulate idle time, clusters that overrun the training window become
 //!   *stragglers* whose model is only accepted next round, and scores
 //!   arriving after the scoring window are rejected by the contract.
-//! - **Async** ([`run_async`]) is the *no-barrier* policy: each cluster's
+//! - **Async** (`AsyncPolicy`) is the *no-barrier* policy: each cluster's
 //!   `ClusterWake` event fires at its own virtual clock (ties broken by
 //!   cluster index), and the waking cluster either serves a scoring duty or
 //!   runs its next training round. A final `SealSlot` event drains the
@@ -53,7 +55,7 @@ use unifyfl_data::WorkloadConfig;
 use unifyfl_sim::SimTime;
 
 use crate::cluster::ClusterRoundRecord;
-use crate::events::{self, EventPolicy, EventRecord};
+use crate::events::EventPolicy;
 use crate::federation::Federation;
 use crate::scoring::ScorerKind;
 use crate::step::{compute_all, merge_eval, prepare_train, Engine, TrainInputs};
@@ -90,9 +92,9 @@ impl std::fmt::Display for Mode {
     }
 }
 
-/// What an engine run produced, per cluster and overall.
+/// What a drained policy hands the report builder, per cluster and overall.
 #[derive(Debug, Clone)]
-pub struct EngineOutcome {
+pub(crate) struct EngineOutcome {
     /// Virtual completion time of each cluster's final round.
     pub per_cluster_time: Vec<SimTime>,
     /// Rounds in which each cluster straggled (missed the submission
@@ -107,9 +109,6 @@ pub struct EngineOutcome {
     pub final_local: Vec<(f64, f64)>,
     /// Virtual end of the whole run.
     pub end_time: SimTime,
-    /// The kernel's fired-event trace, in firing order — a pure function
-    /// of the configuration (replays are bit-identical).
-    pub events: Vec<EventRecord>,
 }
 
 /// Final pass after the last round: merge the last submissions and
@@ -185,15 +184,9 @@ fn mean_f64(mut init: Vec<f64>, peers: &[Vec<f32>], count: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Builds the policy matching `mode` for the service layer's stepped runs
-/// ([`crate::service::RunState`]) — the same constructors the blocking
-/// entry points ([`run_sync`] / [`run_async`]) use, so stepping is
-/// byte-identical to a blocking run by construction.
-///
-/// # Panics
-///
-/// Panics under the same contract/scorer mismatches as the blocking entry
-/// points.
+/// Builds the policy matching `mode` for a [`crate::service::RunState`].
+/// The configuration was validated before `fed` was assembled from it, so
+/// the constructors' mode and scorer asserts restate invariants.
 pub(crate) fn policy_for(
     fed: &Federation,
     mode: Mode,
@@ -212,56 +205,4 @@ pub(crate) fn policy_for(
         )),
         Mode::Async => Box::new(AsyncPolicy::new(fed, workload, scorer, engine)),
     }
-}
-
-/// Drains `policy` over `fed` and folds the trace into its outcome.
-fn run(fed: &mut Federation, mut policy: Box<dyn EventPolicy>) -> EngineOutcome {
-    let trace = events::drain(fed, policy.as_mut());
-    policy.finish(fed, trace)
-}
-
-/// Runs the Sync engine to completion. Parallel and sequential execution
-/// produce byte-identical outcomes at the same seed.
-///
-/// `window_margin` is the operator's safety factor when sizing the phase
-/// windows over the *nominal* (straggle-free) cluster times; a cluster
-/// whose `straggle_factor` pushes it past the window misses the round.
-///
-/// # Panics
-///
-/// Panics if the federation was built with the wrong contract mode.
-pub fn run_sync(
-    fed: &mut Federation,
-    workload: &WorkloadConfig,
-    scorer: ScorerKind,
-    window_margin: f64,
-    engine: Engine,
-) -> EngineOutcome {
-    let policy = SyncPolicy::new(fed, workload, scorer, window_margin, engine);
-    run(fed, Box::new(policy))
-}
-
-/// Runs the Async engine to completion.
-///
-/// The no-barrier policy stays strictly event-ordered under either engine:
-/// every `ClusterWake`'s inputs (contract candidates, scorer assignments)
-/// depend on the chain state left by the previous event's commit, so
-/// cross-cluster phase-A fan-out would change what each cluster observes.
-/// The engine choice still matters: the final merge-and-evaluate pass fans
-/// out per cluster under [`Engine::Parallel`], and each training event's
-/// client fits are thread-parallel inside the cluster regardless. Results
-/// are byte-identical between engines at the same seed.
-///
-/// # Panics
-///
-/// Panics if the federation's contract is not in Async mode, or the scorer
-/// requires full-round visibility (MultiKRUM — Table 3 forbids it here).
-pub fn run_async(
-    fed: &mut Federation,
-    workload: &WorkloadConfig,
-    scorer: ScorerKind,
-    engine: Engine,
-) -> EngineOutcome {
-    let policy = AsyncPolicy::new(fed, workload, scorer, engine);
-    run(fed, Box::new(policy))
 }

@@ -12,7 +12,7 @@ use unifyfl_storage::Cid;
 use super::membership::{self, Members};
 use super::{final_merge, last_local, topology, EngineOutcome};
 use crate::cluster::{ClusterNode, ClusterRoundRecord};
-use crate::events::{Event, EventPolicy, EventRecord};
+use crate::events::{Event, EventPolicy};
 use crate::federation::Federation;
 use crate::scoring::{krum_assumed_byzantine, multikrum_scores, ScorerKind};
 use crate::sharding::ShardTopology;
@@ -360,7 +360,7 @@ impl SyncPolicy {
             for group in groups.into_values() {
                 let models: Vec<Vec<f32>> = group
                     .iter()
-                    .filter_map(|c| fed.fetch_weights(0, *c))
+                    .filter_map(|c| fed.fetch_weights_costed(0, *c).map(|(w, _)| w))
                     .collect();
                 if models.len() == group.len() && !models.is_empty() {
                     // The Byzantine bound must be admissible for the models
@@ -599,7 +599,7 @@ impl EventPolicy for SyncPolicy {
         }
     }
 
-    fn finish(self: Box<Self>, fed: &mut Federation, trace: Vec<EventRecord>) -> EngineOutcome {
+    fn finish(self: Box<Self>, fed: &mut Federation) -> EngineOutcome {
         let n = self.n;
         let end_time = self.end_time;
         let final_global = final_merge(fed, self.rounds, &self.members, self.engine);
@@ -611,7 +611,6 @@ impl EventPolicy for SyncPolicy {
             final_global,
             final_local,
             end_time,
-            events: trace,
         }
     }
 }

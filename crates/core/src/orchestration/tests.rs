@@ -1,13 +1,15 @@
-//! End-to-end cases over the blocking entry points: every one drives a
-//! whole federation through [`run_sync`] / [`run_async`], so they sit with
-//! the entry points rather than with any one policy or handler file.
+//! End-to-end cases over both policies: every one drives a whole
+//! federation through the one route ([`RunState`]), so they sit with the
+//! policies' shared module rather than with any one policy or handler file.
 
 use super::*;
 use crate::cluster::ClusterConfig;
-use crate::events::Event;
+use crate::events::{Event, EventRecord};
+use crate::experiment::{ExperimentConfig, ExperimentError, ExperimentReport};
 use crate::policy::AggregationPolicy;
-use crate::sharding::ShardTopology;
-use unifyfl_data::{Partition, SyntheticConfig};
+use crate::service::RunState;
+use crate::sharding::ShardConfig;
+use unifyfl_data::SyntheticConfig;
 use unifyfl_sim::{DeviceProfile, SimDuration};
 use unifyfl_tensor::zoo::ModelSpec;
 
@@ -37,19 +39,49 @@ fn configs(n: usize) -> Vec<ClusterConfig> {
         .collect()
 }
 
-fn build(mode: Mode, n: usize, rounds: usize) -> (Federation, WorkloadConfig) {
-    let w = tiny_workload(rounds);
-    let fed = Federation::new(7, &w, Partition::Iid, mode.to_chain(), configs(n));
-    (fed, w)
+/// The tiny workload over `clusters`, seed 7, every other knob at its
+/// default (IID, accuracy scoring, 1.15 window margin).
+fn config(mode: Mode, clusters: Vec<ClusterConfig>, rounds: usize) -> ExperimentConfig {
+    ExperimentConfig {
+        seed: 7,
+        workload: tiny_workload(rounds),
+        mode,
+        clusters,
+        ..ExperimentConfig::default()
+    }
+}
+
+/// What a finished run leaves: the report, the fired events, and the
+/// federation as the final merge left it.
+struct Run {
+    report: ExperimentReport,
+    events: Vec<EventRecord>,
+    fed: Federation,
+}
+
+fn run(config: &ExperimentConfig) -> Run {
+    let mut state = RunState::new(config).expect("the tiny configurations are valid");
+    while state.step().is_some() {}
+    let events = state.trace().to_vec();
+    let (report, fed) = state.finish();
+    Run {
+        report,
+        events,
+        fed,
+    }
+}
+
+fn straggler_rounds(run: &Run, cluster: usize) -> u64 {
+    run.report.aggregators[cluster].straggler_rounds
 }
 
 #[test]
 fn sync_runs_all_rounds_and_learns() {
-    let (mut fed, w) = build(Mode::Sync, 3, 3);
-    let out = run_sync(&mut fed, &w, ScorerKind::Accuracy, 1.15, Engine::default());
+    let Run { report, fed, .. } = run(&config(Mode::Sync, configs(3), 3));
     assert_eq!(fed.clusters[0].records.len(), 3);
     // All clusters share the same completion time in sync mode.
-    assert!(out.per_cluster_time.windows(2).all(|w| w[0] == w[1]));
+    let times = report.aggregators.iter().map(|a| a.time_secs);
+    assert!(times.collect::<Vec<_>>().windows(2).all(|w| w[0] == w[1]));
     // The chain really carried the protocol.
     let entries = fed.contract().entries();
     assert_eq!(entries.len(), 9, "3 clusters × 3 rounds submitted");
@@ -59,15 +91,14 @@ fn sync_runs_all_rounds_and_learns() {
     assert!(entries.iter().all(|e| e.scores.len() == 2));
     fed.chain.verify().unwrap();
     // Learning happened: final global beats round-1 global.
-    let first = fed.clusters[0].records[0].global_accuracy;
-    let (final_acc, _) = out.final_global[0];
+    let first = fed.clusters[0].records[0].global_accuracy * 100.0;
+    let final_acc = report.aggregators[0].global_accuracy_pct;
     assert!(final_acc > first, "{first} -> {final_acc}");
 }
 
 #[test]
 fn sync_event_trace_follows_the_barrier_cycle() {
-    let (mut fed, w) = build(Mode::Sync, 3, 2);
-    let out = run_sync(&mut fed, &w, ScorerKind::Accuracy, 1.15, Engine::default());
+    let out = run(&config(Mode::Sync, configs(3), 2));
     // Per round: OpenTraining, TrainingDone×3, StartScoring,
     // ScoresDue×3, RoundBarrier = 9 events; no async/membership events.
     assert_eq!(out.events.len(), 18);
@@ -98,8 +129,8 @@ fn sync_event_trace_follows_the_barrier_cycle() {
 
 #[test]
 fn async_runs_all_rounds_and_scores() {
-    let (mut fed, w) = build(Mode::Async, 3, 3);
-    let out = run_async(&mut fed, &w, ScorerKind::Accuracy, Engine::default());
+    let out = run(&config(Mode::Async, configs(3), 3));
+    let fed = &out.fed;
     for c in &fed.clusters {
         assert_eq!(c.records.len(), 3);
     }
@@ -107,7 +138,7 @@ fn async_runs_all_rounds_and_scores() {
     assert_eq!(entries.len(), 9);
     // Every model eventually received at least one score.
     assert!(entries.iter().all(|e| !e.scores.is_empty()));
-    assert!(out.end_time > fed.setup_done);
+    assert!(out.report.wall_secs > fed.setup_done.as_secs_f64());
     fed.chain.verify().unwrap();
     // The no-barrier policy ends with the SealSlot drain.
     assert_eq!(out.events.last().unwrap().event, Event::SealSlot);
@@ -126,33 +157,18 @@ fn async_is_faster_than_sync_with_heterogeneous_clusters() {
             ClusterConfig::edge("agg-docker", DeviceProfile::docker_container()),
         ]
     };
-    let w = tiny_workload(3);
-    let mut fed_s = Federation::new(7, &w, Partition::Iid, OrchestrationMode::Sync, hetero());
-    let sync = run_sync(
-        &mut fed_s,
-        &w,
-        ScorerKind::Accuracy,
-        1.15,
-        Engine::default(),
-    );
-    let mut fed_a = Federation::new(7, &w, Partition::Iid, OrchestrationMode::Async, hetero());
-    let async_ = run_async(&mut fed_a, &w, ScorerKind::Accuracy, Engine::default());
+    let sync = run(&config(Mode::Sync, hetero(), 3)).report;
+    let async_ = run(&config(Mode::Async, hetero(), 3)).report;
     // The fastest async cluster finishes well before the sync barrier.
-    let fastest_async = async_.per_cluster_time.iter().min().unwrap();
+    let async_times: Vec<f64> = async_.aggregators.iter().map(|a| a.time_secs).collect();
+    let fastest_async = async_times.iter().copied().fold(f64::INFINITY, f64::min);
     assert!(
-        *fastest_async < sync.end_time,
+        fastest_async < sync.wall_secs,
         "async {fastest_async:?} vs sync {:?}",
-        sync.end_time
+        sync.wall_secs
     );
     // Async per-cluster times differ (free-running), sync's do not.
-    assert!(
-        async_
-            .per_cluster_time
-            .iter()
-            .collect::<std::collections::HashSet<_>>()
-            .len()
-            > 1
-    );
+    assert!(async_times.windows(2).any(|w| w[0] != w[1]));
 }
 
 #[test]
@@ -161,13 +177,12 @@ fn sync_straggler_misses_round_and_recovers() {
     // The tiny test model's fetch cost dominates its training cost, so
     // the factor must be large to push past the 1.15-margin window.
     cfgs[2].straggle_factor = 50.0;
-    let w = tiny_workload(4);
-    let mut fed = Federation::new(7, &w, Partition::Iid, OrchestrationMode::Sync, cfgs);
-    let out = run_sync(&mut fed, &w, ScorerKind::Accuracy, 1.15, Engine::default());
-    assert!(out.straggler_rounds[2] > 0, "slow cluster must straggle");
-    assert_eq!(out.straggler_rounds[0], 0);
-    assert_eq!(out.straggler_rounds[1], 0);
+    let out = run(&config(Mode::Sync, cfgs, 4));
+    assert!(straggler_rounds(&out, 2) > 0, "slow cluster must straggle");
+    assert_eq!(straggler_rounds(&out, 0), 0);
+    assert_eq!(straggler_rounds(&out, 1), 0);
     // The straggler still submitted *some* models (next-round rule).
+    let fed = &out.fed;
     let from_straggler = fed
         .contract()
         .entries()
@@ -181,11 +196,11 @@ fn sync_straggler_misses_round_and_recovers() {
 fn sync_straggler_model_is_accepted_only_next_round() {
     let mut cfgs = configs(3);
     cfgs[2].straggle_factor = 50.0;
-    let w = tiny_workload(4);
-    let mut fed = Federation::new(7, &w, Partition::Iid, OrchestrationMode::Sync, cfgs);
-    let out = run_sync(&mut fed, &w, ScorerKind::Accuracy, 1.15, Engine::default());
-    assert!(out.straggler_rounds[2] > 0);
+    let rounds = 4;
+    let out = run(&config(Mode::Sync, cfgs, rounds));
+    assert!(straggler_rounds(&out, 2) > 0);
 
+    let fed = &out.fed;
     let straggler = fed.clusters[2].address();
     let mut rounds_submitted: Vec<u64> = fed
         .contract()
@@ -202,7 +217,7 @@ fn sync_straggler_model_is_accepted_only_next_round() {
     assert_eq!(rounds_submitted, vec![1, 3], "next-round acceptance");
     assert_eq!(
         rounds_submitted.len() as u64,
-        w.rounds as u64 - out.straggler_rounds[2],
+        rounds as u64 - straggler_rounds(&out, 2),
         "every miss costs exactly one landed submission"
     );
     // The landed round-3 entry is the *held* model: the carryover
@@ -234,33 +249,36 @@ fn sync_straggler_model_is_accepted_only_next_round() {
 
 #[test]
 fn clock_skew_is_recorded_and_delays_submissions() {
-    use unifyfl_sim::fault::{ChaosConfig, FaultEvent, FaultKind, FaultPlan};
-    let (mut fed, w) = build(Mode::Sync, 3, 2);
-    let cfg = ChaosConfig::scripted(vec![FaultEvent {
+    use unifyfl_sim::fault::{ChaosConfig, FaultEvent, FaultKind};
+    let mut cfg = config(Mode::Sync, configs(3), 2);
+    cfg.chaos = Some(ChaosConfig::scripted(vec![FaultEvent {
         cluster: 1,
         round: 1,
         kind: FaultKind::ClockSkew {
             skew: SimDuration::from_secs(30),
         },
-    }]);
-    fed.install_chaos(FaultPlan::expand(&cfg, 99, 3, 2));
-    let out = run_sync(&mut fed, &w, ScorerKind::Accuracy, 1.15, Engine::default());
+    }]));
+    let out = run(&cfg);
     // The skew's application is observable in the fault log even if
     // nothing else goes wrong...
-    assert!(fed
+    assert!(out
+        .fed
         .chaos_records()
         .iter()
         .any(|r| r.kind == "clock_skew" && r.outcome.contains("behind")));
     // ...and a 30 s offset dwarfs the tiny workload's window slack, so
     // the skewed cluster's submissions miss the training window.
-    assert!(out.straggler_rounds[1] > 0, "skewed cluster must straggle");
-    assert_eq!(out.straggler_rounds[0], 0);
-    assert_eq!(out.straggler_rounds[2], 0);
+    assert!(
+        straggler_rounds(&out, 1) > 0,
+        "skewed cluster must straggle"
+    );
+    assert_eq!(straggler_rounds(&out, 0), 0);
+    assert_eq!(straggler_rounds(&out, 2), 0);
 }
 
 #[test]
 fn late_score_is_rejected_by_the_contract() {
-    let (mut fed, _) = build(Mode::Sync, 3, 1);
+    let mut fed = Federation::assemble(&config(Mode::Sync, configs(3), 1)).unwrap();
     let orch = fed.orchestrator;
     let t0 = fed.setup_done;
 
@@ -314,8 +332,9 @@ fn late_score_is_rejected_by_the_contract() {
 
 #[test]
 fn sync_multikrum_scores_all_models() {
-    let (mut fed, w) = build(Mode::Sync, 4, 2);
-    run_sync(&mut fed, &w, ScorerKind::MultiKrum, 1.15, Engine::default());
+    let mut cfg = config(Mode::Sync, configs(4), 2);
+    cfg.scorer = ScorerKind::MultiKrum;
+    let fed = run(&cfg).fed;
     let entries = fed.contract().entries();
     assert!(!entries.is_empty());
     // Scores exist and sit in (0, 1].
@@ -328,10 +347,16 @@ fn sync_multikrum_scores_all_models() {
 }
 
 #[test]
-#[should_panic(expected = "does not support weight-similarity")]
 fn async_rejects_multikrum() {
-    let (mut fed, w) = build(Mode::Async, 3, 1);
-    let _ = run_async(&mut fed, &w, ScorerKind::MultiKrum, Engine::default());
+    // Table 3 forbids the pairing. The policy's own assert used to be the
+    // only thing a hand-assembled federation met; on the one route the
+    // configuration never reaches a policy.
+    let mut cfg = config(Mode::Async, configs(3), 1);
+    cfg.scorer = ScorerKind::MultiKrum;
+    assert_eq!(
+        RunState::new(&cfg).unwrap_err(),
+        ExperimentError::MultiKrumRequiresSync
+    );
 }
 
 #[test]
@@ -340,9 +365,7 @@ fn self_only_policy_never_merges() {
     for c in &mut cfgs {
         c.policy = AggregationPolicy::SelfOnly;
     }
-    let w = tiny_workload(3);
-    let mut fed = Federation::new(7, &w, Partition::Iid, OrchestrationMode::Sync, cfgs);
-    run_sync(&mut fed, &w, ScorerKind::Accuracy, 1.15, Engine::default());
+    let fed = run(&config(Mode::Sync, cfgs, 3)).fed;
     for c in &fed.clusters {
         assert!(c.records.iter().all(|r| r.peers_merged == 0));
     }
@@ -350,8 +373,7 @@ fn self_only_policy_never_merges() {
 
 #[test]
 fn collaborative_policies_do_merge() {
-    let (mut fed, w) = build(Mode::Sync, 3, 3);
-    run_sync(&mut fed, &w, ScorerKind::Accuracy, 1.15, Engine::default());
+    let fed = run(&config(Mode::Sync, configs(3), 3)).fed;
     // From round 2 on, candidates exist and the All policy merges them.
     let merged_after_round1: usize = fed
         .clusters
@@ -364,34 +386,25 @@ fn collaborative_policies_do_merge() {
 
 // ---- two-tier sharding -------------------------------------------
 
-fn build_sharded(
+fn sharded(
     mode: Mode,
     n: usize,
     rounds: usize,
     shards: usize,
     k: Option<usize>,
-) -> (Federation, WorkloadConfig) {
-    use crate::sharding::ShardConfig;
-    let w = tiny_workload(rounds);
-    let mut cfg = ShardConfig::new(shards);
-    cfg.scorers_per_release = k;
-    let topology = ShardTopology::derive(&cfg, 7, n);
-    let fed = Federation::new_sharded(
-        7,
-        &w,
-        Partition::Iid,
-        mode.to_chain(),
-        configs(n),
-        Some(topology),
-    )
-    .expect("the tiny workload partitions");
-    (fed, w)
+) -> ExperimentConfig {
+    let mut sharding = ShardConfig::new(shards);
+    sharding.scorers_per_release = k;
+    ExperimentConfig {
+        sharding: Some(sharding),
+        ..config(mode, configs(n), rounds)
+    }
 }
 
 #[test]
 fn sync_sharded_run_seals_and_exchanges() {
-    let (mut fed, w) = build_sharded(Mode::Sync, 6, 4, 2, Some(2));
-    let out = run_sync(&mut fed, &w, ScorerKind::Accuracy, 1.15, Engine::default());
+    let out = run(&sharded(Mode::Sync, 6, 4, 2, Some(2)));
+    let fed = &out.fed;
     for c in &fed.clusters {
         assert_eq!(c.records.len(), 4);
     }
@@ -419,8 +432,8 @@ fn sync_sharded_run_seals_and_exchanges() {
 
 #[test]
 fn async_sharded_run_seals_on_cadence() {
-    let (mut fed, w) = build_sharded(Mode::Async, 6, 3, 2, Some(2));
-    let out = run_async(&mut fed, &w, ScorerKind::Accuracy, Engine::default());
+    let out = run(&sharded(Mode::Async, 6, 3, 2, Some(2)));
+    let fed = &out.fed;
     for c in &fed.clusters {
         assert_eq!(c.records.len(), 3);
     }
@@ -436,21 +449,18 @@ fn async_sharded_run_seals_on_cadence() {
 
 #[test]
 fn sharded_runs_are_seed_deterministic() {
-    let run = || {
-        let (mut fed, w) = build_sharded(Mode::Sync, 6, 4, 3, Some(1));
-        let out = run_sync(&mut fed, &w, ScorerKind::Accuracy, 1.15, Engine::default());
-        (
-            format!("{:?}", out.events),
-            format!("{:?}", out.final_global),
-        )
+    let fingerprint = || {
+        let out = run(&sharded(Mode::Sync, 6, 4, 3, Some(1)));
+        (format!("{:?}", out.events), format!("{:?}", out.report))
     };
-    assert_eq!(run(), run());
+    assert_eq!(fingerprint(), fingerprint());
 }
 
 #[test]
 fn sync_sharded_multikrum_scores_per_shard() {
-    let (mut fed, w) = build_sharded(Mode::Sync, 6, 2, 2, None);
-    run_sync(&mut fed, &w, ScorerKind::MultiKrum, 1.15, Engine::default());
+    let mut cfg = sharded(Mode::Sync, 6, 2, 2, None);
+    cfg.scorer = ScorerKind::MultiKrum;
+    let fed = run(&cfg).fed;
     let entries = fed.contract().entries();
     assert!(!entries.is_empty());
     for e in entries {
@@ -473,18 +483,12 @@ fn joiner_configs(n: usize, joins_at: SimDuration) -> Vec<ClusterConfig> {
 
 #[test]
 fn sync_joiner_registers_bootstraps_and_participates() {
-    let w = tiny_workload(4);
     // Join mid-run: the tiny workload's rounds open at t = 5, 20, 35
     // and 50 s, so a 28 s offset (join time 33 s) lands the join on
     // round 3's phase boundary.
-    let mut fed = Federation::new(
-        7,
-        &w,
-        Partition::Iid,
-        OrchestrationMode::Sync,
-        joiner_configs(3, SimDuration::from_secs(28)),
-    );
-    let out = run_sync(&mut fed, &w, ScorerKind::Accuracy, 1.15, Engine::default());
+    let clusters = joiner_configs(3, SimDuration::from_secs(28));
+    let out = run(&config(Mode::Sync, clusters, 4));
+    let fed = &out.fed;
     // The join fired exactly once and was recorded.
     let joins = fed.membership_records();
     assert_eq!(joins.len(), 1);
@@ -517,15 +521,10 @@ fn sync_joiner_registers_bootstraps_and_participates() {
 
 #[test]
 fn async_joiner_bootstraps_and_runs_its_rounds() {
-    let w = tiny_workload(3);
-    let mut fed = Federation::new(
-        7,
-        &w,
-        Partition::Iid,
-        OrchestrationMode::Async,
-        joiner_configs(3, SimDuration::from_secs(120)),
-    );
-    let out = run_async(&mut fed, &w, ScorerKind::Accuracy, Engine::default());
+    let rounds = 3;
+    let clusters = joiner_configs(3, SimDuration::from_secs(120));
+    let out = run(&config(Mode::Async, clusters, rounds));
+    let fed = &out.fed;
     assert_eq!(fed.membership_records().len(), 1);
     // Bootstrap seeded from at least one already-scored release (the
     // founders have been publishing for 120 virtual seconds).
@@ -533,7 +532,7 @@ fn async_joiner_bootstraps_and_runs_its_rounds() {
     assert!(detail.contains("bootstrapped"), "{detail}");
     assert!(!detail.contains("from 0 "), "bootstrap found no releases");
     // The joiner free-runs its full round budget after joining.
-    assert_eq!(fed.clusters[3].records.len(), w.rounds);
+    assert_eq!(fed.clusters[3].records.len(), rounds);
     assert!(
         fed.clusters[3].records[0].completed_at_secs > 120.0,
         "joiner rounds start after the join"
@@ -555,22 +554,15 @@ fn async_joiner_bootstraps_and_runs_its_rounds() {
 
 #[test]
 fn membership_runs_are_seed_deterministic() {
-    let run = || {
-        let w = tiny_workload(3);
-        let mut fed = Federation::new(
-            11,
-            &w,
-            Partition::Iid,
-            OrchestrationMode::Async,
-            joiner_configs(3, SimDuration::from_secs(90)),
-        );
-        let out = run_async(&mut fed, &w, ScorerKind::Accuracy, Engine::default());
-        (
-            format!("{:?}", out.events),
-            format!("{:?}", out.final_global),
-        )
+    let fingerprint = || {
+        let clusters = joiner_configs(3, SimDuration::from_secs(90));
+        let out = run(&ExperimentConfig {
+            seed: 11,
+            ..config(Mode::Async, clusters, 3)
+        });
+        (format!("{:?}", out.events), format!("{:?}", out.report))
     };
-    assert_eq!(run(), run());
+    assert_eq!(fingerprint(), fingerprint());
 }
 
 // ---- shared arithmetic ---------------------------------------------

@@ -280,21 +280,6 @@ impl ShardTopology {
     }
 }
 
-/// One entry in the federation's topology timeline: an immutable
-/// `(epoch_id, shard assignment)` value. Epoch 0 is the config-time
-/// [`ShardTopology::derive`] result; each [`ShardTopology::regroup`] call
-/// appends the next epoch. The gossip neighborhood graph is re-derived
-/// from the epoch's assignment (neighborhood = shard) when it is
-/// installed, so the full `(assignment, neighborhoods)` pair is a pure
-/// function of the epoch value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopologyEpoch {
-    /// 0-based epoch id (0 = config-time).
-    pub epoch: u64,
-    /// The epoch's shard topology.
-    pub topology: ShardTopology,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

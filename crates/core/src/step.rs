@@ -450,7 +450,7 @@ mod tests {
         let init = spec.build(5).flat_params();
         (0..n)
             .map(|i| {
-                ClusterNode::new(
+                ClusterNode::try_new(
                     ClusterConfig::edge(format!("c{i}"), DeviceProfile::edge_cpu())
                         .with_policy(AggregationPolicy::All),
                     spec.clone(),
@@ -459,6 +459,7 @@ mod tests {
                     net.add_node(LinkProfile::lan()),
                     100 + i as u64,
                 )
+                .unwrap()
             })
             .collect()
     }

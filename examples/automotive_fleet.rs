@@ -15,10 +15,9 @@
 use unifyfl::chain::orchestrator::events;
 use unifyfl::core::cluster::ClusterConfig;
 use unifyfl::core::experiment::{ExperimentBuilder, Mode};
-use unifyfl::core::federation::Federation;
-use unifyfl::core::orchestration::run_sync;
 use unifyfl::core::policy::{AggregationPolicy, ScorePolicy};
 use unifyfl::core::scoring::ScorerKind;
+use unifyfl::core::RunState;
 use unifyfl::data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl::fl::StrategyKind;
 use unifyfl::sim::DeviceProfile;
@@ -61,43 +60,27 @@ fn main() {
     let config = ExperimentBuilder::quickstart()
         .seed(7)
         .label("automotive cross-silo federation")
-        .workload(workload.clone())
+        .workload(workload)
         .partition(Partition::Dirichlet { alpha: 0.5 })
         .mode(Mode::Sync)
         .scorer(ScorerKind::Accuracy)
         .clusters(companies)
         .config()
         .clone();
-    config.validate().expect("valid scenario");
 
-    // Drive the federation directly so we can inspect the chain afterwards.
-    let mut fed = Federation::new(
-        config.seed,
-        &config.workload,
-        config.partition,
-        config.mode.to_chain(),
-        config.clusters.clone(),
-    );
-    let outcome = run_sync(
-        &mut fed,
-        &config.workload,
-        config.scorer,
-        config.window_margin,
-        config.engine,
-    );
+    // Keep the federation the run hands back, so the chain can be
+    // inspected afterwards.
+    let (report, fed) = RunState::new(&config).expect("valid scenario").finish();
 
-    println!("=== {} ===", config.label);
-    for (i, cluster) in fed.clusters.iter().enumerate() {
-        let cfg = cluster.config();
-        let (g_acc, _) = outcome.final_global[i];
-        let (l_acc, _) = outcome.final_local[i];
+    println!("=== {} ===", report.label);
+    for company in &report.aggregators {
         println!(
             "{:<18} policy {:<10} strategy {:<8} local {:>5.1}%  global {:>5.1}%",
-            cfg.name,
-            cfg.policy.to_string(),
-            cfg.strategy.to_string(),
-            l_acc * 100.0,
-            g_acc * 100.0,
+            company.name,
+            company.policy,
+            company.strategy,
+            company.local_accuracy_pct,
+            company.global_accuracy_pct,
         );
     }
 

@@ -7,10 +7,9 @@ use unifyfl::core::cluster::ClusterConfig;
 use unifyfl::core::experiment::{
     run_experiment, ExperimentBuilder, ExperimentConfig, ExperimentReport, Mode,
 };
-use unifyfl::core::federation::Federation;
-use unifyfl::core::orchestration::run_sync;
 use unifyfl::core::policy::{AggregationPolicy, ScorePolicy};
 use unifyfl::core::scoring::ScorerKind;
+use unifyfl::core::RunState;
 use unifyfl::data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl::sim::DeviceProfile;
 use unifyfl::tensor::ModelSpec;
@@ -99,20 +98,7 @@ fn poisoned_models_receive_lower_scores() {
         AggregationPolicy::AboveAverage,
         AttackKind::GaussianNoise { sigma: 2.0 },
     );
-    let mut fed = Federation::new(
-        cfg.seed,
-        &cfg.workload,
-        cfg.partition,
-        cfg.mode.to_chain(),
-        cfg.clusters.clone(),
-    );
-    run_sync(
-        &mut fed,
-        &cfg.workload,
-        cfg.scorer,
-        cfg.window_margin,
-        cfg.engine,
-    );
+    let (_, fed) = RunState::new(&cfg).unwrap().finish();
 
     let attacker = fed
         .clusters

@@ -5,11 +5,9 @@
 //! submissions land a block later, and the chain stays verifiable.
 
 use unifyfl::core::cluster::ClusterConfig;
-use unifyfl::core::experiment::{Engine, ExperimentBuilder, ExperimentReport, Mode};
-use unifyfl::core::orchestration::run_sync;
-use unifyfl::core::scoring::ScorerKind;
-use unifyfl::core::{ChaosConfig, ChaosReport, FaultPlan, Federation};
-use unifyfl::data::{Partition, SyntheticConfig, WorkloadConfig};
+use unifyfl::core::experiment::{ExperimentBuilder, ExperimentReport, Mode};
+use unifyfl::core::{ChaosConfig, ChaosReport, RunState};
+use unifyfl::data::{SyntheticConfig, WorkloadConfig};
 use unifyfl::sim::DeviceProfile;
 use unifyfl::tensor::zoo::InputKind;
 use unifyfl::tensor::ModelSpec;
@@ -76,8 +74,8 @@ fn async_run_absorbs_missed_seals_and_dropped_txs() {
 
 #[test]
 fn chain_stays_verifiable_under_injected_faults() {
-    // Drive the engine against a hand-assembled federation so the chain
-    // object itself can be audited afterwards.
+    // Keep the federation the run hands back so the chain object itself
+    // can be audited afterwards.
     let mut dataset = SyntheticConfig::cifar10_like(360);
     dataset.input = InputKind::Flat(16);
     dataset.n_classes = 4;
@@ -95,21 +93,15 @@ fn chain_stays_verifiable_under_injected_faults() {
     let clusters: Vec<ClusterConfig> = (0..3)
         .map(|i| ClusterConfig::edge(format!("agg-{i}"), DeviceProfile::edge_cpu()))
         .collect();
-    let mut fed = Federation::new(
-        7,
-        &workload,
-        Partition::Iid,
-        Mode::Sync.to_chain(),
-        clusters,
-    );
-    fed.install_chaos(FaultPlan::expand(&lossy_chain(), 99, 3, 3));
-    run_sync(
-        &mut fed,
-        &workload,
-        ScorerKind::Accuracy,
-        1.15,
-        Engine::default(),
-    );
+    let config = ExperimentBuilder::quickstart()
+        .seed(7)
+        .workload(workload)
+        .mode(Mode::Sync)
+        .clusters(clusters)
+        .chaos(lossy_chain())
+        .config()
+        .clone();
+    let (_, fed) = RunState::new(&config).expect("valid config").finish();
 
     // The ledger produced under fault injection still verifies end to end:
     // linkage, seals (with period gaps from missed slots), and tx roots.

@@ -13,14 +13,12 @@
 //!    close in cluster-index order; async wakes interleave free-running.
 
 use unifyfl::core::cluster::ClusterConfig;
-use unifyfl::core::events::Event;
+use unifyfl::core::events::{Event, EventRecord};
 use unifyfl::core::experiment::{
     run_experiment, Engine, ExperimentBuilder, ExperimentConfig, ExperimentReport, LinkModel, Mode,
 };
-use unifyfl::core::federation::Federation;
-use unifyfl::core::orchestration::{run_async, run_sync, EngineOutcome};
 use unifyfl::core::scoring::ScorerKind;
-use unifyfl::core::{ChaosConfig, FaultEvent, FaultKind, FaultPlan};
+use unifyfl::core::{ChaosConfig, FaultEvent, FaultKind, RunState};
 use unifyfl::sim::SimDuration;
 
 /// Runs `config` under both engines and returns the two reports.
@@ -116,31 +114,19 @@ fn physical_link_model_with_chaos_spikes_routes_through_links() {
 
 // ---------------------------------------------------------------------
 // Trace determinism: the kernel's interleaved event timestamps replay
-// bit for bit. `run_experiment` does not expose the trace, so these
-// drive the engines directly.
+// bit for bit. The report does not carry the trace, so these step a
+// `RunState` and read it there.
 // ---------------------------------------------------------------------
 
-fn quickstart_federation(seed: u64, mode: Mode) -> (Federation, ExperimentConfig) {
-    let config = ExperimentBuilder::quickstart()
+/// The fired events of one run, in firing order.
+fn run_traced(seed: u64, mode: Mode, engine: Engine, chaos: bool) -> Vec<EventRecord> {
+    let mut builder = ExperimentBuilder::quickstart()
         .seed(seed)
         .rounds(3)
         .mode(mode)
-        .config()
-        .clone();
-    let fed = Federation::new(
-        config.seed,
-        &config.workload,
-        config.partition,
-        config.mode.to_chain(),
-        config.clusters.clone(),
-    );
-    (fed, config)
-}
-
-fn run_traced(seed: u64, mode: Mode, engine: Engine, chaos: bool) -> EngineOutcome {
-    let (mut fed, config) = quickstart_federation(seed, mode);
+        .engine(engine);
     if chaos {
-        let chaos_cfg = ChaosConfig {
+        builder = builder.chaos(ChaosConfig {
             fetch_failure_prob: 0.2,
             dropped_tx_prob: 0.15,
             ..ChaosConfig::scripted(vec![FaultEvent {
@@ -148,25 +134,11 @@ fn run_traced(seed: u64, mode: Mode, engine: Engine, chaos: bool) -> EngineOutco
                 round: 2,
                 kind: FaultKind::Crash { down_rounds: 1 },
             }])
-        };
-        let plan = FaultPlan::expand(
-            &chaos_cfg,
-            unifyfl::sim::SeedTree::new(seed).seed("chaos"),
-            config.clusters.len(),
-            config.workload.rounds as u64,
-        );
-        fed.install_chaos(plan);
+        });
     }
-    match mode {
-        Mode::Sync => run_sync(
-            &mut fed,
-            &config.workload,
-            ScorerKind::Accuracy,
-            config.window_margin,
-            engine,
-        ),
-        Mode::Async => run_async(&mut fed, &config.workload, ScorerKind::Accuracy, engine),
-    }
+    let mut state = RunState::new(builder.config()).expect("valid config");
+    while state.step().is_some() {}
+    state.trace().to_vec()
 }
 
 #[test]
@@ -175,15 +147,15 @@ fn event_traces_replay_bit_for_bit_across_runs() {
         for chaos in [false, true] {
             let a = run_traced(89, mode, Engine::Parallel, chaos);
             let b = run_traced(89, mode, Engine::Parallel, chaos);
-            assert!(!a.events.is_empty());
+            assert!(!a.is_empty());
             assert_eq!(
-                format!("{:?}", a.events),
-                format!("{:?}", b.events),
+                format!("{:?}", a),
+                format!("{:?}", b),
                 "{mode} chaos={chaos}: trace must replay identically"
             );
             // The trace carries real interleaved timestamps, not a single
             // instant.
-            let distinct: std::collections::HashSet<_> = a.events.iter().map(|r| r.at).collect();
+            let distinct: std::collections::HashSet<_> = a.iter().map(|r| r.at).collect();
             assert!(distinct.len() > 1, "{mode}: timestamps interleave");
         }
     }
@@ -197,8 +169,8 @@ fn event_traces_are_engine_independent() {
         let seq = run_traced(97, mode, Engine::Sequential, false);
         let par = run_traced(97, mode, Engine::Parallel, false);
         assert_eq!(
-            format!("{:?}", seq.events),
-            format!("{:?}", par.events),
+            format!("{:?}", seq),
+            format!("{:?}", par),
             "{mode}: engines must drain the same schedule"
         );
     }
@@ -210,7 +182,6 @@ fn sync_barrier_releases_commits_at_window_close_in_index_order() {
     // Find round 1's TrainingDone events: all at one instant (the
     // barrier), in cluster-index order, before round 1's StartScoring.
     let done: Vec<_> = out
-        .events
         .iter()
         .filter(|r| matches!(r.event, Event::TrainingDone { round: 1, .. }))
         .collect();
@@ -219,12 +190,10 @@ fn sync_barrier_releases_commits_at_window_close_in_index_order() {
     let order: Vec<usize> = done.iter().filter_map(|r| r.event.cluster()).collect();
     assert_eq!(order, vec![0, 1, 2], "index-order commits");
     let scoring_pos = out
-        .events
         .iter()
         .position(|r| r.event == Event::StartScoring { round: 1 })
         .unwrap();
     let last_done_pos = out
-        .events
         .iter()
         .rposition(|r| matches!(r.event, Event::TrainingDone { round: 1, .. }))
         .unwrap();
@@ -235,7 +204,6 @@ fn sync_barrier_releases_commits_at_window_close_in_index_order() {
 fn async_wakes_interleave_across_clusters() {
     let out = run_traced(103, Mode::Async, Engine::Parallel, false);
     let wakes: Vec<usize> = out
-        .events
         .iter()
         .filter_map(|r| match r.event {
             Event::ClusterWake { cluster } => Some(cluster),
@@ -254,7 +222,7 @@ fn async_wakes_interleave_across_clusters() {
         switches >= wakes.len() / 3,
         "wakes must interleave, got {wakes:?}"
     );
-    assert_eq!(out.events.last().unwrap().event, Event::SealSlot);
+    assert_eq!(out.last().unwrap().event, Event::SealSlot);
 }
 
 #[test]
@@ -404,25 +372,14 @@ fn joiner_lands_in_its_seeded_shard() {
     // covers not-yet-joined clusters, so a mid-run joiner scores — and is
     // scored — inside the shard the seed dealt it.
     use unifyfl::core::{ShardConfig, ShardTopology};
-    let config = elastic_config(31, Mode::Sync);
+    let mut config = elastic_config(31, Mode::Sync);
     let shard_cfg = ShardConfig::new(2);
     let topology = ShardTopology::derive(&shard_cfg, config.seed, config.clusters.len());
-    let mut fed = Federation::new_sharded(
-        config.seed,
-        &config.workload,
-        config.partition,
-        config.mode.to_chain(),
-        config.clusters.clone(),
-        Some(topology.clone()),
-    )
-    .expect("the config partitions");
-    run_sync(
-        &mut fed,
-        &config.workload,
-        ScorerKind::Accuracy,
-        config.window_margin,
-        Engine::Sequential,
-    );
+    config.sharding = Some(shard_cfg);
+    config.engine = Engine::Sequential;
+    let (_, fed) = RunState::new(&config)
+        .expect("the config partitions")
+        .finish();
     let joiner = fed.clusters[3].address();
     let expected = topology.shard_of(3) as u32;
     assert_eq!(fed.contract().shard_of(joiner), expected);

@@ -5,10 +5,9 @@
 use unifyfl::core::byzantine::DpConfig;
 use unifyfl::core::cluster::ClusterConfig;
 use unifyfl::core::experiment::{run_experiment, ExperimentBuilder, ExperimentConfig, Mode};
-use unifyfl::core::federation::Federation;
-use unifyfl::core::orchestration::run_sync;
 use unifyfl::core::policy::AggregationPolicy;
 use unifyfl::core::scoring::ScorerKind;
+use unifyfl::core::RunState;
 use unifyfl::data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl::sim::DeviceProfile;
 use unifyfl::tensor::ModelSpec;
@@ -84,20 +83,7 @@ fn heavy_dp_noise_degrades_more_than_light_noise() {
 #[test]
 fn peers_never_see_exact_weights_under_dp() {
     let cfg = config(Some(DpConfig::new(50.0, 0.1)));
-    let mut fed = Federation::new(
-        cfg.seed,
-        &cfg.workload,
-        cfg.partition,
-        cfg.mode.to_chain(),
-        cfg.clusters.clone(),
-    );
-    run_sync(
-        &mut fed,
-        &cfg.workload,
-        cfg.scorer,
-        cfg.window_margin,
-        cfg.engine,
-    );
+    let (_, fed) = RunState::new(&cfg).unwrap().finish();
 
     // Every on-chain model must differ from the submitter's true weights.
     let entries: Vec<(String, unifyfl::chain::types::Address)> = fed
@@ -109,7 +95,7 @@ fn peers_never_see_exact_weights_under_dp() {
     assert!(!entries.is_empty());
     for (cid_str, submitter) in entries {
         let cid: unifyfl::storage::Cid = cid_str.parse().unwrap();
-        let released = fed.fetch_weights(0, cid).expect("fetchable");
+        let (released, _) = fed.fetch_weights_costed(0, cid).expect("fetchable");
         let owner = fed
             .clusters
             .iter()

@@ -5,12 +5,11 @@
 use unifyfl::chain::merkle::{merkle_proof, merkle_root, verify_proof};
 use unifyfl::chain::orchestrator::events;
 use unifyfl::core::cluster::ClusterConfig;
+use unifyfl::core::experiment::{ExperimentBuilder, Mode};
 use unifyfl::core::federation::Federation;
-use unifyfl::core::orchestration::{run_sync, Mode};
 use unifyfl::core::policy::AggregationPolicy;
-use unifyfl::core::scoring::ScorerKind;
-use unifyfl::core::Engine;
-use unifyfl::data::{Partition, SyntheticConfig, WorkloadConfig};
+use unifyfl::core::RunState;
+use unifyfl::data::{SyntheticConfig, WorkloadConfig};
 use unifyfl::sim::DeviceProfile;
 use unifyfl::tensor::ModelSpec;
 
@@ -36,21 +35,14 @@ fn run_federation() -> Federation {
                 .with_policy(AggregationPolicy::All)
         })
         .collect();
-    let mut fed = Federation::new(
-        11,
-        &workload,
-        Partition::Iid,
-        Mode::Sync.to_chain(),
-        clusters,
-    );
-    run_sync(
-        &mut fed,
-        &workload,
-        ScorerKind::Accuracy,
-        1.15,
-        Engine::default(),
-    );
-    fed
+    let config = ExperimentBuilder::quickstart()
+        .seed(11)
+        .workload(workload)
+        .mode(Mode::Sync)
+        .clusters(clusters)
+        .config()
+        .clone();
+    RunState::new(&config).expect("valid config").finish().1
 }
 
 #[test]
@@ -98,7 +90,9 @@ fn every_registered_model_is_fetchable_and_scored() {
     for entry in contract.entries() {
         // The CID on-chain resolves to real, verifiable weight bytes.
         let cid: unifyfl::storage::Cid = entry.cid.parse().expect("valid CID");
-        let weights = fed.fetch_weights(0, cid).expect("fetchable and decodable");
+        let (weights, _) = fed
+            .fetch_weights_costed(0, cid)
+            .expect("fetchable and decodable");
         assert_eq!(weights.len(), fed.spec.actual_params());
         // Scorers were assigned (majority of 3 = 2), never the submitter.
         assert_eq!(entry.scorers.len(), 2);
