@@ -142,25 +142,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Marks the cluster malicious (builder style).
-    pub fn with_attack(mut self, attack: AttackKind) -> Self {
-        self.attack = Some(attack);
-        self
-    }
-
-    /// Enables differentially-private weight release (builder style).
-    pub fn with_dp(mut self, dp: DpConfig) -> Self {
-        self.dp = Some(dp);
-        self
-    }
-
-    /// Sets the release precision in kept mantissa bits (builder style);
-    /// 23 releases full `f32` precision.
-    pub fn with_release_precision(mut self, mantissa_bits: u32) -> Self {
-        self.release_mantissa_bits = mantissa_bits;
-        self
-    }
-
     /// Makes the cluster an elastic joiner arriving `joins_at` after
     /// federation setup (builder style).
     pub fn joining_at(mut self, joins_at: SimDuration) -> Self {

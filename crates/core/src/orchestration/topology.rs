@@ -86,7 +86,7 @@ fn seal_shard(
 }
 
 /// Schedules the epoch's [`Event::ShardExchange`] at `at`, preceded — when
-/// the gossip overlay prefetches — by one [`Event::PrefetchDue`] per
+/// a gossip overlay is installed — by one [`Event::PrefetchDue`] per
 /// cluster `takes_part` admits. Same-time FIFO fires the prefetches
 /// strictly before the exchange, so it reads warm stores; all of the
 /// epoch's seals have landed by now, so the prefetched set is the
@@ -98,7 +98,7 @@ pub(super) fn schedule_exchange(
     epoch: u64,
     takes_part: impl Fn(usize) -> bool,
 ) {
-    if fed.gossip().is_some_and(|g| g.prefetch) {
+    if fed.gossip().is_some() {
         for cluster in (0..fed.clusters.len()).filter(|&c| takes_part(c)) {
             queue.schedule(at, Event::PrefetchDue { cluster, epoch });
         }

@@ -155,11 +155,6 @@ impl AggregationPolicy {
         picked.sort_unstable();
         picked
     }
-
-    /// True if this policy never collaborates.
-    pub fn is_self_only(&self) -> bool {
-        matches!(self, AggregationPolicy::SelfOnly)
-    }
 }
 
 impl std::fmt::Display for AggregationPolicy {
@@ -243,7 +238,6 @@ mod tests {
         assert!(AggregationPolicy::SelfOnly
             .select(&c, None, &mut rng())
             .is_empty());
-        assert!(AggregationPolicy::SelfOnly.is_self_only());
     }
 
     #[test]

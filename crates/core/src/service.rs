@@ -437,15 +437,6 @@ impl RunHandle {
         self.id
     }
 
-    /// The outcome, if the run has already ended (non-blocking).
-    pub fn try_outcome(&self) -> Option<RunOutcome> {
-        let st = lock(&self.shared.state);
-        match &st.slots.get(&self.id).expect("handle has a slot").phase {
-            RunPhase::Done(outcome) => Some(outcome.clone()),
-            _ => None,
-        }
-    }
-
     /// Blocks until the run ends and returns its outcome.
     ///
     /// Note: on a paused service (`worker_threads == 0`) nothing ends a

@@ -1,8 +1,8 @@
 //! Synthetic Gaussian-prototype classification data.
 //!
 //! Substitutes for CIFAR-10 / Tiny ImageNet (see ARCHITECTURE.md): each class `k`
-//! gets a prototype vector `μ_k ~ N(0, σ_p² I)`; samples are
-//! `x = μ_k + N(0, σ_n² I)`. The `σ_n/σ_p` ratio controls class overlap
+//! gets a prototype vector `μ_k ~ N(0, I)`; samples are
+//! `x = μ_k + N(0, σ_n² I)`. The noise scale `σ_n` controls class overlap
 //! (task difficulty) and a label-noise fraction caps the attainable
 //! accuracy, which is how we match the paper's moderate absolute accuracy
 //! levels (30–60 %) while preserving every *relative* effect the evaluation
@@ -23,8 +23,6 @@ pub struct SyntheticConfig {
     pub n_classes: usize,
     /// Total samples to generate.
     pub n_samples: usize,
-    /// Prototype scale σ_p.
-    pub prototype_scale: f64,
     /// Per-sample noise scale σ_n.
     pub noise_scale: f64,
     /// Fraction of labels replaced by a uniformly random class.
@@ -39,7 +37,6 @@ impl SyntheticConfig {
             input: InputKind::Image { c: 3, h: 8, w: 8 },
             n_classes: 10,
             n_samples,
-            prototype_scale: 1.0,
             noise_scale: 4.0,
             label_noise: 0.10,
         }
@@ -52,7 +49,6 @@ impl SyntheticConfig {
             input: InputKind::Flat(64),
             n_classes: 200,
             n_samples,
-            prototype_scale: 1.0,
             noise_scale: 1.9,
             label_noise: 0.10,
         }
@@ -76,17 +72,13 @@ impl SyntheticConfig {
 
         // Class prototypes.
         let prototypes: Vec<Vec<f32>> = (0..self.n_classes)
-            .map(|_| {
-                (0..dim)
-                    .map(|_| (standard_normal(&mut rng) * self.prototype_scale) as f32)
-                    .collect()
-            })
+            .map(|_| (0..dim).map(|_| standard_normal(&mut rng) as f32).collect())
             .collect();
 
-        // Standardize features to unit variance (σp² + σn² total), the way
+        // Standardize features to unit variance (1 + σn² total), the way
         // real image pipelines normalize inputs — this keeps gradient
         // magnitudes independent of the difficulty setting.
-        let norm = ((self.prototype_scale.powi(2) + self.noise_scale.powi(2)).sqrt()) as f32;
+        let norm = ((1.0 + self.noise_scale.powi(2)).sqrt()) as f32;
         let mut features = Vec::with_capacity(self.n_samples * dim);
         let mut labels = Vec::with_capacity(self.n_samples);
         for i in 0..self.n_samples {

@@ -86,16 +86,6 @@ impl FlServer {
         self.weights = weights;
     }
 
-    /// The strategy's display name.
-    pub fn strategy_name(&self) -> &str {
-        self.strategy.name()
-    }
-
-    /// Number of clients in this cluster.
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-
     /// Completed round count.
     pub fn round(&self) -> u64 {
         self.round
@@ -244,7 +234,7 @@ mod tests {
 
     #[test]
     fn fedyogi_also_learns() {
-        let (mut server, test) = cluster(Box::new(FedYogi::with_lr(0.1)), 2);
+        let (mut server, test) = cluster(Box::new(FedYogi::new()), 2);
         let spec = ModelSpec::mlp(16, vec![32], 4);
         for _ in 0..8 {
             server.run_round(2, 16, 0.05);

@@ -120,17 +120,6 @@ impl FedYogi {
             yogi: Yogi::new(0.03),
         }
     }
-
-    /// Creates FedYogi with an explicit server learning rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `server_lr` is not positive.
-    pub fn with_lr(server_lr: f32) -> Self {
-        FedYogi {
-            yogi: Yogi::new(server_lr),
-        }
-    }
 }
 
 impl Default for FedYogi {

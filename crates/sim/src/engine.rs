@@ -12,7 +12,7 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::collections::HashSet;
 
-use crate::clock::{SimDuration, SimTime};
+use crate::clock::SimTime;
 
 /// Opaque handle identifying a scheduled event, usable for cancellation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -107,11 +107,6 @@ impl<E> EventQueue<E> {
         });
         self.pending.insert(id);
         id
-    }
-
-    /// Schedules `payload` to fire `delay` after `now`.
-    pub fn schedule_after(&mut self, now: SimTime, delay: SimDuration, payload: E) -> EventId {
-        self.schedule(now + delay, payload)
     }
 
     /// Cancels a previously scheduled event. Cancelling an event that already
@@ -219,11 +214,6 @@ impl VirtualClock {
     /// Moves the clock forward to `time` (no-op if `time` is in the past).
     pub fn advance_to(&mut self, time: SimTime) {
         self.now = self.now.max(time);
-    }
-
-    /// Moves the clock forward by `delta`.
-    pub fn advance_by(&mut self, delta: SimDuration) {
-        self.now += delta;
     }
 }
 
@@ -351,20 +341,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_after_offsets_from_now() {
-        let mut q = EventQueue::new();
-        q.schedule_after(SimTime::from_secs(10), SimDuration::from_secs(5), "x");
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(15)));
-    }
-
-    #[test]
     fn clock_is_monotonic() {
         let mut c = VirtualClock::new();
         c.advance_to(SimTime::from_secs(10));
         c.advance_to(SimTime::from_secs(5));
         assert_eq!(c.now(), SimTime::from_secs(10));
-        c.advance_by(SimDuration::from_secs(1));
-        assert_eq!(c.now(), SimTime::from_secs(11));
     }
 
     #[test]

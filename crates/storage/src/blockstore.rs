@@ -115,11 +115,6 @@ impl BlockStore {
         }
     }
 
-    /// True if `cid` is pinned.
-    pub fn is_pinned(&self, cid: Cid) -> bool {
-        self.pinned.contains(&cid)
-    }
-
     /// Garbage-collects all unpinned blocks; returns how many were removed.
     pub fn gc(&mut self) -> usize {
         let before = self.blocks.len();
@@ -182,7 +177,8 @@ mod tests {
         let mut bs = BlockStore::new();
         let cid = Cid::for_data(b"ghost");
         bs.unpin(cid);
-        assert!(!bs.is_pinned(cid));
+        assert!(!bs.has(cid));
+        assert_eq!(bs.gc(), 0);
     }
 
     #[test]

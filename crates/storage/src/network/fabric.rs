@@ -137,7 +137,7 @@ impl IpfsNetwork {
     ///
     /// The installed overlay owns its route memo (one BFS tree per node
     /// that fetched or served, built on first use), so installing a new
-    /// overlay — a regroup — or clearing it drops every memoised route.
+    /// overlay — a regroup — drops every memoised route.
     pub fn install_topology(&self, config: GossipConfig, topology: GossipTopology) {
         let mut st = self.state();
         assert!(
@@ -147,12 +147,6 @@ impl IpfsNetwork {
             st.nodes.len()
         );
         st.gossip = Some((config, RouteMemo::new(topology)));
-    }
-
-    /// Removes the gossip overlay, returning the fabric to flat
-    /// point-to-point routing.
-    pub fn clear_topology(&self) {
-        self.state().gossip = None;
     }
 
     /// The installed overlay's topology, if any.

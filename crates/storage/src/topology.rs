@@ -44,31 +44,18 @@ pub struct GossipConfig {
     /// Maximum providers a single fetch swarms chunks from (≥ 1;
     /// 1 = no swarming, all chunks from the nearest provider).
     pub swarm: usize,
-    /// Schedule prefetch-along-topology events so sealed releases are
-    /// already resident when the exchange fires.
-    pub prefetch: bool,
 }
 
 impl GossipConfig {
-    /// An overlay with the given per-node degree, chunk swarming across
-    /// up to three providers, and prefetch enabled.
+    /// An overlay with the given per-node degree and chunk swarming
+    /// across up to three providers.
     pub fn new(degree: usize) -> Self {
-        GossipConfig {
-            degree,
-            swarm: 3,
-            prefetch: true,
-        }
+        GossipConfig { degree, swarm: 3 }
     }
 
     /// Caps chunk swarming at `swarm` providers per fetch.
     pub fn with_swarm(mut self, swarm: usize) -> Self {
         self.swarm = swarm;
-        self
-    }
-
-    /// Enables or disables prefetch-along-topology events.
-    pub fn with_prefetch(mut self, prefetch: bool) -> Self {
-        self.prefetch = prefetch;
         self
     }
 }
@@ -175,11 +162,6 @@ impl GossipTopology {
     /// True when the overlay covers no nodes.
     pub fn is_empty(&self) -> bool {
         self.neighborhoods.is_empty()
-    }
-
-    /// The neighborhood a node belongs to.
-    pub fn neighborhood_of(&self, node: NodeId) -> usize {
-        self.neighborhoods[node.0 as usize]
     }
 
     /// A node's neighbors, ascending.

@@ -49,11 +49,6 @@ impl WeightedMean {
             0.0
         }
     }
-
-    /// Total weight accumulated.
-    pub fn total_weight(&self) -> f64 {
-        self.weight
-    }
 }
 
 #[cfg(test)]
@@ -79,7 +74,6 @@ mod tests {
         m.add(1.0, 1.0);
         m.add(0.0, 3.0);
         assert!((m.mean() - 0.25).abs() < 1e-12);
-        assert_eq!(m.total_weight(), 4.0);
     }
 
     #[test]

@@ -126,11 +126,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the backing buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element access by multi-dimensional index.
     ///
     /// # Panics
@@ -553,11 +548,6 @@ impl Tensor {
             .collect()
     }
 
-    /// Euclidean (L2) norm of the flattened tensor.
-    pub fn l2_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
-    }
-
     /// Overwrites `self` with `src`'s shape and contents, reusing the
     /// existing buffers — the zero-allocation alternative to `clone()` once
     /// both buffers have grown to their steady-state capacity.
@@ -592,20 +582,6 @@ impl Tensor {
         );
         self.shape.clear();
         self.shape.extend_from_slice(dims);
-    }
-
-    /// Squared Euclidean distance between two flattened tensors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn sq_dist(&self, rhs: &Tensor) -> f32 {
-        assert_eq!(self.data.len(), rhs.data.len(), "length mismatch");
-        self.data
-            .iter()
-            .zip(&rhs.data)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum()
     }
 }
 
@@ -820,8 +796,6 @@ mod tests {
     fn norms_and_distances() {
         let a = Tensor::from_vec(vec![3], vec![3., 0., 4.]);
         let b = Tensor::from_vec(vec![3], vec![0., 0., 0.]);
-        assert!((a.l2_norm() - 5.0).abs() < 1e-6);
-        assert!((a.sq_dist(&b) - 25.0).abs() < 1e-6);
         assert!((sq_dist_slice(a.data(), b.data()) - 25.0).abs() < 1e-9);
     }
 

@@ -125,7 +125,7 @@ fn composed_golden(seed: u64, mode: Mode, link_model: LinkModel) -> ExperimentBu
                 .with_exchange_every(1)
                 .with_regroup_every(2),
         )
-        .gossip(GossipConfig::new(2).with_prefetch(true))
+        .gossip(GossipConfig::new(2))
         .fetch_ahead(true)
         .link_model(link_model)
         .chaos(ChaosConfig::scripted(vec![
