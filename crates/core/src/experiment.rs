@@ -119,6 +119,16 @@ pub enum ExperimentError {
     /// A cluster's `straggle_factor` must be finite and strictly positive
     /// (window sizing divides by it). Carries the offending cluster's name.
     InvalidStraggleFactor(String),
+    /// A cluster's explicit storage link must have finite, strictly
+    /// positive bandwidth: transfer time divides by it, and a zero,
+    /// negative or NaN divisor prices every transfer at zero. Carries the
+    /// offending cluster's name.
+    InvalidLinkBandwidth(String),
+    /// A cluster's DP release needs a finite `clip_norm > 0` and a finite
+    /// `noise_multiplier >= 0` (what [`DpConfig::new`](crate::byzantine::DpConfig::new)
+    /// asserts, and more: its fields are public). Carries the offending
+    /// cluster's name.
+    InvalidDp(String),
     /// Elastic membership needs at least two *founding* clusters (a joiner
     /// must have a federation to join). Carries the founder count.
     TooFewFounders(usize),
@@ -180,6 +190,18 @@ impl std::fmt::Display for ExperimentError {
                 write!(
                     f,
                     "straggle_factor of cluster {cluster:?} must be finite and > 0"
+                )
+            }
+            ExperimentError::InvalidLinkBandwidth(cluster) => {
+                write!(
+                    f,
+                    "link bandwidth of cluster {cluster:?} must be finite and > 0"
+                )
+            }
+            ExperimentError::InvalidDp(cluster) => {
+                write!(
+                    f,
+                    "dp of cluster {cluster:?} needs finite clip_norm > 0 and finite noise_multiplier >= 0"
                 )
             }
             ExperimentError::TooFewFounders(n) => {
@@ -559,6 +581,27 @@ impl ExperimentConfig {
             .find(|c| !c.straggle_factor.is_finite() || c.straggle_factor <= 0.0)
         {
             return Err(ExperimentError::InvalidStraggleFactor(c.name.clone()));
+        }
+        // The storage layer prices a transfer as bytes over the link's
+        // bandwidth and ranks providers by it: zero, negative and NaN all
+        // come out as a free transfer (and NaN as the *best* provider).
+        if let Some(c) = self.clusters.iter().find(|c| {
+            c.link
+                .is_some_and(|l| !l.bandwidth_bps.is_finite() || l.bandwidth_bps <= 0.0)
+        }) {
+            return Err(ExperimentError::InvalidLinkBandwidth(c.name.clone()));
+        }
+        // A non-finite clip or multiplier releases NaNs on chain for every
+        // peer to merge; a zero or negative clip an all-zero or sign-flipped
+        // model.
+        if let Some(c) = self.clusters.iter().find(|c| {
+            c.dp.is_some_and(|dp| {
+                let clip_ok = dp.clip_norm.is_finite() && dp.clip_norm > 0.0;
+                let noise_ok = dp.noise_multiplier.is_finite() && dp.noise_multiplier >= 0.0;
+                !(clip_ok && noise_ok)
+            })
+        }) {
+            return Err(ExperimentError::InvalidDp(c.name.clone()));
         }
         // Elastic membership: a joiner needs a federation to join, and a
         // zero offset is a founder misconfigured as a joiner.
@@ -1081,6 +1124,80 @@ mod tests {
                 "straggle_factor {factor}"
             );
         }
+    }
+
+    #[test]
+    fn validation_rejects_an_unusable_storage_link() {
+        // `bytes / bandwidth` is infinite or NaN for each of these, which
+        // the clock maps to zero: the silo's transfers were free, and a NaN
+        // bandwidth ranked it first among providers.
+        use unifyfl_storage::network::LinkProfile;
+        for bandwidth_bps in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut builder = ExperimentBuilder::quickstart().link_model(LinkModel::Physical);
+            builder.config.clusters[1].link = Some(LinkProfile {
+                bandwidth_bps,
+                ..LinkProfile::wan()
+            });
+            assert_eq!(
+                builder.run().unwrap_err(),
+                ExperimentError::InvalidLinkBandwidth("agg-2".into()),
+                "bandwidth {bandwidth_bps}"
+            );
+        }
+        let mut slow = ExperimentBuilder::quickstart().rounds(1);
+        slow.config.clusters[1].link = Some(LinkProfile::wan());
+        assert!(slow.run().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_a_dp_release_its_constructor_would_refuse() {
+        // `DpConfig`'s fields are public, so its constructor's asserts are
+        // optional; each of these used to publish an all-NaN, all-zero or
+        // sign-flipped release.
+        use crate::byzantine::DpConfig;
+        let nominal = DpConfig::new(50.0, 0.05);
+        let bad = [
+            DpConfig {
+                clip_norm: f64::NAN,
+                ..nominal
+            },
+            DpConfig {
+                clip_norm: 0.0,
+                ..nominal
+            },
+            DpConfig {
+                clip_norm: -50.0,
+                ..nominal
+            },
+            DpConfig {
+                clip_norm: f64::INFINITY,
+                ..nominal
+            },
+            DpConfig {
+                noise_multiplier: f64::NAN,
+                ..nominal
+            },
+            DpConfig {
+                noise_multiplier: -0.05,
+                ..nominal
+            },
+            DpConfig {
+                noise_multiplier: f64::INFINITY,
+                ..nominal
+            },
+        ];
+        for dp in bad {
+            let mut builder = ExperimentBuilder::quickstart();
+            builder.config.clusters[2].dp = Some(dp);
+            assert_eq!(
+                builder.run().unwrap_err(),
+                ExperimentError::InvalidDp("agg-3".into()),
+                "{dp:?}"
+            );
+        }
+        let mut private = ExperimentBuilder::quickstart().rounds(1);
+        private.config.clusters[2].dp = Some(nominal);
+        assert!(private.run().is_ok());
     }
 
     #[test]

@@ -1026,7 +1026,12 @@ mod tests {
         lonely.clusters.truncate(1);
         let mut unpriced = tiny(1);
         unpriced.workload.local_epochs = 0;
-        for bad in [lonely, unpriced] {
+        let mut unplugged = tiny(1);
+        unplugged.clusters[0].link = Some(unifyfl_storage::LinkProfile {
+            bandwidth_bps: 0.0,
+            ..unifyfl_storage::LinkProfile::wan()
+        });
+        for bad in [lonely, unpriced, unplugged] {
             match service.submit(bad) {
                 Err(ServiceError::Invalid(_)) => {}
                 other => panic!("expected Invalid, got {other:?}"),

@@ -96,3 +96,161 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// ROADMAP 4(d), the numeric-knob slice: validate-ok ⇒ the run completes.
+// ---------------------------------------------------------------------
+
+/// One numeric knob of an experiment: how to set it on the quickstart,
+/// which values a deployment may legitimately write, and the grid to try.
+struct Knob {
+    name: &'static str,
+    set: fn(&mut unifyfl_core::ExperimentConfig, f64),
+    valid: fn(f64) -> bool,
+    grid: Vec<f64>,
+}
+
+/// *{NaN, ±∞, -1, 0, tiny, nominal, huge}* around a float knob's own
+/// "tiny" and "huge": the smallest and largest values a deployment could
+/// plausibly mean. The time-scaling knobs have no upper bound in
+/// `validate()`, and the chain seals one block per five virtual seconds up
+/// to the end of the run, so a value like `1e300` is accepted and then runs
+/// (practically) forever — that hole is ROADMAP 4(d)'s, not this test's,
+/// and `huge` stays below it.
+fn float_grid(tiny: f64, nominal: f64, huge: f64) -> Vec<f64> {
+    let (nan, inf) = (f64::NAN, f64::INFINITY);
+    vec![nan, inf, -inf, -1.0, 0.0, tiny, nominal, huge]
+}
+
+fn finite_positive(v: f64) -> bool {
+    v.is_finite() && v > 0.0
+}
+
+fn numeric_knobs() -> Vec<Knob> {
+    use unifyfl_core::DpConfig;
+    use unifyfl_sim::SimDuration;
+    use unifyfl_storage::LinkProfile;
+    fn dp(c: &mut unifyfl_core::ExperimentConfig) -> &mut DpConfig {
+        c.clusters[0].dp.get_or_insert(DpConfig::new(50.0, 0.05))
+    }
+    vec![
+        Knob {
+            name: "window_margin",
+            set: |c, v| c.window_margin = v,
+            valid: |v| v.is_finite() && v >= 1.0,
+            grid: float_grid(1.0, 1.15, 1.0e3),
+        },
+        Knob {
+            name: "straggle_factor",
+            set: |c, v| c.clusters[1].straggle_factor = v,
+            valid: finite_positive,
+            grid: float_grid(1.0e-3, 1.0, 1.0e3),
+        },
+        Knob {
+            name: "learning_rate",
+            set: |c, v| c.workload.learning_rate = v as f32,
+            valid: |v| finite_positive(f64::from(v as f32)),
+            grid: float_grid(1.0e-6, 0.05, 10.0),
+        },
+        Knob {
+            name: "label_noise",
+            set: |c, v| c.workload.dataset.label_noise = v,
+            valid: |v| (0.0..=1.0).contains(&v),
+            grid: float_grid(1.0e-9, 0.05, 1.0),
+        },
+        Knob {
+            name: "link.bandwidth_bps",
+            set: |c, v| {
+                c.clusters[2].link = Some(LinkProfile {
+                    bandwidth_bps: v,
+                    ..LinkProfile::wan()
+                });
+            },
+            valid: finite_positive,
+            grid: float_grid(64.0, 1.0e6, 1.0e18),
+        },
+        Knob {
+            name: "dp.clip_norm",
+            set: |c, v| dp(c).clip_norm = v,
+            valid: finite_positive,
+            grid: float_grid(1.0e-9, 50.0, 1.0e12),
+        },
+        Knob {
+            name: "dp.noise_multiplier",
+            set: |c, v| dp(c).noise_multiplier = v,
+            valid: |v| v.is_finite() && v >= 0.0,
+            grid: float_grid(1.0e-9, 0.05, 1.0e3),
+        },
+        // The two integer knobs have no NaN, infinity or -1 to write: both
+        // edges of the domain, and one step past each.
+        Knob {
+            name: "release_mantissa_bits",
+            set: |c, v| c.clusters[0].release_mantissa_bits = v as u32,
+            valid: |v| (1.0..=23.0).contains(&v),
+            grid: vec![0.0, 1.0, 23.0, 24.0],
+        },
+        Knob {
+            name: "joins_at (ms)",
+            set: |c, v| {
+                let mut late = c.clusters[0].clone();
+                late.name = "agg-late".into();
+                late.joins_at = Some(SimDuration::from_millis(v as u64));
+                c.clusters.push(late);
+            },
+            valid: |v| v > 0.0,
+            grid: vec![0.0, 1.0, 28.0e3, 1.0e7],
+        },
+    ]
+}
+
+/// The slice of ROADMAP 4(d) sized to the knobs PR 23 audited: over the
+/// grid *knob × value* (64 cases; every other knob at the quickstart's
+/// value; link models alternating), `validate()` accepts exactly the values
+/// in the knob's domain — and a configuration it accepts runs one
+/// quickstart round to completion without panicking, with a finite clock
+/// and finite results. A plain loop rather than `proptest!`: the grid is
+/// small enough to enumerate, so nothing is left to the draw.
+#[test]
+fn validate_accepts_exactly_each_numeric_knobs_domain_and_what_it_accepts_runs() {
+    use unifyfl_core::experiment::{ExperimentBuilder, LinkModel};
+    use unifyfl_core::RunState;
+    let (mut cases, mut ran) = (0, 0);
+    for knob in numeric_knobs() {
+        for &value in &knob.grid {
+            let link_model = [LinkModel::Nominal, LinkModel::Physical][cases % 2];
+            cases += 1;
+            let mut config = ExperimentBuilder::quickstart()
+                .rounds(1)
+                .link_model(link_model)
+                .config()
+                .clone();
+            (knob.set)(&mut config, value);
+            let case = format!("{} = {value} ({link_model})", knob.name);
+            assert_eq!(
+                config.validate().is_ok(),
+                (knob.valid)(value),
+                "{case}: validate() and the knob's domain disagree: {:?}",
+                config.validate()
+            );
+            let Ok(state) = RunState::new(&config) else {
+                continue;
+            };
+            let report = state.run_to_completion();
+            ran += 1;
+            assert!(report.wall_secs.is_finite(), "{case}: wall_secs");
+            for agg in &report.aggregators {
+                assert!(agg.time_secs.is_finite(), "{case}: {} time", agg.name);
+                assert!(
+                    agg.global_accuracy_pct.is_finite() && agg.local_accuracy_pct.is_finite(),
+                    "{case}: {} accuracy",
+                    agg.name
+                );
+            }
+        }
+    }
+    assert_eq!(cases, 64);
+    // Tiny, nominal and huge of every float knob, zero where zero is in the
+    // domain (label noise, noise multiplier), the in-domain edges of the
+    // integer knobs.
+    assert_eq!(ran, 7 * 3 + 2 + 2 + 3, "grid points accepted and run");
+}
