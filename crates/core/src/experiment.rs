@@ -1156,37 +1156,16 @@ mod tests {
         // sign-flipped release.
         use crate::byzantine::DpConfig;
         let nominal = DpConfig::new(50.0, 0.05);
-        let bad = [
-            DpConfig {
-                clip_norm: f64::NAN,
-                ..nominal
-            },
-            DpConfig {
-                clip_norm: 0.0,
-                ..nominal
-            },
-            DpConfig {
-                clip_norm: -50.0,
-                ..nominal
-            },
-            DpConfig {
-                clip_norm: f64::INFINITY,
-                ..nominal
-            },
-            DpConfig {
-                noise_multiplier: f64::NAN,
-                ..nominal
-            },
-            DpConfig {
-                noise_multiplier: -0.05,
-                ..nominal
-            },
-            DpConfig {
-                noise_multiplier: f64::INFINITY,
-                ..nominal
-            },
-        ];
-        for dp in bad {
+        let (nan, inf) = (f64::NAN, f64::INFINITY);
+        let bad_clips = [nan, 0.0, -50.0, inf].map(|clip_norm| DpConfig {
+            clip_norm,
+            ..nominal
+        });
+        let bad_noise = [nan, -0.05, inf].map(|noise_multiplier| DpConfig {
+            noise_multiplier,
+            ..nominal
+        });
+        for dp in bad_clips.into_iter().chain(bad_noise) {
             let mut builder = ExperimentBuilder::quickstart();
             builder.config.clusters[2].dp = Some(dp);
             assert_eq!(

@@ -24,6 +24,7 @@ use crate::cluster::ClusterNode;
 use crate::experiment::{ExperimentConfig, ExperimentError};
 use crate::policy::ScoredCandidate;
 use crate::sharding::ShardTopology;
+use Process::{Aggregator, Client, Ipfs, Scorer};
 
 /// How virtual time is charged for cross-silo weight transfers.
 ///
@@ -505,14 +506,13 @@ impl Federation {
         self.warm(cluster, candidates.iter().map(|c| c.cid));
         let addr = self.clusters[cluster].address();
         let entries = self.contract().entries().iter().enumerate();
-        let duties = entries.filter_map(|(position, entry)| {
+        let duties = entries.filter(|(_, entry)| {
             let assigned = entry.scorers.contains(&addr);
             let pending = !entry.scores.iter().any(|(scorer, _)| *scorer == addr);
-            self.entry_cids(position)
-                .filter(|_| assigned && pending)
-                .map(|(cid, _)| cid)
+            assigned && pending
         });
-        self.warm(cluster, duties);
+        let cids = duties.filter_map(|(position, _)| Some(self.entry_cids(position)?.0));
+        self.warm(cluster, cids);
     }
 
     /// Transactions retransmitted after gossip drops.
@@ -670,7 +670,7 @@ impl Federation {
     /// resolution, fresh fault rolls — before giving up; every retry's
     /// outcome is recorded as recovered or permanently failed.
     ///
-    /// With [`TransferConfig::delta`] enabled and an on-chain
+    /// With [`TransferConfig::delta`](unifyfl_storage::TransferConfig::delta) enabled and an on-chain
     /// `(base_cid, delta_cid)` reference for `cid`, the fetch moves only
     /// the delta blob when the base is already local — the storage layer
     /// verifies the reconstruction against `cid` and falls back to a full
@@ -699,7 +699,7 @@ impl Federation {
 
     /// The one fetch path: [`Federation::fetch_weights_costed`] given the
     /// contract's delta reference for `cid` (ignored when
-    /// [`TransferConfig::delta`] is off).
+    /// [`TransferConfig::delta`](unifyfl_storage::TransferConfig::delta) is off).
     fn fetch_with_delta_ref(
         &self,
         cluster: usize,
@@ -817,43 +817,35 @@ impl Federation {
     /// the cluster idle alongside (their duty cycle is what produces the
     /// low means with large deviations the paper reports).
     pub fn record_training_burst(&mut self, dur: SimDuration) {
-        use Process::{Aggregator, Client, Ipfs, Scorer};
-        self.record_burst(
-            dur,
-            &[
-                (Client, 82.0),
-                (Aggregator, 1.8),
-                (Scorer, 0.6),
-                (Ipfs, 0.5),
-            ],
-        );
+        let rows = [
+            (Client, 82.0),
+            (Aggregator, 1.8),
+            (Scorer, 0.6),
+            (Ipfs, 0.5),
+        ];
+        self.record_burst(dur, &rows);
     }
 
     /// Records idle time for a cluster's processes (sync-mode waiting).
     pub fn record_idle(&mut self, dur: SimDuration) {
-        use Process::{Aggregator, Client, Ipfs, Scorer};
-        self.record_burst(
-            dur,
-            &[(Client, 2.0), (Aggregator, 1.2), (Scorer, 0.6), (Ipfs, 0.5)],
-        );
+        let rows = [(Client, 2.0), (Aggregator, 1.2), (Scorer, 0.6), (Ipfs, 0.5)];
+        self.record_burst(dur, &rows);
     }
 
     /// Records an aggregator burst (pull/merge/publish work); clients and
     /// the scorer role idle meanwhile.
     pub fn record_agg_burst(&mut self, dur: SimDuration) {
-        use Process::{Aggregator, Client, Scorer};
         self.record_burst(dur, &[(Aggregator, 12.0), (Client, 2.0), (Scorer, 0.6)]);
     }
 
     /// Records a scoring burst; clients and the aggregator idle meanwhile.
     pub fn record_scoring_burst(&mut self, dur: SimDuration) {
-        use Process::{Aggregator, Client, Scorer};
         self.record_burst(dur, &[(Scorer, 68.0), (Client, 2.0), (Aggregator, 1.2)]);
     }
 
     /// Records an IPFS transfer burst.
     pub fn record_ipfs_burst(&mut self, dur: SimDuration) {
-        self.record_burst(dur, &[(Process::Ipfs, 10.0)]);
+        self.record_burst(dur, &[(Ipfs, 10.0)]);
     }
 
     /// Books one sealed block: its resource cost, and the CIDs of every
@@ -1162,8 +1154,7 @@ mod tests {
 
     #[test]
     fn single_cluster_rejected() {
-        // The only constructor validates first: what used to be an assert
-        // here is the typed error every route answers.
+        // The only constructor validates first.
         assert_eq!(
             Federation::assemble(&config(Mode::Sync, 1)).unwrap_err(),
             ExperimentError::TooFewClusters(1)

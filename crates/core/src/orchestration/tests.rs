@@ -348,9 +348,8 @@ fn sync_multikrum_scores_all_models() {
 
 #[test]
 fn async_rejects_multikrum() {
-    // Table 3 forbids the pairing. The policy's own assert used to be the
-    // only thing a hand-assembled federation met; on the one route the
-    // configuration never reaches a policy.
+    // Table 3 forbids the pairing, and validation answers before a policy
+    // (whose constructor asserts the same) is ever built.
     let mut cfg = config(Mode::Async, configs(3), 1);
     cfg.scorer = ScorerKind::MultiKrum;
     assert_eq!(

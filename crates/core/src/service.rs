@@ -767,7 +767,9 @@ fn run_slice(job: Job, slice_events: usize) -> SliceResult {
     };
     for _ in 0..slice_events {
         if state.step().is_none() {
-            return SliceResult::Finished(RunOutcome::Completed(Box::new(state.finish().0)));
+            return SliceResult::Finished(RunOutcome::Completed(Box::new(
+                state.run_to_completion(),
+            )));
         }
     }
     SliceResult::InProgress(state)
