@@ -409,9 +409,16 @@ fn bench_fresh_input(c: &mut Criterion) {
         })
     });
 
+    // On a kept shell, as a server's lane fits its clients: `fit` alone
+    // would build a model per call.
     let (mut client, config, mut weights) = unifyfl_bench::speed::edge_fit(1);
+    let mut shell = unifyfl_fl::TrainShell::default();
     c.bench_function("fl/fit_cnn_30x5_2_epochs", |b| {
-        b.iter(|| weights = client.fit(black_box(&weights), &config).weights)
+        b.iter(|| {
+            weights = client
+                .fit_in(&mut shell, black_box(&weights), &config)
+                .weights
+        })
     });
 }
 

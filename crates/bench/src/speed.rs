@@ -12,11 +12,15 @@
 //!   ([`crate::alloc`]), for the quickstart MLP and for the paper's CNN;
 //!   both are gated at **zero**, proving the arena path (and the
 //!   convolution's in-layer scratch) really removed per-batch allocation.
-//! - [`measure_fit_alloc_bytes`] counts the heap bytes one warm
-//!   `InMemoryClient::fit` requests, gated under [`FIT_ALLOC_BUDGET`] —
-//!   its batches, its optimizer state and the weights it returns — so a
-//!   per-fit flat-view buffer or a per-layer gradient scratch cannot come
-//!   back unnoticed.
+//! - [`measure_fit_alloc_bytes`] counts the heap bytes one warm fit
+//!   requests on the path a run takes (`FlServer::run_round`), gated under
+//!   [`FIT_ALLOC_BUDGET`] — the weights it returns and their aggregate —
+//!   so a per-fit flat-view buffer, velocity or gradient scratch cannot
+//!   come back unnoticed.
+//! - [`measure_round_peak_bytes`] reads the peak live heap of a warm
+//!   60-client and a warm 120-client round; their difference is gated to
+//!   the fit results of the extra clients, so a resident model per client
+//!   cannot come back unnoticed.
 //! - [`measure_warm_get_alloc_bytes`] counts the heap bytes requested by
 //!   a window of warm storage fetches of one release, gated under
 //!   [`WARM_GET_ALLOC_BUDGET`] — less than one release — so a fetch path
@@ -30,9 +34,12 @@
 //! nothing else meanwhile — `tests/alloc_gates.rs`, a `harness = false`
 //! target, is that process; anywhere else they answer `None`.
 
-use unifyfl_core::experiment::{ExperimentConfig, Mode};
+use unifyfl_core::cluster::ClusterConfig;
+use unifyfl_core::experiment::{Engine, ExperimentBuilder, ExperimentConfig, Mode};
+use unifyfl_core::service::RunState;
 use unifyfl_data::SyntheticConfig;
-use unifyfl_fl::{FitConfig, FlClient, InMemoryClient};
+use unifyfl_fl::{FitConfig, FlClient, FlServer, InMemoryClient, StrategyKind};
+use unifyfl_sim::DeviceProfile;
 use unifyfl_storage::{IpfsNetwork, LinkProfile};
 use unifyfl_tensor::optim::Sgd;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
@@ -73,11 +80,15 @@ pub fn measure_train_batch_allocs(spec: &ModelSpec, batch: usize) -> Option<u64>
     Some(crate::alloc::allocation_count() - before)
 }
 
-/// Heap bytes one warm `InMemoryClient::fit` of the paper's edge workload
-/// requests ([`edge_fit`]: 12 batches). What a fit allocates is its
-/// shuffled batches (≈ 8 KB each), its optimizer's velocity and the weights
-/// it returns (≈ 250 KB each); anything parameter-sized beyond that — a
-/// flat-view buffer, a gradient scratch — pushes it over
+/// Heap bytes one warm fit of the paper's edge workload ([`edge_fit`]: 12
+/// batches) requests on the path a run takes: a one-client
+/// `FlServer::run_round`, its second, so the lane's training shell is
+/// built and warm. What the round allocates is the weights the fit returns
+/// and the weights the aggregation returns (≈ 250 KB each) plus two
+/// shuffled index lists; the batches are gathered into the shell, the
+/// velocity is the shell's, the mean accumulates a block at a time.
+/// Anything parameter-sized beyond that — a flat-view buffer, a gradient
+/// scratch, a model-sized accumulator — pushes it over
 /// [`FIT_ALLOC_BUDGET`].
 ///
 /// Returns `None` when the counting allocator is not installed, as
@@ -86,13 +97,69 @@ pub fn measure_fit_alloc_bytes() -> Option<u64> {
     if !crate::alloc::is_counting() {
         return None;
     }
-    let (mut client, config, init) = edge_fit(7);
-    // The first fit warms the model's arena and the layers' scratch.
-    let weights = client.fit(&init, &config).weights;
+    let (client, config, init) = edge_fit(7);
+    let clients: Vec<Box<dyn FlClient>> = vec![Box::new(client)];
+    let mut server = FlServer::new(StrategyKind::FedAvg.build(), clients, init);
+    let mut round = || server.run_round(config.epochs, config.batch_size, config.learning_rate);
+    // The first round builds the shell and warms its arena and scratch.
+    round();
     let before = crate::alloc::bytes_requested();
-    client.fit(&weights, &config);
+    round();
     Some(crate::alloc::bytes_requested() - before)
 }
+
+/// Peak live heap bytes over one warm Sync round of 3 clusters ×
+/// `clients_per_cluster` clients of the paper's CNN (the second round:
+/// every shell is built, every arena warm), over a dataset whose size does
+/// not depend on the client count. Under [`Engine::Sequential`] one
+/// cluster computes at a time on the stepping thread, so the live set is
+/// the same on every host: what a round holds is the lane's shells, one
+/// cluster's fit results (a weight vector per client) and what the stores
+/// keep — and nothing model-sized per client, which
+/// [`ROUND_PEAK_SLACK`] holds it to.
+///
+/// Returns `None` when the counting allocator is not installed, as
+/// [`measure_train_batch_allocs`] does.
+pub fn measure_round_peak_bytes(clients_per_cluster: usize) -> Option<u64> {
+    if !crate::alloc::is_counting() {
+        return None;
+    }
+    let mut workload = unifyfl_data::WorkloadConfig::cifar10().scaled(10);
+    workload.dataset.n_samples = 1_200;
+    workload.rounds = 2;
+    let clusters = (0..3)
+        .map(|i| {
+            let mut c = ClusterConfig::edge(format!("agg-{i}"), DeviceProfile::edge_cpu());
+            c.n_clients = clients_per_cluster;
+            c
+        })
+        .collect();
+    let mut config = ExperimentBuilder::quickstart()
+        .mode(Mode::Sync)
+        .workload(workload)
+        .clusters(clusters)
+        .config()
+        .clone();
+    config.engine = Engine::Sequential;
+    let mut state = RunState::new(&config).expect("the footprint configuration is valid");
+    let barrier = |state: &mut RunState| loop {
+        let fired = state.step().expect("two rounds have two barriers");
+        if fired.event.label() == "round_barrier" {
+            break;
+        }
+    };
+    barrier(&mut state);
+    crate::alloc::reset_peak();
+    barrier(&mut state);
+    Some(crate::alloc::peak_bytes())
+}
+
+/// How far the peak of [`measure_round_peak_bytes`] may grow per extra
+/// client beyond the weight vector its fit returns (≈ 250 KB for the
+/// 62 K-parameter CNN): a sixteenth of that, for the client's bookkeeping.
+/// A resident model per client adds ≥ 2 × 250 KB (weights and gradients)
+/// and reads ≈ 3.6× the budget.
+pub const ROUND_PEAK_SLACK: f64 = 1.0 / 16.0;
 
 /// One client of the paper's edge workload (Table 4: the 62 K-parameter
 /// CNN, batch 5, 2 local epochs, lr 0.01) over a 30-sample `cifar10_like`
@@ -113,7 +180,7 @@ pub fn edge_fit(seed: u64) -> (InMemoryClient, FitConfig, Vec<f32>) {
 }
 
 /// What one warm fit of [`measure_fit_alloc_bytes`] may request from the
-/// heap: it requests 595 KB, and 843 KB with one more parameter-sized
+/// heap: it requests 489 KB, and 738 KB with one more parameter-sized
 /// buffer.
 pub const FIT_ALLOC_BUDGET: u64 = 700 * 1024;
 
@@ -187,7 +254,7 @@ pub fn quickstart_config(seed: u64) -> ExperimentConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unifyfl_core::experiment::{run_experiment, Engine};
+    use unifyfl_core::experiment::run_experiment;
 
     #[test]
     fn quickstart_pair_reports_are_identical() {
@@ -212,6 +279,7 @@ mod tests {
             None
         );
         assert_eq!(measure_fit_alloc_bytes(), None);
+        assert_eq!(measure_round_peak_bytes(2), None);
         assert_eq!(measure_warm_get_alloc_bytes(), None);
     }
 

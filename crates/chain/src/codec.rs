@@ -43,12 +43,6 @@ impl Encoder {
         self
     }
 
-    /// Appends an `i64` (two's complement, big-endian).
-    pub fn put_i64(&mut self, v: i64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-        self
-    }
-
     /// Appends a length-prefixed byte string.
     pub fn put_bytes(&mut self, v: &[u8]) -> &mut Self {
         self.put_u32(v.len() as u32);
@@ -122,15 +116,6 @@ impl<'a> Decoder<'a> {
     pub fn take_u64(&mut self) -> Result<u64, DecodeError> {
         let b = self.take_fixed(8)?;
         Ok(u64::from_be_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    /// Reads an `i64`.
-    ///
-    /// # Errors
-    /// Returns [`DecodeError`] on truncated input.
-    pub fn take_i64(&mut self) -> Result<i64, DecodeError> {
-        let b = self.take_fixed(8)?;
-        Ok(i64::from_be_bytes(b.try_into().expect("8 bytes")))
     }
 
     /// Reads a length-prefixed byte string.
@@ -231,7 +216,6 @@ mod tests {
         e.put_u8(7)
             .put_u32(0xdeadbeef)
             .put_u64(u64::MAX)
-            .put_i64(-42)
             .put_bytes(b"hello")
             .put_str("wörld")
             .put_fixed(&[1, 2, 3]);
@@ -241,7 +225,6 @@ mod tests {
         assert_eq!(d.take_u8().unwrap(), 7);
         assert_eq!(d.take_u32().unwrap(), 0xdeadbeef);
         assert_eq!(d.take_u64().unwrap(), u64::MAX);
-        assert_eq!(d.take_i64().unwrap(), -42);
         assert_eq!(d.take_bytes().unwrap(), b"hello");
         assert_eq!(d.take_str().unwrap(), "wörld");
         assert_eq!(d.take_fixed(3).unwrap(), &[1, 2, 3]);

@@ -118,11 +118,6 @@ impl TxPool {
         }
         taken
     }
-
-    /// Number of transactions from `sender` still in the pool.
-    pub fn pending_for(&self, sender: Address) -> usize {
-        self.by_sender.get(&sender).map_or(0, BTreeMap::len)
-    }
 }
 
 #[cfg(test)]
@@ -194,16 +189,5 @@ mod tests {
                 Address::from_label("c")
             ]
         );
-    }
-
-    #[test]
-    fn pending_for_counts_sender_queue() {
-        let mut pool = TxPool::new();
-        pool.add(tx("a", 0));
-        pool.add(tx("a", 1));
-        pool.add(tx("b", 5));
-        assert_eq!(pool.pending_for(Address::from_label("a")), 2);
-        assert_eq!(pool.pending_for(Address::from_label("b")), 1);
-        assert_eq!(pool.pending_for(Address::from_label("zzz")), 0);
     }
 }

@@ -67,18 +67,16 @@ proptest! {
         a in any::<u8>(),
         b in any::<u32>(),
         c in any::<u64>(),
-        d in any::<i64>(),
         s in "[a-zA-Z0-9 ]{0,64}",
         bytes in proptest::collection::vec(any::<u8>(), 0..128),
     ) {
         let mut e = Encoder::new();
-        e.put_u8(a).put_u32(b).put_u64(c).put_i64(d).put_str(&s).put_bytes(&bytes);
+        e.put_u8(a).put_u32(b).put_u64(c).put_str(&s).put_bytes(&bytes);
         let buf = e.into_bytes();
         let mut dec = Decoder::new(&buf);
         prop_assert_eq!(dec.take_u8().unwrap(), a);
         prop_assert_eq!(dec.take_u32().unwrap(), b);
         prop_assert_eq!(dec.take_u64().unwrap(), c);
-        prop_assert_eq!(dec.take_i64().unwrap(), d);
         prop_assert_eq!(dec.take_str().unwrap(), s.as_str());
         prop_assert_eq!(dec.take_bytes().unwrap(), bytes.as_slice());
         dec.finish().unwrap();

@@ -17,6 +17,7 @@ use unifyfl_storage::network::LinkProfile;
 use unifyfl_storage::IpfsNetwork;
 
 use crate::cluster::{ClusterConfig, ClusterNode, ClusterRoundRecord};
+use crate::step::Lane;
 
 /// Result of a baseline run.
 #[derive(Debug, Clone)]
@@ -98,6 +99,7 @@ pub fn run_hbfl(
     window_margin: f64,
 ) -> BaselineRun {
     let (mut clusters, global_test) = build_clusters(seed, workload, partition, configs);
+    let mut lane = Lane::default();
     let n = clusters.len();
 
     // Phase window sized like the sync engine's: slowest nominal cluster.
@@ -122,6 +124,7 @@ pub fn run_hbfl(
         // Local training on every cluster.
         for c in clusters.iter_mut() {
             c.run_local_round(
+                &mut lane.train,
                 workload.local_epochs,
                 workload.batch_size,
                 workload.learning_rate,
@@ -137,9 +140,11 @@ pub fn run_hbfl(
         t = t + window + reducer_overhead + block_overhead;
 
         // Record metrics before pushing the global model down.
-        let g = clusters[0].evaluate(&central, &global_test);
+        let g = lane
+            .eval
+            .evaluate(clusters[0].spec(), &central, &global_test);
         for c in clusters.iter_mut() {
-            let l = c.evaluate(c.weights(), &global_test);
+            let l = lane.eval.evaluate(c.spec(), c.weights(), &global_test);
             c.record(ClusterRoundRecord {
                 round,
                 peers_merged: n - 1,
@@ -153,7 +158,9 @@ pub fn run_hbfl(
         }
     }
 
-    let g = clusters[0].evaluate(&central, &global_test);
+    let g = lane
+        .eval
+        .evaluate(clusters[0].spec(), &central, &global_test);
     let final_local = clusters
         .iter()
         .map(|c| {
@@ -189,18 +196,20 @@ pub fn run_no_collab(
     configs: Vec<ClusterConfig>,
 ) -> BaselineRun {
     let (mut clusters, global_test) = build_clusters(seed, workload, partition, configs);
+    let mut lane = Lane::default();
     let n = clusters.len();
     let mut times = vec![SimTime::ZERO; n];
 
     for round in 1..=workload.rounds as u64 {
         for (i, c) in clusters.iter_mut().enumerate() {
             c.run_local_round(
+                &mut lane.train,
                 workload.local_epochs,
                 workload.batch_size,
                 workload.learning_rate,
             );
             times[i] += c.train_duration(workload.local_epochs);
-            let l = c.evaluate(c.weights(), &global_test);
+            let l = lane.eval.evaluate(c.spec(), c.weights(), &global_test);
             c.record(ClusterRoundRecord {
                 round,
                 peers_merged: 0,

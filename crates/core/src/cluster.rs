@@ -20,7 +20,7 @@ use unifyfl_chain::Score;
 use unifyfl_data::Dataset;
 use unifyfl_fl::fanout;
 use unifyfl_fl::strategy::{precision_weighted_mean, weighted_mean};
-use unifyfl_fl::{FlClient, FlServer, InMemoryClient, StrategyKind};
+use unifyfl_fl::{EvalShell, FlClient, FlServer, InMemoryClient, StrategyKind, TrainShell};
 use unifyfl_sim::{DeviceProfile, SimDuration};
 use unifyfl_storage::network::LinkProfile;
 use unifyfl_storage::{Cid, IpfsNode};
@@ -415,9 +415,17 @@ impl ClusterNode {
 
     // ---- protocol steps ----------------------------------------------
 
-    /// Step 1: run one local FL round (clients train, strategy aggregates).
-    pub fn run_local_round(&mut self, epochs: usize, batch_size: usize, lr: f32) {
-        self.server.run_round(epochs, batch_size, lr);
+    /// Step 1: run one local FL round (clients train, strategy aggregates),
+    /// the fits on the training shells of the lane the cluster is computing
+    /// on.
+    pub fn run_local_round(
+        &mut self,
+        shells: &mut Vec<TrainShell>,
+        epochs: usize,
+        batch_size: usize,
+        lr: f32,
+    ) {
+        self.server.run_round_on(shells, epochs, batch_size, lr);
     }
 
     /// Steps 1–2: serialize the local model (corrupting it first if this
@@ -508,9 +516,12 @@ impl ClusterNode {
         self.ipfs.add(&weights_to_bytes(&release)).cid
     }
 
-    /// Scores a peer model on the local test shard (accuracy scoring).
-    pub fn score_weights(&self, weights: &[f32]) -> f64 {
-        crate::scoring::accuracy_score(&self.spec, weights, &self.local_test)
+    /// Scores a peer model on the local test shard (accuracy scoring), on
+    /// the evaluation shell of the lane the cluster is computing on.
+    pub fn score_weights(&self, shell: &mut EvalShell, weights: &[f32]) -> f64 {
+        shell
+            .evaluate(&self.spec, weights, &self.local_test)
+            .accuracy
     }
 
     /// Builds the `submitScore` transaction for a scored model.
@@ -569,11 +580,6 @@ impl ClusterNode {
         let merged = precision_weighted_mean(self.server.weights(), &peers);
         self.server.set_weights(merged);
         n
-    }
-
-    /// Evaluates arbitrary weights on a dataset with the cluster's spec.
-    pub fn evaluate(&self, weights: &[f32], data: &Dataset) -> unifyfl_fl::EvalResult {
-        unifyfl_fl::evaluate_weights(&self.spec, weights, data)
     }
 
     /// Replaces the cluster's global weights outright (used by the
@@ -643,7 +649,7 @@ mod tests {
     fn local_round_changes_weights() {
         let (mut cluster, _) = setup(None);
         let before = cluster.weights().to_vec();
-        cluster.run_local_round(1, 16, 0.05);
+        cluster.run_local_round(&mut Vec::new(), 1, 16, 0.05);
         assert_ne!(cluster.weights(), before.as_slice());
     }
 
@@ -656,7 +662,7 @@ mod tests {
         assert!(cluster.ipfs().has_local(cid));
         let tx = cluster.submit_model_tx(orch, &cid);
         assert_eq!(tx.nonce, 0);
-        cluster.run_local_round(1, 16, 0.05);
+        cluster.run_local_round(&mut Vec::new(), 1, 16, 0.05);
         let cid2 = cluster.store_model(2);
         let tx2 = cluster.submit_model_tx(orch, &cid2);
         assert_eq!(tx2.nonce, 1);
@@ -678,8 +684,8 @@ mod tests {
         let (mut honest, _) = setup(None);
         let (mut evil, _) = setup(Some(AttackKind::SignFlip));
         // Same data/seed: identical local weights, different published CIDs.
-        honest.run_local_round(1, 16, 0.05);
-        evil.run_local_round(1, 16, 0.05);
+        honest.run_local_round(&mut Vec::new(), 1, 16, 0.05);
+        evil.run_local_round(&mut Vec::new(), 1, 16, 0.05);
         assert_eq!(honest.weights(), evil.weights());
         let cid_h = honest.store_model(1);
         let cid_e = evil.store_model(1);
@@ -749,15 +755,16 @@ mod tests {
     fn drift_degrades_a_trained_model() {
         let (mut cluster, _) = setup(None);
         for _ in 0..5 {
-            cluster.run_local_round(2, 16, 0.05);
+            cluster.run_local_round(&mut Vec::new(), 2, 16, 0.05);
         }
-        let before = cluster.score_weights(cluster.weights());
+        let mut shell = EvalShell::default();
+        let before = cluster.score_weights(&mut shell, cluster.weights());
         cluster.config.drift = Some(DriftSpec {
             at_round: 1,
             class_shift: 2,
         });
         assert!(cluster.maybe_drift(1));
-        let after = cluster.score_weights(cluster.weights());
+        let after = cluster.score_weights(&mut shell, cluster.weights());
         assert!(
             after < before - 0.2,
             "trained model must crater on the rotated task: {before} -> {after}"
@@ -767,11 +774,12 @@ mod tests {
     #[test]
     fn score_is_higher_for_trained_model() {
         let (mut cluster, _) = setup(None);
-        let init_score = cluster.score_weights(cluster.weights());
+        let mut shell = EvalShell::default();
+        let init_score = cluster.score_weights(&mut shell, cluster.weights());
         for _ in 0..5 {
-            cluster.run_local_round(2, 16, 0.05);
+            cluster.run_local_round(&mut Vec::new(), 2, 16, 0.05);
         }
-        let trained_score = cluster.score_weights(cluster.weights());
+        let trained_score = cluster.score_weights(&mut shell, cluster.weights());
         assert!(
             trained_score > init_score + 0.15,
             "{init_score} -> {trained_score}"

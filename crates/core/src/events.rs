@@ -210,8 +210,9 @@ pub(crate) trait EventPolicy {
         event: Event,
     );
     /// Consumes the drained policy: runs the final merge over the
-    /// still-participating clusters and assembles the outcome.
-    fn finish(self: Box<Self>, fed: &mut Federation) -> EngineOutcome;
+    /// still-participating clusters — `wave` of them at a time, the
+    /// policy's own sizing when `None` — and assembles the outcome.
+    fn finish(self: Box<Self>, fed: &mut Federation, wave: Option<usize>) -> EngineOutcome;
 }
 
 /// The poll-resumable kernel loop: the event queue plus the fired-event

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 
 use unifyfl_data::{Partition, WorkloadConfig};
 use unifyfl_sim::fault::{ChaosConfig, FaultKind, FaultRecord};
-use unifyfl_sim::ResourceSummary;
+use unifyfl_sim::{ResourceSummary, SimDuration};
 use unifyfl_storage::network::TransferConfig;
 use unifyfl_storage::topology::GossipConfig;
 
@@ -156,6 +156,17 @@ pub enum ExperimentError {
         /// Clusters to partition them across.
         clusters: usize,
     },
+    /// The run's nominal virtual length is past [`MAX_NOMINAL_HORIZON`].
+    /// Carries the knob that puts it there — `window_margin`,
+    /// `straggle_factor`, `joins_at` or `link.bandwidth_bps`, each finite
+    /// and in its own domain — or `workload` when no single one does
+    /// (rounds × model × samples), and the cluster it was set on, if any.
+    HorizonTooLong {
+        /// The offending knob.
+        knob: &'static str,
+        /// The cluster whose knob it is (`None` for federation-wide ones).
+        cluster: Option<String>,
+    },
     /// A cluster's shard cannot give each of its clients a training sample
     /// (found at assembly: shard sizes depend on the partition's draws).
     ShardTooSmall {
@@ -240,6 +251,17 @@ impl std::fmt::Display for ExperimentError {
                     "{samples} samples after the global test split cannot be partitioned across {clusters} clusters"
                 )
             }
+            ExperimentError::HorizonTooLong { knob, cluster } => {
+                write!(f, "{knob}")?;
+                if let Some(cluster) = cluster {
+                    write!(f, " of cluster {cluster:?}")?;
+                }
+                write!(
+                    f,
+                    " puts the run's nominal length past {} virtual seconds",
+                    MAX_NOMINAL_HORIZON.as_secs_f64()
+                )
+            }
             ExperimentError::ShardTooSmall {
                 cluster,
                 samples,
@@ -255,6 +277,27 @@ impl std::fmt::Display for ExperimentError {
 }
 
 impl std::error::Error for ExperimentError {}
+
+/// The longest run [`ExperimentConfig::validate`] admits, measured on the
+/// cost models alone: a hundred million virtual seconds, about three
+/// years.
+///
+/// A ceiling has to exist because every time-scaling knob is unbounded in
+/// its own domain (any finite margin ≥ 1, any finite positive straggle
+/// factor or bandwidth, any join offset), the virtual clock saturates
+/// rather than overflows, and the chain seals lazily — one Clique block
+/// per five virtual seconds up to whatever instant the next event fires
+/// at — so a run's host cost is at least linear in its virtual length:
+/// `window_margin = 1e300` used to validate and then seal blocks
+/// (practically) forever. It is a constant, not a knob, because nothing
+/// the tree can express from its own presets comes within an order of
+/// magnitude: the costliest, Tiny ImageNet's 138 M-parameter cost model
+/// trained on an edge CPU for 50 rounds, is nominally 7.6 × 10⁶ s on this
+/// check's pessimistic terms (3 × 10⁴ s on the GPU profile the paper
+/// used; its own runs are hours). At twenty million blocks the ceiling is
+/// tens of minutes of sealing — slow, bounded, and nowhere near the clock's
+/// last millisecond.
+pub const MAX_NOMINAL_HORIZON: SimDuration = SimDuration::from_secs(100_000_000);
 
 /// A point on an accuracy-over-time curve.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -696,7 +739,88 @@ impl ExperimentConfig {
                 }
             }
         }
-        Ok(())
+        // Last, with every knob known to be in its own domain: together
+        // they must not describe a run that (practically) never ends.
+        self.check_horizon()
+    }
+
+    /// Rejects a configuration whose nominal virtual length — the latest
+    /// join, plus `rounds × window_margin ×` the slowest cluster's nominal
+    /// round — is past [`MAX_NOMINAL_HORIZON`], naming the knob that puts
+    /// it there. A `joins_at` past the ceiling is named outright;
+    /// otherwise `window_margin`, the slowest cluster's `straggle_factor`
+    /// and its `link.bandwidth_bps` are set back to neutral (1, 1, no
+    /// explicit link) one after another, and the knob whose turn brings
+    /// the run under the ceiling is the one named — `workload` when even
+    /// all three do not (rounds × model × samples).
+    fn check_horizon(&self) -> Result<(), ExperimentError> {
+        let ceiling = MAX_NOMINAL_HORIZON.as_secs_f64();
+        let too_long = |knob, cluster: Option<&ClusterConfig>| {
+            Err(ExperimentError::HorizonTooLong {
+                knob,
+                cluster: cluster.map(|c| c.name.clone()),
+            })
+        };
+        let join = |c: &ClusterConfig| c.joins_at.map_or(0.0, |d| d.as_secs_f64());
+        let latest = self
+            .clusters
+            .iter()
+            .max_by(|a, b| join(a).total_cmp(&join(b)));
+        let latest = latest.expect("validated: at least two clusters");
+        if join(latest) > ceiling {
+            return too_long("joins_at", Some(latest));
+        }
+        // The slowest cluster, every knob as configured.
+        let round = |c: &ClusterConfig| self.nominal_round_secs(c, c.straggle_factor, true);
+        let slowest = self
+            .clusters
+            .iter()
+            .max_by(|a, b| round(a).total_cmp(&round(b)));
+        let slowest = slowest.expect("validated: at least two clusters");
+        let rounds = self.workload.rounds as f64;
+        let horizon = |margin: f64, straggle: f64, link: bool| {
+            join(latest) + rounds * margin * self.nominal_round_secs(slowest, straggle, link)
+        };
+        if horizon(self.window_margin, slowest.straggle_factor, true) <= ceiling {
+            Ok(())
+        } else if horizon(1.0, slowest.straggle_factor, true) <= ceiling {
+            too_long("window_margin", None)
+        } else if horizon(1.0, 1.0, true) <= ceiling {
+            too_long("straggle_factor", Some(slowest))
+        } else if horizon(1.0, 1.0, false) <= ceiling {
+            too_long("link.bandwidth_bps", Some(slowest))
+        } else {
+            too_long("workload", None)
+        }
+    }
+
+    /// One round of cluster `c` on the cost models, in virtual seconds and
+    /// in `f64` (the clock's own arithmetic clamps what it cannot hold):
+    /// a full pull of its peers, a local round, a publish and a scoring
+    /// pass per peer. Pessimistic where assembly alone could say better —
+    /// the whole dataset in this one cluster's shard — and on every fetch
+    /// the slower of the device's path and the explicit storage link's
+    /// (`link`: whether to count that link at all), whichever the link
+    /// model will charge.
+    fn nominal_round_secs(&self, c: &ClusterConfig, straggle: f64, link: bool) -> f64 {
+        let workload = &self.workload;
+        let spec = &workload.model;
+        let peers = match &self.sharding {
+            Some(sharding) => self.clusters.len().div_ceil(sharding.shards),
+            None => self.clusters.len(),
+        }
+        .saturating_sub(1) as f64;
+        let samples = workload.dataset.n_samples as f64;
+        let flops = spec.flops_per_train_sample() * samples * workload.local_epochs as f64
+            + spec.flops_per_eval_sample() * samples * peers;
+        let compute = flops * straggle / c.client_device.flops_per_sec();
+        let bytes = spec.wire_bytes() as f64;
+        let device = &c.client_device;
+        let mut fetch = device.net_latency().as_secs_f64() + bytes / device.net_bandwidth_bps();
+        if let Some(l) = c.link.filter(|_| link) {
+            fetch = fetch.max(l.latency.as_secs_f64() + bytes / l.bandwidth_bps);
+        }
+        compute + 2.0 * peers * fetch
     }
 }
 
@@ -1124,6 +1248,72 @@ mod tests {
                 "straggle_factor {factor}"
             );
         }
+    }
+
+    #[test]
+    fn validation_rejects_a_run_that_would_never_end() {
+        // Each knob is finite and inside its own domain, so each used to
+        // validate — and then the clock saturated and the chain sealed a
+        // block per five virtual seconds towards the end of time. The test
+        // only validates: on the parent, running any of them is the bug.
+        use unifyfl_storage::network::LinkProfile;
+        type Edit = fn(&mut ExperimentConfig);
+        let offenders: [(&str, Option<&str>, Edit); 5] = [
+            ("window_margin", None, |c| c.window_margin = 1.0e300),
+            ("straggle_factor", Some("agg-2"), |c| {
+                c.clusters[1].straggle_factor = 1.0e300;
+            }),
+            ("joins_at", Some("agg-3"), |c| {
+                c.clusters[2].joins_at = Some(SimDuration::from_millis(u64::MAX));
+            }),
+            ("link.bandwidth_bps", Some("agg-2"), |c| {
+                c.clusters[1].link = Some(LinkProfile {
+                    bandwidth_bps: 1.0e-300,
+                    ..LinkProfile::wan()
+                });
+            }),
+            // No single knob: a million rounds of a billion-parameter
+            // cost model.
+            ("workload", None, |c| {
+                c.workload.rounds = 1_000_000;
+                c.workload.model.virtual_params = Some(1_000_000_000);
+            }),
+        ];
+        for (knob, cluster, edit) in offenders {
+            let mut config = ExperimentBuilder::quickstart()
+                .link_model(LinkModel::Physical)
+                .config()
+                .clone();
+            config.clusters.push(ClusterConfig::gpu("agg-4"));
+            edit(&mut config);
+            let expected = ExperimentError::HorizonTooLong {
+                knob,
+                cluster: cluster.map(str::to_owned),
+            };
+            assert_eq!(config.validate(), Err(expected.clone()), "{knob}");
+            assert!(expected.to_string().starts_with(knob), "{expected}");
+        }
+        // Two offenders at once: the one still too long with the other
+        // neutral is named (the other is next, once this one is fixed).
+        let mut config = ExperimentBuilder::quickstart().config().clone();
+        config.window_margin = 1.0e300;
+        config.clusters[0].straggle_factor = 1.0e300;
+        let named = config.validate().unwrap_err();
+        assert!(named.to_string().starts_with("straggle_factor"), "{named}");
+        // And nothing the presets can express comes within an order of
+        // magnitude of the ceiling: the costliest workload in the tree on
+        // the quickstart's edge CPUs.
+        let config = ExperimentBuilder::quickstart()
+            .workload(WorkloadConfig::tiny_imagenet())
+            .config()
+            .clone();
+        assert!(config.validate().is_ok());
+        let slowest = config.nominal_round_secs(&config.clusters[0], 1.0, true);
+        let nominal = config.workload.rounds as f64 * config.window_margin * slowest;
+        assert!(
+            (7.0e6..1.0e7).contains(&nominal) && 10.0 * nominal < MAX_NOMINAL_HORIZON.as_secs_f64(),
+            "{nominal} s"
+        );
     }
 
     #[test]

@@ -24,6 +24,7 @@ use crate::cluster::ClusterNode;
 use crate::experiment::{ExperimentConfig, ExperimentError};
 use crate::policy::ScoredCandidate;
 use crate::sharding::ShardTopology;
+use crate::step::Lane;
 use Process::{Aggregator, Client, Ipfs, Scorer};
 
 /// How virtual time is charged for cross-silo weight transfers.
@@ -147,6 +148,12 @@ pub struct Federation {
     pub spec: ModelSpec,
     /// Held-out global test set (never seen by any client or scorer).
     pub global_test: Dataset,
+    /// One [`Lane`] of model shells per lane the widest compute phase so
+    /// far ran on: every fit, global-test pass and scoring pass runs on the
+    /// shells of the lane it is computed on. Never empty — index 0 is the
+    /// stepping thread's own, which every inline pass uses (an Async wake,
+    /// a phase under [`Engine::Sequential`](crate::step::Engine)).
+    pub(crate) lanes: Vec<Lane>,
     /// Resource accounting for Table 7.
     pub resources: ResourceMonitor,
     /// Virtual instant at which setup (registration) completed.
@@ -291,6 +298,7 @@ impl Federation {
             ipfs,
             spec,
             global_test,
+            lanes: vec![Lane::default()],
             resources: ResourceMonitor::new(),
             setup_done: SimTime::ZERO,
             transfer_seed: seed,
@@ -770,11 +778,12 @@ impl Federation {
     }
 
     /// Disjoint borrows for the round step's compute phase: every cluster
-    /// (mutably) plus the shared read-only global test set. The parallel
-    /// engine hands one cluster to each scoped thread; nothing else in the
-    /// federation is reachable from compute.
-    pub fn compute_view(&mut self) -> (&mut [ClusterNode], &Dataset) {
-        (&mut self.clusters, &self.global_test)
+    /// and the lanes' model shells (mutably) plus the shared read-only
+    /// global test set. The parallel engine hands one cluster at a time
+    /// and one lane to each scoped thread; nothing else in the federation
+    /// is reachable from compute.
+    pub fn compute_view(&mut self) -> (&mut [ClusterNode], &mut Vec<Lane>, &Dataset) {
+        (&mut self.clusters, &mut self.lanes, &self.global_test)
     }
 
     /// Phase-driving transaction from cluster 0 (any registered aggregator
@@ -994,7 +1003,7 @@ mod tests {
         // Cluster 1 trains and publishes a model. (Training matters: an
         // untrained publish re-releases the shared initial model — same
         // CID, so no delta reference accompanies it.)
-        f.clusters[1].run_local_round(1, 16, 0.05);
+        f.clusters[1].run_local_round(&mut f.lanes[0].train, 1, 16, 0.05);
         let cid = f.clusters[1].store_model(1);
         let tx = f.clusters[1].submit_model_tx(orch, &cid);
         f.submit_tx_at(t0, tx);
@@ -1017,7 +1026,7 @@ mod tests {
 
         // The scorer fetches and scores it.
         let (weights, _) = f.fetch_weights_costed(scorer_idx, cid).expect("fetchable");
-        let score = f.clusters[scorer_idx].score_weights(&weights);
+        let score = f.clusters[scorer_idx].score_weights(&mut f.lanes[0].eval, &weights);
         let tx = f.clusters[scorer_idx].score_tx(orch, &cid, score);
         f.submit_tx_at(t1, tx);
         f.flush_chain_at(t1);
@@ -1055,7 +1064,7 @@ mod tests {
         let mut published = Vec::new();
         for round in 1..=3u64 {
             for idx in 0..f.clusters.len() {
-                f.clusters[idx].run_local_round(1, 16, 0.05);
+                f.clusters[idx].run_local_round(&mut f.lanes[0].train, 1, 16, 0.05);
                 let cid = f.clusters[idx].store_model(round);
                 let tx = f.clusters[idx].submit_model_tx(orch, &cid);
                 f.submit_tx_at(t, tx);

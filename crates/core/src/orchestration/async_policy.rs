@@ -291,7 +291,7 @@ impl AsyncPolicy {
             // assignment reaches it (Figure 6 step 4).
             let score_dur = fed.clusters[idx].score_duration();
             if let Some((w, fetch)) = fed.fetch_weights_costed(idx, cid) {
-                let score = fed.clusters[idx].score_weights(&w);
+                let score = fed.clusters[idx].score_weights(&mut fed.lanes[0].eval, &w);
                 let done = t + fetch + score_dur;
                 fed.record_scoring_burst(fetch + score_dur);
                 fed.record_ipfs_burst(fetch);
@@ -318,8 +318,14 @@ impl AsyncPolicy {
         let inputs = prepare_train(fed, idx, round);
         let workload = &self.workload;
         let mut result = {
-            let (clusters, global_test) = fed.compute_view();
-            compute_train(&mut clusters[idx], inputs, workload, global_test)
+            let (clusters, lanes, global_test) = fed.compute_view();
+            compute_train(
+                &mut clusters[idx],
+                &mut lanes[0],
+                inputs,
+                workload,
+                global_test,
+            )
         };
         let publish = commit_train_effects(fed, idx, round, &mut result);
         let finish = t + result.pull + result.train + publish;
@@ -510,10 +516,10 @@ impl EventPolicy for AsyncPolicy {
         }
     }
 
-    fn finish(self: Box<Self>, fed: &mut Federation) -> EngineOutcome {
+    fn finish(self: Box<Self>, fed: &mut Federation, wave: Option<usize>) -> EngineOutcome {
         let n = self.n;
         let end_time = self.end_time;
-        let final_global = final_merge(fed, self.rounds, &self.members, self.engine);
+        let final_global = final_merge(fed, self.rounds, &self.members, self.engine, wave);
         let final_local = (0..n).map(|i| last_local(fed, i)).collect();
         EngineOutcome {
             per_cluster_time: (0..n)

@@ -52,6 +52,7 @@ mod topology;
 
 use unifyfl_chain::orchestrator::OrchestrationMode;
 use unifyfl_data::WorkloadConfig;
+use unifyfl_fl::fanout;
 use unifyfl_sim::SimTime;
 
 use crate::cluster::ClusterRoundRecord;
@@ -114,44 +115,72 @@ pub(crate) struct EngineOutcome {
 /// Final pass after the last round: merge the last submissions and
 /// evaluate the resulting global model. Clusters no longer participating
 /// (left the federation, or never joined) report their last recorded state
-/// instead of merging post-departure. The merge+evaluate compute runs under
-/// the selected [`Engine`]; fetches and resource bursts stay in
-/// cluster-index order either way.
+/// instead of merging post-departure.
+///
+/// The pass goes in **waves**: the peers of as many clusters as will
+/// compute at once are fetched and decoded, those clusters merge and
+/// evaluate (under the selected [`Engine`]), their peers are dropped, and
+/// the next wave prepares — so the pass holds one wave's fetched models,
+/// not the federation's. Prepares (fetches, counters, RNG draws, resource
+/// bursts) stay in cluster-index order across waves, and a cluster's
+/// merge touches nothing a later prepare reads (peers come from the store,
+/// never from a live model), so the wave size shows in no byte of the
+/// run. `wave` is `None` outside tests: one cluster under
+/// [`Engine::Sequential`], the fan-out's own lane count otherwise.
 fn final_merge(
     fed: &mut Federation,
     rounds: u64,
     members: &Members,
     engine: Engine,
+    wave: Option<usize>,
 ) -> Vec<(f64, f64)> {
     let n = fed.clusters.len();
     let round = rounds + 1;
-    let inputs: Vec<Option<TrainInputs>> = (0..n)
-        .map(|idx| {
-            members.participates(idx).then(|| {
-                let inputs = prepare_train(fed, idx, round);
-                fed.record_ipfs_burst(inputs.pull);
-                inputs
+    let wave = wave.unwrap_or_else(|| match engine {
+        Engine::Sequential => 1,
+        Engine::Parallel => {
+            let work = |idx: usize| fed.clusters[idx].eval_flops(fed.global_test.len());
+            let active = (0..n).filter(|&idx| members.participates(idx));
+            fanout::lanes(active.clone().count(), active.map(work).sum())
+        }
+    });
+    let mut finals = Vec::with_capacity(n);
+    while finals.len() < n {
+        // The next `wave` participating clusters, with whoever sits out
+        // between them.
+        let lo = finals.len();
+        let mut hi = lo;
+        let mut taken = 0;
+        while hi < n && taken < wave {
+            taken += usize::from(members.participates(hi));
+            hi += 1;
+        }
+        let inputs: Vec<Option<TrainInputs>> = (lo..hi)
+            .map(|idx| {
+                members.participates(idx).then(|| {
+                    let inputs = prepare_train(fed, idx, round);
+                    fed.record_ipfs_burst(inputs.pull);
+                    inputs
+                })
             })
-        })
-        .collect();
-    let results = {
-        let (clusters, global_test) = fed.compute_view();
-        compute_all(
-            clusters,
-            inputs,
-            engine,
-            |cluster, _| cluster.eval_flops(global_test.len()),
-            |cluster, inputs| merge_eval(cluster, inputs, global_test),
-        )
-    };
-    results
-        .into_iter()
-        .enumerate()
-        .map(|(idx, r)| match r {
+            .collect();
+        let results = {
+            let (clusters, lanes, global_test) = fed.compute_view();
+            compute_all(
+                &mut clusters[lo..hi],
+                lanes,
+                inputs,
+                engine,
+                |cluster, _| cluster.eval_flops(global_test.len()),
+                |cluster, lane, inputs| merge_eval(cluster, &mut lane.eval, inputs, global_test),
+            )
+        };
+        finals.extend(results.into_iter().zip(lo..hi).map(|(r, idx)| match r {
             Some((_, acc, loss)) => (acc, loss),
             None => last_record(fed, idx, |r| (r.global_accuracy, r.global_loss)),
-        })
-        .collect()
+        }));
+    }
+    finals
 }
 
 /// An accuracy/loss pair from the cluster's last recorded round (zeros if

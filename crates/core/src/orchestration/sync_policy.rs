@@ -192,13 +192,14 @@ impl SyncPolicy {
             .collect();
         let workload = &self.workload;
         let results = {
-            let (clusters, global_test) = fed.compute_view();
+            let (clusters, lanes, global_test) = fed.compute_view();
             compute_all(
                 clusters,
+                lanes,
                 inputs,
                 self.engine,
                 |cluster, _| train_work(cluster, workload, global_test),
-                |cluster, inputs| compute_train(cluster, inputs, workload, global_test),
+                |cluster, lane, inputs| compute_train(cluster, lane, inputs, workload, global_test),
             )
         };
         self.pending_actions = actions;
@@ -394,13 +395,14 @@ impl SyncPolicy {
             })
             .collect();
         let scored_lists = {
-            let (clusters, _) = fed.compute_view();
+            let (clusters, lanes, _) = fed.compute_view();
             compute_all(
                 clusters,
+                lanes,
                 task_lists,
                 self.engine,
                 |cluster, tasks| scoring_work(cluster, tasks),
-                |cluster, tasks| compute_scores(cluster, tasks),
+                |cluster, lane, tasks| compute_scores(cluster, &mut lane.eval, tasks),
             )
         };
         self.pending_scores = scored_lists;
@@ -599,10 +601,10 @@ impl EventPolicy for SyncPolicy {
         }
     }
 
-    fn finish(self: Box<Self>, fed: &mut Federation) -> EngineOutcome {
+    fn finish(self: Box<Self>, fed: &mut Federation, wave: Option<usize>) -> EngineOutcome {
         let n = self.n;
         let end_time = self.end_time;
-        let final_global = final_merge(fed, self.rounds, &self.members, self.engine);
+        let final_global = final_merge(fed, self.rounds, &self.members, self.engine, wave);
         let final_local = (0..n).map(|i| last_local(fed, i)).collect();
         EngineOutcome {
             per_cluster_time: vec![end_time; n],

@@ -456,6 +456,60 @@ fn sharded_runs_are_seed_deterministic() {
 }
 
 #[test]
+fn the_final_merge_in_waves_is_the_final_merge_all_at_once() {
+    // Seven clusters in three shards over the gossip overlay, storage
+    // faults drawing from the injector's stream on every fetch, cluster 2
+    // gone for good after round 1 (a non-participant between two waves)
+    // and cluster 5 crashing on the way: the final pass prepared one
+    // cluster at a time, two at a time, all seven at once (what the parent
+    // did) and at its own sizing must leave the same report to the byte —
+    // and the same chain, stores and weights behind it.
+    use unifyfl_sim::fault::{ChaosConfig, FaultEvent, FaultKind};
+    for mode in [Mode::Sync, Mode::Async] {
+        let mut cfg = sharded(mode, 7, 3, 3, Some(2));
+        cfg.gossip = Some(crate::GossipConfig::default());
+        cfg.chaos = Some(ChaosConfig {
+            fetch_failure_prob: 0.1,
+            chunk_loss_prob: 0.1,
+            ..ChaosConfig::scripted(vec![
+                FaultEvent {
+                    cluster: 2,
+                    round: 2,
+                    kind: FaultKind::Leave,
+                },
+                FaultEvent {
+                    cluster: 5,
+                    round: 2,
+                    kind: FaultKind::Crash { down_rounds: 1 },
+                },
+            ])
+        });
+        let finish = |wave: Option<usize>| {
+            let state = RunState::new(&cfg).expect("the composed configuration is valid");
+            let (report, fed) = state.finish_in_waves(wave);
+            let weights: Vec<Vec<u32>> = fed
+                .clusters
+                .iter()
+                .map(|c| c.weights().iter().map(|w| w.to_bits()).collect())
+                .collect();
+            let transfers = format!("{:?}", fed.ipfs.transfer_stats());
+            let chaos = &report.chaos;
+            assert!(chaos.leaves_fired == 1 && chaos.fetch_failures + chaos.chunk_losses > 0);
+            (
+                format!("{report:?}"),
+                fed.chain.head().hash(),
+                transfers,
+                weights,
+            )
+        };
+        let all_at_once = finish(Some(7));
+        for wave in [Some(1), Some(2), None] {
+            assert_eq!(finish(wave), all_at_once, "{mode}, wave {wave:?}");
+        }
+    }
+}
+
+#[test]
 fn sync_sharded_multikrum_scores_per_shard() {
     let mut cfg = sharded(Mode::Sync, 6, 2, 2, None);
     cfg.scorer = ScorerKind::MultiKrum;

@@ -180,7 +180,13 @@ impl RunState {
     /// crate, so whatever is inspected went through validation and ran on
     /// the same route as every other run. (Read [`RunState::trace`] before
     /// finishing if the fired events are wanted too.)
-    pub fn finish(mut self) -> (ExperimentReport, Federation) {
+    pub fn finish(self) -> (ExperimentReport, Federation) {
+        self.finish_in_waves(None)
+    }
+
+    /// [`RunState::finish`] with the final merge's wave size stated, for
+    /// the test that holds every size to the same report.
+    pub(crate) fn finish_in_waves(mut self, wave: Option<usize>) -> (ExperimentReport, Federation) {
         while self.step().is_some() {}
         let RunState {
             config,
@@ -188,7 +194,7 @@ impl RunState {
             policy,
             ..
         } = self;
-        let outcome = policy.finish(&mut fed);
+        let outcome = policy.finish(&mut fed, wave);
         let report = experiment::build_report(&config, &fed, outcome);
         (report, fed)
     }

@@ -16,10 +16,12 @@
 //!   respect to everything except the cluster's own state: merging peers,
 //!   local training, evaluation and peer-model scoring touch only one
 //!   [`ClusterNode`] plus immutable shared references (workload, global
-//!   test set). The parallel engine therefore hands it to the one
-//!   fan-out ([`compute_all`]) — inline when the phase is too small to pay
-//!   for a fork, on 1-core hosts and under [`Engine::Sequential`]; on
-//!   bounded lanes otherwise — with no effect on results.
+//!   test set) and the model shells of the [`Lane`] it runs on, which
+//!   every pass overwrites before reading. The parallel engine therefore hands
+//!   it to the one fan-out ([`compute_all`]) — inline when the phase is
+//!   too small to pay for a fork, on 1-core hosts and under
+//!   [`Engine::Sequential`]; on bounded lanes otherwise — with no effect
+//!   on results.
 //! - **Commit** (back in the engine) replays every federation mutation —
 //!   chain transactions, storage publishes, fault logging, resource bursts
 //!   and idle/straggler accounting — sequentially in cluster-index order,
@@ -33,12 +35,31 @@
 
 use unifyfl_data::{Dataset, WorkloadConfig};
 use unifyfl_fl::fanout::fan_out;
+use unifyfl_fl::{EvalShell, TrainShell};
 use unifyfl_storage::Cid;
 
 use crate::cluster::ClusterNode;
 use crate::federation::{Federation, FetchedPeers, LinkModel};
 use unifyfl_chain::types::Address;
 use unifyfl_sim::SimDuration;
+
+/// What a compute lane keeps warm from phase to phase: the models its
+/// clusters' work is loaded into. A cluster owns weights, data and
+/// records; the buffers that training and evaluation run on belong to the
+/// lane, because a lane computes one cluster at a time — so a federation
+/// holds lane-many of them however many clusters and clients it has.
+///
+/// The two kinds stay apart: an evaluation arena warms to a 256-sample
+/// chunk, a training arena to one mini-batch, and a shell that served both
+/// would hold the larger for every fit.
+#[derive(Default)]
+pub struct Lane {
+    /// Every global-test and scoring pass made on this lane.
+    pub eval: EvalShell,
+    /// The training shells of whichever cluster's local round this lane
+    /// is running: one per lane of *that* round's own fan-out.
+    pub train: Vec<TrainShell>,
+}
 
 /// Which execution engine drives the round computations.
 ///
@@ -165,6 +186,7 @@ pub fn prepare_train(fed: &mut Federation, idx: usize, round: u64) -> TrainInput
 /// `(peers_merged, global_accuracy, global_loss)`.
 pub fn merge_eval(
     cluster: &mut ClusterNode,
+    shell: &mut EvalShell,
     inputs: TrainInputs,
     global_test: &Dataset,
 ) -> (usize, f64, f64) {
@@ -174,7 +196,7 @@ pub fn merge_eval(
         }
         None => cluster.merge_peers(inputs.peers),
     };
-    let eval = cluster.evaluate(cluster.weights(), global_test);
+    let eval = shell.evaluate(cluster.spec(), cluster.weights(), global_test);
     (merged, eval.accuracy, eval.loss)
 }
 
@@ -187,22 +209,28 @@ pub fn train_work(cluster: &ClusterNode, workload: &WorkloadConfig, global_test:
 /// One cluster's full training-round compute: merge, evaluate the global
 /// model, train locally, evaluate the local model. Touches only the
 /// cluster's own state plus immutable shared references, so the parallel
-/// engine may run it on a lane of its own.
+/// engine may run it on a lane of its own — the evaluations and the fits
+/// on that lane's shells.
 pub fn compute_train(
     cluster: &mut ClusterNode,
+    lane: &mut Lane,
     inputs: TrainInputs,
     workload: &WorkloadConfig,
     global_test: &Dataset,
 ) -> TrainResult {
     let pull = inputs.pull;
-    let (peers_merged, global_accuracy, global_loss) = merge_eval(cluster, inputs, global_test);
+    let (peers_merged, global_accuracy, global_loss) =
+        merge_eval(cluster, &mut lane.eval, inputs, global_test);
     let train = cluster.train_duration(workload.local_epochs);
     cluster.run_local_round(
+        &mut lane.train,
         workload.local_epochs,
         workload.batch_size,
         workload.learning_rate,
     );
-    let eval = cluster.evaluate(cluster.weights(), global_test);
+    let eval = lane
+        .eval
+        .evaluate(cluster.spec(), cluster.weights(), global_test);
     TrainResult {
         pull,
         peers_merged,
@@ -339,15 +367,20 @@ pub fn scoring_work(cluster: &ClusterNode, tasks: &[ScoreTask]) -> f64 {
 }
 
 /// Scores the prepared tasks: the compute half of a scoring duty
-/// (inference over the cluster's holdout shard). Cluster-local and
-/// read-only, so the parallel engine fans it out per cluster.
-pub fn compute_scores(cluster: &ClusterNode, tasks: Vec<ScoreTask>) -> Vec<ScoredModel> {
+/// (inference over the cluster's holdout shard, on the lane's shell).
+/// Cluster-local and read-only, so the parallel engine fans it out per
+/// cluster.
+pub fn compute_scores(
+    cluster: &ClusterNode,
+    shell: &mut EvalShell,
+    tasks: Vec<ScoreTask>,
+) -> Vec<ScoredModel> {
     tasks
         .into_iter()
         .map(|t| {
             let score = match t.input {
                 ScoreInput::Ready(s) => s,
-                ScoreInput::Weights(w) => cluster.score_weights(&w),
+                ScoreInput::Weights(w) => cluster.score_weights(shell, &w),
             };
             ScoredModel {
                 cid: t.cid,
@@ -372,10 +405,15 @@ pub fn compute_scores(cluster: &ClusterNode, tasks: Vec<ScoreTask>) -> Vec<Score
 /// chunks over bounded lanes, the caller taking the first. Under
 /// [`Engine::Sequential`] (the reference) the phase always runs inline.
 ///
+/// `lanes` is the fan-out's lane state — the federation's, kept warm from
+/// phase to phase; it must hold at least the caller's own (index 0), which
+/// is all an inline phase uses.
+///
 /// A panicking compute (e.g. a client fit) is re-raised with its original
 /// payload after every lane has finished.
 pub fn compute_all<I, R, F>(
     clusters: &mut [ClusterNode],
+    lanes: &mut Vec<Lane>,
     inputs: Vec<Option<I>>,
     engine: Engine,
     flops: impl Fn(&ClusterNode, &I) -> f64,
@@ -384,14 +422,15 @@ pub fn compute_all<I, R, F>(
 where
     I: Send,
     R: Send,
-    F: Fn(&mut ClusterNode, I) -> R + Sync,
+    F: Fn(&mut ClusterNode, &mut Lane, I) -> R + Sync,
 {
     debug_assert_eq!(clusters.len(), inputs.len(), "inputs are index-aligned");
     if engine == Engine::Sequential {
+        let lane = &mut lanes[0];
         return clusters
             .iter_mut()
             .zip(inputs)
-            .map(|(cluster, input)| input.map(|i| f(cluster, i)))
+            .map(|(cluster, input)| input.map(|i| f(cluster, lane, i)))
             .collect();
     }
     let total: f64 = clusters
@@ -408,8 +447,9 @@ where
         .enumerate()
         .filter_map(|(idx, (cluster, input))| Some((idx, cluster, Some(input?))))
         .collect();
-    let computed = fan_out(&mut active, total, |(idx, cluster, input)| {
-        (*idx, f(cluster, input.take().expect("each slot runs once")))
+    let computed = fan_out(&mut active, lanes, total, |lane, (idx, cluster, input)| {
+        let input = input.take().expect("each slot runs once");
+        (*idx, f(cluster, lane, input))
     })
     .unwrap_or_else(|(_, payload)| std::panic::resume_unwind(payload));
     for (idx, result) in computed {
@@ -464,6 +504,11 @@ mod tests {
             .collect()
     }
 
+    /// The lane state a federation starts with: the caller's own lane.
+    fn lanes() -> Vec<Lane> {
+        vec![Lane::default()]
+    }
+
     /// A work estimate far above the fan-out's grain: the phase forks
     /// wherever the host has a second core.
     fn heavy(_: &ClusterNode, _: &u32) -> f64 {
@@ -477,9 +522,14 @@ mod tests {
         let mut clusters = test_clusters(6);
         let threads = |clusters: &mut [ClusterNode], flops: fn(&ClusterNode, &u32) -> f64| {
             let inputs: Vec<Option<u32>> = (0..6).map(Some).collect();
-            compute_all(clusters, inputs, Engine::Parallel, flops, |_cluster, _| {
-                std::thread::current().id()
-            })
+            compute_all(
+                clusters,
+                &mut lanes(),
+                inputs,
+                Engine::Parallel,
+                flops,
+                |_cluster, _, _| std::thread::current().id(),
+            )
             .into_iter()
             .flatten()
             .collect::<std::collections::HashSet<_>>()
@@ -501,10 +551,11 @@ mod tests {
         let inputs = vec![Some(10u32), None, Some(30u32)];
         let results = compute_all(
             &mut clusters,
+            &mut lanes(),
             inputs,
             Engine::Parallel,
             heavy,
-            |cluster, v| (cluster.config().name.clone(), v + 1),
+            |cluster, _, v| (cluster.config().name.clone(), v + 1),
         );
         assert_eq!(results.len(), 3);
         assert_eq!(results[0], Some(("c0".to_owned(), 11)));
@@ -520,10 +571,11 @@ mod tests {
         let inputs: Vec<Option<u32>> = (0..7).map(|i| (i % 2 == 0).then_some(i)).collect();
         let results = compute_all(
             &mut clusters,
+            &mut lanes(),
             inputs,
             Engine::Parallel,
             heavy,
-            |_cluster, v| v * 10,
+            |_cluster, _, v| v * 10,
         );
         let expected: Vec<Option<u32>> = (0..7).map(|i| (i % 2 == 0).then_some(i * 10)).collect();
         assert_eq!(results, expected);
@@ -537,10 +589,11 @@ mod tests {
         let inputs = vec![None, Some(7u32), None];
         let results = compute_all(
             &mut clusters,
+            &mut lanes(),
             inputs,
             Engine::Parallel,
             heavy,
-            |_cluster, v| v + 1,
+            |_cluster, _, v| v + 1,
         );
         assert_eq!(results, vec![None, Some(8), None]);
     }
@@ -555,10 +608,11 @@ mod tests {
         let inputs: Vec<Option<u32>> = (0..4).map(Some).collect();
         let results = compute_all(
             &mut clusters,
+            &mut lanes(),
             inputs,
             Engine::Sequential,
             heavy,
-            |_cluster, v| {
+            |_cluster, _, v| {
                 assert_eq!(std::thread::current().id(), caller);
                 order.lock().unwrap().push(v);
                 v + 1
@@ -578,10 +632,11 @@ mod tests {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             compute_all(
                 &mut clusters,
+                &mut lanes(),
                 inputs,
                 Engine::Parallel,
                 heavy,
-                |_cluster, v| {
+                |_cluster, _, v| {
                     if v == 1 {
                         panic!("compute failed for cluster 1");
                     }

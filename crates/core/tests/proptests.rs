@@ -112,14 +112,20 @@ struct Knob {
 
 /// *{NaN, ±∞, -1, 0, tiny, nominal, huge}* around a float knob's own
 /// "tiny" and "huge": the smallest and largest values a deployment could
-/// plausibly mean. The time-scaling knobs have no upper bound in
-/// `validate()`, and the chain seals one block per five virtual seconds up
-/// to the end of the run, so a value like `1e300` is accepted and then runs
-/// (practically) forever — that hole is ROADMAP 4(d)'s, not this test's,
-/// and `huge` stays below it.
+/// plausibly mean.
 fn float_grid(tiny: f64, nominal: f64, huge: f64) -> Vec<f64> {
     let (nan, inf) = (f64::NAN, f64::INFINITY);
     vec![nan, inf, -inf, -1.0, 0.0, tiny, nominal, huge]
+}
+
+/// [`float_grid`] for a knob that scales virtual time, plus the point
+/// *beyond huge*: finite, inside the knob's own domain, and a run that
+/// would (practically) never end — `validate()` must refuse it on the
+/// run's nominal horizon.
+fn time_scaling_grid(tiny: f64, nominal: f64, huge: f64, beyond: f64) -> Vec<f64> {
+    let mut grid = float_grid(tiny, nominal, huge);
+    grid.push(beyond);
+    grid
 }
 
 fn finite_positive(v: f64) -> bool {
@@ -137,14 +143,14 @@ fn numeric_knobs() -> Vec<Knob> {
         Knob {
             name: "window_margin",
             set: |c, v| c.window_margin = v,
-            valid: |v| v.is_finite() && v >= 1.0,
-            grid: float_grid(1.0, 1.15, 1.0e3),
+            valid: |v| v.is_finite() && (1.0..1.0e300).contains(&v),
+            grid: time_scaling_grid(1.0, 1.15, 1.0e3, 1.0e300),
         },
         Knob {
             name: "straggle_factor",
             set: |c, v| c.clusters[1].straggle_factor = v,
-            valid: finite_positive,
-            grid: float_grid(1.0e-3, 1.0, 1.0e3),
+            valid: |v| finite_positive(v) && v < 1.0e300,
+            grid: time_scaling_grid(1.0e-3, 1.0, 1.0e3, 1.0e300),
         },
         Knob {
             name: "learning_rate",
@@ -166,8 +172,8 @@ fn numeric_knobs() -> Vec<Knob> {
                     ..LinkProfile::wan()
                 });
             },
-            valid: finite_positive,
-            grid: float_grid(64.0, 1.0e6, 1.0e18),
+            valid: |v| finite_positive(v) && v > 1.0e-300,
+            grid: time_scaling_grid(64.0, 1.0e6, 1.0e18, 1.0e-300),
         },
         Knob {
             name: "dp.clip_norm",
@@ -197,16 +203,18 @@ fn numeric_knobs() -> Vec<Knob> {
                 late.joins_at = Some(SimDuration::from_millis(v as u64));
                 c.clusters.push(late);
             },
-            valid: |v| v > 0.0,
-            grid: vec![0.0, 1.0, 28.0e3, 1.0e7],
+            valid: |v| v > 0.0 && v < 1.0e300,
+            grid: vec![0.0, 1.0, 28.0e3, 1.0e7, 1.0e300],
         },
     ]
 }
 
 /// The slice of ROADMAP 4(d) sized to the knobs PR 23 audited: over the
-/// grid *knob × value* (64 cases; every other knob at the quickstart's
+/// grid *knob × value* (68 cases; every other knob at the quickstart's
 /// value; link models alternating), `validate()` accepts exactly the values
-/// in the knob's domain — and a configuration it accepts runs one
+/// in the knob's domain — which for the four time-scaling knobs ends
+/// below the point where the run would never end — and a configuration it
+/// accepts runs one
 /// quickstart round to completion without panicking, with a finite clock
 /// and finite results. A plain loop rather than `proptest!`: the grid is
 /// small enough to enumerate, so nothing is left to the draw.
@@ -248,7 +256,7 @@ fn validate_accepts_exactly_each_numeric_knobs_domain_and_what_it_accepts_runs()
             }
         }
     }
-    assert_eq!(cases, 64);
+    assert_eq!(cases, 68);
     // Tiny, nominal and huge of every float knob, zero where zero is in the
     // domain (label noise, noise multiplier), the in-domain edges of the
     // integer knobs.

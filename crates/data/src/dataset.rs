@@ -128,24 +128,52 @@ impl Dataset {
     /// Materializes all samples as a batch tensor shaped for the input kind
     /// (`[n, d]` for flat, `[n, c, h, w]` for images).
     pub fn as_tensor(&self) -> Tensor {
-        let shape = match self.input {
-            InputKind::Flat(d) => vec![self.len(), d],
-            InputKind::Image { c, h, w } => vec![self.len(), c, h, w],
-        };
-        Tensor::from_vec(shape, self.features.clone())
+        let mut x = Tensor::zeros(vec![]);
+        self.range_into(0..self.len(), &mut x);
+        x
     }
 
-    /// Iterates over shuffled mini-batches as `(tensor, labels)` pairs.
-    pub fn batches(&self, batch_size: usize, rng: &mut StdRng) -> Vec<(Tensor, Vec<usize>)> {
+    /// Writes the samples of `range` into `x` as one batch shaped for the
+    /// input kind, read straight from the feature slab into `x`'s own
+    /// buffers, and returns their labels.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the last sample.
+    pub fn range_into(&self, range: std::ops::Range<usize>, x: &mut Tensor) -> &[usize] {
+        let per = self.input.features();
+        let rows = &self.features[range.start * per..range.end * per];
+        self.gather_into(range.len(), [rows], x);
+        &self.labels[range]
+    }
+
+    /// Fills `x` with `n` samples' worth of `rows`, shaped for the input
+    /// kind.
+    fn gather_into<'a>(&self, n: usize, rows: impl IntoIterator<Item = &'a [f32]>, x: &mut Tensor) {
+        match self.input {
+            InputKind::Flat(d) => x.assign_rows(&[n, d], rows),
+            InputKind::Image { c, h, w } => x.assign_rows(&[n, c, h, w], rows),
+        }
+    }
+
+    /// One epoch of shuffled mini-batches. The shuffle is drawn from `rng`
+    /// here, whole; the batches are gathered one at a time as they are
+    /// asked for — owned `(tensor, labels)` pairs by iterating the epoch,
+    /// or into the caller's buffers through [`Batches::next_into`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `batch_size` is zero.
+    pub fn batches(&self, batch_size: usize, rng: &mut StdRng) -> Batches<'_> {
         assert!(batch_size > 0, "batch_size must be positive");
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        idx.chunks(batch_size)
-            .map(|chunk| {
-                let sub = self.subset(chunk);
-                (sub.as_tensor(), sub.labels.clone())
-            })
-            .collect()
+        let mut order: Vec<usize> = (0..self.len()).collect();
+        order.shuffle(rng);
+        Batches {
+            data: self,
+            order,
+            batch_size,
+            next: 0,
+        }
     }
 
     /// A copy with every label shifted by `shift` classes (modulo the
@@ -172,6 +200,65 @@ impl Dataset {
             hist[l] += 1;
         }
         hist
+    }
+}
+
+/// The mini-batches of one shuffled epoch over a [`Dataset`], in order
+/// (see [`Dataset::batches`]): gathered one at a time into the caller's
+/// buffers ([`Batches::next_into`]), or handed out owned by iterating it.
+#[derive(Debug, Clone)]
+pub struct Batches<'a> {
+    data: &'a Dataset,
+    order: Vec<usize>,
+    batch_size: usize,
+    /// Position in `order` of the next batch's first sample.
+    next: usize,
+}
+
+impl Batches<'_> {
+    /// Gathers the next batch into `x` and `labels`, whatever they held,
+    /// reusing their buffers; `false` (both untouched) once the epoch is
+    /// spent.
+    pub fn next_into(&mut self, x: &mut Tensor, labels: &mut Vec<usize>) -> bool {
+        let end = (self.next + self.batch_size).min(self.order.len());
+        let chunk = &self.order[self.next..end];
+        if chunk.is_empty() {
+            return false;
+        }
+        let data = self.data;
+        data.gather_into(chunk.len(), chunk.iter().map(|&i| data.sample(i)), x);
+        labels.clear();
+        labels.extend(chunk.iter().map(|&i| data.labels[i]));
+        self.next = end;
+        true
+    }
+}
+
+impl<'a> IntoIterator for Batches<'a> {
+    type Item = (Tensor, Vec<usize>);
+    type IntoIter = OwnedBatches<'a>;
+
+    fn into_iter(self) -> OwnedBatches<'a> {
+        OwnedBatches(self)
+    }
+}
+
+/// [`Batches`] as an iterator of owned `(tensor, labels)` pairs: a fresh
+/// pair of buffers per batch.
+#[derive(Debug, Clone)]
+pub struct OwnedBatches<'a>(Batches<'a>);
+
+impl Iterator for OwnedBatches<'_> {
+    type Item = (Tensor, Vec<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (mut x, mut labels) = (Tensor::zeros(vec![]), Vec::new());
+        self.0.next_into(&mut x, &mut labels).then_some((x, labels))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = (self.0.order.len() - self.0.next).div_ceil(self.0.batch_size);
+        (left, Some(left))
     }
 }
 
@@ -247,12 +334,69 @@ mod tests {
     fn batches_cover_every_sample_once() {
         let d = toy();
         let mut rng = StdRng::seed_from_u64(2);
-        let batches = d.batches(4, &mut rng);
+        let epoch = d.batches(4, &mut rng).into_iter();
+        assert_eq!(epoch.size_hint(), (2, Some(2)));
+        let batches: Vec<_> = epoch.collect();
         assert_eq!(batches.len(), 2);
         let total: usize = batches.iter().map(|(_, l)| l.len()).sum();
         assert_eq!(total, 6);
         assert_eq!(batches[0].0.shape(), &[4, 2]);
         assert_eq!(batches[1].0.shape(), &[2, 2]);
+    }
+
+    #[test]
+    fn batches_are_the_shuffled_subsets_whichever_way_they_are_read() {
+        // The definition: shuffle the indices once, cut them into chunks,
+        // each batch is that chunk's subset as a tensor. Owned batches and
+        // batches gathered into one dirty, reused buffer must both be
+        // exactly that — and leave the generator where the shuffle left it.
+        use rand::Rng;
+        let image = InputKind::Image { c: 2, h: 1, w: 3 };
+        let d = Dataset::new(
+            image,
+            3,
+            (0..7 * 6).map(|i| i as f32 * 0.5).collect(),
+            vec![0, 1, 2, 0, 1, 2, 0],
+        );
+        let (mut a, mut b, mut c) = (
+            StdRng::seed_from_u64(9),
+            StdRng::seed_from_u64(9),
+            StdRng::seed_from_u64(9),
+        );
+        let mut order: Vec<usize> = (0..d.len()).collect();
+        order.shuffle(&mut a);
+        let expected: Vec<(Tensor, Vec<usize>)> = order
+            .chunks(3)
+            .map(|chunk| {
+                let sub = d.subset(chunk);
+                (sub.as_tensor(), sub.labels().to_vec())
+            })
+            .collect();
+        assert_eq!(expected[2].0.shape(), &[1, 2, 1, 3]);
+
+        let owned: Vec<_> = d.batches(3, &mut b).into_iter().collect();
+        assert_eq!(owned, expected);
+
+        let (mut x, mut labels) = (Tensor::from_vec(vec![2], vec![f32::NAN; 2]), vec![9; 40]);
+        let mut epoch = d.batches(3, &mut c);
+        for want in &expected {
+            assert!(epoch.next_into(&mut x, &mut labels));
+            assert_eq!((&x, &labels), (&want.0, &want.1));
+        }
+        assert!(!epoch.next_into(&mut x, &mut labels));
+        assert_eq!(x, expected[2].0, "a spent epoch leaves the buffers alone");
+        let draws = [a.gen::<u64>(), b.gen::<u64>(), c.gen::<u64>()];
+        assert_eq!(draws, [draws[0]; 3]);
+    }
+
+    #[test]
+    fn range_into_reads_the_slab_in_place() {
+        let d = toy();
+        let mut x = Tensor::zeros(vec![5]);
+        assert_eq!(d.range_into(1..3, &mut x), &[1, 2]);
+        assert_eq!(x, d.subset(&[1, 2]).as_tensor());
+        assert_eq!(d.range_into(6..6, &mut x), &[] as &[usize]);
+        assert_eq!(x.shape(), &[0, 2]);
     }
 
     #[test]

@@ -9,9 +9,10 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use unifyfl_data::Dataset;
-use unifyfl_tensor::optim::Sgd;
 use unifyfl_tensor::zoo::ModelSpec;
-use unifyfl_tensor::Sequential;
+use unifyfl_tensor::{Sequential, Tensor};
+
+use crate::shell::{evaluate_chunks, EvalShell, Loaded, TrainShell};
 
 /// Per-round training instructions sent by the server.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,6 +54,16 @@ pub trait FlClient: Send {
     /// Trains locally starting from `weights` and returns the update.
     fn fit(&mut self, weights: &[f32], config: &FitConfig) -> FitResult;
 
+    /// [`FlClient::fit`] on buffers the caller owns and lends to one fit
+    /// after another — what [`FlServer`](crate::FlServer) calls, with the
+    /// shell of the lane the client was dealt to. The result is `fit`'s,
+    /// bit for bit, whatever the shell ran before. Defaults to `fit` for
+    /// clients that train no model of their own.
+    fn fit_in(&mut self, shell: &mut TrainShell, weights: &[f32], config: &FitConfig) -> FitResult {
+        let _ = shell;
+        self.fit(weights, config)
+    }
+
     /// Evaluates `weights` on the client's local data.
     fn evaluate(&mut self, weights: &[f32]) -> EvalResult;
 
@@ -67,15 +78,18 @@ pub trait FlClient: Send {
     }
 }
 
-/// A client holding its shard in memory and training a real model.
+/// A client holding its shard in memory and training a real model: the
+/// shard, the shuffle stream over it, and the spec of the model to train.
+/// The model itself is not the client's — every fit overwrites all of it —
+/// but the [`TrainShell`] of whoever runs the fit.
 pub struct InMemoryClient {
     spec: ModelSpec,
-    model: Sequential,
     data: Dataset,
     rng: StdRng,
 }
 
-/// Separates a client's batch-shuffle stream from its model-init stream.
+/// Separates a client's batch-shuffle stream from the stream its seed
+/// names elsewhere (a model built from the same seed).
 const SHUFFLE_SALT: u64 = 0xC11E57;
 
 impl InMemoryClient {
@@ -86,10 +100,8 @@ impl InMemoryClient {
     /// Panics if the shard is empty.
     pub fn new(spec: ModelSpec, data: Dataset, seed: u64) -> Self {
         assert!(!data.is_empty(), "client shard must not be empty");
-        let model = spec.build(seed);
         InMemoryClient {
             spec,
-            model,
             data,
             rng: StdRng::seed_from_u64(seed ^ SHUFFLE_SALT),
         }
@@ -108,37 +120,44 @@ impl InMemoryClient {
 
 impl FlClient for InMemoryClient {
     fn fit(&mut self, weights: &[f32], config: &FitConfig) -> FitResult {
-        self.model.set_flat_params(weights);
-        // Plain SGD, per §4.1.3 of the paper. Momentum would let local
-        // models drift far enough apart that parameter averaging across
-        // NIID clusters collapses.
-        let mut opt = Sgd::new(config.learning_rate, 0.0);
+        self.fit_in(&mut TrainShell::default(), weights, config)
+    }
+
+    fn fit_in(&mut self, shell: &mut TrainShell, weights: &[f32], config: &FitConfig) -> FitResult {
+        let Loaded {
+            model,
+            opt,
+            x,
+            labels,
+            ..
+        } = shell.load(&self.spec, weights, config.learning_rate);
         let mut last_epoch_loss = 0.0f64;
         for _ in 0..config.epochs.max(1) {
             let mut epoch_loss = 0.0f64;
             let mut batches = 0usize;
-            for (x, y) in self.data.batches(config.batch_size, &mut self.rng) {
-                // The whole step runs on the model's own buffers: the
-                // arena inside `train_batch`, the parameters stepped where
-                // they live — no flat view, no heap allocation (gated by
-                // the bench allocation probe, which makes these two calls).
-                let loss = self.model.train_batch(&x, &y);
-                opt.step_model(&mut self.model);
+            let mut epoch = self.data.batches(config.batch_size, &mut self.rng);
+            while epoch.next_into(x, labels) {
+                // The whole step runs on the shell's own buffers: the batch
+                // gathered in place, the arena inside `train_batch`, the
+                // parameters stepped where they live — no flat view, no
+                // heap allocation (gated by the bench allocation probe,
+                // which makes these two calls).
+                let loss = model.train_batch(x, labels);
+                opt.step_model(model);
                 epoch_loss += loss as f64;
                 batches += 1;
             }
             last_epoch_loss = epoch_loss / batches.max(1) as f64;
         }
         FitResult {
-            weights: self.model.flat_params(),
+            weights: model.flat_params(),
             num_examples: self.data.len(),
             train_loss: last_epoch_loss,
         }
     }
 
     fn evaluate(&mut self, weights: &[f32]) -> EvalResult {
-        self.model.set_flat_params(weights);
-        evaluate_model(&mut self.model, &self.data)
+        evaluate_weights(&self.spec, weights, &self.data)
     }
 
     fn num_examples(&self) -> usize {
@@ -152,46 +171,25 @@ impl FlClient for InMemoryClient {
 
 /// Evaluates a model over a dataset in chunks (memory-bounded).
 pub fn evaluate_model(model: &mut Sequential, data: &Dataset) -> EvalResult {
-    const EVAL_CHUNK: usize = 256;
-    if data.is_empty() {
-        return EvalResult {
-            loss: 0.0,
-            accuracy: 0.0,
-            num_examples: 0,
-        };
-    }
-    let mut loss_sum = 0.0f64;
-    let mut correct = 0usize;
-    let indices: Vec<usize> = (0..data.len()).collect();
-    for chunk in indices.chunks(EVAL_CHUNK) {
-        let sub = data.subset(chunk);
-        let (loss, acc) = model.evaluate_batch(&sub.as_tensor(), sub.labels());
-        loss_sum += loss as f64 * chunk.len() as f64;
-        correct += (acc as f64 * chunk.len() as f64).round() as usize;
-    }
-    EvalResult {
-        loss: loss_sum / data.len() as f64,
-        accuracy: correct as f64 / data.len() as f64,
-        num_examples: data.len(),
-    }
+    evaluate_chunks(model, &mut Tensor::zeros(vec![]), data)
 }
 
 /// Convenience: build a model from `spec`, load `weights`, evaluate on
-/// `data`. Used by the accuracy scorers.
+/// `data` — one pass on an [`EvalShell`] of its own. Callers with many
+/// passes to make keep the shell.
 ///
 /// # Panics
 ///
 /// Panics if `weights` does not match the spec's parameter count.
 pub fn evaluate_weights(spec: &ModelSpec, weights: &[f32], data: &Dataset) -> EvalResult {
-    let mut model = spec.build_zeroed();
-    model.set_flat_params(weights);
-    evaluate_model(&mut model, data)
+    EvalShell::default().evaluate(spec, weights, data)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use unifyfl_data::SyntheticConfig;
+    use unifyfl_tensor::optim::Sgd;
 
     fn easy_shard(seed: u64) -> (ModelSpec, Dataset) {
         let mut cfg = SyntheticConfig::cifar10_like(300);
@@ -283,7 +281,10 @@ mod tests {
                 let (mut params, mut grads) = (Vec::new(), Vec::new());
                 let mut last_epoch_loss = 0.0f64;
                 for _ in 0..config.epochs {
-                    let batches = data.batches(config.batch_size, &mut rng);
+                    let batches: Vec<_> = data
+                        .batches(config.batch_size, &mut rng)
+                        .into_iter()
+                        .collect();
                     let mut epoch_loss = 0.0f64;
                     for (x, y) in &batches {
                         epoch_loss += model.train_batch(x, y) as f64;

@@ -16,10 +16,19 @@
 //! 3. **Bounded lanes.** Items are split into contiguous chunks over at
 //!    most `min(items, LANES_PER_CORE × available_parallelism)` lanes; a
 //!    1-core host runs inline.
+//! 4. **A lane has state.** The caller owns one `S` per lane — grown here,
+//!    with `S::default()`, to as many as the widest fan-out so far used —
+//!    and lane `k` computes every item of its chunk on `states[k]`. The
+//!    lanes themselves are scoped threads that end with the phase; what a
+//!    lane must keep warm across phases (a model shell,
+//!    [`TrainShell`](crate::TrainShell)) lives in that state, so it is
+//!    lane-many, not item-many. A caller with nothing to keep passes
+//!    `Vec<()>`, which never allocates.
 //!
 //! Results come back in item order and every item is computed by the same
-//! closure whatever the lane count, so a run's bytes never depend on the
-//! host: lane count changes wall-clock only.
+//! closure whatever the lane count — which state an item meets must not
+//! show in its result — so a run's bytes never depend on the host: lane
+//! count changes wall-clock and footprint only.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -69,9 +78,13 @@ const GRAIN_FLOPS: f64 = 3.0e6;
 /// against 1.35–1.55 ms on 2, and the workload's `run_s` does not resolve
 /// the two caps (10 alternating pairs, 5 : 5, medians 0.863 s at 2 × vs
 /// 0.852 s at 1 ×); `train_heavy` favours 2 × in 5 of 6 pairs by 1.8 %.
-/// The price is memory: `train_heavy` (3 clusters × 20 clients) goes from
-/// 60 client threads to 12 and peaks at 119 MB, where 1 × (6 threads)
-/// peaks at 100 MB.
+/// The price is memory — a model shell per lane (≈ 0.84 MB to train the
+/// paper's CNN, ≈ 2.8 MB to evaluate it) and a thread with its allocator
+/// arena: `train_heavy` (3 clusters × 20 clients on 2 cores) runs 3 cluster
+/// lanes × 4 client lanes at 2 × and peaks at 61–62 MB, where 1 × (2 × 2
+/// lanes) peaks at 42 MB, with `run_s` not resolved between them in three
+/// alternating pairs (0.446 / 0.417 / 0.417 s against 0.409 / 0.422 /
+/// 0.442 s).
 const LANES_PER_CORE: usize = 2;
 
 /// Estimated FLOPs of fitting `samples` samples for `epochs` epochs on a
@@ -86,9 +99,10 @@ pub fn eval_flops(params: usize, samples: usize) -> f64 {
     2.0 * params as f64 * samples as f64
 }
 
-/// Applies `f` to every item and returns the results in item order,
-/// forking only where `flops` — the caller's estimate of the whole
-/// fan-out's work — outweighs a fork (see the module docs).
+/// Applies `f` to every item, on the state of the lane the item falls to,
+/// and returns the results in item order, forking only where `flops` — the
+/// caller's estimate of the whole fan-out's work — outweighs a fork (see
+/// the module docs). `states` is grown to the lane count and never shrunk.
 ///
 /// # Errors
 ///
@@ -96,23 +110,19 @@ pub fn eval_flops(params: usize, samples: usize) -> f64 {
 /// its own first panic) and the panic of the lowest-indexed item is
 /// returned with that index — the same one under any lane count — for the
 /// caller to `resume_unwind`, with or without context.
-pub fn fan_out<T, R, F>(items: &mut [T], flops: f64, f: F) -> Result<Vec<R>, (usize, Payload)>
+pub fn fan_out<T, S, R, F>(
+    items: &mut [T],
+    states: &mut Vec<S>,
+    flops: f64,
+    f: F,
+) -> Result<Vec<R>, (usize, Payload)>
 where
     T: Send,
+    S: Default + Send,
     R: Send,
-    F: Fn(&mut T) -> R + Sync,
+    F: Fn(&mut S, &mut T) -> R + Sync,
 {
-    let lanes = if forks(items.len(), flops) {
-        // Queried only above the grain: it reads the affinity mask and the
-        // cgroup quota, ≈ 11 µs a tiny round cannot afford.
-        match std::thread::available_parallelism().map_or(1, |n| n.get()) {
-            1 => 1,
-            cores => items.len().min(LANES_PER_CORE * cores),
-        }
-    } else {
-        1
-    };
-    run_lanes(items, lanes, &f)
+    run_lanes(items, states, lanes(items.len(), flops), &f)
 }
 
 /// Whether a fan-out of `items` items and `flops` estimated work is on the
@@ -123,27 +133,57 @@ pub fn forks(items: usize, flops: f64) -> bool {
     items >= 2 && flops >= GRAIN_FLOPS
 }
 
+/// The lanes [`fan_out`] spreads `items` items of `flops` estimated work
+/// over: 1 below the grain and on a 1-core host. Public so a caller that
+/// gathers its items' inputs in waves can size a wave to what will run at
+/// once.
+pub fn lanes(items: usize, flops: f64) -> usize {
+    if !forks(items, flops) {
+        return 1;
+    }
+    // Queried only above the grain: it reads the affinity mask and the
+    // cgroup quota, ≈ 11 µs a tiny round cannot afford.
+    match std::thread::available_parallelism().map_or(1, |n| n.get()) {
+        1 => 1,
+        cores => items.min(LANES_PER_CORE * cores),
+    }
+}
+
 /// [`fan_out`] at an explicit lane count: contiguous chunks of
 /// `⌈items / lanes⌉`, the first on the calling thread, the rest on scoped
-/// threads.
-fn run_lanes<T, R, F>(items: &mut [T], lanes: usize, f: &F) -> Result<Vec<R>, (usize, Payload)>
+/// threads, chunk `k` on `states[k]`.
+fn run_lanes<T, S, R, F>(
+    items: &mut [T],
+    states: &mut Vec<S>,
+    lanes: usize,
+    f: &F,
+) -> Result<Vec<R>, (usize, Payload)>
 where
     T: Send,
+    S: Default + Send,
     R: Send,
-    F: Fn(&mut T) -> R + Sync,
+    F: Fn(&mut S, &mut T) -> R + Sync,
 {
-    let chunk_len = items.len().div_ceil(lanes);
-    if chunk_len >= items.len() {
-        return run_chunk(0, items, f);
+    let chunk_len = items.len().div_ceil(lanes).max(1);
+    let chunks = items.len().div_ceil(chunk_len).max(1);
+    if states.len() < chunks {
+        states.resize_with(chunks, S::default);
+    }
+    let (first_state, rest_states) = states.split_first_mut().expect("one state per chunk");
+    if chunks == 1 {
+        return run_chunk(0, items, first_state, f);
     }
     let (first, rest) = items.split_at_mut(chunk_len);
     std::thread::scope(|scope| {
         let handles: Vec<_> = rest
             .chunks_mut(chunk_len)
+            .zip(rest_states)
             .enumerate()
-            .map(|(k, chunk)| scope.spawn(move || run_chunk((k + 1) * chunk_len, chunk, f)))
+            .map(|(k, (chunk, state))| {
+                scope.spawn(move || run_chunk((k + 1) * chunk_len, chunk, state, f))
+            })
             .collect();
-        let head = run_chunk(0, first, f);
+        let head = run_chunk(0, first, first_state, f);
         // Join every lane before looking at any outcome, so a panic never
         // leaves a sibling running.
         let tails: Vec<_> = handles
@@ -158,17 +198,18 @@ where
     })
 }
 
-/// Runs one lane's chunk in order, stopping at its first panic; `base` is
-/// the chunk's offset in the whole item list.
-fn run_chunk<T, R>(
+/// Runs one lane's chunk in order on the lane's state, stopping at its
+/// first panic; `base` is the chunk's offset in the whole item list.
+fn run_chunk<T, S, R>(
     base: usize,
     chunk: &mut [T],
-    f: &impl Fn(&mut T) -> R,
+    state: &mut S,
+    f: &impl Fn(&mut S, &mut T) -> R,
 ) -> Result<Vec<R>, (usize, Payload)> {
     let mut done = Vec::with_capacity(chunk.len());
     catch_unwind(AssertUnwindSafe(|| {
         for item in chunk.iter_mut() {
-            done.push(f(item));
+            done.push(f(state, item));
         }
     }))
     .map_err(|payload| (base + done.len(), payload))?;
@@ -183,33 +224,83 @@ mod tests {
     use std::sync::Mutex;
     use std::thread::ThreadId;
 
+    /// What a lane's state saw: the items it was handed, in order, and the
+    /// threads that handed them.
+    #[derive(Default)]
+    struct LaneLog {
+        items: Vec<usize>,
+        threads: HashSet<ThreadId>,
+    }
+
     proptest! {
         /// Any lane count returns the same results, in item order, and
-        /// visits every item exactly once.
+        /// visits every item exactly once — each lane on a state of its
+        /// own: chunk `k`'s items, all of them and only them, in order, on
+        /// one thread, land on `states[k]`, and no state beyond the chunk
+        /// count is made.
         #[test]
         fn every_lane_count_is_identical_and_index_ordered(
             values in proptest::collection::vec(any::<u32>(), 0..40),
         ) {
-            let f = |v: &mut u32| {
-                *v = v.wrapping_add(1);
-                u64::from(*v) * 3
-            };
             let mut reference = values.clone();
-            let expected: Vec<u64> = reference.iter_mut().map(f).collect();
+            let expected: Vec<u64> = reference
+                .iter_mut()
+                .map(|v| {
+                    *v = v.wrapping_add(1);
+                    u64::from(*v) * 3
+                })
+                .collect();
             for lanes in 1..=8 {
-                let mut items = values.clone();
-                let got = run_lanes(&mut items, lanes, &f).expect("no panic");
+                let mut items: Vec<(usize, u32)> = values.iter().copied().enumerate().collect();
+                let mut states: Vec<LaneLog> = Vec::new();
+                let got = run_lanes(&mut items, &mut states, lanes, &|log: &mut LaneLog, item| {
+                    log.items.push(item.0);
+                    log.threads.insert(std::thread::current().id());
+                    item.1 = item.1.wrapping_add(1);
+                    u64::from(item.1) * 3
+                })
+                .expect("no panic");
                 prop_assert_eq!(&got, &expected, "lanes = {}", lanes);
-                prop_assert_eq!(&items, &reference, "lanes = {}", lanes);
+                let stepped: Vec<u32> = items.iter().map(|item| item.1).collect();
+                prop_assert_eq!(&stepped, &reference, "lanes = {}", lanes);
+
+                let chunk_len = values.len().div_ceil(lanes).max(1);
+                prop_assert_eq!(states.len(), values.len().div_ceil(chunk_len).max(1));
+                let mut threads = HashSet::new();
+                for (k, log) in states.iter().enumerate() {
+                    let chunk: Vec<usize> =
+                        (k * chunk_len..values.len().min((k + 1) * chunk_len)).collect();
+                    prop_assert_eq!(&log.items, &chunk, "lanes = {}, state {}", lanes, k);
+                    prop_assert!(log.threads.len() <= 1, "one lane per state");
+                    for id in &log.threads {
+                        prop_assert!(threads.insert(*id), "one state per lane");
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn states_outlive_the_phase_and_only_grow() {
+        // The second, narrower fan-out finds the first one's states — its
+        // lanes' counters carry on — and leaves the extra ones alone.
+        let count = |n: &mut usize, _: &mut u8| {
+            *n += 1;
+            *n
+        };
+        let mut states: Vec<usize> = Vec::new();
+        run_lanes(&mut [0u8; 12], &mut states, 4, &count).expect("no panic");
+        assert_eq!(states, [3, 3, 3, 3]);
+        let got = run_lanes(&mut [0u8; 4], &mut states, 2, &count).expect("no panic");
+        assert_eq!(got, [4, 5, 4, 5]);
+        assert_eq!(states, [5, 5, 3, 3]);
     }
 
     /// Threads that ran an item of a 12-item fan-out at `lanes`.
     fn threads_used(lanes: usize) -> HashSet<ThreadId> {
         let seen = Mutex::new(HashSet::new());
         let mut items = [0u8; 12];
-        run_lanes(&mut items, lanes, &|_| {
+        run_lanes(&mut items, &mut Vec::new(), lanes, &|(), _| {
             seen.lock().unwrap().insert(std::thread::current().id());
         })
         .expect("no panic");
@@ -234,10 +325,11 @@ mod tests {
     fn work_under_the_grain_stays_on_the_caller() {
         let caller = std::thread::current().id();
         let mut items = [0u8; 12];
-        let on: Vec<ThreadId> = fan_out(&mut items, GRAIN_FLOPS * 0.99, |_| {
-            std::thread::current().id()
-        })
-        .expect("no panic");
+        let on: Vec<ThreadId> =
+            fan_out(&mut items, &mut Vec::new(), GRAIN_FLOPS * 0.99, |(), _| {
+                std::thread::current().id()
+            })
+            .expect("no panic");
         assert!(on.iter().all(|id| *id == caller));
     }
 
@@ -245,11 +337,12 @@ mod tests {
     fn work_over_the_grain_forks_within_the_lane_cap() {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut items = [0u8; 64];
-        let on: HashSet<ThreadId> =
-            fan_out(&mut items, GRAIN_FLOPS, |_| std::thread::current().id())
-                .expect("no panic")
-                .into_iter()
-                .collect();
+        let on: HashSet<ThreadId> = fan_out(&mut items, &mut Vec::new(), GRAIN_FLOPS, |(), _| {
+            std::thread::current().id()
+        })
+        .expect("no panic")
+        .into_iter()
+        .collect();
         assert!(on.contains(&std::thread::current().id()), "caller runs");
         if cores == 1 {
             assert_eq!(on.len(), 1, "a 1-core host runs inline");
@@ -268,7 +361,11 @@ mod tests {
         for lanes in 1..=8 {
             let chunk_len = 12usize.div_ceil(lanes);
             let mut items: Vec<(usize, bool)> = (0..12).map(|i| (i, false)).collect();
-            let (index, payload) = run_lanes(&mut items, lanes, &|item: &mut (usize, bool)| {
+            let (index, payload) = run_lanes(&mut items, &mut Vec::new(), lanes, &|(),
+                                                                                   item: &mut (
+                usize,
+                bool,
+            )| {
                 if [3, 7, 10].contains(&item.0) {
                     std::panic::panic_any(item.0);
                 }

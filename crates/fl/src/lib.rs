@@ -6,6 +6,9 @@
 //!
 //! - [`client`] — the [`client::FlClient`] trait and the
 //!   [`client::InMemoryClient`] that trains a real model on its shard;
+//! - [`shell`] — the model buffers a fit or an evaluation runs on, owned
+//!   per fan-out lane ([`shell::TrainShell`]) and per evaluator
+//!   ([`shell::EvalShell`]) rather than per client;
 //! - [`strategy`] — [`strategy::FedAvg`] and [`strategy::FedYogi`]
 //!   aggregation strategies behind a common trait;
 //! - [`server`] — the [`server::FlServer`] round loop
@@ -21,8 +24,10 @@
 pub mod client;
 pub mod fanout;
 pub mod server;
+pub mod shell;
 pub mod strategy;
 
 pub use client::{evaluate_weights, EvalResult, FitConfig, FitResult, FlClient, InMemoryClient};
 pub use server::{FlServer, RoundReport};
+pub use shell::{EvalShell, TrainShell};
 pub use strategy::{FedAvg, FedYogi, Strategy, StrategyKind};

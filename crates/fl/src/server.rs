@@ -8,6 +8,7 @@
 
 use crate::client::{EvalResult, FitConfig, FlClient};
 use crate::fanout::{fan_out, train_flops, Payload};
+use crate::shell::TrainShell;
 use crate::strategy::Strategy;
 
 /// Report of one completed intra-cluster round.
@@ -42,6 +43,12 @@ fn contextualize_panic(client: usize, payload: Payload) -> Payload {
 pub struct FlServer {
     strategy: Box<dyn Strategy>,
     clients: Vec<Box<dyn FlClient>>,
+    /// The training shells of [`FlServer::run_round`]: one per lane the
+    /// widest round so far fanned out over (one, for rounds that fit
+    /// inline), built by the first fit a lane runs, warm for every fit
+    /// after it, this round and the next. Stays empty in a server whose
+    /// rounds all run on a caller's shells ([`FlServer::run_round_on`]).
+    shells: Vec<TrainShell>,
     weights: Vec<f32>,
     round: u64,
 }
@@ -62,6 +69,7 @@ impl FlServer {
         FlServer {
             strategy,
             clients,
+            shells: Vec::new(),
             weights,
             round: 0,
         }
@@ -101,9 +109,29 @@ impl FlServer {
     }
 
     /// Runs one FL round: every client fits from the current weights, the
-    /// strategy aggregates, and the server adopts the result.
+    /// strategy aggregates, and the server adopts the result. The fits run
+    /// on the server's own training shells.
     pub fn run_round(
         &mut self,
+        epochs: usize,
+        batch_size: usize,
+        learning_rate: f32,
+    ) -> RoundReport {
+        let mut shells = std::mem::take(&mut self.shells);
+        let report = self.run_round_on(&mut shells, epochs, batch_size, learning_rate);
+        self.shells = shells;
+        report
+    }
+
+    /// [`FlServer::run_round`] on training shells the caller owns — one
+    /// per fan-out lane, grown here to as many as this round forks. A
+    /// caller that steps many servers one after another (a federation's
+    /// compute lane) lends them all the same shells, so what stays
+    /// resident follows how many fits run at once, not how many servers
+    /// or clients there are. The round is `run_round`'s, bit for bit.
+    pub fn run_round_on(
+        &mut self,
+        shells: &mut Vec<TrainShell>,
         epochs: usize,
         batch_size: usize,
         learning_rate: f32,
@@ -119,14 +147,15 @@ impl FlServer {
         // Clients are independent, so their fits go through the one
         // fan-out: inline when the round is too small to pay for a fork,
         // on bounded lanes otherwise (wall-clock parallelism only —
-        // *virtual* time is charged separately by the simulation layer).
+        // *virtual* time is charged separately by the simulation layer),
+        // each lane fitting its clients one after another on its own shell.
         // A panicking fit is resumed with its original payload, the client
         // index attached when it is a plain message, once every lane has
         // finished.
         let samples: usize = self.clients.iter().map(|c| c.num_examples()).sum();
         let flops = train_flops(weights.len(), samples, epochs.max(1));
-        let results = fan_out(&mut self.clients, flops, |client| {
-            client.fit(weights, &config)
+        let results = fan_out(&mut self.clients, shells, flops, |shell, client| {
+            client.fit_in(shell, weights, &config)
         })
         .unwrap_or_else(|(i, payload)| std::panic::resume_unwind(contextualize_panic(i, payload)));
 
@@ -425,6 +454,57 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_forked_round_on_kept_shells_is_bitwise_the_one_lane_round_on_fresh_ones() {
+        // N lanes against one: the server fits six CNN clients (≈ 130
+        // MFLOP a round, far over the grain: as many lanes as the host
+        // gives, each reusing its shell from client to client and from
+        // round to round) and the reference fits twins of them one after
+        // another, every fit on a transient shell of its own, then
+        // aggregates the same way. On a 1-core host the server's side is
+        // one lane too, and the case reduces to shell reuse.
+        let spec = ModelSpec::small_cnn(10);
+        let shards: Vec<_> = (0..6)
+            .map(|i| SyntheticConfig::cifar10_like(30).generate(40 + i))
+            .collect();
+        let fleet = || -> Vec<Box<dyn FlClient>> {
+            shards
+                .iter()
+                .enumerate()
+                .map(|(i, shard)| {
+                    Box::new(InMemoryClient::new(spec.clone(), shard.clone(), i as u64))
+                        as Box<dyn FlClient>
+                })
+                .collect()
+        };
+        let init = spec.build(1).flat_params();
+        let mut server = FlServer::new(Box::new(FedAvg::new()), fleet(), init.clone());
+        let (mut twins, mut weights) = (fleet(), init);
+        for round in 1..=2 {
+            let report = server.run_round(2, 5, 0.01);
+            let config = FitConfig {
+                epochs: 2,
+                batch_size: 5,
+                learning_rate: 0.01,
+                round,
+            };
+            let updates: Vec<(Vec<f32>, usize)> = twins
+                .iter_mut()
+                .map(|twin| twin.fit(&weights, &config))
+                .map(|fit| (fit.weights, fit.num_examples))
+                .collect();
+            weights = FedAvg::new().aggregate(&weights, &updates);
+            assert_eq!(report.total_examples, 180);
+            assert_eq!(server.weights().len(), weights.len());
+            for (a, b) in server.weights().iter().zip(&weights) {
+                assert_eq!(a.to_bits(), b.to_bits(), "round {round}");
+            }
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let lanes = if cores == 1 { 1 } else { 6.min(2 * cores) };
+        assert_eq!(server.shells.len(), 6usize.div_ceil(6usize.div_ceil(lanes)));
     }
 
     #[test]

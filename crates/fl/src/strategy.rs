@@ -41,18 +41,41 @@ pub fn weighted_mean(current: &[f32], updates: &[WeightedUpdate]) -> Vec<f32> {
     if updates.is_empty() {
         return current.to_vec();
     }
-    let dim = updates[0].0.len();
     let total: f64 = updates.iter().map(|(_, n)| *n as f64).sum();
     assert!(total > 0.0, "updates must carry positive example counts");
-    let mut out = vec![0.0f64; dim];
-    for (w, n) in updates {
-        assert_eq!(w.len(), dim, "update length mismatch");
-        let coef = *n as f64 / total;
-        for (o, &x) in out.iter_mut().zip(w) {
-            *o += coef * x as f64;
+    blend(
+        updates
+            .iter()
+            .map(|(w, n)| (w.as_slice(), *n as f64 / total)),
+    )
+}
+
+/// `Σₖ coefₖ · updateₖ`, coordinate by coordinate in `f64`: each
+/// coordinate starts at `+0.0` and meets its addends in update order —
+/// that sequence is the byte contract. It is kept a cache-resident block
+/// of coordinates at a time, so an aggregation holds its result and no
+/// model-sized `f64` accumulator beside it.
+///
+/// # Panics
+///
+/// Panics if the updates differ in length.
+fn blend<'a>(terms: impl Iterator<Item = (&'a [f32], f64)> + Clone) -> Vec<f32> {
+    const BLOCK: usize = 1024;
+    let dim = terms.clone().next().map_or(0, |(w, _)| w.len());
+    let mut out = Vec::with_capacity(dim);
+    let mut acc = [0.0f64; BLOCK];
+    for start in (0..dim).step_by(BLOCK) {
+        let acc = &mut acc[..BLOCK.min(dim - start)];
+        acc.fill(0.0);
+        for (w, coef) in terms.clone() {
+            assert_eq!(w.len(), dim, "update length mismatch");
+            for (a, &x) in acc.iter_mut().zip(&w[start..]) {
+                *a += coef * x as f64;
+            }
         }
+        out.extend(acc.iter().map(|&a| a as f32));
     }
-    out.into_iter().map(|x| x as f32).collect()
+    out
 }
 
 /// Precision-weighted parameter mean: each update carries a non-negative
@@ -77,20 +100,12 @@ pub fn precision_weighted_mean(current: &[f32], updates: &[(Vec<f32>, f64)]) -> 
         "precisions must be non-negative"
     );
     let total: f64 = updates.iter().map(|(_, p)| *p).sum();
-    if !total.is_finite() || total <= 0.0 {
-        let equal: Vec<WeightedUpdate> = updates.iter().map(|(w, _)| (w.clone(), 1usize)).collect();
-        return weighted_mean(current, &equal);
-    }
-    let dim = updates[0].0.len();
-    let mut out = vec![0.0f64; dim];
-    for (w, p) in updates {
-        assert_eq!(w.len(), dim, "update length mismatch");
-        let coef = p / total;
-        for (o, &x) in out.iter_mut().zip(w) {
-            *o += coef * x as f64;
-        }
-    }
-    out.into_iter().map(|x| x as f32).collect()
+    let degenerate = !total.is_finite() || total <= 0.0;
+    let equal = 1.0 / updates.len() as f64;
+    blend(updates.iter().map(|(w, p)| {
+        let coef = if degenerate { equal } else { p / total };
+        (w.as_slice(), coef)
+    }))
 }
 
 impl Strategy for FedAvg {
@@ -192,6 +207,63 @@ mod tests {
         let updates = vec![(vec![0.0f32, 0.0], 1), (vec![4.0f32, 8.0], 3)];
         let out = s.aggregate(&[9.0, 9.0], &updates);
         assert_eq!(out, vec![3.0, 6.0]);
+    }
+
+    #[test]
+    fn blocked_means_are_bitwise_the_whole_vector_accumulation() {
+        // The reference formulation: one model-sized f64 accumulator,
+        // every update added onto it whole, in order. 2,500 coordinates
+        // span two full blocks and a short one; the edge values make the
+        // order of additions visible (`-0.0`, `∞ − ∞`, a NaN update).
+        let dim = 2_500;
+        let updates: Vec<(Vec<f32>, f64)> = (0..5u32)
+            .map(|k| {
+                let mut w: Vec<f32> = (0..dim as u32)
+                    .map(|i| {
+                        (i.wrapping_mul(2_654_435_761).wrapping_add(k) % 2_000) as f32 * 1e-3 - 1.0
+                    })
+                    .collect();
+                w[k as usize] = -0.0;
+                w[1_030] = [f32::INFINITY, f32::NEG_INFINITY][k as usize % 2];
+                w[2_499] = if k == 3 { f32::NAN } else { w[2_499] };
+                (w, f64::from(k + 1))
+            })
+            .collect();
+        let reference = |coefs: Vec<f64>| -> Vec<f32> {
+            let mut out = vec![0.0f64; dim];
+            for ((w, _), coef) in updates.iter().zip(coefs) {
+                for (o, &x) in out.iter_mut().zip(w) {
+                    *o += coef * x as f64;
+                }
+            }
+            out.into_iter().map(|x| x as f32).collect()
+        };
+        let same = |got: Vec<f32>, want: Vec<f32>| {
+            assert_eq!(got.len(), want.len());
+            for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                assert!(
+                    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                    "{i}"
+                );
+            }
+        };
+        let counted: Vec<WeightedUpdate> = updates
+            .iter()
+            .map(|(w, p)| (w.clone(), *p as usize))
+            .collect();
+        same(
+            weighted_mean(&[], &counted),
+            reference((1..=5).map(|n| f64::from(n) / 15.0).collect()),
+        );
+        same(
+            precision_weighted_mean(&[], &updates),
+            reference((1..=5).map(|p| f64::from(p) / 15.0).collect()),
+        );
+        let zeroed: Vec<(Vec<f32>, f64)> = updates.iter().map(|(w, _)| (w.clone(), 0.0)).collect();
+        same(
+            precision_weighted_mean(&[], &zeroed),
+            reference(vec![1.0 / 5.0; 5]),
+        );
     }
 
     #[test]

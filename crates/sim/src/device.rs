@@ -200,24 +200,6 @@ impl DeviceProfile {
     pub fn transfer_time(&self, bytes: u64) -> SimDuration {
         self.net_latency + SimDuration::from_secs_f64(bytes as f64 / self.net_bandwidth_bps)
     }
-
-    /// Returns a copy slowed down by `factor` (> 1 means slower). Useful for
-    /// modelling stragglers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not strictly positive and finite.
-    pub fn slowed_by(&self, factor: f64) -> Self {
-        assert!(
-            factor.is_finite() && factor > 0.0,
-            "factor must be positive"
-        );
-        DeviceProfile {
-            name: format!("{}-x{:.2}", self.name, factor),
-            flops_per_sec: self.flops_per_sec / factor,
-            ..self.clone()
-        }
-    }
 }
 
 const GIB: u64 = 1024 * 1024 * 1024;
@@ -280,20 +262,6 @@ mod tests {
     fn negative_flops_clamp_to_zero() {
         let d = DeviceProfile::gpu_node();
         assert_eq!(d.compute_time(-5.0), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn slowed_by_divides_throughput() {
-        let base = DeviceProfile::gpu_node();
-        let d = base.slowed_by(4.0);
-        assert!((d.flops_per_sec() - base.flops_per_sec() / 4.0).abs() < 1.0);
-        assert!(d.name().starts_with("gpu-node-x4"));
-    }
-
-    #[test]
-    #[should_panic(expected = "factor must be positive")]
-    fn slowed_by_rejects_zero() {
-        let _ = DeviceProfile::gpu_node().slowed_by(0.0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Deterministic event queue and virtual clock.
+//! Deterministic event queue.
 //!
 //! The queue is generic over the event payload so that higher layers (the
 //! blockchain, the storage fabric, the UnifyFL experiment engine) define
@@ -191,32 +191,6 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     }
 }
 
-/// A monotonically advancing virtual clock.
-///
-/// The clock only moves forward: [`VirtualClock::advance_to`] with an earlier
-/// instant is a no-op, so event handlers cannot accidentally rewind time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct VirtualClock {
-    now: SimTime,
-}
-
-impl VirtualClock {
-    /// A clock at t = 0.
-    pub fn new() -> Self {
-        VirtualClock { now: SimTime::ZERO }
-    }
-
-    /// The current virtual instant.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Moves the clock forward to `time` (no-op if `time` is in the past).
-    pub fn advance_to(&mut self, time: SimTime) {
-        self.now = self.now.max(time);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,14 +312,6 @@ mod tests {
         q.schedule(SimTime::from_secs(5), "b");
         q.cancel(a);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(5)));
-    }
-
-    #[test]
-    fn clock_is_monotonic() {
-        let mut c = VirtualClock::new();
-        c.advance_to(SimTime::from_secs(10));
-        c.advance_to(SimTime::from_secs(5));
-        assert_eq!(c.now(), SimTime::from_secs(10));
     }
 
     #[test]

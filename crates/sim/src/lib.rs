@@ -7,7 +7,7 @@
 //! - [`clock`] — virtual time ([`SimTime`], [`SimDuration`]) with millisecond
 //!   resolution.
 //! - [`engine`] — a generic, deterministic [`EventQueue`] that orders events
-//!   by time with FIFO tie-breaking, plus a [`VirtualClock`]. Besides the
+//!   by time with FIFO tie-breaking. Besides the
 //!   per-experiment kernels, the core service layer reuses it keyed by run
 //!   id as the cross-run scheduler that leases worker slices to whichever
 //!   run sits earliest in virtual time.
@@ -45,7 +45,7 @@ pub mod rng;
 
 pub use clock::{SimDuration, SimTime};
 pub use device::DeviceProfile;
-pub use engine::{EventId, EventQueue, VirtualClock};
+pub use engine::{EventId, EventQueue};
 pub use fault::{ChaosConfig, FaultEvent, FaultKind, FaultPlan, FaultRecord};
 pub use resources::{ResourceMonitor, ResourceSummary};
 pub use rng::SeedTree;

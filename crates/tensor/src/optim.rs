@@ -48,6 +48,21 @@ impl Sgd {
         self.lr
     }
 
+    /// Starts a new optimisation run at `lr` on the buffers of the last
+    /// one: the velocity reads `+0.0` everywhere, exactly as [`Sgd::new`]
+    /// leaves it, without being reallocated. (Zeroed rather than carried
+    /// even at `momentum == 0.0`: `0 · v` is NaN where the last run left
+    /// `∞` or NaN.)
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lr` is not positive.
+    pub fn restart(&mut self, lr: f32) {
+        assert!(lr > 0.0, "learning rate must be positive");
+        self.lr = lr;
+        self.velocity.fill(0.0);
+    }
+
     /// Applies one step: `params -= lr * v` with
     /// `v = momentum * v + grads`.
     ///

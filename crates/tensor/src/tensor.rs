@@ -558,6 +558,27 @@ impl Tensor {
         self.data.extend_from_slice(&src.data);
     }
 
+    /// Overwrites `self` with shape `dims` and the concatenation of `rows`,
+    /// reusing the existing buffers — how a batch is gathered from a
+    /// dataset's feature slab without an intermediate copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the rows do not add up to `dims`' element count.
+    pub fn assign_rows<'a>(&mut self, dims: &[usize], rows: impl IntoIterator<Item = &'a [f32]>) {
+        self.shape.clear();
+        self.shape.extend_from_slice(dims);
+        self.data.clear();
+        for row in rows {
+            self.data.extend_from_slice(row);
+        }
+        assert_eq!(
+            self.data.len(),
+            dims.iter().product::<usize>(),
+            "rows do not fill shape {dims:?}"
+        );
+    }
+
     /// Reshapes `self` in place to `dims` and zero-fills the data, reusing
     /// the existing buffers — the [`Arena`](crate::arena::Arena) take path.
     pub fn reset_to(&mut self, dims: &[usize]) {
@@ -753,6 +774,15 @@ mod tests {
         dst.reset_to(&[2, 5]);
         assert_eq!(dst.shape(), &[2, 5]);
         assert!(dst.data().iter().all(|&v| v == 0.0), "reset zero-fills");
+        dst.assign_rows(&[2, 1, 2], [&src.data()[4..6], &src.data()[0..2]]);
+        assert_eq!(dst.shape(), &[2, 1, 2]);
+        assert_eq!(dst.data(), [&src.data()[4..6], &src.data()[0..2]].concat());
+    }
+
+    #[test]
+    #[should_panic(expected = "rows do not fill shape")]
+    fn assign_rows_rejects_a_short_gather() {
+        Tensor::zeros(vec![]).assign_rows(&[2, 2], [&[1.0f32, 2.0][..]]);
     }
 
     #[test]
