@@ -62,9 +62,39 @@ pub fn render(scale: Scale, seed: u64) -> String {
 mod tests {
     use super::*;
 
+    /// FNV-1a 64 over everything a baseline run reports — every cluster's
+    /// round records, the per-cluster and end times, the global and final
+    /// local metrics — with every float by its bits.
+    fn fingerprint(run: &BaselineRun) -> u64 {
+        let mut words = Vec::new();
+        for r in run.clusters.iter().flat_map(|c| &c.records) {
+            words.extend([r.round, r.peers_merged as u64]);
+            words.extend([r.local_accuracy, r.local_loss].map(f64::to_bits));
+            words.extend([r.global_accuracy, r.global_loss].map(f64::to_bits));
+            words.push(r.completed_at_secs.to_bits());
+        }
+        let o = &run.outcome;
+        words.extend(o.per_cluster_time.iter().map(|t| t.as_millis()));
+        for (accuracy, loss) in std::iter::once(&o.global).chain(&o.final_local) {
+            words.extend([accuracy.to_bits(), loss.to_bits()]);
+        }
+        words.push(o.end_time.as_millis());
+        let bytes = words.iter().flat_map(|w| w.to_le_bytes());
+        bytes.fold(0xcbf29ce484222325, |hash, byte| {
+            (hash ^ byte as u64).wrapping_mul(0x100000001b3)
+        })
+    }
+
+    /// Table 1's shape, and both arms pinned bit for bit at seed 42 as the
+    /// tree computed them before the baselines took the validated route.
     #[test]
     fn collab_global_beats_every_no_collab_local() {
         let (no_collab, hbfl, _) = run(Scale::Quick, 42);
+        assert_eq!(
+            (fingerprint(&no_collab), fingerprint(&hbfl)),
+            (0x856bb531dca069a1, 0x108874a5385f0d5a),
+            "a baseline arm moved"
+        );
         let best_solo = no_collab
             .outcome
             .final_local
