@@ -3,8 +3,12 @@
 //! Three knobs the paper fixes but never sweeps — each materially shapes
 //! the system's behaviour, so we quantify them:
 //!
-//! 1. **Clique block period** — every orchestration step waits for a seal;
-//!    the period is pure protocol latency added to each Sync phase.
+//! 1. **Protocol latency share** — every orchestration step waits for a
+//!    seal, so the block period is pure protocol latency added to each Sync
+//!    phase. The period itself is a constant
+//!    ([`unifyfl_chain::clique::PERIOD`], Geth's 5 s), so the sweep varies
+//!    the other side of the ratio: the model's virtual size, and with it the
+//!    training time the fixed latency is measured against.
 //! 2. **Sync window margin** — operators size phase windows over the
 //!    slowest nominal cluster; too tight and slow clusters straggle
 //!    (missed rounds), too loose and everyone idles.

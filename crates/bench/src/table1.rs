@@ -8,6 +8,7 @@
 
 use unifyfl_core::baseline::{run_hbfl, run_no_collab, BaselineRun};
 use unifyfl_core::cluster::ClusterConfig;
+use unifyfl_core::experiment::ExperimentBuilder;
 use unifyfl_core::report::render_baseline_table;
 use unifyfl_data::{Partition, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
@@ -25,13 +26,22 @@ pub fn edge_clusters() -> Vec<ClusterConfig> {
     ]
 }
 
-/// Both baseline runs: `(no_collab, hbfl)`.
+/// Both baseline runs, `(no_collab, hbfl)`, of one configuration: the edge
+/// clusters on CIFAR-10 at the requested scale, NIID α = 0.5.
+///
+/// # Panics
+///
+/// Panics if the configuration is invalid (it is not, at either scale).
 pub fn run(scale: Scale, seed: u64) -> (BaselineRun, BaselineRun, WorkloadConfig) {
-    let workload = scale.apply(WorkloadConfig::cifar10());
-    let partition = Partition::Dirichlet { alpha: 0.5 };
-    let no_collab = run_no_collab(seed, &workload, partition, edge_clusters());
-    let hbfl = run_hbfl(seed, &workload, partition, edge_clusters(), 1.15);
-    (no_collab, hbfl, workload)
+    let builder = ExperimentBuilder::quickstart()
+        .seed(seed)
+        .workload(scale.apply(WorkloadConfig::cifar10()))
+        .partition(Partition::Dirichlet { alpha: 0.5 })
+        .clusters(edge_clusters());
+    let config = builder.config();
+    let no_collab = run_no_collab(config).expect("the Table 1 config is valid");
+    let hbfl = run_hbfl(config).expect("the Table 1 config is valid");
+    (no_collab, hbfl, config.workload.clone())
 }
 
 /// Renders the table in the paper's layout.

@@ -14,9 +14,7 @@
 
 use unifyfl_core::baseline::run_hbfl;
 use unifyfl_core::cluster::ClusterConfig;
-use unifyfl_core::experiment::{
-    run_experiment, ExperimentBuilder, ExperimentConfig, ExperimentReport, Mode,
-};
+use unifyfl_core::experiment::{run_experiment, ExperimentBuilder, ExperimentConfig, Mode};
 use unifyfl_core::policy::{AggregationPolicy, ScorePolicy};
 use unifyfl_core::report::{render_baseline_table, render_run_table};
 use unifyfl_core::scoring::ScorerKind;
@@ -43,12 +41,6 @@ fn gpu_clusters(
         .collect()
 }
 
-/// The experiment configuration for UnifyFL runs 2–9.
-///
-/// # Panics
-///
-/// Panics on run numbers outside 2–9 (run 1 is the HBFL baseline, see
-/// [`render`]).
 /// The Tiny-ImageNet workload at the requested scale. The quick scale
 /// keeps at least 10 rounds: the 200-class task needs ≥ 20 total local
 /// epochs before the paper's relative orderings stabilize above noise.
@@ -60,12 +52,24 @@ pub fn workload(scale: Scale) -> WorkloadConfig {
     workload
 }
 
+/// The configuration of one run: run 1 is the HBFL baseline (its mode and
+/// scorer are never read), runs 2–9 are UnifyFL experiments.
+///
+/// # Panics
+///
+/// Panics on run numbers outside 1–9.
 pub fn config(run_no: u32, scale: Scale, seed: u64) -> ExperimentConfig {
     let workload = workload(scale);
     use AggregationPolicy as P;
     use ScorePolicy as S;
     use StrategyKind as K;
     let (mode, scorer, partition, clusters) = match run_no {
+        1 => (
+            Mode::Sync,
+            ScorerKind::Accuracy,
+            Partition::Dirichlet { alpha: 0.5 },
+            gpu_clusters(&[P::All], &[S::Mean], &[K::FedAvg]),
+        ),
         2 => (
             Mode::Async,
             ScorerKind::Accuracy,
@@ -127,7 +131,7 @@ pub fn config(run_no: u32, scale: Scale, seed: u64) -> ExperimentConfig {
             Partition::Iid,
             gpu_clusters(&[P::All], &[S::Mean], &[K::FedAvg]),
         ),
-        other => panic!("run {other} is not a UnifyFL experiment (1..=9, 1 = baseline)"),
+        other => panic!("run {other} is not a Table 5 run (1..=9)"),
     };
     ExperimentBuilder::quickstart()
         .seed(seed)
@@ -141,33 +145,13 @@ pub fn config(run_no: u32, scale: Scale, seed: u64) -> ExperimentConfig {
         .clone()
 }
 
-/// Runs one UnifyFL row set (run 2–9).
-///
-/// # Panics
-///
-/// Panics if the run configuration is invalid (cannot happen for 2–9).
-pub fn run(run_no: u32, scale: Scale, seed: u64) -> ExperimentReport {
-    run_experiment(&config(run_no, scale, seed)).expect("table5 configs are valid")
-}
-
 /// Renders one run (1 = HBFL baseline, 2–9 = UnifyFL).
 pub fn render(run_no: u32, scale: Scale, seed: u64) -> String {
     let paper = WorkloadConfig::tiny_imagenet();
-    let actual = workload(scale);
+    let config = config(run_no, scale, seed);
     let mut out = String::new();
     if run_no == 1 {
-        let clusters = gpu_clusters(
-            &[AggregationPolicy::All],
-            &[ScorePolicy::Mean],
-            &[StrategyKind::FedAvg],
-        );
-        let baseline = run_hbfl(
-            seed,
-            &actual,
-            Partition::Dirichlet { alpha: 0.5 },
-            clusters,
-            1.15,
-        );
+        let baseline = run_hbfl(&config).expect("table5 configs are valid");
         out.push_str("== Table 5 Run 1 [HBFL baseline | FedAvg | Accuracy | NIID α=0.5] ==\n");
         out.push_str(&render_baseline_table(
             "HBFL (centralized multilevel)",
@@ -178,10 +162,10 @@ pub fn render(run_no: u32, scale: Scale, seed: u64) -> String {
             baseline.outcome.end_time.as_secs_f64()
         ));
     } else {
-        let report = run(run_no, scale, seed);
+        let report = run_experiment(&config).expect("table5 configs are valid");
         out.push_str(&render_run_table(&report));
     }
-    out.push_str(&crate::extrapolation_note(scale, &paper, &actual));
+    out.push_str(&crate::extrapolation_note(scale, &paper, &config.workload));
     out
 }
 
@@ -198,7 +182,7 @@ mod tests {
 
     #[test]
     fn all_runs_have_valid_configs() {
-        for r in 2..=9 {
+        for r in RUNS {
             let cfg = config(r, Scale::Quick, 1);
             cfg.validate().unwrap_or_else(|e| panic!("run {r}: {e}"));
             assert_eq!(cfg.clusters.len(), 4);
@@ -241,7 +225,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not a UnifyFL experiment")]
+    #[should_panic(expected = "not a Table 5 run")]
     fn run0_panics() {
         let _ = config(0, Scale::Quick, 1);
     }

@@ -7,7 +7,7 @@
 //! ~0.2 % CPU / 6 MB (Geth) and ~3.5 % CPU / 19 MB (IPFS) — negligible
 //! next to the FL workload — and stays flat as the federation scales.
 
-use unifyfl_core::experiment::ExperimentReport;
+use unifyfl_core::experiment::{run_experiment, ExperimentReport};
 use unifyfl_core::report::render_resources_table;
 use unifyfl_data::WorkloadConfig;
 
@@ -15,7 +15,7 @@ use crate::{table5, Scale};
 
 /// Runs the underlying experiment (Table 5 Run 2's configuration).
 pub fn run(scale: Scale, seed: u64) -> ExperimentReport {
-    table5::run(2, scale, seed)
+    run_experiment(&table5::config(2, scale, seed)).expect("table5 configs are valid")
 }
 
 /// Renders the table.

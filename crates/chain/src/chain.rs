@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use unifyfl_sim::SimTime;
 
-use crate::clique::{Clique, CliqueConfig, SealError};
+use crate::clique::{Clique, CliqueConfig, SealError, PERIOD};
 use crate::contract::{CallContext, Contract, ContractError};
 use crate::hash::{sha256, H256};
 use crate::merkle::merkle_root;
@@ -297,7 +297,7 @@ impl Blockchain {
     /// Earliest virtual instant at which the next block may be sealed
     /// (each injected missed slot pushes it one period later).
     pub fn next_seal_time(&self) -> SimTime {
-        self.head().header.timestamp + self.clique.config().period * (1 + self.missed_slots)
+        self.head().header.timestamp + PERIOD * (1 + self.missed_slots)
     }
 
     /// Seals the next block at `now` using the in-turn signer if eligible,
@@ -468,7 +468,7 @@ impl Blockchain {
             let n = child.number();
             if child.header.parent_hash != parent.hash()
                 || n != parent.number() + 1
-                || child.header.timestamp < parent.header.timestamp + engine.config().period
+                || child.header.timestamp < parent.header.timestamp + PERIOD
             {
                 return Err(n);
             }
@@ -682,17 +682,16 @@ mod tests {
         // Sealing at the shifted slot succeeds and resets the schedule.
         let ts = chain.next_seal_time();
         chain.seal_next(ts).unwrap();
-        assert_eq!(chain.next_seal_time(), ts + chain.clique().config().period);
+        assert_eq!(chain.next_seal_time(), ts + PERIOD);
         chain.verify().unwrap();
     }
 
     #[test]
     fn seal_due_slot_drains_the_schedule_and_respects_misses() {
         let (mut chain, _, _) = setup();
-        let period = chain.clique().config().period;
         // Fault-free: every due slot seals at its own slot timestamp.
         let h0 = chain.height();
-        let horizon = SimTime::ZERO + period * 3;
+        let horizon = SimTime::ZERO + PERIOD * 3;
         let mut sealed = Vec::new();
         loop {
             match chain.seal_due_slot(horizon).unwrap() {
@@ -705,9 +704,9 @@ mod tests {
         assert_eq!(
             sealed,
             vec![
-                SimTime::ZERO + period,
-                SimTime::ZERO + period * 2,
-                SimTime::ZERO + period * 3,
+                SimTime::ZERO + PERIOD,
+                SimTime::ZERO + PERIOD * 2,
+                SimTime::ZERO + PERIOD * 3,
             ]
         );
         // Not due yet: a horizon before the next slot is a no-op.
@@ -716,7 +715,7 @@ mod tests {
         // period without sealing, until nothing is due.
         chain.install_faults(ChainFaults::new(1, 1.0, 0.0));
         let h1 = chain.height();
-        let horizon = sealed[2] + period * 2;
+        let horizon = sealed[2] + PERIOD * 2;
         let mut misses = 0;
         loop {
             match chain.seal_due_slot(horizon).unwrap() {

@@ -8,15 +8,14 @@
 //! construction and cost model as UnifyFL, so their numbers are directly
 //! comparable.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use unifyfl_data::{Dataset, Partition, WorkloadConfig};
+use unifyfl_chain::clique::PERIOD;
+use unifyfl_data::Dataset;
 use unifyfl_fl::strategy::weighted_mean;
 use unifyfl_sim::{SimDuration, SimTime};
-use unifyfl_storage::network::LinkProfile;
-use unifyfl_storage::IpfsNetwork;
 
-use crate::cluster::{ClusterConfig, ClusterNode, ClusterRoundRecord};
+use crate::cluster::{ClusterNode, ClusterRoundRecord};
+use crate::experiment::{ExperimentConfig, ExperimentError};
+use crate::federation::assemble_clusters;
 use crate::step::Lane;
 
 /// Result of a baseline run.
@@ -43,62 +42,22 @@ pub struct BaselineRun {
     pub outcome: BaselineOutcome,
 }
 
-fn build_clusters(
-    seed: u64,
-    workload: &WorkloadConfig,
-    partition: Partition,
-    configs: Vec<ClusterConfig>,
-) -> (Vec<ClusterNode>, Dataset) {
-    assert!(!configs.is_empty(), "need at least one cluster");
-    let spec = workload.model.clone();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xFEDE);
-    let full = workload.dataset.generate(seed);
-    let (pool, global_test) = full.split(0.15, &mut rng);
-    let shards = partition.split(&pool, configs.len(), &mut rng);
-    let ipfs = IpfsNetwork::new();
-    let init = spec.build(seed).flat_params();
-    let clusters = configs
-        .into_iter()
-        .zip(shards)
-        .enumerate()
-        .map(|(i, (config, shard))| {
-            let link = LinkProfile {
-                bandwidth_bps: config.client_device.net_bandwidth_bps(),
-                latency: config.client_device.net_latency(),
-            };
-            let node = ipfs.add_node(link);
-            ClusterNode::try_new(
-                config,
-                spec.clone(),
-                &shard,
-                init.clone(),
-                node,
-                seed.wrapping_add(1000 + i as u64),
-            )
-            .expect("every baseline shard covers its cluster's clients")
-        })
-        .collect();
-    (clusters, global_test)
-}
-
 /// Runs the HBFL centralized multilevel baseline.
 ///
 /// Each round: every cluster trains locally (phase-locked, like the
 /// blockchain-synchronized HBFL deployment), the central reducer fetches
 /// all cluster models, aggregates them example-weighted, and pushes the
-/// global model back down to every cluster.
+/// global model back down to every cluster. Reads the seed, workload,
+/// partition, clusters and window margin of `config`; nothing else.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `configs` is empty.
-pub fn run_hbfl(
-    seed: u64,
-    workload: &WorkloadConfig,
-    partition: Partition,
-    configs: Vec<ClusterConfig>,
-    window_margin: f64,
-) -> BaselineRun {
-    let (mut clusters, global_test) = build_clusters(seed, workload, partition, configs);
+/// What assembling `config` for a UnifyFL run would report: every
+/// [`ExperimentConfig::validate`] error, then the data-dependent
+/// [`ExperimentError::TooFewSamples`] and [`ExperimentError::ShardTooSmall`].
+pub fn run_hbfl(config: &ExperimentConfig) -> Result<BaselineRun, ExperimentError> {
+    let (mut clusters, global_test, _) = assemble_clusters(config)?;
+    let workload = &config.workload;
     let mut lane = Lane::default();
     let n = clusters.len();
 
@@ -110,13 +69,13 @@ pub fn run_hbfl(
                 c.fetch_duration() + c.train_duration(workload.local_epochs) + c.publish_duration()
             })
             .max()
-            .expect("at least one cluster");
-        SimDuration::from_secs_f64(worst.as_secs_f64() * window_margin)
+            .unwrap_or(SimDuration::ZERO);
+        SimDuration::from_secs_f64(worst.as_secs_f64() * config.window_margin)
     };
     // Central reducer: fetch every cluster model, aggregate, publish back.
     let reducer_overhead = clusters[0].fetch_duration() * n as u64 + SimDuration::from_secs(1);
-    // Blockchain coordination (HBFL is chain-based too): ~2 seals/round.
-    let block_overhead = SimDuration::from_secs(10);
+    // Blockchain coordination (HBFL is chain-based too): 2 seals/round.
+    let block_overhead = PERIOD * 2;
 
     let mut t = SimTime::ZERO;
     let mut central = clusters[0].weights().to_vec();
@@ -161,41 +120,29 @@ pub fn run_hbfl(
     let g = lane
         .eval
         .evaluate(clusters[0].spec(), &central, &global_test);
-    let final_local = clusters
-        .iter()
-        .map(|c| {
-            c.records
-                .last()
-                .map(|r| (r.local_accuracy, r.local_loss))
-                .unwrap_or((0.0, 0.0))
-        })
-        .collect();
     let outcome = BaselineOutcome {
         per_cluster_time: vec![t; n],
         global: (g.accuracy, g.loss),
-        final_local,
+        final_local: final_local(&clusters),
         end_time: t,
     };
-    BaselineRun {
+    Ok(BaselineRun {
         clusters,
         global_test,
         outcome,
-    }
+    })
 }
 
 /// Runs the no-collaboration baseline (Table 1 "No Collab"): every cluster
-/// trains independently and never shares anything.
+/// trains independently and never shares anything. Reads the seed,
+/// workload, partition and clusters of `config`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `configs` is empty.
-pub fn run_no_collab(
-    seed: u64,
-    workload: &WorkloadConfig,
-    partition: Partition,
-    configs: Vec<ClusterConfig>,
-) -> BaselineRun {
-    let (mut clusters, global_test) = build_clusters(seed, workload, partition, configs);
+/// As [`run_hbfl`].
+pub fn run_no_collab(config: &ExperimentConfig) -> Result<BaselineRun, ExperimentError> {
+    let (mut clusters, global_test, _) = assemble_clusters(config)?;
+    let workload = &config.workload;
     let mut lane = Lane::default();
     let n = clusters.len();
     let mut times = vec![SimTime::ZERO; n];
@@ -222,15 +169,7 @@ pub fn run_no_collab(
         }
     }
 
-    let final_local: Vec<(f64, f64)> = clusters
-        .iter()
-        .map(|c| {
-            c.records
-                .last()
-                .map(|r| (r.local_accuracy, r.local_loss))
-                .unwrap_or((0.0, 0.0))
-        })
-        .collect();
+    let final_local = final_local(&clusters);
     let best = final_local
         .iter()
         .copied()
@@ -243,27 +182,37 @@ pub fn run_no_collab(
         final_local,
         end_time,
     };
-    BaselineRun {
+    Ok(BaselineRun {
         clusters,
         global_test,
         outcome,
-    }
+    })
+}
+
+/// Each cluster's last local accuracy and loss (zero before any round).
+fn final_local(clusters: &[ClusterNode]) -> Vec<(f64, f64)> {
+    let last = |c: &ClusterNode| c.records.last().map(|r| (r.local_accuracy, r.local_loss));
+    clusters
+        .iter()
+        .map(|c| last(c).unwrap_or((0.0, 0.0)))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unifyfl_data::SyntheticConfig;
+    use crate::cluster::ClusterConfig;
+    use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
     use unifyfl_sim::DeviceProfile;
     use unifyfl_tensor::zoo::ModelSpec;
 
-    fn workload(rounds: usize) -> WorkloadConfig {
+    fn config(seed: u64, rounds: usize, partition: Partition, n: usize) -> ExperimentConfig {
         let mut dataset = SyntheticConfig::cifar10_like(600);
         dataset.input = unifyfl_tensor::zoo::InputKind::Flat(16);
         dataset.n_classes = 4;
         dataset.noise_scale = 0.8;
         dataset.label_noise = 0.05;
-        WorkloadConfig {
+        let workload = WorkloadConfig {
             name: "baseline-test".into(),
             model: ModelSpec::mlp(16, vec![16], 4),
             dataset,
@@ -271,25 +220,28 @@ mod tests {
             local_epochs: 1,
             batch_size: 16,
             learning_rate: 0.05,
-        }
-    }
-
-    fn configs(n: usize) -> Vec<ClusterConfig> {
-        (0..n)
+        };
+        let clusters = (0..n)
             .map(|i| ClusterConfig::edge(format!("agg-{i}"), DeviceProfile::edge_cpu()))
-            .collect()
+            .collect();
+        ExperimentConfig {
+            seed,
+            workload,
+            partition,
+            clusters,
+            ..ExperimentConfig::default()
+        }
     }
 
     #[test]
     fn hbfl_global_beats_no_collab_locals_under_niid() {
-        let w = workload(6);
-        let part = Partition::Dirichlet { alpha: 0.3 };
+        let cfg = config(7, 6, Partition::Dirichlet { alpha: 0.3 }, 3);
         // Seed pinned for the vendored StdRng stream: 6 rounds on a tiny MLP
         // leave a narrow accuracy band, and under a handful of seeds the
         // luckiest solo shard edges out the global model. This seed shows the
         // expected collaboration gap with a comfortable margin (+0.14).
-        let hbfl = run_hbfl(7, &w, part, configs(3), 1.15);
-        let solo = run_no_collab(7, &w, part, configs(3));
+        let hbfl = run_hbfl(&cfg).unwrap();
+        let solo = run_no_collab(&cfg).unwrap();
         let (hbfl_global, _) = hbfl.outcome.global;
         let best_solo = solo
             .outcome
@@ -305,8 +257,7 @@ mod tests {
 
     #[test]
     fn hbfl_records_every_round() {
-        let w = workload(3);
-        let run = run_hbfl(1, &w, Partition::Iid, configs(3), 1.15);
+        let run = run_hbfl(&config(1, 3, Partition::Iid, 3)).unwrap();
         for c in &run.clusters {
             assert_eq!(c.records.len(), 3);
             // All clusters see the same global metrics each round.
@@ -327,10 +278,9 @@ mod tests {
 
     #[test]
     fn no_collab_clusters_progress_independently() {
-        let w = workload(3);
-        let mut cfgs = configs(3);
-        cfgs[1].straggle_factor = 2.0;
-        let run = run_no_collab(2, &w, Partition::Iid, cfgs);
+        let mut cfg = config(2, 3, Partition::Iid, 3);
+        cfg.clusters[1].straggle_factor = 2.0;
+        let run = run_no_collab(&cfg).unwrap();
         // The straggler's virtual time is larger.
         assert!(run.outcome.per_cluster_time[1] > run.outcome.per_cluster_time[0]);
         for c in &run.clusters {
@@ -340,9 +290,43 @@ mod tests {
 
     #[test]
     fn hbfl_time_uses_sync_style_windows() {
-        let w = workload(2);
-        let quick = run_hbfl(3, &w, Partition::Iid, configs(2), 1.0);
-        let padded = run_hbfl(3, &w, Partition::Iid, configs(2), 2.0);
+        let with_margin = |window_margin| ExperimentConfig {
+            window_margin,
+            ..config(3, 2, Partition::Iid, 2)
+        };
+        let quick = run_hbfl(&with_margin(1.0)).unwrap();
+        let padded = run_hbfl(&with_margin(2.0)).unwrap();
         assert!(padded.outcome.end_time > quick.outcome.end_time);
+    }
+
+    /// The baselines come in through the front door every UnifyFL run
+    /// uses: what validation and assembly refuse, they refuse, as the same
+    /// typed errors.
+    #[test]
+    fn baselines_answer_what_validation_and_assembly_answer() {
+        let alone = config(1, 1, Partition::Iid, 1);
+        let mut nan_rate = config(1, 1, Partition::Iid, 3);
+        nan_rate.workload.learning_rate = f32::NAN;
+        let mut starved = config(1, 1, Partition::Iid, 3);
+        starved.workload.dataset.n_samples = 2;
+        let expected = [
+            (alone, ExperimentError::TooFewClusters(1)),
+            (
+                nan_rate,
+                ExperimentError::InvalidWorkload("learning_rate (must be finite and > 0)"),
+            ),
+            (
+                starved,
+                ExperimentError::TooFewSamples {
+                    samples: 2,
+                    clusters: 3,
+                },
+            ),
+        ];
+        for (cfg, err) in expected {
+            assert_eq!(run_hbfl(&cfg).err(), Some(err.clone()));
+            assert_eq!(run_no_collab(&cfg).err(), Some(err.clone()));
+            assert_eq!(crate::RunState::new(&cfg).err(), Some(err));
+        }
     }
 }

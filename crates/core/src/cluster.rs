@@ -780,6 +780,9 @@ mod tests {
             cluster.run_local_round(&mut Vec::new(), 2, 16, 0.05);
         }
         let trained_score = cluster.score_weights(&mut shell, cluster.weights());
+        assert!([init_score, trained_score]
+            .iter()
+            .all(|s| (0.0..=1.0).contains(s)));
         assert!(
             trained_score > init_score + 0.15,
             "{init_score} -> {trained_score}"

@@ -15,6 +15,7 @@ use unifyfl_sim::{ResourceSummary, SimDuration};
 use unifyfl_storage::network::TransferConfig;
 use unifyfl_storage::topology::GossipConfig;
 
+use crate::byzantine::AttackKind;
 use crate::cluster::{ClusterConfig, ClusterNode};
 use crate::federation::Federation;
 use crate::orchestration::EngineOutcome;
@@ -129,6 +130,11 @@ pub enum ExperimentError {
     /// asserts, and more: its fields are public). Carries the offending
     /// cluster's name.
     InvalidDp(String),
+    /// A cluster's attack needs a finite, non-inert parameter: a
+    /// [`GaussianNoise`](crate::byzantine::AttackKind::GaussianNoise) σ
+    /// above zero, a [`ScaleUp`](crate::byzantine::AttackKind::ScaleUp)
+    /// factor other than 1. Carries the offending cluster's name.
+    InvalidAttack(String),
     /// Elastic membership needs at least two *founding* clusters (a joiner
     /// must have a federation to join). Carries the founder count.
     TooFewFounders(usize),
@@ -213,6 +219,12 @@ impl std::fmt::Display for ExperimentError {
                 write!(
                     f,
                     "dp of cluster {cluster:?} needs finite clip_norm > 0 and finite noise_multiplier >= 0"
+                )
+            }
+            ExperimentError::InvalidAttack(cluster) => {
+                write!(
+                    f,
+                    "attack of cluster {cluster:?} needs a finite sigma > 0 or a finite factor != 1"
                 )
             }
             ExperimentError::TooFewFounders(n) => {
@@ -645,6 +657,15 @@ impl ExperimentConfig {
             })
         }) {
             return Err(ExperimentError::InvalidDp(c.name.clone()));
+        }
+        // The same hole on the attacker's side, and the attack that attacks
+        // nothing — rejected as chaos rejects an inert fault.
+        if let Some(c) = self.clusters.iter().find(|c| match c.attack {
+            Some(AttackKind::GaussianNoise { sigma }) => !(sigma.is_finite() && sigma > 0.0),
+            Some(AttackKind::ScaleUp { factor }) => !factor.is_finite() || factor == 1.0,
+            Some(AttackKind::SignFlip) | None => false,
+        }) {
+            return Err(ExperimentError::InvalidAttack(c.name.clone()));
         }
         // Elastic membership: a joiner needs a federation to join, and a
         // zero offset is a founder misconfigured as a joiner.

@@ -134,6 +134,65 @@ fn reconstruct_weights_blob(base_blob: &[u8], delta_blob: &[u8]) -> Option<Vec<u
     Some(weights_to_bytes(&weights))
 }
 
+/// The data pipeline and cluster nodes of `config`, validated first — the
+/// one way in for every arm: [`Federation::assemble`] and the
+/// [`baseline`](crate::baseline) runs. Generates the dataset, holds out
+/// the global test split, partitions the rest across the clusters and
+/// builds each one's node on a fresh storage fabric (its link an explicit
+/// override or the device profile's), all from the shared initial weights.
+///
+/// # Errors
+///
+/// What `validate()` reports, and the data-dependent half it cannot know
+/// before the partition has drawn: [`ExperimentError::TooFewSamples`] if
+/// the dataset cannot give every cluster a shard,
+/// [`ExperimentError::ShardTooSmall`] if a shard cannot give every client
+/// of its cluster a training sample. Neither check draws from an RNG, so
+/// clusters that assemble are bit-for-bit the ones they always were.
+pub(crate) fn assemble_clusters(
+    config: &ExperimentConfig,
+) -> Result<(Vec<ClusterNode>, Dataset, IpfsNetwork), ExperimentError> {
+    config.validate()?;
+    let seed = config.seed;
+    let workload = &config.workload;
+    let n = config.clusters.len();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xFEDE);
+    let (pool, global_test) = workload.dataset.generate(seed).split(0.15, &mut rng);
+    if pool.len() < n {
+        return Err(ExperimentError::TooFewSamples {
+            samples: pool.len(),
+            clusters: n,
+        });
+    }
+    let shards = config.partition.split(&pool, n, &mut rng);
+
+    // The cache stream derives from the experiment seed. The publish path
+    // is unaffected by the fetch-side knobs — full blobs, delta blobs and
+    // on-chain references are always produced — so they change bytes
+    // moved, never results.
+    let ipfs = IpfsNetwork::new();
+    ipfs.configure_transfer(config.transfer, SeedTree::new(seed).seed("fetch-cache"));
+
+    // Common initial weights: FL requires a shared initialization.
+    let init_weights = workload.model.build(seed).flat_params();
+    let mut clusters = Vec::with_capacity(n);
+    for (i, (cluster, shard)) in config.clusters.iter().zip(shards).enumerate() {
+        let link = cluster.link.unwrap_or(LinkProfile {
+            bandwidth_bps: cluster.client_device.net_bandwidth_bps(),
+            latency: cluster.client_device.net_latency(),
+        });
+        clusters.push(ClusterNode::try_new(
+            cluster.clone(),
+            workload.model.clone(),
+            &shard,
+            init_weights.clone(),
+            ipfs.add_node(link),
+            seed.wrapping_add(1000 + i as u64),
+        )?);
+    }
+    Ok((clusters, global_test, ipfs))
+}
+
 /// The assembled federation: clusters + chain + storage + bookkeeping.
 pub struct Federation {
     /// Cluster nodes, index-aligned with the experiment's cluster configs.
@@ -194,63 +253,29 @@ pub struct Federation {
 }
 
 impl Federation {
-    /// Assembles the federation `config` describes — the only constructor,
-    /// and it validates first, so no configuration
-    /// [`ExperimentConfig::validate`] rejects ever reaches an engine.
-    /// Generates the dataset, partitions it across clusters, boots the
-    /// chain with the clusters as Clique signers, deploys the orchestrator
-    /// contract (with the shard topology's address → shard map and scorer
-    /// cap when sharded; empty when single-shard — behaviorally flat),
-    /// registers the founders, then installs the gossip overlay and the
-    /// expanded fault plan.
+    /// Assembles the federation `config` describes — the only constructor.
+    /// Builds the clusters through [`assemble_clusters`] (which validates
+    /// first, so no configuration [`ExperimentConfig::validate`] rejects
+    /// ever reaches an engine), boots the chain with the clusters as Clique
+    /// signers, deploys the orchestrator contract (with the shard
+    /// topology's address → shard map and scorer cap when sharded; empty
+    /// when single-shard — behaviorally flat), registers the founders, then
+    /// installs the gossip overlay and the expanded fault plan.
     ///
     /// # Errors
     ///
-    /// What `validate()` reports, and the data-dependent half it cannot
-    /// know before the partition has drawn:
-    /// [`ExperimentError::TooFewSamples`] if the dataset cannot give every
-    /// cluster a shard, [`ExperimentError::ShardTooSmall`] if a shard cannot
-    /// give every client of its cluster a training sample. Neither check
-    /// draws from an RNG, so a federation that assembles is bit-for-bit the
-    /// one it always was.
+    /// What [`assemble_clusters`] reports.
     pub(crate) fn assemble(config: &ExperimentConfig) -> Result<Federation, ExperimentError> {
-        config.validate()?;
+        let (clusters, global_test, ipfs) = assemble_clusters(config)?;
         let seed = config.seed;
-        let workload = &config.workload;
-        let cluster_configs = config.clusters.clone();
         let sharding = config
             .sharding
             .as_ref()
-            .map(|s| ShardTopology::derive(s, seed, cluster_configs.len()));
-        let spec = workload.model.clone();
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xFEDE);
-
-        // Data pipeline: global test split, then per-cluster shards.
-        let full = workload.dataset.generate(seed);
-        let (pool, global_test) = full.split(0.15, &mut rng);
-        if pool.len() < cluster_configs.len() {
-            return Err(ExperimentError::TooFewSamples {
-                samples: pool.len(),
-                clusters: cluster_configs.len(),
-            });
-        }
-        let shards = config
-            .partition
-            .split(&pool, cluster_configs.len(), &mut rng);
-
-        // Shared fabric; the cache stream derives from the experiment seed.
-        // The publish path is unaffected by the fetch-side knobs — full
-        // blobs, delta blobs and on-chain references are always produced —
-        // so they change bytes moved, never results.
-        let ipfs = IpfsNetwork::new();
-        ipfs.configure_transfer(config.transfer, SeedTree::new(seed).seed("fetch-cache"));
+            .map(|s| ShardTopology::derive(s, seed, clusters.len()));
 
         // Chain: every cluster is a Clique signer (the permissioned
         // consortium of the paper).
-        let addresses: Vec<Address> = cluster_configs
-            .iter()
-            .map(|c| Address::from_label(&c.name))
-            .collect();
+        let addresses: Vec<Address> = clusters.iter().map(ClusterNode::address).collect();
         let mut chain = Blockchain::new(CliqueConfig::default(), addresses.clone());
         let orchestrator = Address::from_label("unifyfl-orchestrator");
         let mut contract = UnifyFlContract::new(orchestrator, config.mode.to_chain());
@@ -270,33 +295,12 @@ impl Federation {
         }
         chain.deploy(orchestrator, Box::new(contract));
 
-        // Common initial weights: FL requires a shared initialization.
-        let init_weights = spec.build(seed).flat_params();
-
-        let mut clusters = Vec::with_capacity(cluster_configs.len());
-        for (i, (config, shard)) in cluster_configs.into_iter().zip(shards).enumerate() {
-            // Per-cluster link: an explicit override, or the device profile.
-            let link = config.link.unwrap_or(LinkProfile {
-                bandwidth_bps: config.client_device.net_bandwidth_bps(),
-                latency: config.client_device.net_latency(),
-            });
-            let node = ipfs.add_node(link);
-            clusters.push(ClusterNode::try_new(
-                config,
-                spec.clone(),
-                &shard,
-                init_weights.clone(),
-                node,
-                seed.wrapping_add(1000 + i as u64),
-            )?);
-        }
-
         let mut fed = Federation {
             clusters,
             chain,
             orchestrator,
             ipfs,
-            spec,
+            spec: config.workload.model.clone(),
             global_test,
             lanes: vec![Lane::default()],
             resources: ResourceMonitor::new(),
@@ -340,7 +344,7 @@ impl Federation {
                 chaos,
                 SeedTree::new(seed).seed("chaos"),
                 fed.clusters.len(),
-                workload.rounds as u64,
+                config.workload.rounds as u64,
             ));
         }
         Ok(fed)

@@ -5,7 +5,7 @@ use std::collections::{HashSet, VecDeque};
 use unifyfl_chain::orchestrator::OrchestrationMode;
 use unifyfl_data::WorkloadConfig;
 use unifyfl_sim::fault::FaultPlan;
-use unifyfl_sim::{EventId, EventQueue, SimDuration, SimTime};
+use unifyfl_sim::{EventQueue, SimDuration, SimTime};
 use unifyfl_storage::Cid;
 
 use super::membership::{self, Members};
@@ -59,7 +59,8 @@ pub(crate) struct AsyncPolicy {
     /// Crash events already charged to a cluster (each fires once: the
     /// in-flight attempt is lost, then the round is redone after restart).
     crashes_spent: HashSet<(usize, u64)>,
-    wake: Vec<Option<EventId>>,
+    /// Whether a `ClusterWake` for the cluster is in the queue.
+    wake: Vec<bool>,
     pending_joins: usize,
     seal_scheduled: bool,
     end_time: SimTime,
@@ -152,7 +153,7 @@ impl AsyncPolicy {
             members: Members::new(fed),
             distributed: 0,
             crashes_spent: HashSet::new(),
-            wake: vec![None; n],
+            wake: vec![false; n],
             pending_joins: 0,
             seal_scheduled: false,
             end_time: fed.setup_done,
@@ -195,12 +196,10 @@ impl AsyncPolicy {
         for idx in 0..self.n {
             if self.eligible(idx) {
                 any = true;
-                if self.wake[idx].is_none() {
-                    self.wake[idx] = Some(queue.schedule_keyed(
-                        self.clock[idx],
-                        idx as u64,
-                        Event::ClusterWake { cluster: idx },
-                    ));
+                if !self.wake[idx] {
+                    self.wake[idx] = true;
+                    let wake = Event::ClusterWake { cluster: idx };
+                    queue.schedule_keyed(self.clock[idx], idx as u64, wake);
                 }
             }
         }
@@ -223,7 +222,7 @@ impl AsyncPolicy {
         t: SimTime,
         idx: usize,
     ) {
-        self.wake[idx] = None;
+        self.wake[idx] = false;
         // A shard seal/exchange may have pushed this cluster's clock past
         // the instant the wake was scheduled at; drop the stale wake and
         // re-arm at the new clock.

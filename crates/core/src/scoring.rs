@@ -2,8 +2,9 @@
 //!
 //! Two scorers are implemented, matching the paper's evaluation:
 //!
-//! - **Accuracy scoring** ([`accuracy_score`]): the scorer evaluates the
-//!   model on its own held-out test shard. Works in both Sync and Async
+//! - **Accuracy scoring**
+//!   ([`ClusterNode::score_weights`](crate::cluster::ClusterNode::score_weights)):
+//!   the scorer evaluates the model on its own held-out test shard. Works in both Sync and Async
 //!   modes, but is computationally heavy (a full inference pass).
 //! - **MultiKRUM** ([`multikrum_scores`], Blanchard et al. / as used in
 //!   Biscotti): a similarity score over *all* models submitted in a round —
@@ -12,9 +13,7 @@
 //!   submissions are available, which is why the paper restricts it to the
 //!   Sync mode (Table 3). The same restriction is enforced here.
 
-use unifyfl_data::Dataset;
 use unifyfl_tensor::tensor::sq_dist_slice;
-use unifyfl_tensor::zoo::ModelSpec;
 
 /// Which scoring algorithm a federation runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -40,15 +39,6 @@ impl ScorerKind {
     pub fn requires_full_round(&self) -> bool {
         matches!(self, ScorerKind::MultiKrum)
     }
-}
-
-/// Accuracy of `weights` on the scorer's local test shard, in `[0, 1]`.
-///
-/// # Panics
-///
-/// Panics if `weights` does not match `spec`'s parameter count.
-pub fn accuracy_score(spec: &ModelSpec, weights: &[f32], test: &Dataset) -> f64 {
-    unifyfl_fl::evaluate_weights(spec, weights, test).accuracy
 }
 
 /// The Byzantine count the engines assume when running MultiKRUM over a
@@ -133,45 +123,6 @@ pub fn multikrum_scores(models: &[Vec<f32>], f: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unifyfl_data::SyntheticConfig;
-    use unifyfl_tensor::zoo::InputKind;
-
-    #[test]
-    fn accuracy_score_is_in_unit_interval_and_orders_models() {
-        let mut cfg = SyntheticConfig::cifar10_like(400);
-        cfg.input = InputKind::Flat(16);
-        cfg.n_classes = 4;
-        cfg.noise_scale = 0.3;
-        cfg.label_noise = 0.0;
-        let data = cfg.generate(1);
-        let spec = ModelSpec::mlp(16, vec![32], 4);
-
-        // Train one model briefly; compare against the untrained init.
-        let mut client = unifyfl_fl::InMemoryClient::new(spec.clone(), data.clone(), 1);
-        let init = spec.build(1).flat_params();
-        let trained = {
-            let mut w = init.clone();
-            for round in 0..4 {
-                w = unifyfl_fl::FlClient::fit(
-                    &mut client,
-                    &w,
-                    &unifyfl_fl::FitConfig {
-                        epochs: 2,
-                        batch_size: 16,
-                        learning_rate: 0.05,
-                        round,
-                    },
-                )
-                .weights;
-            }
-            w
-        };
-        let s_init = accuracy_score(&spec, &init, &data);
-        let s_trained = accuracy_score(&spec, &trained, &data);
-        assert!((0.0..=1.0).contains(&s_init));
-        assert!((0.0..=1.0).contains(&s_trained));
-        assert!(s_trained > s_init + 0.2, "{s_init} vs {s_trained}");
-    }
 
     #[test]
     fn multikrum_penalizes_outlier() {

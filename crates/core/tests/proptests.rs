@@ -133,7 +133,7 @@ fn finite_positive(v: f64) -> bool {
 }
 
 fn numeric_knobs() -> Vec<Knob> {
-    use unifyfl_core::DpConfig;
+    use unifyfl_core::{AttackKind, DpConfig};
     use unifyfl_sim::SimDuration;
     use unifyfl_storage::LinkProfile;
     fn dp(c: &mut unifyfl_core::ExperimentConfig) -> &mut DpConfig {
@@ -187,6 +187,19 @@ fn numeric_knobs() -> Vec<Knob> {
             valid: |v| v.is_finite() && v >= 0.0,
             grid: float_grid(1.0e-9, 0.05, 1.0e3),
         },
+        Knob {
+            name: "attack.sigma",
+            set: |c, v| c.clusters[0].attack = Some(AttackKind::GaussianNoise { sigma: v }),
+            valid: finite_positive,
+            grid: float_grid(1.0e-9, 1.0, 1.0e3),
+        },
+        // A factor of one is the inert point inside the finite range.
+        Knob {
+            name: "attack.factor",
+            set: |c, v| c.clusters[0].attack = Some(AttackKind::ScaleUp { factor: v }),
+            valid: |v| v.is_finite() && v != 1.0,
+            grid: [float_grid(1.0e-9, 25.0, 1.0e3), vec![1.0]].concat(),
+        },
         // The two integer knobs have no NaN, infinity or -1 to write: both
         // edges of the domain, and one step past each.
         Knob {
@@ -209,8 +222,8 @@ fn numeric_knobs() -> Vec<Knob> {
     ]
 }
 
-/// The slice of ROADMAP 4(d) sized to the knobs PR 23 audited: over the
-/// grid *knob × value* (68 cases; every other knob at the quickstart's
+/// The slice of ROADMAP 4(d) sized to the knobs PRs 23 and 25 audited:
+/// over the grid *knob × value* (85 cases; every other knob at the quickstart's
 /// value; link models alternating), `validate()` accepts exactly the values
 /// in the knob's domain — which for the four time-scaling knobs ends
 /// below the point where the run would never end — and a configuration it
@@ -256,9 +269,9 @@ fn validate_accepts_exactly_each_numeric_knobs_domain_and_what_it_accepts_runs()
             }
         }
     }
-    assert_eq!(cases, 68);
+    assert_eq!(cases, 85);
     // Tiny, nominal and huge of every float knob, zero where zero is in the
-    // domain (label noise, noise multiplier), the in-domain edges of the
-    // integer knobs.
-    assert_eq!(ran, 7 * 3 + 2 + 2 + 3, "grid points accepted and run");
+    // domain (label noise, noise multiplier, attack factor), the in-domain
+    // edges of the integer knobs, and a negative attack factor.
+    assert_eq!(ran, 9 * 3 + 3 + 2 + 3 + 1, "grid points accepted and run");
 }

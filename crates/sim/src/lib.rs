@@ -45,7 +45,7 @@ pub mod rng;
 
 pub use clock::{SimDuration, SimTime};
 pub use device::DeviceProfile;
-pub use engine::{EventId, EventQueue};
+pub use engine::EventQueue;
 pub use fault::{ChaosConfig, FaultEvent, FaultKind, FaultPlan, FaultRecord};
 pub use resources::{ResourceMonitor, ResourceSummary};
 pub use rng::SeedTree;

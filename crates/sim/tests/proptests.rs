@@ -33,71 +33,31 @@ proptest! {
         prop_assert_eq!(order, (0..n).collect::<Vec<_>>());
     }
 
-    /// Cancelling any subset removes exactly those events.
-    #[test]
-    fn cancellation_removes_exact_subset(
-        n in 1usize..64,
-        cancel_mask in proptest::collection::vec(any::<bool>(), 64),
-    ) {
-        let mut q = EventQueue::new();
-        let ids: Vec<_> = (0..n).map(|i| q.schedule(SimTime::from_millis(i as u64), i)).collect();
-        let mut expected: Vec<usize> = Vec::new();
-        for i in 0..n {
-            if cancel_mask[i] {
-                q.cancel(ids[i]);
-            } else {
-                expected.push(i);
-            }
-        }
-        let got: Vec<usize> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        prop_assert_eq!(got, expected);
-    }
-
-    /// The full schedule/cancel/pop lifecycle against a reference model:
-    /// arbitrary interleavings of keyed schedules and cancels (including
-    /// stale and duplicate cancels) must pop exactly the model's
-    /// `(time, key, FIFO)` order, with `len()` exact at every step.
+    /// Arbitrary keyed schedules against a reference model: the queue
+    /// pops exactly the model's `(time, key, FIFO)` order, with `len()`
+    /// exact at every step.
     #[test]
     fn queue_matches_reference_model_under_schedule_and_cancel(
-        ops in proptest::collection::vec(
-            (0u64..50, 0u64..4, any::<bool>(), 0usize..16),
-            1..200,
-        ),
+        ops in proptest::collection::vec((0u64..50, 0u64..4), 1..200),
     ) {
         let mut q = EventQueue::new();
-        // Model: (time, key, seq, payload) of live events.
-        let mut model: Vec<(u64, u64, usize, usize)> = Vec::new();
-        let mut ids = Vec::new();
-        for (i, &(time, key, is_cancel, pick)) in ops.iter().enumerate() {
-            if is_cancel && !ids.is_empty() {
-                let target = pick % ids.len();
-                let (id, seq): (_, usize) = ids[target];
-                q.cancel(id);
-                q.cancel(id); // duplicate cancel must be a no-op
-                model.retain(|&(_, _, s, _)| s != seq);
-            } else {
-                let id = q.schedule_keyed(SimTime::from_millis(time), key, i);
-                ids.push((id, i));
-                model.push((time, key, i, i));
-            }
+        // Model: (time, key, seq) of pending events; the payload is the seq.
+        let mut model: Vec<(u64, u64, usize)> = Vec::new();
+        for (i, &(time, key)) in ops.iter().enumerate() {
+            q.schedule_keyed(SimTime::from_millis(time), key, i);
+            model.push((time, key, i));
             prop_assert_eq!(q.len(), model.len());
             prop_assert_eq!(q.is_empty(), model.is_empty());
         }
-        model.sort_by_key(|&(time, key, seq, _)| (time, key, seq));
-        for (expected_idx, &(time, _, _, payload)) in model.iter().enumerate() {
-            let (t, got) = q.pop().expect("model says an event is live");
+        model.sort();
+        for (expected_idx, &(time, _, payload)) in model.iter().enumerate() {
+            let (t, got) = q.pop().expect("model says an event is pending");
             prop_assert_eq!(t, SimTime::from_millis(time));
             prop_assert_eq!(got, payload);
             prop_assert_eq!(q.len(), model.len() - expected_idx - 1);
         }
         prop_assert!(q.pop().is_none());
-        // Stale cancels of already-fired (or already-cancelled) events must
-        // stay no-ops on a drained queue.
-        for &(id, _) in &ids {
-            q.cancel(id);
-        }
-        prop_assert_eq!(q.len(), 0);
-        prop_assert!(q.pop().is_none());
+        prop_assert!(q.is_empty());
     }
 
     /// Compute time is monotone in work and inversely monotone in speed.

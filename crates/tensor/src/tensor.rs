@@ -527,27 +527,6 @@ impl Tensor {
         }
     }
 
-    /// Index of the maximum element in each row of a `[batch, classes]`
-    /// tensor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensor is not rank-2.
-    pub fn argmax_rows(&self) -> Vec<usize> {
-        assert_eq!(self.shape.len(), 2, "argmax_rows needs rank-2");
-        let (m, n) = (self.shape[0], self.shape[1]);
-        (0..m)
-            .map(|i| {
-                let row = &self.data[i * n..(i + 1) * n];
-                row.iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(j, _)| j)
-                    .expect("non-empty row")
-            })
-            .collect()
-    }
-
     /// Overwrites `self` with `src`'s shape and contents, reusing the
     /// existing buffers — the zero-allocation alternative to `clone()` once
     /// both buffers have grown to their steady-state capacity.
@@ -807,12 +786,6 @@ mod tests {
     fn out_of_bounds_panics() {
         let t = Tensor::zeros(vec![2, 2]);
         let _ = t.get(&[2, 0]);
-    }
-
-    #[test]
-    fn argmax_rows_picks_max() {
-        let t = Tensor::from_vec(vec![2, 3], vec![0.1, 0.9, 0.0, 0.5, 0.2, 0.7]);
-        assert_eq!(t.argmax_rows(), vec![1, 2]);
     }
 
     #[test]
