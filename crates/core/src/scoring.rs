@@ -4,8 +4,9 @@
 //!
 //! - **Accuracy scoring**
 //!   ([`ClusterNode::score_weights`](crate::cluster::ClusterNode::score_weights)):
-//!   the scorer evaluates the model on its own held-out test shard. Works in both Sync and Async
-//!   modes, but is computationally heavy (a full inference pass).
+//!   the scorer evaluates the model on its own held-out test shard. Works
+//!   in both Sync and Async modes, but is computationally heavy (a full
+//!   inference pass).
 //! - **MultiKRUM** ([`multikrum_scores`], Blanchard et al. / as used in
 //!   Biscotti): a similarity score over *all* models submitted in a round —
 //!   each model is scored by the (negated) sum of squared distances to its

@@ -223,14 +223,14 @@ fn numeric_knobs() -> Vec<Knob> {
 }
 
 /// The slice of ROADMAP 4(d) sized to the knobs PRs 23 and 25 audited:
-/// over the grid *knob × value* (85 cases; every other knob at the quickstart's
-/// value; link models alternating), `validate()` accepts exactly the values
-/// in the knob's domain — which for the four time-scaling knobs ends
-/// below the point where the run would never end — and a configuration it
-/// accepts runs one
-/// quickstart round to completion without panicking, with a finite clock
-/// and finite results. A plain loop rather than `proptest!`: the grid is
-/// small enough to enumerate, so nothing is left to the draw.
+/// over the grid *knob × value* (85 cases; every other knob at the
+/// quickstart's value; link models alternating), `validate()` accepts
+/// exactly the values in the knob's domain — which for the four
+/// time-scaling knobs ends below the point where the run would never end —
+/// and a configuration it accepts runs one quickstart round to completion
+/// without panicking, with a finite clock and finite results. A plain loop
+/// rather than `proptest!`: the grid is small enough to enumerate, so
+/// nothing is left to the draw.
 #[test]
 fn validate_accepts_exactly_each_numeric_knobs_domain_and_what_it_accepts_runs() {
     use unifyfl_core::experiment::{ExperimentBuilder, LinkModel};
