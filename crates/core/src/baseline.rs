@@ -313,7 +313,10 @@ mod tests {
             (alone, ExperimentError::TooFewClusters(1)),
             (
                 nan_rate,
-                ExperimentError::InvalidWorkload("learning_rate (must be finite and > 0)"),
+                ExperimentError::InvalidKnob {
+                    knob: "learning_rate",
+                    cluster: None,
+                },
             ),
             (
                 starved,

@@ -225,9 +225,9 @@ impl ClusterNode {
     ///
     /// # Errors
     ///
-    /// [`ExperimentError::NoClients`] if the cluster is configured without
-    /// clients, [`ExperimentError::ShardTooSmall`] if the shard, less its
-    /// scorer holdout, cannot give each client one sample.
+    /// [`ExperimentError::ShardTooSmall`] if the shard, less its scorer
+    /// holdout, cannot give each client one sample. Every caller validates
+    /// first, so `n_clients ≥ 1`.
     pub(crate) fn try_new(
         config: ClusterConfig,
         spec: ModelSpec,
@@ -236,9 +236,6 @@ impl ClusterNode {
         ipfs: IpfsNode,
         seed: u64,
     ) -> Result<Self, ExperimentError> {
-        if config.n_clients == 0 {
-            return Err(ExperimentError::NoClients(config.name));
-        }
         let mut rng = StdRng::seed_from_u64(seed);
         let (train, local_test) = shard.split(0.15, &mut rng);
         if train.len() < config.n_clients {

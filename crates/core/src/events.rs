@@ -405,6 +405,8 @@ pub fn decode_trace(text: &str) -> Result<Vec<EventRecord>, TraceDecodeError> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn sample_trace() -> Vec<EventRecord> {
@@ -542,5 +544,26 @@ mod tests {
             .cluster(),
             Some(4)
         );
+    }
+
+    proptest! {
+        /// `decode_trace` never panics on text made of trace-like tokens: it
+        /// decodes, or names the line, and what decodes re-encodes to itself.
+        #[test]
+        fn decode_trace_never_panics(
+            tokens in proptest::collection::vec((0usize..12, any::<u64>()), 0..24),
+        ) {
+            const WORDS: [&str; 10] = [
+                "seal_slot", "training_done", "open_training", "shard_exchange", "fetch_ahead",
+                "-1", "18446744073709551616", "\n", "\t", "é",
+            ];
+            let text: String = tokens
+                .iter()
+                .map(|&(i, n)| WORDS.get(i).map_or(n.to_string(), |w| w.to_string()) + " ")
+                .collect();
+            if let Ok(trace) = decode_trace(&text) {
+                prop_assert_eq!(decode_trace(&encode_trace(&trace)), Ok(trace));
+            }
+        }
     }
 }

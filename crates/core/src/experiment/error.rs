@@ -1,6 +1,6 @@
 //! Typed validation and assembly failures.
 
-use super::MAX_NOMINAL_HORIZON;
+use super::{KNOBS, MAX_NOMINAL_HORIZON};
 
 /// Validation failure for an experiment configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -13,45 +13,19 @@ pub enum ExperimentError {
     MultiKrumTooFewClusters(usize),
     /// Cross-silo FL needs at least two clusters.
     TooFewClusters(usize),
-    /// The window margin must be finite and at least 1.
-    InvalidWindowMargin,
-    /// A cluster's `straggle_factor` must be finite and strictly positive
-    /// (window sizing divides by it). Carries the offending cluster's name.
-    InvalidStraggleFactor(String),
-    /// A cluster's explicit storage link must have finite, strictly
-    /// positive bandwidth: transfer time divides by it, and a zero,
-    /// negative or NaN divisor prices every transfer at zero. Carries the
-    /// offending cluster's name.
-    InvalidLinkBandwidth(String),
-    /// A cluster's DP release needs a finite `clip_norm > 0` and a finite
-    /// `noise_multiplier >= 0` (what [`DpConfig::new`](crate::byzantine::DpConfig::new)
-    /// asserts, and more: its fields are public). Carries the offending
-    /// cluster's name.
-    InvalidDp(String),
-    /// A cluster's attack needs a finite, non-inert parameter: a
-    /// [`GaussianNoise`](crate::byzantine::AttackKind::GaussianNoise) σ
-    /// above zero, a [`ScaleUp`](crate::byzantine::AttackKind::ScaleUp)
-    /// factor other than 1. Carries the offending cluster's name.
-    InvalidAttack(String),
     /// Elastic membership needs at least two *founding* clusters (a joiner
     /// must have a federation to join). Carries the founder count.
     TooFewFounders(usize),
-    /// A joiner's `joins_at` offset must be strictly positive (a zero
-    /// offset is a founder).
-    InvalidJoinTime,
-    /// A chaos knob is out of range (the name of the offending knob).
-    InvalidChaos(&'static str),
-    /// A cluster's release precision is outside 1 ..= 23 mantissa bits.
-    InvalidReleasePrecision(u32),
-    /// A sharding knob is out of range (the name of the offending knob).
-    InvalidSharding(&'static str),
-    /// A gossip knob is out of range (the name of the offending knob).
-    InvalidGossip(&'static str),
-    /// A workload knob is out of range (the name of the offending knob):
-    /// training would panic on the first batch, or data synthesis before it.
-    InvalidWorkload(&'static str),
-    /// A cluster needs at least one client. Carries the cluster's name.
-    NoClients(String),
+    /// A knob is outside its domain. `knob` is the name of the
+    /// [`KNOBS`] row whose [`Domain`](super::Domain) the value fails or,
+    /// for a cross-knob rule, that rule, led by the knob it is about.
+    /// `cluster` names the cluster the knob was set on, if any.
+    InvalidKnob {
+        /// The offending row, or the broken cross-knob rule.
+        knob: &'static str,
+        /// The cluster whose knob it is (`None` for run-wide ones).
+        cluster: Option<String>,
+    },
     /// The dataset cannot give every cluster a shard: `samples` remain
     /// after the global test split, for `clusters` clusters.
     TooFewSamples {
@@ -98,62 +72,21 @@ impl std::fmt::Display for ExperimentError {
             ExperimentError::TooFewClusters(n) => {
                 write!(f, "cross-silo FL needs at least 2 clusters, got {n}")
             }
-            ExperimentError::InvalidWindowMargin => {
-                write!(f, "window margin must be finite and >= 1.0")
-            }
-            ExperimentError::InvalidStraggleFactor(cluster) => {
-                write!(
-                    f,
-                    "straggle_factor of cluster {cluster:?} must be finite and > 0"
-                )
-            }
-            ExperimentError::InvalidLinkBandwidth(cluster) => {
-                write!(
-                    f,
-                    "link bandwidth of cluster {cluster:?} must be finite and > 0"
-                )
-            }
-            ExperimentError::InvalidDp(cluster) => {
-                write!(
-                    f,
-                    "dp of cluster {cluster:?} needs finite clip_norm > 0 and finite noise_multiplier >= 0"
-                )
-            }
-            ExperimentError::InvalidAttack(cluster) => {
-                write!(
-                    f,
-                    "attack of cluster {cluster:?} needs a finite sigma > 0 or a finite factor != 1"
-                )
-            }
             ExperimentError::TooFewFounders(n) => {
                 write!(
                     f,
                     "elastic membership needs at least 2 founding clusters, got {n}"
                 )
             }
-            ExperimentError::InvalidJoinTime => {
-                write!(f, "joins_at must be strictly positive (zero = founder)")
-            }
-            ExperimentError::InvalidChaos(knob) => {
-                write!(f, "chaos knob {knob} is out of range")
-            }
-            ExperimentError::InvalidReleasePrecision(bits) => {
-                write!(
-                    f,
-                    "release precision must keep 1..=23 mantissa bits, got {bits}"
-                )
-            }
-            ExperimentError::InvalidSharding(knob) => {
-                write!(f, "sharding knob {knob} is out of range")
-            }
-            ExperimentError::InvalidGossip(knob) => {
-                write!(f, "gossip knob {knob} is out of range")
-            }
-            ExperimentError::InvalidWorkload(knob) => {
-                write!(f, "workload knob {knob} is out of range")
-            }
-            ExperimentError::NoClients(cluster) => {
-                write!(f, "cluster {cluster:?} needs at least one client")
+            ExperimentError::InvalidKnob { knob, cluster } => {
+                if let Some(cluster) = cluster {
+                    write!(f, "cluster {cluster:?}: ")?;
+                }
+                write!(f, "{knob}")?;
+                match KNOBS.iter().find(|row| row.name == *knob) {
+                    Some(row) => write!(f, " must be {}", row.domain),
+                    None => Ok(()),
+                }
             }
             ExperimentError::TooFewSamples { samples, clusters } => {
                 write!(

@@ -20,7 +20,7 @@ pub(crate) use report::build_report;
 pub use report::{
     AggregatorReport, ChainStats, ChaosReport, CurvePoint, ExperimentReport, TransferReport,
 };
-pub use validate::MAX_NOMINAL_HORIZON;
+pub use validate::{Domain, Knob, KNOBS, MAX_NOMINAL_HORIZON};
 
 pub use crate::federation::{LinkModel, MembershipRecord};
 pub use crate::orchestration::Mode;

@@ -1,9 +1,7 @@
 use unifyfl_data::WorkloadConfig;
 use unifyfl_sim::fault::ChaosConfig;
-use unifyfl_sim::SimDuration;
 
 use super::*;
-use crate::cluster::ClusterConfig;
 use crate::scoring::ScorerKind;
 
 #[test]
@@ -36,13 +34,6 @@ fn validation_rejects_async_multikrum() {
         .run()
         .unwrap_err();
     assert_eq!(err, ExperimentError::MultiKrumRequiresSync);
-    // The sync variant is accepted.
-    let ok = ExperimentBuilder::quickstart()
-        .mode(Mode::Sync)
-        .scorer(ScorerKind::MultiKrum)
-        .rounds(2)
-        .run();
-    assert!(ok.is_ok());
 }
 
 #[test]
@@ -58,7 +49,7 @@ fn validation_rejects_multikrum_below_three_clusters() {
         builder.run().unwrap_err(),
         ExperimentError::MultiKrumTooFewClusters(2)
     );
-    // Three clusters (f = 0) are admissible.
+    // Three clusters (f = 0) in sync mode are admissible.
     let ok = ExperimentBuilder::quickstart()
         .mode(Mode::Sync)
         .scorer(ScorerKind::MultiKrum)
@@ -69,52 +60,30 @@ fn validation_rejects_multikrum_below_three_clusters() {
 
 #[test]
 fn validation_rejects_out_of_range_sharding() {
+    // Each sharding knob's own domain is a `KNOBS` row (the grid runs
+    // every shard count up to the quickstart's 3 clusters); these are the
+    // cross-knob rules. MultiKRUM's distance matrix needs ≥ 3 clusters
+    // per shard.
     use crate::sharding::ShardConfig;
-    let err = |sharding: ShardConfig| {
-        ExperimentBuilder::quickstart()
-            .sharding(sharding)
-            .run()
-            .unwrap_err()
+    let validate = |shards, scorer| {
+        let builder = ExperimentBuilder::quickstart().mode(Mode::Sync);
+        let builder = builder.scorer(scorer).sharding(ShardConfig::new(shards));
+        builder.config().validate()
     };
-    // Degenerate knobs are rejected up front (quickstart has 3
-    // clusters).
-    assert!(matches!(
-        err(ShardConfig {
-            shards: 0,
-            ..ShardConfig::new(1)
-        }),
-        ExperimentError::InvalidSharding(_)
-    ));
-    assert!(matches!(
-        err(ShardConfig::new(4)),
-        ExperimentError::InvalidSharding(_)
-    ));
-    assert!(matches!(
-        err(ShardConfig::new(1).with_scorers(0)),
-        ExperimentError::InvalidSharding(_)
-    ));
-    assert!(matches!(
-        err(ShardConfig::new(1).with_exchange_every(0)),
-        ExperimentError::InvalidSharding(_)
-    ));
-    assert!(matches!(
-        err(ShardConfig::new(1).with_regroup_every(0)),
-        ExperimentError::InvalidSharding(_)
-    ));
-    // MultiKRUM's distance matrix needs ≥ 3 clusters per shard.
-    let krum = ExperimentBuilder::quickstart()
-        .mode(Mode::Sync)
-        .scorer(ScorerKind::MultiKrum)
-        .sharding(ShardConfig::new(3))
-        .run()
-        .unwrap_err();
-    assert!(matches!(krum, ExperimentError::InvalidSharding(_)));
-    // A sane sharded configuration runs.
-    let ok = ExperimentBuilder::quickstart()
-        .rounds(2)
-        .sharding(ShardConfig::new(3))
-        .run();
-    assert!(ok.is_ok(), "{ok:?}");
+    let invalid = |knob| {
+        Err(ExperimentError::InvalidKnob {
+            knob,
+            cluster: None,
+        })
+    };
+    assert_eq!(
+        validate(4, ScorerKind::Accuracy),
+        invalid("sharding.shards (more shards than clusters)")
+    );
+    assert_eq!(
+        validate(3, ScorerKind::MultiKrum),
+        invalid("sharding.shards (multikrum needs 3 per shard)")
+    );
 }
 
 #[test]
@@ -128,72 +97,19 @@ fn validation_rejects_single_cluster() {
 }
 
 #[test]
-fn validation_rejects_bad_margin() {
-    for margin in [0.5, f64::NAN, f64::INFINITY] {
-        let mut builder = ExperimentBuilder::quickstart();
-        builder.config.window_margin = margin;
-        assert_eq!(
-            builder.run().unwrap_err(),
-            ExperimentError::InvalidWindowMargin,
-            "margin {margin}"
-        );
-    }
-    // The window sizing divides by the straggle factor: a zero,
-    // negative or non-finite one would collapse the windows to zero.
-    for factor in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-        let mut builder = ExperimentBuilder::quickstart();
-        builder.config.clusters[1].straggle_factor = factor;
-        assert_eq!(
-            builder.run().unwrap_err(),
-            ExperimentError::InvalidStraggleFactor("agg-2".into()),
-            "straggle_factor {factor}"
-        );
-    }
-}
-
-#[test]
 fn validation_rejects_a_run_that_would_never_end() {
-    // Each knob is finite and inside its own domain, so each used to
-    // validate — and then the clock saturated and the chain sealed a
-    // block per five virtual seconds towards the end of time. The test
-    // only validates: on the parent, running any of them is the bug.
-    use unifyfl_storage::network::LinkProfile;
-    type Edit = fn(&mut ExperimentConfig);
-    let offenders: [(&str, Option<&str>, Edit); 5] = [
-        ("window_margin", None, |c| c.window_margin = 1.0e300),
-        ("straggle_factor", Some("agg-2"), |c| {
-            c.clusters[1].straggle_factor = 1.0e300;
-        }),
-        ("joins_at", Some("agg-3"), |c| {
-            c.clusters[2].joins_at = Some(SimDuration::from_millis(u64::MAX));
-        }),
-        ("link.bandwidth_bps", Some("agg-2"), |c| {
-            c.clusters[1].link = Some(LinkProfile {
-                bandwidth_bps: 1.0e-300,
-                ..LinkProfile::wan()
-            });
-        }),
-        // No single knob: a million rounds of a billion-parameter
-        // cost model.
-        ("workload", None, |c| {
-            c.workload.rounds = 1_000_000;
-            c.workload.model.virtual_params = Some(1_000_000_000);
-        }),
-    ];
-    for (knob, cluster, edit) in offenders {
-        let mut config = ExperimentBuilder::quickstart()
-            .link_model(LinkModel::Physical)
-            .config()
-            .clone();
-        config.clusters.push(ClusterConfig::gpu("agg-4"));
-        edit(&mut config);
-        let expected = ExperimentError::HorizonTooLong {
-            knob,
-            cluster: cluster.map(str::to_owned),
-        };
-        assert_eq!(config.validate(), Err(expected.clone()), "{knob}");
-        assert!(expected.to_string().starts_with(knob), "{expected}");
-    }
+    // Each time-scaling knob alone is a `KNOBS` grid input (its point
+    // beyond huge). Here no single knob: a million rounds of a
+    // billion-parameter cost model.
+    let mut config = ExperimentBuilder::quickstart().config().clone();
+    config.workload.rounds = 1_000_000;
+    config.workload.model.virtual_params = Some(1_000_000_000);
+    let expected = ExperimentError::HorizonTooLong {
+        knob: "workload",
+        cluster: None,
+    };
+    assert_eq!(config.validate(), Err(expected.clone()));
+    assert!(expected.to_string().starts_with("workload"), "{expected}");
     // Two offenders at once: the one still too long with the other
     // neutral is named (the other is next, once this one is fixed).
     let mut config = ExperimentBuilder::quickstart().config().clone();
@@ -218,123 +134,51 @@ fn validation_rejects_a_run_that_would_never_end() {
 }
 
 #[test]
-fn validation_rejects_an_unusable_storage_link() {
-    // `bytes / bandwidth` is infinite or NaN for each of these, which
-    // the clock maps to zero: the silo's transfers were free, and a NaN
-    // bandwidth ranked it first among providers.
-    use unifyfl_storage::network::LinkProfile;
-    for bandwidth_bps in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-        let mut builder = ExperimentBuilder::quickstart().link_model(LinkModel::Physical);
-        builder.config.clusters[1].link = Some(LinkProfile {
-            bandwidth_bps,
-            ..LinkProfile::wan()
-        });
-        assert_eq!(
-            builder.run().unwrap_err(),
-            ExperimentError::InvalidLinkBandwidth("agg-2".into()),
-            "bandwidth {bandwidth_bps}"
-        );
-    }
-    let mut slow = ExperimentBuilder::quickstart().rounds(1);
-    slow.config.clusters[1].link = Some(LinkProfile::wan());
-    assert!(slow.run().is_ok());
-}
-
-#[test]
-fn validation_rejects_a_dp_release_its_constructor_would_refuse() {
-    // `DpConfig`'s fields are public, so its constructor's asserts are
-    // optional; each of these used to publish an all-NaN, all-zero or
-    // sign-flipped release.
+fn validation_refuses_a_dp_release_past_f32_range() {
+    // Each knob finite and positive, and `privatize` used to publish every
+    // weight as ±∞. The largest clip the rule admits at σ = 1 releases
+    // finite weights, even from a weight vector far past the clip.
     use crate::byzantine::DpConfig;
-    let nominal = DpConfig::new(50.0, 0.05);
-    let (nan, inf) = (f64::NAN, f64::INFINITY);
-    let bad_clips = [nan, 0.0, -50.0, inf].map(|clip_norm| DpConfig {
-        clip_norm,
-        ..nominal
+    let edge = f64::from(f32::MAX) / 39.5;
+    let refused = Err(ExperimentError::InvalidKnob {
+        knob: "dp (release past f32 range)",
+        cluster: Some("agg-3".into()),
     });
-    let bad_noise = [nan, -0.05, inf].map(|noise_multiplier| DpConfig {
-        noise_multiplier,
-        ..nominal
-    });
-    for dp in bad_clips.into_iter().chain(bad_noise) {
-        let mut builder = ExperimentBuilder::quickstart();
-        builder.config.clusters[2].dp = Some(dp);
-        assert_eq!(
-            builder.run().unwrap_err(),
-            ExperimentError::InvalidDp("agg-3".into()),
-            "{dp:?}"
-        );
+    let mut builder = ExperimentBuilder::quickstart();
+    for (clip, noise, ok) in [
+        (1.0e300, 1.0, false),
+        (50.0, 1.0e300, false),
+        (edge, 1.0, true),
+    ] {
+        builder.config.clusters[2].dp = Some(DpConfig::new(clip, noise));
+        assert_eq!(builder.config.validate() != refused, ok, "{clip} {noise}");
     }
-    let mut private = ExperimentBuilder::quickstart().rounds(1);
-    private.config.clusters[2].dp = Some(nominal);
-    assert!(private.run().is_ok());
+    let release = DpConfig::new(edge, 1.0).privatize(&[f32::MAX; 500], 7);
+    assert!(release.iter().all(|w| w.is_finite()));
 }
 
 #[test]
 fn validation_rejects_knobs_that_would_panic_mid_run() {
-    // Each of these used to validate and then abort inside a client
-    // fit (`batch_size`, `learning_rate`, a model that does not fit the
-    // data), data synthesis (`dataset.*`) or the client partition
-    // (`n_clients`).
-    type Edit = fn(&mut ExperimentConfig);
-    let workload = ExperimentError::InvalidWorkload;
-    let cases: Vec<(Edit, ExperimentError)> = vec![
-        (|c| c.workload.batch_size = 0, workload("batch_size (zero)")),
-        (
-            |c| c.workload.dataset.n_classes = 0,
-            workload("dataset.n_classes (zero)"),
-        ),
-        (
-            |c| c.workload.dataset.n_samples = 0,
-            workload("dataset.n_samples (zero)"),
-        ),
-        (
-            |c| c.workload.dataset.label_noise = 1.5,
-            workload("dataset.label_noise (outside [0, 1])"),
-        ),
-        (
-            |c| c.workload.dataset.label_noise = f64::NAN,
-            workload("dataset.label_noise (outside [0, 1])"),
-        ),
-        (
-            |c| c.workload.dataset.n_classes = 5,
-            workload("model (fewer outputs than the dataset has classes)"),
-        ),
-        (
-            |c| c.workload.dataset.input = unifyfl_tensor::zoo::InputKind::Flat(8),
-            workload("model (input shape differs from the dataset's)"),
-        ),
-        (
-            |c| c.clusters[2].n_clients = 0,
-            ExperimentError::NoClients("agg-3".into()),
-        ),
-    ];
-    for (edit, expected) in cases {
-        let mut builder = ExperimentBuilder::quickstart();
-        edit(&mut builder.config);
-        assert_eq!(builder.run().unwrap_err(), expected);
-    }
-    // `+∞` passes `Sgd`'s own `lr > 0` assert and trains NaNs.
-    for lr in [0.0, -0.05, f32::NAN, f32::INFINITY] {
-        let mut builder = ExperimentBuilder::quickstart();
-        builder.config.workload.learning_rate = lr;
-        assert_eq!(
-            builder.run().unwrap_err(),
-            workload("learning_rate (must be finite and > 0)"),
-            "learning_rate {lr}"
-        );
-    }
-}
-
-#[test]
-fn validation_rejects_zero_local_epochs() {
-    // Nothing would panic: every client would train one epoch and the
-    // virtual clock would charge for none.
-    let mut builder = ExperimentBuilder::quickstart();
-    builder.config.workload.local_epochs = 0;
-    let expected = ExperimentError::InvalidWorkload("local_epochs (zero)");
-    assert_eq!(builder.config.validate().unwrap_err(), expected);
-    assert_eq!(builder.run().unwrap_err(), expected);
+    // Each knob in its own domain (the `KNOBS` grid covers those), and a
+    // model that does not fit the data used to validate and then abort
+    // inside the first client fit.
+    use unifyfl_tensor::zoo::InputKind;
+    let invalid = |knob| ExperimentError::InvalidKnob {
+        knob,
+        cluster: None,
+    };
+    let mut more_classes = ExperimentBuilder::quickstart();
+    more_classes.config.workload.dataset.n_classes = 5;
+    let mut other_shape = ExperimentBuilder::quickstart();
+    other_shape.config.workload.dataset.input = InputKind::Flat(8);
+    assert_eq!(
+        more_classes.run().unwrap_err(),
+        invalid("model (fewer outputs than the dataset has classes)")
+    );
+    assert_eq!(
+        other_shape.run().unwrap_err(),
+        invalid("model (input shape differs from the dataset's)")
+    );
 }
 
 #[test]
@@ -374,36 +218,32 @@ fn undersized_data_is_a_typed_assembly_error() {
 
 #[test]
 fn validation_rejects_bad_chaos() {
+    // A scripted event aimed past the schedule, or at a cluster that does
+    // not exist, would silently never fire; it must be rejected instead.
     use unifyfl_sim::fault::{FaultEvent, FaultKind};
-    let mut builder = ExperimentBuilder::quickstart().rounds(3);
-    builder.config.chaos = Some(ChaosConfig {
-        crash_prob: 2.0,
-        ..ChaosConfig::default()
-    });
-    assert_eq!(
-        builder.clone().run().unwrap_err(),
-        ExperimentError::InvalidChaos("crash_prob")
-    );
-    // A scripted event aimed past the schedule would silently never
-    // fire; it must be rejected instead.
-    builder.config.chaos = Some(ChaosConfig::scripted(vec![FaultEvent {
-        cluster: 0,
-        round: 9,
-        kind: FaultKind::Leave,
-    }]));
-    assert_eq!(
-        builder.clone().run().unwrap_err(),
-        ExperimentError::InvalidChaos("events (round out of range)")
-    );
-    builder.config.chaos = Some(ChaosConfig::scripted(vec![FaultEvent {
-        cluster: 7,
-        round: 1,
-        kind: FaultKind::Leave,
-    }]));
-    assert_eq!(
-        builder.run().unwrap_err(),
-        ExperimentError::InvalidChaos("events (cluster index)")
-    );
+    let validate = |cluster, round| {
+        let kind = FaultKind::Leave;
+        let event = FaultEvent {
+            cluster,
+            round,
+            kind,
+        };
+        let builder = ExperimentBuilder::quickstart().rounds(3);
+        builder
+            .chaos(ChaosConfig::scripted(vec![event]))
+            .config()
+            .validate()
+    };
+    let invalid = |knob, cluster: Option<&str>| {
+        let cluster = cluster.map(str::to_owned);
+        Err(ExperimentError::InvalidKnob { knob, cluster })
+    };
+    let round = "chaos.events.round (outside the run's rounds)";
+    assert_eq!(validate(0, 9), invalid(round, Some("agg-1")));
+    assert_eq!(validate(1, 0), invalid(round, Some("agg-2")));
+    let no_cluster = "chaos.events.cluster (no such cluster)";
+    assert_eq!(validate(7, 1), invalid(no_cluster, None));
+    assert!(validate(2, 3).is_ok());
 }
 
 #[test]

@@ -71,7 +71,7 @@ pub use byzantine::{AttackKind, DpConfig};
 pub use cluster::{ClusterConfig, ClusterNode, DriftSpec};
 pub use experiment::{
     run_experiment, AggregatorReport, ChaosReport, ExperimentBuilder, ExperimentConfig,
-    ExperimentError, ExperimentReport, TransferReport,
+    ExperimentError, ExperimentReport, TransferReport, KNOBS,
 };
 pub use federation::Federation;
 pub use orchestration::Mode;

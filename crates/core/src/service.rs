@@ -1099,4 +1099,42 @@ mod tests {
             RunOutcome::Failed(message) => panic!("run failed: {message}"),
         }
     }
+
+    /// `RunState::resume` over single-token mutations of a valid encoded
+    /// quickstart checkpoint: every token of every line replaced by each of a
+    /// few stand-ins. Each case fails to decode (a typed `TraceDecodeError`),
+    /// fails to resume (a typed `ResumeError`), or resumes and finishes
+    /// exactly as the uninterrupted run.
+    #[test]
+    fn resume_of_a_mutated_checkpoint_is_exact_or_a_typed_error() {
+        let config = tiny(42);
+        let whole = format!("{:?}", RunState::new(&config).unwrap().run_to_completion());
+        let mut state = RunState::new(&config).unwrap();
+        for _ in 0..12 {
+            state.step();
+        }
+        let text = state.checkpoint().encoded_trace();
+        let lines: Vec<Vec<&str>> = text.lines().map(|l| l.split(' ').collect()).collect();
+        let stand_ins = ["", "0", "1", "7", "99999", "seal_slot", "x", "-1"];
+        let (mut decoded, mut resumed) = (0, 0);
+        for (i, line) in lines.iter().enumerate() {
+            for j in 0..line.len() {
+                for with in stand_ins {
+                    let mut mutated = lines.clone();
+                    mutated[i][j] = with;
+                    let text: String = mutated.iter().map(|l| l.join(" ") + "\n").collect();
+                    let case = format!("line {i} token {j} → {with:?}");
+                    let parsed = RunCheckpoint::from_encoded_trace(config.clone(), &text);
+                    let Ok(checkpoint) = parsed else { continue };
+                    decoded += 1;
+                    if let Ok(state) = RunState::resume(&checkpoint) {
+                        resumed += 1;
+                        assert_eq!(format!("{:?}", state.run_to_completion()), whole, "{case}");
+                    }
+                }
+            }
+        }
+        let counts = format!("{decoded} decoded, {resumed} resumed");
+        assert!(decoded > resumed && resumed > 0, "{counts}");
+    }
 }

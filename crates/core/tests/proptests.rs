@@ -98,180 +98,264 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// ROADMAP 4(d), the numeric-knob slice: validate-ok ⇒ the run completes.
+// ROADMAP 4(d) and 11: every `KNOBS` row probed at its edges, where
+// validate-ok ⇒ the run completes; and no numeric knob without a row.
 // ---------------------------------------------------------------------
 
-/// One numeric knob of an experiment: how to set it on the quickstart,
-/// which values a deployment may legitimately write, and the grid to try.
-struct Knob {
-    name: &'static str,
-    set: fn(&mut unifyfl_core::ExperimentConfig, f64),
-    valid: fn(f64) -> bool,
-    grid: Vec<f64>,
-}
+use std::collections::BTreeSet;
 
-/// *{NaN, ±∞, -1, 0, tiny, nominal, huge}* around a float knob's own
-/// "tiny" and "huge": the smallest and largest values a deployment could
-/// plausibly mean.
-fn float_grid(tiny: f64, nominal: f64, huge: f64) -> Vec<f64> {
-    let (nan, inf) = (f64::NAN, f64::INFINITY);
-    vec![nan, inf, -inf, -1.0, 0.0, tiny, nominal, huge]
-}
+use unifyfl_core::experiment::{Domain, ExperimentBuilder, Knob, LinkModel};
+use unifyfl_core::{ExperimentConfig, ExperimentError, RunState, KNOBS};
 
-/// [`float_grid`] for a knob that scales virtual time, plus the point
-/// *beyond huge*: finite, inside the knob's own domain, and a run that
-/// would (practically) never end — `validate()` must refuse it on the
-/// run's nominal horizon.
-fn time_scaling_grid(tiny: f64, nominal: f64, huge: f64, beyond: f64) -> Vec<f64> {
-    let mut grid = float_grid(tiny, nominal, huge);
-    grid.push(beyond);
-    grid
-}
+/// How the grid writes one `KNOBS` row on the quickstart: the row's name,
+/// the cluster the setter puts it on, the row's own tiny / nominal / huge,
+/// and the setter itself.
+type Setter = (&'static str, Option<&'static str>, [f64; 3], Set);
+type Set = fn(&mut ExperimentConfig, f64);
 
-fn finite_positive(v: f64) -> bool {
-    v.is_finite() && v > 0.0
-}
-
-fn numeric_knobs() -> Vec<Knob> {
-    use unifyfl_core::{AttackKind, DpConfig};
+#[rustfmt::skip]
+fn setters() -> Vec<Setter> {
+    use unifyfl_core::{AttackKind, ChaosConfig, DpConfig, FaultEvent, FaultKind, ShardConfig};
+    use unifyfl_data::SyntheticConfig;
     use unifyfl_sim::SimDuration;
-    use unifyfl_storage::LinkProfile;
-    fn dp(c: &mut unifyfl_core::ExperimentConfig) -> &mut DpConfig {
-        c.clusters[0].dp.get_or_insert(DpConfig::new(50.0, 0.05))
+    use unifyfl_storage::{GossipConfig, LinkProfile};
+    type C = ExperimentConfig;
+    fn chaos(c: &mut C) -> &mut ChaosConfig { c.chaos.get_or_insert_with(ChaosConfig::default) }
+    fn shards(c: &mut C) -> &mut ShardConfig { c.sharding.get_or_insert(ShardConfig::new(1)) }
+    fn gossip(c: &mut C) -> &mut GossipConfig { c.gossip.get_or_insert(GossipConfig::new(2)) }
+    fn dp(c: &mut C) -> &mut DpConfig { c.clusters[0].dp.get_or_insert(DpConfig::new(50.0, 0.05)) }
+    fn data(c: &mut C) -> &mut SyntheticConfig { &mut c.workload.dataset }
+    fn fault(c: &mut C, kind: FaultKind) {
+        chaos(c).events.push(FaultEvent { cluster: 1, round: 1, kind });
     }
+    let (probability, count) = ([1.0e-9, 0.1, 0.9], [1.0, 2.0, 100.0]);
     vec![
-        Knob {
-            name: "window_margin",
-            set: |c, v| c.window_margin = v,
-            valid: |v| v.is_finite() && (1.0..1.0e300).contains(&v),
-            grid: time_scaling_grid(1.0, 1.15, 1.0e3, 1.0e300),
-        },
-        Knob {
-            name: "straggle_factor",
-            set: |c, v| c.clusters[1].straggle_factor = v,
-            valid: |v| finite_positive(v) && v < 1.0e300,
-            grid: time_scaling_grid(1.0e-3, 1.0, 1.0e3, 1.0e300),
-        },
-        Knob {
-            name: "learning_rate",
-            set: |c, v| c.workload.learning_rate = v as f32,
-            valid: |v| finite_positive(f64::from(v as f32)),
-            grid: float_grid(1.0e-6, 0.05, 10.0),
-        },
-        Knob {
-            name: "label_noise",
-            set: |c, v| c.workload.dataset.label_noise = v,
-            valid: |v| (0.0..=1.0).contains(&v),
-            grid: float_grid(1.0e-9, 0.05, 1.0),
-        },
-        Knob {
-            name: "link.bandwidth_bps",
-            set: |c, v| {
-                c.clusters[2].link = Some(LinkProfile {
-                    bandwidth_bps: v,
-                    ..LinkProfile::wan()
-                });
-            },
-            valid: |v| finite_positive(v) && v > 1.0e-300,
-            grid: time_scaling_grid(64.0, 1.0e6, 1.0e18, 1.0e-300),
-        },
-        Knob {
-            name: "dp.clip_norm",
-            set: |c, v| dp(c).clip_norm = v,
-            valid: finite_positive,
-            grid: float_grid(1.0e-9, 50.0, 1.0e12),
-        },
-        Knob {
-            name: "dp.noise_multiplier",
-            set: |c, v| dp(c).noise_multiplier = v,
-            valid: |v| v.is_finite() && v >= 0.0,
-            grid: float_grid(1.0e-9, 0.05, 1.0e3),
-        },
-        Knob {
-            name: "attack.sigma",
-            set: |c, v| c.clusters[0].attack = Some(AttackKind::GaussianNoise { sigma: v }),
-            valid: finite_positive,
-            grid: float_grid(1.0e-9, 1.0, 1.0e3),
-        },
-        // A factor of one is the inert point inside the finite range.
-        Knob {
-            name: "attack.factor",
-            set: |c, v| c.clusters[0].attack = Some(AttackKind::ScaleUp { factor: v }),
-            valid: |v| v.is_finite() && v != 1.0,
-            grid: [float_grid(1.0e-9, 25.0, 1.0e3), vec![1.0]].concat(),
-        },
-        // The two integer knobs have no NaN, infinity or -1 to write: both
-        // edges of the domain, and one step past each.
-        Knob {
-            name: "release_mantissa_bits",
-            set: |c, v| c.clusters[0].release_mantissa_bits = v as u32,
-            valid: |v| (1.0..=23.0).contains(&v),
-            grid: vec![0.0, 1.0, 23.0, 24.0],
-        },
-        Knob {
-            name: "joins_at (ms)",
-            set: |c, v| {
-                let mut late = c.clusters[0].clone();
-                late.name = "agg-late".into();
-                late.joins_at = Some(SimDuration::from_millis(v as u64));
-                c.clusters.push(late);
-            },
-            valid: |v| v > 0.0 && v < 1.0e300,
-            grid: vec![0.0, 1.0, 28.0e3, 1.0e7, 1.0e300],
-        },
+        ("window_margin", None, [1.0, 1.15, 1.0e3], |c, v| c.window_margin = v),
+        ("learning_rate", None, [1.0e-6, 0.05, 10.0], |c, v| c.workload.learning_rate = v as f32),
+        ("batch_size", None, [1.0, 16.0, 1.0e4], |c, v| c.workload.batch_size = v as usize),
+        ("local_epochs", None, [1.0, 2.0, 20.0], |c, v| c.workload.local_epochs = v as usize),
+        ("dataset.n_classes", None, [1.0, 2.0, 4.0], |c, v| data(c).n_classes = v as usize),
+        ("dataset.n_samples", None, [60.0, 450.0, 2.0e3], |c, v| data(c).n_samples = v as usize),
+        ("dataset.label_noise", None, [1.0e-9, 0.05, 1.0], |c, v| data(c).label_noise = v),
+        ("dataset.noise_scale", None, [1.0e-9, 0.6, 1.0e3], |c, v| data(c).noise_scale = v),
+        ("sharding.shards", None, [1.0, 2.0, 3.0], |c, v| shards(c).shards = v as usize),
+        ("sharding.scorers_per_release", None, count, |c, v| {
+            shards(c).scorers_per_release = Some(v as usize);
+        }),
+        ("sharding.exchange_every", None, count, |c, v| shards(c).exchange_every = v as u64),
+        ("sharding.regroup", None, count, |c, v| shards(c).regroup = Some(v as u64)),
+        ("gossip.degree", None, count, |c, v| gossip(c).degree = v as usize),
+        ("gossip.swarm", None, count, |c, v| gossip(c).swarm = v as usize),
+        ("chaos.crash_prob", None, probability, |c, v| chaos(c).crash_prob = v),
+        ("chaos.crash_down_rounds", None, count, |c, v| chaos(c).crash_down_rounds = v as u64),
+        ("chaos.leave_prob", None, probability, |c, v| chaos(c).leave_prob = v),
+        ("chaos.spike_prob", None, probability, |c, v| chaos(c).spike_prob = v),
+        ("chaos.spike_factor", None, [1.0 + 1.0e-9, 4.0, 1.0e3], |c, v| chaos(c).spike_factor = v),
+        ("chaos.fetch_failure_prob", None, probability, |c, v| chaos(c).fetch_failure_prob = v),
+        ("chaos.chunk_loss_prob", None, probability, |c, v| chaos(c).chunk_loss_prob = v),
+        ("chaos.missed_seal_prob", None, probability, |c, v| chaos(c).missed_seal_prob = v),
+        ("chaos.dropped_tx_prob", None, probability, |c, v| chaos(c).dropped_tx_prob = v),
+        ("chaos.events.down_rounds", Some("agg-2"), count, |c, v| {
+            fault(c, FaultKind::Crash { down_rounds: v as u64 });
+        }),
+        ("chaos.events.factor", Some("agg-2"), [1.0 + 1.0e-9, 4.0, 1.0e3], |c, v| {
+            fault(c, FaultKind::LatencySpike { factor: v });
+        }),
+        ("chaos.events.skew", Some("agg-2"), [1.0, 3.0e4, 1.0e7], |c, v| {
+            fault(c, FaultKind::ClockSkew { skew: SimDuration::from_millis(v as u64) });
+        }),
+        ("n_clients", Some("agg-3"), [1.0, 3.0, 10.0], |c, v| c.clusters[2].n_clients = v as usize),
+        ("straggle_factor", Some("agg-2"), [1.0e-3, 1.0, 1.0e3], |c, v| {
+            c.clusters[1].straggle_factor = v;
+        }),
+        ("release_mantissa_bits", Some("agg-1"), [1.0, 7.0, 23.0], |c, v| {
+            c.clusters[0].release_mantissa_bits = v as u32;
+        }),
+        ("joins_at", Some("agg-late"), [1.0, 2.8e4, 1.0e7], |c, v| {
+            let mut late = c.clusters[0].clone();
+            late.name = "agg-late".into();
+            late.joins_at = Some(SimDuration::from_millis(v as u64));
+            c.clusters.push(late);
+        }),
+        ("link.bandwidth_bps", Some("agg-3"), [64.0, 1.0e6, 1.0e18], |c, v| {
+            c.clusters[2].link = Some(LinkProfile { bandwidth_bps: v, ..LinkProfile::wan() });
+        }),
+        ("dp.clip_norm", Some("agg-1"), [1.0e-9, 50.0, 1.0e12], |c, v| dp(c).clip_norm = v),
+        ("dp.noise_multiplier", Some("agg-1"), [1.0e-9, 0.05, 1.0e3], |c, v| {
+            dp(c).noise_multiplier = v;
+        }),
+        ("attack.sigma", Some("agg-1"), [1.0e-9, 1.0, 1.0e3], |c, v| {
+            c.clusters[0].attack = Some(AttackKind::GaussianNoise { sigma: v });
+        }),
+        ("attack.factor", Some("agg-2"), [1.0e-9, 25.0, 1.0e3], |c, v| {
+            c.clusters[1].attack = Some(AttackKind::ScaleUp { factor: v });
+        }),
     ]
 }
 
-/// The slice of ROADMAP 4(d) sized to the knobs PRs 23 and 25 audited:
-/// over the grid *knob × value* (85 cases; every other knob at the
-/// quickstart's value; link models alternating), `validate()` accepts
-/// exactly the values in the knob's domain — which for the four
-/// time-scaling knobs ends below the point where the run would never end —
-/// and a configuration it accepts runs one quickstart round to completion
-/// without panicking, with a finite clock and finite results. A plain loop
-/// rather than `proptest!`: the grid is small enough to enumerate, so
-/// nothing is left to the draw.
+/// The four time-scaling rows' point *beyond huge*: inside the row's
+/// domain, and a run that would (practically) never end, which
+/// `validate()` must refuse on the run's nominal horizon.
+#[rustfmt::skip]
+const BEYOND: [(&str, f64); 4] = [
+    ("window_margin", 1.0e300), ("straggle_factor", 1.0e300),
+    ("joins_at", 1.0e300), ("link.bandwidth_bps", 1.0e-300),
+];
+
+/// NaN, ±∞, −1 and 0 for a float row; each edge of `domain` and one step
+/// past it; then the row's own tiny, nominal and huge.
+fn probes(domain: Domain, own: [f64; 3]) -> Vec<f64> {
+    const STEP: f64 = 1.0e-9;
+    let mut probes = match domain {
+        Domain::Count | Domain::Range(..) => vec![],
+        _ => vec![f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0],
+    };
+    probes.extend(match domain {
+        Domain::Positive | Domain::NonNegative => vec![-STEP],
+        Domain::AtLeastOne | Domain::AboveOne => vec![1.0, 1.0 - STEP],
+        Domain::NotOne => vec![1.0, 1.0 + STEP],
+        Domain::Probability | Domain::BelowCertain => vec![-STEP, 1.0, 1.0 + STEP],
+        Domain::Count => vec![0.0, 1.0],
+        Domain::Range(lo, hi) => [lo - 1, lo, hi, hi + 1].map(f64::from).to_vec(),
+    });
+    probes.extend(own);
+    probes
+}
+
+/// Over every `KNOBS` row × its probes (other knobs at the quickstart's
+/// values; link models alternating), `validate()` refuses a value outside
+/// the row's domain as `InvalidKnob` naming that row and cluster, refuses
+/// a beyond-huge point on the horizon, and accepts the rest — which runs
+/// one round to completion with a finite clock and finite results.
 #[test]
 fn validate_accepts_exactly_each_numeric_knobs_domain_and_what_it_accepts_runs() {
-    use unifyfl_core::experiment::{ExperimentBuilder, LinkModel};
-    use unifyfl_core::RunState;
+    let setters = setters();
+    let names: BTreeSet<&str> = setters.iter().map(|s| s.0).collect();
+    let rows: BTreeSet<&str> = KNOBS.iter().map(|k| k.name).collect();
+    assert_eq!(names, rows, "one setter per KNOBS row, and no other");
     let (mut cases, mut ran) = (0, 0);
-    for knob in numeric_knobs() {
-        for &value in &knob.grid {
+    for &Knob { name, domain, .. } in KNOBS {
+        let &(_, cluster, own, set) = setters.iter().find(|s| s.0 == name).unwrap();
+        let cluster = cluster.map(str::to_owned);
+        let beyond = BEYOND.iter().filter(|b| b.0 == name).map(|b| b.1);
+        let (mut accepted, mut refused) = (0, 0);
+        for value in probes(domain, own).into_iter().chain(beyond.clone()) {
             let link_model = [LinkModel::Nominal, LinkModel::Physical][cases % 2];
             cases += 1;
-            let mut config = ExperimentBuilder::quickstart()
-                .rounds(1)
-                .link_model(link_model)
-                .config()
-                .clone();
-            (knob.set)(&mut config, value);
-            let case = format!("{} = {value} ({link_model})", knob.name);
-            assert_eq!(
-                config.validate().is_ok(),
-                (knob.valid)(value),
-                "{case}: validate() and the knob's domain disagree: {:?}",
-                config.validate()
-            );
-            let Ok(state) = RunState::new(&config) else {
-                continue;
+            let builder = ExperimentBuilder::quickstart().rounds(1);
+            let mut config = builder.link_model(link_model).config().clone();
+            set(&mut config, value);
+            let case = format!("{name} = {value} ({link_model})");
+            let (knob, cluster) = (name, cluster.clone());
+            let expected = if !domain.contains(value) {
+                Err(ExperimentError::InvalidKnob { knob, cluster })
+            } else if beyond.clone().any(|b| b == value) {
+                Err(ExperimentError::HorizonTooLong { knob, cluster })
+            } else {
+                Ok(())
             };
+            assert_eq!(config.validate(), expected, "{case}");
+            if expected.is_err() {
+                refused += 1;
+                continue;
+            }
+            accepted += 1;
+            // Shard sizes are the partition's draw: what fails assembly
+            // fails it as a typed error, never a panic.
+            let assembled = RunState::new(&config);
+            let Ok(state) = assembled else { continue };
             let report = state.run_to_completion();
             ran += 1;
-            assert!(report.wall_secs.is_finite(), "{case}: wall_secs");
-            for agg in &report.aggregators {
-                assert!(agg.time_secs.is_finite(), "{case}: {} time", agg.name);
-                assert!(
-                    agg.global_accuracy_pct.is_finite() && agg.local_accuracy_pct.is_finite(),
-                    "{case}: {} accuracy",
-                    agg.name
-                );
-            }
+            let aggs = report.aggregators.iter();
+            let mut clock_and_results =
+                aggs.flat_map(|a| [a.time_secs, a.global_accuracy_pct, a.local_accuracy_pct]);
+            assert!(
+                clock_and_results.all(f64::is_finite) && report.wall_secs.is_finite(),
+                "{case}"
+            );
+        }
+        assert!(accepted * refused > 0, "{name} accepts and refuses");
+    }
+    assert!(ran * 2 > cases, "{ran} of {cases} grid points ran");
+}
+
+/// Numeric leaves of a configuration that are not knobs with a domain,
+/// each matching every leaf under it.
+#[rustfmt::skip]
+const NOT_KNOBS: [&str; 12] = [
+    // Every u64 is a seed; any length is a run (zero is an empty one),
+    // and the horizon bounds it.
+    "seed", "workload.rounds",
+    // The architecture and the input shape: the cross-knob shape rule
+    // checks one against the other, and the horizon bounds the cost.
+    "model", "dataset.input",
+    // Private fields set only by presets; `DeviceProfile::new` asserts
+    // them (ROADMAP 4(d): a proven invariant, not input-reachable).
+    "client_device",
+    // Any latency, warm-up, drift, cache budget or retry budget means
+    // what it says (zero: none, off or no retries).
+    "link.latency", "warmup_self_rounds", "drift", "transfer.cache_bytes", "chaos.chunk_retries",
+    // A scripted event's target: the cross-knob event rule checks both.
+    "chaos.events.cluster", "chaos.events.round",
+];
+
+/// Dotted paths of the numeric leaves in a `{:#?}` rendering: a field
+/// path per number, through every struct, `Some`, variant and list.
+fn numeric_leaves(debug: &str) -> Vec<Vec<&str>> {
+    let (mut path, mut leaves) = (Vec::new(), Vec::new());
+    for line in debug.lines().map(str::trim) {
+        let (field, value) = line.split_once(": ").unwrap_or(("", line));
+        if value.ends_with(['{', '(', '[']) {
+            path.push(field);
+        } else if value.starts_with(['}', ')', ']']) {
+            path.pop();
+        } else if value.trim_end_matches(',').parse::<f64>().is_ok() {
+            let leaf = path.iter().chain([&field]).filter(|s| !s.is_empty());
+            leaves.push(leaf.copied().collect());
         }
     }
-    assert_eq!(cases, 85);
-    // Tiny, nominal and huge of every float knob, zero where zero is in the
-    // domain (label noise, noise multiplier, attack factor), the in-domain
-    // edges of the integer knobs, and a negative attack factor.
-    assert_eq!(ran, 9 * 3 + 3 + 2 + 3 + 1, "grid points accepted and run");
+    leaves
+}
+
+/// Whether `name`'s dotted segments appear, in order, along `path`.
+fn along(name: &str, path: &[&str]) -> bool {
+    let mut rest = path.iter();
+    name.split('.').all(|segment| rest.any(|p| *p == segment))
+}
+
+/// A knob cannot be added without a domain: every numeric leaf of a
+/// configuration with every `Option` armed (every grid setter at its
+/// nominal value, plus a drift and a cost-model size) is a `KNOBS` row
+/// ending in that leaf or lies under a `NOT_KNOBS` entry, and every row
+/// is found.
+#[test]
+fn every_numeric_knob_has_a_domain() {
+    use unifyfl_core::cluster::DriftSpec;
+    let mut config = ExperimentBuilder::quickstart().config().clone();
+    for (_, _, [_, nominal, _], set) in setters() {
+        set(&mut config, nominal);
+    }
+    config.workload.model.virtual_params = Some(1_000);
+    config.clusters[0].drift = Some(DriftSpec {
+        at_round: 2,
+        class_shift: 1,
+    });
+    let rendering = format!("{config:#?}");
+    let leaves = numeric_leaves(&rendering);
+    let is_row = |path: &[&str], row: &str| along(row, path) && row.ends_with(path[path.len() - 1]);
+    for path in &leaves {
+        let covered = KNOBS.iter().any(|k| is_row(path, k.name))
+            || NOT_KNOBS.iter().any(|name| along(name, path));
+        assert!(
+            covered,
+            "{} is neither a KNOBS row nor exempt",
+            path.join(".")
+        );
+    }
+    for Knob { name, .. } in KNOBS {
+        assert!(
+            leaves.iter().any(|path| is_row(path, name)),
+            "{name} not found"
+        );
+    }
 }

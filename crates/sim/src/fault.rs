@@ -86,8 +86,10 @@ pub struct FaultEvent {
     pub kind: FaultKind,
 }
 
-/// Operator-facing chaos knobs. The default is fully quiescent (no faults);
-/// every probability must lie in `[0, 1]`.
+/// Operator-facing chaos knobs. The default is fully quiescent (no faults).
+/// Each knob's domain (every probability in `[0, 1]`, and so on) is
+/// declared once, in the experiment layer's knob table, which validates a
+/// configuration before any plan is expanded.
 ///
 /// Scripted [`FaultEvent`]s fire exactly as written; the `*_prob` knobs
 /// additionally sample faults per cluster-round from the plan seed, so a
@@ -98,7 +100,7 @@ pub struct ChaosConfig {
     pub events: Vec<FaultEvent>,
     /// Per cluster-round probability of a crash.
     pub crash_prob: f64,
-    /// How many rounds a sampled crash keeps the cluster down.
+    /// How many rounds (≥ 1) a sampled crash keeps the cluster down.
     pub crash_down_rounds: u64,
     /// Per cluster-round probability of leaving permanently.
     pub leave_prob: f64,
@@ -159,39 +161,6 @@ impl ChaosConfig {
             && self.missed_seal_prob == 0.0
             && self.dropped_tx_prob == 0.0
     }
-
-    /// Validates every probability knob.
-    ///
-    /// # Errors
-    ///
-    /// Returns the name of the first out-of-range knob.
-    pub fn validate(&self) -> Result<(), &'static str> {
-        let probs = [
-            ("crash_prob", self.crash_prob),
-            ("leave_prob", self.leave_prob),
-            ("spike_prob", self.spike_prob),
-            ("fetch_failure_prob", self.fetch_failure_prob),
-            ("chunk_loss_prob", self.chunk_loss_prob),
-            ("dropped_tx_prob", self.dropped_tx_prob),
-        ];
-        for (name, p) in probs {
-            if !(0.0..=1.0).contains(&p) || p.is_nan() {
-                return Err(name);
-            }
-        }
-        // A certain miss every slot would halt block production outright,
-        // so the seal knob must stay strictly below 1.
-        if !(0.0..1.0).contains(&self.missed_seal_prob) || self.missed_seal_prob.is_nan() {
-            return Err("missed_seal_prob");
-        }
-        // A factor of exactly 1 is an inert spike: it would inflate
-        // planned_events yet never fire, so it is rejected like any other
-        // masquerading fault.
-        if self.spike_factor.is_nan() || self.spike_factor <= 1.0 {
-            return Err("spike_factor");
-        }
-        Ok(())
-    }
 }
 
 /// The fully expanded, deterministic fault schedule for one run.
@@ -228,7 +197,7 @@ impl FaultPlan {
                         cluster,
                         round,
                         kind: FaultKind::Crash {
-                            down_rounds: config.crash_down_rounds.max(1),
+                            down_rounds: config.crash_down_rounds,
                         },
                     });
                 }
@@ -424,31 +393,10 @@ mod tests {
     fn default_is_quiescent_and_valid() {
         let cfg = ChaosConfig::default();
         assert!(cfg.is_quiescent());
-        assert!(cfg.validate().is_ok());
         let plan = FaultPlan::expand(&cfg, 7, 4, 10);
         assert!(plan.events().is_empty());
         assert!(!plan.is_down(0, 1));
         assert_eq!(plan.latency_factor(0, 1), 1.0);
-    }
-
-    #[test]
-    fn validation_rejects_out_of_range_knobs() {
-        let mut cfg = ChaosConfig {
-            crash_prob: 1.5,
-            ..ChaosConfig::default()
-        };
-        assert_eq!(cfg.validate(), Err("crash_prob"));
-        cfg.crash_prob = 0.0;
-        cfg.spike_factor = 0.5;
-        assert_eq!(cfg.validate(), Err("spike_factor"));
-        cfg.spike_factor = 1.0; // exactly 1 is an inert spike: rejected too
-        assert_eq!(cfg.validate(), Err("spike_factor"));
-        cfg.spike_factor = 4.0;
-        cfg.chunk_loss_prob = f64::NAN;
-        assert_eq!(cfg.validate(), Err("chunk_loss_prob"));
-        cfg.chunk_loss_prob = 1.0; // certain chunk loss is allowed (retried)
-        cfg.missed_seal_prob = 1.0; // a certain miss every slot is not
-        assert_eq!(cfg.validate(), Err("missed_seal_prob"));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::chunker::decode_root;
 use crate::cid::Cid;
@@ -23,7 +23,7 @@ use crate::cid::Cid;
 /// not on local read. [`BlockStore::first_corrupt`] audits it.
 #[derive(Debug, Default)]
 pub struct BlockStore {
-    blocks: HashMap<Cid, Bytes>,
+    blocks: HashMap<Cid, Arc<[u8]>>,
     pinned: HashSet<Cid>,
 }
 
@@ -34,7 +34,7 @@ impl BlockStore {
     }
 
     /// Stores a block under its CID; returns the CID.
-    pub fn put(&mut self, data: Bytes) -> Cid {
+    pub fn put(&mut self, data: Arc<[u8]>) -> Cid {
         let cid = Cid::for_data(&data);
         self.put_keyed(cid, data);
         cid
@@ -42,7 +42,7 @@ impl BlockStore {
 
     /// Stores a block whose CID the caller has just computed or verified,
     /// without hashing it again.
-    pub(crate) fn put_keyed(&mut self, cid: Cid, data: Bytes) {
+    pub(crate) fn put_keyed(&mut self, cid: Cid, data: Arc<[u8]>) {
         debug_assert!(cid.verifies(&data), "blockstore key must hash its value");
         self.blocks.insert(cid, data);
     }
@@ -60,12 +60,12 @@ impl BlockStore {
     /// Plants `data` under a key it does not hash to — a provider serving
     /// bad bytes, which nothing outside a test can construct.
     #[cfg(test)]
-    pub(crate) fn put_unchecked(&mut self, cid: Cid, data: Bytes) {
+    pub(crate) fn put_unchecked(&mut self, cid: Cid, data: Arc<[u8]>) {
         self.blocks.insert(cid, data);
     }
 
     /// Retrieves a block.
-    pub fn get(&self, cid: Cid) -> Option<Bytes> {
+    pub fn get(&self, cid: Cid) -> Option<Arc<[u8]>> {
         self.blocks.get(&cid).cloned()
     }
 
@@ -132,8 +132,8 @@ mod tests {
     #[test]
     fn put_get_round_trip() {
         let mut bs = BlockStore::new();
-        let cid = bs.put(Bytes::from_static(b"block data"));
-        assert_eq!(bs.get(cid).unwrap(), Bytes::from_static(b"block data"));
+        let cid = bs.put(Arc::from(&b"block data"[..]));
+        assert_eq!(bs.get(cid).unwrap(), Arc::from(&b"block data"[..]));
         assert!(bs.has(cid));
         assert_eq!(bs.len(), 1);
         assert_eq!(bs.total_bytes(), 10);
@@ -142,8 +142,8 @@ mod tests {
     #[test]
     fn gc_removes_only_unpinned() {
         let mut bs = BlockStore::new();
-        let keep = bs.put(Bytes::from_static(b"keep"));
-        let _drop = bs.put(Bytes::from_static(b"drop"));
+        let keep = bs.put(Arc::from(&b"keep"[..]));
+        let _drop = bs.put(Arc::from(&b"drop"[..]));
         bs.pin(keep);
         let removed = bs.gc();
         assert_eq!(removed, 1);
@@ -186,7 +186,7 @@ mod tests {
         let mut bs = BlockStore::new();
         let cid = Cid::for_data(b"later");
         bs.pin(cid);
-        bs.put(Bytes::from_static(b"later"));
+        bs.put(Arc::from(&b"later"[..]));
         assert_eq!(bs.gc(), 0);
         assert!(bs.has(cid));
     }
@@ -194,8 +194,8 @@ mod tests {
     #[test]
     fn duplicate_put_dedupes() {
         let mut bs = BlockStore::new();
-        let a = bs.put(Bytes::from_static(b"same"));
-        let b = bs.put(Bytes::from_static(b"same"));
+        let a = bs.put(Arc::from(&b"same"[..]));
+        let b = bs.put(Arc::from(&b"same"[..]));
         assert_eq!(a, b);
         assert_eq!(bs.len(), 1);
     }

@@ -6,7 +6,7 @@
 //! files of a few hundred MB): the root block encodes the total length and
 //! the ordered child CIDs.
 
-use bytes::Bytes;
+use std::sync::Arc;
 
 use crate::cid::Cid;
 
@@ -22,9 +22,9 @@ pub struct ChunkedFile {
     /// CID of the root block (== the file's CID).
     pub root: Cid,
     /// The encoded root block.
-    pub root_block: Bytes,
+    pub root_block: Arc<[u8]>,
     /// `(cid, data)` for every leaf chunk, in file order.
-    pub leaves: Vec<(Cid, Bytes)>,
+    pub leaves: Vec<(Cid, Arc<[u8]>)>,
     /// Original file length in bytes.
     pub total_len: u64,
 }
@@ -36,9 +36,9 @@ pub struct ChunkedFile {
 /// Panics if `chunk_size` is zero.
 pub fn chunk(data: &[u8], chunk_size: usize) -> ChunkedFile {
     assert!(chunk_size > 0, "chunk_size must be positive");
-    let leaves: Vec<(Cid, Bytes)> = data
+    let leaves: Vec<(Cid, Arc<[u8]>)> = data
         .chunks(chunk_size)
-        .map(|c| (Cid::for_data(c), Bytes::copy_from_slice(c)))
+        .map(|c| (Cid::for_data(c), Arc::from(c)))
         .collect();
 
     let mut root_block = Vec::with_capacity(8 + 8 + 4 + leaves.len() * 32);
@@ -48,7 +48,7 @@ pub fn chunk(data: &[u8], chunk_size: usize) -> ChunkedFile {
     for (cid, _) in &leaves {
         root_block.extend_from_slice(cid.digest().as_bytes());
     }
-    let root_block = Bytes::from(root_block);
+    let root_block = Arc::from(root_block);
     ChunkedFile {
         root: Cid::for_data(&root_block),
         root_block,
@@ -113,8 +113,8 @@ pub fn decode_root(block: &[u8]) -> Option<RootNode> {
 /// the total length does not match.
 pub fn reassemble(
     root: &RootNode,
-    mut fetch: impl FnMut(Cid) -> Option<Bytes>,
-) -> Result<Bytes, ReassembleError> {
+    mut fetch: impl FnMut(Cid) -> Option<Arc<[u8]>>,
+) -> Result<Arc<[u8]>, ReassembleError> {
     assemble(root, |cid| {
         let data = fetch(cid).ok_or(ReassembleError::MissingChunk(cid))?;
         if !cid.verifies(&data) {
@@ -130,8 +130,8 @@ pub fn reassemble(
 /// the declared length are checked, nothing is hashed.
 pub(crate) fn reassemble_trusted(
     root: &RootNode,
-    mut fetch: impl FnMut(Cid) -> Option<Bytes>,
-) -> Result<Bytes, ReassembleError> {
+    mut fetch: impl FnMut(Cid) -> Option<Arc<[u8]>>,
+) -> Result<Arc<[u8]>, ReassembleError> {
     assemble(root, |cid| {
         fetch(cid).ok_or(ReassembleError::MissingChunk(cid))
     })
@@ -139,13 +139,13 @@ pub(crate) fn reassemble_trusted(
 
 fn assemble(
     root: &RootNode,
-    mut fetch: impl FnMut(Cid) -> Result<Bytes, ReassembleError>,
-) -> Result<Bytes, ReassembleError> {
+    mut fetch: impl FnMut(Cid) -> Result<Arc<[u8]>, ReassembleError>,
+) -> Result<Arc<[u8]>, ReassembleError> {
     let chunks = root
         .children
         .iter()
         .map(|cid| fetch(*cid))
-        .collect::<Result<Vec<Bytes>, _>>()?;
+        .collect::<Result<Vec<Arc<[u8]>>, _>>()?;
     let actual: u64 = chunks.iter().map(|c| c.len() as u64).sum();
     if actual != root.total_len {
         return Err(ReassembleError::LengthMismatch {
@@ -153,9 +153,9 @@ fn assemble(
             actual,
         });
     }
-    Ok(match <[Bytes; 1]>::try_from(chunks) {
+    Ok(match <[Arc<[u8]>; 1]>::try_from(chunks) {
         Ok([leaf]) => leaf,
-        Err(chunks) => Bytes::from(chunks.concat()),
+        Err(chunks) => Arc::from(chunks.concat()),
     })
 }
 
@@ -196,7 +196,7 @@ mod tests {
 
     fn round_trip(data: &[u8], chunk_size: usize) {
         let file = chunk(data, chunk_size);
-        let store: HashMap<Cid, Bytes> = file.leaves.iter().cloned().collect();
+        let store: HashMap<Cid, Arc<[u8]>> = file.leaves.iter().cloned().collect();
         let root = decode_root(&file.root_block).expect("valid root");
         assert_eq!(root.total_len, data.len() as u64);
         let out = reassemble(&root, |c| store.get(&c).cloned()).expect("reassembles");
@@ -247,7 +247,7 @@ mod tests {
         let data = vec![1u8; 600];
         let file = chunk(&data, 256);
         let root = decode_root(&file.root_block).unwrap();
-        let bad = Bytes::from(vec![9u8; 256]);
+        let bad: Arc<[u8]> = Arc::from(vec![9u8; 256]);
         let err = reassemble(&root, |_| Some(bad.clone())).unwrap_err();
         assert!(matches!(err, ReassembleError::CorruptChunk(_)));
     }

@@ -35,7 +35,7 @@
 //! assert!(receipt.cid.to_string().starts_with("Qm"));
 //!
 //! let fetched = org_b.get(receipt.cid).expect("provider found");
-//! assert_eq!(fetched.data, weights);
+//! assert_eq!(fetched.data[..], weights[..]);
 //! ```
 
 #![warn(missing_docs)]

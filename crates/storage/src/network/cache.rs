@@ -3,9 +3,9 @@
 
 use std::collections::HashMap;
 
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 use crate::cid::Cid;
 
@@ -26,7 +26,7 @@ pub(super) struct FetchCache {
 
 #[derive(Debug)]
 struct CacheEntry {
-    data: Bytes,
+    data: Arc<[u8]>,
     last_used: u64,
 }
 
@@ -44,7 +44,7 @@ impl FetchCache {
         }
     }
 
-    pub(super) fn get(&mut self, cid: Cid) -> Option<Bytes> {
+    pub(super) fn get(&mut self, cid: Cid) -> Option<Arc<[u8]>> {
         self.tick += 1;
         let tick = self.tick;
         let entry = self.entries.get_mut(&cid)?;
@@ -55,7 +55,7 @@ impl FetchCache {
     /// Inserts verified content, evicting sampled-LRU entries until the
     /// budget holds. Oversized content (and a zero budget) is not cached.
     /// The budget counts each entry's logical length, shared buffer or not.
-    pub(super) fn insert(&mut self, cid: Cid, data: &Bytes, evictions: &mut u64) {
+    pub(super) fn insert(&mut self, cid: Cid, data: &Arc<[u8]>, evictions: &mut u64) {
         if self.capacity == 0 || data.len() as u64 > self.capacity {
             return;
         }

@@ -2,7 +2,7 @@
 //! local-store fast path, delta reconstruction and its fallbacks, pins
 //! and garbage collection. Going remote is [`super::remote`].
 
-use bytes::Bytes;
+use std::sync::Arc;
 use unifyfl_sim::SimDuration;
 
 use super::fabric::{IpfsNetwork, NetworkState};
@@ -54,7 +54,7 @@ pub struct AddReceipt {
 pub struct GetReceipt {
     /// The reassembled content: for a one-leaf file the leaf block's own
     /// buffer, shared with the blockstore and the fetch cache.
-    pub data: Bytes,
+    pub data: Arc<[u8]>,
     /// Virtual time the fetch took (lookup + transfer), zero-ish when the
     /// content was already local.
     pub elapsed: SimDuration,
@@ -226,7 +226,7 @@ impl IpfsNode {
         };
         let data = match file.leaves.as_slice() {
             [(_, leaf)] => leaf.clone(),
-            _ => Bytes::from(data),
+            _ => Arc::from(data),
         };
 
         // Verified: materialize the full DAG locally (no wire bytes),
@@ -305,7 +305,7 @@ impl IpfsNode {
     ///
     /// [`IpfsError::Corrupt`] if the resident leaves do not add up to the
     /// length the root declares — content no provider could serve either.
-    fn read_local(store: &BlockStore, cid: Cid) -> Result<Option<Bytes>, IpfsError> {
+    fn read_local(store: &BlockStore, cid: Cid) -> Result<Option<Arc<[u8]>>, IpfsError> {
         let Some(root_block) = store.get(cid) else {
             return Ok(None);
         };

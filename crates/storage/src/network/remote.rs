@@ -2,8 +2,8 @@
 //! swarm branches, moving the blocks, pricing the transfer and booking
 //! who served, relayed and received what.
 
-use bytes::Bytes;
 use rand::Rng;
+use std::sync::Arc;
 use unifyfl_sim::SimDuration;
 
 use super::fabric::NetworkState;
@@ -166,7 +166,7 @@ impl IpfsNode {
         // Receipt is the trust boundary: the root was just hashed against
         // its CID above and `reassemble` hashes every leaf, so the retain
         // loop below stores them under CIDs that are already checked.
-        let mut blocks: Vec<(Cid, Bytes)> = vec![(cid, root_block.clone())];
+        let mut blocks: Vec<(Cid, Arc<[u8]>)> = vec![(cid, root_block.clone())];
         let data = match decode_root(&root_block) {
             Some(root) => {
                 for (position, child) in root.children.iter().enumerate() {

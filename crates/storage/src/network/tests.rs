@@ -1,7 +1,7 @@
 //! Unit tests of the fabric, through its public surface and the state
 //! behind its lock.
 
-use bytes::Bytes;
+use std::sync::Arc;
 use unifyfl_sim::SimDuration;
 
 use super::*;
@@ -32,7 +32,7 @@ fn add_then_remote_get_round_trips() {
     assert!(receipt.blocks > 1, "multi-chunk file");
 
     let got = nodes[1].get(receipt.cid).unwrap();
-    assert_eq!(got.data, data);
+    assert_eq!(got.data[..], data[..]);
     assert!(!got.local_hit);
     assert!(got.elapsed > SimDuration::ZERO);
     assert!(nodes[1].bytes_fetched() >= data.len() as u64);
@@ -168,7 +168,7 @@ fn chunk_loss_is_retried_and_never_truncates() {
     let receipt = nodes[0].add_with_chunk_size(&data, 256);
     net.install_faults(StorageFaults::new(11, 0.0, 0.4, 8));
     let got = nodes[1].get(receipt.cid).expect("retries recover");
-    assert_eq!(got.data, data, "reconstruction is exact");
+    assert_eq!(got.data[..], data[..], "reconstruction is exact");
     let stats = net.fault_stats().unwrap();
     assert!(stats.chunk_losses > 0, "faults must have fired");
     assert_eq!(stats.chunk_retries, stats.chunk_losses);
@@ -187,7 +187,7 @@ fn exhausted_chunk_retries_fail_the_whole_fetch() {
     assert!(net.fault_stats().unwrap().exhausted_fetches >= 1);
     // Clearing the injector restores fault-free operation.
     net.clear_faults();
-    assert_eq!(nodes[1].get(receipt.cid).unwrap().data, data);
+    assert_eq!(nodes[1].get(receipt.cid).unwrap().data[..], data[..]);
     assert!(net.fault_stats().is_none());
 }
 
@@ -278,7 +278,7 @@ fn failed_fetch_never_populates_the_cache() {
     assert_eq!(net.transfer_stats().cache_resident_bytes, 0);
     // And a clean retry after the fault clears serves + caches.
     net.clear_faults();
-    assert_eq!(nodes[1].get(receipt.cid).unwrap().data, data);
+    assert_eq!(nodes[1].get(receipt.cid).unwrap().data[..], data[..]);
     assert!(net.transfer_stats().cache_resident_bytes > 0);
 }
 
@@ -305,7 +305,7 @@ fn dedup_skips_locally_held_chunks() {
     nodes[1].get(ra.cid).unwrap();
     let before = net.transfer_stats();
     let got = nodes[1].get(rb.cid).unwrap();
-    assert_eq!(got.data, b, "dedup never changes fetched bytes");
+    assert_eq!(got.data[..], b[..], "dedup never changes fetched bytes");
     let after = net.transfer_stats();
     assert!(
         after.dedup_chunks_skipped > before.dedup_chunks_skipped,
@@ -347,7 +347,7 @@ fn delta_fetch_reconstructs_verifies_and_accounts() {
             Some(out)
         })
         .unwrap();
-    assert_eq!(got.data, new, "reconstruction is exact");
+    assert_eq!(got.data[..], new[..], "reconstruction is exact");
     assert!(!got.local_hit);
     let after = net.transfer_stats();
     assert_eq!(after.delta_fetches, before.delta_fetches + 1);
@@ -375,7 +375,7 @@ fn delta_fetch_falls_back_when_base_missing_or_reconstruction_wrong() {
     let got = nodes[1]
         .get_with_delta(rc.cid, ghost_base, rd.cid, |_, _| unreachable!())
         .unwrap();
-    assert_eq!(got.data, content);
+    assert_eq!(got.data[..], content[..]);
     assert_eq!(net.transfer_stats().delta_fallbacks, 1);
 
     // Reconstruction lies: verification rejects it, full fetch wins.
@@ -388,7 +388,11 @@ fn delta_fetch_falls_back_when_base_missing_or_reconstruction_wrong() {
     let got = nodes2[1]
         .get_with_delta(rc2.cid, rb2.cid, rd2.cid, |_, _| Some(vec![1, 2, 3]))
         .unwrap();
-    assert_eq!(got.data, content, "bad reconstruction never surfaces");
+    assert_eq!(
+        got.data[..],
+        content[..],
+        "bad reconstruction never surfaces"
+    );
     assert_eq!(net2.transfer_stats().delta_fallbacks, 1);
     // Not a byte of the rejected reconstruction was stored.
     let rejected = chunk(&[1, 2, 3], DEFAULT_CHUNK_SIZE);
@@ -475,7 +479,7 @@ fn one_leaf_content_is_its_leaf_buffer_on_every_path() {
     // publisher's buffer — nothing was copied on the way.
     let remote = nodes[1].get(cid).unwrap();
     assert_eq!((remote.data.as_ptr(), remote.local_hit), (published, false));
-    assert_eq!(remote.data, data);
+    assert_eq!(remote.data[..], data[..]);
     assert_eq!(resident_at(&net, &nodes[1], leaf), published);
     assert_eq!(nodes[1].get(cid).unwrap().data.as_ptr(), published);
     assert_eq!(net.transfer_stats().cache_resident_bytes, 2 * 10_000);
@@ -494,7 +498,7 @@ fn one_leaf_content_is_its_leaf_buffer_on_every_path() {
         })
         .unwrap();
     assert_eq!(net.transfer_stats().delta_fetches, 1);
-    assert_eq!(rebuilt.data, next);
+    assert_eq!(rebuilt.data[..], next[..]);
     let next_leaf = chunk(&next, DEFAULT_CHUNK_SIZE).leaves[0].0;
     assert_eq!(
         rebuilt.data.as_ptr(),
@@ -520,7 +524,7 @@ fn multi_leaf_content_round_trips_and_is_concatenated_once() {
         // is the cache entry every later fetch is handed.
         for node in &nodes {
             let first = node.get(receipt.cid).unwrap();
-            assert_eq!(first.data, data);
+            assert_eq!(first.data[..], data[..]);
             let again = node.get(receipt.cid).unwrap();
             assert!(again.local_hit);
             assert_eq!(again.data.as_ptr(), first.data.as_ptr());
@@ -550,7 +554,7 @@ fn a_collected_block_the_cache_references_stays_readable_until_evicted() {
     assert!(!nodes[1].has_local(cid));
     let hit = nodes[1].get(cid).unwrap();
     assert!(hit.local_hit);
-    assert_eq!(hit.data, data);
+    assert_eq!(hit.data[..], data[..]);
     assert_eq!(net.transfer_stats().cache_resident_bytes, 10_000);
 
     // The next release does not fit beside it: the entry is evicted, its
@@ -582,7 +586,7 @@ fn a_provider_serving_bad_bytes_is_caught_at_the_wire() {
         };
         net.state().nodes[0]
             .store
-            .put_unchecked(victim, Bytes::from_static(b"not the block you asked for"));
+            .put_unchecked(victim, Arc::from(&b"not the block you asked for"[..]));
         assert_eq!(net.first_corrupt_block(), Some((NodeId(0), victim)));
 
         let err = nodes[1].get(receipt.cid).unwrap_err();
@@ -764,7 +768,7 @@ fn overlay_routing_relays_without_retaining() {
     let data = vec![5u8; 400_000];
     let cid = nodes[0].add(&data).cid;
     let got = nodes[3].get(cid).unwrap();
-    assert_eq!(got.data, data, "routing never changes the bytes");
+    assert_eq!(got.data[..], data[..], "routing never changes the bytes");
 
     let wire = nodes[0].bytes_served();
     assert!(wire >= data.len() as u64);
@@ -806,7 +810,7 @@ fn swarming_spreads_chunks_across_nearby_providers() {
         cid = Some(p.add(&data).cid);
     }
     let got = nodes[3].get(cid.unwrap()).unwrap();
-    assert_eq!(got.data, data);
+    assert_eq!(got.data[..], data[..]);
     let servers = nodes[..3].iter().filter(|n| n.bytes_served() > 0).count();
     assert!(servers >= 2, "chunks swarm from multiple providers");
     assert_eq!(

@@ -30,12 +30,12 @@ fn a_panic_under_the_fabric_lock_leaves_the_fabric_usable() {
         "the rejected overlay was not installed"
     );
     assert_eq!(
-        nodes[1].get(cid).unwrap().data,
+        nodes[1].get(cid).unwrap().data[..],
         b"held before the panic"[..]
     );
     let later = nodes[2].add(b"added after the panic").cid;
     assert_eq!(
-        nodes[0].get(later).unwrap().data,
+        nodes[0].get(later).unwrap().data[..],
         b"added after the panic"[..]
     );
     let covering = GossipTopology::derive(&config, 7, &[0, 0, 0]);

@@ -33,7 +33,7 @@ proptest! {
         prop_assert_eq!(root.total_len, data.len() as u64);
         let store: std::collections::HashMap<_, _> = file.leaves.iter().cloned().collect();
         let out = reassemble(&root, |c| store.get(&c).cloned()).unwrap();
-        prop_assert_eq!(out, data);
+        prop_assert_eq!(out[..], data[..]);
     }
 
     /// Content added on any node is fetchable from any other node, intact.
@@ -48,7 +48,7 @@ proptest! {
         let nodes: Vec<_> = (0..3).map(|_| net.add_node(LinkProfile::lan())).collect();
         let receipt = nodes[adder].add_with_chunk_size(&data, 256);
         let got = nodes[getter].get(receipt.cid).unwrap();
-        prop_assert_eq!(got.data, data);
+        prop_assert_eq!(got.data[..], data[..]);
     }
 
     /// Under injected chunk loss a fetch is all-or-nothing: it either
@@ -73,7 +73,7 @@ proptest! {
             retries,
         ));
         match getter.get(receipt.cid) {
-            Ok(got) => prop_assert_eq!(got.data, data, "reconstruction must be exact"),
+            Ok(got) => prop_assert_eq!(got.data[..], data[..], "reconstruction must be exact"),
             Err(e) => prop_assert!(
                 matches!(e, unifyfl_storage::IpfsError::ChunkLoss(_)),
                 "only retry exhaustion may fail here: {}", e
@@ -139,8 +139,8 @@ proptest! {
             cache_bytes: if cache { 1 << 20 } else { 0 },
         });
 
-        prop_assert_eq!(&naive.0, &a);
-        prop_assert_eq!(&naive.1, &b);
+        prop_assert_eq!(naive.0[..], a[..]);
+        prop_assert_eq!(naive.1[..], b[..]);
         prop_assert_eq!(&optimized.0, &naive.0, "dedup changed fetched bytes");
         prop_assert_eq!(&optimized.1, &naive.1, "dedup changed fetched bytes");
         // Dedup only ever removes wire bytes, and both paths agree on the
@@ -204,7 +204,7 @@ proptest! {
                 }
                 1 => {
                     if let Ok(got) = node.get(cid) {
-                        prop_assert_eq!(got.data, data);
+                        prop_assert_eq!(got.data[..], data[..]);
                     }
                 }
                 2 => {
@@ -214,7 +214,7 @@ proptest! {
                         if lie { Some(vec![tweak; 40]) } else { patch(b, d) }
                     });
                     if let Ok(got) = got {
-                        prop_assert_eq!(got.data, data);
+                        prop_assert_eq!(got.data[..], data[..]);
                     }
                 }
                 _ => {

@@ -160,7 +160,11 @@ fn chunk_loss_exhausts_a_routed_fetch_until_faults_clear() {
     net.clear_faults();
     assert!(net.fault_stats().is_none(), "clearing removes the injector");
     let got = nodes[3].get(cid).expect("quiescent fabric serves");
-    assert_eq!(got.data, blob, "routing and recovery never change bytes");
+    assert_eq!(
+        got.data[..],
+        blob[..],
+        "routing and recovery never change bytes"
+    );
 }
 
 /// Experiment level: a sharded, gossip-routed run with storage chaos armed

@@ -128,14 +128,20 @@ fn prefetch_turns_shard_exchange_fetches_into_cache_hits() {
 
 #[test]
 fn gossip_validation_rejects_degenerate_knobs() {
-    for bad in [GossipConfig::new(0), GossipConfig::new(2).with_swarm(0)] {
+    let degenerate = [
+        (GossipConfig::new(0), "gossip.degree"),
+        (GossipConfig::new(2).with_swarm(0), "gossip.swarm"),
+    ];
+    for (bad, knob) in degenerate {
         let err = ExperimentBuilder::quickstart()
             .gossip(bad)
             .run()
             .expect_err("degenerate gossip knobs must be rejected");
-        assert!(
-            format!("{err}").contains("gossip knob"),
-            "unexpected error: {err}"
+        let cluster = None;
+        assert_eq!(
+            err,
+            unifyfl::core::ExperimentError::InvalidKnob { knob, cluster }
         );
+        assert_eq!(err.to_string(), format!("{knob} must be an integer >= 1"));
     }
 }
