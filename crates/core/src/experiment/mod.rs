@@ -3,9 +3,10 @@
 //! An [`ExperimentConfig`] fully describes one evaluation run (workload,
 //! partition, mode, scorer, per-cluster policies/strategies/devices);
 //! [`run_experiment`] builds the one [`RunState`](crate::service::RunState)
-//! every run goes through — validate, assemble the [`Federation`](crate::federation::Federation), step the
-//! matching engine policy — and distills an [`ExperimentReport`] whose rows
-//! correspond one-to-one to the paper's Tables 5 and 6.
+//! every run goes through — validate against [`KNOBS`] and the cross-knob
+//! rules, assemble the [`Federation`](crate::federation::Federation), step
+//! the matching engine policy — and distills an [`ExperimentReport`] whose
+//! rows correspond one-to-one to the paper's Tables 5 and 6.
 
 mod config;
 mod error;
