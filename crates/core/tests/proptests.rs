@@ -222,11 +222,14 @@ fn probes(domain: Domain, own: [f64; 3]) -> Vec<f64> {
     probes
 }
 
-/// Over every `KNOBS` row × its probes (other knobs at the quickstart's
-/// values; link models alternating), `validate()` refuses a value outside
-/// the row's domain as `InvalidKnob` naming that row and cluster, refuses
-/// a beyond-huge point on the horizon, and accepts the rest — which runs
-/// one round to completion with a finite clock and finite results.
+/// Over every `KNOBS` row × its probes × both link models (other knobs at
+/// the quickstart's values), `validate()` refuses a value outside the
+/// row's domain as `InvalidKnob` naming that row and cluster, refuses a
+/// beyond-huge point on the horizon, and accepts the rest — every one of
+/// which runs one round to completion with a finite clock and finite
+/// results, except the one point assembly refuses with a typed error:
+/// a single sample cannot give each of the quickstart's three clusters
+/// one (the partition's cross-knob rule, checked before any draw).
 #[test]
 fn validate_accepts_exactly_each_numeric_knobs_domain_and_what_it_accepts_runs() {
     let setters = setters();
@@ -239,8 +242,9 @@ fn validate_accepts_exactly_each_numeric_knobs_domain_and_what_it_accepts_runs()
         let cluster = cluster.map(str::to_owned);
         let beyond = BEYOND.iter().filter(|b| b.0 == name).map(|b| b.1);
         let (mut accepted, mut refused) = (0, 0);
-        for value in probes(domain, own).into_iter().chain(beyond.clone()) {
-            let link_model = [LinkModel::Nominal, LinkModel::Physical][cases % 2];
+        let values = probes(domain, own).into_iter().chain(beyond.clone());
+        let models = [LinkModel::Nominal, LinkModel::Physical];
+        for (value, link_model) in values.flat_map(|v| models.map(|m| (v, m))) {
             cases += 1;
             let builder = ExperimentBuilder::quickstart().rounds(1);
             let mut config = builder.link_model(link_model).config().clone();
@@ -260,11 +264,14 @@ fn validate_accepts_exactly_each_numeric_knobs_domain_and_what_it_accepts_runs()
                 continue;
             }
             accepted += 1;
-            // Shard sizes are the partition's draw: what fails assembly
-            // fails it as a typed error, never a panic.
             let assembled = RunState::new(&config);
-            let Ok(state) = assembled else { continue };
-            let report = state.run_to_completion();
+            if (name, value) == ("dataset.n_samples", 1.0) {
+                let (samples, clusters) = (1, 3);
+                let refusal = ExperimentError::TooFewSamples { samples, clusters };
+                assert_eq!(assembled.err(), Some(refusal), "{case}");
+                continue;
+            }
+            let report = assembled.expect(&case).run_to_completion();
             ran += 1;
             let aggs = report.aggregators.iter();
             let mut clock_and_results =
@@ -276,7 +283,7 @@ fn validate_accepts_exactly_each_numeric_knobs_domain_and_what_it_accepts_runs()
         }
         assert!(accepted * refused > 0, "{name} accepts and refuses");
     }
-    assert!(ran * 2 > cases, "{ran} of {cases} grid points ran");
+    assert_eq!((cases, ran), (554, 288), "grid points probed and run");
 }
 
 /// Numeric leaves of a configuration that are not knobs with a domain,
