@@ -6,10 +6,11 @@
 //! base58/CID handling, chunking, block sealing (bare, and under a
 //! 480-entry orchestrator log), the storage fetch kernels the coordination
 //! workloads live in (a routed one-leaf delta fetch, a local read, a warm
-//! and a three-leaf cold fetch of a release), the delta codec on a
-//! quantised release, tensor matmul, the paper CNN's convolution
-//! (vectorised vs the scalar reference loops), a full training step of
-//! each model class, a ReLU and a whole client fit on input that changes
+//! and a three-leaf cold fetch of a release), the weight codec and the
+//! delta codec (both tagged modes) on a release, tensor matmul, the paper
+//! CNN's convolution (vectorised vs the scalar reference loops), a full
+//! training step of each model class, a ReLU and a whole client fit on
+//! input that changes
 //! every iteration, one FL server round at the three benchmark shapes
 //! that straddle the fan-out's work grain, the cost model's parameter
 //! count, MultiKRUM scoring and policy selection.
@@ -38,7 +39,9 @@ use unifyfl_tensor::arena::Arena;
 use unifyfl_tensor::layers::{Conv2d, Layer};
 use unifyfl_tensor::weights::quantize_release;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
-use unifyfl_tensor::{delta_from_bytes, delta_to_bytes, weights_to_bytes, Tensor};
+use unifyfl_tensor::{
+    delta_from_bytes, delta_to_bytes, weights_from_bytes, weights_to_bytes, Tensor,
+};
 
 fn bench_hashing(c: &mut Criterion) {
     // One `wan_transfer` release: what every wire receipt hashes.
@@ -111,6 +114,21 @@ fn bench_delta(c: &mut Criterion) {
     });
     c.bench_function("tensor/delta_decode_38k_tail2", |b| {
         b.iter(|| delta_from_bytes(black_box(&base), black_box(&blob)).unwrap())
+    });
+    // Full-precision weights drifting by 10⁻⁴: shared high bytes and no
+    // zero tail, the regime the TAIL mode wins.
+    let base: Vec<f32> = (0..37_764).map(|i| 0.5 + (i as f32).sin() * 0.1).collect();
+    let new: Vec<f32> = base.iter().map(|w| w + w * 1.0e-4).collect();
+    let blob = delta_to_bytes(&base, &new);
+    assert_eq!(blob[4], 2, "full-precision drift encodes as TAIL");
+    c.bench_function("tensor/delta_decode_38k_tail", |b| {
+        b.iter(|| delta_from_bytes(black_box(&base), black_box(&blob)).unwrap())
+    });
+    // The weight codec every fetch decodes through, and every delta
+    // reconstruction twice: one release encoded, then decoded.
+    let release = release_weights(0);
+    c.bench_function("tensor/weights_codec_150k", |b| {
+        b.iter(|| weights_from_bytes(&weights_to_bytes(black_box(&release))).unwrap())
     });
 }
 

@@ -24,6 +24,81 @@ fn execute(input: &[u8]) -> Result<CallOutcome, ContractError> {
 /// The orchestrator's call tags (`calls::TAG_*`): `0x01..=0x09`.
 const CALL_TAGS: std::ops::RangeInclusive<u8> = 0x01..=0x09;
 
+/// One field of a call's wire layout.
+#[derive(Clone, Copy)]
+enum Field {
+    U32,
+    U64,
+    Str,
+    /// `updateSharding`'s members: a `u32` count, then per member a
+    /// 20-byte address and a `u32` shard.
+    Members,
+}
+
+/// Every call's fields after its tag byte, in the order `dispatch` takes
+/// them, with the tags that share the layout.
+const LAYOUTS: [(&[u8], &[Field]); 6] = [
+    (&[0x01, 0x02, 0x04, 0x06], &[]),
+    (&[0x03], &[Field::Str]),
+    (&[0x07], &[Field::Str, Field::Str, Field::Str]),
+    (&[0x05], &[Field::Str, Field::U64]),
+    (&[0x08], &[Field::U32, Field::U64, Field::Str]),
+    (&[0x09], &[Field::U64, Field::Members]),
+];
+
+/// Reads a tag byte and `layout` through `Decoder`'s `take_*` calls, then
+/// `finish`, and writes what it read back out with `Encoder`: `Ok` holds
+/// the re-encoding.
+fn reread(input: &[u8], layout: &[Field]) -> Result<Vec<u8>, DecodeError> {
+    let mut d = Decoder::new(input);
+    let mut e = Encoder::new();
+    e.put_u8(d.take_u8()?);
+    for field in layout {
+        match field {
+            Field::U32 => _ = e.put_u32(d.take_u32()?),
+            Field::U64 => _ = e.put_u64(d.take_u64()?),
+            Field::Str => _ = e.put_str(d.take_str()?),
+            Field::Members => {
+                let n = d.take_u32()?;
+                e.put_u32(n);
+                for _ in 0..n {
+                    e.put_fixed(d.take_fixed(20)?).put_u32(d.take_u32()?);
+                }
+            }
+        }
+    }
+    d.finish()?;
+    Ok(e.into_bytes())
+}
+
+/// A well-formed call of `layout` under `tag`, its values drawn from
+/// `pool` (strings ASCII, at most three members).
+fn frame(tag: u8, layout: &[Field], pool: &[u8]) -> Vec<u8> {
+    let mut draws = pool.iter().copied().cycle();
+    let mut draw = |n: usize| -> Vec<u8> { draws.by_ref().take(n).collect() };
+    let mut e = Encoder::new();
+    e.put_u8(tag);
+    for field in layout {
+        match field {
+            Field::U32 => _ = e.put_fixed(&draw(4)),
+            Field::U64 => _ = e.put_fixed(&draw(8)),
+            Field::Str => {
+                let len = usize::from(draw(1)[0] % 48);
+                let ascii: Vec<u8> = draw(len).iter().map(|b| b & 0x7F).collect();
+                e.put_bytes(&ascii);
+            }
+            Field::Members => {
+                let n = draw(1)[0] % 4;
+                e.put_u32(u32::from(n));
+                for _ in 0..n {
+                    e.put_fixed(&draw(24));
+                }
+            }
+        }
+    }
+    e.into_bytes()
+}
+
 proptest! {
     /// Incremental hashing equals one-shot hashing for any split.
     #[test]
@@ -96,6 +171,54 @@ proptest! {
         // Either succeeds (cut landed past the field) or errors cleanly.
         let _ = dec.take_str();
         let _ = dec.take_u64();
+    }
+
+    /// Under every call layout `dispatch` reads, arbitrary bytes and a
+    /// well-formed call that is then cut, lengthened or has one byte
+    /// flipped are answered without a panic: `Ok` only when reading the
+    /// fields back writes exactly the input, otherwise a typed error whose
+    /// sizes are consistent — and the contract gives the same decode answer
+    /// for the layout's tags, which holds this table to `dispatch`.
+    #[test]
+    fn decoder_answers_arbitrary_bytes_under_every_call_layout(
+        body in proptest::collection::vec(any::<u8>(), 0..96),
+        pool in proptest::collection::vec(any::<u8>(), 1..128),
+        mutation in 0usize..4,
+        at in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        for (tags, layout) in LAYOUTS {
+            let tag = tags[at % tags.len()];
+            let mut framed = frame(tag, layout, &pool);
+            let read = reread(&framed, layout);
+            prop_assert_eq!(read, Ok(framed.clone()), "a well-formed call reads back");
+            let len = framed.len();
+            match mutation {
+                0 => framed.truncate(at % len),
+                1 => framed.push(flip),
+                // Past the tag: another tag is another layout.
+                2 if len > 1 => framed[1 + at % (len - 1)] ^= flip,
+                _ => {}
+            }
+            let arbitrary = [&[tag][..], &body].concat();
+            for input in [framed, arbitrary] {
+                let answer = reread(&input, layout);
+                match &answer {
+                    Ok(bytes) => prop_assert_eq!(bytes, &input),
+                    Err(DecodeError::Truncated { wanted, remaining }) => {
+                        prop_assert!(remaining < wanted)
+                    }
+                    Err(DecodeError::TrailingBytes(n)) => prop_assert!(*n > 0 && *n < input.len()),
+                    Err(DecodeError::InvalidUtf8) => {}
+                    Err(e) => panic!("no take_* call answers {e}"),
+                }
+                let decoded = match execute(&input) {
+                    Err(ContractError::InvalidInput(e)) => Err(e),
+                    _ => Ok(()),
+                };
+                prop_assert_eq!(decoded, answer.map(|_| ()));
+            }
+        }
     }
 
     /// Arbitrary bytes behind each valid call tag, and arbitrary bytes as

@@ -5,12 +5,10 @@
 //! the `ipfs pin` semantics the paper's aggregators rely on to keep their
 //! published model weights available.
 
-use std::collections::{HashMap, HashSet};
-
 use std::sync::Arc;
 
 use crate::chunker::decode_root;
-use crate::cid::Cid;
+use crate::cid::{Cid, CidMap, CidSet};
 
 /// A CID-addressed block store.
 ///
@@ -21,10 +19,16 @@ use crate::cid::Cid;
 /// re-chunking a delta reconstruction). Local reads rely on it and do not
 /// hash again — go-ipfs's `HashOnRead = false` default: verify on receipt,
 /// not on local read. [`BlockStore::first_corrupt`] audits it.
+///
+/// Pins are the pinned CIDs and nothing else. What a recursive pin
+/// protects is worked out when [`BlockStore::gc`] runs, by walking the
+/// pinned roots present then (go-ipfs's pinner does the same), so a leaf
+/// two roots share stays while either is pinned, and a root pinned before
+/// it arrived protects its children once it has.
 #[derive(Debug, Default)]
 pub struct BlockStore {
-    blocks: HashMap<Cid, Arc<[u8]>>,
-    pinned: HashSet<Cid>,
+    blocks: CidMap<Arc<[u8]>>,
+    pinned: CidSet,
 }
 
 impl BlockStore {
@@ -89,37 +93,28 @@ impl BlockStore {
         self.blocks.values().map(|b| b.len() as u64).sum()
     }
 
-    /// Pins `cid`; if it is a DAG root also pins its children (recursive
-    /// pin, like `ipfs pin add -r`). Unknown CIDs are pinned speculatively.
+    /// Pins `cid` recursively (`ipfs pin add -r`): if it is a DAG root, its
+    /// children are kept too. It may be pinned before it is present.
     pub fn pin(&mut self, cid: Cid) {
         self.pinned.insert(cid);
-        if let Some(block) = self.blocks.get(&cid) {
-            if let Some(root) = decode_root(block) {
-                for child in root.children {
-                    self.pinned.insert(child);
-                }
-            }
-        }
     }
 
-    /// Removes a pin (children of a root pinned via [`BlockStore::pin`] are
-    /// unpinned as well).
+    /// Removes a pin. A block another pinned root links stays protected.
     pub fn unpin(&mut self, cid: Cid) {
         self.pinned.remove(&cid);
-        if let Some(block) = self.blocks.get(&cid) {
-            if let Some(root) = decode_root(block) {
-                for child in root.children {
-                    self.pinned.remove(&child);
-                }
-            }
-        }
     }
 
-    /// Garbage-collects all unpinned blocks; returns how many were removed.
+    /// Garbage-collects every block no present pinned DAG reaches; returns
+    /// how many were removed.
     pub fn gc(&mut self) -> usize {
         let before = self.blocks.len();
-        let pinned = &self.pinned;
-        self.blocks.retain(|cid, _| pinned.contains(cid));
+        let mut keep = self.pinned.clone();
+        for cid in &self.pinned {
+            if let Some(root) = self.blocks.get(cid).and_then(|block| decode_root(block)) {
+                keep.extend(root.children);
+            }
+        }
+        self.blocks.retain(|cid, _| keep.contains(cid));
         before - self.blocks.len()
     }
 }
@@ -156,8 +151,7 @@ mod tests {
         let data = vec![3u8; 1000];
         let file = chunk(&data, 256);
         // Identical chunks dedup to one block: count distinct CIDs.
-        let distinct_leaves: std::collections::HashSet<_> =
-            file.leaves.iter().map(|(c, _)| *c).collect();
+        let distinct_leaves: CidSet = file.leaves.iter().map(|(c, _)| *c).collect();
         let mut bs = BlockStore::new();
         for (_, leaf) in &file.leaves {
             bs.put(leaf.clone());

@@ -40,15 +40,10 @@ pub fn chunk(data: &[u8], chunk_size: usize) -> ChunkedFile {
         .chunks(chunk_size)
         .map(|c| (Cid::for_data(c), Arc::from(c)))
         .collect();
-
-    let mut root_block = Vec::with_capacity(8 + 8 + 4 + leaves.len() * 32);
-    root_block.extend_from_slice(ROOT_MAGIC);
-    root_block.extend_from_slice(&(data.len() as u64).to_be_bytes());
-    root_block.extend_from_slice(&(leaves.len() as u32).to_be_bytes());
-    for (cid, _) in &leaves {
-        root_block.extend_from_slice(cid.digest().as_bytes());
-    }
-    let root_block = Arc::from(root_block);
+    let root_block = Arc::from(encode_root(
+        data.len() as u64,
+        leaves.iter().map(|(cid, _)| *cid),
+    ));
     ChunkedFile {
         root: Cid::for_data(&root_block),
         root_block,
@@ -69,6 +64,26 @@ pub struct RootNode {
     pub total_len: u64,
     /// Child chunk CIDs in order.
     pub children: Vec<Cid>,
+}
+
+impl RootNode {
+    /// The root block this node decodes from, byte for byte.
+    pub fn encode(&self) -> Vec<u8> {
+        encode_root(self.total_len, self.children.iter().copied())
+    }
+}
+
+/// Magic, big-endian total length and child count, then each child's
+/// digest in order.
+fn encode_root(total_len: u64, children: impl ExactSizeIterator<Item = Cid>) -> Vec<u8> {
+    let mut block = Vec::with_capacity(8 + 8 + 4 + children.len() * 32);
+    block.extend_from_slice(ROOT_MAGIC);
+    block.extend_from_slice(&total_len.to_be_bytes());
+    block.extend_from_slice(&(children.len() as u32).to_be_bytes());
+    for cid in children {
+        block.extend_from_slice(cid.digest().as_bytes());
+    }
+    block
 }
 
 /// Decodes a root block; `None` if `block` is not a root node (i.e. it is a

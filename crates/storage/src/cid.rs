@@ -6,7 +6,9 @@
 //! from scratch, so CIDs produced here are structurally identical to real
 //! IPFS CIDs (and start with `Qm` exactly like the paper's).
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use unifyfl_chain::hash::{sha256, H256};
 
@@ -26,9 +28,56 @@ const BASE58_ALPHABET: &[u8; 58] = b"123456789ABCDEFGHJKLMNPQRSTUVWXYZabcdefghij
 /// let parsed: Cid = cid.to_string().parse().unwrap();
 /// assert_eq!(parsed, cid);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Cid {
     digest: H256,
+}
+
+/// Hashes the digest's first eight bytes as one `u64`: a SHA-256 output is
+/// already uniform, so the rest adds no spread, only work (equal CIDs have
+/// equal digests, so `Hash` agrees with `Eq`).
+impl Hash for Cid {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let head = self.digest.0.first_chunk::<8>().expect("32 bytes");
+        state.write_u64(u64::from_le_bytes(*head));
+    }
+}
+
+/// A map keyed by CIDs the process hashed itself (see [`DigestHasher`]).
+pub(crate) type CidMap<V> = HashMap<Cid, V, BuildHasherDefault<DigestHasher>>;
+/// A set of CIDs the process hashed itself (see [`DigestHasher`]).
+pub(crate) type CidSet = HashSet<Cid, BuildHasherDefault<DigestHasher>>;
+
+/// The storage maps' hasher: passes the `u64` a [`Cid`] writes through as
+/// its hash, in place of SipHash.
+///
+/// SipHash exists to keep an adversary who picks keys from piling them
+/// into one bucket. Every key of a [`CidMap`] or [`CidSet`] is a SHA-256
+/// this process computed (publishing, re-chunking a reconstruction) or
+/// verified (receiving a block off the wire) before inserting it, over
+/// content the simulated federation produced itself, so its bits are
+/// uniform. A store fed by untrusted peers would want keyed hashing back:
+/// a peer can grind content until a digest's low bits pick a bucket, at
+/// 2ᵏ hashes per key for a table of 2ᵏ buckets. Any other bytes written
+/// are folded in so the hasher stays total; nothing in the crate writes
+/// them.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct DigestHasher(u64);
+
+impl Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 ^= word;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(*byte);
+        }
+    }
 }
 
 impl Cid {

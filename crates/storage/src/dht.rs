@@ -5,9 +5,9 @@
 //! routing hops; the fetch cost model in [`crate::network`] charges a
 //! lookup latency for that instead of simulating the routing table.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use crate::cid::Cid;
+use crate::cid::{Cid, CidMap};
 
 /// Identifier of an IPFS node within a network fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -22,7 +22,7 @@ impl std::fmt::Display for NodeId {
 /// The provider index.
 #[derive(Debug, Default)]
 pub struct ProviderIndex {
-    providers: HashMap<Cid, BTreeSet<NodeId>>,
+    providers: CidMap<BTreeSet<NodeId>>,
 }
 
 impl ProviderIndex {

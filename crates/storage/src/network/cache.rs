@@ -1,13 +1,11 @@
 //! The per-node fetch cache: what stays resident past a fetch, and what
 //! is evicted when the byte budget is full.
 
-use std::collections::HashMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-use crate::cid::Cid;
+use crate::cid::{Cid, CidMap};
 
 /// A seeded, size-bounded, approximately-LRU cache of assembled content.
 ///
@@ -21,7 +19,7 @@ pub(super) struct FetchCache {
     rng: StdRng,
     tick: u64,
     pub(super) resident: u64,
-    entries: HashMap<Cid, CacheEntry>,
+    entries: CidMap<CacheEntry>,
 }
 
 #[derive(Debug)]
@@ -40,7 +38,7 @@ impl FetchCache {
             rng: StdRng::seed_from_u64(seed),
             tick: 0,
             resident: 0,
-            entries: HashMap::new(),
+            entries: CidMap::default(),
         }
     }
 

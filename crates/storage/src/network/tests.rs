@@ -95,6 +95,29 @@ fn pinned_content_survives_gc() {
 }
 
 #[test]
+fn unpinning_one_root_keeps_a_leaf_another_pinned_root_shares() {
+    let (_, nodes) = fabric(1);
+    let shared = [7u8; 256];
+    let a = nodes[0].add_with_chunk_size(&[&shared[..], &[1; 100]].concat(), 256);
+    let b = nodes[0].add_with_chunk_size(&[&shared[..], &[2; 100]].concat(), 256);
+    nodes[0].unpin(a.cid);
+    assert_eq!(nodes[0].gc(), 2, "a's root and its own leaf go");
+    assert!(!nodes[0].has_local(a.cid));
+    assert!(nodes[0].has_local(b.cid), "the shared leaf stays with b");
+}
+
+#[test]
+fn a_root_pinned_before_it_arrives_keeps_its_leaves() {
+    let (_, nodes) = fabric(2);
+    let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
+    let receipt = nodes[0].add_with_chunk_size(&data, 256);
+    nodes[1].pin(receipt.cid);
+    nodes[1].get(receipt.cid).unwrap();
+    assert_eq!(nodes[1].gc(), 0);
+    assert!(nodes[1].has_local(receipt.cid));
+}
+
+#[test]
 fn transfer_time_scales_with_size() {
     let net = IpfsNetwork::new();
     let a = net.add_node(LinkProfile::edge());

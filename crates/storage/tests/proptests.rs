@@ -22,7 +22,9 @@ proptest! {
         prop_assert_eq!(s.parse::<Cid>().unwrap(), cid);
     }
 
-    /// Chunk + reassemble is the identity for any content and chunk size.
+    /// Chunk + reassemble is the identity for any content and chunk size,
+    /// and every root `chunk` builds decodes back to its length and its
+    /// leaves' CIDs, in order.
     #[test]
     fn chunking_round_trips(
         data in proptest::collection::vec(any::<u8>(), 0..4096),
@@ -31,9 +33,44 @@ proptest! {
         let file = chunk(&data, chunk_size);
         let root = decode_root(&file.root_block).expect("root decodes");
         prop_assert_eq!(root.total_len, data.len() as u64);
+        let leaves: Vec<Cid> = file.leaves.iter().map(|(cid, _)| *cid).collect();
+        prop_assert_eq!(&root.children, &leaves);
         let store: std::collections::HashMap<_, _> = file.leaves.iter().cloned().collect();
         let out = reassemble(&root, |c| store.get(&c).cloned()).unwrap();
         prop_assert_eq!(out[..], data[..]);
+    }
+
+    /// `decode_root` over arbitrary bytes — raw, and behind the root magic
+    /// with a declared child count that is honest, one too many, one too
+    /// few or wild — never panics, and any block it accepts re-encodes to
+    /// exactly the bytes it came from.
+    #[test]
+    fn decode_root_never_panics_and_re_encodes_what_it_accepts(
+        body in proptest::collection::vec(any::<u8>(), 0..300),
+        total_len in any::<u64>(),
+        count_kind in 0usize..4,
+        wild in any::<u32>(),
+    ) {
+        let whole = body.len() / 32;
+        let count = match count_kind {
+            0 => whole as u32,
+            1 => whole as u32 + 1,
+            2 => (whole as u32).saturating_sub(1),
+            _ => wild,
+        };
+        // Magic, big-endian length and count, then the children's digests.
+        let mut framed = b"UFLDAGv0".to_vec();
+        framed.extend_from_slice(&total_len.to_be_bytes());
+        framed.extend_from_slice(&count.to_be_bytes());
+        framed.extend_from_slice(&body[..whole * 32]);
+        if count_kind == 0 {
+            prop_assert!(decode_root(&framed).is_some(), "an honest count decodes");
+        }
+        for block in [&body, &framed] {
+            if let Some(root) = decode_root(block) {
+                prop_assert_eq!(&root.encode(), block);
+            }
+        }
     }
 
     /// Content added on any node is fetchable from any other node, intact.

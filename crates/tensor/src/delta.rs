@@ -205,12 +205,8 @@ pub fn delta_from_bytes(base: &[f32], bytes: &[u8]) -> Result<Vec<f32>, DeltaDec
     let out = match mode {
         MODE_DENSE => decode_dense(count, payload)?,
         MODE_SPARSE => decode_sparse(check_base(base, count)?, payload)?,
-        // 2-bit tags: the shared prefix; the rest of the word is stored.
-        MODE_TAIL => decode_tagged(check_base(base, count)?, payload, 4, |tag| (tag, 0))?,
-        // 4-bit tags: prefix << 2 | zero suffix; the middle is stored.
-        MODE_TAIL2 => decode_tagged(check_base(base, count)?, payload, 2, |tag| {
-            (tag >> 2, tag & 0b11)
-        })?,
+        MODE_TAIL => decode_tagged::<4>(check_base(base, count)?, payload, &TAIL_RULES)?,
+        MODE_TAIL2 => decode_tagged::<2>(check_base(base, count)?, payload, &TAIL2_RULES)?,
         other => return Err(DeltaDecodeError::UnknownMode(other)),
     };
     // No early exit: the all-finite case is the one that must be fast, and
@@ -238,10 +234,8 @@ fn decode_dense(count: usize, payload: &[u8]) -> Result<Vec<f32>, DeltaDecodeErr
     if count.checked_mul(4) != Some(payload.len()) {
         return Err(DeltaDecodeError::PayloadMismatch);
     }
-    Ok(payload
-        .chunks_exact(4)
-        .map(|c| f32::from_bits(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
-        .collect())
+    let (words, _) = payload.as_chunks::<4>();
+    Ok(words.iter().map(|w| f32::from_le_bytes(*w)).collect())
 }
 
 fn decode_sparse(base: &[f32], payload: &[u8]) -> Result<Vec<f32>, DeltaDecodeError> {
@@ -263,60 +257,141 @@ fn decode_sparse(base: &[f32], payload: &[u8]) -> Result<Vec<f32>, DeltaDecodeEr
     Ok(out)
 }
 
-/// The four bytes at `at`, little-endian, reading zeros past the end.
-fn load_le(bytes: &[u8], at: usize) -> u32 {
-    let rest = bytes.get(at..).unwrap_or_default();
-    match rest.first_chunk::<4>() {
-        Some(word) => u32::from_le_bytes(*word),
-        None => {
-            let mut word = [0u8; 4];
-            word[..rest.len()].copy_from_slice(rest);
-            u32::from_le_bytes(word)
+/// How one tag rebuilds its word: the high bits kept from the base, the
+/// bits taken off the stream (masked, then shifted over the zero suffix)
+/// and how many stream bytes that consumes. A TAIL2 tag whose prefix and
+/// suffix overlap (more than four bytes between them) is not `valid`.
+#[derive(Clone, Copy)]
+struct TagRule {
+    base: u32,
+    stream: u32,
+    shift: u32,
+    keep: u32,
+    valid: bool,
+}
+
+impl TagRule {
+    /// An invalid tag keeps nothing off the stream; what it builds is never
+    /// let out.
+    const fn new(prefix: u32, suffix: u32) -> TagRule {
+        let valid = prefix + suffix <= 4;
+        let keep = if valid { 4 - prefix - suffix } else { 0 };
+        TagRule {
+            base: !(u32::MAX >> (8 * prefix)),
+            stream: ((1u64 << (8 * keep)) - 1) as u32,
+            shift: 8 * suffix,
+            keep,
+            valid,
         }
     }
 }
 
-/// The two tagged encodings: `split(tag)` answers the word's `(prefix,
-/// suffix)` byte counts — high bytes taken from the base, low bytes zero —
-/// and the bytes between them come off the stream, one masked four-byte
-/// load per word. The loop itself rejects nothing: the cursor only moves
-/// forward and reads zeros past the end, so "every tag in range and the
+/// Every tag value's rule in one of the two tagged modes.
+const fn rule_table(tail2: bool) -> [TagRule; 16] {
+    let mut table = [TagRule::new(0, 0); 16];
+    let mut tag = 0;
+    while tag < 16 {
+        let t = tag as u32;
+        table[tag] = if tail2 {
+            TagRule::new(t >> 2, t & 0b11)
+        } else {
+            TagRule::new(t & 0b11, 0)
+        };
+        tag += 1;
+    }
+    table
+}
+
+/// TAIL: a 2-bit tag is the shared prefix; the rest of the word is stored.
+const TAIL_RULES: [TagRule; 16] = rule_table(false);
+/// TAIL2: a 4-bit tag is `prefix << 2 | zero suffix`; the middle is stored.
+const TAIL2_RULES: [TagRule; 16] = rule_table(true);
+
+/// The two tagged encodings, `PER_BYTE` tags to a tag byte: each word is
+/// its tag's rule applied to the base word and the stream under the cursor.
+/// Words go two at a time, which is at most eight stream bytes, so a pair
+/// costs one load: unconditional while eight bytes remain, zero-padded
+/// past the end. The loop itself rejects nothing — the cursor only moves
+/// forward and reads zeros past the end — so "every tag valid and the
 /// cursor exactly at the payload's last byte", tested once before the
 /// result is let out, is the same accept set as checking each word.
-fn decode_tagged(
+fn decode_tagged<const PER_BYTE: usize>(
     base: &[f32],
     payload: &[u8],
-    per_byte: usize,
-    split: impl Fn(u32) -> (u32, u32),
+    rules: &[TagRule; 16],
 ) -> Result<Vec<f32>, DeltaDecodeError> {
-    let tag_bytes = base.len().div_ceil(per_byte);
-    if payload.len() < tag_bytes {
+    let Some((tags, stream)) = payload.split_at_checked(base.len().div_ceil(PER_BYTE)) else {
+        return Err(DeltaDecodeError::PayloadMismatch);
+    };
+    let tag_bits = 8 / PER_BYTE;
+    let rule = |byte: u8, slot: usize| {
+        rules[usize::from(byte >> (slot * tag_bits)) & ((1 << tag_bits) - 1)]
+    };
+    let mut cursor = Cursor {
+        stream,
+        at: 0,
+        valid: true,
+    };
+    // One tag byte's words per element: the whole loop is one sized
+    // `extend`, with no per-word capacity check.
+    let mut out: Vec<[f32; PER_BYTE]> = Vec::with_capacity(tags.len());
+    let (groups, rest) = base.as_chunks::<PER_BYTE>();
+    out.extend(groups.iter().zip(tags).map(|(group, &byte)| {
+        let mut words = [0.0; PER_BYTE];
+        for (p, pair) in group.as_chunks::<2>().0.iter().enumerate() {
+            let mut bits = cursor.load();
+            words[2 * p] = cursor.word(rule(byte, 2 * p), pair[0], &mut bits);
+            words[2 * p + 1] = cursor.word(rule(byte, 2 * p + 1), pair[1], &mut bits);
+        }
+        words
+    }));
+    // Fewer than `PER_BYTE` words share the last tag byte.
+    if let Some(&byte) = tags.get(groups.len()) {
+        let mut words = [0.0; PER_BYTE];
+        for (slot, b) in rest.iter().enumerate() {
+            let mut bits = cursor.load();
+            words[slot] = cursor.word(rule(byte, slot), *b, &mut bits);
+        }
+        out.push(words);
+    }
+    if !cursor.valid || cursor.at != stream.len() {
         return Err(DeltaDecodeError::PayloadMismatch);
     }
-    let (tags, stream) = payload.split_at(tag_bytes);
-    let tag_bits = 8 / per_byte;
-    let tag_mask = (1u32 << tag_bits) - 1;
-    let mut at = 0usize;
-    let mut in_range = true;
-    let out: Vec<f32> = base
-        .iter()
-        .enumerate()
-        .map(|(i, b)| {
-            let tag = (u32::from(tags[i / per_byte]) >> ((i % per_byte) * tag_bits)) & tag_mask;
-            let (prefix, suffix) = split(tag);
-            in_range &= prefix + suffix <= 4;
-            let keep = 4u32.saturating_sub(prefix + suffix);
-            let stored = (1u64 << (8 * keep)) - 1;
-            let from_base = !(u32::MAX >> (8 * prefix)) & b.to_bits();
-            let from_stream = (load_le(stream, at) & stored as u32) << (8 * suffix);
-            at += keep as usize;
-            f32::from_bits(from_base | from_stream)
-        })
-        .collect();
-    if !in_range || at != stream.len() {
-        return Err(DeltaDecodeError::PayloadMismatch);
-    }
+    let mut out = out.into_flattened();
+    out.truncate(base.len());
     Ok(out)
+}
+
+/// The read side of a tagged stream: where the next stored byte is, and
+/// whether every tag so far was valid.
+struct Cursor<'a> {
+    stream: &'a [u8],
+    at: usize,
+    valid: bool,
+}
+
+impl Cursor<'_> {
+    /// The eight bytes at the cursor, little-endian, zeros past the end.
+    fn load(&self) -> u64 {
+        if let Some(bytes) = self.stream.get(self.at..self.at + 8) {
+            return u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+        }
+        let rest = self.stream.get(self.at..).unwrap_or_default();
+        let mut word = [0u8; 8];
+        word[..rest.len()].copy_from_slice(rest);
+        u64::from_le_bytes(word)
+    }
+
+    /// One word rebuilt by `rule` from `base` and the stream bits `bits`
+    /// (loaded at this word's first stored byte), which it then advances
+    /// past the bytes the word consumed.
+    fn word(&mut self, rule: TagRule, base: f32, bits: &mut u64) -> f32 {
+        self.valid &= rule.valid;
+        self.at += rule.keep as usize;
+        let stored = (*bits as u32 & rule.stream) << rule.shift;
+        *bits >>= 8 * rule.keep;
+        f32::from_bits((base.to_bits() & rule.base) | stored)
+    }
 }
 
 /// Error decoding a serialized weight delta.

@@ -11,12 +11,17 @@ use std::fmt;
 const MAGIC: &[u8; 4] = b"UFLW";
 
 /// Serializes a weight vector (magic + u64 count + f32 LE payload).
+///
+/// One whole-slice conversion: the payload is sized once and every word
+/// written into its own four-byte slot, which compiles to a copy.
 pub fn weights_to_bytes(weights: &[f32]) -> Vec<u8> {
     let mut out = Vec::with_capacity(12 + weights.len() * 4);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&(weights.len() as u64).to_le_bytes());
-    for w in weights {
-        out.extend_from_slice(&w.to_le_bytes());
+    out.resize(12 + weights.len() * 4, 0);
+    let (words, _) = out[12..].as_chunks_mut::<4>();
+    for (slot, w) in words.iter_mut().zip(weights) {
+        *slot = w.to_le_bytes();
     }
     out
 }
@@ -42,13 +47,12 @@ pub fn weights_from_bytes(bytes: &[u8]) -> Result<Vec<f32>, WeightsDecodeError> 
             actual: payload.len() / 4,
         });
     }
-    let mut out = Vec::with_capacity(count);
-    for chunk in payload.chunks_exact(4) {
-        let v = f32::from_le_bytes(chunk.try_into().expect("4 bytes"));
-        if !v.is_finite() {
-            return Err(WeightsDecodeError::NonFinite);
-        }
-        out.push(v);
+    // Copy first, check after: no early exit, so both passes vectorise
+    // (the all-finite case is the one that must be fast).
+    let (words, _) = payload.as_chunks::<4>();
+    let out: Vec<f32> = words.iter().map(|w| f32::from_le_bytes(*w)).collect();
+    if out.iter().fold(false, |bad, v| bad | !v.is_finite()) {
+        return Err(WeightsDecodeError::NonFinite);
     }
     Ok(out)
 }

@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use unifyfl_tensor::arena::Arena;
+use unifyfl_tensor::delta::DeltaDecodeError;
 use unifyfl_tensor::layers::{Conv2d, Layer};
 use unifyfl_tensor::loss::softmax_cross_entropy;
 use unifyfl_tensor::zoo::{Architecture, ModelSpec};
@@ -11,6 +12,56 @@ use unifyfl_tensor::{weights_from_bytes, weights_to_bytes, Tensor};
 
 fn finite_f32() -> impl Strategy<Value = f32> {
     (-1.0e3f32..1.0e3).prop_map(|v| v)
+}
+
+/// Word `i`'s `(prefix, suffix)` byte counts in a tagged mode's tag plane:
+/// TAIL (mode 2) packs four 2-bit prefixes to the byte, TAIL2 (mode 3) two
+/// 4-bit `prefix << 2 | suffix` tags, low bits first.
+fn tag_of(mode: u8, tags: &[u8], i: usize) -> (usize, usize) {
+    let per_byte = if mode == 2 { 4 } else { 2 };
+    let tag_bits = 8 / per_byte;
+    let tag = usize::from(tags[i / per_byte] >> (i % per_byte * tag_bits)) & ((1 << tag_bits) - 1);
+    if mode == 2 {
+        (tag, 0)
+    } else {
+        (tag >> 2, tag & 0b11)
+    }
+}
+
+/// The tagged modes as the format defines them, one word at a time over
+/// bytes: word `i` is its base word's `prefix` high bytes, above `keep =
+/// 4 − prefix − suffix` bytes taken off the stream, above `suffix` zero
+/// bytes. A tag whose prefix and suffix overlap, a stream that runs out or
+/// one with bytes left over is a `PayloadMismatch`; a non-finite word,
+/// after that, is `NonFinite`.
+fn tagged_definition(mode: u8, base: &[f32], payload: &[u8]) -> Result<Vec<u32>, DeltaDecodeError> {
+    let per_byte = if mode == 2 { 4 } else { 2 };
+    let Some((tags, mut stream)) = payload.split_at_checked(base.len().div_ceil(per_byte)) else {
+        return Err(DeltaDecodeError::PayloadMismatch);
+    };
+    let mut out = Vec::new();
+    for (i, b) in base.iter().enumerate() {
+        let (prefix, suffix) = tag_of(mode, tags, i);
+        let Some(keep) = 4usize.checked_sub(prefix + suffix) else {
+            return Err(DeltaDecodeError::PayloadMismatch);
+        };
+        let Some((stored, rest)) = stream.split_at_checked(keep) else {
+            return Err(DeltaDecodeError::PayloadMismatch);
+        };
+        stream = rest;
+        // Little-endian: the zero suffix is the low bytes.
+        let mut word = [0u8; 4];
+        word[suffix..suffix + keep].copy_from_slice(stored);
+        word[4 - prefix..].copy_from_slice(&b.to_bits().to_le_bytes()[4 - prefix..]);
+        out.push(u32::from_le_bytes(word));
+    }
+    if !stream.is_empty() {
+        return Err(DeltaDecodeError::PayloadMismatch);
+    }
+    if out.iter().any(|w| !f32::from_bits(*w).is_finite()) {
+        return Err(DeltaDecodeError::NonFinite);
+    }
+    Ok(out)
 }
 
 /// Random MLP depths / widths and CNN shapes.
@@ -445,6 +496,51 @@ proptest! {
         if let Ok(weights) = delta_from_bytes(&base, &blob) {
             prop_assert_eq!(weights.len() as u64, declared(&blob, 5));
             prop_assert!(weights.iter().all(|w| w.is_finite()));
+        }
+    }
+
+    /// The table-driven decoder of both tagged modes (TAIL = 2, TAIL2 = 3)
+    /// against [`tagged_definition`]: over arbitrary bases, tag planes
+    /// (invalid TAIL2 tags included) and streams, at every length 0–9 and
+    /// around the pair and quad tails, with the stream exact, a byte short,
+    /// a byte long or the payload cut anywhere (into the tag plane too), it
+    /// returns the same `Ok` bits or the same error variant.
+    #[test]
+    fn tagged_decoder_matches_the_word_at_a_time_definition(
+        base_bits in proptest::collection::vec(any::<u32>(), 66),
+        pool in proptest::collection::vec(any::<u8>(), 320),
+        fit in 0usize..4,
+        cut in any::<usize>(),
+    ) {
+        use unifyfl_tensor::delta::delta_from_bytes;
+
+        for mode in [2u8, 3] {
+            for len in (0..=9).chain([15, 16, 17, 31, 32, 33, 63, 64, 65]) {
+                let base: Vec<f32> =
+                    base_bits[..len].iter().map(|b| f32::from_bits(*b)).collect();
+                let tag_len = len.div_ceil(if mode == 2 { 4 } else { 2 });
+                // The stream length every tag agrees with (invalid tags
+                // count nothing: the blob is refused whatever follows).
+                let need: usize = (0..len)
+                    .map(|i| tag_of(mode, &pool[..tag_len], i))
+                    .map(|(prefix, suffix)| 4usize.saturating_sub(prefix + suffix))
+                    .sum();
+                let mut payload = pool[..tag_len + need].to_vec();
+                match fit {
+                    0 => {}
+                    1 => _ = payload.pop(),
+                    2 => payload.push(pool[tag_len + need]),
+                    _ => payload.truncate(cut % (payload.len() + 1)),
+                }
+                let mut blob = b"UFLD".to_vec();
+                blob.push(mode);
+                blob.extend_from_slice(&(len as u64).to_le_bytes());
+                blob.extend_from_slice(&payload);
+                let decoded = delta_from_bytes(&base, &blob)
+                    .map(|words| words.iter().map(|w| w.to_bits()).collect::<Vec<_>>());
+                let defined = tagged_definition(mode, &base, &payload);
+                prop_assert_eq!(decoded, defined, "mode {} len {}", mode, len);
+            }
         }
     }
 
