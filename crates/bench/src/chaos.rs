@@ -73,39 +73,14 @@ pub fn config(seed: u64, chaos: Option<ChaosConfig>) -> ExperimentConfig {
     config
 }
 
-/// Mean global accuracy (percent) across aggregators at 1-based `round`,
-/// over whichever aggregators recorded that round (chaos curves may have
-/// gaps, so points are matched by round number, not position).
-fn mean_acc_at(report: &ExperimentReport, round: usize) -> Option<f64> {
-    let points: Vec<f64> = report
-        .aggregators
-        .iter()
-        .filter_map(|a| a.curve.iter().find(|p| p.round == round as u64))
-        .map(|p| p.global_accuracy_pct)
-        .collect();
-    if points.is_empty() {
-        None
-    } else {
-        Some(points.iter().sum::<f64>() / points.len() as f64)
-    }
-}
-
-/// Final mean global accuracy (percent) across aggregators.
-pub fn final_mean_acc(report: &ExperimentReport) -> f64 {
-    let n = report.aggregators.len() as f64;
-    report
-        .aggregators
-        .iter()
-        .map(|a| a.global_accuracy_pct)
-        .sum::<f64>()
-        / n
-}
-
-/// First 1-based round whose mean accuracy reaches `threshold_pct`, if any.
+/// First 1-based round whose mean accuracy, over the aggregators that
+/// recorded it, reaches `threshold_pct`, if any.
 pub fn rounds_to_converge(report: &ExperimentReport, threshold_pct: f64) -> Option<u64> {
-    (1..=ROUNDS)
-        .find(|r| mean_acc_at(report, *r).is_some_and(|acc| acc >= threshold_pct))
-        .map(|r| r as u64)
+    let curve = report.round_means(|_| true);
+    let reached = curve
+        .iter()
+        .find(|m| m.global_accuracy_pct >= threshold_pct)?;
+    Some(reached.round)
 }
 
 /// The paired result of one benchmark run.
@@ -127,7 +102,7 @@ pub struct ChaosBench {
 pub fn run(seed: u64) -> ChaosBench {
     let baseline = run_experiment(&config(seed, None)).expect("baseline config is valid");
     let churned = run_experiment(&config(seed, Some(churn()))).expect("churn config is valid");
-    let threshold_pct = 0.9 * final_mean_acc(&baseline);
+    let threshold_pct = 0.9 * baseline.mean_global_accuracy_pct(|_| true);
     ChaosBench {
         baseline,
         churned,
@@ -144,6 +119,7 @@ pub fn render_json(bench: &ChaosBench, seed: u64) -> Json {
     let base_rtc = rounds_to_converge(&bench.baseline, bench.threshold_pct);
     let churn_rtc = rounds_to_converge(&bench.churned, bench.threshold_pct);
     let rtc = |r: Option<u64>| r.map_or(Json::Null, int);
+    let final_acc = |r: &ExperimentReport| fixed(r.mean_global_accuracy_pct(|_| true), 3);
     let overhead = match (base_rtc, churn_rtc) {
         (Some(b), Some(c)) => Json::Num(c as f64 - b as f64),
         _ => Json::Null,
@@ -159,7 +135,7 @@ pub fn render_json(bench: &ChaosBench, seed: u64) -> Json {
             "baseline",
             Json::obj([
                 ("rounds_to_converge", rtc(base_rtc)),
-                ("final_acc_pct", fixed(final_mean_acc(&bench.baseline), 3)),
+                ("final_acc_pct", final_acc(&bench.baseline)),
                 ("wall_secs", fixed(bench.baseline.wall_secs, 3)),
             ]),
         ),
@@ -167,7 +143,7 @@ pub fn render_json(bench: &ChaosBench, seed: u64) -> Json {
             "churn",
             Json::obj([
                 ("rounds_to_converge", rtc(churn_rtc)),
-                ("final_acc_pct", fixed(final_mean_acc(&bench.churned), 3)),
+                ("final_acc_pct", final_acc(&bench.churned)),
                 ("wall_secs", fixed(bench.churned.wall_secs, 3)),
                 ("crashes", int(c.crashes_fired)),
                 ("fetch_failures", int(c.fetch_failures)),

@@ -30,7 +30,7 @@
 //! scale.
 
 use unifyfl_core::cluster::{ClusterConfig, DriftSpec};
-use unifyfl_core::experiment::{ExperimentBuilder, ExperimentReport, Mode};
+use unifyfl_core::experiment::{ExperimentBuilder, ExperimentReport, Mode, RoundMean};
 use unifyfl_core::{Engine, ShardConfig, ShardTopology};
 use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
@@ -190,51 +190,34 @@ fn arm_label(regroup: bool, adaptive: bool) -> &'static str {
 }
 
 fn summarize(report: &ExperimentReport, drifted: &[usize], label: &str, regroups: u64) -> DriftArm {
-    let undrifted: Vec<usize> = (0..report.aggregators.len())
-        .filter(|i| !drifted.contains(i))
-        .collect();
-    let mean_at = |round: u64, set: &[usize]| -> Option<(f64, f64)> {
-        let points: Vec<_> = set
-            .iter()
-            .filter_map(|&i| {
-                report.aggregators[i]
-                    .curve
-                    .iter()
-                    .find(|p| p.round == round)
-            })
-            .collect();
-        if points.len() != set.len() {
-            return None;
-        }
-        let mean = points.iter().map(|p| p.global_accuracy_pct).sum::<f64>() / set.len() as f64;
-        let time = points.iter().map(|p| p.time_secs).fold(0.0, f64::max);
-        Some((mean, time))
+    // The mean curve of the drifted or the undrifted silos, over the rounds
+    // every one of them recorded.
+    let curve = |is_drifted: bool| {
+        let member = |i: usize| drifted.contains(&i) == is_drifted;
+        let size = (0..report.aggregators.len()).filter(|&i| member(i)).count();
+        let mut curve = report.round_means(member);
+        curve.retain(|m| m.recorded == size);
+        curve
     };
-    let last_round = report
-        .aggregators
+    let (undrifted, drifted) = (curve(false), curve(true));
+    let last_round = report.round_means(|_| true).last().map_or(0, |m| m.round);
+    // Sustained crossing: the first round of the unbroken at-or-above-target
+    // run of rounds that ends at the last round.
+    let sustained = undrifted
         .iter()
-        .flat_map(|a| a.curve.iter().map(|p| p.round))
-        .max()
-        .unwrap_or(0);
-    let mut time_to_target_secs = None;
-    for round in 1..=last_round {
-        let sustained = (round..=last_round)
-            .all(|r| mean_at(r, &undrifted).is_some_and(|(mean, _)| mean >= TARGET_ACCURACY_PCT));
-        if sustained {
-            time_to_target_secs = mean_at(round, &undrifted).map(|(_, time)| time);
-            break;
-        }
-    }
-    let final_mean = |set: &[usize]| {
-        mean_at(last_round, set)
-            .map(|(mean, _)| mean)
-            .unwrap_or(0.0)
+        .rev()
+        .zip((1..=last_round).rev())
+        .take_while(|(m, round)| m.round == *round && m.global_accuracy_pct >= TARGET_ACCURACY_PCT);
+    let time_to_target_secs = sustained.last().map(|(m, _)| m.time_secs);
+    let final_mean = |curve: &[RoundMean]| {
+        let last = curve.last().filter(|m| m.round == last_round);
+        last.map_or(0.0, |m| m.global_accuracy_pct)
     };
     DriftArm {
         label: label.to_owned(),
         time_to_target_secs,
         final_undrifted_accuracy_pct: final_mean(&undrifted),
-        final_drifted_accuracy_pct: final_mean(drifted),
+        final_drifted_accuracy_pct: final_mean(&drifted),
         regroups,
         report_debug: format!("{report:?}"),
     }

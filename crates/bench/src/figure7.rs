@@ -78,13 +78,7 @@ pub fn run(variant: PolicyVariant, scale: Scale, seed: u64) -> ExperimentReport 
 
 /// Mean final global accuracy of the *honest* aggregators.
 pub fn honest_accuracy(report: &ExperimentReport) -> f64 {
-    let honest: Vec<f64> = report
-        .aggregators
-        .iter()
-        .filter(|a| !a.name.contains("Malicious"))
-        .map(|a| a.global_accuracy_pct)
-        .collect();
-    honest.iter().sum::<f64>() / honest.len().max(1) as f64
+    report.mean_global_accuracy_pct(|i| !report.aggregators[i].name.contains("Malicious"))
 }
 
 /// Renders both panels of the figure.

@@ -87,14 +87,10 @@ mod tests {
     fn sixty_client_run_completes_with_stable_accuracy() {
         let small = run(3, Scale::Quick, 42);
         let large = run(20, Scale::Quick, 42);
-        let mean = |r: &ExperimentReport| {
-            r.aggregators
-                .iter()
-                .map(|a| a.global_accuracy_pct)
-                .sum::<f64>()
-                / r.aggregators.len() as f64
-        };
-        let (s, l) = (mean(&small), mean(&large));
+        let (s, l) = (
+            small.mean_global_accuracy_pct(|_| true),
+            large.mean_global_accuracy_pct(|_| true),
+        );
         // §4.2.6: performance trends stay stable when scaling clients.
         assert!(l > 0.0);
         assert!(

@@ -57,11 +57,9 @@ pub const TARGET_ACCURACY_PCT: f64 = 45.0;
 /// within one run (Tables 5/6) stays inside single digits.
 pub const JOIN_BAND_PCT: f64 = 10.0;
 
-/// One measured configuration.
+/// One measured configuration; its label is the report's.
 #[derive(Clone)]
 pub struct TimelineArm {
-    /// Short arm label (e.g. `"async-physical-on"`).
-    pub label: String,
     /// Whether fetch-ahead cache warming (PR 10) ran in this arm.
     pub fetch_ahead: bool,
     /// The experiment report.
@@ -74,37 +72,9 @@ impl TimelineArm {
     /// recorded the round, timestamped at the slowest such cluster. `None`
     /// if the run never got there.
     pub fn time_to_target(&self, target_pct: f64) -> Option<f64> {
-        let mut rounds: Vec<u64> = self
-            .report
-            .aggregators
-            .iter()
-            .flat_map(|a| a.curve.iter().map(|p| p.round))
-            .collect();
-        rounds.sort_unstable();
-        rounds.dedup();
-        for round in rounds {
-            let points: Vec<(f64, f64)> = self
-                .report
-                .aggregators
-                .iter()
-                .filter_map(|a| a.curve.iter().find(|p| p.round == round))
-                .map(|p| (p.global_accuracy_pct, p.time_secs))
-                .collect();
-            if points.is_empty() {
-                continue;
-            }
-            let mean = points.iter().map(|(acc, _)| acc).sum::<f64>() / points.len() as f64;
-            if mean >= target_pct {
-                return Some(points.iter().map(|(_, t)| *t).fold(0.0, f64::max));
-            }
-        }
-        None
-    }
-
-    /// Mean final global accuracy (percent) across the arm's clusters.
-    pub fn mean_final_accuracy_pct(&self) -> f64 {
-        let aggs = &self.report.aggregators;
-        aggs.iter().map(|a| a.global_accuracy_pct).sum::<f64>() / aggs.len() as f64
+        let curve = self.report.round_means(|_| true);
+        let reached = curve.iter().find(|m| m.global_accuracy_pct >= target_pct);
+        reached.map(|m| m.time_secs)
     }
 }
 
@@ -159,14 +129,7 @@ impl TimelineBench {
     pub fn elastic_gate(&self) -> (f64, f64, bool) {
         let report = &self.arms[self.elastic].report;
         let joiner = report.aggregators[self.joiner].global_accuracy_pct;
-        let founders: Vec<f64> = report
-            .aggregators
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != self.joiner)
-            .map(|(_, a)| a.global_accuracy_pct)
-            .collect();
-        let founders_mean = founders.iter().sum::<f64>() / founders.len() as f64;
+        let founders_mean = report.mean_global_accuracy_pct(|i| i != self.joiner);
         let holds = (joiner - founders_mean).abs() <= JOIN_BAND_PCT;
         (joiner, founders_mean, holds)
     }
@@ -223,7 +186,6 @@ fn run_arm(label: &str, mut config: ExperimentConfig, transfer: TransferConfig) 
     config.transfer = transfer;
     config.label = label.to_owned();
     TimelineArm {
-        label: label.to_owned(),
         fetch_ahead: config.fetch_ahead,
         report: run_experiment(&config).expect("timeline config is valid"),
     }
@@ -285,7 +247,7 @@ pub fn run(seed: u64) -> TimelineBench {
     // can never silently point the CI gates at the wrong pair.
     let position = |arms: &[TimelineArm], label: &str| {
         arms.iter()
-            .position(|a| a.label == label)
+            .position(|a| a.report.label == label)
             .expect("gate arm present in the grid")
     };
     let async_off = position(&arms, "async-physical-off");
@@ -356,7 +318,7 @@ pub fn render_json(bench: &TimelineBench, seed: u64) -> Json {
     let arms = bench.arms.iter().map(|arm| {
         let t = &arm.report.transfer;
         Json::obj([
-            ("label", Json::str(arm.label.clone())),
+            ("label", Json::str(arm.report.label.clone())),
             ("mode", Json::str(arm.report.mode.to_string())),
             ("link_model", Json::str(arm.report.link_model.to_string())),
             (
@@ -371,7 +333,7 @@ pub fn render_json(bench: &TimelineBench, seed: u64) -> Json {
             ("wall_secs", fixed(arm.report.wall_secs, 3)),
             (
                 "mean_final_accuracy_pct",
-                fixed(arm.mean_final_accuracy_pct(), 3),
+                fixed(arm.report.mean_global_accuracy_pct(|_| true), 3),
             ),
             ("physical_bytes", int(t.physical_bytes)),
             ("logical_bytes", int(t.logical_bytes)),
@@ -430,10 +392,10 @@ pub fn render(bench: &TimelineBench) -> String {
     for arm in &bench.arms {
         out.push_str(&format!(
             "{:<24} t->target {:>9}  wall {:>9.1}s  final {:>5.1}%  wire {:>10} B\n",
-            arm.label,
+            arm.report.label,
             fmt_secs(arm.time_to_target(TARGET_ACCURACY_PCT)),
             arm.report.wall_secs,
-            arm.mean_final_accuracy_pct(),
+            arm.report.mean_global_accuracy_pct(|_| true),
             arm.report.transfer.physical_bytes,
         ));
     }
@@ -507,12 +469,12 @@ mod tests {
         // A label is free text: quotes and backslashes must be escaped,
         // not break the document.
         let mut bench = quick().clone();
-        bench.arms[0].label = "sync \"naive\" C:\\link".to_owned();
+        bench.arms[0].report.label = "sync \"naive\" C:\\link".to_owned();
         let parsed = Json::parse(&render_json(&bench, 42).render()).expect("still well-formed");
         let arm = &parsed.get("arms").and_then(Json::as_arr).expect("arms")[0];
         assert_eq!(
             arm.get("label"),
-            Some(&Json::str(bench.arms[0].label.clone()))
+            Some(&Json::str(bench.arms[0].report.label.clone()))
         );
     }
 }

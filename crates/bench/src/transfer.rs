@@ -16,18 +16,11 @@
 //! `unifyfl-bench transfer` writes `BENCH_transfer.json` (schema in
 //! `docs/BENCH.md`); `docs/baselines/transfer.json` pins it at quick scale.
 
-use unifyfl_core::experiment::{run_experiment, ExperimentReport, TransferReport};
+use unifyfl_core::experiment::{run_experiment, ExperimentReport};
 use unifyfl_core::report::{render_run_table, render_transfer_summary};
 use unifyfl_core::TransferConfig;
 
 use crate::{fixed, int, scalability, Json, Scale};
-
-/// One (fleet size × config) measurement.
-#[derive(Clone)]
-pub struct Arm {
-    /// The experiment report.
-    pub report: ExperimentReport,
-}
 
 /// The paired baseline/optimized measurement at one fleet size.
 #[derive(Clone)]
@@ -35,17 +28,17 @@ pub struct Pair {
     /// Total clients across the 3 aggregators.
     pub clients: usize,
     /// Every optimization off.
-    pub off: Arm,
+    pub off: ExperimentReport,
     /// Dedup + delta + cache on.
-    pub on: Arm,
+    pub on: ExperimentReport,
 }
 
 impl Pair {
     /// Wire-byte reduction: baseline physical bytes over optimized
     /// physical bytes.
     pub fn reduction(&self) -> f64 {
-        let off = self.off.report.transfer.physical_bytes;
-        let on = self.on.report.transfer.physical_bytes;
+        let off = self.off.transfer.physical_bytes;
+        let on = self.on.transfer.physical_bytes;
         if on == 0 {
             f64::INFINITY
         } else {
@@ -56,18 +49,7 @@ impl Pair {
     /// True if the two arms' reports are bit-identical outside the
     /// transfer section (the optimization's correctness contract).
     pub fn reports_identical(&self) -> bool {
-        let strip = |r: &ExperimentReport| {
-            let mut r = r.clone();
-            r.transfer = TransferReport::default();
-            format!("{r:?}")
-        };
-        strip(&self.off.report) == strip(&self.on.report)
-    }
-
-    /// Mean final global accuracy (percent) of the optimized arm.
-    pub fn mean_accuracy_pct(&self) -> f64 {
-        let aggs = &self.on.report.aggregators;
-        aggs.iter().map(|a| a.global_accuracy_pct).sum::<f64>() / aggs.len() as f64
+        format!("{:?}", self.off.without_transfer()) == format!("{:?}", self.on.without_transfer())
     }
 }
 
@@ -100,26 +82,24 @@ impl TransferBench {
             "{}-client wire reduction {:.2}x fell below the 2x bar ({} -> {} bytes)",
             largest.clients,
             largest.reduction(),
-            largest.off.report.transfer.physical_bytes,
-            largest.on.report.transfer.physical_bytes,
+            largest.off.transfer.physical_bytes,
+            largest.on.transfer.physical_bytes,
         );
     }
-}
-
-fn run_arm(clients_per_agg: usize, scale: Scale, seed: u64, transfer: TransferConfig) -> Arm {
-    let mut config = scalability::config(clients_per_agg, scale, seed);
-    config.transfer = transfer;
-    let report = run_experiment(&config).expect("scalability config is valid");
-    Arm { report }
 }
 
 /// Runs one baseline/optimized pair at `clients_per_agg` clients per
 /// aggregator.
 pub fn run_pair(clients_per_agg: usize, scale: Scale, seed: u64) -> Pair {
+    let arm = |transfer| {
+        let mut config = scalability::config(clients_per_agg, scale, seed);
+        config.transfer = transfer;
+        run_experiment(&config).expect("scalability config is valid")
+    };
     Pair {
         clients: clients_per_agg * 3,
-        off: run_arm(clients_per_agg, scale, seed, TransferConfig::disabled()),
-        on: run_arm(clients_per_agg, scale, seed, TransferConfig::default()),
+        off: arm(TransferConfig::disabled()),
+        on: arm(TransferConfig::default()),
     }
 }
 
@@ -133,8 +113,8 @@ pub fn run(scale: Scale, seed: u64) -> TransferBench {
 /// Renders the machine-readable `BENCH_transfer.json` body. An all-zero
 /// optimized arm makes the reduction infinite, which renders as `null`.
 pub fn render_json(bench: &TransferBench, seed: u64) -> Json {
-    let arm_json = |arm: &Arm| {
-        let t = &arm.report.transfer;
+    let arm_json = |arm: &ExperimentReport| {
+        let t = &arm.transfer;
         Json::obj([
             ("physical_bytes", int(t.physical_bytes)),
             ("logical_bytes", int(t.logical_bytes)),
@@ -143,7 +123,7 @@ pub fn render_json(bench: &TransferBench, seed: u64) -> Json {
             ("cache_misses", int(t.cache_misses)),
             ("delta_fetches", int(t.delta_fetches)),
             ("delta_fallbacks", int(t.delta_fallbacks)),
-            ("wall_secs", fixed(arm.report.wall_secs, 3)),
+            ("wall_secs", fixed(arm.wall_secs, 3)),
         ])
     };
     let pairs = bench.pairs.iter().map(|pair| {
@@ -155,7 +135,7 @@ pub fn render_json(bench: &TransferBench, seed: u64) -> Json {
             ("reports_identical", Json::Bool(pair.reports_identical())),
             (
                 "mean_final_accuracy_pct",
-                fixed(pair.mean_accuracy_pct(), 3),
+                fixed(pair.on.mean_global_accuracy_pct(|_| true), 3),
             ),
         ])
     });
@@ -172,11 +152,11 @@ pub fn render(bench: &TransferBench) -> String {
     out.push_str("Transfer bench: bytes-on-wire, dedup/delta/cache on vs. off\n\n");
     for pair in &bench.pairs {
         out.push_str(&format!("-- {} clients --\n", pair.clients));
-        out.push_str(&render_run_table(&pair.on.report));
+        out.push_str(&render_run_table(&pair.on));
         out.push_str("\n[off] ");
-        out.push_str(&render_transfer_summary(&pair.off.report));
+        out.push_str(&render_transfer_summary(&pair.off));
         out.push_str("[on]  ");
-        out.push_str(&render_transfer_summary(&pair.on.report));
+        out.push_str(&render_transfer_summary(&pair.on));
         out.push_str(&format!(
             "bytes-on-wire reduction: {:.2}x | reports identical outside transfer: {}\n\n",
             pair.reduction(),
@@ -204,12 +184,12 @@ mod tests {
         let pair = &quick().pairs[1];
         assert_eq!(pair.clients, 60);
         // The mechanisms actually engaged.
-        let on = &pair.on.report.transfer;
+        let on = &pair.on.transfer;
         assert!(on.delta_fetches > 0, "delta fetches must occur");
         assert!(on.delta_publishes > 0, "delta publishes must occur");
         assert!(on.logical_bytes > on.physical_bytes);
         // And the baseline arm really was naive.
-        let off = &pair.off.report.transfer;
+        let off = &pair.off.transfer;
         assert_eq!(off.delta_fetches, 0);
         assert_eq!(off.cache_hits, 0);
         assert_eq!(off.dedup_chunks_skipped, 0);
@@ -234,7 +214,7 @@ mod tests {
         // An optimized arm that moved nothing makes the reduction infinite;
         // JSON has no `inf` token, so the field must come out as `null`.
         let mut bench = quick().clone();
-        bench.pairs[0].on.report.transfer.physical_bytes = 0;
+        bench.pairs[0].on.transfer.physical_bytes = 0;
         let json = Json::parse(&render_json(&bench, 42).render()).expect("still well-formed");
         let pair = &json.get("pairs").and_then(Json::as_arr).expect("pairs")[0];
         assert_eq!(pair.get("bytes_on_wire_reduction"), Some(&Json::Null));

@@ -19,7 +19,8 @@ pub use config::{ExperimentBuilder, ExperimentConfig};
 pub use error::ExperimentError;
 pub(crate) use report::build_report;
 pub use report::{
-    AggregatorReport, ChainStats, ChaosReport, CurvePoint, ExperimentReport, TransferReport,
+    AggregatorReport, ChainStats, ChaosReport, CurvePoint, ExperimentReport, RoundMean,
+    TransferReport,
 };
 pub use validate::{Domain, Knob, KNOBS, MAX_NOMINAL_HORIZON};
 

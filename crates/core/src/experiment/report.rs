@@ -211,6 +211,80 @@ pub struct ExperimentReport {
     pub membership: Vec<MembershipRecord>,
 }
 
+/// One round of a federation's accuracy curve over a set of aggregators
+/// (see [`ExperimentReport::round_means`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RoundMean {
+    /// 1-based federation round.
+    pub round: u64,
+    /// How many of the selected aggregators recorded the round.
+    pub recorded: usize,
+    /// Their mean global-model accuracy (percent).
+    pub global_accuracy_pct: f64,
+    /// The latest of their completion times (virtual seconds).
+    pub time_secs: f64,
+}
+
+impl ExperimentReport {
+    /// The mean accuracy curve of the aggregators `member` selects by
+    /// index: one entry per round any of them recorded, in round order,
+    /// averaged over the ones that recorded it. Chaos leaves gaps in
+    /// curves (a crashed round records nothing), so points are matched by
+    /// round number, never by position.
+    pub fn round_means(&self, member: impl Fn(usize) -> bool) -> Vec<RoundMean> {
+        let selected: Vec<&AggregatorReport> = self
+            .aggregators
+            .iter()
+            .enumerate()
+            .filter_map(|(i, a)| member(i).then_some(a))
+            .collect();
+        let mut rounds: Vec<u64> = selected
+            .iter()
+            .flat_map(|a| a.curve.iter().map(|p| p.round))
+            .collect();
+        rounds.sort_unstable();
+        rounds.dedup();
+        rounds
+            .into_iter()
+            .map(|round| {
+                let points: Vec<&CurvePoint> = selected
+                    .iter()
+                    .filter_map(|a| a.curve.iter().find(|p| p.round == round))
+                    .collect();
+                let accuracy = points.iter().map(|p| p.global_accuracy_pct).sum::<f64>();
+                RoundMean {
+                    round,
+                    recorded: points.len(),
+                    global_accuracy_pct: accuracy / points.len() as f64,
+                    time_secs: points.iter().map(|p| p.time_secs).fold(0.0, f64::max),
+                }
+            })
+            .collect()
+    }
+
+    /// Mean final global-model accuracy (percent) of the aggregators
+    /// `member` selects by index (NaN if it selects none).
+    pub fn mean_global_accuracy_pct(&self, member: impl Fn(usize) -> bool) -> f64 {
+        let selected: Vec<f64> = self
+            .aggregators
+            .iter()
+            .enumerate()
+            .filter_map(|(i, a)| member(i).then_some(a.global_accuracy_pct))
+            .collect();
+        selected.iter().sum::<f64>() / selected.len() as f64
+    }
+
+    /// This report with a default transfer section: the view that transfer,
+    /// routing and fetch-ahead knobs must leave byte-identical in a
+    /// fault-free run.
+    pub fn without_transfer(&self) -> ExperimentReport {
+        ExperimentReport {
+            transfer: TransferReport::default(),
+            ..self.clone()
+        }
+    }
+}
+
 pub(crate) fn build_report(
     config: &ExperimentConfig,
     fed: &Federation,

@@ -278,28 +278,15 @@ pub fn render_curves(report: &ExperimentReport) -> String {
         out.push_str(&format!(" {:>col_w$}", report.aggregators[i].name));
     }
     out.push('\n');
-    // Rows are keyed by round number, not curve position: under chaos a
-    // cluster's curve can have gaps (crashed rounds record nothing).
-    let mut rounds: Vec<u64> = report
-        .aggregators
-        .iter()
-        .flat_map(|a| a.curve.iter().map(|p| p.round))
-        .collect();
-    rounds.sort_unstable();
-    rounds.dedup();
-    for r in rounds {
-        let points: Vec<Option<&crate::experiment::CurvePoint>> = report
-            .aggregators
-            .iter()
-            .map(|a| a.curve.iter().find(|p| p.round == r))
-            .collect();
-        let t = points
-            .iter()
-            .flatten()
-            .map(|p| p.time_secs)
-            .fold(0.0f64, f64::max);
-        out.push_str(&format!("{t:>7.0}"));
-        let cell = |i: usize| match points[i] {
+    for row in report.round_means(|_| true) {
+        out.push_str(&format!("{:>7.0}", row.time_secs));
+        let point = |i: usize| {
+            report.aggregators[i]
+                .curve
+                .iter()
+                .find(|p| p.round == row.round)
+        };
+        let cell = |i: usize| match point(i) {
             Some(p) => format!(" {:>col_w$.2}", p.global_accuracy_pct),
             None => format!(" {:>col_w$}", "-"),
         };

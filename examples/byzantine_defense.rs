@@ -59,12 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", render_curves(&smart));
 
     let honest_mean = |r: &unifyfl::core::ExperimentReport| {
-        r.aggregators
-            .iter()
-            .filter(|a| a.name.starts_with("Honest"))
-            .map(|a| a.global_accuracy_pct)
-            .sum::<f64>()
-            / 2.0
+        r.mean_global_accuracy_pct(|i| r.aggregators[i].name.starts_with("Honest"))
     };
     println!(
         "\nfinal honest accuracy: naive {:.1}% vs smart {:.1}%",

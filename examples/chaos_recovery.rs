@@ -42,16 +42,6 @@ fn summarize(report: &ExperimentReport) {
     println!("virtual wall clock: {:.0} s\n", report.wall_secs);
 }
 
-fn mean_acc(report: &ExperimentReport) -> f64 {
-    let n = report.aggregators.len() as f64;
-    report
-        .aggregators
-        .iter()
-        .map(|a| a.global_accuracy_pct)
-        .sum::<f64>()
-        / n
-}
-
 fn main() {
     let baseline = run("happy path", None);
 
@@ -90,9 +80,9 @@ fn main() {
     }
 
     println!("== recovery summary (mean global accuracy) ==");
-    let base = mean_acc(&baseline);
+    let base = baseline.mean_global_accuracy_pct(|_| true);
     for report in [&crash, &leave, &churn] {
-        let acc = mean_acc(report);
+        let acc = report.mean_global_accuracy_pct(|_| true);
         println!(
             "{:<22} {:>5.1}%  ({:+.1} vs happy path)",
             report.label,

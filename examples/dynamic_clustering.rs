@@ -115,26 +115,13 @@ fn run(regroup: bool) -> ExperimentReport {
         .expect("valid configuration")
 }
 
+/// The stable silos' mean accuracy by round, over the rounds all of them
+/// recorded.
 fn stable_mean_curve(report: &ExperimentReport, cars: &[usize]) -> Vec<(u64, f64)> {
-    let stable: Vec<usize> = (0..report.aggregators.len())
-        .filter(|i| !cars.contains(i))
-        .collect();
-    (1..=ROUNDS as u64)
-        .filter_map(|round| {
-            let points: Vec<f64> = stable
-                .iter()
-                .filter_map(|&i| {
-                    report.aggregators[i]
-                        .curve
-                        .iter()
-                        .find(|p| p.round == round)
-                        .map(|p| p.global_accuracy_pct)
-                })
-                .collect();
-            (points.len() == stable.len())
-                .then(|| (round, points.iter().sum::<f64>() / points.len() as f64))
-        })
-        .collect()
+    let stable = FLEET - cars.len();
+    let curve = report.round_means(|i| !cars.contains(&i));
+    let full = curve.into_iter().filter(|m| m.recorded == stable);
+    full.map(|m| (m.round, m.global_accuracy_pct)).collect()
 }
 
 fn main() {

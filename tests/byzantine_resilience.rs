@@ -61,12 +61,7 @@ fn config(policy: AggregationPolicy, attack: AttackKind) -> ExperimentConfig {
 }
 
 fn honest_mean(r: &ExperimentReport) -> f64 {
-    r.aggregators
-        .iter()
-        .filter(|a| a.name.starts_with("honest"))
-        .map(|a| a.global_accuracy_pct)
-        .sum::<f64>()
-        / 2.0
+    r.mean_global_accuracy_pct(|i| r.aggregators[i].name.starts_with("honest"))
 }
 
 #[test]

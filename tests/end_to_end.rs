@@ -74,13 +74,7 @@ fn collaboration_beats_isolation_under_niid() {
         .policy_all(AggregationPolicy::SelfOnly)
         .run()
         .unwrap();
-    let mean = |r: &unifyfl::core::ExperimentReport| {
-        r.aggregators
-            .iter()
-            .map(|a| a.global_accuracy_pct)
-            .sum::<f64>()
-            / r.aggregators.len() as f64
-    };
+    let mean = |r: &unifyfl::core::ExperimentReport| r.mean_global_accuracy_pct(|_| true);
     assert!(
         mean(&collab) > mean(&solo),
         "collaboration ({:.1}%) must beat isolation ({:.1}%) under NIID",

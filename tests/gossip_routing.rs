@@ -13,7 +13,7 @@
 
 use proptest::prelude::*;
 use unifyfl::core::cluster::ClusterConfig;
-use unifyfl::core::experiment::{ExperimentBuilder, ExperimentReport, Mode, TransferReport};
+use unifyfl::core::experiment::{ExperimentBuilder, ExperimentReport, Mode};
 use unifyfl::core::{GossipConfig, ShardConfig};
 use unifyfl::sim::DeviceProfile;
 
@@ -44,13 +44,6 @@ fn run(
     builder.run().expect("valid configuration")
 }
 
-/// Full `Debug` rendering with the transfer section zeroed out — the one
-/// section routing is allowed to change.
-fn stripped(mut report: ExperimentReport) -> String {
-    report.transfer = TransferReport::default();
-    format!("{report:?}")
-}
-
 proptest! {
     /// Gossip routing is a report-level no-op under `Nominal`, across
     /// seeds, both modes, shards on and off.
@@ -66,8 +59,8 @@ proptest! {
         let flat = run(seed, mode, n, sharding.clone(), None);
         let routed = run(seed, mode, n, sharding, Some(GossipConfig::new(2)));
         prop_assert_eq!(
-            stripped(flat),
-            stripped(routed),
+            format!("{:?}", flat.without_transfer()),
+            format!("{:?}", routed.without_transfer()),
             "gossip must be result-neutral (seed {}, {}, sharded {})",
             seed,
             mode,
@@ -92,8 +85,8 @@ fn gossip_routing_is_neutral_at_pinned_seeds_and_actually_routes() {
                 );
                 assert_eq!(flat.transfer.routed_fetches, 0);
                 assert_eq!(
-                    stripped(flat),
-                    stripped(routed),
+                    format!("{:?}", flat.without_transfer()),
+                    format!("{:?}", routed.without_transfer()),
                     "gossip must be result-neutral (seed {seed}, {mode}, shards {:?})",
                     shards.is_some()
                 );
@@ -123,7 +116,10 @@ fn prefetch_turns_shard_exchange_fetches_into_cache_hits() {
         routed.transfer.cache_hits,
         plain.transfer.cache_hits
     );
-    assert_eq!(stripped(plain), stripped(routed));
+    assert_eq!(
+        format!("{:?}", plain.without_transfer()),
+        format!("{:?}", routed.without_transfer())
+    );
 }
 
 #[test]

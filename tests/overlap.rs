@@ -12,9 +12,7 @@
 //! point: the round's pulls get cheaper, so time-to-finish shrinks.
 
 use proptest::prelude::*;
-use unifyfl::core::experiment::{
-    ExperimentBuilder, ExperimentReport, LinkModel, Mode, TransferReport,
-};
+use unifyfl::core::experiment::{ExperimentBuilder, ExperimentReport, LinkModel, Mode};
 
 fn run(seed: u64, mode: Mode, link_model: LinkModel, fetch_ahead: bool) -> ExperimentReport {
     // Four rounds so rounds 2..4 each get a fetch-ahead warm-up (round 1
@@ -29,13 +27,6 @@ fn run(seed: u64, mode: Mode, link_model: LinkModel, fetch_ahead: bool) -> Exper
         .expect("valid configuration")
 }
 
-/// Full `Debug` rendering with the transfer section zeroed out — the one
-/// section warming is allowed to change under `Nominal`.
-fn stripped(mut report: ExperimentReport) -> String {
-    report.transfer = TransferReport::default();
-    format!("{report:?}")
-}
-
 proptest! {
     /// Fetch-ahead is a report-level no-op under `Nominal`, across seeds
     /// and both orchestration modes.
@@ -48,8 +39,8 @@ proptest! {
         let cold = run(seed, mode, LinkModel::Nominal, false);
         let warmed = run(seed, mode, LinkModel::Nominal, true);
         prop_assert_eq!(
-            stripped(cold),
-            stripped(warmed),
+            format!("{:?}", cold.without_transfer()),
+            format!("{:?}", warmed.without_transfer()),
             "fetch-ahead must be result-neutral (seed {}, {})",
             seed,
             mode
@@ -73,8 +64,8 @@ fn fetch_ahead_is_neutral_at_pinned_seeds_and_actually_warms() {
                 cold.transfer.cache_hits
             );
             assert_eq!(
-                stripped(cold),
-                stripped(warmed),
+                format!("{:?}", cold.without_transfer()),
+                format!("{:?}", warmed.without_transfer()),
                 "fetch-ahead must be result-neutral (seed {seed}, {mode})"
             );
         }

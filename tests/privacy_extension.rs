@@ -50,11 +50,7 @@ fn config(dp: Option<DpConfig>) -> ExperimentConfig {
 }
 
 fn mean_global(r: &unifyfl::core::ExperimentReport) -> f64 {
-    r.aggregators
-        .iter()
-        .map(|a| a.global_accuracy_pct)
-        .sum::<f64>()
-        / r.aggregators.len() as f64
+    r.mean_global_accuracy_pct(|_| true)
 }
 
 #[test]
