@@ -4,7 +4,8 @@
 //! (sampled crashes, flaky DHT, lossy gossip, missed seals) — and reports
 //! how many rounds each run needs to reach 90% of the fault-free final
 //! accuracy. `unifyfl-bench chaos` writes the JSON rendering to
-//! `BENCH_chaos.json`; `docs/baselines/chaos.json` pins it at seed 42.
+//! `BENCH_chaos.json` and then asserts [`ChaosBench::assert_gates`];
+//! `docs/baselines/chaos.json` pins it at seed 42.
 
 use unifyfl_core::cluster::ClusterConfig;
 use unifyfl_core::experiment::{
@@ -91,6 +92,28 @@ pub struct ChaosBench {
     pub churned: ExperimentReport,
     /// 90% of the baseline's final mean accuracy.
     pub threshold_pct: f64,
+}
+
+impl ChaosBench {
+    /// Asserts the chaos gates: the churn arm ran under a fault plan that
+    /// injected at least one fault, and the fault-free arm reaches its own
+    /// 90% bar.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first gate that does not hold.
+    pub fn assert_gates(&self) {
+        let c = &self.churned.chaos;
+        assert!(c.enabled, "the churn arm must run under a fault plan");
+        let faults =
+            c.crashes_fired + c.fetch_failures + c.chunk_losses + c.missed_seals + c.dropped_txs;
+        assert!(faults > 0, "churn must inject at least one fault");
+        assert!(
+            rounds_to_converge(&self.baseline, self.threshold_pct).is_some(),
+            "the fault-free arm must reach its own {:.1}% bar",
+            self.threshold_pct
+        );
+    }
 }
 
 /// Runs both arms of the benchmark (one scale: the federation is already
@@ -186,15 +209,7 @@ mod tests {
 
     #[test]
     fn bench_runs_and_counts_churn() {
-        let bench = quick();
-        // The baseline trivially converges to its own 90% threshold.
-        assert!(rounds_to_converge(&bench.baseline, bench.threshold_pct).is_some());
-        let c = &bench.churned.chaos;
-        assert!(c.enabled);
-        assert!(
-            c.fetch_failures + c.chunk_losses + c.missed_seals + c.dropped_txs > 0,
-            "churn must inject something"
-        );
+        quick().assert_gates();
     }
 
     #[test]

@@ -245,6 +245,7 @@ pub const BENCHES: &[Bench] = &[
             let bench = chaos::run(cli.seed);
             let json = chaos::render_json(&bench, cli.seed);
             cli.emit("chaos", &chaos::render(&bench), &json);
+            bench.assert_gates();
             Ok(())
         },
     },
