@@ -92,15 +92,7 @@ pub fn run_arm(n: usize, seed: u64, gossip: Option<GossipConfig>) -> Disseminati
         .map(|i| (i as u64).wrapping_mul(31).wrapping_add(seed) as u8)
         .collect();
     let cid = publisher.add(&blob).cid;
-    // Seeded-stride visit order: a fixed odd stride coprime to n walks
-    // every fetcher exactly once, scattering consecutive fetches across
-    // the neighborhoods instead of draining them in index order.
-    let mut stride = (seed as usize % n) | 1;
-    while gcd(stride, n) != 1 {
-        stride += 2;
-    }
-    for i in 0..n {
-        let idx = (i * stride) % n;
+    for idx in visit_order(n, seed) {
         fetchers[idx]
             .get(cid)
             .expect("fault-free dissemination fetch succeeds");
@@ -114,6 +106,18 @@ pub fn run_arm(n: usize, seed: u64, gossip: Option<GossipConfig>) -> Disseminati
         route_hops: stats.route_hops,
         relayed_bytes: stats.relayed_bytes,
     }
+}
+
+/// The order `n` fetchers pull in: a seeded odd stride, bumped until it is
+/// coprime to `n`, walks every fetcher exactly once and scatters
+/// consecutive fetches across the neighborhoods instead of draining them
+/// in index order.
+fn visit_order(n: usize, seed: u64) -> impl Iterator<Item = usize> {
+    let mut stride = (seed as usize % n) | 1;
+    while gcd(stride, n) != 1 {
+        stride += 2;
+    }
+    (0..n).map(move |i| (i * stride) % n)
 }
 
 fn gcd(a: usize, b: usize) -> usize {
@@ -298,18 +302,14 @@ mod tests {
 
     #[test]
     fn stride_order_visits_every_fetcher() {
-        // The arm's stride permutation is a bijection for any n ≥ 1.
-        for n in [1usize, 7, 60, 240] {
-            for seed in [0u64, 7, 42] {
-                let mut stride = (seed as usize % n) | 1;
-                while gcd(stride, n) != 1 {
-                    stride += 2;
-                }
-                let mut seen = vec![false; n];
-                for i in 0..n {
-                    seen[(i * stride) % n] = true;
-                }
-                assert!(seen.into_iter().all(|v| v), "n={n} seed={seed}");
+        // The arm's visit order is a permutation for any n ≥ 1, including
+        // every n whose first stride shares a factor with it (n = 9,
+        // seed 3: stride 3 would visit only a third of the fleet).
+        for n in 1..=64 {
+            for seed in 0..64 {
+                let mut order: Vec<usize> = visit_order(n, seed).collect();
+                order.sort_unstable();
+                assert!(order.into_iter().eq(0..n), "n={n} seed={seed}");
             }
         }
     }
