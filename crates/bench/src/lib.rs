@@ -254,7 +254,7 @@ pub const BENCHES: &[Bench] = &[
         reads: &["--full", "--seed", "--out"],
         run: |cli| {
             let bench = transfer::run(cli.scale, cli.seed);
-            let json = transfer::render_json(&bench, cli.seed);
+            let json = transfer::render_json(&bench, cli.seed, cli.scale);
             cli.emit("transfer", &transfer::render(&bench), &json);
             bench.assert_gates();
             Ok(())

@@ -112,7 +112,7 @@ pub fn run(scale: Scale, seed: u64) -> TransferBench {
 
 /// Renders the machine-readable `BENCH_transfer.json` body. An all-zero
 /// optimized arm makes the reduction infinite, which renders as `null`.
-pub fn render_json(bench: &TransferBench, seed: u64) -> Json {
+pub fn render_json(bench: &TransferBench, seed: u64, scale: Scale) -> Json {
     let arm_json = |arm: &ExperimentReport| {
         let t = &arm.transfer;
         Json::obj([
@@ -142,6 +142,7 @@ pub fn render_json(bench: &TransferBench, seed: u64) -> Json {
     Json::obj([
         ("bench", Json::str("transfer")),
         ("seed", int(seed)),
+        ("scale", Json::str(scale.label())),
         ("pairs", Json::Arr(pairs.collect())),
     ])
 }
@@ -209,13 +210,14 @@ mod tests {
 
     #[test]
     fn json_rendering_is_well_formed() {
-        crate::assert_matches_baseline("transfer", &render_json(quick(), 42));
+        crate::assert_matches_baseline("transfer", &render_json(quick(), 42, Scale::Quick));
 
         // An optimized arm that moved nothing makes the reduction infinite;
         // JSON has no `inf` token, so the field must come out as `null`.
         let mut bench = quick().clone();
         bench.pairs[0].on.transfer.physical_bytes = 0;
-        let json = Json::parse(&render_json(&bench, 42).render()).expect("still well-formed");
+        let json = Json::parse(&render_json(&bench, 42, Scale::Quick).render())
+            .expect("still well-formed");
         let pair = &json.get("pairs").and_then(Json::as_arr).expect("pairs")[0];
         assert_eq!(pair.get("bytes_on_wire_reduction"), Some(&Json::Null));
     }
