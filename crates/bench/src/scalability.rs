@@ -87,10 +87,8 @@ mod tests {
     fn sixty_client_run_completes_with_stable_accuracy() {
         let small = run(3, Scale::Quick, 42);
         let large = run(20, Scale::Quick, 42);
-        let (s, l) = (
-            small.mean_global_accuracy_pct(|_| true),
-            large.mean_global_accuracy_pct(|_| true),
-        );
+        let mean = |r: &ExperimentReport| r.mean_global_accuracy_pct(|_| true);
+        let (s, l) = (mean(&small), mean(&large));
         // §4.2.6: performance trends stay stable when scaling clients.
         assert!(l > 0.0);
         assert!(

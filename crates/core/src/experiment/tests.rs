@@ -295,56 +295,41 @@ fn quickstart_aggregators_report_fedavg() {
 #[test]
 fn round_means_average_each_round_over_the_selected_recorders() {
     let mut report = ExperimentBuilder::quickstart().rounds(2).run().unwrap();
-    let point = |round, time_secs, global_accuracy_pct| CurvePoint {
-        round,
-        time_secs,
-        global_accuracy_pct,
-        local_accuracy_pct: 0.0,
-    };
-    // Aggregator 0 joined late (no round 1), aggregator 1 crashed through
-    // round 2, and aggregator 2 is outside the selected subset.
+    // (round, time, global accuracy) per aggregator: 0 joined late (no
+    // round 1), 1 crashed through round 2, 2 is outside the subset.
     let curves = [
-        vec![point(2, 20.0, 50.0), point(3, 30.0, 70.0)],
-        vec![point(1, 12.0, 60.0), point(3, 35.0, 90.0)],
-        vec![
-            point(1, 99.0, 0.0),
-            point(2, 99.0, 0.0),
-            point(3, 99.0, 0.0),
-        ],
+        vec![(2, 20.0, 50.0), (3, 30.0, 70.0)],
+        vec![(1, 12.0, 60.0), (3, 35.0, 90.0)],
+        vec![(1, 99.0, 0.0), (2, 99.0, 0.0), (3, 99.0, 0.0)],
     ];
-    for ((a, curve), last) in report
-        .aggregators
-        .iter_mut()
-        .zip(curves)
-        .zip([70.0, 90.0, 0.0])
-    {
-        a.curve = curve;
-        a.global_accuracy_pct = last;
+    for (i, curve) in curves.into_iter().enumerate() {
+        let a = &mut report.aggregators[i];
+        a.curve = curve
+            .into_iter()
+            .map(|(round, time_secs, global_accuracy_pct)| CurvePoint {
+                round,
+                time_secs,
+                global_accuracy_pct,
+                local_accuracy_pct: 0.0,
+            })
+            .collect();
+        a.global_accuracy_pct = a.curve.last().unwrap().global_accuracy_pct;
     }
     let subset = |i: usize| i != 2;
-    let mean = |round, recorded, global_accuracy_pct, time_secs| RoundMean {
-        round,
-        recorded,
-        global_accuracy_pct,
-        time_secs,
-    };
+    let means: Vec<_> = report
+        .round_means(subset)
+        .into_iter()
+        .map(|m| (m.round, m.recorded, m.global_accuracy_pct, m.time_secs))
+        .collect();
     assert_eq!(
-        report.round_means(subset),
-        [
-            mean(1, 1, 60.0, 12.0),
-            mean(2, 1, 50.0, 20.0),
-            mean(3, 2, 80.0, 35.0)
-        ]
+        means,
+        [(1, 1, 60.0, 12.0), (2, 1, 50.0, 20.0), (3, 2, 80.0, 35.0)]
     );
     assert_eq!(report.mean_global_accuracy_pct(subset), 80.0);
     assert_eq!(report.mean_global_accuracy_pct(|_| true), 160.0 / 3.0);
 
     // The transfer-neutral view zeroes the transfer section and nothing else.
-    assert_ne!(
-        report.transfer,
-        TransferReport::default(),
-        "the run moved bytes"
-    );
+    assert_ne!(report.transfer, TransferReport::default(), "bytes moved");
     let mut view = report.without_transfer();
     assert_eq!(view.transfer, TransferReport::default());
     view.transfer = report.transfer;

@@ -61,7 +61,6 @@ fn sync_federation_survives_a_permanent_leave() {
     // Survivors converge: final global beats their first round, and the
     // federation's mean survivor accuracy clears the random-guess floor
     // (4-class task ⇒ 25%) with margin.
-    let mut survivor_mean = 0.0;
     for (i, agg) in report.aggregators.iter().enumerate() {
         if i == LEAVER {
             continue;
@@ -72,8 +71,8 @@ fn sync_federation_survives_a_permanent_leave() {
             "{} must still learn",
             agg.name
         );
-        survivor_mean += agg.global_accuracy_pct / 2.0;
     }
+    let survivor_mean = report.mean_global_accuracy_pct(|i| i != LEAVER);
     assert!(survivor_mean > 40.0, "degraded but useful: {survivor_mean}");
 }
 
