@@ -355,50 +355,24 @@ mod tests {
 
     #[test]
     fn run_table_snapshot_aligns_ten_plus_clusters() {
-        use crate::experiment::{ChainStats, ChaosReport, TransferReport};
-        use std::collections::BTreeMap;
-
         // Hand-built report: 12 aggregators whose labels straddle the old
         // fixed 10-char column (including one longer than it), exercising
         // exactly the ≥10-cluster misalignment. "Agg Zürich" carries a
         // multi-byte character: 10 chars but 11 bytes, so the old
         // byte-length measure would widen the name column by one and
         // misalign every other row.
-        let aggregators = (1..=12)
-            .map(|i| crate::experiment::AggregatorReport {
-                name: match i {
-                    11 => "Agg Zürich".to_owned(),
-                    12 => "Aggregator Twelve".to_owned(),
-                    _ => format!("Agg {i}"),
-                },
-                policy: "All".to_owned(),
-                strategy: "FedAvg".to_owned(),
-                time_secs: 100.0 * i as f64,
-                global_accuracy_pct: 50.0 + i as f64,
-                local_accuracy_pct: 40.0 + i as f64,
-                global_loss: 1.0,
-                local_loss: 1.5,
-                rounds: 2,
-                straggler_rounds: 0,
-                rejected_scores: 0,
-                curve: Vec::new(),
-            })
-            .collect();
-        let report = ExperimentReport {
-            label: "snapshot".to_owned(),
-            mode: "Sync".to_owned(),
-            scorer: "Accuracy".to_owned(),
-            partition: "IID".to_owned(),
-            aggregators,
-            resources: BTreeMap::new(),
-            chain: ChainStats::default(),
-            storage_bytes: 0,
-            wall_secs: 0.0,
-            chaos: ChaosReport::default(),
-            transfer: TransferReport::default(),
-            link_model: "Nominal".to_owned(),
-            membership: Vec::new(),
-        };
+        let mut report = synthetic_report(12);
+        report.label = "snapshot".to_owned();
+        for (i, a) in (1u32..).zip(&mut report.aggregators) {
+            a.name = match i {
+                11 => "Agg Zürich".to_owned(),
+                12 => "Aggregator Twelve".to_owned(),
+                _ => format!("Agg {i}"),
+            };
+            a.time_secs = 100.0 * f64::from(i);
+            a.global_accuracy_pct = 50.0 + f64::from(i);
+            a.local_accuracy_pct = 40.0 + f64::from(i);
+        }
 
         let table = render_run_table(&report);
         let expected = "\
