@@ -195,15 +195,15 @@ fn summarize(report: &ExperimentReport, drifted: &[usize], label: &str, regroups
     let curve = |is_drifted: bool| {
         let member = |i: usize| drifted.contains(&i) == is_drifted;
         let size = (0..report.aggregators.len()).filter(|&i| member(i)).count();
-        let mut curve = report.round_means(member);
-        curve.retain(|m| m.recorded == size);
-        curve
+        let mut means = report.round_means(member);
+        means.retain(|m| m.recorded == size);
+        means
     };
-    let (undrifted, drifted) = (curve(false), curve(true));
+    let (undrifted_curve, drifted_curve) = (curve(false), curve(true));
     let last_round = report.round_means(|_| true).last().map_or(0, |m| m.round);
     // Sustained crossing: the first round of the unbroken at-or-above-target
     // run of rounds that ends at the last round.
-    let sustained = undrifted
+    let sustained = undrifted_curve
         .iter()
         .rev()
         .zip((1..=last_round).rev())
@@ -216,8 +216,8 @@ fn summarize(report: &ExperimentReport, drifted: &[usize], label: &str, regroups
     DriftArm {
         label: label.to_owned(),
         time_to_target_secs,
-        final_undrifted_accuracy_pct: final_mean(&undrifted),
-        final_drifted_accuracy_pct: final_mean(&drifted),
+        final_undrifted_accuracy_pct: final_mean(&undrifted_curve),
+        final_drifted_accuracy_pct: final_mean(&drifted_curve),
         regroups,
         report_debug: format!("{report:?}"),
     }
