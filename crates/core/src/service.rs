@@ -675,27 +675,22 @@ impl ExperimentService {
     }
 
     fn stop(&self, halting: bool) -> Vec<(RunId, RunOutcome)> {
-        let workers = {
+        {
             let mut st = lock(&self.shared.state);
             st.shutting_down = true;
             st.halting |= halting;
-            let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
-            if workers.is_empty() {
-                // Paused service (or second stop call): nothing will ever
-                // step the pending runs, so checkpoint them here.
-                interrupt_pending(&mut st);
-            }
             self.shared.work_ready.notify_all();
-            self.shared.done.notify_all();
-            std::mem::take(&mut *workers)
-        };
-        for worker in workers {
+        }
+        // The worker list stays locked until every worker is joined, so a
+        // concurrent second stop waits for the first drain to finish.
+        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
+        for worker in workers.drain(..) {
             let _ = worker.join();
         }
         let mut st = lock(&self.shared.state);
-        // Safety net: if a worker died abnormally it may have left a
-        // leased run behind; surface it as interrupted-from-source rather
-        // than leaving its handle waiting forever.
+        // Nothing steps a run any more: checkpoint whatever has not ended
+        // (every run of a paused service, or a run a dead worker left
+        // leased) rather than leaving its handle waiting forever.
         interrupt_pending(&mut st);
         self.shared.done.notify_all();
         st.slots
@@ -725,8 +720,7 @@ impl std::fmt::Debug for ExperimentService {
 }
 
 /// Checkpoints every run that has not ended and clears the scheduler —
-/// used when no worker will ever run them (paused service, post-join
-/// safety net).
+/// used once the workers are joined and nothing will ever step them.
 fn interrupt_pending(st: &mut ServiceState) {
     st.scheduler.clear();
     st.queued.clear();

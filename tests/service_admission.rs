@@ -147,6 +147,43 @@ fn shutdown_closes_the_inlet_and_is_idempotent() {
     );
 }
 
+/// Two `shutdown()` calls racing on one service both drain: the second
+/// waits for the first instead of checkpointing runs the first caller's
+/// workers are still stepping, so both see the same all-`Completed` table
+/// and no handle reports `Interrupted` for a run that later completes.
+#[test]
+fn concurrent_shutdowns_drain_every_run_exactly_once() {
+    let service = ExperimentService::start(ServiceConfig {
+        max_in_flight: 2,
+        queue_depth: 4,
+        worker_threads: 1,
+        slice_events: 1,
+    })
+    .expect("valid service config");
+    let handles: Vec<_> = (0..6)
+        .map(|i| service.submit(tiny(30 + i)).expect("within bounds"))
+        .collect();
+    let barrier = std::sync::Barrier::new(2);
+    let tables: Vec<Vec<bool>> = std::thread::scope(|s| {
+        let stops: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    let table = service.shutdown();
+                    table.iter().map(|(_, o)| o.is_completed()).collect()
+                })
+            })
+            .collect();
+        stops.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    for table in &tables {
+        assert_eq!(table, &vec![true; 6], "a drain completes every run");
+    }
+    for handle in &handles {
+        assert!(handle.wait().is_completed(), "{}", handle.id());
+    }
+}
+
 /// An invalid configuration is rejected eagerly with
 /// [`ServiceError::Invalid`] and consumes no admission capacity.
 #[test]
