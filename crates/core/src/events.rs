@@ -2,7 +2,9 @@
 //!
 //! Both orchestration engines are policies over one scheduler: a typed
 //! [`Event`] stream drained in `(time, key, FIFO)` order from
-//! [`unifyfl_sim::EventQueue`]. The **sync** engine is a *barrier-event*
+//! [`unifyfl_sim::EventQueue`], one event per
+//! [`RunState::step`](crate::service::RunState::step) — the one
+//! queue-draining loop every run takes. The **sync** engine is a *barrier-event*
 //! policy — per-cluster completion events are released at the phase-window
 //! boundaries, so every cluster's effects commit at the barrier no matter
 //! when its work nominally finished — and the **async** engine is a
@@ -197,7 +199,8 @@ pub struct EventRecord {
 /// An orchestration policy over the kernel: seeds the queue, handles each
 /// drained event (scheduling follow-ups as it goes), and finally folds the
 /// drained run into its outcome. Object-safe, so a resumable run
-/// ([`crate::service::RunState`]) holds either engine behind the trait.
+/// ([`crate::service::RunState`], whose `step` is the one queue-draining
+/// loop) holds either engine behind the trait.
 pub(crate) trait EventPolicy {
     /// Schedules the initial events.
     fn seed(&mut self, fed: &mut Federation, queue: &mut EventQueue<Event>);
@@ -213,54 +216,6 @@ pub(crate) trait EventPolicy {
     /// still-participating clusters — `wave` of them at a time, the
     /// policy's own sizing when `None` — and assembles the outcome.
     fn finish(self: Box<Self>, fed: &mut Federation, wave: Option<usize>) -> EngineOutcome;
-}
-
-/// The poll-resumable kernel loop: the event queue plus the fired-event
-/// trace, stepped one event at a time.
-///
-/// [`crate::service::RunState`] owns one and is the only thing that steps
-/// it, so a blocking run, a daemon-hosted run and a resumed run execute
-/// literally the same loop.
-pub(crate) struct Kernel {
-    queue: EventQueue<Event>,
-    trace: Vec<EventRecord>,
-    seeded: bool,
-}
-
-impl Kernel {
-    /// An empty, unseeded kernel.
-    pub(crate) fn new() -> Kernel {
-        Kernel {
-            queue: EventQueue::new(),
-            trace: Vec::new(),
-            seeded: false,
-        }
-    }
-
-    /// Fires the next event: lazily seeds the queue on the first call,
-    /// then pops one event, records it in the trace, and hands it to the
-    /// policy (which may schedule follow-ups). Returns `None` when no live
-    /// events remain — the run is complete.
-    pub(crate) fn step(
-        &mut self,
-        fed: &mut Federation,
-        policy: &mut dyn EventPolicy,
-    ) -> Option<EventRecord> {
-        if !self.seeded {
-            self.seeded = true;
-            policy.seed(fed, &mut self.queue);
-        }
-        let (at, event) = self.queue.pop()?;
-        let record = EventRecord { at, event };
-        self.trace.push(record);
-        policy.handle(fed, &mut self.queue, at, event);
-        Some(record)
-    }
-
-    /// The events fired so far, in firing order.
-    pub(crate) fn trace(&self) -> &[EventRecord] {
-        &self.trace
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -12,8 +12,8 @@ use super::membership::{self, Members};
 use super::{final_merge, last_local, topology, EngineOutcome};
 use crate::cluster::ClusterRoundRecord;
 use crate::events::{Event, EventPolicy};
+use crate::experiment::ExperimentConfig;
 use crate::federation::Federation;
-use crate::scoring::ScorerKind;
 use crate::sharding::ShardTopology;
 use crate::step::{commit_train_effects, compute_train, prepare_train, Engine};
 
@@ -67,30 +67,26 @@ pub(crate) struct AsyncPolicy {
 }
 
 impl AsyncPolicy {
-    /// Builds the no-barrier policy for `fed`: asserts the contract mode
-    /// and scorer compatibility, filters the shard topology, derives the
-    /// virtual-time seal cadence, and skews each cluster's starting clock
-    /// per the fault plan. The returned policy is inert until the kernel
-    /// calls [`EventPolicy::seed`].
+    /// Builds the no-barrier policy for `fed`, assembled from `config`:
+    /// asserts the contract mode and scorer compatibility, filters the
+    /// shard topology, derives the virtual-time seal cadence, and skews
+    /// each cluster's starting clock per the fault plan. The returned
+    /// policy is inert until the first step calls [`EventPolicy::seed`].
     ///
     /// # Panics
     ///
     /// Panics if the federation's contract is not in Async mode, or the
     /// scorer requires full-round visibility (MultiKRUM — Table 3 forbids
     /// it here).
-    pub(crate) fn new(
-        fed: &Federation,
-        workload: &WorkloadConfig,
-        scorer: ScorerKind,
-        engine: Engine,
-    ) -> AsyncPolicy {
+    pub(crate) fn new(fed: &Federation, config: &ExperimentConfig) -> AsyncPolicy {
+        let workload = &config.workload;
         assert_eq!(
             fed.contract().mode(),
             OrchestrationMode::Async,
             "async engine needs an async-mode contract"
         );
         assert!(
-            !scorer.requires_full_round(),
+            !config.scorer.requires_full_round(),
             "async mode does not support weight-similarity scoring (Table 3)"
         );
         let n = fed.clusters.len();
@@ -136,7 +132,7 @@ impl AsyncPolicy {
             .collect();
         AsyncPolicy {
             workload: workload.clone(),
-            engine,
+            engine: config.engine,
             rounds: workload.rounds as u64,
             n,
             setup_done: fed.setup_done,

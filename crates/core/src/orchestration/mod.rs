@@ -51,14 +51,13 @@ mod tests;
 mod topology;
 
 use unifyfl_chain::orchestrator::OrchestrationMode;
-use unifyfl_data::WorkloadConfig;
 use unifyfl_fl::fanout;
 use unifyfl_sim::SimTime;
 
 use crate::cluster::ClusterRoundRecord;
 use crate::events::EventPolicy;
+use crate::experiment::ExperimentConfig;
 use crate::federation::Federation;
-use crate::scoring::ScorerKind;
 use crate::step::{compute_all, merge_eval, prepare_train, Engine, TrainInputs};
 
 use async_policy::AsyncPolicy;
@@ -218,20 +217,10 @@ fn mean_f64(mut init: Vec<f64>, peers: &[Vec<f32>], count: usize) -> Vec<f32> {
 /// the constructors' mode and scorer asserts restate invariants.
 pub(crate) fn policy_for(
     fed: &Federation,
-    mode: Mode,
-    workload: &WorkloadConfig,
-    scorer: ScorerKind,
-    window_margin: f64,
-    engine: Engine,
+    config: &ExperimentConfig,
 ) -> Box<dyn EventPolicy + Send> {
-    match mode {
-        Mode::Sync => Box::new(SyncPolicy::new(
-            fed,
-            workload,
-            scorer,
-            window_margin,
-            engine,
-        )),
-        Mode::Async => Box::new(AsyncPolicy::new(fed, workload, scorer, engine)),
+    match config.mode {
+        Mode::Sync => Box::new(SyncPolicy::new(fed, config)),
+        Mode::Async => Box::new(AsyncPolicy::new(fed, config)),
     }
 }

@@ -13,6 +13,7 @@ use super::membership::{self, Members};
 use super::{final_merge, last_local, topology, EngineOutcome};
 use crate::cluster::{ClusterNode, ClusterRoundRecord};
 use crate::events::{Event, EventPolicy};
+use crate::experiment::ExperimentConfig;
 use crate::federation::Federation;
 use crate::scoring::{krum_assumed_byzantine, multikrum_scores, ScorerKind};
 use crate::sharding::ShardTopology;
@@ -76,22 +77,17 @@ pub(crate) struct SyncPolicy {
 }
 
 impl SyncPolicy {
-    /// Builds the barrier policy for `fed`: asserts the contract mode,
-    /// filters the shard topology, sizes the phase windows from the
-    /// nominal cost models × `window_margin`, and seeds the membership
-    /// bookkeeping. The returned policy is inert until the kernel calls
-    /// [`EventPolicy::seed`].
+    /// Builds the barrier policy for `fed`, assembled from `config`:
+    /// asserts the contract mode, filters the shard topology, sizes the
+    /// phase windows from the nominal cost models × `window_margin`, and
+    /// seeds the membership bookkeeping. The returned policy is inert until
+    /// the first step calls [`EventPolicy::seed`].
     ///
     /// # Panics
     ///
     /// Panics if the federation was built with the wrong contract mode.
-    pub(crate) fn new(
-        fed: &Federation,
-        workload: &WorkloadConfig,
-        scorer: ScorerKind,
-        window_margin: f64,
-        engine: Engine,
-    ) -> SyncPolicy {
+    pub(crate) fn new(fed: &Federation, config: &ExperimentConfig) -> SyncPolicy {
+        let workload = &config.workload;
         assert_eq!(
             fed.contract().mode(),
             OrchestrationMode::Sync,
@@ -112,7 +108,7 @@ impl SyncPolicy {
         let window = |phase: &dyn Fn(&ClusterNode) -> SimDuration| {
             let worst = fed.clusters.iter().map(phase).max();
             let worst = worst.expect("at least one cluster");
-            SimDuration::from_secs_f64(worst.as_secs_f64() * window_margin)
+            SimDuration::from_secs_f64(worst.as_secs_f64() * config.window_margin)
         };
         let training_window = window(&|c| {
             let train = nominal(c, c.train_duration(workload.local_epochs));
@@ -123,8 +119,8 @@ impl SyncPolicy {
 
         SyncPolicy {
             workload: workload.clone(),
-            scorer,
-            engine,
+            scorer: config.scorer,
+            engine: config.engine,
             rounds: workload.rounds as u64,
             n,
             training_window,

@@ -7,9 +7,10 @@ use crate::cluster::ClusterConfig;
 use crate::events::{Event, EventRecord};
 use crate::experiment::{ExperimentConfig, ExperimentError, ExperimentReport};
 use crate::policy::AggregationPolicy;
+use crate::scoring::ScorerKind;
 use crate::service::RunState;
 use crate::sharding::ShardConfig;
-use unifyfl_data::SyntheticConfig;
+use unifyfl_data::{SyntheticConfig, WorkloadConfig};
 use unifyfl_sim::{DeviceProfile, SimDuration};
 use unifyfl_tensor::zoo::ModelSpec;
 

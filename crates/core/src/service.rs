@@ -13,16 +13,23 @@
 //!   that, up to [`ServiceConfig::queue_depth`] wait in a FIFO; past
 //!   *that*, submission fails fast with [`ServiceError::Saturated`] so a
 //!   flooded service sheds load instead of buffering unboundedly.
-//! - **poll** — each run is a [`RunState`]: the poll-resumable event
-//!   kernel ([`crate::events`]) plus the engine policy for the run's mode.
-//!   Workers pull the admitted run with the *lowest virtual time* from a
-//!   shared [`EventQueue`] scheduler, step it a bounded slice of events,
-//!   and put it back — cooperative multitasking over virtual time, so no
-//!   run can starve the pool.
+//! - **poll** — each run is a [`RunState`]: the engine policy for the
+//!   run's mode over its own event queue ([`crate::events`]), stepped one
+//!   event at a time. Workers pull the admitted run with the *lowest
+//!   virtual time* from a shared [`EventQueue`] scheduler, step it a
+//!   bounded slice of events, and put it back — cooperative multitasking
+//!   over virtual time, so no run can starve the pool.
 //! - **effects outlet** — finished runs resolve their [`RunHandle`] with a
 //!   [`RunOutcome`]: the report, a resumable checkpoint, or a captured
 //!   failure. A panicking run is contained to its own slice and reported
 //!   as [`RunOutcome::Failed`]; it never takes the service down.
+//!
+//! A run's whole life in the service — admit, lease, settle, interrupt,
+//! complete — is one state machine behind one mutex, with no lock, condvar
+//! or thread inside its transitions; the inlet, the workers and the stop
+//! calls only lock, call one transition and signal. A fresh submission is
+//! a checkpoint with an empty trace, so every run is built by
+//! [`RunState::resume`].
 //!
 //! # Determinism and isolation
 //!
@@ -47,13 +54,14 @@
 //! reports byte-identical to uninterrupted runs.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::ControlFlow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use unifyfl_sim::{EventQueue, SimTime};
 
-use crate::events::{self, EventPolicy, EventRecord, Kernel, TraceDecodeError};
+use crate::events::{self, Event, EventPolicy, EventRecord, TraceDecodeError};
 use crate::experiment::{self, ExperimentConfig, ExperimentError, ExperimentReport};
 use crate::federation::Federation;
 use crate::orchestration::policy_for;
@@ -62,15 +70,21 @@ use crate::orchestration::policy_for;
 ///
 /// This is the poll-resumable form of [`experiment::run_experiment`]: the
 /// assembled [`Federation`], the engine policy for the configured mode,
-/// and the event kernel, advanced one fired event per [`RunState::step`].
-/// The blocking entry point is literally `RunState::new(..)?.run_to_completion()`,
-/// so a stepped run and a batch run execute the same code and produce
+/// and the event queue the policy schedules into, advanced one fired event
+/// per [`RunState::step`]. It is the only thing that drains an event queue:
+/// the blocking entry point is literally
+/// `RunState::new(..)?.run_to_completion()`, so a stepped, a batch, a
+/// daemon-hosted and a resumed run execute the same loop and produce
 /// byte-identical reports by construction.
 pub struct RunState {
     config: ExperimentConfig,
     fed: Federation,
     policy: Box<dyn EventPolicy + Send>,
-    kernel: Kernel,
+    queue: EventQueue<Event>,
+    trace: Vec<EventRecord>,
+    /// Whether the policy has scheduled its initial events (on the first
+    /// step).
+    seeded: bool,
 }
 
 impl RunState {
@@ -82,19 +96,14 @@ impl RunState {
     /// Returns [`ExperimentError`] if the configuration is invalid.
     pub fn new(config: &ExperimentConfig) -> Result<RunState, ExperimentError> {
         let fed = Federation::assemble(config)?;
-        let policy = policy_for(
-            &fed,
-            config.mode,
-            &config.workload,
-            config.scorer,
-            config.window_margin,
-            config.engine,
-        );
+        let policy = policy_for(&fed, config);
         Ok(RunState {
             config: config.clone(),
             fed,
             policy,
-            kernel: Kernel::new(),
+            queue: EventQueue::new(),
+            trace: Vec::new(),
+            seeded: false,
         })
     }
 
@@ -124,10 +133,21 @@ impl RunState {
         Ok(state)
     }
 
-    /// Fires the next event and returns its record, or `None` when the run
-    /// has no live events left (it is complete).
+    /// Fires the next event: seeds the queue on the first call, then pops
+    /// one event, records it in the trace, and hands it to the policy
+    /// (which may schedule follow-ups). Returns the event's record, or
+    /// `None` when the run has no live events left (it is complete).
     pub fn step(&mut self) -> Option<EventRecord> {
-        self.kernel.step(&mut self.fed, self.policy.as_mut())
+        if !self.seeded {
+            self.seeded = true;
+            self.policy.seed(&mut self.fed, &mut self.queue);
+        }
+        let (at, event) = self.queue.pop()?;
+        let record = EventRecord { at, event };
+        self.trace.push(record);
+        self.policy
+            .handle(&mut self.fed, &mut self.queue, at, event);
+        Some(record)
     }
 
     /// The configuration this run was built from.
@@ -142,18 +162,14 @@ impl RunState {
 
     /// The events fired so far, in firing order.
     pub fn trace(&self) -> &[EventRecord] {
-        self.kernel.trace()
+        &self.trace
     }
 
     /// The virtual instant of the most recently fired event (`t = 0`
     /// before any event fires). The service scheduler uses this to always
     /// step the furthest-behind run next.
     pub fn virtual_now(&self) -> SimTime {
-        self.kernel
-            .trace()
-            .last()
-            .map(|r| r.at)
-            .unwrap_or(SimTime::ZERO)
+        self.trace.last().map_or(SimTime::ZERO, |r| r.at)
     }
 
     /// Snapshots the run as its configuration plus fired-event trace —
@@ -162,7 +178,7 @@ impl RunState {
     pub fn checkpoint(&self) -> RunCheckpoint {
         RunCheckpoint {
             config: self.config.clone(),
-            trace: self.kernel.trace().to_vec(),
+            trace: self.trace.clone(),
         }
     }
 
@@ -205,7 +221,7 @@ impl std::fmt::Debug for RunState {
         f.debug_struct("RunState")
             .field("label", &self.config.label)
             .field("seed", &self.config.seed)
-            .field("events_fired", &self.kernel.trace().len())
+            .field("events_fired", &self.trace.len())
             .field("virtual_now", &self.virtual_now())
             .finish_non_exhaustive()
     }
@@ -451,9 +467,7 @@ impl RunHandle {
     pub fn wait(&self) -> RunOutcome {
         let mut st = lock(&self.shared.state);
         loop {
-            if let RunPhase::Done(outcome) =
-                &st.slots.get(&self.id).expect("handle has a slot").phase
-            {
+            if let RunPhase::Done(outcome) = &st.slots[&self.id] {
                 return outcome.clone();
             }
             st = wait_on(&self.shared.done, st);
@@ -467,55 +481,158 @@ impl std::fmt::Debug for RunHandle {
     }
 }
 
-/// Where a run came from: a fresh submission or a checkpoint. Kept so an
-/// unstarted run can still be checkpointed at shutdown (a fresh run's
-/// snapshot is just its config with an empty trace).
-#[derive(Clone)]
-enum RunSource {
-    Fresh(ExperimentConfig),
-    Resumed(RunCheckpoint),
-}
-
-fn source_checkpoint(source: &RunSource) -> RunCheckpoint {
-    match source {
-        RunSource::Fresh(config) => RunCheckpoint {
-            config: config.clone(),
-            trace: Vec::new(),
-        },
-        RunSource::Resumed(checkpoint) => checkpoint.clone(),
-    }
-}
-
 /// A run's position in the service lifecycle.
 enum RunPhase {
-    /// Admitted or queued; the `RunState` has not been built yet.
-    Waiting,
+    /// Admitted or queued and not built yet: the checkpoint it starts from
+    /// (a fresh submission's trace is empty).
+    Waiting(Box<RunCheckpoint>),
     /// Built and parked between slices.
     Ready(Box<RunState>),
-    /// A worker holds the `RunState` and is stepping it.
+    /// A worker holds the run and is stepping it.
     Leased,
     /// Ended; the outcome is ready for the handle.
     Done(RunOutcome),
 }
 
-struct Slot {
-    source: RunSource,
-    phase: RunPhase,
-}
-
-/// Mutable service state, guarded by [`Shared::state`].
+/// The service's one state machine, guarded by [`Shared::state`]: every
+/// change to a run's [`RunPhase`] and to the admission bookkeeping is one
+/// of its methods, none of which locks, waits or signals.
 struct ServiceState {
-    slots: BTreeMap<RunId, Slot>,
+    max_in_flight: usize,
+    queue_depth: usize,
+    /// Every admitted run by id, ids dealt in admission order.
+    slots: BTreeMap<RunId, RunPhase>,
     /// Admitted runs ready for a worker, ordered by virtual time (keyed
     /// by run id for deterministic ties) — the shared cross-run scheduler.
     scheduler: EventQueue<RunId>,
-    /// Submissions waiting for an in-flight slot, FIFO.
+    /// Submissions waiting for an in-flight slot, FIFO; never non-empty
+    /// while a slot is free.
     queued: VecDeque<RunId>,
     /// Admitted-but-not-done runs (never exceeds `max_in_flight`).
     in_flight: usize,
-    next_id: u64,
     shutting_down: bool,
     halting: bool,
+}
+
+impl ServiceState {
+    fn new(config: &ServiceConfig) -> ServiceState {
+        ServiceState {
+            max_in_flight: config.max_in_flight,
+            queue_depth: config.queue_depth,
+            slots: BTreeMap::new(),
+            scheduler: EventQueue::new(),
+            queued: VecDeque::new(),
+            in_flight: 0,
+            shutting_down: false,
+            halting: false,
+        }
+    }
+
+    fn phase(&mut self, id: RunId) -> &mut RunPhase {
+        self.slots
+            .get_mut(&id)
+            .expect("every admitted run has a slot")
+    }
+
+    /// Admits a run: into a free in-flight slot, else to the back of the
+    /// queue, else a typed rejection.
+    fn admit(&mut self, checkpoint: RunCheckpoint) -> Result<RunId, ServiceError> {
+        if self.shutting_down {
+            return Err(ServiceError::ShuttingDown);
+        }
+        if self.in_flight >= self.max_in_flight && self.queued.len() >= self.queue_depth {
+            return Err(ServiceError::Saturated {
+                max_in_flight: self.max_in_flight,
+                queue_depth: self.queue_depth,
+            });
+        }
+        let id = RunId(self.slots.len() as u64);
+        self.slots
+            .insert(id, RunPhase::Waiting(Box::new(checkpoint)));
+        if self.in_flight < self.max_in_flight {
+            self.in_flight += 1;
+            self.scheduler.schedule_keyed(SimTime::ZERO, id.0, id);
+        } else {
+            self.queued.push_back(id);
+        }
+        Ok(id)
+    }
+
+    /// Hands the lowest-virtual-time run to a worker: its phase (parked
+    /// or unbuilt) leaves the table until the worker settles the slice.
+    fn lease(&mut self) -> Option<(RunId, RunPhase)> {
+        let (_, id) = self.scheduler.pop()?;
+        Some((id, std::mem::replace(self.phase(id), RunPhase::Leased)))
+    }
+
+    /// Takes a slice back from its worker: a finished run completes; one
+    /// still going is parked at its virtual time, or interrupted if the
+    /// service is halting. Returns whether the run ended.
+    fn settle(&mut self, id: RunId, slice: ControlFlow<RunOutcome, Box<RunState>>) -> bool {
+        match slice {
+            ControlFlow::Break(outcome) => self.complete(id, outcome),
+            ControlFlow::Continue(state) => {
+                let at = state.virtual_now();
+                *self.phase(id) = RunPhase::Ready(state);
+                if !self.halting {
+                    self.scheduler.schedule_keyed(at, id.0, id);
+                    return false;
+                }
+                self.interrupt(id);
+            }
+        }
+        true
+    }
+
+    /// Ends an unbuilt or parked run as the checkpoint of its progress; a
+    /// leased run is left to its worker and an ended one as it is.
+    fn interrupt(&mut self, id: RunId) {
+        let checkpoint = match std::mem::replace(self.phase(id), RunPhase::Leased) {
+            RunPhase::Waiting(checkpoint) => checkpoint,
+            RunPhase::Ready(state) => Box::new(state.checkpoint()),
+            other => {
+                *self.phase(id) = other;
+                return;
+            }
+        };
+        self.complete(id, RunOutcome::Interrupted(checkpoint));
+    }
+
+    /// Interrupts every run no worker holds. Only a stopped service does
+    /// this and it admits nothing more, so the queue joins the runs in
+    /// flight first.
+    fn interrupt_all(&mut self) {
+        self.in_flight += std::mem::take(&mut self.queued).len();
+        let ids: Vec<RunId> = self.slots.keys().copied().collect();
+        for id in ids {
+            self.interrupt(id);
+        }
+        self.scheduler.clear();
+    }
+
+    /// Ends a run and hands its in-flight slot to the queue head.
+    fn complete(&mut self, id: RunId, outcome: RunOutcome) {
+        *self.phase(id) = RunPhase::Done(outcome);
+        match self.queued.pop_front() {
+            Some(next) => self.scheduler.schedule_keyed(SimTime::ZERO, next.0, next),
+            None => self.in_flight -= 1,
+        }
+    }
+
+    /// Closes the inlet; a halt also interrupts every run no worker holds
+    /// (a leased one when its slice settles).
+    fn stop(&mut self, halting: bool) {
+        self.shutting_down = true;
+        if halting {
+            self.halting = true;
+            self.interrupt_all();
+        }
+    }
+
+    /// Stopped with nothing in flight (so nothing queued): workers exit.
+    fn drained(&self) -> bool {
+        self.shutting_down && self.in_flight == 0
+    }
 }
 
 struct Shared {
@@ -561,15 +678,7 @@ impl ExperimentService {
     pub fn start(config: ServiceConfig) -> Result<ExperimentService, ServiceError> {
         config.validate()?;
         let shared = Arc::new(Shared {
-            state: Mutex::new(ServiceState {
-                slots: BTreeMap::new(),
-                scheduler: EventQueue::new(),
-                queued: VecDeque::new(),
-                in_flight: 0,
-                next_id: 0,
-                shutting_down: false,
-                halting: false,
-            }),
+            state: Mutex::new(ServiceState::new(&config)),
             work_ready: Condvar::new(),
             done: Condvar::new(),
         });
@@ -604,11 +713,14 @@ impl ExperimentService {
     /// past the backpressure bound; [`ServiceError::ShuttingDown`] after
     /// [`ExperimentService::shutdown`] / [`ExperimentService::halt`].
     pub fn submit(&self, config: ExperimentConfig) -> Result<RunHandle, ServiceError> {
-        config.validate().map_err(ServiceError::Invalid)?;
-        self.admit(RunSource::Fresh(config))
+        self.resume(RunCheckpoint {
+            config,
+            trace: Vec::new(),
+        })
     }
 
-    /// Submits a checkpointed run to be resumed and completed.
+    /// Submits a checkpointed run to be resumed and completed; a
+    /// checkpoint with an empty trace is a fresh submission.
     ///
     /// # Errors
     ///
@@ -621,36 +733,8 @@ impl ExperimentService {
             .config
             .validate()
             .map_err(ServiceError::Invalid)?;
-        self.admit(RunSource::Resumed(checkpoint))
-    }
-
-    fn admit(&self, source: RunSource) -> Result<RunHandle, ServiceError> {
-        let mut st = lock(&self.shared.state);
-        if st.shutting_down {
-            return Err(ServiceError::ShuttingDown);
-        }
-        if st.in_flight >= self.config.max_in_flight && st.queued.len() >= self.config.queue_depth {
-            return Err(ServiceError::Saturated {
-                max_in_flight: self.config.max_in_flight,
-                queue_depth: self.config.queue_depth,
-            });
-        }
-        let id = RunId(st.next_id);
-        st.next_id += 1;
-        st.slots.insert(
-            id,
-            Slot {
-                source,
-                phase: RunPhase::Waiting,
-            },
-        );
-        if st.in_flight < self.config.max_in_flight {
-            st.in_flight += 1;
-            st.scheduler.schedule_keyed(SimTime::ZERO, id.0, id);
-            self.shared.work_ready.notify_one();
-        } else {
-            st.queued.push_back(id);
-        }
+        let id = lock(&self.shared.state).admit(checkpoint)?;
+        self.shared.work_ready.notify_one();
         Ok(RunHandle {
             id,
             shared: Arc::clone(&self.shared),
@@ -675,29 +759,25 @@ impl ExperimentService {
     }
 
     fn stop(&self, halting: bool) -> Vec<(RunId, RunOutcome)> {
-        {
-            let mut st = lock(&self.shared.state);
-            st.shutting_down = true;
-            st.halting |= halting;
-            self.shared.work_ready.notify_all();
-        }
+        lock(&self.shared.state).stop(halting);
+        self.shared.work_ready.notify_all();
+        self.shared.done.notify_all();
         // The worker list stays locked until every worker is joined, so a
         // concurrent second stop waits for the first drain to finish.
         let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
         for worker in workers.drain(..) {
             let _ = worker.join();
         }
+        // Nothing steps a run any more (a paused service's runs end here),
+        // and a worker holds a run only inside its panic-contained slice.
         let mut st = lock(&self.shared.state);
-        // Nothing steps a run any more: checkpoint whatever has not ended
-        // (every run of a paused service, or a run a dead worker left
-        // leased) rather than leaving its handle waiting forever.
-        interrupt_pending(&mut st);
+        st.interrupt_all();
         self.shared.done.notify_all();
         st.slots
             .iter()
-            .map(|(id, slot)| match &slot.phase {
+            .map(|(id, phase)| match phase {
                 RunPhase::Done(outcome) => (*id, outcome.clone()),
-                _ => unreachable!("interrupt_pending resolves every phase"),
+                _ => unreachable!("a joined worker holds no run"),
             })
             .collect()
     }
@@ -719,60 +799,29 @@ impl std::fmt::Debug for ExperimentService {
     }
 }
 
-/// Checkpoints every run that has not ended and clears the scheduler —
-/// used once the workers are joined and nothing will ever step them.
-fn interrupt_pending(st: &mut ServiceState) {
-    st.scheduler.clear();
-    st.queued.clear();
-    st.in_flight = 0;
-    for slot in st.slots.values_mut() {
-        if matches!(slot.phase, RunPhase::Done(_)) {
-            continue;
-        }
-        let checkpoint = match std::mem::replace(&mut slot.phase, RunPhase::Leased) {
-            RunPhase::Ready(state) => state.checkpoint(),
-            _ => source_checkpoint(&slot.source),
-        };
-        slot.phase = RunPhase::Done(RunOutcome::Interrupted(Box::new(checkpoint)));
-    }
-}
-
-/// What a worker carries out of the lock for one slice.
-enum Job {
-    Build(Box<RunSource>),
-    Step(Box<RunState>),
-}
-
-/// What came back from one unlocked slice.
-enum SliceResult {
-    Finished(RunOutcome),
-    InProgress(Box<RunState>),
-}
-
-fn run_slice(job: Job, slice_events: usize) -> SliceResult {
+/// Steps a leased run one bounded slice outside the lock, building it
+/// first if it is unbuilt: `Continue` with the run still going, or `Break`
+/// with how it ended.
+fn run_slice(job: RunPhase, slice_events: usize) -> ControlFlow<RunOutcome, Box<RunState>> {
     let mut state = match job {
-        Job::Step(state) => state,
-        Job::Build(source) => {
-            let built = match *source {
-                RunSource::Fresh(config) => RunState::new(&config).map_err(|e| e.to_string()),
-                RunSource::Resumed(checkpoint) => {
-                    RunState::resume(&checkpoint).map_err(|e| e.to_string())
-                }
-            };
-            match built {
-                Ok(state) => Box::new(state),
-                Err(err) => return SliceResult::Finished(RunOutcome::Failed(err)),
+        RunPhase::Ready(state) => state,
+        // A fresh submission fails with its configuration error's own text.
+        RunPhase::Waiting(checkpoint) => match RunState::resume(&checkpoint) {
+            Ok(state) => Box::new(state),
+            Err(ResumeError::Invalid(err)) if checkpoint.trace.is_empty() => {
+                return ControlFlow::Break(RunOutcome::Failed(err.to_string()))
             }
-        }
+            Err(err) => return ControlFlow::Break(RunOutcome::Failed(err.to_string())),
+        },
+        _ => unreachable!("only unbuilt and parked runs are scheduled"),
     };
     for _ in 0..slice_events {
         if state.step().is_none() {
-            return SliceResult::Finished(RunOutcome::Completed(Box::new(
-                state.run_to_completion(),
-            )));
+            let report = state.run_to_completion();
+            return ControlFlow::Break(RunOutcome::Completed(Box::new(report)));
         }
     }
-    SliceResult::InProgress(state)
+    ControlFlow::Continue(state)
 }
 
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -785,103 +834,27 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Marks a run done, promotes the next queued submission into the freed
-/// in-flight slot, and wakes both the pool and any waiting handles.
-fn finish_run(st: &mut ServiceState, shared: &Shared, id: RunId, outcome: RunOutcome) {
-    let slot = st.slots.get_mut(&id).expect("finished run has a slot");
-    slot.phase = RunPhase::Done(outcome);
-    st.in_flight = st.in_flight.saturating_sub(1);
-    if let Some(next) = st.queued.pop_front() {
-        st.in_flight += 1;
-        st.scheduler.schedule_keyed(SimTime::ZERO, next.0, next);
-    }
-    shared.work_ready.notify_all();
-    shared.done.notify_all();
-}
-
 fn worker_loop(shared: &Shared, slice_events: usize) {
     let mut st = lock(&shared.state);
     loop {
-        // Inlet side of the loop: wait for the lowest-virtual-time run.
-        let id = loop {
-            if let Some((_, id)) = st.scheduler.pop() {
-                break id;
-            }
-            if st.shutting_down && st.in_flight == 0 && st.queued.is_empty() {
+        let Some((id, job)) = st.lease() else {
+            if st.drained() {
                 return;
             }
             st = wait_on(&shared.work_ready, st);
-        };
-        let halting = st.halting;
-        let slot = st.slots.get_mut(&id).expect("scheduled run has a slot");
-        let job = match std::mem::replace(&mut slot.phase, RunPhase::Leased) {
-            RunPhase::Ready(state) => {
-                if halting {
-                    let checkpoint = state.checkpoint();
-                    finish_run(
-                        &mut st,
-                        shared,
-                        id,
-                        RunOutcome::Interrupted(Box::new(checkpoint)),
-                    );
-                    continue;
-                }
-                Job::Step(state)
-            }
-            RunPhase::Waiting => {
-                if halting {
-                    let checkpoint = source_checkpoint(&slot.source);
-                    finish_run(
-                        &mut st,
-                        shared,
-                        id,
-                        RunOutcome::Interrupted(Box::new(checkpoint)),
-                    );
-                    continue;
-                }
-                Job::Build(Box::new(slot.source.clone()))
-            }
-            other => {
-                // A stale schedule entry for an already-resolved run.
-                slot.phase = other;
-                continue;
-            }
+            continue;
         };
         drop(st);
-
-        // Poll side: step one bounded slice outside the lock, containing
-        // any panic to this run.
-        let result = catch_unwind(AssertUnwindSafe(|| run_slice(job, slice_events)));
-
-        // Effects side: resolve, park-and-reschedule, or checkpoint.
+        let slice = catch_unwind(AssertUnwindSafe(|| run_slice(job, slice_events)))
+            .unwrap_or_else(|panic| ControlFlow::Break(RunOutcome::Failed(panic_message(panic))));
         st = lock(&shared.state);
-        match result {
-            Err(payload) => {
-                finish_run(
-                    &mut st,
-                    shared,
-                    id,
-                    RunOutcome::Failed(panic_message(payload)),
-                );
-            }
-            Ok(SliceResult::Finished(outcome)) => finish_run(&mut st, shared, id, outcome),
-            Ok(SliceResult::InProgress(state)) => {
-                if st.halting {
-                    let checkpoint = state.checkpoint();
-                    finish_run(
-                        &mut st,
-                        shared,
-                        id,
-                        RunOutcome::Interrupted(Box::new(checkpoint)),
-                    );
-                } else {
-                    let at = state.virtual_now();
-                    st.slots.get_mut(&id).expect("leased run has a slot").phase =
-                        RunPhase::Ready(state);
-                    st.scheduler.schedule_keyed(at, id.0, id);
-                    shared.work_ready.notify_one();
-                }
-            }
+        // One waiter when a run is parked, everyone when one ends (a
+        // promoted run needs a worker; a drain needs the workers to look).
+        if st.settle(id, slice) {
+            shared.work_ready.notify_all();
+            shared.done.notify_all();
+        } else {
+            shared.work_ready.notify_one();
         }
     }
 }
