@@ -13,8 +13,8 @@
 //! - [`federation`] — the assembled system and chain-driving helpers,
 //!   including the [`federation::LinkModel`] link time model;
 //! - [`events`] — the discrete-event orchestration kernel: the typed
-//!   event vocabulary and the queue-draining machinery both engines are
-//!   policies over;
+//!   event vocabulary and the policy trait both engines implement (the
+//!   queue-draining loop is [`service::RunState::step`]);
 //! - [`orchestration`] — the Sync (barrier-event) and Async (no-barrier)
 //!   engine policies (Figures 5 & 6), including elastic membership;
 //! - [`sharding`] — the two-tier shard topology: seeded balanced shard

@@ -505,8 +505,8 @@ struct ServiceState {
     /// Admitted runs ready for a worker, ordered by virtual time (keyed
     /// by run id for deterministic ties) — the shared cross-run scheduler.
     scheduler: EventQueue<RunId>,
-    /// Submissions waiting for an in-flight slot, FIFO; never non-empty
-    /// while a slot is free.
+    /// Submissions waiting for an in-flight slot, FIFO; non-empty only
+    /// while every slot is taken.
     queued: VecDeque<RunId>,
     /// Admitted-but-not-done runs (never exceeds `max_in_flight`).
     in_flight: usize,
@@ -748,17 +748,19 @@ impl ExperimentService {
     /// [`RunOutcome::Interrupted`] instead — a drain never hangs and never
     /// panics.
     pub fn shutdown(&self) -> Vec<(RunId, RunOutcome)> {
-        self.stop(false)
+        self.stop(false);
+        self.outcomes()
     }
 
     /// Stops the inlet and interrupts: every run is checkpointed at its
     /// next slice boundary and reported as [`RunOutcome::Interrupted`].
     /// Returns every run's outcome in submission order.
     pub fn halt(&self) -> Vec<(RunId, RunOutcome)> {
-        self.stop(true)
+        self.stop(true);
+        self.outcomes()
     }
 
-    fn stop(&self, halting: bool) -> Vec<(RunId, RunOutcome)> {
+    fn stop(&self, halting: bool) {
         lock(&self.shared.state).stop(halting);
         self.shared.work_ready.notify_all();
         self.shared.done.notify_all();
@@ -768,15 +770,19 @@ impl ExperimentService {
         for worker in workers.drain(..) {
             let _ = worker.join();
         }
-        // Nothing steps a run any more (a paused service's runs end here),
-        // and a worker holds a run only inside its panic-contained slice.
-        let mut st = lock(&self.shared.state);
-        st.interrupt_all();
+        // Nothing steps a run any more: a paused service's runs end here.
+        lock(&self.shared.state).interrupt_all();
         self.shared.done.notify_all();
+    }
+
+    /// Every run's outcome, once stopped.
+    fn outcomes(&self) -> Vec<(RunId, RunOutcome)> {
+        let st = lock(&self.shared.state);
         st.slots
             .iter()
             .map(|(id, phase)| match phase {
                 RunPhase::Done(outcome) => (*id, outcome.clone()),
+                // A worker holds a run only inside its panic-contained slice.
                 _ => unreachable!("a joined worker holds no run"),
             })
             .collect()
@@ -954,86 +960,112 @@ mod tests {
         assert!(outcomes.iter().all(|(_, o)| o.is_completed()));
     }
 
+    /// The transitions driven from one seeded thread. Per seed: draw the
+    /// bounds, then random steps — submit, resume an interrupted
+    /// checkpoint, lease to one of three simulated workers, settle a held
+    /// lease after a slice of 1–5 events, shut down or halt — holding the
+    /// admission bounds after every step. Every admitted run ends exactly
+    /// once, a stopped service drains within the step budget, and every
+    /// outcome is (or resumes to) its solo run's report.
     #[test]
-    fn saturation_is_a_typed_rejection_and_shutdown_flags_partials() {
-        // Paused pool: admissions park deterministically.
-        let service = ExperimentService::start(ServiceConfig {
-            max_in_flight: 1,
-            queue_depth: 2,
-            worker_threads: 0,
-            slice_events: 1,
-        })
-        .expect("valid service config");
-        for i in 0..3 {
-            service.submit(tiny(i)).expect("within bounds");
-        }
-        let err = service.submit(tiny(99)).expect_err("past the bound");
-        assert_eq!(
-            err,
-            ServiceError::Saturated {
-                max_in_flight: 1,
-                queue_depth: 2
+    fn seeded_transitions_end_every_run_once_as_its_solo_run() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        const BUDGET: usize = 800;
+        let solo: Vec<String> = (0..3)
+            .map(|seed| {
+                format!(
+                    "{:?}",
+                    RunState::new(&tiny(seed)).unwrap().run_to_completion()
+                )
+            })
+            .collect();
+        // Saturated, completed, drained, halted, resumed mid-run and completed.
+        let mut seen = [0usize; 5];
+        let mut checkpoints: Vec<RunCheckpoint> = Vec::new();
+        for seed in 0..24 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (max_in_flight, queue_depth) = (rng.gen_range(1..=3), rng.gen_range(0..=2));
+            let mut st = ServiceState::new(&ServiceConfig {
+                max_in_flight,
+                queue_depth,
+                ..ServiceConfig::default()
+            });
+            let mut workers: [Option<(RunId, RunPhase)>; 3] = Default::default();
+            let (mut seeds, mut resumed) = (Vec::new(), Vec::new());
+            for step in 0.. {
+                if st.drained() && workers.iter().all(Option::is_none) {
+                    break;
+                }
+                assert!(step < BUDGET, "seed {seed}: not drained in {BUDGET} steps");
+                let w = rng.gen_range(0..3);
+                match rng.gen_range(0..12) {
+                    0..=2 => {
+                        let pooled = rng.gen_bool(0.3) && !checkpoints.is_empty();
+                        let checkpoint = if pooled {
+                            checkpoints.pop().unwrap()
+                        } else {
+                            RunCheckpoint {
+                                config: tiny(rng.gen_range(0..3)),
+                                trace: Vec::new(),
+                            }
+                        };
+                        let full = st.in_flight >= max_in_flight && st.queued.len() >= queue_depth;
+                        match st.admit(checkpoint.clone()) {
+                            Ok(id) => {
+                                assert!(!full, "seed {seed}: {id} admitted past the bound");
+                                seeds.push(checkpoint.config.seed as usize);
+                                if !checkpoint.trace.is_empty() {
+                                    resumed.push(id);
+                                }
+                            }
+                            Err(err) => {
+                                let saturated = matches!(err, ServiceError::Saturated { .. });
+                                assert_eq!(saturated, !st.shutting_down, "seed {seed}: {err}");
+                                assert!(full || st.shutting_down, "seed {seed}: {err}");
+                                seen[0] += usize::from(saturated);
+                                if pooled {
+                                    checkpoints.push(checkpoint);
+                                }
+                            }
+                        }
+                    }
+                    3..=5 if workers[w].is_none() => workers[w] = st.lease(),
+                    6..=10 => {
+                        if let Some((id, job)) = workers[w].take() {
+                            st.settle(id, run_slice(job, rng.gen_range(1..=5)));
+                        }
+                    }
+                    11 if !st.shutting_down && (step > BUDGET / 2 || rng.gen_bool(0.2)) => {
+                        let halting = rng.gen_bool(0.5);
+                        st.stop(halting);
+                        seen[2 + usize::from(halting)] += 1;
+                    }
+                    _ => {}
+                }
+                assert!(st.in_flight <= max_in_flight, "seed {seed} step {step}");
+                assert!(st.queued.len() <= queue_depth, "seed {seed} step {step}");
             }
-        );
-        let outcomes = service.shutdown();
-        assert_eq!(outcomes.len(), 3);
-        for (_, outcome) in &outcomes {
-            let checkpoint = outcome.checkpoint().expect("interrupted, not lost");
-            assert_eq!(checkpoint.events_fired(), 0);
-        }
-        // The inlet stays closed afterwards.
-        assert_eq!(
-            service.submit(tiny(1)).expect_err("inlet closed"),
-            ServiceError::ShuttingDown
-        );
-    }
-
-    #[test]
-    fn invalid_submission_is_rejected_eagerly_without_consuming_capacity() {
-        let service = ExperimentService::start(ServiceConfig {
-            max_in_flight: 1,
-            queue_depth: 0,
-            worker_threads: 0,
-            slice_events: 1,
-        })
-        .expect("valid service config");
-        let mut lonely = tiny(1);
-        lonely.clusters.truncate(1);
-        let mut unpriced = tiny(1);
-        unpriced.workload.local_epochs = 0;
-        let mut unplugged = tiny(1);
-        unplugged.clusters[0].link = Some(unifyfl_storage::LinkProfile {
-            bandwidth_bps: 0.0,
-            ..unifyfl_storage::LinkProfile::wan()
-        });
-        for bad in [lonely, unpriced, unplugged] {
-            match service.submit(bad) {
-                Err(ServiceError::Invalid(_)) => {}
-                other => panic!("expected Invalid, got {other:?}"),
+            assert_eq!(st.slots.len(), seeds.len());
+            for (id, phase) in &st.slots {
+                let solo = &solo[seeds[id.0 as usize]];
+                let report = match phase {
+                    RunPhase::Done(RunOutcome::Completed(report)) => {
+                        seen[1] += 1;
+                        seen[4] += usize::from(resumed.contains(id));
+                        format!("{report:?}")
+                    }
+                    RunPhase::Done(RunOutcome::Interrupted(checkpoint)) => {
+                        checkpoints.push((**checkpoint).clone());
+                        let resumed = RunState::resume(checkpoint).unwrap();
+                        format!("{:?}", resumed.run_to_completion())
+                    }
+                    RunPhase::Done(RunOutcome::Failed(why)) => panic!("seed {seed}: {why}"),
+                    _ => panic!("seed {seed}: {id} never ended"),
+                };
+                assert_eq!(&report, solo, "seed {seed}: {id}");
             }
         }
-        // The slot the invalid submission did not consume is still free.
-        service.submit(tiny(2)).expect("capacity untouched");
-    }
-
-    #[test]
-    fn service_config_validation_names_the_offending_knob() {
-        let config = ServiceConfig {
-            max_in_flight: 0,
-            ..ServiceConfig::default()
-        };
-        assert_eq!(
-            ExperimentService::start(config).expect_err("rejected"),
-            ServiceError::InvalidService("max_in_flight")
-        );
-        let config = ServiceConfig {
-            slice_events: 0,
-            ..ServiceConfig::default()
-        };
-        assert_eq!(
-            config.validate().expect_err("rejected"),
-            ServiceError::InvalidService("slice_events")
-        );
+        assert!(seen.iter().all(|&n| n > 0), "{seen:?}");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use proptest::prelude::*;
 use unifyfl::core::experiment::{ExperimentBuilder, ExperimentConfig};
 use unifyfl::core::service::{ExperimentService, RunOutcome, ServiceConfig, ServiceError};
+use unifyfl::storage::LinkProfile;
 
 fn tiny(seed: u64) -> ExperimentConfig {
     ExperimentBuilder::quickstart()
@@ -191,13 +192,20 @@ fn invalid_submission_is_rejected_without_consuming_capacity() {
     let service = paused(1, 0);
     // One structural hole, then the knobs that used to pass admission and
     // abort on a worker (a `Failed` run that had held an in-flight slot).
-    let edits: [fn(&mut ExperimentConfig); 6] = [
+    let edits: [fn(&mut ExperimentConfig); 8] = [
         |c| c.clusters.truncate(1),
         |c| c.clusters[0].n_clients = 0,
         |c| c.workload.batch_size = 0,
         |c| c.workload.learning_rate = f32::NAN,
         |c| c.workload.learning_rate = f32::INFINITY,
         |c| c.workload.dataset.n_classes = 0,
+        |c| c.workload.local_epochs = 0,
+        |c| {
+            c.clusters[0].link = Some(LinkProfile {
+                bandwidth_bps: 0.0,
+                ..LinkProfile::wan()
+            })
+        },
     ];
     for (i, edit) in edits.into_iter().enumerate() {
         let mut broken = tiny(4);
