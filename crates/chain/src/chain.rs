@@ -1,5 +1,5 @@
-//! The blockchain node: block production, execution, validation and the
-//! event-log index.
+//! The blockchain node: block production, execution, validation and
+//! event-log queries.
 //!
 //! [`Blockchain`] composes the [`TxPool`], the [`Clique`] engine and the
 //! registered [`Contract`]s into the private chain the UnifyFL orchestrator
@@ -133,8 +133,6 @@ pub struct Blockchain {
     contracts: HashMap<Address, Box<dyn Contract>>,
     contract_order: Vec<Address>,
     pool: TxPool,
-    /// Flattened `(block_number, log)` index for subscriptions.
-    log_index: Vec<(u64, Log)>,
     /// Optional fault injector (missed seals, dropped transactions).
     faults: Option<ChainFaults>,
     /// Seal slots missed since the last successful seal; each pushes
@@ -143,9 +141,11 @@ pub struct Blockchain {
 }
 
 impl Blockchain {
-    /// Creates a chain with a genesis block sealed by convention at t=0.
-    pub fn new(config: CliqueConfig, signers: Vec<Address>) -> Self {
-        let clique = Clique::new(config, signers);
+    /// Creates a chain with a genesis block sealed by convention at t=0,
+    /// `signers` its fixed Clique signer set. `CliqueConfig` carries no
+    /// parameter today.
+    pub fn new(_config: CliqueConfig, signers: Vec<Address>) -> Self {
+        let clique = Clique::new(signers);
         let genesis = Block {
             header: BlockHeader {
                 parent_hash: H256::ZERO,
@@ -167,7 +167,6 @@ impl Blockchain {
             contracts: HashMap::new(),
             contract_order: Vec::new(),
             pool: TxPool::new(),
-            log_index: Vec::new(),
             faults: None,
             missed_slots: 0,
         }
@@ -357,7 +356,6 @@ impl Blockchain {
         let encoded: Vec<Vec<u8>> = txs.iter().map(Transaction::encode).collect();
 
         let mut receipts = Vec::with_capacity(txs.len());
-        let mut block_logs: Vec<Log> = Vec::new();
         let mut gas_used_total = 0u64;
 
         for (index, tx) in txs.iter().enumerate() {
@@ -388,9 +386,8 @@ impl Blockchain {
                 success,
                 gas_used,
                 error,
-                logs: logs.clone(),
+                logs,
             });
-            block_logs.extend(logs);
         }
 
         let header = BlockHeader {
@@ -409,11 +406,8 @@ impl Blockchain {
         };
 
         self.clique
-            .apply_seal(number, signer, difficulty, &[])
+            .apply_seal(number, signer, difficulty)
             .expect("seal verified above");
-        for log in block_logs {
-            self.log_index.push((number, log));
-        }
         self.receipts.push(receipts);
         self.blocks.push(block.clone());
         self.missed_slots = 0;
@@ -439,30 +433,23 @@ impl Blockchain {
     }
 
     /// Logs emitted in blocks `from_block..=head`, optionally filtered to an
-    /// event name (topic 0).
+    /// event name (topic 0), in block, transaction, log order — read from
+    /// the receipts, which hold the chain's one copy of every log.
     pub fn logs_since(&self, from_block: u64, event: Option<&str>) -> Vec<(u64, Log)> {
         let sig = event.map(crate::types::event_signature);
-        self.log_index
-            .iter()
-            .filter(|(n, _)| *n >= from_block)
-            .filter(|(_, log)| match &sig {
-                Some(s) => log.topics.first() == Some(s),
-                None => true,
-            })
-            .cloned()
+        let receipts = self.receipts.iter().skip(from_block as usize).flatten();
+        receipts
+            .flat_map(|r| r.logs.iter().map(move |log| (r.block_number, log)))
+            .filter(|(_, log)| sig.is_none() || log.topics.first() == sig.as_ref())
+            .map(|(n, log)| (n, log.clone()))
             .collect()
     }
 
     /// Verifies the full chain: linkage, seal validity replayed through a
     /// fresh engine, and tx roots. Returns the first offending height.
     pub fn verify(&self) -> Result<(), u64> {
-        let mut engine = Clique::new(
-            self.clique.config().clone(),
-            // Genesis signer set equals the current set only when no
-            // governance votes executed; experiments here never vote via
-            // blocks, so this replay is sound.
-            self.clique.signers().to_vec(),
-        );
+        // The signer set is fixed at genesis, so the current one replays it.
+        let mut engine = Clique::new(self.clique.signers().to_vec());
         for w in self.blocks.windows(2) {
             let (parent, child) = (&w[0], &w[1]);
             let n = child.number();
@@ -478,7 +465,7 @@ impl Blockchain {
                 return Err(n);
             }
             if engine
-                .apply_seal(n, child.header.signer, child.header.difficulty, &[])
+                .apply_seal(n, child.header.signer, child.header.difficulty)
                 .is_err()
             {
                 return Err(n);

@@ -10,13 +10,13 @@
 //!   difficulty 1 ([`DIFF_NO_TURN`]);
 //! - the **recently-signed** rule: a signer must wait `⌊n/2⌋ + 1` blocks
 //!   between seals, preventing a single authority from monopolizing the
-//!   chain;
-//! - **governance votes**: authorized signers may propose adding or dropping
-//!   a signer; a strict majority of the current set enacts the change;
-//! - **epoch checkpoints**: every [`CliqueConfig::epoch_length`] blocks the
-//!   vote tally resets (mirroring Clique's checkpoint blocks).
+//!   chain.
+//!
+//! The signer set is fixed at genesis: the consortium is the federation's
+//! founding organisations, and no block carries a governance vote (nor, so,
+//! an epoch checkpoint resetting a vote tally).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 use unifyfl_sim::SimDuration;
@@ -35,31 +35,13 @@ pub const DIFF_NO_TURN: u64 = 1;
 /// cycle, HBFL's per-round seal overhead) assume this one.
 pub const PERIOD: SimDuration = SimDuration::from_secs(5);
 
-/// Static Clique parameters.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CliqueConfig {
-    /// Blocks per epoch; vote tallies reset at epoch boundaries.
-    pub epoch_length: u64,
-}
-
-impl Default for CliqueConfig {
-    /// Geth's private-network default of 30 000-block epochs (the paper's
-    /// deployment uses Clique "to reduce resource utilization").
-    fn default() -> Self {
-        CliqueConfig {
-            epoch_length: 30_000,
-        }
-    }
-}
-
-/// A governance proposal to change the signer set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SignerVote {
-    /// Authorize a new signer.
-    Add(Address),
-    /// Deauthorize an existing signer.
-    Drop(Address),
-}
+/// Static Clique parameters: none today (the period is [`PERIOD`], the
+/// signer set is the chain's genesis set). Kept so a chain is still built
+/// from a config, and non-exhaustive so one can gain a field without
+/// breaking a caller that builds it with `default()`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct CliqueConfig {}
 
 /// Error returned when a seal violates the Clique rules.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,14 +76,10 @@ impl fmt::Display for SealError {
 
 impl std::error::Error for SealError {}
 
-/// The Clique consensus engine: signer set, vote tally and recent-seal
-/// history.
+/// The Clique consensus engine: signer set and recent-seal history.
 #[derive(Debug, Clone)]
 pub struct Clique {
-    config: CliqueConfig,
     signers: Vec<Address>,
-    /// (proposer, vote) pairs pending tally in the current epoch.
-    votes: HashMap<Address, Vec<(Address, bool)>>,
     /// Ring of the most recent sealers, newest last.
     recents: VecDeque<Address>,
 }
@@ -112,21 +90,14 @@ impl Clique {
     /// # Panics
     ///
     /// Panics if `signers` is empty.
-    pub fn new(config: CliqueConfig, mut signers: Vec<Address>) -> Self {
+    pub fn new(mut signers: Vec<Address>) -> Self {
         assert!(!signers.is_empty(), "clique requires at least one signer");
         signers.sort();
         signers.dedup();
         Clique {
-            config,
             signers,
-            votes: HashMap::new(),
             recents: VecDeque::new(),
         }
-    }
-
-    /// The engine parameters.
-    pub fn config(&self) -> &CliqueConfig {
-        &self.config
     }
 
     /// Current authorized signers, sorted.
@@ -182,8 +153,7 @@ impl Clique {
         Ok(())
     }
 
-    /// Records a successful seal of block `number` by `who`, applying any
-    /// pending votes carried in the block and handling epoch resets.
+    /// Records a successful seal of block `number` by `who`.
     ///
     /// # Errors
     ///
@@ -194,61 +164,13 @@ impl Clique {
         number: u64,
         who: Address,
         declared: u64,
-        votes: &[(Address, SignerVote)],
     ) -> Result<(), SealError> {
         self.verify_seal(number, who, declared)?;
-
-        // Epoch checkpoint: reset tallies.
-        if self.config.epoch_length > 0 && number.is_multiple_of(self.config.epoch_length) {
-            self.votes.clear();
-        }
-
-        for (proposer, vote) in votes {
-            self.cast_vote(*proposer, *vote);
-        }
-
         self.recents.push_back(who);
         while self.recents.len() > self.recency_window() {
             self.recents.pop_front();
         }
         Ok(())
-    }
-
-    /// Casts a governance vote from `proposer`; enacts the change when a
-    /// strict majority of the current set agrees. Votes from non-signers are
-    /// ignored.
-    fn cast_vote(&mut self, proposer: Address, vote: SignerVote) {
-        if !self.is_signer(proposer) {
-            return;
-        }
-        let (target, authorize) = match vote {
-            SignerVote::Add(a) => (a, true),
-            SignerVote::Drop(a) => (a, false),
-        };
-        // A vote to add an existing signer / drop a non-signer is moot.
-        if authorize == self.is_signer(target) {
-            return;
-        }
-        let tally = self.votes.entry(target).or_default();
-        // One live vote per proposer per target: replace.
-        tally.retain(|(p, _)| *p != proposer);
-        tally.push((proposer, authorize));
-
-        let yes = tally.iter().filter(|(_, a)| *a == authorize).count();
-        if yes > self.signers.len() / 2 {
-            if authorize {
-                self.signers.push(target);
-                self.signers.sort();
-            } else {
-                self.signers.retain(|s| *s != target);
-                self.recents.retain(|s| *s != target);
-            }
-            self.votes.remove(&target);
-            // Signer-set size changed; shrink the recency ring if needed.
-            while self.recents.len() > self.recency_window() {
-                self.recents.pop_front();
-            }
-        }
     }
 }
 
@@ -263,7 +185,7 @@ mod tests {
     }
 
     fn engine(n: usize) -> Clique {
-        Clique::new(CliqueConfig::default(), addrs(n))
+        Clique::new(addrs(n))
     }
 
     #[test]
@@ -298,14 +220,14 @@ mod tests {
     fn recently_signed_rule_enforced() {
         let mut e = engine(3); // window = ⌊3/2⌋ = 1
         let s = e.signers().to_vec();
-        e.apply_seal(0, s[0], DIFF_IN_TURN, &[]).unwrap();
+        e.apply_seal(0, s[0], DIFF_IN_TURN).unwrap();
         // s0 cannot sign again immediately.
         assert_eq!(
             e.verify_seal(1, s[0], DIFF_NO_TURN),
             Err(SealError::SignedRecently(s[0]))
         );
-        e.apply_seal(1, s[1], DIFF_IN_TURN, &[]).unwrap();
-        e.apply_seal(2, s[2], DIFF_IN_TURN, &[]).unwrap();
+        e.apply_seal(1, s[1], DIFF_IN_TURN).unwrap();
+        e.apply_seal(2, s[2], DIFF_IN_TURN).unwrap();
         assert!(e.verify_seal(3, s[0], DIFF_IN_TURN).is_ok());
     }
 
@@ -316,7 +238,7 @@ mod tests {
         for n in 0..20u64 {
             let who = s[(n % 2) as usize];
             let diff = e.difficulty_for(n, who);
-            e.apply_seal(n, who, diff, &[])
+            e.apply_seal(n, who, diff)
                 .unwrap_or_else(|err| panic!("block {n}: {err}"));
         }
     }
@@ -326,7 +248,7 @@ mod tests {
         let mut e = engine(1);
         let s = e.signers()[0];
         for n in 0..10 {
-            e.apply_seal(n, s, DIFF_IN_TURN, &[]).unwrap();
+            e.apply_seal(n, s, DIFF_IN_TURN).unwrap();
         }
     }
 
@@ -344,70 +266,8 @@ mod tests {
     }
 
     #[test]
-    fn majority_vote_adds_signer() {
-        let mut e = engine(3);
-        let s = e.signers().to_vec();
-        let newbie = Address::from_label("newbie");
-        e.apply_seal(0, s[0], DIFF_IN_TURN, &[(s[0], SignerVote::Add(newbie))])
-            .unwrap();
-        assert!(!e.is_signer(newbie), "one vote of three is not a majority");
-        e.apply_seal(1, s[1], DIFF_IN_TURN, &[(s[1], SignerVote::Add(newbie))])
-            .unwrap();
-        assert!(e.is_signer(newbie), "two of three is a strict majority");
-        assert_eq!(e.signers().len(), 4);
-    }
-
-    #[test]
-    fn majority_vote_drops_signer() {
-        let mut e = engine(3);
-        let s = e.signers().to_vec();
-        e.apply_seal(0, s[0], DIFF_IN_TURN, &[(s[0], SignerVote::Drop(s[2]))])
-            .unwrap();
-        e.apply_seal(1, s[1], DIFF_IN_TURN, &[(s[1], SignerVote::Drop(s[2]))])
-            .unwrap();
-        assert!(!e.is_signer(s[2]));
-        assert_eq!(e.signers().len(), 2);
-    }
-
-    #[test]
-    fn nonsigner_votes_ignored() {
-        let mut e = engine(3);
-        let s = e.signers().to_vec();
-        let outsider = Address::from_label("outsider");
-        let newbie = Address::from_label("newbie");
-        e.apply_seal(
-            0,
-            s[0],
-            DIFF_IN_TURN,
-            &[
-                (outsider, SignerVote::Add(newbie)),
-                (outsider, SignerVote::Add(newbie)),
-            ],
-        )
-        .unwrap();
-        assert!(!e.is_signer(newbie));
-    }
-
-    #[test]
-    fn epoch_resets_tally() {
-        let mut e = Clique::new(CliqueConfig { epoch_length: 2 }, addrs(3));
-        let s = e.signers().to_vec();
-        let newbie = Address::from_label("newbie");
-        e.apply_seal(1, s[1], DIFF_IN_TURN, &[(s[1], SignerVote::Add(newbie))])
-            .unwrap();
-        // Block 2 is an epoch checkpoint: tally resets *before* this block's
-        // votes are applied, so the earlier vote is discarded.
-        e.apply_seal(2, s[2], DIFF_IN_TURN, &[(s[2], SignerVote::Add(newbie))])
-            .unwrap();
-        assert!(
-            !e.is_signer(newbie),
-            "pre-checkpoint vote must not carry over"
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "at least one signer")]
     fn empty_signer_set_panics() {
-        let _ = Clique::new(CliqueConfig::default(), vec![]);
+        let _ = Clique::new(vec![]);
     }
 }

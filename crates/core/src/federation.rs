@@ -86,9 +86,6 @@ pub struct Candidate {
     pub cid: Cid,
     /// Submitting aggregator.
     pub submitter: Address,
-    /// On-chain `(base_cid, delta_cid)` reference, when the submitter
-    /// published a delta blob alongside the full weights.
-    pub delta: Option<(Cid, Cid)>,
     /// Raw per-scorer scores (already converted to floats).
     pub scores: Vec<f64>,
 }
@@ -439,20 +436,13 @@ impl Federation {
         self.gossip
     }
 
-    /// Warms a cluster's storage along the gossip overlay ahead of a
-    /// shard exchange: fetches (and retains) exactly the CIDs the
-    /// exchange will, so the exchange is served locally. Charges nothing
-    /// to the virtual clock or the resource monitor — the transfer
-    /// overlaps the idle window before the exchange fires, which is the
-    /// point of disseminating along the topology. Failures are ignored;
-    /// the exchange path keeps its ordinary retry accounting.
-    pub fn prefetch_weights(&self, cluster: usize, cids: &[Cid]) {
-        self.warm(cluster, cids.iter().copied());
-    }
-
-    /// Pulls `cids`, in order, into `cluster`'s store and cache; what both
-    /// warm-ups are once they know what to pull.
-    fn warm(&self, cluster: usize, cids: impl IntoIterator<Item = Cid>) {
+    /// Pulls `cids`, in order, into `cluster`'s store and cache, ahead of
+    /// the fetch that will read them: a gossip prefetch before a shard
+    /// exchange, or [`Federation::fetch_ahead_into`]. Charges nothing to
+    /// the virtual clock or the resource monitor — the transfer overlaps
+    /// an idle window, which is the point of warming — and ignores
+    /// failures; the later fetch keeps its ordinary retry accounting.
+    pub fn warm(&self, cluster: usize, cids: impl IntoIterator<Item = Cid>) {
         let node = self.clusters[cluster].ipfs();
         for cid in cids {
             let _ = node.get(cid);
@@ -508,11 +498,9 @@ impl Federation {
     /// latter are the genuinely cold first-touches: a freshly published
     /// model has no scores yet, so it is invisible to
     /// [`Federation::candidates_for`], yet this cluster must pull it
-    /// before it can score. Like [`Federation::prefetch_weights`] the
-    /// warm-up charges nothing to the virtual clock or the resource
-    /// monitor (the transfer overlaps the previous round's compute) and
-    /// ignores failures; the round's fetch path keeps its ordinary
-    /// accounting, it just finds the bytes cached.
+    /// before it can score. The warm-up overlaps the previous round's
+    /// compute ([`Federation::warm`]); the round's fetch path keeps its
+    /// ordinary accounting, it just finds the bytes cached.
     pub fn fetch_ahead_into(&self, cluster: usize) {
         let candidates = self.candidates_for(cluster);
         self.warm(cluster, candidates.iter().map(|c| c.cid));
@@ -608,12 +596,11 @@ impl Federation {
             .latest_scored_positions(Some(addr))
             .into_iter()
             .filter_map(|position| {
-                let (cid, delta) = self.entry_cids(position)?;
+                let (cid, _) = self.entry_cids(position)?;
                 let entry = &contract.entries()[position];
                 Some(Candidate {
                     cid,
                     submitter: entry.submitter,
-                    delta,
                     scores: entry.score_values(),
                 })
             })
@@ -675,107 +662,70 @@ impl Federation {
         }
     }
 
-    /// Fetches and decodes a peer model's weights through the cluster's
-    /// IPFS node. Returns `None` if the content is unavailable or corrupt
-    /// (it is then simply skipped, as a real aggregator would). Under an
-    /// installed fault plan a failed fetch is retried once — fresh provider
-    /// resolution, fresh fault rolls — before giving up; every retry's
-    /// outcome is recorded as recovered or permanently failed.
-    ///
-    /// With [`TransferConfig::delta`](unifyfl_storage::TransferConfig::delta) enabled and an on-chain
-    /// `(base_cid, delta_cid)` reference for `cid`, the fetch moves only
-    /// the delta blob when the base is already local — the storage layer
-    /// verifies the reconstruction against `cid` and falls back to a full
-    /// fetch on any mismatch, so the decoded weights are identical either
-    /// way.
-    ///
-    /// Returned with the weights: what the fetch costs on the virtual clock
-    /// ([`Federation::fetch_cost`] of the storage layer's physical elapsed
-    /// time — actual bytes moved over the per-node link, near-zero for
-    /// cache/local hits). On the retried-fetch path only the successful
-    /// attempt is charged.
-    pub fn fetch_weights_costed(
-        &self,
-        cluster: usize,
-        cid: Cid,
-    ) -> Option<(Vec<f32>, SimDuration)> {
-        self.fetch_with_delta_ref(cluster, cid, self.delta_ref_of(cid))
-    }
-
     /// The `(base_cid, delta_cid)` reference the contract holds for `cid`,
-    /// if any — how a CID that reaches a fetch without its
-    /// [`Candidate`] (a scoring duty, a shard release) finds its delta.
-    pub fn delta_ref_of(&self, cid: Cid) -> Option<(Cid, Cid)> {
+    /// if any.
+    fn delta_ref_of(&self, cid: Cid) -> Option<(Cid, Cid)> {
         self.entry_cids(*self.entry_of.get(&cid)?)?.1
     }
 
-    /// The one fetch path: [`Federation::fetch_weights_costed`] given the
-    /// contract's delta reference for `cid` (ignored when
-    /// [`TransferConfig::delta`](unifyfl_storage::TransferConfig::delta) is off).
-    fn fetch_with_delta_ref(
-        &self,
-        cluster: usize,
-        cid: Cid,
-        delta_ref: Option<(Cid, Cid)>,
-    ) -> Option<(Vec<f32>, SimDuration)> {
+    /// The one path by which a peer's model reaches a cluster: pulls
+    /// `cids` into `cluster`'s IPFS node, in order, and decodes them.
+    /// Content that is unavailable, corrupt or not of the cluster's model
+    /// length is skipped and costs nothing — the CID guarantees
+    /// silently-corrupted bytes are never ingested, and a registered
+    /// release is untrusted input, so one of another length is skipped as
+    /// an unfetchable one is, never scored or merged. Under an installed
+    /// fault plan a failed fetch is retried once — fresh provider
+    /// resolution, fresh fault rolls — before giving up; every retry's
+    /// outcome is recorded as recovered or permanently failed.
+    ///
+    /// With [`TransferConfig::delta`](unifyfl_storage::TransferConfig::delta)
+    /// enabled and an on-chain `(base_cid, delta_cid)` reference for a CID
+    /// (looked up here), the fetch moves only the delta blob when the base
+    /// is already local — the storage layer verifies the reconstruction
+    /// against the CID and falls back to a full fetch on any mismatch, so
+    /// the decoded weights are identical either way.
+    ///
+    /// Each kept fetch is charged [`Federation::fetch_cost`] of the storage
+    /// layer's physical elapsed time (actual bytes moved over the per-node
+    /// link, near-zero for cache/local hits); on the retried path only the
+    /// successful attempt is.
+    pub fn fetch_peers(&self, cluster: usize, cids: impl IntoIterator<Item = Cid>) -> FetchedPeers {
         let node = self.clusters[cluster].ipfs();
-        let delta_ref = delta_ref.filter(|_| self.ipfs.transfer_config().delta);
-        let attempt = || match delta_ref {
-            Some((base, delta)) => node.get_with_delta(cid, base, delta, reconstruct_weights_blob),
-            None => node.get(cid),
-        };
-        let receipt = match attempt() {
-            Ok(r) => r,
-            Err(_) if self.fault_plan.is_some() => {
-                self.ipfs.record_fetch_retry();
-                // Retry with a plain full fetch. Re-running the delta
-                // attempt would roll the delta machinery again and count a
-                // second `delta_fallbacks` for the same logical fetch —
-                // the inner fallback's faults would then surface as extra
-                // outer retries, inflating `fetch_recoveries`.
-                match node.get(cid) {
-                    Ok(r) => {
-                        self.ipfs.record_fetch_retry_outcome(true);
-                        r
-                    }
-                    Err(_) => {
-                        self.ipfs.record_fetch_retry_outcome(false);
-                        return None;
-                    }
-                }
-            }
-            Err(_) => return None,
-        };
-        let cost = self.fetch_cost(cluster, receipt.elapsed);
-        weights_from_bytes(&receipt.data).ok().map(|w| (w, cost))
-    }
-
-    /// Pulls a sequence of peer models into `cluster`, in order, each
-    /// given as its CID and the contract's delta reference for it (a
-    /// [`Candidate`] already carries both, parsed from one entry; see
-    /// [`Federation::delta_ref_of`] otherwise): content that is
-    /// unavailable, corrupt or not of the cluster's model length is
-    /// skipped (the CID guarantees silently-corrupted bytes can never be
-    /// ingested) and costs nothing; every kept fetch is charged under the
-    /// active link model.
-    pub fn fetch_peers(
-        &self,
-        cluster: usize,
-        peers: impl IntoIterator<Item = (Cid, Option<(Cid, Cid)>)>,
-    ) -> FetchedPeers {
         let want = self.clusters[cluster].weights().len();
+        let delta_on = self.ipfs.transfer_config().delta;
         let mut fetched = FetchedPeers {
             peers: Vec::new(),
             kept: Vec::new(),
             cost: SimDuration::ZERO,
         };
-        for (position, (cid, delta_ref)) in peers.into_iter().enumerate() {
-            if let Some((w, cost)) = self.fetch_with_delta_ref(cluster, cid, delta_ref) {
-                if w.len() == want {
-                    fetched.peers.push(w);
-                    fetched.kept.push(position);
-                    fetched.cost += cost;
+        for (position, cid) in cids.into_iter().enumerate() {
+            let receipt = match self.delta_ref_of(cid).filter(|_| delta_on) {
+                Some((base, delta)) => {
+                    node.get_with_delta(cid, base, delta, reconstruct_weights_blob)
                 }
+                None => node.get(cid),
+            };
+            let receipt = match receipt {
+                Err(_) if self.fault_plan.is_some() => {
+                    self.ipfs.record_fetch_retry();
+                    // Retry with a plain full fetch. Re-running the delta
+                    // attempt would roll the delta machinery again and count
+                    // a second `delta_fallbacks` for the same logical fetch
+                    // — the inner fallback's faults would then surface as
+                    // extra outer retries, inflating `fetch_recoveries`.
+                    let retried = node.get(cid);
+                    self.ipfs.record_fetch_retry_outcome(retried.is_ok());
+                    retried
+                }
+                first => first,
+            };
+            let Ok(receipt) = receipt else { continue };
+            let weights = weights_from_bytes(&receipt.data).ok();
+            if let Some(w) = weights.filter(|w| w.len() == want) {
+                fetched.peers.push(w);
+                fetched.kept.push(position);
+                fetched.cost += self.fetch_cost(cluster, receipt.elapsed);
             }
         }
         fetched
@@ -1029,7 +979,11 @@ mod tests {
             .expect("scorer is a cluster");
 
         // The scorer fetches and scores it.
-        let (weights, _) = f.fetch_weights_costed(scorer_idx, cid).expect("fetchable");
+        let weights = f
+            .fetch_peers(scorer_idx, [cid])
+            .peers
+            .pop()
+            .expect("fetchable");
         let score = f.clusters[scorer_idx].score_weights(&mut f.lanes[0].eval, &weights);
         let tx = f.clusters[scorer_idx].score_tx(orch, &cid, score);
         f.submit_tx_at(t1, tx);
@@ -1039,8 +993,8 @@ mod tests {
         assert_eq!(cands.len(), 1);
         assert_eq!(cands[0].cid, cid);
         // The round-1 publish carries a delta reference against the shared
-        // initial model, and candidates surface it to consumers.
-        let (base, delta) = cands[0].delta.expect("delta reference surfaced");
+        // initial model, which the fetch path looks up by CID.
+        let (base, delta) = f.delta_ref_of(cid).expect("delta reference recorded");
         assert_ne!(base, cid);
         assert_ne!(delta, cid);
         assert_eq!(cands[0].scores.len(), 1);
@@ -1111,7 +1065,7 @@ mod tests {
     fn fetch_of_unknown_cid_is_none() {
         let f = fed(Mode::Async);
         let ghost = Cid::for_data(b"never published");
-        assert!(f.fetch_weights_costed(0, ghost).is_none());
+        assert!(f.fetch_peers(0, [ghost]).peers.is_empty());
     }
 
     #[test]
@@ -1133,7 +1087,7 @@ mod tests {
 
         let (f, good, short) = setup(LinkModel::Nominal);
         let ghost = Cid::for_data(b"never published");
-        let fetched = f.fetch_peers(0, [short, good, ghost, good].map(|c| (c, None)));
+        let fetched = f.fetch_peers(0, [short, good, ghost, good]);
         // The mismatched and the unavailable peer are skipped, not
         // charged; positions index the requested sequence.
         assert_eq!(fetched.kept, vec![1, 3]);
@@ -1148,11 +1102,11 @@ mod tests {
         // Physical: exactly the storage layer's elapsed time for the one
         // kept fetch — the mismatched blob moved bytes but costs nothing.
         let (f, good, short) = setup(LinkModel::Physical);
-        let fetched = f.fetch_peers(0, [short, good].map(|c| (c, None)));
+        let fetched = f.fetch_peers(0, [short, good]);
         assert_eq!(fetched.kept, vec![1]);
         let (reference, good_again, _) = setup(LinkModel::Physical);
         assert_eq!(good, good_again);
-        let (_, alone) = reference.fetch_weights_costed(0, good).expect("fetchable");
+        let alone = reference.fetch_peers(0, [good]).cost;
         assert!(!alone.is_zero());
         assert_ne!(alone, f.clusters[0].fetch_duration());
         assert_eq!(fetched.cost, alone);

@@ -15,7 +15,10 @@ use crate::events::{Event, EventPolicy};
 use crate::experiment::ExperimentConfig;
 use crate::federation::Federation;
 use crate::sharding::ShardTopology;
-use crate::step::{commit_train_effects, compute_train, prepare_train, Engine};
+use crate::step::{
+    book_score, commit_train_effects, compute_scores, compute_train, prepare_scoring,
+    prepare_train, Engine,
+};
 
 pub(crate) struct AsyncPolicy {
     workload: WorkloadConfig,
@@ -283,14 +286,13 @@ impl AsyncPolicy {
 
         if let Some(cid) = self.tasks[idx].pop_front() {
             // Scoring duty first: an idle aggregator scores as soon as the
-            // assignment reaches it (Figure 6 step 4).
-            let score_dur = fed.clusters[idx].score_duration();
-            if let Some((w, fetch)) = fed.fetch_weights_costed(idx, cid) {
-                let score = fed.clusters[idx].score_weights(&mut fed.lanes[0].eval, &w);
-                let done = t + fetch + score_dur;
-                fed.record_scoring_burst(fetch + score_dur);
-                fed.record_ipfs_burst(fetch);
-                let tx = fed.clusters[idx].score_tx(orch, &cid, score);
+            // assignment reaches it (Figure 6 step 4) — the round step's
+            // scoring, inline on the stepping thread's lane.
+            let tasks = prepare_scoring(fed, idx, [cid], None);
+            let (clusters, lanes, _) = fed.compute_view();
+            if let Some(scored) = compute_scores(&clusters[idx], &mut lanes[0].eval, tasks).pop() {
+                let done = t + book_score(fed, idx, &scored);
+                let tx = fed.clusters[idx].score_tx(orch, &cid, scored.score);
                 fed.submit_cluster_tx_at(done, tx);
                 self.clock[idx] = done;
                 if !self.tasks[idx].is_empty() {

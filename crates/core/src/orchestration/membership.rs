@@ -115,7 +115,7 @@ pub(super) fn join(
 /// virtual time the pulls cost.
 fn bootstrap(fed: &mut Federation, idx: usize, at: SimTime) -> SimDuration {
     let candidates = fed.candidates_for(idx);
-    let fetched = fed.fetch_peers(idx, candidates.iter().map(|c| (c.cid, c.delta)));
+    let fetched = fed.fetch_peers(idx, candidates.iter().map(|c| c.cid));
     let peers = fetched.peers;
     if !peers.is_empty() {
         let zeros = vec![0.0f64; fed.clusters[idx].weights().len()];

@@ -18,7 +18,7 @@ use crate::federation::Federation;
 use crate::scoring::{krum_assumed_byzantine, multikrum_scores, ScorerKind};
 use crate::sharding::ShardTopology;
 use crate::step::{
-    commit_train_effects, compute_all, compute_scores, compute_train, prepare_scoring,
+    book_score, commit_train_effects, compute_all, compute_scores, compute_train, prepare_scoring,
     prepare_train, scoring_work, train_work, Engine, ScoreTask, ScoredModel, TrainInputs,
     TrainResult,
 };
@@ -355,10 +355,8 @@ impl SyncPolicy {
             let mut cids: Vec<Cid> = Vec::new();
             let mut scores: Vec<f64> = Vec::new();
             for group in groups.into_values() {
-                let models: Vec<Vec<f32>> = group
-                    .iter()
-                    .filter_map(|c| fed.fetch_weights_costed(0, *c).map(|(w, _)| w))
-                    .collect();
+                // A group with a model the fetch skips is left unscored.
+                let models = fed.fetch_peers(0, group.iter().copied()).peers;
                 if models.len() == group.len() && !models.is_empty() {
                     // The Byzantine bound must be admissible for the models
                     // actually scored in this group, not the federation
@@ -386,8 +384,12 @@ impl SyncPolicy {
         };
         let task_lists: Vec<Option<Vec<ScoreTask>>> = (0..self.n)
             .map(|idx| {
-                scores_due(self, idx)
-                    .then(|| prepare_scoring(fed, idx, &assignments, krum.as_ref()))
+                let me = fed.clusters[idx].address();
+                let mine = assignments
+                    .iter()
+                    .filter(|(_, scorers)| scorers.contains(&me));
+                let mine = mine.map(|(cid, _)| *cid);
+                scores_due(self, idx).then(|| prepare_scoring(fed, idx, mine, krum.as_ref()))
             })
             .collect();
         let scored_lists = {
@@ -426,10 +428,7 @@ impl SyncPolicy {
         let skew = self.clock_skew(idx);
         let mut clock = self.scoring_start + skew;
         for s in scored {
-            let score_dur = fed.clusters[idx].score_duration();
-            clock += s.fetch_cost + score_dur;
-            fed.record_scoring_burst(s.fetch_cost + score_dur);
-            fed.record_ipfs_burst(s.fetch_cost);
+            clock += book_score(fed, idx, &s);
             if clock <= self.scoring_end {
                 let tx = fed.clusters[idx].score_tx(orch, &s.cid, s.score);
                 fed.submit_cluster_tx_at(clock, tx);

@@ -69,7 +69,7 @@ fn seal_shard(
 ) -> SimDuration {
     let orch = fed.orchestrator;
     let candidates = fed.candidates_for(rep);
-    let fetched = fed.fetch_peers(rep, candidates.iter().map(|c| (c.cid, c.delta)));
+    let fetched = fed.fetch_peers(rep, candidates.iter().map(|c| c.cid));
     let own: Vec<f64> = fed.clusters[rep]
         .weights()
         .iter()
@@ -108,10 +108,9 @@ pub(super) fn schedule_exchange(
 
 /// A fired [`Event::PrefetchDue`]: disseminate the epoch's sealed releases
 /// along the gossip overlay into `cluster`'s store ahead of the exchange.
-/// Charges nothing — see [`Federation::prefetch_weights`].
+/// Charges nothing — see [`Federation::warm`].
 pub(super) fn prefetch_due(fed: &Federation, topology: &ShardTopology, cluster: usize) {
-    let cids = exchange_cids(fed, topology, cluster);
-    fed.prefetch_weights(cluster, &cids);
+    fed.warm(cluster, exchange_cids(fed, topology, cluster));
 }
 
 /// A fired [`Event::ShardExchange`]: every cluster `takes_part` admits
@@ -141,11 +140,7 @@ pub(super) fn shard_exchange(
 /// sealed, or lost to a storage fault) is skipped — the exchange degrades
 /// instead of stalling.
 fn exchange_into(fed: &mut Federation, topology: &ShardTopology, idx: usize) -> SimDuration {
-    let releases = exchange_cids(fed, topology, idx);
-    let fetched = fed.fetch_peers(
-        idx,
-        releases.into_iter().map(|cid| (cid, fed.delta_ref_of(cid))),
-    );
+    let fetched = fed.fetch_peers(idx, exchange_cids(fed, topology, idx));
     if !fetched.peers.is_empty() {
         fed.clusters[idx].merge_peers(fetched.peers);
     }

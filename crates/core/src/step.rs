@@ -40,7 +40,6 @@ use unifyfl_storage::Cid;
 
 use crate::cluster::ClusterNode;
 use crate::federation::{Federation, FetchedPeers, LinkModel};
-use unifyfl_chain::types::Address;
 use unifyfl_sim::SimDuration;
 
 /// What a compute lane keeps warm from phase to phase: the models its
@@ -163,12 +162,8 @@ pub fn prepare_train(fed: &mut Federation, idx: usize, round: u64) -> TrainInput
         policy.select(&scored, self_score, cluster.rng())
     };
 
-    let FetchedPeers { peers, kept, cost } = fed.fetch_peers(
-        idx,
-        selected
-            .iter()
-            .map(|&i| (candidates[i].cid, candidates[i].delta)),
-    );
+    let FetchedPeers { peers, kept, cost } =
+        fed.fetch_peers(idx, selected.iter().map(|&i| candidates[i].cid));
     let precisions = adaptive.then(|| {
         kept.iter()
             .map(|&k| score_precision(&candidates[selected[k]].scores))
@@ -317,43 +312,42 @@ pub struct ScoredModel {
     pub fetch_cost: SimDuration,
 }
 
-/// Gathers one cluster's scoring tasks for the round: filters the round's
-/// assignments to this cluster, and per task either looks the score up in
-/// the MultiKRUM table or fetches the weights (fetch side effects — so
-/// engines call this sequentially in cluster-index order). Tasks whose
-/// fetch fails are dropped, exactly as the reference engine skips them.
+/// Gathers one cluster's scoring tasks for the models in `cids` (the
+/// assignments it holds): per model either looks the score up in the
+/// MultiKRUM table or fetches the weights through
+/// [`Federation::fetch_peers`], one model per call so each task keeps its
+/// own cost (fetch side effects — so engines call this sequentially in
+/// cluster-index order). A model the fetch skips — unavailable, corrupt or
+/// of the wrong length — gets no task, so it is never scored.
 pub fn prepare_scoring(
     fed: &Federation,
     idx: usize,
-    assignments: &[(Cid, Vec<Address>)],
+    cids: impl IntoIterator<Item = Cid>,
     krum: Option<&(Vec<Cid>, Vec<f64>)>,
 ) -> Vec<ScoreTask> {
-    let my_addr = fed.clusters[idx].address();
-    let mut tasks = Vec::new();
-    for (cid, scorers) in assignments {
-        if !scorers.contains(&my_addr) {
-            continue;
-        }
+    let task = |cid: Cid| {
         let (input, fetch_cost) = match krum {
             Some((cids, scores)) => {
-                let pos = cids.iter().position(|c| c == cid);
+                let pos = cids.iter().position(|c| *c == cid);
                 (
                     ScoreInput::Ready(pos.map(|p| scores[p]).unwrap_or(0.0)),
                     fed.fetch_cost(idx, SimDuration::ZERO),
                 )
             }
-            None => match fed.fetch_weights_costed(idx, *cid) {
-                Some((w, cost)) => (ScoreInput::Weights(w), cost),
-                None => continue,
-            },
+            None => {
+                let FetchedPeers {
+                    mut peers, cost, ..
+                } = fed.fetch_peers(idx, [cid]);
+                (ScoreInput::Weights(peers.pop()?), cost)
+            }
         };
-        tasks.push(ScoreTask {
-            cid: *cid,
+        Some(ScoreTask {
+            cid,
             input,
             fetch_cost,
-        });
-    }
-    tasks
+        })
+    };
+    cids.into_iter().filter_map(task).collect()
 }
 
 /// Estimated real FLOPs of [`compute_scores`], for [`compute_all`]: one
@@ -389,6 +383,16 @@ pub fn compute_scores(
             }
         })
         .collect()
+}
+
+/// Books one scored model in both modes' commit order — the scoring
+/// burst (fetch plus inference), then the IPFS burst — and returns the
+/// time the duty kept the scorer busy: fetch plus inference.
+pub fn book_score(fed: &mut Federation, idx: usize, scored: &ScoredModel) -> SimDuration {
+    let busy = scored.fetch_cost + fed.clusters[idx].score_duration();
+    fed.record_scoring_burst(busy);
+    fed.record_ipfs_burst(scored.fetch_cost);
+    busy
 }
 
 /// Runs the clusters' compute closures (phase A of the round step) under

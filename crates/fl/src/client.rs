@@ -1,8 +1,9 @@
-//! FL clients, mirroring Flower's `NumPyClient` contract.
+//! FL clients, mirroring the `fit` half of Flower's `NumPyClient` contract.
 //!
 //! A client receives global weights, trains locally for a configured number
 //! of epochs, and returns its updated weights together with its example
-//! count (the FedAvg weight). Clients never expose their raw data — only
+//! count (the FedAvg weight). Evaluation is not a client's: a run scores
+//! weights on an [`EvalShell`] ([`evaluate_weights`] makes one pass). Clients never expose their raw data — only
 //! weights and metrics cross the boundary, which is the privacy property
 //! the whole system is built around.
 
@@ -49,7 +50,8 @@ pub struct EvalResult {
     pub num_examples: usize,
 }
 
-/// A federated-learning client.
+/// A federated-learning client: Flower's `fit`, without its `evaluate`
+/// (see the module doc).
 pub trait FlClient: Send {
     /// Trains locally starting from `weights` and returns the update.
     fn fit(&mut self, weights: &[f32], config: &FitConfig) -> FitResult;
@@ -63,9 +65,6 @@ pub trait FlClient: Send {
         let _ = shell;
         self.fit(weights, config)
     }
-
-    /// Evaluates `weights` on the client's local data.
-    fn evaluate(&mut self, weights: &[f32]) -> EvalResult;
 
     /// Number of local training examples.
     fn num_examples(&self) -> usize;
@@ -156,10 +155,6 @@ impl FlClient for InMemoryClient {
         }
     }
 
-    fn evaluate(&mut self, weights: &[f32]) -> EvalResult {
-        evaluate_weights(&self.spec, weights, &self.data)
-    }
-
     fn num_examples(&self) -> usize {
         self.data.len()
     }
@@ -213,16 +208,16 @@ mod tests {
     #[test]
     fn fit_improves_over_initial_weights() {
         let (spec, data) = easy_shard(1);
-        let mut client = InMemoryClient::new(spec.clone(), data, 1);
+        let mut client = InMemoryClient::new(spec.clone(), data.clone(), 1);
         let init = spec.build(1).flat_params();
-        let before = client.evaluate(&init);
+        let before = evaluate_weights(&spec, &init, &data);
         let mut w = init;
         for round in 0..5 {
             let mut c = config();
             c.round = round;
             w = client.fit(&w, &c).weights;
         }
-        let after = client.evaluate(&w);
+        let after = evaluate_weights(&spec, &w, &data);
         assert!(
             after.accuracy > before.accuracy + 0.2,
             "accuracy {} -> {}",
@@ -318,17 +313,6 @@ mod tests {
         for (c, &count) in before_hist.iter().enumerate() {
             assert_eq!(after_hist[(c + 1) % before_hist.len()], count);
         }
-    }
-
-    #[test]
-    fn evaluate_weights_matches_client_evaluate() {
-        let (spec, data) = easy_shard(4);
-        let w = spec.build(4).flat_params();
-        let via_helper = evaluate_weights(&spec, &w, &data);
-        let mut client = InMemoryClient::new(spec, data, 4);
-        let via_client = client.evaluate(&w);
-        assert!((via_helper.accuracy - via_client.accuracy).abs() < 1e-9);
-        assert!((via_helper.loss - via_client.loss).abs() < 1e-6);
     }
 
     #[test]

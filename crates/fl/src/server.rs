@@ -6,7 +6,7 @@
 //! blockchain/IPFS workflow without touching the clients — the paper's
 //! "clients remain unaffected" property (§3.4.5).
 
-use crate::client::{EvalResult, FitConfig, FlClient};
+use crate::client::{FitConfig, FlClient};
 use crate::fanout::{fan_out, train_flops, Payload};
 use crate::shell::TrainShell;
 use crate::strategy::Strategy;
@@ -180,24 +180,6 @@ impl FlServer {
             client_examples,
         }
     }
-
-    /// Evaluates given weights across all clients, example-weighted.
-    pub fn evaluate(&mut self, weights: &[f32]) -> EvalResult {
-        let mut loss = 0.0f64;
-        let mut acc = 0.0f64;
-        let mut n = 0usize;
-        for client in &mut self.clients {
-            let r = client.evaluate(weights);
-            loss += r.loss * r.num_examples as f64;
-            acc += r.accuracy * r.num_examples as f64;
-            n += r.num_examples;
-        }
-        EvalResult {
-            loss: loss / n.max(1) as f64,
-            accuracy: acc / n.max(1) as f64,
-            num_examples: n,
-        }
-    }
 }
 
 impl std::fmt::Debug for FlServer {
@@ -313,9 +295,6 @@ mod tests {
             fn fit(&mut self, _w: &[f32], _c: &FitConfig) -> crate::client::FitResult {
                 panic!("non-finite loss on shard");
             }
-            fn evaluate(&mut self, _w: &[f32]) -> crate::client::EvalResult {
-                unreachable!()
-            }
             fn num_examples(&self) -> usize {
                 1
             }
@@ -377,9 +356,6 @@ mod tests {
                 num_examples: self.examples,
                 train_loss: 0.0,
             }
-        }
-        fn evaluate(&mut self, _w: &[f32]) -> crate::client::EvalResult {
-            unreachable!()
         }
         fn num_examples(&self) -> usize {
             self.examples
@@ -515,14 +491,5 @@ mod tests {
         let payload = contextualize_panic(3, Box::new("static message"));
         let msg = payload.downcast_ref::<String>().unwrap();
         assert_eq!(msg, "client 3 fit panicked: static message");
-    }
-
-    #[test]
-    fn evaluate_is_example_weighted() {
-        let (mut server, _) = cluster(Box::new(FedAvg::new()), 6);
-        let w = server.weights().to_vec();
-        let r = server.evaluate(&w);
-        assert_eq!(r.num_examples, 480);
-        assert!(r.loss.is_finite());
     }
 }

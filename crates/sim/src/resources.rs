@@ -76,21 +76,6 @@ impl ResourceMonitor {
             });
     }
 
-    /// Merges all samples from another monitor into this one.
-    pub fn merge(&mut self, other: &ResourceMonitor) {
-        for (label, samples) in &other.samples {
-            self.samples
-                .entry(label.clone())
-                .or_default()
-                .extend_from_slice(samples);
-        }
-    }
-
-    /// Labels with at least one sample, in sorted order.
-    pub fn labels(&self) -> impl Iterator<Item = &str> {
-        self.samples.keys().map(String::as_str)
-    }
-
     /// Duration-weighted summary statistics for `label`, or `None` if no
     /// samples were recorded under that label.
     pub fn summary(&self, label: &str) -> Option<ResourceSummary> {
@@ -145,7 +130,7 @@ mod tests {
     fn empty_monitor_has_no_summary() {
         let mon = ResourceMonitor::new();
         assert!(mon.summary("client").is_none());
-        assert_eq!(mon.labels().count(), 0);
+        assert!(mon.summaries().is_empty());
     }
 
     #[test]
@@ -176,19 +161,6 @@ mod tests {
         mon.record("client", 50.0, 100.0, -1.0);
         mon.record("client", 50.0, 100.0, f64::NAN);
         assert!(mon.summary("client").is_none());
-    }
-
-    #[test]
-    fn merge_combines_labels() {
-        let mut a = ResourceMonitor::new();
-        a.record("client", 60.0, 1800.0, 1.0);
-        let mut b = ResourceMonitor::new();
-        b.record("client", 60.0, 1800.0, 1.0);
-        b.record("geth", 0.2, 6.0, 1.0);
-        a.merge(&b);
-        assert_eq!(a.summary("client").unwrap().samples, 2);
-        assert!(a.summary("geth").is_some());
-        assert_eq!(a.labels().collect::<Vec<_>>(), vec!["client", "geth"]);
     }
 
     #[test]

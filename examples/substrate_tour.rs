@@ -7,7 +7,7 @@
 //! ```
 
 use unifyfl::chain::chain::Blockchain;
-use unifyfl::chain::clique::{CliqueConfig, SignerVote};
+use unifyfl::chain::clique::CliqueConfig;
 use unifyfl::chain::merkle::{merkle_proof, merkle_root, verify_proof};
 use unifyfl::chain::orchestrator::{calls, OrchestrationMode, Score, UnifyFlContract};
 use unifyfl::chain::types::{Address, Transaction};
@@ -92,26 +92,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let proof = merkle_proof(encoded.iter().map(Vec::as_slice), 0).expect("tx 0 exists");
     assert!(verify_proof(root, &encoded[0], &proof));
     println!("merkle inclusion proof for the submitModel tx: valid");
-
-    // --- 8. Clique governance: vote a third organization in -------------
-    let org_c = Address::from_label("org-c");
-    let mut engine = chain.clique().clone();
-    engine.apply_seal(
-        100,
-        org_a,
-        engine.difficulty_for(100, org_a),
-        &[(org_a, SignerVote::Add(org_c))],
-    )?;
-    engine.apply_seal(
-        101,
-        org_b,
-        engine.difficulty_for(101, org_b),
-        &[(org_b, SignerVote::Add(org_c))],
-    )?;
-    println!(
-        "after a majority vote the signer set grows to {} members",
-        engine.signers().len()
-    );
 
     chain
         .verify()

@@ -91,7 +91,7 @@ fn peers_never_see_exact_weights_under_dp() {
     assert!(!entries.is_empty());
     for (cid_str, submitter) in entries {
         let cid: unifyfl::storage::Cid = cid_str.parse().unwrap();
-        let (released, _) = fed.fetch_weights_costed(0, cid).expect("fetchable");
+        let released = fed.fetch_peers(0, [cid]).peers.pop().expect("fetchable");
         let owner = fed
             .clusters
             .iter()

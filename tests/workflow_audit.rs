@@ -90,9 +90,8 @@ fn every_registered_model_is_fetchable_and_scored() {
     for entry in contract.entries() {
         // The CID on-chain resolves to real, verifiable weight bytes.
         let cid: unifyfl::storage::Cid = entry.cid.parse().expect("valid CID");
-        let (weights, _) = fed
-            .fetch_weights_costed(0, cid)
-            .expect("fetchable and decodable");
+        let weights = fed.fetch_peers(0, [cid]).peers.pop();
+        let weights = weights.expect("fetchable, decodable and of the model's length");
         assert_eq!(weights.len(), fed.spec.actual_params());
         // Scorers were assigned (majority of 3 = 2), never the submitter.
         assert_eq!(entry.scorers.len(), 2);
