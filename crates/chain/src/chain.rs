@@ -623,12 +623,24 @@ mod tests {
         let (mut chain, contract, user) = setup();
         chain.submit(Transaction::call(user, contract, 0, b"hello".to_vec()));
         chain.seal_next(SimTime::from_secs(5)).unwrap();
+        // Block 2: two calls with a reverted one between them.
         chain.submit(Transaction::call(user, contract, 1, b"world".to_vec()));
+        chain.submit(Transaction::call(user, contract, 2, b"fail".to_vec()));
+        chain.submit(Transaction::call(user, contract, 3, b"again".to_vec()));
         chain.seal_next(SimTime::from_secs(10)).unwrap();
 
-        assert_eq!(chain.logs_since(0, Some("Echoed")).len(), 2);
-        assert_eq!(chain.logs_since(2, Some("Echoed")).len(), 1);
+        assert_eq!(chain.logs_since(0, Some("Echoed")).len(), 3);
+        assert_eq!(chain.logs_since(2, Some("Echoed")).len(), 2);
         assert!(chain.logs_since(0, Some("Nope")).is_empty());
+        // Block, transaction, log order, and nothing from the reverted call.
+        let logs: Vec<(u64, Vec<u8>)> = chain
+            .logs_since(0, None)
+            .into_iter()
+            .map(|(n, log)| (n, log.data))
+            .collect();
+        let expected = [(1, &b"hello"[..]), (2, b"world"), (2, b"again")];
+        assert_eq!(logs, expected.map(|(n, d)| (n, d.to_vec())));
+        assert!(chain.logs_since(chain.height() + 1, None).is_empty());
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //!   chain.
 //!
 //! The signer set is fixed at genesis: the consortium is the federation's
-//! founding organisations, and no block carries a governance vote (nor, so,
-//! an epoch checkpoint resetting a vote tally).
+//! founding organisations, and no block carries a governance vote.
 
 use std::collections::VecDeque;
 use std::fmt;

@@ -9,9 +9,10 @@
 //! - [`types`] — addresses, transactions, blocks, receipts, event logs;
 //! - [`merkle`] — transaction Merkle roots and inclusion proofs;
 //! - [`txpool`] — nonce-ordered pending-transaction pool;
-//! - [`clique`] — the PoA engine (in-turn rotation, recency rule, votes);
+//! - [`clique`] — the PoA engine (in-turn rotation, recency rule; the signer
+//!   set is fixed at genesis);
 //! - [`contract`] — the native deterministic-contract framework;
-//! - [`chain`] — block production/validation and the log index;
+//! - [`chain`] — block production/validation and log queries;
 //! - [`orchestrator`] — the UnifyFL orchestration contract itself.
 //!
 //! # Example: a private chain running the orchestrator

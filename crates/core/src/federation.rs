@@ -1112,6 +1112,28 @@ mod tests {
         assert_eq!(fetched.cost, alone);
     }
 
+    /// A registered release is untrusted input: one whose length is not
+    /// the model's is skipped by its scorer's fetch, as an unfetchable one
+    /// is, instead of reaching inference and panicking there.
+    #[test]
+    fn a_registered_release_of_the_wrong_length_is_not_scored() {
+        let mut f = fed(Mode::Async);
+        let orch = f.orchestrator;
+        let t0 = f.setup_done;
+        let cid = f.clusters[1].publish_release_blob(&[0.25; 3]);
+        let tx = f.clusters[1].next_tx(orch, calls::submit_model(&cid.to_string()));
+        f.submit_tx_at(t0, tx);
+        f.flush_chain_at(t0);
+
+        let entry = f.contract().entry(&cid.to_string()).expect("registered");
+        let scorer = entry.scorers[0];
+        let scorer = f.clusters.iter().position(|c| c.address() == scorer);
+        let scorer = scorer.expect("the scorer is a cluster");
+        let tasks = crate::step::prepare_scoring(&f, scorer, [cid], None);
+        let eval = &mut f.lanes[0].eval;
+        assert!(crate::step::compute_scores(&f.clusters[scorer], eval, tasks).is_empty());
+    }
+
     #[test]
     fn memory_model_tracks_wire_size() {
         let f = fed(Mode::Sync);
