@@ -123,7 +123,7 @@ pub fn run_hbfl(config: &ExperimentConfig) -> Result<BaselineRun, ExperimentErro
     let outcome = BaselineOutcome {
         per_cluster_time: vec![t; n],
         global: (g.accuracy, g.loss),
-        final_local: final_local(&clusters),
+        final_local: clusters.iter().map(ClusterNode::last_local).collect(),
         end_time: t,
     };
     Ok(BaselineRun {
@@ -169,7 +169,7 @@ pub fn run_no_collab(config: &ExperimentConfig) -> Result<BaselineRun, Experimen
         }
     }
 
-    let final_local = final_local(&clusters);
+    let final_local: Vec<(f64, f64)> = clusters.iter().map(ClusterNode::last_local).collect();
     let best = final_local
         .iter()
         .copied()
@@ -187,15 +187,6 @@ pub fn run_no_collab(config: &ExperimentConfig) -> Result<BaselineRun, Experimen
         global_test,
         outcome,
     })
-}
-
-/// Each cluster's last local accuracy and loss (zero before any round).
-fn final_local(clusters: &[ClusterNode]) -> Vec<(f64, f64)> {
-    let last = |c: &ClusterNode| c.records.last().map(|r| (r.local_accuracy, r.local_loss));
-    clusters
-        .iter()
-        .map(|c| last(c).unwrap_or((0.0, 0.0)))
-        .collect()
 }
 
 #[cfg(test)]

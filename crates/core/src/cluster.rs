@@ -594,6 +594,20 @@ impl ClusterNode {
     pub fn record(&mut self, record: ClusterRoundRecord) {
         self.records.push(record);
     }
+
+    /// Post-training (local) accuracy and loss of the last recorded round;
+    /// zeros before any.
+    pub fn last_local(&self) -> (f64, f64) {
+        let last = self.records.last();
+        last.map_or((0.0, 0.0), |r| (r.local_accuracy, r.local_loss))
+    }
+
+    /// Post-merge (global) accuracy and loss of the last recorded round;
+    /// zeros before any.
+    pub fn last_global(&self) -> (f64, f64) {
+        let last = self.records.last();
+        last.map_or((0.0, 0.0), |r| (r.global_accuracy, r.global_loss))
+    }
 }
 
 impl std::fmt::Debug for ClusterNode {

@@ -141,7 +141,7 @@ pub enum Event {
     /// Topology epochs: re-cluster the federation by weight-space distance
     /// — derive the next epoch's [`ShardTopology`](crate::sharding::ShardTopology)
     /// from the clusters' current weights and re-install the gossip
-    /// neighborhoods. Fires on the `regroup_every` cadence (sync: at the
+    /// neighborhoods. Fires on the `regroup` cadence (sync: at the
     /// round barrier; async: virtual-time cadence like
     /// [`Event::ShardSealDue`]) and only when regrouping is configured, so
     /// the default trace is untouched.

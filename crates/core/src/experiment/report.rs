@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use unifyfl_sim::fault::FaultRecord;
 use unifyfl_sim::ResourceSummary;
 
-use super::{ExperimentConfig, MembershipRecord};
+use super::MembershipRecord;
 use crate::cluster::ClusterNode;
 use crate::federation::Federation;
 use crate::orchestration::EngineOutcome;
@@ -116,7 +116,8 @@ pub struct ChaosReport {
 /// Transfer section of an experiment report: what the bandwidth-aware
 /// storage layer was configured to do and what it saved. For *fault-free*
 /// runs this is the only report section allowed to differ between two
-/// configurations that differ only in [`ExperimentConfig::transfer`].
+/// configurations that differ only in
+/// [`ExperimentConfig::transfer`](super::ExperimentConfig::transfer).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransferReport {
     /// Chunk dedup enabled.
@@ -285,11 +286,8 @@ impl ExperimentReport {
     }
 }
 
-pub(crate) fn build_report(
-    config: &ExperimentConfig,
-    fed: &Federation,
-    outcome: EngineOutcome,
-) -> ExperimentReport {
+pub(crate) fn build_report(fed: &Federation, outcome: EngineOutcome) -> ExperimentReport {
+    let config = fed.config();
     let mut aggregators = Vec::with_capacity(fed.clusters.len());
     for (i, cluster) in fed.clusters.iter().enumerate() {
         let cfg = cluster.config();
@@ -304,7 +302,7 @@ pub(crate) fn build_report(
             })
             .collect();
         let (g_acc, g_loss) = outcome.final_global[i];
-        let (l_acc, l_loss) = outcome.final_local[i];
+        let (l_acc, l_loss) = cluster.last_local();
         aggregators.push(AggregatorReport {
             name: cfg.name.clone(),
             policy: cfg.policy.to_string(),
@@ -352,7 +350,7 @@ pub(crate) fn build_report(
 }
 
 fn build_transfer_report(fed: &Federation) -> TransferReport {
-    let config = fed.ipfs.transfer_config();
+    let config = fed.config().transfer;
     let stats = fed.ipfs.transfer_stats();
     let (delta_publishes, full_publishes) = fed
         .clusters

@@ -10,14 +10,13 @@ use unifyfl_chain::chain::{Blockchain, ChainFaults};
 use unifyfl_chain::clique::CliqueConfig;
 use unifyfl_chain::orchestrator::{calls, DeltaRef, ModelEntry, UnifyFlContract};
 use unifyfl_chain::types::{Address, Transaction};
-use unifyfl_data::Dataset;
+use unifyfl_data::{Dataset, WorkloadConfig};
 use unifyfl_sim::fault::{FaultPlan, FaultRecord};
-use unifyfl_sim::{ResourceMonitor, SeedTree, SimDuration, SimTime};
+use unifyfl_sim::{ChaosConfig, ResourceMonitor, SeedTree, SimDuration, SimTime};
 use unifyfl_storage::network::LinkProfile;
-use unifyfl_storage::topology::{GossipConfig, GossipTopology};
+use unifyfl_storage::topology::GossipTopology;
 use unifyfl_storage::{Cid, IpfsNetwork, StorageFaults};
 use unifyfl_tensor::delta::delta_from_bytes;
-use unifyfl_tensor::zoo::ModelSpec;
 use unifyfl_tensor::{weights_from_bytes, weights_to_bytes};
 
 use crate::cluster::ClusterNode;
@@ -200,8 +199,6 @@ pub struct Federation {
     pub orchestrator: Address,
     /// The shared storage fabric.
     pub ipfs: IpfsNetwork,
-    /// The model everyone trains.
-    pub spec: ModelSpec,
     /// Held-out global test set (never seen by any client or scorer).
     pub global_test: Dataset,
     /// One [`Lane`] of model shells per lane the widest compute phase so
@@ -214,29 +211,24 @@ pub struct Federation {
     pub resources: ResourceMonitor,
     /// Virtual instant at which setup (registration) completed.
     pub setup_done: SimTime,
-    /// Experiment seed the transfer-cache stream derives from.
-    transfer_seed: u64,
+    /// The validated configuration the federation was assembled from: the
+    /// one owner of every run-wide knob the engines read.
+    config: ExperimentConfig,
     /// Installed fault schedule (chaos experiments only).
     fault_plan: Option<FaultPlan>,
     /// Per-fault outcomes observed by the engines.
     chaos_records: Vec<FaultRecord>,
     /// Membership changes observed by the engines (mid-run joins).
     membership_records: Vec<MembershipRecord>,
-    /// How fetch time is charged to the virtual clock.
-    link_model: LinkModel,
-    /// Whether the engines warm next-round fetches during compute
-    /// ([`Federation::fetch_ahead_into`]).
-    fetch_ahead: bool,
     /// Cluster transactions dropped in gossip, awaiting retransmission.
     lost_txs: Vec<Transaction>,
     /// Count of retransmitted transactions.
     retried_txs: u64,
     /// The current two-tier shard topology, when the experiment runs
     /// sharded: the config-time derivation until the first
-    /// [`Federation::regroup_epoch`], the latest regroup's after.
-    shard_topology: Option<ShardTopology>,
-    /// Gossip overlay config, when topology-aware dissemination is on.
-    gossip: Option<GossipConfig>,
+    /// [`Federation::regroup_epoch`], the latest regroup's after. The one
+    /// copy: the policies and the gossip overlay read it here.
+    sharding: Option<ShardTopology>,
     /// The contract's entry log with its CID strings parsed, index-aligned
     /// with [`UnifyFlContract::entries`]. Entries are append-only and
     /// their CID strings immutable, so each is base58-decoded exactly
@@ -288,7 +280,7 @@ impl Federation {
             } else {
                 HashMap::new()
             };
-            contract = contract.with_sharding(map, topology.scorers_per_release);
+            contract = contract.with_sharding(map, topology.config.scorers_per_release);
         }
         chain.deploy(orchestrator, Box::new(contract));
 
@@ -297,21 +289,17 @@ impl Federation {
             chain,
             orchestrator,
             ipfs,
-            spec: config.workload.model.clone(),
             global_test,
             lanes: vec![Lane::default()],
             resources: ResourceMonitor::new(),
             setup_done: SimTime::ZERO,
-            transfer_seed: seed,
+            config: config.clone(),
             fault_plan: None,
             chaos_records: Vec::new(),
             membership_records: Vec::new(),
-            link_model: config.link_model,
-            fetch_ahead: config.fetch_ahead,
             lost_txs: Vec::new(),
             retried_txs: 0,
-            shard_topology: sharding,
-            gossip: None,
+            sharding,
             entry_cids: Vec::new(),
             entry_of: HashMap::new(),
         };
@@ -331,38 +319,44 @@ impl Federation {
         fed.chain.seal_next(t).expect("registration block seals");
         fed.setup_done = t;
 
-        if let Some(gossip) = config.gossip {
-            fed.install_gossip(gossip);
-        }
+        fed.install_gossip();
         if let Some(chaos) = config.chaos.as_ref().filter(|c| !c.is_quiescent()) {
-            // One derived seed makes the whole schedule (and the storage/chain
-            // injector streams) a pure function of the experiment seed.
-            fed.install_chaos(FaultPlan::expand(
-                chaos,
-                SeedTree::new(seed).seed("chaos"),
-                fed.clusters.len(),
-                config.workload.rounds as u64,
-            ));
+            fed.install_chaos(chaos);
         }
         Ok(fed)
     }
 
-    /// Stores the fault schedule for the engines and arms the storage and
-    /// chain injectors with their derived seeds and knobs.
-    fn install_chaos(&mut self, plan: FaultPlan) {
-        let (fetch_failure, chunk_loss, chunk_retries) = plan.storage_knobs();
-        if fetch_failure > 0.0 || chunk_loss > 0.0 {
+    /// The validated configuration the federation was assembled from.
+    pub fn config(&self) -> &ExperimentConfig {
+        &self.config
+    }
+
+    /// Expands `chaos` into the fault schedule the engines consume and
+    /// arms the storage and chain injectors with its derived seeds and the
+    /// layer knobs. One derived seed makes the whole schedule (and the
+    /// injector streams) a pure function of the experiment seed.
+    fn install_chaos(&mut self, chaos: &ChaosConfig) {
+        let plan = FaultPlan::expand(
+            chaos,
+            SeedTree::new(self.config.seed).seed("chaos"),
+            self.clusters.len(),
+            self.config.workload.rounds as u64,
+        );
+        if chaos.fetch_failure_prob > 0.0 || chaos.chunk_loss_prob > 0.0 {
             self.ipfs.install_faults(StorageFaults::new(
                 plan.storage_seed(),
-                fetch_failure,
-                chunk_loss,
-                chunk_retries,
+                chaos.fetch_failure_prob,
+                chaos.chunk_loss_prob,
+                chaos.chunk_retries,
             ));
         }
-        let (missed_seal, dropped_tx) = plan.chain_knobs();
-        if missed_seal > 0.0 || dropped_tx > 0.0 {
-            self.chain
-                .install_faults(ChainFaults::new(plan.chain_seed(), missed_seal, dropped_tx));
+        if chaos.missed_seal_prob > 0.0 || chaos.dropped_tx_prob > 0.0 {
+            let faults = ChainFaults::new(
+                plan.chain_seed(),
+                chaos.missed_seal_prob,
+                chaos.dropped_tx_prob,
+            );
+            self.chain.install_faults(faults);
         }
         self.fault_plan = Some(plan);
     }
@@ -375,65 +369,58 @@ impl Federation {
     /// The *current* two-tier shard topology (the latest epoch), when the
     /// experiment runs sharded.
     pub fn shard_topology(&self) -> Option<&ShardTopology> {
-        self.shard_topology.as_ref()
+        self.sharding.as_ref()
     }
 
     /// Derives and installs the next topology epoch
     /// ([`Event::RegroupDue`](crate::events::Event)): regroups the
     /// clusters by weight-space distance over their *current* weights
-    /// ([`ShardTopology::regroup`]) and — when the assignment actually
-    /// moved a cluster — submits the
-    /// `updateSharding` transaction at `at` (so scorer sampling and
-    /// intra-shard visibility follow the new grouping) and re-derives the
-    /// gossip neighborhoods from the new shards. Returns the epoch's
-    /// topology for the policy to adopt; `None` when the federation runs
-    /// unsharded.
+    /// ([`ShardTopology::regroup`]). When the assignment moved a cluster
+    /// it replaces the federation's topology — the only copy the engines
+    /// read — submits the `updateSharding` transaction at `at` (so scorer
+    /// sampling and intra-shard visibility follow the new grouping) and
+    /// re-derives the gossip neighborhoods from the new shards; when it
+    /// did not move, or the federation runs unsharded, nothing changes.
     ///
     /// A pure function of federation state: replaying the event trace
     /// (checkpoint resume) re-derives the identical epoch.
-    pub fn regroup_epoch(&mut self, epoch: u64, at: SimTime) -> Option<ShardTopology> {
-        let current = self.shard_topology.clone()?;
+    pub fn regroup_epoch(&mut self, epoch: u64, at: SimTime) {
+        let Some(current) = &self.sharding else {
+            return;
+        };
         let weights: Vec<Vec<f32>> = self.clusters.iter().map(|c| c.weights().to_vec()).collect();
-        let next = current.regroup(epoch, &weights, self.transfer_seed);
-        let changed = next.assignment != current.assignment;
-        self.shard_topology = Some(next.clone());
-        if changed {
-            let members: Vec<(Address, u32)> = self
-                .clusters
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (c.address(), next.shard_of(i) as u32))
-                .collect();
-            let tx = self.phase_tx(calls::update_sharding(epoch, &members));
-            self.submit_tx_at(at, tx);
-            if let Some(config) = self.gossip {
-                self.install_gossip(config);
-            }
+        let next = current.regroup(epoch, &weights, self.config.seed);
+        if next.assignment == current.assignment {
+            return;
         }
-        Some(next)
+        let members: Vec<(Address, u32)> = self
+            .clusters
+            .iter()
+            .enumerate()
+            .map(|(i, c)| (c.address(), next.shard_of(i) as u32))
+            .collect();
+        self.sharding = Some(next);
+        let tx = self.phase_tx(calls::update_sharding(epoch, &members));
+        self.submit_tx_at(at, tx);
+        self.install_gossip();
     }
 
     /// Derives and installs the seeded gossip overlay on the storage
-    /// fabric. Shards double as neighborhoods when the federation is
-    /// sharded; otherwise the whole federation forms one neighborhood
-    /// (whose ring + chords is already a small world). The engines read
-    /// the config back ([`Federation::gossip`]) to schedule
-    /// prefetch-along-topology events ahead of shard exchanges.
-    fn install_gossip(&mut self, config: GossipConfig) {
-        let neighborhoods: Vec<usize> =
-            match self.shard_topology.as_ref().filter(|t| t.is_sharded()) {
-                Some(t) => (0..self.clusters.len()).map(|i| t.shard_of(i)).collect(),
-                None => vec![0; self.clusters.len()],
-            };
-        let seed = SeedTree::new(self.transfer_seed).seed("gossip");
+    /// fabric, when the config asks for one. Shards double as
+    /// neighborhoods when the federation is sharded; otherwise the whole
+    /// federation forms one neighborhood (whose ring + chords is already a
+    /// small world).
+    fn install_gossip(&mut self) {
+        let Some(config) = self.config.gossip else {
+            return;
+        };
+        let neighborhoods: Vec<usize> = match self.sharding.as_ref().filter(|t| t.is_sharded()) {
+            Some(t) => (0..self.clusters.len()).map(|i| t.shard_of(i)).collect(),
+            None => vec![0; self.clusters.len()],
+        };
+        let seed = SeedTree::new(self.config.seed).seed("gossip");
         let topology = GossipTopology::derive(&config, seed, &neighborhoods);
         self.ipfs.install_topology(config, topology);
-        self.gossip = Some(config);
-    }
-
-    /// The installed gossip overlay config, if any.
-    pub fn gossip(&self) -> Option<GossipConfig> {
-        self.gossip
     }
 
     /// Pulls `cids`, in order, into `cluster`'s store and cache, ahead of
@@ -479,16 +466,6 @@ impl Federation {
     /// Membership changes observed so far.
     pub fn membership_records(&self) -> &[MembershipRecord] {
         &self.membership_records
-    }
-
-    /// The active link time model.
-    pub fn link_model(&self) -> LinkModel {
-        self.link_model
-    }
-
-    /// Whether fetch-ahead cache warming is enabled.
-    pub fn fetch_ahead(&self) -> bool {
-        self.fetch_ahead
     }
 
     /// Warms one cluster's storage cache with every model the coming
@@ -656,7 +633,7 @@ impl Federation {
     /// the physical time itself. The one place the link model prices a
     /// fetch.
     pub fn fetch_cost(&self, cluster: usize, physical: SimDuration) -> SimDuration {
-        match self.link_model {
+        match self.config.link_model {
             LinkModel::Nominal => self.clusters[cluster].fetch_duration(),
             LinkModel::Physical => physical,
         }
@@ -693,7 +670,7 @@ impl Federation {
     pub fn fetch_peers(&self, cluster: usize, cids: impl IntoIterator<Item = Cid>) -> FetchedPeers {
         let node = self.clusters[cluster].ipfs();
         let want = self.clusters[cluster].weights().len();
-        let delta_on = self.ipfs.transfer_config().delta;
+        let delta_on = self.config.transfer.delta;
         let mut fetched = FetchedPeers {
             peers: Vec::new(),
             kept: Vec::new(),
@@ -733,11 +710,24 @@ impl Federation {
 
     /// Disjoint borrows for the round step's compute phase: every cluster
     /// and the lanes' model shells (mutably) plus the shared read-only
-    /// global test set. The parallel engine hands one cluster at a time
-    /// and one lane to each scoped thread; nothing else in the federation
-    /// is reachable from compute.
-    pub fn compute_view(&mut self) -> (&mut [ClusterNode], &mut Vec<Lane>, &Dataset) {
-        (&mut self.clusters, &mut self.lanes, &self.global_test)
+    /// global test set and workload. The parallel engine hands one cluster
+    /// at a time and one lane to each scoped thread; nothing else in the
+    /// federation is reachable from compute.
+    pub fn compute_view(
+        &mut self,
+    ) -> (
+        &mut [ClusterNode],
+        &mut Vec<Lane>,
+        &Dataset,
+        &WorkloadConfig,
+    ) {
+        let workload = &self.config.workload;
+        (
+            &mut self.clusters,
+            &mut self.lanes,
+            &self.global_test,
+            workload,
+        )
     }
 
     /// Phase-driving transaction from cluster 0 (any registered aggregator
@@ -753,7 +743,7 @@ impl Federation {
     /// from the model's wire size (weights + gradients + optimizer state
     /// for clients; several model copies plus framework for aggregators).
     pub fn mem_mb(&self, process: Process) -> f64 {
-        let wire_mb = self.spec.wire_bytes() as f64 / 1.0e6;
+        let wire_mb = self.config.workload.model.wire_bytes() as f64 / 1.0e6;
         match process {
             Process::Client => wire_mb * 3.3,
             Process::Aggregator => wire_mb * 20.0 + 300.0,
@@ -863,7 +853,7 @@ impl std::fmt::Debug for Federation {
         f.debug_struct("Federation")
             .field("clusters", &self.clusters.len())
             .field("chain_height", &self.chain.height())
-            .field("spec", &self.spec.name)
+            .field("spec", &self.config.workload.model.name)
             .finish()
     }
 }
@@ -874,8 +864,9 @@ mod tests {
     use crate::cluster::ClusterConfig;
     use crate::orchestration::Mode;
     use crate::policy::{AggregationPolicy, ScorePolicy};
-    use unifyfl_data::{SyntheticConfig, WorkloadConfig};
+    use unifyfl_data::SyntheticConfig;
     use unifyfl_sim::DeviceProfile;
+    use unifyfl_tensor::zoo::ModelSpec;
 
     fn tiny_workload() -> WorkloadConfig {
         let mut dataset = SyntheticConfig::cifar10_like(300);

@@ -3,34 +3,26 @@
 use std::collections::{HashSet, VecDeque};
 
 use unifyfl_chain::orchestrator::OrchestrationMode;
-use unifyfl_data::WorkloadConfig;
 use unifyfl_sim::fault::FaultPlan;
 use unifyfl_sim::{EventQueue, SimDuration, SimTime};
 use unifyfl_storage::Cid;
 
 use super::membership::{self, Members};
-use super::{final_merge, last_local, topology, EngineOutcome};
+use super::{final_merge, topology, EngineOutcome};
 use crate::cluster::ClusterRoundRecord;
 use crate::events::{Event, EventPolicy};
-use crate::experiment::ExperimentConfig;
 use crate::federation::Federation;
 use crate::sharding::ShardTopology;
 use crate::step::{
-    book_score, commit_train_effects, compute_scores, compute_train, prepare_scoring,
-    prepare_train, Engine,
+    book_score, commit_train_effects, compute_scores, compute_train, prepare_scoring, prepare_train,
 };
 
+/// The free-running clockwork of one Async run. Run-wide knobs and the
+/// live shard topology are read from the federation; the policy holds
+/// only its cadences, clocks and queues.
 pub(crate) struct AsyncPolicy {
-    workload: WorkloadConfig,
-    /// Execution engine for the final merge-and-evaluate pass (the wake
-    /// handlers stay strictly event-ordered regardless).
-    engine: Engine,
+    /// The configured round count, read on every eligibility check.
     rounds: u64,
-    n: usize,
-    setup_done: SimTime,
-    /// Active two-tier topology; `None` (or single-shard, filtered at
-    /// construction) free-runs exactly as the unsharded engine.
-    topology: Option<ShardTopology>,
     /// Inter-shard seal cadence in virtual time: seal `k` fires at
     /// `setup_done + k × seal_period` (`exchange_every` nominal round
     /// lengths), independent of how far each cluster's clock has drifted —
@@ -38,9 +30,9 @@ pub(crate) struct AsyncPolicy {
     /// barrier hook.
     seal_period: SimDuration,
     /// Topology-epoch cadence in virtual time: regroup `k` fires at
-    /// `setup_done + k × regroup_period` (`regroup_every` nominal round
-    /// lengths) — the async analogue of the sync engine's
-    /// every-`regroup_every`-rounds barrier hook. Zero when regrouping is
+    /// `setup_done + k × regroup_period` (`regroup` nominal round lengths)
+    /// — the async analogue of the sync engine's every-`regroup`-rounds
+    /// barrier hook. Zero when regrouping is
     /// off.
     regroup_period: SimDuration,
     /// A shard seal/exchange event is in flight; holds the end-of-run
@@ -70,18 +62,19 @@ pub(crate) struct AsyncPolicy {
 }
 
 impl AsyncPolicy {
-    /// Builds the no-barrier policy for `fed`, assembled from `config`:
-    /// asserts the contract mode and scorer compatibility, filters the
-    /// shard topology, derives the virtual-time seal cadence, and skews
-    /// each cluster's starting clock per the fault plan. The returned
-    /// policy is inert until the first step calls [`EventPolicy::seed`].
+    /// Builds the no-barrier policy for `fed`: asserts the contract mode
+    /// and scorer compatibility, derives the virtual-time seal and regroup
+    /// cadences from the shard topology, and skews each cluster's starting
+    /// clock per the fault plan. The returned policy is inert until the
+    /// first step calls [`EventPolicy::seed`].
     ///
     /// # Panics
     ///
     /// Panics if the federation's contract is not in Async mode, or the
     /// scorer requires full-round visibility (MultiKRUM — Table 3 forbids
     /// it here).
-    pub(crate) fn new(fed: &Federation, config: &ExperimentConfig) -> AsyncPolicy {
+    pub(crate) fn new(fed: &Federation) -> AsyncPolicy {
+        let config = fed.config();
         let workload = &config.workload;
         assert_eq!(
             fed.contract().mode(),
@@ -93,7 +86,7 @@ impl AsyncPolicy {
             "async mode does not support weight-similarity scoring (Table 3)"
         );
         let n = fed.clusters.len();
-        let topology = topology::active_topology(fed);
+        let topology = topology::sharded(fed);
         // The async cadence has no barrier to hook, so seals fire on
         // virtual time: every `exchange_every` *nominal round lengths*
         // (the slowest founder's intra-shard pull + train + publish) — the
@@ -113,14 +106,12 @@ impl AsyncPolicy {
                 .expect("at least two founders")
         };
         let seal_period = topology
-            .as_ref()
-            .map(|tp| nominal_round(tp) * tp.exchange_every)
+            .map(|tp| nominal_round(tp) * tp.config.exchange_every)
             .unwrap_or(SimDuration::ZERO);
         // The regroup cadence rides the same virtual-time rhythm, with its
         // own period.
         let regroup_period = topology
-            .as_ref()
-            .and_then(|tp| tp.regroup_every.map(|every| nominal_round(tp) * every))
+            .and_then(|tp| tp.config.regroup.map(|every| nominal_round(tp) * every))
             .unwrap_or(SimDuration::ZERO);
         let plan = fed.fault_plan().cloned();
         let clock: Vec<SimTime> = (0..n)
@@ -134,12 +125,7 @@ impl AsyncPolicy {
             })
             .collect();
         AsyncPolicy {
-            workload: workload.clone(),
-            engine: config.engine,
             rounds: workload.rounds as u64,
-            n,
-            setup_done: fed.setup_done,
-            topology,
             seal_period,
             regroup_period,
             shard_pending: false,
@@ -192,7 +178,7 @@ impl AsyncPolicy {
     /// end-of-run `SealSlot` drain is scheduled at the latest clock.
     fn ensure_wakes(&mut self, queue: &mut EventQueue<Event>) {
         let mut any = false;
-        for idx in 0..self.n {
+        for idx in 0..self.clock.len() {
             if self.eligible(idx) {
                 any = true;
                 if !self.wake[idx] {
@@ -209,7 +195,7 @@ impl AsyncPolicy {
             && !self.seal_scheduled
         {
             self.seal_scheduled = true;
-            self.end_time = self.clock.iter().copied().max().unwrap_or(self.setup_done);
+            self.end_time = self.clock.iter().copied().max().unwrap_or(self.end_time);
             queue.schedule(self.end_time, Event::SealSlot);
         }
     }
@@ -270,7 +256,7 @@ impl AsyncPolicy {
                 // costs time, not rounds (Table 3's "low straggler
                 // impact"). Later crash windows are charged when they fire.
                 self.crashes_spent.insert((idx, round));
-                let lost = fed.clusters[idx].train_duration(self.workload.local_epochs);
+                let lost = fed.clusters[idx].train_duration(fed.config().workload.local_epochs);
                 self.clock[idx] = t + lost + lost * down;
                 fed.log_fault(
                     idx,
@@ -289,7 +275,7 @@ impl AsyncPolicy {
             // assignment reaches it (Figure 6 step 4) — the round step's
             // scoring, inline on the stepping thread's lane.
             let tasks = prepare_scoring(fed, idx, [cid], None);
-            let (clusters, lanes, _) = fed.compute_view();
+            let (clusters, lanes, _, _) = fed.compute_view();
             if let Some(scored) = compute_scores(&clusters[idx], &mut lanes[0].eval, tasks).pop() {
                 let done = t + book_score(fed, idx, &scored);
                 let tx = fed.clusters[idx].score_tx(orch, &cid, scored.score);
@@ -313,9 +299,8 @@ impl AsyncPolicy {
         // commits atomically at wake time: splitting decide from commit
         // would change what concurrently-waking clusters observe on-chain.
         let inputs = prepare_train(fed, idx, round);
-        let workload = &self.workload;
         let mut result = {
-            let (clusters, lanes, global_test) = fed.compute_view();
+            let (clusters, lanes, global_test, workload) = fed.compute_view();
             compute_train(
                 &mut clusters[idx],
                 &mut lanes[0],
@@ -390,7 +375,7 @@ impl AsyncPolicy {
     /// the `SealSlot` drain can fire.
     fn rounds_remain(&self) -> bool {
         self.pending_joins > 0
-            || (0..self.n)
+            || (0..self.clock.len())
                 .any(|i| self.members.participates(i) && self.rounds_done[i] < self.rounds)
     }
 }
@@ -398,26 +383,26 @@ impl AsyncPolicy {
 impl EventPolicy for AsyncPolicy {
     fn seed(&mut self, fed: &mut Federation, queue: &mut EventQueue<Event>) {
         membership::log_initial_skews(fed, self.plan.as_ref(), &self.members);
-        for idx in 0..self.n {
+        for idx in 0..fed.clusters.len() {
             if let Some(jt) = self.members.join_time[idx] {
                 self.pending_joins += 1;
                 queue.schedule_keyed(jt, idx as u64, Event::MembershipChange { cluster: idx });
             }
         }
-        if let Some(tp) = &self.topology {
+        if let Some(tp) = topology::sharded(fed) {
             self.shard_pending = true;
             // Regroups are scheduled ahead of seals so that at a shared
             // cadence instant the fresh grouping shapes the seal
             // (same-time FIFO pops the regroup first).
-            if tp.regroup_every.is_some() {
+            if tp.config.regroup.is_some() {
                 self.regroup_pending = true;
                 queue.schedule(
-                    self.setup_done + self.regroup_period,
+                    fed.setup_done + self.regroup_period,
                     Event::RegroupDue { epoch: 1 },
                 );
             }
             queue.schedule(
-                self.setup_done + self.seal_period,
+                fed.setup_done + self.seal_period,
                 Event::ShardSealDue { epoch: 1 },
             );
         }
@@ -436,9 +421,9 @@ impl EventPolicy for AsyncPolicy {
             Event::MembershipChange { cluster } => self.membership_change(fed, queue, at, cluster),
             Event::RegroupDue { epoch } => {
                 fed.advance_chain_to(at);
-                let sealed = topology::regroup_due(fed, &mut self.topology, at, epoch);
+                let sealed = topology::regroup_due(fed, at, epoch);
                 if self.rounds_remain() {
-                    let next = (self.setup_done + self.regroup_period * (epoch + 1)).max(sealed);
+                    let next = (fed.setup_done + self.regroup_period * (epoch + 1)).max(sealed);
                     queue.schedule(next, Event::RegroupDue { epoch: epoch + 1 });
                 } else {
                     self.regroup_pending = false;
@@ -447,12 +432,11 @@ impl EventPolicy for AsyncPolicy {
             }
             Event::ShardSealDue { epoch } => {
                 fed.advance_chain_to(at);
-                let Some(tp) = &self.topology else { return };
                 // The sealing work lands on each representative's own
                 // free-running clock, pushing its next wake back.
                 let clock = &mut self.clock;
                 let seal_end =
-                    topology::shard_seal_due(fed, tp, &self.members, at, epoch, |rep, spent| {
+                    topology::shard_seal_due(fed, &self.members, at, epoch, |rep, spent| {
                         clock[rep] = clock[rep].max(at) + spent;
                     });
                 fed.flush_chain_at(seal_end);
@@ -461,14 +445,12 @@ impl EventPolicy for AsyncPolicy {
             }
             Event::ShardExchange { epoch } => {
                 fed.advance_chain_to(at);
-                let Some(tp) = &self.topology else { return };
                 // Every cluster still working pays the fetch cost on its
                 // own clock.
                 let clock = &mut self.clock;
                 let (members, finished_at) = (&self.members, &self.finished_at);
                 topology::shard_exchange(
                     fed,
-                    tp,
                     at,
                     |c| members.participates(c) && finished_at[c].is_none(),
                     |idx, spent| clock[idx] = clock[idx].max(at) + spent,
@@ -476,7 +458,7 @@ impl EventPolicy for AsyncPolicy {
                 if self.rounds_remain() {
                     // A slow seal/exchange can overrun the cadence instant;
                     // never schedule into the past.
-                    let next = (self.setup_done + self.seal_period * (epoch + 1)).max(at);
+                    let next = (fed.setup_done + self.seal_period * (epoch + 1)).max(at);
                     queue.schedule(next, Event::ShardSealDue { epoch: epoch + 1 });
                 } else {
                     self.shard_pending = false;
@@ -484,9 +466,8 @@ impl EventPolicy for AsyncPolicy {
                 self.ensure_wakes(queue);
             }
             Event::PrefetchDue { cluster, .. } => {
-                let Some(tp) = &self.topology else { return };
                 if self.working(cluster) {
-                    topology::prefetch_due(fed, tp, cluster);
+                    topology::prefetch_due(fed, cluster);
                 }
             }
             Event::FetchAhead { cluster, .. } => {
@@ -514,18 +495,17 @@ impl EventPolicy for AsyncPolicy {
     }
 
     fn finish(self: Box<Self>, fed: &mut Federation, wave: Option<usize>) -> EngineOutcome {
-        let n = self.n;
+        let n = fed.clusters.len();
         let end_time = self.end_time;
-        let final_global = final_merge(fed, self.rounds, &self.members, self.engine, wave);
-        let final_local = (0..n).map(|i| last_local(fed, i)).collect();
         EngineOutcome {
-            per_cluster_time: (0..n)
-                .map(|i| self.finished_at[i].unwrap_or(end_time))
+            per_cluster_time: self
+                .finished_at
+                .iter()
+                .map(|f| f.unwrap_or(end_time))
                 .collect(),
             straggler_rounds: vec![0; n],
             rejected_scores: vec![0; n],
-            final_global,
-            final_local,
+            final_global: final_merge(fed, &self.members, wave),
             end_time,
         }
     }

@@ -54,9 +54,7 @@ use unifyfl_chain::orchestrator::OrchestrationMode;
 use unifyfl_fl::fanout;
 use unifyfl_sim::SimTime;
 
-use crate::cluster::ClusterRoundRecord;
 use crate::events::EventPolicy;
-use crate::experiment::ExperimentConfig;
 use crate::federation::Federation;
 use crate::step::{compute_all, merge_eval, prepare_train, Engine, TrainInputs};
 
@@ -105,8 +103,6 @@ pub(crate) struct EngineOutcome {
     /// Final *global* (post-merge) accuracy/loss per cluster on the global
     /// test set.
     pub final_global: Vec<(f64, f64)>,
-    /// Final *local* (post-training) accuracy/loss per cluster.
-    pub final_local: Vec<(f64, f64)>,
     /// Virtual end of the whole run.
     pub end_time: SimTime,
 }
@@ -125,16 +121,12 @@ pub(crate) struct EngineOutcome {
 /// merge touches nothing a later prepare reads (peers come from the store,
 /// never from a live model), so the wave size shows in no byte of the
 /// run. `wave` is `None` outside tests: one cluster under
-/// [`Engine::Sequential`], the fan-out's own lane count otherwise.
-fn final_merge(
-    fed: &mut Federation,
-    rounds: u64,
-    members: &Members,
-    engine: Engine,
-    wave: Option<usize>,
-) -> Vec<(f64, f64)> {
+/// [`Engine::Sequential`], the fan-out's own lane count otherwise. The
+/// round count and the engine are the config's.
+fn final_merge(fed: &mut Federation, members: &Members, wave: Option<usize>) -> Vec<(f64, f64)> {
     let n = fed.clusters.len();
-    let round = rounds + 1;
+    let round = fed.config().workload.rounds as u64 + 1;
+    let engine = fed.config().engine;
     let wave = wave.unwrap_or_else(|| match engine {
         Engine::Sequential => 1,
         Engine::Parallel => {
@@ -164,7 +156,7 @@ fn final_merge(
             })
             .collect();
         let results = {
-            let (clusters, lanes, global_test) = fed.compute_view();
+            let (clusters, lanes, global_test, _) = fed.compute_view();
             compute_all(
                 &mut clusters[lo..hi],
                 lanes,
@@ -176,24 +168,10 @@ fn final_merge(
         };
         finals.extend(results.into_iter().zip(lo..hi).map(|(r, idx)| match r {
             Some((_, acc, loss)) => (acc, loss),
-            None => last_record(fed, idx, |r| (r.global_accuracy, r.global_loss)),
+            None => fed.clusters[idx].last_global(),
         }));
     }
     finals
-}
-
-/// An accuracy/loss pair from the cluster's last recorded round (zeros if
-/// it never recorded one).
-fn last_record(
-    fed: &Federation,
-    idx: usize,
-    pick: impl Fn(&ClusterRoundRecord) -> (f64, f64),
-) -> (f64, f64) {
-    fed.clusters[idx].records.last().map_or((0.0, 0.0), pick)
-}
-
-fn last_local(fed: &Federation, idx: usize) -> (f64, f64) {
-    last_record(fed, idx, |r| (r.local_accuracy, r.local_loss))
 }
 
 /// Equal-weight mean of `count` models in f64 accumulation: `peers` are
@@ -212,15 +190,13 @@ fn mean_f64(mut init: Vec<f64>, peers: &[Vec<f32>], count: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Builds the policy matching `mode` for a [`crate::service::RunState`].
-/// The configuration was validated before `fed` was assembled from it, so
-/// the constructors' mode and scorer asserts restate invariants.
-pub(crate) fn policy_for(
-    fed: &Federation,
-    config: &ExperimentConfig,
-) -> Box<dyn EventPolicy + Send> {
-    match config.mode {
-        Mode::Sync => Box::new(SyncPolicy::new(fed, config)),
-        Mode::Async => Box::new(AsyncPolicy::new(fed, config)),
+/// Builds the policy for the configured mode for a
+/// [`crate::service::RunState`]. The configuration was validated before
+/// `fed` was assembled from it, so the constructors' mode and scorer
+/// asserts restate invariants.
+pub(crate) fn policy_for(fed: &Federation) -> Box<dyn EventPolicy + Send> {
+    match fed.config().mode {
+        Mode::Sync => Box::new(SyncPolicy::new(fed)),
+        Mode::Async => Box::new(AsyncPolicy::new(fed)),
     }
 }

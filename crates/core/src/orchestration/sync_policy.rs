@@ -4,23 +4,20 @@ use std::collections::BTreeMap;
 
 use unifyfl_chain::orchestrator::{calls, OrchestrationMode};
 use unifyfl_chain::types::Address;
-use unifyfl_data::WorkloadConfig;
 use unifyfl_sim::fault::FaultPlan;
 use unifyfl_sim::{EventQueue, SimDuration, SimTime};
 use unifyfl_storage::Cid;
 
 use super::membership::{self, Members};
-use super::{final_merge, last_local, topology, EngineOutcome};
+use super::{final_merge, topology, EngineOutcome};
 use crate::cluster::{ClusterNode, ClusterRoundRecord};
 use crate::events::{Event, EventPolicy};
-use crate::experiment::ExperimentConfig;
 use crate::federation::Federation;
 use crate::scoring::{krum_assumed_byzantine, multikrum_scores, ScorerKind};
 use crate::sharding::ShardTopology;
 use crate::step::{
     book_score, commit_train_effects, compute_all, compute_scores, compute_train, prepare_scoring,
-    prepare_train, scoring_work, train_work, Engine, ScoreTask, ScoredModel, TrainInputs,
-    TrainResult,
+    prepare_train, scoring_work, train_work, ScoreTask, ScoredModel, TrainInputs, TrainResult,
 };
 
 /// What the training phase decided for one cluster, before any state is
@@ -44,17 +41,12 @@ enum TrainAction {
     Run,
 }
 
+/// The barrier clockwork of one Sync run. Run-wide knobs (rounds, engine,
+/// scorer, workload) and the live shard topology are read from the
+/// federation; the policy holds only its windows and per-round state.
 pub(crate) struct SyncPolicy {
-    workload: WorkloadConfig,
-    scorer: ScorerKind,
-    engine: Engine,
-    rounds: u64,
-    n: usize,
     training_window: SimDuration,
     scoring_window: SimDuration,
-    /// Active two-tier topology; `None` (or a single-shard topology,
-    /// filtered at construction) runs the flat barrier cycle untouched.
-    topology: Option<ShardTopology>,
     plan: Option<FaultPlan>,
     // Cross-round accumulators.
     straggler_rounds: Vec<u64>,
@@ -77,16 +69,16 @@ pub(crate) struct SyncPolicy {
 }
 
 impl SyncPolicy {
-    /// Builds the barrier policy for `fed`, assembled from `config`:
-    /// asserts the contract mode, filters the shard topology, sizes the
-    /// phase windows from the nominal cost models × `window_margin`, and
-    /// seeds the membership bookkeeping. The returned policy is inert until
-    /// the first step calls [`EventPolicy::seed`].
+    /// Builds the barrier policy for `fed`: asserts the contract mode,
+    /// sizes the phase windows from the nominal cost models ×
+    /// `window_margin`, and seeds the membership bookkeeping. The returned
+    /// policy is inert until the first step calls [`EventPolicy::seed`].
     ///
     /// # Panics
     ///
     /// Panics if the federation was built with the wrong contract mode.
-    pub(crate) fn new(fed: &Federation, config: &ExperimentConfig) -> SyncPolicy {
+    pub(crate) fn new(fed: &Federation) -> SyncPolicy {
+        let config = fed.config();
         let workload = &config.workload;
         assert_eq!(
             fed.contract().mode(),
@@ -94,11 +86,10 @@ impl SyncPolicy {
             "sync engine needs a sync-mode contract"
         );
         let n = fed.clusters.len();
-        let topology = topology::active_topology(fed);
         // Peer fan-out per phase: intra-shard under the two-tier topology,
         // the whole federation when flat. Windows sized from it stay
         // constant as the federation grows with the shard size fixed.
-        let fan_out = topology.as_ref().map_or(n, ShardTopology::max_shard_size) as u64 - 1;
+        let fan_out = topology::sharded(fed).map_or(n, ShardTopology::max_shard_size) as u64 - 1;
 
         // Size the windows from nominal (straggle-free) expected
         // durations: the slowest cluster's phase, times the margin.
@@ -118,14 +109,8 @@ impl SyncPolicy {
             window(&|c| (c.fetch_duration() + nominal(c, c.score_duration())) * fan_out);
 
         SyncPolicy {
-            workload: workload.clone(),
-            scorer: config.scorer,
-            engine: config.engine,
-            rounds: workload.rounds as u64,
-            n,
             training_window,
             scoring_window,
-            topology,
             plan: fed.fault_plan().cloned(),
             straggler_rounds: vec![0; n],
             rejected_scores: vec![0; n],
@@ -158,8 +143,9 @@ impl SyncPolicy {
         // fires the joins first, then reopens the round with membership
         // settled.
         self.opening_round = round;
+        let n = fed.clusters.len();
         let mut joins_due = false;
-        for idx in 0..self.n {
+        for idx in 0..n {
             if !self.members.joined[idx] && self.members.join_time[idx].is_some_and(|jt| jt <= at) {
                 queue.schedule(at, Event::MembershipChange { cluster: idx });
                 joins_due = true;
@@ -180,20 +166,18 @@ impl SyncPolicy {
         // (shared-state reads and fetches), then run the cluster-local
         // compute under the selected engine. Commits are the
         // `TrainingDone` events, released at the barrier in index order.
-        let actions: Vec<TrainAction> = (0..self.n)
-            .map(|idx| self.train_action(idx, round))
-            .collect();
-        let inputs: Vec<Option<TrainInputs>> = (0..self.n)
+        let actions: Vec<TrainAction> = (0..n).map(|idx| self.train_action(idx, round)).collect();
+        let inputs: Vec<Option<TrainInputs>> = (0..n)
             .map(|idx| (actions[idx] == TrainAction::Run).then(|| prepare_train(fed, idx, round)))
             .collect();
-        let workload = &self.workload;
+        let engine = fed.config().engine;
         let results = {
-            let (clusters, lanes, global_test) = fed.compute_view();
+            let (clusters, lanes, global_test, workload) = fed.compute_view();
             compute_all(
                 clusters,
                 lanes,
                 inputs,
-                self.engine,
+                engine,
                 |cluster, _| train_work(cluster, workload, global_test),
                 |cluster, lane, inputs| compute_train(cluster, lane, inputs, workload, global_test),
             )
@@ -201,7 +185,7 @@ impl SyncPolicy {
         self.pending_actions = actions;
         self.pending_results = results;
 
-        for idx in 0..self.n {
+        for idx in 0..n {
             queue.schedule(
                 self.window_end,
                 Event::TrainingDone {
@@ -271,7 +255,7 @@ impl SyncPolicy {
                 // delay), so none is added here.
                 let leftover = self.carryover[idx].take().expect("carryover action");
                 self.submit_or_hold(fed, idx, round, self.phase_start + leftover);
-                let (acc, loss) = last_local(fed, idx);
+                let (acc, loss) = fed.clusters[idx].last_local();
                 fed.clusters[idx].record(ClusterRoundRecord {
                     round,
                     peers_merged: 0,
@@ -341,7 +325,7 @@ impl SyncPolicy {
         // submissions are grouped by the submitter's shard and scored per
         // group. With the flat contract map every submitter is in shard 0,
         // so the single group reproduces the unsharded computation exactly.
-        let krum: Option<(Vec<Cid>, Vec<f64>)> = if self.scorer == ScorerKind::MultiKrum {
+        let krum: Option<(Vec<Cid>, Vec<f64>)> = if fed.config().scorer == ScorerKind::MultiKrum {
             let mut groups: BTreeMap<u32, Vec<Cid>> = BTreeMap::new();
             let entries = fed.contract().entries().iter().enumerate();
             for (i, e) in entries.filter(|(_, e)| e.round == round) {
@@ -382,7 +366,8 @@ impl SyncPolicy {
                 // round (`is_down` covers both).
                 && p.plan.as_ref().is_none_or(|pl| !pl.is_down(idx, round))
         };
-        let task_lists: Vec<Option<Vec<ScoreTask>>> = (0..self.n)
+        let n = fed.clusters.len();
+        let task_lists: Vec<Option<Vec<ScoreTask>>> = (0..n)
             .map(|idx| {
                 let me = fed.clusters[idx].address();
                 let mine = assignments
@@ -392,20 +377,21 @@ impl SyncPolicy {
                 scores_due(self, idx).then(|| prepare_scoring(fed, idx, mine, krum.as_ref()))
             })
             .collect();
+        let engine = fed.config().engine;
         let scored_lists = {
-            let (clusters, lanes, _) = fed.compute_view();
+            let (clusters, lanes, _, _) = fed.compute_view();
             compute_all(
                 clusters,
                 lanes,
                 task_lists,
-                self.engine,
+                engine,
                 |cluster, tasks| scoring_work(cluster, tasks),
                 |cluster, lane, tasks| compute_scores(cluster, &mut lane.eval, tasks),
             )
         };
         self.pending_scores = scored_lists;
 
-        for idx in 0..self.n {
+        for idx in 0..n {
             queue.schedule(
                 self.scoring_end,
                 Event::ScoresDue {
@@ -451,7 +437,7 @@ impl SyncPolicy {
         fed.submit_tx_at(self.scoring_end, tx);
         let t = fed.flush_chain_at(self.scoring_end);
         self.end_time = t;
-        if round >= self.rounds {
+        if round >= fed.config().workload.rounds as u64 {
             return;
         }
         // Topology epochs: on the regroup cadence the barrier derives the
@@ -459,8 +445,8 @@ impl SyncPolicy {
         // shapes them: RoundBarrier → RegroupDue → [seal/exchange →]
         // OpenTraining(round + 1). With `regroup: None` this never fires
         // and the barrier cycle is byte-identical to the static engine.
-        let regroup_every = self.topology.as_ref().and_then(|tp| tp.regroup_every);
-        if let Some(every) = regroup_every.filter(|every| round.is_multiple_of(*every)) {
+        let regroup = topology::sharded(fed).and_then(|tp| tp.config.regroup);
+        if let Some(every) = regroup.filter(|every| round.is_multiple_of(*every)) {
             queue.schedule(
                 t,
                 Event::RegroupDue {
@@ -483,7 +469,7 @@ impl SyncPolicy {
         t: SimTime,
         round: u64,
     ) {
-        let exchange_every = self.topology.as_ref().map(|tp| tp.exchange_every);
+        let exchange_every = topology::sharded(fed).map(|tp| tp.config.exchange_every);
         if let Some(every) = exchange_every.filter(|every| round.is_multiple_of(*every)) {
             queue.schedule(
                 t,
@@ -499,7 +485,7 @@ impl SyncPolicy {
     /// Opens `round` at `t`: one fetch-ahead warm-up per participating
     /// cluster, then the round's [`Event::OpenTraining`].
     fn open_round(&self, fed: &Federation, queue: &mut EventQueue<Event>, t: SimTime, round: u64) {
-        for cluster in (0..self.n).filter(|&c| self.members.participates(c)) {
+        for cluster in (0..fed.clusters.len()).filter(|&c| self.members.participates(c)) {
             topology::schedule_fetch_ahead(fed, queue, t, cluster, round);
         }
         queue.schedule(t, Event::OpenTraining { round });
@@ -510,7 +496,7 @@ impl EventPolicy for SyncPolicy {
     fn seed(&mut self, fed: &mut Federation, queue: &mut EventQueue<Event>) {
         membership::log_initial_skews(fed, self.plan.as_ref(), &self.members);
         self.end_time = fed.setup_done;
-        if self.rounds > 0 {
+        if fed.config().workload.rounds > 0 {
             queue.schedule(fed.setup_done, Event::OpenTraining { round: 1 });
         }
     }
@@ -547,41 +533,35 @@ impl EventPolicy for SyncPolicy {
                 // shards respect the epoch-0 capacity bound. The barrier's
                 // seal/exchange/open continuation resumes for the
                 // regrouping round once the epoch is installed.
-                let Some(every) = self.topology.as_ref().and_then(|tp| tp.regroup_every) else {
+                let Some(every) = topology::sharded(fed).and_then(|tp| tp.config.regroup) else {
                     return;
                 };
-                let t = topology::regroup_due(fed, &mut self.topology, at, epoch);
+                let t = topology::regroup_due(fed, at, epoch);
                 self.end_time = t;
                 self.advance_past_barrier(fed, queue, t, epoch * every);
             }
             Event::ShardSealDue { epoch } => {
-                let Some(tp) = &self.topology else { return };
                 // The barrier absorbs the sealing work: no cluster clock to
                 // charge. The exchange fires once the slowest seal has
                 // landed and the sealing block is mined.
-                let seal_end =
-                    topology::shard_seal_due(fed, tp, &self.members, at, epoch, |_, _| {});
+                let seal_end = topology::shard_seal_due(fed, &self.members, at, epoch, |_, _| {});
                 let t = fed.flush_chain_at(seal_end);
                 topology::schedule_exchange(fed, queue, t, epoch, |c| self.members.participates(c));
             }
             Event::ShardExchange { epoch } => {
-                let Some(tp) = &self.topology else { return };
+                let Some(every) = topology::sharded(fed).map(|tp| tp.config.exchange_every) else {
+                    return;
+                };
                 // The next round opens once the slowest fold is done.
-                let end = topology::shard_exchange(
-                    fed,
-                    tp,
-                    at,
-                    |c| self.members.participates(c),
-                    |_, _| {},
-                );
+                let participates = |c| self.members.participates(c);
+                let end = topology::shard_exchange(fed, at, participates, |_, _| {});
                 let t = fed.flush_chain_at(end);
                 self.end_time = t;
-                self.open_round(fed, queue, t, epoch * tp.exchange_every + 1);
+                self.open_round(fed, queue, t, epoch * every + 1);
             }
             Event::PrefetchDue { cluster, .. } => {
-                let Some(tp) = &self.topology else { return };
                 if self.members.participates(cluster) {
-                    topology::prefetch_due(fed, tp, cluster);
+                    topology::prefetch_due(fed, cluster);
                 }
             }
             Event::FetchAhead { cluster, .. } => {
@@ -597,16 +577,12 @@ impl EventPolicy for SyncPolicy {
     }
 
     fn finish(self: Box<Self>, fed: &mut Federation, wave: Option<usize>) -> EngineOutcome {
-        let n = self.n;
         let end_time = self.end_time;
-        let final_global = final_merge(fed, self.rounds, &self.members, self.engine, wave);
-        let final_local = (0..n).map(|i| last_local(fed, i)).collect();
         EngineOutcome {
-            per_cluster_time: vec![end_time; n],
+            per_cluster_time: vec![end_time; fed.clusters.len()],
+            final_global: final_merge(fed, &self.members, wave),
             straggler_rounds: self.straggler_rounds,
             rejected_scores: self.rejected_scores,
-            final_global,
-            final_local,
             end_time,
         }
     }

@@ -7,7 +7,9 @@
 //! part* (a predicate over cluster indices) and *whose clock is charged*
 //! (a callback; the barrier absorbs the work, a free-running cluster pays
 //! for it on its own clock) — and each handler returns the instant its
-//! work ends, from which the policy schedules its own continuation.
+//! work ends, from which the policy schedules its own continuation. The
+//! topology itself is never an argument: every handler reads the
+//! federation's current one ([`sharded`]), which a regroup replaces.
 
 use unifyfl_chain::orchestrator::calls;
 use unifyfl_sim::{EventQueue, SimDuration, SimTime};
@@ -20,10 +22,10 @@ use crate::federation::Federation;
 use crate::sharding::ShardTopology;
 
 /// The topology a policy runs under: the federation's current one, unless
-/// it is single-shard — that is behaviorally flat, and dropping it keeps
+/// it is single-shard — that is behaviorally flat, and ignoring it keeps
 /// the run event-for-event identical to the unsharded engine.
-pub(super) fn active_topology(fed: &Federation) -> Option<ShardTopology> {
-    fed.shard_topology().filter(|tp| tp.is_sharded()).cloned()
+pub(super) fn sharded(fed: &Federation) -> Option<&ShardTopology> {
+    fed.shard_topology().filter(|tp| tp.is_sharded())
 }
 
 /// A fired [`Event::ShardSealDue`]: every shard's representative (its
@@ -32,19 +34,23 @@ pub(super) fn active_topology(fed: &Federation) -> Option<ShardTopology> {
 /// Returns the instant the slowest seal lands.
 pub(super) fn shard_seal_due(
     fed: &mut Federation,
-    topology: &ShardTopology,
     members: &Members,
     at: SimTime,
     epoch: u64,
     mut charge: impl FnMut(usize, SimDuration),
 ) -> SimTime {
+    let reps: Vec<(usize, usize)> = sharded(fed).map_or_else(Vec::new, |tp| {
+        let rep = |shard| {
+            tp.members(shard)
+                .into_iter()
+                .find(|&i| members.participates(i))
+        };
+        (0..tp.shards)
+            .filter_map(|shard| Some((shard, rep(shard)?)))
+            .collect()
+    });
     let mut seal_end = at;
-    for shard in 0..topology.shards {
-        let rep = topology
-            .members(shard)
-            .into_iter()
-            .find(|&i| members.participates(i));
-        let Some(rep) = rep else { continue };
+    for (shard, rep) in reps {
         let spent = seal_shard(fed, shard, epoch, rep, at);
         charge(rep, spent);
         seal_end = seal_end.max(at + spent);
@@ -98,7 +104,7 @@ pub(super) fn schedule_exchange(
     epoch: u64,
     takes_part: impl Fn(usize) -> bool,
 ) {
-    if fed.gossip().is_some() {
+    if fed.config().gossip.is_some() {
         for cluster in (0..fed.clusters.len()).filter(|&c| takes_part(c)) {
             queue.schedule(at, Event::PrefetchDue { cluster, epoch });
         }
@@ -109,8 +115,8 @@ pub(super) fn schedule_exchange(
 /// A fired [`Event::PrefetchDue`]: disseminate the epoch's sealed releases
 /// along the gossip overlay into `cluster`'s store ahead of the exchange.
 /// Charges nothing — see [`Federation::warm`].
-pub(super) fn prefetch_due(fed: &Federation, topology: &ShardTopology, cluster: usize) {
-    fed.warm(cluster, exchange_cids(fed, topology, cluster));
+pub(super) fn prefetch_due(fed: &Federation, cluster: usize) {
+    fed.warm(cluster, exchange_cids(fed, cluster));
 }
 
 /// A fired [`Event::ShardExchange`]: every cluster `takes_part` admits
@@ -119,14 +125,13 @@ pub(super) fn prefetch_due(fed: &Federation, topology: &ShardTopology, cluster: 
 /// slowest fold is done.
 pub(super) fn shard_exchange(
     fed: &mut Federation,
-    topology: &ShardTopology,
     at: SimTime,
     takes_part: impl Fn(usize) -> bool,
     mut charge: impl FnMut(usize, SimDuration),
 ) -> SimTime {
     let mut end = at;
     for idx in (0..fed.clusters.len()).filter(|&i| takes_part(i)) {
-        let spent = exchange_into(fed, topology, idx);
+        let spent = exchange_into(fed, idx);
         charge(idx, spent);
         end = end.max(at + spent);
     }
@@ -139,8 +144,8 @@ pub(super) fn shard_exchange(
 /// under the active link model. A shard whose release is unfetchable (never
 /// sealed, or lost to a storage fault) is skipped — the exchange degrades
 /// instead of stalling.
-fn exchange_into(fed: &mut Federation, topology: &ShardTopology, idx: usize) -> SimDuration {
-    let fetched = fed.fetch_peers(idx, exchange_cids(fed, topology, idx));
+fn exchange_into(fed: &mut Federation, idx: usize) -> SimDuration {
+    let fetched = fed.fetch_peers(idx, exchange_cids(fed, idx));
     if !fetched.peers.is_empty() {
         fed.clusters[idx].merge_peers(fetched.peers);
     }
@@ -150,8 +155,12 @@ fn exchange_into(fed: &mut Federation, topology: &ShardTopology, idx: usize) -> 
 
 /// The CIDs [`exchange_into`] will fetch for `idx` at this instant: every
 /// *other* shard's latest sealed release. Factored out so the gossip
-/// prefetch warms exactly the set the exchange reads.
-fn exchange_cids(fed: &Federation, topology: &ShardTopology, idx: usize) -> Vec<Cid> {
+/// prefetch warms exactly the set the exchange reads. Empty when the run
+/// is not sharded.
+fn exchange_cids(fed: &Federation, idx: usize) -> Vec<Cid> {
+    let Some(topology) = sharded(fed) else {
+        return Vec::new();
+    };
     let my_shard = topology.shard_of(idx);
     (0..topology.shards)
         .filter(|s| *s != my_shard)
@@ -161,26 +170,21 @@ fn exchange_cids(fed: &Federation, topology: &ShardTopology, idx: usize) -> Vec<
 }
 
 /// A fired [`Event::RegroupDue`]: derive and install the next topology
-/// epoch over the clusters' current weights, adopt it for the rest of the
-/// run, and flush the chain so a changed assignment's `updateSharding`
-/// lands. Charges no cluster clock — regrouping is orchestrator
-/// bookkeeping, not silo work. Returns the chain head's timestamp.
-pub(super) fn regroup_due(
-    fed: &mut Federation,
-    topology: &mut Option<ShardTopology>,
-    at: SimTime,
-    epoch: u64,
-) -> SimTime {
-    if let Some(next) = fed.regroup_epoch(epoch, at) {
-        *topology = Some(next);
-    }
+/// epoch over the clusters' current weights
+/// ([`Federation::regroup_epoch`]), and flush the chain so a changed
+/// assignment's `updateSharding` lands. Charges no cluster clock —
+/// regrouping is orchestrator bookkeeping, not silo work. Returns the
+/// chain head's timestamp.
+pub(super) fn regroup_due(fed: &mut Federation, at: SimTime, epoch: u64) -> SimTime {
+    fed.regroup_epoch(epoch, at);
     fed.flush_chain_at(at)
 }
 
 /// Schedules a [`Event::FetchAhead`] warm-up of `cluster`'s cache for
 /// `round` at `at` — the instant the round opens, but strictly before the
 /// event that opens it (same-time FIFO), so the round's pulls find a warm
-/// cache. No-op unless [`Federation::fetch_ahead`] is enabled.
+/// cache. No-op unless the config enables
+/// [`fetch_ahead`](crate::experiment::ExperimentConfig::fetch_ahead).
 pub(super) fn schedule_fetch_ahead(
     fed: &Federation,
     queue: &mut EventQueue<Event>,
@@ -188,7 +192,7 @@ pub(super) fn schedule_fetch_ahead(
     cluster: usize,
     round: u64,
 ) {
-    if fed.fetch_ahead() {
+    if fed.config().fetch_ahead {
         queue.schedule(at, Event::FetchAhead { cluster, round });
     }
 }

@@ -77,7 +77,6 @@ use crate::orchestration::policy_for;
 /// daemon-hosted and a resumed run execute the same loop and produce
 /// byte-identical reports by construction.
 pub struct RunState {
-    config: ExperimentConfig,
     fed: Federation,
     policy: Box<dyn EventPolicy + Send>,
     queue: EventQueue<Event>,
@@ -96,9 +95,8 @@ impl RunState {
     /// Returns [`ExperimentError`] if the configuration is invalid.
     pub fn new(config: &ExperimentConfig) -> Result<RunState, ExperimentError> {
         let fed = Federation::assemble(config)?;
-        let policy = policy_for(&fed, config);
+        let policy = policy_for(&fed);
         Ok(RunState {
-            config: config.clone(),
             fed,
             policy,
             queue: EventQueue::new(),
@@ -150,9 +148,9 @@ impl RunState {
         Some(record)
     }
 
-    /// The configuration this run was built from.
+    /// The configuration this run was built from (the federation's).
     pub fn config(&self) -> &ExperimentConfig {
-        &self.config
+        self.fed.config()
     }
 
     /// Read-only view of the federation being run.
@@ -177,7 +175,7 @@ impl RunState {
     /// or another.
     pub fn checkpoint(&self) -> RunCheckpoint {
         RunCheckpoint {
-            config: self.config.clone(),
+            config: self.config().clone(),
             trace: self.trace.clone(),
         }
     }
@@ -205,13 +203,10 @@ impl RunState {
     pub(crate) fn finish_in_waves(mut self, wave: Option<usize>) -> (ExperimentReport, Federation) {
         while self.step().is_some() {}
         let RunState {
-            config,
-            mut fed,
-            policy,
-            ..
+            mut fed, policy, ..
         } = self;
         let outcome = policy.finish(&mut fed, wave);
-        let report = experiment::build_report(&config, &fed, outcome);
+        let report = experiment::build_report(&fed, outcome);
         (report, fed)
     }
 }
@@ -219,8 +214,8 @@ impl RunState {
 impl std::fmt::Debug for RunState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RunState")
-            .field("label", &self.config.label)
-            .field("seed", &self.config.seed)
+            .field("label", &self.config().label)
+            .field("seed", &self.config().seed)
             .field("events_fired", &self.trace.len())
             .field("virtual_now", &self.virtual_now())
             .finish_non_exhaustive()

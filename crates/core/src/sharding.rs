@@ -82,21 +82,19 @@ impl ShardConfig {
 
 /// The concrete shard assignment for one run: a pure function of
 /// `(config, seed, n_clusters)`, so every engine (and a mid-run joiner)
-/// lands each cluster in the same seeded shard.
+/// lands each cluster in the same seeded shard. It holds the
+/// [`ShardConfig`] it was derived from, so the scorer cap, the exchange
+/// and regroup cadences and the weighting are read there, never copied.
+/// A run keeps one live topology, in the
+/// [`Federation`](crate::federation::Federation); a regroup replaces it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardTopology {
     /// Number of shards.
     pub shards: usize,
     /// Cluster index → shard, balanced to within one member.
     pub assignment: Vec<usize>,
-    /// Scorer cap per release (`None` = intra-shard majority).
-    pub scorers_per_release: Option<usize>,
-    /// Inter-shard exchange cadence in rounds.
-    pub exchange_every: u64,
-    /// Dynamic re-clustering cadence (`None` = static grouping).
-    pub regroup_every: Option<u64>,
-    /// Variance-weighted intra-shard aggregation.
-    pub adaptive_weighting: bool,
+    /// The knobs the topology was derived from.
+    pub config: ShardConfig,
     /// Capacity bound regrouped shards respect: the config-time (epoch 0)
     /// largest shard size, so the sync engine's phase-window sizing stays
     /// valid across epochs while still letting drifted clusters co-locate.
@@ -121,10 +119,7 @@ impl ShardTopology {
         let mut topology = ShardTopology {
             shards,
             assignment,
-            scorers_per_release: config.scorers_per_release,
-            exchange_every: config.exchange_every.max(1),
-            regroup_every: config.regroup,
-            adaptive_weighting: config.adaptive_weighting,
+            config: config.clone(),
             capacity: 0,
         };
         topology.capacity = topology.max_shard_size();

@@ -94,7 +94,7 @@ pub struct TrainInputs {
     pub peers: Vec<Vec<f32>>,
     /// Per-peer aggregation precisions (inverse on-chain score variance),
     /// index-aligned with `peers`. Present only when the topology enables
-    /// [`adaptive_weighting`](crate::sharding::ShardTopology::adaptive_weighting);
+    /// [`adaptive_weighting`](crate::sharding::ShardConfig::adaptive_weighting);
     /// `None` selects the paper's equal-weight merge.
     pub precisions: Option<Vec<f64>>,
     /// Virtual duration of the pulls (`fetch_duration × peers`).
@@ -152,7 +152,7 @@ pub fn prepare_train(fed: &mut Federation, idx: usize, round: u64) -> TrainInput
     fed.clusters[idx].maybe_drift(round);
     let adaptive = fed
         .shard_topology()
-        .is_some_and(|topology| topology.adaptive_weighting);
+        .is_some_and(|topology| topology.config.adaptive_weighting);
     let policy = fed.clusters[idx].effective_policy(round);
     let candidates = fed.candidates_for(idx);
     let scored = fed.scored_candidates(idx, &candidates);
@@ -255,7 +255,7 @@ pub fn commit_train_effects(
         .map(|p| p.latency_factor(idx, round))
         .filter(|f| *f > 1.0);
     if let Some(factor) = spike {
-        match fed.link_model() {
+        match fed.config().link_model {
             // Reference model: the spike hits the compute path.
             LinkModel::Nominal => {
                 result.train = SimDuration::from_secs_f64(result.train.as_secs_f64() * factor);

@@ -163,16 +163,13 @@ impl ChaosConfig {
     }
 }
 
-/// The fully expanded, deterministic fault schedule for one run.
+/// The fully expanded, deterministic fault schedule for one run, and the
+/// seed its storage and chain injector streams derive from. The layer
+/// knobs those injectors run with stay in the [`ChaosConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     events: Vec<FaultEvent>,
-    fetch_failure_prob: f64,
-    chunk_loss_prob: f64,
-    chunk_retries: u32,
-    missed_seal_prob: f64,
-    dropped_tx_prob: f64,
 }
 
 impl FaultPlan {
@@ -224,15 +221,7 @@ impl FaultPlan {
         events.sort_by(|a, b| {
             (a.round, a.cluster, a.kind.label()).cmp(&(b.round, b.cluster, b.kind.label()))
         });
-        FaultPlan {
-            seed,
-            events,
-            fetch_failure_prob: config.fetch_failure_prob,
-            chunk_loss_prob: config.chunk_loss_prob,
-            chunk_retries: config.chunk_retries,
-            missed_seal_prob: config.missed_seal_prob,
-            dropped_tx_prob: config.dropped_tx_prob,
-        }
+        FaultPlan { seed, events }
     }
 
     /// The seed the plan (and its layer sub-streams) derive from.
@@ -253,21 +242,6 @@ impl FaultPlan {
     /// Seed for the chain-layer fault stream.
     pub fn chain_seed(&self) -> u64 {
         SeedTree::new(self.seed).seed("chain-faults")
-    }
-
-    /// Storage-layer knobs: `(fetch_failure_prob, chunk_loss_prob,
-    /// chunk_retries)`.
-    pub fn storage_knobs(&self) -> (f64, f64, u32) {
-        (
-            self.fetch_failure_prob,
-            self.chunk_loss_prob,
-            self.chunk_retries,
-        )
-    }
-
-    /// Chain-layer knobs: `(missed_seal_prob, dropped_tx_prob)`.
-    pub fn chain_knobs(&self) -> (f64, f64) {
-        (self.missed_seal_prob, self.dropped_tx_prob)
     }
 
     /// True if the cluster is unavailable during `round` (covered by a

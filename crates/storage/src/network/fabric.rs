@@ -111,11 +111,6 @@ impl IpfsNetwork {
         }
     }
 
-    /// The active transfer configuration.
-    pub fn transfer_config(&self) -> TransferConfig {
-        self.state().transfer
-    }
-
     /// Snapshot of the transfer accounting (the resident-bytes gauge is
     /// sampled at call time).
     pub fn transfer_stats(&self) -> TransferStats {

@@ -92,7 +92,7 @@ fn every_registered_model_is_fetchable_and_scored() {
         let cid: unifyfl::storage::Cid = entry.cid.parse().expect("valid CID");
         let weights = fed.fetch_peers(0, [cid]).peers.pop();
         let weights = weights.expect("fetchable, decodable and of the model's length");
-        assert_eq!(weights.len(), fed.spec.actual_params());
+        assert_eq!(weights.len(), fed.config().workload.model.actual_params());
         // Scorers were assigned (majority of 3 = 2), never the submitter.
         assert_eq!(entry.scorers.len(), 2);
         assert!(!entry.scorers.contains(&entry.submitter));
