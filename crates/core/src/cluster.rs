@@ -202,7 +202,7 @@ pub struct ClusterNode {
     /// base for the next publish. Seeded with the federation's shared
     /// initial model so even round-1 publishes have a base every peer
     /// holds.
-    last_release: Option<(Cid, Vec<f32>)>,
+    last_release: (Cid, Vec<f32>),
     /// Delta reference produced by the latest [`ClusterNode::store_model`],
     /// consumed by the next [`ClusterNode::submit_model_tx`].
     pending_delta: Option<(Cid, Cid)>,
@@ -278,7 +278,7 @@ impl ClusterNode {
             rng,
             train_samples,
             last_published: None,
-            last_release: Some((init_receipt.cid, init_release)),
+            last_release: (init_receipt.cid, init_release),
             pending_delta: None,
             delta_publishes: 0,
             full_publishes: 0,
@@ -452,23 +452,14 @@ impl ClusterNode {
         let bytes = weights_to_bytes(&weights);
         let receipt = self.ipfs.add(&bytes);
 
-        match &self.last_release {
-            // Re-releasing identical weights (a straggler re-storing its
-            // held model): the blob, CID and any pending delta reference
-            // are already in place.
-            Some((base_cid, _)) if *base_cid == receipt.cid => {}
-            Some((base_cid, base_weights)) => {
-                let delta_receipt = self.ipfs.add(&delta_to_bytes(base_weights, &weights));
-                self.pending_delta = Some((*base_cid, delta_receipt.cid));
-                self.last_release = Some((receipt.cid, weights));
-            }
-            // Unreachable in the assembled federation (the shared initial
-            // model seeds `last_release` in the constructor), kept for
-            // robustness against future construction paths.
-            None => {
-                self.pending_delta = None;
-                self.last_release = Some((receipt.cid, weights));
-            }
+        // Re-releasing identical weights (a straggler re-storing its held
+        // model) leaves the blob, CID and any pending delta reference in
+        // place.
+        let (base_cid, base_weights) = &self.last_release;
+        if *base_cid != receipt.cid {
+            let delta_receipt = self.ipfs.add(&delta_to_bytes(base_weights, &weights));
+            self.pending_delta = Some((*base_cid, delta_receipt.cid));
+            self.last_release = (receipt.cid, weights);
         }
         self.last_published = Some(receipt.cid);
         receipt.cid

@@ -1125,6 +1125,53 @@ mod tests {
         assert!(crate::step::compute_scores(&f.clusters[scorer], eval, tasks).is_empty());
     }
 
+    /// The federation's topology is the only copy the engines read: a
+    /// regroup that moves clusters replaces it, tells the contract in one
+    /// transaction, and a regroup that moves nothing submits nothing.
+    #[test]
+    fn regroup_epoch_installs_a_moved_assignment_and_submits_only_when_it_moves() {
+        use crate::sharding::ShardConfig;
+        let mut f = Federation::assemble(&ExperimentConfig {
+            sharding: Some(ShardConfig::new(2)),
+            ..config(Mode::Sync, 6)
+        })
+        .expect("the tiny workload assembles");
+        // Two far-apart blobs, dealt so that each seeded shard holds two
+        // clusters of one blob and one of the other.
+        let seeded = f.shard_topology().expect("sharded").clone();
+        let (s0, s1) = (seeded.members(0), seeded.members(1));
+        assert_eq!((s0.len(), s1.len()), (3, 3));
+        let near = [s0[0], s0[1], s1[2]];
+        let n = f.clusters[0].weights().len();
+        for idx in 0..f.clusters.len() {
+            let center = if near.contains(&idx) { 0.0 } else { 10.0 };
+            f.clusters[idx].adopt_weights(vec![center; n]);
+        }
+        let successes = |f: &Federation| {
+            let blocks = (0..=f.chain.height()).filter_map(|b| f.chain.receipts(b));
+            blocks.flatten().filter(|r| r.success).count()
+        };
+        let before = successes(&f);
+
+        let t = f.setup_done;
+        f.regroup_epoch(1, t);
+        let t = f.flush_chain_at(t);
+        let moved = f.shard_topology().expect("sharded").clone();
+        assert_ne!(moved, seeded);
+        let near_shard = moved.shard_of(near[0]);
+        for idx in 0..f.clusters.len() {
+            let same = moved.shard_of(idx) == near_shard;
+            assert_eq!(same, near.contains(&idx), "cluster {idx} in {moved:?}");
+            let on_chain = f.contract().shard_of(f.clusters[idx].address());
+            assert_eq!(on_chain, moved.shard_of(idx) as u32, "cluster {idx}");
+        }
+        assert_eq!(successes(&f), before + 1);
+
+        f.regroup_epoch(2, t + SimDuration::from_secs(60));
+        assert_eq!(f.chain.pool_len(), 0);
+        assert_eq!(f.shard_topology(), Some(&moved));
+    }
+
     #[test]
     fn memory_model_tracks_wire_size() {
         let f = fed(Mode::Sync);
