@@ -146,18 +146,21 @@ fn composed_golden(seed: u64, mode: Mode, link_model: LinkModel) -> ExperimentBu
 /// Pre-collapse fingerprints of [`composed_golden`], captured on the tree
 /// before the orchestration handlers were merged: `(seed, mode, link
 /// model)` → FNV-1a 64 of the full-Debug report and of the encoded
-/// fired-event trace; the last column is the per-node wire fingerprint,
-/// captured before the storage layer memoised its overlay routes.
+/// fired-event trace; the next column is the per-node wire fingerprint,
+/// captured before the storage layer memoised its overlay routes. The last
+/// is the report with its transfer section stripped
+/// ([`ExperimentReport::without_transfer`]): a change to how bytes move
+/// may re-pin the report and wire columns, never this one or the trace.
 #[rustfmt::skip]
-const COMPOSED_GOLDENS: &[(u64, Mode, LinkModel, u64, u64, u64)] = &[
-    (11, Mode::Sync, LinkModel::Nominal, 0xa8572811e38922dd, 0x8e238f14a7707532, 0xed4544bdf0da276c),
-    (11, Mode::Sync, LinkModel::Physical, 0x35e2fea377686bc1, 0x8e238f14a7707532, 0xaa236e37a8668b29),
-    (11, Mode::Async, LinkModel::Nominal, 0xc4fc46aeabe86a97, 0x16aca187037b2d3f, 0x97bc473fc6e2e97e),
-    (11, Mode::Async, LinkModel::Physical, 0xf898eea2585f01bf, 0x076c6dc7d74b272a, 0x3e27a23093add1fb),
-    (1337, Mode::Sync, LinkModel::Nominal, 0x27d247ea464f711a, 0x65178dbf5202fbf8, 0x5147f31f299adf72),
-    (1337, Mode::Sync, LinkModel::Physical, 0xa537bb3e4bf629a6, 0x65178dbf5202fbf8, 0x85684e00a689966c),
-    (1337, Mode::Async, LinkModel::Nominal, 0x97c0efbef6eaf760, 0x9be958e3faded7f8, 0x694e8c732b778970),
-    (1337, Mode::Async, LinkModel::Physical, 0xdcded7026135c66d, 0xc5ce794033a87bbb, 0x9d08777450f549ee),
+const COMPOSED_GOLDENS: &[(u64, Mode, LinkModel, u64, u64, u64, u64)] = &[
+    (11, Mode::Sync, LinkModel::Nominal, 0xa8572811e38922dd, 0x8e238f14a7707532, 0xed4544bdf0da276c, 0x0acd250db9d5c9c2),
+    (11, Mode::Sync, LinkModel::Physical, 0x35e2fea377686bc1, 0x8e238f14a7707532, 0xaa236e37a8668b29, 0x600c7489c7a21534),
+    (11, Mode::Async, LinkModel::Nominal, 0xc4fc46aeabe86a97, 0x16aca187037b2d3f, 0x97bc473fc6e2e97e, 0x143a8266d4c28d61),
+    (11, Mode::Async, LinkModel::Physical, 0xf898eea2585f01bf, 0x076c6dc7d74b272a, 0x3e27a23093add1fb, 0x5413636111597b1e),
+    (1337, Mode::Sync, LinkModel::Nominal, 0x27d247ea464f711a, 0x65178dbf5202fbf8, 0x5147f31f299adf72, 0x9dd4d2e44885d1e9),
+    (1337, Mode::Sync, LinkModel::Physical, 0xa537bb3e4bf629a6, 0x65178dbf5202fbf8, 0x85684e00a689966c, 0xbe25a5dca69bbd21),
+    (1337, Mode::Async, LinkModel::Nominal, 0x97c0efbef6eaf760, 0x9be958e3faded7f8, 0x694e8c732b778970, 0xeb10fcda8e3d890b),
+    (1337, Mode::Async, LinkModel::Physical, 0xdcded7026135c66d, 0xc5ce794033a87bbb, 0x9d08777450f549ee, 0xdb278102d4b38443),
 ];
 
 /// The paper's edge workload in miniature: the Table 4 CNN (`small_cnn`,
@@ -191,14 +194,16 @@ const CNN_GOLDENS: &[(u64, Mode, u64, u64)] = &[
     (1337, Mode::Async, 0xbd92eaaae713fc2c, 0x6a019bca5f2982a1),
 ];
 
-/// Runs `config` to completion event by event: the report, trace and
-/// per-node wire fingerprints, plus the label of every event kind that
-/// fired. The wire fingerprint is FNV-1a 64 over every node's
+/// Runs `config` to completion event by event: the report, trace,
+/// per-node wire and transfer-neutral report fingerprints, plus the label
+/// of every event kind that fired. The wire fingerprint is FNV-1a 64 over every node's
 /// `(bytes_fetched, bytes_served, bytes_relayed)` once the final merge is
 /// done: a route tie-break that moves bytes *between relays* moves no total
 /// the report carries, so only this pins it. Also audits the blockstore
 /// invariant over every node once the run is done.
-fn traced_fingerprints(config: &ExperimentConfig) -> ((u64, u64, u64), BTreeSet<&'static str>) {
+fn traced_fingerprints(
+    config: &ExperimentConfig,
+) -> ((u64, u64, u64, u64), BTreeSet<&'static str>) {
     let mut state = RunState::new(config).expect("valid configuration");
     let fabric = state.federation().ipfs.clone();
     let nodes: Vec<IpfsNode> = state
@@ -221,7 +226,12 @@ fn traced_fingerprints(config: &ExperimentConfig) -> ((u64, u64, u64), BTreeSet<
         .map(|n| (n.bytes_fetched(), n.bytes_served(), n.bytes_relayed()))
         .collect();
     (
-        (fingerprint(&report), fnv(&trace), fnv(&format!("{wire:?}"))),
+        (
+            fingerprint(&report),
+            fnv(&trace),
+            fnv(&format!("{wire:?}")),
+            fingerprint(&report.without_transfer()),
+        ),
         fired,
     )
 }
@@ -247,7 +257,8 @@ const ALL_LABELS: [&str; 13] = [
 #[test]
 fn pre_refactor_fingerprints_reproduce_under_both_engines() {
     let mut fired: BTreeSet<&'static str> = BTreeSet::new();
-    for &(seed, mode, link_model, report_fnv, trace_fnv, wire_fnv) in COMPOSED_GOLDENS {
+    for &(seed, mode, link_model, report_fnv, trace_fnv, wire_fnv, neutral_fnv) in COMPOSED_GOLDENS
+    {
         for engine in [Engine::Sequential, Engine::Parallel] {
             let config = composed_golden(seed, mode, link_model)
                 .engine(engine)
@@ -257,10 +268,10 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
             fired.extend(labels);
             assert_eq!(
                 fingerprints,
-                (report_fnv, trace_fnv, wire_fnv),
+                (report_fnv, trace_fnv, wire_fnv, neutral_fnv),
                 "the composed run must reproduce its pre-collapse report, \
-                 trace and per-node wire bytes (seed {seed}, {mode}, \
-                 {link_model}, {engine})"
+                 trace, per-node wire bytes and transfer-neutral report \
+                 (seed {seed}, {mode}, {link_model}, {engine})"
             );
         }
     }
@@ -295,7 +306,7 @@ fn cnn_fingerprints_reproduce_under_both_engines() {
     for &(seed, mode, report_fnv, trace_fnv) in CNN_GOLDENS {
         for engine in [Engine::Sequential, Engine::Parallel] {
             let config = cnn_golden(seed, mode).engine(engine).config().clone();
-            let ((report, trace, _), _) = traced_fingerprints(&config);
+            let ((report, trace, ..), _) = traced_fingerprints(&config);
             assert_eq!(
                 (report, trace),
                 (report_fnv, trace_fnv),
