@@ -15,9 +15,9 @@ use unifyfl_sim::fault::{FaultPlan, FaultRecord};
 use unifyfl_sim::{ChaosConfig, ResourceMonitor, SeedTree, SimDuration, SimTime};
 use unifyfl_storage::network::LinkProfile;
 use unifyfl_storage::topology::GossipTopology;
-use unifyfl_storage::{Cid, IpfsNetwork, StorageFaults};
-use unifyfl_tensor::delta::delta_from_bytes;
-use unifyfl_tensor::{weights_from_bytes, weights_to_bytes};
+use unifyfl_storage::{Cid, GetReceipt, IpfsError, IpfsNetwork, StorageFaults};
+use unifyfl_tensor::delta::apply_to_blob;
+use unifyfl_tensor::weights_from_bytes;
 
 use crate::cluster::ClusterNode;
 use crate::experiment::{ExperimentConfig, ExperimentError};
@@ -118,16 +118,6 @@ fn parse_delta_ref(d: &DeltaRef) -> Option<(Cid, Cid)> {
 fn parse_entry_cids(entry: &ModelEntry) -> Option<EntryCids> {
     let cid = entry.cid.parse().ok()?;
     Some((cid, entry.delta.as_ref().and_then(parse_delta_ref)))
-}
-
-/// Rebuilds the exact full weight blob from a base blob plus a delta blob
-/// (the reconstruction hook [`IpfsNode`](unifyfl_storage::IpfsNode) hands
-/// to the storage layer; the storage layer then verifies the result
-/// against the requested CID).
-fn reconstruct_weights_blob(base_blob: &[u8], delta_blob: &[u8]) -> Option<Vec<u8>> {
-    let base = weights_from_bytes(base_blob).ok()?;
-    let weights = delta_from_bytes(&base, delta_blob).ok()?;
-    Some(weights_to_bytes(&weights))
 }
 
 /// The data pipeline and cluster nodes of `config`, validated first — the
@@ -425,14 +415,15 @@ impl Federation {
 
     /// Pulls `cids`, in order, into `cluster`'s store and cache, ahead of
     /// the fetch that will read them: a gossip prefetch before a shard
-    /// exchange, or [`Federation::fetch_ahead_into`]. Charges nothing to
-    /// the virtual clock or the resource monitor — the transfer overlaps
-    /// an idle window, which is the point of warming — and ignores
-    /// failures; the later fetch keeps its ordinary retry accounting.
+    /// exchange, or [`Federation::fetch_ahead_into`]. Each goes through
+    /// `Federation::pull`, so a warm-up moves a delta wherever the round's
+    /// own fetch would have. Charges nothing to the virtual clock or the
+    /// resource monitor — the transfer overlaps an idle window, which is
+    /// the point of warming — and ignores failures; the later fetch keeps
+    /// its ordinary retry accounting.
     pub fn warm(&self, cluster: usize, cids: impl IntoIterator<Item = Cid>) {
-        let node = self.clusters[cluster].ipfs();
         for cid in cids {
-            let _ = node.get(cid);
+            let _ = self.pull(cluster, cid);
         }
     }
 
@@ -645,6 +636,27 @@ impl Federation {
         self.entry_cids(*self.entry_of.get(&cid)?)?.1
     }
 
+    /// One pull of `cid` into `cluster`'s IPFS node — the first attempt of
+    /// every fetch and every warm-up. With
+    /// [`TransferConfig::delta`](unifyfl_storage::TransferConfig::delta) on
+    /// and a `(base_cid, delta_cid)` reference on the contract for `cid`,
+    /// it moves only the delta when the base is local, reconstructing in
+    /// byte space ([`apply_to_blob`]); the storage layer verifies the
+    /// reconstruction against `cid` and falls back to a full fetch on any
+    /// mismatch. Otherwise it is a plain `get`.
+    fn pull(&self, cluster: usize, cid: Cid) -> Result<GetReceipt, IpfsError> {
+        let node = self.clusters[cluster].ipfs();
+        match self
+            .delta_ref_of(cid)
+            .filter(|_| self.config.transfer.delta)
+        {
+            Some((base, delta)) => {
+                node.get_with_delta(cid, base, delta, |b, d| apply_to_blob(b, d).ok())
+            }
+            None => node.get(cid),
+        }
+    }
+
     /// The one path by which a peer's model reaches a cluster: pulls
     /// `cids` into `cluster`'s IPFS node, in order, and decodes them.
     /// Content that is unavailable, corrupt or not of the cluster's model
@@ -656,12 +668,9 @@ impl Federation {
     /// resolution, fresh fault rolls — before giving up; every retry's
     /// outcome is recorded as recovered or permanently failed.
     ///
-    /// With [`TransferConfig::delta`](unifyfl_storage::TransferConfig::delta)
-    /// enabled and an on-chain `(base_cid, delta_cid)` reference for a CID
-    /// (looked up here), the fetch moves only the delta blob when the base
-    /// is already local — the storage layer verifies the reconstruction
-    /// against the CID and falls back to a full fetch on any mismatch, so
-    /// the decoded weights are identical either way.
+    /// The first attempt is `Federation::pull`, so a CID with an
+    /// on-chain delta reference moves only the delta blob when the base is
+    /// already local; the decoded weights are identical either way.
     ///
     /// Each kept fetch is charged [`Federation::fetch_cost`] of the storage
     /// layer's physical elapsed time (actual bytes moved over the per-node
@@ -670,20 +679,13 @@ impl Federation {
     pub fn fetch_peers(&self, cluster: usize, cids: impl IntoIterator<Item = Cid>) -> FetchedPeers {
         let node = self.clusters[cluster].ipfs();
         let want = self.clusters[cluster].weights().len();
-        let delta_on = self.config.transfer.delta;
         let mut fetched = FetchedPeers {
             peers: Vec::new(),
             kept: Vec::new(),
             cost: SimDuration::ZERO,
         };
         for (position, cid) in cids.into_iter().enumerate() {
-            let receipt = match self.delta_ref_of(cid).filter(|_| delta_on) {
-                Some((base, delta)) => {
-                    node.get_with_delta(cid, base, delta, reconstruct_weights_blob)
-                }
-                None => node.get(cid),
-            };
-            let receipt = match receipt {
+            let receipt = match self.pull(cluster, cid) {
                 Err(_) if self.fault_plan.is_some() => {
                     self.ipfs.record_fetch_retry();
                     // Retry with a plain full fetch. Re-running the delta

@@ -35,21 +35,32 @@ pub struct ChunkedFile {
 ///
 /// Panics if `chunk_size` is zero.
 pub fn chunk(data: &[u8], chunk_size: usize) -> ChunkedFile {
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    let leaves: Vec<(Cid, Arc<[u8]>)> = data
-        .chunks(chunk_size)
-        .map(|c| (Cid::for_data(c), Arc::from(c)))
-        .collect();
-    let root_block = Arc::from(encode_root(
-        data.len() as u64,
-        leaves.iter().map(|(cid, _)| *cid),
-    ));
+    let (root, root_block) = hash_in_place(data, chunk_size);
+    let leaves = root.children.iter().zip(data.chunks(chunk_size));
     ChunkedFile {
         root: Cid::for_data(&root_block),
-        root_block,
-        leaves,
-        total_len: data.len() as u64,
+        root_block: Arc::from(root_block),
+        leaves: leaves.map(|(cid, c)| (*cid, Arc::from(c))).collect(),
+        total_len: root.total_len,
     }
+}
+
+/// The DAG [`chunk`] would build over `data`, hashed where `data` lies:
+/// every leaf's CID from its slice of `data`, and the encoded root block
+/// built from them, with no leaf copied. The file's CID is the root
+/// block's.
+///
+/// # Panics
+///
+/// Panics if `chunk_size` is zero.
+pub(crate) fn hash_in_place(data: &[u8], chunk_size: usize) -> (RootNode, Vec<u8>) {
+    assert!(chunk_size > 0, "chunk_size must be positive");
+    let root = RootNode {
+        total_len: data.len() as u64,
+        children: data.chunks(chunk_size).map(Cid::for_data).collect(),
+    };
+    let block = root.encode();
+    (root, block)
 }
 
 /// Splits with the default 256 KiB chunk size.

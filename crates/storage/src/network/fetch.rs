@@ -7,7 +7,9 @@ use unifyfl_sim::SimDuration;
 
 use super::fabric::{IpfsNetwork, NetworkState};
 use crate::blockstore::BlockStore;
-use crate::chunker::{chunk, decode_root, reassemble_trusted, ReassembleError, DEFAULT_CHUNK_SIZE};
+use crate::chunker::{
+    chunk, decode_root, hash_in_place, reassemble_trusted, ReassembleError, DEFAULT_CHUNK_SIZE,
+};
 use crate::cid::Cid;
 use crate::dht::NodeId;
 
@@ -160,9 +162,17 @@ impl IpfsNode {
     /// plain full fetch and is counted in
     /// [`TransferStats::delta_fallbacks`](super::TransferStats::delta_fallbacks).
     ///
-    /// Verification re-chunks the reconstruction at [`DEFAULT_CHUNK_SIZE`],
-    /// matching how [`IpfsNode::add`] published it. Content added through
-    /// [`IpfsNode::add_with_chunk_size`] with any other size has a
+    /// Verification hashes the reconstruction in place, leaf by leaf at
+    /// [`DEFAULT_CHUNK_SIZE`] (how [`IpfsNode::add`] published it), then the
+    /// root block built from those CIDs: two SHA-256 passes over the
+    /// content's bytes between them, the delta blob's on receipt and the
+    /// reconstruction's, and no copy. Only once the root equals `cid` is
+    /// anything stored. Each leaf is then stored as the very buffer a
+    /// provider of `cid` holds under that leaf's CID — the buffer a full
+    /// fetch would have retained — so a delta fetch adds no resident copy
+    /// of a block the fabric already holds; only a leaf no provider still
+    /// holds is stored as an owned copy. Content added through
+    /// [`IpfsNode::add_with_chunk_size`] with any other chunk size has a
     /// different root CID and will always take the fallback — use plain
     /// [`IpfsNode::get`] for such content.
     ///
@@ -213,33 +223,48 @@ impl IpfsNode {
         let delta_physical = st.stats.physical_bytes - before.physical_bytes;
 
         // The trust boundary of a delta fetch: the reconstruction is
-        // re-chunked and must hash to the requested root before a byte of
-        // it is stored, cached or returned. Re-chunking hashes every leaf,
-        // so the blocks go in under the CIDs it just computed — and a
-        // one-leaf reconstruction is carried on as that leaf's buffer.
-        let verified = reconstruct(&base_data, &delta_receipt.data)
-            .map(|data| (chunk(&data, DEFAULT_CHUNK_SIZE), data))
-            .filter(|(file, _)| file.root == cid);
-        let Some((file, data)) = verified else {
+        // hashed where it lies — every leaf, then the root block built from
+        // their CIDs — and that root must be the requested CID before a
+        // byte of it is stored, cached or returned.
+        let verified = reconstruct(&base_data, &delta_receipt.data).and_then(|data| {
+            let (root, root_block) = hash_in_place(&data, DEFAULT_CHUNK_SIZE);
+            (Cid::for_data(&root_block) == cid).then_some((data, root, root_block))
+        });
+        let Some((data, root, root_block)) = verified else {
             st.stats.delta_fallbacks += 1;
             return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
         };
-        let data = match file.leaves.as_slice() {
+
+        // Verified: materialize the full DAG locally (no wire bytes). A
+        // leaf goes in as the buffer a provider of `cid` already holds
+        // under its CID — so a block has one buffer fabric-wide, as a full
+        // fetch leaves it — and as an owned copy only when no provider
+        // still holds it. A provider's block is its CID's SHA-256 preimage
+        // by the blockstore invariant, so it is these bytes.
+        let leaves: Vec<(Cid, Arc<[u8]>)> = root
+            .children
+            .iter()
+            .zip(data.chunks(DEFAULT_CHUNK_SIZE))
+            .map(|(leaf, bytes)| {
+                let held = st
+                    .dht
+                    .providers(cid)
+                    .find_map(|p| st.nodes[p.0 as usize].store.get(*leaf));
+                (*leaf, held.unwrap_or_else(|| Arc::from(bytes)))
+            })
+            .collect();
+        let data = match leaves.as_slice() {
             [(_, leaf)] => leaf.clone(),
             _ => Arc::from(data),
         };
-
-        // Verified: materialize the full DAG locally (no wire bytes),
-        // advertise, account, cache.
+        let full_dag = root_block.len() as u64 + root.total_len;
         let store = &mut st.nodes[id.0 as usize].store;
-        for (leaf_cid, leaf) in &file.leaves {
-            store.put_keyed(*leaf_cid, leaf.clone());
+        for (leaf_cid, leaf) in leaves {
+            store.put_keyed(leaf_cid, leaf);
         }
-        store.put_keyed(file.root, file.root_block.clone());
+        store.put_keyed(cid, Arc::from(root_block));
         st.dht.provide(cid, id);
 
-        let full_dag = file.root_block.len() as u64
-            + file.leaves.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
         st.stats.logical_bytes += full_dag.saturating_sub(delta_logical);
         st.stats.delta_fetches += 1;
         st.stats.delta_bytes_saved += full_dag.saturating_sub(delta_physical);

@@ -33,6 +33,8 @@
 
 use std::fmt;
 
+use crate::weights::{finite_bits, header_words, payload_words, WeightsDecodeError, HEADER_WORDS};
+
 /// Magic prefix identifying a serialized weight delta.
 const MAGIC: &[u8; 4] = b"UFLD";
 
@@ -196,29 +198,96 @@ fn encode_tagged(
 /// reconstructed value is non-finite (a corrupt delta must never enter
 /// aggregation).
 pub fn delta_from_bytes(base: &[f32], bytes: &[u8]) -> Result<Vec<f32>, DeltaDecodeError> {
+    let mut out = Vec::new();
+    decode_into(base, bytes, &mut out)?;
+    Ok(out)
+}
+
+/// Applies a delta blob to a serialized base model, in byte space: the
+/// base words are read straight out of `base_blob`'s payload and the
+/// reconstruction — header and little-endian words — is written into one
+/// buffer, with no `f32` vector on either side.
+///
+/// The result is byte for byte
+/// `weights_to_bytes(&delta_from_bytes(&weights_from_bytes(base_blob)?, delta)?)`,
+/// and it refuses exactly what that chain refuses, with the same error.
+///
+/// # Errors
+///
+/// [`ApplyError::Base`] if `base_blob` is not a well-formed, finite weight
+/// blob (checked first, whatever the delta's mode), then
+/// [`ApplyError::Delta`] for anything [`delta_from_bytes`] refuses.
+pub fn apply_to_blob(base_blob: &[u8], delta: &[u8]) -> Result<Vec<u8>, ApplyError> {
+    let base = payload_words(base_blob).map_err(ApplyError::Base)?;
+    let mut out = Vec::with_capacity(HEADER_WORDS + base.len());
+    out.extend(header_words(0));
+    decode_into(base, delta, &mut out).map_err(ApplyError::Delta)?;
+    let count = out.len() - HEADER_WORDS;
+    out[..HEADER_WORDS].copy_from_slice(&header_words(count));
+    Ok(out.into_flattened())
+}
+
+/// A weight word as the decoders read and write it: an `f32`, or its four
+/// little-endian bytes in a weight blob's payload. The codec only ever
+/// looks at its bit pattern, so one decoder serves both.
+trait Word: Copy + Default {
+    fn bits(self) -> u32;
+    fn from_bits(bits: u32) -> Self;
+}
+
+impl Word for f32 {
+    fn bits(self) -> u32 {
+        self.to_bits()
+    }
+    fn from_bits(bits: u32) -> Self {
+        f32::from_bits(bits)
+    }
+}
+
+impl Word for [u8; 4] {
+    fn bits(self) -> u32 {
+        u32::from_le_bytes(self)
+    }
+    fn from_bits(bits: u32) -> Self {
+        bits.to_le_bytes()
+    }
+}
+
+/// Decodes `bytes` against `base`, appending the reconstructed words to
+/// `out` (which may already hold a prefix the decoder leaves alone). On
+/// an error `out` holds garbage past the prefix.
+fn decode_into<W: Word>(
+    base: &[W],
+    bytes: &[u8],
+    out: &mut Vec<W>,
+) -> Result<(), DeltaDecodeError> {
     if bytes.len() < HEADER || &bytes[..4] != MAGIC {
         return Err(DeltaDecodeError::BadHeader);
     }
     let mode = bytes[4];
     let count = u64::from_le_bytes(bytes[5..HEADER].try_into().expect("8 bytes")) as usize;
     let payload = &bytes[HEADER..];
-    let out = match mode {
-        MODE_DENSE => decode_dense(count, payload)?,
-        MODE_SPARSE => decode_sparse(check_base(base, count)?, payload)?,
-        MODE_TAIL => decode_tagged::<4>(check_base(base, count)?, payload, &TAIL_RULES)?,
-        MODE_TAIL2 => decode_tagged::<2>(check_base(base, count)?, payload, &TAIL2_RULES)?,
+    let start = out.len();
+    match mode {
+        MODE_DENSE => decode_dense(count, payload, out)?,
+        MODE_SPARSE => decode_sparse(check_base(base, count)?, payload, out)?,
+        MODE_TAIL => decode_tagged::<4, W>(check_base(base, count)?, payload, &TAIL_RULES, out)?,
+        MODE_TAIL2 => decode_tagged::<2, W>(check_base(base, count)?, payload, &TAIL2_RULES, out)?,
         other => return Err(DeltaDecodeError::UnknownMode(other)),
-    };
+    }
     // No early exit: the all-finite case is the one that must be fast, and
     // this form vectorises.
-    if out.iter().fold(false, |bad, v| bad | !v.is_finite()) {
+    if out[start..]
+        .iter()
+        .fold(false, |bad, w| bad | !finite_bits(w.bits()))
+    {
         return Err(DeltaDecodeError::NonFinite);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// A base-relative encoding only applies to a base of the declared length.
-fn check_base(base: &[f32], count: usize) -> Result<&[f32], DeltaDecodeError> {
+fn check_base<W>(base: &[W], count: usize) -> Result<&[W], DeltaDecodeError> {
     if base.len() != count {
         return Err(DeltaDecodeError::BaseMismatch {
             expected: count,
@@ -228,33 +297,44 @@ fn check_base(base: &[f32], count: usize) -> Result<&[f32], DeltaDecodeError> {
     Ok(base)
 }
 
-fn decode_dense(count: usize, payload: &[u8]) -> Result<Vec<f32>, DeltaDecodeError> {
+fn decode_dense<W: Word>(
+    count: usize,
+    payload: &[u8],
+    out: &mut Vec<W>,
+) -> Result<(), DeltaDecodeError> {
     // A header may declare any count: `count * 4` must not wrap into a
     // length the payload happens to have.
     if count.checked_mul(4) != Some(payload.len()) {
         return Err(DeltaDecodeError::PayloadMismatch);
     }
     let (words, _) = payload.as_chunks::<4>();
-    Ok(words.iter().map(|w| f32::from_le_bytes(*w)).collect())
+    out.extend(words.iter().map(|w| W::from_bits(u32::from_le_bytes(*w))));
+    Ok(())
 }
 
-fn decode_sparse(base: &[f32], payload: &[u8]) -> Result<Vec<f32>, DeltaDecodeError> {
+fn decode_sparse<W: Word>(
+    base: &[W],
+    payload: &[u8],
+    out: &mut Vec<W>,
+) -> Result<(), DeltaDecodeError> {
     let Some((n_changed, pairs)) = payload.split_first_chunk::<4>() else {
         return Err(DeltaDecodeError::PayloadMismatch);
     };
     if (u32::from_le_bytes(*n_changed) as usize).checked_mul(8) != Some(pairs.len()) {
         return Err(DeltaDecodeError::PayloadMismatch);
     }
-    let mut out = base.to_vec();
+    let start = out.len();
+    out.extend_from_slice(base);
+    let words = &mut out[start..];
     for pair in pairs.chunks_exact(8) {
         let index = u32::from_le_bytes(pair[..4].try_into().expect("4 bytes")) as usize;
         let bits = u32::from_le_bytes(pair[4..].try_into().expect("4 bytes"));
-        let Some(slot) = out.get_mut(index) else {
+        let Some(slot) = words.get_mut(index) else {
             return Err(DeltaDecodeError::PayloadMismatch);
         };
-        *slot = f32::from_bits(bits);
+        *slot = W::from_bits(bits);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// How one tag rebuilds its word: the high bits kept from the base, the
@@ -271,8 +351,8 @@ struct TagRule {
 }
 
 impl TagRule {
-    /// An invalid tag keeps nothing off the stream; what it builds is never
-    /// let out.
+    /// An invalid tag keeps nothing off the stream; the tag-plane check
+    /// refuses it before a word is built.
     const fn new(prefix: u32, suffix: u32) -> TagRule {
         let valid = prefix + suffix <= 4;
         let keep = if valid { 4 - prefix - suffix } else { 0 };
@@ -307,19 +387,56 @@ const TAIL_RULES: [TagRule; 16] = rule_table(false);
 /// TAIL2: a 4-bit tag is `prefix << 2 | zero suffix`; the middle is stored.
 const TAIL2_RULES: [TagRule; 16] = rule_table(true);
 
+/// What one tag byte asks of the stream: the bytes its words store, and
+/// whether every one of its tags is valid.
+#[derive(Clone, Copy)]
+struct ByteRule {
+    keep: u16,
+    valid: bool,
+}
+
+/// Every tag byte's [`ByteRule`] under `rules`, `per_byte` tags to the
+/// byte.
+const fn byte_table(rules: &[TagRule; 16], per_byte: usize) -> [ByteRule; 256] {
+    let mut table = [ByteRule {
+        keep: 0,
+        valid: true,
+    }; 256];
+    let tag_bits = 8 / per_byte;
+    let mut byte = 0;
+    while byte < 256 {
+        let mut slot = 0;
+        while slot < per_byte {
+            let rule = rules[(byte >> (slot * tag_bits)) & ((1 << tag_bits) - 1)];
+            table[byte].keep += rule.keep as u16;
+            table[byte].valid &= rule.valid;
+            slot += 1;
+        }
+        byte += 1;
+    }
+    table
+}
+
+const TAIL_BYTES: [ByteRule; 256] = byte_table(&TAIL_RULES, 4);
+const TAIL2_BYTES: [ByteRule; 256] = byte_table(&TAIL2_RULES, 2);
+
 /// The two tagged encodings, `PER_BYTE` tags to a tag byte: each word is
-/// its tag's rule applied to the base word and the stream under the cursor.
-/// Words go two at a time, which is at most eight stream bytes, so a pair
-/// costs one load: unconditional while eight bytes remain, zero-padded
-/// past the end. The loop itself rejects nothing — the cursor only moves
-/// forward and reads zeros past the end — so "every tag valid and the
-/// cursor exactly at the payload's last byte", tested once before the
-/// result is let out, is the same accept set as checking each word.
-fn decode_tagged<const PER_BYTE: usize>(
-    base: &[f32],
+/// its tag's rule applied to the base word and the stream under the
+/// cursor, written over `out`'s next `base.len()` words.
+///
+/// The tag plane is checked before a word is built: every tag a word reads
+/// must be valid, and the bytes they store must add up to the stream's
+/// length exactly. That is the accept set of checking word by word, and it
+/// leaves the word loop nothing to reject and nowhere to run past the
+/// stream. Words go two at a time, which is at most eight stream bytes, so
+/// a pair costs one load, from a copy of the stream with eight zero bytes
+/// behind it: unconditional, with no short read at the end.
+fn decode_tagged<const PER_BYTE: usize, W: Word>(
+    base: &[W],
     payload: &[u8],
     rules: &[TagRule; 16],
-) -> Result<Vec<f32>, DeltaDecodeError> {
+    out: &mut Vec<W>,
+) -> Result<(), DeltaDecodeError> {
     let Some((tags, stream)) = payload.split_at_checked(base.len().div_ceil(PER_BYTE)) else {
         return Err(DeltaDecodeError::PayloadMismatch);
     };
@@ -327,71 +444,66 @@ fn decode_tagged<const PER_BYTE: usize>(
     let rule = |byte: u8, slot: usize| {
         rules[usize::from(byte >> (slot * tag_bits)) & ((1 << tag_bits) - 1)]
     };
-    let mut cursor = Cursor {
-        stream,
-        at: 0,
-        valid: true,
-    };
-    // One tag byte's words per element: the whole loop is one sized
-    // `extend`, with no per-word capacity check.
-    let mut out: Vec<[f32; PER_BYTE]> = Vec::with_capacity(tags.len());
     let (groups, rest) = base.as_chunks::<PER_BYTE>();
-    out.extend(groups.iter().zip(tags).map(|(group, &byte)| {
-        let mut words = [0.0; PER_BYTE];
-        for (p, pair) in group.as_chunks::<2>().0.iter().enumerate() {
-            let mut bits = cursor.load();
-            words[2 * p] = cursor.word(rule(byte, 2 * p), pair[0], &mut bits);
-            words[2 * p + 1] = cursor.word(rule(byte, 2 * p + 1), pair[1], &mut bits);
-        }
-        words
-    }));
-    // Fewer than `PER_BYTE` words share the last tag byte.
-    if let Some(&byte) = tags.get(groups.len()) {
-        let mut words = [0.0; PER_BYTE];
-        for (slot, b) in rest.iter().enumerate() {
-            let mut bits = cursor.load();
-            words[slot] = cursor.word(rule(byte, slot), *b, &mut bits);
-        }
-        out.push(words);
+    let (full, last) = tags.split_at(groups.len());
+    // Fewer than `PER_BYTE` words read the last tag byte: only their slots
+    // count.
+    let last = last.first().map(|&byte| (byte, rest.len()));
+
+    let bytes = if PER_BYTE == 4 {
+        &TAIL_BYTES
+    } else {
+        &TAIL2_BYTES
+    };
+    let (mut need, mut valid) = (0usize, true);
+    for &byte in full {
+        let r = bytes[usize::from(byte)];
+        need += usize::from(r.keep);
+        valid &= r.valid;
     }
-    if !cursor.valid || cursor.at != stream.len() {
+    if let Some((byte, slots)) = last {
+        for slot in 0..slots {
+            need += rule(byte, slot).keep as usize;
+            valid &= rule(byte, slot).valid;
+        }
+    }
+    if !valid || need != stream.len() {
         return Err(DeltaDecodeError::PayloadMismatch);
     }
-    let mut out = out.into_flattened();
-    out.truncate(base.len());
-    Ok(out)
-}
 
-/// The read side of a tagged stream: where the next stored byte is, and
-/// whether every tag so far was valid.
-struct Cursor<'a> {
-    stream: &'a [u8],
-    at: usize,
-    valid: bool,
-}
-
-impl Cursor<'_> {
-    /// The eight bytes at the cursor, little-endian, zeros past the end.
-    fn load(&self) -> u64 {
-        if let Some(bytes) = self.stream.get(self.at..self.at + 8) {
-            return u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+    let mut padded = Vec::with_capacity(stream.len() + 8);
+    padded.extend_from_slice(stream);
+    padded.extend_from_slice(&[0; 8]);
+    let load = |at: usize| u64::from_le_bytes(padded[at..at + 8].try_into().expect("8 bytes"));
+    let start = out.len();
+    out.resize(start + base.len(), W::default());
+    let (dst, dst_rest) = out[start..].as_chunks_mut::<PER_BYTE>();
+    let mut at = 0;
+    for ((words, group), &byte) in dst.iter_mut().zip(groups).zip(full) {
+        for p in 0..PER_BYTE / 2 {
+            let mut bits = load(at);
+            words[2 * p] = rebuild(rule(byte, 2 * p), group[2 * p], &mut bits, &mut at);
+            words[2 * p + 1] = rebuild(rule(byte, 2 * p + 1), group[2 * p + 1], &mut bits, &mut at);
         }
-        let rest = self.stream.get(self.at..).unwrap_or_default();
-        let mut word = [0u8; 8];
-        word[..rest.len()].copy_from_slice(rest);
-        u64::from_le_bytes(word)
     }
+    if let Some((byte, _)) = last {
+        for (slot, (word, b)) in dst_rest.iter_mut().zip(rest).enumerate() {
+            let mut bits = load(at);
+            *word = rebuild(rule(byte, slot), *b, &mut bits, &mut at);
+        }
+    }
+    debug_assert_eq!(at, stream.len(), "tag plane and word loop disagree");
+    Ok(())
+}
 
-    /// One word rebuilt by `rule` from `base` and the stream bits `bits`
-    /// (loaded at this word's first stored byte), which it then advances
-    /// past the bytes the word consumed.
-    fn word(&mut self, rule: TagRule, base: f32, bits: &mut u64) -> f32 {
-        self.valid &= rule.valid;
-        self.at += rule.keep as usize;
-        let stored = (*bits as u32 & rule.stream) << rule.shift;
-        *bits >>= 8 * rule.keep;
-        f32::from_bits((base.to_bits() & rule.base) | stored)
-    }
+/// One word rebuilt by `rule` from `base` and the stream bits `bits`
+/// (loaded at stream offset `at`, this word's first stored byte), both of
+/// which it then advances past the bytes the word consumed.
+fn rebuild<W: Word>(rule: TagRule, base: W, bits: &mut u64, at: &mut usize) -> W {
+    *at += rule.keep as usize;
+    let stored = (*bits as u32 & rule.stream) << rule.shift;
+    *bits >>= 8 * rule.keep;
+    W::from_bits((base.bits() & rule.base) | stored)
 }
 
 /// Error decoding a serialized weight delta.
@@ -433,6 +545,27 @@ impl fmt::Display for DeltaDecodeError {
 }
 
 impl std::error::Error for DeltaDecodeError {}
+
+/// Error applying a delta blob to a serialized base model
+/// ([`apply_to_blob`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ApplyError {
+    /// The base blob is not a well-formed, finite weight blob.
+    Base(WeightsDecodeError),
+    /// The delta does not apply to the base.
+    Delta(DeltaDecodeError),
+}
+
+impl fmt::Display for ApplyError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ApplyError::Base(e) => write!(f, "delta base: {e}"),
+            ApplyError::Delta(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for ApplyError {}
 
 #[cfg(test)]
 mod tests {

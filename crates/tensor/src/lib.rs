@@ -50,7 +50,7 @@ pub mod tensor;
 pub mod weights;
 pub mod zoo;
 
-pub use delta::{delta_from_bytes, delta_to_bytes, DeltaDecodeError};
+pub use delta::{apply_to_blob, delta_from_bytes, delta_to_bytes, DeltaDecodeError};
 pub use model::Sequential;
 pub use tensor::Tensor;
 pub use weights::{weights_from_bytes, weights_to_bytes};

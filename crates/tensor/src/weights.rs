@@ -15,15 +15,21 @@ const MAGIC: &[u8; 4] = b"UFLW";
 /// One whole-slice conversion: the payload is sized once and every word
 /// written into its own four-byte slot, which compiles to a copy.
 pub fn weights_to_bytes(weights: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + weights.len() * 4);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(weights.len() as u64).to_le_bytes());
-    out.resize(12 + weights.len() * 4, 0);
-    let (words, _) = out[12..].as_chunks_mut::<4>();
-    for (slot, w) in words.iter_mut().zip(weights) {
-        *slot = w.to_le_bytes();
-    }
-    out
+    let mut out = Vec::with_capacity(HEADER_WORDS + weights.len());
+    out.extend(header_words(weights.len()));
+    out.extend(weights.iter().map(|w| w.to_le_bytes()));
+    out.into_flattened()
+}
+
+/// Four-byte words before a blob's payload: the magic, then the `u64`
+/// count.
+pub(crate) const HEADER_WORDS: usize = 3;
+
+/// A blob's header as whole four-byte words, so a writer can build the
+/// blob as one buffer of words and flatten it.
+pub(crate) fn header_words(count: usize) -> [[u8; 4]; HEADER_WORDS] {
+    let [a, b, c, d, e, f, g, h] = (count as u64).to_le_bytes();
+    [*MAGIC, [a, b, c, d], [e, f, g, h]]
 }
 
 /// Deserializes a weight vector.
@@ -34,6 +40,14 @@ pub fn weights_to_bytes(weights: &[f32]) -> Vec<u8> {
 /// wrong, or any value is non-finite (a corrupt model must never enter
 /// aggregation).
 pub fn weights_from_bytes(bytes: &[u8]) -> Result<Vec<f32>, WeightsDecodeError> {
+    let words = payload_words(bytes)?;
+    Ok(words.iter().map(|w| f32::from_le_bytes(*w)).collect())
+}
+
+/// A blob's payload as little-endian words, after every check
+/// [`weights_from_bytes`] makes — the one validator of a weight blob, for
+/// readers that never need the words as `f32`.
+pub(crate) fn payload_words(bytes: &[u8]) -> Result<&[[u8; 4]], WeightsDecodeError> {
     if bytes.len() < 12 || &bytes[..4] != MAGIC {
         return Err(WeightsDecodeError::BadHeader);
     }
@@ -47,14 +61,22 @@ pub fn weights_from_bytes(bytes: &[u8]) -> Result<Vec<f32>, WeightsDecodeError> 
             actual: payload.len() / 4,
         });
     }
-    // Copy first, check after: no early exit, so both passes vectorise
-    // (the all-finite case is the one that must be fast).
+    // No early exit: the all-finite case is the one that must be fast, and
+    // this form vectorises.
     let (words, _) = payload.as_chunks::<4>();
-    let out: Vec<f32> = words.iter().map(|w| f32::from_le_bytes(*w)).collect();
-    if out.iter().fold(false, |bad, v| bad | !v.is_finite()) {
+    if words
+        .iter()
+        .fold(false, |bad, w| bad | !finite_bits(u32::from_le_bytes(*w)))
+    {
         return Err(WeightsDecodeError::NonFinite);
     }
-    Ok(out)
+    Ok(words)
+}
+
+/// True unless `bits` is the pattern of a NaN or an infinity (an all-ones
+/// exponent).
+pub(crate) fn finite_bits(bits: u32) -> bool {
+    bits & 0x7F80_0000 != 0x7F80_0000
 }
 
 /// Rounds a weight vector to a release precision of `mantissa_bits`
