@@ -162,16 +162,16 @@ impl IpfsNode {
     /// plain full fetch and is counted in
     /// [`TransferStats::delta_fallbacks`](super::TransferStats::delta_fallbacks).
     ///
-    /// Verification hashes the reconstruction in place, leaf by leaf at
-    /// [`DEFAULT_CHUNK_SIZE`] (how [`IpfsNode::add`] published it), then the
-    /// root block built from those CIDs: two SHA-256 passes over the
-    /// content's bytes between them, the delta blob's on receipt and the
-    /// reconstruction's, and no copy. Only once the root equals `cid` is
-    /// anything stored. Each leaf is then stored as the very buffer a
-    /// provider of `cid` holds under that leaf's CID — the buffer a full
-    /// fetch would have retained — so a delta fetch adds no resident copy
-    /// of a block the fabric already holds; only a leaf no provider still
-    /// holds is stored as an owned copy. Content added through
+    /// Verification hashes the reconstruction where it lies, leaf by leaf
+    /// at [`DEFAULT_CHUNK_SIZE`] (how [`IpfsNode::add`] published it), then
+    /// the root block built from those CIDs, without copying it. With the
+    /// delta blob's hash on receipt, a delta fetch makes two SHA-256
+    /// passes over content bytes. Nothing is stored until the root equals
+    /// `cid`. Each leaf is then stored as the very buffer a provider of
+    /// `cid` holds under that leaf's CID — the buffer a full fetch would
+    /// have retained — so a delta fetch adds no resident copy of a block
+    /// the fabric already holds. Only a leaf no provider still holds is
+    /// stored as an owned copy. Content added through
     /// [`IpfsNode::add_with_chunk_size`] with any other chunk size has a
     /// different root CID and will always take the fallback — use plain
     /// [`IpfsNode::get`] for such content.

@@ -424,6 +424,82 @@ fn delta_fetch_falls_back_when_base_missing_or_reconstruction_wrong() {
     assert_eq!(net2.first_corrupt_block(), None);
 }
 
+/// A published one-leaf model, its successor and a toy delta between
+/// them (`[index]`: flip that byte), all added by node 0, with node 1
+/// holding the base: `(base, next, delta, next's leaf)` CIDs.
+fn delta_scenario(nodes: &[IpfsNode]) -> (Cid, Cid, Cid, Cid) {
+    let base: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+    let mut next = base.clone();
+    next[17] ^= 0xFF;
+    let base_cid = nodes[0].add(&base).cid;
+    let next_cid = nodes[0].add(&next).cid;
+    let delta_cid = nodes[0].add(&[17]).cid;
+    nodes[1].get(base_cid).unwrap();
+    let leaf = chunk(&next, DEFAULT_CHUNK_SIZE).leaves[0].0;
+    (base_cid, next_cid, delta_cid, leaf)
+}
+
+fn flip_byte(base: &[u8], delta: &[u8]) -> Option<Vec<u8>> {
+    let mut out = base.to_vec();
+    out[usize::from(delta[0])] ^= 0xFF;
+    Some(out)
+}
+
+#[test]
+fn a_delta_fetch_stores_the_providers_leaf_buffer() {
+    let (net, nodes) = fabric(2);
+    let (base, next, delta, leaf) = delta_scenario(&nodes);
+    nodes[1]
+        .get_with_delta(next, base, delta, flip_byte)
+        .unwrap();
+    assert_eq!(net.transfer_stats().delta_fetches, 1);
+    let st = net.state();
+    let provider = st.nodes[0]
+        .store
+        .get(leaf)
+        .expect("publisher holds the leaf");
+    let fetcher = st.nodes[1]
+        .store
+        .get(leaf)
+        .expect("fetch retained the leaf");
+    assert!(
+        Arc::ptr_eq(&provider, &fetcher),
+        "one buffer per block: the fetcher keeps no copy of its own"
+    );
+    drop(st);
+    assert_eq!(net.first_corrupt_block(), None);
+}
+
+#[test]
+fn a_delta_fetch_no_provider_can_share_stores_an_owned_copy_that_verifies() {
+    let (net, nodes) = fabric(2);
+    let (base, next, delta, leaf) = delta_scenario(&nodes);
+    // The publisher drops the successor but its provider record lingers:
+    // the record names a node that no longer holds the leaf.
+    nodes[0].unpin(next);
+    nodes[0].gc();
+    net.state().dht.provide(next, nodes[0].id());
+    assert!(!nodes[0].has_local(next));
+
+    let got = nodes[1]
+        .get_with_delta(next, base, delta, flip_byte)
+        .unwrap();
+    assert_eq!(net.transfer_stats().delta_fetches, 1);
+    assert!(nodes[1].has_local(next));
+    let st = net.state();
+    let owned = st.nodes[1]
+        .store
+        .get(leaf)
+        .expect("fetch retained the leaf");
+    assert!(leaf.verifies(&owned));
+    assert!(
+        Arc::ptr_eq(&owned, &got.data),
+        "stored, cached and returned as one buffer"
+    );
+    drop(st);
+    assert_eq!(net.first_corrupt_block(), None);
+}
+
 /// A root block declaring `total_len` bytes over `children`. Any block
 /// that looks like a root is decoded as one, so these few bytes are all
 /// an attacker needs to publish.
@@ -507,8 +583,8 @@ fn one_leaf_content_is_its_leaf_buffer_on_every_path() {
     assert_eq!(nodes[1].get(cid).unwrap().data.as_ptr(), published);
     assert_eq!(net.transfer_stats().cache_resident_bytes, 2 * 10_000);
 
-    // Delta fetch: the leaf its verifying re-chunk built is the one that
-    // is stored, cached and returned.
+    // Delta fetch: the verified leaf is stored, cached and returned as
+    // one buffer.
     let mut next = data.clone();
     next[17] ^= 0xFF;
     let next_cid = nodes[0].add(&next).cid;

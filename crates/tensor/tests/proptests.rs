@@ -544,6 +544,66 @@ proptest! {
         }
     }
 
+    /// The byte-space reconstruction against the path it replaces:
+    /// `apply_to_blob(base_blob, delta)` answers exactly what
+    /// `weights_from_bytes` → `delta_from_bytes` → `weights_to_bytes`
+    /// answers — the same `Ok` bytes, or the same error from the same side —
+    /// on honest blobs of every delta mode and on blobs with a byte
+    /// replaced, cut short, grown, a body word made NaN or infinite, or
+    /// swapped for noise, base or delta, and it never panics.
+    #[test]
+    fn apply_to_blob_matches_the_three_call_path(
+        base in proptest::collection::vec(finite_f32(), 0..96),
+        extra in proptest::collection::vec(finite_f32(), 0..8),
+        drift in -0.5f32..0.5,
+        mantissa_bits in 1u32..=23,
+        shape in 0usize..3,
+        target in 0usize..3,
+        damage in 0usize..5,
+        at in any::<usize>(),
+        byte in any::<u8>(),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        use unifyfl_tensor::delta::{apply_to_blob, delta_from_bytes, delta_to_bytes, ApplyError};
+        use unifyfl_tensor::weights::quantize_release;
+
+        // Drift (a tagged mode or dense), one changed word (sparse), or a
+        // longer model (dense against a base of another length).
+        let mut new: Vec<f32> = match shape {
+            0 => base.iter().map(|w| w + w * drift).collect(),
+            1 => base.iter().enumerate().map(|(i, w)| if i == at % 7 { w + 1.0 } else { *w }).collect(),
+            _ => base.iter().chain(&extra).copied().collect(),
+        };
+        new = quantize_release(&new, mantissa_bits);
+        let mut blobs = [weights_to_bytes(&base), delta_to_bytes(&base, &new)];
+        if let Some(blob) = blobs.get_mut(target.wrapping_sub(1)) {
+            match damage {
+                0 if !blob.is_empty() => {
+                    let i = at % blob.len();
+                    blob[i] = byte;
+                }
+                1 => blob.truncate(at % (blob.len() + 1)),
+                2 => blob.extend_from_slice(&noise),
+                // A NaN or an infinity over a word of the body (after the
+                // 12-byte weight or 13-byte delta header).
+                3 if blob.len() >= 17 => {
+                    let header = 11 + target;
+                    let i = header + 4 * (at % ((blob.len() - header) / 4));
+                    let poison = if byte < 128 { f32::NAN } else { f32::INFINITY };
+                    blob[i..i + 4].copy_from_slice(&poison.to_bits().to_le_bytes());
+                }
+                _ => *blob = noise.clone(),
+            }
+        }
+        let [base_blob, delta] = &blobs;
+
+        let three_calls = weights_from_bytes(base_blob)
+            .map_err(ApplyError::Base)
+            .and_then(|w| delta_from_bytes(&w, delta).map_err(ApplyError::Delta))
+            .map(|w| weights_to_bytes(&w));
+        prop_assert_eq!(apply_to_blob(base_blob, delta), three_calls);
+    }
+
     /// Release quantization really bounds the payload: the dropped mantissa
     /// bits of every released word are zero, and the value error is within
     /// one step of the kept precision.

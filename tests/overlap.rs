@@ -96,3 +96,24 @@ fn fetch_ahead_hides_physical_transfer_behind_compute() {
         }
     }
 }
+
+#[test]
+fn fetch_ahead_moves_no_more_wire_bytes_than_the_cold_run() {
+    // A warm-up pulls what the round's own fetch would have pulled, the
+    // same way: where the round would have moved a delta, so does the
+    // warm-up. Fetch-ahead changes when the bytes move, never how many.
+    for link_model in [LinkModel::Nominal, LinkModel::Physical] {
+        for mode in [Mode::Sync, Mode::Async] {
+            for seed in [7u64, 42, 1234] {
+                let cold = run(seed, mode, link_model, false).transfer;
+                let warmed = run(seed, mode, link_model, true).transfer;
+                assert_eq!(
+                    (warmed.physical_bytes, warmed.delta_fetches),
+                    (cold.physical_bytes, cold.delta_fetches),
+                    "fetch-ahead must move exactly the cold run's wire bytes \
+                     and deltas (seed {seed}, {mode}, {link_model})"
+                );
+            }
+        }
+    }
+}
