@@ -128,6 +128,39 @@ fn sync_full_round_lifecycle() {
 }
 
 #[test]
+fn an_earlier_rounds_entry_cannot_be_scored_in_a_later_scoring_phase() {
+    // §3.2: once round 1's scoring window closes, its entries take no more
+    // scores, even while round 2's scoring phase is open and the sender
+    // is an assigned scorer that has not yet scored the entry. The
+    // contract's phase check passes here; only the entry's own closed
+    // window can refuse the call.
+    let (mut c, a) = registered(OrchestrationMode::Sync, 3);
+    c.execute(&ctx(a[0], 0), &calls::start_training()).unwrap();
+    c.execute(&ctx(a[0], 0), &calls::submit_model("QmRound1"))
+        .unwrap();
+    c.execute(&ctx(a[0], 1), &calls::start_scoring()).unwrap();
+    let late = c.entry("QmRound1").unwrap().scorers[0];
+    c.execute(&ctx(a[0], 0), &calls::end_scoring()).unwrap();
+
+    c.execute(&ctx(a[0], 0), &calls::start_training()).unwrap();
+    c.execute(&ctx(a[1], 0), &calls::submit_model("QmRound2"))
+        .unwrap();
+    c.execute(&ctx(a[0], 2), &calls::start_scoring()).unwrap();
+    assert_eq!((c.round(), c.phase()), (2, Phase::Scoring));
+
+    let entry = c.entry("QmRound1").unwrap();
+    assert!(entry.scorers.contains(&late) && entry.scores.is_empty());
+    let err = c
+        .execute(
+            &ctx(late, 0),
+            &calls::submit_score("QmRound1", Score::from_f64(0.9)),
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("scoring window closed"), "{err}");
+    assert!(c.entry("QmRound1").unwrap().scores.is_empty());
+}
+
+#[test]
 fn sync_straggler_must_wait_for_next_round() {
     let (mut c, a) = registered(OrchestrationMode::Sync, 3);
     c.execute(&ctx(a[0], 0), &calls::start_training()).unwrap();
