@@ -294,7 +294,7 @@ mod tests {
         use unifyfl_core::step::train_work;
         use unifyfl_fl::fanout::forks;
         let config = quickstart_config(42);
-        let state = RunState::new(&config).expect("speed config is valid");
+        let mut state = RunState::new(&config).expect("speed config is valid");
         let fed = state.federation();
         let epochs = config.workload.local_epochs;
         for cluster in &fed.clusters {

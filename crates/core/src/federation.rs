@@ -3,6 +3,8 @@
 //! Async engines.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::thread::JoinHandle;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -11,6 +13,7 @@ use unifyfl_chain::clique::CliqueConfig;
 use unifyfl_chain::orchestrator::{calls, DeltaRef, ModelEntry, UnifyFlContract};
 use unifyfl_chain::types::{Address, Transaction};
 use unifyfl_data::{Dataset, WorkloadConfig};
+use unifyfl_fl::{EvalResult, EvalShell};
 use unifyfl_sim::fault::{FaultPlan, FaultRecord};
 use unifyfl_sim::{ChaosConfig, ResourceMonitor, SeedTree, SimDuration, SimTime};
 use unifyfl_storage::network::LinkProfile;
@@ -18,12 +21,13 @@ use unifyfl_storage::topology::GossipTopology;
 use unifyfl_storage::{Cid, GetReceipt, IpfsError, IpfsNetwork, StorageFaults};
 use unifyfl_tensor::delta::apply_to_blob;
 use unifyfl_tensor::weights_from_bytes;
+use unifyfl_tensor::zoo::ModelSpec;
 
 use crate::cluster::ClusterNode;
 use crate::experiment::{ExperimentConfig, ExperimentError};
 use crate::policy::ScoredCandidate;
 use crate::sharding::ShardTopology;
-use crate::step::Lane;
+use crate::step::{EvalStage, Lane};
 use Process::{Aggregator, Client, Ipfs, Scorer};
 
 /// How virtual time is charged for cross-silo weight transfers.
@@ -120,6 +124,134 @@ fn parse_entry_cids(entry: &ModelEntry) -> Option<EntryCids> {
     Some((cid, entry.delta.as_ref().and_then(parse_delta_ref)))
 }
 
+/// Where a global-test evaluation handed to the [`EvalLane`] settles: the
+/// record of one cluster's round, and which half of it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct EvalSlot {
+    /// The evaluated cluster's index.
+    pub cluster: usize,
+    /// Position of the round's record in the cluster's history.
+    pub record: usize,
+    /// Which of the record's accuracy and loss pairs the result fills.
+    pub stage: EvalStage,
+}
+
+/// A run's eval lane: one worker thread with its own [`EvalShell`] and a
+/// copy of the global test set, started on the first hand-off, that
+/// evaluates weight snapshots while the stepping thread goes on. Only an
+/// Async run's training wakes hand it work, and only when one evaluation
+/// reaches the fan-out grain on a host with a second core under
+/// [`Engine::Parallel`](crate::step::Engine) (`fanout::offloads`); every
+/// other evaluation runs inline where it always did. No policy, contract
+/// call or scorer reads a global-test result, so the results wait on the
+/// lane until `Federation::settle_evals` joins it and writes them into
+/// their records. Dropping the lane unsettled lets the thread finish the
+/// few evaluations it holds and joins it.
+#[derive(Default)]
+pub struct EvalLane {
+    worker: Option<EvalWorker>,
+    /// Evaluations handed over since the federation was assembled.
+    handed: u64,
+}
+
+/// The live half of an [`EvalLane`].
+struct EvalWorker {
+    /// The job queue. It holds one wake's two evaluations: a lane that
+    /// falls further behind blocks the next hand-off, so a run holds at
+    /// most three snapshots however far ahead its stepping thread gets.
+    jobs: SyncSender<EvalJob>,
+    thread: JoinHandle<Vec<(EvalSlot, EvalResult)>>,
+}
+
+/// One snapshot to evaluate on the global test set.
+struct EvalJob {
+    slot: EvalSlot,
+    spec: ModelSpec,
+    weights: Vec<f32>,
+}
+
+impl EvalLane {
+    /// Hands the lane one evaluation of `weights` on `global_test`,
+    /// starting the thread on first use. Blocks while the queue is full; a
+    /// lane that has died re-raises its panic here.
+    pub(crate) fn hand_off(
+        &mut self,
+        slot: EvalSlot,
+        spec: &ModelSpec,
+        weights: &[f32],
+        global_test: &Dataset,
+    ) {
+        self.handed += 1;
+        let worker = self
+            .worker
+            .get_or_insert_with(|| EvalWorker::start(global_test.clone()));
+        let job = EvalJob {
+            slot,
+            spec: spec.clone(),
+            weights: weights.to_vec(),
+        };
+        if worker.jobs.send(job).is_err() {
+            self.join();
+            unreachable!("the lane hangs up only by panicking");
+        }
+    }
+
+    /// Closes the queue, waits for the thread to drain it and returns its
+    /// results in hand-off order (none if the lane never started). A panic
+    /// on the lane is re-raised with its original payload.
+    fn join(&mut self) -> Vec<(EvalSlot, EvalResult)> {
+        let Some(EvalWorker { jobs, thread }) = self.worker.take() else {
+            return Vec::new();
+        };
+        drop(jobs);
+        thread
+            .join()
+            .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+    }
+}
+
+impl EvalWorker {
+    fn start(global_test: Dataset) -> EvalWorker {
+        let (jobs, queue) = sync_channel::<EvalJob>(2);
+        let thread = std::thread::spawn(move || {
+            let mut shell = EvalShell::default();
+            queue
+                .iter()
+                .map(|job| {
+                    let eval = shell.evaluate(&job.spec, &job.weights, &global_test);
+                    (job.slot, eval)
+                })
+                .collect()
+        });
+        EvalWorker { jobs, thread }
+    }
+}
+
+impl Drop for EvalLane {
+    fn drop(&mut self) {
+        if let Some(EvalWorker { jobs, thread }) = self.worker.take() {
+            drop(jobs);
+            // A panic on the lane has no run left to fail.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The round step's compute-phase borrows of a [`Federation`]: see
+/// [`Federation::compute_view`].
+pub struct ComputeView<'a> {
+    /// Every cluster, mutably.
+    pub clusters: &'a mut [ClusterNode],
+    /// The compute lanes' model shells.
+    pub lanes: &'a mut Vec<Lane>,
+    /// The run's eval lane.
+    pub evals: &'a mut EvalLane,
+    /// The held-out global test set.
+    pub global_test: &'a Dataset,
+    /// The workload being trained.
+    pub workload: &'a WorkloadConfig,
+}
+
 /// The data pipeline and cluster nodes of `config`, validated first — the
 /// one way in for every arm: [`Federation::assemble`] and the
 /// [`baseline`](crate::baseline) runs. Generates the dataset, holds out
@@ -197,6 +329,9 @@ pub struct Federation {
     /// stepping thread's own, which every inline pass uses (an Async wake,
     /// a phase under [`Engine::Sequential`](crate::step::Engine)).
     pub(crate) lanes: Vec<Lane>,
+    /// The run's eval lane: where an Async wake's global-test evaluations
+    /// run when they are worth a thread (see [`EvalLane`]).
+    evals: EvalLane,
     /// Resource accounting for Table 7.
     pub resources: ResourceMonitor,
     /// Virtual instant at which setup (registration) completed.
@@ -281,6 +416,7 @@ impl Federation {
             ipfs,
             global_test,
             lanes: vec![Lane::default()],
+            evals: EvalLane::default(),
             resources: ResourceMonitor::new(),
             setup_done: SimTime::ZERO,
             config: config.clone(),
@@ -710,26 +846,43 @@ impl Federation {
         fetched
     }
 
-    /// Disjoint borrows for the round step's compute phase: every cluster
-    /// and the lanes' model shells (mutably) plus the shared read-only
-    /// global test set and workload. The parallel engine hands one cluster
-    /// at a time and one lane to each scoped thread; nothing else in the
-    /// federation is reachable from compute.
-    pub fn compute_view(
-        &mut self,
-    ) -> (
-        &mut [ClusterNode],
-        &mut Vec<Lane>,
-        &Dataset,
-        &WorkloadConfig,
-    ) {
-        let workload = &self.config.workload;
-        (
-            &mut self.clusters,
-            &mut self.lanes,
-            &self.global_test,
-            workload,
-        )
+    /// Disjoint borrows for the round step's compute phase: every cluster,
+    /// the lanes' model shells and the eval lane (mutably) plus the shared
+    /// read-only global test set and workload. The parallel engine hands
+    /// one cluster at a time and one lane to each scoped thread; nothing
+    /// else in the federation is reachable from compute.
+    pub fn compute_view(&mut self) -> ComputeView<'_> {
+        ComputeView {
+            clusters: &mut self.clusters,
+            lanes: &mut self.lanes,
+            evals: &mut self.evals,
+            global_test: &self.global_test,
+            workload: &self.config.workload,
+        }
+    }
+
+    /// Waits for the eval lane to finish what it was handed and writes each
+    /// result into the record field it belongs to; a no-op when nothing was
+    /// handed over since the last settle. A panic on the lane is re-raised
+    /// here with its original payload. Every read of a round record's
+    /// accuracy or loss comes after a settle: the finish of a run (before
+    /// the final merge, whose `last_global` fallback reads them, and the
+    /// report) and [`RunState::federation`](crate::service::RunState::federation).
+    pub(crate) fn settle_evals(&mut self) {
+        for (slot, eval) in self.evals.join() {
+            let record = &mut self.clusters[slot.cluster].records[slot.record];
+            let (accuracy, loss) = match slot.stage {
+                EvalStage::Global => (&mut record.global_accuracy, &mut record.global_loss),
+                EvalStage::Local => (&mut record.local_accuracy, &mut record.local_loss),
+            };
+            (*accuracy, *loss) = (eval.accuracy, eval.loss);
+        }
+    }
+
+    /// How many global-test evaluations this run has handed to its eval
+    /// lane: zero wherever every evaluation ran inline.
+    pub fn deferred_evals(&self) -> u64 {
+        self.evals.handed
     }
 
     /// Phase-driving transaction from cluster 0 (any registered aggregator
@@ -868,7 +1021,6 @@ mod tests {
     use crate::policy::{AggregationPolicy, ScorePolicy};
     use unifyfl_data::SyntheticConfig;
     use unifyfl_sim::DeviceProfile;
-    use unifyfl_tensor::zoo::ModelSpec;
 
     fn tiny_workload() -> WorkloadConfig {
         let mut dataset = SyntheticConfig::cifar10_like(300);
@@ -1052,6 +1204,26 @@ mod tests {
             assert_eq!(f.delta_ref_of(cid), by_string);
         }
         assert_eq!(f.delta_ref_of(Cid::for_data(b"never published")), None);
+    }
+
+    #[test]
+    fn a_panic_on_the_eval_lane_is_re_raised_at_settle_with_its_payload() {
+        let mut f = fed(Mode::Async);
+        let spec = f.clusters[0].spec().clone();
+        let slot = EvalSlot {
+            cluster: 0,
+            record: 0,
+            stage: EvalStage::Global,
+        };
+        // Weights of the wrong length: the evaluation on the lane panics.
+        f.evals.hand_off(slot, &spec, &[0.0; 3], &f.global_test);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f.settle_evals()));
+        let payload = caught.expect_err("the lane's panic must re-raise");
+        let msg = payload.downcast_ref::<String>().map_or("", String::as_str);
+        assert!(
+            msg.contains("flat parameter vector length mismatch"),
+            "original payload survives: {msg}"
+        );
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use std::collections::{HashSet, VecDeque};
 
 use unifyfl_chain::orchestrator::OrchestrationMode;
+use unifyfl_fl::fanout;
 use unifyfl_sim::fault::FaultPlan;
 use unifyfl_sim::{EventQueue, SimDuration, SimTime};
 use unifyfl_storage::Cid;
@@ -11,10 +12,11 @@ use super::membership::{self, Members};
 use super::{final_merge, topology, EngineOutcome};
 use crate::cluster::ClusterRoundRecord;
 use crate::events::{Event, EventPolicy};
-use crate::federation::Federation;
+use crate::federation::{ComputeView, Federation};
 use crate::sharding::ShardTopology;
 use crate::step::{
-    book_score, commit_train_effects, compute_scores, compute_train, prepare_scoring, prepare_train,
+    book_score, commit_train_effects, compute_scores, compute_train, prepare_scoring,
+    prepare_train, Engine, Evals,
 };
 
 /// The free-running clockwork of one Async run. Run-wide knobs and the
@@ -59,6 +61,13 @@ pub(crate) struct AsyncPolicy {
     pending_joins: usize,
     seal_scheduled: bool,
     end_time: SimTime,
+    /// Whether a training wake hands its two global-test evaluations to
+    /// the run's eval lane instead of running them inline: under
+    /// [`Engine::Parallel`], when one evaluation is worth a thread
+    /// ([`fanout::offloads`]). Every cluster trains the workload's one
+    /// model on the one global test set, so one evaluation's cost decides
+    /// for the whole run.
+    defer_evals: bool,
 }
 
 impl AsyncPolicy {
@@ -142,6 +151,8 @@ impl AsyncPolicy {
             pending_joins: 0,
             seal_scheduled: false,
             end_time: fed.setup_done,
+            defer_evals: config.engine == Engine::Parallel
+                && fanout::offloads(fed.clusters[0].eval_flops(fed.global_test.len())),
         }
     }
 
@@ -275,7 +286,9 @@ impl AsyncPolicy {
             // assignment reaches it (Figure 6 step 4) — the round step's
             // scoring, inline on the stepping thread's lane.
             let tasks = prepare_scoring(fed, idx, [cid], None);
-            let (clusters, lanes, _, _) = fed.compute_view();
+            let ComputeView {
+                clusters, lanes, ..
+            } = fed.compute_view();
             if let Some(scored) = compute_scores(&clusters[idx], &mut lanes[0].eval, tasks).pop() {
                 let done = t + book_score(fed, idx, &scored);
                 let tx = fed.clusters[idx].score_tx(orch, &cid, scored.score);
@@ -298,15 +311,35 @@ impl AsyncPolicy {
         // commit the chain/storage/accounting effects). The whole action
         // commits atomically at wake time: splitting decide from commit
         // would change what concurrently-waking clusters observe on-chain.
+        // Only the two global-test evaluations may leave the stepping
+        // thread: their results fill this round's record, which nothing
+        // reads before the run settles.
         let inputs = prepare_train(fed, idx, round);
+        let record = fed.clusters[idx].records.len();
         let mut result = {
-            let (clusters, lanes, global_test, workload) = fed.compute_view();
+            let ComputeView {
+                clusters,
+                lanes,
+                evals,
+                global_test,
+                workload,
+            } = fed.compute_view();
+            let evals = if self.defer_evals {
+                Evals::Deferred {
+                    lane: evals,
+                    cluster: idx,
+                    record,
+                }
+            } else {
+                Evals::Inline
+            };
             compute_train(
                 &mut clusters[idx],
                 &mut lanes[0],
                 inputs,
                 workload,
                 global_test,
+                evals,
             )
         };
         let publish = commit_train_effects(fed, idx, round, &mut result);

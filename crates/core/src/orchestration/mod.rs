@@ -55,7 +55,7 @@ use unifyfl_fl::fanout;
 use unifyfl_sim::SimTime;
 
 use crate::events::EventPolicy;
-use crate::federation::Federation;
+use crate::federation::{ComputeView, Federation};
 use crate::step::{compute_all, merge_eval, prepare_train, Engine, TrainInputs};
 
 use async_policy::AsyncPolicy;
@@ -156,7 +156,12 @@ fn final_merge(fed: &mut Federation, members: &Members, wave: Option<usize>) -> 
             })
             .collect();
         let results = {
-            let (clusters, lanes, global_test, _) = fed.compute_view();
+            let ComputeView {
+                clusters,
+                lanes,
+                global_test,
+                ..
+            } = fed.compute_view();
             compute_all(
                 &mut clusters[lo..hi],
                 lanes,

@@ -12,12 +12,13 @@ use super::membership::{self, Members};
 use super::{final_merge, topology, EngineOutcome};
 use crate::cluster::{ClusterNode, ClusterRoundRecord};
 use crate::events::{Event, EventPolicy};
-use crate::federation::Federation;
+use crate::federation::{ComputeView, Federation};
 use crate::scoring::{krum_assumed_byzantine, multikrum_scores, ScorerKind};
 use crate::sharding::ShardTopology;
 use crate::step::{
     book_score, commit_train_effects, compute_all, compute_scores, compute_train, prepare_scoring,
-    prepare_train, scoring_work, train_work, ScoreTask, ScoredModel, TrainInputs, TrainResult,
+    prepare_train, scoring_work, train_work, Evals, ScoreTask, ScoredModel, TrainInputs,
+    TrainResult,
 };
 
 /// What the training phase decided for one cluster, before any state is
@@ -172,14 +173,22 @@ impl SyncPolicy {
             .collect();
         let engine = fed.config().engine;
         let results = {
-            let (clusters, lanes, global_test, workload) = fed.compute_view();
+            let ComputeView {
+                clusters,
+                lanes,
+                global_test,
+                workload,
+                ..
+            } = fed.compute_view();
             compute_all(
                 clusters,
                 lanes,
                 inputs,
                 engine,
                 |cluster, _| train_work(cluster, workload, global_test),
-                |cluster, lane, inputs| compute_train(cluster, lane, inputs, workload, global_test),
+                |cluster, lane, inputs| {
+                    compute_train(cluster, lane, inputs, workload, global_test, Evals::Inline)
+                },
             )
         };
         self.pending_actions = actions;
@@ -379,7 +388,9 @@ impl SyncPolicy {
             .collect();
         let engine = fed.config().engine;
         let scored_lists = {
-            let (clusters, lanes, _, _) = fed.compute_view();
+            let ComputeView {
+                clusters, lanes, ..
+            } = fed.compute_view();
             compute_all(
                 clusters,
                 lanes,

@@ -153,8 +153,11 @@ impl RunState {
         self.fed.config()
     }
 
-    /// Read-only view of the federation being run.
-    pub fn federation(&self) -> &Federation {
+    /// Read-only view of the federation being run. Settles the evaluations
+    /// still on the run's eval lane first, so every round record read
+    /// through it is final.
+    pub fn federation(&mut self) -> &Federation {
+        self.fed.settle_evals();
         &self.fed
     }
 
@@ -205,6 +208,9 @@ impl RunState {
         let RunState {
             mut fed, policy, ..
         } = self;
+        // The final merge's `last_global` fallback and the report read
+        // the round records: every evaluation lands first.
+        fed.settle_evals();
         let outcome = policy.finish(&mut fed, wave);
         let report = experiment::build_report(&fed, outcome);
         (report, fed)

@@ -22,6 +22,16 @@
 //!   too small to pay for a fork, on 1-core hosts and under
 //!   [`Engine::Sequential`]; on bounded lanes otherwise — with no effect
 //!   on results.
+//! - **Evaluation** is the half of a training round nothing downstream
+//!   reads: its global-test accuracy and loss only fill the cluster's
+//!   round record, which the report reads once the run is done. Every
+//!   evaluation runs inline on its compute lane ([`Evals::Inline`]) except
+//!   an Async training wake's two, which go to the run's
+//!   [`EvalLane`] as weight snapshots ([`Evals::Deferred`]) when one
+//!   evaluation reaches the fan-out grain on a host with a second core
+//!   under [`Engine::Parallel`]. Those results settle into their records
+//!   before anything reads them (`Federation::settle_evals`), so where an
+//!   evaluation ran shows in no byte of the run either.
 //! - **Commit** (back in the engine) replays every federation mutation —
 //!   chain transactions, storage publishes, fault logging, resource bursts
 //!   and idle/straggler accounting — sequentially in cluster-index order,
@@ -39,7 +49,7 @@ use unifyfl_fl::{EvalShell, TrainShell};
 use unifyfl_storage::Cid;
 
 use crate::cluster::ClusterNode;
-use crate::federation::{Federation, FetchedPeers, LinkModel};
+use crate::federation::{EvalLane, EvalSlot, Federation, FetchedPeers, LinkModel};
 use unifyfl_sim::SimDuration;
 
 /// What a compute lane keeps warm from phase to phase: the models its
@@ -125,17 +135,80 @@ pub struct TrainResult {
     pub pull: SimDuration,
     /// Peer models merged.
     pub peers_merged: usize,
-    /// Post-merge (global) accuracy on the global test set.
+    /// Post-merge (global) accuracy on the global test set; NaN when the
+    /// evaluation was [deferred](Evals::Deferred).
     pub global_accuracy: f64,
-    /// Post-merge (global) loss on the global test set.
+    /// Post-merge (global) loss on the global test set; NaN when deferred.
     pub global_loss: f64,
     /// Nominal local-training duration. The commit step stretches this
     /// under an injected latency spike.
     pub train: SimDuration,
-    /// Post-training (local) accuracy on the global test set.
+    /// Post-training (local) accuracy on the global test set; NaN when
+    /// deferred.
     pub local_accuracy: f64,
-    /// Post-training (local) loss on the global test set.
+    /// Post-training (local) loss on the global test set; NaN when
+    /// deferred.
     pub local_loss: f64,
+}
+
+/// Which of a training round's two global-test evaluations a result
+/// belongs to, named after the record fields it fills.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum EvalStage {
+    /// Of the merged model, before local training.
+    Global,
+    /// Of the locally trained model.
+    Local,
+}
+
+/// Where [`compute_train`]'s two global-test evaluations run.
+pub enum Evals<'a> {
+    /// On the compute lane's own shell, before the round step returns.
+    Inline,
+    /// On the run's eval lane, from snapshots of the cluster's weights:
+    /// the round step returns NaN in their place, and the federation
+    /// settles the lane's results into record `record` of cluster
+    /// `cluster`.
+    Deferred {
+        /// The run's eval lane.
+        lane: &'a mut EvalLane,
+        /// The evaluated cluster's index.
+        cluster: usize,
+        /// Position the round's record takes in the cluster's history.
+        record: usize,
+    },
+}
+
+impl Evals<'_> {
+    /// Evaluates `cluster`'s current weights on `global_test` as `stage`:
+    /// now, on `shell`, or by handing a snapshot to the eval lane.
+    fn evaluate(
+        &mut self,
+        stage: EvalStage,
+        cluster: &ClusterNode,
+        shell: &mut EvalShell,
+        global_test: &Dataset,
+    ) -> (f64, f64) {
+        match self {
+            Evals::Inline => {
+                let eval = shell.evaluate(cluster.spec(), cluster.weights(), global_test);
+                (eval.accuracy, eval.loss)
+            }
+            Evals::Deferred {
+                lane,
+                cluster: idx,
+                record,
+            } => {
+                let slot = EvalSlot {
+                    cluster: *idx,
+                    record: *record,
+                    stage,
+                };
+                lane.hand_off(slot, cluster.spec(), cluster.weights(), global_test);
+                (f64::NAN, f64::NAN)
+            }
+        }
+    }
 }
 
 /// Gathers one cluster's training-round inputs: queries the contract for
@@ -176,8 +249,19 @@ pub fn prepare_train(fed: &mut Federation, idx: usize, round: u64) -> TrainInput
     }
 }
 
+/// Merges the prepared peers into the cluster's model; returns how many
+/// it merged.
+fn merge(cluster: &mut ClusterNode, inputs: TrainInputs) -> usize {
+    match inputs.precisions {
+        Some(precisions) => {
+            cluster.merge_peers_weighted(inputs.peers.into_iter().zip(precisions).collect())
+        }
+        None => cluster.merge_peers(inputs.peers),
+    }
+}
+
 /// Merges the prepared peers into the cluster's model and evaluates the
-/// result on the global test set. Cluster-local; returns
+/// result on the global test set, inline. Cluster-local; returns
 /// `(peers_merged, global_accuracy, global_loss)`.
 pub fn merge_eval(
     cluster: &mut ClusterNode,
@@ -185,12 +269,7 @@ pub fn merge_eval(
     inputs: TrainInputs,
     global_test: &Dataset,
 ) -> (usize, f64, f64) {
-    let merged = match inputs.precisions {
-        Some(precisions) => {
-            cluster.merge_peers_weighted(inputs.peers.into_iter().zip(precisions).collect())
-        }
-        None => cluster.merge_peers(inputs.peers),
-    };
+    let merged = merge(cluster, inputs);
     let eval = shell.evaluate(cluster.spec(), cluster.weights(), global_test);
     (merged, eval.accuracy, eval.loss)
 }
@@ -204,18 +283,23 @@ pub fn train_work(cluster: &ClusterNode, workload: &WorkloadConfig, global_test:
 /// One cluster's full training-round compute: merge, evaluate the global
 /// model, train locally, evaluate the local model. Touches only the
 /// cluster's own state plus immutable shared references, so the parallel
-/// engine may run it on a lane of its own — the evaluations and the fits
-/// on that lane's shells.
+/// engine may run it on a lane of its own — the fits on that lane's
+/// shells. `evals` says where the two evaluations run: on the same lane's
+/// eval shell ([`Evals::Inline`], every Sync round), or on the run's eval
+/// lane while this one trains ([`Evals::Deferred`], an Async wake above
+/// the grain) — the result then carries NaN for both until they settle.
 pub fn compute_train(
     cluster: &mut ClusterNode,
     lane: &mut Lane,
     inputs: TrainInputs,
     workload: &WorkloadConfig,
     global_test: &Dataset,
+    mut evals: Evals<'_>,
 ) -> TrainResult {
     let pull = inputs.pull;
-    let (peers_merged, global_accuracy, global_loss) =
-        merge_eval(cluster, &mut lane.eval, inputs, global_test);
+    let peers_merged = merge(cluster, inputs);
+    let (global_accuracy, global_loss) =
+        evals.evaluate(EvalStage::Global, cluster, &mut lane.eval, global_test);
     let train = cluster.train_duration(workload.local_epochs);
     cluster.run_local_round(
         &mut lane.train,
@@ -223,17 +307,16 @@ pub fn compute_train(
         workload.batch_size,
         workload.learning_rate,
     );
-    let eval = lane
-        .eval
-        .evaluate(cluster.spec(), cluster.weights(), global_test);
+    let (local_accuracy, local_loss) =
+        evals.evaluate(EvalStage::Local, cluster, &mut lane.eval, global_test);
     TrainResult {
         pull,
         peers_merged,
         global_accuracy,
         global_loss,
         train,
-        local_accuracy: eval.accuracy,
-        local_loss: eval.loss,
+        local_accuracy,
+        local_loss,
     }
 }
 

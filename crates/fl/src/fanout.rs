@@ -1,11 +1,11 @@
 //! The workspace's one fork-join: an index-ordered fan-out that sizes
 //! itself to the work.
 //!
-//! Both levels of wall-clock parallelism go through [`fan_out`] — a
+//! Both levels of fork-join parallelism go through [`fan_out`] — a
 //! cluster's client fits ([`FlServer::run_round`](crate::FlServer::run_round))
 //! and the parallel engine's per-cluster compute (`unifyfl-core`'s
 //! `step::compute_all`) — and they nest: a cluster lane that reaches its
-//! own `run_round` fans out again. Three rules decide how:
+//! own `run_round` fans out again. Four rules decide how:
 //!
 //! 1. **Grain.** A fan-out whose estimated work is below `GRAIN_FLOPS`
 //!    runs inline on the caller. The estimate is the FLOP model the
@@ -29,6 +29,13 @@
 //! closure whatever the lane count — which state an item meets must not
 //! show in its result — so a run's bytes never depend on the host: lane
 //! count changes wall-clock and footprint only.
+//!
+//! One piece of work leaves the caller without a fork: an Async run's
+//! global-test evaluations (`unifyfl-core`'s eval lane). Nothing in the
+//! run reads their results until it finishes, so they need no join; the
+//! run hands weight snapshots to one long-lived thread of its own instead,
+//! on the same terms a fan-out forks on — [`offloads`] reads this grain and
+//! the host's cores.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -131,6 +138,15 @@ where
 /// can pin that it does.
 pub fn forks(items: usize, flops: f64) -> bool {
     items >= 2 && flops >= GRAIN_FLOPS
+}
+
+/// Whether one item of `flops` estimated work pays for being handed whole
+/// to a thread that is already running, while the caller goes on with
+/// other work: at or above the grain, on a host with a second core. The
+/// grain is a fork's; a hand-off to a live thread costs less, so this errs
+/// on the side of keeping work inline.
+pub fn offloads(flops: f64) -> bool {
+    flops >= GRAIN_FLOPS && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
 }
 
 /// The lanes [`fan_out`] spreads `items` items of `flops` estimated work

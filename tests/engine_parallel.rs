@@ -5,19 +5,31 @@
 //! and under chaos, through the straggler carryover path and under
 //! MultiKRUM scoring.
 //!
+//! An Async run above the fan-out grain adds the eval lane: under
+//! `Engine::Parallel` on a host with a second core its global-test
+//! evaluations run on a thread of the run's own and settle at the end, and
+//! the report and trace must still be the inline reference's, through a
+//! checkpoint and resume too; dropping such a run mid-flight must return.
+//!
 //! Also home to the `matmul_tn`/`matmul_nt` bit-exactness proptests: the
 //! fused kernels the per-cluster threads run in dense-layer backward must
 //! match the naive `transpose().matmul()` formulation bit for bit, or
 //! released weight CIDs would drift between engine-equal runs.
 
+use std::time::{Duration, Instant};
+
 use proptest::prelude::*;
 use unifyfl::core::cluster::ClusterConfig;
+use unifyfl::core::events::{encode_trace, Event};
 use unifyfl::core::experiment::{
-    run_experiment, Engine, ExperimentBuilder, ExperimentConfig, ExperimentReport, Mode,
+    run_experiment, Engine, ExperimentBuilder, ExperimentConfig, ExperimentReport, LinkModel, Mode,
 };
 use unifyfl::core::scoring::ScorerKind;
+use unifyfl::core::service::{RunCheckpoint, RunState};
 use unifyfl::core::{ChaosConfig, FaultEvent, FaultKind};
-use unifyfl::sim::SimDuration;
+use unifyfl::sim::{DeviceProfile, SimDuration};
+use unifyfl::storage::LinkProfile;
+use unifyfl::tensor::zoo::ModelSpec;
 use unifyfl::tensor::Tensor;
 
 /// Runs `config` under both engines and returns the two reports.
@@ -227,6 +239,129 @@ fn heterogeneous_cluster_counts_stay_identical() {
     let (s, p) = both_engines(config);
     assert_identical("sync 5 clusters", &s, &p);
     assert_eq!(s.aggregators.len(), 5);
+}
+
+/// Three WAN clusters of the benchmark's `wan_transfer` MLP
+/// (16→256→128→4) over three Async rounds: one global-test evaluation is
+/// ≈ 6.8 MFLOP, above the fan-out grain, so under `Engine::Parallel` on a
+/// host with a second core every training wake hands its two evaluations
+/// to the eval lane.
+fn eval_lane_config() -> ExperimentConfig {
+    let clusters = (0..3)
+        .map(|i| {
+            ClusterConfig::edge(format!("wan-{i}"), DeviceProfile::edge_cpu())
+                .with_link(LinkProfile::wan())
+        })
+        .collect();
+    let mut config = ExperimentBuilder::quickstart()
+        .seed(42)
+        .rounds(3)
+        .mode(Mode::Async)
+        .clusters(clusters)
+        .link_model(LinkModel::Physical)
+        .fetch_ahead(true)
+        .config()
+        .clone();
+    config.workload.model = ModelSpec::mlp(16, vec![256, 128], 4);
+    config.workload.dataset.n_samples = 600;
+    config
+}
+
+/// Whether this host runs the eval lane for [`eval_lane_config`] under
+/// `Engine::Parallel`: the evaluation is above the grain, so it comes down
+/// to a second core (`taskset -c 0` takes it away).
+fn host_runs_the_lane() -> bool {
+    std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
+}
+
+/// Runs `config` through the stepping route: its report, its encoded trace
+/// and how many evaluations it handed to the eval lane.
+fn traced_run(config: &ExperimentConfig) -> (String, String, u64) {
+    let mut state = RunState::new(config).expect("valid configuration");
+    while state.step().is_some() {}
+    let trace = encode_trace(state.trace());
+    let (report, fed) = state.finish();
+    (format!("{report:?}"), trace, fed.deferred_evals())
+}
+
+/// Steps `state` until `wakes` cluster wakes have fired, cutting the run
+/// right after one: by then clusters have trained, and the lane may still
+/// hold what the last wake handed it.
+fn step_through_wakes(state: &mut RunState, wakes: usize) {
+    let mut fired = 0;
+    while fired < wakes {
+        let record = state.step().expect("the run outlasts the cut");
+        fired += usize::from(matches!(record.event, Event::ClusterWake { .. }));
+    }
+}
+
+#[test]
+fn eval_lane_runs_match_the_inline_reference_byte_for_byte() {
+    let mut config = eval_lane_config();
+    config.engine = Engine::Sequential;
+    let (s_report, s_trace, s_deferred) = traced_run(&config);
+    config.engine = Engine::Parallel;
+    let (p_report, p_trace, p_deferred) = traced_run(&config);
+    assert_eq!(s_report, p_report, "deferred evaluations moved the report");
+    assert_eq!(s_trace, p_trace, "deferred evaluations moved the trace");
+    assert!(!s_report.contains("NaN"), "every record settled");
+    // The reference evaluates inline; Parallel hands both evaluations of
+    // every training wake (3 clusters × 3 rounds) to the lane — unless the
+    // host has one core, where no lane starts at all.
+    assert_eq!(s_deferred, 0);
+    let expected = if host_runs_the_lane() { 2 * 3 * 3 } else { 0 };
+    assert_eq!(p_deferred, expected);
+}
+
+#[test]
+fn eval_lane_records_read_mid_run_are_settled() {
+    // A read through `RunState::federation` mid-run sees the records the
+    // inline reference holds at the same event, not placeholders.
+    let records_after = |engine, events| {
+        let mut config = eval_lane_config();
+        config.engine = engine;
+        let mut state = RunState::new(&config).expect("valid configuration");
+        for _ in 0..events {
+            state.step().expect("the run outlasts the cut");
+        }
+        let fed = state.federation();
+        let records: Vec<_> = fed.clusters.iter().map(|c| c.records.clone()).collect();
+        format!("{records:?}")
+    };
+    for events in [12, 30] {
+        let inline = records_after(Engine::Sequential, events);
+        assert!(inline.contains("round: 1"), "{events} events train a round");
+        assert_eq!(records_after(Engine::Parallel, events), inline);
+    }
+}
+
+#[test]
+fn eval_lane_resumed_checkpoint_matches_the_uninterrupted_run() {
+    let config = eval_lane_config();
+    let (uninterrupted, _, _) = traced_run(&config);
+    let mut state = RunState::new(&config).expect("valid configuration");
+    step_through_wakes(&mut state, 5);
+    let snapshot = state.checkpoint();
+    drop(state);
+    let checkpoint =
+        RunCheckpoint::from_encoded_trace(snapshot.config.clone(), &snapshot.encoded_trace())
+            .expect("an encoded trace decodes");
+    let resumed = RunState::resume(&checkpoint).expect("the checkpoint replays");
+    assert_eq!(format!("{:?}", resumed.run_to_completion()), uninterrupted);
+}
+
+#[test]
+fn dropping_a_run_with_the_eval_lane_busy_returns_promptly() {
+    let config = eval_lane_config();
+    let mut state = RunState::new(&config).expect("valid configuration");
+    step_through_wakes(&mut state, 6);
+    let started = Instant::now();
+    drop(state);
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "dropping took {:?}",
+        started.elapsed()
+    );
 }
 
 proptest! {
