@@ -31,7 +31,7 @@
 
 use unifyfl_core::cluster::{ClusterConfig, DriftSpec};
 use unifyfl_core::experiment::{ExperimentBuilder, ExperimentReport, Mode, RoundMean};
-use unifyfl_core::{Engine, ShardConfig, ShardTopology};
+use unifyfl_core::{ShardConfig, ShardTopology};
 use unifyfl_data::{Partition, SyntheticConfig, WorkloadConfig};
 use unifyfl_sim::DeviceProfile;
 use unifyfl_tensor::zoo::{InputKind, ModelSpec};
@@ -164,7 +164,6 @@ pub fn run_arm(scale: Scale, seed: u64, regroup: bool, adaptive: bool) -> DriftA
         .seed(seed)
         .label(format!("clustering-{}", arm_label(regroup, adaptive)))
         .mode(Mode::Sync)
-        .engine(Engine::Parallel)
         .workload(workload(scale))
         .partition(Partition::Iid)
         .clusters(clusters)

@@ -1,10 +1,10 @@
 //! The deterministic remains of the speed bench: the allocation probes
 //! `tests/alloc_gates.rs` gates in tier-1, and the configuration the
-//! parallel engine's fan-out is sized against.
+//! fan-out's grain is sized against.
 //!
-//! Host time — engine walls, speed-ups, kernel ratios, phase attribution —
+//! Host time — run walls, speed-ups, kernel ratios, phase attribution —
 //! is measured by `crates/benchmark` (`train_heavy`, `service_burst`, the
-//! layer ladder and the step trace), and engine identity is proven by
+//! layer ladder and the step trace), and lane-count identity is proven by
 //! `tests/engine_parallel.rs`. What is left here holds on every host:
 //!
 //! - [`measure_train_batch_allocs`] counts heap allocations across a
@@ -27,7 +27,7 @@
 //!   that copies resident content again cannot come back unnoticed.
 //! - [`quickstart_config`] is the three-cluster Sync run whose rounds must
 //!   fork per cluster and stay inline per client (asserted below): the
-//!   shape a parallel-over-sequential speed-up depends on.
+//!   shape a `Host`-over-`Fixed(1)` speed-up depends on.
 //!
 //! The probes read process-wide counters, so they mean something only in
 //! a process that installed [`crate::alloc::CountingAllocator`] and runs
@@ -35,7 +35,7 @@
 //! target, is that process; anywhere else they answer `None`.
 
 use unifyfl_core::cluster::ClusterConfig;
-use unifyfl_core::experiment::{Engine, ExperimentBuilder, ExperimentConfig, Mode};
+use unifyfl_core::experiment::{ExperimentBuilder, ExperimentConfig, Lanes, Mode};
 use unifyfl_core::service::RunState;
 use unifyfl_data::SyntheticConfig;
 use unifyfl_fl::{FitConfig, FlClient, FlServer, InMemoryClient, StrategyKind};
@@ -111,11 +111,11 @@ pub fn measure_fit_alloc_bytes() -> Option<u64> {
 /// Peak live heap bytes over one warm Sync round of 3 clusters ×
 /// `clients_per_cluster` clients of the paper's CNN (the second round:
 /// every shell is built, every arena warm), over a dataset whose size does
-/// not depend on the client count. Under [`Engine::Sequential`] one
-/// cluster computes at a time on the stepping thread, so the live set is
-/// the same on every host: what a round holds is the lane's shells, one
-/// cluster's fit results (a weight vector per client) and what the stores
-/// keep — and nothing model-sized per client, which
+/// not depend on the client count. At `Lanes::fixed(1)` every cluster and
+/// every client fit computes on the stepping thread, one at a time, so the
+/// live set is the same on every host: what a round holds is the lane's
+/// shells, one cluster's fit results (a weight vector per client) and what
+/// the stores keep — and nothing model-sized per client, which
 /// [`ROUND_PEAK_SLACK`] holds it to.
 ///
 /// Returns `None` when the counting allocator is not installed, as
@@ -140,7 +140,7 @@ pub fn measure_round_peak_bytes(clients_per_cluster: usize) -> Option<u64> {
         .clusters(clusters)
         .config()
         .clone();
-    config.engine = Engine::Sequential;
+    config.lanes = Lanes::fixed(1);
     let mut state = RunState::new(&config).expect("the footprint configuration is valid");
     let barrier = |state: &mut RunState| loop {
         let fired = state.step().expect("two rounds have two barriers");
@@ -258,16 +258,17 @@ mod tests {
 
     #[test]
     fn quickstart_pair_reports_are_identical() {
-        // On the one configuration where the engines provably take
+        // On the one configuration where the lane settings provably take
         // different paths (below), they still agree byte for byte.
-        let run = |engine| {
+        let run = |lanes| {
             let mut config = quickstart_config(42);
-            config.engine = engine;
+            config.lanes = lanes;
             run_experiment(&config).expect("speed config is valid")
         };
-        let (sequential, parallel) = (run(Engine::Sequential), run(Engine::Parallel));
+        let sequential = run(Lanes::fixed(1));
         assert_eq!(sequential.aggregators.len(), 3);
-        assert_eq!(format!("{sequential:?}"), format!("{parallel:?}"));
+        let parallel = format!("{:?}", run(Lanes::Host));
+        assert_eq!(format!("{sequential:?}"), parallel);
     }
 
     #[test]
@@ -286,10 +287,10 @@ mod tests {
     #[test]
     fn quickstart_pair_straddles_the_fan_out_grain() {
         // What a parallel-over-sequential speed-up on this run rests on:
-        // one cluster's round fits inline under either engine, the
+        // one cluster's round fits inline under any lane setting, the
         // three-cluster phase forks. If a grain or sizing change moves
-        // either side, a comparison of the engines would measure
-        // Parallel ≡ Sequential (or nested forks on both arms).
+        // either side, a comparison of the lane settings would measure
+        // Host ≡ Fixed(1) (or nested forks on both arms).
         use unifyfl_core::service::RunState;
         use unifyfl_core::step::train_work;
         use unifyfl_fl::fanout::forks;

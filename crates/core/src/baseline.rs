@@ -84,6 +84,7 @@ pub fn run_hbfl(config: &ExperimentConfig) -> Result<BaselineRun, ExperimentErro
         for c in clusters.iter_mut() {
             c.run_local_round(
                 &mut lane.train,
+                config.lanes,
                 workload.local_epochs,
                 workload.batch_size,
                 workload.learning_rate,
@@ -151,6 +152,7 @@ pub fn run_no_collab(config: &ExperimentConfig) -> Result<BaselineRun, Experimen
         for (i, c) in clusters.iter_mut().enumerate() {
             c.run_local_round(
                 &mut lane.train,
+                config.lanes,
                 workload.local_epochs,
                 workload.batch_size,
                 workload.learning_rate,

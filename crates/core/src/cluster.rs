@@ -18,7 +18,7 @@ use unifyfl_chain::orchestrator::calls;
 use unifyfl_chain::types::{Address, Transaction};
 use unifyfl_chain::Score;
 use unifyfl_data::Dataset;
-use unifyfl_fl::fanout;
+use unifyfl_fl::fanout::{self, Lanes};
 use unifyfl_fl::strategy::{precision_weighted_mean, weighted_mean};
 use unifyfl_fl::{EvalShell, FlClient, FlServer, InMemoryClient, StrategyKind, TrainShell};
 use unifyfl_sim::{DeviceProfile, SimDuration};
@@ -413,16 +413,17 @@ impl ClusterNode {
     // ---- protocol steps ----------------------------------------------
 
     /// Step 1: run one local FL round (clients train, strategy aggregates),
-    /// the fits on the training shells of the lane the cluster is computing
-    /// on.
+    /// the fits over `lanes` on the training shells of the lane the cluster
+    /// is computing on.
     pub fn run_local_round(
         &mut self,
         shells: &mut Vec<TrainShell>,
+        lanes: Lanes,
         epochs: usize,
-        batch_size: usize,
+        batch: usize,
         lr: f32,
     ) {
-        self.server.run_round_on(shells, epochs, batch_size, lr);
+        self.server.run_round_on(shells, lanes, epochs, batch, lr);
     }
 
     /// Steps 1–2: serialize the local model (corrupting it first if this
@@ -651,7 +652,7 @@ mod tests {
     fn local_round_changes_weights() {
         let (mut cluster, _) = setup(None);
         let before = cluster.weights().to_vec();
-        cluster.run_local_round(&mut Vec::new(), 1, 16, 0.05);
+        cluster.run_local_round(&mut Vec::new(), Lanes::Host, 1, 16, 0.05);
         assert_ne!(cluster.weights(), before.as_slice());
     }
 
@@ -664,7 +665,7 @@ mod tests {
         assert!(cluster.ipfs().has_local(cid));
         let tx = cluster.submit_model_tx(orch, &cid);
         assert_eq!(tx.nonce, 0);
-        cluster.run_local_round(&mut Vec::new(), 1, 16, 0.05);
+        cluster.run_local_round(&mut Vec::new(), Lanes::Host, 1, 16, 0.05);
         let cid2 = cluster.store_model(2);
         let tx2 = cluster.submit_model_tx(orch, &cid2);
         assert_eq!(tx2.nonce, 1);
@@ -686,8 +687,8 @@ mod tests {
         let (mut honest, _) = setup(None);
         let (mut evil, _) = setup(Some(AttackKind::SignFlip));
         // Same data/seed: identical local weights, different published CIDs.
-        honest.run_local_round(&mut Vec::new(), 1, 16, 0.05);
-        evil.run_local_round(&mut Vec::new(), 1, 16, 0.05);
+        honest.run_local_round(&mut Vec::new(), Lanes::Host, 1, 16, 0.05);
+        evil.run_local_round(&mut Vec::new(), Lanes::Host, 1, 16, 0.05);
         assert_eq!(honest.weights(), evil.weights());
         let cid_h = honest.store_model(1);
         let cid_e = evil.store_model(1);
@@ -757,7 +758,7 @@ mod tests {
     fn drift_degrades_a_trained_model() {
         let (mut cluster, _) = setup(None);
         for _ in 0..5 {
-            cluster.run_local_round(&mut Vec::new(), 2, 16, 0.05);
+            cluster.run_local_round(&mut Vec::new(), Lanes::Host, 2, 16, 0.05);
         }
         let mut shell = EvalShell::default();
         let before = cluster.score_weights(&mut shell, cluster.weights());
@@ -779,7 +780,7 @@ mod tests {
         let mut shell = EvalShell::default();
         let init_score = cluster.score_weights(&mut shell, cluster.weights());
         for _ in 0..5 {
-            cluster.run_local_round(&mut Vec::new(), 2, 16, 0.05);
+            cluster.run_local_round(&mut Vec::new(), Lanes::Host, 2, 16, 0.05);
         }
         let trained_score = cluster.score_weights(&mut shell, cluster.weights());
         assert!([init_score, trained_score]

@@ -5,7 +5,7 @@ use unifyfl_sim::fault::ChaosConfig;
 use unifyfl_storage::network::TransferConfig;
 use unifyfl_storage::topology::GossipConfig;
 
-use super::{run_experiment, Engine, ExperimentError, ExperimentReport, LinkModel, Mode};
+use super::{run_experiment, ExperimentError, ExperimentReport, Lanes, LinkModel, Mode};
 use crate::cluster::ClusterConfig;
 use crate::policy::AggregationPolicy;
 use crate::scoring::ScorerKind;
@@ -49,11 +49,11 @@ pub struct ExperimentConfig {
     /// how the injected fault stream is consumed, so chaos outcomes may
     /// legitimately differ between transfer configurations.
     pub transfer: TransferConfig,
-    /// Round-execution engine: the sequential reference or the two-phase
-    /// parallel engine. Reports are byte-identical either way at the same
-    /// seed — the engine changes wall-clock only, never results — so this
-    /// deliberately does not appear in the [`ExperimentReport`].
-    pub engine: Engine,
+    /// The lanes every fan-out of the run may use; `Fixed(1)` is the
+    /// single-threaded reference. Reports are byte-identical under any
+    /// setting at the same seed — it moves wall-clock only — so it does
+    /// not appear in the [`ExperimentReport`].
+    pub lanes: Lanes,
     /// How virtual time is charged for cross-silo transfers:
     /// [`LinkModel::Nominal`] (the default; device-profile cost per fetch)
     /// or [`LinkModel::Physical`] (actual bytes moved over each node's
@@ -124,7 +124,7 @@ impl Default for ExperimentConfig {
             window_margin: 1.15,
             chaos: None,
             transfer: TransferConfig::default(),
-            engine: Engine::default(),
+            lanes: Lanes::Host,
             link_model: LinkModel::Nominal,
             sharding: None,
             gossip: None,
@@ -222,10 +222,10 @@ impl ExperimentBuilder {
         self
     }
 
-    /// Sets the round-execution engine (sequential reference vs. parallel
-    /// two-phase; byte-identical results, different wall-clock).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.config.engine = engine;
+    /// Sets the lanes every fan-out may use (byte-identical results,
+    /// different wall-clock).
+    pub fn lanes(mut self, lanes: Lanes) -> Self {
+        self.config.lanes = lanes;
         self
     }
 

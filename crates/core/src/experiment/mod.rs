@@ -26,7 +26,7 @@ pub use validate::{Domain, Knob, KNOBS, MAX_NOMINAL_HORIZON};
 
 pub use crate::federation::{LinkModel, MembershipRecord};
 pub use crate::orchestration::Mode;
-pub use crate::step::Engine;
+pub use unifyfl_fl::fanout::Lanes;
 
 /// Runs an experiment end to end.
 ///

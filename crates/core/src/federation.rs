@@ -12,7 +12,7 @@ use unifyfl_chain::chain::{Blockchain, ChainFaults};
 use unifyfl_chain::clique::CliqueConfig;
 use unifyfl_chain::orchestrator::{calls, DeltaRef, ModelEntry, UnifyFlContract};
 use unifyfl_chain::types::{Address, Transaction};
-use unifyfl_data::{Dataset, WorkloadConfig};
+use unifyfl_data::Dataset;
 use unifyfl_fl::{EvalResult, EvalShell};
 use unifyfl_sim::fault::{FaultPlan, FaultRecord};
 use unifyfl_sim::{ChaosConfig, ResourceMonitor, SeedTree, SimDuration, SimTime};
@@ -140,8 +140,8 @@ pub(crate) struct EvalSlot {
 /// copy of the global test set, started on the first hand-off, that
 /// evaluates weight snapshots while the stepping thread goes on. Only an
 /// Async run's training wakes hand it work, and only when one evaluation
-/// reaches the fan-out grain on a host with a second core under
-/// [`Engine::Parallel`](crate::step::Engine) (`fanout::offloads`); every
+/// reaches the fan-out grain and the run's lanes allow a second one
+/// (`fanout::offloads`); every
 /// other evaluation runs inline where it always did. No policy, contract
 /// call or scorer reads a global-test result, so the results wait on the
 /// lane until `Federation::settle_evals` joins it and writes them into
@@ -248,8 +248,8 @@ pub struct ComputeView<'a> {
     pub evals: &'a mut EvalLane,
     /// The held-out global test set.
     pub global_test: &'a Dataset,
-    /// The workload being trained.
-    pub workload: &'a WorkloadConfig,
+    /// The validated configuration: the workload and the lane setting.
+    pub config: &'a ExperimentConfig,
 }
 
 /// The data pipeline and cluster nodes of `config`, validated first — the
@@ -327,7 +327,7 @@ pub struct Federation {
     /// far ran on: every fit, global-test pass and scoring pass runs on the
     /// shells of the lane it is computed on. Never empty — index 0 is the
     /// stepping thread's own, which every inline pass uses (an Async wake,
-    /// a phase under [`Engine::Sequential`](crate::step::Engine)).
+    /// a phase on one lane).
     pub(crate) lanes: Vec<Lane>,
     /// The run's eval lane: where an Async wake's global-test evaluations
     /// run when they are worth a thread (see [`EvalLane`]).
@@ -857,7 +857,7 @@ impl Federation {
             lanes: &mut self.lanes,
             evals: &mut self.evals,
             global_test: &self.global_test,
-            workload: &self.config.workload,
+            config: &self.config,
         }
     }
 
@@ -1019,7 +1019,8 @@ mod tests {
     use crate::cluster::ClusterConfig;
     use crate::orchestration::Mode;
     use crate::policy::{AggregationPolicy, ScorePolicy};
-    use unifyfl_data::SyntheticConfig;
+    use unifyfl_data::{SyntheticConfig, WorkloadConfig};
+    use unifyfl_fl::fanout::Lanes;
     use unifyfl_sim::DeviceProfile;
 
     fn tiny_workload() -> WorkloadConfig {
@@ -1102,7 +1103,7 @@ mod tests {
         // Cluster 1 trains and publishes a model. (Training matters: an
         // untrained publish re-releases the shared initial model — same
         // CID, so no delta reference accompanies it.)
-        f.clusters[1].run_local_round(&mut f.lanes[0].train, 1, 16, 0.05);
+        f.clusters[1].run_local_round(&mut f.lanes[0].train, Lanes::Host, 1, 16, 0.05);
         let cid = f.clusters[1].store_model(1);
         let tx = f.clusters[1].submit_model_tx(orch, &cid);
         f.submit_tx_at(t0, tx);
@@ -1167,7 +1168,7 @@ mod tests {
         let mut published = Vec::new();
         for round in 1..=3u64 {
             for idx in 0..f.clusters.len() {
-                f.clusters[idx].run_local_round(&mut f.lanes[0].train, 1, 16, 0.05);
+                f.clusters[idx].run_local_round(&mut f.lanes[0].train, Lanes::Host, 1, 16, 0.05);
                 let cid = f.clusters[idx].store_model(round);
                 let tx = f.clusters[idx].submit_model_tx(orch, &cid);
                 f.submit_tx_at(t, tx);

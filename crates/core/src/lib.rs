@@ -19,9 +19,9 @@
 //!   engine policies (Figures 5 & 6), including elastic membership;
 //! - [`sharding`] — the two-tier shard topology: seeded balanced shard
 //!   assignment, sampled scorer caps, inter-shard exchange cadence;
-//! - [`step`] — the reusable two-phase round step both engines share, and
-//!   the [`Engine`] selector (sequential reference vs. parallel phase-A
-//!   compute; byte-identical results either way);
+//! - [`step`] — the reusable two-phase round step both engines share,
+//!   fanned out over the run's [`Lanes`] (`Fixed(1)` is the
+//!   single-threaded reference; byte-identical results under any);
 //! - [`byzantine`] — attacker models for the Figure 7 experiment;
 //! - [`baseline`] — HBFL (centralized multilevel FL) and no-collaboration
 //!   baselines;
@@ -82,6 +82,6 @@ pub use service::{
     ServiceConfig, ServiceError,
 };
 pub use sharding::{ShardConfig, ShardTopology};
-pub use step::Engine;
+pub use unifyfl_fl::fanout::Lanes;
 pub use unifyfl_sim::fault::{ChaosConfig, FaultEvent, FaultKind, FaultPlan, FaultRecord};
 pub use unifyfl_storage::{GossipConfig, TransferConfig};

@@ -16,7 +16,7 @@ use crate::federation::{ComputeView, Federation};
 use crate::sharding::ShardTopology;
 use crate::step::{
     book_score, commit_train_effects, compute_scores, compute_train, prepare_scoring,
-    prepare_train, Engine, Evals,
+    prepare_train, Evals,
 };
 
 /// The free-running clockwork of one Async run. Run-wide knobs and the
@@ -62,8 +62,8 @@ pub(crate) struct AsyncPolicy {
     seal_scheduled: bool,
     end_time: SimTime,
     /// Whether a training wake hands its two global-test evaluations to
-    /// the run's eval lane instead of running them inline: under
-    /// [`Engine::Parallel`], when one evaluation is worth a thread
+    /// the run's eval lane instead of running them inline: when one
+    /// evaluation is worth a thread under the run's lanes
     /// ([`fanout::offloads`]). Every cluster trains the workload's one
     /// model on the one global test set, so one evaluation's cost decides
     /// for the whole run.
@@ -133,6 +133,7 @@ impl AsyncPolicy {
                         .map_or(SimDuration::ZERO, |p| p.clock_skew(idx))
             })
             .collect();
+        let eval = fed.clusters[0].eval_flops(fed.global_test.len());
         AsyncPolicy {
             rounds: workload.rounds as u64,
             seal_period,
@@ -151,8 +152,7 @@ impl AsyncPolicy {
             pending_joins: 0,
             seal_scheduled: false,
             end_time: fed.setup_done,
-            defer_evals: config.engine == Engine::Parallel
-                && fanout::offloads(fed.clusters[0].eval_flops(fed.global_test.len())),
+            defer_evals: fanout::offloads(config.lanes, eval),
         }
     }
 
@@ -322,7 +322,7 @@ impl AsyncPolicy {
                 lanes,
                 evals,
                 global_test,
-                workload,
+                config,
             } = fed.compute_view();
             let evals = if self.defer_evals {
                 Evals::Deferred {
@@ -337,7 +337,7 @@ impl AsyncPolicy {
                 &mut clusters[idx],
                 &mut lanes[0],
                 inputs,
-                workload,
+                config,
                 global_test,
                 evals,
             )

@@ -56,7 +56,7 @@ use unifyfl_sim::SimTime;
 
 use crate::events::EventPolicy;
 use crate::federation::{ComputeView, Federation};
-use crate::step::{compute_all, merge_eval, prepare_train, Engine, TrainInputs};
+use crate::step::{compute_all, merge_eval, prepare_train, TrainInputs};
 
 use async_policy::AsyncPolicy;
 use membership::Members;
@@ -114,26 +114,22 @@ pub(crate) struct EngineOutcome {
 ///
 /// The pass goes in **waves**: the peers of as many clusters as will
 /// compute at once are fetched and decoded, those clusters merge and
-/// evaluate (under the selected [`Engine`]), their peers are dropped, and
+/// evaluate (over the run's lanes), their peers are dropped, and
 /// the next wave prepares — so the pass holds one wave's fetched models,
 /// not the federation's. Prepares (fetches, counters, RNG draws, resource
 /// bursts) stay in cluster-index order across waves, and a cluster's
 /// merge touches nothing a later prepare reads (peers come from the store,
 /// never from a live model), so the wave size shows in no byte of the
-/// run. `wave` is `None` outside tests: one cluster under
-/// [`Engine::Sequential`], the fan-out's own lane count otherwise. The
-/// round count and the engine are the config's.
+/// run. `wave` is `None` outside tests: the fan-out's own lane count. The
+/// round count and the lanes are the config's.
 fn final_merge(fed: &mut Federation, members: &Members, wave: Option<usize>) -> Vec<(f64, f64)> {
     let n = fed.clusters.len();
     let round = fed.config().workload.rounds as u64 + 1;
-    let engine = fed.config().engine;
-    let wave = wave.unwrap_or_else(|| match engine {
-        Engine::Sequential => 1,
-        Engine::Parallel => {
-            let work = |idx: usize| fed.clusters[idx].eval_flops(fed.global_test.len());
-            let active = (0..n).filter(|&idx| members.participates(idx));
-            fanout::lanes(active.clone().count(), active.map(work).sum())
-        }
+    let cap = fed.config().lanes;
+    let wave = wave.unwrap_or_else(|| {
+        let work = |idx: usize| fed.clusters[idx].eval_flops(fed.global_test.len());
+        let active = (0..n).filter(|&idx| members.participates(idx));
+        fanout::lanes(cap, active.clone().count(), active.map(work).sum())
     });
     let mut finals = Vec::with_capacity(n);
     while finals.len() < n {
@@ -166,7 +162,7 @@ fn final_merge(fed: &mut Federation, members: &Members, wave: Option<usize>) -> 
                 &mut clusters[lo..hi],
                 lanes,
                 inputs,
-                engine,
+                cap,
                 |cluster, _| cluster.eval_flops(global_test.len()),
                 |cluster, lane, inputs| merge_eval(cluster, &mut lane.eval, inputs, global_test),
             )

@@ -42,7 +42,7 @@ enum TrainAction {
     Run,
 }
 
-/// The barrier clockwork of one Sync run. Run-wide knobs (rounds, engine,
+/// The barrier clockwork of one Sync run. Run-wide knobs (rounds, lanes,
 /// scorer, workload) and the live shard topology are read from the
 /// federation; the policy holds only its windows and per-round state.
 pub(crate) struct SyncPolicy {
@@ -165,29 +165,28 @@ impl SyncPolicy {
         // Phase A of the two-phase round step: decide every cluster's
         // action (pure reads), gather inputs in cluster-index order
         // (shared-state reads and fetches), then run the cluster-local
-        // compute under the selected engine. Commits are the
+        // compute over the run's lanes. Commits are the
         // `TrainingDone` events, released at the barrier in index order.
         let actions: Vec<TrainAction> = (0..n).map(|idx| self.train_action(idx, round)).collect();
         let inputs: Vec<Option<TrainInputs>> = (0..n)
             .map(|idx| (actions[idx] == TrainAction::Run).then(|| prepare_train(fed, idx, round)))
             .collect();
-        let engine = fed.config().engine;
         let results = {
             let ComputeView {
                 clusters,
                 lanes,
                 global_test,
-                workload,
+                config,
                 ..
             } = fed.compute_view();
             compute_all(
                 clusters,
                 lanes,
                 inputs,
-                engine,
-                |cluster, _| train_work(cluster, workload, global_test),
+                config.lanes,
+                |cluster, _| train_work(cluster, &config.workload, global_test),
                 |cluster, lane, inputs| {
-                    compute_train(cluster, lane, inputs, workload, global_test, Evals::Inline)
+                    compute_train(cluster, lane, inputs, config, global_test, Evals::Inline)
                 },
             )
         };
@@ -366,7 +365,7 @@ impl SyncPolicy {
         };
 
         // Scoring, same two-phase shape: prepare (assignment filtering and
-        // fetches, index-ordered), compute (inference, engine-dispatched),
+        // fetches, index-ordered), compute (inference, over the lanes),
         // commit (`ScoresDue` events at the window close, index order).
         let scores_due = |p: &SyncPolicy, idx: usize| {
             p.members.joined[idx]
@@ -386,7 +385,7 @@ impl SyncPolicy {
                 scores_due(self, idx).then(|| prepare_scoring(fed, idx, mine, krum.as_ref()))
             })
             .collect();
-        let engine = fed.config().engine;
+        let cap = fed.config().lanes;
         let scored_lists = {
             let ComputeView {
                 clusters, lanes, ..
@@ -395,7 +394,7 @@ impl SyncPolicy {
                 clusters,
                 lanes,
                 task_lists,
-                engine,
+                cap,
                 |cluster, tasks| scoring_work(cluster, tasks),
                 |cluster, lane, tasks| compute_scores(cluster, &mut lane.eval, tasks),
             )

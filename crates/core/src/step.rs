@@ -17,38 +17,39 @@
 //!   local training, evaluation and peer-model scoring touch only one
 //!   [`ClusterNode`] plus immutable shared references (workload, global
 //!   test set) and the model shells of the [`Lane`] it runs on, which
-//!   every pass overwrites before reading. The parallel engine therefore hands
-//!   it to the one fan-out ([`compute_all`]) — inline when the phase is
-//!   too small to pay for a fork, on 1-core hosts and under
-//!   [`Engine::Sequential`]; on bounded lanes otherwise — with no effect
-//!   on results.
+//!   every pass overwrites before reading. So it goes through the one
+//!   fan-out ([`compute_all`]) — inline when the phase is too small to pay
+//!   for a fork and on one lane (`Lanes::Fixed(1)`, or `Host` on one
+//!   core); on bounded lanes otherwise — with no effect on results.
 //! - **Evaluation** is the half of a training round nothing downstream
 //!   reads: its global-test accuracy and loss only fill the cluster's
 //!   round record, which the report reads once the run is done. Every
 //!   evaluation runs inline on its compute lane ([`Evals::Inline`]) except
 //!   an Async training wake's two, which go to the run's
 //!   [`EvalLane`] as weight snapshots ([`Evals::Deferred`]) when one
-//!   evaluation reaches the fan-out grain on a host with a second core
-//!   under [`Engine::Parallel`]. Those results settle into their records
+//!   evaluation reaches the fan-out grain and the lane setting allows a
+//!   second lane ([`offloads`](unifyfl_fl::fanout::offloads)). Those
+//!   results settle into their records
 //!   before anything reads them (`Federation::settle_evals`), so where an
 //!   evaluation ran shows in no byte of the run either.
 //! - **Commit** (back in the engine) replays every federation mutation —
 //!   chain transactions, storage publishes, fault logging, resource bursts
 //!   and idle/straggler accounting — sequentially in cluster-index order,
-//!   in exactly the sequence the sequential engine uses.
+//!   whatever the lane setting.
 //!
-//! Because prepare and commit are index-ordered in both engines and
-//! compute is cluster-local, [`Engine::Parallel`] produces a byte-identical
+//! Because prepare and commit are index-ordered and compute is
+//! cluster-local, every lane setting produces a byte-identical
 //! [`ExperimentReport`](crate::experiment::ExperimentReport) to
-//! [`Engine::Sequential`] at the same seed (asserted in tier-1 by
+//! `Lanes::Fixed(1)` at the same seed (asserted in tier-1 by
 //! `tests/engine_parallel.rs`).
 
 use unifyfl_data::{Dataset, WorkloadConfig};
-use unifyfl_fl::fanout::fan_out;
+use unifyfl_fl::fanout::{fan_out, Lanes};
 use unifyfl_fl::{EvalShell, TrainShell};
 use unifyfl_storage::Cid;
 
 use crate::cluster::ClusterNode;
+use crate::experiment::ExperimentConfig;
 use crate::federation::{EvalLane, EvalSlot, Federation, FetchedPeers, LinkModel};
 use unifyfl_sim::SimDuration;
 
@@ -68,31 +69,6 @@ pub struct Lane {
     /// The training shells of whichever cluster's local round this lane
     /// is running: one per lane of *that* round's own fan-out.
     pub train: Vec<TrainShell>,
-}
-
-/// Which execution engine drives the round computations.
-///
-/// Both engines produce byte-identical reports at the same seed; they
-/// differ only in wall-clock.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
-pub enum Engine {
-    /// The reference engine: one cluster at a time, exactly the paper
-    /// reproduction's original control flow.
-    Sequential,
-    /// The two-phase engine: per-round compute goes through the one
-    /// fan-out (inline below its work grain, bounded lanes above), commits
-    /// stay sequential.
-    #[default]
-    Parallel,
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Engine::Sequential => write!(f, "Sequential"),
-            Engine::Parallel => write!(f, "Parallel"),
-        }
-    }
 }
 
 /// Phase-A inputs for one cluster's training round: the peer models its
@@ -282,9 +258,9 @@ pub fn train_work(cluster: &ClusterNode, workload: &WorkloadConfig, global_test:
 
 /// One cluster's full training-round compute: merge, evaluate the global
 /// model, train locally, evaluate the local model. Touches only the
-/// cluster's own state plus immutable shared references, so the parallel
-/// engine may run it on a lane of its own — the fits on that lane's
-/// shells. `evals` says where the two evaluations run: on the same lane's
+/// cluster's own state plus immutable shared references, so it may run on
+/// a lane of its own — the fits on that lane's shells, over the config's
+/// [`Lanes`]. `evals` says where the two evaluations run: on the same lane's
 /// eval shell ([`Evals::Inline`], every Sync round), or on the run's eval
 /// lane while this one trains ([`Evals::Deferred`], an Async wake above
 /// the grain) — the result then carries NaN for both until they settle.
@@ -292,17 +268,18 @@ pub fn compute_train(
     cluster: &mut ClusterNode,
     lane: &mut Lane,
     inputs: TrainInputs,
-    workload: &WorkloadConfig,
+    config: &ExperimentConfig,
     global_test: &Dataset,
     mut evals: Evals<'_>,
 ) -> TrainResult {
-    let pull = inputs.pull;
+    let (pull, workload) = (inputs.pull, &config.workload);
     let peers_merged = merge(cluster, inputs);
     let (global_accuracy, global_loss) =
         evals.evaluate(EvalStage::Global, cluster, &mut lane.eval, global_test);
     let train = cluster.train_duration(workload.local_epochs);
     cluster.run_local_round(
         &mut lane.train,
+        config.lanes,
         workload.local_epochs,
         workload.batch_size,
         workload.learning_rate,
@@ -445,8 +422,7 @@ pub fn scoring_work(cluster: &ClusterNode, tasks: &[ScoreTask]) -> f64 {
 
 /// Scores the prepared tasks: the compute half of a scoring duty
 /// (inference over the cluster's holdout shard, on the lane's shell).
-/// Cluster-local and read-only, so the parallel engine fans it out per
-/// cluster.
+/// Cluster-local and read-only, so it fans out per cluster.
 pub fn compute_scores(
     cluster: &ClusterNode,
     shell: &mut EvalShell,
@@ -478,19 +454,18 @@ pub fn book_score(fed: &mut Federation, idx: usize, scored: &ScoredModel) -> Sim
     busy
 }
 
-/// Runs the clusters' compute closures (phase A of the round step) under
-/// the selected [`Engine`]. `inputs` is index-aligned with `clusters`;
-/// `None` slots (inactive clusters) are skipped. Results come back in
-/// index order, and — compute being cluster-local — are identical under
-/// either engine, as is every downstream report byte.
+/// Runs the clusters' compute closures (phase A of the round step) over at
+/// most `cap`'s lanes. `inputs` is index-aligned with `clusters`; `None`
+/// slots (inactive clusters) are skipped. Results come back in index
+/// order, and — compute being cluster-local — are identical under any
+/// [`Lanes`], as is every downstream report byte.
 ///
-/// [`Engine::Parallel`] hands the active slots to the workspace's one
-/// fan-out ([`unifyfl_fl::fanout`]): `flops` estimates one slot's work, and
-/// a phase whose slots sum below the fan-out's grain — or on a 1-core host,
-/// or with ≤ 1 active cluster — runs inline on the caller's thread in
-/// cluster-index order; above it the slots are split into contiguous
-/// chunks over bounded lanes, the caller taking the first. Under
-/// [`Engine::Sequential`] (the reference) the phase always runs inline.
+/// The active slots go to the workspace's one fan-out
+/// ([`unifyfl_fl::fanout`]): `flops` estimates one slot's work, and a phase
+/// whose slots sum below the fan-out's grain — or on one lane, or with ≤ 1
+/// active cluster — runs inline on the caller's thread in cluster-index
+/// order; above it the slots are split into contiguous chunks over bounded
+/// lanes, the caller taking the first.
 ///
 /// `lanes` is the fan-out's lane state — the federation's, kept warm from
 /// phase to phase; it must hold at least the caller's own (index 0), which
@@ -502,7 +477,7 @@ pub fn compute_all<I, R, F>(
     clusters: &mut [ClusterNode],
     lanes: &mut Vec<Lane>,
     inputs: Vec<Option<I>>,
-    engine: Engine,
+    cap: Lanes,
     flops: impl Fn(&ClusterNode, &I) -> f64,
     f: F,
 ) -> Vec<Option<R>>
@@ -512,14 +487,6 @@ where
     F: Fn(&mut ClusterNode, &mut Lane, I) -> R + Sync,
 {
     debug_assert_eq!(clusters.len(), inputs.len(), "inputs are index-aligned");
-    if engine == Engine::Sequential {
-        let lane = &mut lanes[0];
-        return clusters
-            .iter_mut()
-            .zip(inputs)
-            .map(|(cluster, input)| input.map(|i| f(cluster, lane, i)))
-            .collect();
-    }
     let total: f64 = clusters
         .iter()
         .zip(&inputs)
@@ -534,10 +501,16 @@ where
         .enumerate()
         .filter_map(|(idx, (cluster, input))| Some((idx, cluster, Some(input?))))
         .collect();
-    let computed = fan_out(&mut active, lanes, total, |lane, (idx, cluster, input)| {
-        let input = input.take().expect("each slot runs once");
-        (*idx, f(cluster, lane, input))
-    })
+    let computed = fan_out(
+        &mut active,
+        lanes,
+        cap,
+        total,
+        |lane, (idx, cluster, input)| {
+            let input = input.take().expect("each slot runs once");
+            (*idx, f(cluster, lane, input))
+        },
+    )
     .unwrap_or_else(|(_, payload)| std::panic::resume_unwind(payload));
     for (idx, result) in computed {
         results[idx] = Some(result);
@@ -613,7 +586,7 @@ mod tests {
                 clusters,
                 &mut lanes(),
                 inputs,
-                Engine::Parallel,
+                Lanes::Host,
                 flops,
                 |_cluster, _, _| std::thread::current().id(),
             )
@@ -640,7 +613,7 @@ mod tests {
             &mut clusters,
             &mut lanes(),
             inputs,
-            Engine::Parallel,
+            Lanes::Host,
             heavy,
             |cluster, _, v| (cluster.config().name.clone(), v + 1),
         );
@@ -660,7 +633,7 @@ mod tests {
             &mut clusters,
             &mut lanes(),
             inputs,
-            Engine::Parallel,
+            Lanes::Host,
             heavy,
             |_cluster, _, v| v * 10,
         );
@@ -678,7 +651,7 @@ mod tests {
             &mut clusters,
             &mut lanes(),
             inputs,
-            Engine::Parallel,
+            Lanes::Host,
             heavy,
             |_cluster, _, v| v + 1,
         );
@@ -687,7 +660,7 @@ mod tests {
 
     #[test]
     fn compute_all_sequential_engine_runs_inline_in_index_order() {
-        // The reference engine never spawns, however many slots are
+        // The reference, one lane, never spawns, however many slots are
         // active: every closure runs on the caller's thread, in order.
         let mut clusters = test_clusters(4);
         let caller = std::thread::current().id();
@@ -697,7 +670,7 @@ mod tests {
             &mut clusters,
             &mut lanes(),
             inputs,
-            Engine::Sequential,
+            Lanes::fixed(1),
             heavy,
             |_cluster, _, v| {
                 assert_eq!(std::thread::current().id(), caller);
@@ -707,9 +680,7 @@ mod tests {
         );
         assert_eq!(results, vec![Some(1), Some(2), Some(3), Some(4)]);
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
-        assert_eq!(Engine::Sequential.to_string(), "Sequential");
-        assert_eq!(Engine::Parallel.to_string(), "Parallel");
-        assert_eq!(Engine::default(), Engine::Parallel);
+        assert_eq!(Lanes::default(), Lanes::Host);
     }
 
     #[test]
@@ -721,7 +692,7 @@ mod tests {
                 &mut clusters,
                 &mut lanes(),
                 inputs,
-                Engine::Parallel,
+                Lanes::Host,
                 heavy,
                 |_cluster, _, v| {
                     if v == 1 {

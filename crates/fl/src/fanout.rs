@@ -1,21 +1,21 @@
 //! The workspace's one fork-join: an index-ordered fan-out that sizes
-//! itself to the work.
+//! itself to the work and to the run's one lane setting, [`Lanes`].
 //!
 //! Both levels of fork-join parallelism go through [`fan_out`] — a
-//! cluster's client fits ([`FlServer::run_round`](crate::FlServer::run_round))
-//! and the parallel engine's per-cluster compute (`unifyfl-core`'s
-//! `step::compute_all`) — and they nest: a cluster lane that reaches its
-//! own `run_round` fans out again. Four rules decide how:
+//! cluster's client fits ([`FlServer::run_round_on`](crate::FlServer::run_round_on))
+//! and the per-cluster compute (`unifyfl-core`'s `step::compute_all`) —
+//! and they nest, so `Fixed(n)` bounds a run at `n × n` lanes. Four rules
+//! decide how:
 //!
 //! 1. **Grain.** A fan-out whose estimated work is below `GRAIN_FLOPS`
-//!    runs inline on the caller. The estimate is the FLOP model the
-//!    virtual clock prices with ([`train_flops`] / [`eval_flops`]), taken
-//!    on the *trained* parameter count.
+//!    runs inline on the caller, whatever the lane setting. The estimate
+//!    is the FLOP model the virtual clock prices with ([`train_flops`] /
+//!    [`eval_flops`]), taken on the *trained* parameter count.
 //! 2. **Caller runs.** The calling thread takes the first chunk itself
 //!    instead of sleeping in `join`.
 //! 3. **Bounded lanes.** Items are split into contiguous chunks over at
-//!    most `min(items, LANES_PER_CORE × available_parallelism)` lanes; a
-//!    1-core host runs inline.
+//!    most `min(items, cap)` lanes: `n` under [`Lanes::Fixed`] on any host,
+//!    `LANES_PER_CORE × available_parallelism` under [`Lanes::Host`].
 //! 4. **A lane has state.** The caller owns one `S` per lane — grown here,
 //!    with `S::default()`, to as many as the widest fan-out so far used —
 //!    and lane `k` computes every item of its chunk on `states[k]`. The
@@ -27,17 +27,18 @@
 //!
 //! Results come back in item order and every item is computed by the same
 //! closure whatever the lane count — which state an item meets must not
-//! show in its result — so a run's bytes never depend on the host: lane
-//! count changes wall-clock and footprint only.
+//! show in its result — so a run's bytes never depend on the lane setting
+//! or the host: lane count changes wall-clock and footprint only.
 //!
 //! One piece of work leaves the caller without a fork: an Async run's
 //! global-test evaluations (`unifyfl-core`'s eval lane). Nothing in the
 //! run reads their results until it finishes, so they need no join; the
 //! run hands weight snapshots to one long-lived thread of its own instead,
 //! on the same terms a fan-out forks on — [`offloads`] reads this grain and
-//! the host's cores.
+//! the lane setting.
 
 use std::any::Any;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A panic payload, as `catch_unwind` and `JoinHandle::join` hand it over.
@@ -67,9 +68,9 @@ pub type Payload = Box<dyn Any + Send>;
 /// `train_heavy`; rows 1, 2 and 6 are `fl/run_round_*` in
 /// `benches/micro.rs`), and 3 MFLOP also keeps `unifyfl-bench`'s
 /// quickstart×6 configuration honest: one cluster's round (≈ 2 MFLOP)
-/// fits inline under either engine while the three-cluster phase
-/// (≈ 6 MFLOP of training plus its evaluations) forks, so on it Parallel
-/// differs from a truly sequential reference (pinned by
+/// fits inline under any lane setting while the three-cluster phase
+/// (≈ 6 MFLOP of training plus its evaluations) forks, so on it `Host`
+/// differs from `Fixed(1)` (pinned by
 /// `quickstart_pair_straddles_the_fan_out_grain`).
 const GRAIN_FLOPS: f64 = 3.0e6;
 
@@ -94,6 +95,37 @@ const GRAIN_FLOPS: f64 = 3.0e6;
 /// 0.442 s).
 const LANES_PER_CORE: usize = 2;
 
+/// How many lanes a fan-out may spread over: the one setting every fan-out
+/// of a run obeys. It moves wall-clock and footprint, never a result.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub enum Lanes {
+    /// `LANES_PER_CORE ×` the host's cores; one lane on a 1-core host.
+    #[default]
+    Host,
+    /// `n` lanes on any host: `Fixed(1)` never forks, `Fixed(2)` forks on
+    /// one core too.
+    Fixed(NonZeroUsize),
+}
+
+impl Lanes {
+    /// `Fixed(n)`; panics if `n` is 0.
+    pub fn fixed(n: usize) -> Lanes {
+        Lanes::Fixed(NonZeroUsize::new(n).expect("a fan-out has a lane"))
+    }
+
+    /// The most lanes a fan-out above the grain may use. `Host` reads the
+    /// affinity mask and cgroup quota (≈ 11 µs), so it is asked only there.
+    fn cap(self) -> usize {
+        match self {
+            Lanes::Fixed(n) => n.get(),
+            Lanes::Host => match std::thread::available_parallelism().map_or(1, |n| n.get()) {
+                1 => 1,
+                cores => LANES_PER_CORE * cores,
+            },
+        }
+    }
+}
+
 /// Estimated FLOPs of fitting `samples` samples for `epochs` epochs on a
 /// model of `params` trained parameters (forward ≈ 2·params, backward
 /// ≈ 4·params per sample).
@@ -107,9 +139,10 @@ pub fn eval_flops(params: usize, samples: usize) -> f64 {
 }
 
 /// Applies `f` to every item, on the state of the lane the item falls to,
-/// and returns the results in item order, forking only where `flops` — the
-/// caller's estimate of the whole fan-out's work — outweighs a fork (see
-/// the module docs). `states` is grown to the lane count and never shrunk.
+/// and returns the results in item order, forking over at most `cap`'s
+/// lanes only where `flops` — the caller's estimate of the whole fan-out's
+/// work — outweighs a fork (see the module docs). `states` is grown to the
+/// lane count and never shrunk.
 ///
 /// # Errors
 ///
@@ -120,6 +153,7 @@ pub fn eval_flops(params: usize, samples: usize) -> f64 {
 pub fn fan_out<T, S, R, F>(
     items: &mut [T],
     states: &mut Vec<S>,
+    cap: Lanes,
     flops: f64,
     f: F,
 ) -> Result<Vec<R>, (usize, Payload)>
@@ -129,11 +163,11 @@ where
     R: Send,
     F: Fn(&mut S, &mut T) -> R + Sync,
 {
-    run_lanes(items, states, lanes(items.len(), flops), &f)
+    run_lanes(items, states, lanes(cap, items.len(), flops), &f)
 }
 
 /// Whether a fan-out of `items` items and `flops` estimated work is on the
-/// forking side of the grain (it still runs inline on a 1-core host).
+/// forking side of the grain (it still runs inline on one lane).
 /// Public so a bench whose comparison depends on a configuration forking
 /// can pin that it does.
 pub fn forks(items: usize, flops: f64) -> bool {
@@ -142,27 +176,22 @@ pub fn forks(items: usize, flops: f64) -> bool {
 
 /// Whether one item of `flops` estimated work pays for being handed whole
 /// to a thread that is already running, while the caller goes on with
-/// other work: at or above the grain, on a host with a second core. The
-/// grain is a fork's; a hand-off to a live thread costs less, so this errs
-/// on the side of keeping work inline.
-pub fn offloads(flops: f64) -> bool {
-    flops >= GRAIN_FLOPS && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
+/// other work: at or above the grain, where `cap` allows a second lane.
+/// The grain is a fork's; a hand-off to a live thread costs less, so this
+/// errs on the side of keeping work inline.
+pub fn offloads(cap: Lanes, flops: f64) -> bool {
+    flops >= GRAIN_FLOPS && cap.cap() > 1
 }
 
 /// The lanes [`fan_out`] spreads `items` items of `flops` estimated work
-/// over: 1 below the grain and on a 1-core host. Public so a caller that
-/// gathers its items' inputs in waves can size a wave to what will run at
-/// once.
-pub fn lanes(items: usize, flops: f64) -> usize {
+/// over under `cap`: 1 below the grain, `min(items, cap)` above it. Public
+/// so a caller that gathers its items' inputs in waves can size a wave to
+/// what will run at once.
+pub fn lanes(cap: Lanes, items: usize, flops: f64) -> usize {
     if !forks(items, flops) {
         return 1;
     }
-    // Queried only above the grain: it reads the affinity mask and the
-    // cgroup quota, ≈ 11 µs a tiny round cannot afford.
-    match std::thread::available_parallelism().map_or(1, |n| n.get()) {
-        1 => 1,
-        cores => items.min(LANES_PER_CORE * cores),
-    }
+    items.min(cap.cap())
 }
 
 /// [`fan_out`] at an explicit lane count: contiguous chunks of
@@ -337,28 +366,29 @@ mod tests {
         }
     }
 
+    /// Threads that ran an item of a 64-item fan-out of `flops` under
+    /// `cap`.
+    fn fanned_threads(cap: Lanes, flops: f64) -> HashSet<ThreadId> {
+        let mut items = [0u8; 64];
+        fan_out(&mut items, &mut Vec::new(), cap, flops, |(), _| {
+            std::thread::current().id()
+        })
+        .expect("no panic")
+        .into_iter()
+        .collect()
+    }
+
     #[test]
     fn work_under_the_grain_stays_on_the_caller() {
         let caller = std::thread::current().id();
-        let mut items = [0u8; 12];
-        let on: Vec<ThreadId> =
-            fan_out(&mut items, &mut Vec::new(), GRAIN_FLOPS * 0.99, |(), _| {
-                std::thread::current().id()
-            })
-            .expect("no panic");
-        assert!(on.iter().all(|id| *id == caller));
+        let on = fanned_threads(Lanes::Host, GRAIN_FLOPS * 0.99);
+        assert_eq!(on, HashSet::from([caller]));
     }
 
     #[test]
     fn work_over_the_grain_forks_within_the_lane_cap() {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut items = [0u8; 64];
-        let on: HashSet<ThreadId> = fan_out(&mut items, &mut Vec::new(), GRAIN_FLOPS, |(), _| {
-            std::thread::current().id()
-        })
-        .expect("no panic")
-        .into_iter()
-        .collect();
+        let on = fanned_threads(Lanes::Host, GRAIN_FLOPS);
         assert!(on.contains(&std::thread::current().id()), "caller runs");
         if cores == 1 {
             assert_eq!(on.len(), 1, "a 1-core host runs inline");

@@ -7,7 +7,7 @@
 //! "clients remain unaffected" property (§3.4.5).
 
 use crate::client::{FitConfig, FlClient};
-use crate::fanout::{fan_out, train_flops, Payload};
+use crate::fanout::{fan_out, train_flops, Lanes, Payload};
 use crate::shell::TrainShell;
 use crate::strategy::Strategy;
 
@@ -110,7 +110,7 @@ impl FlServer {
 
     /// Runs one FL round: every client fits from the current weights, the
     /// strategy aggregates, and the server adopts the result. The fits run
-    /// on the server's own training shells.
+    /// on the server's own training shells, over [`Lanes::Host`].
     pub fn run_round(
         &mut self,
         epochs: usize,
@@ -118,20 +118,21 @@ impl FlServer {
         learning_rate: f32,
     ) -> RoundReport {
         let mut shells = std::mem::take(&mut self.shells);
-        let report = self.run_round_on(&mut shells, epochs, batch_size, learning_rate);
+        let report = self.run_round_on(&mut shells, Lanes::Host, epochs, batch_size, learning_rate);
         self.shells = shells;
         report
     }
 
-    /// [`FlServer::run_round`] on training shells the caller owns — one
-    /// per fan-out lane, grown here to as many as this round forks. A
-    /// caller that steps many servers one after another (a federation's
-    /// compute lane) lends them all the same shells, so what stays
-    /// resident follows how many fits run at once, not how many servers
-    /// or clients there are. The round is `run_round`'s, bit for bit.
+    /// [`FlServer::run_round`] over `lanes` on training shells the caller
+    /// owns — one per fan-out lane, grown here to as many as this round
+    /// forks. A caller that steps many servers one after another (a
+    /// federation's compute lane) lends them all the same shells, so what
+    /// stays resident follows how many fits run at once, not how many
+    /// servers or clients there are. The round is the same bit for bit.
     pub fn run_round_on(
         &mut self,
         shells: &mut Vec<TrainShell>,
+        lanes: Lanes,
         epochs: usize,
         batch_size: usize,
         learning_rate: f32,
@@ -154,7 +155,7 @@ impl FlServer {
         // finished.
         let samples: usize = self.clients.iter().map(|c| c.num_examples()).sum();
         let flops = train_flops(weights.len(), samples, epochs.max(1));
-        let results = fan_out(&mut self.clients, shells, flops, |shell, client| {
+        let results = fan_out(&mut self.clients, shells, lanes, flops, |shell, client| {
             client.fit_in(shell, weights, &config)
         })
         .unwrap_or_else(|(i, payload)| std::panic::resume_unwind(contextualize_panic(i, payload)));

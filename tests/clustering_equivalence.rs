@@ -7,7 +7,8 @@
 //!
 //! 1. **Baseline identity** — with `regroup: None` a pinned grid of
 //!    *pre-refactor* report fingerprints (seeds × modes × shards on/off ×
-//!    gossip) reproduces bit for bit, under both engines. The fingerprints
+//!    gossip) reproduces bit for bit, on one lane and on the host's. The
+//!    fingerprints
 //!    below were captured on the tree before the topology-epoch refactor
 //!    landed; they are the refactor's ground truth. A second, *composed*
 //!    grid (sharding × regroup × gossip prefetch × fetch-ahead × both link
@@ -34,7 +35,7 @@ use unifyfl::core::experiment::{
     ExperimentBuilder, ExperimentConfig, ExperimentReport, LinkModel, Mode,
 };
 use unifyfl::core::service::RunState;
-use unifyfl::core::{ChaosConfig, Engine, FaultEvent, FaultKind, GossipConfig, ShardConfig};
+use unifyfl::core::{ChaosConfig, FaultEvent, FaultKind, GossipConfig, Lanes, ShardConfig};
 use unifyfl::data::WorkloadConfig;
 use unifyfl::sim::{DeviceProfile, SimDuration};
 use unifyfl::storage::IpfsNode;
@@ -261,9 +262,9 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
     let mut fired: BTreeSet<&'static str> = BTreeSet::new();
     for &(seed, mode, link_model, report_fnv, trace_fnv, wire_fnv, neutral_fnv) in COMPOSED_GOLDENS
     {
-        for engine in [Engine::Sequential, Engine::Parallel] {
+        for lanes in [Lanes::fixed(1), Lanes::Host] {
             let config = composed_golden(seed, mode, link_model)
-                .engine(engine)
+                .lanes(lanes)
                 .config()
                 .clone();
             let (fingerprints, labels) = traced_fingerprints(&config);
@@ -273,7 +274,7 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
                 (report_fnv, trace_fnv, wire_fnv, neutral_fnv),
                 "the composed run must reproduce its pre-collapse report, \
                  trace, per-node wire bytes and transfer-neutral report \
-                 (seed {seed}, {mode}, {link_model}, {engine})"
+                 (seed {seed}, {mode}, {link_model}, {lanes:?})"
             );
         }
     }
@@ -283,9 +284,9 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
         "the composed grid must fire every event kind"
     );
     for &(seed, mode, shards, degree, expected) in GOLDENS {
-        for engine in [Engine::Sequential, Engine::Parallel] {
+        for lanes in [Lanes::fixed(1), Lanes::Host] {
             let sharding = (shards > 0).then(|| ShardConfig::new(shards));
-            let mut builder = builder(seed, mode, 4, sharding).engine(engine);
+            let mut builder = builder(seed, mode, 4, sharding).lanes(lanes);
             if degree > 0 {
                 builder = builder.gossip(GossipConfig {
                     degree,
@@ -297,7 +298,7 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
                 fingerprint(&report),
                 expected,
                 "regroup: None must reproduce the pre-refactor report \
-                 (seed {seed}, {mode}, shards {shards}, gossip {degree}, {engine})"
+                 (seed {seed}, {mode}, shards {shards}, gossip {degree}, {lanes:?})"
             );
         }
     }
@@ -306,14 +307,14 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
 #[test]
 fn cnn_fingerprints_reproduce_under_both_engines() {
     for &(seed, mode, report_fnv, trace_fnv) in CNN_GOLDENS {
-        for engine in [Engine::Sequential, Engine::Parallel] {
-            let config = cnn_golden(seed, mode).engine(engine).config().clone();
+        for lanes in [Lanes::fixed(1), Lanes::Host] {
+            let config = cnn_golden(seed, mode).lanes(lanes).config().clone();
             let ((report, trace, ..), _) = traced_fingerprints(&config);
             assert_eq!(
                 (report, trace),
                 (report_fnv, trace_fnv),
                 "the CNN run must reproduce its direct-loop report and trace \
-                 (seed {seed}, {mode}, {engine})"
+                 (seed {seed}, {mode}, {lanes:?})"
             );
         }
     }

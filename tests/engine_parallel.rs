@@ -1,20 +1,21 @@
-//! The parallel two-phase engine's correctness contract: at the same seed
-//! it must produce an [`ExperimentReport`] **byte-identical** (full Debug
-//! serialization, chaos and transfer sections included) to the sequential
-//! reference engine — for sync and async orchestration, on the happy path
-//! and under chaos, through the straggler carryover path and under
-//! MultiKRUM scoring.
+//! The lane setting's correctness contract: at the same seed the default
+//! `Lanes::Host` must produce an [`ExperimentReport`] **byte-identical**
+//! (full Debug serialization, chaos and transfer sections included) to the
+//! single-threaded reference, `Lanes::Fixed(1)` — for sync and async
+//! orchestration, on the happy path and under chaos, through the straggler
+//! carryover path and under MultiKRUM scoring.
 //!
-//! An Async run above the fan-out grain adds the eval lane: under
-//! `Engine::Parallel` on a host with a second core its global-test
-//! evaluations run on a thread of the run's own and settle at the end, and
-//! the report and trace must still be the inline reference's, through a
-//! checkpoint and resume too; dropping such a run mid-flight must return.
+//! An Async run above the fan-out grain adds the eval lane: on two or more
+//! lanes (`Fixed(n > 1)` on any host, `Host` with a second core) its
+//! global-test evaluations run on a thread of the run's own and settle at
+//! the end, and the report and trace must still be the inline reference's,
+//! through a checkpoint and resume too; dropping such a run mid-flight
+//! must return.
 //!
 //! Also home to the `matmul_tn`/`matmul_nt` bit-exactness proptests: the
 //! fused kernels the per-cluster threads run in dense-layer backward must
 //! match the naive `transpose().matmul()` formulation bit for bit, or
-//! released weight CIDs would drift between engine-equal runs.
+//! released weight CIDs would drift between lane settings.
 
 use std::time::{Duration, Instant};
 
@@ -22,7 +23,7 @@ use proptest::prelude::*;
 use unifyfl::core::cluster::ClusterConfig;
 use unifyfl::core::events::{encode_trace, Event};
 use unifyfl::core::experiment::{
-    run_experiment, Engine, ExperimentBuilder, ExperimentConfig, ExperimentReport, LinkModel, Mode,
+    run_experiment, ExperimentBuilder, ExperimentConfig, ExperimentReport, Lanes, LinkModel, Mode,
 };
 use unifyfl::core::scoring::ScorerKind;
 use unifyfl::core::service::{RunCheckpoint, RunState};
@@ -32,24 +33,21 @@ use unifyfl::storage::LinkProfile;
 use unifyfl::tensor::zoo::ModelSpec;
 use unifyfl::tensor::Tensor;
 
-/// Runs `config` under both engines and returns the two reports.
-fn both_engines(mut config: ExperimentConfig) -> (ExperimentReport, ExperimentReport) {
-    config.engine = Engine::Sequential;
-    let sequential = run_experiment(&config).expect("sequential run");
-    config.engine = Engine::Parallel;
-    let parallel = run_experiment(&config).expect("parallel run");
-    (sequential, parallel)
-}
-
-/// Asserts full-report equality via the Debug serialization (every field,
-/// every counter — the same check `quickstart_smoke` uses for seed
-/// determinism).
-fn assert_identical(label: &str, sequential: &ExperimentReport, parallel: &ExperimentReport) {
+/// Runs `config` at `Lanes::fixed(1)` and at `Lanes::Host`, asserts the
+/// two reports equal via the Debug serialization (every field, every
+/// counter — the same check `quickstart_smoke` uses for seed determinism)
+/// and returns the one-lane reference's.
+fn host_matches_one_lane(label: &str, mut config: ExperimentConfig) -> ExperimentReport {
+    config.lanes = Lanes::fixed(1);
+    let sequential = run_experiment(&config).expect("one-lane run");
+    config.lanes = Lanes::Host;
+    let parallel = run_experiment(&config).expect("host-lane run");
     assert_eq!(
         format!("{sequential:?}"),
         format!("{parallel:?}"),
-        "{label}: parallel engine diverged from the sequential reference"
+        "{label}: the host's lanes diverged from the one-lane reference"
     );
+    sequential
 }
 
 #[test]
@@ -60,8 +58,7 @@ fn sync_reports_are_byte_identical() {
         .mode(Mode::Sync)
         .config()
         .clone();
-    let (s, p) = both_engines(config);
-    assert_identical("sync happy path", &s, &p);
+    let s = host_matches_one_lane("sync happy path", config);
     // Sanity: the run actually did federated work.
     assert!(s.aggregators.iter().all(|a| a.rounds == 3));
     assert!(s.chain.txs > 0);
@@ -75,8 +72,7 @@ fn async_reports_are_byte_identical() {
         .mode(Mode::Async)
         .config()
         .clone();
-    let (s, p) = both_engines(config);
-    assert_identical("async happy path", &s, &p);
+    let s = host_matches_one_lane("async happy path", config);
     assert!(s.aggregators.iter().all(|a| a.rounds == 3));
 }
 
@@ -121,8 +117,7 @@ fn sync_chaos_reports_are_byte_identical() {
         .chaos(chaos)
         .config()
         .clone();
-    let (s, p) = both_engines(config);
-    assert_identical("sync chaos", &s, &p);
+    let s = host_matches_one_lane("sync chaos", config);
     // The faults really fired (otherwise this test proves nothing).
     assert!(s.chaos.enabled);
     assert!(s.chaos.crashes_fired > 0, "crash must fire");
@@ -155,15 +150,14 @@ fn async_chaos_reports_are_byte_identical() {
         .chaos(chaos)
         .config()
         .clone();
-    let (s, p) = both_engines(config);
-    assert_identical("async chaos", &s, &p);
+    let s = host_matches_one_lane("async chaos", config);
     assert!(s.chaos.enabled && s.chaos.crashes_fired > 0);
 }
 
 #[test]
 fn sync_straggler_carryover_reports_are_byte_identical() {
     // A 50x straggler exercises the carryover commit path (store-and-hold,
-    // next-round submission, no pull/train) in both engines.
+    // next-round submission, no pull/train) on any lanes.
     let mut config = ExperimentBuilder::quickstart()
         .seed(59)
         .rounds(4)
@@ -171,8 +165,7 @@ fn sync_straggler_carryover_reports_are_byte_identical() {
         .config()
         .clone();
     config.clusters[2].straggle_factor = 50.0;
-    let (s, p) = both_engines(config);
-    assert_identical("sync straggler", &s, &p);
+    let s = host_matches_one_lane("sync straggler", config);
     assert!(
         s.aggregators[2].straggler_rounds > 0,
         "the slow cluster must actually straggle"
@@ -190,8 +183,7 @@ fn sync_multikrum_reports_are_byte_identical() {
         .scorer(ScorerKind::MultiKrum)
         .config()
         .clone();
-    let (s, p) = both_engines(config);
-    assert_identical("sync multikrum", &s, &p);
+    host_matches_one_lane("sync multikrum", config);
 }
 
 #[test]
@@ -214,8 +206,7 @@ fn sync_multikrum_partial_round_reports_are_byte_identical() {
         .clusters(clusters)
         .config()
         .clone();
-    let (s, p) = both_engines(config);
-    assert_identical("sync multikrum partial round", &s, &p);
+    let s = host_matches_one_lane("sync multikrum partial round", config);
     assert!(
         s.aggregators[4].straggler_rounds > 0,
         "the slow cluster must straggle so the round is partial"
@@ -236,16 +227,14 @@ fn heterogeneous_cluster_counts_stay_identical() {
         .clusters(clusters)
         .config()
         .clone();
-    let (s, p) = both_engines(config);
-    assert_identical("sync 5 clusters", &s, &p);
+    let s = host_matches_one_lane("sync 5 clusters", config);
     assert_eq!(s.aggregators.len(), 5);
 }
 
 /// Three WAN clusters of the benchmark's `wan_transfer` MLP
 /// (16→256→128→4) over three Async rounds: one global-test evaluation is
-/// ≈ 6.8 MFLOP, above the fan-out grain, so under `Engine::Parallel` on a
-/// host with a second core every training wake hands its two evaluations
-/// to the eval lane.
+/// ≈ 6.8 MFLOP, above the fan-out grain, so on two or more lanes every
+/// training wake hands its two evaluations to the eval lane.
 fn eval_lane_config() -> ExperimentConfig {
     let clusters = (0..3)
         .map(|i| {
@@ -268,8 +257,8 @@ fn eval_lane_config() -> ExperimentConfig {
 }
 
 /// Whether this host runs the eval lane for [`eval_lane_config`] under
-/// `Engine::Parallel`: the evaluation is above the grain, so it comes down
-/// to a second core (`taskset -c 0` takes it away).
+/// `Lanes::Host`: the evaluation is above the grain, so it comes down to a
+/// second core (`taskset -c 0` takes it away; a `Fixed` arm keeps it).
 fn host_runs_the_lane() -> bool {
     std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
 }
@@ -298,17 +287,18 @@ fn step_through_wakes(state: &mut RunState, wakes: usize) {
 #[test]
 fn eval_lane_runs_match_the_inline_reference_byte_for_byte() {
     let mut config = eval_lane_config();
-    config.engine = Engine::Sequential;
+    config.lanes = Lanes::fixed(1);
     let (s_report, s_trace, s_deferred) = traced_run(&config);
-    config.engine = Engine::Parallel;
+    assert!(!s_report.contains("NaN"), "every record settled");
+    // The reference evaluates inline; two or more lanes hand both
+    // evaluations of every training wake (3 clusters × 3 rounds) to the
+    // lane — on any host for a `Fixed` arm, while `Host` on one core starts
+    // no lane at all.
+    assert_eq!(s_deferred, 0);
+    config.lanes = Lanes::Host;
     let (p_report, p_trace, p_deferred) = traced_run(&config);
     assert_eq!(s_report, p_report, "deferred evaluations moved the report");
     assert_eq!(s_trace, p_trace, "deferred evaluations moved the trace");
-    assert!(!s_report.contains("NaN"), "every record settled");
-    // The reference evaluates inline; Parallel hands both evaluations of
-    // every training wake (3 clusters × 3 rounds) to the lane — unless the
-    // host has one core, where no lane starts at all.
-    assert_eq!(s_deferred, 0);
     let expected = if host_runs_the_lane() { 2 * 3 * 3 } else { 0 };
     assert_eq!(p_deferred, expected);
 }
@@ -317,9 +307,9 @@ fn eval_lane_runs_match_the_inline_reference_byte_for_byte() {
 fn eval_lane_records_read_mid_run_are_settled() {
     // A read through `RunState::federation` mid-run sees the records the
     // inline reference holds at the same event, not placeholders.
-    let records_after = |engine, events| {
+    let records_after = |lanes, events| {
         let mut config = eval_lane_config();
-        config.engine = engine;
+        config.lanes = lanes;
         let mut state = RunState::new(&config).expect("valid configuration");
         for _ in 0..events {
             state.step().expect("the run outlasts the cut");
@@ -329,9 +319,9 @@ fn eval_lane_records_read_mid_run_are_settled() {
         format!("{records:?}")
     };
     for events in [12, 30] {
-        let inline = records_after(Engine::Sequential, events);
+        let inline = records_after(Lanes::fixed(1), events);
         assert!(inline.contains("round: 1"), "{events} events train a round");
-        assert_eq!(records_after(Engine::Parallel, events), inline);
+        assert_eq!(records_after(Lanes::Host, events), inline);
     }
 }
 

@@ -1,41 +1,41 @@
 //! The discrete-event kernel's correctness contract, on top of what
 //! `tests/engine_parallel.rs` already pins:
 //!
-//! 1. **Engine identity extends to every new kernel surface** — elastic
+//! 1. **Lane identity extends to every new kernel surface** — elastic
 //!    membership and the physical link time model produce byte-identical
-//!    [`ExperimentReport`]s under the sequential and parallel engines, on
-//!    the happy path and under chaos.
+//!    [`ExperimentReport`]s on one lane (`Lanes::Fixed(1)`) and on the
+//!    host's lanes, on the happy path and under chaos.
 //! 2. **Trace determinism** — the kernel's fired-event trace (interleaved
 //!    event timestamps included) replays bit-for-bit across runs of the
-//!    same configuration, and is *engine-independent*: the execution
-//!    engine changes wall-clock only, never the event schedule.
+//!    same configuration, and is *lane-independent*: the lane setting
+//!    changes wall-clock only, never the event schedule.
 //! 3. **Barrier semantics** — sync commits are released at the window
 //!    close in cluster-index order; async wakes interleave free-running.
 
 use unifyfl::core::cluster::ClusterConfig;
 use unifyfl::core::events::{Event, EventRecord};
 use unifyfl::core::experiment::{
-    run_experiment, Engine, ExperimentBuilder, ExperimentConfig, ExperimentReport, LinkModel, Mode,
+    run_experiment, ExperimentBuilder, ExperimentConfig, ExperimentReport, Lanes, LinkModel, Mode,
 };
 use unifyfl::core::scoring::ScorerKind;
 use unifyfl::core::{ChaosConfig, FaultEvent, FaultKind, RunState};
 use unifyfl::sim::SimDuration;
 
-/// Runs `config` under both engines and returns the two reports.
-fn both_engines(mut config: ExperimentConfig) -> (ExperimentReport, ExperimentReport) {
-    config.engine = Engine::Sequential;
-    let sequential = run_experiment(&config).expect("sequential run");
-    config.engine = Engine::Parallel;
-    let parallel = run_experiment(&config).expect("parallel run");
-    (sequential, parallel)
-}
-
-fn assert_identical(label: &str, sequential: &ExperimentReport, parallel: &ExperimentReport) {
+/// Runs `config` at `Lanes::fixed(1)` and at `Lanes::Host`, asserts the
+/// two reports equal via the Debug serialization (every field, every
+/// counter — the same check `quickstart_smoke` uses for seed determinism)
+/// and returns the one-lane reference's.
+fn host_matches_one_lane(label: &str, mut config: ExperimentConfig) -> ExperimentReport {
+    config.lanes = Lanes::fixed(1);
+    let sequential = run_experiment(&config).expect("one-lane run");
+    config.lanes = Lanes::Host;
+    let parallel = run_experiment(&config).expect("host-lane run");
     assert_eq!(
         format!("{sequential:?}"),
         format!("{parallel:?}"),
-        "{label}: parallel engine diverged from the sequential reference"
+        "{label}: the host's lanes diverged from the one-lane reference"
     );
+    sequential
 }
 
 /// Quickstart plus a fourth cluster joining 28 s in (round 3 of the sync
@@ -57,8 +57,7 @@ fn elastic_config(seed: u64, mode: Mode) -> ExperimentConfig {
 #[test]
 fn elastic_membership_reports_are_byte_identical_across_engines() {
     for mode in [Mode::Sync, Mode::Async] {
-        let (s, p) = both_engines(elastic_config(73, mode));
-        assert_identical(&format!("elastic {mode}"), &s, &p);
+        let s = host_matches_one_lane(&format!("elastic {mode}"), elastic_config(73, mode));
         assert_eq!(s.membership.len(), 1, "{mode}: the join fired");
         assert_eq!(s.membership[0].cluster, "agg-late");
     }
@@ -73,19 +72,17 @@ fn physical_link_model_reports_are_byte_identical_across_engines() {
         .link_model(LinkModel::Physical)
         .config()
         .clone();
-    let (s, p) = both_engines(config.clone());
-    assert_identical("sync physical", &s, &p);
+    let s = host_matches_one_lane("sync physical", config.clone());
     assert_eq!(s.link_model, "Physical");
 
     config.mode = Mode::Async;
-    let (s, p) = both_engines(config);
-    assert_identical("async physical", &s, &p);
+    host_matches_one_lane("async physical", config);
 }
 
 #[test]
 fn physical_link_model_with_chaos_spikes_routes_through_links() {
     // A latency spike under the physical link model stretches the round's
-    // transfers instead of its training — and stays engine-identical.
+    // transfers instead of its training — and stays lane-identical.
     let chaos = ChaosConfig::scripted(vec![FaultEvent {
         cluster: 1,
         round: 2,
@@ -99,8 +96,7 @@ fn physical_link_model_with_chaos_spikes_routes_through_links() {
         .chaos(chaos)
         .config()
         .clone();
-    let (s, p) = both_engines(config);
-    assert_identical("async physical chaos", &s, &p);
+    let s = host_matches_one_lane("async physical chaos", config);
     assert!(s.chaos.spikes_fired > 0, "the spike fired");
     assert!(
         s.chaos
@@ -119,12 +115,12 @@ fn physical_link_model_with_chaos_spikes_routes_through_links() {
 // ---------------------------------------------------------------------
 
 /// The fired events of one run, in firing order.
-fn run_traced(seed: u64, mode: Mode, engine: Engine, chaos: bool) -> Vec<EventRecord> {
+fn run_traced(seed: u64, mode: Mode, lanes: Lanes, chaos: bool) -> Vec<EventRecord> {
     let mut builder = ExperimentBuilder::quickstart()
         .seed(seed)
         .rounds(3)
         .mode(mode)
-        .engine(engine);
+        .lanes(lanes);
     if chaos {
         builder = builder.chaos(ChaosConfig {
             fetch_failure_prob: 0.2,
@@ -145,8 +141,8 @@ fn run_traced(seed: u64, mode: Mode, engine: Engine, chaos: bool) -> Vec<EventRe
 fn event_traces_replay_bit_for_bit_across_runs() {
     for mode in [Mode::Sync, Mode::Async] {
         for chaos in [false, true] {
-            let a = run_traced(89, mode, Engine::Parallel, chaos);
-            let b = run_traced(89, mode, Engine::Parallel, chaos);
+            let a = run_traced(89, mode, Lanes::Host, chaos);
+            let b = run_traced(89, mode, Lanes::Host, chaos);
             assert!(!a.is_empty());
             assert_eq!(
                 format!("{:?}", a),
@@ -163,22 +159,22 @@ fn event_traces_replay_bit_for_bit_across_runs() {
 
 #[test]
 fn event_traces_are_engine_independent() {
-    // The execution engine parallelizes compute only — the event schedule
+    // The lane setting parallelizes compute only — the event schedule
     // (kinds, clusters, timestamps, order) is identical.
     for mode in [Mode::Sync, Mode::Async] {
-        let seq = run_traced(97, mode, Engine::Sequential, false);
-        let par = run_traced(97, mode, Engine::Parallel, false);
+        let seq = run_traced(97, mode, Lanes::fixed(1), false);
+        let par = run_traced(97, mode, Lanes::Host, false);
         assert_eq!(
             format!("{:?}", seq),
             format!("{:?}", par),
-            "{mode}: engines must drain the same schedule"
+            "{mode}: every lane setting must drain the same schedule"
         );
     }
 }
 
 #[test]
 fn sync_barrier_releases_commits_at_window_close_in_index_order() {
-    let out = run_traced(101, Mode::Sync, Engine::Parallel, false);
+    let out = run_traced(101, Mode::Sync, Lanes::Host, false);
     // Find round 1's TrainingDone events: all at one instant (the
     // barrier), in cluster-index order, before round 1's StartScoring.
     let done: Vec<_> = out
@@ -202,7 +198,7 @@ fn sync_barrier_releases_commits_at_window_close_in_index_order() {
 
 #[test]
 fn async_wakes_interleave_across_clusters() {
-    let out = run_traced(103, Mode::Async, Engine::Parallel, false);
+    let out = run_traced(103, Mode::Async, Lanes::Host, false);
     let wakes: Vec<usize> = out
         .iter()
         .filter_map(|r| match r.event {
@@ -235,8 +231,7 @@ fn membership_with_chaos_stays_deterministic_and_engine_identical() {
         round: 2,
         kind: FaultKind::Crash { down_rounds: 1 },
     }]));
-    let (s, p) = both_engines(config);
-    assert_identical("elastic chaos", &s, &p);
+    let s = host_matches_one_lane("elastic chaos", config);
     assert_eq!(s.membership.len(), 1);
     assert!(s.chaos.crashes_fired > 0);
 }
@@ -255,8 +250,7 @@ fn joiner_clock_skew_is_applied_and_recorded() {
                 skew: SimDuration::from_secs(30),
             },
         }]));
-        let (s, p) = both_engines(config);
-        assert_identical(&format!("joiner skew {mode}"), &s, &p);
+        let s = host_matches_one_lane(&format!("joiner skew {mode}"), config);
         assert_eq!(s.membership.len(), 1, "{mode}: the join fired");
         assert!(
             s.chaos
@@ -288,15 +282,14 @@ fn pre_join_faults_are_skipped_in_sync_and_recorded() {
     // round-1 crash with a 4-round window would previously leak through
     // `is_down` into rounds 3–4 and knock the joiner out right after its
     // bootstrap. The sync engine must skip it (recorded as such) and let
-    // the joiner train its post-join rounds — engine-identically.
+    // the joiner train its post-join rounds — lane-identically.
     let mut config = elastic_config(131, Mode::Sync);
     config.chaos = Some(ChaosConfig::scripted(vec![FaultEvent {
         cluster: 3,
         round: 1,
         kind: FaultKind::Crash { down_rounds: 4 },
     }]));
-    let (s, p) = both_engines(config);
-    assert_identical("sync pre-join crash", &s, &p);
+    let s = host_matches_one_lane("sync pre-join crash", config);
     assert_eq!(s.membership.len(), 1, "the join fired");
     let crashes: Vec<_> = s
         .chaos
@@ -318,15 +311,14 @@ fn pre_join_faults_are_skipped_in_sync_and_recorded() {
 fn pre_join_faults_are_deferred_in_async() {
     // The async engine numbers rounds per cluster from its join, so a
     // "round 1" fault aimed at a joiner fires on its first post-join round
-    // — deferred rather than lost, and the run stays engine-identical.
+    // — deferred rather than lost, and the run stays lane-identical.
     let mut config = elastic_config(137, Mode::Async);
     config.chaos = Some(ChaosConfig::scripted(vec![FaultEvent {
         cluster: 3,
         round: 1,
         kind: FaultKind::Crash { down_rounds: 1 },
     }]));
-    let (s, p) = both_engines(config);
-    assert_identical("async pre-join crash", &s, &p);
+    let s = host_matches_one_lane("async pre-join crash", config);
     assert_eq!(s.membership.len(), 1, "the join fired");
     assert!(
         s.chaos
@@ -349,7 +341,7 @@ fn pre_join_faults_are_deferred_in_async() {
 fn sharded_run_with_joiner_and_chaos_stays_engine_identical() {
     // The tentpole's composition claim: the two-tier topology rides the
     // same kernel as chaos and elastic membership without breaking the
-    // engine-identity discipline.
+    // lane-identity discipline.
     use unifyfl::core::ShardConfig;
     for mode in [Mode::Sync, Mode::Async] {
         let mut config = elastic_config(139, mode);
@@ -359,8 +351,7 @@ fn sharded_run_with_joiner_and_chaos_stays_engine_identical() {
             round: 2,
             kind: FaultKind::Crash { down_rounds: 1 },
         }]));
-        let (s, p) = both_engines(config);
-        assert_identical(&format!("sharded elastic chaos {mode}"), &s, &p);
+        let s = host_matches_one_lane(&format!("sharded elastic chaos {mode}"), config);
         assert_eq!(s.membership.len(), 1, "{mode}: the join fired");
         assert!(s.chaos.crashes_fired > 0, "{mode}: the crash fired");
     }
@@ -376,7 +367,7 @@ fn joiner_lands_in_its_seeded_shard() {
     let shard_cfg = ShardConfig::new(2);
     let topology = ShardTopology::derive(&shard_cfg, config.seed, config.clusters.len());
     config.sharding = Some(shard_cfg);
-    config.engine = Engine::Sequential;
+    config.lanes = Lanes::fixed(1);
     let (_, fed) = RunState::new(&config)
         .expect("the config partitions")
         .finish();
@@ -409,8 +400,7 @@ fn multikrum_with_straggler_and_joiner_stays_engine_identical() {
     let mut config = elastic_config(109, Mode::Sync);
     config.scorer = ScorerKind::MultiKrum;
     config.clusters[2].straggle_factor = 50.0;
-    let (s, p) = both_engines(config);
-    assert_identical("sync multikrum straggler joiner", &s, &p);
+    let s = host_matches_one_lane("sync multikrum straggler joiner", config);
     assert!(
         s.aggregators[2].straggler_rounds > 0,
         "the straggler straggled"

@@ -8,7 +8,7 @@
 //!    of concurrent neighbours on a shared worker pool must produce a
 //!    report **byte-identical** (full `Debug` rendering, chaos and
 //!    transfer sections included) to running it alone, across seeds,
-//!    modes, engines and chaos.
+//!    modes, lane settings and chaos.
 //! 2. **Resume identity** — a checkpoint (config + fired-event trace)
 //!    taken at *any* event boundary, rebuilt in a fresh process-state and
 //!    replay-verified, must complete to a report byte-identical to the
@@ -20,7 +20,7 @@
 use proptest::prelude::*;
 use unifyfl::core::experiment::{run_experiment, ExperimentBuilder, ExperimentConfig, Mode};
 use unifyfl::core::service::{ExperimentService, RunCheckpoint, RunState, ServiceConfig};
-use unifyfl::core::{ChaosConfig, Engine};
+use unifyfl::core::{ChaosConfig, Lanes};
 
 fn mild_chaos() -> ChaosConfig {
     ChaosConfig {
@@ -33,12 +33,12 @@ fn mild_chaos() -> ChaosConfig {
     }
 }
 
-fn config(seed: u64, mode: Mode, chaos: bool, engine: Engine) -> ExperimentConfig {
+fn config(seed: u64, mode: Mode, chaos: bool, lanes: Lanes) -> ExperimentConfig {
     let mut builder = ExperimentBuilder::quickstart()
         .seed(seed)
         .rounds(2)
         .mode(mode)
-        .engine(engine)
+        .lanes(lanes)
         .label(format!("svc-{seed}-{mode}"));
     if chaos {
         builder = builder.chaos(mild_chaos());
@@ -82,7 +82,7 @@ proptest! {
         chaos in any::<bool>(),
     ) {
         let mode = [Mode::Sync, Mode::Async][mode_idx];
-        let target = config(seed, mode, chaos, Engine::Parallel);
+        let target = config(seed, mode, chaos, Lanes::Host);
         let solo = run_experiment(&target).expect("valid config");
 
         // Odd slice size + several workers: the target's events interleave
@@ -97,7 +97,7 @@ proptest! {
         let decoys: Vec<_> = (1..=3u64)
             .map(|i| {
                 let decoy_mode = [Mode::Async, Mode::Sync][mode_idx];
-                let cfg = config(seed.wrapping_add(i), decoy_mode, !chaos, Engine::Parallel);
+                let cfg = config(seed.wrapping_add(i), decoy_mode, !chaos, Lanes::Host);
                 service.submit(cfg).expect("admitted")
             })
             .collect();
@@ -118,7 +118,7 @@ proptest! {
         service.shutdown();
     }
 
-    /// Resume identity at a random cut, across seeds × engines: a
+    /// Resume identity at a random cut, across seeds × lane settings: a
     /// checkpoint taken after `cut` events completes to the solo report.
     #[test]
     fn checkpoint_at_a_random_event_resumes_to_the_solo_report(
@@ -126,9 +126,9 @@ proptest! {
         engine_idx in 0usize..2,
         cut_raw in any::<u16>(),
     ) {
-        let engine = [Engine::Sequential, Engine::Parallel][engine_idx];
+        let lanes = [Lanes::fixed(1), Lanes::Host][engine_idx];
         let mode = [Mode::Sync, Mode::Async][(seed % 2) as usize];
-        let cfg = config(seed, mode, seed.is_multiple_of(3), engine);
+        let cfg = config(seed, mode, seed.is_multiple_of(3), lanes);
         let solo = debug(&run_experiment(&cfg).expect("valid config"));
         let total = total_events(&cfg);
         prop_assert!(total > 0, "a run fires events");
@@ -136,10 +136,10 @@ proptest! {
         prop_assert_eq!(
             resume_from_cut(&cfg, cut),
             solo,
-            "resume must be identical (seed {}, {}, {}, cut {}/{})",
+            "resume must be identical (seed {}, {}, {:?}, cut {}/{})",
             seed,
             mode,
-            engine,
+            lanes,
             cut,
             total
         );
@@ -151,7 +151,7 @@ proptest! {
 /// running alone.
 #[test]
 fn run_alongside_fifty_others_is_byte_identical_to_solo() {
-    let target = config(42, Mode::Sync, true, Engine::Parallel);
+    let target = config(42, Mode::Sync, true, Lanes::Host);
     let solo = run_experiment(&target).expect("valid config");
 
     let service = ExperimentService::start(ServiceConfig {
@@ -170,7 +170,7 @@ fn run_alongside_fifty_others_is_byte_identical_to_solo() {
             } else {
                 Mode::Sync
             };
-            let cfg = config(1000 + i, mode, i.is_multiple_of(3), Engine::Parallel);
+            let cfg = config(1000 + i, mode, i.is_multiple_of(3), Lanes::Host);
             service.submit(cfg).expect("within bounds")
         })
         .collect();
@@ -197,7 +197,7 @@ fn run_alongside_fifty_others_is_byte_identical_to_solo() {
 #[test]
 fn checkpoint_at_every_event_resumes_identically() {
     for mode in [Mode::Sync, Mode::Async] {
-        let cfg = config(7, mode, true, Engine::Parallel);
+        let cfg = config(7, mode, true, Lanes::Host);
         let solo = debug(&run_experiment(&cfg).expect("valid config"));
         let total = total_events(&cfg);
         assert!(total > 0, "{mode}: a run fires events");
@@ -215,7 +215,7 @@ fn checkpoint_at_every_event_resumes_identically() {
 /// decode it back, resume through a service — still byte-identical.
 #[test]
 fn checkpoint_round_trips_through_text_and_a_fresh_service() {
-    let cfg = config(21, Mode::Async, true, Engine::Parallel);
+    let cfg = config(21, Mode::Async, true, Lanes::Host);
     let solo = debug(&run_experiment(&cfg).expect("valid config"));
     let total = total_events(&cfg);
     let mut state = RunState::new(&cfg).expect("valid config");
