@@ -267,8 +267,10 @@ mod tests {
         };
         let sequential = run(Lanes::fixed(1));
         assert_eq!(sequential.aggregators.len(), 3);
-        let parallel = format!("{:?}", run(Lanes::Host));
-        assert_eq!(format!("{sequential:?}"), parallel);
+        for lanes in [Lanes::fixed(2), Lanes::fixed(3), Lanes::Host] {
+            let parallel = format!("{:?}", run(lanes));
+            assert_eq!(format!("{sequential:?}"), parallel, "{lanes:?}");
+        }
     }
 
     #[test]

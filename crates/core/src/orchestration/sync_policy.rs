@@ -597,3 +597,71 @@ impl EventPolicy for SyncPolicy {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::experiment::ExperimentConfig;
+    use crate::orchestration::Mode;
+    use unifyfl_sim::fault::{ChaosConfig, FaultEvent, FaultKind};
+
+    /// Steps the quickstart as a Sync run, cluster 1's clock `skew_ms`
+    /// behind, through cluster 1's round-1 `ScoresDue`: the instant its last
+    /// score lands, the scoring window's close, and how many of its scores
+    /// the window refused.
+    fn last_score(skew_ms: u64) -> (SimTime, SimTime, u64) {
+        let skew = SimDuration::from_millis(skew_ms);
+        let kind = FaultKind::ClockSkew { skew };
+        let config = ExperimentConfig {
+            mode: Mode::Sync,
+            chaos: Some(ChaosConfig::scripted(vec![FaultEvent {
+                cluster: 1,
+                round: 1,
+                kind,
+            }])),
+            ..ExperimentConfig::default()
+        };
+        let mut fed = Federation::assemble(&config).expect("the quickstart assembles");
+        let mut policy = SyncPolicy::new(&fed);
+        let mut queue = EventQueue::new();
+        policy.seed(&mut fed, &mut queue);
+        let due = Event::ScoresDue {
+            cluster: 1,
+            round: 1,
+        };
+        loop {
+            let (at, event) = queue.pop().expect("round 1 scores");
+            // Each scored model keeps the scorer busy a fetch and an
+            // inference (`book_score`).
+            let busy = (event == due).then(|| {
+                let scored = policy.pending_scores[1].as_deref();
+                let scored = scored.expect("cluster 1 made the training window");
+                let score = fed.clusters[1].score_duration();
+                scored
+                    .iter()
+                    .fold(SimDuration::ZERO, |t, s| t + s.fetch_cost + score)
+            });
+            policy.handle(&mut fed, &mut queue, at, event);
+            if let Some(busy) = busy {
+                let landing = policy.scoring_start + skew + busy;
+                return (landing, policy.scoring_end, policy.rejected_scores[1]);
+            }
+        }
+    }
+
+    /// §3.2's scoring window includes its close: a score that lands exactly
+    /// at `scoring_end` is submitted, and the same score one clock tick
+    /// (1 ms) later is lost to the closed window.
+    #[test]
+    fn a_score_at_the_window_close_is_submitted_and_one_ms_later_is_not() {
+        let (landing, close, rejected) = last_score(1);
+        assert_eq!(rejected, 0, "a 1 ms skew leaves slack");
+        let slack = close.saturating_since(landing).as_millis();
+        let (landing, close, rejected) = last_score(1 + slack);
+        assert_eq!(landing, close, "the last score lands at the close");
+        assert_eq!(rejected, 0, "a score at the close is in the window");
+        let (landing, close, rejected) = last_score(2 + slack);
+        assert_eq!(landing, close + SimDuration::from_millis(1));
+        assert_eq!(rejected, 1, "a score 1 ms past the close is refused");
+    }
+}

@@ -386,6 +386,18 @@ mod tests {
     }
 
     #[test]
+    fn a_fixed_cap_sets_the_lanes_whatever_the_host() {
+        let caller = std::thread::current().id();
+        let one = fanned_threads(Lanes::fixed(1), GRAIN_FLOPS);
+        assert_eq!(one, HashSet::from([caller]));
+        let three = fanned_threads(Lanes::fixed(3), GRAIN_FLOPS);
+        assert!(three.contains(&caller), "caller runs");
+        assert_eq!(three.len(), 3, "Fixed(3) forks on any core count");
+        assert!(offloads(Lanes::fixed(2), GRAIN_FLOPS));
+        assert!(!offloads(Lanes::fixed(1), GRAIN_FLOPS));
+    }
+
+    #[test]
     fn work_over_the_grain_forks_within_the_lane_cap() {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         let on = fanned_threads(Lanes::Host, GRAIN_FLOPS);

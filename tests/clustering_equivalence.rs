@@ -307,7 +307,13 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
 #[test]
 fn cnn_fingerprints_reproduce_under_both_engines() {
     for &(seed, mode, report_fnv, trace_fnv) in CNN_GOLDENS {
-        for lanes in [Lanes::fixed(1), Lanes::Host] {
+        let arms = [
+            Lanes::fixed(1),
+            Lanes::fixed(2),
+            Lanes::fixed(3),
+            Lanes::Host,
+        ];
+        for lanes in arms {
             let config = cnn_golden(seed, mode).lanes(lanes).config().clone();
             let ((report, trace, ..), _) = traced_fingerprints(&config);
             assert_eq!(

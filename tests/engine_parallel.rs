@@ -295,12 +295,20 @@ fn eval_lane_runs_match_the_inline_reference_byte_for_byte() {
     // lane — on any host for a `Fixed` arm, while `Host` on one core starts
     // no lane at all.
     assert_eq!(s_deferred, 0);
-    config.lanes = Lanes::Host;
-    let (p_report, p_trace, p_deferred) = traced_run(&config);
-    assert_eq!(s_report, p_report, "deferred evaluations moved the report");
-    assert_eq!(s_trace, p_trace, "deferred evaluations moved the trace");
-    let expected = if host_runs_the_lane() { 2 * 3 * 3 } else { 0 };
-    assert_eq!(p_deferred, expected);
+    for lanes in [Lanes::fixed(2), Lanes::fixed(3), Lanes::Host] {
+        config.lanes = lanes;
+        let (p_report, p_trace, p_deferred) = traced_run(&config);
+        assert_eq!(
+            s_report, p_report,
+            "{lanes:?}: deferred evaluations moved the report"
+        );
+        assert_eq!(
+            s_trace, p_trace,
+            "{lanes:?}: deferred evaluations moved the trace"
+        );
+        let lane = lanes != Lanes::Host || host_runs_the_lane();
+        assert_eq!(p_deferred, if lane { 2 * 3 * 3 } else { 0 }, "{lanes:?}");
+    }
 }
 
 #[test]
@@ -321,13 +329,17 @@ fn eval_lane_records_read_mid_run_are_settled() {
     for events in [12, 30] {
         let inline = records_after(Lanes::fixed(1), events);
         assert!(inline.contains("round: 1"), "{events} events train a round");
-        assert_eq!(records_after(Lanes::Host, events), inline);
+        for lanes in [Lanes::fixed(2), Lanes::fixed(3), Lanes::Host] {
+            assert_eq!(records_after(lanes, events), inline, "{lanes:?}");
+        }
     }
 }
 
 #[test]
 fn eval_lane_resumed_checkpoint_matches_the_uninterrupted_run() {
-    let config = eval_lane_config();
+    // Two fixed lanes start the eval lane on any host.
+    let mut config = eval_lane_config();
+    config.lanes = Lanes::fixed(2);
     let (uninterrupted, _, _) = traced_run(&config);
     let mut state = RunState::new(&config).expect("valid configuration");
     step_through_wakes(&mut state, 5);
@@ -342,7 +354,8 @@ fn eval_lane_resumed_checkpoint_matches_the_uninterrupted_run() {
 
 #[test]
 fn dropping_a_run_with_the_eval_lane_busy_returns_promptly() {
-    let config = eval_lane_config();
+    let mut config = eval_lane_config();
+    config.lanes = Lanes::fixed(2);
     let mut state = RunState::new(&config).expect("valid configuration");
     step_through_wakes(&mut state, 6);
     let started = Instant::now();
