@@ -27,7 +27,7 @@
 //!   that copies resident content again cannot come back unnoticed.
 //! - [`quickstart_config`] is the three-cluster Sync run whose rounds must
 //!   fork per cluster and stay inline per client (asserted below): the
-//!   shape a `Host`-over-`Fixed(1)` speed-up depends on.
+//!   shape a `Host`-over-`One` speed-up depends on.
 //!
 //! The probes read process-wide counters, so they mean something only in
 //! a process that installed [`crate::alloc::CountingAllocator`] and runs
@@ -111,7 +111,7 @@ pub fn measure_fit_alloc_bytes() -> Option<u64> {
 /// Peak live heap bytes over one warm Sync round of 3 clusters ×
 /// `clients_per_cluster` clients of the paper's CNN (the second round:
 /// every shell is built, every arena warm), over a dataset whose size does
-/// not depend on the client count. At `Lanes::fixed(1)` every cluster and
+/// not depend on the client count. At `Lanes::One` every cluster and
 /// every client fit computes on the stepping thread, one at a time, so the
 /// live set is the same on every host: what a round holds is the lane's
 /// shells, one cluster's fit results (a weight vector per client) and what
@@ -140,7 +140,7 @@ pub fn measure_round_peak_bytes(clients_per_cluster: usize) -> Option<u64> {
         .clusters(clusters)
         .config()
         .clone();
-    config.lanes = Lanes::fixed(1);
+    config.lanes = Lanes::One;
     let mut state = RunState::new(&config).expect("the footprint configuration is valid");
     let barrier = |state: &mut RunState| loop {
         let fired = state.step().expect("two rounds have two barriers");
@@ -265,12 +265,9 @@ mod tests {
             config.lanes = lanes;
             run_experiment(&config).expect("speed config is valid")
         };
-        let sequential = run(Lanes::fixed(1));
+        let (sequential, parallel) = (run(Lanes::One), run(Lanes::Host));
         assert_eq!(sequential.aggregators.len(), 3);
-        for lanes in [Lanes::fixed(2), Lanes::fixed(3), Lanes::Host] {
-            let parallel = format!("{:?}", run(lanes));
-            assert_eq!(format!("{sequential:?}"), parallel, "{lanes:?}");
-        }
+        assert_eq!(format!("{sequential:?}"), format!("{parallel:?}"));
     }
 
     #[test]
@@ -292,7 +289,7 @@ mod tests {
         // one cluster's round fits inline under any lane setting, the
         // three-cluster phase forks. If a grain or sizing change moves
         // either side, a comparison of the lane settings would measure
-        // Host ≡ Fixed(1) (or nested forks on both arms).
+        // Host ≡ One (or nested forks on both arms).
         use unifyfl_core::service::RunState;
         use unifyfl_core::step::train_work;
         use unifyfl_fl::fanout::forks;

@@ -49,7 +49,7 @@ pub struct ExperimentConfig {
     /// how the injected fault stream is consumed, so chaos outcomes may
     /// legitimately differ between transfer configurations.
     pub transfer: TransferConfig,
-    /// The lanes every fan-out of the run may use; `Fixed(1)` is the
+    /// The lanes every fan-out of the run may use; [`Lanes::One`] is the
     /// single-threaded reference. Reports are byte-identical under any
     /// setting at the same seed — it moves wall-clock only — so it does
     /// not appear in the [`ExperimentReport`].

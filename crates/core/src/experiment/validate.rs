@@ -8,7 +8,7 @@
 use unifyfl_sim::fault::FaultKind;
 use unifyfl_sim::SimDuration;
 
-use super::{ExperimentConfig, ExperimentError, Lanes, Mode};
+use super::{ExperimentConfig, ExperimentError, Mode};
 use crate::byzantine::{AttackKind, DpConfig};
 use crate::cluster::ClusterConfig;
 use Domain::*;
@@ -182,12 +182,6 @@ pub static KNOBS: &[Knob] = &[
     run("sharding.regroup", Count, |c| c.sharding.as_ref()?.regroup.map(|n| n as f64)),
     run("gossip.degree", Count, |c| c.gossip.map(|g| g.degree as f64)),
     run("gossip.swarm", Count, |c| c.gossip.map(|g| g.swarm as f64)),
-    // Fan-outs nest (a cluster lane's fits fan out again), so 16 bounds the
-    // threads a run can start at 16 × 16. `Host` sizes itself to the host.
-    run("lanes", Range(1, 16), |c| match c.lanes {
-        Lanes::Fixed(n) => Some(n.get() as f64),
-        Lanes::Host => None,
-    }),
     run("chaos.crash_prob", Probability, |c| c.chaos.as_ref().map(|x| x.crash_prob)),
     // A crash that keeps its cluster down for no round is no crash.
     run("chaos.crash_down_rounds", Count, |c| c.chaos.as_ref().map(|x| x.crash_down_rounds as f64)),

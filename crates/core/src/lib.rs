@@ -20,7 +20,7 @@
 //! - [`sharding`] — the two-tier shard topology: seeded balanced shard
 //!   assignment, sampled scorer caps, inter-shard exchange cadence;
 //! - [`step`] — the reusable two-phase round step both engines share,
-//!   fanned out over the run's [`Lanes`] (`Fixed(1)` is the
+//!   fanned out over the run's [`Lanes`] (`Lanes::One` is the
 //!   single-threaded reference; byte-identical results under any);
 //! - [`byzantine`] — attacker models for the Figure 7 experiment;
 //! - [`baseline`] — HBFL (centralized multilevel FL) and no-collaboration

@@ -11,6 +11,7 @@ use crate::scoring::ScorerKind;
 use crate::service::RunState;
 use crate::sharding::ShardConfig;
 use unifyfl_data::{SyntheticConfig, WorkloadConfig};
+use unifyfl_fl::fanout::Lanes;
 use unifyfl_sim::{DeviceProfile, SimDuration};
 use unifyfl_tensor::zoo::ModelSpec;
 
@@ -147,6 +148,36 @@ fn async_runs_all_rounds_and_scores() {
         .events
         .iter()
         .all(|r| matches!(r.event, Event::ClusterWake { .. } | Event::SealSlot)));
+}
+
+/// At `Lanes::One` a whole run stays on the stepping thread in either
+/// mode, on a configuration whose cluster phases, client fits and
+/// evaluations all reach the fan-out grain: the federation ends with the
+/// one lane it was assembled with, that lane with one training shell (a
+/// fan-out grows its states to the chunks it ran, each past the first on a
+/// thread of its own), and no evaluation handed off. Under `Host` the same
+/// runs fork on a second core, and report the same bytes.
+#[test]
+fn one_lane_keeps_every_fan_out_of_a_run_on_the_stepping_thread() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    for mode in [Mode::Sync, Mode::Async] {
+        let mut config = config(mode, configs(3), 2);
+        config.workload.model = ModelSpec::mlp(16, vec![256, 128], 4);
+        config.workload.dataset.n_samples = 600;
+        config.lanes = Lanes::One;
+        let one = run(&config);
+        assert_eq!(one.fed.lanes.len(), 1, "{mode}: cluster phases");
+        assert_eq!(one.fed.lanes[0].train.len(), 1, "{mode}: client fits");
+        assert_eq!(one.fed.deferred_evals(), 0, "{mode}: evaluations");
+        config.lanes = Lanes::Host;
+        let host = run(&config);
+        assert_eq!(format!("{:?}", one.report), format!("{:?}", host.report));
+        let forks = cores > 1;
+        assert_eq!(host.fed.lanes.len() > 1, forks, "{mode}: {cores} cores");
+        assert_eq!(host.fed.lanes[0].train.len() > 1, forks, "{mode}");
+        let handed_off = forks && mode == Mode::Async;
+        assert_eq!(host.fed.deferred_evals() > 0, handed_off, "{mode}");
+    }
 }
 
 #[test]

@@ -19,7 +19,7 @@
 //!   test set) and the model shells of the [`Lane`] it runs on, which
 //!   every pass overwrites before reading. So it goes through the one
 //!   fan-out ([`compute_all`]) — inline when the phase is too small to pay
-//!   for a fork and on one lane (`Lanes::Fixed(1)`, or `Host` on one
+//!   for a fork and on one lane (`Lanes::One`, or `Host` on one
 //!   core); on bounded lanes otherwise — with no effect on results.
 //! - **Evaluation** is the half of a training round nothing downstream
 //!   reads: its global-test accuracy and loss only fill the cluster's
@@ -40,7 +40,7 @@
 //! Because prepare and commit are index-ordered and compute is
 //! cluster-local, every lane setting produces a byte-identical
 //! [`ExperimentReport`](crate::experiment::ExperimentReport) to
-//! `Lanes::Fixed(1)` at the same seed (asserted in tier-1 by
+//! `Lanes::One` at the same seed (asserted in tier-1 by
 //! `tests/engine_parallel.rs`).
 
 use unifyfl_data::{Dataset, WorkloadConfig};
@@ -535,6 +535,12 @@ mod tests {
     }
 
     fn test_clusters(n: usize) -> Vec<ClusterNode> {
+        clusters_of(n, vec![8])
+    }
+
+    /// `n` three-client clusters of an 8-in, 2-out MLP with `hidden`
+    /// layers, over 120 samples.
+    fn clusters_of(n: usize, hidden: Vec<usize>) -> Vec<ClusterNode> {
         use crate::policy::AggregationPolicy;
         use unifyfl_data::SyntheticConfig;
         use unifyfl_sim::DeviceProfile;
@@ -545,7 +551,7 @@ mod tests {
         cfg.input = InputKind::Flat(8);
         cfg.n_classes = 2;
         let data = cfg.generate(5);
-        let spec = ModelSpec::mlp(8, vec![8], 2);
+        let spec = ModelSpec::mlp(8, hidden, 2);
         let net = IpfsNetwork::new();
         let init = spec.build(5).flat_params();
         (0..n)
@@ -670,7 +676,7 @@ mod tests {
             &mut clusters,
             &mut lanes(),
             inputs,
-            Lanes::fixed(1),
+            Lanes::One,
             heavy,
             |_cluster, _, v| {
                 assert_eq!(std::thread::current().id(), caller);
@@ -681,6 +687,42 @@ mod tests {
         assert_eq!(results, vec![Some(1), Some(2), Some(3), Some(4)]);
         assert_eq!(*order.lock().unwrap(), vec![0, 1, 2, 3]);
         assert_eq!(Lanes::default(), Lanes::Host);
+    }
+
+    #[test]
+    fn compute_train_on_one_lane_never_leaves_the_stepping_thread() {
+        // The cluster's fits are far over the grain, so the lane setting
+        // alone decides whether they fork. A fan-out grows the lane's
+        // training shells to the chunks it ran, and every chunk past the
+        // first runs on a thread of its own: one shell is one thread.
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let global_test = test_clusters(1)[0].local_test().clone();
+        let shells_after = |lanes: Lanes| {
+            let mut cluster = clusters_of(1, vec![256, 128]).remove(0);
+            assert!(cluster.fit_flops(1) > 1.0e7, "{}", cluster.fit_flops(1));
+            let mut config = ExperimentConfig {
+                lanes,
+                ..ExperimentConfig::default()
+            };
+            config.workload.local_epochs = 1;
+            let mut lane = Lane::default();
+            let inputs = TrainInputs {
+                peers: Vec::new(),
+                precisions: None,
+                pull: SimDuration::ZERO,
+            };
+            compute_train(
+                &mut cluster,
+                &mut lane,
+                inputs,
+                &config,
+                &global_test,
+                Evals::Inline,
+            );
+            lane.train.len()
+        };
+        assert_eq!(shells_after(Lanes::One), 1);
+        assert_eq!(shells_after(Lanes::Host) > 1, cores > 1, "{cores} cores");
     }
 
     #[test]

@@ -115,8 +115,7 @@ type Set = fn(&mut ExperimentConfig, f64);
 
 #[rustfmt::skip]
 fn setters() -> Vec<Setter> {
-    use std::num::NonZeroUsize;
-    use unifyfl_core::{AttackKind, ChaosConfig, DpConfig, FaultEvent, FaultKind, Lanes, ShardConfig};
+    use unifyfl_core::{AttackKind, ChaosConfig, DpConfig, FaultEvent, FaultKind, ShardConfig};
     use unifyfl_data::SyntheticConfig;
     use unifyfl_sim::SimDuration;
     use unifyfl_storage::{GossipConfig, LinkProfile};
@@ -147,11 +146,6 @@ fn setters() -> Vec<Setter> {
         ("sharding.regroup", None, count, |c, v| shards(c).regroup = Some(v as u64)),
         ("gossip.degree", None, count, |c, v| gossip(c).degree = v as usize),
         ("gossip.swarm", None, count, |c, v| gossip(c).swarm = v as usize),
-        // `Fixed(0)` cannot be written: the probe below the range writes
-        // the largest count instead, which the range refuses just the same.
-        ("lanes", None, [1.0, 3.0, 16.0], |c, v| {
-            c.lanes = NonZeroUsize::new(v as usize).map_or(Lanes::Fixed(NonZeroUsize::MAX), Lanes::Fixed);
-        }),
         ("chaos.crash_prob", None, probability, |c, v| chaos(c).crash_prob = v),
         ("chaos.crash_down_rounds", None, count, |c, v| chaos(c).crash_down_rounds = v as u64),
         ("chaos.leave_prob", None, probability, |c, v| chaos(c).leave_prob = v),
@@ -289,7 +283,7 @@ fn validate_accepts_exactly_each_numeric_knobs_domain_and_what_it_accepts_runs()
         }
         assert!(accepted * refused > 0, "{name} accepts and refuses");
     }
-    assert_eq!((cases, ran), (568, 298), "grid points probed and run");
+    assert_eq!((cases, ran), (554, 288), "grid points probed and run");
 }
 
 /// Numeric leaves of a configuration that are not knobs with a domain,

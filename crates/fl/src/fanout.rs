@@ -4,8 +4,8 @@
 //! Both levels of fork-join parallelism go through [`fan_out`] — a
 //! cluster's client fits ([`FlServer::run_round_on`](crate::FlServer::run_round_on))
 //! and the per-cluster compute (`unifyfl-core`'s `step::compute_all`) —
-//! and they nest, so `Fixed(n)` bounds a run at `n × n` lanes. Four rules
-//! decide how:
+//! and they nest, under the one setting: at [`Lanes::One`] neither level
+//! ever forks. Four rules decide how:
 //!
 //! 1. **Grain.** A fan-out whose estimated work is below `GRAIN_FLOPS`
 //!    runs inline on the caller, whatever the lane setting. The estimate
@@ -14,7 +14,7 @@
 //! 2. **Caller runs.** The calling thread takes the first chunk itself
 //!    instead of sleeping in `join`.
 //! 3. **Bounded lanes.** Items are split into contiguous chunks over at
-//!    most `min(items, cap)` lanes: `n` under [`Lanes::Fixed`] on any host,
+//!    most `min(items, cap)` lanes: 1 under [`Lanes::One`],
 //!    `LANES_PER_CORE × available_parallelism` under [`Lanes::Host`].
 //! 4. **A lane has state.** The caller owns one `S` per lane — grown here,
 //!    with `S::default()`, to as many as the widest fan-out so far used —
@@ -38,7 +38,6 @@
 //! the lane setting.
 
 use std::any::Any;
-use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A panic payload, as `catch_unwind` and `JoinHandle::join` hand it over.
@@ -70,7 +69,7 @@ pub type Payload = Box<dyn Any + Send>;
 /// quickstart×6 configuration honest: one cluster's round (≈ 2 MFLOP)
 /// fits inline under any lane setting while the three-cluster phase
 /// (≈ 6 MFLOP of training plus its evaluations) forks, so on it `Host`
-/// differs from `Fixed(1)` (pinned by
+/// differs from `One` (pinned by
 /// `quickstart_pair_straddles_the_fan_out_grain`).
 const GRAIN_FLOPS: f64 = 3.0e6;
 
@@ -102,22 +101,17 @@ pub enum Lanes {
     /// `LANES_PER_CORE ×` the host's cores; one lane on a 1-core host.
     #[default]
     Host,
-    /// `n` lanes on any host: `Fixed(1)` never forks, `Fixed(2)` forks on
-    /// one core too.
-    Fixed(NonZeroUsize),
+    /// One lane on any host: nothing forks and nothing is handed off — the
+    /// single-threaded reference.
+    One,
 }
 
 impl Lanes {
-    /// `Fixed(n)`; panics if `n` is 0.
-    pub fn fixed(n: usize) -> Lanes {
-        Lanes::Fixed(NonZeroUsize::new(n).expect("a fan-out has a lane"))
-    }
-
     /// The most lanes a fan-out above the grain may use. `Host` reads the
     /// affinity mask and cgroup quota (≈ 11 µs), so it is asked only there.
     fn cap(self) -> usize {
         match self {
-            Lanes::Fixed(n) => n.get(),
+            Lanes::One => 1,
             Lanes::Host => match std::thread::available_parallelism().map_or(1, |n| n.get()) {
                 1 => 1,
                 cores => LANES_PER_CORE * cores,
@@ -386,15 +380,17 @@ mod tests {
     }
 
     #[test]
-    fn a_fixed_cap_sets_the_lanes_whatever_the_host() {
+    fn one_lane_keeps_all_work_on_the_caller_whatever_the_host() {
+        // Far over the grain: `Host` would fork here on any 2-core host.
+        // Forking at explicit lane counts, whatever the host's cores, is
+        // `the_caller_runs_the_first_chunk_and_lanes_bound_the_threads`.
         let caller = std::thread::current().id();
-        let one = fanned_threads(Lanes::fixed(1), GRAIN_FLOPS);
+        let one = fanned_threads(Lanes::One, GRAIN_FLOPS * 1e3);
         assert_eq!(one, HashSet::from([caller]));
-        let three = fanned_threads(Lanes::fixed(3), GRAIN_FLOPS);
-        assert!(three.contains(&caller), "caller runs");
-        assert_eq!(three.len(), 3, "Fixed(3) forks on any core count");
-        assert!(offloads(Lanes::fixed(2), GRAIN_FLOPS));
-        assert!(!offloads(Lanes::fixed(1), GRAIN_FLOPS));
+        assert_eq!(lanes(Lanes::One, 64, GRAIN_FLOPS * 1e3), 1);
+        assert!(!offloads(Lanes::One, GRAIN_FLOPS * 1e3));
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(offloads(Lanes::Host, GRAIN_FLOPS), cores > 1);
     }
 
     #[test]

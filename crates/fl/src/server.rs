@@ -415,6 +415,21 @@ mod tests {
     }
 
     #[test]
+    fn a_round_over_the_grain_on_one_lane_fits_every_client_on_the_caller() {
+        // The same 38 MFLOP round `run_round` forks on a second core.
+        let (mut server, fitted_on) = probe_server(10_000, &[]);
+        let mut shells = Vec::new();
+        let report = server.run_round_on(&mut shells, Lanes::One, 1, 16, 0.05);
+        let in_order: Vec<usize> = (10_000..10_064).collect();
+        assert_eq!(report.client_examples, in_order, "index order");
+        let caller = std::thread::current().id();
+        let fitted_on = fitted_on.lock().unwrap();
+        assert_eq!(fitted_on.len(), 64);
+        assert!(fitted_on.iter().all(|id| *id == caller));
+        assert_eq!(shells.len(), 1, "one lane, one shell");
+    }
+
+    #[test]
     fn the_lowest_panicking_client_is_named_inline_and_forked() {
         // Under the grain and over it, in the caller's own chunk (client 0)
         // and in a later one (client 40, first panic of two).

@@ -8,9 +8,8 @@
 //! 1. **Baseline identity** — with `regroup: None` a pinned grid of
 //!    *pre-refactor* report fingerprints (seeds × modes × shards on/off ×
 //!    gossip) reproduces bit for bit, on one lane and on the host's. The
-//!    fingerprints
-//!    below were captured on the tree before the topology-epoch refactor
-//!    landed; they are the refactor's ground truth. A second, *composed*
+//!    fingerprints below were captured on the tree before the
+//!    topology-epoch refactor landed; they are the refactor's ground truth. A second, *composed*
 //!    grid (sharding × regroup × gossip prefetch × fetch-ahead × both link
 //!    models × an elastic joiner × scripted chaos) pins report and trace
 //!    fingerprints captured before the orchestration handlers were merged,
@@ -262,7 +261,7 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
     let mut fired: BTreeSet<&'static str> = BTreeSet::new();
     for &(seed, mode, link_model, report_fnv, trace_fnv, wire_fnv, neutral_fnv) in COMPOSED_GOLDENS
     {
-        for lanes in [Lanes::fixed(1), Lanes::Host] {
+        for lanes in [Lanes::One, Lanes::Host] {
             let config = composed_golden(seed, mode, link_model)
                 .lanes(lanes)
                 .config()
@@ -284,7 +283,7 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
         "the composed grid must fire every event kind"
     );
     for &(seed, mode, shards, degree, expected) in GOLDENS {
-        for lanes in [Lanes::fixed(1), Lanes::Host] {
+        for lanes in [Lanes::One, Lanes::Host] {
             let sharding = (shards > 0).then(|| ShardConfig::new(shards));
             let mut builder = builder(seed, mode, 4, sharding).lanes(lanes);
             if degree > 0 {
@@ -307,13 +306,7 @@ fn pre_refactor_fingerprints_reproduce_under_both_engines() {
 #[test]
 fn cnn_fingerprints_reproduce_under_both_engines() {
     for &(seed, mode, report_fnv, trace_fnv) in CNN_GOLDENS {
-        let arms = [
-            Lanes::fixed(1),
-            Lanes::fixed(2),
-            Lanes::fixed(3),
-            Lanes::Host,
-        ];
-        for lanes in arms {
+        for lanes in [Lanes::One, Lanes::Host] {
             let config = cnn_golden(seed, mode).lanes(lanes).config().clone();
             let ((report, trace, ..), _) = traced_fingerprints(&config);
             assert_eq!(

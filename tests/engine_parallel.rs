@@ -1,16 +1,15 @@
 //! The lane setting's correctness contract: at the same seed the default
 //! `Lanes::Host` must produce an [`ExperimentReport`] **byte-identical**
 //! (full Debug serialization, chaos and transfer sections included) to the
-//! single-threaded reference, `Lanes::Fixed(1)` — for sync and async
+//! single-threaded reference, `Lanes::One` — for sync and async
 //! orchestration, on the happy path and under chaos, through the straggler
 //! carryover path and under MultiKRUM scoring.
 //!
-//! An Async run above the fan-out grain adds the eval lane: on two or more
-//! lanes (`Fixed(n > 1)` on any host, `Host` with a second core) its
-//! global-test evaluations run on a thread of the run's own and settle at
-//! the end, and the report and trace must still be the inline reference's,
-//! through a checkpoint and resume too; dropping such a run mid-flight
-//! must return.
+//! An Async run above the fan-out grain adds the eval lane: under
+//! `Lanes::Host` on a host with a second core its global-test evaluations
+//! run on a thread of the run's own and settle at the end, and the report
+//! and trace must still be the inline reference's, through a checkpoint
+//! and resume too; dropping such a run mid-flight must return.
 //!
 //! Also home to the `matmul_tn`/`matmul_nt` bit-exactness proptests: the
 //! fused kernels the per-cluster threads run in dense-layer backward must
@@ -33,12 +32,12 @@ use unifyfl::storage::LinkProfile;
 use unifyfl::tensor::zoo::ModelSpec;
 use unifyfl::tensor::Tensor;
 
-/// Runs `config` at `Lanes::fixed(1)` and at `Lanes::Host`, asserts the
+/// Runs `config` at `Lanes::One` and at `Lanes::Host`, asserts the
 /// two reports equal via the Debug serialization (every field, every
 /// counter — the same check `quickstart_smoke` uses for seed determinism)
 /// and returns the one-lane reference's.
 fn host_matches_one_lane(label: &str, mut config: ExperimentConfig) -> ExperimentReport {
-    config.lanes = Lanes::fixed(1);
+    config.lanes = Lanes::One;
     let sequential = run_experiment(&config).expect("one-lane run");
     config.lanes = Lanes::Host;
     let parallel = run_experiment(&config).expect("host-lane run");
@@ -233,8 +232,9 @@ fn heterogeneous_cluster_counts_stay_identical() {
 
 /// Three WAN clusters of the benchmark's `wan_transfer` MLP
 /// (16→256→128→4) over three Async rounds: one global-test evaluation is
-/// ≈ 6.8 MFLOP, above the fan-out grain, so on two or more lanes every
-/// training wake hands its two evaluations to the eval lane.
+/// ≈ 6.8 MFLOP, above the fan-out grain, so under `Lanes::Host` on a host
+/// with a second core every training wake hands its two evaluations to the
+/// eval lane.
 fn eval_lane_config() -> ExperimentConfig {
     let clusters = (0..3)
         .map(|i| {
@@ -258,7 +258,7 @@ fn eval_lane_config() -> ExperimentConfig {
 
 /// Whether this host runs the eval lane for [`eval_lane_config`] under
 /// `Lanes::Host`: the evaluation is above the grain, so it comes down to a
-/// second core (`taskset -c 0` takes it away; a `Fixed` arm keeps it).
+/// second core (`taskset -c 0` takes it away).
 fn host_runs_the_lane() -> bool {
     std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
 }
@@ -287,28 +287,19 @@ fn step_through_wakes(state: &mut RunState, wakes: usize) {
 #[test]
 fn eval_lane_runs_match_the_inline_reference_byte_for_byte() {
     let mut config = eval_lane_config();
-    config.lanes = Lanes::fixed(1);
+    config.lanes = Lanes::One;
     let (s_report, s_trace, s_deferred) = traced_run(&config);
+    config.lanes = Lanes::Host;
+    let (p_report, p_trace, p_deferred) = traced_run(&config);
+    assert_eq!(s_report, p_report, "deferred evaluations moved the report");
+    assert_eq!(s_trace, p_trace, "deferred evaluations moved the trace");
     assert!(!s_report.contains("NaN"), "every record settled");
-    // The reference evaluates inline; two or more lanes hand both
-    // evaluations of every training wake (3 clusters × 3 rounds) to the
-    // lane — on any host for a `Fixed` arm, while `Host` on one core starts
-    // no lane at all.
+    // The reference evaluates inline; Host hands both evaluations of every
+    // training wake (3 clusters × 3 rounds) to the lane — unless the host
+    // has one core, where no lane starts at all.
     assert_eq!(s_deferred, 0);
-    for lanes in [Lanes::fixed(2), Lanes::fixed(3), Lanes::Host] {
-        config.lanes = lanes;
-        let (p_report, p_trace, p_deferred) = traced_run(&config);
-        assert_eq!(
-            s_report, p_report,
-            "{lanes:?}: deferred evaluations moved the report"
-        );
-        assert_eq!(
-            s_trace, p_trace,
-            "{lanes:?}: deferred evaluations moved the trace"
-        );
-        let lane = lanes != Lanes::Host || host_runs_the_lane();
-        assert_eq!(p_deferred, if lane { 2 * 3 * 3 } else { 0 }, "{lanes:?}");
-    }
+    let expected = if host_runs_the_lane() { 2 * 3 * 3 } else { 0 };
+    assert_eq!(p_deferred, expected);
 }
 
 #[test]
@@ -327,19 +318,15 @@ fn eval_lane_records_read_mid_run_are_settled() {
         format!("{records:?}")
     };
     for events in [12, 30] {
-        let inline = records_after(Lanes::fixed(1), events);
+        let inline = records_after(Lanes::One, events);
         assert!(inline.contains("round: 1"), "{events} events train a round");
-        for lanes in [Lanes::fixed(2), Lanes::fixed(3), Lanes::Host] {
-            assert_eq!(records_after(lanes, events), inline, "{lanes:?}");
-        }
+        assert_eq!(records_after(Lanes::Host, events), inline);
     }
 }
 
 #[test]
 fn eval_lane_resumed_checkpoint_matches_the_uninterrupted_run() {
-    // Two fixed lanes start the eval lane on any host.
-    let mut config = eval_lane_config();
-    config.lanes = Lanes::fixed(2);
+    let config = eval_lane_config();
     let (uninterrupted, _, _) = traced_run(&config);
     let mut state = RunState::new(&config).expect("valid configuration");
     step_through_wakes(&mut state, 5);
@@ -354,8 +341,7 @@ fn eval_lane_resumed_checkpoint_matches_the_uninterrupted_run() {
 
 #[test]
 fn dropping_a_run_with_the_eval_lane_busy_returns_promptly() {
-    let mut config = eval_lane_config();
-    config.lanes = Lanes::fixed(2);
+    let config = eval_lane_config();
     let mut state = RunState::new(&config).expect("valid configuration");
     step_through_wakes(&mut state, 6);
     let started = Instant::now();

@@ -3,7 +3,7 @@
 //!
 //! 1. **Lane identity extends to every new kernel surface** — elastic
 //!    membership and the physical link time model produce byte-identical
-//!    [`ExperimentReport`]s on one lane (`Lanes::Fixed(1)`) and on the
+//!    [`ExperimentReport`]s on one lane (`Lanes::One`) and on the
 //!    host's lanes, on the happy path and under chaos.
 //! 2. **Trace determinism** — the kernel's fired-event trace (interleaved
 //!    event timestamps included) replays bit-for-bit across runs of the
@@ -21,12 +21,12 @@ use unifyfl::core::scoring::ScorerKind;
 use unifyfl::core::{ChaosConfig, FaultEvent, FaultKind, RunState};
 use unifyfl::sim::SimDuration;
 
-/// Runs `config` at `Lanes::fixed(1)` and at `Lanes::Host`, asserts the
+/// Runs `config` at `Lanes::One` and at `Lanes::Host`, asserts the
 /// two reports equal via the Debug serialization (every field, every
 /// counter — the same check `quickstart_smoke` uses for seed determinism)
 /// and returns the one-lane reference's.
 fn host_matches_one_lane(label: &str, mut config: ExperimentConfig) -> ExperimentReport {
-    config.lanes = Lanes::fixed(1);
+    config.lanes = Lanes::One;
     let sequential = run_experiment(&config).expect("one-lane run");
     config.lanes = Lanes::Host;
     let parallel = run_experiment(&config).expect("host-lane run");
@@ -162,7 +162,7 @@ fn event_traces_are_engine_independent() {
     // The lane setting parallelizes compute only — the event schedule
     // (kinds, clusters, timestamps, order) is identical.
     for mode in [Mode::Sync, Mode::Async] {
-        let seq = run_traced(97, mode, Lanes::fixed(1), false);
+        let seq = run_traced(97, mode, Lanes::One, false);
         let par = run_traced(97, mode, Lanes::Host, false);
         assert_eq!(
             format!("{:?}", seq),
@@ -367,7 +367,7 @@ fn joiner_lands_in_its_seeded_shard() {
     let shard_cfg = ShardConfig::new(2);
     let topology = ShardTopology::derive(&shard_cfg, config.seed, config.clusters.len());
     config.sharding = Some(shard_cfg);
-    config.lanes = Lanes::fixed(1);
+    config.lanes = Lanes::One;
     let (_, fed) = RunState::new(&config)
         .expect("the config partitions")
         .finish();

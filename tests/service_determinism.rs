@@ -126,7 +126,7 @@ proptest! {
         engine_idx in 0usize..2,
         cut_raw in any::<u16>(),
     ) {
-        let lanes = [Lanes::fixed(1), Lanes::Host][engine_idx];
+        let lanes = [Lanes::One, Lanes::Host][engine_idx];
         let mode = [Mode::Sync, Mode::Async][(seed % 2) as usize];
         let cfg = config(seed, mode, seed.is_multiple_of(3), lanes);
         let solo = debug(&run_experiment(&cfg).expect("valid config"));
