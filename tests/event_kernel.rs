@@ -303,6 +303,10 @@ fn pre_join_faults_are_skipped_in_sync_and_recorded() {
         crashes[0].outcome, "skipped: not yet joined",
         "the pre-join crash must be recorded as skipped, not applied"
     );
+    assert_eq!(
+        s.chaos.planned_events, 1,
+        "the plan is counted as expanded, the skipped crash included"
+    );
     let joiner = s.aggregators.iter().find(|a| a.name == "agg-late").unwrap();
     assert_eq!(joiner.rounds, 2, "the joiner trains rounds 3 and 4");
 }
