@@ -390,7 +390,7 @@ fn build_chaos_report(fed: &Federation) -> ChaosReport {
     let chain = fed.chain.fault_stats().unwrap_or_default();
     ChaosReport {
         enabled: true,
-        planned_events: plan.events().len() as u64,
+        planned_events: plan.planned(),
         crashes_fired: count("crash"),
         leaves_fired: count("leave"),
         spikes_fired: count("latency_spike"),

@@ -457,10 +457,12 @@ impl Federation {
         &self.config
     }
 
-    /// Expands `chaos` into the fault schedule the engines consume and
-    /// arms the storage and chain injectors with its derived seeds and the
-    /// layer knobs. One derived seed makes the whole schedule (and the
-    /// injector streams) a pure function of the experiment seed.
+    /// Expands `chaos` into the run's one fault schedule, arms the storage
+    /// and chain injectors with its derived seeds and the layer knobs, and
+    /// settles every founder's faults from round 1, which logs the
+    /// standing clock skews before any other record. One derived seed
+    /// makes the whole schedule (and the injector streams) a pure function
+    /// of the experiment seed.
     fn install_chaos(&mut self, chaos: &ChaosConfig) {
         let plan = FaultPlan::expand(
             chaos,
@@ -485,11 +487,46 @@ impl Federation {
             self.chain.install_faults(faults);
         }
         self.fault_plan = Some(plan);
+        for idx in 0..self.clusters.len() {
+            if self.clusters[idx].config().joins_at.is_none() {
+                self.settle_faults(idx, 1);
+            }
+        }
     }
 
-    /// The installed fault schedule, if any.
+    /// The installed fault schedule, if any: the one both engines read,
+    /// with a Sync joiner's pre-join faults pruned once it joins.
     pub fn fault_plan(&self) -> Option<&FaultPlan> {
         self.fault_plan.as_ref()
+    }
+
+    /// How far `cluster`'s clock runs behind the federation's (zero
+    /// without a fault plan).
+    pub fn clock_skew(&self, cluster: usize) -> SimDuration {
+        self.fault_plan
+            .as_ref()
+            .map_or(SimDuration::ZERO, |p| p.clock_skew(cluster))
+    }
+
+    /// Settles `cluster`'s fault schedule from `first_round`, the first
+    /// round it takes part in (founders: 1; a Sync joiner: the round being
+    /// opened; an Async joiner: its own round 1). The plan was expanded
+    /// with no knowledge of `joins_at`, so the cluster's faults before
+    /// `first_round` are pruned and logged as skipped; a standing clock
+    /// skew is kept and logged against `first_round`. Returns the skew.
+    pub(crate) fn settle_faults(&mut self, cluster: usize, first_round: u64) -> SimDuration {
+        let Some(plan) = self.fault_plan.as_mut() else {
+            return SimDuration::ZERO;
+        };
+        for e in plan.extract_pre_join(cluster, first_round) {
+            self.log_fault(cluster, e.round, e.kind.label(), "skipped: not yet joined");
+        }
+        let skew = self.clock_skew(cluster);
+        if !skew.is_zero() {
+            let outcome = "clock runs behind the federation";
+            self.log_fault(cluster, first_round, "clock_skew", outcome);
+        }
+        skew
     }
 
     /// The *current* two-tier shard topology (the latest epoch), when the

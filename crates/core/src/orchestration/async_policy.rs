@@ -4,7 +4,6 @@ use std::collections::{HashSet, VecDeque};
 
 use unifyfl_chain::orchestrator::OrchestrationMode;
 use unifyfl_fl::fanout;
-use unifyfl_sim::fault::FaultPlan;
 use unifyfl_sim::{EventQueue, SimDuration, SimTime};
 use unifyfl_storage::Cid;
 
@@ -43,7 +42,6 @@ pub(crate) struct AsyncPolicy {
     /// A regroup event is in flight; holds the `SealSlot` drain back like
     /// `shard_pending` does.
     regroup_pending: bool,
-    plan: Option<FaultPlan>,
     clock: Vec<SimTime>,
     rounds_done: Vec<u64>,
     tasks: Vec<VecDeque<Cid>>,
@@ -122,16 +120,9 @@ impl AsyncPolicy {
         let regroup_period = topology
             .and_then(|tp| tp.config.regroup.map(|every| nominal_round(tp) * every))
             .unwrap_or(SimDuration::ZERO);
-        let plan = fed.fault_plan().cloned();
+        // A skewed cluster's whole timeline runs behind the federation's.
         let clock: Vec<SimTime> = (0..n)
-            .map(|idx| {
-                // A skewed cluster's whole timeline runs behind the
-                // federation's.
-                fed.setup_done
-                    + plan
-                        .as_ref()
-                        .map_or(SimDuration::ZERO, |p| p.clock_skew(idx))
-            })
+            .map(|idx| fed.setup_done + fed.clock_skew(idx))
             .collect();
         let eval = fed.clusters[0].eval_flops(fed.global_test.len());
         AsyncPolicy {
@@ -140,7 +131,6 @@ impl AsyncPolicy {
             regroup_period,
             shard_pending: false,
             regroup_pending: false,
-            plan,
             clock,
             rounds_done: vec![0; n],
             tasks: vec![VecDeque::new(); n],
@@ -239,7 +229,7 @@ impl AsyncPolicy {
             Crash { down: u64 },
         }
         let round = self.rounds_done[idx] + 1;
-        let hit = match self.plan.as_ref() {
+        let hit = match fed.fault_plan() {
             Some(p) if p.has_left(idx, round.min(self.rounds)) => Some(FaultHit::Leave),
             Some(p)
                 if round <= self.rounds
@@ -390,7 +380,7 @@ impl AsyncPolicy {
         // submission, and peers can assign it scoring duties from here on.
         fed.flush_chain_at(t);
         // The joiner free-runs from its join: its own round 1 comes first.
-        let behind = membership::join(fed, &mut self.members, self.plan.as_mut(), idx, t, 1);
+        let behind = membership::join(fed, &mut self.members, idx, t, 1);
         self.clock[idx] = t + behind;
         self.distribute(fed);
         self.ensure_wakes(queue);
@@ -415,7 +405,6 @@ impl AsyncPolicy {
 
 impl EventPolicy for AsyncPolicy {
     fn seed(&mut self, fed: &mut Federation, queue: &mut EventQueue<Event>) {
-        membership::log_initial_skews(fed, self.plan.as_ref(), &self.members);
         for idx in 0..fed.clusters.len() {
             if let Some(jt) = self.members.join_time[idx] {
                 self.pending_joins += 1;

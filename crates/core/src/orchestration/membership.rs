@@ -1,7 +1,8 @@
 //! Who is in the federation, and the one elastic-join path both policies
 //! fire on [`Event::MembershipChange`](crate::events::Event::MembershipChange).
+//! The policy owns the membership; the joiner's fault schedule is the
+//! federation's, settled through [`Federation::settle_faults`].
 
-use unifyfl_sim::fault::FaultPlan;
 use unifyfl_sim::{SimDuration, SimTime};
 
 use super::mean_f64;
@@ -43,19 +44,6 @@ impl Members {
     }
 }
 
-/// Logs the standing clock-skew fault for every *founding* cluster (the
-/// skew applies from the first round; recording it proves the fault took
-/// effect even when nothing is rejected).
-pub(super) fn log_initial_skews(fed: &mut Federation, plan: Option<&FaultPlan>, members: &Members) {
-    let Some(p) = plan else { return };
-    let skewed: Vec<usize> = (0..members.joined.len())
-        .filter(|&idx| members.joined[idx] && !p.clock_skew(idx).is_zero())
-        .collect();
-    for idx in skewed {
-        fed.log_fault(idx, 1, "clock_skew", "clock runs behind the federation");
-    }
-}
-
 /// Submits a joiner's on-chain registration at `at`. When it seals is the
 /// policy's business: the barrier's next phase flush carries it (Sync), or
 /// the policy seals promptly so peers can assign the joiner scoring duties
@@ -69,24 +57,17 @@ pub(super) fn register(fed: &mut Federation, idx: usize, at: SimTime) {
 /// Admits a registered joiner at `at`: bootstraps its model from every
 /// currently-visible scored release (sync: window-closed entries — the
 /// *full-consensus* view; async: any-scored latest entries — the
-/// *optimistic* view), marks it a member, and settles its fault schedule
-/// from `first_round`, the first round it takes part in (Sync: the round
-/// being opened; Async: its own round 1).
-///
-/// The fault plan was sampled for all clusters over all rounds with no
-/// knowledge of `joins_at`, so a pre-join crash window could leak into the
-/// joiner's first rounds (`is_down` spans `down_rounds`): events before
-/// `first_round` are pruned from the engine's plan and recorded as
-/// skipped. Clock skews are kept — a standing skew afflicts the joiner
-/// from its join onward, exactly as founders are skewed from setup, and is
-/// recorded as [`log_initial_skews`] does for them.
+/// *optimistic* view), marks it a member, and has the federation settle
+/// its fault schedule from `first_round`, the first round it takes part in
+/// (Sync: the round being opened; Async: its own round 1), as
+/// [`Federation::settle_faults`] describes: pre-join faults are pruned
+/// from the one plan and logged as skipped, a standing skew is logged.
 ///
 /// Returns how far behind `at` the joiner's own timeline starts: the
 /// bootstrap pulls under the active link model, plus its clock skew.
 pub(super) fn join(
     fed: &mut Federation,
     members: &mut Members,
-    plan: Option<&mut FaultPlan>,
     idx: usize,
     at: SimTime,
     first_round: u64,
@@ -94,20 +75,7 @@ pub(super) fn join(
     let spent = bootstrap(fed, idx, at);
     members.joined[idx] = true;
     members.live[idx] = true;
-    let Some(plan) = plan else { return spent };
-    for e in plan.extract_pre_join(idx, first_round) {
-        fed.log_fault(idx, e.round, e.kind.label(), "skipped: not yet joined");
-    }
-    let skew = plan.clock_skew(idx);
-    if !skew.is_zero() {
-        fed.log_fault(
-            idx,
-            first_round,
-            "clock_skew",
-            "clock runs behind the federation",
-        );
-    }
-    spent + skew
+    spent + fed.settle_faults(idx, first_round)
 }
 
 /// Adopts the equal-weight mean of the visible scored releases as the

@@ -33,15 +33,16 @@
 //! periodic Clique seals as time passes, so contract-enforced window
 //! semantics (late submissions/scores reverting) are exercised for real.
 //!
-//! Both policies consume the federation's installed
+//! Both policies read the federation's one installed
 //! [`FaultPlan`](unifyfl_sim::fault::FaultPlan), if any (crashes, leaves,
-//! latency spikes, clock skew), and both serve *elastic membership*: a
-//! cluster configured with
+//! latency spikes, clock skew), and keep no copy of it. Both serve
+//! *elastic membership*, which the policy owns: a cluster configured with
 //! [`ClusterConfig::joins_at`](crate::cluster::ClusterConfig::joins_at)
 //! enters mid-run through a
 //! [`Event::MembershipChange`](crate::events::Event::MembershipChange)
 //! event — it registers on-chain, bootstraps its model from the latest
-//! scored releases, and participates from there.
+//! scored releases, has the federation settle its fault schedule, and
+//! participates from there.
 
 mod async_policy;
 mod membership;

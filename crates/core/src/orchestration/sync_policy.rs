@@ -4,7 +4,6 @@ use std::collections::BTreeMap;
 
 use unifyfl_chain::orchestrator::{calls, OrchestrationMode};
 use unifyfl_chain::types::Address;
-use unifyfl_sim::fault::FaultPlan;
 use unifyfl_sim::{EventQueue, SimDuration, SimTime};
 use unifyfl_storage::Cid;
 
@@ -48,7 +47,6 @@ enum TrainAction {
 pub(crate) struct SyncPolicy {
     training_window: SimDuration,
     scoring_window: SimDuration,
-    plan: Option<FaultPlan>,
     // Cross-round accumulators.
     straggler_rounds: Vec<u64>,
     rejected_scores: Vec<u64>,
@@ -112,7 +110,6 @@ impl SyncPolicy {
         SyncPolicy {
             training_window,
             scoring_window,
-            plan: fed.fault_plan().cloned(),
             straggler_rounds: vec![0; n],
             rejected_scores: vec![0; n],
             carryover: vec![None; n],
@@ -167,7 +164,9 @@ impl SyncPolicy {
         // (shared-state reads and fetches), then run the cluster-local
         // compute over the run's lanes. Commits are the
         // `TrainingDone` events, released at the barrier in index order.
-        let actions: Vec<TrainAction> = (0..n).map(|idx| self.train_action(idx, round)).collect();
+        let actions: Vec<TrainAction> = (0..n)
+            .map(|idx| self.train_action(fed, idx, round))
+            .collect();
         let inputs: Vec<Option<TrainInputs>> = (0..n)
             .map(|idx| (actions[idx] == TrainAction::Run).then(|| prepare_train(fed, idx, round)))
             .collect();
@@ -207,11 +206,11 @@ impl SyncPolicy {
 
     /// What the training phase decides for one cluster, before any state
     /// is mutated: pure reads of membership, fault plan and carryover.
-    fn train_action(&self, idx: usize, round: u64) -> TrainAction {
+    fn train_action(&self, fed: &Federation, idx: usize, round: u64) -> TrainAction {
         if !self.members.joined[idx] {
             return TrainAction::NotJoined;
         }
-        if let Some(p) = &self.plan {
+        if let Some(p) = fed.fault_plan() {
             if p.has_left(idx, round) {
                 return if self.members.live[idx] {
                     TrainAction::Leave
@@ -228,12 +227,6 @@ impl SyncPolicy {
         } else {
             TrainAction::Run
         }
-    }
-
-    fn clock_skew(&self, idx: usize) -> SimDuration {
-        self.plan
-            .as_ref()
-            .map_or(SimDuration::ZERO, |p| p.clock_skew(idx))
     }
 
     /// A [`Event::TrainingDone`] commit for one cluster: every federation
@@ -281,7 +274,7 @@ impl SyncPolicy {
                 let publish = commit_train_effects(fed, idx, round, &mut result);
                 let busy = result.pull + result.train + publish;
                 // A skewed cluster's submission reaches the chain late.
-                let finish = self.phase_start + busy + self.clock_skew(idx);
+                let finish = self.phase_start + busy + fed.clock_skew(idx);
                 self.submit_or_hold(fed, idx, round, finish);
                 fed.clusters[idx].record(ClusterRoundRecord {
                     round,
@@ -372,7 +365,7 @@ impl SyncPolicy {
                 && p.carryover[idx].is_none() // still busy with held-over work?
                 // Chaos: departed or crashed clusters never score this
                 // round (`is_down` covers both).
-                && p.plan.as_ref().is_none_or(|pl| !pl.is_down(idx, round))
+                && fed.fault_plan().is_none_or(|pl| !pl.is_down(idx, round))
         };
         let n = fed.clusters.len();
         let task_lists: Vec<Option<Vec<ScoreTask>>> = (0..n)
@@ -421,7 +414,7 @@ impl SyncPolicy {
             return;
         };
         let orch = fed.orchestrator;
-        let skew = self.clock_skew(idx);
+        let skew = fed.clock_skew(idx);
         let mut clock = self.scoring_start + skew;
         for s in scored {
             clock += book_score(fed, idx, &s);
@@ -504,7 +497,6 @@ impl SyncPolicy {
 
 impl EventPolicy for SyncPolicy {
     fn seed(&mut self, fed: &mut Federation, queue: &mut EventQueue<Event>) {
-        membership::log_initial_skews(fed, self.plan.as_ref(), &self.members);
         self.end_time = fed.setup_done;
         if fed.config().workload.rounds > 0 {
             queue.schedule(fed.setup_done, Event::OpenTraining { round: 1 });
@@ -524,14 +516,7 @@ impl EventPolicy for SyncPolicy {
                 // transaction (`open_training` re-issues right behind the
                 // join and flushes), so the join is visible to this round.
                 membership::register(fed, cluster, at);
-                membership::join(
-                    fed,
-                    &mut self.members,
-                    self.plan.as_mut(),
-                    cluster,
-                    at,
-                    self.opening_round,
-                );
+                membership::join(fed, &mut self.members, cluster, at, self.opening_round);
             }
             Event::OpenTraining { round } => self.open_training(fed, queue, at, round),
             Event::TrainingDone { cluster, round } => self.training_done(fed, cluster, round),

@@ -170,6 +170,9 @@ impl ChaosConfig {
 pub struct FaultPlan {
     seed: u64,
     events: Vec<FaultEvent>,
+    /// How many events the expansion produced, whatever
+    /// [`FaultPlan::extract_pre_join`] has pruned since.
+    planned: u64,
 }
 
 impl FaultPlan {
@@ -221,7 +224,11 @@ impl FaultPlan {
         events.sort_by(|a, b| {
             (a.round, a.cluster, a.kind.label()).cmp(&(b.round, b.cluster, b.kind.label()))
         });
-        FaultPlan { seed, events }
+        FaultPlan {
+            seed,
+            planned: events.len() as u64,
+            events,
+        }
     }
 
     /// The seed the plan (and its layer sub-streams) derive from.
@@ -229,9 +236,15 @@ impl FaultPlan {
         self.seed
     }
 
-    /// The expanded schedule, in canonical `(round, cluster)` order.
+    /// The schedule still standing, in canonical `(round, cluster)` order.
     pub fn events(&self) -> &[FaultEvent] {
         &self.events
+    }
+
+    /// How many events the schedule was expanded to: the report's planned
+    /// count, which a joiner's pruned pre-join faults do not change.
+    pub fn planned(&self) -> u64 {
+        self.planned
     }
 
     /// Seed for the storage-layer fault stream.
@@ -516,6 +529,7 @@ mod tests {
         assert!(plan.has_left(3, 3), "the round-3 leave stays");
         assert_eq!(plan.clock_skew(3), SimDuration::from_secs(10), "skew kept");
         assert!(plan.has_left(0, 1), "other clusters untouched");
+        assert_eq!(plan.planned(), 4, "the planned count is the expansion's");
     }
 
     #[test]
