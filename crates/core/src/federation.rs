@@ -502,7 +502,7 @@ impl Federation {
 
     /// How far `cluster`'s clock runs behind the federation's (zero
     /// without a fault plan).
-    pub fn clock_skew(&self, cluster: usize) -> SimDuration {
+    pub(crate) fn clock_skew(&self, cluster: usize) -> SimDuration {
         self.fault_plan
             .as_ref()
             .map_or(SimDuration::ZERO, |p| p.clock_skew(cluster))
@@ -810,19 +810,16 @@ impl Federation {
     }
 
     /// One pull of `cid` into `cluster`'s IPFS node — the first attempt of
-    /// every fetch and every warm-up. With
-    /// [`TransferConfig::delta`](unifyfl_storage::TransferConfig::delta) on
-    /// and a `(base_cid, delta_cid)` reference on the contract for `cid`,
-    /// it moves only the delta when the base is local, reconstructing in
-    /// byte space ([`apply_to_blob`]); the storage layer verifies the
-    /// reconstruction against `cid` and falls back to a full fetch on any
-    /// mismatch. Otherwise it is a plain `get`.
+    /// every fetch and every warm-up. With a `(base_cid, delta_cid)`
+    /// reference on the contract for `cid` it is a
+    /// [`get_with_delta`](unifyfl_storage::IpfsNode::get_with_delta), which
+    /// moves only the delta when the storage layer's `transfer.delta` is on
+    /// and the base is local, reconstructing in byte space
+    /// ([`apply_to_blob`]) and verifying against `cid`; otherwise, and on
+    /// any mismatch, it fetches in full. Without a reference it is a `get`.
     fn pull(&self, cluster: usize, cid: Cid) -> Result<GetReceipt, IpfsError> {
         let node = self.clusters[cluster].ipfs();
-        match self
-            .delta_ref_of(cid)
-            .filter(|_| self.config.transfer.delta)
-        {
+        match self.delta_ref_of(cid) {
             Some((base, delta)) => {
                 node.get_with_delta(cid, base, delta, |b, d| apply_to_blob(b, d).ok())
             }
