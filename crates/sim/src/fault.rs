@@ -311,9 +311,10 @@ impl FaultPlan {
     /// Removes and returns the cluster's faults scheduled for rounds
     /// before `first_round` — the rounds a mid-run joiner was not yet part
     /// of the federation for. The plan samples `0..n_clusters` uniformly
-    /// (it has no knowledge of `joins_at`), so the engines call this at
-    /// join time to deterministically skip pre-join faults, recording each
-    /// as `"skipped: not yet joined"`. Clock skews are kept: a skew
+    /// (it has no knowledge of `joins_at`), so the run calls this on its
+    /// one plan at join time to deterministically skip pre-join faults,
+    /// recording each as `"skipped: not yet joined"`; [`FaultPlan::planned`]
+    /// still counts them. Clock skews are kept: a skew
     /// applies from the first round regardless of its nominal round, and
     /// takes effect when the joiner's clock starts.
     pub fn extract_pre_join(&mut self, cluster: usize, first_round: u64) -> Vec<FaultEvent> {
