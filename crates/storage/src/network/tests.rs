@@ -387,41 +387,49 @@ fn delta_fetch_reconstructs_verifies_and_accounts() {
 
 #[test]
 fn delta_fetch_falls_back_when_base_missing_or_reconstruction_wrong() {
-    let (net, nodes) = fabric(2);
-    net.configure_transfer(TransferConfig::default(), 3);
-    let content = vec![9u8; 50_000];
-    let rc = nodes[0].add(&content);
-    let rd = nodes[0].add(b"not really a delta");
-    let ghost_base = Cid::for_data(b"never stored");
-
-    // Base missing: full fetch, correct bytes.
-    let got = nodes[1]
-        .get_with_delta(rc.cid, ghost_base, rd.cid, |_, _| unreachable!())
-        .unwrap();
-    assert_eq!(got.data[..], content[..]);
-    assert_eq!(net.transfer_stats().delta_fallbacks, 1);
-
-    // Reconstruction lies: verification rejects it, full fetch wins.
-    let (net2, nodes2) = fabric(2);
-    net2.configure_transfer(TransferConfig::default(), 3);
-    let rb2 = nodes2[0].add(b"base");
-    let rc2 = nodes2[0].add(&content);
-    let rd2 = nodes2[0].add(b"delta");
-    nodes2[1].get(rb2.cid).unwrap();
-    let got = nodes2[1]
-        .get_with_delta(rc2.cid, rb2.cid, rd2.cid, |_, _| Some(vec![1, 2, 3]))
-        .unwrap();
-    assert_eq!(
-        got.data[..],
-        content[..],
-        "bad reconstruction never surfaces"
-    );
-    assert_eq!(net2.transfer_stats().delta_fallbacks, 1);
-    // Not a byte of the rejected reconstruction was stored.
+    // Every way a delta fetch can fall back, and deltas off. Each serves
+    // the content in full with one counted cache lookup, keeps neither
+    // the delta blob nor a rejected reconstruction, and leaves the content
+    // local; only a fallback with deltas on counts in `delta_fallbacks`.
+    type Reconstruct = fn(&[u8], &[u8]) -> Option<Vec<u8>>;
+    let ghost = Cid::for_data(b"never stored");
     let rejected = chunk(&[1, 2, 3], DEFAULT_CHUNK_SIZE);
-    assert!(!nodes2[1].has_local(rejected.root));
-    assert!(!nodes2[1].has_local(rejected.leaves[0].0));
-    assert_eq!(net2.first_corrupt_block(), None);
+    let cases: [(&str, bool, bool, bool, Reconstruct); 5] = [
+        ("deltas off", false, true, true, flip_byte),
+        ("base not local", true, false, true, |_, _| unreachable!()),
+        ("delta missing", true, true, false, |_, _| unreachable!()),
+        ("refused", true, true, true, |_, _| None),
+        ("wrong root", true, true, true, |_, _| Some(vec![1, 2, 3])),
+    ];
+    for (cause, delta_on, base_held, delta_published, reconstruct) in cases {
+        let (net, nodes) = fabric(2);
+        let transfer = TransferConfig {
+            delta: delta_on,
+            ..TransferConfig::default()
+        };
+        net.configure_transfer(transfer, 3);
+        let (base, next, delta, _) = delta_scenario(&nodes);
+        let base = if base_held { base } else { ghost };
+        let delta = if delta_published { delta } else { ghost };
+        let content = nodes[0].get(next).unwrap().data;
+        let before = net.transfer_stats();
+        let got = nodes[1]
+            .get_with_delta(next, base, delta, reconstruct)
+            .unwrap();
+        let after = net.transfer_stats();
+        assert_eq!(got.data, content, "{cause}: the content, in full");
+        assert_eq!(after.cache_misses - before.cache_misses, 1, "{cause}");
+        assert_eq!(after.cache_hits, before.cache_hits, "{cause}");
+        let fallbacks = after.delta_fallbacks - before.delta_fallbacks;
+        assert_eq!(fallbacks, u64::from(delta_on), "{cause}");
+        assert_eq!(after.delta_fetches, before.delta_fetches, "{cause}");
+        assert!(!nodes[1].has_local(delta), "{cause}: delta blob kept");
+        // Not a byte of the rejected reconstruction was stored.
+        assert!(!nodes[1].has_local(rejected.root), "{cause}");
+        assert!(!nodes[1].has_local(rejected.leaves[0].0), "{cause}");
+        assert_eq!(net.first_corrupt_block(), None, "{cause}");
+        assert!(nodes[1].get(next).unwrap().local_hit, "{cause}");
+    }
 }
 
 /// A published one-leaf model, its successor and a toy delta between
