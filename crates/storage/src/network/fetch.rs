@@ -1,6 +1,7 @@
 //! A node's side of a fetch that stays off the wire: `add`, the cache and
-//! local-store fast path, delta reconstruction and its fallbacks, pins
-//! and garbage collection. Going remote is [`super::remote`].
+//! local-store fast path (probed once per fetch), delta reconstruction
+//! and its one fallback site, pins and garbage collection. Going remote
+//! is [`super::remote`].
 
 use std::sync::Arc;
 use unifyfl_sim::SimDuration;
@@ -65,35 +66,6 @@ pub struct GetReceipt {
     pub local_hit: bool,
 }
 
-/// How a locked fetch should behave (internal plumbing for the delta and
-/// fallback paths, which must not double-count cache lookups or cache
-/// single-use delta blobs).
-#[derive(Clone, Copy)]
-pub(super) struct FetchOpts {
-    /// Count cache hit/miss in the transfer stats.
-    pub(super) count_cache: bool,
-    /// Retain fetched blocks locally, re-advertise, and cache the content.
-    pub(super) retain: bool,
-}
-
-impl FetchOpts {
-    pub(super) const NORMAL: FetchOpts = FetchOpts {
-        count_cache: true,
-        retain: true,
-    };
-    /// For single-use payloads (delta blobs): fetch without retaining, so
-    /// the fabric's resident bytes are independent of the fetch strategy.
-    pub(super) const TRANSIENT: FetchOpts = FetchOpts {
-        count_cache: false,
-        retain: false,
-    };
-    /// A fallback after a counted cache miss: proceed without re-counting.
-    pub(super) const FALLBACK: FetchOpts = FetchOpts {
-        count_cache: false,
-        retain: true,
-    };
-}
-
 /// Handle to one node of the fabric.
 #[derive(Clone)]
 pub struct IpfsNode {
@@ -147,7 +119,7 @@ impl IpfsNode {
     /// [`IpfsError::Corrupt`] if verification fails.
     pub fn get(&self, cid: Cid) -> Result<GetReceipt, IpfsError> {
         let mut st = self.network.state();
-        Self::get_locked(&mut st, self.id, cid, FetchOpts::NORMAL)
+        Self::get_locked(&mut st, self.id, cid, true)
     }
 
     /// Fetches `cid` by transferring only the `delta` blob and
@@ -157,10 +129,12 @@ impl IpfsNode {
     /// bytes (or `None` if the delta does not apply); the result is
     /// **verified against `cid`** before being accepted, stored and
     /// advertised, so a wrong or malicious delta can never corrupt the
-    /// fetch. Any failure — base not local, delta unavailable,
-    /// reconstruction refused, verification mismatch — falls back to a
-    /// plain full fetch and is counted in
-    /// [`TransferStats::delta_fallbacks`](super::TransferStats::delta_fallbacks).
+    /// fetch. The fast path runs once, as for [`IpfsNode::get`]. With
+    /// deltas on, any failure of the delta attempt — base not local, delta
+    /// unavailable, reconstruction refused, verification mismatch — is
+    /// counted in
+    /// [`TransferStats::delta_fallbacks`](super::TransferStats::delta_fallbacks);
+    /// then, or with deltas off, this one site fetches in full from the wire.
     ///
     /// Verification hashes the reconstruction where it lies, leaf by leaf
     /// at [`DEFAULT_CHUNK_SIZE`] (how [`IpfsNode::add`] published it), then
@@ -189,36 +163,40 @@ impl IpfsNode {
         let mut st = self.network.state();
         let st = &mut *st;
         let id = self.id;
-
-        // Fast paths, identical to a plain get.
-        if let Some(receipt) = Self::try_fast_path(st, id, cid, FetchOpts::NORMAL)? {
+        if let Some(receipt) = Self::try_fast_path(st, id, cid, true)? {
             return Ok(receipt);
         }
-
-        if !st.transfer.delta {
-            return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
+        if st.transfer.delta {
+            if let Some(receipt) = Self::fetch_by_delta(st, id, cid, base, delta, reconstruct) {
+                return Ok(receipt);
+            }
+            st.stats.delta_fallbacks += 1;
         }
+        Self::fetch_remote(st, id, cid, true)
+    }
 
+    /// [`IpfsNode::get_with_delta`]'s delta attempt: `None`, with nothing
+    /// of `cid` stored, when `base` is not resident, the `delta` blob
+    /// cannot be fetched, `reconstruct` refuses or the root is not `cid`.
+    fn fetch_by_delta(
+        st: &mut NetworkState,
+        id: NodeId,
+        cid: Cid,
+        base: Cid,
+        delta: Cid,
+        reconstruct: impl FnOnce(&[u8], &[u8]) -> Option<Vec<u8>>,
+    ) -> Option<GetReceipt> {
         // The base must be fully resident (and well-formed); otherwise a
         // delta transfer cannot help and the full fetch is the cheapest
         // correct path.
-        let base_data = Self::read_local(&st.nodes[id.0 as usize].store, base);
-        let Some(base_data) = base_data.ok().flatten() else {
-            st.stats.delta_fallbacks += 1;
-            return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
-        };
+        let store = &st.nodes[id.0 as usize].store;
+        let base_data = Self::read_local(store, base).ok().flatten()?;
 
         // Pull the delta blob through the ordinary (faultable, dedup-aware)
         // machinery, but transiently: single-use payloads are not retained,
         // so resident storage is identical whichever path served the fetch.
         let before = st.stats;
-        let delta_receipt = match Self::get_locked(st, id, delta, FetchOpts::TRANSIENT) {
-            Ok(r) => r,
-            Err(_) => {
-                st.stats.delta_fallbacks += 1;
-                return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
-            }
-        };
+        let delta_receipt = Self::get_locked(st, id, delta, false).ok()?;
         let delta_logical = st.stats.logical_bytes - before.logical_bytes;
         let delta_physical = st.stats.physical_bytes - before.physical_bytes;
 
@@ -226,14 +204,9 @@ impl IpfsNode {
         // hashed where it lies — every leaf, then the root block built from
         // their CIDs — and that root must be the requested CID before a
         // byte of it is stored, cached or returned.
-        let verified = reconstruct(&base_data, &delta_receipt.data).and_then(|data| {
-            let (root, root_block) = hash_in_place(&data, DEFAULT_CHUNK_SIZE);
-            (Cid::for_data(&root_block) == cid).then_some((data, root, root_block))
-        });
-        let Some((data, root, root_block)) = verified else {
-            st.stats.delta_fallbacks += 1;
-            return Self::get_locked(st, id, cid, FetchOpts::FALLBACK);
-        };
+        let data = reconstruct(&base_data, &delta_receipt.data)?;
+        let (root, root_block) = hash_in_place(&data, DEFAULT_CHUNK_SIZE);
+        (Cid::for_data(&root_block) == cid).then_some(())?;
 
         // Verified: materialize the full DAG locally (no wire bytes). A
         // leaf goes in as the buffer a provider of `cid` already holds
@@ -274,26 +247,27 @@ impl IpfsNode {
 
         // Reconstruction cost mirrors the add-path hashing model (~1 GB/s).
         let elapsed = delta_receipt.elapsed + SimDuration::from_secs_f64(data.len() as f64 / 1.0e9);
-        Ok(GetReceipt {
+        Some(GetReceipt {
             data,
             elapsed,
             local_hit: false,
         })
     }
 
-    /// The shared serve-without-the-wire path: fetch cache, then local
-    /// blockstore (populating the cache). `Ok(None)` means the caller must
-    /// go remote. Kept in one place so plain and delta fetches can never
-    /// drift in their hit/miss accounting.
+    /// The shared serve-without-the-wire path, kept in one place so plain
+    /// and delta fetches count hits and misses alike: fetch cache, then
+    /// local blockstore. `Ok(None)` means the caller must go remote. A
+    /// `retain` probe counts its cache lookup and caches a blockstore hit;
+    /// a transient one (a delta blob) does neither.
     pub(super) fn try_fast_path(
         st: &mut NetworkState,
         id: NodeId,
         cid: Cid,
-        opts: FetchOpts,
+        retain: bool,
     ) -> Result<Option<GetReceipt>, IpfsError> {
         if st.transfer.cache_bytes > 0 {
             if let Some(data) = st.nodes[id.0 as usize].cache.get(cid) {
-                if opts.count_cache {
+                if retain {
                     st.stats.cache_hits += 1;
                 }
                 return Ok(Some(GetReceipt {
@@ -302,12 +276,12 @@ impl IpfsNode {
                     local_hit: true,
                 }));
             }
-            if opts.count_cache {
+            if retain {
                 st.stats.cache_misses += 1;
             }
         }
         if let Some(data) = Self::read_local(&st.nodes[id.0 as usize].store, cid)? {
-            if opts.retain {
+            if retain {
                 let evictions = &mut st.stats.cache_evictions;
                 st.nodes[id.0 as usize].cache.insert(cid, &data, evictions);
             }

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use unifyfl_sim::SimDuration;
 
 use super::fabric::NetworkState;
-use super::fetch::{FetchOpts, GetReceipt, IpfsError, IpfsNode};
+use super::fetch::{GetReceipt, IpfsError, IpfsNode};
 use crate::chunker::{decode_root, reassemble};
 use crate::cid::Cid;
 use crate::dht::NodeId;
@@ -16,16 +16,28 @@ use crate::dht::NodeId;
 const DHT_LOOKUP_COST: SimDuration = SimDuration::from_millis(20);
 
 impl IpfsNode {
+    /// A fetch under the lock: the fast path, then [`IpfsNode::fetch_remote`].
     pub(super) fn get_locked(
         st: &mut NetworkState,
         id: NodeId,
         cid: Cid,
-        opts: FetchOpts,
+        retain: bool,
     ) -> Result<GetReceipt, IpfsError> {
-        if let Some(receipt) = Self::try_fast_path(st, id, cid, opts)? {
+        if let Some(receipt) = Self::try_fast_path(st, id, cid, retain)? {
             return Ok(receipt);
         }
+        Self::fetch_remote(st, id, cid, retain)
+    }
 
+    /// Fetches `cid` from its best-ranked provider once the fast path has
+    /// missed. With `retain` the verified blocks are stored, advertised and
+    /// cached; without it (a delta blob) only the wire accounting remains.
+    pub(super) fn fetch_remote(
+        st: &mut NetworkState,
+        id: NodeId,
+        cid: Cid,
+        retain: bool,
+    ) -> Result<GetReceipt, IpfsError> {
         // Injected DHT fault: the provider lookup fails outright; the
         // caller sees ordinary missing content and may retry (a fresh roll).
         if let Some(f) = st.faults.as_mut() {
@@ -292,13 +304,13 @@ impl IpfsNode {
         {
             let node = &mut nodes[id.0 as usize];
             node.bytes_fetched += transferred;
-            if opts.retain {
+            if retain {
                 for (block_cid, block) in blocks {
                     node.store.put_keyed(block_cid, block);
                 }
             }
         }
-        if opts.retain {
+        if retain {
             dht.provide(cid, id);
             let evictions = &mut stats.cache_evictions;
             nodes[id.0 as usize].cache.insert(cid, &data, evictions);
