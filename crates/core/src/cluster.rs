@@ -19,7 +19,7 @@ use unifyfl_chain::types::{Address, Transaction};
 use unifyfl_chain::Score;
 use unifyfl_data::Dataset;
 use unifyfl_fl::fanout::{self, Lanes};
-use unifyfl_fl::strategy::{precision_weighted_mean, weighted_mean};
+use unifyfl_fl::strategy::precision_weighted_mean;
 use unifyfl_fl::{EvalShell, FlClient, FlServer, InMemoryClient, StrategyKind, TrainShell};
 use unifyfl_sim::{DeviceProfile, SimDuration};
 use unifyfl_storage::network::LinkProfile;
@@ -534,32 +534,18 @@ impl ClusterNode {
     }
 
     /// Step 5: merge selected peer weights with the current global model
-    /// (equal-weight parameter mean, the paper's aggregation of aggregated
-    /// models) and adopt the result.
+    /// and adopt the result. Each peer carries a precision and contributes
+    /// in proportion to it; the cluster's own model enters at the mean
+    /// peer precision. At precision 1 for every peer this is the paper's
+    /// equal-weight mean of aggregated models, bit for bit: every
+    /// coefficient is exactly `1 / (n + 1)`. Under Unify-style adaptive
+    /// weighting the precision is that of the peer's on-chain scores
+    /// (inverse scorer-disagreement variance), so releases the scorers
+    /// agree on pull harder than contested ones.
     ///
     /// Returns the number of peers merged. Takes the fetched vectors by
     /// value: they go into the mean as they are and are dropped with it.
-    pub fn merge_peers(&mut self, peers: Vec<Vec<f32>>) -> usize {
-        if peers.is_empty() {
-            return 0;
-        }
-        let n = peers.len();
-        let mut updates: Vec<(Vec<f32>, usize)> = peers.into_iter().map(|w| (w, 1)).collect();
-        updates.push((self.server.weights().to_vec(), 1));
-        let merged = weighted_mean(self.server.weights(), &updates);
-        self.server.set_weights(merged);
-        n
-    }
-
-    /// Step 5 under Unify-style adaptive weighting: each peer carries the
-    /// *precision* of its on-chain scores (inverse scorer-disagreement
-    /// variance) and contributes proportionally — releases the scorers
-    /// agree on pull harder than contested ones. The cluster's own model
-    /// enters at the mean peer precision, mirroring [`Self::merge_peers`]
-    /// where self is one equal participant.
-    ///
-    /// Returns the number of peers merged; by value, as [`Self::merge_peers`].
-    pub fn merge_peers_weighted(&mut self, mut peers: Vec<(Vec<f32>, f64)>) -> usize {
+    pub fn merge_peers(&mut self, mut peers: Vec<(Vec<f32>, f64)>) -> usize {
         if peers.is_empty() {
             return 0;
         }
@@ -700,7 +686,7 @@ mod tests {
         let (mut cluster, _) = setup(None);
         let n = cluster.weights().len();
         cluster.server.set_weights(vec![0.0; n]);
-        let merged = cluster.merge_peers(vec![vec![3.0; n]]);
+        let merged = cluster.merge_peers(vec![(vec![3.0; n], 1.0)]);
         assert_eq!(merged, 1);
         assert!(cluster.weights().iter().all(|w| (*w - 1.5).abs() < 1e-6));
         // Empty merge is a no-op.
@@ -714,7 +700,7 @@ mod tests {
         cluster.server.set_weights(vec![0.0; n]);
         // Peer precisions 3:1; self enters at their mean (2). Total 6 →
         // merged = (3·6 + 1·0 + 2·0) / 6 = 3.
-        let merged = cluster.merge_peers_weighted(vec![(vec![6.0; n], 3.0), (vec![0.0; n], 1.0)]);
+        let merged = cluster.merge_peers(vec![(vec![6.0; n], 3.0), (vec![0.0; n], 1.0)]);
         assert_eq!(merged, 2);
         assert!(
             cluster.weights().iter().all(|w| (*w - 3.0).abs() < 1e-5),
@@ -723,9 +709,9 @@ mod tests {
         );
         // Equal precisions reduce to the plain equal-weight merge.
         cluster.server.set_weights(vec![0.0; n]);
-        cluster.merge_peers_weighted(vec![(vec![3.0; n], 5.0)]);
+        cluster.merge_peers(vec![(vec![3.0; n], 5.0)]);
         assert!(cluster.weights().iter().all(|w| (*w - 1.5).abs() < 1e-6));
-        assert_eq!(cluster.merge_peers_weighted(Vec::new()), 0);
+        assert_eq!(cluster.merge_peers(Vec::new()), 0);
     }
 
     #[test]

@@ -147,7 +147,7 @@ pub(super) fn shard_exchange(
 fn exchange_into(fed: &mut Federation, idx: usize) -> SimDuration {
     let fetched = fed.fetch_peers(idx, exchange_cids(fed, idx));
     if !fetched.peers.is_empty() {
-        fed.clusters[idx].merge_peers(fetched.peers);
+        fed.clusters[idx].merge_peers(fetched.peers.into_iter().map(|w| (w, 1.0)).collect());
     }
     fed.record_ipfs_burst(fetched.cost);
     fetched.cost

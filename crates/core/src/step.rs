@@ -78,11 +78,11 @@ pub struct Lane {
 pub struct TrainInputs {
     /// Fetched, length-validated peer weight vectors to merge.
     pub peers: Vec<Vec<f32>>,
-    /// Per-peer aggregation precisions (inverse on-chain score variance),
-    /// index-aligned with `peers`. Present only when the topology enables
-    /// [`adaptive_weighting`](crate::sharding::ShardConfig::adaptive_weighting);
-    /// `None` selects the paper's equal-weight merge.
-    pub precisions: Option<Vec<f64>>,
+    /// Per-peer aggregation precisions, index-aligned with `peers`: the
+    /// inverse on-chain score variance when the topology enables
+    /// [`adaptive_weighting`](crate::sharding::ShardConfig::adaptive_weighting),
+    /// otherwise 1 for every peer, the paper's equal-weight merge.
+    pub precisions: Vec<f64>,
     /// Virtual duration of the pulls (`fetch_duration × peers`).
     pub pull: SimDuration,
 }
@@ -213,11 +213,11 @@ pub fn prepare_train(fed: &mut Federation, idx: usize, round: u64) -> TrainInput
 
     let FetchedPeers { peers, kept, cost } =
         fed.fetch_peers(idx, selected.iter().map(|&i| candidates[i].cid));
-    let precisions = adaptive.then(|| {
-        kept.iter()
-            .map(|&k| score_precision(&candidates[selected[k]].scores))
-            .collect()
-    });
+    let precision = |k: usize| score_precision(&candidates[selected[k]].scores);
+    let precisions = kept
+        .iter()
+        .map(|&k| if adaptive { precision(k) } else { 1.0 })
+        .collect();
     TrainInputs {
         peers,
         precisions,
@@ -228,12 +228,7 @@ pub fn prepare_train(fed: &mut Federation, idx: usize, round: u64) -> TrainInput
 /// Merges the prepared peers into the cluster's model; returns how many
 /// it merged.
 fn merge(cluster: &mut ClusterNode, inputs: TrainInputs) -> usize {
-    match inputs.precisions {
-        Some(precisions) => {
-            cluster.merge_peers_weighted(inputs.peers.into_iter().zip(precisions).collect())
-        }
-        None => cluster.merge_peers(inputs.peers),
-    }
+    cluster.merge_peers(inputs.peers.into_iter().zip(inputs.precisions).collect())
 }
 
 /// Merges the prepared peers into the cluster's model and evaluates the
@@ -708,7 +703,7 @@ mod tests {
             let mut lane = Lane::default();
             let inputs = TrainInputs {
                 peers: Vec::new(),
-                precisions: None,
+                precisions: Vec::new(),
                 pull: SimDuration::ZERO,
             };
             compute_train(
