@@ -4,8 +4,9 @@
 # tree and `cargo test -q --no-fail-fast` runs there, so every test that
 # kills it is seen. Fails when a `killed-by` mutant survives or its test is
 # not among the failures, when a `survives` mutant is killed, when a row's
-# source line no longer matches exactly once, or when a mutant does not
-# build.
+# source line no longer matches exactly once, when a mutant does not
+# build, or when its tests hang: a row's tests get `limit` seconds, then
+# their whole process group is killed and the run goes on to the next row.
 #
 # With --check-lines first, nothing is copied, built or run: each row is
 # only checked to be complete and its source line to match exactly once
@@ -26,6 +27,7 @@ if [ "${1:-}" = --check-lines ]; then
 fi
 catalogue=${1:-$root/ci/mutants.txt}
 work=${MUTANTS_DIR:-$root/target/mutants}
+limit=600
 tree=$work/tree
 export CARGO_TARGET_DIR=$work/target
 
@@ -100,9 +102,21 @@ check() {
         failed=1
         return
     fi
+    # `timeout` runs cargo in a process group of its own and signals the
+    # whole group, so no test binary outlives a hung row.
     local outcome=survived
-    (cd "$tree" && cargo test -q --no-fail-fast) >> "$log" 2>&1 || outcome=killed
+    (cd "$tree" && timeout -k 10 "$limit" cargo test -q --no-fail-fast) >> "$log" 2>&1
+    case $? in
+        0) ;;
+        124 | 137) outcome=hung ;;
+        *) outcome=killed ;;
+    esac
     restore "$path"
+    if [ "$outcome" = hung ]; then
+        echo "FAIL $name: hung after $limit s (see $log)"
+        failed=1
+        return
+    fi
     local killers
     killers=$(sed -n 's/^---- \(.*\) stdout ----$/\1/p' "$log" | sort -u | paste -sd ' ' -)
     case "$expect" in

@@ -7,7 +7,7 @@
 //! [`Blockchain::seal_next`] at each block period, exactly like a Geth
 //! sealer thread would.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use rand::rngs::StdRng;
@@ -129,9 +129,10 @@ pub struct Blockchain {
     clique: Clique,
     blocks: Vec<Block>,
     receipts: Vec<Vec<Receipt>>,
-    nonces: HashMap<Address, u64>,
-    contracts: HashMap<Address, Box<dyn Contract>>,
-    contract_order: Vec<Address>,
+    /// In address order, as the state root reads them.
+    nonces: BTreeMap<Address, u64>,
+    /// In first-deploy order, as the state root reads them.
+    contracts: Vec<(Address, Box<dyn Contract>)>,
     pool: TxPool,
     /// Optional fault injector (missed seals, dropped transactions).
     faults: Option<ChainFaults>,
@@ -163,9 +164,8 @@ impl Blockchain {
             clique,
             blocks: vec![genesis],
             receipts: vec![Vec::new()],
-            nonces: HashMap::new(),
-            contracts: HashMap::new(),
-            contract_order: Vec::new(),
+            nonces: BTreeMap::new(),
+            contracts: Vec::new(),
             pool: TxPool::new(),
             faults: None,
             missed_slots: 0,
@@ -226,15 +226,16 @@ impl Blockchain {
     /// Deploys a contract at `address`. Replaces any existing deployment
     /// (private-network operator semantics).
     pub fn deploy(&mut self, address: Address, contract: Box<dyn Contract>) {
-        if !self.contracts.contains_key(&address) {
-            self.contract_order.push(address);
+        match self.contracts.iter_mut().find(|(a, _)| *a == address) {
+            Some((_, slot)) => *slot = contract,
+            None => self.contracts.push((address, contract)),
         }
-        self.contracts.insert(address, contract);
     }
 
     /// Read-only (view) access to a deployed contract's concrete state.
     pub fn view<T: 'static>(&self, address: Address) -> Option<&T> {
-        self.contracts.get(&address)?.as_any().downcast_ref::<T>()
+        let (_, contract) = self.contracts.iter().find(|(a, _)| *a == address)?;
+        contract.as_any().downcast_ref::<T>()
     }
 
     /// Submits a transaction to the pool (it executes at the next seal).
@@ -365,8 +366,8 @@ impl Blockchain {
                 timestamp: now,
                 entropy: parent_hash.to_u64() ^ ((index as u64).wrapping_mul(0x9e3779b97f4a7c15)),
             };
-            let result = match self.contracts.get_mut(&tx.to) {
-                Some(contract) => contract.execute(&ctx, &tx.input),
+            let result = match self.contracts.iter_mut().find(|(a, _)| *a == tx.to) {
+                Some((_, contract)) => contract.execute(&ctx, &tx.input),
                 None => Err(ContractError::NoContract(tx.to)),
             };
             // Nonce advances whether or not the call reverted (Ethereum
@@ -417,15 +418,12 @@ impl Blockchain {
     /// Digest over account nonces and contract states — committed in every
     /// header so divergent replicas are detectable.
     fn state_root(&self) -> H256 {
-        let mut accounts: Vec<(&Address, &u64)> = self.nonces.iter().collect();
-        accounts.sort();
         let mut buf = Vec::new();
-        for (addr, nonce) in accounts {
+        for (addr, nonce) in &self.nonces {
             buf.extend_from_slice(&addr.0);
             buf.extend_from_slice(&nonce.to_be_bytes());
         }
-        for addr in &self.contract_order {
-            let c = &self.contracts[addr];
+        for (addr, c) in &self.contracts {
             buf.extend_from_slice(&addr.0);
             buf.extend_from_slice(c.state_digest().as_bytes());
         }
@@ -480,7 +478,7 @@ impl fmt::Debug for Blockchain {
         f.debug_struct("Blockchain")
             .field("height", &self.height())
             .field("signers", &self.clique.signers().len())
-            .field("contracts", &self.contract_order.len())
+            .field("contracts", &self.contracts.len())
             .field("pool", &self.pool.len())
             .finish()
     }

@@ -27,9 +27,15 @@
 //! A run's whole life in the service — admit, lease, settle, interrupt,
 //! complete — is one state machine behind one mutex, with no lock, condvar
 //! or thread inside its transitions; the inlet, the workers and the stop
-//! calls only lock, call one transition and signal. A fresh submission is
-//! a checkpoint with an empty trace, so every run is built by
-//! [`RunState::resume`].
+//! calls only lock, call one transition and wake every sleeper on the one
+//! condvar. A fresh submission is a checkpoint with an empty trace, so
+//! every run is built by [`RunState::resume`].
+//!
+//! A run panics outside the lock, so only a bug in a transition can
+//! panic while holding it. That is not contained: the worker dies, the
+//! lock is poisoned, and the dying worker wakes every sleeper on its way
+//! out. Each waiter, stop call and worker then meets the poisoned lock and
+//! panics too, so the failure is loud instead of a hang.
 //!
 //! # Determinism and isolation
 //!
@@ -465,13 +471,18 @@ impl RunHandle {
     /// Note: on a paused service (`worker_threads == 0`) nothing ends a
     /// run until [`ExperimentService::shutdown`] checkpoints it, so call
     /// that first (or from another thread).
+    ///
+    /// # Panics
+    ///
+    /// If a service transition panicked (a bug in the service, not in a
+    /// run), instead of waiting for an outcome that will never come.
     pub fn wait(&self) -> RunOutcome {
-        let mut st = lock(&self.shared.state);
+        let mut st = self.shared.lock();
         loop {
             if let RunPhase::Done(outcome) = &st.slots[&self.id] {
                 return outcome.clone();
             }
-            st = wait_on(&self.shared.done, st);
+            st = self.shared.wait(st);
         }
     }
 }
@@ -568,21 +579,20 @@ impl ServiceState {
 
     /// Takes a slice back from its worker: a finished run completes; one
     /// still going is parked at its virtual time, or interrupted if the
-    /// service is halting. Returns whether the run ended.
-    fn settle(&mut self, id: RunId, slice: ControlFlow<RunOutcome, Box<RunState>>) -> bool {
+    /// service is halting.
+    fn settle(&mut self, id: RunId, slice: ControlFlow<RunOutcome, Box<RunState>>) {
         match slice {
             ControlFlow::Break(outcome) => self.complete(id, outcome),
             ControlFlow::Continue(state) => {
                 let at = state.virtual_now();
                 *self.phase(id) = RunPhase::Ready(state);
-                if !self.halting {
+                if self.halting {
+                    self.interrupt(id);
+                } else {
                     self.scheduler.schedule_keyed(at, id.0, id);
-                    return false;
                 }
-                self.interrupt(id);
             }
         }
-        true
     }
 
     /// Ends an unbuilt or parked run as the checkpoint of its progress; a
@@ -638,25 +648,35 @@ impl ServiceState {
 
 struct Shared {
     state: Mutex<ServiceState>,
-    /// Signalled when the scheduler gains work or the service stops.
-    work_ready: Condvar,
-    /// Signalled when any run reaches [`RunPhase::Done`].
-    done: Condvar,
+    /// Notified after every transition: workers wait on it for work,
+    /// handles and stop calls for runs to end.
+    changed: Condvar,
 }
 
-/// Poison-tolerant lock: a panicking run must never wedge the service, so
-/// lock poisoning (possible only via a panic inside a short critical
-/// section, which would be a bug here anyway) is absorbed rather than
-/// propagated.
-fn lock(mutex: &Mutex<ServiceState>) -> MutexGuard<'_, ServiceState> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
+impl Shared {
+    /// Locks the state. A poisoned lock means a transition panicked, which
+    /// is re-raised here rather than run on from a broken state.
+    fn lock(&self) -> MutexGuard<'_, ServiceState> {
+        self.state.lock().expect("a service transition panicked")
+    }
+
+    /// Waits for the next transition; a poisoned lock is re-raised.
+    fn wait<'a>(&self, guard: MutexGuard<'a, ServiceState>) -> MutexGuard<'a, ServiceState> {
+        self.changed
+            .wait(guard)
+            .expect("a service transition panicked")
+    }
 }
 
-fn wait_on<'a>(
-    condvar: &Condvar,
-    guard: MutexGuard<'a, ServiceState>,
-) -> MutexGuard<'a, ServiceState> {
-    condvar.wait(guard).unwrap_or_else(|e| e.into_inner())
+/// Held by each worker: however the worker exits, every sleeper wakes. It
+/// matters when the worker unwinds out of a transition: each sleeper then
+/// meets the poisoned lock instead of waiting forever.
+struct WakeAllOnExit<'a>(&'a Condvar);
+
+impl Drop for WakeAllOnExit<'_> {
+    fn drop(&mut self) {
+        self.0.notify_all();
+    }
 }
 
 /// The daemon: a bounded pool of workers stepping up to
@@ -680,8 +700,7 @@ impl ExperimentService {
         config.validate()?;
         let shared = Arc::new(Shared {
             state: Mutex::new(ServiceState::new(&config)),
-            work_ready: Condvar::new(),
-            done: Condvar::new(),
+            changed: Condvar::new(),
         });
         let workers = (0..config.worker_threads)
             .map(|i| {
@@ -734,8 +753,8 @@ impl ExperimentService {
             .config
             .validate()
             .map_err(ServiceError::Invalid)?;
-        let id = lock(&self.shared.state).admit(checkpoint)?;
-        self.shared.work_ready.notify_one();
+        let id = self.shared.lock().admit(checkpoint)?;
+        self.shared.changed.notify_all();
         Ok(RunHandle {
             id,
             shared: Arc::clone(&self.shared),
@@ -746,8 +765,8 @@ impl ExperimentService {
     /// to completion, then the workers exit. Returns every run's outcome
     /// in submission order. On a paused service (`worker_threads == 0`)
     /// nothing can complete, so pending runs are checkpointed as
-    /// [`RunOutcome::Interrupted`] instead — a drain never hangs and never
-    /// panics.
+    /// [`RunOutcome::Interrupted`] instead — a drain never hangs. It panics
+    /// only if a service transition panicked (see the [module docs](self)).
     pub fn shutdown(&self) -> Vec<(RunId, RunOutcome)> {
         self.stop(false);
         self.outcomes()
@@ -762,23 +781,23 @@ impl ExperimentService {
     }
 
     fn stop(&self, halting: bool) {
-        lock(&self.shared.state).stop(halting);
-        self.shared.work_ready.notify_all();
-        self.shared.done.notify_all();
+        // No worker would ever end a paused service's runs: it stops as a
+        // halt, checkpointing them in the same transition.
+        self.shared
+            .lock()
+            .stop(halting || self.config.worker_threads == 0);
+        self.shared.changed.notify_all();
         // The worker list stays locked until every worker is joined, so a
         // concurrent second stop waits for the first drain to finish.
-        let mut workers = self.workers.lock().unwrap_or_else(|e| e.into_inner());
+        let mut workers = self.workers.lock().expect("no stop panics while joining");
         for worker in workers.drain(..) {
             let _ = worker.join();
         }
-        // Nothing steps a run any more: a paused service's runs end here.
-        lock(&self.shared.state).interrupt_all();
-        self.shared.done.notify_all();
     }
 
     /// Every run's outcome, once stopped.
     fn outcomes(&self) -> Vec<(RunId, RunOutcome)> {
-        let st = lock(&self.shared.state);
+        let st = self.shared.lock();
         st.slots
             .iter()
             .map(|(id, phase)| match phase {
@@ -793,8 +812,11 @@ impl ExperimentService {
 impl Drop for ExperimentService {
     fn drop(&mut self) {
         // An un-shutdown service halts on drop so no handle hangs and no
-        // worker thread leaks.
-        self.stop(true);
+        // worker thread leaks. After a transition panicked there is nothing
+        // to halt, and stopping would panic again.
+        if !self.shared.state.is_poisoned() {
+            self.stop(true);
+        }
     }
 }
 
@@ -842,27 +864,22 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 fn worker_loop(shared: &Shared, slice_events: usize) {
-    let mut st = lock(&shared.state);
+    let _wake = WakeAllOnExit(&shared.changed);
+    let mut st = shared.lock();
     loop {
         let Some((id, job)) = st.lease() else {
             if st.drained() {
                 return;
             }
-            st = wait_on(&shared.work_ready, st);
+            st = shared.wait(st);
             continue;
         };
         drop(st);
         let slice = catch_unwind(AssertUnwindSafe(|| run_slice(job, slice_events)))
             .unwrap_or_else(|panic| ControlFlow::Break(RunOutcome::Failed(panic_message(panic))));
-        st = lock(&shared.state);
-        // One waiter when a run is parked, everyone when one ends (a
-        // promoted run needs a worker; a drain needs the workers to look).
-        if st.settle(id, slice) {
-            shared.work_ready.notify_all();
-            shared.done.notify_all();
-        } else {
-            shared.work_ready.notify_one();
-        }
+        st = shared.lock();
+        st.settle(id, slice);
+        shared.changed.notify_all();
     }
 }
 
@@ -959,6 +976,41 @@ mod tests {
         let outcomes = service.shutdown();
         assert_eq!(outcomes.len(), 4);
         assert!(outcomes.iter().all(|(_, o)| o.is_completed()));
+    }
+
+    /// A worker that panics inside a transition poisons the lock: a
+    /// thread blocked in `RunHandle::wait` must wake and panic, not hang.
+    /// A scheduled id without a slot, ahead of an admitted run, makes the
+    /// worker's `lease` panic.
+    #[test]
+    fn a_panicking_transition_wakes_a_waiter_to_panic() {
+        let service = ExperimentService::start(ServiceConfig {
+            worker_threads: 1,
+            ..ServiceConfig::default()
+        })
+        .expect("valid service config");
+        let handle = {
+            let mut st = service.shared.lock();
+            st.scheduler
+                .schedule_keyed(SimTime::ZERO, 0, RunId(u64::MAX));
+            let checkpoint = RunCheckpoint {
+                config: tiny(1),
+                trace: Vec::new(),
+            };
+            let id = st.admit(checkpoint).expect("admitted");
+            RunHandle {
+                id,
+                shared: Arc::clone(&service.shared),
+            }
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let waited = catch_unwind(AssertUnwindSafe(|| handle.wait()));
+            tx.send(waited.is_err()).expect("the test is listening");
+        });
+        let panicked = rx.recv_timeout(std::time::Duration::from_secs(10));
+        assert_eq!(panicked, Ok(true), "the waiter must panic, not hang");
+        waiter.join().expect("the waiter caught its panic");
     }
 
     /// The transitions driven from one seeded thread. Per seed: draw the

@@ -60,7 +60,7 @@ impl Partition {
             "more parts ({n_parts}) than samples ({})",
             dataset.len()
         );
-        let assignments = match self {
+        let mut parts = match self {
             Partition::Iid => iid_indices(dataset.len(), n_parts, rng),
             Partition::Dirichlet { alpha } => {
                 dirichlet_indices(dataset.labels(), dataset.n_classes(), n_parts, *alpha, rng)
@@ -73,7 +73,21 @@ impl Partition {
                 rng,
             ),
         };
-        assignments.iter().map(|idx| dataset.subset(idx)).collect()
+        // An extreme Dirichlet draw or a tiny domain can starve a part: top
+        // it up from the largest (stealing may cross domains, but only in
+        // degenerate sample-starved configurations). IID never starves one.
+        for p in 0..n_parts {
+            if parts[p].is_empty() {
+                let donor = (0..n_parts)
+                    .max_by_key(|&q| parts[q].len())
+                    .expect("at least one part");
+                if parts[donor].len() > 1 {
+                    let moved = parts[donor].pop().expect("donor non-empty");
+                    parts[p].push(moved);
+                }
+            }
+        }
+        parts.iter().map(|idx| dataset.subset(idx)).collect()
     }
 }
 
@@ -129,18 +143,6 @@ fn dirichlet_indices(
             parts[n_parts - 1].extend_from_slice(&members[cursor..]);
         }
     }
-    // Guarantee non-empty parts by stealing from the largest.
-    for p in 0..n_parts {
-        if parts[p].is_empty() {
-            let donor = (0..n_parts)
-                .max_by_key(|&q| parts[q].len())
-                .expect("at least one part");
-            if parts[donor].len() > 1 {
-                let moved = parts[donor].pop().expect("donor non-empty");
-                parts[p].push(moved);
-            }
-        }
-    }
     parts
 }
 
@@ -185,20 +187,6 @@ fn domain_indices(
             let take = base + usize::from(k < extra);
             parts[p].extend_from_slice(&members[cursor..cursor + take]);
             cursor += take;
-        }
-    }
-    // Same non-empty guarantee as the Dirichlet path (a tiny domain can
-    // starve one of its owners); stealing may cross domains, but only in
-    // degenerate sample-starved configurations.
-    for p in 0..n_parts {
-        if parts[p].is_empty() {
-            let donor = (0..n_parts)
-                .max_by_key(|&q| parts[q].len())
-                .expect("at least one part");
-            if parts[donor].len() > 1 {
-                let moved = parts[donor].pop().expect("donor non-empty");
-                parts[p].push(moved);
-            }
         }
     }
     parts
