@@ -453,6 +453,94 @@ fn flip_byte(base: &[u8], delta: &[u8]) -> Option<Vec<u8>> {
     Some(out)
 }
 
+/// The toy deltas of [`release_chain`]: `(index, byte)` pairs to set. Two
+/// of them set byte 17, so the order deltas apply in matters.
+const CHAIN_EDITS: [&[u8]; 3] = [&[17, 0xA1, 40, 0xC1], &[17, 0xA2], &[17, 0xA3, 60, 0xD3]];
+
+fn set_bytes(base: &[u8], delta: &[u8]) -> Option<Vec<u8>> {
+    let mut out = base.to_vec();
+    for edit in delta.chunks_exact(2) {
+        out[usize::from(edit[0])] = edit[1];
+    }
+    Some(out)
+}
+
+/// Four one-leaf releases of one publisher and the three deltas between
+/// them (`deltas[k]` turns `releases[k]` into `releases[k + 1]`), all added
+/// by node 0, with node 1 holding `releases[0]` only.
+fn release_chain(nodes: &[IpfsNode]) -> ([Cid; 4], [Cid; 3]) {
+    let mut release: Vec<u8> = (0..10_000u32).map(|i| (i % 251) as u8).collect();
+    let mut releases = [nodes[0].add(&release).cid; 4];
+    let mut deltas = [Cid::for_data(b""); 3];
+    for (k, edits) in CHAIN_EDITS.iter().enumerate() {
+        release = set_bytes(&release, edits).unwrap();
+        releases[k + 1] = nodes[0].add(&release).cid;
+        deltas[k] = nodes[0].add(edits).cid;
+    }
+    nodes[1].get(releases[0]).unwrap();
+    (releases, deltas)
+}
+
+#[test]
+fn a_delta_walk_moves_the_deltas_back_to_a_held_base_or_falls_back_once() {
+    // The fetched release's `(base, delta)` reference and its base's, as
+    // `(release, delta)` indices into `release_chain`; the fetcher holds
+    // release 0. A walk moves the deltas only; every other row serves the
+    // content in full after exactly one counted fallback. Either way the
+    // fetcher ends up holding what a plain full fetch leaves: no delta
+    // blob, no intermediate release, no rejected reconstruction.
+    type Row = (&'static str, usize, [(usize, usize); 2], bool);
+    let cases: [Row; 4] = [
+        ("base two back", 2, [(1, 1), (0, 0)], false),
+        ("base three back", 3, [(2, 2), (1, 1)], false),
+        ("wrong middle delta", 2, [(1, 1), (0, 2)], false),
+        ("cid its own ancestor", 2, [(1, 1), (2, 1)], false),
+    ];
+    for (cause, fetched, hops, walks) in cases {
+        let (net, nodes) = fabric(3);
+        net.configure_transfer(TransferConfig::default(), 3);
+        let (releases, deltas) = release_chain(&nodes);
+        let cid = releases[fetched];
+        let hops = hops.map(|(release, delta)| (releases[release], deltas[delta]));
+        let content = nodes[0].get(cid).unwrap().data;
+        let before = net.transfer_stats();
+        let (base, delta) = hops[0];
+        let got = nodes[1]
+            .get_with_delta(cid, base, delta, set_bytes)
+            .unwrap();
+        let after = net.transfer_stats();
+        assert_eq!(got.data, content, "{cause}: the content, in full");
+        assert_eq!(after.cache_misses - before.cache_misses, 1, "{cause}");
+        let fetches = after.delta_fetches - before.delta_fetches;
+        assert_eq!(fetches, u64::from(walks), "{cause}");
+        let fallbacks = after.delta_fallbacks - before.delta_fallbacks;
+        assert_eq!(fallbacks, u64::from(!walks), "{cause}");
+        if walks {
+            let dag = |e: &&[u8]| (chunk(e, DEFAULT_CHUNK_SIZE).root_block.len() + e.len()) as u64;
+            let blobs = CHAIN_EDITS[..fetched].iter().map(dag).sum();
+            let moved = after.physical_bytes - before.physical_bytes;
+            assert_eq!(moved, blobs, "{cause}: the two delta blobs, nothing else");
+        }
+        for (k, release) in releases.iter().enumerate() {
+            let held = k == 0 || k == fetched;
+            assert_eq!(nodes[1].has_local(*release), held, "{cause}: release {k}");
+        }
+        for delta in deltas {
+            assert!(!nodes[1].has_local(delta), "{cause}: delta blob kept");
+        }
+        // Resident storage is what a full fetch of the same content leaves.
+        nodes[2].get(releases[0]).unwrap();
+        nodes[2].get(cid).unwrap();
+        let st = net.state();
+        let (fetcher, reference) = (&st.nodes[1].store, &st.nodes[2].store);
+        assert_eq!(fetcher.len(), reference.len(), "{cause}");
+        assert_eq!(fetcher.total_bytes(), reference.total_bytes(), "{cause}");
+        drop(st);
+        assert_eq!(net.first_corrupt_block(), None, "{cause}");
+        assert!(nodes[1].get(cid).unwrap().local_hit, "{cause}");
+    }
+}
+
 #[test]
 fn a_delta_fetch_stores_the_providers_leaf_buffer() {
     let (net, nodes) = fabric(2);
