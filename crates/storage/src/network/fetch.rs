@@ -1,7 +1,14 @@
 //! A node's side of a fetch that stays off the wire: `add`, the cache and
-//! local-store fast path (probed once per fetch), delta reconstruction
-//! and its one fallback site, pins and garbage collection. Going remote
-//! is [`super::remote`].
+//! local-store fast path (probed once per fetch), the delta walk and its
+//! one fallback site, pins and garbage collection. Going remote is
+//! [`super::remote`].
+//!
+//! The delta walk ([`IpfsNode::get_with_delta_chain`]) follows a fetched
+//! CID's delta references back to the nearest base the node holds, moves
+//! only the delta blobs from there, applies them farthest first and
+//! verifies the final reconstruction against the CID; intermediates are
+//! never hashed or stored. Every way a walk can fail sends the fetch to
+//! the wire in full, counted once.
 
 use std::sync::Arc;
 use unifyfl_sim::SimDuration;
@@ -123,23 +130,52 @@ impl IpfsNode {
     }
 
     /// Fetches `cid` by transferring only the `delta` blob and
-    /// reconstructing against the locally-held `base` content.
+    /// reconstructing against the locally-held `base` content: the one-hop
+    /// walk of [`IpfsNode::get_with_delta_chain`], which documents the
+    /// path, its trust boundary and its one fallback site.
     ///
-    /// `reconstruct(base_bytes, delta_bytes)` must return the full content
-    /// bytes (or `None` if the delta does not apply); the result is
-    /// **verified against `cid`** before being accepted, stored and
-    /// advertised, so a wrong or malicious delta can never corrupt the
-    /// fetch. The fast path runs once, as for [`IpfsNode::get`]. With
-    /// deltas on, any failure of the delta attempt — base not local, delta
-    /// unavailable, reconstruction refused, verification mismatch — is
-    /// counted in
+    /// # Errors
+    ///
+    /// As [`IpfsNode::get`] (of the fallback full fetch).
+    pub fn get_with_delta(
+        &self,
+        cid: Cid,
+        base: Cid,
+        delta: Cid,
+        reconstruct: impl Fn(&[u8], &[u8]) -> Option<Vec<u8>>,
+    ) -> Result<GetReceipt, IpfsError> {
+        self.get_with_delta_chain(cid, &[(base, delta)], reconstruct)
+    }
+
+    /// Fetches `cid` by walking its delta references back to a base this
+    /// node holds, transferring only the deltas on the way.
+    ///
+    /// `hops[0]` is `cid`'s `(base, delta)` reference and each next hop is
+    /// the reference of the base before it, so `hops[k].0` is the release
+    /// `k + 1` references back. The walk starts at the nearest base held
+    /// in full in the local blockstore, pulls each delta blob from there
+    /// to `cid` transiently, farthest first, and applies it:
+    /// `reconstruct(base_bytes, delta_bytes)` must return the next
+    /// release's bytes (or `None` if the delta does not apply). The
+    /// intermediate releases are never hashed, stored or advertised. The
+    /// final reconstruction is **verified against `cid`** before being
+    /// accepted, stored and advertised, so a wrong or malicious delta
+    /// anywhere along the chain can never corrupt the fetch. The fast
+    /// path runs once, as for [`IpfsNode::get`]. With deltas on, any
+    /// failure of the walk — no base along the chain local, a delta blob
+    /// unavailable, a reconstruction refused, verification mismatch — is
+    /// counted once in
     /// [`TransferStats::delta_fallbacks`](super::TransferStats::delta_fallbacks);
     /// then, or with deltas off, this one site fetches in full from the wire.
+    /// A successful walk counts one
+    /// [`TransferStats::delta_fetches`](super::TransferStats::delta_fetches),
+    /// however many hops it took. The caller bounds the walk by the
+    /// length of `hops`.
     ///
     /// Verification hashes the reconstruction where it lies, leaf by leaf
     /// at [`DEFAULT_CHUNK_SIZE`] (how [`IpfsNode::add`] published it), then
-    /// the root block built from those CIDs, without copying it. With the
-    /// delta blob's hash on receipt, a delta fetch makes two SHA-256
+    /// the root block built from those CIDs, without copying it. With each
+    /// delta blob's hash on receipt, a one-hop fetch makes two SHA-256
     /// passes over content bytes. Nothing is stored until the root equals
     /// `cid`. Each leaf is then stored as the very buffer a provider of
     /// `cid` holds under that leaf's CID — the buffer a full fetch would
@@ -153,12 +189,11 @@ impl IpfsNode {
     /// # Errors
     ///
     /// As [`IpfsNode::get`] (of the fallback full fetch).
-    pub fn get_with_delta(
+    pub fn get_with_delta_chain(
         &self,
         cid: Cid,
-        base: Cid,
-        delta: Cid,
-        reconstruct: impl FnOnce(&[u8], &[u8]) -> Option<Vec<u8>>,
+        hops: &[(Cid, Cid)],
+        reconstruct: impl Fn(&[u8], &[u8]) -> Option<Vec<u8>>,
     ) -> Result<GetReceipt, IpfsError> {
         let mut st = self.network.state();
         let st = &mut *st;
@@ -167,7 +202,7 @@ impl IpfsNode {
             return Ok(receipt);
         }
         if st.transfer.delta {
-            if let Some(receipt) = Self::fetch_by_delta(st, id, cid, base, delta, reconstruct) {
+            if let Some(receipt) = Self::fetch_by_delta(st, id, cid, hops, reconstruct) {
                 return Ok(receipt);
             }
             st.stats.delta_fallbacks += 1;
@@ -175,36 +210,47 @@ impl IpfsNode {
         Self::fetch_remote(st, id, cid, true)
     }
 
-    /// [`IpfsNode::get_with_delta`]'s delta attempt: `None`, with nothing
-    /// of `cid` stored, when `base` is not resident, the `delta` blob
+    /// [`IpfsNode::get_with_delta_chain`]'s walk: `None`, with nothing of
+    /// `cid` stored, when no base along `hops` is resident, a delta blob
     /// cannot be fetched, `reconstruct` refuses or the root is not `cid`.
     fn fetch_by_delta(
         st: &mut NetworkState,
         id: NodeId,
         cid: Cid,
-        base: Cid,
-        delta: Cid,
-        reconstruct: impl FnOnce(&[u8], &[u8]) -> Option<Vec<u8>>,
+        hops: &[(Cid, Cid)],
+        reconstruct: impl Fn(&[u8], &[u8]) -> Option<Vec<u8>>,
     ) -> Option<GetReceipt> {
-        // The base must be fully resident (and well-formed); otherwise a
-        // delta transfer cannot help and the full fetch is the cheapest
-        // correct path.
+        // The nearest base along the chain must be fully resident (and
+        // well-formed); with none, a delta transfer cannot help and the
+        // full fetch is the cheapest correct path.
         let store = &st.nodes[id.0 as usize].store;
-        let base_data = Self::read_local(store, base).ok().flatten()?;
+        let (depth, base_data) = hops.iter().enumerate().find_map(|(depth, (base, _))| {
+            Some((depth, Self::read_local(store, *base).ok().flatten()?))
+        })?;
 
-        // Pull the delta blob through the ordinary (faultable, dedup-aware)
-        // machinery, but transiently: single-use payloads are not retained,
-        // so resident storage is identical whichever path served the fetch.
+        // Pull each delta blob through the ordinary (faultable,
+        // dedup-aware) machinery, but transiently: single-use payloads are
+        // not retained, so resident storage is identical whichever path
+        // served the fetch. The walk runs from the base towards `cid`, so
+        // the farthest delta applies first; an intermediate release lives
+        // only as the input of the next delta.
         let before = st.stats;
-        let delta_receipt = Self::get_locked(st, id, delta, false).ok()?;
+        let mut elapsed = SimDuration::ZERO;
+        let mut data: Option<Vec<u8>> = None;
+        for (_, delta) in hops[..=depth].iter().rev() {
+            let delta_receipt = Self::get_locked(st, id, *delta, false).ok()?;
+            elapsed += delta_receipt.elapsed;
+            let from = data.as_deref().unwrap_or(&base_data);
+            data = Some(reconstruct(from, &delta_receipt.data)?);
+        }
+        let data = data?;
         let delta_logical = st.stats.logical_bytes - before.logical_bytes;
         let delta_physical = st.stats.physical_bytes - before.physical_bytes;
 
-        // The trust boundary of a delta fetch: the reconstruction is
-        // hashed where it lies — every leaf, then the root block built from
-        // their CIDs — and that root must be the requested CID before a
-        // byte of it is stored, cached or returned.
-        let data = reconstruct(&base_data, &delta_receipt.data)?;
+        // The trust boundary of a delta fetch: the final reconstruction is
+        // hashed where it lies — every leaf, then the root block built
+        // from their CIDs — and that root must be the requested CID before
+        // a byte of it is stored, cached or returned.
         let (root, root_block) = hash_in_place(&data, DEFAULT_CHUNK_SIZE);
         (Cid::for_data(&root_block) == cid).then_some(())?;
 
@@ -246,7 +292,7 @@ impl IpfsNode {
         st.nodes[id.0 as usize].cache.insert(cid, &data, evictions);
 
         // Reconstruction cost mirrors the add-path hashing model (~1 GB/s).
-        let elapsed = delta_receipt.elapsed + SimDuration::from_secs_f64(data.len() as f64 / 1.0e9);
+        let elapsed = elapsed + SimDuration::from_secs_f64(data.len() as f64 / 1.0e9);
         Some(GetReceipt {
             data,
             elapsed,

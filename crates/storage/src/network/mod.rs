@@ -21,11 +21,13 @@
 //! - **Chunk dedup** — a leaf (or root) block already present in the local
 //!   blockstore is never transferred again; content addressing guarantees
 //!   byte equality, so the fetch result is identical with dedup on or off.
-//! - **Delta fetch** — [`IpfsNode::get_with_delta`] reconstructs content
-//!   from a locally-held base plus a small delta blob, verifying the
-//!   reconstruction against the requested CID before accepting it (and
-//!   falling back to a full fetch when the base is missing or anything
-//!   fails verification).
+//! - **Delta fetch** — [`IpfsNode::get_with_delta_chain`] walks the
+//!   content's delta references back to the nearest base the node holds
+//!   and reconstructs from it plus the small delta blobs on the way
+//!   ([`IpfsNode::get_with_delta`] is the one-hop call), verifying the
+//!   final reconstruction against the requested CID before accepting it
+//!   (and falling back to a full fetch when no base along the chain is
+//!   held or anything fails verification).
 //! - **Fetch cache** — a seeded, size-bounded, approximately-LRU cache of
 //!   assembled content per node, so repeat fetches of a peer's model are
 //!   free. Only *verified, successful* fetches populate it: a fetch

@@ -491,7 +491,7 @@ fn a_delta_walk_moves_the_deltas_back_to_a_held_base_or_falls_back_once() {
     // blob, no intermediate release, no rejected reconstruction.
     type Row = (&'static str, usize, [(usize, usize); 2], bool);
     let cases: [Row; 4] = [
-        ("base two back", 2, [(1, 1), (0, 0)], false),
+        ("base two back", 2, [(1, 1), (0, 0)], true),
         ("base three back", 3, [(2, 2), (1, 1)], false),
         ("wrong middle delta", 2, [(1, 1), (0, 2)], false),
         ("cid its own ancestor", 2, [(1, 1), (2, 1)], false),
@@ -504,9 +504,8 @@ fn a_delta_walk_moves_the_deltas_back_to_a_held_base_or_falls_back_once() {
         let hops = hops.map(|(release, delta)| (releases[release], deltas[delta]));
         let content = nodes[0].get(cid).unwrap().data;
         let before = net.transfer_stats();
-        let (base, delta) = hops[0];
         let got = nodes[1]
-            .get_with_delta(cid, base, delta, set_bytes)
+            .get_with_delta_chain(cid, &hops, set_bytes)
             .unwrap();
         let after = net.transfer_stats();
         assert_eq!(got.data, content, "{cause}: the content, in full");
